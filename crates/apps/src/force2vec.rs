@@ -15,12 +15,25 @@
 //! ∂L/∂x_u = Σ_{v∈N(u)} (σ(x_u·x_v) − 1)·x_v  +  Σ_{n∈Neg(u)} σ(x_u·x_n)·x_n
 //! ```
 //!
-//! Both terms are FusedMM operations — the positive term takes a custom
-//! SOP `s ↦ σ(s) − 1` ("FusedMM can directly take a scaling operation",
-//! §V-D), the negative term is the stock sigmoid-embedding pattern. The
-//! unfused backend materializes per-edge dot products and sigmoids like
-//! DGL; the dense backend forms full `batch × n` score matrices like an
-//! eager PyTorch implementation.
+//! Both terms are one FusedMM operation over a *labelled* adjacency:
+//! with `a_uv = 1` on true neighbours and `0` on sampled negatives the
+//! scale is `σ(x_u·x_v) − a_uv` on every edge
+//! ([`OpSet::nce_gradient`]), a recognized sigmoid-embedding kernel.
+//! The fused backend therefore builds one `batch × n` matrix per step
+//! and launches once:
+//!
+//! ```text
+//!   adj.row(u) ─┐ label 1
+//!               ├─► step (batch × n CSR) ─► fusedmm_opt ─► ∂L/∂x_b ─► SGD in place
+//!   sampler    ─┘ label 0        x_b ─────┘        └─ Y = the embedding itself
+//! ```
+//!
+//! The unfused backend keeps the two terms apart — the positive one as
+//! a custom SOP `s ↦ σ(s) − 1` ("FusedMM can directly take a scaling
+//! operation", §V-D), the negative one as the stock sigmoid embedding —
+//! and materializes per-edge dot products and sigmoids like DGL; the
+//! dense backend forms full `batch × n` score matrices like an eager
+//! PyTorch implementation.
 
 use std::sync::Arc;
 
@@ -29,7 +42,8 @@ use rand::{Rng, SeedableRng};
 
 use fusedmm_baseline::tensor::{dense_mask, OpTally, Tensor};
 use fusedmm_baseline::unfused::unfused_pipeline;
-use fusedmm_core::fusedmm_opt;
+use fusedmm_core::driver::INLINE_LAUNCH_WORK;
+use fusedmm_core::{fusedmm_opt, Partition, PartitionStrategy};
 use fusedmm_ops::{sigmoid, AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -153,36 +167,52 @@ impl Force2Vec {
         let mut loss_sum = 0.0f64;
         let mut loss_terms = 0usize;
         for batch in batch_list {
-            let mb = slice_rows(&self.adj, batch);
-            let neg = sampler.sample_batch(batch);
             let xb = gather_rows(emb, batch);
 
-            let (grad_pos, grad_neg) = match cfg.backend {
-                Backend::Fused => (
-                    fusedmm_opt(&mb.adj, &xb, emb, &Self::positive_ops()),
-                    fusedmm_opt(&neg, &xb, emb, &Self::negative_ops()),
-                ),
-                Backend::Unfused => (
-                    unfused_pipeline(&mb.adj, &xb, emb, &Self::positive_ops()).z,
-                    unfused_pipeline(&neg, &xb, emb, &Self::negative_ops()).z,
-                ),
-                Backend::DenseTensor => (
-                    dense_gradient(&mb.adj, &xb, emb, |s| sigmoid(s) - 1.0),
-                    dense_gradient(&neg, &xb, emb, sigmoid),
-                ),
+            // The gradient (in one piece or two) and the monitoring
+            // loss on the positive edges, both from pre-update rows.
+            let (grad, grad_neg, (l, t)) = match cfg.backend {
+                Backend::Fused => {
+                    let step = sampler.labelled_batch(&self.adj, batch);
+                    let grad = fusedmm_opt(&step, &xb, emb, &OpSet::nce_gradient(None));
+                    let positives = |i: usize| self.adj.row_nnz(batch[i]);
+                    (grad, None, positive_loss(&step, positives, &xb, emb))
+                }
+                Backend::Unfused | Backend::DenseTensor => {
+                    let mb = slice_rows(&self.adj, batch);
+                    let neg = sampler.sample_batch(batch);
+                    let (grad_pos, grad_neg) = if cfg.backend == Backend::Unfused {
+                        (
+                            unfused_pipeline(&mb.adj, &xb, emb, &Self::positive_ops()).z,
+                            unfused_pipeline(&neg, &xb, emb, &Self::negative_ops()).z,
+                        )
+                    } else {
+                        (
+                            dense_gradient(&mb.adj, &xb, emb, |s| sigmoid(s) - 1.0),
+                            dense_gradient(&neg, &xb, emb, sigmoid),
+                        )
+                    };
+                    let loss = positive_loss(&mb.adj, |i| mb.adj.row_nnz(i), &xb, emb);
+                    (grad_pos, Some(grad_neg), loss)
+                }
             };
-
-            // Monitoring loss on the positive edges of this batch.
-            let (l, t) = batch_loss(&mb.adj, &xb, emb);
             loss_sum += l;
             loss_terms += t;
 
             // SGD step on the batch rows (rows are disjoint per batch).
             for (i, &u) in batch.iter().enumerate() {
-                let gp = grad_pos.row(i);
-                let gn = grad_neg.row(i);
-                for ((x, &p), &q) in emb.row_mut(u).iter_mut().zip(gp).zip(gn) {
-                    *x -= cfg.lr * (p + q);
+                let row = emb.row_mut(u);
+                match &grad_neg {
+                    None => {
+                        for (x, &g) in row.iter_mut().zip(grad.row(i)) {
+                            *x -= cfg.lr * g;
+                        }
+                    }
+                    Some(grad_neg) => {
+                        for ((x, &p), &q) in row.iter_mut().zip(grad.row(i)).zip(grad_neg.row(i)) {
+                            *x -= cfg.lr * (p + q);
+                        }
+                    }
                 }
             }
         }
@@ -205,19 +235,85 @@ fn init_embedding(n: usize, d: usize, seed: u64) -> Dense {
     m
 }
 
-/// `-mean ln σ(x_u·x_v)` over the batch's positive edges.
-fn batch_loss(mb_adj: &Csr, xb: &Dense, emb: &Dense) -> (f64, usize) {
-    let mut sum = 0.0f64;
-    let mut terms = 0usize;
-    for i in 0..mb_adj.nrows() {
-        let (cols, _) = mb_adj.row(i);
-        for &v in cols {
-            let s = fusedmm_core::simd::dot(xb.row(i), emb.row(v));
-            sum -= (sigmoid(s).max(1e-12) as f64).ln();
-            terms += 1;
+/// `Σ −ln σ(x_u·x_v)` and the term count over the positive edges of a
+/// batch matrix: the leading `positives(i)` entries of each row `i` of
+/// `a` (all of them for a plain slice, the label-1 prefix for a
+/// labelled step matrix). Row bands run on the pool, or one after the
+/// other on the caller for a step under [`INLINE_LAUNCH_WORK`].
+fn positive_loss(
+    a: &Csr,
+    positives: impl Fn(usize) -> usize + Sync,
+    xb: &Dense,
+    emb: &Dense,
+) -> (f64, usize) {
+    let band_loss = |rows: std::ops::Range<usize>| {
+        let (mut sum, mut terms) = (SoftplusSum::default(), 0usize);
+        for i in rows {
+            let xu = xb.row(i);
+            let cols = &a.row(i).0[..positives(i)];
+            for &v in cols {
+                sum.add(-fusedmm_core::simd::dot(xu, emb.row(v)));
+            }
+            terms += cols.len();
+        }
+        (sum.total(), terms)
+    };
+    let part = Partition::part1d(a, rayon::current_num_threads(), PartitionStrategy::NnzBalanced);
+    let mut bands = vec![(0.0f64, 0usize); part.len()];
+    // Placed as the gradient launch over the same matrix is: the bands
+    // and the order their sums are folded in do not depend on it.
+    if bands.len() == 1 || a.nnz().saturating_mul(xb.ncols()) < INLINE_LAUNCH_WORK {
+        for (i, band) in bands.iter_mut().enumerate() {
+            *band = band_loss(part.rows(i));
+        }
+    } else {
+        rayon::scope(|s| {
+            for (i, band) in bands.iter_mut().enumerate() {
+                let (rows, band_loss) = (part.rows(i), &band_loss);
+                s.spawn(move |_| *band = band_loss(rows));
+            }
+        });
+    }
+    bands.into_iter().fold((0.0, 0), |(sum, terms), (s, t)| (sum + s, terms + t))
+}
+
+/// Running `Σ ln(1 + eˣ)` — with `x = −s` the sum of `−ln σ(s)`,
+/// without forming a sigmoid. The factors `1 + eˣ` are multiplied up in
+/// f64 and one logarithm is taken per [`SoftplusSum::FACTORS`] of them
+/// (the logarithm is most of a term's cost); past `x = 30` the term is
+/// `x` to f32 precision and is added as such, so neither `eˣ` nor the
+/// running product (at most `(1 + e³⁰)¹⁶ < 1e209`) can overflow.
+struct SoftplusSum {
+    sum: f64,
+    product: f64,
+    factors: usize,
+}
+
+impl Default for SoftplusSum {
+    fn default() -> Self {
+        SoftplusSum { sum: 0.0, product: 1.0, factors: 0 }
+    }
+}
+
+impl SoftplusSum {
+    const FACTORS: usize = 16;
+
+    fn add(&mut self, x: f32) {
+        if x > 30.0 {
+            self.sum += x as f64;
+            return;
+        }
+        self.product *= 1.0 + x.exp() as f64;
+        self.factors += 1;
+        if self.factors == Self::FACTORS {
+            self.sum += self.product.ln();
+            (self.product, self.factors) = (1.0, 0);
         }
     }
-    (sum, terms)
+
+    fn total(self) -> f64 {
+        self.sum + self.product.ln()
+    }
 }
 
 /// The PyTorch-style gradient: `(f(X_b Yᵀ) ⊙ dense(A)) × Y` with full
@@ -284,6 +380,72 @@ mod tests {
             "fused vs dense diff {}",
             fused.embedding.max_abs_diff(&dense.embedding)
         );
+    }
+
+    /// The two-launch step this trainer used to make: positive term
+    /// through the custom SOP, negative term through the stock
+    /// embedding, and the scalar loss over the positive slice.
+    fn two_term_step(adj: &Csr, batch: &[usize], emb: &Dense, seed: u64) -> (Dense, f64) {
+        let mb = slice_rows(adj, batch);
+        let neg = NegativeSampler::new(adj.nrows(), 3, seed).sample_batch(batch);
+        let xb = gather_rows(emb, batch);
+        let mut grad = fusedmm_opt(&mb.adj, &xb, emb, &Force2Vec::positive_ops());
+        let grad_neg = fusedmm_opt(&neg, &xb, emb, &Force2Vec::negative_ops());
+        for (g, &q) in grad.as_mut_slice().iter_mut().zip(grad_neg.as_slice()) {
+            *g += q;
+        }
+        let mut loss = 0.0f64;
+        for i in 0..batch.len() {
+            for &v in mb.adj.row(i).0 {
+                let s = fusedmm_core::simd::dot(xb.row(i), emb.row(v));
+                loss -= (sigmoid(s).max(1e-12) as f64).ln();
+            }
+        }
+        (grad, loss)
+    }
+
+    #[test]
+    fn one_launch_step_matches_the_two_term_step() {
+        let adj = tiny_graph();
+        let n = adj.nrows();
+        // Spread the rows so dot products leave the σ ≈ ½ plateau.
+        let mut emb = init_embedding(n, 16, 5);
+        emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
+        let batch: Vec<usize> = (0..n).rev().step_by(2).collect();
+        let (want_grad, want_loss) = two_term_step(&adj, &batch, &emb, 77);
+
+        let step = NegativeSampler::new(n, 3, 77).labelled_batch(&adj, &batch);
+        let xb = gather_rows(&emb, &batch);
+        let grad = fusedmm_opt(&step, &xb, &emb, &OpSet::nce_gradient(None));
+        assert!(
+            grad.max_abs_diff(&want_grad) < 1e-5,
+            "one launch vs grad_pos + grad_neg: {}",
+            grad.max_abs_diff(&want_grad)
+        );
+        let (loss, terms) = positive_loss(&step, |i| adj.row_nnz(batch[i]), &xb, &emb);
+        assert_eq!(terms, batch.iter().map(|&u| adj.row_nnz(u)).sum::<usize>());
+        assert!(
+            (loss - want_loss).abs() <= 1e-5 * want_loss.abs(),
+            "softplus loss {loss} vs ln σ loss {want_loss}"
+        );
+    }
+
+    #[test]
+    fn softplus_sum_is_minus_log_sigmoid_and_never_overflows() {
+        // 40 terms: two full products and a partial one.
+        let logits: Vec<f32> = (0..40).map(|i| (i as f32 - 20.0) * 0.9).collect();
+        let mut sum = SoftplusSum::default();
+        logits.iter().for_each(|&s| sum.add(-s));
+        let want: f64 = logits.iter().map(|&s| -(sigmoid(s) as f64).ln()).sum();
+        let got = sum.total();
+        assert!((got - want).abs() < 1e-6 * want, "{got} vs {want}");
+
+        let mut extreme = SoftplusSum::default();
+        (0..64).for_each(|_| extreme.add(29.9));
+        extreme.add(200.0);
+        extreme.add(-200.0);
+        let got = extreme.total();
+        assert!((got - (64.0 * 29.9 + 200.0)).abs() < 1e-3, "{got}");
     }
 
     #[test]

@@ -30,6 +30,21 @@ impl NegativeSampler {
         NegativeSampler { nvertices, per_vertex, rng: StdRng::seed_from_u64(seed) }
     }
 
+    /// Draw `per_vertex` non-self targets for `u` — the one place the
+    /// stream is consumed, so every batch builder sees the same draws
+    /// in the same order.
+    fn draw(&mut self, u: usize, mut place: impl FnMut(usize)) {
+        let mut placed = 0;
+        while placed < self.per_vertex {
+            let v = self.rng.gen_range(0..self.nvertices);
+            if v == u {
+                continue;
+            }
+            place(v);
+            placed += 1;
+        }
+    }
+
     /// Build the `batch.len() × nvertices` negative-pair matrix for one
     /// minibatch: row `i` holds `per_vertex` sampled non-self targets
     /// for `batch[i]` (unit values; duplicates merged).
@@ -37,17 +52,41 @@ impl NegativeSampler {
         let mut coo =
             Coo::with_capacity(batch.len(), self.nvertices, batch.len() * self.per_vertex);
         for (i, &u) in batch.iter().enumerate() {
-            let mut placed = 0;
-            while placed < self.per_vertex {
-                let v = self.rng.gen_range(0..self.nvertices);
-                if v == u {
-                    continue;
-                }
-                coo.push(i, v, 1.0);
-                placed += 1;
-            }
+            self.draw(u, |v| coo.push(i, v, 1.0));
         }
         coo.to_csr(Dedup::Last)
+    }
+
+    /// Build the labelled `batch.len() × nvertices` step matrix for one
+    /// minibatch: row `i` holds the columns of `adj`'s row `batch[i]`
+    /// with value 1 (true neighbours) followed by its sampled negatives
+    /// with value 0 — the operand of
+    /// [`OpSet::nce_gradient`](fusedmm_ops::OpSet::nce_gradient), both
+    /// gradient terms in one matrix. The stream is consumed exactly as
+    /// by [`sample_batch`](Self::sample_batch), and a negative drawn
+    /// twice for one row is stored once, as there; a negative that is
+    /// also a true neighbour appears under both labels.
+    pub fn labelled_batch(&mut self, adj: &Csr, batch: &[usize]) -> Csr {
+        assert_eq!(adj.ncols(), self.nvertices, "adjacency and sampler disagree on the vertex set");
+        let edges = batch.iter().map(|&u| adj.row_nnz(u) + self.per_vertex).sum();
+        let mut rowptr = Vec::with_capacity(batch.len() + 1);
+        let mut colidx = Vec::with_capacity(edges);
+        let mut values = Vec::with_capacity(edges);
+        rowptr.push(0usize);
+        for &u in batch {
+            colidx.extend_from_slice(adj.row(u).0);
+            values.resize(colidx.len(), 1.0);
+            let negatives = colidx.len();
+            self.draw(u, |v| {
+                if !colidx[negatives..].contains(&v) {
+                    colidx.push(v);
+                }
+            });
+            values.resize(colidx.len(), 0.0);
+            rowptr.push(colidx.len());
+        }
+        Csr::from_parts(batch.len(), self.nvertices, rowptr, colidx, values)
+            .expect("rows of a valid CSR plus in-range samples form a valid CSR")
     }
 }
 
@@ -91,6 +130,47 @@ mod tests {
         let m2 = s.sample_batch(&[1]);
         // Extremely unlikely to be identical if the stream advances.
         assert!(m1 != m2 || m1.nnz() < 3);
+    }
+
+    /// Per row, the labelled matrix holds exactly the edges the
+    /// two-matrix step holds — `slice_rows` under label 1,
+    /// `sample_batch` under label 0 — and leaves the stream where
+    /// `sample_batch` leaves it.
+    #[test]
+    fn labelled_batch_is_slice_rows_plus_sample_batch() {
+        let n = 40;
+        let mut coo = Coo::new(n, n);
+        for u in 0..n {
+            for k in 1..=(u % 4) {
+                coo.push(u, (u * 7 + k * 3) % n, 0.5 + k as f32);
+            }
+        }
+        let adj = coo.to_csr(Dedup::Last);
+        // Eight negatives from 40 vertices: duplicates within a row and
+        // negatives that are also neighbours both occur.
+        let (mut merged, mut split) =
+            (NegativeSampler::new(n, 8, 9), NegativeSampler::new(n, 8, 9));
+        let mut saw_duplicate_draw = false;
+        for batch in [vec![3usize, 17, 0, 39, 4], vec![8, 8, 21]] {
+            let step = merged.labelled_batch(&adj, &batch);
+            let neg = split.sample_batch(&batch);
+            assert_eq!((step.nrows(), step.ncols()), (batch.len(), n));
+            for (i, &u) in batch.iter().enumerate() {
+                let (cols, labels) = step.row(i);
+                let mut got: Vec<(usize, bool)> =
+                    cols.iter().zip(labels).map(|(&v, &l)| (v, l == 1.0)).collect();
+                let mut want: Vec<(usize, bool)> =
+                    adj.row(u).0.iter().map(|&v| (v, true)).collect();
+                want.extend(neg.row(i).0.iter().map(|&v| (v, false)));
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "row {i} (vertex {u})");
+                assert!(labels.iter().all(|&l| l == 0.0 || l == 1.0));
+                saw_duplicate_draw |= neg.row_nnz(i) < 8;
+            }
+        }
+        assert!(saw_duplicate_draw, "fixture never collapsed a duplicate negative");
+        assert_eq!(merged.sample_batch(&[5, 6]), split.sample_batch(&[5, 6]), "streams aligned");
     }
 
     #[test]

@@ -121,7 +121,8 @@ fn resolve_level(blocking: Blocking, d: usize) -> Level {
 /// A recognized specialized pattern with its extracted parameters.
 #[derive(Debug, Clone)]
 pub enum Specialized {
-    /// `(MUL, RSUM, SIGMOID, MUL, ASUM)` — sigmoid graph embedding.
+    /// `(MUL, RSUM, SIGMOID, MUL, ASUM)` — sigmoid graph embedding, and
+    /// its labelled NCE-gradient form `σ(s) − a_uv`.
     Embed(SigmoidKind),
     /// `(SUB, NORM, SCAL(α), MUL, ASUM)` — FR force model.
     Fr(f32),
@@ -141,6 +142,12 @@ pub fn specialize(ops: &OpSet) -> Option<Specialized> {
         }
         (VOp::Mul, ROp::Sum, SOp::SigmoidLut(lut), MOp::Mul, AOp::Sum) => {
             Some(Specialized::Embed(SigmoidKind::Lut(lut.clone())))
+        }
+        (VOp::Mul, ROp::Sum, SOp::SigmoidMinusEdge, MOp::Mul, AOp::Sum) => {
+            Some(Specialized::Embed(SigmoidKind::ExactMinusEdge))
+        }
+        (VOp::Mul, ROp::Sum, SOp::SigmoidLutMinusEdge(lut), MOp::Mul, AOp::Sum) => {
+            Some(Specialized::Embed(SigmoidKind::LutMinusEdge(lut.clone())))
         }
         (VOp::Sub, ROp::Norm, SOp::Scale(alpha), MOp::Mul, AOp::Sum) => {
             Some(Specialized::Fr(*alpha))
@@ -327,6 +334,14 @@ mod tests {
             specialize(&OpSet::sigmoid_embedding(None)),
             Some(Specialized::Embed(SigmoidKind::Exact))
         ));
+        assert!(matches!(
+            specialize(&OpSet::nce_gradient(None)),
+            Some(Specialized::Embed(SigmoidKind::ExactMinusEdge))
+        ));
+        assert!(matches!(
+            specialize(&OpSet::nce_gradient(Some(Arc::new(SigmoidLut::default_table())))),
+            Some(Specialized::Embed(SigmoidKind::LutMinusEdge(_)))
+        ));
         assert!(matches!(specialize(&OpSet::fr_model(2.0)), Some(Specialized::Fr(a)) if a == 2.0));
         assert!(matches!(specialize(&OpSet::tdist_embedding()), Some(Specialized::TDist)));
         assert!(matches!(specialize(&OpSet::gcn()), Some(Specialized::Spmm)));
@@ -350,6 +365,7 @@ mod tests {
             let y = feats(n, d, 0.9);
             for ops in [
                 OpSet::sigmoid_embedding(None),
+                OpSet::nce_gradient(None),
                 OpSet::fr_model(0.3),
                 OpSet::tdist_embedding(),
                 OpSet::gcn(),

@@ -1,10 +1,15 @@
-//! Shared thread-parallel driver: PART1D + scoped threads over row bands.
+//! Shared thread-parallel driver: PART1D + pool tasks over row bands.
 //!
 //! Algorithm 1 lines 2–7: partition `A` (and with it `X` and `Z`) into
 //! `t` parts, then process parts in parallel. Threads concurrently read
 //! `Y` but each writes only its own contiguous band of `Z`, so no
 //! synchronization is needed — expressed in Rust by handing each task a
 //! disjoint `&mut` slice of `Z`'s backing storage.
+//!
+//! Where the bands execute is a separate decision from how they are
+//! cut: a launch too small to repay waking a pool worker runs the same
+//! bands one after the other on the calling thread (see
+//! [`INLINE_LAUNCH_WORK`]).
 
 use std::ops::Range;
 
@@ -13,10 +18,32 @@ use fusedmm_sparse::dense::Dense;
 
 use crate::part::{Partition, PartitionStrategy};
 
+/// Launches with less work than this — `nnz(A) × d` multiply-adds, the
+/// MOP+AOP sweep every pattern performs — run their bands on the
+/// calling thread instead of the pool.
+///
+/// Derived from the pool's measured hand-off on the 2-vCPU reference
+/// box. Pushing a task to a parked worker costs the caller ≈ 10 µs (the
+/// wake-up system call); the worker starts 5 µs later when the
+/// hypervisor is still polling for its vCPU and 60–70 µs later when it
+/// is not; and the owner pays the same wake-up on the way back when it
+/// finished its band first and parked. A pooled launch therefore spends
+/// anything from ≈ 20 to ≈ 150 µs on hand-offs that an inline launch
+/// does not make, and which of the two a process gets changes from one
+/// minute to the next. With kernels at 25–45 ns per edge at d = 128,
+/// 2²⁰ is 8192 such edges, a 200–400 µs kernel: below it the second
+/// thread's best case saves about what the worst-case hand-off costs,
+/// and a Force2Vec minibatch step (≈ 6 k edges, two launches) measured
+/// 435–712 µs from run to run pooled (8 runs) against 584–662 µs inline
+/// (10 runs). Only *where* bands execute depends on this constant; the
+/// partition, and with it every output bit, does not.
+pub const INLINE_LAUNCH_WORK: usize = 1 << 20;
+
 /// Execute `body(rows, z_band)` for every part of a 1D partition of
-/// `a`, in parallel on the current rayon thread pool. `z_band` is the
-/// mutable sub-slice of `z` covering exactly `rows` (row-major, so
-/// `z_band.len() == rows.len() * z.ncols()`).
+/// `a`, in parallel on the rayon pool (or, for launches under
+/// [`INLINE_LAUNCH_WORK`], part by part on the calling thread).
+/// `z_band` is the mutable sub-slice of `z` covering exactly `rows`
+/// (row-major, so `z_band.len() == rows.len() * z.ncols()`).
 ///
 /// `partitions` defaults (when `None`) to the current thread count, as
 /// in the paper where `t` parts feed `t` OpenMP threads.
@@ -25,6 +52,21 @@ pub fn parallel_row_bands<F>(
     z: &mut Dense,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
+    body: F,
+) where
+    F: Fn(Range<usize>, &mut [f32]) + Sync,
+{
+    let inline = a.nnz().saturating_mul(z.ncols()) < INLINE_LAUNCH_WORK;
+    row_bands(a, z, partitions, strategy, inline, body);
+}
+
+/// [`parallel_row_bands`] with the placement decided by the caller.
+fn row_bands<F>(
+    a: &Csr,
+    z: &mut Dense,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    inline: bool,
     body: F,
 ) where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
@@ -45,10 +87,10 @@ pub fn parallel_row_bands<F>(
     }
     debug_assert!(rest.is_empty());
 
-    if part.len() == 1 {
-        // Avoid thread-pool dispatch for the sequential case.
-        let (rows, band) = bands.pop().expect("one part");
-        body(rows, band);
+    if inline || bands.len() == 1 {
+        for (rows, band) in bands {
+            body(rows, band);
+        }
         return;
     }
 
@@ -111,6 +153,50 @@ mod tests {
             band.fill(2.0);
         });
         assert!(z.as_slice().iter().all(|&v| v == 2.0));
+    }
+
+    /// Placement is not allowed to matter: the same launch run inline
+    /// and on the pool hands `body` the same row ranges and leaves the
+    /// same bits in `z`.
+    #[test]
+    fn inline_and_pooled_placement_see_one_partition_and_equal_bits() {
+        let a = ring(101);
+        let d = 3;
+        let run = |inline: bool| {
+            let mut z = Dense::zeros(101, d);
+            let seen = std::sync::Mutex::new(Vec::new());
+            row_bands(&a, &mut z, Some(4), PartitionStrategy::NnzBalanced, inline, |rows, band| {
+                seen.lock().unwrap().push(rows.clone());
+                for (i, u) in rows.enumerate() {
+                    let (cols, vals) = a.row(u);
+                    for k in 0..d {
+                        band[i * d + k] = (cols[0] as f32 + vals[0]) / (k as f32 + 3.0);
+                    }
+                }
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|r| r.start);
+            (seen, z)
+        };
+        let (inline_parts, inline_z) = run(true);
+        let (pooled_parts, pooled_z) = run(false);
+        assert_eq!(inline_parts.len(), 4);
+        assert_eq!(inline_parts, pooled_parts);
+        let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&inline_z), bits(&pooled_z));
+    }
+
+    #[test]
+    fn small_launches_stay_on_the_calling_thread() {
+        let a = ring(64);
+        assert!(a.nnz() * 4 < INLINE_LAUNCH_WORK);
+        let caller = std::thread::current().id();
+        let mut z = Dense::zeros(64, 4);
+        parallel_row_bands(&a, &mut z, Some(4), PartitionStrategy::NnzBalanced, |_, band| {
+            assert_eq!(std::thread::current().id(), caller);
+            band.fill(1.0);
+        });
+        assert!(z.as_slice().iter().all(|&v| v == 1.0));
     }
 
     #[test]

@@ -57,21 +57,31 @@ pub use table::{
     tdist_spec_batch_kernel, tdist_spec_kernel, KernelSpec,
 };
 
-/// Which sigmoid evaluation the embedding kernels use for SOP.
+/// Which SOP the embedding kernels apply to the dot product: a sigmoid
+/// (exact or table lookup), optionally minus the edge value — the
+/// labelled NCE-gradient scale of
+/// [`SOp::SigmoidMinusEdge`](fusedmm_ops::SOp::SigmoidMinusEdge).
 #[derive(Debug, Clone)]
 pub enum SigmoidKind {
     /// Exact `1/(1+e^{-x})` — matches the generic kernel bit-for-bit.
     Exact,
     /// Table lookup (the optimized kernels' default, as in Force2Vec).
     Lut(Arc<SigmoidLut>),
+    /// Exact sigmoid minus the edge value, `σ(s) − a_uv`.
+    ExactMinusEdge,
+    /// Table-lookup sigmoid minus the edge value.
+    LutMinusEdge(Arc<SigmoidLut>),
 }
 
 impl SigmoidKind {
+    /// The message for one edge: dot product `s`, edge value `a`.
     #[inline(always)]
-    fn eval(&self, s: f32) -> f32 {
+    fn eval(&self, s: f32, a: f32) -> f32 {
         match self {
             SigmoidKind::Exact => sigmoid(s),
             SigmoidKind::Lut(lut) => lut.eval(s),
+            SigmoidKind::ExactMinusEdge => sigmoid(s) - a,
+            SigmoidKind::LutMinusEdge(lut) => lut.eval(s) - a,
         }
     }
 }
@@ -111,8 +121,9 @@ pub type TDistBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
 pub type SpmmBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
 
 /// Message-fill kernel for the embedding pattern (mega-row phase A):
-/// computes `h[i] = σ(x_u · y_{cols[i]})` for a column slice.
-pub type EmbedMsgKernel = fn(&[f32], &[usize], &Dense, &SigmoidKind, &mut [f32]);
+/// computes `h[i] = sop(x_u · y_{cols[i]}, vals[i])` for a column slice
+/// and its edge values.
+pub type EmbedMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &SigmoidKind, &mut [f32]);
 /// Message-fill kernel for the FR pattern.
 pub type FrMsgKernel = fn(&[f32], &[usize], &Dense, f32, &mut [f32]);
 /// Message-fill kernel for the t-distribution pattern.
@@ -172,16 +183,17 @@ pub fn tdist_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &m
 pub fn embed_row_const<const D: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
     sk: &SigmoidKind,
 ) {
     debug_assert_eq!(xu.len(), D);
+    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
     let mut xreg = [0f32; D];
     xreg.copy_from_slice(xu);
     let mut zreg = [0f32; D];
-    for &v in cols {
+    for (&v, &a) in cols.iter().zip(vals) {
         let yv = y.row(v);
         // VOP+ROP: dot product over the fixed block (fully unrolled).
         let mut acc = F32x8::zero();
@@ -196,7 +208,7 @@ pub fn embed_row_const<const D: usize>(
             k += 1;
         }
         // SOP + broadcast.
-        let h = F32x8::splat(sk.eval(s));
+        let h = F32x8::splat(sk.eval(s, a));
         // MOP+AOP: fused multiply-accumulate into the register block.
         let mut k = 0;
         while k + VLEN <= D {

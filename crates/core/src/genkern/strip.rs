@@ -188,7 +188,7 @@ fn assert_strip_dim(d: usize) {
 fn embed_row_strip_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
     sk: &SigmoidKind,
@@ -198,8 +198,9 @@ fn embed_row_strip_body<I: SimdIsa>(
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = sk.eval(I::dot(xu, y.row(v)));
+        let labels = &vals[start..start + chunk.len()];
+        for (hi, (&v, &a)) in h.iter_mut().zip(chunk.iter().zip(labels)) {
+            *hi = sk.eval(I::dot(xu, y.row(v)), a);
         }
         panel_accumulate::<I>(chunk, &h, y, zu);
         start += chunk.len();
@@ -315,8 +316,9 @@ fn embed_batch_body<I: SimdIsa>(
     assert_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = sk.eval(I::dot(row.xu, y.row(v)));
+        assert_eq!(row.cols.len(), row.vals.len(), "one edge value per neighbor");
+        for (hi, (&v, &a)) in h.iter_mut().zip(row.cols.iter().zip(row.vals)) {
+            *hi = sk.eval(I::dot(row.xu, y.row(v)), a);
         }
         panel_overwrite::<I>(row.cols, &h[..row.cols.len()], y, row_slice(band, row.band_row, d));
     }
@@ -364,13 +366,15 @@ fn spmm_batch_body<I: SimdIsa>(rows: &[GatheredRow<'_>], y: &Dense, band: &mut [
 fn embed_msg_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
+    vals: &[f32],
     y: &Dense,
     sk: &SigmoidKind,
     h: &mut [f32],
 ) {
     assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    for (hi, &v) in h.iter_mut().zip(cols) {
-        *hi = sk.eval(I::dot(xu, y.row(v)));
+    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
+    for (hi, (&v, &a)) in h.iter_mut().zip(cols.iter().zip(vals)) {
+        *hi = sk.eval(I::dot(xu, y.row(v)), a);
     }
 }
 
@@ -475,14 +479,15 @@ fn span_sweep_body<I: SimdIsa>(
 fn embed_row_dyn_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
     sk: &SigmoidKind,
 ) {
-    for &v in cols {
+    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
+    for (&v, &a) in cols.iter().zip(vals) {
         let yv = y.row(v);
-        let h = sk.eval(I::dot(xu, yv));
+        let h = sk.eval(I::dot(xu, yv), a);
         I::axpy(h, yv, zu);
     }
 }
@@ -603,7 +608,7 @@ isa_entries!(spmm_batch_body => spmm_batch_scalar, spmm_batch_avx2, spmm_batch_a
     (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 
 isa_entries!(embed_msg_body => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon;
-    (xu: &[f32], cols: &[usize], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
 isa_entries!(fr_msg_body => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon;
     (xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]));
 isa_entries!(tdist_msg_body => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon;
@@ -914,23 +919,27 @@ mod tests {
                 if !b.is_available() {
                     continue;
                 }
-                let mut z_strip = vec![0f32; d];
-                embed_strip_kernel(b)(x.row(7), cols, vals, &y, &mut z_strip, &SigmoidKind::Exact);
-                // Phase A: messages filled in two independent slices.
-                let mut h = vec![0f32; cols.len()];
-                let split = cols.len() / 3;
-                let (h0, h1) = h.split_at_mut(split);
-                embed_msg_kernel(b)(x.row(7), &cols[..split], &y, &SigmoidKind::Exact, h0);
-                embed_msg_kernel(b)(x.row(7), &cols[split..], &y, &SigmoidKind::Exact, h1);
-                // Phase B: every VLEN-aligned span split must agree.
-                for spans in [vec![d], vec![d / 2, d / 2], vec![VLEN; d / VLEN]] {
-                    let mut z = vec![0f32; d];
-                    let mut off = 0;
-                    for w in spans {
-                        span_sweep_kernel(b)(cols, &h, &y, &mut z[off..off + w], off);
-                        off += w;
+                // The labelled SOP reads the edge value in phase A, so
+                // the value slices must split with the column slices.
+                for sk in [SigmoidKind::Exact, SigmoidKind::ExactMinusEdge] {
+                    let mut z_strip = vec![0f32; d];
+                    embed_strip_kernel(b)(x.row(7), cols, vals, &y, &mut z_strip, &sk);
+                    // Phase A: messages filled in two independent slices.
+                    let mut h = vec![0f32; cols.len()];
+                    let split = cols.len() / 3;
+                    let (h0, h1) = h.split_at_mut(split);
+                    embed_msg_kernel(b)(x.row(7), &cols[..split], &vals[..split], &y, &sk, h0);
+                    embed_msg_kernel(b)(x.row(7), &cols[split..], &vals[split..], &y, &sk, h1);
+                    // Phase B: every VLEN-aligned span split must agree.
+                    for spans in [vec![d], vec![d / 2, d / 2], vec![VLEN; d / VLEN]] {
+                        let mut z = vec![0f32; d];
+                        let mut off = 0;
+                        for w in spans {
+                            span_sweep_kernel(b)(cols, &h, &y, &mut z[off..off + w], off);
+                            off += w;
+                        }
+                        assert_eq!(z, z_strip, "embed mega {b} d={d} {sk:?}");
                     }
-                    assert_eq!(z, z_strip, "embed mega {b} d={d}");
                 }
                 // SpMM: the values are the messages.
                 let mut z_strip = vec![0f32; d];

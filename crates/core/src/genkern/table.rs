@@ -248,7 +248,7 @@ fn band_row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
 fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
     sk: &SigmoidKind,
@@ -257,8 +257,9 @@ fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + HC).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = sk.eval(I::dot(xu, y.row(v)));
+        let labels = &vals[start..start + chunk.len()];
+        for (hi, (&v, &a)) in h.iter_mut().zip(chunk.iter().zip(labels)) {
+            *hi = sk.eval(I::dot(xu, y.row(v)), a);
         }
         panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
         start += chunk.len();
@@ -334,8 +335,9 @@ fn embed_spec_batch_body<I: SimdIsa, const MAIN: usize>(
     assert_spec_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = sk.eval(I::dot(row.xu, y.row(v)));
+        assert_eq!(row.cols.len(), row.vals.len(), "one edge value per neighbor");
+        for (hi, (&v, &a)) in h.iter_mut().zip(row.cols.iter().zip(row.vals)) {
+            *hi = sk.eval(I::dot(row.xu, y.row(v)), a);
         }
         panel_spec::<I, MAIN, false>(
             row.cols,
@@ -938,7 +940,7 @@ mod tests {
         let mut z_row = vec![0f32; d];
         embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &SigmoidKind::Exact);
         let mut h = vec![0f32; cols.len()];
-        super::super::embed_msg_kernel(b)(x.row(7), cols, &y, &SigmoidKind::Exact, &mut h);
+        super::super::embed_msg_kernel(b)(x.row(7), cols, vals, &y, &SigmoidKind::Exact, &mut h);
         for spans in [vec![d], vec![48, 52], vec![96, 4]] {
             let mut z = vec![0f32; d];
             let mut off = 0;
@@ -950,6 +952,5 @@ mod tests {
             // fold per element matches the row kernel exactly.
             assert_eq!(z, z_row, "embed span d={d}");
         }
-        let _ = vals;
     }
 }

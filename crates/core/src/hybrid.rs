@@ -58,10 +58,10 @@ use crate::simd::{Backend, VLEN};
 /// it never affects results.
 const MSG_CHUNK: usize = 2048;
 
-/// Phase-A message-fill shape (`xu`, neighbor slice, message slice);
-/// named so the SpMM arm can spell its absent fill without a clippy
-/// type-complexity lint.
-type MsgFill = fn(&[f32], &[usize], &mut [f32]);
+/// Phase-A message-fill shape (`xu`, neighbor slice, edge-value slice,
+/// message slice); named so the SpMM arm can spell its absent fill
+/// without a clippy type-complexity lint.
+type MsgFill = fn(&[f32], &[usize], &[f32], &mut [f32]);
 
 /// Degree thresholds for [`Blocking::Hybrid`](crate::Blocking::Hybrid).
 ///
@@ -139,7 +139,9 @@ pub(crate) fn execute(
                     let (cols, vals) = a.row(u);
                     strip(x.row(u), cols, vals, y, zu, sk)
                 },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, sk, h)),
+                Some(|xu: &[f32], cols: &[usize], vals: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, vals, y, sk, h)
+                }),
                 sweep,
             )
         }
@@ -165,7 +167,9 @@ pub(crate) fn execute(
                     let (cols, vals) = a.row(u);
                     strip(x.row(u), cols, vals, y, zu, alpha)
                 },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, alpha, h)),
+                Some(|xu: &[f32], cols: &[usize], _: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, y, alpha, h)
+                }),
                 sweep,
             )
         }
@@ -190,7 +194,7 @@ pub(crate) fn execute(
                     let (cols, vals) = a.row(u);
                     strip(x.row(u), cols, vals, y, zu)
                 },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, h)),
+                Some(|xu: &[f32], cols: &[usize], _: &[f32], h: &mut [f32]| msg(xu, cols, y, h)),
                 sweep,
             )
         }
@@ -247,7 +251,7 @@ fn run_passes<B, S, M>(
 where
     B: Fn(&[GatheredRow<'_>], &mut [f32]) + Sync,
     S: Fn(usize, &mut [f32]) + Sync,
-    M: Fn(&[f32], &[usize], &mut [f32]) + Sync,
+    M: Fn(&[f32], &[usize], &[f32], &mut [f32]) + Sync,
 {
     // One census pass over the row pointers — degrees are re-derived
     // from `rowptr` everywhere below (one subtraction on data the
@@ -383,8 +387,8 @@ where
                     while !rest.is_empty() {
                         let take = rest.len().min(MSG_CHUNK);
                         let (chunk, tail) = rest.split_at_mut(take);
-                        let ccols = &cols[off..off + take];
-                        s.spawn(move |_| msg(xu, ccols, chunk));
+                        let (ccols, cvals) = (&cols[off..off + take], &vals[off..off + take]);
+                        s.spawn(move |_| msg(xu, ccols, cvals, chunk));
                         rest = tail;
                         off += take;
                     }

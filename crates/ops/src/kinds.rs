@@ -179,6 +179,14 @@ pub enum SOp {
     Sigmoid,
     /// Table-lookup sigmoid (the Force2Vec fast path).
     SigmoidLut(Arc<SigmoidLut>),
+    /// `h = σ(s) − a_uv` — the noise-contrastive gradient scale, with
+    /// the edge value as the label: 1 for a true neighbour (attract,
+    /// `σ(s) − 1`), 0 for a sampled negative (repel, `σ(s)`). One
+    /// labelled adjacency then carries both terms of the
+    /// VERSE/Force2Vec gradient through one kernel pass.
+    SigmoidMinusEdge,
+    /// [`SOp::SigmoidMinusEdge`] with the table-lookup sigmoid.
+    SigmoidLutMinusEdge(Arc<SigmoidLut>),
     /// `h = α · s` (Table II SCAL).
     Scale(f32),
     /// `h = a_uv · s` — scale by the edge feature, letting weighted
@@ -205,6 +213,8 @@ impl SOp {
         match self {
             SOp::Sigmoid => sigmoid(s),
             SOp::SigmoidLut(lut) => lut.eval(s),
+            SOp::SigmoidMinusEdge => sigmoid(s) - a,
+            SOp::SigmoidLutMinusEdge(lut) => lut.eval(s) - a,
             SOp::Scale(alpha) => alpha * s,
             SOp::ScaleByEdge => a * s,
             SOp::Relu => s.max(0.0),
@@ -239,6 +249,8 @@ impl fmt::Debug for SOp {
         f.write_str(match self {
             SOp::Sigmoid => "SIGMOID",
             SOp::SigmoidLut(_) => "SIGMOID_LUT",
+            SOp::SigmoidMinusEdge => "SIGMOID_MINUS_EDGE",
+            SOp::SigmoidLutMinusEdge(_) => "SIGMOID_LUT_MINUS_EDGE",
             SOp::Scale(_) => "SCAL",
             SOp::ScaleByEdge => "SCAL_EDGE",
             SOp::Relu => "RELU",
@@ -428,6 +440,17 @@ mod tests {
         let mut w = [1.0, -1.0];
         SOp::Noop.apply_vec(&mut w, 0.0);
         assert_eq!(w, [1.0, -1.0]);
+    }
+
+    #[test]
+    fn sop_sigmoid_minus_edge_reads_the_label() {
+        // Label 1 attracts (σ − 1 < 0), label 0 repels (σ > 0).
+        assert_eq!(SOp::SigmoidMinusEdge.apply_scalar(0.3, 1.0), sigmoid(0.3) - 1.0);
+        assert_eq!(SOp::SigmoidMinusEdge.apply_scalar(0.3, 0.0), sigmoid(0.3));
+        let table = Arc::new(SigmoidLut::default_table());
+        let lut = SOp::SigmoidLutMinusEdge(Arc::clone(&table));
+        assert_eq!(lut.apply_scalar(-0.7, 1.0), table.eval(-0.7) - 1.0);
+        assert_eq!(format!("{:?}", SOp::SigmoidMinusEdge), "SIGMOID_MINUS_EDGE");
     }
 
     #[test]

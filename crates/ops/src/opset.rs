@@ -93,6 +93,20 @@ impl OpSet {
         }
     }
 
+    /// The noise-contrastive gradient of the sigmoid embedding over a
+    /// *labelled* adjacency: `h_uv = σ(x_uᵀ y_v) − a_uv`,
+    /// `z_u = Σ_v h_uv · y_v`, with `a_uv = 1` on true neighbours and
+    /// `0` on sampled negatives (the VERSE/Force2Vec formulation). Same
+    /// five steps as [`OpSet::sigmoid_embedding`] but for the SOP, so
+    /// it runs the same specialized kernels.
+    pub fn nce_gradient(lut: Option<Arc<SigmoidLut>>) -> Self {
+        let sop = match lut {
+            Some(t) => SOp::SigmoidLutMinusEdge(t),
+            None => SOp::SigmoidMinusEdge,
+        };
+        OpSet { sop, ..Self::sigmoid_embedding(None) }
+    }
+
     /// Table III row 1 — Fruchterman–Reingold force model:
     /// `h_uv = α·‖x_u − y_v‖`, `z_u = Σ_v h_uv · y_v`.
     ///
@@ -199,6 +213,17 @@ mod tests {
         assert_eq!(format!("{:?}", ops.mop), "MUL");
         assert_eq!(format!("{:?}", ops.aop), "ASUM");
         assert_eq!(ops.pattern, Pattern::SigmoidEmbedding);
+    }
+
+    #[test]
+    fn nce_gradient_is_the_embedding_pattern_with_a_labelled_sop() {
+        let ops = OpSet::nce_gradient(None);
+        assert_eq!(format!("{:?}", ops.sop), "SIGMOID_MINUS_EDGE");
+        assert_eq!(format!("{:?}", ops.vop), "MUL");
+        assert_eq!(ops.pattern, Pattern::SigmoidEmbedding);
+        assert!(ops.is_specializable());
+        let lut = OpSet::nce_gradient(Some(Arc::new(SigmoidLut::default_table())));
+        assert_eq!(format!("{:?}", lut.sop), "SIGMOID_LUT_MINUS_EDGE");
     }
 
     #[test]

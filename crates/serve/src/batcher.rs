@@ -126,13 +126,17 @@ impl BatchQueue {
         self.cv.notify_all();
     }
 
-    /// Block until work arrives (or shutdown), optionally linger
+    /// Block until work arrives (or shutdown), linger for at most
     /// `coalesce_window` so concurrent callers can join the batch, then
     /// drain requests until `max_batch_rows` requested rows are taken
-    /// (always at least one request). Requests whose deadline already
-    /// passed are siphoned into `Drained::expired` without counting
-    /// toward the row cap. Returns `None` only on shutdown with an
-    /// empty queue.
+    /// (always at least one request). The linger ends early when the
+    /// batch fills up — under backlog the wait would add latency
+    /// without any extra coalescing — and otherwise lasts the whole
+    /// window whoever else is or is not calling, so a request's wait
+    /// does not depend on how it happens to interleave with the others.
+    /// Requests whose deadline already passed are siphoned into
+    /// `Drained::expired` without counting toward the row cap. Returns
+    /// `None` only on shutdown with an empty queue.
     pub fn next_batch(&self, coalesce_window: Duration, max_batch_rows: usize) -> Option<Drained> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.pending.is_empty() {
@@ -141,14 +145,15 @@ impl BatchQueue {
             }
             state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        let queued_rows = |s: &QueueState| s.pending.iter().map(|p| p.nodes.len()).sum::<usize>();
-        if !coalesce_window.is_zero() && !state.shutdown && queued_rows(&state) < max_batch_rows {
-            // Give concurrent callers a moment to land in this batch —
-            // but only while the batch still has room; under backlog
-            // the wait would add latency without any extra coalescing.
-            drop(state);
-            std::thread::sleep(coalesce_window);
-            state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let linger_until = Instant::now() + coalesce_window;
+        // Every push signals the condvar, so each arrival re-checks
+        // the row cap.
+        while !state.shutdown && self.rows.load(Ordering::Relaxed) < max_batch_rows {
+            let left = linger_until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            state = self.cv.wait_timeout(state, left).unwrap_or_else(|e| e.into_inner()).0;
         }
         let now = Instant::now();
         let mut batch = Vec::new();
@@ -275,6 +280,47 @@ mod tests {
         assert_eq!(drained.batch.len(), 3);
         assert!(drained.expired.is_empty());
         assert_eq!(q.queued_rows(), 0, "drain returns the rows to the gauge");
+    }
+
+    /// Long enough that a test which wrongly sits out the window fails
+    /// its `elapsed` bound instead of squeaking past it.
+    const LONG_WINDOW: Duration = Duration::from_secs(20);
+
+    #[test]
+    fn full_batch_is_not_delayed_by_the_window() {
+        let q = BatchQueue::new();
+        q.push(pending(vec![0; 16], epoch()));
+        let t0 = Instant::now();
+        let drained = q.next_batch(LONG_WINDOW, 16).expect("work available");
+        assert_eq!(drained.batch.len(), 1);
+        assert!(t0.elapsed() < LONG_WINDOW / 4, "the row cap ends the linger");
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_launch() {
+        // One request queued, a second still on its way: the dispatcher
+        // holds the batch open until it lands (and fills the batch),
+        // however the second push and the dispatcher's wait interleave.
+        let q = BatchQueue::new();
+        let ep = epoch();
+        q.push(pending(vec![1], Arc::clone(&ep)));
+        let drained = std::thread::scope(|s| {
+            let dispatcher = s.spawn(|| q.next_batch(LONG_WINDOW, 2).expect("work available"));
+            q.push(pending(vec![2], Arc::clone(&ep)));
+            dispatcher.join().expect("dispatcher")
+        });
+        assert_eq!(drained.batch.len(), 2, "the second caller joined the first one's batch");
+    }
+
+    #[test]
+    fn window_bounds_the_wait_for_a_request_that_never_arrives() {
+        let q = BatchQueue::new();
+        q.push(pending(vec![1], epoch()));
+        let window = Duration::from_millis(30);
+        let t0 = Instant::now();
+        let drained = q.next_batch(window, 1024).expect("work available");
+        assert!(t0.elapsed() >= window, "the batch had room: the full window is spent");
+        assert_eq!(drained.batch.len(), 1);
     }
 
     #[test]

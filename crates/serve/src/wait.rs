@@ -311,10 +311,16 @@ mod tests {
     #[test]
     fn recv_blocks_until_cross_thread_send() {
         let (tx, rx) = slot();
+        // The sender is released only once this thread is about to
+        // block: whichever side runs first afterwards, `recv` must
+        // return the reply.
+        let about_to_recv = Arc::new(std::sync::Barrier::new(2));
+        let released = Arc::clone(&about_to_recv);
         let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            released.wait();
             tx.send(Ok(rows(7.0)));
         });
+        about_to_recv.wait();
         let z = rx.recv().expect("sender replied").expect("ok");
         assert_eq!(z.as_slice(), &[7.0]);
         h.join().unwrap();

@@ -292,6 +292,83 @@ proptest! {
             }
         }
     }
+
+    /// The labelled NCE-gradient SOP `σ(s) − a_uv` runs the recognized
+    /// sigmoid kernels: every level the dimension admits, every
+    /// candidate shape on the active backend and the hybrid executor
+    /// (default thresholds, and thresholds low enough that a 40-row
+    /// graph has short, strip *and* mega rows) agree with the naive
+    /// reference — on a step-matrix-shaped operand: mixed 0/1 edge
+    /// values, unsorted rows, and the same column under both labels.
+    #[test]
+    fn nce_gradient_agrees_on_labelled_rows_with_duplicate_columns(
+        coo in arb_coo(),
+        seed in 0u64..100,
+    ) {
+        use fusedmm::kernel::fusedmm_opt_with;
+        use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
+        use fusedmm::kernel::simd::active_backend;
+        // Entries in arrival order, label by sign; every non-empty row
+        // then repeats its first column under the opposite label.
+        let mut rows: Vec<Vec<(usize, f32)>> = vec![Vec::new(); 40];
+        for &(r, c, v) in coo.entries() {
+            if r < 40 && c < 40 {
+                rows[r].push((c, if v > 0.0 { 1.0 } else { 0.0 }));
+            }
+        }
+        let (mut rowptr, mut colidx, mut labels) = (vec![0usize], Vec::new(), Vec::new());
+        for row in &mut rows {
+            if let Some(&(c, label)) = row.first() {
+                row.push((c, 1.0 - label));
+            }
+            colidx.extend(row.iter().map(|e| e.0));
+            labels.extend(row.iter().map(|e| e.1));
+            rowptr.push(colidx.len());
+        }
+        let a = Csr::from_parts(40, 40, rowptr, colidx, labels).unwrap();
+        let lanes = active_backend().lanes();
+        let lut = std::sync::Arc::new(SigmoidLut::default_table());
+        // The mega threshold is `max(mega_floor, nnz / parts)`: only a
+        // fine partition lets it come down to `mega_floor` here.
+        let all_classes = HybridConfig { short_max: 3, mega_floor: 6 };
+        for d in SWEEP_DIMS.into_iter().chain([128]).chain(ODD_DIMS) {
+            let x = sweep_features(40, d, seed);
+            let y = sweep_features(40, d, seed + 7);
+            let mut blockings = vec![
+                Blocking::Auto,
+                Blocking::DynStrips,
+                Blocking::Hybrid(HybridConfig::default()),
+                Blocking::Hybrid(all_classes),
+            ];
+            if d.is_multiple_of(8) {
+                blockings.push(Blocking::StripMined);
+            }
+            if GENERATED_DIMS.contains(&d) {
+                blockings.push(Blocking::RegisterBlocked);
+            }
+            blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
+            // A table lookup can land one entry off when the dot product
+            // differs in its last bits: one table step of slack per edge.
+            for (ops, tol) in [
+                (OpSet::nce_gradient(None), 1e-5f32),
+                (OpSet::nce_gradient(Some(lut.clone())), 2e-3),
+            ] {
+                let reference = fusedmm_reference(&a, &x, &y, &ops);
+                let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for &blocking in &blockings {
+                    let parts = if blocking == Blocking::Hybrid(all_classes) { 40 } else { 3 };
+                    let z = fusedmm_opt_with(
+                        &a, &x, &y, &ops, blocking, Some(parts), PartitionStrategy::NnzBalanced,
+                    );
+                    prop_assert!(
+                        z.max_abs_diff(&reference) < tol * scale,
+                        "{:?} {:?} d={}: diff {}",
+                        ops.sop, blocking, d, z.max_abs_diff(&reference)
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -145,6 +145,8 @@ fn transport_disconnect_chaos_resolves_every_request_and_reconciles() {
         RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), fault_free_config());
     let fault_free = ShardedEngine::new(a, x, y, ops, nshards, fault_free_config());
 
+    let total_reconnects = || (0..nshards).map(|s| transport.reconnects(s)).sum::<u64>();
+    let mut reconnects_seen = 0u64;
     let (mut ok, mut failed) = (0u64, 0u64);
     for i in 0..40usize {
         // A delta every 10th request keeps the replicated log moving
@@ -169,16 +171,22 @@ fn transport_disconnect_chaos_resolves_every_request_and_reconciles() {
             // The link was down or died mid-request: typed, not hung.
             Err(ServeError::PartFailed { .. }) => {
                 failed += 1;
-                // Give the manager a beat to re-establish the link.
-                std::thread::sleep(Duration::from_millis(30));
+                // A failure means a link went down after the last
+                // reconnect this loop saw: wait for the manager to
+                // re-establish it before the next request.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while total_reconnects() == reconnects_seen {
+                    assert!(Instant::now() < deadline, "request {i}: no link came back");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                reconnects_seen = total_reconnects();
             }
             Err(e) => panic!("request {i}: unexpected error under transport chaos: {e}"),
         }
     }
     assert!(ok > 0, "some requests survive the chaos (got {ok} ok / {failed} failed)");
     assert!(failed > 0, "drop_conn_every=5 fails some requests (got {ok} ok / {failed} failed)");
-    let reconnects: u64 = (0..nshards).map(|s| transport.reconnects(s)).sum();
-    assert!(reconnects > 0, "severed links were re-established");
+    assert!(total_reconnects() > 0, "severed links were re-established");
 
     let m = remote.metrics();
     assert_eq!(m.requests_begun, 40);
