@@ -43,11 +43,12 @@ use rand::{Rng, SeedableRng};
 use fusedmm_baseline::tensor::{dense_mask, OpTally, Tensor};
 use fusedmm_baseline::unfused::unfused_pipeline;
 use fusedmm_core::driver::INLINE_LAUNCH_WORK;
-use fusedmm_core::{fusedmm_opt, Partition, PartitionStrategy};
+use fusedmm_core::{fusedmm_opt_into, Blocking, Partition, PartitionStrategy};
 use fusedmm_ops::{sigmoid, AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::slice::{batches, gather_rows, slice_rows};
+use fusedmm_sparse::BufferHome;
 
 use crate::sampler::NegativeSampler;
 
@@ -112,6 +113,10 @@ pub struct TrainResult {
 pub struct Force2Vec {
     adj: Csr,
     cfg: Force2VecConfig,
+    /// Keeps the fused backend's `batch × d` step gradient between
+    /// steps and epochs: each step takes it, overwrites it, applies it
+    /// and lets it park again.
+    grad_home: BufferHome,
 }
 
 impl Force2Vec {
@@ -119,7 +124,7 @@ impl Force2Vec {
     pub fn new(adj: Csr, cfg: Force2VecConfig) -> Self {
         assert_eq!(adj.nrows(), adj.ncols(), "Force2Vec expects a square adjacency matrix");
         assert!(cfg.dim > 0 && cfg.batch_size > 0 && cfg.epochs > 0);
-        Force2Vec { adj, cfg }
+        Force2Vec { adj, cfg, grad_home: BufferHome::new() }
     }
 
     /// The positive-term operator set: `(MUL, RSUM, σ(s)−1, MUL, ASUM)`.
@@ -174,7 +179,17 @@ impl Force2Vec {
             let (grad, grad_neg, (l, t)) = match cfg.backend {
                 Backend::Fused => {
                     let step = sampler.labelled_batch(&self.adj, batch);
-                    let grad = fusedmm_opt(&step, &xb, emb, &OpSet::nce_gradient(None));
+                    let mut grad = Dense::recycled(&self.grad_home, batch.len(), emb.ncols());
+                    fusedmm_opt_into(
+                        &step,
+                        &xb,
+                        emb,
+                        &OpSet::nce_gradient(None),
+                        Blocking::Auto,
+                        None,
+                        PartitionStrategy::NnzBalanced,
+                        grad.as_mut_slice(),
+                    );
                     let positives = |i: usize| self.adj.row_nnz(batch[i]);
                     (grad, None, positive_loss(&step, positives, &xb, emb))
                 }
@@ -332,6 +347,7 @@ fn dense_gradient(a: &Csr, xb: &Dense, y: &Dense, f: impl Fn(f32) -> f32) -> Den
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedmm_core::fusedmm_opt;
     use fusedmm_graph::planted::planted_partition;
 
     fn tiny_graph() -> Csr {

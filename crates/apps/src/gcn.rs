@@ -10,11 +10,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fusedmm_core::fusedmm_opt;
+use fusedmm_core::{fusedmm_opt_into, Blocking, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
+use fusedmm_sparse::BufferHome;
 
 /// Symmetric renormalization `D̃^{-1/2}(A + I)D̃^{-1/2}` with self loops.
 ///
@@ -62,12 +63,33 @@ pub enum Activation {
     Linear,
 }
 
+/// `Z = A × H` through the FusedMM GCN pattern, into storage from
+/// `home` — the sparse aggregation of the GCN and GraphSAGE layers. The
+/// result parks in `home` again when dropped, so a layer that is run
+/// every epoch aggregates into the same `n × d` buffer each time.
+pub(crate) fn aggregate(home: &BufferHome, a: &Csr, h: &Dense) -> Dense {
+    let mut agg = Dense::recycled(home, a.nrows(), h.ncols());
+    fusedmm_opt_into(
+        a,
+        h,
+        h,
+        &OpSet::gcn(),
+        Blocking::Auto,
+        None,
+        PartitionStrategy::NnzBalanced,
+        agg.as_mut_slice(),
+    );
+    agg
+}
+
 /// One GCN layer: `H' = act(Â H W + b)`.
 #[derive(Debug, Clone)]
 pub struct GcnLayer {
     weight: Dense,
     bias: Vec<f32>,
     activation: Activation,
+    /// Keeps the `Â H` buffer between forward passes.
+    agg_home: BufferHome,
 }
 
 impl GcnLayer {
@@ -79,13 +101,13 @@ impl GcnLayer {
         for v in weight.as_mut_slice() {
             *v = rng.gen_range(-scale..scale);
         }
-        GcnLayer { weight, bias: vec![0.0; d_out], activation }
+        GcnLayer::from_parts(weight, vec![0.0; d_out], activation)
     }
 
     /// Build from explicit parameters.
     pub fn from_parts(weight: Dense, bias: Vec<f32>, activation: Activation) -> Self {
         assert_eq!(weight.ncols(), bias.len(), "bias must match output width");
-        GcnLayer { weight, bias, activation }
+        GcnLayer { weight, bias, activation, agg_home: BufferHome::new() }
     }
 
     /// Input feature width.
@@ -103,7 +125,7 @@ impl GcnLayer {
     pub fn forward(&self, a_norm: &Csr, h: &Dense) -> Dense {
         assert_eq!(h.ncols(), self.d_in(), "feature width mismatch");
         // Sparse aggregation through the FusedMM GCN pattern.
-        let agg = fusedmm_opt(a_norm, h, h, &OpSet::gcn());
+        let agg = aggregate(&self.agg_home, a_norm, h);
         // Dense transform.
         let mut out = agg.matmul(&self.weight);
         for r in 0..out.nrows() {

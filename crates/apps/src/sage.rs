@@ -18,12 +18,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fusedmm_core::fusedmm_opt;
-use fusedmm_ops::OpSet;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
+use fusedmm_sparse::BufferHome;
 
-use crate::gcn::Activation;
+use crate::gcn::{aggregate, Activation};
 
 /// Scale every row of `a` by `1 / row_nnz` so that ASUM aggregation
 /// computes the neighborhood mean. Isolated vertices keep empty rows
@@ -49,6 +48,8 @@ pub struct SageLayer {
     w_neigh: Dense,
     bias: Vec<f32>,
     activation: Activation,
+    /// Keeps the neighborhood-mean buffer between forward passes.
+    agg_home: BufferHome,
 }
 
 impl SageLayer {
@@ -65,7 +66,7 @@ impl SageLayer {
         };
         let w_self = init(d_in, d_out);
         let w_neigh = init(d_in, d_out);
-        SageLayer { w_self, w_neigh, bias: vec![0.0; d_out], activation }
+        SageLayer::from_parts(w_self, w_neigh, vec![0.0; d_out], activation)
     }
 
     /// Build from explicit parameters.
@@ -78,7 +79,7 @@ impl SageLayer {
         assert_eq!(w_self.nrows(), w_neigh.nrows(), "input widths must agree");
         assert_eq!(w_self.ncols(), w_neigh.ncols(), "output widths must agree");
         assert_eq!(w_self.ncols(), bias.len(), "bias must match output width");
-        SageLayer { w_self, w_neigh, bias, activation }
+        SageLayer { w_self, w_neigh, bias, activation, agg_home: BufferHome::new() }
     }
 
     /// Input feature width.
@@ -96,7 +97,7 @@ impl SageLayer {
     pub fn forward(&self, a_mean: &Csr, h: &Dense) -> Dense {
         assert_eq!(h.ncols(), self.d_in(), "feature width mismatch");
         // mean_{v∈N(u)} h_v — one fused SpMM-pattern call.
-        let neigh = fusedmm_opt(a_mean, h, h, &OpSet::gcn());
+        let neigh = aggregate(&self.agg_home, a_mean, h);
         // W_self·h_u + W_neigh·mean + b, then activation.
         let mut out = h.matmul(&self.w_self);
         let tn = neigh.matmul(&self.w_neigh);

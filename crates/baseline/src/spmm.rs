@@ -30,31 +30,38 @@ pub fn gspmm(a: &Csr, h: &EdgeTensor, y: &Dense, mop: &MOp, aop: &AOp) -> Dense 
     let mut z = Dense::zeros(a.nrows(), d);
     let identity = aop.identity();
     let rowptr = a.rowptr();
-    parallel_row_bands(a, &mut z, None, PartitionStrategy::NnzBalanced, |rows, band| {
-        let mut w = vec![0f32; d];
-        for (i, u) in rows.enumerate() {
-            let zu = &mut band[i * d..(i + 1) * d];
-            let (cols, vals) = a.row(u);
-            if cols.is_empty() {
-                zu.fill(0.0);
-                continue;
+    parallel_row_bands(
+        a,
+        z.as_mut_slice(),
+        d,
+        None,
+        PartitionStrategy::NnzBalanced,
+        |rows, band| {
+            let mut w = vec![0f32; d];
+            for (i, u) in rows.enumerate() {
+                let zu = &mut band[i * d..(i + 1) * d];
+                let (cols, vals) = a.row(u);
+                if cols.is_empty() {
+                    zu.fill(0.0);
+                    continue;
+                }
+                if identity != 0.0 {
+                    zu.fill(identity);
+                }
+                let base = rowptr[u];
+                for (k, (&v, &aval)) in cols.iter().zip(vals).enumerate() {
+                    let e = base + k;
+                    let msg = if h.is_scalar() {
+                        Message::Scalar(h.scalar(e))
+                    } else {
+                        Message::Vector(h.msg(e))
+                    };
+                    mop.apply(msg, y.row(v), aval, &mut w);
+                    aop.apply(zu, &w);
+                }
             }
-            if identity != 0.0 {
-                zu.fill(identity);
-            }
-            let base = rowptr[u];
-            for (k, (&v, &aval)) in cols.iter().zip(vals).enumerate() {
-                let e = base + k;
-                let msg = if h.is_scalar() {
-                    Message::Scalar(h.scalar(e))
-                } else {
-                    Message::Vector(h.msg(e))
-                };
-                mop.apply(msg, y.row(v), aval, &mut w);
-                aop.apply(zu, &w);
-            }
-        }
-    });
+        },
+    );
     z
 }
 

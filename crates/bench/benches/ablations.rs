@@ -14,15 +14,34 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fusedmm_bench::workloads::kernel_workload_scaled;
-use fusedmm_core::{fusedmm_opt_with, Blocking, PartitionStrategy};
+use fusedmm_core::{fusedmm_opt_into, Blocking, PartitionStrategy};
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
 use fusedmm_ops::{OpSet, SigmoidLut};
+use fusedmm_sparse::csr::Csr;
+use fusedmm_sparse::dense::Dense;
+
+/// One timed launch into the group's caller-owned `z` (allocated once
+/// per group, so no sample times a memset).
+fn launch(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+    strategy: PartitionStrategy,
+    z: &mut Dense,
+) {
+    fusedmm_opt_into(a, x, y, ops, blocking, None, strategy, z.as_mut_slice());
+    black_box(z.as_slice());
+}
 
 fn bench_register_blocking(c: &mut Criterion) {
     let w = kernel_workload_scaled(Dataset::Youtube, 128, 0.004);
     let ops = OpSet::sigmoid_embedding(None);
+    let mut z = Dense::zeros(w.adj.nrows(), w.d);
+    let nnz = PartitionStrategy::NnzBalanced;
     let mut g = c.benchmark_group("ablation_blocking");
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_millis(1200));
@@ -33,17 +52,7 @@ fn bench_register_blocking(c: &mut Criterion) {
         ("generic", Blocking::Generic),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(fusedmm_opt_with(
-                    &w.adj,
-                    &w.x,
-                    &w.y,
-                    &ops,
-                    blocking,
-                    None,
-                    PartitionStrategy::NnzBalanced,
-                ))
-            });
+            b.iter(|| launch(&w.adj, &w.x, &w.y, &ops, blocking, nnz, &mut z));
         });
     }
     g.finish();
@@ -57,6 +66,7 @@ fn bench_partition_strategy(c: &mut Criterion) {
     let x = random_features(n, d, 0.5, 1);
     let y = random_features(n, d, 0.5, 2);
     let ops = OpSet::sigmoid_embedding(None);
+    let mut z = Dense::zeros(n, d);
     let mut g = c.benchmark_group("ablation_partition");
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_millis(1200));
@@ -66,7 +76,7 @@ fn bench_partition_strategy(c: &mut Criterion) {
         ("row_balanced", PartitionStrategy::RowBalanced),
     ] {
         g.bench_with_input(BenchmarkId::new("embedding", name), &strategy, |b, &s| {
-            b.iter(|| black_box(fusedmm_opt_with(&adj, &x, &y, &ops, Blocking::Auto, None, s)));
+            b.iter(|| launch(&adj, &x, &y, &ops, Blocking::Auto, s, &mut z));
         });
     }
     g.finish();
@@ -76,35 +86,17 @@ fn bench_sigmoid_lut(c: &mut Criterion) {
     let w = kernel_workload_scaled(Dataset::Youtube, 128, 0.004);
     let exact = OpSet::sigmoid_embedding(None);
     let lut = OpSet::sigmoid_embedding(Some(Arc::new(SigmoidLut::default_table())));
+    let mut z = Dense::zeros(w.adj.nrows(), w.d);
+    let nnz = PartitionStrategy::NnzBalanced;
     let mut g = c.benchmark_group("ablation_sigmoid");
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_millis(1200));
     g.sample_size(10);
     g.bench_function("exact", |b| {
-        b.iter(|| {
-            black_box(fusedmm_opt_with(
-                &w.adj,
-                &w.x,
-                &w.y,
-                &exact,
-                Blocking::Auto,
-                None,
-                PartitionStrategy::NnzBalanced,
-            ))
-        });
+        b.iter(|| launch(&w.adj, &w.x, &w.y, &exact, Blocking::Auto, nnz, &mut z));
     });
     g.bench_function("lut", |b| {
-        b.iter(|| {
-            black_box(fusedmm_opt_with(
-                &w.adj,
-                &w.x,
-                &w.y,
-                &lut,
-                Blocking::Auto,
-                None,
-                PartitionStrategy::NnzBalanced,
-            ))
-        });
+        b.iter(|| launch(&w.adj, &w.x, &w.y, &lut, Blocking::Auto, nnz, &mut z));
     });
     g.finish();
 }

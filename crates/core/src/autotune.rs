@@ -24,7 +24,7 @@ use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::dispatch::{fusedmm_opt_with, specialize, Blocking, Specialized};
+use crate::dispatch::{fusedmm_opt_into, specialize, Blocking, Specialized};
 use crate::genkern::{candidate_specs, strip_minable, KernelSpec, GENERATED_DIMS};
 use crate::part::PartitionStrategy;
 use crate::simd::active_backend;
@@ -104,18 +104,12 @@ impl Tuner {
         let a = probe_graph();
         let x = probe_features(PROBE_VERTICES, d, 1);
         let y = probe_features(PROBE_VERTICES, d, 2);
+        let mut z = Dense::zeros(PROBE_VERTICES, d);
         let mut best = (KernelSpec::FALLBACK, f64::INFINITY);
         for s in candidates {
-            let b = Blocking::Specialized(s);
-            let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-            let mut t_min = f64::INFINITY;
-            for _ in 0..PROBE_REPS {
-                let t0 = Instant::now();
-                let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-                t_min = t_min.min(t0.elapsed().as_secs_f64());
-            }
-            if t_min < best.1 {
-                best = (s, t_min);
+            let t = probe_seconds(&a, &x, &y, ops, Blocking::Specialized(s), &mut z);
+            if t < best.1 {
+                best = (s, t);
             }
         }
         best.0
@@ -135,23 +129,34 @@ impl Tuner {
         // The specialized table covers any d >= 1; enter its best
         // probed shape as one candidate against the fixed levels.
         candidates.push(Blocking::Specialized(self.spec_for(ops, d)));
+        let mut z = Dense::zeros(PROBE_VERTICES, d);
         let mut best = (Blocking::DynStrips, f64::INFINITY);
         for b in candidates {
-            // Warm-up then timed repetitions, keeping the minimum (least
-            // noisy statistic for short kernels).
-            let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-            let mut t_min = f64::INFINITY;
-            for _ in 0..PROBE_REPS {
-                let t0 = Instant::now();
-                let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-                t_min = t_min.min(t0.elapsed().as_secs_f64());
-            }
-            if t_min < best.1 {
-                best = (b, t_min);
+            let t = probe_seconds(&a, &x, &y, ops, b, &mut z);
+            if t < best.1 {
+                best = (b, t);
             }
         }
         best.0
     }
+}
+
+/// One candidate's probe time: a warm-up launch, then the minimum of
+/// [`PROBE_REPS`] timed launches (the least noisy statistic for short
+/// kernels), all into the probe's one output buffer so no candidate is
+/// charged an allocation.
+fn probe_seconds(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, b: Blocking, z: &mut Dense) -> f64 {
+    let mut launch = || {
+        fusedmm_opt_into(a, x, y, ops, b, None, PartitionStrategy::NnzBalanced, z.as_mut_slice())
+    };
+    launch();
+    let mut t_min = f64::INFINITY;
+    for _ in 0..PROBE_REPS {
+        let t0 = Instant::now();
+        launch();
+        t_min = t_min.min(t0.elapsed().as_secs_f64());
+    }
+    t_min
 }
 
 /// A deterministic quasi-random probe graph (no RNG dependency): each

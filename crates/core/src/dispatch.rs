@@ -13,7 +13,7 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::driver::parallel_row_bands;
-use crate::generic::{fusedmm_generic_opts, validate_shapes};
+use crate::generic::{fusedmm_generic_into, validate_shapes};
 use crate::genkern::{
     embed_dyn_kernel, embed_kernel_for, embed_spec_kernel, embed_strip_kernel, fr_dyn_kernel,
     fr_kernel_for, fr_spec_kernel, fr_strip_kernel, spmm_dyn_kernel, spmm_kernel_for,
@@ -176,11 +176,39 @@ pub fn fusedmm_opt_with(
     partitions: Option<usize>,
     strategy: PartitionStrategy,
 ) -> Dense {
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    fusedmm_opt_into(a, x, y, ops, blocking, partitions, strategy, z.as_mut_slice());
+    z
+}
+
+/// [`fusedmm_opt_with`] into a caller-owned output — the one body
+/// behind every allocating entry point. `z` is the row-major
+/// `a.nrows() × d` output; **every row of it is overwritten** and
+/// nothing it held is read: each row kernel starts its fold from `+0.0`
+/// and a zero-degree row stores zeros, so the result is bit-identical
+/// to running into a zeroed buffer, without the zero-fill, the
+/// read-back, or a fresh allocation's page faults. Callers that launch
+/// repeatedly keep one `z` and pass it every time.
+///
+/// # Panics
+/// Panics on a shape mismatch (`z.len() != a.nrows() * d` included) and
+/// where [`fusedmm_opt_with`] would.
+#[allow(clippy::too_many_arguments)]
+pub fn fusedmm_opt_into(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    z: &mut [f32],
+) {
     validate_shapes(a, x, y);
     let spec = if blocking == Blocking::Generic { None } else { specialize(ops) };
     let Some(spec) = spec else {
         let t0 = std::time::Instant::now();
-        let z = fusedmm_generic_opts(a, x, y, ops, partitions, strategy);
+        fusedmm_generic_into(a, x, y, ops, partitions, strategy, z);
         crate::profile::record_kernel(
             ops.pattern,
             x.ncols(),
@@ -190,7 +218,7 @@ pub fn fusedmm_opt_with(
             a.nrows(),
             a.nnz(),
         );
-        return z;
+        return;
     };
     let d = x.ncols();
     let level = resolve_level(blocking, d);
@@ -205,11 +233,10 @@ pub fn fusedmm_opt_with(
         if matches!(level, Level::Strip | Level::Dyn) {
             let kspec = crate::autotune::global_tuner().spec_for(ops, d);
             return crate::hybrid::execute(
-                a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec,
+                a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec, z,
             );
         }
     }
-    let mut z = Dense::zeros(a.nrows(), d);
     let t0 = std::time::Instant::now();
 
     match spec {
@@ -226,7 +253,7 @@ pub fn fusedmm_opt_with(
                 Level::Spec(s) => embed_spec_kernel(backend, s),
                 Level::Dyn => embed_dyn_kernel(backend),
             };
-            parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], &sk);
@@ -246,7 +273,7 @@ pub fn fusedmm_opt_with(
                 Level::Spec(s) => fr_spec_kernel(backend, s),
                 Level::Dyn => fr_dyn_kernel(backend),
             };
-            parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], alpha);
@@ -266,7 +293,7 @@ pub fn fusedmm_opt_with(
                 Level::Spec(s) => tdist_spec_kernel(backend, s),
                 Level::Dyn => tdist_dyn_kernel(backend),
             };
-            parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d]);
@@ -286,7 +313,7 @@ pub fn fusedmm_opt_with(
                 Level::Spec(s) => spmm_spec_kernel(backend, s),
                 Level::Dyn => spmm_dyn_kernel(backend),
             };
-            parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(cols, vals, y, &mut band[i * d..(i + 1) * d]);
@@ -303,7 +330,6 @@ pub fn fusedmm_opt_with(
         a.nrows(),
         a.nnz(),
     );
-    z
 }
 
 #[cfg(test)]

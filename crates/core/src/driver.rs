@@ -14,7 +14,6 @@
 use std::ops::Range;
 
 use fusedmm_sparse::csr::Csr;
-use fusedmm_sparse::dense::Dense;
 
 use crate::part::{Partition, PartitionStrategy};
 
@@ -42,28 +41,33 @@ pub const INLINE_LAUNCH_WORK: usize = 1 << 20;
 /// Execute `body(rows, z_band)` for every part of a 1D partition of
 /// `a`, in parallel on the rayon pool (or, for launches under
 /// [`INLINE_LAUNCH_WORK`], part by part on the calling thread).
-/// `z_band` is the mutable sub-slice of `z` covering exactly `rows`
-/// (row-major, so `z_band.len() == rows.len() * z.ncols()`).
+/// `z` is the caller's row-major `a.nrows() × d` output and `z_band`
+/// the mutable sub-slice of it covering exactly `rows`
+/// (`z_band.len() == rows.len() * d`). The driver neither reads nor
+/// clears `z`: what a band holds on entry is whatever the caller left
+/// there, and `body` decides what every row becomes.
 ///
 /// `partitions` defaults (when `None`) to the current thread count, as
 /// in the paper where `t` parts feed `t` OpenMP threads.
 pub fn parallel_row_bands<F>(
     a: &Csr,
-    z: &mut Dense,
+    z: &mut [f32],
+    d: usize,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
     body: F,
 ) where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
 {
-    let inline = a.nnz().saturating_mul(z.ncols()) < INLINE_LAUNCH_WORK;
-    row_bands(a, z, partitions, strategy, inline, body);
+    let inline = a.nnz().saturating_mul(d) < INLINE_LAUNCH_WORK;
+    row_bands(a, z, d, partitions, strategy, inline, body);
 }
 
 /// [`parallel_row_bands`] with the placement decided by the caller.
 fn row_bands<F>(
     a: &Csr,
-    z: &mut Dense,
+    z: &mut [f32],
+    d: usize,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
     inline: bool,
@@ -71,14 +75,18 @@ fn row_bands<F>(
 ) where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
 {
-    assert_eq!(z.nrows(), a.nrows(), "Z must have one row per row of A");
+    assert_eq!(
+        z.len(),
+        a.nrows() * d,
+        "Z must have one row per row of A ({} rows of width {d})",
+        a.nrows()
+    );
     let t = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
     let part = Partition::part1d(a, t, strategy);
-    let d = z.ncols();
 
     // Carve Z into disjoint bands following the partition boundaries.
     let mut bands: Vec<(Range<usize>, &mut [f32])> = Vec::with_capacity(part.len());
-    let mut rest: &mut [f32] = z.as_mut_slice();
+    let mut rest: &mut [f32] = z;
     for i in 0..part.len() {
         let rows = part.rows(i);
         let (band, tail) = rest.split_at_mut(rows.len() * d);
@@ -106,6 +114,7 @@ fn row_bands<F>(
 mod tests {
     use super::*;
     use fusedmm_sparse::coo::{Coo, Dedup};
+    use fusedmm_sparse::dense::Dense;
 
     fn ring(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -119,14 +128,21 @@ mod tests {
     fn bands_cover_all_rows_exactly_once() {
         let a = ring(37);
         let mut z = Dense::zeros(37, 4);
-        parallel_row_bands(&a, &mut z, Some(5), PartitionStrategy::NnzBalanced, |rows, band| {
-            assert_eq!(band.len(), rows.len() * 4);
-            for (i, _r) in rows.enumerate() {
-                for k in 0..4 {
-                    band[i * 4 + k] += 1.0;
+        parallel_row_bands(
+            &a,
+            z.as_mut_slice(),
+            4,
+            Some(5),
+            PartitionStrategy::NnzBalanced,
+            |rows, band| {
+                assert_eq!(band.len(), rows.len() * 4);
+                for (i, _r) in rows.enumerate() {
+                    for k in 0..4 {
+                        band[i * 4 + k] += 1.0;
+                    }
                 }
-            }
-        });
+            },
+        );
         assert!(z.as_slice().iter().all(|&v| v == 1.0), "every cell touched exactly once");
     }
 
@@ -134,11 +150,18 @@ mod tests {
     fn band_offsets_match_rows() {
         let a = ring(16);
         let mut z = Dense::zeros(16, 2);
-        parallel_row_bands(&a, &mut z, Some(4), PartitionStrategy::NnzBalanced, |rows, band| {
-            for (i, r) in rows.enumerate() {
-                band[i * 2] = r as f32;
-            }
-        });
+        parallel_row_bands(
+            &a,
+            z.as_mut_slice(),
+            2,
+            Some(4),
+            PartitionStrategy::NnzBalanced,
+            |rows, band| {
+                for (i, r) in rows.enumerate() {
+                    band[i * 2] = r as f32;
+                }
+            },
+        );
         for r in 0..16 {
             assert_eq!(z.get(r, 0), r as f32);
         }
@@ -148,10 +171,17 @@ mod tests {
     fn single_partition_runs_inline() {
         let a = ring(8);
         let mut z = Dense::zeros(8, 1);
-        parallel_row_bands(&a, &mut z, Some(1), PartitionStrategy::RowBalanced, |rows, band| {
-            assert_eq!(rows, 0..8);
-            band.fill(2.0);
-        });
+        parallel_row_bands(
+            &a,
+            z.as_mut_slice(),
+            1,
+            Some(1),
+            PartitionStrategy::RowBalanced,
+            |rows, band| {
+                assert_eq!(rows, 0..8);
+                band.fill(2.0);
+            },
+        );
         assert!(z.as_slice().iter().all(|&v| v == 2.0));
     }
 
@@ -165,15 +195,23 @@ mod tests {
         let run = |inline: bool| {
             let mut z = Dense::zeros(101, d);
             let seen = std::sync::Mutex::new(Vec::new());
-            row_bands(&a, &mut z, Some(4), PartitionStrategy::NnzBalanced, inline, |rows, band| {
-                seen.lock().unwrap().push(rows.clone());
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    for k in 0..d {
-                        band[i * d + k] = (cols[0] as f32 + vals[0]) / (k as f32 + 3.0);
+            row_bands(
+                &a,
+                z.as_mut_slice(),
+                d,
+                Some(4),
+                PartitionStrategy::NnzBalanced,
+                inline,
+                |rows, band| {
+                    seen.lock().unwrap().push(rows.clone());
+                    for (i, u) in rows.enumerate() {
+                        let (cols, vals) = a.row(u);
+                        for k in 0..d {
+                            band[i * d + k] = (cols[0] as f32 + vals[0]) / (k as f32 + 3.0);
+                        }
                     }
-                }
-            });
+                },
+            );
             let mut seen = seen.into_inner().unwrap();
             seen.sort_by_key(|r| r.start);
             (seen, z)
@@ -192,10 +230,17 @@ mod tests {
         assert!(a.nnz() * 4 < INLINE_LAUNCH_WORK);
         let caller = std::thread::current().id();
         let mut z = Dense::zeros(64, 4);
-        parallel_row_bands(&a, &mut z, Some(4), PartitionStrategy::NnzBalanced, |_, band| {
-            assert_eq!(std::thread::current().id(), caller);
-            band.fill(1.0);
-        });
+        parallel_row_bands(
+            &a,
+            z.as_mut_slice(),
+            4,
+            Some(4),
+            PartitionStrategy::NnzBalanced,
+            |_, band| {
+                assert_eq!(std::thread::current().id(), caller);
+                band.fill(1.0);
+            },
+        );
         assert!(z.as_slice().iter().all(|&v| v == 1.0));
     }
 
@@ -204,6 +249,13 @@ mod tests {
     fn shape_mismatch_panics() {
         let a = ring(4);
         let mut z = Dense::zeros(3, 1);
-        parallel_row_bands(&a, &mut z, None, PartitionStrategy::NnzBalanced, |_, _| {});
+        parallel_row_bands(
+            &a,
+            z.as_mut_slice(),
+            1,
+            None,
+            PartitionStrategy::NnzBalanced,
+            |_, _| {},
+        );
     }
 }

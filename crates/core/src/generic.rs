@@ -89,29 +89,41 @@ pub fn fusedmm_generic_opts(
     partitions: Option<usize>,
     strategy: PartitionStrategy,
 ) -> Dense {
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    fusedmm_generic_into(a, x, y, ops, partitions, strategy, z.as_mut_slice());
+    z
+}
+
+/// [`fusedmm_generic_opts`] into a caller-owned output: every row of
+/// the row-major `a.nrows() × d` slice `z` is overwritten, whatever it
+/// held (see "Output ownership" in `docs/ARCHITECTURE.md`).
+///
+/// # Panics
+/// Panics on a shape mismatch, `z.len() != a.nrows() * d` included.
+pub fn fusedmm_generic_into(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    z: &mut [f32],
+) {
     validate_shapes(a, x, y);
     let d = x.ncols();
-    let mut z = Dense::zeros(a.nrows(), d);
     let identity = ops.aop.identity();
-    parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+    parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
         let mut scratch_z = vec![0f32; d];
         let mut scratch_w = vec![0f32; d];
         for (i, u) in rows.enumerate() {
             let zu = &mut band[i * d..(i + 1) * d];
             let (cols, vals) = a.row(u);
-            if cols.is_empty() {
-                // Isolated vertex: defined as the zero vector, not the
-                // AOP identity (±∞ for max/min would poison consumers).
-                zu.fill(0.0);
-                continue;
-            }
-            if identity != 0.0 {
-                zu.fill(identity);
-            }
+            // Isolated vertex: defined as the zero vector, not the AOP
+            // identity (±∞ for max/min would poison consumers).
+            zu.fill(if cols.is_empty() { 0.0 } else { identity });
             update_u(ops, x.row(u), cols, vals, y, zu, &mut scratch_z, &mut scratch_w);
         }
     });
-    z
 }
 
 /// A deliberately simple sequential reference implementation used by the
@@ -220,6 +232,27 @@ mod tests {
         assert_eq!(z.row(0), &[-5.0, -5.0]); // real max over one neighbor
         assert_eq!(z.row(1), &[0.0, 0.0]); // isolated
         assert_eq!(z.row(2), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn into_overwrites_every_row_of_a_poisoned_output() {
+        let mut c = Coo::new(4, 4);
+        c.push(0, 1, 1.0);
+        c.push(2, 3, 0.5);
+        let a = c.to_csr(Dedup::Last); // rows 1 and 3 are isolated
+        let x = Dense::from_fn(4, 3, |r, k| (r + k) as f32 * 0.5);
+        let y = Dense::from_fn(4, 3, |r, k| (r * k) as f32 * 0.25 - 1.0);
+        for ops in [
+            OpSet::gcn(),
+            OpSet::sigmoid_embedding(None),
+            OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Min),
+        ] {
+            let want = fusedmm_generic(&a, &x, &y, &ops);
+            let mut z = vec![f32::NAN; 4 * 3];
+            fusedmm_generic_into(&a, &x, &y, &ops, Some(2), PartitionStrategy::NnzBalanced, &mut z);
+            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&z), bits(want.as_slice()), "{:?}", ops.pattern);
+        }
     }
 
     #[test]

@@ -86,7 +86,10 @@ impl SigmoidKind {
     }
 }
 
-/// Row kernel signature for the sigmoid-embedding pattern.
+/// Row kernel signature for the sigmoid-embedding pattern. Like every
+/// row kernel in this module it **overwrites** its output row (the last
+/// `&mut [f32]`): the fold over the neighbors starts from `+0.0`, an
+/// empty row stores zeros, and nothing the row held is read.
 pub type EmbedRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], &SigmoidKind);
 /// Row kernel signature for the FR-model pattern (`alpha` = SCAL).
 pub type FrRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], f32);
@@ -130,9 +133,10 @@ pub type FrMsgKernel = fn(&[f32], &[usize], &Dense, f32, &mut [f32]);
 pub type TDistMsgKernel = fn(&[f32], &[usize], &Dense, &mut [f32]);
 /// Column-span sweep kernel (mega-row phase B): folds *all* neighbor
 /// messages into one VLEN-aligned span `z[span_off .. span_off + w)` of
-/// the output row, in original neighbor order. Splitting `d` into spans
-/// keeps the per-element accumulation order identical to the strip
-/// kernel while letting threads own disjoint spans.
+/// the output row, in original neighbor order, overwriting the span.
+/// Splitting `d` into spans keeps the per-element accumulation order
+/// identical to the strip kernel while letting threads own disjoint
+/// spans.
 pub type SpanSweepKernel = fn(&[usize], &[f32], &Dense, &mut [f32], usize);
 
 // ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ pub type SpanSweepKernel = fn(&[usize], &[f32], &Dense, &mut [f32], usize);
 // dispatcher avoids even that by calling the `*_dyn_kernel(backend)`
 // selectors once per launch.
 
-/// Embedding, dynamic d: `z_u += σ(x_u·y_v) · y_v` per neighbor.
+/// Embedding, dynamic d: `z_u = Σ_v σ(x_u·y_v) · y_v`.
 pub fn embed_row_dyn(
     xu: &[f32],
     cols: &[usize],
@@ -156,18 +160,18 @@ pub fn embed_row_dyn(
     embed_dyn_kernel(active_backend())(xu, cols, vals, y, zu, sk)
 }
 
-/// FR model, dynamic d: `z_u += α·‖x_u − y_v‖ · y_v` per neighbor.
+/// FR model, dynamic d: `z_u = Σ_v α·‖x_u − y_v‖ · y_v`.
 pub fn fr_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32) {
     fr_dyn_kernel(active_backend())(xu, cols, vals, y, zu, alpha)
 }
 
-/// GCN/SpMM, dynamic d: `z_u += a_uv · y_v` per neighbor.
+/// GCN/SpMM, dynamic d: `z_u = Σ_v a_uv · y_v`.
 pub fn spmm_row_dyn(cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]) {
     spmm_dyn_kernel(active_backend())(cols, vals, y, zu)
 }
 
 /// t-distribution embedding, dynamic d:
-/// `z_u += y_v / (1 + ‖x_u − y_v‖²)` per neighbor. The squared distance
+/// `z_u = Σ_v y_v / (1 + ‖x_u − y_v‖²)`. The squared distance
 /// feeds the rational kernel directly — no square root needed.
 pub fn tdist_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]) {
     tdist_dyn_kernel(active_backend())(xu, cols, vals, y, zu)

@@ -6,7 +6,8 @@
 //!
 //! * `*_row_dyn_*` — the dynamic-dimension kernels: per neighbor, a
 //!   full-row reduction (dot / squared distance) followed by a full-row
-//!   axpy, with `z_u` living in memory. Works for any `d`.
+//!   axpy, with `z_u` living in memory (cleared by the kernel before
+//!   the first axpy). Works for any `d`.
 //! * `*_row_strip_*` — **strip-mined** kernels for any `d ≡ 0 (mod 8)`:
 //!   the feature dimension is tiled into register-wide panels (up to
 //!   twelve panels per pass on 8-lane ISAs; up to twenty-four 16-lane
@@ -26,6 +27,14 @@
 //! chunk, while `h_v` stays in a stack buffer. Pure SpMM has no
 //! reduction, so its panels run over the entire neighbor list in one
 //! pass — `z_u` is written to memory exactly once per panel.
+//!
+//! Every row kernel **owns its output row**: the fold starts from
+//! `+0.0` in registers (a row's first chunk runs the overwrite panel,
+//! only later chunks of a long row reload the partial sum they resume),
+//! an empty row stores zeros, and nothing `z_u` held on entry is read.
+//! That is bit-identical to accumulating into a zeroed row — a load of
+//! zeroed memory yields the same `+0.0` — and it is what lets callers
+//! hand in a recycled, un-cleared output.
 //!
 //! On ISAs wider than `VLEN` (AVX-512: `I::LANES = 16`) a dimension
 //! that is a multiple of 8 but not of 16 ends in a **masked tail
@@ -68,9 +77,10 @@ pub fn strip_minable(d: usize) -> bool {
 
 /// `Σ_i h[i] · y_{cols[i]}` swept into `z_u` in register-resident
 /// panels: the strip-mined MOP+AOP core shared by every pattern.
-/// `LOAD_Z` picks whether the accumulators start from the current
-/// `z_u` (accumulate) or from `+0.0` (overwrite) — see the two
-/// wrappers below.
+/// `LOAD_Z` picks whether the accumulators start from `+0.0`
+/// (overwrite — how every row's fold begins) or from the current `z_u`
+/// (resuming a partial sum: only [`panel_chunk`] past a row's first
+/// chunk).
 ///
 /// The dimension is consumed as a cascade of panel groups — 12, 8, 6,
 /// 4, 2, then 1 eight-lane panels per pass — so the serving dims get
@@ -156,24 +166,29 @@ fn panel_core<I: SimdIsa, const LOAD_Z: bool>(
     }
 }
 
-/// `z_u += Σ_i h[i] · y_{cols[i]}` — accumulate into the existing
-/// output row (the strip kernels' chunked fold resumes a row's partial
-/// sum across [`H_CHUNK`] chunks).
-#[inline(always)]
-fn panel_accumulate<I: SimdIsa>(cols: &[usize], h: &[f32], y: &Dense, zu: &mut [f32]) {
-    panel_core::<I, true>(cols, h, y, zu)
-}
-
 /// `z_u = Σ_i h[i] · y_{cols[i]}` — overwrite the output row, starting
 /// the accumulators at `+0.0` instead of loading `z_u`. Bit-identical
 /// to accumulating into a pre-zeroed row (a load of zeroed memory also
-/// yields `+0.0`), but skips one full row read per call — the short
-/// gather kernels' edge over the strip path, since a short row's
-/// setup traffic rivals its neighbor work. Callers must own the whole
-/// fold for the row: nothing previously stored in `zu` survives.
+/// yields `+0.0`), but skips one full row read per call and does not
+/// care what the row held. Callers must own the whole fold for the
+/// row: nothing previously stored in `zu` survives, and an empty
+/// `cols` stores zeros.
 #[inline(always)]
 fn panel_overwrite<I: SimdIsa>(cols: &[usize], h: &[f32], y: &Dense, zu: &mut [f32]) {
     panel_core::<I, false>(cols, h, y, zu)
+}
+
+/// One [`H_CHUNK`] chunk of a row's chunked fold, starting at neighbor
+/// `start`: the row's first chunk begins the fold ([`panel_overwrite`]);
+/// a later chunk resumes the partial sum the earlier ones stored — the
+/// one place a panel still loads `z_u`.
+#[inline(always)]
+fn panel_chunk<I: SimdIsa>(start: usize, cols: &[usize], h: &[f32], y: &Dense, zu: &mut [f32]) {
+    if start == 0 {
+        panel_overwrite::<I>(cols, h, y, zu)
+    } else {
+        panel_core::<I, true>(cols, h, y, zu)
+    }
 }
 
 #[inline(always)]
@@ -196,14 +211,18 @@ fn embed_row_strip_body<I: SimdIsa>(
     assert_strip_dim(zu.len());
     let mut h = [0f32; H_CHUNK];
     let mut start = 0;
-    while start < cols.len() {
+    // At least one pass, so an empty row still stores its zeros.
+    loop {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
         let labels = &vals[start..start + chunk.len()];
         for (hi, (&v, &a)) in h.iter_mut().zip(chunk.iter().zip(labels)) {
             *hi = sk.eval(I::dot(xu, y.row(v)), a);
         }
-        panel_accumulate::<I>(chunk, &h, y, zu);
+        panel_chunk::<I>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -219,13 +238,16 @@ fn fr_row_strip_body<I: SimdIsa>(
     assert_strip_dim(zu.len());
     let mut h = [0f32; H_CHUNK];
     let mut start = 0;
-    while start < cols.len() {
+    loop {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
         for (i, &v) in chunk.iter().enumerate() {
             h[i] = alpha * I::sqdist(xu, y.row(v)).sqrt();
         }
-        panel_accumulate::<I>(chunk, &h, y, zu);
+        panel_chunk::<I>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -240,13 +262,16 @@ fn tdist_row_strip_body<I: SimdIsa>(
     assert_strip_dim(zu.len());
     let mut h = [0f32; H_CHUNK];
     let mut start = 0;
-    while start < cols.len() {
+    loop {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
         for (i, &v) in chunk.iter().enumerate() {
             h[i] = 1.0 / (1.0 + I::sqdist(xu, y.row(v)));
         }
-        panel_accumulate::<I>(chunk, &h, y, zu);
+        panel_chunk::<I>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -255,8 +280,8 @@ fn spmm_row_strip_body<I: SimdIsa>(cols: &[usize], vals: &[f32], y: &Dense, zu: 
     assert_strip_dim(zu.len());
     // No SDDMM reduction: the edge weights are the messages, so every
     // panel sweeps the entire neighbor list with its accumulators in
-    // registers the whole time.
-    panel_accumulate::<I>(cols, vals, y, zu);
+    // registers the whole time — the whole fold in one call.
+    panel_overwrite::<I>(cols, vals, y, zu);
 }
 
 // --- hybrid-execution bodies -----------------------------------------------
@@ -268,19 +293,16 @@ fn spmm_row_strip_body<I: SimdIsa>(cols: &[usize], vals: &[f32], y: &Dense, zu: 
 //   Each row fills its message slice and immediately runs the
 //   `panel_overwrite` cascade — fused per row, because a separate
 //   whole-batch message sweep re-walks the gathered rows through their
-//   staging structs and measures slower. The output row is OVERWRITTEN,
-//   not accumulated into: each gathered row must carry its entire
-//   neighbor list and its output slice must be freshly zeroed (the
-//   hybrid sweep guarantees both). Starting the fold at `+0.0` is
-//   bit-identical to loading a zeroed row, and skipping that load is
-//   what makes the gather path cheaper than strip for rows whose setup
-//   traffic rivals their neighbor work.
+//   staging structs and measures slower. Like every row kernel the
+//   output row is overwritten: each gathered row must carry its entire
+//   neighbor list (the hybrid sweep guarantees it).
 // * `*_msg_body` — phase A of the split-mega-row kernel: fill the
 //   messages for a slice of a mega row's neighbors. Each message is an
 //   independent reduction, so slices can be filled by different threads
 //   with no effect on the result.
-// * `span_sweep_body` — phase B: accumulate *every* neighbor, in
-//   original row order, into one VLEN-aligned column span of `z_u`.
+// * `span_sweep_body` — phase B: fold *every* neighbor, in original
+//   row order, into one VLEN-aligned column span of `z_u`, overwriting
+//   it.
 //   Threads split the row by output columns, not by neighbors, so the
 //   per-element fold order is fixed by the span plan — bit-identical to
 //   the strip kernel's chunked fold regardless of thread count.
@@ -394,12 +416,13 @@ fn tdist_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f3
     }
 }
 
-/// `z_span += Σ_i h[i] · y_{cols[i]}[span_off..span_off + w]` — the
+/// `z_span = Σ_i h[i] · y_{cols[i]}[span_off..span_off + w]` — the
 /// column-span sweep of the split-mega-row kernel. Folds **all**
-/// neighbors, in row-storage order, into one VLEN-aligned span of the
-/// output row, so the per-element accumulation chain matches the strip
-/// kernel's exactly and is independent of how many spans (threads) the
-/// row was split into.
+/// neighbors, in row-storage order and starting from `+0.0`, into one
+/// VLEN-aligned span of the output row (overwriting it), so the
+/// per-element accumulation chain matches the strip kernel's exactly
+/// and is independent of how many spans (threads) the row was split
+/// into.
 #[inline(always)]
 fn span_sweep_body<I: SimdIsa>(
     cols: &[usize],
@@ -435,9 +458,6 @@ fn span_sweep_body<I: SimdIsa>(
             ($panels:literal) => {
                 while p + $panels * I::LANES <= w {
                     let mut acc = [I::zero(); $panels];
-                    for (q, a) in acc.iter_mut().enumerate() {
-                        *a = I::loadu(zp.add(p + q * I::LANES));
-                    }
                     for (i, &v) in cols.iter().enumerate() {
                         let hv = I::splat(h[i]);
                         let base = yp.add(v * d + span_off + p);
@@ -465,7 +485,7 @@ fn span_sweep_body<I: SimdIsa>(
         // final span's sub-VLEN remainder at odd d.
         if p < w {
             let r = w - p;
-            let mut acc = I::loadu_partial(zp.add(p), r);
+            let mut acc = I::zero();
             for (i, &v) in cols.iter().enumerate() {
                 let hv = I::splat(h[i]);
                 acc = I::fma(acc, hv, I::loadu_partial(yp.add(v * d + span_off + p), r));
@@ -485,6 +505,8 @@ fn embed_row_dyn_body<I: SimdIsa>(
     sk: &SigmoidKind,
 ) {
     assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
+    // `z_u` lives in memory here, so the fold's `+0.0` origin is stored.
+    zu.fill(0.0);
     for (&v, &a) in cols.iter().zip(vals) {
         let yv = y.row(v);
         let h = sk.eval(I::dot(xu, yv), a);
@@ -501,6 +523,7 @@ fn fr_row_dyn_body<I: SimdIsa>(
     zu: &mut [f32],
     alpha: f32,
 ) {
+    zu.fill(0.0);
     for &v in cols {
         let yv = y.row(v);
         let h = alpha * I::sqdist(xu, yv).sqrt();
@@ -516,6 +539,7 @@ fn tdist_row_dyn_body<I: SimdIsa>(
     y: &Dense,
     zu: &mut [f32],
 ) {
+    zu.fill(0.0);
     for &v in cols {
         let yv = y.row(v);
         let h = 1.0 / (1.0 + I::sqdist(xu, yv));
@@ -525,6 +549,7 @@ fn tdist_row_dyn_body<I: SimdIsa>(
 
 #[inline(always)]
 fn spmm_row_dyn_body<I: SimdIsa>(cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]) {
+    zu.fill(0.0);
     for (&v, &a) in cols.iter().zip(vals) {
         I::axpy(a, y.row(v), zu);
     }
@@ -844,11 +869,65 @@ mod tests {
     }
 
     #[test]
-    fn empty_row_is_identity_for_strip() {
-        let y = feats(4, 16, 0.5);
-        let mut z = vec![0.75f32; 16];
-        spmm_strip_kernel(active_backend())(&[], &[], &y, &mut z);
-        assert!(z.iter().all(|&v| v == 0.75));
+    fn empty_row_writes_positive_zero_over_whatever_was_there() {
+        let d = 16;
+        let x = feats(4, d, 0.1);
+        let y = feats(4, d, 0.5);
+        let b = active_backend();
+        let plus_zero = |z: &[f32]| z.iter().all(|v| v.to_bits() == 0);
+        let mut z = vec![0.75f32; d];
+        spmm_strip_kernel(b)(&[], &[], &y, &mut z);
+        assert!(plus_zero(&z), "spmm strip: {z:?}");
+        z.fill(f32::NAN);
+        embed_strip_kernel(b)(x.row(0), &[], &[], &y, &mut z, &SigmoidKind::Exact);
+        assert!(plus_zero(&z), "embed strip: {z:?}");
+        z.fill(-1.0);
+        fr_strip_kernel(b)(x.row(0), &[], &[], &y, &mut z, 0.5);
+        assert!(plus_zero(&z), "fr strip: {z:?}");
+        z.fill(f32::INFINITY);
+        tdist_strip_kernel(b)(x.row(0), &[], &[], &y, &mut z);
+        assert!(plus_zero(&z), "tdist strip: {z:?}");
+        z.fill(f32::NAN);
+        spmm_dyn_kernel(b)(&[], &[], &y, &mut z);
+        assert!(plus_zero(&z), "spmm dyn: {z:?}");
+    }
+
+    #[test]
+    fn row_kernels_ignore_what_the_output_row_held() {
+        // Degree 70 > 2·H_CHUNK: the chunked folds overwrite on their
+        // first chunk and resume on the next two.
+        let n = 80;
+        let a = chain(n, 70);
+        let d = 48;
+        let x = feats(n, d, 0.2);
+        let y = feats(n, d, 0.8);
+        let (cols, vals) = a.row(3);
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &b in Backend::ALL {
+            if !b.is_available() {
+                continue;
+            }
+            for embed in [embed_strip_kernel(b), embed_dyn_kernel(b)] {
+                let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+                embed(x.row(3), cols, vals, &y, &mut clean, &SigmoidKind::Exact);
+                embed(x.row(3), cols, vals, &y, &mut dirty, &SigmoidKind::Exact);
+                assert_eq!(bits(&clean), bits(&dirty), "embed {b}");
+            }
+            for spmm in [spmm_strip_kernel(b), spmm_dyn_kernel(b)] {
+                let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+                spmm(cols, vals, &y, &mut clean);
+                spmm(cols, vals, &y, &mut dirty);
+                assert_eq!(bits(&clean), bits(&dirty), "spmm {b}");
+            }
+            let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+            span_sweep_kernel(b)(cols, vals, &y, &mut clean[8..32], 8);
+            span_sweep_kernel(b)(cols, vals, &y, &mut dirty[8..32], 8);
+            assert_eq!(bits(&clean[8..32]), bits(&dirty[8..32]), "span {b}");
+            assert!(
+                dirty[..8].iter().chain(&dirty[32..]).all(|v| v.is_nan()),
+                "span stays in span"
+            );
+        }
     }
 
     #[test]

@@ -160,6 +160,9 @@ pub fn candidate_specs(lanes: usize, d: usize, sddmm: bool) -> Vec<KernelSpec> {
 /// is what admits odd dimensions. Per output element the fold order
 /// over `cols` is identical for every `MAIN`, and identical to
 /// [`super::strip`]'s cascade: shape is a pure performance choice.
+/// `LOAD_Z = false` starts the fold from `+0.0` and overwrites `zu`
+/// (how every row begins; an empty `cols` stores zeros); `true` resumes
+/// the partial sum a row's earlier chunks stored.
 #[inline(always)]
 fn panel_spec<I: SimdIsa, const MAIN: usize, const LOAD_Z: bool>(
     cols: &[usize],
@@ -243,6 +246,26 @@ fn band_row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
 }
 
 // --- shaped row kernels (uniform path) -------------------------------------
+//
+// Same output contract as the strip family: the row is overwritten,
+// never read — a row's first chunk starts from `+0.0`, later chunks of
+// a long row resume the partial sum, an empty row stores zeros.
+
+/// One `HC`-deep chunk of a row's fold, starting at neighbor `start`.
+#[inline(always)]
+fn spec_chunk<I: SimdIsa, const MAIN: usize>(
+    start: usize,
+    cols: &[usize],
+    h: &[f32],
+    y: &Dense,
+    zu: &mut [f32],
+) {
+    if start == 0 {
+        panel_spec::<I, MAIN, false>(cols, h, y, zu)
+    } else {
+        panel_spec::<I, MAIN, true>(cols, h, y, zu)
+    }
+}
 
 #[inline(always)]
 fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
@@ -255,14 +278,18 @@ fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
 ) {
     let mut h = [0f32; HC];
     let mut start = 0;
-    while start < cols.len() {
+    // At least one pass, so an empty row still stores its zeros.
+    loop {
         let chunk = &cols[start..(start + HC).min(cols.len())];
         let labels = &vals[start..start + chunk.len()];
         for (hi, (&v, &a)) in h.iter_mut().zip(chunk.iter().zip(labels)) {
             *hi = sk.eval(I::dot(xu, y.row(v)), a);
         }
-        panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
+        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -277,13 +304,16 @@ fn fr_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
 ) {
     let mut h = [0f32; HC];
     let mut start = 0;
-    while start < cols.len() {
+    loop {
         let chunk = &cols[start..(start + HC).min(cols.len())];
         for (i, &v) in chunk.iter().enumerate() {
             h[i] = alpha * I::sqdist(xu, y.row(v)).sqrt();
         }
-        panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
+        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -297,13 +327,16 @@ fn tdist_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
 ) {
     let mut h = [0f32; HC];
     let mut start = 0;
-    while start < cols.len() {
+    loop {
         let chunk = &cols[start..(start + HC).min(cols.len())];
         for (i, &v) in chunk.iter().enumerate() {
             h[i] = 1.0 / (1.0 + I::sqdist(xu, y.row(v)));
         }
-        panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
+        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
         start += chunk.len();
+        if start >= cols.len() {
+            break;
+        }
     }
 }
 
@@ -314,8 +347,9 @@ fn spmm_spec_row_body<I: SimdIsa, const MAIN: usize>(
     y: &Dense,
     zu: &mut [f32],
 ) {
-    // No SDDMM reduction: edge weights are the messages, one sweep.
-    panel_spec::<I, MAIN, true>(cols, vals, y, zu);
+    // No SDDMM reduction: edge weights are the messages, one sweep —
+    // the whole fold, so it starts from +0.0.
+    panel_spec::<I, MAIN, false>(cols, vals, y, zu);
 }
 
 // --- shaped batch kernels (hybrid short class) -----------------------------
@@ -408,9 +442,10 @@ fn spmm_spec_batch_body<I: SimdIsa, const MAIN: usize>(
 // --- shaped span sweep (hybrid mega class, phase B) ------------------------
 
 /// Shaped variant of [`super::strip`]'s span sweep: folds all
-/// neighbors, in row order, into one VLEN-aligned span of the output
-/// row. The final span may end unaligned (it absorbs the sub-VLEN
-/// remainder at odd `d`), finished by the masked-tail panel.
+/// neighbors, in row order and starting from `+0.0`, into one
+/// VLEN-aligned span of the output row (overwriting it). The final
+/// span may end unaligned (it absorbs the sub-VLEN remainder at odd
+/// `d`), finished by the masked-tail panel.
 #[inline(always)]
 fn span_spec_body<I: SimdIsa, const MAIN: usize>(
     cols: &[usize],
@@ -441,9 +476,6 @@ fn span_spec_body<I: SimdIsa, const MAIN: usize>(
             ($panels:expr) => {
                 while p + $panels * I::LANES <= w {
                     let mut acc = [I::zero(); $panels];
-                    for (q, a) in acc.iter_mut().enumerate() {
-                        *a = I::loadu(zp.add(p + q * I::LANES));
-                    }
                     for (i, &v) in cols.iter().enumerate() {
                         let hv = I::splat(h[i]);
                         let base = yp.add(v * d + span_off + p);
@@ -466,7 +498,7 @@ fn span_spec_body<I: SimdIsa, const MAIN: usize>(
         span_pass!(1);
         if p < w {
             let r = w - p;
-            let mut acc = I::loadu_partial(zp.add(p), r);
+            let mut acc = I::zero();
             for (i, &v) in cols.iter().enumerate() {
                 let hv = I::splat(h[i]);
                 acc = I::fma(acc, hv, I::loadu_partial(yp.add(v * d + span_off + p), r));
@@ -877,6 +909,45 @@ mod tests {
             );
             for k in 0..d {
                 assert_eq!(z2[k].to_bits(), z5[k].to_bits(), "embed d={d} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn spec_kernels_ignore_what_the_output_row_held() {
+        // d = 100 ends in the masked tail; degree 70 spans several
+        // chunks at every HC, so first-chunk overwrite and later-chunk
+        // resume are both exercised. An empty row stores +0.0.
+        let n = 80;
+        let a = chain(n, 70);
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for d in [48usize, 100] {
+            let x = feats(n, d, 0.2);
+            let y = feats(n, d, 0.8);
+            let (cols, vals) = a.row(3);
+            for &b in Backend::ALL {
+                if !b.is_available() {
+                    continue;
+                }
+                for spec in candidate_specs(b.lanes(), d, true) {
+                    let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+                    let k = embed_spec_kernel(b, spec);
+                    k(x.row(3), cols, vals, &y, &mut clean, &SigmoidKind::Exact);
+                    k(x.row(3), cols, vals, &y, &mut dirty, &SigmoidKind::Exact);
+                    assert_eq!(bits(&clean), bits(&dirty), "embed {b} d={d} {}", spec.label());
+                    k(x.row(3), &[], &[], &y, &mut dirty, &SigmoidKind::Exact);
+                    assert!(dirty.iter().all(|v| v.to_bits() == 0), "empty embed row {b} d={d}");
+
+                    let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+                    spmm_spec_kernel(b, spec)(cols, vals, &y, &mut clean);
+                    spmm_spec_kernel(b, spec)(cols, vals, &y, &mut dirty);
+                    assert_eq!(bits(&clean), bits(&dirty), "spmm {b} d={d} {}", spec.label());
+
+                    let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
+                    span_spec_kernel(b, spec)(cols, vals, &y, &mut clean[8..], 8);
+                    span_spec_kernel(b, spec)(cols, vals, &y, &mut dirty[8..], 8);
+                    assert_eq!(bits(&clean[8..]), bits(&dirty[8..]), "span {b} d={d}");
+                }
             }
         }
     }

@@ -95,7 +95,8 @@ impl Default for HybridConfig {
 }
 
 /// Run the three degree-class passes with the kernel shape `kspec`
-/// (the autotuner's probed best for this `(pattern, d, backend)`).
+/// (the autotuner's probed best for this `(pattern, d, backend)`),
+/// overwriting every row of the caller's `a.nrows() × d` output `z`.
 /// Called by the dispatcher when the blocking resolved to the strip
 /// or dyn level — the specialized table's kernels cover both.
 #[allow(clippy::too_many_arguments)]
@@ -110,7 +111,8 @@ pub(crate) fn execute(
     strategy: PartitionStrategy,
     backend: Backend,
     kspec: KernelSpec,
-) -> Dense {
+    z: &mut [f32],
+) {
     let d = x.ncols();
     let parts = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
     let short_cut = cfg.short_max.clamp(1, H_CHUNK + 1);
@@ -143,6 +145,7 @@ pub(crate) fn execute(
                     msg(xu, cols, vals, y, sk, h)
                 }),
                 sweep,
+                z,
             )
         }
         Specialized::Fr(alpha) => {
@@ -171,6 +174,7 @@ pub(crate) fn execute(
                     msg(xu, cols, y, alpha, h)
                 }),
                 sweep,
+                z,
             )
         }
         Specialized::TDist => {
@@ -196,6 +200,7 @@ pub(crate) fn execute(
                 },
                 Some(|xu: &[f32], cols: &[usize], _: &[f32], h: &mut [f32]| msg(xu, cols, y, h)),
                 sweep,
+                z,
             )
         }
         Specialized::Spmm => {
@@ -222,6 +227,7 @@ pub(crate) fn execute(
                 },
                 msg,
                 sweep,
+                z,
             )
         }
     }
@@ -247,8 +253,8 @@ fn run_passes<B, S, M>(
     strip_row: S,
     msg_fill: Option<M>,
     sweep: crate::genkern::SpanSweepKernel,
-) -> Dense
-where
+    z: &mut [f32],
+) where
     B: Fn(&[GatheredRow<'_>], &mut [f32]) + Sync,
     S: Fn(usize, &mut [f32]) + Sync,
     M: Fn(&[f32], &[usize], &[f32], &mut [f32]) + Sync,
@@ -277,8 +283,6 @@ where
         }
     }
 
-    let mut z = Dense::zeros(a.nrows(), d);
-
     // Short + strip classes run in ONE interleaved sweep per band, in
     // row-storage order. Separate per-class passes look cleaner but
     // walk the row-pointer/column/value stream twice with scattered
@@ -291,7 +295,9 @@ where
     // message buffer (deferring a short row's write past a later strip
     // row touches disjoint output rows, so order across rows is free).
     // Batching never reorders the fold within a row, so each output row
-    // stays bit-identical to strip.
+    // stays bit-identical to strip. Every class kernel overwrites its
+    // row; the sweep itself stores the zeros of a zero-degree row, and
+    // leaves mega rows to pass 3, whose span sweeps overwrite them.
     //
     // Profiling: flushes are timed individually (a batch is several
     // rows, so this is ~1% of the sweep) and the strip class gets the
@@ -301,7 +307,7 @@ where
     // under PART1D.
     let short_ns = std::sync::atomic::AtomicU64::new(0);
     let strip_ns = std::sync::atomic::AtomicU64::new(0);
-    parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
+    parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
         let start = rows.start;
         let band_t0 = std::time::Instant::now();
         let mut band_short_ns = 0u64;
@@ -314,10 +320,13 @@ where
         for u in rows {
             let (cols, vals) = a.row(u);
             let deg = cols.len();
-            if deg == 0 || deg >= mega_min {
+            if deg >= mega_min {
                 continue;
             }
-            if deg < short_cut {
+            if deg == 0 {
+                let i = u - start;
+                band[i * d..(i + 1) * d].fill(0.0);
+            } else if deg < short_cut {
                 gathered.push(GatheredRow { xu: x.row(u), cols, vals, band_row: u - start });
                 if gathered.len() == H_CHUNK {
                     flush_timed(&gathered, band);
@@ -402,7 +411,7 @@ where
             // VLEN-aligned span of z_u. The span plan is a pure
             // function of (d, parts), so the per-element fold order —
             // all neighbors, storage order — never depends on timing.
-            let zu = z.row_mut(u);
+            let zu = &mut z[u * d..(u + 1) * d];
             rayon::scope(|s| {
                 let mut rest = zu;
                 let mut off = 0usize;
@@ -431,8 +440,6 @@ where
             mega_edges,
         );
     }
-
-    z
 }
 
 #[cfg(test)]

@@ -21,6 +21,11 @@
 //!   (Auto blocking picks register blocking whenever generated);
 //! * [`fusedmm_generic`] — the flexible five-step kernel with no
 //!   specialization (the paper's unoptimized "FusedMM" row);
+//! * [`fusedmm_opt_into`] / [`Plan::execute_into`] /
+//!   [`fusedmm_generic_into`] — the same kernels writing a
+//!   caller-owned `Z` (every row overwritten, nothing read): the one
+//!   body behind each allocating entry point above, and what a caller
+//!   that launches repeatedly should use;
 //! * [`fusedmm_reference`] — slow sequential ground truth for tests;
 //! * [`fusedmm_rows`] — row-subset execution (only the requested output
 //!   rows), the serving-path entry point;
@@ -73,8 +78,10 @@ pub mod rows;
 pub mod simd;
 
 pub use autotune::{global_tuner, Tuner};
-pub use dispatch::{fusedmm_opt, fusedmm_opt_with, specialize, Blocking, Specialized};
-pub use generic::{fusedmm_generic, fusedmm_generic_opts, fusedmm_reference};
+pub use dispatch::{
+    fusedmm_opt, fusedmm_opt_into, fusedmm_opt_with, specialize, Blocking, Specialized,
+};
+pub use generic::{fusedmm_generic, fusedmm_generic_into, fusedmm_generic_opts, fusedmm_reference};
 pub use hybrid::HybridConfig;
 pub use part::{Partition, PartitionStrategy};
 pub use plan::{Plan, PlanCache, PlanTag};

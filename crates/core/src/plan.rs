@@ -18,7 +18,7 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::autotune::global_tuner;
-use crate::dispatch::{fusedmm_opt_with, Blocking};
+use crate::dispatch::{fusedmm_opt_into, Blocking};
 use crate::part::PartitionStrategy;
 use crate::rows::{fusedmm_rows_banded, fusedmm_rows_banded_topk, fusedmm_rows_with};
 use crate::simd::{active_backend, Backend};
@@ -100,8 +100,22 @@ impl Plan {
     /// Panics when `ops` or the operand shapes disagree with what the
     /// plan was prepared for.
     pub fn execute(&self, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
+        let mut z = Dense::zeros(a.nrows(), x.ncols());
+        self.execute_into(a, x, y, ops, z.as_mut_slice());
+        z
+    }
+
+    /// [`Plan::execute`] into a caller-owned output: every row of the
+    /// row-major `a.nrows() × d` slice `z` is overwritten and nothing it
+    /// held is read (see [`fusedmm_opt_into`]). A caller that launches
+    /// repeatedly keeps one `z` and skips the allocation, the zero-fill
+    /// and the first-touch page faults `execute` pays on every call.
+    ///
+    /// # Panics
+    /// As [`Plan::execute`], and when `z.len() != a.nrows() * d`.
+    pub fn execute_into(&self, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, z: &mut [f32]) {
         self.check(ops, x);
-        fusedmm_opt_with(a, x, y, ops, self.blocking, None, self.strategy)
+        fusedmm_opt_into(a, x, y, ops, self.blocking, None, self.strategy, z);
     }
 
     /// Row-subset execution under this plan (see
@@ -354,6 +368,31 @@ mod tests {
         let z = plan.execute(&a, &x, &y, &ops);
         let r = fusedmm_reference(&a, &x, &y, &ops);
         assert!(z.max_abs_diff(&r) < 1e-4);
+    }
+
+    #[test]
+    fn execute_into_overwrites_a_poisoned_output_with_the_same_bits() {
+        let (a, x, y) = setup(32, 16);
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ops in [OpSet::gcn(), OpSet::sigmoid_embedding(None)] {
+            let plan = Plan::prepare(&ops, 16);
+            let want = plan.execute(&a, &x, &y, &ops);
+            let mut z = vec![f32::NAN; 32 * 16];
+            plan.execute_into(&a, &x, &y, &ops, &mut z);
+            assert_eq!(bits(&z), bits(want.as_slice()), "{:?}", ops.pattern);
+            // And again into what the first call left behind.
+            plan.execute_into(&a, &x, &y, &ops, &mut z);
+            assert_eq!(bits(&z), bits(want.as_slice()), "{:?} second call", ops.pattern);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per row")]
+    fn execute_into_rejects_a_short_output() {
+        let (a, x, y) = setup(8, 4);
+        let ops = OpSet::gcn();
+        let plan = Plan::with_blocking(&ops, 4, Blocking::Auto, PartitionStrategy::NnzBalanced);
+        plan.execute_into(&a, &x, &y, &ops, &mut [0.0; 8 * 4 - 1]);
     }
 
     #[test]

@@ -35,6 +35,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
         p
     }
 
+    // Without this the trait's default (`alloc` + `write_bytes`) would
+    // replace `System`'s `calloc` path: every `vec![0; n]` in a process
+    // that installs the counter would be eagerly touched, and the
+    // accounting allocator would change the memory behaviour it is
+    // there to measure.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track_alloc(layout.size());
+        }
+        p
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         track_dealloc(layout.size());
@@ -117,6 +130,44 @@ mod tests {
         assert_eq!(live_bytes(), before + 1000);
         track_dealloc(1000);
         assert_eq!(live_bytes(), before);
+    }
+
+    /// `alloc_zeroed` must be counted exactly like `alloc` (and hand
+    /// back zeroed memory): the same live delta while held, a peak that
+    /// covers it, and nothing left after `dealloc`. Other tests move the
+    /// process-global counters concurrently — by balanced amounts,
+    /// except while one is mid-flight, hence deltas and the retry.
+    #[test]
+    fn alloc_zeroed_is_counted_like_alloc() {
+        let layout = Layout::from_size_align(1 << 16, 64).unwrap();
+        let delta = |zeroed: bool| {
+            let before = live_bytes();
+            // SAFETY: nonzero-sized layout; the block is freed below
+            // with the same layout and not used after.
+            let p = unsafe {
+                if zeroed {
+                    CountingAllocator.alloc_zeroed(layout)
+                } else {
+                    CountingAllocator.alloc(layout)
+                }
+            };
+            assert!(!p.is_null());
+            let live = live_bytes() - before;
+            let peak_covers = peak_bytes() >= before + layout.size();
+            if zeroed {
+                // SAFETY: `p` is valid for `layout.size()` initialised bytes.
+                let bytes = unsafe { std::slice::from_raw_parts(p, layout.size()) };
+                assert!(bytes.iter().all(|&b| b == 0));
+            }
+            // SAFETY: allocated above by the same allocator and layout.
+            unsafe { CountingAllocator.dealloc(p, layout) };
+            (live, peak_covers, live_bytes() as isize - before as isize)
+        };
+        let agree = (0..100).any(|_| {
+            let (plain, zeroed) = (delta(false), delta(true));
+            plain == zeroed && plain == (layout.size(), true, 0)
+        });
+        assert!(agree, "alloc and alloc_zeroed never agreed on live and peak bytes");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use fusedmm_sparse::Permutation;
+use fusedmm_sparse::{BufferHome, Permutation};
 
 use crate::admit::{Admission, AdmissionPolicy};
 use crate::batcher::{dedup_union, group_by_epoch, scatter_rows, BatchQueue, Pending};
@@ -290,6 +290,10 @@ pub struct Engine {
     shared: Arc<EngineShared>,
     dispatcher: Option<JoinHandle<()>>,
     config: EngineConfig,
+    /// Where the whole-graph output of [`Engine::infer_full`] parks
+    /// when its caller drops it, for the next call to write into: one
+    /// `nvertices × d` buffer at most, freed with the engine.
+    out_home: BufferHome,
 }
 
 impl Engine {
@@ -439,7 +443,7 @@ impl Engine {
                 .spawn(move || dispatch_loop(&shared, &config))
                 .expect("spawn dispatcher thread")
         };
-        Engine { shared, dispatcher: Some(worker), config }
+        Engine { shared, dispatcher: Some(worker), config, out_home: BufferHome::new() }
     }
 
     /// The engine's configuration.
@@ -905,6 +909,13 @@ impl Engine {
     /// Inference over every row this engine owns, under the cached plan
     /// and the current feature epoch: the classic `Z = FusedMM(A, X, Y)`
     /// batch call (one band of it, for a shard engine).
+    ///
+    /// The returned matrix is the caller's. When it is dropped its
+    /// storage parks in the engine (one buffer at most) and the next
+    /// call overwrites it in place, so a caller that lets go of one
+    /// result before asking for the next pays no allocation, zero-fill
+    /// or page fault; a caller that keeps results gets a fresh buffer
+    /// per call, as before.
     pub fn infer_full(&self) -> Dense {
         let epoch = self.shared.store.snapshot();
         let z = self.infer_pinned(&epoch);
@@ -916,12 +927,22 @@ impl Engine {
         }
     }
 
-    /// [`Engine::infer_full`] against an explicitly pinned epoch.
+    /// [`Engine::infer_full`] against an explicitly pinned epoch, into
+    /// storage from this engine's home.
     pub(crate) fn infer_pinned(&self, epoch: &FeatureEpoch) -> Dense {
+        let mut z = Dense::recycled(&self.out_home, self.shared.a.nrows(), epoch.x().ncols());
+        self.infer_pinned_into(epoch, z.as_mut_slice());
+        z
+    }
+
+    /// [`Engine::infer_pinned`] into the caller's `nvertices × d` slice
+    /// (a sharded front end passes this band's rows of its assembled
+    /// output); every row is overwritten.
+    pub(crate) fn infer_pinned_into(&self, epoch: &FeatureEpoch, z: &mut [f32]) {
         let t0 = Instant::now();
         let shared = &self.shared;
-        let z = if shared.band_start == 0 && epoch.x().nrows() == shared.a.nrows() {
-            shared.plan.execute(&shared.a, epoch.x(), epoch.y(), &shared.ops)
+        if shared.band_start == 0 && epoch.x().nrows() == shared.a.nrows() {
+            shared.plan.execute_into(&shared.a, epoch.x(), epoch.y(), &shared.ops, z);
         } else {
             // Band engine: the band's X rows are a contiguous slice of
             // the row-major global matrix — one copy, no index vector.
@@ -930,10 +951,9 @@ impl Engine {
             let hi = shared.band_end() * d;
             let xb = Dense::from_rows(shared.a.nrows(), d, &epoch.x().as_slice()[lo..hi])
                 .expect("contiguous band slice has band_len * d entries");
-            shared.plan.execute(&shared.a, &xb, epoch.y(), &shared.ops)
-        };
+            shared.plan.execute_into(&shared.a, &xb, epoch.y(), &shared.ops, z);
+        }
         shared.infer_latency.record(t0.elapsed());
-        z
     }
 
     /// Point-in-time serving metrics.

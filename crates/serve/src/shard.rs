@@ -33,7 +33,7 @@ use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use fusedmm_sparse::Permutation;
+use fusedmm_sparse::{BufferHome, Permutation};
 
 use crate::admit::{Admission, AdmissionPolicy};
 use crate::batcher::dedup_union;
@@ -121,6 +121,10 @@ pub struct ShardedEngine {
     /// (pattern, d)-keyed autotuner every shard resolves to the same
     /// blocking.
     plans: PlanCache,
+    /// Where the assembled output of [`ShardedEngine::infer_full`]
+    /// parks when its caller drops it (see [`Engine::infer_full`]); the
+    /// band engines write their bands of it directly.
+    out_home: BufferHome,
     started: Instant,
 }
 
@@ -274,6 +278,7 @@ impl ShardedEngine {
             degree_hist,
             fanout,
             plans,
+            out_home: BufferHome::new(),
             started: Instant::now(),
         }
     }
@@ -679,14 +684,15 @@ impl ShardedEngine {
     /// pinned epoch, **bands overlapping** on a rayon scope (each band
     /// already fans out internally, but overlapping them hides
     /// per-shard plan launch overhead and stragglers on many-shard
-    /// configs). The bands are stacked back into the full `m × d`
-    /// output — bit-identical to the unsharded call *and* to running
-    /// the bands sequentially, because each output row is written by
-    /// exactly one shard from the same pinned epoch.
+    /// configs). Each band engine writes its rows of the full `m × d`
+    /// output in place — bit-identical to the unsharded call *and* to
+    /// running the bands sequentially, because each output row is
+    /// written by exactly one shard from the same pinned epoch. The
+    /// output's storage is recycled as in [`Engine::infer_full`].
     pub fn infer_full(&self) -> Dense {
         let epoch = self.store.snapshot();
         let d = self.dimension();
-        let mut out = Dense::zeros(self.nvertices(), d);
+        let mut out = Dense::recycled(&self.out_home, self.nvertices(), d);
         // Carve the output into disjoint mutable row-band slices
         // (bands are contiguous), one per shard.
         let mut bands: Vec<&mut [f32]> = Vec::with_capacity(self.shards.len());
@@ -699,10 +705,7 @@ impl ShardedEngine {
         rayon::scope(|sc| {
             for (shard, band) in self.shards.iter().zip(bands) {
                 let epoch = &epoch;
-                sc.spawn(move |_| {
-                    let z = shard.infer_pinned(epoch);
-                    band.copy_from_slice(z.as_slice());
-                });
+                sc.spawn(move |_| shard.infer_pinned_into(epoch, band));
             }
         });
         // Scatter the stacked internal-order rows back so row u

@@ -5,28 +5,54 @@
 //! every `d`-dimensional row load starting on a cache-line boundary when
 //! `d` is a multiple of 16 (f32), which is the common case in the paper
 //! (d ∈ {32, 64, 128, 256, 512}).
+//!
+//! # Recycling through a home
+//!
+//! A whole-graph output is `n × d × 4` bytes — 128 MiB at the
+//! benchmark's scale — and a fresh one costs a zero-fill plus one page
+//! fault per 4 KiB before the kernel writes a byte. A [`BufferHome`] is
+//! a one-slot parking place that removes both: a buffer taken from a
+//! home goes back to it when dropped (if the slot is empty; it is freed
+//! otherwise), and the next [`BufferHome::take`] of the same length
+//! returns that allocation, pages already mapped. The holder of a
+//! recycled buffer must treat its contents as arbitrary initialised
+//! `f32`s — the overwrite contract of the `_into` kernels.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Alignment in bytes for all kernel-facing buffers (one x86 cache line;
 /// also the AVX-512 vector width).
 pub const CACHE_LINE: usize = 64;
 
-/// A fixed-capacity, 64-byte-aligned, zero-initialized `f32` buffer.
+/// A fixed-capacity, 64-byte-aligned, initialised `f32` buffer.
 ///
 /// Unlike `Vec<f32>` the allocation is guaranteed to start on a cache
 /// line. The length is fixed at construction; elements are mutated in
 /// place. This mirrors how the reference implementation allocates its
 /// dense operands once and reuses them across iterations.
+///
+/// Invariant (every constructor establishes it, nothing outside this
+/// module can break it): when `len > 0`, `ptr` is the start of a live
+/// allocation of `Self::layout(len)` whose `len` `f32`s are all
+/// initialised and which no other value frees or accesses.
 pub struct AlignedVec {
     ptr: NonNull<f32>,
     len: usize,
+    /// Where the allocation is parked on drop instead of being freed
+    /// (`None` for ordinary buffers, and for a buffer while it is
+    /// parked).
+    home: Option<Weak<HomeSlot>>,
 }
 
-// SAFETY: AlignedVec owns its allocation exclusively; f32 is Send + Sync.
+// SAFETY: `ptr` is owned exclusively (type invariant), so moving the
+// value moves the only access path to the allocation; `f32` is Send;
+// `home` is a `Weak` to a `Mutex`-guarded slot, itself Send + Sync.
 unsafe impl Send for AlignedVec {}
+// SAFETY: `&AlignedVec` only hands out `&[f32]` (and `len`), and `f32`
+// is Sync; `home` is never touched through a shared reference.
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
@@ -35,7 +61,7 @@ impl AlignedVec {
     /// A zero-length buffer performs no allocation.
     pub fn zeroed(len: usize) -> Self {
         if len == 0 {
-            return AlignedVec { ptr: NonNull::dangling(), len: 0 };
+            return AlignedVec { ptr: NonNull::dangling(), len: 0, home: None };
         }
         let layout = Self::layout(len);
         // SAFETY: layout has nonzero size because len > 0.
@@ -43,19 +69,36 @@ impl AlignedVec {
         let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
             handle_alloc_error(layout);
         };
-        AlignedVec { ptr, len }
+        // All-zero bytes are `len` initialised `+0.0f32`s.
+        AlignedVec { ptr, len, home: None }
     }
 
     /// Build from a slice, copying the contents into aligned storage.
+    /// The allocation is written exactly once (no zero-fill first).
     pub fn from_slice(data: &[f32]) -> Self {
-        let mut v = Self::zeroed(data.len());
-        v.copy_from_slice(data);
-        v
+        let len = data.len();
+        if len == 0 {
+            return Self::zeroed(0);
+        }
+        let layout = Self::layout(len);
+        // SAFETY: layout has nonzero size because len > 0.
+        let raw = unsafe { alloc(layout) };
+        let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
+            handle_alloc_error(layout);
+        };
+        // SAFETY: `ptr` is valid for `len` f32 writes (the layout is
+        // `len * 4` bytes, 64-aligned ≥ f32's alignment) and `data` for
+        // `len` reads; a fresh allocation cannot overlap `data`. The
+        // uninitialised window is never read: it lives only between
+        // `alloc` and this copy, which initialises all `len` elements
+        // before the buffer becomes an `AlignedVec`.
+        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr.as_ptr(), len) };
+        AlignedVec { ptr, len, home: None }
     }
 
     fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f32>(), CACHE_LINE)
-            .expect("aligned layout overflow")
+        let bytes = len.checked_mul(std::mem::size_of::<f32>()).expect("aligned layout overflow");
+        Layout::from_size_align(bytes, CACHE_LINE).expect("aligned layout overflow")
     }
 
     /// Number of f32 elements.
@@ -75,29 +118,114 @@ impl AlignedVec {
 
     /// View as an immutable slice.
     pub fn as_slice(&self) -> &[f32] {
-        // SAFETY: ptr is valid for len f32s for the life of self.
+        // SAFETY: by the type invariant `ptr` is valid for `len`
+        // initialised f32s for the life of `self` (for `len == 0` it is
+        // dangling but aligned, which a zero-length slice permits), and
+        // `&self` rules out a concurrent `&mut`.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     /// View as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        // SAFETY: ptr is valid for len f32s and we hold &mut self.
+        // SAFETY: as in `as_slice`; `&mut self` makes this the only
+        // live reference into the allocation.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl Drop for AlignedVec {
     fn drop(&mut self) {
-        if self.len != 0 {
-            // SAFETY: allocated with the identical layout in `zeroed`.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
+        if self.len == 0 {
+            return;
         }
+        if let Some(home) = self.home.take().and_then(|weak| weak.upgrade()) {
+            let mut slot = home.lock();
+            if slot.is_none() {
+                // Ownership of the allocation moves into the parked
+                // value; returning here is what keeps `self` from
+                // freeing it too.
+                *slot = Some(AlignedVec { ptr: self.ptr, len: self.len, home: None });
+                return;
+            }
+        }
+        // SAFETY: by the type invariant `ptr` came from `alloc` /
+        // `alloc_zeroed` with exactly `Self::layout(self.len)`, and
+        // this value is its only owner (not parked above).
+        unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
     }
 }
 
 impl Clone for AlignedVec {
+    /// A deep copy. The clone is an ordinary buffer: it does not share
+    /// the original's home.
     fn clone(&self) -> Self {
         Self::from_slice(self.as_slice())
+    }
+}
+
+/// The one slot of a [`BufferHome`]. A parked buffer carries
+/// `home: None`, so dropping the slot frees it.
+#[derive(Default)]
+struct HomeSlot(Mutex<Option<AlignedVec>>);
+
+impl HomeSlot {
+    /// The slot holds a plain `Option`, valid at every step, so a lock
+    /// poisoned by a panicking holder is still safe to use — and
+    /// [`AlignedVec::drop`] must not panic.
+    fn lock(&self) -> MutexGuard<'_, Option<AlignedVec>> {
+        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// A one-slot parking place for an [`AlignedVec`] that is allocated,
+/// dropped and wanted again at the same size — a serving engine's
+/// whole-graph output, a trainer's gradient.
+///
+/// Retention is bounded at one buffer and ends with the home: dropping
+/// the home frees what is parked, and a buffer that outlives its home
+/// is freed when it drops.
+#[derive(Default)]
+pub struct BufferHome {
+    slot: Arc<HomeSlot>,
+}
+
+impl BufferHome {
+    /// An empty home.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A buffer of `len` elements that returns here when dropped: the
+    /// parked allocation when it has that length (contents are then
+    /// whatever its last holder left — arbitrary but initialised),
+    /// otherwise a fresh zeroed one (a parked buffer of another length
+    /// is freed).
+    pub fn take(&self, len: usize) -> AlignedVec {
+        // A parked buffer of another length is freed before its
+        // replacement is allocated.
+        let parked = self.slot.lock().take().filter(|buf| buf.len == len);
+        let mut buf = parked.unwrap_or_else(|| AlignedVec::zeroed(len));
+        buf.home = Some(Arc::downgrade(&self.slot));
+        buf
+    }
+
+    /// Length of the parked buffer, if one is parked.
+    pub fn parked_len(&self) -> Option<usize> {
+        self.slot.lock().as_ref().map(|buf| buf.len)
+    }
+}
+
+impl Clone for BufferHome {
+    /// A new, empty home: owners that are cloned (model layers) each
+    /// get their own slot rather than competing for one.
+    fn clone(&self) -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for BufferHome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BufferHome").field("parked_len", &self.parked_len()).finish()
     }
 }
 
@@ -172,6 +300,96 @@ mod tests {
         let mut v = AlignedVec::from_slice(&[1.0; 32]);
         v.fill_zero();
         assert!(v.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn dropped_buffer_returns_to_its_home_and_is_taken_again() {
+        let home = BufferHome::new();
+        assert_eq!(home.parked_len(), None);
+        let mut a = home.take(100);
+        assert!(a.iter().all(|&v| v == 0.0), "a fresh buffer is zeroed");
+        assert_eq!(a.as_ptr() as usize % CACHE_LINE, 0);
+        a.as_mut_slice().fill(7.0);
+        let addr = a.as_ptr();
+        drop(a);
+        assert_eq!(home.parked_len(), Some(100));
+        let b = home.take(100);
+        assert_eq!(home.parked_len(), None);
+        assert_eq!(b.as_ptr(), addr, "the parked allocation is handed back");
+        assert!(b.iter().all(|&v| v == 7.0), "recycled contents are the last holder's");
+    }
+
+    #[test]
+    fn two_buffers_out_at_once_are_distinct_and_only_one_parks() {
+        let home = BufferHome::new();
+        let mut a = home.take(64);
+        let mut b = home.take(64);
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        a.as_mut_slice().fill(1.0);
+        b.as_mut_slice().fill(2.0);
+        assert!(a.iter().all(|&v| v == 1.0) && b.iter().all(|&v| v == 2.0));
+        let first = a.as_ptr();
+        drop(a);
+        drop(b); // slot already full: freed
+        assert_eq!(home.parked_len(), Some(64));
+        assert_eq!(home.take(64).as_ptr(), first);
+    }
+
+    #[test]
+    fn a_different_length_replaces_the_parked_buffer() {
+        let home = BufferHome::new();
+        drop(home.take(32));
+        let b = home.take(48);
+        assert_eq!(b.len(), 48);
+        assert!(b.iter().all(|&v| v == 0.0));
+        assert_eq!(home.parked_len(), None, "the 32-element buffer was freed, not kept");
+        drop(b);
+        assert_eq!(home.parked_len(), Some(48));
+    }
+
+    #[test]
+    fn buffer_outliving_its_home_is_freed_normally() {
+        let home = BufferHome::new();
+        let mut a = home.take(16);
+        drop(home);
+        a[3] = 5.0; // still a valid, exclusively owned allocation
+        assert_eq!(a[3], 5.0);
+        drop(a); // upgrade fails: freed (Miri / ASan would flag a leak or double free)
+    }
+
+    #[test]
+    fn clone_and_empty_buffers_have_no_home() {
+        let home = BufferHome::new();
+        let a = home.take(8);
+        let c = a.clone();
+        drop(c);
+        assert_eq!(home.parked_len(), None, "a clone is an ordinary buffer");
+        drop(a);
+        assert_eq!(home.parked_len(), Some(8));
+        drop(home.take(0));
+        assert_eq!(home.parked_len(), None, "a zero-length take parks nothing");
+        assert_eq!(home.clone().parked_len(), None, "a cloned home starts empty");
+    }
+
+    #[test]
+    fn concurrent_take_and_drop_never_shares_a_buffer() {
+        let home = BufferHome::new();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (home, barrier) = (&home, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for round in 0..200 {
+                        let mut buf = home.take(256);
+                        let tag = (t * 1000 + round) as f32;
+                        buf.as_mut_slice().fill(tag);
+                        assert!(buf.iter().all(|&v| v == tag), "another holder wrote this buffer");
+                    }
+                });
+            }
+        });
+        assert_eq!(home.parked_len(), Some(256));
     }
 
     #[test]

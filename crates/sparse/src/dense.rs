@@ -5,7 +5,7 @@
 //! are contiguous so a kernel loads `x_u = X[u, :]` as one streaming
 //! slice.
 
-use crate::aligned::AlignedVec;
+use crate::aligned::{AlignedVec, BufferHome};
 use crate::error::SparseError;
 
 /// A dense `rows × cols` matrix of `f32`, row-major, 64-byte aligned.
@@ -20,6 +20,15 @@ impl Dense {
     /// All-zero matrix.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         Dense { nrows, ncols, data: AlignedVec::zeroed(nrows * ncols) }
+    }
+
+    /// A matrix whose storage is taken from `home` and parks there again
+    /// when the matrix is dropped (see [`BufferHome`]). Its contents are
+    /// **arbitrary**: zeros when the home had nothing of this size
+    /// parked, the previous holder's values otherwise. For outputs that
+    /// an overwriting kernel fills completely before anyone reads them.
+    pub fn recycled(home: &BufferHome, nrows: usize, ncols: usize) -> Self {
+        Dense { nrows, ncols, data: home.take(nrows * ncols) }
     }
 
     /// Matrix filled with a constant.
@@ -174,6 +183,22 @@ mod tests {
         let m = Dense::zeros(3, 5);
         assert_eq!((m.nrows(), m.ncols()), (3, 5));
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn recycled_matrix_reuses_the_storage_of_the_one_dropped_before_it() {
+        let home = BufferHome::new();
+        let mut first = Dense::recycled(&home, 3, 4);
+        assert!(first.as_slice().iter().all(|&v| v == 0.0));
+        first.as_mut_slice().fill(f32::NAN);
+        let addr = first.as_slice().as_ptr();
+        drop(first);
+        let second = Dense::recycled(&home, 3, 4);
+        assert_eq!(second.as_slice().as_ptr(), addr);
+        assert!(second.as_slice().iter().all(|v| v.is_nan()), "contents are the last holder's");
+        // A clone owns ordinary storage and compares by value.
+        let copy = Dense::from_rows(3, 4, &[1.0; 12]).unwrap();
+        assert_eq!(copy.clone(), copy);
     }
 
     #[test]

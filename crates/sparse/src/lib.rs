@@ -23,6 +23,8 @@
 //! paper's single-precision evaluation and its 8-byte-index + 4-byte-value
 //! memory model (12 bytes per nonzero).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod aligned;
 pub mod coo;
 pub mod csc;
@@ -33,7 +35,7 @@ pub mod io;
 pub mod perm;
 pub mod slice;
 
-pub use aligned::AlignedVec;
+pub use aligned::{AlignedVec, BufferHome};
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;

@@ -41,4 +41,16 @@ fn main() {
     println!("max |fused - unfused| = {diff:.2e}");
     assert!(diff < 1e-4, "fused and unfused outputs diverged");
     println!("OK: fused and unfused pipelines agree.");
+
+    // Launching repeatedly? Z is an operand: prepare a plan once, own
+    // the output, and every call overwrites it in place — no
+    // allocation, no zero-fill, and the same bits as `execute`.
+    let plan = Plan::prepare(&ops, d);
+    let fresh = plan.execute(&a, &x, &y, &ops);
+    let mut z = Dense::zeros(a.nrows(), d);
+    for _ in 0..3 {
+        plan.execute_into(&a, &x, &y, &ops, z.as_mut_slice());
+    }
+    assert_eq!(z, fresh, "execute_into and execute must agree bit for bit");
+    println!("OK: execute_into reuses one output buffer, bit-identical to execute.");
 }

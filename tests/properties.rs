@@ -371,6 +371,105 @@ proptest! {
     }
 }
 
+/// The overwrite contract of the `_into` entry points: every row of a
+/// caller-owned output is written on every call and nothing it held is
+/// read. For every recognized pattern (and the generic fallback), every
+/// dimension class, every blocking level the dimension admits — each
+/// candidate shape of the specialized table and both hybrid
+/// configurations included — running into a NaN-filled `z` leaves
+/// exactly the bits of the allocating call. The matrix has what a
+/// kernel could get wrong: zero-degree rows (must become `+0.0`), rows
+/// longer than every message-chunk depth (first chunk overwrites, later
+/// ones resume), unsorted rows and duplicate columns. Runs on whichever
+/// backend is active, so each forced-backend CI arm checks its own.
+#[test]
+fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
+    use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
+    use fusedmm::kernel::simd::active_backend;
+    use fusedmm::kernel::{fusedmm_opt_into, fusedmm_opt_with};
+
+    const N: usize = 48;
+    let (mut rowptr, mut colidx, mut values) = (vec![0usize], Vec::new(), Vec::new());
+    for u in 0..N {
+        let degree = match u {
+            1 => 100, // wraps the column space: duplicates, > 64
+            7 => 70,
+            _ if u % 6 == 0 => 0,
+            _ => 1 + u % 5,
+        };
+        for k in 0..degree {
+            colidx.push((u * 7 + k * 13) % N);
+            values.push(0.25 * (k % 5) as f32); // 0.0 and 1.0 among them
+        }
+        if degree > 0 && u % 4 == 1 {
+            colidx.push((u * 7) % N); // the first column again
+            values.push(1.0);
+        }
+        rowptr.push(colidx.len());
+    }
+    let a = Csr::from_parts(N, N, rowptr, colidx, values).unwrap();
+    assert!(a.max_degree() > 64 && (0..N).any(|u| a.row_nnz(u) == 0));
+
+    let lanes = active_backend().lanes();
+    let lut = std::sync::Arc::new(SigmoidLut::default_table());
+    let all_classes = HybridConfig { short_max: 3, mega_floor: 6 };
+    let generic_only = {
+        use fusedmm::ops::{AOp, MOp, ROp, SOp, VOp};
+        OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Max)
+    };
+    let opsets = [
+        OpSet::gcn(),
+        OpSet::sigmoid_embedding(None),
+        OpSet::sigmoid_embedding(Some(lut.clone())),
+        OpSet::nce_gradient(None),
+        OpSet::fr_model(0.4),
+        OpSet::tdist_embedding(),
+        generic_only,
+    ];
+    let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for d in SWEEP_DIMS.into_iter().chain([128]).chain(ODD_DIMS) {
+        let x = sweep_features(N, d, 3);
+        let y = sweep_features(N, d, 11);
+        let mut blockings = vec![
+            Blocking::Auto,
+            Blocking::DynStrips,
+            Blocking::Generic,
+            Blocking::Hybrid(HybridConfig::default()),
+            Blocking::Hybrid(all_classes),
+        ];
+        if d.is_multiple_of(8) {
+            blockings.push(Blocking::StripMined);
+        }
+        if GENERATED_DIMS.contains(&d) {
+            blockings.push(Blocking::RegisterBlocked);
+        }
+        blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
+        for ops in &opsets {
+            for &blocking in &blockings {
+                // `nnz / parts` bounds the mega threshold from below.
+                let parts = Some(if blocking == Blocking::Hybrid(all_classes) { N } else { 3 });
+                let strategy = PartitionStrategy::NnzBalanced;
+                let want = fusedmm_opt_with(&a, &x, &y, ops, blocking, parts, strategy);
+                let mut z = vec![f32::NAN; N * d];
+                fusedmm_opt_into(&a, &x, &y, ops, blocking, parts, strategy, &mut z);
+                assert!(
+                    bits(&z) == bits(want.as_slice()),
+                    "{:?}/{:?} {blocking:?} d={d}: _into on a poisoned z differs",
+                    ops.pattern,
+                    ops.sop
+                );
+                for u in (0..N).filter(|&u| a.row_nnz(u) == 0) {
+                    assert!(
+                        z[u * d..(u + 1) * d].iter().all(|v| v.to_bits() == 0),
+                        "{:?} {blocking:?} d={d}: empty row {u} is not +0.0",
+                        ops.pattern
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn active_backend_is_reported_and_available() {
     let report = fusedmm::kernel::cpu_features();
