@@ -1,7 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * register blocking (const-dimension kernels) vs dynamic strips vs
-//!   the generic five-step path — isolating the paper's §IV-A win;
+//! * register blocking — the generic five-step path (no blocking)
+//!   against the register-blocked kernel at each main-pass size the
+//!   table compiles: MAIN *is* the paper's blocking factor, so this is
+//!   Fig. 11's sensitivity sweep and the §IV-A win in one group;
 //! * nnz-balanced PART1D vs naive row partitioning on a skewed graph —
 //!   isolating the load-balancing scheme of §III-C;
 //! * lookup-table vs exact sigmoid — the Force2Vec-style SOP shortcut;
@@ -14,7 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fusedmm_bench::workloads::kernel_workload_scaled;
-use fusedmm_core::{fusedmm_opt_into, Blocking, PartitionStrategy};
+use fusedmm_core::genkern::candidate_specs;
+use fusedmm_core::{active_backend, fusedmm_opt_into, Blocking, PartitionStrategy};
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
@@ -46,12 +49,15 @@ fn bench_register_blocking(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_millis(1200));
     g.sample_size(10);
-    for (name, blocking) in [
-        ("register_blocked", Blocking::RegisterBlocked),
-        ("dyn_strips", Blocking::DynStrips),
-        ("generic", Blocking::Generic),
-    ] {
-        g.bench_function(name, |b| {
+    g.bench_function("generic", |b| {
+        b.iter(|| launch(&w.adj, &w.x, &w.y, &ops, Blocking::Generic, nnz, &mut z));
+    });
+    for spec in candidate_specs(active_backend().lanes(), w.d, true) {
+        if spec.h_chunk() != 32 {
+            continue; // one message depth: the sweep is over MAIN
+        }
+        let blocking = Blocking::Specialized(spec);
+        g.bench_function(format!("register_blocked_main{}", spec.main_panels()), |b| {
             b.iter(|| launch(&w.adj, &w.x, &w.y, &ops, blocking, nnz, &mut z));
         });
     }

@@ -1,99 +1,186 @@
-//! Kernel dispatch bench: blocking level × SIMD backend at the
-//! serving-typical dimensions.
+//! Shape-table printer: the offline tuning step behind
+//! `KernelSpec::default_for`.
 //!
-//! The const-generic register-blocked kernels only exist for
-//! `GENERATED_DIMS`; the dimensions real embedding services run
-//! (d = 48/96/192/384) used to fall back to the dynamic-strip kernel.
-//! This bench measures what the strip-mined family (vector-width
-//! panels, register-resident accumulators across the neighbor loop)
-//! buys over that fallback, per pattern, and what the plan-time
-//! `specialized` table (tuner-chosen panel count and h-chunk, masked
-//! tails) buys on top — the acceptance gates are `strip_mined`
-//! beating `dyn_strips` at d = 96 and d = 192 on the SpMM and
-//! sigmoid-embedding patterns, and `specialized` matching or beating
-//! `dyn_strips` at every probed d (strictly at the odd d = 100, where
-//! the strip family does not apply and dyn strips pay an unfused
-//! scalar tail per neighbor). The `register_blocked` row appears only
-//! at generated dimensions for context.
+//! The paper's generator emits one register-blocked kernel per pattern
+//! and tunes one number — the blocking factor — offline. This bench is
+//! that step for the kernel table: for every `(pattern, d)` cell it
+//! times `Blocking::Auto` and every shape `candidate_specs` offers on
+//! the active backend, **interleaved** (round `r` starts at arm `r`, so
+//! no shape always runs first or always inherits a neighbour's cache
+//! state), into one reused output, and prints each arm's median and
+//! inter-quartile range. A cell's verdict compares the default shape
+//! with the cell's best: the default is fine when it is not behind by
+//! more than the rounds' own spread (the larger of the two IQRs). The
+//! rule in `default_for` is whatever passes that verdict on both x86
+//! backends; shapes that are never within spread of a cell's best are
+//! listed at the end (listed, not chased — the grid is not tuned here).
+//!
+//! A second section times rows no wider than an 8-lane register on the
+//! 16-lane backend's entries against the same bodies' 8-lane entries —
+//! the measurement behind `genkern::entry_backend`.
 //!
 //! The header line records the detected CPU features and chosen
-//! backend (on an AVX-512 machine the 16-lane kernels); set
-//! `FUSEDMM_FORCE_SCALAR=1` or `FUSEDMM_FORCE_BACKEND=avx2` to
-//! measure the narrower paths on the same machine.
+//! backend; set `FUSEDMM_FORCE_BACKEND=avx2` (or `scalar`) to print the
+//! table for a narrower backend on the same machine. `FUSEDMM_REPS`
+//! sets the rounds (default 9 here), `FUSEDMM_SCALE` scales the
+//! 2¹⁵-vertex RMAT graph.
 //!
-//! Run: `cargo bench --bench kernel_dispatch`
+//! Run: `cargo bench -p fusedmm-bench --bench kernel_dispatch`
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::Instant;
 
-use fusedmm_bench::workloads::kernel_workload_scaled;
-use fusedmm_core::genkern::{strip_minable, GENERATED_DIMS};
-use fusedmm_core::{cpu_features, fusedmm_opt_with, global_tuner, Blocking, PartitionStrategy};
-use fusedmm_graph::datasets::Dataset;
+use fusedmm_bench::workloads::{env_usize, scale_factor};
+use fusedmm_core::genkern::{
+    candidate_specs, embed_spec_kernel, spmm_spec_kernel, KernelSpec, SigmoidKind,
+};
+use fusedmm_core::{
+    active_backend, cpu_features, fusedmm_opt_into, specialize, Backend, Blocking,
+    PartitionStrategy,
+};
+use fusedmm_graph::features::random_features;
+use fusedmm_graph::rmat::{rmat, RmatConfig};
 use fusedmm_ops::OpSet;
+use fusedmm_sparse::csr::Csr;
+use fusedmm_sparse::dense::Dense;
 
-// 48/96/192/384 are the strip-only serving dims; 64 is a generated
-// dimension, included so the register_blocked row appears for context;
-// 100 is odd, so only the dyn and specialized levels accept it.
-const DIMS: [usize; 6] = [48, 64, 96, 100, 192, 384];
+/// The paper's Table VI dims (32–512 are powers of two), serving dims
+/// that are not (96, 192, 384), one that ends in the masked tail (100)
+/// and the narrow end (8, 16).
+const DIMS: [usize; 10] = [8, 16, 32, 64, 96, 100, 128, 192, 256, 384];
 
-fn bench_pattern(c: &mut Criterion, pattern_name: &str, ops: &OpSet) {
-    for &d in &DIMS {
-        // Scale the graph down as d grows so each configuration stays
-        // in a comparable time budget.
-        let w = kernel_workload_scaled(Dataset::Youtube, d, 0.004 * 96.0 / d as f64);
-        let mut g = c.benchmark_group(format!("kernel_dispatch_{pattern_name}_d{d}"));
-        g.warm_up_time(Duration::from_millis(500));
-        g.measurement_time(Duration::from_millis(4000));
-        g.sample_size(48);
-        // The tuner probes the shape grid once per (pattern, d) and
-        // caches; the bench then measures the winning shape.
-        let spec = global_tuner().spec_for(ops, d);
-        let mut levels =
-            vec![("dyn_strips", Blocking::DynStrips), ("specialized", Blocking::Specialized(spec))];
-        if strip_minable(d) {
-            levels.push(("strip_mined", Blocking::StripMined));
+/// `(q1, median, q3)` of one arm's rounds, in milliseconds.
+fn quartiles(mut t: Vec<f64>) -> (f64, f64, f64) {
+    t.sort_by(|a, b| a.total_cmp(b));
+    let at = |q: f64| t[((t.len() - 1) as f64 * q).round() as usize];
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// One warm-up launch per arm, then `rounds` interleaved rounds.
+fn interleaved(rounds: usize, arms: usize, mut launch: impl FnMut(usize)) -> Vec<(f64, f64, f64)> {
+    let mut t = vec![Vec::with_capacity(rounds); arms];
+    (0..arms).for_each(&mut launch);
+    for r in 0..rounds {
+        for i in 0..arms {
+            let k = (i + r) % arms;
+            let t0 = Instant::now();
+            launch(k);
+            t[k].push(t0.elapsed().as_secs_f64() * 1e3);
         }
-        if GENERATED_DIMS.contains(&d) {
-            levels.push(("register_blocked", Blocking::RegisterBlocked));
-        }
-        for (name, blocking) in levels {
-            g.bench_function(name, |b| {
-                b.iter(|| {
-                    // Single partition: measure the kernels themselves,
-                    // not rayon fork-join jitter.
-                    black_box(fusedmm_opt_with(
-                        &w.adj,
-                        &w.x,
-                        &w.y,
-                        ops,
-                        blocking,
-                        Some(1),
-                        PartitionStrategy::NnzBalanced,
-                    ))
-                });
+    }
+    t.into_iter().map(quartiles).collect()
+}
+
+fn main() {
+    println!("{}", cpu_features());
+    let rounds = env_usize("FUSEDMM_REPS", 9).max(3);
+    let n = ((1usize << 15) as f64 * scale_factor()) as usize;
+    let a = rmat(&RmatConfig::new(n, 16 * n).with_seed(7));
+    let backend = active_backend();
+    println!(
+        "graph: RMAT n={} nnz={} | {rounds} interleaved rounds | cells: median ms ± IQR",
+        a.nrows(),
+        a.nnz()
+    );
+    // Per shape: cells it was a candidate in, cells it came within
+    // spread of the best in.
+    let mut standing: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
+    for d in DIMS {
+        let x = random_features(n, d, 0.5, 1);
+        let y = random_features(n, d, 0.5, 2);
+        let mut z = Dense::zeros(n, d);
+        for (name, ops) in [
+            ("spmm", OpSet::gcn()),
+            ("embed", OpSet::sigmoid_embedding(None)),
+            ("nce", OpSet::nce_gradient(None)),
+            ("fr", OpSet::fr_model(0.4)),
+            ("tdist", OpSet::tdist_embedding()),
+        ] {
+            let pattern = specialize(&ops).expect("a recognized pattern");
+            let default = pattern.default_spec(d, backend);
+            let specs = candidate_specs(backend.lanes(), d, name != "spmm");
+            let mut arms = vec![Blocking::Auto];
+            arms.extend(specs.iter().copied().map(Blocking::Specialized));
+            let stats = interleaved(rounds, arms.len(), |k| {
+                let nnz = PartitionStrategy::NnzBalanced;
+                fusedmm_opt_into(&a, &x, &y, &ops, arms[k], None, nnz, z.as_mut_slice());
+                black_box(z.as_slice());
             });
+            let iqr = |k: usize| stats[k].2 - stats[k].0;
+            let best = (1..arms.len()).min_by(|&i, &j| stats[i].1.total_cmp(&stats[j].1)).unwrap();
+            let dflt = 1 + specs.iter().position(|&s| s == default).expect("default ∈ candidates");
+            print!("d={d:<3} {name:<5} auto {:.2}±{:.2}", stats[0].1, iqr(0));
+            for (k, s) in specs.iter().enumerate() {
+                let label = s.label().trim_start_matches("spec-");
+                print!(" | {label} {:.2}±{:.2}", stats[k + 1].1, iqr(k + 1));
+                let near = stats[k + 1].1 - stats[best].1 <= iqr(k + 1).max(iqr(best));
+                let e = standing.entry(s.label()).or_default();
+                e.0 += 1;
+                e.1 += usize::from(near);
+            }
+            let (gap, spread) = (stats[dflt].1 - stats[best].1, iqr(dflt).max(iqr(best)));
+            println!(
+                "\n    default {} {:.2} | best {} {:.2} | gap {gap:.2} vs spread {spread:.2}: {}",
+                default.label(),
+                stats[dflt].1,
+                specs[best - 1].label(),
+                stats[best].1,
+                if gap <= spread { "ok" } else { "BEHIND" },
+            );
         }
-        g.finish();
+    }
+    println!("shapes never within spread of a cell's best (of the cells they were swept in):");
+    for (label, (cells, near)) in &standing {
+        if *near == 0 {
+            println!("    {label}: 0 of {cells}");
+        }
+    }
+    narrow_rows(&a, rounds);
+}
+
+/// Rows of `d ≤ 24` through the 16-lane entries vs the same bodies'
+/// 8-lane entries, single-threaded, at the fallback shape (no main pass
+/// fits these rows on either backend).
+fn narrow_rows(a: &Csr, rounds: usize) {
+    if !(Backend::Avx512.is_available() && Backend::Avx2Fma.is_available()) {
+        return;
+    }
+    println!("narrow rows, 1 thread: 16-lane entry vs 8-lane entry, median ms ± IQR");
+    let n = a.nrows();
+    let backends = [Backend::Avx512, Backend::Avx2Fma];
+    let spec = KernelSpec::FALLBACK;
+    for d in [4usize, 8, 12, 16, 24] {
+        let x = random_features(n, d, 0.5, 1);
+        let y = random_features(n, d, 0.5, 2);
+        let mut z = Dense::zeros(n, d);
+        let spmm = interleaved(rounds, 2, |k| {
+            let kern = spmm_spec_kernel(backends[k], spec);
+            let zs = z.as_mut_slice();
+            for u in 0..n {
+                let (cols, vals) = a.row(u);
+                kern(cols, vals, &y, &mut zs[u * d..(u + 1) * d]);
+            }
+            black_box(&zs);
+        });
+        let embed = interleaved(rounds, 2, |k| {
+            let kern = embed_spec_kernel(backends[k], spec);
+            let zs = z.as_mut_slice();
+            for u in 0..n {
+                let (cols, vals) = a.row(u);
+                kern(x.row(u), cols, vals, &y, &mut zs[u * d..(u + 1) * d], &SigmoidKind::Exact);
+            }
+            black_box(&zs);
+        });
+        for (name, s) in [("spmm", spmm), ("embed", embed)] {
+            println!(
+                "    d={d:<2} {name:<5} avx512 {:.2}±{:.2} | avx2 {:.2}±{:.2} | ratio {:.2}",
+                s[0].1,
+                s[0].2 - s[0].0,
+                s[1].1,
+                s[1].2 - s[1].0,
+                s[0].1 / s[1].1
+            );
+        }
     }
 }
-
-fn bench_spmm(c: &mut Criterion) {
-    bench_pattern(c, "spmm", &OpSet::gcn());
-}
-
-fn bench_sigmoid_embed(c: &mut Criterion) {
-    bench_pattern(c, "embed", &OpSet::sigmoid_embedding(None));
-}
-
-fn bench_tdist(c: &mut Criterion) {
-    bench_pattern(c, "tdist", &OpSet::tdist_embedding());
-}
-
-fn print_header(_c: &mut Criterion) {
-    println!("{}", cpu_features());
-}
-
-criterion_group!(benches, print_header, bench_spmm, bench_sigmoid_embed, bench_tdist);
-criterion_main!(benches);

@@ -98,8 +98,7 @@ fn batch_size_sweep(a: &Csr, feats: &Dense, n: usize, clients: usize, requests: 
     ]);
     for batch in BATCH_SIZES {
         // Fresh engine per batch size so the histogram isolates one
-        // configuration; the autotuned plan is cached process-wide, so
-        // only the first engine pays the probe.
+        // configuration.
         let engine = Engine::new(
             a.clone(),
             feats.clone(),

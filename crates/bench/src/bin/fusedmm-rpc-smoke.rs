@@ -19,7 +19,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fusedmm_bench::workloads::rpc_demo_workload;
-use fusedmm_core::Blocking;
 use fusedmm_ops::OpSet;
 use fusedmm_perf::registry::MetricsRegistry;
 use fusedmm_rpc::{RpcConfig, RpcTransport};
@@ -32,7 +31,6 @@ const NSHARDS: usize = 2;
 fn config() -> EngineConfig {
     EngineConfig {
         coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fusedmm_bench::workloads::{env_usize, rpc_demo_workload};
-use fusedmm_core::{Blocking, Partition, PartitionStrategy};
+use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_rpc::WorkerServer;
 use fusedmm_serve::remote::WorkerEngine;
@@ -43,12 +43,7 @@ fn main() {
     let part = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
     let band = part.rows(shard);
     let cache = (env_usize("FUSEDMM_RPC_CACHE", 1) != 0).then(CacheConfig::default);
-    let config = EngineConfig {
-        coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
-        cache,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { coalesce_window: Duration::ZERO, cache, ..EngineConfig::default() };
     let engine = WorkerEngine::new(
         &a,
         band.clone(),

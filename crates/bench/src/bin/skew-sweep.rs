@@ -1,5 +1,5 @@
-//! RMAT skew sweep: uniform strip-mined execution vs the degree-aware
-//! hybrid kernel vs hybrid + degree-sort reordering, across a sweep of
+//! RMAT skew sweep: the uniform launch vs degree-aware hybrid row
+//! scheduling vs hybrid + degree-sort reordering, across a sweep of
 //! quadrant skew — the experiment behind ROADMAP item 3's "skewed
 //! graphs" claim.
 //!
@@ -8,10 +8,11 @@
 //! with no hubs) to the sharp Graph500 parameterization
 //! `(0.57, 0.19, 0.19, 0.05)` at `s = 1.5`. Three arms run per point:
 //!
-//! * `uniform` — [`Blocking::StripMined`], every row through the same
-//!   panel kernel (the pre-hybrid baseline);
+//! * `uniform` — [`Blocking::Auto`], every row through the same
+//!   row kernel (the library default);
 //! * `hybrid` — [`Blocking::Hybrid`] with the default degree classes
-//!   (gathered short rows, strip-mined middle, span-split mega rows);
+//!   (gathered short rows, the row kernel for the middle, span-split
+//!   mega rows) over the same kernel shape;
 //! * `hybrid+reord` — the same hybrid kernel on the
 //!   [`Reordering::DegreeSort`]-permuted problem (permutation applied
 //!   once outside the timed region, as [`fusedmm_serve::Engine`] does
@@ -30,7 +31,7 @@
 //!
 //! Environment knobs: `FUSEDMM_SKEW_N` (vertices, default 20000),
 //! `FUSEDMM_SKEW_DEG` (average degree, default 8), `FUSEDMM_SKEW_D`
-//! (feature dimension, default 96 — strip-level so the hybrid engages),
+//! (feature dimension, default 96),
 //! `FUSEDMM_REPS`, `FUSEDMM_BENCH_JSON`.
 //!
 //! Run: `cargo run --release --bin skew-sweep`
@@ -186,7 +187,7 @@ fn main() {
 
         let times = time_arms(
             &[
-                Arm { a: &a, x: &x, y: &y, blocking: Blocking::StripMined },
+                Arm { a: &a, x: &x, y: &y, blocking: Blocking::Auto },
                 Arm { a: &a, x: &x, y: &y, blocking: Blocking::Hybrid(hybrid_cfg) },
                 Arm { a: &ap, x: &xp, y: &yp, blocking: Blocking::Hybrid(hybrid_cfg) },
             ],

@@ -33,7 +33,7 @@ pub fn run_meta() -> Table {
         sha,
         cpu.arch.to_string(),
         if features.is_empty() { "-".into() } else { features },
-        format!("{}{}", cpu.backend, if cpu.forced_scalar { " (forced)" } else { "" }),
+        cpu.backend.to_string(),
         rayon::current_num_threads().to_string(),
     ]);
     table

@@ -4,9 +4,10 @@
 //! AOP operations, we can optimize the whole kernel by feeding the
 //! output of one operation directly to the next operation without
 //! storing the results." [`specialize`] performs that recognition on an
-//! [`OpSet`]; [`fusedmm_opt`] runs the recognized specialized kernel
-//! (register-blocked when a generated dimension matches) and falls back
-//! to the generic five-step kernel otherwise.
+//! [`OpSet`]; [`fusedmm_opt`] runs the recognized pattern's
+//! register-blocked kernel at the shape
+//! [`KernelSpec::default_for`] fixes for `(pattern, d, backend)` and
+//! falls back to the generic five-step kernel otherwise.
 
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
@@ -15,107 +16,37 @@ use fusedmm_sparse::dense::Dense;
 use crate::driver::parallel_row_bands;
 use crate::generic::{fusedmm_generic_into, validate_shapes};
 use crate::genkern::{
-    embed_dyn_kernel, embed_kernel_for, embed_spec_kernel, embed_strip_kernel, fr_dyn_kernel,
-    fr_kernel_for, fr_spec_kernel, fr_strip_kernel, spmm_dyn_kernel, spmm_kernel_for,
-    spmm_spec_kernel, spmm_strip_kernel, strip_minable, tdist_dyn_kernel, tdist_kernel_for,
-    tdist_spec_kernel, tdist_strip_kernel, KernelSpec, SigmoidKind, GENERATED_DIMS,
+    embed_spec_kernel, entry_backend, fr_spec_kernel, spmm_spec_kernel, tdist_spec_kernel,
+    KernelSpec, SigmoidKind,
 };
 use crate::part::PartitionStrategy;
-use crate::simd::active_backend;
+use crate::simd::{active_backend, Backend};
 
-/// Largest dimension at which [`Blocking::Auto`] picks the
-/// register-blocked kernel. The paper's generator likewise "limit\[s\]
-/// register blocking up to a threshold when the dimension is large":
-/// beyond ~64 f32 lanes the per-row blocks exceed the architectural
-/// register file, the fully unrolled sweeps bloat the instruction
-/// stream, and the measured advantage inverts (see the
-/// `ablation_blocking` bench). The measuring autotuner can still pick
-/// register blocking above the threshold when it actually wins.
-pub const REGISTER_BLOCK_MAX_DIM: usize = 64;
-
-/// Which kernel implementation level to use for a specialized pattern.
+/// How to run a launch: a recognized pattern resolves to **one**
+/// register-blocked kernel shape (`Spec(shape)`), everything else to
+/// the generic five-step kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Blocking {
-    /// Pick the best level the dimension admits: register-blocked for
-    /// small generated dimensions, strip-mined for any other multiple
-    /// of 8, dynamic strips otherwise (the library default).
+    /// The library default: a recognized pattern runs the shape
+    /// [`KernelSpec::default_for`] fixes for its `(pattern class, d,
+    /// backend)`; an unrecognized one runs the generic kernel.
     Auto,
-    /// Force the const-dimension register-blocked kernel; an error if
-    /// the dimension has no generated specialization.
-    RegisterBlocked,
-    /// Force the strip-mined kernel (8-lane panels with
-    /// register-resident accumulators, any `d ≡ 0 (mod 8)`); an error
-    /// for other dimensions.
-    StripMined,
-    /// Force the dynamic 8-lane strip kernel (no register blocking) —
-    /// used by the register-blocking ablation.
-    DynStrips,
-    /// Run one plan-time specialized shape from the generated dispatch
-    /// table (see [`crate::genkern::table`]): the strip passes
-    /// monomorphized over a panel/chunk grid, valid for **any**
-    /// `d ≥ 1` — odd dimensions end in a fused masked-tail panel
-    /// instead of falling back to the unfused dyn path. Plans built by
-    /// the measuring autotuner carry the probed best shape here.
+    /// Run one named shape of the kernel table (see
+    /// [`crate::genkern::table`]) instead of the default — the single
+    /// explicit override, for benches that sweep
+    /// [`candidate_specs`](crate::genkern::candidate_specs). Valid for
+    /// **any** `d ≥ 1`, and bit-identical to every other shape.
     Specialized(KernelSpec),
     /// Force the generic five-step kernel even for recognized patterns —
     /// the paper's unoptimized "FusedMM" row.
     Generic,
-    /// Degree-aware hybrid execution for skewed graphs: rows are
-    /// classified by degree and each class runs a kernel shaped for it
-    /// (gathered batches for short rows, strip-mined panels for the
-    /// middle, cooperative span-split execution for mega rows). Engages
-    /// when the dimension resolves to the strip level (`d ≡ 0 (mod 8)`
-    /// outside the generated-const list); otherwise behaves exactly
-    /// like [`Blocking::Auto`]. Bit-identical to the uniform kernels.
+    /// Degree-aware row scheduling for skewed graphs, over the same
+    /// kernel shape [`Blocking::Auto`] runs: rows are classified by
+    /// degree (gathered batches for short rows, the row kernel for the
+    /// middle, cooperative span-split execution for mega rows).
+    /// Engages for every recognized pattern at every `d`;
+    /// bit-identical to the uniform launch.
     Hybrid(crate::hybrid::HybridConfig),
-}
-
-/// The concrete kernel level [`fusedmm_opt_with`] resolved a
-/// [`Blocking`] request to for a given dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Level {
-    Const,
-    Strip,
-    Spec(KernelSpec),
-    Dyn,
-}
-
-impl Level {
-    /// The `blocking` label the kernel profile table reports (the
-    /// unspecialized path reports `generic` without resolving a level).
-    /// Specialized launches report their shape, e.g. `"spec-m12-h32"`.
-    fn label(self) -> &'static str {
-        match self {
-            Level::Const => "const",
-            Level::Strip => "strip",
-            Level::Spec(s) => s.label(),
-            Level::Dyn => "dyn",
-        }
-    }
-}
-
-fn resolve_level(blocking: Blocking, d: usize) -> Level {
-    match blocking {
-        Blocking::RegisterBlocked => Level::Const,
-        Blocking::StripMined => {
-            assert!(
-                strip_minable(d),
-                "no strip-mined kernel for d={d} (d must be a positive multiple of 8)"
-            );
-            Level::Strip
-        }
-        Blocking::DynStrips => Level::Dyn,
-        Blocking::Specialized(s) => Level::Spec(s),
-        Blocking::Auto | Blocking::Generic | Blocking::Hybrid(_) => {
-            if d <= REGISTER_BLOCK_MAX_DIM && GENERATED_DIMS.contains(&d) {
-                Level::Const
-            } else if strip_minable(d) {
-                Level::Strip
-            } else {
-                Level::Dyn
-            }
-        }
-    }
 }
 
 /// A recognized specialized pattern with its extracted parameters.
@@ -158,14 +89,24 @@ pub fn specialize(ops: &OpSet) -> Option<Specialized> {
     }
 }
 
-/// The optimized FusedMM ("FusedMMopt" in Table VI): specialized
-/// register-blocked kernels for recognized patterns, generic fallback
+impl Specialized {
+    /// The kernel shape a launch of this pattern runs at dimension `d`
+    /// on `backend` unless the caller names one — every entry point's
+    /// route to [`KernelSpec::default_for`].
+    pub fn default_spec(&self, d: usize, backend: Backend) -> KernelSpec {
+        let sddmm = !matches!(self, Specialized::Spmm);
+        KernelSpec::default_for(sddmm, d, entry_backend(backend, d).lanes())
+    }
+}
+
+/// The optimized FusedMM ("FusedMMopt" in Table VI): the specialized
+/// register-blocked kernel for recognized patterns, generic fallback
 /// otherwise. Runs on the current rayon pool with PART1D balancing.
 pub fn fusedmm_opt(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     fusedmm_opt_with(a, x, y, ops, Blocking::Auto, None, PartitionStrategy::NnzBalanced)
 }
 
-/// [`fusedmm_opt`] with explicit blocking level, partition count, and
+/// [`fusedmm_opt`] with explicit blocking, partition count, and
 /// partition strategy (the knobs the ablation and scaling benches turn).
 pub fn fusedmm_opt_with(
     a: &Csr,
@@ -191,8 +132,7 @@ pub fn fusedmm_opt_with(
 /// repeatedly keep one `z` and pass it every time.
 ///
 /// # Panics
-/// Panics on a shape mismatch (`z.len() != a.nrows() * d` included) and
-/// where [`fusedmm_opt_with`] would.
+/// Panics on a shape mismatch (`z.len() != a.nrows() * d` included).
 #[allow(clippy::too_many_arguments)]
 pub fn fusedmm_opt_into(
     a: &Csr,
@@ -206,13 +146,15 @@ pub fn fusedmm_opt_into(
 ) {
     validate_shapes(a, x, y);
     let spec = if blocking == Blocking::Generic { None } else { specialize(ops) };
+    let d = x.ncols();
+    let backend = active_backend();
+    let t0 = std::time::Instant::now();
     let Some(spec) = spec else {
-        let t0 = std::time::Instant::now();
         fusedmm_generic_into(a, x, y, ops, partitions, strategy, z);
         crate::profile::record_kernel(
             ops.pattern,
-            x.ncols(),
-            active_backend(),
+            d,
+            backend,
             "generic",
             t0.elapsed(),
             a.nrows(),
@@ -220,39 +162,19 @@ pub fn fusedmm_opt_into(
         );
         return;
     };
-    let d = x.ncols();
-    let level = resolve_level(blocking, d);
-    let backend = active_backend();
+    let kspec = match blocking {
+        Blocking::Specialized(s) => s,
+        _ => spec.default_spec(d, backend),
+    };
     if let Blocking::Hybrid(cfg) = blocking {
-        // The shaped degree-class kernels run the specialized table's
-        // shapes, so hybrid engages at strip dimensions *and* — via the
-        // table's masked-tail panels — at dimensions that resolve to
-        // the dyn level (odd d). Only a const-resolved dimension falls
-        // through to the uniform path below (identical by
-        // construction).
-        if matches!(level, Level::Strip | Level::Dyn) {
-            let kspec = crate::autotune::global_tuner().spec_for(ops, d);
-            return crate::hybrid::execute(
-                a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec, z,
-            );
-        }
+        return crate::hybrid::execute(
+            a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec, z,
+        );
     }
-    let t0 = std::time::Instant::now();
-
+    let entry = entry_backend(backend, d);
     match spec {
         Specialized::Embed(sk) => {
-            let kern = match level {
-                Level::Const => embed_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked embedding kernel for d={d}"
-                    );
-                    embed_dyn_kernel(backend)
-                }),
-                Level::Strip => embed_strip_kernel(backend),
-                Level::Spec(s) => embed_spec_kernel(backend, s),
-                Level::Dyn => embed_dyn_kernel(backend),
-            };
+            let kern = embed_spec_kernel(entry, kspec);
             parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
@@ -261,18 +183,7 @@ pub fn fusedmm_opt_into(
             });
         }
         Specialized::Fr(alpha) => {
-            let kern = match level {
-                Level::Const => fr_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked FR kernel for d={d}"
-                    );
-                    fr_dyn_kernel(backend)
-                }),
-                Level::Strip => fr_strip_kernel(backend),
-                Level::Spec(s) => fr_spec_kernel(backend, s),
-                Level::Dyn => fr_dyn_kernel(backend),
-            };
+            let kern = fr_spec_kernel(entry, kspec);
             parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
@@ -281,18 +192,7 @@ pub fn fusedmm_opt_into(
             });
         }
         Specialized::TDist => {
-            let kern = match level {
-                Level::Const => tdist_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked t-dist kernel for d={d}"
-                    );
-                    tdist_dyn_kernel(backend)
-                }),
-                Level::Strip => tdist_strip_kernel(backend),
-                Level::Spec(s) => tdist_spec_kernel(backend, s),
-                Level::Dyn => tdist_dyn_kernel(backend),
-            };
+            let kern = tdist_spec_kernel(entry, kspec);
             parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
@@ -301,18 +201,7 @@ pub fn fusedmm_opt_into(
             });
         }
         Specialized::Spmm => {
-            let kern = match level {
-                Level::Const => spmm_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked SpMM kernel for d={d}"
-                    );
-                    spmm_dyn_kernel(backend)
-                }),
-                Level::Strip => spmm_strip_kernel(backend),
-                Level::Spec(s) => spmm_spec_kernel(backend, s),
-                Level::Dyn => spmm_dyn_kernel(backend),
-            };
+            let kern = spmm_spec_kernel(entry, kspec);
             parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
@@ -325,7 +214,7 @@ pub fn fusedmm_opt_into(
         ops.pattern,
         d,
         backend,
-        level.label(),
+        kspec.label(),
         t0.elapsed(),
         a.nrows(),
         a.nnz(),
@@ -397,7 +286,13 @@ mod tests {
                 OpSet::gcn(),
             ] {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
-                for blocking in [Blocking::Auto, Blocking::DynStrips, Blocking::StripMined] {
+                let spec = KernelSpec::new(12, 64).unwrap();
+                for blocking in [
+                    Blocking::Auto,
+                    Blocking::Specialized(spec),
+                    Blocking::Generic,
+                    Blocking::Hybrid(crate::hybrid::HybridConfig::default()),
+                ] {
                     let z = fusedmm_opt_with(
                         &a,
                         &x,
@@ -415,37 +310,36 @@ mod tests {
                         z.max_abs_diff(&reference)
                     );
                 }
-                if crate::genkern::GENERATED_DIMS.contains(&d) {
-                    let z = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::RegisterBlocked,
-                        Some(2),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    assert!(z.max_abs_diff(&reference) < 1e-4);
-                }
             }
         }
     }
 
     #[test]
-    fn auto_blocking_respects_the_dimension_threshold() {
-        // Below the threshold Auto uses the register-blocked kernel,
-        // above it the strip-mined kernel; both must be correct.
-        let n = 20;
+    fn auto_runs_the_default_shape_and_says_so_in_the_profile() {
+        // d = 56 is used by no other test of this crate (the profile
+        // table is process-global).
+        let (n, d) = (20, 56);
         let a = graph(n);
-        for d in [32usize, 256] {
-            let x = feats(n, d, 0.1);
-            let y = feats(n, d, 0.4);
-            let ops = OpSet::sigmoid_embedding(None);
-            let auto = fusedmm_opt(&a, &x, &y, &ops);
-            let reference = fusedmm_reference(&a, &x, &y, &ops);
-            assert!(auto.max_abs_diff(&reference) < 1e-4, "d={d}");
+        let x = feats(n, d, 0.1);
+        let y = feats(n, d, 0.4);
+        let ops = OpSet::sigmoid_embedding(None);
+        let want = specialize(&ops).unwrap().default_spec(d, active_backend());
+        let auto = fusedmm_opt(&a, &x, &y, &ops);
+        let named = fusedmm_opt_with(
+            &a,
+            &x,
+            &y,
+            &ops,
+            Blocking::Specialized(want),
+            None,
+            PartitionStrategy::NnzBalanced,
+        );
+        assert_eq!(auto.as_slice(), named.as_slice());
+        // (Another test may reset the table meanwhile; no *other* label
+        // can ever appear at this d.)
+        for p in crate::profile::kernel_profiles().iter().filter(|p| p.d == d) {
+            assert_eq!(p.blocking, want.label(), "both launches record the one default shape");
         }
-        const _: () = assert!(REGISTER_BLOCK_MAX_DIM >= 32);
     }
 
     #[test]
@@ -477,71 +371,5 @@ mod tests {
         let opt = fusedmm_opt(&a, &x, &y, &ops);
         let gen = fusedmm_reference(&a, &x, &y, &ops);
         assert!(opt.max_abs_diff(&gen) < 1e-5);
-    }
-
-    #[test]
-    fn strip_mined_covers_serving_dims_the_const_list_misses() {
-        let n = 36;
-        let a = graph(n);
-        for d in [48usize, 96, 192] {
-            assert!(!crate::genkern::GENERATED_DIMS.contains(&d));
-            let x = feats(n, d, 0.15);
-            let y = feats(n, d, 0.55);
-            for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn()] {
-                let reference = fusedmm_reference(&a, &x, &y, &ops);
-                let z = fusedmm_opt_with(
-                    &a,
-                    &x,
-                    &y,
-                    &ops,
-                    Blocking::StripMined,
-                    Some(3),
-                    PartitionStrategy::NnzBalanced,
-                );
-                assert!(
-                    z.max_abs_diff(&reference) < 1e-4,
-                    "{:?} d={d}: diff {}",
-                    ops.pattern,
-                    z.max_abs_diff(&reference)
-                );
-                // Auto must also land on a correct kernel at these dims.
-                let auto = fusedmm_opt(&a, &x, &y, &ops);
-                assert!(auto.max_abs_diff(&reference) < 1e-4, "auto {:?} d={d}", ops.pattern);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no strip-mined kernel for d=20")]
-    fn forcing_strip_mining_on_odd_dim_panics() {
-        let a = graph(10);
-        let x = feats(10, 20, 0.1);
-        let y = feats(10, 20, 0.2);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::gcn(),
-            Blocking::StripMined,
-            Some(1),
-            PartitionStrategy::NnzBalanced,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "no generated register-blocked")]
-    fn forcing_register_blocking_on_odd_dim_panics() {
-        let a = graph(10);
-        let x = feats(10, 20, 0.1);
-        let y = feats(10, 20, 0.2);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::sigmoid_embedding(None),
-            Blocking::RegisterBlocked,
-            Some(1),
-            PartitionStrategy::NnzBalanced,
-        );
     }
 }

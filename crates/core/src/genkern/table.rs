@@ -1,45 +1,49 @@
-//! Plan-time kernel specialization: a generated dispatch table of
-//! monomorphized kernel shapes, selected per `(pattern, d, backend,
-//! degree-class)` when a plan is built.
+//! The one specialized row-kernel family: a generated table of
+//! monomorphized kernel shapes, one of which is fixed per
+//! `(pattern, d, backend)` by [`KernelSpec::default_for`].
 //!
-//! The strip-mined kernels in [`super::strip`] consume the feature
-//! dimension with one fixed panel cascade (12/8/6/4/2/1 panels per
-//! pass, plus a 24-panel lead on AVX-512) and one fixed message-chunk
-//! depth ([`H_CHUNK`]). That single shape is a good average but not
-//! the best shape *per dimension*: d = 96 on AVX-512 prefers a 6-panel
-//! zmm sweep over the generic cascade's first matching pass, odd
-//! dimensions are excluded from the strip family entirely, and the
-//! best SDDMM chunk depth shifts with how much of `y` one chunk drags
-//! through L1. This module is the finer grid: every kernel body is
-//! instantiated over a small set of const-generic shapes —
+//! Every kernel body consumes the feature dimension as a cascade of
+//! register-resident panels — `z_u`'s accumulators stay in registers
+//! across the neighbor loop, the paper's register blocking — and is
+//! instantiated over a small set of const-generic shapes:
 //!
 //! * `MAIN` — panels per main-pass iteration, in units of the
 //!   backend's lane width (`SimdIsa::LANES`): [`MAIN_GRID`] =
-//!   {4, 6, 8, 12, 24};
-//! * `HC` — SDDMM message-buffer depth: [`HC_GRID`] = {16, 32, 64};
+//!   {4, 6, 8, 12, 24}. This is the paper's blocking factor;
+//! * `HC` — SDDMM message-buffer depth: [`HC_GRID`] = {16, 32, 64}.
+//!   For the patterns with a reduction (embedding, FR, t-dist) the
+//!   per-neighbor messages `h_v` are produced `HC` neighbors at a
+//!   time, then the chunk's contribution is swept panel by panel, so
+//!   the chunk's `y` rows stay in L1 between the two passes.
 //!
-//! — and a [`KernelSpec`] names one point of that grid. At plan build
-//! the autotuner probes the candidate shapes for the plan's
-//! `(pattern, d, backend)` (see [`candidate_specs`]) and the winning
-//! spec is stored in the plan, so steady-state dispatch is one
-//! fn-pointer call. This is the same "generate every shape, then
-//! select one" structure the paper's `extract` tool applies per
-//! dimension — moved from code-generation time to plan time.
+//! A [`KernelSpec`] names one point of that grid. The paper's `extract`
+//! tool generates every shape per dimension and tunes the blocking
+//! factor offline; here the offline step is the interleaved shape table
+//! printed by `cargo bench -p fusedmm-bench --bench kernel_dispatch`,
+//! and its outcome is the rule in [`KernelSpec::default_for`] — a pure
+//! function, so every process start, training and serving alike, runs
+//! the same shape. [`candidate_specs`] is what that bench sweeps and
+//! `Blocking::Specialized` is the explicit override.
 //!
-//! Unlike the strip family, the spec kernels accept **any** `d ≥ 1`:
-//! the cascade ends in one mask-predicated panel
-//! (`SimdIsa::loadu_partial` / `SimdIsa::storeu_partial`) that
-//! covers the final sub-register remainder fused, so odd dimensions
-//! get register-blocked panels too instead of falling back to the
-//! unfused dyn path.
+//! The kernels accept **any** `d ≥ 1`: the cascade ends in one
+//! mask-predicated panel (`SimdIsa::loadu_partial` /
+//! `SimdIsa::storeu_partial`) that covers the final sub-register
+//! remainder fused, so odd dimensions get register-blocked panels too.
+//!
+//! Every row kernel **owns its output row**: the fold starts from
+//! `+0.0` in registers (a row's first chunk overwrites, only later
+//! chunks of a long row reload the partial sum they resume), an empty
+//! row stores zeros, and nothing `z_u` held on entry is read — which is
+//! what lets callers hand in a recycled, un-cleared output.
 //!
 //! Shape choices never change results: for every output element the
 //! fold over neighbors runs in row-storage order regardless of how
 //! `MAIN` tiles the dimension or `HC` chunks the neighbor list, so all
-//! specs of one backend are bit-identical to each other and to the
-//! strip kernels (where those apply) — and the AVX-512 and AVX2
-//! backends stay bit-identical to *each other* down the masked tails
-//! (see [`crate::simd`]).
+//! specs of one backend are bit-identical to each other — and the
+//! AVX-512 and AVX2 backends stay bit-identical to *each other* down
+//! the masked tails (see [`crate::simd`]).
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use fusedmm_sparse::dense::Dense;
 
@@ -49,10 +53,10 @@ use crate::simd::NeonIsa;
 use crate::simd::{Avx2Isa, Avx512Isa};
 use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 
-use super::strip::H_CHUNK;
 use super::{
-    EmbedBatchKernel, EmbedRowKernel, FrBatchKernel, FrRowKernel, GatheredRow, SigmoidKind,
-    SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel, TDistBatchKernel, TDistRowKernel,
+    EmbedBatchKernel, EmbedMsgKernel, EmbedRowKernel, FrBatchKernel, FrMsgKernel, FrRowKernel,
+    GatheredRow, SigmoidKind, SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel, TDistBatchKernel,
+    TDistMsgKernel, TDistRowKernel,
 };
 
 /// Main-pass panel counts the table instantiates (units of the
@@ -65,6 +69,11 @@ pub const MAIN_GRID: &[u8] = &[4, 6, 8, 12, 24];
 /// no reduction (SpMM) ignore the depth; their specs pin it to 32.
 pub const HC_GRID: &[u16] = &[16, 32, 64];
 
+/// Message-buffer depth of the hybrid short-row batch kernels, and
+/// therefore how many gathered rows (and neighbors per row) the hybrid
+/// sweep stages before it flushes a batch.
+pub const H_CHUNK: usize = 32;
+
 /// One point of the specialization grid: the shape of a monomorphized
 /// kernel. Only grid points can be constructed ([`KernelSpec::new`]),
 /// so a spec always maps to a compiled instantiation.
@@ -75,8 +84,8 @@ pub struct KernelSpec {
 }
 
 impl KernelSpec {
-    /// The shape used when nothing better is known: a 4-panel main
-    /// pass and the strip family's chunk depth.
+    /// The shape of a dimension too narrow for any main pass: its rows
+    /// run only the 4/2/1-panel cleanup and the masked tail.
     pub const FALLBACK: KernelSpec = KernelSpec { main_panels: 4, h_chunk: 32 };
 
     /// Build a spec from a grid point; `None` when either coordinate
@@ -87,6 +96,28 @@ impl KernelSpec {
         } else {
             None
         }
+    }
+
+    /// The shape a launch runs unless the caller names one
+    /// (`Blocking::Specialized`) — **the only place a shape is chosen**:
+    /// `fusedmm`, `fusedmm_opt`, `fusedmm_rows`, `Plan::prepare` and the
+    /// hybrid classes all resolve through it, so one `(pattern class,
+    /// d, lane width)` runs one shape on every process start.
+    ///
+    /// The rule: the largest main pass in {8, 6, 4} lane-widths that
+    /// fits `d` (4 when none does — such rows never enter the main
+    /// pass), message depth 32. `sddmm` says whether the pattern has a
+    /// reduction; the measured table does not separate the chunk depths
+    /// by more than the rounds' own spread, so both classes take 32,
+    /// which is also the only depth [`candidate_specs`] offers SpMM.
+    /// The table that fixed the rule (and the shapes it never favours)
+    /// is in `docs/ARCHITECTURE.md`; re-derive it with the
+    /// `kernel_dispatch` bench before changing a line here.
+    pub fn default_for(sddmm: bool, d: usize, lanes: usize) -> KernelSpec {
+        // Part of the key; today's rule does not branch on it (above).
+        let _ = sddmm;
+        let main_panels = [8u8, 6, 4].into_iter().find(|&m| m as usize * lanes <= d).unwrap_or(4);
+        KernelSpec { main_panels, h_chunk: 32 }
     }
 
     /// Panels per main-pass iteration, in units of the backend's lane
@@ -125,12 +156,13 @@ impl KernelSpec {
     }
 }
 
-/// The shapes worth probing for a `(d, backend)` pair: main-pass sizes
-/// that fit the dimension at the backend's lane width (24 panels only
-/// where 32 vector registers exist), crossed with the chunk depths —
-/// all of [`HC_GRID`] for SDDMM patterns, pinned to 32 where there is
-/// no reduction. Never empty: a dimension too narrow for any main pass
-/// still runs its 4/2/1/masked-tail passes under the fallback shape.
+/// The shapes the `kernel_dispatch` bench sweeps for a `(d, backend)`
+/// pair: main-pass sizes that fit the dimension at the backend's lane
+/// width (24 panels only where 32 vector registers exist), crossed with
+/// the chunk depths — all of [`HC_GRID`] for SDDMM patterns, pinned to
+/// 32 where there is no reduction. Never empty: a dimension too narrow
+/// for any main pass still runs its 4/2/1/masked-tail passes under the
+/// fallback shape.
 pub fn candidate_specs(lanes: usize, d: usize, sddmm: bool) -> Vec<KernelSpec> {
     let mut mains: Vec<u8> = MAIN_GRID
         .iter()
@@ -150,6 +182,23 @@ pub fn candidate_specs(lanes: usize, d: usize, sddmm: bool) -> Vec<KernelSpec> {
     out
 }
 
+/// The backend whose compiled entries run rows of width `d` when the
+/// process's backend is `b`. Identity except for one measured cell: on
+/// the 16-lane backend a row of `d ≤ 8` is a single half-empty masked
+/// zmm panel, and the same body's 8-lane instantiation runs it up to
+/// 1.9× faster and never slower (`kernel_dispatch` bench, "narrow
+/// rows"; numbers in `docs/ARCHITECTURE.md`). AVX2 is available
+/// whenever AVX-512 is ([`Backend::is_available`] requires it) and the
+/// two are bit-identical on every kernel path, so this is a selection
+/// on `d` inside the one family that cannot change a result.
+pub(crate) fn entry_backend(b: Backend, d: usize) -> Backend {
+    if b == Backend::Avx512 && d <= VLEN {
+        Backend::Avx2Fma
+    } else {
+        b
+    }
+}
+
 // ---------------------------------------------------------------------------
 // ISA-generic shaped bodies
 // ---------------------------------------------------------------------------
@@ -158,8 +207,8 @@ pub fn candidate_specs(lanes: usize, d: usize, sddmm: bool) -> Vec<KernelSpec> {
 /// then 4/2/1-panel cleanup passes, then one mask-predicated panel for
 /// the sub-register remainder. Accepts any `d ≥ 1` — the masked tail
 /// is what admits odd dimensions. Per output element the fold order
-/// over `cols` is identical for every `MAIN`, and identical to
-/// [`super::strip`]'s cascade: shape is a pure performance choice.
+/// over `cols` is identical for every `MAIN`: shape is a pure
+/// performance choice.
 /// `LOAD_Z = false` starts the fold from `+0.0` and overwrites `zu`
 /// (how every row begins; an empty `cols` stores zeros); `true` resumes
 /// the partial sum a row's earlier chunks stored.
@@ -179,10 +228,16 @@ fn panel_spec<I: SimdIsa, const MAIN: usize, const LOAD_Z: bool>(
     let yp = y.as_slice().as_ptr();
     let zp = zu.as_mut_ptr();
     let mut p = 0;
-    // Safety: every pointer offset below is `v * d + p + lanes` with
-    // `v < y.nrows()` (checked above) and `p + lanes <= d` (the masked
-    // tail reads/writes only `d - p` lanes), hence in bounds of `y`'s
-    // backing slice; z offsets stay below `zu.len()`; `h[i]` is a
+    // SAFETY: length — every `y` window is `[v * d + p, v * d + p +
+    // lanes)` with `v < y.nrows()` (asserted above), `y.ncols() == d`
+    // (asserted above) and `p + lanes <= d` by each pass's loop bound,
+    // so it lies inside `y`'s `nrows * d` backing slice; every `zu`
+    // window is `[p, p + lanes)` with the same bound against `zu.len()
+    // == d`. The masked tail touches only `r = d - p` lanes of either.
+    // Alignment — `loadu`/`storeu` and their partial forms are
+    // unaligned by contract (`SimdIsa`). ISA — `I`'s instructions only
+    // execute here because the body is inlined into an entry the
+    // selectors hand out after `Backend::is_available()`. `h[i]` is a
     // checked index.
     unsafe {
         macro_rules! spec_pass {
@@ -227,8 +282,8 @@ fn panel_spec<I: SimdIsa, const MAIN: usize, const LOAD_Z: bool>(
 }
 
 /// Every gathered row must fit the batch kernels' shared message
-/// buffer on its own (the bodies fill and fold one row at a time) —
-/// same contract as the strip batch kernels.
+/// buffer on its own: the bodies fill and fold one row at a time, so
+/// the buffer bounds the per-row degree, not the batch total.
 #[inline(always)]
 fn assert_spec_batch_fits(rows: &[GatheredRow<'_>]) {
     for r in rows {
@@ -247,9 +302,9 @@ fn band_row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
 
 // --- shaped row kernels (uniform path) -------------------------------------
 //
-// Same output contract as the strip family: the row is overwritten,
-// never read — a row's first chunk starts from `+0.0`, later chunks of
-// a long row resume the partial sum, an empty row stores zeros.
+// The row is overwritten, never read — a row's first chunk starts from
+// `+0.0`, later chunks of a long row resume the partial sum, an empty
+// row stores zeros.
 
 /// One `HC`-deep chunk of a row's fold, starting at neighbor `start`.
 #[inline(always)]
@@ -354,9 +409,13 @@ fn spmm_spec_row_body<I: SimdIsa, const MAIN: usize>(
 
 // --- shaped batch kernels (hybrid short class) -----------------------------
 //
-// Shaped only in MAIN: the batch path's message buffer stays at the
-// fixed H_CHUNK depth because the hybrid gatherer sizes its staging
-// batches against that constant (its gather-flush contract).
+// Several short rows per call share one message buffer and one
+// indirect dispatch. Each row fills its message slice and immediately
+// runs the overwrite cascade — fused per row, because a separate
+// whole-batch message sweep re-walks the gathered rows through their
+// staging structs and measures slower. Shaped only in MAIN: the message
+// buffer stays at the fixed H_CHUNK depth because the hybrid gatherer
+// sizes its staging batches against that constant.
 
 #[inline(always)]
 fn embed_spec_batch_body<I: SimdIsa, const MAIN: usize>(
@@ -439,13 +498,54 @@ fn spmm_spec_batch_body<I: SimdIsa, const MAIN: usize>(
     }
 }
 
-// --- shaped span sweep (hybrid mega class, phase B) ------------------------
+// --- message fill and span sweep (hybrid mega class) -----------------------
+//
+// A mega row runs in two phases so that threads can share it. Phase A
+// (`*_msg_body`) fills the messages for a slice of the row's neighbors;
+// each message is an independent reduction, so slices can be filled by
+// different threads with no effect on the result. Phase B
+// (`span_spec_body`) folds *every* neighbor, in row order, into one
+// column span of `z_u`: threads split the row by output columns, not by
+// neighbors, so the per-element fold order is fixed by the span plan —
+// bit-identical to the row kernel's chunked fold for any thread count.
 
-/// Shaped variant of [`super::strip`]'s span sweep: folds all
-/// neighbors, in row order and starting from `+0.0`, into one
-/// VLEN-aligned span of the output row (overwriting it). The final
-/// span may end unaligned (it absorbs the sub-VLEN remainder at odd
-/// `d`), finished by the masked-tail panel.
+#[inline(always)]
+fn embed_msg_body<I: SimdIsa>(
+    xu: &[f32],
+    cols: &[usize],
+    vals: &[f32],
+    y: &Dense,
+    sk: &SigmoidKind,
+    h: &mut [f32],
+) {
+    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
+    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
+    for (hi, (&v, &a)) in h.iter_mut().zip(cols.iter().zip(vals)) {
+        *hi = sk.eval(I::dot(xu, y.row(v)), a);
+    }
+}
+
+#[inline(always)]
+fn fr_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]) {
+    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
+    for (hi, &v) in h.iter_mut().zip(cols) {
+        *hi = alpha * I::sqdist(xu, y.row(v)).sqrt();
+    }
+}
+
+#[inline(always)]
+fn tdist_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f32]) {
+    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
+    for (hi, &v) in h.iter_mut().zip(cols) {
+        *hi = 1.0 / (1.0 + I::sqdist(xu, y.row(v)));
+    }
+}
+
+/// Folds all neighbors, in row order and starting from `+0.0`, into one
+/// VLEN-aligned span of the output row (overwriting it). The span
+/// *offset* must stay VLEN-aligned (it fixes each thread's fold
+/// origin); the final span may end unaligned (it absorbs the sub-VLEN
+/// remainder at odd `d`), finished by the masked-tail panel.
 #[inline(always)]
 fn span_spec_body<I: SimdIsa, const MAIN: usize>(
     cols: &[usize],
@@ -469,8 +569,14 @@ fn span_spec_body<I: SimdIsa, const MAIN: usize>(
     let yp = y.as_slice().as_ptr();
     let zp = z_span.as_mut_ptr();
     let mut p = 0;
-    // Safety: as in `panel_spec`, with every offset shifted by
-    // `span_off` and `span_off + w <= d` asserted above.
+    // SAFETY: as in `panel_spec`, with every `y` window shifted by
+    // `span_off`: `[v * d + span_off + p, .. + lanes)` with `v <
+    // y.nrows()` and `span_off + w <= d` asserted above and `p + lanes
+    // <= w` by each pass's loop bound; `z_span` windows are `[p, p +
+    // lanes)` against `z_span.len() == w`; the masked tail touches `r
+    // = w - p` lanes. Unaligned `loadu`/`storeu` by contract; `I` is
+    // executable because the entry was handed out after
+    // `Backend::is_available()`.
     unsafe {
         macro_rules! span_pass {
             ($panels:expr) => {
@@ -519,42 +625,55 @@ fn span_spec_body<I: SimdIsa, const MAIN: usize>(
 
 macro_rules! spec_entries {
     ($body:ident => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident;
-     [$($cp:ident),+]; ($($a:ident: $t:ty),*)) => {
-        fn $scalar<$(const $cp: usize),+>($($a: $t),*) {
-            $body::<ScalarIsa, $($cp),+>($($a),*)
+     [$($cp:ident),*]; ($($a:ident: $t:ty),*)) => {
+        fn $scalar<$(const $cp: usize),*>($($a: $t),*) {
+            $body::<ScalarIsa, $($cp),*>($($a),*)
         }
 
         #[cfg(target_arch = "x86_64")]
-        fn $avx2<$(const $cp: usize),+>($($a: $t),*) {
+        fn $avx2<$(const $cp: usize),*>($($a: $t),*) {
+            /// # Safety
+            /// The CPU must support AVX2 and FMA.
             #[target_feature(enable = "avx2,fma")]
-            unsafe fn inner<$(const $cp: usize),+>($($a: $t),*) {
-                $body::<Avx2Isa, $($cp),+>($($a),*)
+            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
+                $body::<Avx2Isa, $($cp),*>($($a),*)
             }
-            // Safety: the selectors only hand this entry out after
-            // Backend::Avx2Fma::is_available() returned true.
-            unsafe { inner::<$($cp),+>($($a),*) }
+            // SAFETY: `inner`'s only requirement is a CPU with AVX2 and
+            // FMA; the selectors (`select_spec!`) hand this entry out
+            // only after `Backend::Avx2Fma.is_available()` returned
+            // true. The body it inlines is safe code over slices.
+            unsafe { inner::<$($cp),*>($($a),*) }
         }
 
         #[cfg(target_arch = "x86_64")]
-        fn $avx512<$(const $cp: usize),+>($($a: $t),*) {
+        fn $avx512<$(const $cp: usize),*>($($a: $t),*) {
+            // avx2+fma are enabled too: reductions finish with the ymm
+            // cleanup that keeps them bit-identical to the AVX2 backend.
+            /// # Safety
+            /// The CPU must support AVX-512F, AVX2 and FMA.
             #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn inner<$(const $cp: usize),+>($($a: $t),*) {
-                $body::<Avx512Isa, $($cp),+>($($a),*)
+            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
+                $body::<Avx512Isa, $($cp),*>($($a),*)
             }
-            // Safety: the selectors only hand this entry out after
-            // Backend::Avx512::is_available() returned true.
-            unsafe { inner::<$($cp),+>($($a),*) }
+            // SAFETY: `inner`'s only requirement is a CPU with AVX-512F,
+            // AVX2 and FMA; the selectors hand this entry out only
+            // after `Backend::Avx512.is_available()`, which probes all
+            // three, returned true.
+            unsafe { inner::<$($cp),*>($($a),*) }
         }
 
         #[cfg(target_arch = "aarch64")]
-        fn $neon<$(const $cp: usize),+>($($a: $t),*) {
+        fn $neon<$(const $cp: usize),*>($($a: $t),*) {
+            /// # Safety
+            /// The CPU must support NEON.
             #[target_feature(enable = "neon")]
-            unsafe fn inner<$(const $cp: usize),+>($($a: $t),*) {
-                $body::<NeonIsa, $($cp),+>($($a),*)
+            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
+                $body::<NeonIsa, $($cp),*>($($a),*)
             }
-            // Safety: the selectors only hand this entry out after
-            // Backend::Neon::is_available() returned true.
-            unsafe { inner::<$($cp),+>($($a),*) }
+            // SAFETY: `inner`'s only requirement is a CPU with NEON; the
+            // selectors hand this entry out only after
+            // `Backend::Neon.is_available()` returned true.
+            unsafe { inner::<$($cp),*>($($a),*) }
         }
     };
 }
@@ -576,6 +695,13 @@ spec_entries!(tdist_spec_batch_body => tdist_spec_batch_scalar, tdist_spec_batch
     [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 spec_entries!(spmm_spec_batch_body => spmm_spec_batch_scalar, spmm_spec_batch_avx2, spmm_spec_batch_avx512, spmm_spec_batch_neon;
     [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
+
+spec_entries!(embed_msg_body => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon;
+    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
+spec_entries!(fr_msg_body => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon;
+    []; (xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]));
+spec_entries!(tdist_msg_body => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon;
+    []; (xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f32]));
 
 spec_entries!(span_spec_body => span_spec_scalar, span_spec_avx2, span_spec_avx512, span_spec_neon;
     [MAIN]; (cols: &[usize], h: &[f32], y: &Dense, z_span: &mut [f32], span_off: usize));
@@ -626,6 +752,15 @@ macro_rules! shape_m {
     }};
 }
 
+/// The message-fill entries have no shape: pass the one instantiation
+/// through.
+macro_rules! shape_none {
+    ($spec:expr, $entry:ident) => {{
+        let () = $spec;
+        $entry
+    }};
+}
+
 macro_rules! select_spec {
     ($b:expr, $spec:expr, $shape:ident => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident) => {{
         let b = $b;
@@ -670,7 +805,7 @@ pub fn spmm_spec_kernel(b: Backend, spec: KernelSpec) -> SpmmRowKernel {
 }
 
 /// The shaped short-row embedding batch kernel compiled for
-/// `(b, spec)` — the hybrid short class at specialized plans. Message
+/// `(b, spec)` — the hybrid short class. Message
 /// depth stays at [`H_CHUNK`] (the gatherer's staging contract); only
 /// the main-pass shape is specialized.
 ///
@@ -698,19 +833,32 @@ pub fn spmm_spec_batch_kernel(b: Backend, spec: KernelSpec) -> SpmmBatchKernel {
     select_spec!(b, spec, shape_m => spmm_spec_batch_scalar, spmm_spec_batch_avx2, spmm_spec_batch_avx512, spmm_spec_batch_neon)
 }
 
+/// The mega-row embedding message-fill kernel compiled for `b`
+/// (phase A of the split-mega-row pass; each neighbor slice is an
+/// independent fill).
+pub fn embed_msg_kernel(b: Backend) -> EmbedMsgKernel {
+    select_spec!(b, (), shape_none => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon)
+}
+
+/// The mega-row FR message-fill kernel compiled for `b`.
+pub fn fr_msg_kernel(b: Backend) -> FrMsgKernel {
+    select_spec!(b, (), shape_none => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon)
+}
+
+/// The mega-row t-distribution message-fill kernel compiled for `b`.
+pub fn tdist_msg_kernel(b: Backend) -> TDistMsgKernel {
+    select_spec!(b, (), shape_none => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon)
+}
+
 /// The shaped mega-row column-span sweep compiled for `(b, spec)` —
-/// hybrid phase B at specialized plans. Unlike the strip span sweep,
-/// the final span may end unaligned at odd `d`.
+/// hybrid phase B (pattern-independent: the messages were already
+/// computed). The final span may end unaligned at odd `d`.
 pub fn span_spec_kernel(b: Backend, spec: KernelSpec) -> SpanSweepKernel {
     select_spec!(b, spec, shape_m => span_spec_scalar, span_spec_avx2, span_spec_avx512, span_spec_neon)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{
-        embed_dyn_kernel, embed_strip_kernel, spmm_dyn_kernel, spmm_strip_kernel, tdist_dyn_kernel,
-        tdist_strip_kernel,
-    };
     use super::*;
     use crate::simd::active_backend;
     use fusedmm_sparse::coo::{Coo, Dedup};
@@ -728,6 +876,36 @@ mod tests {
 
     fn feats(n: usize, d: usize, seed: f32) -> Dense {
         Dense::from_fn(n, d, |r, c| ((r * 31 + c * 7) as f32 * 0.01 + seed).sin() * 0.3)
+    }
+
+    fn available() -> impl Iterator<Item = Backend> {
+        Backend::ALL.iter().copied().filter(|b| b.is_available())
+    }
+
+    /// `z_u = Σ_v msg(x_u, y_v, a_uv) · y_v` in plain scalar loops.
+    fn naive_row(
+        xu: &[f32],
+        cols: &[usize],
+        vals: &[f32],
+        y: &Dense,
+        msg: impl Fn(&[f32], &[f32], f32) -> f32,
+    ) -> Vec<f32> {
+        let mut z = vec![0f32; xu.len()];
+        for (&v, &a) in cols.iter().zip(vals) {
+            let h = msg(xu, y.row(v), a);
+            for (o, &yv) in z.iter_mut().zip(y.row(v)) {
+                *o += h * yv;
+            }
+        }
+        z
+    }
+
+    fn dot(x: &[f32], y: &[f32]) -> f32 {
+        x.iter().zip(y).map(|(a, b)| a * b).sum()
+    }
+
+    fn sqdist(x: &[f32], y: &[f32]) -> f32 {
+        x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum()
     }
 
     #[test]
@@ -769,122 +947,147 @@ mod tests {
     }
 
     #[test]
-    fn spec_bit_identical_to_strip_at_strip_dims() {
-        // Shape is a pure performance choice: every candidate spec must
-        // reproduce the strip kernel bit for bit on strip-minable dims.
+    fn the_default_is_the_largest_fitting_main_pass_up_to_eight() {
+        for (lanes, d, main) in [
+            (8, 7, 4),
+            (8, 32, 4),
+            (8, 48, 6),
+            (8, 64, 8),
+            (8, 100, 8),
+            (8, 384, 8),
+            (16, 8, 4),
+            (16, 64, 4),
+            (16, 96, 6),
+            (16, 100, 6),
+            (16, 128, 8),
+            (16, 384, 8),
+        ] {
+            for sddmm in [false, true] {
+                let s = KernelSpec::default_for(sddmm, d, lanes);
+                assert_eq!((s.main_panels(), s.h_chunk()), (main, 32), "lanes={lanes} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_rows_on_the_widest_backend_take_the_eight_lane_entries() {
+        assert_eq!(entry_backend(Backend::Avx512, 1), Backend::Avx2Fma);
+        assert_eq!(entry_backend(Backend::Avx512, 8), Backend::Avx2Fma);
+        assert_eq!(entry_backend(Backend::Avx512, 9), Backend::Avx512);
+        for &b in &[Backend::Avx2Fma, Backend::Neon, Backend::Scalar] {
+            assert_eq!(entry_backend(b, 4), b);
+            assert_eq!(entry_backend(b, 128), b);
+        }
+        if Backend::Avx512.is_available() {
+            assert!(entry_backend(Backend::Avx512, 8).is_available());
+        }
+    }
+
+    #[test]
+    fn every_candidate_shape_is_bit_identical_to_every_other() {
+        // Shape is a pure performance choice: on one backend, every
+        // candidate reproduces the fallback shape bit for bit — at
+        // panel-aligned dims, at dims below the lane width and at odd
+        // dims that end in the masked tail. Degree 70 spans several
+        // chunks at every HC.
         let n = 80;
         let a = chain(n, 70);
-        for d in [8usize, 48, 96, 192] {
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for d in [7usize, 8, 48, 96, 100, 192] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
             let (cols, vals) = a.row(3);
-            for &b in Backend::ALL {
-                if !b.is_available() {
-                    continue;
-                }
-                let mut z_strip = vec![0f32; d];
-                embed_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SigmoidKind::Exact);
+            let xu = x.row(3);
+            for b in available() {
+                let base = KernelSpec::FALLBACK;
+                let (mut e0, mut f0, mut t0, mut s0) =
+                    (vec![0f32; d], vec![0f32; d], vec![0f32; d], vec![0f32; d]);
+                embed_spec_kernel(b, base)(xu, cols, vals, &y, &mut e0, &SigmoidKind::Exact);
+                fr_spec_kernel(b, base)(xu, cols, vals, &y, &mut f0, 0.6);
+                tdist_spec_kernel(b, base)(xu, cols, vals, &y, &mut t0);
+                spmm_spec_kernel(b, base)(cols, vals, &y, &mut s0);
                 for spec in candidate_specs(b.lanes(), d, true) {
-                    let mut z = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(
-                        x.row(3),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z,
-                        &SigmoidKind::Exact,
-                    );
-                    assert_eq!(z, z_strip, "embed {b} d={d} {}", spec.label());
-                }
-                let mut z_strip = vec![0f32; d];
-                spmm_strip_kernel(b)(cols, vals, &y, &mut z_strip);
-                for spec in candidate_specs(b.lanes(), d, false) {
-                    let mut z = vec![0f32; d];
+                    let mut z = vec![f32::NAN; d];
+                    embed_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, &SigmoidKind::Exact);
+                    assert_eq!(bits(&z), bits(&e0), "embed {b} d={d} {}", spec.label());
+                    fr_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, 0.6);
+                    assert_eq!(bits(&z), bits(&f0), "fr {b} d={d} {}", spec.label());
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z);
+                    assert_eq!(bits(&z), bits(&t0), "tdist {b} d={d} {}", spec.label());
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z);
-                    assert_eq!(z, z_strip, "spmm {b} d={d} {}", spec.label());
-                }
-                let mut z_strip = vec![0f32; d];
-                tdist_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip);
-                for spec in candidate_specs(b.lanes(), d, true) {
-                    let mut z = vec![0f32; d];
-                    tdist_spec_kernel(b, spec)(x.row(3), cols, vals, &y, &mut z);
-                    assert_eq!(z, z_strip, "tdist {b} d={d} {}", spec.label());
+                    assert_eq!(bits(&z), bits(&s0), "spmm {b} d={d} {}", spec.label());
                 }
             }
         }
     }
 
     #[test]
-    fn spec_covers_odd_dims_the_strip_family_rejects() {
-        // d = 7 and 100 are not strip-minable; the spec kernels must
-        // agree with the dyn reference within tolerance (the dyn path's
-        // scalar tail is unfused, the spec masked tail is fused).
+    fn spec_kernels_match_a_scalar_reference_at_any_dim() {
+        // d = 1, 7, 20 and 100 end in (or consist of) the masked tail.
         let n = 40;
         let a = chain(n, 30);
-        for d in [1usize, 7, 20, 100] {
+        for d in [1usize, 7, 8, 20, 32, 100] {
             let x = feats(n, d, 0.4);
             let y = feats(n, d, 0.6);
             let (cols, vals) = a.row(5);
-            for &b in Backend::ALL {
-                if !b.is_available() {
-                    continue;
+            let xu = x.row(5);
+            let embed_ref =
+                naive_row(xu, cols, vals, &y, |x, y, _| fusedmm_ops::sigmoid(dot(x, y)));
+            let fr_ref = naive_row(xu, cols, vals, &y, |x, y, _| 0.6 * sqdist(x, y).sqrt());
+            let tdist_ref = naive_row(xu, cols, vals, &y, |x, y, _| 1.0 / (1.0 + sqdist(x, y)));
+            let spmm_ref = naive_row(xu, cols, vals, &y, |_, _, a| a);
+            let close = |z: &[f32], r: &[f32], tol: f32, what: &str| {
+                for k in 0..d {
+                    assert!((z[k] - r[k]).abs() < tol, "{what} d={d} k={k}: {} vs {}", z[k], r[k]);
                 }
-                let mut z_dyn = vec![0f32; d];
-                embed_dyn_kernel(b)(x.row(5), cols, vals, &y, &mut z_dyn, &SigmoidKind::Exact);
+            };
+            for b in available() {
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let mut z = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(
-                        x.row(5),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z,
-                        &SigmoidKind::Exact,
-                    );
-                    for k in 0..d {
-                        assert!(
-                            (z[k] - z_dyn[k]).abs() < 1e-5,
-                            "embed {b} d={d} {} k={k}: {} vs {}",
-                            spec.label(),
-                            z[k],
-                            z_dyn[k]
-                        );
-                    }
-                }
-                let mut z_dyn = vec![0f32; d];
-                tdist_dyn_kernel(b)(x.row(5), cols, vals, &y, &mut z_dyn);
-                for spec in candidate_specs(b.lanes(), d, true) {
-                    let mut z = vec![0f32; d];
-                    tdist_spec_kernel(b, spec)(x.row(5), cols, vals, &y, &mut z);
-                    for k in 0..d {
-                        assert!((z[k] - z_dyn[k]).abs() < 1e-5, "tdist {b} d={d} k={k}");
-                    }
-                }
-                let mut z_dyn = vec![0f32; d];
-                spmm_dyn_kernel(b)(cols, vals, &y, &mut z_dyn);
-                for spec in candidate_specs(b.lanes(), d, false) {
-                    let mut z = vec![0f32; d];
+                    embed_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, &SigmoidKind::Exact);
+                    close(&z, &embed_ref, 1e-4, "embed");
+                    // sqrt amplifies tiny sqdist differences.
+                    fr_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, 0.6);
+                    close(&z, &fr_ref, 1e-3, "fr");
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z);
+                    close(&z, &tdist_ref, 1e-4, "tdist");
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z);
-                    for k in 0..d {
-                        assert!((z[k] - z_dyn[k]).abs() < 1e-5, "spmm {b} d={d} k={k}");
-                    }
+                    close(&z, &spmm_ref, 1e-4, "spmm");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lut_sigmoid_close_to_exact_in_kernel() {
+        let a = chain(8, 4);
+        let d = 16;
+        let x = feats(8, d, 0.1);
+        let y = feats(8, d, 0.2);
+        let (cols, vals) = a.row(0);
+        let kern = embed_spec_kernel(active_backend(), KernelSpec::FALLBACK);
+        let (mut z_exact, mut z_lut) = (vec![0f32; d], vec![0f32; d]);
+        kern(x.row(0), cols, vals, &y, &mut z_exact, &SigmoidKind::Exact);
+        let lut = SigmoidKind::Lut(std::sync::Arc::new(fusedmm_ops::SigmoidLut::default_table()));
+        kern(x.row(0), cols, vals, &y, &mut z_lut, &lut);
+        for k in 0..d {
+            assert!((z_exact[k] - z_lut[k]).abs() < 5e-3);
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_spec_bit_identical_to_avx2_spec_at_odd_dims() {
-        // The cross-backend guarantee extends beyond strip dims: both
-        // x86 backends run fused masked tails with the same per-element
-        // fold, so they agree exactly even where the fold is masked.
+        // Both x86 backends run fused masked tails with the same
+        // per-element fold, so they agree exactly even where the fold
+        // is masked — which is also what lets `entry_backend` hand
+        // narrow rows to the 8-lane entries.
         if !(Backend::Avx512.is_available() && Backend::Avx2Fma.is_available()) {
             return;
         }
         let n = 40;
         let a = chain(n, 30);
-        for d in [7usize, 20, 100, 385] {
+        for d in [3usize, 7, 8, 20, 100, 385] {
             let x = feats(n, d, 0.4);
             let y = feats(n, d, 0.6);
             let (cols, vals) = a.row(5);
@@ -921,32 +1124,44 @@ mod tests {
         let n = 80;
         let a = chain(n, 70);
         let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let plus_zero = |z: &[f32]| z.iter().all(|v| v.to_bits() == 0);
         for d in [48usize, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
             let (cols, vals) = a.row(3);
-            for &b in Backend::ALL {
-                if !b.is_available() {
-                    continue;
-                }
+            let xu = x.row(3);
+            for b in available() {
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
                     let k = embed_spec_kernel(b, spec);
-                    k(x.row(3), cols, vals, &y, &mut clean, &SigmoidKind::Exact);
-                    k(x.row(3), cols, vals, &y, &mut dirty, &SigmoidKind::Exact);
+                    k(xu, cols, vals, &y, &mut clean, &SigmoidKind::Exact);
+                    k(xu, cols, vals, &y, &mut dirty, &SigmoidKind::Exact);
                     assert_eq!(bits(&clean), bits(&dirty), "embed {b} d={d} {}", spec.label());
-                    k(x.row(3), &[], &[], &y, &mut dirty, &SigmoidKind::Exact);
-                    assert!(dirty.iter().all(|v| v.to_bits() == 0), "empty embed row {b} d={d}");
+                    k(xu, &[], &[], &y, &mut dirty, &SigmoidKind::Exact);
+                    assert!(plus_zero(&dirty), "empty embed row {b} d={d}");
 
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut clean);
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut dirty);
                     assert_eq!(bits(&clean), bits(&dirty), "spmm {b} d={d} {}", spec.label());
+                    dirty.fill(0.75);
+                    spmm_spec_kernel(b, spec)(&[], &[], &y, &mut dirty);
+                    assert!(plus_zero(&dirty), "empty spmm row {b} d={d}");
+                    dirty.fill(-1.0);
+                    fr_spec_kernel(b, spec)(xu, &[], &[], &y, &mut dirty, 0.5);
+                    assert!(plus_zero(&dirty), "empty fr row {b} d={d}");
+                    dirty.fill(f32::INFINITY);
+                    tdist_spec_kernel(b, spec)(xu, &[], &[], &y, &mut dirty);
+                    assert!(plus_zero(&dirty), "empty tdist row {b} d={d}");
 
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
-                    span_spec_kernel(b, spec)(cols, vals, &y, &mut clean[8..], 8);
-                    span_spec_kernel(b, spec)(cols, vals, &y, &mut dirty[8..], 8);
-                    assert_eq!(bits(&clean[8..]), bits(&dirty[8..]), "span {b} d={d}");
+                    span_spec_kernel(b, spec)(cols, vals, &y, &mut clean[8..32], 8);
+                    span_spec_kernel(b, spec)(cols, vals, &y, &mut dirty[8..32], 8);
+                    assert_eq!(bits(&clean[8..32]), bits(&dirty[8..32]), "span {b} d={d}");
+                    assert!(
+                        dirty[..8].iter().chain(&dirty[32..]).all(|v| v.is_nan()),
+                        "span stays in span"
+                    );
                 }
             }
         }
@@ -954,74 +1169,121 @@ mod tests {
 
     #[test]
     fn spec_batch_bit_identical_to_spec_row() {
+        // Short rows (degree 5); the batch kernel must reproduce the
+        // row kernel bit for bit, since hybrid's short class claims
+        // bit-identity to the uniform path.
         let n = 24;
         let a = chain(n, 5);
         for d in [48usize, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
-            let b = active_backend();
-            for spec in candidate_specs(b.lanes(), d, true) {
-                let rows_in_batch = [2usize, 5, 9, 11];
-                let mut band = vec![0f32; rows_in_batch.len() * d];
-                let batch: Vec<GatheredRow<'_>> = rows_in_batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &u)| GatheredRow {
-                        xu: x.row(u),
-                        cols: a.row(u).0,
-                        vals: a.row(u).1,
-                        band_row: i,
-                    })
-                    .collect();
-                embed_spec_batch_kernel(b, spec)(&batch, &y, &mut band, &SigmoidKind::Exact);
-                for (i, &u) in rows_in_batch.iter().enumerate() {
-                    let mut z_row = vec![0f32; d];
-                    let (cols, vals) = a.row(u);
-                    embed_spec_kernel(b, spec)(
-                        x.row(u),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z_row,
-                        &SigmoidKind::Exact,
-                    );
-                    assert_eq!(
-                        &band[i * d..(i + 1) * d],
-                        &z_row[..],
-                        "embed {b} d={d} {} row {u}",
-                        spec.label()
-                    );
+            for b in available() {
+                for spec in candidate_specs(b.lanes(), d, true) {
+                    let rows_in_batch = [2usize, 5, 9, 11];
+                    let mut band = vec![0f32; rows_in_batch.len() * d];
+                    let batch: Vec<GatheredRow<'_>> = rows_in_batch
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &u)| GatheredRow {
+                            xu: x.row(u),
+                            cols: a.row(u).0,
+                            vals: a.row(u).1,
+                            band_row: i,
+                        })
+                        .collect();
+                    embed_spec_batch_kernel(b, spec)(&batch, &y, &mut band, &SigmoidKind::Exact);
+                    for (i, &u) in rows_in_batch.iter().enumerate() {
+                        let mut z_row = vec![0f32; d];
+                        let (cols, vals) = a.row(u);
+                        embed_spec_kernel(b, spec)(
+                            x.row(u),
+                            cols,
+                            vals,
+                            &y,
+                            &mut z_row,
+                            &SigmoidKind::Exact,
+                        );
+                        assert_eq!(
+                            &band[i * d..(i + 1) * d],
+                            &z_row[..],
+                            "embed {b} d={d} {} row {u}",
+                            spec.label()
+                        );
+                    }
+                    let mut band = vec![0f32; rows_in_batch.len() * d];
+                    spmm_spec_batch_kernel(b, spec)(&batch, &y, &mut band);
+                    for (i, &u) in rows_in_batch.iter().enumerate() {
+                        let mut z_row = vec![0f32; d];
+                        let (cols, vals) = a.row(u);
+                        spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z_row);
+                        assert_eq!(&band[i * d..(i + 1) * d], &z_row[..], "spmm {b} d={d} row {u}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn span_spec_with_ragged_final_span_matches_row_kernel() {
-        // Odd d split into spans: the last span absorbs the sub-VLEN
-        // remainder. Phases A+B must reproduce the spec row kernel.
+    fn msg_fill_plus_span_sweep_bit_identical_to_the_row_kernel() {
+        // A heavy row (degree > every HC exercises the row kernel's
+        // chunked fold) computed as mega phases A + B must match the
+        // row kernel bit for bit, for any span split. At odd d the last
+        // span absorbs the sub-VLEN remainder.
         let n = 90;
         let a = chain(n, 80);
-        let d = 100;
-        let x = feats(n, d, 0.3);
-        let y = feats(n, d, 0.7);
-        let (cols, vals) = a.row(7);
-        let b = active_backend();
-        let spec = KernelSpec::FALLBACK;
-        let mut z_row = vec![0f32; d];
-        embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &SigmoidKind::Exact);
-        let mut h = vec![0f32; cols.len()];
-        super::super::embed_msg_kernel(b)(x.row(7), cols, vals, &y, &SigmoidKind::Exact, &mut h);
-        for spans in [vec![d], vec![48, 52], vec![96, 4]] {
-            let mut z = vec![0f32; d];
-            let mut off = 0;
-            for w in spans {
-                span_spec_kernel(b, spec)(cols, &h, &y, &mut z[off..off + w], off);
-                off += w;
+        for d in [48usize, 96, 100] {
+            let x = feats(n, d, 0.3);
+            let y = feats(n, d, 0.7);
+            let (cols, vals) = a.row(7);
+            let aligned = d / VLEN * VLEN;
+            let mut splits = vec![vec![d], vec![aligned / 2, d - aligned / 2]];
+            splits.push(
+                (0..d / VLEN)
+                    .map(|t| if t + 1 == d / VLEN { d - t * VLEN } else { VLEN })
+                    .collect(),
+            );
+            for b in available() {
+                let spec = KernelSpec::default_for(true, d, b.lanes());
+                // The labelled SOP reads the edge value in phase A, so
+                // the value slices must split with the column slices.
+                for sk in [SigmoidKind::Exact, SigmoidKind::ExactMinusEdge] {
+                    let mut z_row = vec![0f32; d];
+                    embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &sk);
+                    // Phase A: messages filled in two independent slices.
+                    let mut h = vec![0f32; cols.len()];
+                    let split = cols.len() / 3;
+                    let (h0, h1) = h.split_at_mut(split);
+                    embed_msg_kernel(b)(x.row(7), &cols[..split], &vals[..split], &y, &sk, h0);
+                    embed_msg_kernel(b)(x.row(7), &cols[split..], &vals[split..], &y, &sk, h1);
+                    // Phase B: every VLEN-aligned span split must agree.
+                    for spans in &splits {
+                        let mut z = vec![0f32; d];
+                        let mut off = 0;
+                        for &w in spans {
+                            span_spec_kernel(b, spec)(cols, &h, &y, &mut z[off..off + w], off);
+                            off += w;
+                        }
+                        assert_eq!(z, z_row, "embed mega {b} d={d} {sk:?} {spans:?}");
+                    }
+                }
+                let mut h = vec![0f32; cols.len()];
+                let mut z_row = vec![0f32; d];
+                let mut z = vec![0f32; d];
+                fr_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, 0.6);
+                fr_msg_kernel(b)(x.row(7), cols, &y, 0.6, &mut h);
+                span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
+                assert_eq!(z, z_row, "fr mega {b} d={d}");
+                tdist_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row);
+                tdist_msg_kernel(b)(x.row(7), cols, &y, &mut h);
+                span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
+                assert_eq!(z, z_row, "tdist mega {b} d={d}");
+                // SpMM: the values are the messages.
+                spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z_row);
+                let (lo, hi) = z.split_at_mut(aligned / 2);
+                span_spec_kernel(b, spec)(cols, vals, &y, lo, 0);
+                span_spec_kernel(b, spec)(cols, vals, &y, hi, aligned / 2);
+                assert_eq!(z, z_row, "spmm mega {b} d={d}");
             }
-            // Messages were filled by the same backend's dot, so the
-            // fold per element matches the row kernel exactly.
-            assert_eq!(z, z_row, "embed span d={d}");
         }
     }
 }

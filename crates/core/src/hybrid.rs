@@ -1,36 +1,33 @@
 //! Degree-aware hybrid execution for skewed graphs.
 //!
 //! Power-law degree distributions defeat a single row-shaped kernel:
-//! the strip-mined kernel amortizes its per-row setup (loading `x_u`
+//! the row kernel amortizes its per-row setup (loading `x_u`
 //! panels, resolving the output slice) over the neighbor loop, so a
 //! degree-2 row pays mostly overhead, while a hub row with a million
 //! neighbors serializes an entire band on one thread no matter how
 //! PART1D cuts the rest. This module classifies rows by degree once per
-//! launch and runs each class through a kernel shaped for it (short and
-//! strip share one storage-order band sweep so the CSR stream is walked
-//! once; mega rows run as their own cooperative pass):
+//! launch and schedules each class its own way (short and strip share
+//! one storage-order band sweep so the CSR stream is walked once; mega
+//! rows run as their own cooperative pass). It is a *row-scheduling
+//! policy*, not a kernel level: all three classes run the one kernel
+//! family of [`crate::genkern::table`] at the one shape the uniform
+//! launch would run ([`KernelSpec::default_for`]), at every `d ≥ 1`:
 //!
 //! * **short** (`0 < degree < short_max`) — gathered in storage order
 //!   into batches that share one [`H_CHUNK`] message buffer and one
 //!   SIMD sweep (the `embed_spec_batch_kernel` family);
-//! * **strip** (everything between) — the plan-time specialized row
-//!   kernels (see [`crate::genkern::table`]), running the shape the
-//!   autotuner probed for this `(pattern, d, backend)`;
+//! * **strip** (everything between) — the uniform row kernels;
 //! * **mega** (`degree ≥ max(mega_floor, nnz/parts)`) — each row is
 //!   executed cooperatively: phase A fills the row's message vector in
 //!   parallel column chunks, phase B folds *all* messages into
 //!   VLEN-aligned output spans, one thread per span
-//!   (`span_spec_kernel`).
-//!
-//! All three class kernels come from the specialized dispatch table,
-//! whose masked-tail panels accept any `d ≥ 1` — so hybrid execution
-//! also engages at odd dimensions the strip family rejects (the final
-//! mega span absorbs the sub-VLEN remainder).
+//!   (`span_spec_kernel`; the final span absorbs the sub-VLEN
+//!   remainder at odd `d`).
 //!
 //! Every class preserves the uniform kernels' per-output-element
 //! accumulation order — a sequential left-fold over the neighbors in
 //! row storage order — so the hybrid result is bit-identical to the
-//! strip-mined baseline (asserted by the `genkern::strip` tests and the
+//! uniform launch (asserted by the `genkern::table` tests and the
 //! repo-level property suite). The mega split is fixed by the span
 //! plan, never by thread timing. Each pass records its own
 //! [`KernelProfile`](crate::profile::KernelProfile) row under the
@@ -42,12 +39,11 @@ use fusedmm_sparse::dense::Dense;
 
 use crate::dispatch::Specialized;
 use crate::driver::parallel_row_bands;
-use crate::genkern::strip::H_CHUNK;
 use crate::genkern::{
-    embed_msg_kernel, embed_spec_batch_kernel, embed_spec_kernel, fr_msg_kernel,
+    embed_msg_kernel, embed_spec_batch_kernel, embed_spec_kernel, entry_backend, fr_msg_kernel,
     fr_spec_batch_kernel, fr_spec_kernel, span_spec_kernel, spmm_spec_batch_kernel,
     spmm_spec_kernel, tdist_msg_kernel, tdist_spec_batch_kernel, tdist_spec_kernel, GatheredRow,
-    KernelSpec,
+    KernelSpec, H_CHUNK,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::{Backend, VLEN};
@@ -86,8 +82,7 @@ impl Default for HybridConfig {
         // short_max = VLEN/2: the measured crossover on AVX2. A row
         // whose neighbor count is below half a vector width of
         // messages pays more in per-row setup than in math — gathering
-        // it (and skipping the output-row load, see `panel_overwrite`)
-        // wins. Longer rows amortize the strip kernel's setup fine, and
+        // it wins. Longer rows amortize the row kernel's setup fine, and
         // routing them through the gather path shows up as overhead on
         // unskewed graphs (the skew-sweep bench's s = 0 guard).
         HybridConfig { short_max: crate::simd::VLEN / 2, mega_floor: 4096 }
@@ -95,10 +90,9 @@ impl Default for HybridConfig {
 }
 
 /// Run the three degree-class passes with the kernel shape `kspec`
-/// (the autotuner's probed best for this `(pattern, d, backend)`),
-/// overwriting every row of the caller's `a.nrows() × d` output `z`.
-/// Called by the dispatcher when the blocking resolved to the strip
-/// or dyn level — the specialized table's kernels cover both.
+/// (the one the uniform launch would run), overwriting every row of the
+/// caller's `a.nrows() × d` output `z`. `backend` is the process's
+/// backend, which the profile rows are labelled with.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     a: &Csr,
@@ -117,13 +111,14 @@ pub(crate) fn execute(
     let parts = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
     let short_cut = cfg.short_max.clamp(1, H_CHUNK + 1);
     let mega_min = cfg.mega_floor.max(a.nnz().div_ceil(parts)).max(short_cut);
-    let sweep = span_spec_kernel(backend, kspec);
+    let entry = entry_backend(backend, d);
+    let sweep = span_spec_kernel(entry, kspec);
 
     match spec {
         Specialized::Embed(sk) => {
-            let batch = embed_spec_batch_kernel(backend, kspec);
-            let strip = embed_spec_kernel(backend, kspec);
-            let msg = embed_msg_kernel(backend);
+            let batch = embed_spec_batch_kernel(entry, kspec);
+            let strip = embed_spec_kernel(entry, kspec);
+            let msg = embed_msg_kernel(entry);
             run_passes(
                 a,
                 x,
@@ -150,9 +145,9 @@ pub(crate) fn execute(
         }
         Specialized::Fr(alpha) => {
             let alpha = *alpha;
-            let batch = fr_spec_batch_kernel(backend, kspec);
-            let strip = fr_spec_kernel(backend, kspec);
-            let msg = fr_msg_kernel(backend);
+            let batch = fr_spec_batch_kernel(entry, kspec);
+            let strip = fr_spec_kernel(entry, kspec);
+            let msg = fr_msg_kernel(entry);
             run_passes(
                 a,
                 x,
@@ -178,9 +173,9 @@ pub(crate) fn execute(
             )
         }
         Specialized::TDist => {
-            let batch = tdist_spec_batch_kernel(backend, kspec);
-            let strip = tdist_spec_kernel(backend, kspec);
-            let msg = tdist_msg_kernel(backend);
+            let batch = tdist_spec_batch_kernel(entry, kspec);
+            let strip = tdist_spec_kernel(entry, kspec);
+            let msg = tdist_msg_kernel(entry);
             run_passes(
                 a,
                 x,
@@ -204,8 +199,8 @@ pub(crate) fn execute(
             )
         }
         Specialized::Spmm => {
-            let batch = spmm_spec_batch_kernel(backend, kspec);
-            let strip = spmm_spec_kernel(backend, kspec);
+            let batch = spmm_spec_batch_kernel(entry, kspec);
+            let strip = spmm_spec_kernel(entry, kspec);
             // SpMM's messages are the stored edge values: no phase A.
             let msg: Option<MsgFill> = None;
             run_passes(
@@ -289,13 +284,13 @@ fn run_passes<B, S, M>(
     // visits — adjacent rows of different classes share cache lines,
     // and the gaps defeat the hardware prefetcher on `x`, `z`, and the
     // CSR arrays — which measures ~5-10% slower on interleaved-degree
-    // graphs. Here every array streams exactly like the uniform strip
+    // graphs. Here every array streams exactly like the uniform
     // pass: strip rows execute inline; short rows stage into a gather
     // batch that flushes when the next row would overflow the shared
     // message buffer (deferring a short row's write past a later strip
     // row touches disjoint output rows, so order across rows is free).
     // Batching never reorders the fold within a row, so each output row
-    // stays bit-identical to strip. Every class kernel overwrites its
+    // stays bit-identical to the uniform launch. Every class kernel overwrites its
     // row; the sweep itself stores the zeros of a zero-degree row, and
     // leaves mega rows to pass 3, whose span sweeps overwrite them.
     //
@@ -474,11 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_bit_identical_to_strip_mined_all_patterns() {
+    fn hybrid_bit_identical_to_uniform_all_patterns() {
+        // 8 and 32 are dims hybrid used to decline (it ran the uniform
+        // path there); 20 and 100 end in the masked tail.
         let n = 96;
         let a = skewed(n);
         let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
-        for d in [48usize, 96] {
+        for d in [8usize, 20, 32, 48, 96, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
             for ops in [
@@ -493,7 +490,7 @@ mod tests {
                         &x,
                         &y,
                         &ops,
-                        Blocking::StripMined,
+                        Blocking::Auto,
                         Some(parts),
                         PartitionStrategy::NnzBalanced,
                     );
@@ -527,18 +524,19 @@ mod tests {
             c.push(0, v, 1.0);
         }
         let a = c.to_csr(Dedup::Last);
-        let d = 96;
+        // The profile table is process-global and sibling tests launch
+        // concurrently: read it at a d only this test uses.
+        let d = 104;
         let x = feats(n, d, 0.1);
         let y = feats(n, d, 0.9);
         let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
         let ops = OpSet::sigmoid_embedding(None);
-        crate::profile::reset_kernel_profiles();
         let base = fusedmm_opt_with(
             &a,
             &x,
             &y,
             &ops,
-            Blocking::StripMined,
+            Blocking::Auto,
             Some(4),
             PartitionStrategy::NnzBalanced,
         );
@@ -552,52 +550,31 @@ mod tests {
             PartitionStrategy::NnzBalanced,
         );
         assert_eq!(base.as_slice(), hybrid.as_slice());
-        let labels: Vec<&'static str> =
-            crate::profile::kernel_profiles().iter().map(|p| p.blocking).collect();
+        let labels: Vec<&'static str> = crate::profile::kernel_profiles()
+            .iter()
+            .filter(|p| p.d == d)
+            .map(|p| p.blocking)
+            .collect();
         assert!(labels.contains(&"hybrid-mega"), "mega pass not profiled: {labels:?}");
     }
 
     #[test]
-    fn hybrid_engages_at_odd_dims_and_matches_specialized() {
-        // Odd d resolves to the dyn level, where hybrid now runs the
-        // specialized table's kernels. All three classes preserve the
-        // per-element fold order, so the result must be bit-identical
-        // to the uniform specialized plan with the same shape.
+    fn hybrid_is_profiled_as_hybrid_and_equals_every_uniform_shape() {
         let n = 96;
         let a = skewed(n);
+        let d = 72; // no other test of this crate launches at d = 72
+        let x = feats(n, d, 0.2);
+        let y = feats(n, d, 0.8);
+        let ops = OpSet::gcn();
         let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
-        for d in [20usize, 100] {
-            let x = feats(n, d, 0.2);
-            let y = feats(n, d, 0.8);
-            for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn()] {
-                let kspec = crate::autotune::global_tuner().spec_for(&ops, d);
-                for parts in [1usize, 3] {
-                    let base = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Specialized(kspec),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    let hybrid = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Hybrid(cfg),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    assert_eq!(
-                        base.as_slice(),
-                        hybrid.as_slice(),
-                        "{:?} d={d} parts={parts} not bit-identical",
-                        ops.pattern
-                    );
-                }
-            }
+        let nnz = PartitionStrategy::NnzBalanced;
+        let hybrid = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Hybrid(cfg), Some(2), nnz);
+        for p in crate::profile::kernel_profiles().iter().filter(|p| p.d == d) {
+            assert!(p.blocking.starts_with("hybrid-"), "{p:?}");
+        }
+        for s in crate::genkern::candidate_specs(crate::simd::active_backend().lanes(), d, false) {
+            let named = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Specialized(s), Some(2), nnz);
+            assert_eq!(named.as_slice(), hybrid.as_slice(), "{}", s.label());
         }
     }
 
@@ -622,9 +599,9 @@ mod tests {
     fn profile_records_per_class_rows() {
         let n = 64;
         let a = skewed(n);
-        let x = feats(n, 48, 0.3);
-        let y = feats(n, 48, 0.6);
-        crate::profile::reset_kernel_profiles();
+        let d = 88; // only this test launches at d = 88
+        let x = feats(n, d, 0.3);
+        let y = feats(n, d, 0.6);
         let _ = fusedmm_opt_with(
             &a,
             &x,
@@ -635,8 +612,11 @@ mod tests {
             PartitionStrategy::NnzBalanced,
         );
         let profiles = crate::profile::kernel_profiles();
-        let total_edges: u64 =
-            profiles.iter().filter(|p| p.blocking.starts_with("hybrid-")).map(|p| p.edges).sum();
+        let total_edges: u64 = profiles
+            .iter()
+            .filter(|p| p.d == d && p.blocking.starts_with("hybrid-"))
+            .map(|p| p.edges)
+            .sum();
         assert_eq!(total_edges, a.nnz() as u64, "classes must partition the edges: {profiles:?}");
     }
 }

@@ -13,12 +13,10 @@
 //!
 //! # Entry points
 //!
-//! * [`fusedmm`] — the tuned kernel: recognizes the operator pattern,
-//!   autotunes the blocking strategy on first use, dispatches to
-//!   register-blocked generated kernels ("FusedMMopt" in the paper's
-//!   Table VI);
-//! * [`fusedmm_opt`] — same dispatch without the measuring autotuner
-//!   (Auto blocking picks register blocking whenever generated);
+//! * [`fusedmm`] / [`fusedmm_opt`] — the optimized kernel (two names
+//!   for one entry point): recognizes the operator pattern and
+//!   dispatches to its register-blocked generated kernel ("FusedMMopt"
+//!   in the paper's Table VI), generic fallback otherwise;
 //! * [`fusedmm_generic`] — the flexible five-step kernel with no
 //!   specialization (the paper's unoptimized "FusedMM" row);
 //! * [`fusedmm_opt_into`] / [`Plan::execute_into`] /
@@ -29,18 +27,20 @@
 //! * [`fusedmm_reference`] — slow sequential ground truth for tests;
 //! * [`fusedmm_rows`] — row-subset execution (only the requested output
 //!   rows), the serving-path entry point;
-//! * [`Plan`] / [`PlanCache`] — the autotuner's per-call choice lifted
+//! * [`Plan`] / [`PlanCache`] — the per-call dispatch decision lifted
 //!   into an explicit, reusable plan object for serving engines.
 //!
 //! Kernels execute on a SIMD backend detected once per process
 //! (AVX-512 or AVX2+FMA on x86-64, NEON on AArch64, portable scalar
 //! otherwise — see [`crate::simd`] and [`cpu_features`]); set
-//! `FUSEDMM_FORCE_SCALAR=1` to pin the portable fallback, or
-//! `FUSEDMM_FORCE_BACKEND=<name>` to request a specific one.
-//! Per-`(pattern, d)` blocking — including the plan-time kernel
-//! specialization table in [`genkern::table`] — is chosen by the
-//! [`autotune`] module; `docs/ARCHITECTURE.md` at the workspace root
-//! draws the whole dispatch stack.
+//! `FUSEDMM_FORCE_BACKEND=<name>` to request a specific one (`scalar`
+//! pins the portable fallback). There is one specialized kernel family
+//! ([`genkern::table`]) and the shape a launch runs is a pure function
+//! of `(pattern class, d, backend)` —
+//! [`KernelSpec::default_for`](genkern::KernelSpec::default_for) —
+//! so nothing is measured at run time and every process start runs the
+//! same kernel; `docs/ARCHITECTURE.md` at the workspace root draws the
+//! whole dispatch stack and records why there is no run-time tuner.
 //!
 //! # Example
 //!
@@ -65,7 +65,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod dispatch;
 pub mod driver;
 pub mod generic;
@@ -77,7 +76,6 @@ pub mod profile;
 pub mod rows;
 pub mod simd;
 
-pub use autotune::{global_tuner, Tuner};
 pub use dispatch::{
     fusedmm_opt, fusedmm_opt_into, fusedmm_opt_with, specialize, Blocking, Specialized,
 };
@@ -93,14 +91,10 @@ use fusedmm_ops::OpSet;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-/// `Z = FusedMM(A, X, Y)` — the tuned kernel.
-///
-/// Equivalent to [`fusedmm_opt`] but the blocking strategy for each
-/// (pattern, dimension) is measured once per process by the global
-/// [`Tuner`] rather than chosen statically.
+/// `Z = FusedMM(A, X, Y)` — the library's front door. The same entry
+/// point as [`fusedmm_opt`] under the name the quick-start uses.
 pub fn fusedmm(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
-    let blocking = global_tuner().choose(ops, x.ncols());
-    fusedmm_opt_with(a, x, y, ops, blocking, None, PartitionStrategy::NnzBalanced)
+    fusedmm_opt(a, x, y, ops)
 }
 
 #[cfg(test)]
@@ -109,7 +103,7 @@ mod tests {
     use fusedmm_sparse::coo::{Coo, Dedup};
 
     #[test]
-    fn tuned_entry_point_matches_reference() {
+    fn front_door_matches_reference() {
         let mut c = Coo::new(8, 8);
         for u in 0..8usize {
             c.push(u, (u + 1) % 8, 1.0);

@@ -1,13 +1,13 @@
 //! Explicit, shareable kernel execution plans.
 //!
-//! [`crate::fusedmm`] consults the measuring autotuner on every call —
-//! fine for one-shot batch jobs, wasteful for a serving loop issuing
-//! thousands of small requests per second against the same (pattern,
-//! dimension). A [`Plan`] lifts that per-call decision into a value:
-//! prepare it once (paying the tuning probe at load time), then execute
-//! full-graph or row-subset kernels through it with zero per-request
-//! tuning, lock traffic, or dispatch ambiguity. [`PlanCache`] memoizes
-//! plans per (pattern, d) for engines that serve several operator sets.
+//! [`crate::fusedmm`] recognizes the operator pattern and resolves the
+//! kernel shape on every call. A [`Plan`] lifts that per-call decision
+//! into a value a serving engine holds: prepare it once — a pure
+//! function of `(pattern, d, backend)`, nothing is measured, so it
+//! costs nothing and is the same on every process start — then execute
+//! full-graph or row-subset kernels through it, and read from it which
+//! kernel a request ran. [`PlanCache`] memoizes plans per (pattern, d)
+//! for engines that serve several operator sets.
 
 use std::collections::HashMap;
 
@@ -17,19 +17,15 @@ use fusedmm_ops::{OpSet, Pattern};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::autotune::global_tuner;
-use crate::dispatch::{fusedmm_opt_into, Blocking};
+use crate::dispatch::{fusedmm_opt_into, specialize, Blocking};
 use crate::part::PartitionStrategy;
 use crate::rows::{fusedmm_rows_banded, fusedmm_rows_banded_topk, fusedmm_rows_with};
 use crate::simd::{active_backend, Backend};
 
 /// A frozen kernel configuration for one (pattern, dimension): which
-/// blocking level to run — possibly one plan-time specialized shape
-/// from the generated dispatch table
-/// ([`Blocking::Specialized`], keyed by
-/// the probed best panel/chunk grid point for this `(pattern, d,
-/// backend)`) — which SIMD backend executes it, and how to partition
-/// rows across threads.
+/// kernel to run — for a recognized pattern one shape of the kernel
+/// table ([`Blocking::Specialized`]) — which SIMD backend executes it,
+/// and how to partition rows across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
     pattern: Pattern,
@@ -40,31 +36,31 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Measure (via the global autotuner) and freeze the best blocking
-    /// for `ops` at dimension `d` — the fixed const/strip/dyn levels
-    /// race against the specialized table's probed best shape, so a
-    /// prepared plan carries a monomorphized kernel selection, not
-    /// just a strategy tag. The probe runs at most once per process
-    /// per (pattern, d); repeated `prepare` calls are cheap.
+    /// The library-default plan for `ops` at dimension `d`:
+    /// [`Plan::with_blocking`] under [`Blocking::Auto`] and PART1D
+    /// nnz-balanced partitioning.
     pub fn prepare(ops: &OpSet, d: usize) -> Plan {
-        Plan {
-            pattern: ops.pattern,
-            d,
-            blocking: global_tuner().choose(ops, d),
-            backend: active_backend(),
-            strategy: PartitionStrategy::NnzBalanced,
-        }
+        Plan::with_blocking(ops, d, Blocking::Auto, PartitionStrategy::NnzBalanced)
     }
 
-    /// Build a plan with an explicit blocking choice (no measurement) —
-    /// for tests, ablations, or configs pinned from a previous run.
+    /// Build a plan with an explicit blocking choice. [`Blocking::Auto`]
+    /// is resolved here, once, to what it would run on every launch —
+    /// the default shape of a recognized pattern
+    /// ([`Blocking::Specialized`]) or [`Blocking::Generic`] — so
+    /// [`Plan::blocking`] always names the kernel.
     pub fn with_blocking(
         ops: &OpSet,
         d: usize,
         blocking: Blocking,
         strategy: PartitionStrategy,
     ) -> Plan {
-        Plan { pattern: ops.pattern, d, blocking, backend: active_backend(), strategy }
+        let backend = active_backend();
+        let blocking = match (blocking, specialize(ops)) {
+            (Blocking::Auto, Some(sp)) => Blocking::Specialized(sp.default_spec(d, backend)),
+            (Blocking::Auto, None) => Blocking::Generic,
+            (named, _) => named,
+        };
+        Plan { pattern: ops.pattern, d, blocking, backend, strategy }
     }
 
     /// The operator pattern this plan was prepared for.
@@ -77,7 +73,7 @@ impl Plan {
         self.d
     }
 
-    /// The frozen blocking level.
+    /// The frozen kernel choice (never [`Blocking::Auto`]).
     pub fn blocking(&self) -> Blocking {
         self.blocking
     }
@@ -198,10 +194,9 @@ impl Plan {
 
 /// Disambiguates otherwise-identical `(pattern, d)` cache entries that
 /// belong to different serving contexts: the engine shard a plan was
-/// prepared for and the feature epoch it serves. Shards may autotune
-/// independently (their bands have different nnz profiles) and
-/// epoch-keyed entries give invalidation-aware layers — result caches,
-/// per-epoch specializations — a home in the same cache.
+/// prepared for and the feature epoch it serves. Epoch-keyed entries
+/// give invalidation-aware layers — result caches, per-epoch
+/// specializations — a home in the same cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PlanTag {
     /// Serving shard id (0 for an unsharded engine).
@@ -411,37 +406,43 @@ mod tests {
     }
 
     #[test]
-    fn plan_records_the_active_backend() {
+    fn plan_records_the_active_backend_and_a_named_shape() {
         let ops = OpSet::gcn();
-        let plan =
-            Plan::with_blocking(&ops, 48, Blocking::StripMined, PartitionStrategy::NnzBalanced);
-        assert_eq!(plan.backend(), crate::simd::active_backend());
-        assert_eq!(plan.blocking(), Blocking::StripMined);
-        // Strip-mined plans execute correctly at non-generated dims.
-        let (a, x, y) = setup(24, 48);
-        let z = plan.execute(&a, &x, &y, &ops);
-        let r = fusedmm_reference(&a, &x, &y, &ops);
-        assert!(z.max_abs_diff(&r) < 1e-4);
+        let named = Blocking::Specialized(crate::genkern::KernelSpec::new(6, 32).unwrap());
+        for d in [48usize, 100] {
+            let plan = Plan::with_blocking(&ops, d, named, PartitionStrategy::NnzBalanced);
+            assert_eq!(plan.backend(), crate::simd::active_backend());
+            assert_eq!(plan.blocking(), named);
+            let (a, x, y) = setup(24, d);
+            let z = plan.execute(&a, &x, &y, &ops);
+            let r = fusedmm_reference(&a, &x, &y, &ops);
+            assert!(z.max_abs_diff(&r) < 1e-4);
+        }
     }
 
     #[test]
-    fn specialized_plan_executes_at_odd_dims() {
-        // A plan can freeze a specialized-table shape; at odd d that
-        // shape is the only register-blocked option, and executing the
-        // plan must match the reference.
-        let ops = OpSet::sigmoid_embedding(None);
-        let d = 100;
-        let kspec = crate::autotune::global_tuner().spec_for(&ops, d);
-        let plan = Plan::with_blocking(
-            &ops,
-            d,
-            Blocking::Specialized(kspec),
-            PartitionStrategy::NnzBalanced,
-        );
-        let (a, x, y) = setup(30, d);
-        let z = plan.execute(&a, &x, &y, &ops);
-        let r = fusedmm_reference(&a, &x, &y, &ops);
-        assert!(z.max_abs_diff(&r) < 1e-4);
+    fn prepare_is_a_pure_function_of_pattern_dim_and_backend() {
+        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
+        let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
+        for d in [8usize, 32, 100, 128] {
+            let (a, x, y) = setup(30, d);
+            for ops in [OpSet::gcn(), OpSet::sigmoid_embedding(None), custom.clone()] {
+                let prepared = Plan::prepare(&ops, d);
+                let auto =
+                    Plan::with_blocking(&ops, d, Blocking::Auto, PartitionStrategy::NnzBalanced);
+                assert_eq!(prepared, auto, "{:?} d={d}", ops.pattern);
+                assert_ne!(prepared.blocking(), Blocking::Auto, "a plan names its kernel");
+                // Two fresh caches agree with each other and with the
+                // direct call: nothing process-global is consulted.
+                assert_eq!(PlanCache::new().plan_for(&ops, d), prepared);
+                assert_eq!(PlanCache::new().plan_for(&ops, d), prepared);
+                // What it executes is what `Blocking::Auto` executes.
+                let direct = crate::dispatch::fusedmm_opt(&a, &x, &y, &ops);
+                assert_eq!(bits(&prepared.execute(&a, &x, &y, &ops)), bits(&direct));
+            }
+            assert_eq!(Plan::prepare(&custom, d).blocking(), Blocking::Generic);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Per-shape kernel profiling: cycle and work accounting for every
-//! fused-kernel launch, keyed by `(op, d, backend, blocking level)`.
+//! fused-kernel launch, keyed by `(op, d, backend, kernel shape)`.
 //!
 //! The dispatcher ([`crate::dispatch::fusedmm_opt_with`]) records one
 //! observation per launch — wall time, output rows, and edges (nnz)
@@ -34,11 +34,9 @@ pub struct KernelProfile {
     pub d: usize,
     /// SIMD backend the kernels ran on.
     pub backend: Backend,
-    /// Resolved blocking level label: `const` (register-blocked),
-    /// `strip` (strip-mined), `spec-m{M}-h{H}` (a plan-time
-    /// specialized shape from the generated table — per-variant
-    /// roofline rows fall out of the label), `dyn` (dynamic strips),
-    /// `generic` (the unspecialized five-step kernel), or the
+    /// What ran: `spec-m{M}-h{H}` (the kernel table's shape —
+    /// per-variant roofline rows fall out of the label), `generic`
+    /// (the unspecialized five-step kernel), or the
     /// `hybrid-short`/`hybrid-strip`/`hybrid-mega` per-class rows.
     pub blocking: &'static str,
     /// Launches recorded.
@@ -143,21 +141,24 @@ mod tests {
             .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding)
             .map(|p| (p.calls, p.rows, p.edges))
             .unwrap_or((0, 0, 0));
+        let shape = crate::genkern::KernelSpec::new(4, 64).unwrap();
         for _ in 0..3 {
             let _ = fusedmm_opt_with(
                 &a,
                 &x,
                 &y,
                 &ops,
-                Blocking::StripMined,
+                Blocking::Specialized(shape),
                 Some(2),
                 PartitionStrategy::NnzBalanced,
             );
         }
         let p = kernel_profiles()
             .into_iter()
-            .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == "strip")
-            .expect("launches recorded under the strip level");
+            .find(|p| {
+                p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == "spec-m4-h64"
+            })
+            .expect("launches recorded under the shape's label");
         assert!(p.calls >= before.0 + 3);
         assert!(p.rows >= before.1 + 3 * n as u64);
         assert!(p.edges >= before.2 + 3 * a.nnz() as u64);

@@ -17,22 +17,19 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::slice::{gather_rows, slice_rows};
 
-use crate::autotune::global_tuner;
 use crate::dispatch::{fusedmm_opt_with, Blocking};
 use crate::generic::validate_shapes;
 use crate::part::PartitionStrategy;
 
 /// `out[i, :] = FusedMM(A, X, Y)[rows[i], :]`, computing only the
-/// requested rows. Tuned like [`crate::fusedmm`]: the blocking strategy
-/// (dynamic, strip-mined, or register-blocked) comes from the global
-/// autotuner, and the kernels run on the detected SIMD backend.
+/// requested rows, with the kernel shape [`crate::fusedmm`] runs
+/// ([`Blocking::Auto`]) on the detected SIMD backend.
 ///
 /// # Panics
 /// Panics when the full-problem shapes are inconsistent or any
 /// requested row is out of range.
 pub fn fusedmm_rows(a: &Csr, rows: &[usize], x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
-    let blocking = global_tuner().choose(ops, x.ncols());
-    fusedmm_rows_with(a, rows, x, y, ops, blocking, None, PartitionStrategy::NnzBalanced)
+    fusedmm_rows_with(a, rows, x, y, ops, Blocking::Auto, None, PartitionStrategy::NnzBalanced)
 }
 
 /// [`fusedmm_rows`] with explicit blocking, partition count, and
@@ -199,9 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn strip_mined_subset_matches_full_kernel_at_serving_dims() {
-        // d = 48 has no const-generic kernel; the row path must serve
-        // it through the strip-mined family.
+    fn named_shape_subset_matches_full_kernel_at_serving_dims() {
         let n = 40;
         let a = graph(n);
         let d = 48;
@@ -216,7 +211,7 @@ mod tests {
             &x,
             &y,
             &ops,
-            Blocking::StripMined,
+            Blocking::Specialized(crate::genkern::KernelSpec::new(6, 16).unwrap()),
             Some(2),
             PartitionStrategy::NnzBalanced,
         );

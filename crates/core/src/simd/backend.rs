@@ -4,25 +4,22 @@
 //! (AVX-512/AVX/SSE on x86, ASIMD on ARM) and picks at configure time.
 //! We decide once per process at run time instead: the first caller of
 //! [`active_backend`] probes the CPU (`is_x86_feature_detected!` /
-//! `is_aarch64_feature_detected!`), honors the `FUSEDMM_FORCE_SCALAR`
-//! and `FUSEDMM_FORCE_BACKEND` environment variables, and caches the
-//! answer for the lifetime of the process. Everything downstream — the
-//! slice primitives in [`crate::simd`], the per-ISA kernel entries in
-//! [`crate::genkern::strip`] and [`crate::genkern::table`] — routes
-//! through that single decision, so there is no per-operation feature
-//! sniffing on the hot path.
+//! `is_aarch64_feature_detected!`), honors the `FUSEDMM_FORCE_BACKEND`
+//! environment variable, and caches the answer for the lifetime of the
+//! process. Everything downstream — the slice primitives in
+//! [`crate::simd`], the per-ISA kernel entries in
+//! [`crate::genkern::table`] — routes through that single decision, so
+//! there is no per-operation feature sniffing on the hot path.
 //!
-//! Overrides:
-//!
-//! * `FUSEDMM_FORCE_SCALAR=1` pins the portable fallback (the original
-//!   escape hatch; wins over everything).
-//! * `FUSEDMM_FORCE_BACKEND=scalar|avx2|avx512|neon` requests one
-//!   backend by name. If the CPU cannot execute it, selection **falls
-//!   back to the best available backend** rather than aborting — this
-//!   is deliberate, so CI can set `FUSEDMM_FORCE_BACKEND=avx512` on
-//!   every runner and non-AVX-512 machines exercise the dispatch-miss
-//!   path while AVX-512 machines run the real thing. The fallback is
-//!   recorded in [`CpuFeatures::forced_unavailable`].
+//! The one override: `FUSEDMM_FORCE_BACKEND=scalar|avx2|avx512|neon`
+//! requests one backend by name (`scalar` pins the portable fallback,
+//! which every CPU can run). If the CPU cannot execute the requested
+//! one, selection **falls back to the best available backend** rather
+//! than aborting — this is deliberate, so CI can set
+//! `FUSEDMM_FORCE_BACKEND=avx512` on every runner and non-AVX-512
+//! machines exercise the dispatch-miss path while AVX-512 machines run
+//! the real thing. The fallback is recorded in
+//! [`CpuFeatures::forced_unavailable`].
 
 use std::sync::OnceLock;
 
@@ -106,8 +103,9 @@ impl Backend {
     }
 
     /// Number of f32 lanes in this backend's widest register: 16 for
-    /// AVX-512 zmm, 8 everywhere else. The autotuner uses this to
-    /// filter panel-shape candidates (see [`crate::autotune`]).
+    /// AVX-512 zmm, 8 everywhere else — the unit a kernel shape's
+    /// main pass is counted in (see
+    /// [`KernelSpec::default_for`](crate::genkern::KernelSpec::default_for)).
     pub fn lanes(self) -> usize {
         match self {
             Backend::Avx512 => 16,
@@ -134,16 +132,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// True when `FUSEDMM_FORCE_SCALAR` is set to anything other than the
-/// empty string or `0` — the debugging escape hatch that pins every
-/// kernel to the portable fallback regardless of CPU capabilities.
-pub fn scalar_forced() -> bool {
-    match std::env::var("FUSEDMM_FORCE_SCALAR") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
 /// The backend named by `FUSEDMM_FORCE_BACKEND`, if the variable is
 /// set to a recognized name (see [`Backend::parse`] spellings).
 /// Unrecognized values are ignored rather than fatal.
@@ -160,7 +148,6 @@ fn requested_backend() -> Option<Backend> {
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     backend: Backend,
-    forced_scalar: bool,
     /// `Some(requested)` when `FUSEDMM_FORCE_BACKEND` named a backend
     /// this CPU cannot run and selection fell back.
     forced_unavailable: Option<Backend>,
@@ -178,35 +165,19 @@ fn best_available() -> Backend {
 }
 
 fn decide_backend() -> Decision {
-    *ACTIVE.get_or_init(|| {
-        if scalar_forced() {
-            return Decision {
-                backend: Backend::Scalar,
-                forced_scalar: true,
-                forced_unavailable: None,
-            };
-        }
-        if let Some(req) = requested_backend() {
-            if req.is_available() {
-                return Decision { backend: req, forced_scalar: false, forced_unavailable: None };
-            }
-            // Requested ISA missing on this CPU: degrade to the best
-            // real backend and record the miss (the CI fallback arm
-            // asserts this path keeps everything correct).
-            return Decision {
-                backend: best_available(),
-                forced_scalar: false,
-                forced_unavailable: Some(req),
-            };
-        }
-        Decision { backend: best_available(), forced_scalar: false, forced_unavailable: None }
+    *ACTIVE.get_or_init(|| match requested_backend() {
+        Some(req) if req.is_available() => Decision { backend: req, forced_unavailable: None },
+        // Requested ISA missing on this CPU: degrade to the best real
+        // backend and record the miss (the CI fallback arm asserts
+        // this path keeps everything correct).
+        Some(req) => Decision { backend: best_available(), forced_unavailable: Some(req) },
+        None => Decision { backend: best_available(), forced_unavailable: None },
     })
 }
 
-/// The backend this process runs on, decided once: forced scalar if
-/// `FUSEDMM_FORCE_SCALAR` says so, the `FUSEDMM_FORCE_BACKEND` choice
-/// when it is executable here, otherwise the best ISA the CPU
-/// supports.
+/// The backend this process runs on, decided once: the
+/// `FUSEDMM_FORCE_BACKEND` choice when it is executable here, otherwise
+/// the best ISA the CPU supports.
 pub fn active_backend() -> Backend {
     decide_backend().backend
 }
@@ -220,9 +191,6 @@ pub struct CpuFeatures {
     /// Runtime-detected ISA features relevant to kernel selection,
     /// as `(name, present)` pairs.
     pub detected: Vec<(&'static str, bool)>,
-    /// Whether `FUSEDMM_FORCE_SCALAR` suppressed the ISA backends —
-    /// as observed when the backend was decided, not at report time.
-    pub forced_scalar: bool,
     /// Set when `FUSEDMM_FORCE_BACKEND` named a backend this CPU
     /// cannot execute and selection fell back to [`CpuFeatures::backend`].
     pub forced_unavailable: Option<Backend>,
@@ -247,7 +215,6 @@ pub fn cpu_features() -> CpuFeatures {
     CpuFeatures {
         arch: std::env::consts::ARCH,
         detected,
-        forced_scalar: decision.forced_scalar,
         forced_unavailable: decision.forced_unavailable,
         backend: decision.backend,
     }
@@ -260,9 +227,6 @@ impl std::fmt::Display for CpuFeatures {
             write!(f, " {name}={}", if *present { "yes" } else { "no" })?;
         }
         write!(f, " | simd backend: {}", self.backend)?;
-        if self.forced_scalar {
-            write!(f, " (FUSEDMM_FORCE_SCALAR)")?;
-        }
         if let Some(req) = self.forced_unavailable {
             write!(f, " (FUSEDMM_FORCE_BACKEND={req} unavailable, fell back)")?;
         }

@@ -11,18 +11,18 @@
 //! | [`Backend::Avx512`]  | x86-64 AVX-512F (16-lane `__m512`, masked tails) | `is_x86_feature_detected!("avx512f")` (plus avx2+fma) |
 //! | [`Backend::Avx2Fma`] | x86-64 AVX2 + FMA (`std::arch` intrinsics) | `is_x86_feature_detected!("avx2")` and `("fma")` |
 //! | [`Backend::Neon`]    | AArch64 NEON/ASIMD (`std::arch` intrinsics) | aarch64 build (NEON is baseline) |
-//! | [`Backend::Scalar`]  | portable lane loops ([`F32x8`])             | everything else, or `FUSEDMM_FORCE_SCALAR=1` |
+//! | [`Backend::Scalar`]  | portable lane loops ([`F32x8`])             | everything else, or `FUSEDMM_FORCE_BACKEND=scalar` |
 //!
 //! The choice is made once per process ([`active_backend`]) and
 //! consulted at kernel-launch granularity — the slice primitives below
 //! route through a cached function-pointer table, and the row kernels
 //! in [`crate::genkern`] are monomorphized per backend and picked by
 //! the dispatcher — so no hot loop ever sniffs CPU features. Setting
-//! `FUSEDMM_FORCE_SCALAR=1` before first use pins everything to the
-//! portable fallback for debugging and A/B runs,
-//! `FUSEDMM_FORCE_BACKEND=<name>` requests one backend by name (falling
-//! back to the best available one when the CPU lacks it), and
-//! [`cpu_features`] reports what was detected and chosen.
+//! `FUSEDMM_FORCE_BACKEND=<name>` before first use requests one backend
+//! by name (falling back to the best available one when the CPU lacks
+//! it; `scalar` pins everything to the portable fallback for debugging
+//! and A/B runs), and [`cpu_features`] reports what was detected and
+//! chosen.
 //!
 //! The AVX-512 and AVX2 backends are **bit-identical** to each other by
 //! construction (see the `avx512` submodule's docs); the scalar backend
@@ -64,7 +64,7 @@ mod neon;
 pub(crate) use avx2::Avx2Isa;
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx512::Avx512Isa;
-pub use backend::{active_backend, cpu_features, scalar_forced, Backend, CpuFeatures};
+pub use backend::{active_backend, cpu_features, Backend, CpuFeatures};
 pub(crate) use isa::{ScalarIsa, SimdIsa};
 #[cfg(target_arch = "aarch64")]
 pub(crate) use neon::NeonIsa;

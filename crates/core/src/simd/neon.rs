@@ -8,7 +8,7 @@
 //! NEON is a baseline feature of AArch64, so the entries here are
 //! executable on every aarch64 CPU; detection still routes through
 //! [`Backend::Neon`](super::Backend) for uniformity with the x86 path
-//! and to honor `FUSEDMM_FORCE_SCALAR`.
+//! and to honor `FUSEDMM_FORCE_BACKEND=scalar`.
 
 #![cfg(target_arch = "aarch64")]
 #![allow(unused_unsafe)]

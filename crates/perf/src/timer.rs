@@ -3,8 +3,7 @@
 //! §V-A: "For all of our experiments, we measure the time for 10
 //! iterations and report the average time." [`time_iterations`] does
 //! exactly that (with a warm-up run excluded), and also reports the
-//! minimum, which the autotuner and some ablations prefer as the
-//! lower-noise statistic.
+//! minimum, which some ablations prefer as the lower-noise statistic.
 
 use std::time::Instant;
 

@@ -50,9 +50,10 @@ pub struct EngineConfig {
     /// tick so concurrent callers can join the batch. Zero disables
     /// the wait (lowest latency, least coalescing).
     pub coalesce_window: Duration,
-    /// Pin the kernel blocking level instead of measuring it with the
-    /// autotuner at engine construction (`None` = autotune).
-    pub blocking: Option<Blocking>,
+    /// How the engine's kernel plan runs a launch (see [`Blocking`]);
+    /// the default [`Blocking::Auto`] is what every other entry point
+    /// of the library runs.
+    pub blocking: Blocking,
     /// Enable the epoch-aware embedding result cache (`None` =
     /// compute every request). Hot repeated rows are then served from
     /// memory; publishes invalidate everything lazily, delta updates
@@ -91,7 +92,7 @@ impl Default for EngineConfig {
         EngineConfig {
             max_batch_rows: 4096,
             coalesce_window: Duration::from_micros(50),
-            blocking: None,
+            blocking: Blocking::Auto,
             cache: None,
             tracer: None,
             admission: None,
@@ -357,12 +358,12 @@ impl Engine {
     ) -> Engine {
         assert_eq!(store.x_rows(), a.nrows(), "store X must have one row per vertex");
         let d = store.d();
-        let plan = match config.blocking {
-            Some(b) => {
-                Plan::with_blocking(&ops, d, b, fusedmm_core::PartitionStrategy::NnzBalanced)
-            }
-            None => Plan::prepare(&ops, d),
-        };
+        let plan = Plan::with_blocking(
+            &ops,
+            d,
+            config.blocking,
+            fusedmm_core::PartitionStrategy::NnzBalanced,
+        );
         let cache = config.cache.map(|cache_cfg| {
             let cache = Arc::new(EmbedCache::new(&a, d, cache_cfg));
             store.subscribe(Arc::clone(&cache) as _);
@@ -1362,11 +1363,7 @@ mod tests {
         let a = c.to_csr(Dedup::Sum);
         let feats = Dense::from_fn(n, d, |r, k| ((r * 5 + k * 11) as f32 * 0.03).sin() * 0.7);
         let reference = fusedmm_reference(&a, &feats, &feats, &ops);
-        let cfg = EngineConfig {
-            coalesce_window: Duration::ZERO,
-            blocking: Some(Blocking::Auto),
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
         (Engine::new(a, feats.clone(), feats, ops, cfg), reference)
     }
 
@@ -1409,13 +1406,7 @@ mod tests {
         let a = c.to_csr(Dedup::Sum);
         let x = Dense::filled(2, 4, 0.5);
         let y = Dense::filled(5, 4, 0.25);
-        let eng = Engine::new(
-            a,
-            x,
-            y,
-            OpSet::sigmoid_embedding(None),
-            EngineConfig { blocking: Some(Blocking::Auto), ..EngineConfig::default() },
-        );
+        let eng = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), EngineConfig::default());
         // Target v=4 is a valid Y row even though A has only 2 rows.
         let scores = eng.score_edges(&[(1, 4)]).unwrap();
         assert_eq!(scores.len(), 1);
@@ -1503,11 +1494,7 @@ mod tests {
             feats.clone(),
             feats,
             OpSet::gcn(),
-            EngineConfig {
-                coalesce_window: Duration::ZERO,
-                blocking: Some(Blocking::Auto),
-                ..EngineConfig::default()
-            },
+            EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() },
         );
         let patch = Dense::filled(1, 4, -1.0);
         eng.store().delta_update(&[5], &patch, &patch);
@@ -1566,7 +1553,6 @@ mod tests {
             OpSet::gcn(),
             EngineConfig {
                 coalesce_window: Duration::ZERO,
-                blocking: Some(Blocking::Auto),
                 cache: Some(CacheConfig::default()),
                 ..EngineConfig::default()
             },
@@ -1625,7 +1611,6 @@ mod tests {
             OpSet::gcn(),
             EngineConfig {
                 coalesce_window: Duration::ZERO,
-                blocking: Some(Blocking::Auto),
                 cache: Some(CacheConfig::default()),
                 ..EngineConfig::default()
             },
@@ -1854,11 +1839,7 @@ mod tests {
         let (n, d) = (48, 16);
         let a = skewed(n);
         let feats = Dense::from_fn(n, d, |r, k| ((r * 3 + k * 7) as f32 * 0.05).sin());
-        let cfg = EngineConfig {
-            coalesce_window: Duration::ZERO,
-            blocking: Some(Blocking::Auto),
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
         let plain = Engine::new(a.clone(), feats.clone(), feats.clone(), OpSet::gcn(), cfg.clone());
         let nodes = [5usize, 0, 47, 5, 13];
         let pairs = [(0usize, 7usize), (13, 0), (47, 46)];
@@ -1902,7 +1883,6 @@ mod tests {
             OpSet::gcn(),
             EngineConfig {
                 coalesce_window: Duration::ZERO,
-                blocking: Some(Blocking::Auto),
                 reordering: Some(Reordering::RcmBfs),
                 ..EngineConfig::default()
             },
@@ -1924,7 +1904,6 @@ mod tests {
         let feats = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.07).cos());
         let cfg = EngineConfig {
             coalesce_window: Duration::ZERO,
-            blocking: Some(Blocking::Auto),
             cache: Some(CacheConfig::default()),
             reordering: Some(Reordering::DegreeSort),
             ..EngineConfig::default()

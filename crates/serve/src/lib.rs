@@ -8,8 +8,8 @@
 //! wall-clock — as the figure of merit. This crate provides that layer:
 //!
 //! * [`Engine`] — loads a graph and feature matrices once, prepares a
-//!   reusable kernel [`Plan`](fusedmm_core::Plan) (the autotuner's
-//!   per-call choice lifted to load time), and serves three request
+//!   reusable kernel [`Plan`](fusedmm_core::Plan) (the per-call
+//!   dispatch decision lifted to load time), and serves three request
 //!   kinds:
 //!   * [`Engine::infer_full`] — whole-graph inference (the classic
 //!     FusedMM call, now plan-driven);

@@ -38,7 +38,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use fusedmm_cache::{InflightOwner, MissRoute};
-use fusedmm_core::{PartitionStrategy, Plan, PlanCache, PlanTag};
+use fusedmm_core::{PartitionStrategy, Plan};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::gauge::Gauge;
 use fusedmm_perf::hist::{HistogramSnapshot, HistogramVec, LatencyHistogram};
@@ -826,10 +826,7 @@ impl WorkerEngine {
             .clone()
             .or_else(FaultPlan::from_env)
             .unwrap_or_else(|| Arc::new(FaultPlan::disabled()));
-        let plan = match config.blocking {
-            Some(b) => Plan::with_blocking(&ops, d, b, PartitionStrategy::NnzBalanced),
-            None => PlanCache::new().plan_tagged(&ops, d, PlanTag::for_shard(shard as u64)),
-        };
+        let plan = Plan::with_blocking(&ops, d, config.blocking, PartitionStrategy::NnzBalanced);
         let band_config = EngineConfig {
             cache: None,
             tracer: Some(tracer),
@@ -1062,7 +1059,7 @@ impl WorkerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedmm_core::{fusedmm_reference, Blocking};
+    use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
     use std::time::Duration;
 
@@ -1078,11 +1075,7 @@ mod tests {
     }
 
     fn config() -> EngineConfig {
-        EngineConfig {
-            coalesce_window: Duration::ZERO,
-            blocking: Some(Blocking::Auto),
-            ..EngineConfig::default()
-        }
+        EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() }
     }
 
     /// An in-process transport: worker engines behind the trait, no

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fusedmm_cache::{CacheMetrics, InflightOwner, MissRoute};
-use fusedmm_core::{Partition, PartitionStrategy, Plan, PlanCache, PlanTag};
+use fusedmm_core::{Partition, PartitionStrategy, Plan, PlanCache};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::gauge::Gauge;
 use fusedmm_perf::hist::{HistogramSnapshot, HistogramVec, LatencyHistogram};
@@ -115,11 +115,10 @@ pub struct ShardedEngine {
     /// (use [`ShardedMetrics::per_shard`]'s own embed histograms for
     /// straggler isolation).
     fanout: Arc<HistogramVec>,
-    /// Plans keyed by [`PlanTag`] `{ shard, epoch }`. Lives as long as
-    /// the engine so epoch-keyed entries (result caching, per-epoch
-    /// specializations — see ROADMAP) have a durable home; with today's
-    /// (pattern, d)-keyed autotuner every shard resolves to the same
-    /// blocking.
+    /// Plans for callers that run kernels beside the engine
+    /// ([`ShardedEngine::plans`]), keyed by `(pattern, d,
+    /// {shard, epoch})`. The bands themselves all run the one plan
+    /// `EngineConfig::blocking` resolves to.
     plans: PlanCache,
     /// Where the assembled output of [`ShardedEngine::infer_full`]
     /// parks when its caller drops it (see [`Engine::infer_full`]); the
@@ -209,7 +208,6 @@ impl ShardedEngine {
         let part = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
         let degree_hist = a.degree_histogram_log2();
         let d = store.d();
-        let plans = PlanCache::new();
         // The front end owns the (global-id) result cache; bands run
         // uncached beneath it.
         let cache = config.cache.map(|cache_cfg| {
@@ -244,10 +242,8 @@ impl ShardedEngine {
         let shards: Vec<Engine> = (0..part.len())
             .map(|s| {
                 let rows = part.rows(s);
-                let plan = match config.blocking {
-                    Some(b) => Plan::with_blocking(&ops, d, b, PartitionStrategy::NnzBalanced),
-                    None => plans.plan_tagged(&ops, d, PlanTag::for_shard(s as u64)),
-                };
+                let plan =
+                    Plan::with_blocking(&ops, d, config.blocking, PartitionStrategy::NnzBalanced);
                 Engine::for_band(
                     a.row_band(rows.clone()),
                     BandId { start: rows.start, shard: Some(s) },
@@ -277,7 +273,7 @@ impl ShardedEngine {
             band_max_degree: part.max_row_degrees().to_vec(),
             degree_hist,
             fanout,
-            plans,
+            plans: PlanCache::new(),
             out_home: BufferHome::new(),
             started: Instant::now(),
         }
@@ -939,7 +935,7 @@ impl std::fmt::Display for ShardedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedmm_core::{fusedmm_reference, Blocking};
+    use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
     use std::time::Duration;
 
@@ -956,11 +952,7 @@ mod tests {
     }
 
     fn config() -> EngineConfig {
-        EngineConfig {
-            coalesce_window: Duration::ZERO,
-            blocking: Some(Blocking::Auto),
-            ..EngineConfig::default()
-        }
+        EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`graph`] — graph generators and the Table V dataset registry;
 //! * [`ops`] — the five-step VOP/ROP/SOP/MOP/AOP operator framework;
 //! * [`kernel`] — the FusedMM kernel itself (generic, specialized, and
-//!   autotuned entry points);
+//!   row-subset entry points);
 //! * [`baseline`] — the unfused (DGL-style), dense (PyTorch-style) and
 //!   inspector-executor (MKL-style) comparators;
 //! * [`apps`] — Force2Vec embedding, FR layout, GCN, GNN-MLP,
@@ -32,7 +32,7 @@
 //! let x = random_features(500, 64, 0.5, 1);
 //! let y = random_features(500, 64, 0.5, 2);
 //!
-//! // z_u = Σ_{v∈N(u)} σ(x_u·y_v) · y_v, fused and autotuned.
+//! // z_u = Σ_{v∈N(u)} σ(x_u·y_v) · y_v, fused.
 //! let z = fusedmm(&a, &x, &y, &OpSet::sigmoid_embedding(None));
 //! assert_eq!((z.nrows(), z.ncols()), (500, 64));
 //! ```

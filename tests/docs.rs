@@ -69,7 +69,7 @@ fn every_env_var_read_is_documented_in_tuning_md() {
         quoted_vars(&fs::read_to_string(file).unwrap(), &mut vars);
     }
     assert!(
-        vars.contains("FUSEDMM_FORCE_SCALAR") && vars.contains("FUSEDMM_FAULT_PLAN"),
+        vars.contains("FUSEDMM_FORCE_BACKEND") && vars.contains("FUSEDMM_FAULT_PLAN"),
         "scan failed to find known variables: {vars:?}"
     );
     let undocumented: Vec<&String> = vars

@@ -1,9 +1,9 @@
 //! The central correctness claim of the paper (§V-D): fusing SDDMM and
 //! SpMM "does not alter the actual computations performed". These tests
 //! drive random graphs and features through every execution path —
-//! sequential reference, generic parallel, dynamic-strip specialized,
-//! register-blocked specialized, and the unfused DGL-style pipeline —
-//! and require elementwise agreement, including property-based random
+//! sequential reference, generic parallel, register-blocked specialized
+//! (under both of its entry-point names), and the unfused DGL-style
+//! pipeline — and require elementwise agreement, including property-based random
 //! exploration with proptest.
 
 use proptest::prelude::*;
@@ -117,7 +117,7 @@ proptest! {
     }
 
     /// The specialized kernels agree with the reference on arbitrary
-    /// graphs and any dimension (generated or not).
+    /// graphs and any dimension.
     #[test]
     fn specialized_kernels_agree_on_any_dim(
         seed in 0u64..1000,

@@ -32,16 +32,16 @@ fn skewed(n: usize, seed: u64) -> Csr {
     c.to_csr(Dedup::Last)
 }
 
-/// Hybrid blocking vs the baseline paths across the dimension classes
-/// the dispatcher distinguishes: d = 8 resolves to a generated
-/// const-dimension kernel (hybrid falls through), d = 96 and 192 are
-/// strip-level dims where the degree-classed passes actually engage.
+/// Hybrid row scheduling vs the uniform launch: the degree-classed
+/// passes engage at every dimension — d = 8 is a single (masked, on a
+/// 16-lane backend 8-lane) panel, d = 100 ends in the masked tail —
+/// and must reproduce `Blocking::Auto` bit for bit.
 #[test]
 fn hybrid_bit_identical_across_dims_and_parts() {
     let n = 160;
     let a = skewed(n, 3);
     let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
-    for d in [8usize, 96, 192] {
+    for d in [8usize, 96, 100, 192] {
         let x = random_features(n, d, 0.5, 11);
         let y = random_features(n, d, 0.5, 22);
         let ops = OpSet::sigmoid_embedding(None);
@@ -65,24 +65,6 @@ fn hybrid_bit_identical_across_dims_and_parts() {
                 PartitionStrategy::NnzBalanced,
             );
             assert_eq!(auto.as_slice(), hybrid.as_slice(), "hybrid vs auto d={d} parts={parts}");
-            if d > 64 {
-                // Strip-level dims: the uniform strip-mined path is the
-                // exact baseline the hybrid classes must reproduce.
-                let strip = fusedmm_opt_with(
-                    &a,
-                    &x,
-                    &y,
-                    &ops,
-                    Blocking::StripMined,
-                    Some(parts),
-                    PartitionStrategy::NnzBalanced,
-                );
-                assert_eq!(
-                    strip.as_slice(),
-                    hybrid.as_slice(),
-                    "hybrid vs strip d={d} parts={parts}"
-                );
-            }
         }
     }
 }
@@ -104,15 +86,8 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
     let ops = OpSet::tdist_embedding();
     let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
     reset_kernel_profiles();
-    let strip = fusedmm_opt_with(
-        &a,
-        &x,
-        &y,
-        &ops,
-        Blocking::StripMined,
-        Some(4),
-        PartitionStrategy::NnzBalanced,
-    );
+    let uniform =
+        fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(4), PartitionStrategy::NnzBalanced);
     let hybrid = fusedmm_opt_with(
         &a,
         &x,
@@ -122,7 +97,7 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
         Some(4),
         PartitionStrategy::NnzBalanced,
     );
-    assert_eq!(strip.as_slice(), hybrid.as_slice());
+    assert_eq!(uniform.as_slice(), hybrid.as_slice());
     let labels: Vec<&str> = kernel_profiles().iter().map(|p| p.blocking).collect();
     assert!(labels.contains(&"hybrid-mega"), "mega pass missing from profiles: {labels:?}");
 }
@@ -157,7 +132,7 @@ fn reordered_hybrid_serving_bit_identical() {
                 let label =
                     format!("reordering={reordering:?} shards={nshards} cache={}", cache.is_some());
                 let cfg = EngineConfig {
-                    blocking: Some(Blocking::Hybrid(HybridConfig { short_max: 8, mega_floor: 64 })),
+                    blocking: Blocking::Hybrid(HybridConfig { short_max: 8, mega_floor: 64 }),
                     cache,
                     reordering: Some(reordering),
                     ..EngineConfig::default()

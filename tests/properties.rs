@@ -153,23 +153,48 @@ fn matrix_market_round_trip_on_random_graph() {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD backend and kernel blocking agreement (the ISA dispatch sweep)
+// SIMD backend and kernel shape agreement (the ISA dispatch sweep)
 // ---------------------------------------------------------------------------
 
-/// The dimensions the dispatch rework targets: generated const dims
-/// (8), strip-minable serving dims (24/48/96/192/384) — all multiples
-/// of 8 so every blocking level below is eligible. On an AVX-512
-/// machine the whole sweep runs with 16-lane kernels as the active
-/// backend, so these cases double as the AVX-512 agreement sweep.
-const SWEEP_DIMS: [usize; 6] = [8, 24, 48, 96, 192, 384];
+/// The dimensions the kernel sweeps run at: below every lane width
+/// (1, 2, 7 — masked-tail-only rows), the widths themselves (8, 16),
+/// panel-aligned serving dims (24 … 384) and 100, which ends in the
+/// masked tail. On an AVX-512 machine the whole sweep runs with 16-lane
+/// kernels as the active backend (8-lane ones at `d ≤ 8`).
+const SWEEP_DIMS: [usize; 13] = [1, 2, 7, 8, 16, 24, 48, 64, 96, 100, 128, 192, 384];
 
-/// Odd dimensions the strip-mined family rejects; only the plan-time
-/// specialized table (masked-tail panels) and the dyn/generic levels
-/// accept them.
-const ODD_DIMS: [usize; 2] = [7, 100];
+/// Thresholds low enough that a 40-odd-row graph has short, strip *and*
+/// mega rows. The mega threshold is `max(mega_floor, nnz / parts)`, so
+/// it only comes down to `mega_floor` under a fine partition
+/// ([`sweep_parts`]).
+const ALL_CLASSES: HybridConfig = HybridConfig { short_max: 3, mega_floor: 6 };
+
+/// Everything a launch can be asked to run at dimension `d`: the
+/// default, every shape the table compiles for the active backend,
+/// hybrid scheduling under both threshold sets, and the generic kernel.
+fn sweep_blockings(d: usize) -> Vec<Blocking> {
+    use fusedmm::kernel::genkern::candidate_specs;
+    let lanes = fusedmm::kernel::active_backend().lanes();
+    let mut blockings = vec![
+        Blocking::Auto,
+        Blocking::Hybrid(HybridConfig::default()),
+        Blocking::Hybrid(ALL_CLASSES),
+        Blocking::Generic,
+    ];
+    blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
+    blockings
+}
+
+fn sweep_parts(blocking: Blocking, nrows: usize) -> Option<usize> {
+    Some(if blocking == Blocking::Hybrid(ALL_CLASSES) { nrows } else { 3 })
+}
 
 fn sweep_features(n: usize, d: usize, seed: u64) -> Dense {
     Dense::from_fn(n, d, |r, c| (((r * 131 + c * 17) as f32 + seed as f32) * 0.013).sin() * 0.3)
+}
+
+fn bits(z: &[f32]) -> Vec<u32> {
+    z.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Clamp an arbitrary COO into a 40×40 square with positive weights —
@@ -184,13 +209,88 @@ fn square_graph(coo: &Coo) -> Csr {
     square.to_csr(Dedup::Sum)
 }
 
+/// What a kernel could get wrong, in 48 rows: zero-degree rows (must
+/// become `+0.0`), rows longer than every message-chunk depth (first
+/// chunk overwrites, later ones resume), unsorted rows, duplicate
+/// columns, and edge values 0.0 and 1.0 among the rest.
+fn hostile_graph() -> Csr {
+    const N: usize = 48;
+    let (mut rowptr, mut colidx, mut values) = (vec![0usize], Vec::new(), Vec::new());
+    for u in 0..N {
+        let degree = match u {
+            1 => 100, // wraps the column space: duplicates, > 64
+            7 => 70,
+            _ if u % 6 == 0 => 0,
+            _ => 1 + u % 5,
+        };
+        for k in 0..degree {
+            colidx.push((u * 7 + k * 13) % N);
+            values.push(0.25 * (k % 5) as f32);
+        }
+        if degree > 0 && u % 4 == 1 {
+            colidx.push((u * 7) % N); // the first column again
+            values.push(1.0);
+        }
+        rowptr.push(colidx.len());
+    }
+    let a = Csr::from_parts(N, N, rowptr, colidx, values).unwrap();
+    assert!(a.max_degree() > 64 && (0..N).any(|u| a.row_nnz(u) == 0));
+    a
+}
+
+/// Run `check(blocking, z)` for every [`sweep_blockings`] entry at `d`,
+/// having asserted that every specialized shape and both hybrid
+/// configurations are `to_bits`-equal to `Blocking::Auto`.
+fn sweep_launches(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    mut check: impl FnMut(Blocking, &Dense),
+) {
+    use fusedmm::kernel::fusedmm_opt_with;
+    let d = x.ncols();
+    let nnz = PartitionStrategy::NnzBalanced;
+    let auto = bits(fusedmm_opt_with(a, x, y, ops, Blocking::Auto, Some(3), nnz).as_slice());
+    for blocking in sweep_blockings(d) {
+        let z = fusedmm_opt_with(a, x, y, ops, blocking, sweep_parts(blocking, a.nrows()), nnz);
+        if blocking != Blocking::Generic {
+            assert!(
+                bits(z.as_slice()) == auto,
+                "{:?}/{:?} {blocking:?} d={d}: differs from Auto in some bit",
+                ops.pattern,
+                ops.sop
+            );
+        }
+        check(blocking, &z);
+    }
+}
+
+/// [`sweep_launches`], with every launch — the generic kernel included
+/// — also within `tol` (relative to the result's magnitude) of the
+/// naive reference.
+fn sweep_against_reference(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, tol: f32) {
+    let reference = fusedmm_reference(a, x, y, ops);
+    let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    sweep_launches(a, x, y, ops, |blocking, z| {
+        assert!(
+            z.max_abs_diff(&reference) < tol * scale,
+            "{:?}/{:?} {blocking:?} d={}: diff {}",
+            ops.pattern,
+            ops.sop,
+            x.ncols(),
+            z.max_abs_diff(&reference)
+        );
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn simd_backends_match_scalar_within_1e5(seed in 0u64..500) {
         use fusedmm::kernel::simd::{axpy_with, dot_with, sqdist_with};
-        for d in SWEEP_DIMS.into_iter().chain(ODD_DIMS) {
+        for d in SWEEP_DIMS {
             let x: Vec<f32> =
                 (0..d).map(|i| (((i as u64 * 29 + seed) % 97) as f32 * 0.01).sin() * 0.5).collect();
             let y: Vec<f32> =
@@ -214,10 +314,13 @@ proptest! {
         }
     }
 
+    /// Every way of running a recognized pattern agrees: all shapes of
+    /// the kernel table and both hybrid configurations with
+    /// `Blocking::Auto` bit for bit ([`sweep_launches`]), and all of
+    /// them — the generic kernel included — with the naive reference
+    /// within tolerance, at every sweep dimension.
     #[test]
     fn blocking_levels_agree_across_serving_dims(coo in arb_coo(), seed in 0u64..100) {
-        use fusedmm::kernel::fusedmm_opt_with;
-        use fusedmm::kernel::genkern::GENERATED_DIMS;
         let a = square_graph(&coo);
         for d in SWEEP_DIMS {
             let x = sweep_features(40, d, seed);
@@ -229,85 +332,47 @@ proptest! {
                 // sqrt amplifies association differences near zero
                 (OpSet::fr_model(0.4), 1e-4),
             ] {
-                let reference = fusedmm_reference(&a, &x, &y, &ops);
-                let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let mut blockings =
-                    vec![Blocking::Auto, Blocking::DynStrips, Blocking::StripMined];
-                if GENERATED_DIMS.contains(&d) {
-                    blockings.push(Blocking::RegisterBlocked);
-                }
-                for blocking in blockings {
-                    let z = fusedmm_opt_with(
-                        &a, &x, &y, &ops, blocking, Some(3), PartitionStrategy::NnzBalanced,
-                    );
-                    prop_assert!(
-                        z.max_abs_diff(&reference) < tol * scale,
-                        "{:?} {:?} d={}: diff {}",
-                        ops.pattern, blocking, d, z.max_abs_diff(&reference)
-                    );
-                }
+                sweep_against_reference(&a, &x, &y, &ops, tol);
             }
         }
     }
 
-    /// The plan-time specialized table and the hybrid executor accept
-    /// every dimension — including odd ones the strip family rejects —
-    /// and agree with the naive reference for every candidate shape on
-    /// the active (on this machine: widest available) backend.
+    /// The same sweep on a graph where the hybrid classes all occur and
+    /// rows outlast every message chunk ([`hostile_graph`]), with the
+    /// table-lookup sigmoid among the patterns — including the dims
+    /// hybrid scheduling used to decline (8, 16, 64) and `d` below the
+    /// lane width.
     #[test]
-    fn specialized_table_and_hybrid_cover_odd_dims(coo in arb_coo(), seed in 0u64..100) {
-        use fusedmm::kernel::fusedmm_opt_with;
-        use fusedmm::kernel::genkern::candidate_specs;
-        use fusedmm::kernel::simd::active_backend;
-        let a = square_graph(&coo);
-        let lanes = active_backend().lanes();
-        for d in SWEEP_DIMS.into_iter().chain(ODD_DIMS) {
-            let x = sweep_features(40, d, seed);
-            let y = sweep_features(40, d, seed + 7);
+    fn specialized_table_and_hybrid_cover_odd_dims(seed in 0u64..100) {
+        let a = hostile_graph();
+        let lut = std::sync::Arc::new(SigmoidLut::default_table());
+        for d in SWEEP_DIMS {
+            let x = sweep_features(a.nrows(), d, seed);
+            let y = sweep_features(a.nrows(), d, seed + 7);
             for (ops, tol) in [
                 (OpSet::sigmoid_embedding(None), 1e-5f32),
+                // A table lookup can land one entry off when the dot
+                // product differs in its last bits: one table step of
+                // slack per edge.
+                (OpSet::sigmoid_embedding(Some(lut.clone())), 2e-3),
                 (OpSet::gcn(), 1e-5),
                 (OpSet::fr_model(0.4), 1e-4),
             ] {
-                let reference = fusedmm_reference(&a, &x, &y, &ops);
-                let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let mut blockings: Vec<Blocking> = candidate_specs(lanes, d, true)
-                    .into_iter()
-                    .map(Blocking::Specialized)
-                    .collect();
-                // Hybrid routes through the same specialized shapes per
-                // degree class (short/strip/mega) at strip *and* dyn
-                // resolved levels, so odd d exercises its masked tails.
-                blockings.push(Blocking::Hybrid(HybridConfig::default()));
-                for blocking in blockings {
-                    let z = fusedmm_opt_with(
-                        &a, &x, &y, &ops, blocking, Some(3), PartitionStrategy::NnzBalanced,
-                    );
-                    prop_assert!(
-                        z.max_abs_diff(&reference) < tol * scale,
-                        "{:?} {:?} d={}: diff {}",
-                        ops.pattern, blocking, d, z.max_abs_diff(&reference)
-                    );
-                }
+                sweep_against_reference(&a, &x, &y, &ops, tol);
             }
         }
     }
 
     /// The labelled NCE-gradient SOP `σ(s) − a_uv` runs the recognized
-    /// sigmoid kernels: every level the dimension admits, every
-    /// candidate shape on the active backend and the hybrid executor
-    /// (default thresholds, and thresholds low enough that a 40-row
-    /// graph has short, strip *and* mega rows) agree with the naive
-    /// reference — on a step-matrix-shaped operand: mixed 0/1 edge
-    /// values, unsorted rows, and the same column under both labels.
+    /// sigmoid kernels: every shape on the active backend and the
+    /// hybrid executor agree with the naive reference — on a
+    /// step-matrix-shaped operand: mixed 0/1 edge values, unsorted
+    /// rows, and the same column under both labels.
     #[test]
     fn nce_gradient_agrees_on_labelled_rows_with_duplicate_columns(
         coo in arb_coo(),
         seed in 0u64..100,
     ) {
-        use fusedmm::kernel::fusedmm_opt_with;
-        use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
-        use fusedmm::kernel::simd::active_backend;
         // Entries in arrival order, label by sign; every non-empty row
         // then repeats its first column under the opposite label.
         let mut rows: Vec<Vec<(usize, f32)>> = vec![Vec::new(); 40];
@@ -326,46 +391,16 @@ proptest! {
             rowptr.push(colidx.len());
         }
         let a = Csr::from_parts(40, 40, rowptr, colidx, labels).unwrap();
-        let lanes = active_backend().lanes();
         let lut = std::sync::Arc::new(SigmoidLut::default_table());
-        // The mega threshold is `max(mega_floor, nnz / parts)`: only a
-        // fine partition lets it come down to `mega_floor` here.
-        let all_classes = HybridConfig { short_max: 3, mega_floor: 6 };
-        for d in SWEEP_DIMS.into_iter().chain([128]).chain(ODD_DIMS) {
+        for d in SWEEP_DIMS {
             let x = sweep_features(40, d, seed);
             let y = sweep_features(40, d, seed + 7);
-            let mut blockings = vec![
-                Blocking::Auto,
-                Blocking::DynStrips,
-                Blocking::Hybrid(HybridConfig::default()),
-                Blocking::Hybrid(all_classes),
-            ];
-            if d.is_multiple_of(8) {
-                blockings.push(Blocking::StripMined);
-            }
-            if GENERATED_DIMS.contains(&d) {
-                blockings.push(Blocking::RegisterBlocked);
-            }
-            blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
-            // A table lookup can land one entry off when the dot product
-            // differs in its last bits: one table step of slack per edge.
+            // One table step of slack per edge for the lookup, as above.
             for (ops, tol) in [
                 (OpSet::nce_gradient(None), 1e-5f32),
                 (OpSet::nce_gradient(Some(lut.clone())), 2e-3),
             ] {
-                let reference = fusedmm_reference(&a, &x, &y, &ops);
-                let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                for &blocking in &blockings {
-                    let parts = if blocking == Blocking::Hybrid(all_classes) { 40 } else { 3 };
-                    let z = fusedmm_opt_with(
-                        &a, &x, &y, &ops, blocking, Some(parts), PartitionStrategy::NnzBalanced,
-                    );
-                    prop_assert!(
-                        z.max_abs_diff(&reference) < tol * scale,
-                        "{:?} {:?} d={}: diff {}",
-                        ops.sop, blocking, d, z.max_abs_diff(&reference)
-                    );
-                }
+                sweep_against_reference(&a, &x, &y, &ops, tol);
             }
         }
     }
@@ -374,45 +409,18 @@ proptest! {
 /// The overwrite contract of the `_into` entry points: every row of a
 /// caller-owned output is written on every call and nothing it held is
 /// read. For every recognized pattern (and the generic fallback), every
-/// dimension class, every blocking level the dimension admits — each
-/// candidate shape of the specialized table and both hybrid
-/// configurations included — running into a NaN-filled `z` leaves
-/// exactly the bits of the allocating call. The matrix has what a
-/// kernel could get wrong: zero-degree rows (must become `+0.0`), rows
-/// longer than every message-chunk depth (first chunk overwrites, later
-/// ones resume), unsorted rows and duplicate columns. Runs on whichever
-/// backend is active, so each forced-backend CI arm checks its own.
+/// sweep dimension and everything a launch can be asked to run — each
+/// shape of the kernel table and both hybrid configurations included —
+/// running into a NaN-filled `z` leaves exactly the bits of the
+/// allocating call, on [`hostile_graph`]. Runs on whichever backend is
+/// active, so each forced-backend CI arm checks its own.
 #[test]
 fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
-    use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
-    use fusedmm::kernel::simd::active_backend;
-    use fusedmm::kernel::{fusedmm_opt_into, fusedmm_opt_with};
+    use fusedmm::kernel::fusedmm_opt_into;
 
-    const N: usize = 48;
-    let (mut rowptr, mut colidx, mut values) = (vec![0usize], Vec::new(), Vec::new());
-    for u in 0..N {
-        let degree = match u {
-            1 => 100, // wraps the column space: duplicates, > 64
-            7 => 70,
-            _ if u % 6 == 0 => 0,
-            _ => 1 + u % 5,
-        };
-        for k in 0..degree {
-            colidx.push((u * 7 + k * 13) % N);
-            values.push(0.25 * (k % 5) as f32); // 0.0 and 1.0 among them
-        }
-        if degree > 0 && u % 4 == 1 {
-            colidx.push((u * 7) % N); // the first column again
-            values.push(1.0);
-        }
-        rowptr.push(colidx.len());
-    }
-    let a = Csr::from_parts(N, N, rowptr, colidx, values).unwrap();
-    assert!(a.max_degree() > 64 && (0..N).any(|u| a.row_nnz(u) == 0));
-
-    let lanes = active_backend().lanes();
+    let a = hostile_graph();
+    let n = a.nrows();
     let lut = std::sync::Arc::new(SigmoidLut::default_table());
-    let all_classes = HybridConfig { short_max: 3, mega_floor: 6 };
     let generic_only = {
         use fusedmm::ops::{AOp, MOp, ROp, SOp, VOp};
         OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Max)
@@ -426,31 +434,14 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
         OpSet::tdist_embedding(),
         generic_only,
     ];
-    let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for d in SWEEP_DIMS.into_iter().chain([128]).chain(ODD_DIMS) {
-        let x = sweep_features(N, d, 3);
-        let y = sweep_features(N, d, 11);
-        let mut blockings = vec![
-            Blocking::Auto,
-            Blocking::DynStrips,
-            Blocking::Generic,
-            Blocking::Hybrid(HybridConfig::default()),
-            Blocking::Hybrid(all_classes),
-        ];
-        if d.is_multiple_of(8) {
-            blockings.push(Blocking::StripMined);
-        }
-        if GENERATED_DIMS.contains(&d) {
-            blockings.push(Blocking::RegisterBlocked);
-        }
-        blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
+    for d in SWEEP_DIMS {
+        let x = sweep_features(n, d, 3);
+        let y = sweep_features(n, d, 11);
         for ops in &opsets {
-            for &blocking in &blockings {
-                // `nnz / parts` bounds the mega threshold from below.
-                let parts = Some(if blocking == Blocking::Hybrid(all_classes) { N } else { 3 });
+            sweep_launches(&a, &x, &y, ops, |blocking, want| {
                 let strategy = PartitionStrategy::NnzBalanced;
-                let want = fusedmm_opt_with(&a, &x, &y, ops, blocking, parts, strategy);
-                let mut z = vec![f32::NAN; N * d];
+                let mut z = vec![f32::NAN; n * d];
+                let parts = sweep_parts(blocking, n);
                 fusedmm_opt_into(&a, &x, &y, ops, blocking, parts, strategy, &mut z);
                 assert!(
                     bits(&z) == bits(want.as_slice()),
@@ -458,13 +449,111 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
                     ops.pattern,
                     ops.sop
                 );
-                for u in (0..N).filter(|&u| a.row_nnz(u) == 0) {
+                for u in (0..n).filter(|&u| a.row_nnz(u) == 0) {
                     assert!(
                         z[u * d..(u + 1) * d].iter().all(|v| v.to_bits() == 0),
                         "{:?} {blocking:?} d={d}: empty row {u} is not +0.0",
                         ops.pattern
                     );
                 }
+            });
+        }
+    }
+}
+
+/// FNV-1a over the output's `to_bits`, little-endian.
+fn fnv(z: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in z {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Bits pinned across the commit that deleted the const / strip / dyn
+/// kernel levels. The hashes were recorded at its parent (2007abf) from
+/// the strip-mined level's output — one table, because AVX2 and AVX-512
+/// are bit-identical — on [`hostile_graph`] with features that are exact
+/// binary fractions (no libm in the inputs), at d ∈ {48, 96, 128, 192}.
+/// `Blocking::Auto` and every shape of the kernel table must still
+/// produce them on either x86 backend; other backends (whose fused
+/// multiply-add rounds differently) assert shape ≡ shape only.
+#[test]
+fn kernel_bits_are_stable_across_the_one_family_collapse() {
+    use fusedmm::kernel::fusedmm_opt_with;
+    use fusedmm::kernel::genkern::candidate_specs;
+
+    const DIMS: [usize; 4] = [48, 96, 128, 192];
+    let golden: [(OpSet, [u64; 4]); 5] = [
+        (
+            OpSet::gcn(),
+            [0x0fa705f1cf876741, 0x31017f2838325f1e, 0x3793c0a783676194, 0xd14da74fa6197982],
+        ),
+        (
+            OpSet::sigmoid_embedding(None),
+            [0x1564e4ce30236ba3, 0xe97759b5cdc84ce8, 0x69361fb484eb5245, 0x1a8c43acd1fe5f1f],
+        ),
+        (
+            OpSet::nce_gradient(None),
+            [0x2d47ecdbcc62a2b9, 0x2c4ef76d4fa75612, 0x9d69b8b551d05942, 0xd276d503821a222c],
+        ),
+        (
+            OpSet::fr_model(0.4),
+            [0xf0abd3dbb71232aa, 0x9c7737958a83b9cb, 0xdd1b73f59af196ab, 0x39afeea379721d57],
+        ),
+        (
+            OpSet::tdist_embedding(),
+            [0x5f99cce78f19ec66, 0x90d35afb7eb95829, 0x6496cfe3cc97531d, 0x3788e93e677c8d54],
+        ),
+    ];
+    let exact_features = |n: usize, d: usize, seed: usize| {
+        Dense::from_fn(n, d, |r, c| ((r * 131 + c * 17 + seed * 29) % 257) as f32 / 256.0 - 0.5)
+    };
+    let a = hostile_graph();
+    let backend = fusedmm::kernel::active_backend();
+    let pinned = matches!(backend, Backend::Avx2Fma | Backend::Avx512);
+    for (ops, hashes) in &golden {
+        for (d, &want) in DIMS.into_iter().zip(hashes) {
+            let x = exact_features(a.nrows(), d, 3);
+            let y = exact_features(a.nrows(), d, 11);
+            let run = |blocking| {
+                let nnz = PartitionStrategy::NnzBalanced;
+                fnv(fusedmm_opt_with(&a, &x, &y, ops, blocking, Some(3), nnz).as_slice())
+            };
+            let auto = run(Blocking::Auto);
+            if pinned {
+                assert_eq!(auto, want, "{:?} d={d} on {backend}: Auto moved", ops.pattern);
+            }
+            for spec in candidate_specs(backend.lanes(), d, true) {
+                let got = run(Blocking::Specialized(spec));
+                assert_eq!(got, auto, "{:?} d={d} on {backend}: {}", ops.pattern, spec.label());
+            }
+        }
+    }
+}
+
+/// The shape a launch runs is a rule, not a measurement: for every lane
+/// width a backend reports and every `d`, the default is a grid point
+/// and one of the candidates the shape-table bench sweeps.
+#[test]
+fn the_default_shape_is_a_candidate_at_every_dim_and_lane_width() {
+    use fusedmm::kernel::genkern::{candidate_specs, KernelSpec};
+    let mut lane_widths: Vec<usize> = Backend::ALL.iter().map(|b| b.lanes()).collect();
+    lane_widths.sort_unstable();
+    lane_widths.dedup();
+    assert_eq!(lane_widths, [8, 16]);
+    for lanes in lane_widths {
+        for d in 1..=520usize {
+            for sddmm in [false, true] {
+                let s = KernelSpec::default_for(sddmm, d, lanes);
+                assert_eq!(KernelSpec::new(s.main_panels() as u8, s.h_chunk() as u16), Some(s));
+                assert!(
+                    candidate_specs(lanes, d, sddmm).contains(&s),
+                    "default {} is not a candidate at lanes={lanes} d={d} sddmm={sddmm}",
+                    s.label()
+                );
             }
         }
     }
@@ -474,9 +563,20 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
 fn active_backend_is_reported_and_available() {
     let report = fusedmm::kernel::cpu_features();
     assert!(report.backend.is_available());
-    // FUSEDMM_FORCE_SCALAR must pin the scalar backend (exercised as a
-    // dedicated CI matrix arm; here we only check consistency).
-    if report.forced_scalar {
-        assert_eq!(report.backend, Backend::Scalar);
+    assert_eq!(report.backend, fusedmm::kernel::active_backend());
+    // FUSEDMM_FORCE_BACKEND must be honored when the CPU can run the
+    // request (`scalar` always can; each name is a dedicated CI matrix
+    // arm) and recorded as refused when it cannot.
+    let request = std::env::var("FUSEDMM_FORCE_BACKEND").unwrap_or_default();
+    let named = Backend::ALL
+        .iter()
+        .find(|b| b.label().trim_end_matches("+fma") == request.trim().to_ascii_lowercase());
+    if let Some(&named) = named {
+        if named.is_available() {
+            assert_eq!(report.backend, named);
+            assert_eq!(report.forced_unavailable, None);
+        } else {
+            assert_eq!(report.forced_unavailable, Some(named));
+        }
     }
 }

@@ -18,7 +18,6 @@ use fusedmm::prelude::*;
 fn fault_free_config() -> EngineConfig {
     EngineConfig {
         coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()
@@ -241,7 +240,6 @@ proptest! {
             3,
             EngineConfig {
                 coalesce_window: Duration::ZERO,
-                blocking: Some(Blocking::Auto),
                 cache: Some(CacheConfig::default()),
                 admission: Some(AdmissionPolicy {
                     max_inflight: cap as usize,

@@ -181,7 +181,6 @@ proptest! {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

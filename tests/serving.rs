@@ -120,11 +120,7 @@ fn engine_serves_concurrent_overlapping_batches() {
         feats.clone(),
         feats,
         ops,
-        EngineConfig {
-            coalesce_window: Duration::from_micros(20),
-            blocking: Some(Blocking::Auto),
-            ..EngineConfig::default()
-        },
+        EngineConfig { coalesce_window: Duration::from_micros(20), ..EngineConfig::default() },
     );
 
     let threads = 8;
@@ -164,11 +160,8 @@ fn ring_fixture(n: usize, d: usize) -> (Csr, Dense, EngineConfig) {
     for u in 0..n {
         c.push(u, (u + 1) % n, 1.0);
     }
-    let cfg = EngineConfig {
-        coalesce_window: Duration::from_micros(20),
-        blocking: Some(Blocking::Auto),
-        ..EngineConfig::default()
-    };
+    let cfg =
+        EngineConfig { coalesce_window: Duration::from_micros(20), ..EngineConfig::default() };
     (c.to_csr(Dedup::Sum), Dense::filled(n, d, 1.0), cfg)
 }
 
@@ -300,11 +293,7 @@ fn sharded_engines_are_bit_identical_to_the_single_engine() {
     let x = random_features(n, d, 0.5, 11);
     let y = random_features(n, d, 0.5, 12);
     let ops = OpSet::sigmoid_embedding(None);
-    let cfg = EngineConfig {
-        coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
     let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), cfg.clone());
 
     let nodes: Vec<usize> = (0..40).map(|i| (i * 13 + 5) % n).chain([7, 7, 149, 0]).collect();
@@ -343,11 +332,7 @@ fn shared_store_updates_every_engine_at_once() {
     }
     let a = c.to_csr(Dedup::Sum);
     let store = Arc::new(FeatureStore::new(Dense::filled(n, d, 1.0), Dense::filled(n, d, 1.0)));
-    let cfg = EngineConfig {
-        coalesce_window: Duration::ZERO,
-        blocking: Some(Blocking::Auto),
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
     let plain = Engine::with_store(a.clone(), Arc::clone(&store), OpSet::gcn(), cfg.clone());
     let sharded = ShardedEngine::with_store(a, Arc::clone(&store), OpSet::gcn(), 2, cfg);
     store.publish(Dense::filled(n, d, 5.0), Dense::filled(n, d, 5.0));
@@ -387,12 +372,7 @@ impl AnyEngine {
         ops: OpSet,
         coalesce_window: Duration,
     ) -> AnyEngine {
-        let cfg = EngineConfig {
-            coalesce_window,
-            blocking: Some(Blocking::Auto),
-            cache,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig { coalesce_window, cache, ..EngineConfig::default() };
         if shards <= 1 {
             AnyEngine::Single(Engine::new(a, x, y, ops, cfg))
         } else {
@@ -954,13 +934,7 @@ fn engine_edge_scores_match_direct_sddmm() {
     let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 3 + 1) % n)).collect();
     let direct = score_edges(&a, &pairs, &x, &y, &ops);
 
-    let engine = Engine::new(
-        a,
-        x.clone(),
-        y,
-        ops,
-        EngineConfig { blocking: Some(Blocking::Auto), ..EngineConfig::default() },
-    );
+    let engine = Engine::new(a, x.clone(), y, ops, EngineConfig::default());
     let served = engine.score_edges(&pairs).unwrap();
     assert_eq!(served.len(), direct.len());
     for (i, (s, d)) in served.iter().zip(&direct).enumerate() {
