@@ -19,14 +19,20 @@
 //! with `a_uv = 1` on true neighbours and `0` on sampled negatives the
 //! scale is `σ(x_u·x_v) − a_uv` on every edge
 //! ([`OpSet::nce_gradient`]), a recognized sigmoid-embedding kernel.
-//! The fused backend therefore builds one `batch × n` matrix per step
-//! and launches once:
+//! The fused backend therefore rebuilds one `batch × n` matrix per step
+//! and launches once — and the launch hands back the dot products it
+//! made, so the monitoring loss is a softplus over stored scalars, not
+//! a second pass over the neighbour rows:
 //!
 //! ```text
-//!   adj.row(u) ─┐ label 1
-//!               ├─► step (batch × n CSR) ─► fusedmm_opt ─► ∂L/∂x_b ─► SGD in place
-//!   sampler    ─┘ label 0        x_b ─────┘        └─ Y = the embedding itself
+//!   adj.row(u) ─┐ label 1                                  ┌─► ∂L/∂x_b ─► SGD in place
+//!               ├─► step (batch × n CSR) ─► scored launch ─┤
+//!   sampler    ─┘ label 0        x_b ─────┘   Y = emb      └─► scores ─► Σ softplus(−s)
+//!                                                              (label-1 prefix of each row)
 //! ```
+//!
+//! Step matrix, `x_b`, gradient and scores all live in the trainer and
+//! are overwritten every step.
 //!
 //! The unfused backend keeps the two terms apart — the positive one as
 //! a custom SOP `s ↦ σ(s) − 1` ("FusedMM can directly take a scaling
@@ -35,7 +41,7 @@
 //! dense backend forms full `batch × n` score matrices like an eager
 //! PyTorch implementation.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,14 +49,14 @@ use rand::{Rng, SeedableRng};
 use fusedmm_baseline::tensor::{dense_mask, OpTally, Tensor};
 use fusedmm_baseline::unfused::unfused_pipeline;
 use fusedmm_core::driver::INLINE_LAUNCH_WORK;
-use fusedmm_core::{fusedmm_opt_into, Blocking, Partition, PartitionStrategy};
+use fusedmm_core::{fusedmm_opt_scored_into, Blocking, Partition, PartitionStrategy};
 use fusedmm_ops::{sigmoid, AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use fusedmm_sparse::slice::{batches, gather_rows, slice_rows};
+use fusedmm_sparse::slice::{batches, gather_rows_into, slice_rows};
 use fusedmm_sparse::BufferHome;
 
-use crate::sampler::NegativeSampler;
+use crate::sampler::{NegativeSampler, StepMatrix};
 
 /// Which kernel strategy drives training (the three rows of Table VIII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +123,11 @@ pub struct Force2Vec {
     /// steps and epochs: each step takes it, overwrites it, applies it
     /// and lets it park again.
     grad_home: BufferHome,
+    /// The gathered batch rows `x_b`, recycled the same way.
+    xb_home: BufferHome,
+    /// The fused step's labelled matrix and the scores its launch hands
+    /// back, both overwritten every step.
+    step: Mutex<(StepMatrix, Vec<f32>)>,
 }
 
 impl Force2Vec {
@@ -124,7 +135,13 @@ impl Force2Vec {
     pub fn new(adj: Csr, cfg: Force2VecConfig) -> Self {
         assert_eq!(adj.nrows(), adj.ncols(), "Force2Vec expects a square adjacency matrix");
         assert!(cfg.dim > 0 && cfg.batch_size > 0 && cfg.epochs > 0);
-        Force2Vec { adj, cfg, grad_home: BufferHome::new() }
+        Force2Vec {
+            adj,
+            cfg,
+            grad_home: BufferHome::new(),
+            xb_home: BufferHome::new(),
+            step: Mutex::default(),
+        }
     }
 
     /// The positive-term operator set: `(MUL, RSUM, σ(s)−1, MUL, ASUM)`.
@@ -172,16 +189,22 @@ impl Force2Vec {
         let mut loss_sum = 0.0f64;
         let mut loss_terms = 0usize;
         for batch in batch_list {
-            let xb = gather_rows(emb, batch);
+            let mut xb = Dense::recycled(&self.xb_home, batch.len(), emb.ncols());
+            gather_rows_into(emb, batch, &mut xb);
 
             // The gradient (in one piece or two) and the monitoring
             // loss on the positive edges, both from pre-update rows.
             let (grad, grad_neg, (l, t)) = match cfg.backend {
                 Backend::Fused => {
-                    let step = sampler.labelled_batch(&self.adj, batch);
+                    // A panic mid-step leaves buffers the next step
+                    // overwrites anyway.
+                    let mut kept = self.step.lock().unwrap_or_else(|e| e.into_inner());
+                    let (step, scores) = &mut *kept;
+                    sampler.labelled_batch_into(&self.adj, batch, step);
+                    scores.resize(step.adj().nnz(), 0.0);
                     let mut grad = Dense::recycled(&self.grad_home, batch.len(), emb.ncols());
-                    fusedmm_opt_into(
-                        &step,
+                    fusedmm_opt_scored_into(
+                        step.adj(),
                         &xb,
                         emb,
                         &OpSet::nce_gradient(None),
@@ -189,9 +212,9 @@ impl Force2Vec {
                         None,
                         PartitionStrategy::NnzBalanced,
                         grad.as_mut_slice(),
+                        scores,
                     );
-                    let positives = |i: usize| self.adj.row_nnz(batch[i]);
-                    (grad, None, positive_loss(&step, positives, &xb, emb))
+                    (grad, None, scored_loss(step, scores))
                 }
                 Backend::Unfused | Backend::DenseTensor => {
                     let mb = slice_rows(&self.adj, batch);
@@ -251,10 +274,23 @@ fn init_embedding(n: usize, d: usize, seed: u64) -> Dense {
 }
 
 /// `Σ −ln σ(x_u·x_v)` and the term count over the positive edges of a
-/// batch matrix: the leading `positives(i)` entries of each row `i` of
-/// `a` (all of them for a plain slice, the label-1 prefix for a
-/// labelled step matrix). Row bands run on the pool, or one after the
-/// other on the caller for a step under [`INLINE_LAUNCH_WORK`].
+/// fused step, from the scores its launch stored: the label-1 prefix of
+/// every row, folded once in row order — so the value does not depend
+/// on the thread count.
+fn scored_loss(step: &StepMatrix, scores: &[f32]) -> (f64, usize) {
+    let (mut sum, mut terms) = (SoftplusSum::default(), 0usize);
+    for (&lo, &positives) in step.adj().rowptr().iter().zip(step.positives()) {
+        scores[lo..lo + positives].iter().for_each(|&s| sum.add(-s));
+        terms += positives;
+    }
+    (sum.total(), terms)
+}
+
+/// The same sum for the baseline arms, which keep no scores: every dot
+/// product over the positive edges of a batch matrix is recomputed —
+/// the leading `positives(i)` entries of each row `i` of `a`. Row bands
+/// run on the pool, or one after the other on the caller for a step
+/// under [`INLINE_LAUNCH_WORK`].
 fn positive_loss(
     a: &Csr,
     positives: impl Fn(usize) -> usize + Sync,
@@ -349,6 +385,12 @@ mod tests {
     use super::*;
     use fusedmm_core::fusedmm_opt;
     use fusedmm_graph::planted::planted_partition;
+    use fusedmm_sparse::slice::gather_rows;
+
+    /// Run `f` with `rayon::current_num_threads() == width`.
+    fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap().install(f)
+    }
 
     fn tiny_graph() -> Csr {
         planted_partition(60, 2, 6.0, 1.0, 11).adj
@@ -444,6 +486,56 @@ mod tests {
             (loss - want_loss).abs() <= 1e-5 * want_loss.abs(),
             "softplus loss {loss} vs ln σ loss {want_loss}"
         );
+    }
+
+    /// The scores the launch hands back are the dot products the old
+    /// second pass recomputed, and the fused loss is that pass's sum
+    /// folded as one band.
+    #[test]
+    fn scored_loss_is_the_one_band_positive_loss_bit_for_bit() {
+        let adj = tiny_graph();
+        let n = adj.nrows();
+        let mut emb = init_embedding(n, 16, 5);
+        emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
+        let batch: Vec<usize> = (0..n).rev().step_by(2).collect();
+        let mut step = StepMatrix::default();
+        NegativeSampler::new(n, 3, 77).labelled_batch_into(&adj, &batch, &mut step);
+        let xb = gather_rows(&emb, &batch);
+        let mut grad = Dense::zeros(batch.len(), 16);
+        let mut scores = vec![f32::NAN; step.adj().nnz()];
+        fusedmm_opt_scored_into(
+            step.adj(),
+            &xb,
+            &emb,
+            &OpSet::nce_gradient(None),
+            Blocking::Auto,
+            None,
+            PartitionStrategy::NnzBalanced,
+            grad.as_mut_slice(),
+            &mut scores,
+        );
+        let (loss, terms) = scored_loss(&step, &scores);
+        let positives = |i: usize| step.positives()[i];
+        let (one_band, one_terms) = at_width(1, || positive_loss(step.adj(), positives, &xb, &emb));
+        assert_eq!(terms, one_terms);
+        assert_eq!(loss.to_bits(), one_band.to_bits(), "{loss} vs {one_band}");
+        // What the trainer computed before: two bands at two threads.
+        let (two_bands, _) = at_width(2, || positive_loss(step.adj(), positives, &xb, &emb));
+        assert!((loss - two_bands).abs() <= 1e-12 * two_bands.abs(), "{loss} vs {two_bands}");
+    }
+
+    /// Neither the embedding nor — now that the loss is one fold in row
+    /// order — the loss trace depends on the thread count.
+    #[test]
+    fn fused_training_is_bit_identical_across_thread_counts() {
+        let run = |width| {
+            at_width(width, || Force2Vec::new(tiny_graph(), tiny_cfg(Backend::Fused)).train())
+        };
+        let (one, two) = (run(1), run(2));
+        let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.losses), bits(&two.losses));
+        let bits = |m: &Dense| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.embedding), bits(&two.embedding));
     }
 
     #[test]

@@ -14,6 +14,36 @@ use rand::{Rng, SeedableRng};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 
+/// One training step's labelled `batch × n` matrix, kept by the trainer
+/// and rebuilt in place every step
+/// ([`NegativeSampler::labelled_batch_into`]): the three CSR arrays are
+/// reused, and the length of every row's label-1 prefix is recorded
+/// while the row is written.
+#[derive(Debug)]
+pub struct StepMatrix {
+    adj: Csr,
+    positives: Vec<usize>,
+}
+
+impl Default for StepMatrix {
+    fn default() -> Self {
+        StepMatrix { adj: Csr::empty(0, 0), positives: Vec::new() }
+    }
+}
+
+impl StepMatrix {
+    /// The labelled matrix: row `i` holds the true neighbours of batch
+    /// vertex `i` (value 1) followed by its sampled negatives (value 0).
+    pub fn adj(&self) -> &Csr {
+        &self.adj
+    }
+
+    /// Per row, how many leading entries carry label 1.
+    pub fn positives(&self) -> &[usize] {
+        &self.positives
+    }
+}
+
 /// Uniform negative sampler with a deterministic stream.
 #[derive(Debug)]
 pub struct NegativeSampler {
@@ -67,15 +97,31 @@ impl NegativeSampler {
     /// twice for one row is stored once, as there; a negative that is
     /// also a true neighbour appears under both labels.
     pub fn labelled_batch(&mut self, adj: &Csr, batch: &[usize]) -> Csr {
+        let mut step = StepMatrix::default();
+        self.labelled_batch_into(adj, batch, &mut step);
+        step.adj
+    }
+
+    /// [`labelled_batch`](Self::labelled_batch) into a matrix the caller
+    /// keeps across steps: `step`'s arrays are cleared and refilled at
+    /// the capacity they have grown to, each batch vertex's adjacency
+    /// row is visited once, and
+    /// [`StepMatrix::positives`] records where each row's label-1
+    /// prefix ends. Same stream, same stored edges.
+    pub fn labelled_batch_into(&mut self, adj: &Csr, batch: &[usize], step: &mut StepMatrix) {
         assert_eq!(adj.ncols(), self.nvertices, "adjacency and sampler disagree on the vertex set");
-        let edges = batch.iter().map(|&u| adj.row_nnz(u) + self.per_vertex).sum();
-        let mut rowptr = Vec::with_capacity(batch.len() + 1);
-        let mut colidx = Vec::with_capacity(edges);
-        let mut values = Vec::with_capacity(edges);
+        let StepMatrix { adj: previous, mut positives } = std::mem::take(step);
+        let (mut rowptr, mut colidx, mut values) = previous.into_parts();
+        rowptr.clear();
+        colidx.clear();
+        values.clear();
+        positives.clear();
         rowptr.push(0usize);
         for &u in batch {
-            colidx.extend_from_slice(adj.row(u).0);
+            let neighbours = adj.row(u).0;
+            colidx.extend_from_slice(neighbours);
             values.resize(colidx.len(), 1.0);
+            positives.push(neighbours.len());
             let negatives = colidx.len();
             self.draw(u, |v| {
                 if !colidx[negatives..].contains(&v) {
@@ -85,8 +131,9 @@ impl NegativeSampler {
             values.resize(colidx.len(), 0.0);
             rowptr.push(colidx.len());
         }
-        Csr::from_parts(batch.len(), self.nvertices, rowptr, colidx, values)
-            .expect("rows of a valid CSR plus in-range samples form a valid CSR")
+        step.adj = Csr::from_parts(batch.len(), self.nvertices, rowptr, colidx, values)
+            .expect("rows of a valid CSR plus in-range samples form a valid CSR");
+        step.positives = positives;
     }
 }
 
@@ -171,6 +218,36 @@ mod tests {
         }
         assert!(saw_duplicate_draw, "fixture never collapsed a duplicate negative");
         assert_eq!(merged.sample_batch(&[5, 6]), split.sample_batch(&[5, 6]), "streams aligned");
+    }
+
+    /// A kept step matrix is rebuilt, not appended to: whatever the
+    /// previous step left (a longer batch, other columns) is gone, the
+    /// result equals a fresh `labelled_batch`, and the recorded prefix
+    /// lengths are the adjacency degrees.
+    #[test]
+    fn labelled_batch_into_rebuilds_a_kept_matrix() {
+        let n = 30;
+        let mut coo = Coo::new(n, n);
+        for u in 0..n {
+            for k in 0..u % 5 {
+                coo.push(u, (u * 11 + k * 7) % n, 1.0);
+            }
+        }
+        let adj = coo.to_csr(Dedup::Last);
+        let (mut kept, mut fresh) = (NegativeSampler::new(n, 4, 3), NegativeSampler::new(n, 4, 3));
+        let mut step = StepMatrix::default();
+        for batch in [vec![4usize, 9, 14, 19, 24, 29], vec![0, 5], vec![7, 7, 12]] {
+            kept.labelled_batch_into(&adj, &batch, &mut step);
+            assert_eq!(step.adj(), &fresh.labelled_batch(&adj, &batch));
+            let degrees: Vec<usize> = batch.iter().map(|&u| adj.row_nnz(u)).collect();
+            assert_eq!(step.positives(), degrees);
+            for (i, &p) in step.positives().iter().enumerate() {
+                let labels = step.adj().row(i).1;
+                assert!(
+                    labels[..p].iter().all(|&l| l == 1.0) && labels[p..].iter().all(|&l| l == 0.0)
+                );
+            }
+        }
     }
 
     #[test]

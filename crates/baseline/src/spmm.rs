@@ -35,8 +35,9 @@ pub fn gspmm(a: &Csr, h: &EdgeTensor, y: &Dense, mop: &MOp, aop: &AOp) -> Dense 
         z.as_mut_slice(),
         d,
         None,
+        None,
         PartitionStrategy::NnzBalanced,
-        |rows, band| {
+        |rows, band, _| {
             let mut w = vec![0f32; d];
             for (i, u) in rows.enumerate() {
                 let zu = &mut band[i * d..(i + 1) * d];

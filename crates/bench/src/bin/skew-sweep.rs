@@ -11,8 +11,8 @@
 //! * `uniform` — [`Blocking::Auto`], every row through the same
 //!   row kernel (the library default);
 //! * `hybrid` — [`Blocking::Hybrid`] with the default degree classes
-//!   (gathered short rows, the row kernel for the middle, span-split
-//!   mega rows) over the same kernel shape;
+//!   (the row kernel below the mega threshold, span-split mega rows)
+//!   over the same kernel shape;
 //! * `hybrid+reord` — the same hybrid kernel on the
 //!   [`Reordering::DegreeSort`]-permuted problem (permutation applied
 //!   once outside the timed region, as [`fusedmm_serve::Engine`] does
@@ -145,10 +145,8 @@ fn main() {
     let deg = env_usize("FUSEDMM_SKEW_DEG", 8);
     let d = env_usize("FUSEDMM_SKEW_D", 96);
     let guard = env_f64("FUSEDMM_SKEW_GUARD", 1.05);
-    let defaults = HybridConfig::default();
     let hybrid_cfg = HybridConfig {
-        short_max: env_usize("FUSEDMM_SKEW_SHORT_MAX", defaults.short_max),
-        mega_floor: env_usize("FUSEDMM_SKEW_MEGA_FLOOR", defaults.mega_floor),
+        mega_floor: env_usize("FUSEDMM_SKEW_MEGA_FLOOR", HybridConfig::default().mega_floor),
     };
     let nreps = reps();
     let nedges = (n * deg / 2).max(1);

@@ -14,10 +14,10 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::driver::parallel_row_bands;
-use crate::generic::{fusedmm_generic_into, validate_shapes};
+use crate::generic::{generic_launch, validate_scores, validate_shapes};
 use crate::genkern::{
-    embed_spec_kernel, entry_backend, fr_spec_kernel, spmm_spec_kernel, tdist_spec_kernel,
-    KernelSpec, SigmoidKind,
+    embed_spec_kernel, entry_backend, fr_spec_kernel, lookahead, spmm_spec_kernel,
+    tdist_spec_kernel, KernelSpec, SigmoidKind,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::{active_backend, Backend};
@@ -42,8 +42,8 @@ pub enum Blocking {
     Generic,
     /// Degree-aware row scheduling for skewed graphs, over the same
     /// kernel shape [`Blocking::Auto`] runs: rows are classified by
-    /// degree (gathered batches for short rows, the row kernel for the
-    /// middle, cooperative span-split execution for mega rows).
+    /// degree (the row kernel below the mega threshold, cooperative
+    /// span-split execution for mega rows).
     /// Engages for every recognized pattern at every `d`;
     /// bit-identical to the uniform launch.
     Hybrid(crate::hybrid::HybridConfig),
@@ -145,12 +145,70 @@ pub fn fusedmm_opt_into(
     z: &mut [f32],
 ) {
     validate_shapes(a, x, y);
+    launch(a, x, y, ops, blocking, partitions, strategy, z, None);
+}
+
+/// [`fusedmm_opt_into`] that also hands back the SDDMM scores — the
+/// same launch (there is no second body), with the per-edge scalar the
+/// kernel holds anyway written out instead of dropped. In the paper's
+/// five steps the score of edge `(u, v)` is `s_uv = ROP(VOP(x_u, y_v))`,
+/// the value the SOP consumes: `x_u · y_v` for the sigmoid family
+/// ([`OpSet::nce_gradient`] included), `‖x_u − y_v‖` for the FR and
+/// t-distribution models.
+///
+/// `scores` has one slot per stored entry of `a`, in storage order
+/// (`scores[a.rowptr()[u] + i]` belongs to the `i`-th entry of row `u`;
+/// duplicate and unsorted columns keep their own slots). The contract
+/// mirrors `z`'s: **every slot is overwritten** and nothing the buffer
+/// held is read (a zero-degree row owns no slot and writes nothing), so
+/// a caller keeps one buffer across launches. The sink cannot move the
+/// output: `z` is `to_bits`-equal to the unscored launch, and the
+/// scores themselves do not depend on the kernel shape, the partition
+/// count or where the bands run. [`Blocking::Generic`] honours the sink
+/// (it is the oracle the kernels are checked against, to rounding);
+/// [`Blocking::Hybrid`] with a sink runs the uniform row schedule it is
+/// bit-identical to.
+///
+/// # Panics
+/// As [`fusedmm_opt_into`]; when `scores.len() != a.nnz()`; and when
+/// the operator set has no ROP (GCN/SpMM, GNN-MLP), where no per-edge
+/// scalar exists.
+#[allow(clippy::too_many_arguments)]
+pub fn fusedmm_opt_scored_into(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    z: &mut [f32],
+    scores: &mut [f32],
+) {
+    validate_shapes(a, x, y);
+    validate_scores(a, ops, scores);
+    launch(a, x, y, ops, blocking, partitions, strategy, z, Some(scores));
+}
+
+/// The one launch body (operands already validated).
+#[allow(clippy::too_many_arguments)]
+fn launch(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    z: &mut [f32],
+    scores: Option<&mut [f32]>,
+) {
     let spec = if blocking == Blocking::Generic { None } else { specialize(ops) };
     let d = x.ncols();
     let backend = active_backend();
     let t0 = std::time::Instant::now();
     let Some(spec) = spec else {
-        fusedmm_generic_into(a, x, y, ops, partitions, strategy, z);
+        generic_launch(a, x, y, ops, partitions, strategy, z, scores);
         crate::profile::record_kernel(
             ops.pattern,
             d,
@@ -166,7 +224,9 @@ pub fn fusedmm_opt_into(
         Blocking::Specialized(s) => s,
         _ => spec.default_spec(d, backend),
     };
-    if let Blocking::Hybrid(cfg) = blocking {
+    // A scored hybrid launch runs the uniform schedule below: the two
+    // are bit-identical, and the staged classes have no slot to write.
+    if let (Blocking::Hybrid(cfg), None) = (blocking, &scores) {
         return crate::hybrid::execute(
             a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec, z,
         );
@@ -175,34 +235,25 @@ pub fn fusedmm_opt_into(
     match spec {
         Specialized::Embed(sk) => {
             let kern = embed_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], &sk);
-                }
+            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+                kern(xu, cols, vals, ahead, y, zu, su, &sk)
             });
         }
         Specialized::Fr(alpha) => {
             let kern = fr_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], alpha);
-                }
+            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+                kern(xu, cols, vals, ahead, y, zu, su, alpha)
             });
         }
         Specialized::TDist => {
             let kern = tdist_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d]);
-                }
+            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+                kern(xu, cols, vals, ahead, y, zu, su)
             });
         }
         Specialized::Spmm => {
             let kern = spmm_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
+            parallel_row_bands(a, z, d, None, partitions, strategy, |rows, band, _| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(cols, vals, y, &mut band[i * d..(i + 1) * d]);
@@ -219,6 +270,36 @@ pub fn fusedmm_opt_into(
         a.nrows(),
         a.nnz(),
     );
+}
+
+/// The uniform row schedule of the three SDDMM patterns: every row of
+/// every band, in storage order, as `row(x_u, cols, vals, ahead, z_u,
+/// scores_u)` — `ahead` being the row's look-ahead stream up to the end
+/// of its band (the next row's columns are the next thing this thread
+/// reads) and `scores_u` the row's slots of the score output, if any.
+fn sddmm_rows<F>(
+    a: &Csr,
+    x: &Dense,
+    z: &mut [f32],
+    scores: Option<&mut [f32]>,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    row: F,
+) where
+    F: Fn(&[f32], &[usize], &[f32], &[usize], &mut [f32], Option<&mut [f32]>) + Sync,
+{
+    let d = x.ncols();
+    let (rowptr, colidx) = (a.rowptr(), a.colidx());
+    parallel_row_bands(a, z, d, scores, partitions, strategy, |rows, band, mut edges| {
+        let (first, band_end) = (rowptr[rows.start], rowptr[rows.end]);
+        for (i, u) in rows.enumerate() {
+            let (lo, hi) = (rowptr[u], rowptr[u + 1]);
+            let (cols, vals) = a.row(u);
+            let su = edges.as_deref_mut().map(|e| &mut e[lo - first..hi - first]);
+            let ahead = lookahead(colidx, lo, band_end);
+            row(x.row(u), cols, vals, ahead, &mut band[i * d..(i + 1) * d], su);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -340,6 +421,58 @@ mod tests {
         for p in crate::profile::kernel_profiles().iter().filter(|p| p.d == d) {
             assert_eq!(p.blocking, want.label(), "both launches record the one default shape");
         }
+    }
+
+    /// Launches whose look-ahead stream has nowhere to go — one row,
+    /// fewer entries than the distance, no entries at all (and so no
+    /// score slot) — run, scored and unscored, and agree.
+    #[test]
+    fn scored_launches_cover_degenerate_shapes() {
+        let n = 9;
+        let mut one_row = Coo::new(1, n);
+        (0..7).for_each(|v| one_row.push(0, v, 0.5 + v as f32 * 0.1));
+        let mut few = Coo::new(4, n);
+        few.push(1, 8, 1.0);
+        few.push(3, 0, 0.25);
+        for a in [one_row.to_csr(Dedup::Last), few.to_csr(Dedup::Last), Csr::empty(3, n)] {
+            let (x, y) = (feats(a.nrows(), 20, 0.3), feats(n, 20, 0.6));
+            let (ops, nnz) = (OpSet::fr_model(0.3), PartitionStrategy::NnzBalanced);
+            let reference = fusedmm_reference(&a, &x, &y, &ops);
+            for parts in [1usize, 3] {
+                let z = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(parts), nnz);
+                assert!(z.max_abs_diff(&reference) < 1e-5);
+                let mut zs = vec![f32::NAN; z.as_slice().len()];
+                let mut scores = vec![f32::NAN; a.nnz()];
+                let auto = Blocking::Auto;
+                fusedmm_opt_scored_into(
+                    &a,
+                    &x,
+                    &y,
+                    &ops,
+                    auto,
+                    Some(parts),
+                    nnz,
+                    &mut zs,
+                    &mut scores,
+                );
+                assert_eq!(zs, z.as_slice());
+                for ((u, v, _), s) in a.iter().zip(&scores) {
+                    let want = crate::simd::sqdist(x.row(u), y.row(v)).sqrt();
+                    assert_eq!(s.to_bits(), want.to_bits(), "edge ({u}, {v})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per stored entry")]
+    fn scored_launch_rejects_a_short_score_buffer() {
+        let a = graph(8);
+        let x = feats(8, 8, 0.1);
+        let (mut z, mut scores) = (vec![0f32; 64], vec![0f32; a.nnz() - 1]);
+        let nnz = PartitionStrategy::NnzBalanced;
+        let ops = OpSet::sigmoid_embedding(None);
+        fusedmm_opt_scored_into(&a, &x, &x, &ops, Blocking::Auto, None, nnz, &mut z, &mut scores);
     }
 
     #[test]

@@ -33,13 +33,38 @@ pub fn validate_shapes(a: &Csr, x: &Dense, y: &Dense) {
     );
 }
 
+/// Check the per-edge score output of a scored launch: the operator
+/// set must reduce to a scalar (`s_uv = ROP(VOP(x_u, y_v))` is what is
+/// handed back) and `scores` must hold one slot per stored entry.
+///
+/// # Panics
+/// Panics when the ROP is `NOOP` (GCN/SpMM and the MLP pattern keep the
+/// vector: no per-edge scalar exists) or on a length mismatch.
+pub(crate) fn validate_scores(a: &Csr, ops: &OpSet, scores: &[f32]) {
+    assert!(
+        !ops.rop.is_noop(),
+        "a scored launch needs a scalar per edge, and {:?} has no ROP to produce one",
+        ops.pattern
+    );
+    assert_eq!(
+        scores.len(),
+        a.nnz(),
+        "scores must have one slot per stored entry of A ({}), has {}",
+        a.nnz(),
+        scores.len()
+    );
+}
+
 /// UPDATE_U (Algorithm 1 lines 9–18): generate and aggregate messages
 /// for one target vertex.
 ///
 /// `cols`/`vals` are vertex `u`'s row of `A`; `zu` is its output row,
 /// pre-filled with the AOP identity by the caller; `scratch_z` and
-/// `scratch_w` are `d`-length thread-local buffers.
+/// `scratch_w` are `d`-length thread-local buffers. With `scores` (one
+/// slot per neighbor), the ROP's scalar of every edge is stored on its
+/// way to the SOP.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn update_u(
     ops: &OpSet,
     xu: &[f32],
@@ -47,10 +72,11 @@ pub fn update_u(
     vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
+    mut scores: Option<&mut [f32]>,
     scratch_z: &mut [f32],
     scratch_w: &mut [f32],
 ) {
-    for (&v, &a) in cols.iter().zip(vals) {
+    for (i, (&v, &a)) in cols.iter().zip(vals).enumerate() {
         let yv = y.row(v);
         // Step 1: VOP
         ops.vop.apply(xu, yv, a, scratch_z);
@@ -58,6 +84,9 @@ pub fn update_u(
         // vector when ROP is a NOOP ("directly use z if ROP is a NOOP").
         match ops.rop.apply(scratch_z) {
             Some(s) => {
+                if let Some(out) = scores.as_deref_mut() {
+                    out[i] = s;
+                }
                 let h = ops.sop.apply_scalar(s, a);
                 // Step 4: MOP
                 ops.mop.apply(Message::Scalar(h), yv, a, scratch_w);
@@ -110,18 +139,39 @@ pub fn fusedmm_generic_into(
     z: &mut [f32],
 ) {
     validate_shapes(a, x, y);
+    generic_launch(a, x, y, ops, partitions, strategy, z, None);
+}
+
+/// The generic kernel's one body, behind [`fusedmm_generic_into`] and
+/// the `Blocking::Generic` arm of the scored launch (operands already
+/// validated; `scores` as in
+/// [`fusedmm_opt_scored_into`](crate::fusedmm_opt_scored_into)).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generic_launch(
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    partitions: Option<usize>,
+    strategy: PartitionStrategy,
+    z: &mut [f32],
+    scores: Option<&mut [f32]>,
+) {
     let d = x.ncols();
     let identity = ops.aop.identity();
-    parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
+    let rowptr = a.rowptr();
+    parallel_row_bands(a, z, d, scores, partitions, strategy, |rows, band, mut edges| {
         let mut scratch_z = vec![0f32; d];
         let mut scratch_w = vec![0f32; d];
+        let first = rowptr[rows.start];
         for (i, u) in rows.enumerate() {
             let zu = &mut band[i * d..(i + 1) * d];
             let (cols, vals) = a.row(u);
             // Isolated vertex: defined as the zero vector, not the AOP
             // identity (±∞ for max/min would poison consumers).
             zu.fill(if cols.is_empty() { 0.0 } else { identity });
-            update_u(ops, x.row(u), cols, vals, y, zu, &mut scratch_z, &mut scratch_w);
+            let su = edges.as_deref_mut().map(|e| &mut e[rowptr[u] - first..rowptr[u + 1] - first]);
+            update_u(ops, x.row(u), cols, vals, y, zu, su, &mut scratch_z, &mut scratch_w);
         }
     });
 }

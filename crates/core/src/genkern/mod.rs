@@ -17,8 +17,7 @@
 //! class, d, lane width)` — [`KernelSpec::default_for`].
 //!
 //! This module holds what the family's callers share: the kernel
-//! fn-pointer types, [`SigmoidKind`], and the hybrid dispatcher's
-//! [`GatheredRow`] staging struct.
+//! fn-pointer types and [`SigmoidKind`].
 
 pub mod table;
 
@@ -29,10 +28,8 @@ use fusedmm_sparse::dense::Dense;
 
 pub(crate) use table::entry_backend;
 pub use table::{
-    candidate_specs, embed_msg_kernel, embed_spec_batch_kernel, embed_spec_kernel, fr_msg_kernel,
-    fr_spec_batch_kernel, fr_spec_kernel, span_spec_kernel, spmm_spec_batch_kernel,
-    spmm_spec_kernel, tdist_msg_kernel, tdist_spec_batch_kernel, tdist_spec_kernel, KernelSpec,
-    H_CHUNK,
+    candidate_specs, embed_msg_kernel, embed_spec_kernel, fr_msg_kernel, fr_spec_kernel, lookahead,
+    span_spec_kernel, spmm_spec_kernel, tdist_msg_kernel, tdist_spec_kernel, KernelSpec, LOOKAHEAD,
 };
 
 /// Which SOP the embedding kernels apply to the dot product: a sigmoid
@@ -64,51 +61,36 @@ impl SigmoidKind {
     }
 }
 
-/// Row kernel signature for the sigmoid-embedding pattern. Like every
-/// row kernel in this module it **overwrites** its output row (the last
-/// `&mut [f32]`): the fold over the neighbors starts from `+0.0`, an
-/// empty row stores zeros, and nothing the row held is read.
-pub type EmbedRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], &SigmoidKind);
+/// Row kernel signature for the sigmoid-embedding pattern:
+/// `(x_u, cols, vals, ahead, Y, z_u, scores, SOP)`. Like every row
+/// kernel in this module it **overwrites** its output row `z_u`: the
+/// fold over the neighbors starts from `+0.0`, an empty row stores
+/// zeros, and nothing the row held is read. The three SDDMM row kernels
+/// share two more operands: `ahead`, the row's look-ahead stream
+/// ([`lookahead`]; an empty slice turns the look-ahead off), and `scores`,
+/// an optional `cols.len()`-long slice that is overwritten with the
+/// ROP's scalar per edge (`x_u · y_v` here, `‖x_u − y_v‖` for FR and
+/// t-dist). Neither changes a bit of `z_u`.
+pub type EmbedRowKernel =
+    fn(&[f32], &[usize], &[f32], &[usize], &Dense, &mut [f32], Option<&mut [f32]>, &SigmoidKind);
 /// Row kernel signature for the FR-model pattern (`alpha` = SCAL).
-pub type FrRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], f32);
+pub type FrRowKernel =
+    fn(&[f32], &[usize], &[f32], &[usize], &Dense, &mut [f32], Option<&mut [f32]>, f32);
 /// Row kernel signature for the GCN/SpMM pattern.
 pub type SpmmRowKernel = fn(&[usize], &[f32], &Dense, &mut [f32]);
 /// Row kernel signature for the t-distribution embedding pattern.
-pub type TDistRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32]);
-
-/// One short row gathered into a batch for the hybrid dispatcher's
-/// short-row class: the row's `x` slice, its neighbor list, edge values,
-/// and where in the output band the row's `z` slice lives.
-#[derive(Debug, Clone, Copy)]
-pub struct GatheredRow<'a> {
-    /// Feature row `x_u` of the batched row.
-    pub xu: &'a [f32],
-    /// Neighbor column ids of the row.
-    pub cols: &'a [usize],
-    /// Edge values aligned with `cols`.
-    pub vals: &'a [f32],
-    /// Row index *within the output band* (`z` offset is `band_row * d`).
-    pub band_row: usize,
-}
-
-/// Batched short-row kernel for the embedding pattern: several gathered
-/// rows share one SIMD sweep over a common message buffer.
-pub type EmbedBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32], &SigmoidKind);
-/// Batched short-row kernel for the FR pattern.
-pub type FrBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32], f32);
-/// Batched short-row kernel for the t-distribution pattern.
-pub type TDistBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
-/// Batched short-row kernel for the SpMM pattern.
-pub type SpmmBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
+pub type TDistRowKernel =
+    fn(&[f32], &[usize], &[f32], &[usize], &Dense, &mut [f32], Option<&mut [f32]>);
 
 /// Message-fill kernel for the embedding pattern (mega-row phase A):
 /// computes `h[i] = sop(x_u · y_{cols[i]}, vals[i])` for a column slice
 /// and its edge values.
 pub type EmbedMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &SigmoidKind, &mut [f32]);
-/// Message-fill kernel for the FR pattern.
-pub type FrMsgKernel = fn(&[f32], &[usize], &Dense, f32, &mut [f32]);
+/// Message-fill kernel for the FR pattern (the edge values ride along
+/// unread, so the three fills share one argument order).
+pub type FrMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, f32, &mut [f32]);
 /// Message-fill kernel for the t-distribution pattern.
-pub type TDistMsgKernel = fn(&[f32], &[usize], &Dense, &mut [f32]);
+pub type TDistMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32]);
 /// Column-span sweep kernel (mega-row phase B): folds *all* neighbor
 /// messages into one VLEN-aligned span `z[span_off .. span_off + w)` of
 /// the output row, in original neighbor order, overwriting the span.

@@ -54,9 +54,8 @@ use crate::simd::{Avx2Isa, Avx512Isa};
 use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 
 use super::{
-    EmbedBatchKernel, EmbedMsgKernel, EmbedRowKernel, FrBatchKernel, FrMsgKernel, FrRowKernel,
-    GatheredRow, SigmoidKind, SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel, TDistBatchKernel,
-    TDistMsgKernel, TDistRowKernel,
+    EmbedMsgKernel, EmbedRowKernel, FrMsgKernel, FrRowKernel, SigmoidKind, SpanSweepKernel,
+    SpmmRowKernel, TDistMsgKernel, TDistRowKernel,
 };
 
 /// Main-pass panel counts the table instantiates (units of the
@@ -69,10 +68,17 @@ pub const MAIN_GRID: &[u8] = &[4, 6, 8, 12, 24];
 /// no reduction (SpMM) ignore the depth; their specs pin it to 32.
 pub const HC_GRID: &[u16] = &[16, 32, 64];
 
-/// Message-buffer depth of the hybrid short-row batch kernels, and
-/// therefore how many gathered rows (and neighbors per row) the hybrid
-/// sweep stages before it flushes a batch.
-pub const H_CHUNK: usize = 32;
+/// How many positions ahead in the CSR column stream the message fill
+/// asks for a neighbor row ([`lookahead`], `fill_messages`). The fill
+/// is latency-bound — one dependent miss per edge into a `y` far larger
+/// than the cache — and the requests overlap that miss with the
+/// previous edges' arithmetic. Fixed from the interleaved table the
+/// `kernel_dispatch` bench prints (section "lookahead"; numbers in
+/// `docs/ARCHITECTURE.md`, "Look-ahead"): at d ≥ 100 distances 4, 6 and
+/// 8 are within the rounds' spread of each other and 0.70–0.83× of no
+/// look-ahead; narrower rows (d = 32) keep gaining up to 8. A constant,
+/// not a setting — re-derive it with that bench before changing it.
+pub const LOOKAHEAD: usize = 6;
 
 /// One point of the specialization grid: the shape of a monomorphized
 /// kernel. Only grid points can be constructed ([`KernelSpec::new`]),
@@ -281,23 +287,80 @@ fn panel_spec<I: SimdIsa, const MAIN: usize, const LOAD_Z: bool>(
     }
 }
 
-/// Every gathered row must fit the batch kernels' shared message
-/// buffer on its own: the bodies fill and fold one row at a time, so
-/// the buffer bounds the per-row degree, not the batch total.
+// --- the one message-fill loop ----------------------------------------------
+
+/// Cache lines are 64 bytes on every backend this crate targets.
+const LINE_F32S: usize = 16;
+
+/// The SDDMM half of every pattern with a reduction, written once:
+/// for each neighbor `v = cols[i]`, reduce `r = x_u · y_v` (or
+/// `‖x_u − y_v‖²` when `NORM`) and store the message `h[i] = f(r,
+/// vals[i])`. The row bodies and the mega-row message bodies all call
+/// it with their SOP as `f`. It is the only place that
+///
+/// * **looks ahead**: while edge `i` is reduced, every cache line of
+///   `y.row(ahead[i])` is requested — `ahead[i]` being the column id
+///   [`LOOKAHEAD`] positions after `cols[i]` in the CSR column stream
+///   (see [`lookahead`]), so the stream runs across row boundaries. An
+///   `ahead` shorter than `cols` just stops asking early, and an empty
+///   one turns the look-ahead off;
+/// * **hands the scores back**: with `scores`, slot `i` is overwritten
+///   with the ROP's scalar for edge `i` — `r` itself for a dot product,
+///   `√r` (the norm) when `NORM` — and nothing the slice held is read.
+///
+/// Neither can move a message: a prefetch changes no value, and the
+/// score is a copy of what `f` consumes.
 #[inline(always)]
-fn assert_spec_batch_fits(rows: &[GatheredRow<'_>]) {
-    for r in rows {
-        assert!(
-            r.cols.len() <= H_CHUNK,
-            "gathered row stages {} neighbors, message buffer holds {H_CHUNK}",
-            r.cols.len()
-        );
+#[allow(clippy::too_many_arguments)]
+fn fill_messages<I: SimdIsa, const NORM: bool>(
+    xu: &[f32],
+    cols: &[usize],
+    vals: &[f32],
+    ahead: &[usize],
+    y: &Dense,
+    h: &mut [f32],
+    mut scores: Option<&mut [f32]>,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
+    assert!(h.len() >= cols.len(), "fewer message slots than neighbors");
+    if let Some(s) = &scores {
+        assert_eq!(s.len(), cols.len(), "one score slot per neighbor");
+    }
+    let d = y.ncols();
+    let yp = y.as_slice().as_ptr();
+    for (i, (&v, &a)) in cols.iter().zip(vals).enumerate() {
+        if let Some(&c) = ahead.get(i) {
+            let row = yp.wrapping_add(c.wrapping_mul(d));
+            for off in (0..d).step_by(LINE_F32S) {
+                // SAFETY: `prefetch` accepts any address and never
+                // dereferences it (`SimdIsa::prefetch`), and the
+                // pointer is formed with wrapping arithmetic, so not
+                // even an out-of-range `c` is undefined behaviour; `c`
+                // itself is a checked read of `ahead`. ISA — the body is
+                // inlined into an entry the selectors hand out after
+                // `Backend::is_available()`.
+                unsafe { I::prefetch(row.wrapping_add(off)) };
+            }
+        }
+        let r = if NORM { I::sqdist(xu, y.row(v)) } else { I::dot(xu, y.row(v)) };
+        if let Some(s) = scores.as_deref_mut() {
+            s[i] = if NORM { r.sqrt() } else { r };
+        }
+        h[i] = f(r, a);
     }
 }
 
-#[inline(always)]
-fn band_row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
-    &mut band[band_row * d..(band_row + 1) * d]
+/// The look-ahead stream of the row stored at `colidx[start..]`:
+/// element `i` is the column id [`LOOKAHEAD`] positions after the row's
+/// `i`-th, and the stream stops at `end` — the end of the band for a
+/// row whose successors are adjacent in storage and run next (so the
+/// look-ahead crosses row boundaries), the end of the row itself for a
+/// staged row whose successor is not. Clamped: never indexes past
+/// `end`, and `end` must be within `colidx`.
+#[inline]
+pub fn lookahead(colidx: &[usize], start: usize, end: usize) -> &[usize] {
+    &colidx[(start + LOOKAHEAD).min(end)..end]
 }
 
 // --- shaped row kernels (uniform path) -------------------------------------
@@ -322,26 +385,37 @@ fn spec_chunk<I: SimdIsa, const MAIN: usize>(
     }
 }
 
+/// A whole SDDMM row: `HC` messages at a time through
+/// [`fill_messages`], each chunk folded while its `y` rows are in L1.
 #[inline(always)]
-fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
+#[allow(clippy::too_many_arguments)]
+fn sddmm_row<I: SimdIsa, const MAIN: usize, const HC: usize, const NORM: bool>(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
+    ahead: &[usize],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    mut scores: Option<&mut [f32]>,
+    f: impl Fn(f32, f32) -> f32,
 ) {
     let mut h = [0f32; HC];
     let mut start = 0;
     // At least one pass, so an empty row still stores its zeros.
     loop {
-        let chunk = &cols[start..(start + HC).min(cols.len())];
-        let labels = &vals[start..start + chunk.len()];
-        for (hi, (&v, &a)) in h.iter_mut().zip(chunk.iter().zip(labels)) {
-            *hi = sk.eval(I::dot(xu, y.row(v)), a);
-        }
-        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
-        start += chunk.len();
+        let stop = (start + HC).min(cols.len());
+        fill_messages::<I, NORM>(
+            xu,
+            &cols[start..stop],
+            &vals[start..stop],
+            ahead.get(start..).unwrap_or(&[]),
+            y,
+            &mut h,
+            scores.as_deref_mut().map(|s| &mut s[start..stop]),
+            &f,
+        );
+        spec_chunk::<I, MAIN>(start, &cols[start..stop], &h, y, zu);
+        start = stop;
         if start >= cols.len() {
             break;
         }
@@ -349,50 +423,46 @@ fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
 }
 
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
+    xu: &[f32],
+    cols: &[usize],
+    vals: &[f32],
+    ahead: &[usize],
+    y: &Dense,
+    zu: &mut [f32],
+    scores: Option<&mut [f32]>,
+    sk: &SigmoidKind,
+) {
+    sddmm_row::<I, MAIN, HC, false>(xu, cols, vals, ahead, y, zu, scores, |s, a| sk.eval(s, a));
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn fr_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
+    ahead: &[usize],
     y: &Dense,
     zu: &mut [f32],
+    scores: Option<&mut [f32]>,
     alpha: f32,
 ) {
-    let mut h = [0f32; HC];
-    let mut start = 0;
-    loop {
-        let chunk = &cols[start..(start + HC).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = alpha * I::sqdist(xu, y.row(v)).sqrt();
-        }
-        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
-        start += chunk.len();
-        if start >= cols.len() {
-            break;
-        }
-    }
+    sddmm_row::<I, MAIN, HC, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| alpha * r.sqrt());
 }
 
 #[inline(always)]
 fn tdist_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
+    ahead: &[usize],
     y: &Dense,
     zu: &mut [f32],
+    scores: Option<&mut [f32]>,
 ) {
-    let mut h = [0f32; HC];
-    let mut start = 0;
-    loop {
-        let chunk = &cols[start..(start + HC).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = 1.0 / (1.0 + I::sqdist(xu, y.row(v)));
-        }
-        spec_chunk::<I, MAIN>(start, chunk, &h, y, zu);
-        start += chunk.len();
-        if start >= cols.len() {
-            break;
-        }
-    }
+    sddmm_row::<I, MAIN, HC, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| 1.0 / (1.0 + r));
 }
 
 #[inline(always)]
@@ -405,97 +475,6 @@ fn spmm_spec_row_body<I: SimdIsa, const MAIN: usize>(
     // No SDDMM reduction: edge weights are the messages, one sweep —
     // the whole fold, so it starts from +0.0.
     panel_spec::<I, MAIN, false>(cols, vals, y, zu);
-}
-
-// --- shaped batch kernels (hybrid short class) -----------------------------
-//
-// Several short rows per call share one message buffer and one
-// indirect dispatch. Each row fills its message slice and immediately
-// runs the overwrite cascade — fused per row, because a separate
-// whole-batch message sweep re-walks the gathered rows through their
-// staging structs and measures slower. Shaped only in MAIN: the message
-// buffer stays at the fixed H_CHUNK depth because the hybrid gatherer
-// sizes its staging batches against that constant.
-
-#[inline(always)]
-fn embed_spec_batch_body<I: SimdIsa, const MAIN: usize>(
-    rows: &[GatheredRow<'_>],
-    y: &Dense,
-    band: &mut [f32],
-    sk: &SigmoidKind,
-) {
-    let d = y.ncols();
-    assert_spec_batch_fits(rows);
-    let mut h = [0f32; H_CHUNK];
-    for row in rows {
-        assert_eq!(row.cols.len(), row.vals.len(), "one edge value per neighbor");
-        for (hi, (&v, &a)) in h.iter_mut().zip(row.cols.iter().zip(row.vals)) {
-            *hi = sk.eval(I::dot(row.xu, y.row(v)), a);
-        }
-        panel_spec::<I, MAIN, false>(
-            row.cols,
-            &h[..row.cols.len()],
-            y,
-            band_row_slice(band, row.band_row, d),
-        );
-    }
-}
-
-#[inline(always)]
-fn fr_spec_batch_body<I: SimdIsa, const MAIN: usize>(
-    rows: &[GatheredRow<'_>],
-    y: &Dense,
-    band: &mut [f32],
-    alpha: f32,
-) {
-    let d = y.ncols();
-    assert_spec_batch_fits(rows);
-    let mut h = [0f32; H_CHUNK];
-    for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = alpha * I::sqdist(row.xu, y.row(v)).sqrt();
-        }
-        panel_spec::<I, MAIN, false>(
-            row.cols,
-            &h[..row.cols.len()],
-            y,
-            band_row_slice(band, row.band_row, d),
-        );
-    }
-}
-
-#[inline(always)]
-fn tdist_spec_batch_body<I: SimdIsa, const MAIN: usize>(
-    rows: &[GatheredRow<'_>],
-    y: &Dense,
-    band: &mut [f32],
-) {
-    let d = y.ncols();
-    assert_spec_batch_fits(rows);
-    let mut h = [0f32; H_CHUNK];
-    for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = 1.0 / (1.0 + I::sqdist(row.xu, y.row(v)));
-        }
-        panel_spec::<I, MAIN, false>(
-            row.cols,
-            &h[..row.cols.len()],
-            y,
-            band_row_slice(band, row.band_row, d),
-        );
-    }
-}
-
-#[inline(always)]
-fn spmm_spec_batch_body<I: SimdIsa, const MAIN: usize>(
-    rows: &[GatheredRow<'_>],
-    y: &Dense,
-    band: &mut [f32],
-) {
-    let d = y.ncols();
-    for row in rows {
-        panel_spec::<I, MAIN, false>(row.cols, row.vals, y, band_row_slice(band, row.band_row, d));
-    }
 }
 
 // --- message fill and span sweep (hybrid mega class) -----------------------
@@ -519,26 +498,29 @@ fn embed_msg_body<I: SimdIsa>(
     h: &mut [f32],
 ) {
     assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    assert_eq!(cols.len(), vals.len(), "one edge value per neighbor");
-    for (hi, (&v, &a)) in h.iter_mut().zip(cols.iter().zip(vals)) {
-        *hi = sk.eval(I::dot(xu, y.row(v)), a);
-    }
+    let ahead = lookahead(cols, 0, cols.len());
+    fill_messages::<I, false>(xu, cols, vals, ahead, y, h, None, |s, a| sk.eval(s, a));
 }
 
 #[inline(always)]
-fn fr_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]) {
+fn fr_msg_body<I: SimdIsa>(
+    xu: &[f32],
+    cols: &[usize],
+    vals: &[f32],
+    y: &Dense,
+    alpha: f32,
+    h: &mut [f32],
+) {
     assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    for (hi, &v) in h.iter_mut().zip(cols) {
-        *hi = alpha * I::sqdist(xu, y.row(v)).sqrt();
-    }
+    let ahead = lookahead(cols, 0, cols.len());
+    fill_messages::<I, true>(xu, cols, vals, ahead, y, h, None, |r, _| alpha * r.sqrt());
 }
 
 #[inline(always)]
-fn tdist_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f32]) {
+fn tdist_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, h: &mut [f32]) {
     assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    for (hi, &v) in h.iter_mut().zip(cols) {
-        *hi = 1.0 / (1.0 + I::sqdist(xu, y.row(v)));
-    }
+    let ahead = lookahead(cols, 0, cols.len());
+    fill_messages::<I, true>(xu, cols, vals, ahead, y, h, None, |r, _| 1.0 / (1.0 + r));
 }
 
 /// Folds all neighbors, in row order and starting from `+0.0`, into one
@@ -626,15 +608,18 @@ fn span_spec_body<I: SimdIsa, const MAIN: usize>(
 macro_rules! spec_entries {
     ($body:ident => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident;
      [$($cp:ident),*]; ($($a:ident: $t:ty),*)) => {
+        #[allow(clippy::too_many_arguments)]
         fn $scalar<$(const $cp: usize),*>($($a: $t),*) {
             $body::<ScalarIsa, $($cp),*>($($a),*)
         }
 
         #[cfg(target_arch = "x86_64")]
+        #[allow(clippy::too_many_arguments)]
         fn $avx2<$(const $cp: usize),*>($($a: $t),*) {
             /// # Safety
             /// The CPU must support AVX2 and FMA.
             #[target_feature(enable = "avx2,fma")]
+            #[allow(clippy::too_many_arguments)]
             unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
                 $body::<Avx2Isa, $($cp),*>($($a),*)
             }
@@ -646,12 +631,14 @@ macro_rules! spec_entries {
         }
 
         #[cfg(target_arch = "x86_64")]
+        #[allow(clippy::too_many_arguments)]
         fn $avx512<$(const $cp: usize),*>($($a: $t),*) {
             // avx2+fma are enabled too: reductions finish with the ymm
             // cleanup that keeps them bit-identical to the AVX2 backend.
             /// # Safety
             /// The CPU must support AVX-512F, AVX2 and FMA.
             #[target_feature(enable = "avx512f,avx2,fma")]
+            #[allow(clippy::too_many_arguments)]
             unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
                 $body::<Avx512Isa, $($cp),*>($($a),*)
             }
@@ -663,10 +650,12 @@ macro_rules! spec_entries {
         }
 
         #[cfg(target_arch = "aarch64")]
+        #[allow(clippy::too_many_arguments)]
         fn $neon<$(const $cp: usize),*>($($a: $t),*) {
             /// # Safety
             /// The CPU must support NEON.
             #[target_feature(enable = "neon")]
+            #[allow(clippy::too_many_arguments)]
             unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
                 $body::<NeonIsa, $($cp),*>($($a),*)
             }
@@ -679,29 +668,20 @@ macro_rules! spec_entries {
 }
 
 spec_entries!(embed_spec_row_body => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sk: &SigmoidKind));
+    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, sk: &SigmoidKind));
 spec_entries!(fr_spec_row_body => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32));
+    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, alpha: f32));
 spec_entries!(tdist_spec_row_body => tdist_spec_scalar, tdist_spec_avx2, tdist_spec_avx512, tdist_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
+    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>));
 spec_entries!(spmm_spec_row_body => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon;
     [MAIN]; (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
-
-spec_entries!(embed_spec_batch_body => embed_spec_batch_scalar, embed_spec_batch_avx2, embed_spec_batch_avx512, embed_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sk: &SigmoidKind));
-spec_entries!(fr_spec_batch_body => fr_spec_batch_scalar, fr_spec_batch_avx2, fr_spec_batch_avx512, fr_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], alpha: f32));
-spec_entries!(tdist_spec_batch_body => tdist_spec_batch_scalar, tdist_spec_batch_avx2, tdist_spec_batch_avx512, tdist_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
-spec_entries!(spmm_spec_batch_body => spmm_spec_batch_scalar, spmm_spec_batch_avx2, spmm_spec_batch_avx512, spmm_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 
 spec_entries!(embed_msg_body => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon;
     []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
 spec_entries!(fr_msg_body => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon;
-    []; (xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]));
+    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, alpha: f32, h: &mut [f32]));
 spec_entries!(tdist_msg_body => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon;
-    []; (xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f32]));
+    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, h: &mut [f32]));
 
 spec_entries!(span_spec_body => span_spec_scalar, span_spec_avx2, span_spec_avx512, span_spec_neon;
     [MAIN]; (cols: &[usize], h: &[f32], y: &Dense, z_span: &mut [f32], span_off: usize));
@@ -736,7 +716,7 @@ macro_rules! shape_mh {
     }};
 }
 
-/// Turbofish a `MAIN`-only grid point (batch/span/SpMM shapes) into
+/// Turbofish a `MAIN`-only grid point (span/SpMM shapes) into
 /// the matching compiled instantiation of `$entry`.
 macro_rules! shape_m {
     ($spec:expr, $entry:ident) => {{
@@ -804,35 +784,6 @@ pub fn spmm_spec_kernel(b: Backend, spec: KernelSpec) -> SpmmRowKernel {
     select_spec!(b, spec, shape_m => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon)
 }
 
-/// The shaped short-row embedding batch kernel compiled for
-/// `(b, spec)` — the hybrid short class. Message
-/// depth stays at [`H_CHUNK`] (the gatherer's staging contract); only
-/// the main-pass shape is specialized.
-///
-/// # Panics
-/// Panics when `b` is not available on this CPU. The returned kernel
-/// panics when a gathered row stages more than [`H_CHUNK`] neighbors.
-pub fn embed_spec_batch_kernel(b: Backend, spec: KernelSpec) -> EmbedBatchKernel {
-    select_spec!(b, spec, shape_m => embed_spec_batch_scalar, embed_spec_batch_avx2, embed_spec_batch_avx512, embed_spec_batch_neon)
-}
-
-/// The shaped short-row FR batch kernel compiled for `(b, spec)` (see
-/// [`embed_spec_batch_kernel`] for the contract).
-pub fn fr_spec_batch_kernel(b: Backend, spec: KernelSpec) -> FrBatchKernel {
-    select_spec!(b, spec, shape_m => fr_spec_batch_scalar, fr_spec_batch_avx2, fr_spec_batch_avx512, fr_spec_batch_neon)
-}
-
-/// The shaped short-row t-distribution batch kernel compiled for
-/// `(b, spec)` (see [`embed_spec_batch_kernel`] for the contract).
-pub fn tdist_spec_batch_kernel(b: Backend, spec: KernelSpec) -> TDistBatchKernel {
-    select_spec!(b, spec, shape_m => tdist_spec_batch_scalar, tdist_spec_batch_avx2, tdist_spec_batch_avx512, tdist_spec_batch_neon)
-}
-
-/// The shaped short-row SpMM batch kernel compiled for `(b, spec)`.
-pub fn spmm_spec_batch_kernel(b: Backend, spec: KernelSpec) -> SpmmBatchKernel {
-    select_spec!(b, spec, shape_m => spmm_spec_batch_scalar, spmm_spec_batch_avx2, spmm_spec_batch_avx512, spmm_spec_batch_neon)
-}
-
 /// The mega-row embedding message-fill kernel compiled for `b`
 /// (phase A of the split-mega-row pass; each neighbor slice is an
 /// independent fill).
@@ -876,6 +827,11 @@ mod tests {
 
     fn feats(n: usize, d: usize, seed: f32) -> Dense {
         Dense::from_fn(n, d, |r, c| ((r * 31 + c * 7) as f32 * 0.01 + seed).sin() * 0.3)
+    }
+
+    /// A row's in-row look-ahead stream (the row stands alone).
+    fn la(cols: &[usize]) -> &[usize] {
+        lookahead(cols, 0, cols.len())
     }
 
     fn available() -> impl Iterator<Item = Backend> {
@@ -1002,17 +958,35 @@ mod tests {
                 let base = KernelSpec::FALLBACK;
                 let (mut e0, mut f0, mut t0, mut s0) =
                     (vec![0f32; d], vec![0f32; d], vec![0f32; d], vec![0f32; d]);
-                embed_spec_kernel(b, base)(xu, cols, vals, &y, &mut e0, &SigmoidKind::Exact);
-                fr_spec_kernel(b, base)(xu, cols, vals, &y, &mut f0, 0.6);
-                tdist_spec_kernel(b, base)(xu, cols, vals, &y, &mut t0);
+                embed_spec_kernel(b, base)(
+                    xu,
+                    cols,
+                    vals,
+                    la(cols),
+                    &y,
+                    &mut e0,
+                    None,
+                    &SigmoidKind::Exact,
+                );
+                fr_spec_kernel(b, base)(xu, cols, vals, la(cols), &y, &mut f0, None, 0.6);
+                tdist_spec_kernel(b, base)(xu, cols, vals, la(cols), &y, &mut t0, None);
                 spmm_spec_kernel(b, base)(cols, vals, &y, &mut s0);
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let mut z = vec![f32::NAN; d];
-                    embed_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, &SigmoidKind::Exact);
+                    embed_spec_kernel(b, spec)(
+                        xu,
+                        cols,
+                        vals,
+                        la(cols),
+                        &y,
+                        &mut z,
+                        None,
+                        &SigmoidKind::Exact,
+                    );
                     assert_eq!(bits(&z), bits(&e0), "embed {b} d={d} {}", spec.label());
-                    fr_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, 0.6);
+                    fr_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut z, None, 0.6);
                     assert_eq!(bits(&z), bits(&f0), "fr {b} d={d} {}", spec.label());
-                    tdist_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z);
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut z, None);
                     assert_eq!(bits(&z), bits(&t0), "tdist {b} d={d} {}", spec.label());
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z);
                     assert_eq!(bits(&z), bits(&s0), "spmm {b} d={d} {}", spec.label());
@@ -1044,12 +1018,21 @@ mod tests {
             for b in available() {
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let mut z = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, &SigmoidKind::Exact);
+                    embed_spec_kernel(b, spec)(
+                        xu,
+                        cols,
+                        vals,
+                        la(cols),
+                        &y,
+                        &mut z,
+                        None,
+                        &SigmoidKind::Exact,
+                    );
                     close(&z, &embed_ref, 1e-4, "embed");
                     // sqrt amplifies tiny sqdist differences.
-                    fr_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z, 0.6);
+                    fr_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut z, None, 0.6);
                     close(&z, &fr_ref, 1e-3, "fr");
-                    tdist_spec_kernel(b, spec)(xu, cols, vals, &y, &mut z);
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut z, None);
                     close(&z, &tdist_ref, 1e-4, "tdist");
                     spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z);
                     close(&z, &spmm_ref, 1e-4, "spmm");
@@ -1067,9 +1050,9 @@ mod tests {
         let (cols, vals) = a.row(0);
         let kern = embed_spec_kernel(active_backend(), KernelSpec::FALLBACK);
         let (mut z_exact, mut z_lut) = (vec![0f32; d], vec![0f32; d]);
-        kern(x.row(0), cols, vals, &y, &mut z_exact, &SigmoidKind::Exact);
+        kern(x.row(0), cols, vals, la(cols), &y, &mut z_exact, None, &SigmoidKind::Exact);
         let lut = SigmoidKind::Lut(std::sync::Arc::new(fusedmm_ops::SigmoidLut::default_table()));
-        kern(x.row(0), cols, vals, &y, &mut z_lut, &lut);
+        kern(x.row(0), cols, vals, la(cols), &y, &mut z_lut, None, &lut);
         for k in 0..d {
             assert!((z_exact[k] - z_lut[k]).abs() < 5e-3);
         }
@@ -1094,24 +1077,18 @@ mod tests {
             let spec = KernelSpec::FALLBACK;
             let mut z2 = vec![0f32; d];
             let mut z5 = vec![0f32; d];
-            embed_spec_kernel(Backend::Avx2Fma, spec)(
-                x.row(5),
-                cols,
-                vals,
-                &y,
-                &mut z2,
-                &SigmoidKind::Exact,
-            );
-            embed_spec_kernel(Backend::Avx512, spec)(
-                x.row(5),
-                cols,
-                vals,
-                &y,
-                &mut z5,
-                &SigmoidKind::Exact,
-            );
+            let (mut s2, mut s5) = (vec![f32::NAN; cols.len()], vec![f32::NAN; cols.len()]);
+            for (b, z, s) in
+                [(Backend::Avx2Fma, &mut z2, &mut s2), (Backend::Avx512, &mut z5, &mut s5)]
+            {
+                let (sk, s) = (SigmoidKind::Exact, Some(&mut s[..]));
+                embed_spec_kernel(b, spec)(x.row(5), cols, vals, la(cols), &y, z, s, &sk);
+            }
             for k in 0..d {
                 assert_eq!(z2[k].to_bits(), z5[k].to_bits(), "embed d={d} k={k}");
+            }
+            for (e, (a2, a5)) in s2.iter().zip(&s5).enumerate() {
+                assert_eq!(a2.to_bits(), a5.to_bits(), "score d={d} edge {e}");
             }
         }
     }
@@ -1134,10 +1111,10 @@ mod tests {
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
                     let k = embed_spec_kernel(b, spec);
-                    k(xu, cols, vals, &y, &mut clean, &SigmoidKind::Exact);
-                    k(xu, cols, vals, &y, &mut dirty, &SigmoidKind::Exact);
+                    k(xu, cols, vals, la(cols), &y, &mut clean, None, &SigmoidKind::Exact);
+                    k(xu, cols, vals, la(cols), &y, &mut dirty, None, &SigmoidKind::Exact);
                     assert_eq!(bits(&clean), bits(&dirty), "embed {b} d={d} {}", spec.label());
-                    k(xu, &[], &[], &y, &mut dirty, &SigmoidKind::Exact);
+                    k(xu, &[], &[], la(&[]), &y, &mut dirty, None, &SigmoidKind::Exact);
                     assert!(plus_zero(&dirty), "empty embed row {b} d={d}");
 
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
@@ -1148,10 +1125,10 @@ mod tests {
                     spmm_spec_kernel(b, spec)(&[], &[], &y, &mut dirty);
                     assert!(plus_zero(&dirty), "empty spmm row {b} d={d}");
                     dirty.fill(-1.0);
-                    fr_spec_kernel(b, spec)(xu, &[], &[], &y, &mut dirty, 0.5);
+                    fr_spec_kernel(b, spec)(xu, &[], &[], la(&[]), &y, &mut dirty, None, 0.5);
                     assert!(plus_zero(&dirty), "empty fr row {b} d={d}");
                     dirty.fill(f32::INFINITY);
-                    tdist_spec_kernel(b, spec)(xu, &[], &[], &y, &mut dirty);
+                    tdist_spec_kernel(b, spec)(xu, &[], &[], la(&[]), &y, &mut dirty, None);
                     assert!(plus_zero(&dirty), "empty tdist row {b} d={d}");
 
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
@@ -1168,55 +1145,119 @@ mod tests {
     }
 
     #[test]
-    fn spec_batch_bit_identical_to_spec_row() {
-        // Short rows (degree 5); the batch kernel must reproduce the
-        // row kernel bit for bit, since hybrid's short class claims
-        // bit-identity to the uniform path.
-        let n = 24;
-        let a = chain(n, 5);
-        for d in [48usize, 100] {
+    fn scores_are_the_reductions_and_the_sink_cannot_move_the_row() {
+        // Degree 70 spans several chunks at every HC, so the score
+        // slice is cut at chunk boundaries; an empty row has no slot.
+        let n = 80;
+        let a = chain(n, 70);
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for d in [7usize, 48, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
+            let (cols, vals) = a.row(3);
+            let xu = x.row(3);
             for b in available() {
+                let dots: Vec<f32> =
+                    cols.iter().map(|&v| crate::simd::dot_with(b, xu, y.row(v))).collect();
+                let norms: Vec<f32> = cols
+                    .iter()
+                    .map(|&v| crate::simd::sqdist_with(b, xu, y.row(v)).sqrt())
+                    .collect();
                 for spec in candidate_specs(b.lanes(), d, true) {
-                    let rows_in_batch = [2usize, 5, 9, 11];
-                    let mut band = vec![0f32; rows_in_batch.len() * d];
-                    let batch: Vec<GatheredRow<'_>> = rows_in_batch
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &u)| GatheredRow {
-                            xu: x.row(u),
-                            cols: a.row(u).0,
-                            vals: a.row(u).1,
-                            band_row: i,
-                        })
-                        .collect();
-                    embed_spec_batch_kernel(b, spec)(&batch, &y, &mut band, &SigmoidKind::Exact);
-                    for (i, &u) in rows_in_batch.iter().enumerate() {
-                        let mut z_row = vec![0f32; d];
+                    let what = format!("{b} d={d} {}", spec.label());
+                    let (mut plain, mut z) = (vec![0f32; d], vec![f32::NAN; d]);
+                    let mut s = vec![f32::NAN; cols.len()];
+                    let sk = SigmoidKind::ExactMinusEdge;
+                    embed_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut plain, None, &sk);
+                    embed_spec_kernel(b, spec)(
+                        xu,
+                        cols,
+                        vals,
+                        la(cols),
+                        &y,
+                        &mut z,
+                        Some(&mut s),
+                        &sk,
+                    );
+                    assert_eq!(bits(&z), bits(&plain), "embed {what}");
+                    assert_eq!(bits(&s), bits(&dots), "embed scores {what}");
+                    s.fill(f32::NAN);
+                    fr_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut plain, None, 0.6);
+                    fr_spec_kernel(b, spec)(
+                        xu,
+                        cols,
+                        vals,
+                        la(cols),
+                        &y,
+                        &mut z,
+                        Some(&mut s),
+                        0.6,
+                    );
+                    assert_eq!(bits(&z), bits(&plain), "fr {what}");
+                    assert_eq!(bits(&s), bits(&norms), "fr scores {what}");
+                    s.fill(f32::NAN);
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut plain, None);
+                    tdist_spec_kernel(b, spec)(xu, cols, vals, la(cols), &y, &mut z, Some(&mut s));
+                    assert_eq!(bits(&z), bits(&plain), "tdist {what}");
+                    assert_eq!(bits(&s), bits(&norms), "tdist scores {what}");
+                    embed_spec_kernel(b, spec)(xu, &[], &[], &[], &y, &mut z, Some(&mut []), &sk);
+                    assert!(z.iter().all(|v| v.to_bits() == 0), "empty scored row {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookahead_streams_are_clamped_and_cannot_move_a_row() {
+        // The stream never reaches past `end`, whatever `start` is.
+        let colidx = [3usize, 1, 4, 1, 5, 9, 2, 6];
+        assert_eq!(lookahead(&colidx, 0, 8), &colidx[LOOKAHEAD.min(8)..]);
+        assert_eq!(lookahead(&colidx, 6, 8), &colidx[(6 + LOOKAHEAD).min(8)..]);
+        assert!(lookahead(&colidx, 8, 8).is_empty());
+        assert!(lookahead(&colidx, 2, 3).is_empty(), "a band that ends mid-colidx");
+        assert!(lookahead(&[], 0, 0).is_empty(), "nnz == 0");
+
+        // A one-row matrix, a matrix with fewer entries than the
+        // distance, one with rows around it, and an empty one: every
+        // row of each, under every clamp a launch can apply (the row's
+        // own end, a band end in the middle of `colidx`, the end of the
+        // matrix), leaves the bits of the kernel that never looks ahead.
+        let n = 12;
+        let mut one_row = Coo::new(1, n);
+        (0..9).for_each(|v| one_row.push(0, v, 0.5));
+        let mut few = Coo::new(3, n);
+        few.push(1, 7, 1.0);
+        few.push(2, 2, 0.25);
+        assert!(few.entries().len() < LOOKAHEAD);
+        let matrices =
+            [one_row.to_csr(Dedup::Last), few.to_csr(Dedup::Last), chain(n, 5), Csr::empty(4, n)];
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for a in &matrices {
+            let (rowptr, colidx) = (a.rowptr(), a.colidx());
+            for d in [7usize, 32] {
+                let x = feats(a.nrows(), d, 0.3);
+                let y = feats(n, d, 0.7);
+                for b in available() {
+                    let spec = KernelSpec::default_for(true, d, b.lanes());
+                    for u in 0..a.nrows() {
                         let (cols, vals) = a.row(u);
-                        embed_spec_kernel(b, spec)(
-                            x.row(u),
-                            cols,
-                            vals,
-                            &y,
-                            &mut z_row,
-                            &SigmoidKind::Exact,
-                        );
-                        assert_eq!(
-                            &band[i * d..(i + 1) * d],
-                            &z_row[..],
-                            "embed {b} d={d} {} row {u}",
-                            spec.label()
-                        );
-                    }
-                    let mut band = vec![0f32; rows_in_batch.len() * d];
-                    spmm_spec_batch_kernel(b, spec)(&batch, &y, &mut band);
-                    for (i, &u) in rows_in_batch.iter().enumerate() {
-                        let mut z_row = vec![0f32; d];
-                        let (cols, vals) = a.row(u);
-                        spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z_row);
-                        assert_eq!(&band[i * d..(i + 1) * d], &z_row[..], "spmm {b} d={d} row {u}");
+                        let mid = rowptr[u + 1].max(a.nnz() / 2);
+                        let mut want = vec![f32::NAN; d];
+                        tdist_spec_kernel(b, spec)(x.row(u), cols, vals, &[], &y, &mut want, None);
+                        for end in [rowptr[u + 1], mid, a.nnz()] {
+                            let ahead = lookahead(colidx, rowptr[u], end);
+                            let mut z = vec![f32::NAN; d];
+                            tdist_spec_kernel(b, spec)(
+                                x.row(u),
+                                cols,
+                                vals,
+                                ahead,
+                                &y,
+                                &mut z,
+                                None,
+                            );
+                            assert_eq!(bits(&z), bits(&want), "{b} d={d} row {u} end {end}");
+                        }
                     }
                 }
             }
@@ -1248,7 +1289,16 @@ mod tests {
                 // the value slices must split with the column slices.
                 for sk in [SigmoidKind::Exact, SigmoidKind::ExactMinusEdge] {
                     let mut z_row = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &sk);
+                    embed_spec_kernel(b, spec)(
+                        x.row(7),
+                        cols,
+                        vals,
+                        la(cols),
+                        &y,
+                        &mut z_row,
+                        None,
+                        &sk,
+                    );
                     // Phase A: messages filled in two independent slices.
                     let mut h = vec![0f32; cols.len()];
                     let split = cols.len() / 3;
@@ -1269,12 +1319,12 @@ mod tests {
                 let mut h = vec![0f32; cols.len()];
                 let mut z_row = vec![0f32; d];
                 let mut z = vec![0f32; d];
-                fr_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, 0.6);
-                fr_msg_kernel(b)(x.row(7), cols, &y, 0.6, &mut h);
+                fr_spec_kernel(b, spec)(x.row(7), cols, vals, la(cols), &y, &mut z_row, None, 0.6);
+                fr_msg_kernel(b)(x.row(7), cols, vals, &y, 0.6, &mut h);
                 span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
                 assert_eq!(z, z_row, "fr mega {b} d={d}");
-                tdist_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row);
-                tdist_msg_kernel(b)(x.row(7), cols, &y, &mut h);
+                tdist_spec_kernel(b, spec)(x.row(7), cols, vals, la(cols), &y, &mut z_row, None);
+                tdist_msg_kernel(b)(x.row(7), cols, vals, &y, &mut h);
                 span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
                 assert_eq!(z, z_row, "tdist mega {b} d={d}");
                 // SpMM: the values are the messages.

@@ -1,22 +1,18 @@
 //! Degree-aware hybrid execution for skewed graphs.
 //!
-//! Power-law degree distributions defeat a single row-shaped kernel:
-//! the row kernel amortizes its per-row setup (loading `x_u`
-//! panels, resolving the output slice) over the neighbor loop, so a
-//! degree-2 row pays mostly overhead, while a hub row with a million
-//! neighbors serializes an entire band on one thread no matter how
-//! PART1D cuts the rest. This module classifies rows by degree once per
-//! launch and schedules each class its own way (short and strip share
-//! one storage-order band sweep so the CSR stream is walked once; mega
-//! rows run as their own cooperative pass). It is a *row-scheduling
-//! policy*, not a kernel level: all three classes run the one kernel
-//! family of [`crate::genkern::table`] at the one shape the uniform
-//! launch would run ([`KernelSpec::default_for`]), at every `d ≥ 1`:
+//! Power-law degree distributions defeat a single row-shaped kernel: a
+//! hub row with a million neighbors serializes an entire band on one
+//! thread no matter how PART1D cuts the rest. This module classifies
+//! rows by degree once per launch and schedules each class its own way
+//! (everything below the mega threshold runs in one storage-order band
+//! sweep; mega rows run as their own cooperative pass). It is a
+//! *row-scheduling policy*, not a kernel level: both classes run the
+//! one kernel family of [`crate::genkern::table`] at the one shape the
+//! uniform launch would run ([`KernelSpec::default_for`]), at every
+//! `d ≥ 1`:
 //!
-//! * **short** (`0 < degree < short_max`) — gathered in storage order
-//!   into batches that share one [`H_CHUNK`] message buffer and one
-//!   SIMD sweep (the `embed_spec_batch_kernel` family);
-//! * **strip** (everything between) — the uniform row kernels;
+//! * **strip** (everything below the mega threshold) — the uniform row
+//!   kernels, in storage order, so their look-ahead runs across rows;
 //! * **mega** (`degree ≥ max(mega_floor, nnz/parts)`) — each row is
 //!   executed cooperatively: phase A fills the row's message vector in
 //!   parallel column chunks, phase B folds *all* messages into
@@ -31,7 +27,16 @@
 //! repo-level property suite). The mega split is fixed by the span
 //! plan, never by thread timing. Each pass records its own
 //! [`KernelProfile`](crate::profile::KernelProfile) row under the
-//! `hybrid-short` / `hybrid-strip` / `hybrid-mega` blocking labels.
+//! `hybrid-strip` / `hybrid-mega` blocking labels.
+//!
+//! A third class — rows of degree < 4 gathered into staged batches
+//! that shared one message buffer — was measured and removed: it won by
+//! skipping a `z` load no row kernel performs any more, a staged row
+//! cannot look ahead across rows (its successor is not adjacent in
+//! storage), and at Graph500 skew it read 0.89–0.95× of the uniform
+//! launch against 0.98–1.01× with the class off (`skew-sweep`, 21
+//! interleaved rounds, both estimators; table in
+//! `docs/ARCHITECTURE.md`, "Degree-aware hybrid execution").
 
 use fusedmm_ops::OpSet;
 use fusedmm_sparse::csr::Csr;
@@ -40,10 +45,8 @@ use fusedmm_sparse::dense::Dense;
 use crate::dispatch::Specialized;
 use crate::driver::parallel_row_bands;
 use crate::genkern::{
-    embed_msg_kernel, embed_spec_batch_kernel, embed_spec_kernel, entry_backend, fr_msg_kernel,
-    fr_spec_batch_kernel, fr_spec_kernel, span_spec_kernel, spmm_spec_batch_kernel,
-    spmm_spec_kernel, tdist_msg_kernel, tdist_spec_batch_kernel, tdist_spec_kernel, GatheredRow,
-    KernelSpec, H_CHUNK,
+    embed_msg_kernel, embed_spec_kernel, entry_backend, fr_msg_kernel, fr_spec_kernel, lookahead,
+    span_spec_kernel, spmm_spec_kernel, tdist_msg_kernel, tdist_spec_kernel, KernelSpec,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::{Backend, VLEN};
@@ -59,7 +62,7 @@ const MSG_CHUNK: usize = 2048;
 /// without a clippy type-complexity lint.
 type MsgFill = fn(&[f32], &[usize], &[f32], &mut [f32]);
 
-/// Degree thresholds for [`Blocking::Hybrid`](crate::Blocking::Hybrid).
+/// The degree threshold of [`Blocking::Hybrid`](crate::Blocking::Hybrid).
 ///
 /// The mega threshold is adaptive: a row is mega when its degree
 /// reaches `max(mega_floor, nnz/parts)` — i.e. when one row alone is at
@@ -67,10 +70,6 @@ type MsgFill = fn(&[f32], &[usize], &[f32], &mut [f32]);
 /// PART1D degenerates to a single-threaded band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HybridConfig {
-    /// Rows with `0 < degree < short_max` take the gathered batch
-    /// kernel (capped internally at `H_CHUNK + 1` so one batch always
-    /// fits the shared message buffer).
-    pub short_max: usize,
     /// Lower bound on the mega threshold, so small test matrices do
     /// not classify ordinary rows as mega just because `nnz/parts` is
     /// tiny. Set it low (e.g. 32) to force the mega path in tests.
@@ -79,17 +78,11 @@ pub struct HybridConfig {
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        // short_max = VLEN/2: the measured crossover on AVX2. A row
-        // whose neighbor count is below half a vector width of
-        // messages pays more in per-row setup than in math — gathering
-        // it wins. Longer rows amortize the row kernel's setup fine, and
-        // routing them through the gather path shows up as overhead on
-        // unskewed graphs (the skew-sweep bench's s = 0 guard).
-        HybridConfig { short_max: crate::simd::VLEN / 2, mega_floor: 4096 }
+        HybridConfig { mega_floor: 4096 }
     }
 }
 
-/// Run the three degree-class passes with the kernel shape `kspec`
+/// Run the two degree-class passes with the kernel shape `kspec`
 /// (the one the uniform launch would run), overwriting every row of the
 /// caller's `a.nrows() × d` output `z`. `backend` is the process's
 /// backend, which the profile rows are labelled with.
@@ -109,14 +102,12 @@ pub(crate) fn execute(
 ) {
     let d = x.ncols();
     let parts = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
-    let short_cut = cfg.short_max.clamp(1, H_CHUNK + 1);
-    let mega_min = cfg.mega_floor.max(a.nnz().div_ceil(parts)).max(short_cut);
+    let mega_min = cfg.mega_floor.max(a.nnz().div_ceil(parts)).max(1);
     let entry = entry_backend(backend, d);
     let sweep = span_spec_kernel(entry, kspec);
 
     match spec {
         Specialized::Embed(sk) => {
-            let batch = embed_spec_batch_kernel(entry, kspec);
             let strip = embed_spec_kernel(entry, kspec);
             let msg = embed_msg_kernel(entry);
             run_passes(
@@ -125,16 +116,14 @@ pub(crate) fn execute(
                 y,
                 ops,
                 d,
-                short_cut,
                 mega_min,
                 parts,
                 partitions,
                 strategy,
                 backend,
-                |rows, band| batch(rows, y, band, sk),
-                |u, zu| {
+                |u, ahead, zu| {
                     let (cols, vals) = a.row(u);
-                    strip(x.row(u), cols, vals, y, zu, sk)
+                    strip(x.row(u), cols, vals, ahead, y, zu, None, sk)
                 },
                 Some(|xu: &[f32], cols: &[usize], vals: &[f32], h: &mut [f32]| {
                     msg(xu, cols, vals, y, sk, h)
@@ -145,7 +134,6 @@ pub(crate) fn execute(
         }
         Specialized::Fr(alpha) => {
             let alpha = *alpha;
-            let batch = fr_spec_batch_kernel(entry, kspec);
             let strip = fr_spec_kernel(entry, kspec);
             let msg = fr_msg_kernel(entry);
             run_passes(
@@ -154,26 +142,23 @@ pub(crate) fn execute(
                 y,
                 ops,
                 d,
-                short_cut,
                 mega_min,
                 parts,
                 partitions,
                 strategy,
                 backend,
-                |rows, band| batch(rows, y, band, alpha),
-                |u, zu| {
+                |u, ahead, zu| {
                     let (cols, vals) = a.row(u);
-                    strip(x.row(u), cols, vals, y, zu, alpha)
+                    strip(x.row(u), cols, vals, ahead, y, zu, None, alpha)
                 },
-                Some(|xu: &[f32], cols: &[usize], _: &[f32], h: &mut [f32]| {
-                    msg(xu, cols, y, alpha, h)
+                Some(|xu: &[f32], cols: &[usize], vals: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, vals, y, alpha, h)
                 }),
                 sweep,
                 z,
             )
         }
         Specialized::TDist => {
-            let batch = tdist_spec_batch_kernel(entry, kspec);
             let strip = tdist_spec_kernel(entry, kspec);
             let msg = tdist_msg_kernel(entry);
             run_passes(
@@ -182,24 +167,23 @@ pub(crate) fn execute(
                 y,
                 ops,
                 d,
-                short_cut,
                 mega_min,
                 parts,
                 partitions,
                 strategy,
                 backend,
-                |rows, band| batch(rows, y, band),
-                |u, zu| {
+                |u, ahead, zu| {
                     let (cols, vals) = a.row(u);
-                    strip(x.row(u), cols, vals, y, zu)
+                    strip(x.row(u), cols, vals, ahead, y, zu, None)
                 },
-                Some(|xu: &[f32], cols: &[usize], _: &[f32], h: &mut [f32]| msg(xu, cols, y, h)),
+                Some(|xu: &[f32], cols: &[usize], vals: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, vals, y, h)
+                }),
                 sweep,
                 z,
             )
         }
         Specialized::Spmm => {
-            let batch = spmm_spec_batch_kernel(entry, kspec);
             let strip = spmm_spec_kernel(entry, kspec);
             // SpMM's messages are the stored edge values: no phase A.
             let msg: Option<MsgFill> = None;
@@ -209,14 +193,12 @@ pub(crate) fn execute(
                 y,
                 ops,
                 d,
-                short_cut,
                 mega_min,
                 parts,
                 partitions,
                 strategy,
                 backend,
-                |rows, band| batch(rows, y, band),
-                |u, zu| {
+                |u, _, zu| {
                     let (cols, vals) = a.row(u);
                     strip(cols, vals, y, zu)
                 },
@@ -228,37 +210,34 @@ pub(crate) fn execute(
     }
 }
 
-/// Shared three-pass orchestration, generic over the pattern-specific
-/// kernels. `msg_fill` is `None` for SpMM, whose message vector is the
-/// row's stored values.
+/// Shared two-pass orchestration, generic over the pattern-specific
+/// kernels: `strip_row(u, ahead, z_u)` runs row `u` through the row
+/// kernel with its look-ahead stream, `msg_fill` is `None` for SpMM,
+/// whose message vector is the row's stored values.
 #[allow(clippy::too_many_arguments)]
-fn run_passes<B, S, M>(
+fn run_passes<S, M>(
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
     d: usize,
-    short_cut: usize,
     mega_min: usize,
     parts: usize,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
     backend: Backend,
-    flush_batch: B,
     strip_row: S,
     msg_fill: Option<M>,
     sweep: crate::genkern::SpanSweepKernel,
     z: &mut [f32],
 ) where
-    B: Fn(&[GatheredRow<'_>], &mut [f32]) + Sync,
-    S: Fn(usize, &mut [f32]) + Sync,
+    S: Fn(usize, &[usize], &mut [f32]) + Sync,
     M: Fn(&[f32], &[usize], &[f32], &mut [f32]) + Sync,
 {
     // One census pass over the row pointers — degrees are re-derived
     // from `rowptr` everywhere below (one subtraction on data the
     // kernel streams anyway) rather than materialized into a side
     // array, which would add a whole extra memory stream to the sweep.
-    let (mut short_rows, mut short_edges) = (0usize, 0usize);
     let (mut strip_rows, mut strip_edges) = (0usize, 0usize);
     let (mut mega_rows, mut mega_edges) = (0usize, 0usize);
     for w in a.rowptr().windows(2) {
@@ -266,10 +245,7 @@ fn run_passes<B, S, M>(
         if deg == 0 {
             continue;
         }
-        if deg < short_cut {
-            short_rows += 1;
-            short_edges += deg;
-        } else if deg < mega_min {
+        if deg < mega_min {
             strip_rows += 1;
             strip_edges += deg;
         } else {
@@ -278,81 +254,24 @@ fn run_passes<B, S, M>(
         }
     }
 
-    // Short + strip classes run in ONE interleaved sweep per band, in
-    // row-storage order. Separate per-class passes look cleaner but
-    // walk the row-pointer/column/value stream twice with scattered
-    // visits — adjacent rows of different classes share cache lines,
-    // and the gaps defeat the hardware prefetcher on `x`, `z`, and the
-    // CSR arrays — which measures ~5-10% slower on interleaved-degree
-    // graphs. Here every array streams exactly like the uniform
-    // pass: strip rows execute inline; short rows stage into a gather
-    // batch that flushes when the next row would overflow the shared
-    // message buffer (deferring a short row's write past a later strip
-    // row touches disjoint output rows, so order across rows is free).
-    // Batching never reorders the fold within a row, so each output row
-    // stays bit-identical to the uniform launch. Every class kernel overwrites its
-    // row; the sweep itself stores the zeros of a zero-degree row, and
-    // leaves mega rows to pass 3, whose span sweeps overwrite them.
-    //
-    // Profiling: flushes are timed individually (a batch is several
-    // rows, so this is ~1% of the sweep) and the strip class gets the
-    // band remainder — classification and gather staging are attributed
-    // to strip. Per-class elapsed records the max across bands: the
-    // slowest band, the same thing a per-pass wall clock would read
-    // under PART1D.
-    let short_ns = std::sync::atomic::AtomicU64::new(0);
+    // Pass 1: every row below the mega threshold, in row-storage order,
+    // through the uniform row kernel — which overwrites its row (zeros
+    // for a zero-degree one) and looks ahead into the rows that follow
+    // it in the band. Mega rows are left to pass 2, whose span sweeps
+    // overwrite them. The recorded time is the slowest band: what a
+    // wall clock around the pass would read under PART1D.
     let strip_ns = std::sync::atomic::AtomicU64::new(0);
-    parallel_row_bands(a, z, d, partitions, strategy, |rows, band| {
-        let start = rows.start;
-        let band_t0 = std::time::Instant::now();
-        let mut band_short_ns = 0u64;
-        let mut gathered: Vec<GatheredRow<'_>> = Vec::with_capacity(H_CHUNK);
-        let mut flush_timed = |gathered: &[GatheredRow<'_>], band: &mut [f32]| {
-            let t0 = std::time::Instant::now();
-            flush_batch(gathered, band);
-            band_short_ns += t0.elapsed().as_nanos() as u64;
-        };
-        for u in rows {
-            let (cols, vals) = a.row(u);
-            let deg = cols.len();
-            if deg >= mega_min {
-                continue;
-            }
-            if deg == 0 {
-                let i = u - start;
-                band[i * d..(i + 1) * d].fill(0.0);
-            } else if deg < short_cut {
-                gathered.push(GatheredRow { xu: x.row(u), cols, vals, band_row: u - start });
-                if gathered.len() == H_CHUNK {
-                    flush_timed(&gathered, band);
-                    gathered.clear();
-                }
-            } else {
-                let i = u - start;
-                strip_row(u, &mut band[i * d..(i + 1) * d]);
+    parallel_row_bands(a, z, d, None, partitions, strategy, |rows, band, _| {
+        let t0 = std::time::Instant::now();
+        let (rowptr, band_end) = (a.rowptr(), a.rowptr()[rows.end]);
+        for (i, u) in rows.enumerate() {
+            if a.row_nnz(u) < mega_min {
+                let ahead = lookahead(a.colidx(), rowptr[u], band_end);
+                strip_row(u, ahead, &mut band[i * d..(i + 1) * d]);
             }
         }
-        if !gathered.is_empty() {
-            flush_timed(&gathered, band);
-        }
-        let band_total = band_t0.elapsed().as_nanos() as u64;
-        short_ns.fetch_max(band_short_ns, std::sync::atomic::Ordering::Relaxed);
-        strip_ns.fetch_max(
-            band_total.saturating_sub(band_short_ns),
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        strip_ns.fetch_max(t0.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
     });
-    if short_rows > 0 {
-        crate::profile::record_kernel(
-            ops.pattern,
-            d,
-            backend,
-            "hybrid-short",
-            std::time::Duration::from_nanos(short_ns.into_inner()),
-            short_rows,
-            short_edges,
-        );
-    }
     // The strip row is always recorded, even when empty, so the profile
     // table shows the hybrid launch happened.
     crate::profile::record_kernel(
@@ -365,7 +284,7 @@ fn run_passes<B, S, M>(
         strip_edges,
     );
 
-    // Pass 3: mega rows, one at a time, all threads cooperating.
+    // Pass 2: mega rows, one at a time, all threads cooperating.
     if mega_rows > 0 {
         let t0 = std::time::Instant::now();
         let panels = d / VLEN;
@@ -474,7 +393,7 @@ mod tests {
         // path there); 20 and 100 end in the masked tail.
         let n = 96;
         let a = skewed(n);
-        let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
+        let cfg = HybridConfig { mega_floor: 32 };
         for d in [8usize, 20, 32, 48, 96, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
@@ -529,7 +448,7 @@ mod tests {
         let d = 104;
         let x = feats(n, d, 0.1);
         let y = feats(n, d, 0.9);
-        let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
+        let cfg = HybridConfig { mega_floor: 32 };
         let ops = OpSet::sigmoid_embedding(None);
         let base = fusedmm_opt_with(
             &a,
@@ -566,7 +485,7 @@ mod tests {
         let x = feats(n, d, 0.2);
         let y = feats(n, d, 0.8);
         let ops = OpSet::gcn();
-        let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
+        let cfg = HybridConfig { mega_floor: 32 };
         let nnz = PartitionStrategy::NnzBalanced;
         let hybrid = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Hybrid(cfg), Some(2), nnz);
         for p in crate::profile::kernel_profiles().iter().filter(|p| p.d == d) {
@@ -607,7 +526,7 @@ mod tests {
             &x,
             &y,
             &OpSet::gcn(),
-            Blocking::Hybrid(HybridConfig { short_max: 8, mega_floor: 16 }),
+            Blocking::Hybrid(HybridConfig { mega_floor: 16 }),
             Some(2),
             PartitionStrategy::NnzBalanced,
         );

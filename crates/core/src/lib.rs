@@ -24,6 +24,13 @@
 //!   caller-owned `Z` (every row overwritten, nothing read): the one
 //!   body behind each allocating entry point above, and what a caller
 //!   that launches repeatedly should use;
+//! * [`fusedmm_opt_scored_into`] — [`fusedmm_opt_into`] that also
+//!   hands back the SDDMM scores `s_uv = ROP(VOP(x_u, y_v))`, one per
+//!   stored entry in storage order, into a caller-owned slice under the
+//!   same contract (every slot overwritten, nothing read) — for callers
+//!   that need the per-edge scalar the kernel computed anyway (a
+//!   training loss, attention weights) without a second pass over the
+//!   neighbor rows;
 //! * [`fusedmm_reference`] — slow sequential ground truth for tests;
 //! * [`fusedmm_rows`] — row-subset execution (only the requested output
 //!   rows), the serving-path entry point;
@@ -77,7 +84,8 @@ pub mod rows;
 pub mod simd;
 
 pub use dispatch::{
-    fusedmm_opt, fusedmm_opt_into, fusedmm_opt_with, specialize, Blocking, Specialized,
+    fusedmm_opt, fusedmm_opt_into, fusedmm_opt_scored_into, fusedmm_opt_with, specialize, Blocking,
+    Specialized,
 };
 pub use generic::{fusedmm_generic, fusedmm_generic_into, fusedmm_generic_opts, fusedmm_reference};
 pub use hybrid::HybridConfig;

@@ -37,7 +37,7 @@ pub struct KernelProfile {
     /// What ran: `spec-m{M}-h{H}` (the kernel table's shape —
     /// per-variant roofline rows fall out of the label), `generic`
     /// (the unspecialized five-step kernel), or the
-    /// `hybrid-short`/`hybrid-strip`/`hybrid-mega` per-class rows.
+    /// `hybrid-strip`/`hybrid-mega` per-class rows.
     pub blocking: &'static str,
     /// Launches recorded.
     pub calls: u64,

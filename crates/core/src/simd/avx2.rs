@@ -21,7 +21,7 @@ use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
     _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_ps,
     _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-    _mm_movehdup_ps, _mm_movehl_ps,
+    _mm_movehdup_ps, _mm_movehl_ps, _mm_prefetch, _MM_HINT_T0,
 };
 
 use super::isa::{axpy_body, dot_body, sqdist_body, SimdIsa};
@@ -106,6 +106,13 @@ unsafe impl SimdIsa for Avx2Isa {
             let high = _mm_movehl_ps(shuf, pair);
             _mm_cvtss_f32(_mm_add_ss(pair, high))
         }
+    }
+
+    #[inline(always)]
+    unsafe fn prefetch(p: *const f32) {
+        // SAFETY: SSE's `prefetcht0` is a hint that never dereferences
+        // `p`, so any address is fine (the trait's contract).
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
     }
 }
 

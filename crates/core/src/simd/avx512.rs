@@ -142,6 +142,13 @@ unsafe impl SimdIsa for Avx512Isa {
     }
 
     #[inline(always)]
+    unsafe fn prefetch(p: *const f32) {
+        // SAFETY: the same `prefetcht0` the AVX2 backend issues — any
+        // address, never dereferenced.
+        unsafe { Avx2Isa::prefetch(p) }
+    }
+
+    #[inline(always)]
     fn dot(x: &[f32], y: &[f32]) -> f32 {
         let n = x.len();
         assert!(y.len() >= n, "dot: y shorter than x");

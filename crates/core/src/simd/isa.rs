@@ -15,6 +15,8 @@
 //! with only 4-byte alignment guaranteed (see the module header of
 //! [`crate::simd`]).
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 use crate::simd::{F32x8, VLEN};
 
 /// An f32 vector ISA with `LANES` lanes (8 on AVX2/NEON/scalar, 16 on
@@ -77,6 +79,21 @@ pub unsafe trait SimdIsa {
     fn fma(acc: Self::V, a: Self::V, b: Self::V) -> Self::V;
     /// Horizontal sum of all lanes (`VHADD`).
     fn hsum(v: Self::V) -> f32;
+    /// Ask for the cache line holding `*p` to be brought towards L1
+    /// (`prefetcht0` on x86, `prfm pldl1keep` on AArch64, nothing on
+    /// the portable backend). A hint: it cannot fault and cannot change
+    /// a value, so it is invisible to every result.
+    ///
+    /// # Safety
+    /// `p` may be **any** address — dangling, unaligned, past the end
+    /// of its allocation, null: the instruction never dereferences it
+    /// and a line that cannot be fetched is dropped silently. The one
+    /// requirement is the trait's own: the executing CPU supports this
+    /// implementation's ISA, as for every other method here.
+    #[inline(always)]
+    unsafe fn prefetch(p: *const f32) {
+        let _ = p;
+    }
 
     /// Dot product `x · y` over `x.len()` elements. Defaults to
     /// `dot_body`; wider ISAs override it to keep the reduction
@@ -115,6 +132,9 @@ pub unsafe trait SimdIsa {
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarIsa;
 
+// SAFETY: plain Rust over `[f32; 8]` — no instruction beyond the build
+// target's baseline, so it is executable everywhere; the pointer
+// methods copy exactly the lane counts the trait states.
 unsafe impl SimdIsa for ScalarIsa {
     type V = F32x8;
 
@@ -131,12 +151,16 @@ unsafe impl SimdIsa for ScalarIsa {
     #[inline(always)]
     unsafe fn loadu(p: *const f32) -> F32x8 {
         let mut out = [0f32; VLEN];
+        // SAFETY: the caller guarantees `p` is readable for `VLEN`
+        // `f32`s; `out` is a distinct local of exactly that length.
         unsafe { std::ptr::copy_nonoverlapping(p, out.as_mut_ptr(), VLEN) };
         F32x8(out)
     }
 
     #[inline(always)]
     unsafe fn storeu(p: *mut f32, v: F32x8) {
+        // SAFETY: the caller guarantees `p` is writable for `VLEN`
+        // `f32`s; `v` is a by-value local, so the ranges are disjoint.
         unsafe { std::ptr::copy_nonoverlapping(v.0.as_ptr(), p, VLEN) };
     }
 
@@ -144,6 +168,8 @@ unsafe impl SimdIsa for ScalarIsa {
     unsafe fn loadu_partial(p: *const f32, n: usize) -> F32x8 {
         debug_assert!(n <= VLEN);
         let mut out = [0f32; VLEN];
+        // SAFETY: the caller guarantees `p` is readable for `n ≤ VLEN`
+        // `f32`s, which also fit the `VLEN`-long local.
         unsafe { std::ptr::copy_nonoverlapping(p, out.as_mut_ptr(), n) };
         F32x8(out)
     }
@@ -151,6 +177,8 @@ unsafe impl SimdIsa for ScalarIsa {
     #[inline(always)]
     unsafe fn storeu_partial(p: *mut f32, v: F32x8, n: usize) {
         debug_assert!(n <= VLEN);
+        // SAFETY: the caller guarantees `p` is writable for `n ≤ VLEN`
+        // `f32`s; the source holds `VLEN` of them.
         unsafe { std::ptr::copy_nonoverlapping(v.0.as_ptr(), p, n) };
     }
 
@@ -192,7 +220,11 @@ pub(crate) fn dot_body<I: SimdIsa>(x: &[f32], y: &[f32]) -> f32 {
     let mut acc0 = I::zero();
     let mut acc1 = I::zero();
     let mut k = 0;
-    // Safety: k + 2*LANES <= n bounds every read below.
+    // SAFETY: length — every load reads `I::LANES` elements at offset
+    // `k` or `k + LANES` of `x` and `y`, and each loop's condition keeps
+    // the window's end `<= n = x.len() <= y.len()` (asserted above).
+    // Alignment — `loadu` is unaligned by contract. ISA — the body is
+    // inlined into an entry reached only after backend detection.
     unsafe {
         while k + 2 * I::LANES <= n {
             acc0 = I::fma(acc0, I::loadu(xp.add(k)), I::loadu(yp.add(k)));
@@ -222,7 +254,9 @@ pub(crate) fn sqdist_body<I: SimdIsa>(x: &[f32], y: &[f32]) -> f32 {
     let mut acc0 = I::zero();
     let mut acc1 = I::zero();
     let mut k = 0;
-    // Safety: k + 2*LANES <= n bounds every read below.
+    // SAFETY: as in `dot_body` — every `LANES`-wide load ends at or
+    // before `n = x.len() <= y.len()` by its loop condition; unaligned
+    // by contract; executable because the entry was detected.
     unsafe {
         while k + 2 * I::LANES <= n {
             let d0 = I::sub(I::loadu(xp.add(k)), I::loadu(yp.add(k)));
@@ -255,8 +289,11 @@ pub(crate) fn axpy_body<I: SimdIsa>(s: f32, y: &[f32], z: &mut [f32]) {
     let zp = z.as_mut_ptr();
     let sv = I::splat(s);
     let mut k = 0;
-    // Safety: k + 2*LANES <= n bounds every access below; y and z are
-    // distinct slices (&/&mut), so reads and writes never alias.
+    // SAFETY: length — every `LANES`-wide load and store ends at or
+    // before `n = z.len() <= y.len()` (asserted above) by its loop
+    // condition. Aliasing — `y` is `&` and `z` is `&mut`, so the reads
+    // of `y` and the writes of `z` never overlap. Unaligned by
+    // contract; executable because the entry was detected.
     unsafe {
         while k + 2 * I::LANES <= n {
             let z0 = I::fma(I::loadu(zp.add(k)), sv, I::loadu(yp.add(k)));

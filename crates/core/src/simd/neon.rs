@@ -96,6 +96,21 @@ unsafe impl SimdIsa for NeonIsa {
     fn hsum(v: NeonV) -> f32 {
         unsafe { vaddvq_f32(vaddq_f32(v.0, v.1)) }
     }
+
+    #[inline(always)]
+    unsafe fn prefetch(p: *const f32) {
+        // SAFETY: `prfm pldl1keep` is a hint that never dereferences
+        // `p`, so any address is fine (the trait's contract); it writes
+        // no memory and no flags, as the options state. Inline assembly
+        // because the `_prefetch` intrinsic is not stable here.
+        unsafe {
+            core::arch::asm!(
+                "prfm pldl1keep, [{p}]",
+                p = in(reg) p,
+                options(nostack, readonly, preserves_flags)
+            );
+        }
+    }
 }
 
 #[target_feature(enable = "neon")]

@@ -93,6 +93,14 @@ impl Csr {
         Ok(Csr { nrows, ncols, rowptr, colidx, values, sorted_cols })
     }
 
+    /// Take the matrix apart into `(rowptr, colidx, values)` — the
+    /// inverse of [`Csr::from_parts`], for a caller that rebuilds a
+    /// matrix of the same kind repeatedly and wants the three
+    /// allocations back.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f32>) {
+        (self.rowptr, self.colidx, self.values)
+    }
+
     /// An empty matrix with no stored entries.
     pub fn empty(nrows: usize, ncols: usize) -> Self {
         Csr {
@@ -474,6 +482,8 @@ mod tests {
         assert_eq!(m.nnz(), 4);
         assert_eq!(m.row_nnz(0), 2);
         assert_eq!(m.row_nnz(1), 0);
+        let (rowptr, colidx, values) = m.clone().into_parts();
+        assert_eq!(Csr::from_parts(3, 3, rowptr, colidx, values).unwrap(), m);
     }
 
     #[test]

@@ -43,12 +43,26 @@ pub fn slice_rows(a: &Csr, vertices: &[usize]) -> Minibatch {
 /// Gather the rows `vertices` of the full feature matrix into a compact
 /// `|vertices| × d` matrix (the minibatch `X`).
 pub fn gather_rows(features: &Dense, vertices: &[usize]) -> Dense {
-    let d = features.ncols();
-    let mut out = Dense::zeros(vertices.len(), d);
+    let mut out = Dense::zeros(vertices.len(), features.ncols());
+    gather_rows_into(features, vertices, &mut out);
+    out
+}
+
+/// [`gather_rows`] into a caller-owned `|vertices| × d` matrix — every
+/// row of `out` is overwritten, so a recycled buffer
+/// ([`Dense::recycled`]) needs no clearing.
+///
+/// # Panics
+/// Panics when `out` is not `|vertices| × d`.
+pub fn gather_rows_into(features: &Dense, vertices: &[usize], out: &mut Dense) {
+    assert_eq!(
+        (out.nrows(), out.ncols()),
+        (vertices.len(), features.ncols()),
+        "gather target must be |vertices| × d"
+    );
     for (i, &u) in vertices.iter().enumerate() {
         out.row_mut(i).copy_from_slice(features.row(u));
     }
-    out
 }
 
 /// Scatter-add compact minibatch rows back into the full matrix:
@@ -127,6 +141,14 @@ mod tests {
         assert_eq!(acc.row(3), full.row(3));
         assert_eq!(acc.row(1), full.row(1));
         assert!(acc.row(0).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn gather_into_overwrites_a_dirty_target() {
+        let full = Dense::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        let mut out = Dense::filled(2, 3, f32::NAN);
+        gather_rows_into(&full, &[3, 1], &mut out);
+        assert_eq!(out.as_slice(), gather_rows(&full, &[3, 1]).as_slice());
     }
 
     #[test]

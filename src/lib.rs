@@ -50,9 +50,10 @@ pub use fusedmm_sparse as sparse;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use fusedmm_core::{
-        cpu_features, fusedmm, fusedmm_generic, fusedmm_opt, fusedmm_opt_into, fusedmm_opt_with,
-        fusedmm_reference, fusedmm_rows, kernel_profiles, reset_kernel_profiles, Backend, Blocking,
-        HybridConfig, PartitionStrategy, Plan, PlanCache,
+        cpu_features, fusedmm, fusedmm_generic, fusedmm_opt, fusedmm_opt_into,
+        fusedmm_opt_scored_into, fusedmm_opt_with, fusedmm_reference, fusedmm_rows,
+        kernel_profiles, reset_kernel_profiles, Backend, Blocking, HybridConfig, PartitionStrategy,
+        Plan, PlanCache,
     };
     pub use fusedmm_graph::datasets::Dataset;
     pub use fusedmm_graph::erdos::erdos_renyi;

@@ -40,7 +40,7 @@ fn skewed(n: usize, seed: u64) -> Csr {
 fn hybrid_bit_identical_across_dims_and_parts() {
     let n = 160;
     let a = skewed(n, 3);
-    let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
+    let cfg = HybridConfig { mega_floor: 32 };
     for d in [8usize, 96, 100, 192] {
         let x = random_features(n, d, 0.5, 11);
         let y = random_features(n, d, 0.5, 22);
@@ -84,7 +84,7 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
     let x = random_features(n, d, 0.5, 7);
     let y = random_features(n, d, 0.5, 9);
     let ops = OpSet::tdist_embedding();
-    let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
+    let cfg = HybridConfig { mega_floor: 32 };
     reset_kernel_profiles();
     let uniform =
         fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(4), PartitionStrategy::NnzBalanced);
@@ -132,7 +132,7 @@ fn reordered_hybrid_serving_bit_identical() {
                 let label =
                     format!("reordering={reordering:?} shards={nshards} cache={}", cache.is_some());
                 let cfg = EngineConfig {
-                    blocking: Blocking::Hybrid(HybridConfig { short_max: 8, mega_floor: 64 }),
+                    blocking: Blocking::Hybrid(HybridConfig { mega_floor: 64 }),
                     cache,
                     reordering: Some(reordering),
                     ..EngineConfig::default()

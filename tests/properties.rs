@@ -163,11 +163,11 @@ fn matrix_market_round_trip_on_random_graph() {
 /// kernels as the active backend (8-lane ones at `d ≤ 8`).
 const SWEEP_DIMS: [usize; 13] = [1, 2, 7, 8, 16, 24, 48, 64, 96, 100, 128, 192, 384];
 
-/// Thresholds low enough that a 40-odd-row graph has short, strip *and*
-/// mega rows. The mega threshold is `max(mega_floor, nnz / parts)`, so
+/// A threshold low enough that a 40-odd-row graph has strip *and* mega
+/// rows. The mega threshold is `max(mega_floor, nnz / parts)`, so
 /// it only comes down to `mega_floor` under a fine partition
 /// ([`sweep_parts`]).
-const ALL_CLASSES: HybridConfig = HybridConfig { short_max: 3, mega_floor: 6 };
+const ALL_CLASSES: HybridConfig = HybridConfig { mega_floor: 6 };
 
 /// Everything a launch can be asked to run at dimension `d`: the
 /// default, every shape the table compiles for the active backend,
@@ -459,6 +459,128 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
             });
         }
     }
+}
+
+/// The score sink of `fusedmm_opt_scored_into`: for the SDDMM patterns,
+/// at dimensions on both sides of every lane width, for everything a
+/// launch can be asked to run and for one band, a few and one per row,
+/// a NaN-filled `scores` comes back with every slot finite and the same
+/// bits whatever the shape, the partition or the hybrid setting; the
+/// generic kernel's scores (the oracle: `ROP(VOP(x_u, y_v))` computed
+/// step by step) agree within the sweep's tolerance; and `z` is the
+/// unscored launch's `z`, bit for bit. On [`hostile_graph`] as it is
+/// (last row non-empty: its look-ahead stream is clamped at the end of
+/// `colidx`) and with its last row emptied. The scalars themselves are
+/// pinned by hash on the x86 backends, which is what makes AVX2 ≡
+/// AVX-512 a checked statement across the forced-backend CI arms.
+#[test]
+fn scored_launches_overwrite_every_slot_and_leave_z_alone() {
+    use fusedmm::kernel::{fusedmm_opt_scored_into, fusedmm_opt_with};
+
+    const DIMS: [usize; 7] = [1, 7, 8, 48, 100, 128, 384];
+    // FNV of the scores at d = 100 on the unmodified graph, exact
+    // binary-fraction features: the dot products, then the norms.
+    const PINNED: [u64; 2] = [0x79d7781a2530e20d, 0x5c3f125e683632c0];
+    let exact_features = |n: usize, d: usize, seed: usize| {
+        Dense::from_fn(n, d, |r, c| ((r * 131 + c * 17 + seed * 29) % 257) as f32 / 256.0 - 0.5)
+    };
+    let lut = std::sync::Arc::new(SigmoidLut::default_table());
+    let opsets = [
+        (OpSet::sigmoid_embedding(None), 0usize, 1e-5f32),
+        (OpSet::sigmoid_embedding(Some(lut.clone())), 0, 1e-5),
+        (OpSet::nce_gradient(None), 0, 1e-5),
+        // sqrt amplifies association differences near zero
+        (OpSet::fr_model(0.4), 1, 1e-4),
+        (OpSet::tdist_embedding(), 1, 1e-4),
+    ];
+    let last_row_empty = {
+        let a = hostile_graph();
+        let (mut rowptr, mut colidx, mut values) = a.clone().into_parts();
+        let n = a.nrows();
+        rowptr[n] = rowptr[n - 1];
+        colidx.truncate(rowptr[n]);
+        values.truncate(rowptr[n]);
+        Csr::from_parts(n, n, rowptr, colidx, values).unwrap()
+    };
+    let backend = fusedmm::kernel::active_backend();
+    let pinned = matches!(backend, Backend::Avx2Fma | Backend::Avx512);
+    let nnz = PartitionStrategy::NnzBalanced;
+    for (which, a) in [hostile_graph(), last_row_empty].iter().enumerate() {
+        assert_eq!(a.row_nnz(a.nrows() - 1) == 0, which == 1);
+        let n = a.nrows();
+        for d in DIMS {
+            let x = exact_features(n, d, 3);
+            let y = exact_features(n, d, 11);
+            for (ops, class, tol) in &opsets {
+                let mut kernel_scores: Option<Vec<f32>> = None;
+                let mut generic_scores: Option<Vec<f32>> = None;
+                for blocking in sweep_blockings(d) {
+                    for parts in [1usize, 3, 300] {
+                        let what = format!(
+                            "{:?}/{:?} {blocking:?} d={d} parts={parts}",
+                            ops.pattern, ops.sop
+                        );
+                        let plain = fusedmm_opt_with(a, &x, &y, ops, blocking, Some(parts), nnz);
+                        let mut z = vec![f32::NAN; n * d];
+                        let mut scores = vec![f32::NAN; a.nnz()];
+                        fusedmm_opt_scored_into(
+                            a,
+                            &x,
+                            &y,
+                            ops,
+                            blocking,
+                            Some(parts),
+                            nnz,
+                            &mut z,
+                            &mut scores,
+                        );
+                        assert!(bits(&z) == bits(plain.as_slice()), "{what}: the sink moved z");
+                        assert!(scores.iter().all(|s| s.is_finite()), "{what}: a slot was skipped");
+                        let family = if blocking == Blocking::Generic {
+                            &mut generic_scores
+                        } else {
+                            &mut kernel_scores
+                        };
+                        let first = family.get_or_insert_with(|| scores.clone());
+                        assert!(bits(&scores) == bits(first), "{what}: scores moved");
+                    }
+                }
+                let (kernel, generic) = (kernel_scores.unwrap(), generic_scores.unwrap());
+                let scale = 1.0 + kernel.iter().fold(0.0f32, |m, s| m.max(s.abs()));
+                for (e, (k, g)) in kernel.iter().zip(&generic).enumerate() {
+                    assert!(
+                        (k - g).abs() < tol * scale,
+                        "{:?} d={d} edge {e}: {k} vs {g}",
+                        ops.pattern
+                    );
+                }
+                if pinned && which == 0 && d == 100 {
+                    assert_eq!(fnv(&kernel), PINNED[*class], "{:?} on {backend}", ops.pattern);
+                }
+            }
+        }
+    }
+}
+
+/// A scored launch of a pattern with no ROP has nothing to hand back.
+#[test]
+#[should_panic(expected = "needs a scalar per edge")]
+fn scored_launch_of_spmm_is_rejected() {
+    let a = hostile_graph();
+    let x = sweep_features(a.nrows(), 8, 1);
+    let mut z = vec![0f32; a.nrows() * 8];
+    let mut scores = vec![0f32; a.nnz()];
+    fusedmm::kernel::fusedmm_opt_scored_into(
+        &a,
+        &x,
+        &x,
+        &OpSet::gcn(),
+        Blocking::Auto,
+        None,
+        PartitionStrategy::NnzBalanced,
+        &mut z,
+        &mut scores,
+    );
 }
 
 /// FNV-1a over the output's `to_bits`, little-endian.
