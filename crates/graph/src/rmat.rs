@@ -7,6 +7,9 @@
 //! the default `(0.45, 0.22, 0.22, 0.11)` skew yields the heavy-tailed
 //! degree distributions of real social networks.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,14 +84,20 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
         "RMAT probabilities must be positive and sum to 1 (got {total})"
     );
     assert!(cfg.nvertices > 0, "RMAT needs at least one vertex");
+    assert!(
+        cfg.nvertices as u64 <= 1 << 32,
+        "RMAT vertex ids must fit 32 bits (edge keys pack two)"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Number of recursion levels: cover nvertices with the next power of two.
     let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
     let side = 1usize << levels;
     let cap = if cfg.undirected { 2 * cfg.nedges } else { cfg.nedges };
     let mut coo = Coo::with_capacity(cfg.nvertices, cfg.nvertices, cap);
-    let mut seen: std::collections::HashSet<(usize, usize)> =
-        std::collections::HashSet::with_capacity(cfg.nedges * 2);
+    // Membership only — nothing iterates the set, so neither its hasher
+    // nor its size can change which samples are accepted, or the CSR.
+    let mut seen: HashSet<u64, BuildHasherDefault<EdgeKeyHasher>> =
+        HashSet::with_capacity_and_hasher(cfg.nedges, BuildHasherDefault::default());
     let mut emitted = 0usize;
     let mut attempts = 0usize;
     let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
@@ -101,8 +110,8 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
         if cfg.no_self_loops && u == v {
             continue;
         }
-        let key = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
-        if !seen.insert(key) {
+        let (lo, hi) = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
+        if !seen.insert((lo as u64) << 32 | hi as u64) {
             continue;
         }
         if cfg.undirected {
@@ -113,6 +122,31 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
         emitted += 1;
     }
     coo.to_csr(Dedup::Last)
+}
+
+/// Hasher for the dedup set's packed `(u, v)` keys: one multiply and a
+/// fold. The keys come from this module's own generator, so SipHash's
+/// defence against chosen keys buys nothing here and costs most of the
+/// dedup time.
+#[derive(Default)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // The table indexes with the low bits and tags with the top
+        // seven; a product's low bits see only the key's low bits, so
+        // fold the high half down.
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> (usize, usize) {
@@ -147,6 +181,55 @@ fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference generator: the same sampling loop over std's SipHash
+    /// set of `(usize, usize)` pairs, sized `2 × nedges`.
+    fn rmat_reference(cfg: &RmatConfig) -> Csr {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
+        let side = 1usize << levels;
+        let cap = if cfg.undirected { 2 * cfg.nedges } else { cfg.nedges };
+        let mut coo = Coo::with_capacity(cfg.nvertices, cfg.nvertices, cap);
+        let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(cfg.nedges * 2);
+        let mut emitted = 0usize;
+        let mut attempts = 0usize;
+        let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
+        while emitted < cfg.nedges && attempts < max_attempts {
+            attempts += 1;
+            let (u, v) = sample_edge(&mut rng, levels, side, cfg);
+            if u >= cfg.nvertices || v >= cfg.nvertices {
+                continue;
+            }
+            if cfg.no_self_loops && u == v {
+                continue;
+            }
+            let key = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
+            if !seen.insert(key) {
+                continue;
+            }
+            if cfg.undirected {
+                coo.push_symmetric(u, v, 1.0);
+            } else {
+                coo.push(u, v, 1.0);
+            }
+            emitted += 1;
+        }
+        coo.to_csr(Dedup::Last)
+    }
+
+    #[test]
+    fn packed_dedup_set_generates_the_same_graph() {
+        let configs = [
+            RmatConfig::new(1 << 10, 1 << 13).with_seed(3),
+            // Not a power of two (re-draws), dense enough that most
+            // samples are duplicates and the attempt cap ends the loop.
+            RmatConfig::new(1000, 60_000).with_seed(7),
+            RmatConfig::new(1 << 12, 1 << 15).with_seed(11).directed(),
+        ];
+        for cfg in &configs {
+            assert_eq!(rmat(cfg), rmat_reference(cfg), "{cfg:?}");
+        }
+    }
 
     #[test]
     fn respects_vertex_bound() {

@@ -16,9 +16,12 @@
 //!   resolves them against the pending map by request id (replies
 //!   complete out of order), records round-trip latencies, and tracks
 //!   the worker's epoch acknowledgements for the lag gauge;
-//! * the **queue** — one FIFO of outbound frames. Epoch records and
-//!   requests ride the same queue, which *is* the ordering guarantee:
-//!   a record shipped before a request is written before it.
+//! * the **queue** — one FIFO of outbound messages, framed and
+//!   encoded by the writer straight into the socket (a queued epoch
+//!   record is a pair of `Arc`s to the generation it ships, not a copy
+//!   of it). Epoch records and requests ride the same queue, which *is*
+//!   the ordering guarantee: a record shipped before a request is
+//!   written before it.
 //!
 //! Exactly-once log delivery across reconnects: a transport-wide
 //! `ship_order` mutex makes `ship` (append to log + enqueue to every
@@ -41,9 +44,9 @@ use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
 use fusedmm_serve::{FaultPlan, Quality, ServeError};
 
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{read_msg, write_msg, Received};
 use crate::log::EpochLog;
-use crate::proto::{decode, Msg, WireError, PROTO_VERSION};
+use crate::proto::{Msg, WireError, PROTO_VERSION};
 
 /// How the transport connects and behaves under failure.
 pub struct RpcConfig {
@@ -82,9 +85,10 @@ struct WorkerLayout {
     d: u32,
 }
 
-/// One queued outbound frame.
+/// One queued outbound message.
 struct OutFrame {
-    frame: Frame,
+    request_id: u64,
+    msg: Msg,
     /// Request frames (embed/score) count toward the fault plan's
     /// `drop_conn_every` schedule; epoch records don't (severing the
     /// log stream would only test the catch-up path twice).
@@ -251,17 +255,17 @@ impl RpcTransport {
         }
         // Wait for every handshake, then freeze the layout.
         let deadline = Instant::now() + config.connect_timeout;
+        let timed_out = |shard: usize, what: &str| {
+            transport.shutdown();
+            io::Error::new(io::ErrorKind::TimedOut, format!("worker {shard} {what} timed out"))
+        };
         let mut layouts = Vec::with_capacity(transport.workers.len());
         for state in &transport.workers {
             let mut slot = state.layout.lock().expect("layout");
             while slot.is_none() {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
-                    transport.shutdown();
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("worker {} handshake timed out", state.shard),
-                    ));
+                    return Err(timed_out(state.shard, "handshake"));
                 }
                 let (s, _) = state.layout_cv.wait_timeout(slot, left).expect("layout wait");
                 slot = s;
@@ -287,6 +291,23 @@ impl RpcTransport {
             }
         }
         transport.boundaries.set(boundaries).expect("boundaries set once, here");
+        // A manager publishes the layout when it has read the `Hello`
+        // and opens the session (catch-up queued, `connected` set) a
+        // little later; a part dispatched in between would fail fast as
+        // if the worker were down. Return only once every session is
+        // open.
+        for state in &transport.workers {
+            let mut q = state.queue.lock().expect("queue");
+            while !q.connected {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    drop(q);
+                    return Err(timed_out(state.shard, "session"));
+                }
+                let (guard, _) = state.queue_cv.wait_timeout(q, left).expect("queue wait");
+                q = guard;
+            }
+        }
         Ok(transport)
     }
 
@@ -338,25 +359,6 @@ impl RpcTransport {
     pub fn reconnects(&self, shard: usize) -> u64 {
         self.workers[shard].telemetry.reconnects.load(Ordering::Relaxed)
     }
-
-    /// Enqueue one message toward a worker. Returns the request id, or
-    /// `None` when the worker is disconnected (callers fail fast; the
-    /// reconnect path re-ships state, not requests).
-    fn enqueue(&self, shard: usize, msg: &Msg, is_request: bool) -> Option<u64> {
-        let state = &self.workers[shard];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut q = state.queue.lock().expect("queue");
-        if !q.connected {
-            return None;
-        }
-        q.frames.push_back(OutFrame {
-            frame: Frame { request_id: id, kind: msg.kind(), payload: msg.encode() },
-            is_request,
-        });
-        drop(q);
-        state.queue_cv.notify_all();
-        Some(id)
-    }
 }
 
 impl ShardTransport for RpcTransport {
@@ -402,10 +404,7 @@ impl ShardTransport for RpcTransport {
             .expect("pending map")
             .insert(id, Pending::Embed { slot, sent: Instant::now(), rows: nodes.len() });
         state.queued_rows.fetch_add(nodes.len(), Ordering::Relaxed);
-        q.frames.push_back(OutFrame {
-            frame: Frame { request_id: id, kind: msg.kind(), payload: msg.encode() },
-            is_request: true,
-        });
+        q.frames.push_back(OutFrame { request_id: id, msg, is_request: true });
         drop(q);
         state.queue_cv.notify_all();
     }
@@ -431,10 +430,7 @@ impl ShardTransport for RpcTransport {
                 .lock()
                 .expect("pending map")
                 .insert(id, Pending::Score { cell: Arc::clone(&cell), sent: Instant::now() });
-            q.frames.push_back(OutFrame {
-                frame: Frame { request_id: id, kind: msg.kind(), payload: msg.encode() },
-                is_request: true,
-            });
+            q.frames.push_back(OutFrame { request_id: id, msg, is_request: true });
         }
         state.queue_cv.notify_all();
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -456,10 +452,16 @@ impl ShardTransport for RpcTransport {
     fn ship(&self, record: &EpochRecord) {
         let _order = self.ship_order.lock().expect("ship order");
         self.log.ship(record);
-        let msg = Msg::Epoch(record.clone());
-        for shard in 0..self.workers.len() {
+        for state in &self.workers {
+            let mut q = state.queue.lock().expect("queue");
             // Disconnected workers get the record via catch-up.
-            let _ = self.enqueue(shard, &msg, false);
+            if q.connected {
+                let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let msg = Msg::Epoch(record.clone());
+                q.frames.push_back(OutFrame { request_id, msg, is_request: false });
+                drop(q);
+                state.queue_cv.notify_all();
+            }
         }
     }
 
@@ -514,9 +516,9 @@ fn manage_worker(
             let mut q = state.queue.lock().expect("queue");
             q.frames.clear();
             for record in records {
-                let msg = Msg::Epoch(record);
                 q.frames.push_back(OutFrame {
-                    frame: Frame { request_id: 0, kind: msg.kind(), payload: msg.encode() },
+                    request_id: 0,
+                    msg: Msg::Epoch(record),
                     is_request: false,
                 });
             }
@@ -553,7 +555,6 @@ fn manage_worker(
 /// `(epoch, fresh)` and records the layout on first contact.
 fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
     let mut r = BufReader::new(stream.try_clone().ok()?);
-    let frame = read_frame(&mut r).ok()?;
     let Ok(Msg::Hello {
         proto_version,
         shard,
@@ -564,7 +565,7 @@ fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
         epoch,
         fresh,
         backend,
-    }) = decode(frame.kind, &frame.payload)
+    }) = read_msg(&mut r).ok()?.msg
     else {
         return None;
     };
@@ -635,11 +636,11 @@ fn write_outgoing(
                 }
             }
         }
-        let len = (crate::frame::HEADER + 4 + out.frame.payload.len()) as u64;
-        if write_frame(&mut w, &out.frame).is_err() || w.flush().is_err() {
+        let Ok(len) = write_msg(&mut w, out.request_id, &out.msg) else { return };
+        if w.flush().is_err() {
             return;
         }
-        state.telemetry.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        state.telemetry.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
         state.telemetry.frames_sent.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -650,24 +651,16 @@ fn read_replies(state: &WorkerState, stream: UnixStream) {
         Ok(s) => s,
         Err(_) => return,
     });
-    while let Ok(frame) = read_frame(&mut r) {
-        state
-            .telemetry
-            .bytes_received
-            .fetch_add((crate::frame::HEADER + 4 + frame.payload.len()) as u64, Ordering::Relaxed);
+    while let Ok(Received { request_id, wire_len, msg }) = read_msg(&mut r) {
+        state.telemetry.bytes_received.fetch_add(wire_len as u64, Ordering::Relaxed);
         state.telemetry.frames_received.fetch_add(1, Ordering::Relaxed);
-        let msg = match decode(frame.kind, &frame.payload) {
-            Ok(m) => m,
-            Err(_) => break, // protocol corruption: force a reconnect
-        };
+        let Ok(msg) = msg else { break }; // protocol corruption: force a reconnect
         match msg {
             Msg::EpochAck { epoch } => {
                 state.acked.fetch_max(epoch, Ordering::Relaxed);
             }
             Msg::EmbedOk { rows } => {
-                if let Some(Pending::Embed { slot, sent, rows: expect }) =
-                    take(state, frame.request_id)
-                {
+                if let Some(Pending::Embed { slot, sent, rows: expect }) = take(state, request_id) {
                     state.telemetry.rtt.record(sent.elapsed());
                     state.queued_rows.fetch_sub(expect, Ordering::Relaxed);
                     if rows.nrows() == expect {
@@ -678,12 +671,12 @@ fn read_replies(state: &WorkerState, stream: UnixStream) {
                 }
             }
             Msg::ScoreOk { scores } => {
-                if let Some(Pending::Score { cell, sent }) = take(state, frame.request_id) {
+                if let Some(Pending::Score { cell, sent }) = take(state, request_id) {
                     state.telemetry.rtt.record(sent.elapsed());
                     cell.resolve(Ok(scores));
                 }
             }
-            Msg::PartErr { err } => match take(state, frame.request_id) {
+            Msg::PartErr { err } => match take(state, request_id) {
                 Some(Pending::Embed { slot, sent, rows }) => {
                     state.telemetry.rtt.record(sent.elapsed());
                     state.queued_rows.fetch_sub(rows, Ordering::Relaxed);

@@ -12,12 +12,20 @@
 //! [`proto`](crate::proto). Frames work over any `Read`/`Write` pair:
 //! unix sockets today, TCP tomorrow, `Vec<u8>` in tests.
 //!
+//! [`write_frame`] / [`read_frame`] move a payload that already exists
+//! as bytes. The transport itself uses [`write_msg`] / [`read_msg`],
+//! which put the same bytes on the wire while the codec streams the
+//! payload to or from the socket — a 128 MiB feature matrix is never
+//! copied into a frame buffer on either side.
+//!
 //! `request_id` correlates replies with requests so responses may
 //! complete out of order; `kind` tags the payload schema (including
 //! the typed error frame) so a reply's success/failure is visible
 //! before decoding.
 
 use std::io::{self, Read, Write};
+
+use crate::proto::{decode_from, DecodeError, Msg};
 
 /// Frame header bytes after the length word: request id + kind.
 pub const HEADER: usize = 8 + 1;
@@ -68,22 +76,25 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame. The caller owns flushing (batch several frames,
-/// then flush once).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let len = HEADER + frame.payload.len();
+/// Write the length word and header of a frame whose payload is
+/// `payload_len` bytes.
+fn write_header(
+    w: &mut impl Write,
+    payload_len: usize,
+    request_id: u64,
+    kind: u8,
+) -> io::Result<()> {
+    let len = HEADER + payload_len;
     assert!(len <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
     w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&frame.request_id.to_le_bytes())?;
-    w.write_all(&[frame.kind])?;
-    w.write_all(&frame.payload)?;
-    Ok(())
+    w.write_all(&request_id.to_le_bytes())?;
+    w.write_all(&[kind])
 }
 
-/// Read exactly one frame. A clean EOF *before* the length word is
-/// [`FrameError::Closed`]; an EOF anywhere inside a frame is an i/o
-/// error (the peer died mid-send).
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+/// Read and bound-check a length word and header: the payload's
+/// length, the request id, the kind. A clean EOF *before* the length
+/// word is [`FrameError::Closed`].
+fn read_header(r: &mut impl Read) -> Result<(usize, u64, u8), FrameError> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
@@ -98,9 +109,69 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     r.read_exact(&mut id_bytes)?;
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    let mut payload = vec![0u8; len as usize - HEADER];
+    Ok((len as usize - HEADER, u64::from_le_bytes(id_bytes), kind[0]))
+}
+
+/// Write one frame. The caller owns flushing (batch several frames,
+/// then flush once).
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    write_header(w, frame.payload.len(), frame.request_id, frame.kind)?;
+    w.write_all(&frame.payload)
+}
+
+/// Read exactly one frame. A clean EOF *before* the length word is
+/// [`FrameError::Closed`]; an EOF anywhere inside a frame is an i/o
+/// error (the peer died mid-send).
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    let (payload_len, request_id, kind) = read_header(r)?;
+    let mut payload = vec![0u8; payload_len];
     r.read_exact(&mut payload)?;
-    Ok(Frame { request_id: u64::from_le_bytes(id_bytes), kind: kind[0], payload })
+    Ok(Frame { request_id, kind, payload })
+}
+
+/// Frame `msg` without materialising its payload: byte for byte what
+/// [`write_frame`] writes for `Frame { payload: msg.encode(), .. }`,
+/// streamed by [`Msg::encode_into`]. Returns the bytes put on the wire,
+/// length word included. The caller owns flushing.
+///
+/// # Panics
+/// Panics when the message does not fit [`MAX_FRAME`] — for an epoch
+/// record, when `X` and `Y` together exceed 1 GiB.
+pub fn write_msg(w: &mut impl Write, request_id: u64, msg: &Msg) -> io::Result<usize> {
+    let payload_len = msg.encoded_len();
+    write_header(w, payload_len, request_id, msg.kind())?;
+    msg.encode_into(w)?;
+    Ok(4 + HEADER + payload_len)
+}
+
+/// One frame read by [`read_msg`].
+#[derive(Debug)]
+pub struct Received {
+    /// The frame's request id — known even when the payload is bad, so
+    /// a serve loop can answer the failure typed.
+    pub request_id: u64,
+    /// Bytes the frame took on the wire, length word included.
+    pub wire_len: usize,
+    /// The decoded message, or why the payload is not one.
+    pub msg: Result<Msg, DecodeError>,
+}
+
+/// Read one frame and decode its payload straight off the stream
+/// ([`decode_from`]) — no payload buffer between the socket and the
+/// message. Frame-level failures are the same as [`read_frame`]'s. A
+/// payload that fails to decode is skipped to the frame's end, so the
+/// next call starts on the next frame.
+pub fn read_msg(r: &mut impl Read) -> Result<Received, FrameError> {
+    let (payload_len, request_id, kind) = read_header(r)?;
+    let mut body = r.by_ref().take(payload_len as u64);
+    let msg = decode_from(kind, &mut body, payload_len)?;
+    if msg.is_err() {
+        io::copy(&mut body, &mut io::sink())?;
+        if body.limit() != 0 {
+            return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
+        }
+    }
+    Ok(Received { request_id, wire_len: 4 + HEADER + payload_len, msg })
 }
 
 #[cfg(test)]
@@ -152,5 +223,67 @@ mod tests {
                 assert!(matches!(r, Err(FrameError::Io(_))), "cut at {cut}");
             }
         }
+    }
+
+    fn embed_ok() -> Msg {
+        let rows = fusedmm_sparse::Dense::from_fn(3, 5, |r, c| (r * 5 + c) as f32 - 7.5);
+        Msg::EmbedOk { rows }
+    }
+
+    #[test]
+    fn write_msg_puts_the_bytes_write_frame_puts() {
+        let msg = embed_ok();
+        let mut framed = Vec::new();
+        write_frame(
+            &mut framed,
+            &Frame { request_id: 77, kind: msg.kind(), payload: msg.encode() },
+        )
+        .unwrap();
+        let mut streamed = Vec::new();
+        assert_eq!(write_msg(&mut streamed, 77, &msg).unwrap(), framed.len());
+        assert_eq!(streamed, framed);
+        let back = read_msg(&mut &streamed[..]).unwrap();
+        assert_eq!((back.request_id, back.wire_len), (77, framed.len()));
+        assert_eq!(back.msg, Ok(msg));
+    }
+
+    #[test]
+    fn a_bad_payload_is_typed_and_the_next_frame_survives_it() {
+        let good = embed_ok();
+        // A dense header promising 1000 x 1000 floats in a 16-byte
+        // payload, and a well-formed message with one byte too many.
+        let mut overcount = Vec::new();
+        overcount.extend_from_slice(&1000u32.to_le_bytes());
+        overcount.extend_from_slice(&1000u32.to_le_bytes());
+        overcount.extend_from_slice(&[0; 8]);
+        let mut trailing = good.encode();
+        trailing.push(0);
+        for (payload, want) in
+            [(overcount, DecodeError::BadCount("dense")), (trailing, DecodeError::Trailing)]
+        {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame { request_id: 5, kind: good.kind(), payload }).unwrap();
+            write_msg(&mut wire, 6, &good).unwrap();
+            let mut r = &wire[..];
+            let bad = read_msg(&mut r).unwrap();
+            assert_eq!((bad.request_id, bad.msg), (5, Err(want)));
+            let next = read_msg(&mut r).unwrap();
+            assert_eq!((next.request_id, next.msg), (6, Ok(good.clone())));
+            assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
+        }
+    }
+
+    #[test]
+    fn a_stream_that_ends_inside_a_payload_is_io_for_read_msg_too() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, 1, &embed_ok()).unwrap();
+        for cut in 4..wire.len() {
+            assert!(matches!(read_msg(&mut &wire[..cut]), Err(FrameError::Io(_))), "cut at {cut}");
+        }
+        // Also when the payload is bad and the frame is being skipped.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame { request_id: 1, kind: 200, payload: vec![0; 64] }).unwrap();
+        assert!(matches!(read_msg(&mut &wire[..40]), Err(FrameError::Io(_))));
+        assert_eq!(read_msg(&mut &wire[..]).unwrap().msg, Err(DecodeError::UnknownKind(200)));
     }
 }

@@ -16,7 +16,11 @@
 //!   request ids and typed error frames, and a little-endian codec for
 //!   the message schema (`Hello` handshake with shard-band + backend
 //!   negotiation, embed/score parts, epoch records). `f32`s cross as
-//!   raw bits, so remote responses are bit-identical to in-process.
+//!   raw bits, so remote responses are bit-identical to in-process. The
+//!   codec streams ([`Msg::encode_into`], [`decode_from`], framed by
+//!   [`write_msg`] / [`read_msg`]): a feature matrix goes from its own
+//!   storage to the socket and from the socket into its destination,
+//!   with no payload buffer on either side.
 //! * [`worker`] — the worker process side: a serve loop exposing a
 //!   [`WorkerEngine`](fusedmm_serve::remote::WorkerEngine) (band
 //!   engine + replica feature store + epoch history + per-replica
@@ -32,6 +36,8 @@
 //!   (`drop_conn_every` / `delay_frame_us`), and `fusedmm_rpc_*`
 //!   telemetry.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod frame;
 pub mod log;
@@ -39,7 +45,7 @@ pub mod proto;
 pub mod worker;
 
 pub use client::{RpcConfig, RpcTransport};
-pub use frame::{read_frame, write_frame, Frame, FrameError};
+pub use frame::{read_frame, read_msg, write_frame, write_msg, Frame, FrameError, Received};
 pub use log::EpochLog;
-pub use proto::{decode, DecodeError, Msg, WireError, PROTO_VERSION};
+pub use proto::{decode, decode_from, DecodeError, Msg, WireError, PROTO_VERSION};
 pub use worker::WorkerServer;

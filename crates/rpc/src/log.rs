@@ -9,8 +9,14 @@
 //! base snapshot once the tail grows past the compaction cap, so its
 //! memory footprint is bounded by `2 × state + cap × record` no matter
 //! how many epochs have ever been minted.
+//!
+//! Whole generations are shared with whoever shipped them: the base is
+//! the allocation the coordinator's store holds (a snapshot or publish
+//! record is an `Arc` pair), and the log copies it only when a fold has
+//! to patch delta rows into a base somebody else still holds.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fusedmm_serve::remote::EpochRecord;
 use fusedmm_sparse::Dense;
@@ -23,7 +29,7 @@ const COMPACT_AFTER: usize = 64;
 
 struct Inner {
     /// Full state at `base_epoch` — what a fresh joiner receives.
-    base: Option<(u64, Dense, Dense)>,
+    base: Option<(u64, Arc<Dense>, Arc<Dense>)>,
     /// Records minted after `base_epoch`, epoch-ordered.
     tail: VecDeque<EpochRecord>,
 }
@@ -51,7 +57,7 @@ impl EpochLog {
             EpochRecord::Snapshot { epoch, x, y } => {
                 // A snapshot *is* a base: everything before it is
                 // subsumed.
-                inner.base = Some((*epoch, x.clone(), y.clone()));
+                inner.base = Some((*epoch, Arc::clone(x), Arc::clone(y)));
                 inner.tail.clear();
             }
             other => inner.tail.push_back(other.clone()),
@@ -83,8 +89,11 @@ impl EpochLog {
             (Some(e), None) => inner.tail.iter().filter(|r| r.epoch() > e).cloned().collect(),
             (_, Some(_)) => {
                 let (epoch, x, y) = inner.base.as_ref().expect("checked");
-                let mut out =
-                    vec![EpochRecord::Snapshot { epoch: *epoch, x: x.clone(), y: y.clone() }];
+                let mut out = vec![EpochRecord::Snapshot {
+                    epoch: *epoch,
+                    x: Arc::clone(x),
+                    y: Arc::clone(y),
+                }];
                 out.extend(inner.tail.iter().cloned());
                 out
             }
@@ -103,10 +112,9 @@ impl Inner {
     /// Fold the whole tail into the base snapshot. Requires a base (a
     /// delta tail without a base can't be folded — keep it).
     fn compact(&mut self) {
-        let Some((epoch, x, y)) = self.base.take() else {
+        let Some((mut epoch, mut x, mut y)) = self.base.take() else {
             return;
         };
-        let (mut epoch, mut x, mut y) = (epoch, x, y);
         for record in self.tail.drain(..) {
             match record {
                 EpochRecord::Publish { epoch: e, x: nx, y: ny }
@@ -117,6 +125,11 @@ impl Inner {
                 }
                 EpochRecord::Delta { epoch: e, rows, x_rows, y_rows } => {
                     epoch = e;
+                    // The one place the log copies a generation: the
+                    // first delta folded into a base the store (or a
+                    // queued record) still holds. Later deltas of the
+                    // same fold find it unshared.
+                    let (x, y) = (Arc::make_mut(&mut x), Arc::make_mut(&mut y));
                     for (i, &r) in rows.iter().enumerate() {
                         x.row_mut(r).copy_from_slice(x_rows.row(i));
                         y.row_mut(r).copy_from_slice(y_rows.row(i));
@@ -133,7 +146,11 @@ mod tests {
     use super::*;
 
     fn snap(epoch: u64, fill: f32) -> EpochRecord {
-        EpochRecord::Snapshot { epoch, x: Dense::filled(4, 2, fill), y: Dense::filled(4, 2, fill) }
+        EpochRecord::Snapshot {
+            epoch,
+            x: Arc::new(Dense::filled(4, 2, fill)),
+            y: Arc::new(Dense::filled(4, 2, fill)),
+        }
     }
 
     fn delta(epoch: u64, row: usize, fill: f32) -> EpochRecord {

@@ -3,20 +3,29 @@
 //!
 //! Every message encodes to one frame payload tagged by a `KIND_*`
 //! byte. `f32` matrices cross the wire as raw little-endian bit
-//! patterns (`to_le_bytes`/`from_le_bytes`), so a row decoded on the
-//! other side is **bit-identical** to the row encoded — the
-//! multi-process bit-identity guarantee rests on this, not on any
-//! decimal round-trip.
+//! patterns, so a row decoded on the other side is **bit-identical**
+//! to the row encoded — the multi-process bit-identity guarantee rests
+//! on this, not on any decimal round-trip.
 //!
-//! Decoding is total: any byte slice produces either a message or a
-//! typed [`DecodeError`], never a panic and never an
-//! attacker-controlled allocation (element counts are validated
-//! against the bytes actually present before any `Vec` is sized).
+//! The codec streams: [`Msg::encode_into`] writes into any `Write` and
+//! [`decode_from`] reads from any `Read`, and on a little-endian target
+//! a matrix body moves as one `write_all` of the matrix's own bytes and
+//! one `read_exact` into the destination matrix (big-endian targets
+//! convert element by element). [`Msg::encode`] and [`decode`] are the
+//! same two bodies over a `Vec` and a slice.
+//!
+//! Decoding is total: any input produces either a message or a typed
+//! [`DecodeError`], never a panic and never an attacker-controlled
+//! allocation (element counts are validated against the bytes the frame
+//! still owes before anything is sized).
 
+use std::io::{self, Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fusedmm_serve::remote::EpochRecord;
 use fusedmm_serve::Quality;
+use fusedmm_sparse::dense::{f32_bytes, f32_bytes_mut};
 use fusedmm_sparse::Dense;
 
 /// Protocol revision, checked at handshake. Bump on any wire change.
@@ -173,9 +182,29 @@ impl Msg {
         }
     }
 
-    /// Encode to a frame payload (pair with [`Msg::kind`]).
+    /// Encode to a frame payload (pair with [`Msg::kind`]):
+    /// [`encode_into`](Msg::encode_into) a `Vec` of exactly
+    /// [`encoded_len`](Msg::encoded_len) bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out).expect("a Vec accepts every write");
+        out
+    }
+
+    /// The payload's length in bytes, without producing it: the encoder
+    /// run into a byte counter, so the two cannot disagree. A matrix
+    /// body counts in one step.
+    pub fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_into(&mut count).expect("a counter accepts every write");
+        count.0
+    }
+
+    /// Stream the payload into `w` — the one encoder. A matrix body
+    /// goes out as one `write_all` of the matrix's own bytes (on a
+    /// little-endian target), so a feature generation is never copied
+    /// into a payload buffer on its way to a socket.
+    pub fn encode_into(&self, w: &mut impl Write) -> io::Result<()> {
         match self {
             Msg::Hello {
                 proto_version,
@@ -188,76 +217,69 @@ impl Msg {
                 fresh,
                 backend,
             } => {
-                put_u32(&mut out, *proto_version);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *band_start);
-                put_u64(&mut out, *band_len);
-                put_u64(&mut out, *y_rows);
-                put_u32(&mut out, *d);
-                put_u64(&mut out, *epoch);
-                out.push(u8::from(*fresh));
-                put_str(&mut out, backend);
+                put_u32(w, *proto_version)?;
+                put_u32(w, *shard)?;
+                put_u64(w, *band_start)?;
+                put_u64(w, *band_len)?;
+                put_u64(w, *y_rows)?;
+                put_u32(w, *d)?;
+                put_u64(w, *epoch)?;
+                w.write_all(&[u8::from(*fresh)])?;
+                put_str(w, backend)
             }
             Msg::Embed { epoch, quality, deadline_us, nodes } => {
-                put_u64(&mut out, *epoch);
-                put_quality(&mut out, *quality);
-                put_u64(&mut out, deadline_us.map_or(u64::MAX, |us| us.min(u64::MAX - 1)));
-                put_u64(&mut out, nodes.len() as u64);
-                for &n in nodes {
-                    put_u64(&mut out, n);
-                }
+                put_u64(w, *epoch)?;
+                put_quality(w, *quality)?;
+                put_u64(w, deadline_us.map_or(u64::MAX, |us| us.min(u64::MAX - 1)))?;
+                put_u64(w, nodes.len() as u64)?;
+                nodes.iter().try_for_each(|&n| put_u64(w, n))
             }
-            Msg::EmbedOk { rows } => put_dense(&mut out, rows),
+            Msg::EmbedOk { rows } => put_dense(w, rows),
             Msg::PartErr { err } => match err {
-                WireError::Expired => out.push(0),
-                WireError::Panicked => out.push(1),
-                WireError::EpochUnavailable => out.push(2),
+                WireError::Expired => w.write_all(&[0]),
+                WireError::Panicked => w.write_all(&[1]),
+                WireError::EpochUnavailable => w.write_all(&[2]),
                 WireError::Other(detail) => {
-                    out.push(3);
-                    put_str(&mut out, detail);
+                    w.write_all(&[3])?;
+                    put_str(w, detail)
                 }
             },
             Msg::Score { epoch, pairs } => {
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, pairs.len() as u64);
-                for &(u, v) in pairs {
-                    put_u64(&mut out, u);
-                    put_u64(&mut out, v);
-                }
+                put_u64(w, *epoch)?;
+                put_u64(w, pairs.len() as u64)?;
+                pairs.iter().try_for_each(|&(u, v)| {
+                    put_u64(w, u)?;
+                    put_u64(w, v)
+                })
             }
             Msg::ScoreOk { scores } => {
-                put_u64(&mut out, scores.len() as u64);
-                for &s in scores {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
+                put_u64(w, scores.len() as u64)?;
+                put_f32s(w, scores)
             }
             Msg::Epoch(record) => match record {
                 EpochRecord::Publish { epoch, x, y } => {
-                    out.push(0);
-                    put_u64(&mut out, *epoch);
-                    put_dense(&mut out, x);
-                    put_dense(&mut out, y);
+                    w.write_all(&[0])?;
+                    put_u64(w, *epoch)?;
+                    put_dense(w, x)?;
+                    put_dense(w, y)
                 }
                 EpochRecord::Delta { epoch, rows, x_rows, y_rows } => {
-                    out.push(1);
-                    put_u64(&mut out, *epoch);
-                    put_u64(&mut out, rows.len() as u64);
-                    for &r in rows {
-                        put_u64(&mut out, r as u64);
-                    }
-                    put_dense(&mut out, x_rows);
-                    put_dense(&mut out, y_rows);
+                    w.write_all(&[1])?;
+                    put_u64(w, *epoch)?;
+                    put_u64(w, rows.len() as u64)?;
+                    rows.iter().try_for_each(|&r| put_u64(w, r as u64))?;
+                    put_dense(w, x_rows)?;
+                    put_dense(w, y_rows)
                 }
                 EpochRecord::Snapshot { epoch, x, y } => {
-                    out.push(2);
-                    put_u64(&mut out, *epoch);
-                    put_dense(&mut out, x);
-                    put_dense(&mut out, y);
+                    w.write_all(&[2])?;
+                    put_u64(w, *epoch)?;
+                    put_dense(w, x)?;
+                    put_dense(w, y)
                 }
             },
-            Msg::EpochAck { epoch } => put_u64(&mut out, *epoch),
+            Msg::EpochAck { epoch } => put_u64(w, *epoch),
         }
-        out
     }
 
     /// The remote deadline reconstructed locally: `deadline_us`
@@ -269,9 +291,38 @@ impl Msg {
     }
 }
 
-/// Decode one frame payload of the given kind.
+/// Decode one frame payload of the given kind:
+/// [`decode_from`] over the slice.
 pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, DecodeError> {
-    let mut rd = Rd { b: payload, pos: 0 };
+    // Every read is checked against `payload.len()` first, so the
+    // slice cannot run dry: the i/o arm is unreachable, not ignored.
+    decode_from(kind, &mut &payload[..], payload.len()).unwrap_or(Err(DecodeError::Eof))
+}
+
+/// Decode the `len`-byte payload of a frame of the given kind straight
+/// off `r` — the one decoder. A matrix body is read into its freshly
+/// allocated (lazily zeroed) destination in one `read_exact` on a
+/// little-endian target; nothing is staged in a payload buffer.
+///
+/// The outer error is the stream's (it ended or failed inside the
+/// payload); the inner one is the payload's. On an inner error some
+/// prefix of the `len` bytes has been consumed — a framed caller must
+/// skip the rest ([`read_msg`](crate::frame::read_msg) does). At most
+/// `len` bytes are ever read, and every element count is checked
+/// against what is left of `len` before anything is sized.
+pub fn decode_from(
+    kind: u8,
+    r: &mut impl Read,
+    len: usize,
+) -> io::Result<Result<Msg, DecodeError>> {
+    match decode_body(kind, &mut Rd { r, left: len }) {
+        Ok(msg) => Ok(Ok(msg)),
+        Err(Fail::Decode(e)) => Ok(Err(e)),
+        Err(Fail::Io(e)) => Err(e),
+    }
+}
+
+fn decode_body(kind: u8, rd: &mut Rd<'_, impl Read>) -> Result<Msg, Fail> {
     let msg = match kind {
         KIND_HELLO => Msg::Hello {
             proto_version: rd.u32()?,
@@ -284,7 +335,7 @@ pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, DecodeError> {
             fresh: match rd.u8()? {
                 0 => false,
                 1 => true,
-                t => return Err(DecodeError::BadTag("fresh", t as u64)),
+                t => return Err(DecodeError::BadTag("fresh", t as u64).into()),
             },
             backend: rd.str()?,
         },
@@ -304,7 +355,7 @@ pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, DecodeError> {
                 1 => WireError::Panicked,
                 2 => WireError::EpochUnavailable,
                 3 => WireError::Other(rd.str()?),
-                t => return Err(DecodeError::BadTag("part error", t as u64)),
+                t => return Err(DecodeError::BadTag("part error", t as u64).into()),
             },
         },
         KIND_SCORE => {
@@ -318,109 +369,166 @@ pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, DecodeError> {
         }
         KIND_SCORE_OK => {
             let n = rd.count("scores", 4)?;
-            let mut scores = Vec::with_capacity(n);
-            for _ in 0..n {
-                scores.push(rd.f32()?);
-            }
+            let mut scores = vec![0f32; n];
+            rd.f32s(&mut scores)?;
             Msg::ScoreOk { scores }
         }
         KIND_EPOCH => Msg::Epoch(match rd.u8()? {
-            0 => EpochRecord::Publish { epoch: rd.u64()?, x: rd.dense()?, y: rd.dense()? },
+            0 => EpochRecord::Publish {
+                epoch: rd.u64()?,
+                x: Arc::new(rd.dense()?),
+                y: Arc::new(rd.dense()?),
+            },
             1 => {
                 let epoch = rd.u64()?;
                 let rows = rd.u64_vec("delta rows")?.into_iter().map(|r| r as usize).collect();
                 EpochRecord::Delta { epoch, rows, x_rows: rd.dense()?, y_rows: rd.dense()? }
             }
-            2 => EpochRecord::Snapshot { epoch: rd.u64()?, x: rd.dense()?, y: rd.dense()? },
-            t => return Err(DecodeError::BadTag("epoch record", t as u64)),
+            2 => EpochRecord::Snapshot {
+                epoch: rd.u64()?,
+                x: Arc::new(rd.dense()?),
+                y: Arc::new(rd.dense()?),
+            },
+            t => return Err(DecodeError::BadTag("epoch record", t as u64).into()),
         }),
         KIND_EPOCH_ACK => Msg::EpochAck { epoch: rd.u64()? },
-        k => return Err(DecodeError::UnknownKind(k)),
+        k => return Err(DecodeError::UnknownKind(k).into()),
     };
-    if rd.pos != payload.len() {
-        return Err(DecodeError::Trailing);
+    if rd.left != 0 {
+        return Err(DecodeError::Trailing.into());
     }
     Ok(msg)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A `Write` that only counts ([`Msg::encoded_len`]).
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
 }
 
-fn put_quality(out: &mut Vec<u8>, q: Quality) {
+fn put_str(w: &mut impl Write, s: &str) -> io::Result<()> {
+    put_u64(w, s.len() as u64)?;
+    w.write_all(s.as_bytes())
+}
+
+fn put_quality(w: &mut impl Write, q: Quality) -> io::Result<()> {
     match q {
-        Quality::Exact => out.push(0),
+        Quality::Exact => w.write_all(&[0]),
         Quality::TopKNeighbors(k) => {
-            out.push(1);
-            put_u32(out, k as u32);
+            w.write_all(&[1])?;
+            put_u32(w, k as u32)
         }
-        Quality::CachedOnly => out.push(2),
+        Quality::CachedOnly => w.write_all(&[2]),
     }
 }
 
-fn put_dense(out: &mut Vec<u8>, m: &Dense) {
-    put_u32(out, m.nrows() as u32);
-    put_u32(out, m.ncols() as u32);
-    for &v in m.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
+/// `f32`s as little-endian bit patterns: on a little-endian target
+/// that is the slice's own memory, written in one call.
+fn put_f32s(w: &mut impl Write, values: &[f32]) -> io::Result<()> {
+    if cfg!(target_endian = "little") {
+        w.write_all(f32_bytes(values))
+    } else {
+        values.iter().try_for_each(|v| w.write_all(&v.to_le_bytes()))
     }
 }
 
-/// Bounds-checked little-endian reader over a payload slice.
-struct Rd<'a> {
-    b: &'a [u8],
-    pos: usize,
+fn put_dense(w: &mut impl Write, m: &Dense) -> io::Result<()> {
+    put_u32(w, m.nrows() as u32)?;
+    put_u32(w, m.ncols() as u32)?;
+    put_f32s(w, m.as_slice())
 }
 
-impl Rd<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Eof)?;
-        if end > self.b.len() {
-            return Err(DecodeError::Eof);
+/// Why the decoder stopped: the stream's fault or the payload's.
+enum Fail {
+    Io(io::Error),
+    Decode(DecodeError),
+}
+
+impl From<io::Error> for Fail {
+    fn from(e: io::Error) -> Fail {
+        Fail::Io(e)
+    }
+}
+
+impl From<DecodeError> for Fail {
+    fn from(e: DecodeError) -> Fail {
+        Fail::Decode(e)
+    }
+}
+
+/// Little-endian reader over the `left` bytes a frame still owes: no
+/// field is read, and nothing is sized, past them.
+struct Rd<'a, R> {
+    r: &'a mut R,
+    left: usize,
+}
+
+impl<R: Read> Rd<'_, R> {
+    /// Read exactly `buf.len()` of the frame's remaining bytes.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), Fail> {
+        self.left = self.left.checked_sub(buf.len()).ok_or(DecodeError::Eof)?;
+        self.r.read_exact(buf)?;
+        Ok(())
+    }
+
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], Fail> {
+        let mut b = [0u8; N];
+        self.fill(&mut b)?;
+        Ok(b)
+    }
+
+    fn u8(&mut self) -> Result<u8, Fail> {
+        Ok(self.bytes::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, Fail> {
+        Ok(u32::from_le_bytes(self.bytes()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, Fail> {
+        Ok(u64::from_le_bytes(self.bytes()?))
+    }
+
+    /// The inverse of [`put_f32s`], into a destination already sized
+    /// from a validated count.
+    fn f32s(&mut self, out: &mut [f32]) -> Result<(), Fail> {
+        if cfg!(target_endian = "little") {
+            return self.fill(f32_bytes_mut(out));
         }
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, DecodeError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        for v in out {
+            *v = f32::from_le_bytes(self.bytes()?);
+        }
+        Ok(())
     }
 
     /// An element count, validated against the bytes remaining
     /// (`elem_size` bytes per element) *before* any allocation — a
     /// garbage count must not size a `Vec`.
-    fn count(&mut self, what: &'static str, elem_size: usize) -> Result<usize, DecodeError> {
+    fn count(&mut self, what: &'static str, elem_size: usize) -> Result<usize, Fail> {
         let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n.checked_mul(elem_size as u64).is_none_or(|bytes| bytes > remaining) {
-            return Err(DecodeError::BadCount(what));
+        if n.checked_mul(elem_size as u64).is_none_or(|bytes| bytes > self.left as u64) {
+            return Err(DecodeError::BadCount(what).into());
         }
         Ok(n as usize)
     }
 
-    fn u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>, DecodeError> {
+    fn u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>, Fail> {
         let n = self.count(what, 8)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
@@ -429,32 +537,186 @@ impl Rd<'_> {
         Ok(v)
     }
 
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.count("string", 1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    fn str(&mut self) -> Result<String, Fail> {
+        let mut bytes = vec![0u8; self.count("string", 1)?];
+        self.fill(&mut bytes)?;
+        Ok(String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?)
     }
 
-    fn quality(&mut self) -> Result<Quality, DecodeError> {
+    fn quality(&mut self) -> Result<Quality, Fail> {
         match self.u8()? {
             0 => Ok(Quality::Exact),
             1 => Ok(Quality::TopKNeighbors(self.u32()? as usize)),
             2 => Ok(Quality::CachedOnly),
-            t => Err(DecodeError::BadTag("quality", t as u64)),
+            t => Err(DecodeError::BadTag("quality", t as u64).into()),
         }
     }
 
-    fn dense(&mut self) -> Result<Dense, DecodeError> {
+    fn dense(&mut self) -> Result<Dense, Fail> {
         let nrows = self.u32()? as usize;
         let ncols = self.u32()? as usize;
-        let n = nrows
-            .checked_mul(ncols)
-            .filter(|&n| n.checked_mul(4).is_some_and(|b| b <= self.b.len() - self.pos))
-            .ok_or(DecodeError::BadCount("dense"))?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f32()?);
+        let fits = nrows.checked_mul(ncols).and_then(|n| n.checked_mul(4));
+        if fits.is_none_or(|bytes| bytes > self.left) {
+            return Err(DecodeError::BadCount("dense").into());
         }
-        Dense::from_rows(nrows, ncols, &data).map_err(|_| DecodeError::BadCount("dense"))
+        // `zeros` is an untouched `calloc`: the read below is the first
+        // and only write to these pages.
+        let mut m = Dense::zeros(nrows, ncols);
+        self.f32s(m.as_mut_slice())?;
+        Ok(m)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The wire format, spelled out: one message of every kind (every
+    /// epoch-record variant, every tag arm) against literal bytes. A
+    /// layout change fails here whatever the round-trip tests say.
+    #[test]
+    fn golden_bytes_for_every_kind() {
+        let dense = |r: usize, c: usize, v: &[f32]| Dense::from_rows(r, c, v).expect("shape");
+        let cases: Vec<(Msg, u8, Vec<u8>)> = vec![
+            (
+                Msg::Hello {
+                    proto_version: 1,
+                    shard: 2,
+                    band_start: 3,
+                    band_len: 4,
+                    y_rows: 5,
+                    d: 6,
+                    epoch: 7,
+                    fresh: true,
+                    backend: "avx2".into(),
+                },
+                1,
+                [
+                    &[1, 0, 0, 0][..],         // proto_version: u32
+                    &[2, 0, 0, 0],             // shard: u32
+                    &[3, 0, 0, 0, 0, 0, 0, 0], // band_start: u64
+                    &[4, 0, 0, 0, 0, 0, 0, 0], // band_len: u64
+                    &[5, 0, 0, 0, 0, 0, 0, 0], // y_rows: u64
+                    &[6, 0, 0, 0],             // d: u32
+                    &[7, 0, 0, 0, 0, 0, 0, 0], // epoch: u64
+                    &[1],                      // fresh
+                    &[4, 0, 0, 0, 0, 0, 0, 0], // backend: length
+                    b"avx2",
+                ]
+                .concat(),
+            ),
+            (
+                Msg::Embed {
+                    epoch: 9,
+                    quality: Quality::TopKNeighbors(3),
+                    deadline_us: Some(1000),
+                    nodes: vec![5, 258],
+                },
+                2,
+                [
+                    &[9, 0, 0, 0, 0, 0, 0, 0][..],
+                    &[1, 3, 0, 0, 0],             // quality tag 1 + k: u32
+                    &[0xE8, 3, 0, 0, 0, 0, 0, 0], // 1000 us remaining
+                    &[2, 0, 0, 0, 0, 0, 0, 0],    // node count
+                    &[5, 0, 0, 0, 0, 0, 0, 0],
+                    &[2, 1, 0, 0, 0, 0, 0, 0],
+                ]
+                .concat(),
+            ),
+            (
+                Msg::Embed { epoch: 9, quality: Quality::Exact, deadline_us: None, nodes: vec![] },
+                2,
+                [
+                    &[9, 0, 0, 0, 0, 0, 0, 0][..],
+                    &[0],       // quality tag 0
+                    &[0xFF; 8], // no deadline
+                    &[0; 8],    // node count
+                ]
+                .concat(),
+            ),
+            (
+                Msg::EmbedOk { rows: dense(1, 2, &[1.0, -2.0]) },
+                3,
+                vec![1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0x80, 0x3F, 0, 0, 0, 0xC0],
+            ),
+            (Msg::PartErr { err: WireError::Expired }, 4, vec![0]),
+            (Msg::PartErr { err: WireError::Panicked }, 4, vec![1]),
+            (Msg::PartErr { err: WireError::EpochUnavailable }, 4, vec![2]),
+            (
+                Msg::PartErr { err: WireError::Other("no".into()) },
+                4,
+                vec![3, 2, 0, 0, 0, 0, 0, 0, 0, b'n', b'o'],
+            ),
+            (
+                Msg::Score { epoch: 1, pairs: vec![(2, 3)] },
+                5,
+                [
+                    &[1, 0, 0, 0, 0, 0, 0, 0][..],
+                    &[1, 0, 0, 0, 0, 0, 0, 0], // pair count
+                    &[2, 0, 0, 0, 0, 0, 0, 0],
+                    &[3, 0, 0, 0, 0, 0, 0, 0],
+                ]
+                .concat(),
+            ),
+            (Msg::ScoreOk { scores: vec![0.5] }, 6, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F]),
+            (
+                Msg::Epoch(EpochRecord::Publish {
+                    epoch: 4,
+                    x: Arc::new(dense(1, 1, &[1.0])),
+                    y: Arc::new(dense(2, 1, &[2.0, 3.0])),
+                }),
+                7,
+                [
+                    &[0][..], // record tag: publish
+                    &[4, 0, 0, 0, 0, 0, 0, 0],
+                    &[1, 0, 0, 0, 1, 0, 0, 0], // x: 1 x 1
+                    &[0, 0, 0x80, 0x3F],
+                    &[2, 0, 0, 0, 1, 0, 0, 0], // y: 2 x 1
+                    &[0, 0, 0, 0x40, 0, 0, 0x40, 0x40],
+                ]
+                .concat(),
+            ),
+            (
+                Msg::Epoch(EpochRecord::Delta {
+                    epoch: 5,
+                    rows: vec![7],
+                    x_rows: dense(1, 1, &[1.0]),
+                    y_rows: dense(1, 1, &[2.0]),
+                }),
+                7,
+                [
+                    &[1][..], // record tag: delta
+                    &[5, 0, 0, 0, 0, 0, 0, 0],
+                    &[1, 0, 0, 0, 0, 0, 0, 0], // row count
+                    &[7, 0, 0, 0, 0, 0, 0, 0],
+                    &[1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3F],
+                    &[1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x40],
+                ]
+                .concat(),
+            ),
+            (
+                Msg::Epoch(EpochRecord::Snapshot {
+                    epoch: 6,
+                    x: Arc::new(dense(1, 1, &[1.0])),
+                    y: Arc::new(dense(0, 3, &[])),
+                }),
+                7,
+                [
+                    &[2][..], // record tag: snapshot
+                    &[6, 0, 0, 0, 0, 0, 0, 0],
+                    &[1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3F],
+                    &[0, 0, 0, 0, 3, 0, 0, 0], // y: 0 x 3, no body
+                ]
+                .concat(),
+            ),
+            (Msg::EpochAck { epoch: 258 }, 8, vec![2, 1, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (msg, kind, bytes) in cases {
+            assert_eq!(msg.kind(), kind, "{msg:?}");
+            assert_eq!(msg.encode(), bytes, "{msg:?}");
+            assert_eq!(msg.encoded_len(), bytes.len(), "{msg:?}");
+            assert_eq!(decode(kind, &bytes), Ok(msg));
+        }
+        assert_eq!(PROTO_VERSION, 1, "these bytes are revision 1");
     }
 }

@@ -29,8 +29,8 @@ use fusedmm_core::active_backend;
 use fusedmm_serve::remote::{WorkerEngine, WorkerError};
 use fusedmm_serve::ServeError;
 
-use crate::frame::{read_frame, write_frame, Frame, FrameError};
-use crate::proto::{decode, Msg, WireError, PROTO_VERSION};
+use crate::frame::{read_msg, write_msg, FrameError};
+use crate::proto::{Msg, WireError, PROTO_VERSION};
 
 /// A running worker serve loop and the handle to stop it.
 pub struct WorkerServer {
@@ -125,25 +125,26 @@ fn serve_connection(engine: &WorkerEngine, stream: UnixStream) -> Result<(), Fra
     };
     send(&mut w, 0, &hello)?;
     loop {
-        let frame = match read_frame(&mut r) {
-            Ok(f) => f,
+        let received = match read_msg(&mut r) {
+            Ok(received) => received,
             Err(FrameError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let reply = match decode(frame.kind, &frame.payload) {
+        let reply = match received.msg {
             Ok(msg) => handle(engine, msg),
             // A frame that doesn't decode is a protocol bug, not a
-            // compute failure: report it typed and keep serving.
+            // compute failure: report it typed and keep serving
+            // (`read_msg` has skipped to the next frame).
             Err(e) => Some(Msg::PartErr { err: WireError::Other(e.to_string()) }),
         };
         if let Some(reply) = reply {
-            send(&mut w, frame.request_id, &reply)?;
+            send(&mut w, received.request_id, &reply)?;
         }
     }
 }
 
 fn send(w: &mut impl Write, request_id: u64, msg: &Msg) -> Result<(), FrameError> {
-    write_frame(w, &Frame { request_id, kind: msg.kind(), payload: msg.encode() })?;
+    write_msg(w, request_id, msg)?;
     w.flush()?;
     Ok(())
 }

@@ -1,0 +1,167 @@
+//! What replication costs in bytes, under the counting allocator: a
+//! hostile frame sizes nothing, the epoch log's base is the shipped
+//! allocation until a fold has to patch it, and seeding two replicas
+//! over real unix sockets ends at one generation per process that
+//! holds one, with at most one more in flight per worker on the way.
+//! The tests run one at a time (the counters are process-wide).
+
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
+
+use fusedmm_core::{Partition, PartitionStrategy};
+use fusedmm_ops::OpSet;
+use fusedmm_perf::memtrack::{self, CountingAllocator};
+use fusedmm_rpc::{
+    read_msg, write_frame, write_msg, DecodeError, EpochLog, Frame, Msg, RpcConfig, RpcTransport,
+    WorkerServer,
+};
+use fusedmm_serve::remote::{EpochRecord, RemoteShardedEngine, WorkerEngine};
+use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan};
+use fusedmm_sparse::coo::{Coo, Dedup};
+use fusedmm_sparse::Dense;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn storage(m: &Dense) -> *const f32 {
+    m.as_slice().as_ptr()
+}
+
+#[test]
+fn a_dense_header_larger_than_its_frame_sizes_nothing() {
+    let _serial = serial();
+    assert!(memtrack::is_active());
+    // KIND_EMBED_OK claiming 30 000 x 30 000 floats (3.6 GB) in a frame
+    // that carries eight bytes of them, then a good frame.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&30_000u32.to_le_bytes());
+    payload.extend_from_slice(&30_000u32.to_le_bytes());
+    payload.extend_from_slice(&[0; 8]);
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &Frame { request_id: 1, kind: 3, payload }).unwrap();
+    let good = Msg::EpochAck { epoch: 9 };
+    write_msg(&mut wire, 2, &good).unwrap();
+
+    let mut r = &wire[..];
+    let (bad, allocated) = memtrack::measure_peak(|| read_msg(&mut r).unwrap());
+    assert_eq!((bad.request_id, bad.msg), (1, Err(DecodeError::BadCount("dense"))));
+    assert!(allocated < 4096, "a rejected count allocated {allocated} bytes");
+    let next = read_msg(&mut r).unwrap();
+    assert_eq!((next.request_id, next.msg), (2, Ok(good)));
+}
+
+#[test]
+fn the_log_base_is_the_shipped_allocation_until_a_fold_patches_it() {
+    let _serial = serial();
+    let (n, d) = (512, 16);
+    let x = Arc::new(Dense::from_fn(n, d, |r, k| (r * d + k) as f32));
+    let y = Arc::new(Dense::from_fn(n, d, |r, k| -((r * d + k) as f32)));
+    let original = (x.as_slice().to_vec(), y.as_slice().to_vec());
+    let log = EpochLog::new();
+    let (_, shipped) = memtrack::measure_peak(|| {
+        log.ship(&EpochRecord::Snapshot { epoch: 0, x: Arc::clone(&x), y: Arc::clone(&y) })
+    });
+    assert!(shipped < x.storage_bytes() / 20, "shipping a snapshot allocated {shipped} bytes");
+    let base_storage = |log: &EpochLog| match &log.catch_up(None)[0] {
+        EpochRecord::Snapshot { epoch, x, y } => (*epoch, storage(x), storage(y)),
+        other => panic!("a log with a base starts with it, got {other:?}"),
+    };
+    assert_eq!(base_storage(&log), (0, storage(&x), storage(&y)));
+
+    // Past the compaction cap the tail folds into the base — into a
+    // copy, because `x` / `y` (the store's epoch, here) still hold it.
+    let rounds = 70u64;
+    for e in 1..=rounds {
+        log.ship(&EpochRecord::Delta {
+            epoch: e,
+            rows: vec![e as usize % n],
+            x_rows: Dense::filled(1, d, e as f32 + 0.5),
+            y_rows: Dense::filled(1, d, -(e as f32) - 0.5),
+        });
+    }
+    let records = log.catch_up(None);
+    let EpochRecord::Snapshot { epoch: folded, x: bx, y: by } = &records[0] else {
+        panic!("a compacted log starts with its base");
+    };
+    assert!(*folded >= 64 && records.len() as u64 == 1 + rounds - folded);
+    assert_ne!(storage(bx), storage(&x), "the fold patched a copy");
+    assert_eq!((x.as_slice(), y.as_slice()), (&original.0[..], &original.1[..]), "not the store's");
+    for r in 0..n {
+        // The last folded delta to touch row `r`, if any.
+        let last = (1..=*folded).rev().find(|e| *e as usize % n == r);
+        let (want_x, want_y) = match last {
+            Some(e) => (vec![e as f32 + 0.5; d], vec![-(e as f32) - 0.5; d]),
+            None => (x.row(r).to_vec(), y.row(r).to_vec()),
+        };
+        assert_eq!((bx.row(r), by.row(r)), (&want_x[..], &want_y[..]), "row {r}");
+    }
+    assert_eq!(log.latest(), Some(rounds));
+}
+
+#[test]
+fn two_replicas_over_sockets_cost_one_generation_each() {
+    let _serial = serial();
+    let (n, d, nshards) = (4096usize, 128usize, 2usize);
+    let pair = 2 * n * d * 4;
+    let mut coo = Coo::new(n, n);
+    for u in 0..n {
+        coo.push(u, (u * 7 + 13) % n, 0.5);
+        coo.push(u, (u * 3 + 1) % n, 0.25);
+    }
+    let a = coo.to_csr(Dedup::Sum);
+    let config = || EngineConfig {
+        coalesce_window: Duration::ZERO,
+        admission: Some(AdmissionPolicy::unlimited()),
+        fault: Some(Arc::new(FaultPlan::disabled())),
+        ..EngineConfig::default()
+    };
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let paths: Vec<std::path::PathBuf> =
+        (0..nshards).map(|s| dir.join(format!("fusedmm-rpc-memory-{pid}-{s}.sock"))).collect();
+    let partition = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
+    let servers: Vec<WorkerServer> = (0..nshards)
+        .map(|s| {
+            let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
+            let ops = OpSet::sigmoid_embedding(None);
+            let worker = WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, config());
+            WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
+        })
+        .collect();
+    let mut rpc = RpcConfig::new(paths);
+    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
+    let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
+    let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.01).sin());
+    let y = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.02).cos());
+
+    // Live now: the coordinator's pair, a placeholder pair per worker,
+    // and everything that is not features. Seeding must end where it
+    // starts — each replica swaps its placeholders for the generation,
+    // and the coordinator's store, record and log base are one pair.
+    let steady = memtrack::live_bytes();
+    assert!(steady > (1 + nshards) * pair);
+    memtrack::reset_peak();
+    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    // Requests queue behind the snapshot on each connection, and each
+    // worker acknowledges the record before it answers: once a row of
+    // each band is back, both `EpochAck`s have been read.
+    remote.embed(&[0, n - 1]).expect("first embed, one row per band");
+    let (live, peak) = (memtrack::live_bytes(), memtrack::peak_bytes());
+
+    assert!(
+        live.abs_diff(steady) <= steady / 100,
+        "live {live} after both acks; coordinator pair + one per replica is {steady}"
+    );
+    assert!(
+        peak <= steady + nshards * pair + steady / 100,
+        "peak {peak} while shipping; steady {steady} + one incoming pair per worker allowed"
+    );
+    drop(remote);
+    drop(servers);
+}

@@ -33,7 +33,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -70,6 +70,12 @@ const EPOCH_RETAIN: usize = 64;
 /// One entry of the replicated epoch log: what a coordinator ships so
 /// a replica's [`FeatureStore`] mints the same epoch numbers from the
 /// same matrices.
+///
+/// Whole generations are *shared*, not owned: a record holds the
+/// allocations of the store epoch it describes, so cloning a record —
+/// into the log, into each worker's queue — never copies a matrix, and
+/// a replica that applies a decoded record moves those allocations
+/// into its own store. Deltas are a few rows and stay owned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochRecord {
     /// A whole-matrix [`FeatureStore::publish`] minting `epoch`.
@@ -77,9 +83,9 @@ pub enum EpochRecord {
         /// The epoch this record mints.
         epoch: u64,
         /// The full replacement X.
-        x: Dense,
+        x: Arc<Dense>,
         /// The full replacement Y.
-        y: Dense,
+        y: Arc<Dense>,
     },
     /// A [`FeatureStore::delta_update`] minting `epoch` by patching
     /// exactly `rows` (internal row ids, one patch row each).
@@ -101,9 +107,9 @@ pub enum EpochRecord {
         /// The epoch this snapshot captures.
         epoch: u64,
         /// The full X at `epoch`.
-        x: Dense,
+        x: Arc<Dense>,
         /// The full Y at `epoch`.
-        y: Dense,
+        y: Arc<Dense>,
     },
 }
 
@@ -227,7 +233,9 @@ pub trait ShardTransport: Send + Sync {
     ) -> Result<Vec<f32>, ServeError>;
 
     /// Append `record` to the replicated epoch log and ship it to
-    /// every worker (see the trait-level ordering contract).
+    /// every worker (see the trait-level ordering contract). A
+    /// transport keeps what it needs by cloning the record: the whole
+    /// generations inside one are shared, so that copies no matrix.
     fn ship(&self, record: &EpochRecord);
 
     /// Rows queued toward shard `shard` but not yet dispatched — the
@@ -308,11 +316,8 @@ impl RemoteShardedEngine {
         // Seed the log: epoch 0 is the one generation workers cannot
         // learn from the stream (they boot with placeholder features).
         let base = store.snapshot();
-        transport.ship(&EpochRecord::Snapshot {
-            epoch: base.epoch(),
-            x: base.x().clone(),
-            y: base.y().clone(),
-        });
+        let (x, y) = base.shared();
+        transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x, y });
         RemoteShardedEngine {
             transport,
             store,
@@ -368,12 +373,22 @@ impl RemoteShardedEngine {
     /// replicating the record to every worker **before** the local
     /// mint — by the time any request can pin the new epoch, its
     /// record is ordered ahead of that request on every connection.
-    /// Returns the new epoch number.
+    /// The generation is built once: the record that ships and the
+    /// epoch the store installs are the same two allocations. Returns
+    /// the new epoch number.
+    ///
+    /// # Panics
+    /// Panics (before anything ships) when the shapes differ from the
+    /// load-time shapes.
     pub fn publish(&self, x: Dense, y: Dense) -> u64 {
+        // Before anything ships: a replica must never see a record the
+        // coordinator's own store would refuse.
+        self.store.check_shapes(&x, &y);
+        let (x, y) = (Arc::new(x), Arc::new(y));
         let _w = self.write_order.lock();
         let epoch = self.store.current_epoch() + 1;
-        self.transport.ship(&EpochRecord::Publish { epoch, x: x.clone(), y: y.clone() });
-        let minted = self.store.publish(x, y);
+        self.transport.ship(&EpochRecord::Publish { epoch, x: Arc::clone(&x), y: Arc::clone(&y) });
+        let minted = self.store.publish_shared(x, y);
         debug_assert_eq!(minted, epoch, "write_order serializes coordinator writes");
         epoch
     }
@@ -797,7 +812,9 @@ impl WorkerEngine {
     /// before any request arrives — the Hello handshake reports this
     /// replica as fresh). `config.cache` enables the per-replica
     /// result cache; `config.fault` / `FUSEDMM_FAULT_PLAN` inject
-    /// worker-side kernel chaos exactly as in-process.
+    /// worker-side kernel chaos exactly as in-process;
+    /// `config.coalesce_window` is ignored — a worker never lingers
+    /// (its serve loop is the band queue's only producer).
     ///
     /// # Panics
     /// Panics on shape mismatches or an out-of-range band.
@@ -828,6 +845,12 @@ impl WorkerEngine {
             .unwrap_or_else(|| Arc::new(FaultPlan::disabled()));
         let plan = Plan::with_blocking(&ops, d, config.blocking, PartitionStrategy::NnzBalanced);
         let band_config = EngineConfig {
+            // A worker serves one connection and handles its frames one
+            // after another, so `embed_part` below is this queue's only
+            // producer: nothing can join a batch during a linger, and
+            // the window would be dead time plus a timed wake on every
+            // remote part, whatever the caller asked for.
+            coalesce_window: Duration::ZERO,
             cache: None,
             tracer: Some(tracer),
             admission: Some(AdmissionPolicy::unlimited()),
@@ -911,6 +934,13 @@ impl WorkerEngine {
             }
         }
         let mut epochs = self.epochs.lock();
+        if self.is_fresh() {
+            // The boot placeholders leave with the first real record: no
+            // coordinator can pin them, and a replica seeded at epoch
+            // `E != 0` would otherwise keep two matrices of zeros
+            // pinned for `EPOCH_RETAIN` more epochs.
+            epochs.clear();
+        }
         epochs.insert(epoch, self.store.snapshot());
         while epochs.len() > EPOCH_RETAIN {
             let oldest = *epochs.keys().next().expect("nonempty history");
@@ -1061,7 +1091,6 @@ mod tests {
     use super::*;
     use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
-    use std::time::Duration;
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -1325,8 +1354,8 @@ mod tests {
         );
         worker.apply(EpochRecord::Snapshot {
             epoch: 0,
-            x: Dense::filled(n, d, 0.5),
-            y: Dense::filled(n, d, 0.5),
+            x: Arc::new(Dense::filled(n, d, 0.5)),
+            y: Arc::new(Dense::filled(n, d, 0.5)),
         });
         // Push the history far past retention.
         for e in 1..=(EPOCH_RETAIN as u64 + 4) {

@@ -32,11 +32,16 @@ use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::Permutation;
 
 /// One immutable published generation of the feature matrices.
+///
+/// The matrices sit behind `Arc`s so a generation exists once per
+/// process: the epoch records a coordinator replicates, its epoch
+/// log's base and a replica's pinned history all hold these
+/// allocations, not copies of them.
 #[derive(Debug)]
 pub struct FeatureEpoch {
     epoch: u64,
-    x: Dense,
-    y: Dense,
+    x: Arc<Dense>,
+    y: Arc<Dense>,
 }
 
 impl FeatureEpoch {
@@ -55,6 +60,23 @@ impl FeatureEpoch {
     /// space).
     pub fn y(&self) -> &Dense {
         &self.y
+    }
+
+    /// Shared handles to `(X, Y)` — what an epoch record carries.
+    pub fn shared(&self) -> (Arc<Dense>, Arc<Dense>) {
+        (Arc::clone(&self.x), Arc::clone(&self.y))
+    }
+
+    /// A delta's copy-on-write step: copies of both matrices with row
+    /// `rows[i]` replaced by row `i` of the patches.
+    fn patched(&self, rows: &[usize], x_rows: &Dense, y_rows: &Dense) -> (Arc<Dense>, Arc<Dense>) {
+        let mut x = Dense::clone(&self.x);
+        let mut y = Dense::clone(&self.y);
+        for (i, &u) in rows.iter().enumerate() {
+            x.row_mut(u).copy_from_slice(x_rows.row(i));
+            y.row_mut(u).copy_from_slice(y_rows.row(i));
+        }
+        (Arc::new(x), Arc::new(y))
     }
 }
 
@@ -134,7 +156,11 @@ impl FeatureStore {
         assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
         let (x_rows, y_rows, d) = (x.nrows(), y.nrows(), x.ncols());
         FeatureStore {
-            current: RwLock::new(Arc::new(FeatureEpoch { epoch: 0, x, y })),
+            current: RwLock::new(Arc::new(FeatureEpoch {
+                epoch: 0,
+                x: Arc::new(x),
+                y: Arc::new(y),
+            })),
             writer: Mutex::new(()),
             listeners: RwLock::new(Vec::new()),
             swaps: AtomicU64::new(0),
@@ -243,6 +269,15 @@ impl FeatureStore {
             Some(p) => (p.permute_rows(&x), p.permute_rows(&y)),
             None => (x, y),
         };
+        self.publish_shared(Arc::new(x), Arc::new(y))
+    }
+
+    /// [`publish`](Self::publish) of matrices somebody else may keep
+    /// holding, already in epoch (internal) row order and already
+    /// through [`check_shapes`](Self::check_shapes): the new epoch is
+    /// these allocations. The remote coordinator ships a generation and
+    /// then installs the same one.
+    pub(crate) fn publish_shared(&self, x: Arc<Dense>, y: Arc<Dense>) -> u64 {
         let _w = self.writer.lock();
         // Writers are serialized, so the next epoch number is stable
         // from here until `install`; announce it before any reader can
@@ -282,12 +317,7 @@ impl FeatureStore {
         };
         let _w = self.writer.lock();
         let base = self.snapshot();
-        let mut x = base.x.clone();
-        let mut y = base.y.clone();
-        for (i, &u) in rows.iter().enumerate() {
-            x.row_mut(u).copy_from_slice(x_rows_new.row(i));
-            y.row_mut(u).copy_from_slice(y_rows_new.row(i));
-        }
+        let (x, y) = base.patched(rows, x_rows_new, y_rows_new);
         let next = base.epoch + 1;
         self.for_each_listener(|l| l.on_delta(next, rows));
         self.install(x, y)
@@ -305,7 +335,7 @@ impl FeatureStore {
     /// Panics on a shape mismatch, on a permuted store (replicas hold
     /// internal-order features; the coordinator translates ids before
     /// shipping), or when `epoch` would move the store backwards.
-    pub(crate) fn publish_at(&self, epoch: u64, x: Dense, y: Dense) {
+    pub(crate) fn publish_at(&self, epoch: u64, x: Arc<Dense>, y: Arc<Dense>) {
         self.check_shapes(&x, &y);
         assert!(self.perm.is_none(), "replica stores hold internal-order features");
         let _w = self.writer.lock();
@@ -353,12 +383,7 @@ impl FeatureStore {
             "epoch log gap: delta record {epoch} cannot apply over {}",
             base.epoch
         );
-        let mut x = base.x.clone();
-        let mut y = base.y.clone();
-        for (i, &u) in rows.iter().enumerate() {
-            x.row_mut(u).copy_from_slice(x_rows_new.row(i));
-            y.row_mut(u).copy_from_slice(y_rows_new.row(i));
-        }
+        let (x, y) = base.patched(rows, x_rows_new, y_rows_new);
         self.for_each_listener(|l| l.on_delta(epoch, rows));
         let mut cur = self.current.write();
         *cur = Arc::new(FeatureEpoch { epoch, x, y });
@@ -368,7 +393,7 @@ impl FeatureStore {
 
     /// Swap in the next epoch (writer lock held by the caller, the
     /// epoch already announced to listeners).
-    fn install(&self, x: Dense, y: Dense) -> u64 {
+    fn install(&self, x: Arc<Dense>, y: Arc<Dense>) -> u64 {
         let mut current = self.current.write();
         let epoch = current.epoch + 1;
         *current = Arc::new(FeatureEpoch { epoch, x, y });
@@ -377,7 +402,7 @@ impl FeatureStore {
         epoch
     }
 
-    fn check_shapes(&self, x: &Dense, y: &Dense) {
+    pub(crate) fn check_shapes(&self, x: &Dense, y: &Dense) {
         assert_eq!(x.nrows(), self.x_rows, "published X row count changed");
         assert_eq!(y.nrows(), self.y_rows, "published Y row count changed");
         assert_eq!(x.ncols(), self.d, "published X dimension changed");

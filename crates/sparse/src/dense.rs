@@ -174,6 +174,26 @@ impl Dense {
     }
 }
 
+/// `values` as raw bytes in memory (native-endian) order: what a wire
+/// codec writes in one call on a little-endian target.
+pub fn f32_bytes(values: &[f32]) -> &[u8] {
+    // SAFETY: `values` is `len` initialised `f32`s, i.e. exactly
+    // `size_of_val(values)` initialised bytes with no padding between or
+    // inside elements; `u8` has alignment 1, so the pointer is aligned;
+    // the view borrows `values` shared for its whole life.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), size_of_val(values)) }
+}
+
+/// Mutable counterpart of [`f32_bytes`]: what a wire codec reads into
+/// in one call on a little-endian target.
+pub fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    let len = size_of_val(values);
+    // SAFETY: as in `f32_bytes`, with `&mut` making this the only live
+    // reference; and every bit pattern is a valid `f32`, so no byte a
+    // caller stores can break the `[f32]` behind the view.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u8>(), len) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +233,17 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.get(1, 2), 6.0);
+    }
+
+    #[test]
+    fn byte_views_cover_the_elements_in_memory_order() {
+        let mut values = [1.0, -2.5, f32::NAN, 0.0];
+        let want: Vec<u8> = values.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        assert_eq!(f32_bytes(&values), &want[..]);
+        f32_bytes_mut(&mut values)[4..8].copy_from_slice(&7.25f32.to_ne_bytes());
+        assert_eq!(values[1], 7.25);
+        assert!(f32_bytes(Dense::zeros(0, 5).as_slice()).is_empty());
+        assert!(f32_bytes_mut(&mut []).is_empty());
     }
 
     #[test]

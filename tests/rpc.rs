@@ -15,12 +15,28 @@ use std::time::{Duration, Instant};
 use fusedmm::kernel::Partition;
 use fusedmm::prelude::*;
 use fusedmm::rpc::proto::WireError;
-use fusedmm::rpc::{decode, read_frame, write_frame, DecodeError, Frame, FrameError, Msg};
+use fusedmm::rpc::{
+    decode, decode_from, read_frame, read_msg, write_frame, write_msg, DecodeError, Frame,
+    FrameError, Msg,
+};
 use fusedmm::serve::Quality;
 
 // ---------------------------------------------------------------------
 // Codec totality and round-trip.
 // ---------------------------------------------------------------------
+
+/// A reader that returns at most one byte per `read` — the worst a
+/// stream may legally do.
+struct OneByte<'a>(&'a [u8]);
+
+impl std::io::Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
 
 /// Build one message of each wire kind from generated raw material.
 /// `vals` is cycled so any `(rows, cols)` shape is fillable.
@@ -71,14 +87,20 @@ fn build_msg(variant: usize, nums: &[u64], vals: &[f32], dims: (usize, usize), t
         },
         5 => Msg::ScoreOk { scores: vals.to_vec() },
         6 => Msg::Epoch(match tag % 3 {
-            0 => EpochRecord::Publish { epoch: num(0), x: dense(r, c), y: dense(c, r) },
+            0 => {
+                EpochRecord::Publish { epoch: num(0), x: dense(r, c).into(), y: dense(c, r).into() }
+            }
             1 => EpochRecord::Delta {
                 epoch: num(0),
                 rows: nums.iter().map(|&u| u as usize).collect(),
                 x_rows: dense(nums.len(), c),
                 y_rows: dense(nums.len(), c),
             },
-            _ => EpochRecord::Snapshot { epoch: num(0), x: dense(r, c), y: dense(c, r) },
+            _ => EpochRecord::Snapshot {
+                epoch: num(0),
+                x: dense(r, c).into(),
+                y: dense(c, r).into(),
+            },
         }),
         _ => Msg::EpochAck { epoch: num(0) },
     }
@@ -116,6 +138,37 @@ proptest! {
         let mut padded = payload;
         padded.push(0);
         prop_assert_eq!(decode(msg.kind(), &padded), Err(DecodeError::Trailing));
+    }
+
+    /// The streaming entry points are the same codec: `encoded_len`
+    /// is the payload's length, `decode_from` over a reader that hands
+    /// out one byte per `read` is `decode` over the slice (prefixes
+    /// included), and `write_msg` puts `write_frame`'s bytes.
+    #[test]
+    fn streaming_codec_agrees_with_the_buffered_one(
+        variant in 0usize..8,
+        nums in proptest::collection::vec(0u64..1_000_000, 0..10),
+        vals in proptest::collection::vec(-1.0e5f32..1.0e5, 1..40),
+        dims in (0usize..5, 0usize..5),
+        tag in 0usize..12,
+        request_id in 0u64..u64::MAX,
+    ) {
+        let msg = build_msg(variant, &nums, &vals, dims, tag);
+        let payload = msg.encode();
+        prop_assert_eq!(msg.encoded_len(), payload.len());
+        for len in [payload.len(), payload.len() / 2, payload.len().saturating_sub(1)] {
+            let streamed = decode_from(msg.kind(), &mut OneByte(&payload[..len]), len);
+            prop_assert_eq!(streamed.expect("a slice cannot fail"), decode(msg.kind(), &payload[..len]));
+        }
+        let mut framed = Vec::new();
+        let frame = Frame { request_id, kind: msg.kind(), payload };
+        write_frame(&mut framed, &frame).expect("vec write");
+        let mut streamed = Vec::new();
+        prop_assert_eq!(write_msg(&mut streamed, request_id, &msg).expect("vec write"), framed.len());
+        prop_assert_eq!(&streamed, &framed);
+        let back = read_msg(&mut OneByte(&framed)).expect("one frame");
+        prop_assert_eq!((back.request_id, back.wire_len), (request_id, framed.len()));
+        prop_assert_eq!(back.msg, Ok(msg));
     }
 
     /// Arbitrary bytes under an arbitrary kind either decode (and then
@@ -224,6 +277,37 @@ fn embed_eventually(remote: &RemoteShardedEngine, nodes: &[usize]) -> Dense {
             Err(e) => panic!("embed never recovered: {e}"),
         }
     }
+}
+
+/// `connect` returns once every session is open, not merely once every
+/// `Hello` is read: a front end built right after it gets its first
+/// answer without a retry. (A manager marks its session connected a few
+/// microseconds after it publishes the layout; a part dispatched in
+/// between would fail as if the worker were down.)
+#[test]
+fn first_embed_after_connect_never_races_the_session() {
+    let (n, d, nshards) = (48, 4, 2);
+    let a = rmat(&RmatConfig::new(n, 3 * n).with_seed(5));
+    let x = random_features(n, d, 0.5, 1);
+    let y = random_features(n, d, 0.5, 2);
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let paths: Vec<std::path::PathBuf> =
+        (0..nshards).map(|s| dir.join(format!("fusedmm-rpc-race-{pid}-{s}.sock"))).collect();
+    // The workers outlive every coordinator: each round is a new
+    // connection to a replica that already holds epoch 0.
+    let servers: Vec<_> = (0..nshards).map(|s| boot_worker(&a, s, nshards, d, &paths[s])).collect();
+    for round in 0..200 {
+        let mut rpc_config = RpcConfig::new(paths.clone());
+        rpc_config.fault = Some(Arc::new(FaultPlan::disabled()));
+        let transport = RpcTransport::connect(rpc_config).expect("connect loopback workers");
+        let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport, engine_config());
+        // One node per band, no retry.
+        if let Err(e) = remote.embed(&[0, n - 1]) {
+            panic!("round {round}: first embed after connect failed: {e}");
+        }
+    }
+    drop(servers);
 }
 
 #[test]
