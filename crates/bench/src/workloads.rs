@@ -5,8 +5,6 @@ use fusedmm_graph::features::random_features;
 use fusedmm_graph::stats::GraphStats;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A ready-to-benchmark kernel workload: the adjacency stand-in plus
 /// feature matrices at one dimension.
@@ -68,70 +66,6 @@ pub fn kernel_workload_scaled(dataset: Dataset, d: usize, scale: f64) -> Workloa
     Workload { dataset, adj, x, y, d }
 }
 
-/// A zipf-skewed request generator for serving benchmarks: node
-/// popularity follows `p(rank k) ∝ 1 / k^s`, the shape real embedding
-/// traffic has (a few celebrity vertices absorb most requests).
-/// `s = 0` degenerates to uniform; `s ≈ 1` is classic web-style skew.
-///
-/// Ranks are scrambled onto node ids with a stride coprime to `n`, so
-/// the hot set is spread across the id space (and therefore across
-/// PART1D shard bands) instead of clustering at low ids.
-pub struct ZipfSampler {
-    /// `cdf[k]` = cumulative unnormalized mass of ranks `0..=k`.
-    cdf: Vec<f64>,
-    /// Rank → node id scrambling stride, coprime to `n`.
-    stride: usize,
-    n: usize,
-    rng: StdRng,
-}
-
-impl ZipfSampler {
-    /// A sampler over nodes `0..n` with exponent `s`, deterministic
-    /// for a fixed `seed`.
-    ///
-    /// # Panics
-    /// Panics when `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64, seed: u64) -> ZipfSampler {
-        assert!(n > 0, "zipf sampler needs a non-empty id space");
-        assert!(s >= 0.0 && s.is_finite(), "zipf exponent must be finite and non-negative");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        fn gcd(mut a: usize, mut b: usize) -> usize {
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a
-        }
-        // A golden-ratio-ish stride, nudged until coprime, keeps the
-        // scramble a bijection on 0..n.
-        let mut stride = (n as f64 * 0.618_033_988_749_895) as usize | 1;
-        while gcd(stride, n) != 1 {
-            stride += 2;
-        }
-        ZipfSampler { cdf, stride, n, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// Draw one node id.
-    pub fn sample(&mut self) -> usize {
-        let total = *self.cdf.last().expect("non-empty cdf");
-        let u = self.rng.gen_range(0.0..total);
-        let rank = self.cdf.partition_point(|&c| c <= u).min(self.n - 1);
-        // rank + 1 keeps rank 0 off node id 0 (0 · stride is 0 for
-        // every stride); the map stays a bijection mod n.
-        (rank + 1) * self.stride % self.n
-    }
-
-    /// Draw a request batch of `len` node ids (duplicates allowed —
-    /// hot nodes repeat, which is the point).
-    pub fn batch(&mut self, len: usize) -> Vec<usize> {
-        (0..len).map(|_| self.sample()).collect()
-    }
-}
-
 /// Print the Table V-style stand-in summary line for a workload.
 pub fn describe(w: &Workload) -> String {
     let stats = GraphStats::compute(&w.adj);
@@ -176,42 +110,6 @@ mod tests {
     fn env_knobs_fall_back_to_defaults() {
         assert_eq!(env_f64("FUSEDMM_DOES_NOT_EXIST", 2.5), 2.5);
         assert_eq!(env_usize("FUSEDMM_DOES_NOT_EXIST", 7), 7);
-    }
-
-    #[test]
-    fn zipf_zero_exponent_is_roughly_uniform() {
-        let mut z = ZipfSampler::new(50, 0.0, 7);
-        let mut counts = vec![0usize; 50];
-        for _ in 0..5000 {
-            counts[z.sample()] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0), "uniform draw covers the id space");
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(max / min.max(&1) < 4, "no node dominates at s=0 (min {min}, max {max})");
-    }
-
-    #[test]
-    fn zipf_skew_concentrates_mass_and_is_deterministic() {
-        let n = 1000;
-        let mut z = ZipfSampler::new(n, 1.2, 42);
-        let mut counts = vec![0usize; n];
-        for _ in 0..20_000 {
-            counts[z.sample()] += 1;
-        }
-        let mut sorted = counts.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let top10: usize = sorted.iter().take(10).sum();
-        assert!(
-            top10 > 20_000 / 2,
-            "at s=1.2 the 10 hottest nodes draw most traffic (got {top10}/20000)"
-        );
-        // Determinism for a fixed seed; spread across the id space.
-        let a: Vec<usize> = ZipfSampler::new(n, 1.2, 9).batch(32);
-        let b: Vec<usize> = ZipfSampler::new(n, 1.2, 9).batch(32);
-        assert_eq!(a, b);
-        let hottest = counts.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0;
-        assert!(hottest != 0 || n < 3, "rank scrambling moves the hot node off id 0");
-        assert!(a.iter().all(|&u| u < n));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use fusedmm_core::active_backend;
 use fusedmm_perf::hist::LatencyHistogram;
 use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
-use fusedmm_serve::{FaultPlan, Quality, ServeError};
+use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality, ServeError};
 
 use crate::frame::{read_msg, write_msg, Received};
 use crate::log::EpochLog;
@@ -374,13 +374,13 @@ impl ShardTransport for RpcTransport {
         &self,
         shard: usize,
         nodes: &[usize],
-        epoch: u64,
+        epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,
         slot: PartSlot,
     ) {
         let msg = Msg::Embed {
-            epoch,
+            epoch: epoch.epoch(),
             quality,
             deadline_us: deadline
                 .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64),
@@ -413,10 +413,10 @@ impl ShardTransport for RpcTransport {
         &self,
         shard: usize,
         pairs: &[(usize, usize)],
-        epoch: u64,
+        epoch: &Arc<FeatureEpoch>,
     ) -> Result<Vec<f32>, ServeError> {
-        let msg =
-            Msg::Score { epoch, pairs: pairs.iter().map(|&(u, v)| (u as u64, v as u64)).collect() };
+        let pairs = pairs.iter().map(|&(u, v)| (u as u64, v as u64)).collect();
+        let msg = Msg::Score { epoch: epoch.epoch(), pairs };
         let state = &self.workers[shard];
         let cell = Arc::new(ScoreCell { slot: Mutex::new(None), cv: Condvar::new() });
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);

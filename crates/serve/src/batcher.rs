@@ -1,10 +1,10 @@
 //! Micro-batching: coalesce concurrent node-subset requests into one
 //! deduplicated row batch per dispatcher tick.
 //!
-//! Callers block on a per-request one-shot slot while the dispatcher
-//! thread (spawned by [`Engine`](crate::Engine)) drains the queue,
-//! takes the sorted union of all requested nodes, runs the row-subset
-//! kernel once, and scatters each caller's rows back. Batching
+//! Each part waits on its [`PartSlot`] while a band's dispatcher thread
+//! drains the queue, takes the sorted union of all requested nodes,
+//! runs the row-subset kernel once, and scatters each part's rows back.
+//! Batching
 //! amortizes the kernel launch and deduplication means a hot node
 //! requested by ten concurrent callers is computed once.
 //!
@@ -22,42 +22,35 @@ use std::time::{Duration, Instant};
 use fusedmm_perf::trace::SpanCtx;
 use fusedmm_sparse::dense::Dense;
 
-use crate::cache::FillSet;
 use crate::store::FeatureEpoch;
 use crate::ticket::Quality;
-use crate::wait::SlotTx;
+use crate::transport::PartSlot;
 
-/// One enqueued embedding request.
+/// One enqueued part of an embedding request.
 pub(crate) struct Pending {
-    /// Requested node ids, in the caller's order (may repeat).
+    /// Requested node ids (the front end sends them sorted and
+    /// distinct; the batcher does not rely on it).
     pub nodes: Vec<usize>,
-    /// The feature epoch pinned at enqueue time: the whole response is
-    /// computed from this snapshot, never torn across a publish.
+    /// The feature epoch pinned at request begin: the whole response
+    /// is computed from this snapshot, never torn across a publish.
     pub epoch: Arc<FeatureEpoch>,
-    /// Completion slot back to the caller: computed rows, or a typed
-    /// part error (expired, panicked). Dropping it unsent reads as
-    /// engine shutdown on the caller side.
-    pub tx: SlotTx,
-    /// In-flight cache registrations this request owns (`fills[i]` ↔
-    /// `nodes[i]`): the dispatcher resolves them — cache insert plus
-    /// coalesced-waiter back-fill — as soon as the rows are computed,
-    /// before completing the caller. Dropped (aborting the fills) when
-    /// the request expires instead of running.
-    pub fills: Option<FillSet>,
+    /// Where the rows go: the ticket's reply slot plus the in-flight
+    /// cache registrations this part owns (`fills[i]` ↔ `nodes[i]`),
+    /// completed before the reply. Dropping it unresolved reads as
+    /// engine shutdown on the caller side and aborts the registrations.
+    pub slot: PartSlot,
     /// The request's enqueue-span context when it was sampled for
     /// tracing: the dispatcher parents its batch/kernel/cache-fill
     /// spans under it (recorded per sampled request, so each owns a
     /// complete tree). `None` for unsampled requests — every span site
     /// downstream short-circuits.
     pub trace: Option<SpanCtx>,
-    /// Drop (and fail with `PartError::Expired`) instead of computing
+    /// Drop (and resolve `PartOutcome::Expired`) instead of computing
     /// past this instant.
     pub deadline: Option<Instant>,
     /// The answer tier: decides which kernel the dispatcher launches.
     /// Requests of different tiers never share a launch.
     pub quality: Quality,
-    /// Enqueue time, for end-to-end latency accounting.
-    pub enqueued: Instant,
 }
 
 impl Pending {
@@ -238,16 +231,8 @@ mod tests {
 
     fn pending(nodes: Vec<usize>, epoch: Arc<FeatureEpoch>) -> Pending {
         let (tx, _rx) = slot();
-        Pending {
-            nodes,
-            epoch,
-            tx,
-            fills: None,
-            trace: None,
-            deadline: None,
-            quality: Quality::Exact,
-            enqueued: Instant::now(),
-        }
+        let slot = PartSlot::new(tx, None, None);
+        Pending { nodes, epoch, slot, trace: None, deadline: None, quality: Quality::Exact }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the kernel's per-row aggregation, computed from the transposed
 //! adjacency by [`Csr::touch_set`](fusedmm_sparse::csr::Csr::touch_set).
 //!
-//! Owned rows travel to the dispatcher as a `FillSet` riding the
-//! enqueued request: when the batch's rows come back, the dispatcher
+//! Owned rows travel with their part as a `FillSet` inside its
+//! [`PartSlot`](crate::PartSlot): whoever resolves the slot with rows
 //! resolves every registration (cache insert + waiter back-fill) before
 //! completing the caller — so coalesced waiters resolve as soon as the
 //! computation does, independent of when (or whether) the owning ticket
@@ -32,11 +32,10 @@ use fusedmm_sparse::dense::Dense;
 use crate::fault::FaultPlan;
 use crate::store::EpochListener;
 
-/// An embedding result cache for one graph, shared by every engine
-/// (or every shard) serving it. Constructed by
-/// [`Engine`](crate::Engine) / [`ShardedEngine`](crate::ShardedEngine)
-/// when [`EngineConfig::cache`](crate::EngineConfig) is set; callers
-/// only observe it through [`CacheMetrics`].
+/// An embedding result cache for one graph, keyed by global node id
+/// and owned by the front end whatever its transport. Constructed when
+/// [`EngineConfig::cache`](crate::EngineConfig) is set; callers only
+/// observe it through [`CacheMetrics`].
 pub struct EmbedCache {
     cache: ResultCache,
     /// `A^T`: row `v` lists the in-neighbors of vertex `v` — the
@@ -157,9 +156,13 @@ impl FillSet {
     /// Resolve every registration: `rows.row(i)` is the computed row
     /// for `owners[i]` — inserted into the cache and sent to every
     /// coalesced waiter (or aborted, when the fault plan poisoned the
-    /// owner's segment).
+    /// owner's segment). A fault plan's fill delay stalls here first,
+    /// widening the window in which coalesced waiters are outstanding.
     pub(crate) fn complete(mut self, rows: &Dense) {
         assert_eq!(rows.nrows(), self.owners.len(), "one computed row per owned registration");
+        if let Some(delay) = self.fault.as_ref().and_then(|f| f.fill_delay()) {
+            std::thread::sleep(delay);
+        }
         let poisoned = self.fault.as_ref().and_then(|f| f.poisoned_segment());
         for (i, owner) in self.owners.drain(..).enumerate() {
             if poisoned == Some(self.cache.segment_of(owner.node())) {

@@ -7,32 +7,37 @@
 //! these 200 candidate edges"), with latency percentiles — not batch
 //! wall-clock — as the figure of merit. This crate provides that layer:
 //!
-//! * [`Engine`] — loads a graph and feature matrices once, prepares a
-//!   reusable kernel [`Plan`](fusedmm_core::Plan) (the per-call
-//!   dispatch decision lifted to load time), and serves three request
-//!   kinds:
-//!   * [`Engine::infer_full`] — whole-graph inference (the classic
-//!     FusedMM call, now plan-driven);
-//!   * [`Engine::embed`] — per-node embedding refresh for an arbitrary
-//!     node subset, executed through the micro-batcher and the
-//!     row-subset kernel [`fusedmm_rows`](fusedmm_core::fusedmm_rows);
-//!   * [`Engine::score_edges`] — SDDMM-only scoring of candidate
-//!     `(u, v)` pairs, no aggregation and no edge-sized intermediate.
-//! * micro-batching ([`batcher`]) — concurrent callers enqueue node
-//!   subsets; a dispatcher thread coalesces them into one deduplicated
-//!   row batch per tick, runs it on the rayon pool, and scatters the
-//!   rows back to each caller;
+//! * one front end ([`front`]) — [`FrontEnd`] owns the whole request
+//!   path once: id validation and reordering translation, admission,
+//!   deadlines, tracing, epoch pinning, the result cache, the per-shard
+//!   scatter/gather, the ledger and the metrics. It is generic over a
+//!   [`ShardTransport`] ([`transport`]) that carries each shard's part
+//!   to whoever computes it, and answers three request kinds:
+//!   * [`FrontEnd::embed`] / [`FrontEnd::embed_begin_opts`] — per-node
+//!     embedding refresh for an arbitrary node subset, through the
+//!     micro-batcher and the row-subset kernel
+//!     [`fusedmm_rows`](fusedmm_core::fusedmm_rows);
+//!   * [`FrontEnd::score_edges`] — SDDMM-only scoring of candidate
+//!     `(u, v)` pairs, no aggregation and no edge-sized intermediate;
+//!   * [`FrontEnd::infer_full`] — whole-graph inference (the classic
+//!     FusedMM call, plan-driven) over in-process bands.
+//! * the deployments, each a constructor over that front end (every
+//!   request method reached through `Deref`): [`Engine`] — one
+//!   in-process [`LocalBands`] band holding the whole graph;
+//!   [`ShardedEngine`] — the graph cut into PART1D nnz-balanced bands,
+//!   bit-identical to a single engine; [`RemoteShardedEngine`] — bands
+//!   in worker processes behind a socket transport (`fusedmm-rpc`),
+//!   with [`WorkerEngine`] the one-band front end inside each worker;
+//! * micro-batching ([`batcher`]) — each band's dispatcher thread
+//!   coalesces the parts queued on it into one deduplicated row batch
+//!   per tick, runs it on the rayon pool, and scatters the rows back to
+//!   each part;
 //! * live feature updates ([`store`]) — engines borrow `X`/`Y` through
 //!   an epoch-versioned [`FeatureStore`]: readers pin RCU-style
 //!   snapshots, writers [`publish`](FeatureStore::publish) or
 //!   [`delta_update`](FeatureStore::delta_update) refreshed embeddings
-//!   without stopping traffic, and every batch is computed from exactly
-//!   one epoch (responses are never torn across a swap);
-//! * sharding ([`shard`]) — [`ShardedEngine`] cuts the graph into
-//!   PART1D nnz-balanced row bands, runs one band engine (worker +
-//!   plan) per shard against the shared store, and scatters/gathers
-//!   requests in request order — bit-identical to a single engine, and
-//!   the step toward multi-machine serving;
+//!   without stopping traffic, and every request is computed from
+//!   exactly one epoch (responses are never torn across a swap);
 //! * graph reordering ([`EngineConfig::reordering`]) — engines can
 //!   renumber a skewed graph at load time ([`Reordering::DegreeSort`] /
 //!   [`Reordering::RcmBfs`]) for locality and band balance, translating
@@ -47,23 +52,22 @@
 //!   patched rows and their in-neighbors (the kernel's exact per-row
 //!   dependency set), so training-style patches keep the hot set warm
 //!   — responses stay bit-identical to an uncached engine;
-//! * non-blocking serving ([`ticket`]) — [`Engine::embed_begin`] /
-//!   [`ShardedEngine::embed_begin`] return a [`Ticket`] instead of
-//!   blocking, so one thread can hold thousands of in-flight requests
-//!   and harvest completions with `poll`/`wait`/`wait_deadline` (shard
-//!   tickets gather lazily on first poll); concurrent requests that
+//! * non-blocking serving ([`ticket`]) — [`FrontEnd::embed_begin`]
+//!   returns a [`Ticket`] instead of blocking, so one thread can hold
+//!   thousands of in-flight requests and harvest completions with
+//!   `poll`/`wait`/`wait_deadline` (tickets gather lazily on first
+//!   poll); concurrent requests that
 //!   miss the cache on the same vertex **coalesce** — exactly one
 //!   enqueue computes the row and every waiter is back-filled,
 //!   bit-identical to uncached serving and invalidation-safe;
-//! * latency accounting — every request records into
-//!   [`LatencyHistogram`](fusedmm_perf::LatencyHistogram)s, surfaced
-//!   as p50/p90/p99 and throughput by [`Engine::metrics`] (per-shard
-//!   and merged via [`ShardedEngine::metrics`]);
-//! * observability ([`observe`]) — engines register every counter,
+//! * latency accounting — every answered request records once into a
+//!   [`LatencyHistogram`](fusedmm_perf::LatencyHistogram), surfaced
+//!   as p50/p90/p99 and throughput by [`FrontEnd::metrics`] — one
+//!   [`ServeMetrics`], with a [`BandMetrics`] per in-process band;
+//! * observability ([`observe`]) — front ends register every counter,
 //!   gauge, and histogram with a
 //!   [`MetricsRegistry`]
-//!   ([`Engine::register_metrics`] /
-//!   [`ShardedEngine::register_metrics`], plus
+//!   ([`FrontEnd::register_metrics`], plus
 //!   [`register_kernel_profiles`] for the dispatcher's per-shape
 //!   kernel accounting), exported as Prometheus text or JSON; sampled
 //!   requests additionally record a full lifecycle span tree (enqueue
@@ -78,14 +82,14 @@
 //!   unboundedly;
 //! * deadlines and degraded tiers ([`ticket`]) — requests carry an
 //!   optional deadline and a [`Quality`] knob
-//!   ([`Engine::embed_begin_opts`]): expired work is dropped before the
+//!   ([`FrontEnd::embed_begin_opts`]): expired work is dropped before the
 //!   kernel launch ([`ServeError::DeadlineExpired`]),
 //!   [`Quality::CachedOnly`] answers straight from the result cache
 //!   with per-row `served_degraded` marks, and
 //!   [`Quality::TopKNeighbors`] aggregates only each node's strongest
 //!   neighbors (degree-truncated kernel, measured error vs exact);
-//! * fault isolation ([`fault`]) — a band-engine panic is caught at the
-//!   dispatch boundary and surfaces as a typed per-part error: the
+//! * fault isolation ([`fault`]) — a band's kernel panic is caught at
+//!   the dispatch boundary and surfaces as a typed per-part error: the
 //!   failed part retries **once** on a healthy path (same pinned epoch,
 //!   so an Exact retry stays bit-identical) before the ticket resolves
 //!   [`ServeError::PartFailed`]; a [`FaultPlan`]
@@ -125,16 +129,21 @@
 //! ```
 
 pub mod admit;
+mod band;
 pub mod batcher;
 pub mod cache;
+#[cfg(test)]
+mod conformance;
 pub mod engine;
 pub mod fault;
+pub mod front;
 pub mod observe;
 pub mod remote;
 pub mod score;
 pub mod shard;
 pub mod store;
 pub mod ticket;
+pub mod transport;
 pub mod wait;
 
 pub use admit::AdmissionPolicy;
@@ -145,20 +154,20 @@ pub use observe::register_kernel_profiles;
 // public surface (EngineConfig::reordering).
 pub use fusedmm_graph::Reordering;
 // The cache crate's config/metrics are part of this crate's public
-// surface (EngineConfig::cache, EngineMetrics::cache).
+// surface (EngineConfig::cache, ServeMetrics::cache).
 pub use fusedmm_cache::{CacheConfig, CacheMetrics};
 // The perf crate's telemetry types are part of this crate's public
 // surface (register_metrics, EngineConfig::tracer).
 pub use fusedmm_perf::registry::{MetricsRegistry, MetricsSnapshot, Sample};
 pub use fusedmm_perf::trace::Tracer;
 
-pub use engine::{Engine, EngineConfig, EngineMetrics, ServeError};
-pub use remote::{
-    EpochRecord, PartOutcome, PartSlot, RemoteMetrics, RemoteShardedEngine, ShardTransport,
-    WorkerEngine, WorkerError,
-};
+pub use band::BandMetrics;
+pub use engine::{Engine, EngineConfig, ServeError};
+pub use front::{FrontEnd, ServeMetrics};
+pub use remote::{EpochRecord, RemoteShardedEngine, WorkerEngine, WorkerError};
 pub use score::{score_edges, score_edges_banded};
-pub use shard::{ShardedEngine, ShardedMetrics};
+pub use shard::ShardedEngine;
 pub use store::{EpochListener, FeatureEpoch, FeatureStore};
 pub use ticket::{EmbedOptions, EmbedResponse, Quality, Ticket};
+pub use transport::{LocalBands, PartOutcome, PartSlot, ShardTransport};
 pub use wait::wait_any;

@@ -1,6 +1,5 @@
-//! Metrics-registry integration: the sample vocabularies shared by
-//! [`Engine::register_metrics`](crate::Engine::register_metrics) and
-//! [`ShardedEngine::register_metrics`](crate::ShardedEngine::register_metrics),
+//! Metrics-registry integration: the sample vocabularies behind
+//! [`FrontEnd::register_metrics`](crate::FrontEnd::register_metrics),
 //! plus the kernel-profile collector.
 //!
 //! Naming conventions (see the README's Observability section): every

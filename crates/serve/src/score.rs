@@ -21,7 +21,7 @@ use fusedmm_sparse::dense::Dense;
 ///
 /// # Panics
 /// Panics when shapes are inconsistent or a pair index is out of range
-/// ([`crate::Engine::score_edges`] is the fallible wrapper).
+/// ([`crate::FrontEnd::score_edges`] is the fallible wrapper).
 pub fn score_edges(
     a: &Csr,
     pairs: &[(usize, usize)],

@@ -297,14 +297,7 @@ impl FeatureStore {
     /// Panics when a row id is out of range or the patch dimensions
     /// disagree with the store's.
     pub fn delta_update(&self, rows: &[usize], x_rows_new: &Dense, y_rows_new: &Dense) -> u64 {
-        assert_eq!(x_rows_new.nrows(), rows.len(), "one X patch row per updated row id");
-        assert_eq!(y_rows_new.nrows(), rows.len(), "one Y patch row per updated row id");
-        assert_eq!(x_rows_new.ncols(), self.d, "X patch dimension mismatch");
-        assert_eq!(y_rows_new.ncols(), self.d, "Y patch dimension mismatch");
-        for &u in rows {
-            assert!(u < self.x_rows, "patched X row {u} out of range for {} rows", self.x_rows);
-            assert!(u < self.y_rows, "patched Y row {u} out of range for {} rows", self.y_rows);
-        }
+        self.check_delta(rows, x_rows_new, y_rows_new);
         // External row ids become epoch (internal) rows here; listeners
         // and the patch loop below agree on the translated set.
         let mapped: Vec<usize>;
@@ -367,14 +360,7 @@ impl FeatureStore {
         y_rows_new: &Dense,
     ) {
         assert!(self.perm.is_none(), "replica stores hold internal-order features");
-        assert_eq!(x_rows_new.nrows(), rows.len(), "one X patch row per updated row id");
-        assert_eq!(y_rows_new.nrows(), rows.len(), "one Y patch row per updated row id");
-        assert_eq!(x_rows_new.ncols(), self.d, "X patch dimension mismatch");
-        assert_eq!(y_rows_new.ncols(), self.d, "Y patch dimension mismatch");
-        for &u in rows {
-            assert!(u < self.x_rows, "patched X row {u} out of range for {} rows", self.x_rows);
-            assert!(u < self.y_rows, "patched Y row {u} out of range for {} rows", self.y_rows);
-        }
+        self.check_delta(rows, x_rows_new, y_rows_new);
         let _w = self.writer.lock();
         let base = self.snapshot();
         assert_eq!(
@@ -407,6 +393,24 @@ impl FeatureStore {
         assert_eq!(y.nrows(), self.y_rows, "published Y row count changed");
         assert_eq!(x.ncols(), self.d, "published X dimension changed");
         assert_eq!(y.ncols(), self.d, "published Y dimension changed");
+    }
+
+    /// The one validation of a row patch: one `d`-wide X and Y patch
+    /// row per row id, every id inside both matrices. Runs before any
+    /// write — and before the remote coordinator ships the record, so
+    /// no replica ever receives a delta this store would refuse.
+    ///
+    /// # Panics
+    /// Panics on the first violation.
+    pub(crate) fn check_delta(&self, rows: &[usize], x_rows_new: &Dense, y_rows_new: &Dense) {
+        assert_eq!(x_rows_new.nrows(), rows.len(), "one X patch row per updated row id");
+        assert_eq!(y_rows_new.nrows(), rows.len(), "one Y patch row per updated row id");
+        assert_eq!(x_rows_new.ncols(), self.d, "X patch dimension mismatch");
+        assert_eq!(y_rows_new.ncols(), self.d, "Y patch dimension mismatch");
+        for &u in rows {
+            assert!(u < self.x_rows, "patched X row {u} out of range for {} rows", self.x_rows);
+            assert!(u < self.y_rows, "patched Y row {u} out of range for {} rows", self.y_rows);
+        }
     }
 }
 

@@ -1,27 +1,26 @@
 //! Completion tokens for the non-blocking serving API.
 //!
-//! [`Engine::embed_begin`](crate::Engine::embed_begin) and
-//! [`ShardedEngine::embed_begin`](crate::ShardedEngine::embed_begin)
-//! return a [`Ticket`] instead of blocking: the caller can launch N
-//! requests, do other work, and harvest completions with
-//! [`Ticket::poll`] (non-blocking), [`Ticket::wait`] (blocking), or
+//! [`FrontEnd::embed_begin`](crate::FrontEnd::embed_begin) — what every
+//! engine type answers — returns a [`Ticket`] instead of blocking: the
+//! caller can launch N requests, do other work, and harvest completions
+//! with [`Ticket::poll`] (non-blocking), [`Ticket::wait`] (blocking), or
 //! [`Ticket::wait_deadline`] (bounded blocking) — or park on a whole
 //! window at once with [`wait_any`](crate::wait_any). There is no
 //! executor and no extra thread — a ticket is condvar machinery lifted
-//! into an object: the dispatcher (or, for a coalesced miss, the
-//! owning request's dispatcher) resolves per-ticket one-shot slots,
-//! and harvesting just drains them. Shard tickets gather lazily:
-//! `embed_begin` fans the request out to every involved band engine
+//! into an object: whoever computes a part (a band's dispatcher, a
+//! socket reader, or, for a coalesced miss, the owning request's
+//! computation) resolves a one-shot slot, and harvesting just drains
+//! them. Tickets gather lazily: `embed_begin` dispatches every part
 //! immediately, but nothing blocks until the first `poll`/`wait`.
 //!
-//! The blocking `embed` calls are implemented as
+//! The blocking `embed` call is implemented as
 //! `embed_begin(..)?.wait()`, so ticketed and blocking serving are the
 //! same code path — bit-identical by construction.
 //!
 //! Failure is part of the state machine, not an afterthought: a part
-//! whose kernel launch panicked retries **once** on a healthy path
-//! (same pinned epoch — an Exact retry stays bit-identical) before the
-//! ticket resolves [`ServeError::PartFailed`]; a part dropped past its
+//! whose computation failed retries **once** on a healthy path (same
+//! pinned epoch — an Exact retry stays bit-identical) before the ticket
+//! resolves [`ServeError::PartFailed`]; a part dropped past its
 //! deadline resolves [`ServeError::DeadlineExpired`]. Every admitted
 //! request therefore ends in exactly one of the `RequestStats`
 //! outcome buckets — no ticket ever hangs.
@@ -58,7 +57,7 @@ pub enum Quality {
 }
 
 /// Per-request serving options for
-/// [`Engine::embed_begin_opts`](crate::Engine::embed_begin_opts).
+/// [`FrontEnd::embed_begin_opts`](crate::FrontEnd::embed_begin_opts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmbedOptions {
     /// Drop the work (and resolve `DeadlineExpired`) instead of
@@ -181,17 +180,27 @@ pub(crate) struct TraceHandle {
 }
 
 /// Everything recorded when an [`EmbedAssembly`] resolves (or is
-/// dropped unresolved). Bundled so the assembly constructors stay at a
+/// dropped unresolved). Bundled so the assembly constructor stays at a
 /// readable arity.
-#[derive(Default)]
 pub(crate) struct Completion {
-    /// Records begin→completion when no dispatcher saw this request
-    /// (fully coalesced) — keeps one histogram observation per request.
-    pub hist: Option<Arc<LatencyHistogram>>,
-    /// The owning engine's reconciliation counters.
+    /// The front end's request-latency histogram: one observation
+    /// (begin → response) when the assembly resolves with rows.
+    pub latency: Option<Arc<LatencyHistogram>>,
+    /// The front end's reconciliation counters.
     pub stats: Option<Arc<RequestStats>>,
     /// The sampled root span, when this request was admitted.
     pub trace: Option<TraceHandle>,
+    /// Gather progress: member `parts[i].tag` records when that part's
+    /// rows arrive.
+    pub fanout: Option<Arc<HistogramVec>>,
+    /// When the request began.
+    pub begun: Instant,
+}
+
+impl Default for Completion {
+    fn default() -> Self {
+        Completion { latency: None, stats: None, trace: None, fanout: None, begun: Instant::now() }
+    }
 }
 
 /// A completion token for one in-flight serving request. Obtained from
@@ -384,21 +393,20 @@ impl<T, U, F: FnOnce(T) -> U> Harvest<U> for MapHarvest<T, U, F> {
     }
 }
 
-/// The healthy-path re-enqueue a part falls back to when its original
-/// kernel launch panicked: same nodes, same pinned epoch (an Exact
-/// retry is bit-identical), no cache fills (the originals were
-/// aborted).
-pub(crate) type PartRetry = Box<dyn FnOnce(&[usize]) -> Result<SlotRx, ServeError> + Send>;
+/// The healthy-path re-dispatch a part falls back to when its original
+/// computation failed: same nodes, same pinned epoch (an Exact retry is
+/// bit-identical), no cache fills (the originals were aborted).
+pub(crate) type PartRetry = Box<dyn FnOnce(&[usize]) -> SlotRx + Send>;
 
-/// One dispatched sub-request: the dispatcher will reply one row per
+/// One dispatched sub-request: the transport will reply one row per
 /// entry of `union`, in that order — or a typed [`PartError`].
 pub(crate) struct Part {
     /// Sorted, deduplicated nodes this part computes.
     union: Vec<usize>,
-    /// Member index in the fan-out histogram (the shard id).
+    /// Member index in the fan-out histogram (the shard index).
     tag: usize,
     /// The failing shard reported by `ServeError::PartFailed` (`None`
-    /// for a single-engine part or a coalesced-fill failure).
+    /// for a standalone engine's part).
     shard: Option<usize>,
     rx: SlotRx,
     rows: Option<Dense>,
@@ -458,20 +466,17 @@ enum PartStep {
     Terminal,
 }
 
-/// The embed-request harvest shared by the single and the sharded
-/// engine: hit rows are pre-filled into `out`, dispatched parts and
-/// coalesced waiters stream in, and the first call that finds
-/// everything present assembles the response in request order. A
-/// typed part failure (panic past its retry, expired deadline,
-/// shutdown) resolves the ticket with the corresponding error instead.
+/// The embed-request harvest of the one front end: hit rows are
+/// pre-filled into `out`, dispatched parts and coalesced waiters
+/// stream in, and the first call that finds everything present
+/// assembles the response in request order. A typed part failure
+/// (failure past its retry, expired deadline, shutdown) resolves the
+/// ticket with the corresponding error instead.
 pub(crate) struct EmbedAssembly {
     /// Pre-filled output; taken by the resolving call (success or
     /// error), so `Drop` counts `abandoned` only for truly unresolved
     /// tickets.
     out: Option<Dense>,
-    /// When set, the single part's `Dense` *is* the whole response
-    /// (the dispatcher already scattered it to request order).
-    whole: bool,
     parts: Vec<Part>,
     waiters: Vec<WaiterSlot>,
     /// `(output row, node)` pairs to fill from parts/waiters.
@@ -484,50 +489,20 @@ pub(crate) struct EmbedAssembly {
     /// A terminal error, sticky once set: the next harvest call
     /// resolves it.
     error: Option<ServeError>,
-    /// Recorded when the assembly resolves: completion histogram,
-    /// reconciliation counters, and the sampled root span.
+    /// Recorded when the assembly resolves: request latency,
+    /// reconciliation counters, the sampled root span, gather progress.
     completion: Completion,
     /// `Tracer::now()` at the start of the harvest call currently in
     /// progress — the `Harvest` span's start when that call completes.
     harvest_start_ns: u64,
-    /// Gather-progress histogram (sharded front end): member
-    /// `parts[i].tag` records when that part's rows arrive.
-    fanout: Option<Arc<HistogramVec>>,
-    begun: Instant,
-    /// Holds one unit of the engine's in-flight gauge until the ticket
-    /// resolves or is dropped.
+    /// Holds one unit of the front end's in-flight gauge until the
+    /// ticket resolves or is dropped.
     _inflight: GaugeGuard,
 }
 
 impl EmbedAssembly {
-    /// The single-part shape: the dispatcher's reply is the final
-    /// response (already in request order).
-    pub(crate) fn direct(
-        part: Part,
-        degraded: Vec<bool>,
-        quality: Quality,
-        completion: Completion,
-        guard: GaugeGuard,
-    ) -> Self {
-        EmbedAssembly {
-            out: Some(Dense::zeros(0, 0)),
-            whole: true,
-            parts: vec![part],
-            waiters: Vec::new(),
-            positions: Vec::new(),
-            degraded,
-            quality,
-            error: None,
-            completion,
-            harvest_start_ns: 0,
-            fanout: None,
-            begun: Instant::now(),
-            _inflight: guard,
-        }
-    }
-
-    /// The assembling shape: `out` holds the hit rows, `positions`
-    /// name what parts and waiters still owe.
+    /// `out` holds the hit rows, `positions` name the `(output row,
+    /// node)` pairs parts and waiters still owe.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         out: Dense,
@@ -537,12 +512,10 @@ impl EmbedAssembly {
         degraded: Vec<bool>,
         quality: Quality,
         completion: Completion,
-        fanout: Option<Arc<HistogramVec>>,
         guard: GaugeGuard,
     ) -> Self {
         EmbedAssembly {
             out: Some(out),
-            whole: false,
             parts,
             waiters,
             positions,
@@ -551,8 +524,6 @@ impl EmbedAssembly {
             error: None,
             completion,
             harvest_start_ns: 0,
-            fanout,
-            begun: Instant::now(),
             _inflight: guard,
         }
     }
@@ -566,14 +537,14 @@ impl EmbedAssembly {
     }
 
     fn store_part(&mut self, i: usize, rows: Dense) {
-        if let Some(fanout) = &self.fanout {
-            fanout.record(self.parts[i].tag, self.begun.elapsed());
+        if let Some(fanout) = &self.completion.fanout {
+            fanout.record(self.parts[i].tag, self.completion.begun.elapsed());
         }
         self.parts[i].rows = Some(rows);
     }
 
     /// React to a typed part failure: consume the retry (healthy-path
-    /// re-enqueue, same pinned epoch) on the first panic, or set the
+    /// re-dispatch, same pinned epoch) on the first failure, or set the
     /// terminal error.
     fn part_failed(&mut self, i: usize, e: PartError) -> PartStep {
         match e {
@@ -583,17 +554,8 @@ impl EmbedAssembly {
             }
             PartError::Panicked => match self.parts[i].retry.take() {
                 Some(retry) => {
-                    let nodes = self.parts[i].union.clone();
-                    match retry(&nodes) {
-                        Ok(rx) => {
-                            self.parts[i].rx = rx;
-                            PartStep::Retried
-                        }
-                        Err(err) => {
-                            self.error = Some(err);
-                            PartStep::Terminal
-                        }
-                    }
+                    self.parts[i].rx = retry(&self.parts[i].union);
+                    PartStep::Retried
                 }
                 None => {
                     self.error = Some(ServeError::PartFailed { shard: self.parts[i].shard });
@@ -687,31 +649,27 @@ impl EmbedAssembly {
     /// once all parts and waiters have resolved.
     fn complete(&mut self) -> Result<EmbedResponse, ServeError> {
         let mut out = self.out.take().expect("assembly completes once");
-        if self.whole {
-            out = self.parts[0].rows.take().expect("direct part resolved");
-        } else {
-            // One index over every owed row, then one pass over the
-            // positions — assembly stays linear even when a request
-            // fully coalesced into hundreds of waiter slots.
-            let mut by_node: std::collections::HashMap<usize, &[f32]> =
-                std::collections::HashMap::new();
-            for p in &self.parts {
-                let rows = p.rows.as_ref().expect("part resolved");
-                for (j, &u) in p.union.iter().enumerate() {
-                    by_node.insert(u, rows.row(j));
-                }
-            }
-            for w in &self.waiters {
-                by_node.insert(w.node, w.row.as_ref().expect("waiter resolved"));
-            }
-            for &(pos, node) in &self.positions {
-                let row =
-                    by_node.get(&node).expect("every miss position is owed by a part or a waiter");
-                out.row_mut(pos).copy_from_slice(row);
+        // One index over every owed row, then one pass over the
+        // positions — assembly stays linear even when a request fully
+        // coalesced into hundreds of waiter slots.
+        let mut by_node: std::collections::HashMap<usize, &[f32]> =
+            std::collections::HashMap::new();
+        for p in &self.parts {
+            let rows = p.rows.as_ref().expect("part resolved");
+            for (j, &u) in p.union.iter().enumerate() {
+                by_node.insert(u, rows.row(j));
             }
         }
-        if let Some(hist) = &self.completion.hist {
-            hist.record(self.begun.elapsed());
+        for w in &self.waiters {
+            by_node.insert(w.node, w.row.as_ref().expect("waiter resolved"));
+        }
+        for &(pos, node) in &self.positions {
+            let row =
+                by_node.get(&node).expect("every miss position is owed by a part or a waiter");
+            out.row_mut(pos).copy_from_slice(row);
+        }
+        if let Some(hist) = &self.completion.latency {
+            hist.record(self.completion.begun.elapsed());
         }
         let degraded = std::mem::take(&mut self.degraded);
         if let Some(stats) = &self.completion.stats {
@@ -877,20 +835,39 @@ mod tests {
         vec![false; n]
     }
 
+    /// A request answered by `part` alone: its nodes, in order, `d`
+    /// columns wide.
+    fn single(
+        part: Part,
+        d: usize,
+        quality: Quality,
+        completion: Completion,
+        g: GaugeGuard,
+    ) -> EmbedAssembly {
+        let n = part.union.len();
+        let positions = part.union.iter().copied().enumerate().collect();
+        let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); n];
+        let out = Dense::zeros(n, d);
+        EmbedAssembly::assemble(
+            out,
+            vec![part],
+            Vec::new(),
+            positions,
+            marks,
+            quality,
+            completion,
+            g,
+        )
+    }
+
     fn direct(
         nodes: Vec<usize>,
+        d: usize,
         rx: SlotRx,
         completion: Completion,
         g: GaugeGuard,
     ) -> EmbedAssembly {
-        let marks = exact(nodes.len());
-        EmbedAssembly::direct(
-            Part::with_retry(nodes, 0, None, rx, None),
-            marks,
-            Quality::Exact,
-            completion,
-            g,
-        )
+        single(Part::with_retry(nodes, 0, None, rx, None), d, Quality::Exact, completion, g)
     }
 
     #[test]
@@ -918,10 +895,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_assembly_polls_then_completes() {
+    fn assembly_polls_then_completes() {
         let (gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![0, 1], rx, Completion::default(), g));
+        let mut t = Ticket::pending(direct(vec![0, 1], 2, rx, Completion::default(), g));
         assert_eq!(t.poll(), None, "nothing sent yet");
         assert_eq!(gauge.value(), 1);
         let rows = Dense::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -937,7 +914,7 @@ mod tests {
     fn dropped_ticket_releases_the_gauge() {
         let (gauge, g) = guard();
         let (_tx, rx) = slot();
-        let t = Ticket::pending(direct(vec![0], rx, Completion::default(), g));
+        let t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
         assert_eq!(gauge.value(), 1);
         drop(t);
         assert_eq!(gauge.value(), 0);
@@ -948,7 +925,7 @@ mod tests {
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
         drop(tx);
-        let t = Ticket::pending(direct(vec![0], rx, Completion::default(), g));
+        let t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
         assert_eq!(t.wait().unwrap_err(), ServeError::EngineShutdown);
     }
 
@@ -956,7 +933,7 @@ mod tests {
     fn wait_deadline_times_out_and_stays_live() {
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![3], rx, Completion::default(), g));
+        let mut t = Ticket::pending(direct(vec![3], 1, rx, Completion::default(), g));
         let soon = Instant::now() + std::time::Duration::from_millis(5);
         assert!(t.wait_deadline(soon).is_none());
         assert!(t.is_live());
@@ -979,16 +956,10 @@ mod tests {
         let retry: PartRetry = Box::new(move |nodes: &[usize]| {
             assert_eq!(nodes, &[4, 7]);
             retried_in.fetch_add(1, Ordering::SeqCst);
-            Ok(retry_slot.lock().unwrap().take().expect("retry used once"))
+            retry_slot.lock().unwrap().take().expect("retry used once")
         });
         let part = Part::with_retry(vec![4, 7], 0, Some(2), rx, Some(retry));
-        let mut t = Ticket::pending(EmbedAssembly::direct(
-            part,
-            exact(2),
-            Quality::Exact,
-            Completion::default(),
-            g,
-        ));
+        let mut t = Ticket::pending(single(part, 1, Quality::Exact, Completion::default(), g));
         tx.send(Err(PartError::Panicked));
         assert_eq!(t.poll(), None, "retry re-enqueued; fresh slot still pending");
         assert_eq!(retried.load(Ordering::SeqCst), 1);
@@ -1007,13 +978,12 @@ mod tests {
         let (retry_tx, retry_rx) = slot();
         let retry_slot = std::sync::Mutex::new(Some(retry_rx));
         let retry: PartRetry =
-            Box::new(move |_: &[usize]| Ok(retry_slot.lock().unwrap().take().unwrap()));
+            Box::new(move |_: &[usize]| retry_slot.lock().unwrap().take().unwrap());
         let part = Part::with_retry(vec![1], 0, Some(0), rx, Some(retry));
         let stats = Arc::new(RequestStats::default());
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t =
-            Ticket::pending(EmbedAssembly::direct(part, exact(1), Quality::Exact, completion, g));
+        let t = Ticket::pending(single(part, 1, Quality::Exact, completion, g));
         tx.send(Err(PartError::Panicked));
         let rows = Dense::from_rows(1, 1, &[5.0]).unwrap();
         retry_tx.send(Ok(rows.clone()));
@@ -1030,7 +1000,7 @@ mod tests {
         let stats = Arc::new(RequestStats::default());
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![0], rx, completion, g));
+        let t = Ticket::pending(direct(vec![0], 1, rx, completion, g));
         tx.send(Err(PartError::Expired));
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
         assert_eq!(stats.failed.load(Ordering::Relaxed), 1);
@@ -1056,7 +1026,6 @@ mod tests {
             exact(4),
             Quality::Exact,
             Completion::default(),
-            None,
             g,
         ));
         assert_eq!(t.poll(), None);
@@ -1082,7 +1051,6 @@ mod tests {
             exact(1),
             Quality::Exact,
             Completion::default(),
-            None,
             g,
         ));
         cache.abort(owner);
@@ -1097,7 +1065,7 @@ mod tests {
         let (tx, rx) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![0], rx, completion, g));
+        let t = Ticket::pending(direct(vec![0], 1, rx, completion, g));
         tx.send(Ok(Dense::from_rows(1, 1, &[1.0]).unwrap()));
         t.wait().unwrap();
         // Abandoned: the ticket is dropped before any answer.
@@ -1105,7 +1073,7 @@ mod tests {
         let (_tx2, rx2) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        drop(Ticket::pending(direct(vec![1], rx2, completion, g2)));
+        drop(Ticket::pending(direct(vec![1], 1, rx2, completion, g2)));
         // Ready at creation.
         stats.ready();
         // Shed at admission.
@@ -1115,7 +1083,7 @@ mod tests {
         let (tx3, rx3) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![2], rx3, completion, g3));
+        let t = Ticket::pending(direct(vec![2], 1, rx3, completion, g3));
         tx3.send(Err(PartError::Expired));
         assert!(t.wait().is_err());
         // Degraded at creation (CachedOnly with misses).
@@ -1138,13 +1106,7 @@ mod tests {
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
         let part = Part::with_retry(vec![0, 1], 0, None, rx, None);
-        let t = Ticket::pending(EmbedAssembly::direct(
-            part,
-            vec![true, true],
-            Quality::TopKNeighbors(2),
-            completion,
-            g,
-        ));
+        let t = Ticket::pending(single(part, 1, Quality::TopKNeighbors(2), completion, g));
         tx.send(Ok(Dense::from_rows(2, 1, &[1.0, 2.0]).unwrap()));
         let resp = t.wait().unwrap();
         assert_eq!(resp.quality, Quality::TopKNeighbors(2));
@@ -1158,7 +1120,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![0], rx, Completion::default(), g));
+        let mut t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
         let fired = Arc::new(AtomicUsize::new(0));
         let f = Arc::clone(&fired);
         t.subscribe(Arc::new(move || {
@@ -1183,7 +1145,7 @@ mod tests {
             trace: Some(TraceHandle { tracer: Arc::clone(&tracer), root, begin_ns }),
             ..Completion::default()
         };
-        let t = Ticket::pending(direct(vec![0, 1], rx, completion, g));
+        let t = Ticket::pending(direct(vec![0, 1], 1, rx, completion, g));
         tx.send(Ok(Dense::from_rows(2, 1, &[1.0, 2.0]).unwrap()));
         t.wait().unwrap();
         let spans = tracer.spans();

@@ -1,7 +1,8 @@
 //! A feature generation exists once per process that holds it: what
 //! the coordinator allocates when it seeds and publishes, what a fresh
 //! replica keeps after its first record, and that a worker's band
-//! engine does not sit out a coalescing window nobody can join. The
+//! engine does not sit out a coalescing window nobody can join — and
+//! that a write the store would refuse never reaches the log. The
 //! counting allocator is installed so "no copy" is checked in bytes,
 //! and the tests run one at a time (its counters are process-wide).
 
@@ -14,7 +15,7 @@ use fusedmm_serve::remote::{
     EpochRecord, PartOutcome, PartSlot, RemoteShardedEngine, ShardTransport, WorkerEngine,
     WorkerError,
 };
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, Quality, ServeError};
+use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -85,7 +86,7 @@ impl ShardTransport for Recording {
         &self,
         _shard: usize,
         _nodes: &[usize],
-        _epoch: u64,
+        _epoch: &Arc<FeatureEpoch>,
         _quality: Quality,
         _deadline: Option<Instant>,
         slot: PartSlot,
@@ -97,7 +98,7 @@ impl ShardTransport for Recording {
         &self,
         shard: usize,
         _pairs: &[(usize, usize)],
-        _epoch: u64,
+        _epoch: &Arc<FeatureEpoch>,
     ) -> Result<Vec<f32>, ServeError> {
         Err(ServeError::PartFailed { shard: Some(shard) })
     }
@@ -187,4 +188,27 @@ fn a_worker_does_not_sit_out_the_callers_coalesce_window() {
         .expect("embed_part is the band queue's only producer: nothing to wait for")
         .expect("embed_part");
     assert_eq!((rows.nrows(), rows.ncols()), (3, D));
+}
+
+#[test]
+fn a_delta_the_store_would_refuse_panics_before_anything_ships() {
+    let _serial = serial();
+    let transport = Arc::new(Recording::default());
+    let remote = RemoteShardedEngine::new(
+        feats(0.1),
+        feats(0.9),
+        Arc::clone(&transport) as _,
+        config(Duration::ZERO),
+    );
+    let shipped = || transport.shipped.lock().expect("shipped").len();
+    let one_row = Dense::zeros(1, D);
+    // Row `N` is past the last row; two ids with one patch row is short.
+    for rows in [&[N][..], &[0, 1][..]] {
+        let before = shipped();
+        let write = || remote.delta_update(rows, &one_row, &one_row);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write));
+        assert!(refused.is_err(), "rows {rows:?}: the delta must be refused");
+        assert_eq!(shipped(), before, "rows {rows:?}: the refused record reached the log");
+        assert_eq!(remote.store().current_epoch(), 0, "rows {rows:?}: an epoch was minted");
+    }
 }

@@ -81,7 +81,7 @@ fn main() {
         OpSet::sigmoid_embedding(None),
         EngineConfig { coalesce_window: Duration::from_micros(100), ..steady_config() },
     );
-    println!("engine ready: plan = {:?}, backend = {}\n", engine.plan(), engine.backend());
+    println!("engine ready: plan = {:?}, backend = {}\n", engine.plan(), engine.plan().backend());
 
     // A full-graph inference pass — the classic batch call, for
     // comparison with the per-request path below.
@@ -135,11 +135,11 @@ fn main() {
     let m = engine.metrics();
     println!("\nserving metrics after {:.2}s uptime:", m.uptime.as_secs_f64());
     println!("{m}");
+    let (requested, computed) =
+        (m.band_total(|b| b.rows_requested), m.band_total(|b| b.rows_computed));
     println!(
-        "\ncoalescing saved {:.1}% of row computations ({} requested, {} computed)",
-        100.0 * (1.0 - m.rows_computed as f64 / m.rows_requested.max(1) as f64),
-        m.rows_requested,
-        m.rows_computed
+        "\ncoalescing saved {:.1}% of row computations ({requested} requested, {computed} computed)",
+        100.0 * (1.0 - computed as f64 / requested.max(1) as f64),
     );
 
     // Sharded serving: cut the graph into nnz-balanced PART1D bands,
@@ -292,7 +292,9 @@ fn main() {
     let cm = tm.cache.expect("ticketed engine runs cached");
     println!(
         "coalescing: {} of {} misses rode another request's computation ({} rows dispatched)",
-        cm.coalesced_misses, cm.misses, tm.rows_computed
+        cm.coalesced_misses,
+        cm.misses,
+        tm.band_total(|b| b.rows_computed)
     );
     // Ticketed responses are bit-identical to blocking serving: the
     // window was launched against one quiescent epoch, so a blocking

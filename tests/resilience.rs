@@ -46,7 +46,7 @@ fn every_launch_panicking_resolves_typed_not_hung() {
     assert_eq!(eng.embed(&[3, 7]), Err(ServeError::PartFailed { shard: None }));
     let m = eng.metrics();
     assert_eq!(m.requests_failed, 1);
-    assert!(m.panics_caught >= 2, "original launch and its retry both panicked");
+    assert!(m.bands[0].panics_caught >= 2, "original launch and its retry both panicked");
     assert_eq!(
         m.requests_begun,
         m.requests_harvested
@@ -97,7 +97,10 @@ fn sharded_deadline_expiry_is_typed_and_counted() {
     assert_eq!(t.wait().map(|r| r.rows), Err(ServeError::DeadlineExpired));
     let m = eng.metrics();
     assert_eq!(m.requests_failed, 1);
-    assert!(m.expired_dropped >= 1, "a band dispatcher dropped the expired piece");
+    assert!(
+        m.band_total(|b| b.expired_dropped) >= 1,
+        "a band dispatcher dropped the expired piece"
+    );
 }
 
 /// Transport chaos: serve through real unix sockets whose coordinator

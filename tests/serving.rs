@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fusedmm::prelude::*;
-use fusedmm::serve::score_edges;
+use fusedmm::serve::{score_edges, FrontEnd, LocalBands};
 
 fn assert_rows_match(z: &Dense, reference: &Dense, rows: &[usize], tol: f32, label: &str) {
     assert_eq!(z.nrows(), rows.len(), "{label}: one output row per requested row");
@@ -143,8 +143,11 @@ fn engine_serves_concurrent_overlapping_batches() {
 
     let m = engine.metrics();
     assert_eq!(m.embed.count, (threads * rounds) as u64);
-    assert_eq!(m.rows_requested, (threads * rounds * 16) as u64);
-    assert!(m.rows_computed <= m.rows_requested, "dedup never computes more than asked");
+    assert_eq!(m.bands[0].rows_requested, (threads * rounds * 16) as u64);
+    assert!(
+        m.bands[0].rows_computed <= m.bands[0].rows_requested,
+        "dedup never computes more than asked"
+    );
     assert!(m.embed.p50 <= m.embed.p99);
     assert!(m.embed_requests_per_sec > 0.0);
 }
@@ -312,10 +315,10 @@ fn sharded_engines_are_bit_identical_to_the_single_engine() {
         let f = sharded.infer_full();
         assert_eq!(f, f1, "{shards}-shard inference differs from single engine");
         let m = sharded.metrics();
-        assert_eq!(m.per_shard.len(), sharded.nshards());
-        // One front-end embed call fans out to at most one request per
-        // shard; the merged histogram counts the per-shard requests.
-        assert!(m.embed.count >= 1 && m.embed.count <= sharded.nshards() as u64);
+        assert_eq!(m.bands.len(), sharded.nshards());
+        // One front-end embed call is one request, however many shards
+        // it fanned out to.
+        assert_eq!(m.embed.count, 1);
         assert_eq!(m.fanout.len(), sharded.nshards());
     }
 }
@@ -342,88 +345,35 @@ fn shared_store_updates_every_engine_at_once() {
     assert_eq!(sharded.metrics().feature_epoch, 1);
 }
 
-/// Either a single engine or a sharded one, behind one request surface
-/// — so the cache-equivalence property below can sweep 1/2/4-shard
-/// topologies with the same script.
-enum AnyEngine {
-    Single(Engine),
-    Sharded(ShardedEngine),
+/// A single engine or a sharded one: both are the one front end over
+/// in-process bands, so the same script sweeps 1/2/4-shard topologies.
+type AnyEngine = Box<dyn std::ops::Deref<Target = FrontEnd<LocalBands>> + Send + Sync>;
+
+fn build(a: Csr, x: Dense, y: Dense, shards: usize, cache: Option<CacheConfig>) -> AnyEngine {
+    build_with(a, x, y, shards, cache, OpSet::sigmoid_embedding(None), Duration::ZERO)
 }
 
-impl AnyEngine {
-    fn build(a: Csr, x: Dense, y: Dense, shards: usize, cache: Option<CacheConfig>) -> AnyEngine {
-        AnyEngine::build_with(
-            a,
-            x,
-            y,
-            shards,
-            cache,
-            OpSet::sigmoid_embedding(None),
-            Duration::ZERO,
-        )
+fn build_with(
+    a: Csr,
+    x: Dense,
+    y: Dense,
+    shards: usize,
+    cache: Option<CacheConfig>,
+    ops: OpSet,
+    coalesce_window: Duration,
+) -> AnyEngine {
+    let cfg = EngineConfig { coalesce_window, cache, ..EngineConfig::default() };
+    if shards <= 1 {
+        Box::new(Engine::new(a, x, y, ops, cfg))
+    } else {
+        Box::new(ShardedEngine::new(a, x, y, ops, shards, cfg))
     }
+}
 
-    fn build_with(
-        a: Csr,
-        x: Dense,
-        y: Dense,
-        shards: usize,
-        cache: Option<CacheConfig>,
-        ops: OpSet,
-        coalesce_window: Duration,
-    ) -> AnyEngine {
-        let cfg = EngineConfig { coalesce_window, cache, ..EngineConfig::default() };
-        if shards <= 1 {
-            AnyEngine::Single(Engine::new(a, x, y, ops, cfg))
-        } else {
-            AnyEngine::Sharded(ShardedEngine::new(a, x, y, ops, shards, cfg))
-        }
-    }
-
-    fn embed(&self, nodes: &[usize]) -> Dense {
-        match self {
-            AnyEngine::Single(e) => e.embed(nodes).expect("embed"),
-            AnyEngine::Sharded(e) => e.embed(nodes).expect("sharded embed"),
-        }
-    }
-
-    fn embed_begin(&self, nodes: &[usize]) -> Ticket<Dense> {
-        match self {
-            AnyEngine::Single(e) => e.embed_begin(nodes).expect("embed_begin"),
-            AnyEngine::Sharded(e) => e.embed_begin(nodes).expect("sharded embed_begin"),
-        }
-    }
-
-    fn score(&self, pairs: &[(usize, usize)]) -> Vec<f32> {
-        match self {
-            AnyEngine::Single(e) => e.score_edges(pairs).expect("score"),
-            AnyEngine::Sharded(e) => e.score_edges(pairs).expect("sharded score"),
-        }
-    }
-
-    fn store(&self) -> &FeatureStore {
-        match self {
-            AnyEngine::Single(e) => e.store(),
-            AnyEngine::Sharded(e) => e.store(),
-        }
-    }
-
-    /// Rows the dispatcher(s) actually computed — for a sharded engine,
-    /// summed over the band engines (the front end dispatches nothing
-    /// itself).
-    fn rows_computed(&self) -> u64 {
-        match self {
-            AnyEngine::Single(e) => e.metrics().rows_computed,
-            AnyEngine::Sharded(e) => e.metrics().per_shard.iter().map(|m| m.rows_computed).sum(),
-        }
-    }
-
-    fn cache_metrics(&self) -> CacheMetrics {
-        match self {
-            AnyEngine::Single(e) => e.cache_metrics().expect("cache enabled"),
-            AnyEngine::Sharded(e) => e.cache_metrics().expect("cache enabled"),
-        }
-    }
+/// Rows the bands actually computed (the front end dispatches nothing
+/// itself).
+fn rows_computed(eng: &AnyEngine) -> u64 {
+    eng.metrics().band_total(|b| b.rows_computed)
 }
 
 proptest! {
@@ -449,9 +399,9 @@ proptest! {
         let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(seed));
         let x = random_features(n, d, 0.5, seed ^ 21);
         let y = random_features(n, d, 0.5, seed ^ 22);
-        let plain = AnyEngine::build(a.clone(), x.clone(), y.clone(), shards, None);
+        let plain = build(a.clone(), x.clone(), y.clone(), shards, None);
         // A tight budget (a few hundred rows) so eviction runs too.
-        let cached = AnyEngine::build(a, x, y, shards, Some(CacheConfig {
+        let cached = build(a, x, y, shards, Some(CacheConfig {
             byte_budget: 64 << 10,
             segments: 4,
         }));
@@ -485,7 +435,7 @@ proptest! {
                     let pairs: Vec<(usize, usize)> = (0..10)
                         .map(|i| ((op_seed as usize + i * 3) % n, (op_seed as usize + i * 11) % n))
                         .collect();
-                    prop_assert_eq!(plain.score(&pairs), cached.score(&pairs),
+                    prop_assert_eq!(plain.score_edges(&pairs), cached.score_edges(&pairs),
                         "score diverged at step {} (shards={})", step, shards);
                 }
                 // Embed overlapping hot subsets (two ops map here, so
@@ -528,17 +478,10 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
         let d = 4;
         let (a, feats, mut cfg) = ring_fixture(n, d);
         cfg.cache = Some(CacheConfig::default());
-        let eng = if shards == 1 {
-            AnyEngine::Single(Engine::new(a, feats.clone(), feats, OpSet::gcn(), cfg))
+        let eng: AnyEngine = if shards == 1 {
+            Box::new(Engine::new(a, feats.clone(), feats, OpSet::gcn(), cfg))
         } else {
-            AnyEngine::Sharded(ShardedEngine::new(
-                a,
-                feats.clone(),
-                feats,
-                OpSet::gcn(),
-                shards,
-                cfg,
-            ))
+            Box::new(ShardedEngine::new(a, feats.clone(), feats, OpSet::gcn(), shards, cfg))
         };
         // history[e] = the Y matrix of epoch e (z_u = y_{u+1} exactly).
         let history = std::sync::Mutex::new(vec![Dense::filled(n, d, 1.0)]);
@@ -571,11 +514,11 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
             let (eng, history, done, phase, write) = (&eng, &history, &done, &phase, &write);
             let writer = s.spawn(move || {
                 phase.wait();
-                let after_repeat = eng.cache_metrics();
+                let after_repeat = eng.cache_metrics().expect("cache enabled");
                 write(1);
-                let after_delta = eng.cache_metrics();
+                let after_delta = eng.cache_metrics().expect("cache enabled");
                 write(3);
-                let after_publish = eng.cache_metrics();
+                let after_publish = eng.cache_metrics().expect("cache enabled");
                 phase.wait();
                 for e in 4..=50u64 {
                     write(e);
@@ -589,8 +532,8 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
                     // Together the readers' batches cover every row, so
                     // whatever the delta touches is resident.
                     let own: Vec<usize> = (0..n / READERS).map(|i| t * (n / READERS) + i).collect();
-                    let first = eng.embed(&own);
-                    let repeat = eng.embed(&own);
+                    let first = eng.embed(&own).expect("embed");
+                    let repeat = eng.embed(&own).expect("embed");
                     phase.wait();
                     phase.wait();
                     assert_eq!(first, repeat, "reader {t}: a repeat under no writes changed");
@@ -599,7 +542,7 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
                     while !done.load(Ordering::Acquire) || round == 0 {
                         let nodes: Vec<usize> =
                             (0..10).map(|i| (t * 3 + i * 5 + round) % n).collect();
-                        let z = eng.embed(&nodes);
+                        let z = eng.embed(&nodes).expect("embed");
                         // The response must equal one recorded epoch's
                         // expected rows, and epochs advance per reader.
                         let snap = history.lock().unwrap().clone();
@@ -651,15 +594,15 @@ fn tickets_are_bit_identical_to_blocking_embed_across_topologies() {
     let y = random_features(n, d, 0.5, 32);
     for shards in [1usize, 2, 4] {
         for cache in [None, Some(CacheConfig::default())] {
-            let eng = AnyEngine::build(a.clone(), x.clone(), y.clone(), shards, cache);
-            let twin = AnyEngine::build(a.clone(), x.clone(), y.clone(), shards, None);
+            let eng = build(a.clone(), x.clone(), y.clone(), shards, cache);
+            let twin = build(a.clone(), x.clone(), y.clone(), shards, None);
             // Overlapping node sets spanning every band, duplicates
             // included; launch the whole window before harvesting.
             let requests: Vec<Vec<usize>> = (0..12)
                 .map(|r| (0..10).map(|i| (r * 13 + i * 7) % n).chain([0, n - 1]).collect())
                 .collect();
             let mut tickets: Vec<Ticket<Dense>> =
-                requests.iter().map(|nodes| eng.embed_begin(nodes)).collect();
+                requests.iter().map(|nodes| eng.embed_begin(nodes).expect("embed_begin")).collect();
             // Harvest out of order, alternating methods: reverse-order
             // wait, poll loop, and deadline waits.
             let mut results: Vec<Option<Dense>> = (0..tickets.len()).map(|_| None).collect();
@@ -683,7 +626,7 @@ fn tickets_are_bit_identical_to_blocking_embed_across_topologies() {
             for (nodes, z) in requests.iter().zip(&results) {
                 assert_eq!(
                     z.as_ref().expect("harvested"),
-                    &twin.embed(nodes),
+                    &twin.embed(nodes).expect("embed"),
                     "ticketed result diverged from blocking embed \
                      (shards={shards}, cache={})",
                     if cache.is_some() { "on" } else { "off" }
@@ -710,7 +653,7 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
         // the second and third tickets are guaranteed to find node 7
         // still in flight (routing happens at begin time, before any
         // fill can land).
-        let eng = AnyEngine::build_with(
+        let eng = build_with(
             a.clone(),
             x.clone(),
             y.clone(),
@@ -719,9 +662,9 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
             ops.clone(),
             Duration::from_millis(150),
         );
-        let t1 = eng.embed_begin(&[7]);
-        let t2 = eng.embed_begin(&[7]);
-        let t3 = eng.embed_begin(&[7]);
+        let t1 = eng.embed_begin(&[7]).unwrap();
+        let t2 = eng.embed_begin(&[7]).unwrap();
+        let t3 = eng.embed_begin(&[7]).unwrap();
         let (z1, z2, z3) = (t1.wait().unwrap(), t2.wait().unwrap(), t3.wait().unwrap());
         assert_eq!(z1, z2, "coalesced fill must be bit-identical (shards={shards})");
         assert_eq!(z1, z3);
@@ -732,11 +675,11 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
             );
         }
         assert_eq!(
-            eng.rows_computed(),
+            rows_computed(&eng),
             1,
             "exactly one enqueue computed the row (shards={shards})"
         );
-        let m = eng.cache_metrics();
+        let m = eng.cache_metrics().expect("cache enabled");
         assert_eq!(m.misses, 3, "all three requests missed (shards={shards})");
         assert_eq!(m.coalesced_misses, 2, "two waiters coalesced (shards={shards})");
         assert_eq!(m.inserts, 1, "the single fill was admitted once (shards={shards})");
@@ -755,15 +698,8 @@ fn ticket_windows_pin_monotonic_untorn_epochs_under_publishes() {
         let d = 8;
         let publishes = 30usize;
         let (a, feats, cfg) = ring_fixture(n, d);
-        let eng = AnyEngine::build_with(
-            a,
-            feats.clone(),
-            feats,
-            shards,
-            None,
-            OpSet::gcn(),
-            cfg.coalesce_window,
-        );
+        let eng =
+            build_with(a, feats.clone(), feats, shards, None, OpSet::gcn(), cfg.coalesce_window);
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             let eng = &eng;
@@ -787,7 +723,7 @@ fn ticket_windows_pin_monotonic_untorn_epochs_under_publishes() {
                             .map(|w| {
                                 let nodes: Vec<usize> =
                                     (0..8).map(|i| (t * 5 + w + i * 7 + round) % n).collect();
-                                (w, eng.embed_begin(&nodes))
+                                (w, eng.embed_begin(&nodes).expect("embed_begin"))
                             })
                             .collect();
                         let mut epochs = [0.0f32; 6];
@@ -846,13 +782,13 @@ proptest! {
         }
         let a = c.to_csr(Dedup::Sum);
         let feats = Dense::from_fn(n, d, |r, k| (r * d + k) as f32);
-        let plain = AnyEngine::build_with(
+        let plain = build_with(
             a.clone(), feats.clone(), feats.clone(), shards, None,
             OpSet::gcn(), Duration::ZERO,
         );
         // A budget far above n rows, so eviction never perturbs the
         // exactly-once model.
-        let cached = AnyEngine::build_with(
+        let cached = build_with(
             a, feats.clone(), feats, shards,
             Some(CacheConfig::default()), OpSet::gcn(), Duration::ZERO,
         );
@@ -900,7 +836,7 @@ proptest! {
                         (0..8).map(|i| (base + i * 2) % n).collect();
                     // The uncached twin, driven through the identical
                     // writes, fixes the expected bits at begin time.
-                    let expected = plain.embed(&nodes);
+                    let expected = plain.embed(&nodes).expect("embed");
                     let mut unique = nodes.clone();
                     unique.sort_unstable();
                     unique.dedup();
@@ -910,7 +846,7 @@ proptest! {
                             expected_computes += 1;
                         }
                     }
-                    open.push((cached.embed_begin(&nodes), expected));
+                    open.push((cached.embed_begin(&nodes).expect("embed_begin"), expected));
                 }
             }
         }
@@ -918,7 +854,7 @@ proptest! {
             prop_assert_eq!(ticket.wait().unwrap(), expected,
                 "late harvest diverged (shards={})", shards);
         }
-        prop_assert_eq!(cached.rows_computed(), expected_computes,
+        prop_assert_eq!(rows_computed(&cached), expected_computes,
             "every coalesced vertex computed exactly once per validity window \
              (shards={})", shards);
     }

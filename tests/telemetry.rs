@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use fusedmm::perf::registry::{parse_prometheus, MetricValue};
 use fusedmm::prelude::*;
+use fusedmm::serve::{FrontEnd, LocalBands};
 
 const CLIENTS: usize = 4;
 const REQUESTS: usize = 42;
@@ -32,63 +33,20 @@ fn config(cached: bool) -> EngineConfig {
     }
 }
 
-/// Either front end behind one ticketed surface, so the reconciliation
-/// hammer sweeps single and sharded engines with the same loop.
-enum Front {
-    Single(Engine),
-    Sharded(ShardedEngine),
-}
+/// A single or a sharded engine: both are the one front end over
+/// in-process bands, so the reconciliation hammer sweeps them with the
+/// same loop.
+type Front = Box<dyn std::ops::Deref<Target = FrontEnd<LocalBands>> + Send + Sync>;
 
-impl Front {
-    fn build(n: usize, shards: usize, cached: bool) -> Front {
-        let a = graph(n);
-        let x = random_features(n, 16, 0.5, 3);
-        let y = random_features(n, 16, 0.5, 4);
-        let ops = OpSet::sigmoid_embedding(None);
-        if shards <= 1 {
-            Front::Single(Engine::new(a, x, y, ops, config(cached)))
-        } else {
-            Front::Sharded(ShardedEngine::new(a, x, y, ops, shards, config(cached)))
-        }
-    }
-
-    fn begin(&self, nodes: &[usize]) -> Ticket<Dense> {
-        match self {
-            Front::Single(e) => e.embed_begin(nodes).expect("begin"),
-            Front::Sharded(e) => e.embed_begin(nodes).expect("sharded begin"),
-        }
-    }
-
-    fn register(&self, registry: &MetricsRegistry) {
-        match self {
-            Front::Single(e) => e.register_metrics(registry, &[]),
-            // The front-end collector registers first, so unlabeled
-            // queries below resolve to front-end samples, not a
-            // shard's.
-            Front::Sharded(e) => e.register_metrics(registry),
-        }
-    }
-
-    /// (begun, harvested, abandoned) from the engine's own `metrics()`
-    /// — the values the registry must agree with exactly.
-    fn request_stats(&self) -> (u64, u64, u64) {
-        match self {
-            Front::Single(e) => {
-                let m = e.metrics();
-                (m.requests_begun, m.requests_harvested, m.requests_abandoned)
-            }
-            Front::Sharded(e) => {
-                let m = e.metrics();
-                (m.requests_begun, m.requests_harvested, m.requests_abandoned)
-            }
-        }
-    }
-
-    fn cache_metrics(&self) -> Option<CacheMetrics> {
-        match self {
-            Front::Single(e) => e.metrics().cache,
-            Front::Sharded(e) => e.cache_metrics(),
-        }
+fn build(n: usize, shards: usize, cached: bool) -> Front {
+    let a = graph(n);
+    let x = random_features(n, 16, 0.5, 3);
+    let y = random_features(n, 16, 0.5, 4);
+    let ops = OpSet::sigmoid_embedding(None);
+    if shards <= 1 {
+        Box::new(Engine::new(a, x, y, ops, config(cached)))
+    } else {
+        Box::new(ShardedEngine::new(a, x, y, ops, shards, config(cached)))
     }
 }
 
@@ -106,7 +64,7 @@ fn hammer(front: &Front, n: usize) -> (u64, u64, u64) {
                     // misses, and coalescing all occur.
                     let nodes: Vec<usize> =
                         (0..BATCH).map(|i| ((c % 2) * 349 + r * 97 + i * 13) % n).collect();
-                    window.push_back((r, front.begin(&nodes)));
+                    window.push_back((r, front.embed_begin(&nodes).expect("begin")));
                     if window.len() >= 8 {
                         let (r, ticket) = window.pop_front().expect("window non-empty");
                         if r % ABANDON_EVERY == 3 {
@@ -137,12 +95,14 @@ fn registry_counters_reconcile_exactly_across_shards_and_cache() {
     let n = 600;
     for shards in [1usize, 2, 4] {
         for cached in [false, true] {
-            let front = Front::build(n, shards, cached);
+            let front = build(n, shards, cached);
             let registry = MetricsRegistry::new();
-            front.register(&registry);
+            front.register_metrics(&registry, &[]);
             let (issued, rows, abandoned) = hammer(&front, n);
 
-            let (begun, harvested, stats_abandoned) = front.request_stats();
+            let m = front.metrics();
+            let (begun, harvested, stats_abandoned) =
+                (m.requests_begun, m.requests_harvested, m.requests_abandoned);
             let label = format!("shards={shards} cache={cached}");
             assert_eq!(begun, issued, "{label}: every issued request was begun");
             if cached {
@@ -198,16 +158,15 @@ fn registry_counters_reconcile_exactly_across_shards_and_cache() {
             // Sharded deployments expose every band's dispatcher
             // counters under shard labels; rows flow only through
             // bands, so the shard-tagged sum covers all computed rows.
-            if let Front::Sharded(e) = &front {
-                let m = e.metrics();
+            if shards > 1 {
                 let mut shard_rows = 0;
-                for s in 0..e.nshards() {
+                for s in 0..front.nshards() {
                     let tag = s.to_string();
                     shard_rows += snap
                         .counter("fusedmm_rows_computed_total", &[("shard", &tag)])
                         .expect("per-shard rows sample");
                 }
-                let engine_rows: u64 = m.per_shard.iter().map(|s| s.rows_computed).sum();
+                let engine_rows = front.metrics().band_total(|b| b.rows_computed);
                 assert_eq!(shard_rows, engine_rows, "{label}: registry == per-shard metrics");
             }
         }
@@ -216,9 +175,9 @@ fn registry_counters_reconcile_exactly_across_shards_and_cache() {
 
 #[test]
 fn prometheus_exposition_round_trips_value_exactly() {
-    let front = Front::build(400, 2, true);
+    let front = build(400, 2, true);
     let registry = MetricsRegistry::new();
-    front.register(&registry);
+    front.register_metrics(&registry, &[]);
     register_kernel_profiles(&registry);
     hammer(&front, 400);
 
