@@ -3,6 +3,9 @@
 //! allocation until a fold has to patch it, and seeding two replicas
 //! over real unix sockets ends at one generation per process that
 //! holds one, with at most one more in flight per worker on the way.
+//! A delta copies a generation somebody else still holds — the log
+//! base on the coordinator, the pinned history on a replica — and
+//! leaves that holder's bits alone.
 //! The tests run one at a time (the counters are process-wide).
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -16,8 +19,9 @@ use fusedmm_rpc::{
     WorkerServer,
 };
 use fusedmm_serve::remote::{EpochRecord, RemoteShardedEngine, WorkerEngine};
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan};
+use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, Quality};
 use fusedmm_sparse::coo::{Coo, Dedup};
+use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::Dense;
 
 #[global_allocator]
@@ -104,39 +108,62 @@ fn the_log_base_is_the_shipped_allocation_until_a_fold_patches_it() {
     assert_eq!(log.latest(), Some(rounds));
 }
 
-#[test]
-fn two_replicas_over_sockets_cost_one_generation_each() {
-    let _serial = serial();
-    let (n, d, nshards) = (4096usize, 128usize, 2usize);
-    let pair = 2 * n * d * 4;
+fn graph(n: usize) -> Csr {
     let mut coo = Coo::new(n, n);
     for u in 0..n {
         coo.push(u, (u * 7 + 13) % n, 0.5);
         coo.push(u, (u * 3 + 1) % n, 0.25);
     }
-    let a = coo.to_csr(Dedup::Sum);
-    let config = || EngineConfig {
+    coo.to_csr(Dedup::Sum)
+}
+
+fn config() -> EngineConfig {
+    EngineConfig {
         coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()
-    };
+    }
+}
+
+/// `nshards` band workers of `a` serving over unix sockets (features
+/// zeroed until the coordinator seeds them), and a transport connected
+/// to all of them.
+fn loopback(
+    a: &Csr,
+    d: usize,
+    nshards: usize,
+    tag: &str,
+) -> (Vec<WorkerServer>, Arc<RpcTransport>) {
+    let n = a.nrows();
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let paths: Vec<std::path::PathBuf> =
-        (0..nshards).map(|s| dir.join(format!("fusedmm-rpc-memory-{pid}-{s}.sock"))).collect();
-    let partition = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
-    let servers: Vec<WorkerServer> = (0..nshards)
+        (0..nshards).map(|s| dir.join(format!("fusedmm-rpc-{tag}-{pid}-{s}.sock"))).collect();
+    let partition = Partition::part1d(a, nshards, PartitionStrategy::NnzBalanced);
+    let servers = (0..nshards)
         .map(|s| {
             let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
             let ops = OpSet::sigmoid_embedding(None);
-            let worker = WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, config());
+            let worker = WorkerEngine::new(a, partition.rows(s), s, x0, y0, ops, config());
             WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
         })
         .collect();
     let mut rpc = RpcConfig::new(paths);
     rpc.fault = Some(Arc::new(FaultPlan::disabled()));
-    let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
+    (servers, RpcTransport::connect(rpc).expect("connect loopback workers"))
+}
+
+fn bits(m: &Dense) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn two_replicas_over_sockets_cost_one_generation_each() {
+    let _serial = serial();
+    let (n, d, nshards) = (4096usize, 128usize, 2usize);
+    let pair = 2 * n * d * 4;
+    let (servers, transport) = loopback(&graph(n), d, nshards, "memory");
     let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.02).cos());
 
@@ -164,4 +191,78 @@ fn two_replicas_over_sockets_cost_one_generation_each() {
     );
     drop(remote);
     drop(servers);
+}
+
+#[test]
+fn a_coordinator_delta_copies_the_generation_its_log_base_holds() {
+    let _serial = serial();
+    // The workers share this process and copy on their own side, so
+    // storage pointers, not byte counts, tell what the coordinator did.
+    let (n, d) = (4096usize, 64usize);
+    let (servers, transport) = loopback(&graph(n), d, 2, "log-base");
+    let log = Arc::clone(transport.log());
+    let x = Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin());
+    let y = Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos());
+    let original = (bits(&x), bits(&y));
+    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    remote.embed(&[0, n - 1]).expect("first embed, one row per band");
+
+    let rows = [1, 2000, n - 1];
+    let px = Dense::filled(rows.len(), d, 4.0);
+    let py = Dense::filled(rows.len(), d, -4.0);
+    assert_eq!(remote.delta_update(&rows, &px, &py), 1);
+    let EpochRecord::Snapshot { epoch: 0, x: bx, y: by } = log.catch_up(None).remove(0) else {
+        panic!("the log's base is the seeded generation");
+    };
+    assert!((bits(&bx), bits(&by)) == original, "the log base changed");
+    let current = remote.store().snapshot();
+    assert_ne!(storage(current.x()), storage(&bx), "the patch went into a copy");
+    for (i, &u) in rows.iter().enumerate() {
+        assert_eq!((current.x().row(u), current.y().row(u)), (px.row(i), py.row(i)));
+    }
+
+    // Nobody else holds the copy: the next delta writes in place.
+    let held = (storage(current.x()), storage(current.y()));
+    drop((bx, by, current));
+    assert_eq!(remote.delta_update(&rows, &py, &px), 2);
+    let current = remote.store().snapshot();
+    assert_eq!((storage(current.x()), storage(current.y())), held, "written in place");
+    assert_eq!(current.x().row(rows[0]), py.row(0));
+    drop(current);
+    drop(remote);
+    drop(servers);
+}
+
+#[test]
+fn a_replica_delta_copies_the_generation_its_history_pins() {
+    let _serial = serial();
+    let (n, d) = (4096usize, 64usize);
+    let matrix = n * d * 4;
+    let a = graph(n);
+    let ops = OpSet::sigmoid_embedding(None);
+    let worker =
+        WorkerEngine::new(&a, 0..n, 0, Dense::zeros(n, d), Dense::zeros(n, d), ops, config());
+    let x = Arc::new(Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin()));
+    let y = Arc::new(Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos()));
+    worker.apply(EpochRecord::Snapshot { epoch: 0, x, y });
+
+    let nodes = [0, 1, 7, 20, n - 1];
+    let at_zero = || {
+        let served = worker.embed_part(&nodes, 0, Quality::Exact, None).expect("epoch 0 is held");
+        bits(&served.rows)
+    };
+    let before = at_zero();
+    let rows = vec![1, 20, n - 1];
+    let record = EpochRecord::Delta {
+        epoch: 1,
+        rows: rows.clone(),
+        x_rows: Dense::filled(rows.len(), d, 4.0),
+        y_rows: Dense::filled(rows.len(), d, -4.0),
+    };
+    let (epoch, allocated) = memtrack::measure_peak(|| worker.apply(record));
+    assert_eq!(epoch, 1);
+    assert!(allocated > 3 * matrix / 2, "the delta allocated only {allocated} bytes");
+    assert!(at_zero() == before, "the epoch the history pins changed");
+    let after = worker.embed_part(&nodes, 1, Quality::Exact, None).expect("epoch 1");
+    assert!(bits(&after.rows) != before, "epoch 1 serves the patch");
 }

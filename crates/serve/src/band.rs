@@ -271,15 +271,19 @@ impl BandCore {
             return;
         };
         let kernel_end = if sampled { tracer.now() } else { 0 };
+        // Unpin the epoch before waking anyone: a caller that writes
+        // once its request completes finds the generation free to patch
+        // in place.
+        drop(epoch);
+        let group: Vec<_> = group.into_iter().map(|p| (p.nodes, p.slot, p.trace)).collect();
         // Account before resolving so a caller that observes its own
         // completion also observes the batch in the metrics.
         self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
         self.rows_requested.fetch_add(rows_requested as u64, Ordering::Relaxed);
         self.rows_computed.fetch_add(union.len() as u64, Ordering::Relaxed);
-        for part in group {
-            let out = scatter_rows(&union, &union_rows, &part.nodes);
-            let batch = part.trace.map(|parent| tracer.child(parent));
-            let mut slot = part.slot;
+        for (nodes, mut slot, trace) in group {
+            let out = scatter_rows(&union, &union_rows, &nodes);
+            let batch = trace.map(|parent| tracer.child(parent));
             if let Some(ctx) = batch {
                 let kernel = tracer.child(ctx);
                 let rows = union.len() as u64;

@@ -51,8 +51,9 @@ impl std::fmt::Debug for EmbedCache {
 
 impl EmbedCache {
     /// A cache over the output rows of `a` at embedding dimension `d`.
-    /// Pays one O(nnz) transpose to own the reverse adjacency the
-    /// delta-precise touch sets need.
+    /// Pays one O(nnz) counting transpose to own the reverse adjacency
+    /// the delta-precise touch sets need: while it runs, the only
+    /// memory beyond `a` is `Aᵀ` itself plus one `ncols + 1` cursor.
     pub(crate) fn new(a: &Csr, d: usize, config: CacheConfig) -> EmbedCache {
         EmbedCache { cache: ResultCache::new(a.nrows(), d, config), rev: a.transpose() }
     }

@@ -8,6 +8,7 @@
 //! feature epoch end-to-end, so a response is never torn across a
 //! concurrent [`FeatureStore::publish`].
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -256,8 +257,9 @@ pub(crate) fn local_front(
         None => (vec![(0..a.nrows(), a)], None),
         Some(nshards) => {
             let part = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
-            let bands = (0..part.len()).map(|s| (part.rows(s), a.row_band(part.rows(s))));
-            (bands.collect(), Some(0))
+            let ranges: Vec<Range<usize>> = (0..part.len()).map(|s| part.rows(s)).collect();
+            let bands = a.into_row_bands(&ranges);
+            (ranges.into_iter().zip(bands).collect(), Some(0))
         }
     };
     FrontEnd::local(bands, first_shard, store, cache, perm, ops, config)

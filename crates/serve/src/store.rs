@@ -11,7 +11,14 @@
 //! * writers call [`FeatureStore::publish`] (whole matrices) or
 //!   [`FeatureStore::delta_update`] (a row patch) to mint the next
 //!   epoch and swap the pointer. Old epochs stay alive exactly as long
-//!   as some in-flight batch still pins them, then drop.
+//!   as some in-flight batch still pins them, then drop;
+//! * a delta pays for the rows it touches when it can: if nothing but
+//!   the store holds the current generation (no snapshot, epoch
+//!   record, log base or replica history), the rows are written in
+//!   place under the write lock and readers wait only for that row
+//!   copy. Otherwise it is copy-on-write — both matrices are cloned
+//!   outside the lock and readers wait only for the pointer swap.
+//!   Either way no holder of a snapshot ever sees it change.
 //!
 //! The epoch-pinning contract: every serving batch resolves one
 //! snapshot up front and computes every output row from it, so a
@@ -36,7 +43,9 @@ use fusedmm_sparse::Permutation;
 /// The matrices sit behind `Arc`s so a generation exists once per
 /// process: the epoch records a coordinator replicates, its epoch
 /// log's base and a replica's pinned history all hold these
-/// allocations, not copies of them.
+/// allocations, not copies of them. Immutable to every holder: the
+/// store patches a generation in place only while it is the sole one
+/// (see [`FeatureStore::delta_update`]).
 #[derive(Debug)]
 pub struct FeatureEpoch {
     epoch: u64,
@@ -66,17 +75,13 @@ impl FeatureEpoch {
     pub fn shared(&self) -> (Arc<Dense>, Arc<Dense>) {
         (Arc::clone(&self.x), Arc::clone(&self.y))
     }
+}
 
-    /// A delta's copy-on-write step: copies of both matrices with row
-    /// `rows[i]` replaced by row `i` of the patches.
-    fn patched(&self, rows: &[usize], x_rows: &Dense, y_rows: &Dense) -> (Arc<Dense>, Arc<Dense>) {
-        let mut x = Dense::clone(&self.x);
-        let mut y = Dense::clone(&self.y);
-        for (i, &u) in rows.iter().enumerate() {
-            x.row_mut(u).copy_from_slice(x_rows.row(i));
-            y.row_mut(u).copy_from_slice(y_rows.row(i));
-        }
-        (Arc::new(x), Arc::new(y))
+/// Write row `rows[i]` of `x` / `y` from row `i` of the patches.
+fn write_rows(x: &mut Dense, y: &mut Dense, rows: &[usize], x_rows: &Dense, y_rows: &Dense) {
+    for (i, &u) in rows.iter().enumerate() {
+        x.row_mut(u).copy_from_slice(x_rows.row(i));
+        y.row_mut(u).copy_from_slice(y_rows.row(i));
     }
 }
 
@@ -284,14 +289,20 @@ impl FeatureStore {
         // pin it.
         let next = self.current.read().epoch + 1;
         self.for_each_listener(|l| l.on_publish(next));
-        self.install(x, y)
+        self.install(next, x, y);
+        next
     }
 
     /// Patch `rows` of both matrices — `x_rows_new`/`y_rows_new` hold
     /// one replacement row per entry of `rows` — and publish the result
-    /// as the next epoch; returns the new epoch number. The
-    /// copy-on-write clone happens outside the reader lock, so readers
-    /// are only blocked for the pointer swap.
+    /// as the next epoch; returns the new epoch number.
+    ///
+    /// When nothing but the store holds the current generation (no
+    /// snapshot, epoch record, log base or replica history), the rows
+    /// are written in place and readers wait only for that row copy.
+    /// Otherwise the patch lands in a copy-on-write clone made outside
+    /// the reader lock, and readers are only blocked for the pointer
+    /// swap.
     ///
     /// # Panics
     /// Panics when a row id is out of range or the patch dimensions
@@ -299,7 +310,7 @@ impl FeatureStore {
     pub fn delta_update(&self, rows: &[usize], x_rows_new: &Dense, y_rows_new: &Dense) -> u64 {
         self.check_delta(rows, x_rows_new, y_rows_new);
         // External row ids become epoch (internal) rows here; listeners
-        // and the patch loop below agree on the translated set.
+        // and the patch agree on the translated set.
         let mapped: Vec<usize>;
         let rows: &[usize] = match &self.perm {
             Some(p) => {
@@ -309,11 +320,9 @@ impl FeatureStore {
             None => rows,
         };
         let _w = self.writer.lock();
-        let base = self.snapshot();
-        let (x, y) = base.patched(rows, x_rows_new, y_rows_new);
-        let next = base.epoch + 1;
-        self.for_each_listener(|l| l.on_delta(next, rows));
-        self.install(x, y)
+        let next = self.current.read().epoch + 1;
+        self.patch(next, rows, x_rows_new, y_rows_new);
+        next
     }
 
     /// Replication seam: install whole matrices **as** epoch `epoch`,
@@ -335,10 +344,7 @@ impl FeatureStore {
         let current = self.current.read().epoch;
         assert!(epoch >= current, "epoch log regressed: applying {epoch} over {current}");
         self.for_each_listener(|l| l.on_publish(epoch));
-        let mut cur = self.current.write();
-        *cur = Arc::new(FeatureEpoch { epoch, x, y });
-        drop(cur);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.install(epoch, x, y);
     }
 
     /// Replication seam: apply a coordinator's delta record **as**
@@ -362,30 +368,48 @@ impl FeatureStore {
         assert!(self.perm.is_none(), "replica stores hold internal-order features");
         self.check_delta(rows, x_rows_new, y_rows_new);
         let _w = self.writer.lock();
-        let base = self.snapshot();
+        let current = self.current.read().epoch;
         assert_eq!(
             epoch,
-            base.epoch + 1,
-            "epoch log gap: delta record {epoch} cannot apply over {}",
-            base.epoch
+            current + 1,
+            "epoch log gap: delta record {epoch} cannot apply over {current}"
         );
-        let (x, y) = base.patched(rows, x_rows_new, y_rows_new);
-        self.for_each_listener(|l| l.on_delta(epoch, rows));
-        let mut cur = self.current.write();
-        *cur = Arc::new(FeatureEpoch { epoch, x, y });
-        drop(cur);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.patch(epoch, rows, x_rows_new, y_rows_new);
     }
 
-    /// Swap in the next epoch (writer lock held by the caller, the
-    /// epoch already announced to listeners).
-    fn install(&self, x: Arc<Dense>, y: Arc<Dense>) -> u64 {
+    /// The one patch step of both delta paths (writer lock held by the
+    /// caller): announce `epoch` to the listeners, then write `rows`
+    /// into the current generation in place if the store is its only
+    /// holder, or into a copy installed as `epoch` otherwise.
+    ///
+    /// Listeners run before `current` is write-locked — they may read
+    /// the store — and the new epoch number becomes visible only after
+    /// they have all returned.
+    fn patch(&self, epoch: u64, rows: &[usize], x_rows: &Dense, y_rows: &Dense) {
+        self.for_each_listener(|l| l.on_delta(epoch, rows));
         let mut current = self.current.write();
-        let epoch = current.epoch + 1;
-        *current = Arc::new(FeatureEpoch { epoch, x, y });
+        if let Some(ep) = Arc::get_mut(&mut current) {
+            if let (Some(x), Some(y)) = (Arc::get_mut(&mut ep.x), Arc::get_mut(&mut ep.y)) {
+                write_rows(x, y, rows, x_rows, y_rows);
+                ep.epoch = epoch;
+                drop(current);
+                self.swaps.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+        let base = Arc::clone(&current);
         drop(current);
+        let (mut x, mut y) = (Dense::clone(&base.x), Dense::clone(&base.y));
+        drop(base);
+        write_rows(&mut x, &mut y, rows, x_rows, y_rows);
+        self.install(epoch, Arc::new(x), Arc::new(y));
+    }
+
+    /// Swap in `(x, y)` as `epoch` (writer lock held by the caller, the
+    /// epoch already announced to listeners).
+    fn install(&self, epoch: u64, x: Arc<Dense>, y: Arc<Dense>) {
+        *self.current.write() = Arc::new(FeatureEpoch { epoch, x, y });
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        epoch
     }
 
     pub(crate) fn check_shapes(&self, x: &Dense, y: &Dense) {

@@ -100,15 +100,6 @@ impl Coo {
     pub fn to_csr(&self, dedup: Dedup) -> Csr {
         Csr::from_coo(self, dedup)
     }
-
-    /// Transpose by swapping coordinates (O(nnz)).
-    pub fn transpose(&self) -> Coo {
-        Coo {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            entries: self.entries.iter().map(|&(r, c, v)| (c, r, v)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,14 +138,5 @@ mod tests {
         // self-loop only stored once
         c.push_symmetric(2, 2, 1.0);
         assert_eq!(c.nnz(), 3);
-    }
-
-    #[test]
-    fn transpose_swaps_coordinates() {
-        let c = Coo::from_entries(2, 3, vec![(0, 2, 5.0), (1, 0, 7.0)]).unwrap();
-        let t = c.transpose();
-        assert_eq!((t.nrows(), t.ncols()), (3, 2));
-        assert!(t.entries().contains(&(2, 0, 5.0)));
-        assert!(t.entries().contains(&(0, 1, 7.0)));
     }
 }

@@ -17,28 +17,11 @@ pub struct Csc {
 }
 
 impl Csc {
-    /// Column-compress a CSR matrix (a stable counting sort over columns).
+    /// Column-compress a CSR matrix (a stable counting sort over
+    /// columns — the pass [`Csr::transpose`] shares).
     pub fn from_csr(csr: &Csr) -> Self {
-        let nrows = csr.nrows();
-        let ncols = csr.ncols();
-        let nnz = csr.nnz();
-        let mut colptr = vec![0usize; ncols + 1];
-        for &c in csr.colidx() {
-            colptr[c + 1] += 1;
-        }
-        for i in 0..ncols {
-            colptr[i + 1] += colptr[i];
-        }
-        let mut cursor = colptr.clone();
-        let mut rowidx = vec![0usize; nnz];
-        let mut values = vec![0f32; nnz];
-        for (r, c, v) in csr.iter() {
-            let slot = cursor[c];
-            rowidx[slot] = r;
-            values[slot] = v;
-            cursor[c] += 1;
-        }
-        Csc { nrows, ncols, colptr, rowidx, values }
+        let (colptr, rowidx, values) = csr.transpose_parts();
+        Csc { nrows: csr.nrows(), ncols: csr.ncols(), colptr, rowidx, values }
     }
 
     /// Number of rows.

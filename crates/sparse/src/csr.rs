@@ -296,10 +296,44 @@ impl Csr {
         Csc::from_csr(self)
     }
 
-    /// The transposed matrix, in CSR form.
+    /// The transposed matrix, in CSR form: the counting pass
+    /// [`Csc::from_csr`] runs, so the only storage besides the result
+    /// is one `ncols + 1` cursor. Each row's columns come out
+    /// ascending; duplicate entries — which only a matrix with unsorted
+    /// rows can hold — are summed in storage order, exactly as
+    /// [`Csr::from_coo`] with [`Dedup::Sum`] would.
     pub fn transpose(&self) -> Csr {
-        let t = self.to_coo().transpose();
-        Csr::from_coo(&t, Dedup::Sum)
+        let (mut rowptr, mut colidx, mut values) = self.transpose_parts();
+        if !self.sorted_cols {
+            sum_adjacent_duplicates(&mut rowptr, &mut colidx, &mut values);
+        }
+        Csr { nrows: self.ncols, ncols: self.nrows, rowptr, colidx, values, sorted_cols: true }
+    }
+
+    /// The counting pass behind [`Csr::transpose`] and
+    /// [`Csc::from_csr`]: count each column, prefix-sum, then scatter
+    /// row by row. Returns the transpose's `(rowptr, colidx, values)`
+    /// with every stored entry kept — within a column the source rows
+    /// come out ascending, repeats of one row adjacent and in storage
+    /// order.
+    pub(crate) fn transpose_parts(&self) -> (Vec<usize>, Vec<usize>, Vec<f32>) {
+        let mut ptr = vec![0usize; self.ncols + 1];
+        for &c in &self.colidx {
+            ptr[c + 1] += 1;
+        }
+        for i in 0..self.ncols {
+            ptr[i + 1] += ptr[i];
+        }
+        let mut cursor = ptr.clone();
+        let mut idx = vec![0usize; self.nnz()];
+        let mut vals = vec![0f32; self.nnz()];
+        for (r, c, v) in self.iter() {
+            let slot = cursor[c];
+            idx[slot] = r;
+            vals[slot] = v;
+            cursor[c] += 1;
+        }
+        (ptr, idx, vals)
     }
 
     /// Bytes of storage per the paper's model: 12 bytes per nonzero plus
@@ -346,6 +380,45 @@ impl Csr {
             values: self.values[lo..hi].to_vec(),
             sorted_cols,
         }
+    }
+
+    /// Cut the matrix into the row bands `ranges`, consuming it: the
+    /// same bands [`Csr::row_band`] extracts, without holding the
+    /// matrix and a copy of every band at once. Bands are split off the
+    /// back of the three arrays, which shrink after each split, so the
+    /// cut never holds more than the matrix plus one band; the first
+    /// band is the remaining storage itself (a single band is a move).
+    ///
+    /// # Panics
+    /// Panics unless `ranges` tile `0..nrows` in order (empty ranges
+    /// allowed).
+    pub fn into_row_bands(self, ranges: &[std::ops::Range<usize>]) -> Vec<Csr> {
+        let tiles = ranges.first().map_or(self.nrows == 0, |r| r.start == 0)
+            && ranges.windows(2).all(|w| w[0].end == w[1].start)
+            && ranges.iter().all(|r| r.start <= r.end)
+            && ranges.last().is_none_or(|r| r.end == self.nrows);
+        assert!(tiles, "row bands {ranges:?} do not tile 0..{}", self.nrows);
+        let Csr { ncols, mut rowptr, mut colidx, mut values, sorted_cols, .. } = self;
+        let band = |rowptr: Vec<usize>, colidx: Vec<usize>, values: Vec<f32>| {
+            let sorted_cols = sorted_cols || cols_sorted(&rowptr, &colidx);
+            Csr { nrows: rowptr.len() - 1, ncols, rowptr, colidx, values, sorted_cols }
+        };
+        let mut bands = Vec::with_capacity(ranges.len());
+        for rows in ranges.iter().skip(1).rev() {
+            let lo = rowptr[rows.start];
+            let band_rowptr = rowptr[rows.start..].iter().map(|&p| p - lo).collect();
+            let (band_colidx, band_values) = (colidx.split_off(lo), values.split_off(lo));
+            rowptr.truncate(rows.start + 1);
+            rowptr.shrink_to_fit();
+            colidx.shrink_to_fit();
+            values.shrink_to_fit();
+            bands.push(band(band_rowptr, band_colidx, band_values));
+        }
+        if !ranges.is_empty() {
+            bands.push(band(rowptr, colidx, values));
+        }
+        bands.reverse();
+        bands
     }
 
     /// Delta-invalidation touch set, for callers holding this matrix
@@ -463,6 +536,28 @@ impl Csr {
         let sorted_cols = cols_sorted(&rowptr, &colidx);
         Csr { nrows: self.nrows, ncols: self.ncols, rowptr, colidx, values, sorted_cols }
     }
+}
+
+/// Sum each row's runs of equal column ids into one entry, in storage
+/// order, compacting the three arrays in place.
+fn sum_adjacent_duplicates(rowptr: &mut [usize], colidx: &mut Vec<usize>, values: &mut Vec<f32>) {
+    let (mut kept, mut lo) = (0, 0);
+    for r in 0..rowptr.len() - 1 {
+        let (row_start, hi) = (kept, rowptr[r + 1]);
+        for k in lo..hi {
+            if kept > row_start && colidx[kept - 1] == colidx[k] {
+                values[kept - 1] += values[k];
+            } else {
+                colidx[kept] = colidx[k];
+                values[kept] = values[k];
+                kept += 1;
+            }
+        }
+        rowptr[r + 1] = kept;
+        lo = hi;
+    }
+    colidx.truncate(kept);
+    values.truncate(kept);
 }
 
 #[cfg(test)]
@@ -644,6 +739,62 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn row_band_rejects_overrun() {
         let _ = small().row_band(2..4);
+    }
+
+    #[test]
+    fn into_row_bands_equal_row_band_and_concatenate_back() {
+        // An unsorted matrix (row 0 descends) and a sorted one.
+        let unsorted =
+            Csr::from_parts(4, 4, vec![0, 2, 2, 5, 6], vec![3, 1, 0, 2, 3, 1], vec![1.0; 6])
+                .unwrap();
+        for m in [small(), unsorted] {
+            let n = m.nrows();
+            for cuts in [vec![0, n], vec![0, 1, n], vec![0, 0, 1, 1, n, n], vec![0, n - 1, n]] {
+                let ranges: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+                let bands = m.clone().into_row_bands(&ranges);
+                assert_eq!(bands.len(), ranges.len());
+                let mut entries = Vec::new();
+                for (rows, band) in ranges.iter().zip(&bands) {
+                    let expected = m.row_band(rows.clone());
+                    assert_eq!(band, &expected, "band {rows:?} of cut {cuts:?}");
+                    assert_eq!(band.sorted_cols, expected.sorted_cols, "band {rows:?}");
+                    entries.extend(band.iter().map(|(r, c, v)| (rows.start + r, c, v)));
+                }
+                assert_eq!(entries, m.iter().collect::<Vec<_>>(), "cut {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_band_is_the_matrix_moved() {
+        let m = small();
+        let storage = m.colidx().as_ptr();
+        let whole = 0..m.nrows();
+        let bands = m.into_row_bands(std::slice::from_ref(&whole));
+        assert_eq!(bands.len(), 1);
+        assert_eq!(bands[0].colidx().as_ptr(), storage, "a single band keeps the storage");
+        assert_eq!(bands[0], small());
+        assert!(Csr::empty(0, 3).into_row_bands(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not tile")]
+    fn into_row_bands_rejects_a_gap() {
+        let _ = small().into_row_bands(&[0..1, 2..3]);
+    }
+
+    #[test]
+    fn transpose_sums_duplicates_in_storage_order() {
+        // Row 0 holds column 1 twice (only `from_parts` admits that).
+        let m = Csr::from_parts(2, 2, vec![0, 3, 4], vec![1, 0, 1, 1], vec![1.0, 2.0, 0.5, 3.0])
+            .unwrap();
+        let t = m.transpose();
+        assert_eq!(t.rowptr(), &[0, 1, 3]);
+        assert_eq!(t.colidx(), &[0, 0, 1]);
+        assert_eq!(t.values(), &[2.0, 1.5, 3.0]);
+        assert!(t.sorted_cols);
+        // The column-compressed form keeps every stored entry.
+        assert_eq!(m.to_csc().nnz(), 4);
     }
 
     #[test]

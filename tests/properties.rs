@@ -17,8 +17,54 @@ fn arb_coo() -> impl Strategy<Value = Coo> {
     })
 }
 
+/// Strategy: a CSR matrix built straight from parts, so rows may hold
+/// their columns in any order and the same column more than once.
+fn arb_raw_csr() -> impl Strategy<Value = Csr> {
+    (1usize..30, 1usize..30).prop_flat_map(|(r, c)| {
+        let row = proptest::collection::vec((0..c, -5.0f32..5.0), 0..8);
+        proptest::collection::vec(row, r..r + 1).prop_map(move |rows| {
+            let mut rowptr = vec![0];
+            let (mut colidx, mut values) = (Vec::new(), Vec::new());
+            for row in rows {
+                for (col, v) in row {
+                    colidx.push(col);
+                    values.push(v);
+                }
+                rowptr.push(colidx.len());
+            }
+            Csr::from_parts(r, c, rowptr, colidx, values).unwrap()
+        })
+    })
+}
+
+/// The transpose as a coordinate swap of every stored entry,
+/// compressed with duplicates summed.
+fn coo_transpose(m: &Csr) -> Csr {
+    let swapped = m.to_coo().entries().iter().map(|&(r, c, v)| (c, r, v)).collect();
+    Csr::from_coo(&Coo::from_entries(m.ncols(), m.nrows(), swapped).unwrap(), Dedup::Sum)
+}
+
+fn csr_bits(m: &Csr) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<u32>) {
+    let values = m.values().iter().map(|v| v.to_bits()).collect();
+    (m.nrows(), m.ncols(), m.rowptr().to_vec(), m.colidx().to_vec(), values)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn transpose_is_the_coo_round_trip_bit_for_bit(m in arb_raw_csr(), coo in arb_coo()) {
+        prop_assert_eq!(csr_bits(&m.transpose()), csr_bits(&coo_transpose(&m)));
+        // A symmetric permutation keeps each row's original neighbour
+        // order, so its rows come out unsorted.
+        let n = coo.nrows().min(coo.ncols());
+        let square: Vec<_> =
+            coo.entries().iter().copied().filter(|&(r, c, _)| r < n && c < n).collect();
+        let a = Coo::from_entries(n, n, square).unwrap().to_csr(Dedup::Sum);
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let p = a.permute_symmetric(&reversed, &reversed);
+        prop_assert_eq!(csr_bits(&p.transpose()), csr_bits(&coo_transpose(&p)));
+    }
 
     #[test]
     fn csr_coo_round_trip(coo in arb_coo()) {
