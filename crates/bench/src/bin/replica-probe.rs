@@ -8,13 +8,15 @@
 //! `FUSEDMM_RPC_N=131072 FUSEDMM_RPC_D=128 cargo run --release -p
 //! fusedmm-bench --bin replica-probe` (defaults: 400 x 16).
 //!
-//! With `P` = one `(X, Y)` pair, expect `engine new` to add nothing to
-//! either column and to take no time (the record shares the store's
-//! allocation; the writers stream it), and `first embed` to end at the
-//! same live level as `workers up` (each replica swapped its boot
-//! placeholders for the generation) with a peak at most `2 P` above it
-//! (one incoming pair per worker while its placeholders are still
-//! live).
+//! With `P` = one `(X, Y)` pair, expect `workers up` to hold the graph,
+//! the band graphs and the coordinator's pair only (a worker drops the
+//! `x0`/`y0` it is built with; the peak column shows the one placeholder
+//! pair this probe allocates per worker while it builds), `engine new`
+//! to add nothing to either column and to take no time (the record
+//! shares the store's allocation; the writers stream it), and `first
+//! embed` to end exactly `2 P` above `workers up` — one generation per
+//! replica, read into memory that held nothing — with a peak equal to
+//! that live level.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -22,6 +22,9 @@
 //! * [`trace`] — sampled request-lifecycle tracing into per-thread
 //!   lock-free span rings, dumpable as chrome://tracing JSON.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod flops;
 pub mod gauge;
 pub mod hist;

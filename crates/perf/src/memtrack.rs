@@ -28,7 +28,9 @@ pub struct CountingAllocator;
 // SAFETY: delegates all allocation to `System`; only bookkeeping added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
+        // (nonzero-sized `layout`), which is `System`'s.
+        let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             track_alloc(layout.size());
         }
@@ -41,7 +43,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // accounting allocator would change the memory behaviour it is
     // there to measure.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
+        // SAFETY: as for `alloc` — the caller's nonzero-sized `layout`.
+        let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             track_alloc(layout.size());
         }
@@ -49,12 +52,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout`, and every block this allocator hands out is
+        // `System`'s.
+        unsafe { System.dealloc(ptr, layout) };
         track_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
+        // SAFETY: the caller guarantees `ptr` is a live `System` block
+        // (see `dealloc`) of `layout`, and a nonzero `new_size` that
+        // does not overflow when rounded to `layout.align()`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             track_dealloc(layout.size());
             track_alloc(new_size);

@@ -99,7 +99,7 @@ pub enum WireError {
 pub enum Msg {
     /// Worker self-description, first frame after accept: which shard
     /// it hosts, its band, its dimensions, its current epoch,
-    /// whether its features are boot placeholders (`fresh`), and the
+    /// whether it holds no features yet (`fresh`), and the
     /// SIMD backend label it serves with.
     Hello {
         /// [`PROTO_VERSION`] of the sender.
@@ -116,8 +116,9 @@ pub enum Msg {
         d: u32,
         /// The replica's current epoch.
         epoch: u64,
-        /// True when the replica holds boot placeholders (needs a
-        /// snapshot regardless of its epoch number).
+        /// True when the replica has applied no record yet and holds
+        /// no features (needs a snapshot regardless of its epoch
+        /// number).
         fresh: bool,
         /// SIMD backend label (`active_backend().label()`), reported
         /// so a heterogeneous deployment is visible at connect time.

@@ -1,8 +1,8 @@
 //! What replication costs in bytes, under the counting allocator: a
 //! hostile frame sizes nothing, the epoch log's base is the shipped
-//! allocation until a fold has to patch it, and seeding two replicas
-//! over real unix sockets ends at one generation per process that
-//! holds one, with at most one more in flight per worker on the way.
+//! allocation until a fold has to patch it, and a replica built over a
+//! real unix socket holds no features until it is seeded — seeding two
+//! of them adds one generation per worker, with no transient above it.
 //! A delta copies a generation somebody else still holds — the log
 //! base on the coordinator, the pinned history on a replica — and
 //! leaves that holder's bits alone.
@@ -126,9 +126,9 @@ fn config() -> EngineConfig {
     }
 }
 
-/// `nshards` band workers of `a` serving over unix sockets (features
-/// zeroed until the coordinator seeds them), and a transport connected
-/// to all of them.
+/// `nshards` band workers of `a` serving over unix sockets (holding no
+/// features until the coordinator seeds them), and a transport
+/// connected to all of them.
 fn loopback(
     a: &Csr,
     d: usize,
@@ -163,16 +163,22 @@ fn two_replicas_over_sockets_cost_one_generation_each() {
     let _serial = serial();
     let (n, d, nshards) = (4096usize, 128usize, 2usize);
     let pair = 2 * n * d * 4;
-    let (servers, transport) = loopback(&graph(n), d, nshards, "memory");
+    let a = graph(n);
+
+    // A worker keeps its band of the graph and none of the features it
+    // was built with: the placeholder pairs are gone before it serves.
+    let before = memtrack::live_bytes();
+    let (servers, transport) = loopback(&a, d, nshards, "memory");
+    let retained = memtrack::live_bytes().saturating_sub(before);
+    let bands = a.storage_bytes() + 8 * nshards;
+    assert!(
+        retained < bands + pair / 20,
+        "building {nshards} workers retained {retained} bytes; their band graphs are {bands}"
+    );
+
     let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.02).cos());
-
-    // Live now: the coordinator's pair, a placeholder pair per worker,
-    // and everything that is not features. Seeding must end where it
-    // starts — each replica swaps its placeholders for the generation,
-    // and the coordinator's store, record and log base are one pair.
-    let steady = memtrack::live_bytes();
-    assert!(steady > (1 + nshards) * pair);
+    let unseeded = memtrack::live_bytes();
     memtrack::reset_peak();
     let remote = RemoteShardedEngine::new(x, y, transport, config());
     // Requests queue behind the snapshot on each connection, and each
@@ -181,14 +187,17 @@ fn two_replicas_over_sockets_cost_one_generation_each() {
     remote.embed(&[0, n - 1]).expect("first embed, one row per band");
     let (live, peak) = (memtrack::live_bytes(), memtrack::peak_bytes());
 
+    // The coordinator's store, record and log base are one pair (live
+    // before seeding); each replica reads the snapshot into memory
+    // that held nothing, so seeding adds exactly its pair per worker
+    // and nothing rises above where it ends.
+    let seeded = live.abs_diff(unseeded + nshards * pair);
     assert!(
-        live.abs_diff(steady) <= steady / 100,
-        "live {live} after both acks; coordinator pair + one per replica is {steady}"
+        seeded <= pair / 20,
+        "live {unseeded} -> {live} after both acks; one pair per replica is {}",
+        nshards * pair
     );
-    assert!(
-        peak <= steady + nshards * pair + steady / 100,
-        "peak {peak} while shipping; steady {steady} + one incoming pair per worker allowed"
-    );
+    assert!(peak <= live + live / 100, "peak {peak} while seeding; live after both acks {live}");
     drop(remote);
     drop(servers);
 }

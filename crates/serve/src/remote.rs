@@ -12,7 +12,9 @@
 //!   kept in sync by applying the coordinator's ordered log, and
 //!   serving each part from the exact epoch the coordinator pinned — so
 //!   a response is never torn across a publish even when the publish
-//!   and the request race over the wire.
+//!   and the request race over the wire. A replica boots holding no
+//!   features: the coordinator's first snapshot lands in memory that
+//!   held nothing, so seeding costs one generation per worker.
 //! * [`EpochRecord`] — one entry of the replicated epoch log. Records
 //!   carry the coordinator's epoch *numbers*; replicas apply them
 //!   as-is (`publish_at` / `delta_update_at`), keeping both sides'
@@ -26,7 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,7 +156,7 @@ impl RemoteShardedEngine {
         assert_eq!(last, Some(x.nrows()), "bands tile X's rows");
         let store = Arc::new(FeatureStore::new(x, y));
         // Seed the log: epoch 0 is the one generation workers cannot
-        // learn from the stream (they boot with placeholder features).
+        // learn from the stream (they boot holding no features).
         let base = store.snapshot();
         let (x, y) = base.shared();
         transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x, y });
@@ -268,21 +269,20 @@ pub struct WorkerEngine {
     /// Recent epochs by number. FIFO framing guarantees the record
     /// minting `E` precedes any request pinned at `E`, so a lookup
     /// miss means the epoch was evicted (or this replica restarted) —
-    /// a typed, retryable failure.
+    /// a typed, retryable failure. Empty until the first record lands:
+    /// an unseeded replica has nothing to serve.
     epochs: Mutex<BTreeMap<u64, Arc<FeatureEpoch>>>,
-    /// False until the first applied record: a fresh replica's
-    /// features are boot placeholders, so the coordinator must start
-    /// it from a snapshot no matter what epoch number it reports.
-    replicated: AtomicBool,
     shard: usize,
 }
 
 impl WorkerEngine {
-    /// Host shard `shard` of `a` (rows `band`), with `x0`/`y0` as boot
-    /// placeholder features (replaced by the coordinator's snapshot
-    /// before any request arrives — the Hello handshake reports this
-    /// replica as fresh). `config.cache` enables the per-replica
-    /// result cache; `config.fault` / `FUSEDMM_FAULT_PLAN` inject
+    /// Host shard `shard` of `a` (rows `band`). `x0`/`y0` give the
+    /// feature shapes only and are dropped before this returns: the
+    /// replica holds no features until the coordinator's first
+    /// snapshot lands (the Hello handshake reports it as fresh; a
+    /// request before then is [`WorkerError::EpochUnavailable`]).
+    /// `config.cache` enables the per-replica result cache;
+    /// `config.fault` / `FUSEDMM_FAULT_PLAN` inject
     /// worker-side kernel chaos exactly as in-process;
     /// `config.coalesce_window` and `config.admission` are ignored — a
     /// worker never lingers (its serve loop is the band queue's only
@@ -302,25 +302,21 @@ impl WorkerEngine {
         assert!(band.start <= band.end && band.end <= a.nrows(), "band within the graph");
         assert_eq!(x0.nrows(), a.nrows(), "X must have one row per vertex");
         assert_eq!(y0.nrows(), a.ncols(), "Y must have one row per vertex");
+        assert_eq!(x0.ncols(), y0.ncols(), "X and Y must share the embedding dimension");
+        let store = Arc::new(FeatureStore::unseeded(x0.nrows(), y0.nrows(), x0.ncols()));
+        drop((x0, y0));
         let config = EngineConfig {
             coalesce_window: Duration::ZERO,
             admission: Some(AdmissionPolicy::unlimited()),
             ..config
         };
-        let store = Arc::new(FeatureStore::new(x0, y0));
         // Keyed by global id over the whole adjacency (only this band's
         // rows are probed or filled), so ids and reverse-adjacency
         // touch sets match the in-process cache.
         let cache = result_cache(a, &store, &config);
         let bands = vec![(band.clone(), a.row_band(band))];
-        let epochs = BTreeMap::from([(store.current_epoch(), store.snapshot())]);
         let front = FrontEnd::local(bands, Some(shard), store, cache, None, ops, &config);
-        WorkerEngine {
-            front,
-            epochs: Mutex::new(epochs),
-            replicated: AtomicBool::new(false),
-            shard,
-        }
+        WorkerEngine { front, epochs: Mutex::new(BTreeMap::new()), shard }
     }
 
     /// This replica's shard index.
@@ -349,9 +345,9 @@ impl WorkerEngine {
     }
 
     /// True until the first epoch record is applied: a fresh replica
-    /// holds boot placeholders and must be started from a snapshot.
+    /// holds no features and must be started from a snapshot.
     pub fn is_fresh(&self) -> bool {
-        !self.replicated.load(Ordering::Acquire)
+        self.epochs.lock().is_empty()
     }
 
     /// Apply one record of the coordinator's epoch log, in log order.
@@ -362,7 +358,8 @@ impl WorkerEngine {
     /// # Panics
     /// Panics on a log gap or regression — a replica that detects
     /// stream corruption must not keep serving silently-forked
-    /// features.
+    /// features. A delta before any snapshot is such a gap: there is
+    /// nothing for it to patch.
     pub fn apply(&self, record: EpochRecord) -> u64 {
         let store = self.front.store();
         let epoch = record.epoch();
@@ -371,23 +368,18 @@ impl WorkerEngine {
                 store.publish_at(epoch, x, y);
             }
             EpochRecord::Delta { rows, x_rows, y_rows, .. } => {
+                assert!(
+                    !self.is_fresh(),
+                    "epoch log gap: delta record {epoch} reached a replica no snapshot has seeded"
+                );
                 store.delta_update_at(epoch, &rows, &x_rows, &y_rows);
             }
         }
         let mut epochs = self.epochs.lock();
-        if self.is_fresh() {
-            // The boot placeholders leave with the first real record: no
-            // coordinator can pin them, and a replica seeded at epoch
-            // `E != 0` would otherwise keep two matrices of zeros
-            // pinned for `EPOCH_RETAIN` more epochs.
-            epochs.clear();
-        }
         epochs.insert(epoch, store.snapshot());
         while epochs.len() > EPOCH_RETAIN {
             epochs.pop_first();
         }
-        drop(epochs);
-        self.replicated.store(true, Ordering::Release);
         epoch
     }
 

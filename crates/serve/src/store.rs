@@ -160,12 +160,29 @@ impl FeatureStore {
     pub fn new(x: Dense, y: Dense) -> FeatureStore {
         assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
         let (x_rows, y_rows, d) = (x.nrows(), y.nrows(), x.ncols());
+        FeatureStore::at_epoch_zero(x_rows, y_rows, d, Arc::new(x), Arc::new(y))
+    }
+
+    /// A replica store that holds no features yet: the frozen shapes
+    /// `x_rows × d` / `y_rows × d`, and at epoch 0 one shared `0 × d`
+    /// generation (no allocation). The first
+    /// [`publish_at`](Self::publish_at) seeds it through the usual shape
+    /// check. Nobody may pin epoch 0 here — a kernel handed the empty
+    /// generation panics on its row bounds instead of serving zeros.
+    pub(crate) fn unseeded(x_rows: usize, y_rows: usize, d: usize) -> FeatureStore {
+        let empty = Arc::new(Dense::zeros(0, d));
+        FeatureStore::at_epoch_zero(x_rows, y_rows, d, Arc::clone(&empty), empty)
+    }
+
+    fn at_epoch_zero(
+        x_rows: usize,
+        y_rows: usize,
+        d: usize,
+        x: Arc<Dense>,
+        y: Arc<Dense>,
+    ) -> FeatureStore {
         FeatureStore {
-            current: RwLock::new(Arc::new(FeatureEpoch {
-                epoch: 0,
-                x: Arc::new(x),
-                y: Arc::new(y),
-            })),
+            current: RwLock::new(Arc::new(FeatureEpoch { epoch: 0, x, y })),
             writer: Mutex::new(()),
             listeners: RwLock::new(Vec::new()),
             swaps: AtomicU64::new(0),

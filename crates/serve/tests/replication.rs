@@ -1,6 +1,7 @@
 //! A feature generation exists once per process that holds it: what
-//! the coordinator allocates when it seeds and publishes, what a fresh
-//! replica keeps after its first record, and that a worker's band
+//! the coordinator allocates when it seeds and publishes, that a fresh
+//! replica holds and serves nothing until its first record (and that
+//! record is then its only pair), and that a worker's band
 //! engine does not sit out a coalescing window nobody can join — and
 //! that a write the store would refuse never reaches the log. The
 //! counting allocator is installed so "no copy" is checked in bytes,
@@ -139,28 +140,49 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
 }
 
 #[test]
-fn boot_placeholders_leave_with_the_first_record() {
+fn an_unseeded_replica_holds_and_serves_nothing() {
     let _serial = serial();
     let a = graph();
     let worker = worker(&a, Duration::ZERO);
     assert!(worker.is_fresh());
+    let unseeded = [
+        worker.embed_part(&[1], 0, Quality::Exact, None).map(drop),
+        worker.score_part(&[(1, 2)], 0).map(drop),
+    ];
+    for outcome in unseeded {
+        match outcome {
+            Err(WorkerError::EpochUnavailable { epoch: 0, current: 0 }) => {}
+            other => panic!("an unseeded replica must serve nothing, got {other:?}"),
+        }
+    }
     // A restarted replica joining a coordinator that is at epoch 5.
+    let before = memtrack::live_bytes();
     let record =
         EpochRecord::Snapshot { epoch: 5, x: Arc::new(feats(0.1)), y: Arc::new(feats(0.9)) };
-    let before = memtrack::live_bytes();
     assert_eq!(worker.apply(record), 5);
-    let after = memtrack::live_bytes();
-    assert!(!worker.is_fresh());
-    let freed = before.saturating_sub(after);
-    assert!(
-        freed > 2 * MATRIX - MATRIX / 20,
-        "live bytes {before} -> {after}: the placeholder pair is still pinned"
-    );
-    match worker.embed_part(&[1], 0, Quality::Exact, None) {
-        Err(WorkerError::EpochUnavailable { epoch: 0, current: 5 }) => {}
-        other => panic!("the placeholder epoch must be gone, got {other:?}"),
-    }
+    let grew = memtrack::live_bytes().saturating_sub(before);
     assert!(worker.embed_part(&[1], 5, Quality::Exact, None).is_ok());
+    assert!(!worker.is_fresh());
+    // The snapshot is the only pair: nothing made room for it.
+    assert!(
+        grew.abs_diff(2 * MATRIX) < MATRIX / 20,
+        "seeding grew live bytes by {grew}; one generation is {}",
+        2 * MATRIX
+    );
+}
+
+#[test]
+#[should_panic(expected = "no snapshot has seeded")]
+fn a_delta_before_any_snapshot_is_a_log_gap() {
+    let _serial = serial();
+    let a = graph();
+    let worker = worker(&a, Duration::ZERO);
+    worker.apply(EpochRecord::Delta {
+        epoch: 1,
+        rows: vec![0],
+        x_rows: Dense::filled(1, D, 1.0),
+        y_rows: Dense::filled(1, D, 1.0),
+    });
 }
 
 #[test]
