@@ -17,6 +17,8 @@
 //! * [`classify`] + [`metrics`] — softmax-regression node
 //!   classification and the F1-micro score of §V-D.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod force2vec;
 pub mod frlayout;

@@ -21,6 +21,8 @@
 //! not threading quality — mirroring the paper, where DGL's kernels are
 //! also parallel and "scale well" (Fig. 10a) yet lose on memory traffic.
 
+#![forbid(unsafe_code)]
+
 pub mod edge_tensor;
 pub mod iespmm;
 pub mod sddmm;

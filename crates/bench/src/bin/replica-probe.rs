@@ -14,9 +14,9 @@
 //! pair this probe allocates per worker while it builds), `engine new`
 //! to add nothing to either column and to take no time (the record
 //! shares the store's allocation; the writers stream it), and `first
-//! embed` to end exactly `2 P` above `workers up` — one generation per
-//! replica, read into memory that held nothing — with a peak equal to
-//! that live level.
+//! embed` to end exactly one `X` and two `Y`s (`1.5 P`) above `workers
+//! up` — each replica's band of `X` and its `Y`, read into memory that
+//! held nothing — with a peak equal to that live level.
 
 use std::path::PathBuf;
 use std::sync::Arc;

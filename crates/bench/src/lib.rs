@@ -16,6 +16,8 @@
 //! * `FUSEDMM_MEM_BUDGET_MB` — intermediate-memory budget for the
 //!   unfused baseline before a cell reports `×` (default 1024 MiB).
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod methods;
 pub mod report;

@@ -52,6 +52,8 @@
 //! epoch bump that invalidates the vertex mid-flight makes later
 //! requests re-compute instead of consuming the stale fill.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod stats;
 

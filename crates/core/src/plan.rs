@@ -131,7 +131,8 @@ impl Plan {
     /// Row-subset execution against a PART1D row band (see
     /// [`crate::rows::fusedmm_rows_banded`]): `a_band` holds global rows
     /// `band_start..` under local indices, `rows` are global ids inside
-    /// the band, `x` is the full (store-global) feature matrix.
+    /// the band, and `x` holds global rows `x_start..` — the whole
+    /// feature matrix at `x_start = 0`, or a replica's band of it.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_rows_banded(
         &self,
@@ -139,11 +140,13 @@ impl Plan {
         band_start: usize,
         rows: &[usize],
         x: &Dense,
+        x_start: usize,
         y: &Dense,
         ops: &OpSet,
     ) -> Dense {
         self.check(ops, x);
-        fusedmm_rows_banded(a_band, band_start, rows, x, y, ops, self.blocking, None, self.strategy)
+        let (blocking, strategy) = (self.blocking, self.strategy);
+        fusedmm_rows_banded(a_band, band_start, rows, x, x_start, y, ops, blocking, None, strategy)
     }
 
     /// Degraded-tier band execution: like
@@ -158,6 +161,7 @@ impl Plan {
         rows: &[usize],
         k: usize,
         x: &Dense,
+        x_start: usize,
         y: &Dense,
         ops: &OpSet,
     ) -> Dense {
@@ -168,6 +172,7 @@ impl Plan {
             rows,
             k,
             x,
+            x_start,
             y,
             ops,
             self.blocking,
@@ -543,7 +548,7 @@ mod tests {
         let r = fusedmm_reference(&a, &x, &y, &ops);
         let band = a.row_band(10..30);
         let rows = [29usize, 10, 17];
-        let z = plan.execute_rows_banded(&band, 10, &rows, &x, &y, &ops);
+        let z = plan.execute_rows_banded(&band, 10, &rows, &x, 0, &y, &ops);
         for (i, &u) in rows.iter().enumerate() {
             for k in 0..8 {
                 assert!((z.get(i, k) - r.get(u, k)).abs() < 1e-5);

@@ -47,7 +47,7 @@ pub fn fusedmm_rows_with(
     strategy: PartitionStrategy,
 ) -> Dense {
     validate_shapes(a, x, y);
-    fusedmm_rows_banded(a, 0, rows, x, y, ops, blocking, partitions, strategy)
+    fusedmm_rows_banded(a, 0, rows, x, 0, y, ops, blocking, partitions, strategy)
 }
 
 /// Row-subset FusedMM against a **row band** of a larger matrix: the
@@ -55,32 +55,36 @@ pub fn fusedmm_rows_with(
 ///
 /// `a_band` stores global rows `band_start..band_start + a_band.nrows()`
 /// under local indices while its columns — and therefore `y` — stay
-/// global. `x` is the *full* feature matrix (`x.nrows() ≥ band end`),
-/// shared by every shard, and `rows` are **global** vertex ids that must
-/// fall inside the band. Output row `i` corresponds to `rows[i]`,
+/// global. `x` holds global rows `x_start..x_start + x.nrows()` and must
+/// cover the band: the full feature matrix shared by every in-process
+/// shard passes `x_start = 0`, a replica holding only its band's rows
+/// passes `x_start = band_start`. `rows` are **global** vertex ids that
+/// must fall inside the band. Output row `i` corresponds to `rows[i]`,
 /// bit-identical to the same rows of the unsharded kernel (each output
-/// row is computed independently, in the same column order).
+/// row is computed independently, in the same column order, from the
+/// same `x` row wherever `x` starts).
 ///
 /// # Panics
-/// Panics when shapes are inconsistent or a requested row falls outside
-/// the band.
+/// Panics when shapes are inconsistent, `x` does not cover the band, or
+/// a requested row falls outside the band.
 #[allow(clippy::too_many_arguments)]
 pub fn fusedmm_rows_banded(
     a_band: &Csr,
     band_start: usize,
     rows: &[usize],
     x: &Dense,
+    x_start: usize,
     y: &Dense,
     ops: &OpSet,
     blocking: Blocking,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
 ) -> Dense {
-    let Some(local) = check_band(a_band, band_start, rows, x, y) else {
+    let Some(local) = check_band(a_band, band_start, rows, x, x_start, y) else {
         return Dense::zeros(0, x.ncols());
     };
     let mb = slice_rows(a_band, &local);
-    let xb = gather_rows(x, rows);
+    let xb = gather_x(x, x_start, band_start, rows, &local);
     fusedmm_opt_with(&mb.adj, &xb, y, ops, blocking, partitions, strategy)
 }
 
@@ -93,7 +97,7 @@ pub fn fusedmm_rows_banded(
 /// come out bit-identical to the exact path.
 ///
 /// # Panics
-/// Same contract as [`fusedmm_rows_banded`].
+/// Same contract as [`fusedmm_rows_banded`], `x_start` included.
 #[allow(clippy::too_many_arguments)]
 pub fn fusedmm_rows_banded_topk(
     a_band: &Csr,
@@ -101,19 +105,39 @@ pub fn fusedmm_rows_banded_topk(
     rows: &[usize],
     k: usize,
     x: &Dense,
+    x_start: usize,
     y: &Dense,
     ops: &OpSet,
     blocking: Blocking,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
 ) -> Dense {
-    let Some(local) = check_band(a_band, band_start, rows, x, y) else {
+    let Some(local) = check_band(a_band, band_start, rows, x, x_start, y) else {
         return Dense::zeros(0, x.ncols());
     };
     let mb = slice_rows(a_band, &local);
     let truncated = mb.adj.top_k_by_weight(k);
-    let xb = gather_rows(x, rows);
+    let xb = gather_x(x, x_start, band_start, rows, &local);
     fusedmm_opt_with(&truncated, &xb, y, ops, blocking, partitions, strategy)
+}
+
+/// The `x` rows of global ids `rows` (band-local ids `local`), where
+/// `x`'s row 0 is global row `x_start`. No index vector is built when
+/// `x` starts at row 0 or at the band, the two layouts callers hold.
+fn gather_x(
+    x: &Dense,
+    x_start: usize,
+    band_start: usize,
+    rows: &[usize],
+    local: &[usize],
+) -> Dense {
+    if x_start == 0 {
+        gather_rows(x, rows)
+    } else if x_start == band_start {
+        gather_rows(x, local)
+    } else {
+        gather_rows(x, &rows.iter().map(|&u| u - x_start).collect::<Vec<_>>())
+    }
 }
 
 /// Validate the band-call contract shared by the exact and top-k row
@@ -124,13 +148,14 @@ fn check_band(
     band_start: usize,
     rows: &[usize],
     x: &Dense,
+    x_start: usize,
     y: &Dense,
 ) -> Option<Vec<usize>> {
     let band_end = band_start + a_band.nrows();
+    let x_end = x_start + x.nrows();
     assert!(
-        x.nrows() >= band_end,
-        "X must cover the band: {} rows < band end {band_end}",
-        x.nrows()
+        x_start <= band_start && band_end <= x_end,
+        "X must cover the band: rows {x_start}..{x_end} do not cover {band_start}..{band_end}"
     );
     assert_eq!(y.nrows(), a_band.ncols(), "Y must have one row per (global) column of the band");
     assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
@@ -240,6 +265,7 @@ mod tests {
             lo,
             &rows,
             &x,
+            0,
             &y,
             &ops,
             Blocking::Auto,
@@ -251,6 +277,66 @@ mod tests {
                 assert!((z.get(i, k) - full.get(u, k)).abs() < 1e-5, "row {u} lane {k}");
             }
         }
+        // X holding only the band's rows (or a few more), at its
+        // offset: the same rows are read, so the output is the same
+        // bits, exact and top-k alike.
+        for x_start in [lo, lo - 3] {
+            let xb = Dense::from_rows(hi - x_start, d, &x.as_slice()[x_start * d..hi * d]).unwrap();
+            let banded = fusedmm_rows_banded(
+                &band,
+                lo,
+                &rows,
+                &xb,
+                x_start,
+                &y,
+                &ops,
+                Blocking::Auto,
+                None,
+                PartitionStrategy::NnzBalanced,
+            );
+            assert_eq!(banded.as_slice(), z.as_slice(), "X from row {x_start}");
+            for k in [2, n] {
+                let run = |x: &Dense, x_start: usize| {
+                    fusedmm_rows_banded_topk(
+                        &band,
+                        lo,
+                        &rows,
+                        k,
+                        x,
+                        x_start,
+                        &y,
+                        &ops,
+                        Blocking::Auto,
+                        None,
+                        PartitionStrategy::NnzBalanced,
+                    )
+                };
+                let (whole, part) = (run(&x, 0), run(&xb, x_start));
+                assert_eq!(whole.as_slice(), part.as_slice(), "top-{k}, X from row {x_start}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "X must cover the band")]
+    fn banded_rejects_an_x_that_misses_the_band() {
+        let a = graph(20);
+        let x = feats(10, 8, 0.0);
+        let y = feats(20, 8, 0.0);
+        let band = a.row_band(5..15);
+        // `x` holds global rows 6..16: row 5 is missing.
+        let _ = fusedmm_rows_banded(
+            &band,
+            5,
+            &[10],
+            &x,
+            6,
+            &y,
+            &OpSet::gcn(),
+            Blocking::Auto,
+            None,
+            PartitionStrategy::NnzBalanced,
+        );
     }
 
     #[test]
@@ -265,6 +351,7 @@ mod tests {
             5,
             &[4],
             &x,
+            0,
             &y,
             &OpSet::gcn(),
             Blocking::Auto,
@@ -291,6 +378,7 @@ mod tests {
             &rows,
             k,
             &x,
+            0,
             &y,
             &ops,
             Blocking::Auto,
@@ -312,6 +400,7 @@ mod tests {
             lo,
             &rows,
             &x,
+            0,
             &y,
             &ops,
             Blocking::Auto,
@@ -324,6 +413,7 @@ mod tests {
             &rows,
             n,
             &x,
+            0,
             &y,
             &ops,
             Blocking::Auto,

@@ -20,6 +20,8 @@
 //! * [`reordering`] — degree-sort and RCM-style vertex orderings that
 //!   improve locality on skewed graphs without changing results.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod erdos;
 pub mod features;

@@ -22,6 +22,8 @@
 //! [`OpSet::fr_model`], [`OpSet::gcn`] and [`OpSet::gnn_mlp`] are the
 //! four application presets of Table III.
 
+#![forbid(unsafe_code)]
+
 pub mod kinds;
 pub mod mlp;
 pub mod opset;

@@ -19,7 +19,8 @@
 //! * the **queue** — one FIFO of outbound messages, framed and
 //!   encoded by the writer straight into the socket (a queued epoch
 //!   record is a pair of `Arc`s to the generation it ships, not a copy
-//!   of it). Epoch records and requests ride the same queue, which *is*
+//!   of it, and the writer sends the worker only its band's rows of
+//!   `X`). Epoch records and requests ride the same queue, which *is*
 //!   the ordering guarantee: a record shipped before a request is
 //!   written before it.
 //!
@@ -44,7 +45,7 @@ use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
 use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality, ServeError};
 
-use crate::frame::{read_msg, write_msg, Received};
+use crate::frame::{read_msg, write_msg_for, Received};
 use crate::log::EpochLog;
 use crate::proto::{Msg, WireError, PROTO_VERSION};
 
@@ -83,6 +84,13 @@ struct WorkerLayout {
     band_len: u64,
     y_rows: u64,
     d: u32,
+}
+
+impl WorkerLayout {
+    /// The worker's global row band: the rows of `X` it holds.
+    fn band(&self) -> std::ops::Range<usize> {
+        self.band_start as usize..(self.band_start + self.band_len) as usize
+    }
 }
 
 /// One queued outbound message.
@@ -599,7 +607,8 @@ fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
 }
 
 /// The connection's writer: drain the queue in FIFO order, applying
-/// the fault plan's frame delay and scheduled connection drops.
+/// the fault plan's frame delay and scheduled connection drops. Epoch
+/// records go out narrowed to the worker's band of `X`.
 fn write_outgoing(
     state: &WorkerState,
     stream: &UnixStream,
@@ -607,6 +616,7 @@ fn write_outgoing(
     request_seq: &AtomicU64,
     fault: Option<&FaultPlan>,
 ) {
+    let band = state.layout.lock().expect("layout").as_ref().expect("handshake read").band();
     let Ok(raw) = stream.try_clone() else { return };
     let mut w = BufWriter::new(raw);
     loop {
@@ -636,7 +646,7 @@ fn write_outgoing(
                 }
             }
         }
-        let Ok(len) = write_msg(&mut w, out.request_id, &out.msg) else { return };
+        let Ok(len) = write_msg_for(&mut w, out.request_id, &out.msg, &band) else { return };
         if w.flush().is_err() {
             return;
         }

@@ -24,6 +24,7 @@
 //! before decoding.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use crate::proto::{decode_from, DecodeError, Msg};
 
@@ -138,9 +139,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// Panics when the message does not fit [`MAX_FRAME`] — for an epoch
 /// record, when `X` and `Y` together exceed 1 GiB.
 pub fn write_msg(w: &mut impl Write, request_id: u64, msg: &Msg) -> io::Result<usize> {
-    let payload_len = msg.encoded_len();
+    write_msg_to(w, request_id, msg, None)
+}
+
+/// [`write_msg`] to the worker holding global rows `x_rows` of `X`: a
+/// `Publish` / `Snapshot` record goes out with `x_start = x_rows.start`
+/// and only those rows of its `X`, streamed from the record's shared
+/// matrix (nothing is copied). Every other message is written as by
+/// [`write_msg`].
+///
+/// # Panics
+/// Panics as [`write_msg`] does, and when a record's `X` does not cover
+/// `x_rows`.
+pub fn write_msg_for(
+    w: &mut impl Write,
+    request_id: u64,
+    msg: &Msg,
+    x_rows: &Range<usize>,
+) -> io::Result<usize> {
+    write_msg_to(w, request_id, msg, Some(x_rows))
+}
+
+fn write_msg_to(
+    w: &mut impl Write,
+    request_id: u64,
+    msg: &Msg,
+    x_rows: Option<&Range<usize>>,
+) -> io::Result<usize> {
+    let payload_len = msg.encoded_len_for(x_rows);
     write_header(w, payload_len, request_id, msg.kind())?;
-    msg.encode_into(w)?;
+    msg.encode_for(w, x_rows)?;
     Ok(4 + HEADER + payload_len)
 }
 

@@ -45,7 +45,9 @@ pub mod proto;
 pub mod worker;
 
 pub use client::{RpcConfig, RpcTransport};
-pub use frame::{read_frame, read_msg, write_frame, write_msg, Frame, FrameError, Received};
+pub use frame::{
+    read_frame, read_msg, write_frame, write_msg, write_msg_for, Frame, FrameError, Received,
+};
 pub use log::EpochLog;
 pub use proto::{decode, decode_from, DecodeError, Msg, WireError, PROTO_VERSION};
 pub use worker::WorkerServer;

@@ -13,7 +13,9 @@
 //! Whole generations are shared with whoever shipped them: the base is
 //! the allocation the coordinator's store holds (a snapshot or publish
 //! record is an `Arc` pair), and the log copies it only when a fold has
-//! to patch delta rows into a base somebody else still holds.
+//! to patch delta rows into a base somebody else still holds. The log
+//! keeps whole records — all of `X` — and each worker's connection
+//! narrows them to the worker's band as it writes them.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -51,10 +53,18 @@ impl EpochLog {
 
     /// Append one record, folding the tail into the base snapshot when
     /// it grows past the compaction cap.
+    ///
+    /// # Panics
+    /// Panics on a whole-generation record that holds only some rows of
+    /// `X` (`x_start != 0`): the log keeps whole generations.
     pub fn ship(&self, record: &EpochRecord) {
+        if let EpochRecord::Publish { x_start, .. } | EpochRecord::Snapshot { x_start, .. } = record
+        {
+            assert_eq!(*x_start, 0, "the epoch log keeps whole generations");
+        }
         let mut inner = self.inner.lock();
         match record {
-            EpochRecord::Snapshot { epoch, x, y } => {
+            EpochRecord::Snapshot { epoch, x, y, .. } => {
                 // A snapshot *is* a base: everything before it is
                 // subsumed.
                 inner.base = Some((*epoch, Arc::clone(x), Arc::clone(y)));
@@ -91,6 +101,7 @@ impl EpochLog {
                 let (epoch, x, y) = inner.base.as_ref().expect("checked");
                 let mut out = vec![EpochRecord::Snapshot {
                     epoch: *epoch,
+                    x_start: 0,
                     x: Arc::clone(x),
                     y: Arc::clone(y),
                 }];
@@ -117,8 +128,8 @@ impl Inner {
         };
         for record in self.tail.drain(..) {
             match record {
-                EpochRecord::Publish { epoch: e, x: nx, y: ny }
-                | EpochRecord::Snapshot { epoch: e, x: nx, y: ny } => {
+                EpochRecord::Publish { epoch: e, x: nx, y: ny, .. }
+                | EpochRecord::Snapshot { epoch: e, x: nx, y: ny, .. } => {
                     epoch = e;
                     x = nx;
                     y = ny;
@@ -148,6 +159,7 @@ mod tests {
     fn snap(epoch: u64, fill: f32) -> EpochRecord {
         EpochRecord::Snapshot {
             epoch,
+            x_start: 0,
             x: Arc::new(Dense::filled(4, 2, fill)),
             y: Arc::new(Dense::filled(4, 2, fill)),
         }

@@ -14,12 +14,19 @@
 //! convert element by element). [`Msg::encode`] and [`decode`] are the
 //! same two bodies over a `Vec` and a slice.
 //!
+//! A whole-generation epoch record carries `x_start` and then only the
+//! `X` rows its receiver holds: the coordinator's record holds all of
+//! `X`, and the encoder, told the receiving worker's band
+//! ([`write_msg_for`](crate::frame::write_msg_for)), writes that band's
+//! rows as one sub-slice of the shared matrix.
+//!
 //! Decoding is total: any input produces either a message or a typed
 //! [`DecodeError`], never a panic and never an attacker-controlled
 //! allocation (element counts are validated against the bytes the frame
 //! still owes before anything is sized).
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +36,9 @@ use fusedmm_sparse::dense::{f32_bytes, f32_bytes_mut};
 use fusedmm_sparse::Dense;
 
 /// Protocol revision, checked at handshake. Bump on any wire change.
-pub const PROTO_VERSION: u32 = 1;
+/// Revision 2: `Publish`/`Snapshot` records carry `x_start` and only the
+/// receiver's rows of `X`.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Handshake: worker → coordinator, first frame on every connection.
 pub const KIND_HELLO: u8 = 1;
@@ -196,9 +205,7 @@ impl Msg {
     /// run into a byte counter, so the two cannot disagree. A matrix
     /// body counts in one step.
     pub fn encoded_len(&self) -> usize {
-        let mut count = ByteCount(0);
-        self.encode_into(&mut count).expect("a counter accepts every write");
-        count.0
+        self.encoded_len_for(None)
     }
 
     /// Stream the payload into `w` — the one encoder. A matrix body
@@ -206,6 +213,29 @@ impl Msg {
     /// little-endian target), so a feature generation is never copied
     /// into a payload buffer on its way to a socket.
     pub fn encode_into(&self, w: &mut impl Write) -> io::Result<()> {
+        self.encode_for(w, None)
+    }
+
+    /// [`encoded_len`](Msg::encoded_len) of
+    /// [`encode_for`](Msg::encode_for).
+    pub(crate) fn encoded_len_for(&self, x_rows: Option<&Range<usize>>) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_for(&mut count, x_rows).expect("a counter accepts every write");
+        count.0
+    }
+
+    /// The encoder. With `x_rows`, a whole-generation epoch record goes
+    /// out as the worker holding those global rows of `X` receives it:
+    /// `x_start = x_rows.start` and only those rows, read in place from
+    /// the record's shared matrix. Every other message ignores it.
+    ///
+    /// # Panics
+    /// Panics when the record's `X` does not cover `x_rows`.
+    pub(crate) fn encode_for(
+        &self,
+        w: &mut impl Write,
+        x_rows: Option<&Range<usize>>,
+    ) -> io::Result<()> {
         match self {
             Msg::Hello {
                 proto_version,
@@ -258,10 +288,10 @@ impl Msg {
                 put_f32s(w, scores)
             }
             Msg::Epoch(record) => match record {
-                EpochRecord::Publish { epoch, x, y } => {
+                EpochRecord::Publish { epoch, x_start, x, y } => {
                     w.write_all(&[0])?;
                     put_u64(w, *epoch)?;
-                    put_dense(w, x)?;
+                    put_x_rows(w, *x_start, x, x_rows)?;
                     put_dense(w, y)
                 }
                 EpochRecord::Delta { epoch, rows, x_rows, y_rows } => {
@@ -272,10 +302,10 @@ impl Msg {
                     put_dense(w, x_rows)?;
                     put_dense(w, y_rows)
                 }
-                EpochRecord::Snapshot { epoch, x, y } => {
+                EpochRecord::Snapshot { epoch, x_start, x, y } => {
                     w.write_all(&[2])?;
                     put_u64(w, *epoch)?;
-                    put_dense(w, x)?;
+                    put_x_rows(w, *x_start, x, x_rows)?;
                     put_dense(w, y)
                 }
             },
@@ -377,6 +407,7 @@ fn decode_body(kind: u8, rd: &mut Rd<'_, impl Read>) -> Result<Msg, Fail> {
         KIND_EPOCH => Msg::Epoch(match rd.u8()? {
             0 => EpochRecord::Publish {
                 epoch: rd.u64()?,
+                x_start: rd.u64()? as usize,
                 x: Arc::new(rd.dense()?),
                 y: Arc::new(rd.dense()?),
             },
@@ -387,6 +418,7 @@ fn decode_body(kind: u8, rd: &mut Rd<'_, impl Read>) -> Result<Msg, Fail> {
             }
             2 => EpochRecord::Snapshot {
                 epoch: rd.u64()?,
+                x_start: rd.u64()? as usize,
                 x: Arc::new(rd.dense()?),
                 y: Arc::new(rd.dense()?),
             },
@@ -453,6 +485,32 @@ fn put_dense(w: &mut impl Write, m: &Dense) -> io::Result<()> {
     put_u32(w, m.nrows() as u32)?;
     put_u32(w, m.ncols() as u32)?;
     put_f32s(w, m.as_slice())
+}
+
+/// `x_start`, then a dense `X` of the global rows `rows` (all of `x`'s
+/// when `None`) out of `x`, whose row 0 is global row `x_start`: one
+/// sub-slice of the row-major matrix, written as `put_dense` writes the
+/// matrix holding exactly those rows.
+fn put_x_rows(
+    w: &mut impl Write,
+    x_start: usize,
+    x: &Dense,
+    rows: Option<&Range<usize>>,
+) -> io::Result<()> {
+    let Some(rows) = rows else {
+        put_u64(w, x_start as u64)?;
+        return put_dense(w, x);
+    };
+    let held = x_start..x_start + x.nrows();
+    assert!(
+        held.start <= rows.start && rows.end <= held.end,
+        "a record holding X rows {held:?} cannot ship rows {rows:?}"
+    );
+    let d = x.ncols();
+    put_u64(w, rows.start as u64)?;
+    put_u32(w, rows.len() as u32)?;
+    put_u32(w, d as u32)?;
+    put_f32s(w, &x.as_slice()[(rows.start - x_start) * d..(rows.end - x_start) * d])
 }
 
 /// Why the decoder stopped: the stream's fault or the payload's.
@@ -581,7 +639,7 @@ mod tests {
         let cases: Vec<(Msg, u8, Vec<u8>)> = vec![
             (
                 Msg::Hello {
-                    proto_version: 1,
+                    proto_version: 2,
                     shard: 2,
                     band_start: 3,
                     band_len: 4,
@@ -593,7 +651,7 @@ mod tests {
                 },
                 1,
                 [
-                    &[1, 0, 0, 0][..],         // proto_version: u32
+                    &[2, 0, 0, 0][..],         // proto_version: u32
                     &[2, 0, 0, 0],             // shard: u32
                     &[3, 0, 0, 0, 0, 0, 0, 0], // band_start: u64
                     &[4, 0, 0, 0, 0, 0, 0, 0], // band_len: u64
@@ -663,6 +721,7 @@ mod tests {
             (
                 Msg::Epoch(EpochRecord::Publish {
                     epoch: 4,
+                    x_start: 3,
                     x: Arc::new(dense(1, 1, &[1.0])),
                     y: Arc::new(dense(2, 1, &[2.0, 3.0])),
                 }),
@@ -670,6 +729,7 @@ mod tests {
                 [
                     &[0][..], // record tag: publish
                     &[4, 0, 0, 0, 0, 0, 0, 0],
+                    &[3, 0, 0, 0, 0, 0, 0, 0], // x_start: u64
                     &[1, 0, 0, 0, 1, 0, 0, 0], // x: 1 x 1
                     &[0, 0, 0x80, 0x3F],
                     &[2, 0, 0, 0, 1, 0, 0, 0], // y: 2 x 1
@@ -698,6 +758,7 @@ mod tests {
             (
                 Msg::Epoch(EpochRecord::Snapshot {
                     epoch: 6,
+                    x_start: 0,
                     x: Arc::new(dense(1, 1, &[1.0])),
                     y: Arc::new(dense(0, 3, &[])),
                 }),
@@ -705,6 +766,7 @@ mod tests {
                 [
                     &[2][..], // record tag: snapshot
                     &[6, 0, 0, 0, 0, 0, 0, 0],
+                    &[0, 0, 0, 0, 0, 0, 0, 0], // x_start: u64
                     &[1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3F],
                     &[0, 0, 0, 0, 3, 0, 0, 0], // y: 0 x 3, no body
                 ]
@@ -718,6 +780,58 @@ mod tests {
             assert_eq!(msg.encoded_len(), bytes.len(), "{msg:?}");
             assert_eq!(decode(kind, &bytes), Ok(msg));
         }
-        assert_eq!(PROTO_VERSION, 1, "these bytes are revision 1");
+        assert_eq!(PROTO_VERSION, 2, "these bytes are revision 2");
+    }
+
+    /// A whole-generation record encoded for a receiver's rows is, byte
+    /// for byte, the record holding exactly those rows — and decodes to
+    /// it.
+    #[test]
+    fn a_record_ships_the_receivers_rows_of_x_only() {
+        let x = Arc::new(Dense::from_fn(5, 2, |r, c| (r * 2 + c) as f32));
+        let y = Arc::new(Dense::from_fn(5, 2, |r, c| -((r * 2 + c) as f32)));
+        let band = 1..3;
+        let exact = Arc::new(Dense::from_fn(2, 2, |r, c| ((r + 1) * 2 + c) as f32));
+        let records = |x_start, x: &Arc<Dense>| {
+            let (x, y) = (Arc::clone(x), Arc::clone(&y));
+            [
+                EpochRecord::Publish { epoch: 9, x_start, x: Arc::clone(&x), y: Arc::clone(&y) },
+                EpochRecord::Snapshot { epoch: 9, x_start, x, y },
+            ]
+        };
+        for (whole, narrow) in records(0, &x).into_iter().zip(records(band.start, &exact)) {
+            let (whole, narrow) = (Msg::Epoch(whole), Msg::Epoch(narrow));
+            let mut shipped = Vec::new();
+            whole.encode_for(&mut shipped, Some(&band)).unwrap();
+            assert_eq!(shipped, narrow.encode());
+            assert_eq!(whole.encoded_len_for(Some(&band)), shipped.len());
+            assert_eq!(decode(KIND_EPOCH, &shipped), Ok(narrow));
+            // Everything after the header is the two matrices: the
+            // band's X and all of Y.
+            assert_eq!(shipped.len(), 1 + 8 + 8 + (8 + 2 * 2 * 4) + (8 + 5 * 2 * 4));
+        }
+        // Deltas and every other kind go out as they are.
+        let delta = Msg::Epoch(EpochRecord::Delta {
+            epoch: 3,
+            rows: vec![4],
+            x_rows: Dense::filled(1, 2, 1.0),
+            y_rows: Dense::filled(1, 2, 2.0),
+        });
+        let mut shipped = Vec::new();
+        delta.encode_for(&mut shipped, Some(&band)).unwrap();
+        assert_eq!(shipped, delta.encode());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot ship rows")]
+    fn a_record_missing_the_receivers_rows_is_refused_at_encode() {
+        let x = Arc::new(Dense::filled(2, 2, 1.0));
+        let record = EpochRecord::Snapshot {
+            epoch: 1,
+            x_start: 2,
+            x,
+            y: Arc::new(Dense::filled(5, 2, 0.0)),
+        };
+        let _ = Msg::Epoch(record).encode_for(&mut Vec::new(), Some(&(1..3)));
     }
 }

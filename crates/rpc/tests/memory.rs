@@ -2,10 +2,11 @@
 //! hostile frame sizes nothing, the epoch log's base is the shipped
 //! allocation until a fold has to patch it, and a replica built over a
 //! real unix socket holds no features until it is seeded — seeding two
-//! of them adds one generation per worker, with no transient above it.
+//! of them adds, per worker, its band's rows of `X` and one `Y`, with
+//! no transient above it, and ships each worker exactly those bytes.
 //! A delta copies a generation somebody else still holds — the log
-//! base on the coordinator, the pinned history on a replica — and
-//! leaves that holder's bits alone.
+//! base on the coordinator, the pinned history on a replica (its band
+//! of `X` and its `Y`) — and leaves that holder's bits alone.
 //! The tests run one at a time (the counters are process-wide).
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -14,11 +15,12 @@ use std::time::Duration;
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
+use fusedmm_perf::registry::MetricsRegistry;
 use fusedmm_rpc::{
     read_msg, write_frame, write_msg, DecodeError, EpochLog, Frame, Msg, RpcConfig, RpcTransport,
     WorkerServer,
 };
-use fusedmm_serve::remote::{EpochRecord, RemoteShardedEngine, WorkerEngine};
+use fusedmm_serve::remote::{EpochRecord, RemoteShardedEngine, ShardTransport, WorkerEngine};
 use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, Quality};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
@@ -69,11 +71,16 @@ fn the_log_base_is_the_shipped_allocation_until_a_fold_patches_it() {
     let original = (x.as_slice().to_vec(), y.as_slice().to_vec());
     let log = EpochLog::new();
     let (_, shipped) = memtrack::measure_peak(|| {
-        log.ship(&EpochRecord::Snapshot { epoch: 0, x: Arc::clone(&x), y: Arc::clone(&y) })
+        log.ship(&EpochRecord::Snapshot {
+            epoch: 0,
+            x_start: 0,
+            x: Arc::clone(&x),
+            y: Arc::clone(&y),
+        })
     });
     assert!(shipped < x.storage_bytes() / 20, "shipping a snapshot allocated {shipped} bytes");
     let base_storage = |log: &EpochLog| match &log.catch_up(None)[0] {
-        EpochRecord::Snapshot { epoch, x, y } => (*epoch, storage(x), storage(y)),
+        EpochRecord::Snapshot { epoch, x, y, .. } => (*epoch, storage(x), storage(y)),
         other => panic!("a log with a base starts with it, got {other:?}"),
     };
     assert_eq!(base_storage(&log), (0, storage(&x), storage(&y)));
@@ -90,7 +97,7 @@ fn the_log_base_is_the_shipped_allocation_until_a_fold_patches_it() {
         });
     }
     let records = log.catch_up(None);
-    let EpochRecord::Snapshot { epoch: folded, x: bx, y: by } = &records[0] else {
+    let EpochRecord::Snapshot { epoch: folded, x: bx, y: by, .. } = &records[0] else {
         panic!("a compacted log starts with its base");
     };
     assert!(*folded >= 64 && records.len() as u64 == 1 + rounds - folded);
@@ -159,10 +166,10 @@ fn bits(m: &Dense) -> Vec<u32> {
 }
 
 #[test]
-fn two_replicas_over_sockets_cost_one_generation_each() {
+fn two_replicas_over_sockets_cost_their_band_of_x_and_one_y_each() {
     let _serial = serial();
     let (n, d, nshards) = (4096usize, 128usize, 2usize);
-    let pair = 2 * n * d * 4;
+    let (matrix, pair) = (n * d * 4, 2 * n * d * 4);
     let a = graph(n);
 
     // A worker keeps its band of the graph and none of the features it
@@ -178,6 +185,9 @@ fn two_replicas_over_sockets_cost_one_generation_each() {
 
     let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.02).cos());
+    let bounds = transport.boundaries();
+    let registry = MetricsRegistry::new();
+    transport.register_metrics(&registry);
     let unseeded = memtrack::live_bytes();
     memtrack::reset_peak();
     let remote = RemoteShardedEngine::new(x, y, transport, config());
@@ -188,16 +198,28 @@ fn two_replicas_over_sockets_cost_one_generation_each() {
     let (live, peak) = (memtrack::live_bytes(), memtrack::peak_bytes());
 
     // The coordinator's store, record and log base are one pair (live
-    // before seeding); each replica reads the snapshot into memory
-    // that held nothing, so seeding adds exactly its pair per worker
-    // and nothing rises above where it ends.
-    let seeded = live.abs_diff(unseeded + nshards * pair);
+    // before seeding); each replica reads its band of `X` and all of
+    // `Y` into memory that held nothing, so seeding adds exactly that
+    // per worker — one `X` and `nshards` `Y`s in all — and nothing
+    // rises above where it ends.
+    let want = matrix + nshards * matrix;
     assert!(
-        seeded <= pair / 20,
-        "live {unseeded} -> {live} after both acks; one pair per replica is {}",
-        nshards * pair
+        live.abs_diff(unseeded + want) <= pair / 20,
+        "live {unseeded} -> {live} after both acks; the bands of X plus a Y per replica is {want}"
     );
     assert!(peak <= live + live / 100, "peak {peak} while seeding; live after both acks {live}");
+
+    // On the wire: each worker was sent its seeding frame — its band
+    // of X, all of Y, and the headers — plus the one-node embed.
+    let sent = registry.snapshot();
+    for s in 0..nshards {
+        let band = bounds[s + 1] - bounds[s];
+        let seeding = 4 + 9 + 1 + 8 + 8 + (8 + band * d * 4) + (8 + n * d * 4);
+        let embed = 4 + 9 + 8 + 1 + 8 + 8 + 8;
+        let worker = s.to_string();
+        let bytes = sent.counter("fusedmm_rpc_bytes_sent_total", &[("worker", worker.as_str())]);
+        assert_eq!(bytes, Some((seeding + embed) as u64), "worker {s}, band of {band} rows");
+    }
     drop(remote);
     drop(servers);
 }
@@ -220,7 +242,7 @@ fn a_coordinator_delta_copies_the_generation_its_log_base_holds() {
     let px = Dense::filled(rows.len(), d, 4.0);
     let py = Dense::filled(rows.len(), d, -4.0);
     assert_eq!(remote.delta_update(&rows, &px, &py), 1);
-    let EpochRecord::Snapshot { epoch: 0, x: bx, y: by } = log.catch_up(None).remove(0) else {
+    let EpochRecord::Snapshot { epoch: 0, x: bx, y: by, .. } = log.catch_up(None).remove(0) else {
         panic!("the log's base is the seeded generation");
     };
     assert!((bits(&bx), bits(&by)) == original, "the log base changed");
@@ -246,16 +268,18 @@ fn a_coordinator_delta_copies_the_generation_its_log_base_holds() {
 fn a_replica_delta_copies_the_generation_its_history_pins() {
     let _serial = serial();
     let (n, d) = (4096usize, 64usize);
-    let matrix = n * d * 4;
+    // A quarter of the rows: the copy is that band of X and all of Y.
+    let band = n / 4;
+    let copy = (band + n) * d * 4;
     let a = graph(n);
     let ops = OpSet::sigmoid_embedding(None);
-    let worker =
-        WorkerEngine::new(&a, 0..n, 0, Dense::zeros(n, d), Dense::zeros(n, d), ops, config());
+    let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
+    let worker = WorkerEngine::new(&a, 0..band, 0, x0, y0, ops, config());
     let x = Arc::new(Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin()));
     let y = Arc::new(Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos()));
-    worker.apply(EpochRecord::Snapshot { epoch: 0, x, y });
+    worker.apply(EpochRecord::Snapshot { epoch: 0, x_start: 0, x, y });
 
-    let nodes = [0, 1, 7, 20, n - 1];
+    let nodes = [0, 1, 7, 20, band - 1];
     let at_zero = || {
         let served = worker.embed_part(&nodes, 0, Quality::Exact, None).expect("epoch 0 is held");
         bits(&served.rows)
@@ -270,7 +294,10 @@ fn a_replica_delta_copies_the_generation_its_history_pins() {
     };
     let (epoch, allocated) = memtrack::measure_peak(|| worker.apply(record));
     assert_eq!(epoch, 1);
-    assert!(allocated > 3 * matrix / 2, "the delta allocated only {allocated} bytes");
+    assert!(
+        allocated.abs_diff(copy) < copy / 20,
+        "the delta allocated {allocated} bytes; the band of X plus Y is {copy}"
+    );
     assert!(at_zero() == before, "the epoch the history pins changed");
     let after = worker.embed_part(&nodes, 1, Quality::Exact, None).expect("epoch 1");
     assert!(bits(&after.rows) != before, "epoch 1 serves the patch");

@@ -21,7 +21,6 @@ use fusedmm_perf::hist::{HistogramSnapshot, LatencyHistogram};
 use fusedmm_perf::registry::Sample;
 use fusedmm_perf::trace::{SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
-use fusedmm_sparse::dense::Dense;
 
 use crate::batcher::{dedup_union, group_by_epoch, scatter_rows, BatchQueue, Pending};
 use crate::engine::EngineConfig;
@@ -29,7 +28,7 @@ use crate::fault::FaultPlan;
 use crate::front::Resolved;
 use crate::observe::apply_labels;
 use crate::score::score_edges_banded;
-use crate::store::FeatureEpoch;
+use crate::store::{copy_rows, FeatureEpoch};
 use crate::ticket::Quality;
 use crate::transport::{PartOutcome, PartSlot};
 
@@ -167,7 +166,8 @@ impl Band {
     pub fn score(&self, pairs: &[(usize, usize)], epoch: &FeatureEpoch) -> Vec<f32> {
         let c = &self.core;
         let t0 = Instant::now();
-        let scores = score_edges_banded(&c.a, c.start, pairs, epoch.x(), epoch.y(), &c.ops);
+        let (x, x_start, y) = (epoch.x(), epoch.x_start(), epoch.y());
+        let scores = score_edges_banded(&c.a, c.start, pairs, x, x_start, y, &c.ops);
         c.score_latency.record(t0.elapsed());
         scores
     }
@@ -177,14 +177,11 @@ impl Band {
     pub fn infer_into(&self, epoch: &FeatureEpoch, z: &mut [f32]) {
         let c = &self.core;
         let t0 = Instant::now();
-        if c.start == 0 && epoch.x().nrows() == c.a.nrows() {
+        if epoch.x_start() == c.start && epoch.x().nrows() == c.a.nrows() {
+            // `X` is exactly the band (a whole-graph band, or a replica).
             c.plan.execute_into(&c.a, epoch.x(), epoch.y(), &c.ops, z);
         } else {
-            // The band's X rows are a contiguous slice of the row-major
-            // global matrix — one copy, no index vector.
-            let d = epoch.x().ncols();
-            let rows = &epoch.x().as_slice()[c.start * d..(c.start + c.a.nrows()) * d];
-            let xb = Dense::from_rows(c.a.nrows(), d, rows).expect("band_len * d entries");
+            let xb = copy_rows(epoch.x(), epoch.x_start(), c.start..c.start + c.a.nrows());
             c.plan.execute_into(&c.a, &xb, epoch.y(), &c.ops, z);
         }
         c.infer_latency.record(t0.elapsed());
@@ -253,13 +250,14 @@ impl BandCore {
             if let Some(fault) = &self.fault {
                 fault.maybe_panic(seq);
             }
-            let (a, x, y) = (&self.a, epoch.x(), epoch.y());
+            let (a, start, ops) = (&self.a, self.start, &self.ops);
+            let (x, x_start, y) = (epoch.x(), epoch.x_start(), epoch.y());
             match quality {
                 Quality::TopKNeighbors(k) => {
-                    self.plan.execute_rows_banded_topk(a, self.start, &union, k, x, y, &self.ops)
+                    self.plan.execute_rows_banded_topk(a, start, &union, k, x, x_start, y, ops)
                 }
                 Quality::Exact | Quality::CachedOnly => {
-                    self.plan.execute_rows_banded(a, self.start, &union, x, y, &self.ops)
+                    self.plan.execute_rows_banded(a, start, &union, x, x_start, y, ops)
                 }
             }
         }));

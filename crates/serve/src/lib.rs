@@ -128,6 +128,8 @@
 //! assert_eq!(scores.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admit;
 mod band;
 pub mod batcher;

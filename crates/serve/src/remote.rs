@@ -12,13 +12,17 @@
 //!   kept in sync by applying the coordinator's ordered log, and
 //!   serving each part from the exact epoch the coordinator pinned — so
 //!   a response is never torn across a publish even when the publish
-//!   and the request race over the wire. A replica boots holding no
-//!   features: the coordinator's first snapshot lands in memory that
-//!   held nothing, so seeding costs one generation per worker.
+//!   and the request race over the wire. A replica holds all of `Y`
+//!   but only its band's rows of `X` — the only `X` rows its band's
+//!   kernel reads — and boots holding nothing: the coordinator's first
+//!   snapshot lands in memory that held nothing, so seeding costs the
+//!   band's `X` plus one `Y` per worker.
 //! * [`EpochRecord`] — one entry of the replicated epoch log. Records
 //!   carry the coordinator's epoch *numbers*; replicas apply them
 //!   as-is (`publish_at` / `delta_update_at`), keeping both sides'
-//!   numbering — and therefore per-request pinning — aligned.
+//!   numbering — and therefore per-request pinning — aligned. The
+//!   coordinator's records hold all of `X`; the socket transport ships
+//!   each worker only its band's rows of it.
 //!
 //! The transport itself (framing, sockets, reconnects) lives in the
 //! `fusedmm-rpc` crate. Responses are bit-identical to the in-process
@@ -41,7 +45,7 @@ use fusedmm_sparse::dense::Dense;
 use crate::admit::AdmissionPolicy;
 use crate::engine::{EngineConfig, ServeError};
 use crate::front::{result_cache, FrontEnd, Resolved};
-use crate::store::{FeatureEpoch, FeatureStore};
+use crate::store::{copy_rows, FeatureEpoch, FeatureStore};
 use crate::ticket::{EmbedOptions, EmbedResponse, Quality, Ticket};
 use crate::transport::LocalBands;
 pub use crate::transport::{PartOutcome, PartSlot, ShardTransport};
@@ -62,13 +66,19 @@ const EPOCH_RETAIN: usize = 64;
 /// into the log, into each worker's queue — never copies a matrix, and
 /// a replica that applies a decoded record moves those allocations
 /// into its own store. Deltas are a few rows and stay owned.
+///
+/// A whole-generation record's `x` holds `x.nrows()` global rows of `X`
+/// from row `x_start` on: all of them (`x_start = 0`) as the coordinator
+/// mints it, one worker's band as that worker decodes it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochRecord {
     /// A whole-matrix [`FeatureStore::publish`] minting `epoch`.
     Publish {
         /// The epoch this record mints.
         epoch: u64,
-        /// The full replacement X.
+        /// Global id of `x`'s row 0.
+        x_start: usize,
+        /// The replacement X's rows `x_start..`.
         x: Arc<Dense>,
         /// The full replacement Y.
         y: Arc<Dense>,
@@ -92,7 +102,9 @@ pub enum EpochRecord {
     Snapshot {
         /// The epoch this snapshot captures.
         epoch: u64,
-        /// The full X at `epoch`.
+        /// Global id of `x`'s row 0.
+        x_start: usize,
+        /// X's rows `x_start..` at `epoch`.
         x: Arc<Dense>,
         /// The full Y at `epoch`.
         y: Arc<Dense>,
@@ -159,7 +171,7 @@ impl RemoteShardedEngine {
         // learn from the stream (they boot holding no features).
         let base = store.snapshot();
         let (x, y) = base.shared();
-        transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x, y });
+        transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x_start: 0, x, y });
         let front = FrontEnd::new(transport, store, None, None, Resolved::from(&config));
         RemoteShardedEngine { front, write_order: Mutex::new(()) }
     }
@@ -182,7 +194,9 @@ impl RemoteShardedEngine {
         let (x, y) = (Arc::new(x), Arc::new(y));
         let _w = self.write_order.lock();
         let epoch = self.store().current_epoch() + 1;
-        self.transport.ship(&EpochRecord::Publish { epoch, x: Arc::clone(&x), y: Arc::clone(&y) });
+        let record =
+            EpochRecord::Publish { epoch, x_start: 0, x: Arc::clone(&x), y: Arc::clone(&y) };
+        self.transport.ship(&record);
         let minted = self.store().publish_shared(x, y);
         debug_assert_eq!(minted, epoch, "write_order serializes coordinator writes");
         epoch
@@ -280,7 +294,8 @@ impl WorkerEngine {
     /// feature shapes only and are dropped before this returns: the
     /// replica holds no features until the coordinator's first
     /// snapshot lands (the Hello handshake reports it as fresh; a
-    /// request before then is [`WorkerError::EpochUnavailable`]).
+    /// request before then is [`WorkerError::EpochUnavailable`]), and
+    /// from then on it holds `band`'s rows of `X` and all of `Y`.
     /// `config.cache` enables the per-replica result cache;
     /// `config.fault` / `FUSEDMM_FAULT_PLAN` inject
     /// worker-side kernel chaos exactly as in-process;
@@ -303,7 +318,8 @@ impl WorkerEngine {
         assert_eq!(x0.nrows(), a.nrows(), "X must have one row per vertex");
         assert_eq!(y0.nrows(), a.ncols(), "Y must have one row per vertex");
         assert_eq!(x0.ncols(), y0.ncols(), "X and Y must share the embedding dimension");
-        let store = Arc::new(FeatureStore::unseeded(x0.nrows(), y0.nrows(), x0.ncols()));
+        let (x_rows, y_rows, d) = (x0.nrows(), y0.nrows(), x0.ncols());
+        let store = Arc::new(FeatureStore::unseeded(band.clone(), x_rows, y_rows, d));
         drop((x0, y0));
         let config = EngineConfig {
             coalesce_window: Duration::ZERO,
@@ -355,17 +371,26 @@ impl WorkerEngine {
     /// same publish/delta distinction — and the same touch sets — as
     /// in-process subscribers. Returns the replica's new epoch.
     ///
+    /// A whole-generation record's `X` must cover this replica's band,
+    /// and the replica keeps exactly the band: a record decoded off the
+    /// socket holds exactly it and is moved in, one holding more rows
+    /// (the coordinator's own record, handed over in process) has the
+    /// band copied out of it. A delta writes the `X` rows inside the
+    /// band and every `Y` row.
+    ///
     /// # Panics
     /// Panics on a log gap or regression — a replica that detects
     /// stream corruption must not keep serving silently-forked
     /// features. A delta before any snapshot is such a gap: there is
-    /// nothing for it to patch.
+    /// nothing for it to patch. So is a record whose `X` misses part of
+    /// the band. Either panics before the store changes.
     pub fn apply(&self, record: EpochRecord) -> u64 {
         let store = self.front.store();
         let epoch = record.epoch();
         match record {
-            EpochRecord::Publish { x, y, .. } | EpochRecord::Snapshot { x, y, .. } => {
-                store.publish_at(epoch, x, y);
+            EpochRecord::Publish { x_start, x, y, .. }
+            | EpochRecord::Snapshot { x_start, x, y, .. } => {
+                store.publish_at(epoch, self.band_of(x_start, x), y);
             }
             EpochRecord::Delta { rows, x_rows, y_rows, .. } => {
                 assert!(
@@ -383,8 +408,28 @@ impl WorkerEngine {
         epoch
     }
 
-    /// Look up the pinned snapshot for `epoch`.
-    fn pinned(&self, epoch: u64) -> Result<Arc<FeatureEpoch>, WorkerError> {
+    /// This replica's band of `x`, whose row 0 is global row `x_start`:
+    /// `x` itself when it is exactly the band, else a copy of the band's
+    /// rows.
+    ///
+    /// # Panics
+    /// Panics when `x` does not cover the band.
+    fn band_of(&self, x_start: usize, x: Arc<Dense>) -> Arc<Dense> {
+        let band = self.band();
+        let held = x_start..x_start.saturating_add(x.nrows());
+        assert!(
+            held.start <= band.start && band.end <= held.end,
+            "epoch log corrupt: a record holding X rows {held:?} misses band {band:?}"
+        );
+        if held == band {
+            return x;
+        }
+        Arc::new(copy_rows(&x, x_start, band))
+    }
+
+    /// The pinned snapshot for `epoch`: what a request pinned at
+    /// `epoch` is served from.
+    pub fn pinned(&self, epoch: u64) -> Result<Arc<FeatureEpoch>, WorkerError> {
         self.epochs
             .lock()
             .get(&epoch)
@@ -599,6 +644,7 @@ mod tests {
         let worker = WorkerEngine::new(&a, 0..n, 0, z(), z(), OpSet::gcn(), config());
         worker.apply(EpochRecord::Snapshot {
             epoch: 0,
+            x_start: 0,
             x: Arc::new(Dense::filled(n, d, 0.5)),
             y: Arc::new(Dense::filled(n, d, 0.5)),
         });

@@ -29,38 +29,42 @@ pub fn score_edges(
     y: &Dense,
     ops: &OpSet,
 ) -> Vec<f32> {
-    score_edges_banded(a, 0, pairs, x, y, ops)
+    score_edges_banded(a, 0, pairs, x, 0, y, ops)
 }
 
 /// [`score_edges`] against a PART1D row band: `a_band` holds global
 /// rows `band_start..` under local indices (edge-weight lookups shift
-/// by `band_start`), while `x`/`y` stay global — source `u` and target
-/// `v` are global vertex ids.
+/// by `band_start`), `x` holds global rows `x_start..` (the whole
+/// matrix at 0, or a replica's band), and `y` stays global — source `u`
+/// and target `v` are global vertex ids.
 ///
 /// # Panics
-/// Panics when shapes are inconsistent or a pair index is out of range.
+/// Panics when shapes are inconsistent, a source falls outside the rows
+/// `x` holds, or a target outside `y`.
 pub fn score_edges_banded(
     a_band: &Csr,
     band_start: usize,
     pairs: &[(usize, usize)],
     x: &Dense,
+    x_start: usize,
     y: &Dense,
     ops: &OpSet,
 ) -> Vec<f32> {
     assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
     let d = x.ncols();
     let band_end = band_start + a_band.nrows();
+    let x_rows = x_start..x_start + x.nrows();
     let mut scratch = vec![0f32; d];
     let mut out = Vec::with_capacity(pairs.len());
     for &(u, v) in pairs {
-        assert!(u < x.nrows(), "source vertex {u} out of range for {} rows", x.nrows());
+        assert!(x_rows.contains(&u), "source vertex {u} out of range for X rows {x_rows:?}");
         assert!(v < y.nrows(), "target vertex {v} out of range for {} rows", y.nrows());
         let auv = if (band_start..band_end).contains(&u) {
             a_band.get(u - band_start, v).unwrap_or(1.0)
         } else {
             1.0
         };
-        ops.vop.apply(x.row(u), y.row(v), auv, &mut scratch);
+        ops.vop.apply(x.row(u - x_start), y.row(v), auv, &mut scratch);
         let score = match ops.rop.apply(&scratch) {
             Some(s) => ops.sop.apply_scalar(s, auv),
             None => {
@@ -130,8 +134,12 @@ mod tests {
         // 1.0, pair (2, 0) is a candidate (weight defaults to 1.0).
         let band = a.row_band(1..3);
         let whole = score_edges(&a, &[(1, 2), (2, 0)], &x, &y, &ops);
-        let banded = score_edges_banded(&band, 1, &[(1, 2), (2, 0)], &x, &y, &ops);
+        let banded = score_edges_banded(&band, 1, &[(1, 2), (2, 0)], &x, 0, &y, &ops);
         assert_eq!(whole, banded, "band offset must not change any score");
+        // X holding only global rows 1..3 reads the same rows.
+        let xb = Dense::from_rows(2, 2, &x.as_slice()[2..]).unwrap();
+        let local = score_edges_banded(&band, 1, &[(1, 2), (2, 0)], &xb, 1, &y, &ops);
+        assert_eq!(whole, local, "X's offset must not change any score");
     }
 
     #[test]

@@ -29,7 +29,14 @@
 //! different `nrows`/`d` panics): engines key their kernel plans on the
 //! dimension and validate node ids against the row counts once, at
 //! load time.
+//!
+//! A store holds `Y` whole and the rows of `X` in its *band*: all of
+//! them everywhere except in a remote worker's replica, which holds
+//! only the rows its band's kernel reads. Writes still speak global row
+//! ids; a replica's delta writes the `X` rows inside its band and every
+//! `Y` row.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -49,6 +56,8 @@ use fusedmm_sparse::Permutation;
 #[derive(Debug)]
 pub struct FeatureEpoch {
     epoch: u64,
+    /// Global id of `x`'s row 0.
+    x_start: usize,
     x: Arc<Dense>,
     y: Arc<Dense>,
 }
@@ -60,9 +69,18 @@ impl FeatureEpoch {
         self.epoch
     }
 
-    /// Target-side features (one row per vertex of `A`'s row space).
+    /// Target-side features: global rows `x_start()..x_start() +
+    /// x().nrows()` of `A`'s row space — every row, except in a remote
+    /// worker's replica, which holds its band's rows only.
     pub fn x(&self) -> &Dense {
         &self.x
+    }
+
+    /// The global id of [`x`](Self::x)'s row 0: 0 except in a replica,
+    /// where it is the band's first row. Kernels read row `u` of the
+    /// global `X` at row `u - x_start()`.
+    pub fn x_start(&self) -> usize {
+        self.x_start
     }
 
     /// Neighbor-side features (one row per vertex of `A`'s column
@@ -77,10 +95,29 @@ impl FeatureEpoch {
     }
 }
 
-/// Write row `rows[i]` of `x` / `y` from row `i` of the patches.
-fn write_rows(x: &mut Dense, y: &mut Dense, rows: &[usize], x_rows: &Dense, y_rows: &Dense) {
+/// Global rows `rows` of `x`, whose row 0 is global row `x_start`, as a
+/// matrix of their own: one copy of a contiguous slice, no index
+/// vector.
+pub(crate) fn copy_rows(x: &Dense, x_start: usize, rows: Range<usize>) -> Dense {
+    let d = x.ncols();
+    let slice = &x.as_slice()[(rows.start - x_start) * d..(rows.end - x_start) * d];
+    Dense::from_rows(rows.len(), d, slice).expect("rows.len() * d entries")
+}
+
+/// Write global row `rows[i]` of `y`, and of `x` when it falls in
+/// `x_band` (the global rows `x` holds), from row `i` of the patches.
+fn write_rows(
+    x: &mut Dense,
+    x_band: &Range<usize>,
+    y: &mut Dense,
+    rows: &[usize],
+    x_rows: &Dense,
+    y_rows: &Dense,
+) {
     for (i, &u) in rows.iter().enumerate() {
-        x.row_mut(u).copy_from_slice(x_rows.row(i));
+        if x_band.contains(&u) {
+            x.row_mut(u - x_band.start).copy_from_slice(x_rows.row(i));
+        }
         y.row_mut(u).copy_from_slice(y_rows.row(i));
     }
 }
@@ -128,7 +165,11 @@ pub struct FeatureStore {
     /// forever.
     listeners: RwLock<Vec<Weak<dyn EpochListener>>>,
     swaps: AtomicU64,
+    /// Rows of the global `X`: the id space writes are checked against.
     x_rows: usize,
+    /// The global rows of `X` each epoch holds: `0..x_rows` except in a
+    /// replica, where it is the worker's band.
+    x_band: Range<usize>,
     y_rows: usize,
     d: usize,
     /// When the engine serves a reordered graph, epochs hold features
@@ -144,6 +185,7 @@ impl std::fmt::Debug for FeatureStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FeatureStore")
             .field("x_rows", &self.x_rows)
+            .field("x_band", &self.x_band)
             .field("y_rows", &self.y_rows)
             .field("d", &self.d)
             .field("epoch", &self.current_epoch())
@@ -160,33 +202,42 @@ impl FeatureStore {
     pub fn new(x: Dense, y: Dense) -> FeatureStore {
         assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
         let (x_rows, y_rows, d) = (x.nrows(), y.nrows(), x.ncols());
-        FeatureStore::at_epoch_zero(x_rows, y_rows, d, Arc::new(x), Arc::new(y))
+        FeatureStore::at_epoch_zero(0..x_rows, x_rows, y_rows, d, Arc::new(x), Arc::new(y))
     }
 
-    /// A replica store that holds no features yet: the frozen shapes
-    /// `x_rows × d` / `y_rows × d`, and at epoch 0 one shared `0 × d`
-    /// generation (no allocation). The first
-    /// [`publish_at`](Self::publish_at) seeds it through the usual shape
-    /// check. Nobody may pin epoch 0 here — a kernel handed the empty
+    /// A replica store for the worker owning global rows `band` of an
+    /// `x_rows × d` `X` (and all of a `y_rows × d` `Y`). It holds no
+    /// features yet: at epoch 0 one shared `0 × d` generation (no
+    /// allocation). The first [`publish_at`](Self::publish_at) seeds it
+    /// through the usual shape check, which expects `band.len()` rows of
+    /// `X`. Nobody may pin epoch 0 here — a kernel handed the empty
     /// generation panics on its row bounds instead of serving zeros.
-    pub(crate) fn unseeded(x_rows: usize, y_rows: usize, d: usize) -> FeatureStore {
+    pub(crate) fn unseeded(
+        band: Range<usize>,
+        x_rows: usize,
+        y_rows: usize,
+        d: usize,
+    ) -> FeatureStore {
         let empty = Arc::new(Dense::zeros(0, d));
-        FeatureStore::at_epoch_zero(x_rows, y_rows, d, Arc::clone(&empty), empty)
+        FeatureStore::at_epoch_zero(band, x_rows, y_rows, d, Arc::clone(&empty), empty)
     }
 
     fn at_epoch_zero(
+        x_band: Range<usize>,
         x_rows: usize,
         y_rows: usize,
         d: usize,
         x: Arc<Dense>,
         y: Arc<Dense>,
     ) -> FeatureStore {
+        let epoch = FeatureEpoch { epoch: 0, x_start: x_band.start, x, y };
         FeatureStore {
-            current: RwLock::new(Arc::new(FeatureEpoch { epoch: 0, x, y })),
+            current: RwLock::new(Arc::new(epoch)),
             writer: Mutex::new(()),
             listeners: RwLock::new(Vec::new()),
             swaps: AtomicU64::new(0),
             x_rows,
+            x_band,
             y_rows,
             d,
             perm: None,
@@ -246,7 +297,8 @@ impl FeatureStore {
         });
     }
 
-    /// Rows of `X` (fixed across epochs).
+    /// Rows of the global `X` (fixed across epochs) — a replica holds
+    /// only its band of them, see [`FeatureEpoch::x_start`].
     pub fn x_rows(&self) -> usize {
         self.x_rows
     }
@@ -346,6 +398,7 @@ impl FeatureStore {
     /// which may jump ahead of (or equal) the current number — a
     /// replica applying a coordinator's snapshot record lands directly
     /// on the coordinator's epoch numbering instead of minting its own.
+    /// `x` holds exactly the store's band of `X`.
     /// Listeners are notified with the applied epoch (`on_publish`),
     /// under the same before-the-swap ordering contract as
     /// [`publish`](Self::publish).
@@ -370,7 +423,8 @@ impl FeatureStore {
     /// when applied to the epoch right before it — so the record must
     /// be the immediate successor of the replica's current epoch.
     /// `rows` are internal row ids (the coordinator ships them
-    /// pre-translated); listeners see exactly that set (`on_delta`).
+    /// pre-translated); listeners see exactly that set (`on_delta`),
+    /// though a replica writes only the `X` rows inside its band.
     ///
     /// # Panics
     /// Panics on shape/range mismatches, a permuted store, or a gap in
@@ -407,7 +461,7 @@ impl FeatureStore {
         let mut current = self.current.write();
         if let Some(ep) = Arc::get_mut(&mut current) {
             if let (Some(x), Some(y)) = (Arc::get_mut(&mut ep.x), Arc::get_mut(&mut ep.y)) {
-                write_rows(x, y, rows, x_rows, y_rows);
+                write_rows(x, &self.x_band, y, rows, x_rows, y_rows);
                 ep.epoch = epoch;
                 drop(current);
                 self.swaps.fetch_add(1, Ordering::Relaxed);
@@ -418,19 +472,22 @@ impl FeatureStore {
         drop(current);
         let (mut x, mut y) = (Dense::clone(&base.x), Dense::clone(&base.y));
         drop(base);
-        write_rows(&mut x, &mut y, rows, x_rows, y_rows);
+        write_rows(&mut x, &self.x_band, &mut y, rows, x_rows, y_rows);
         self.install(epoch, Arc::new(x), Arc::new(y));
     }
 
     /// Swap in `(x, y)` as `epoch` (writer lock held by the caller, the
     /// epoch already announced to listeners).
     fn install(&self, epoch: u64, x: Arc<Dense>, y: Arc<Dense>) {
-        *self.current.write() = Arc::new(FeatureEpoch { epoch, x, y });
+        let x_start = self.x_band.start;
+        *self.current.write() = Arc::new(FeatureEpoch { epoch, x_start, x, y });
         self.swaps.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The one shape check of a whole generation: `X` holds the
+    /// store's band (every row, except in a replica), `Y` every row.
     pub(crate) fn check_shapes(&self, x: &Dense, y: &Dense) {
-        assert_eq!(x.nrows(), self.x_rows, "published X row count changed");
+        assert_eq!(x.nrows(), self.x_band.len(), "published X row count changed");
         assert_eq!(y.nrows(), self.y_rows, "published Y row count changed");
         assert_eq!(x.ncols(), self.d, "published X dimension changed");
         assert_eq!(y.ncols(), self.d, "published Y dimension changed");

@@ -3,20 +3,26 @@
 //! replica holds and serves nothing until its first record (and that
 //! record is then its only pair), and that a worker's band
 //! engine does not sit out a coalescing window nobody can join — and
-//! that a write the store would refuse never reaches the log. The
-//! counting allocator is installed so "no copy" is checked in bytes,
-//! and the tests run one at a time (its counters are process-wide).
+//! that a write the store would refuse never reaches the log. A
+//! replica holds only its band's rows of `X`, and serves what the
+//! in-process engine serves from all of them. The counting allocator
+//! is installed so "no copy" is checked in bytes, and the tests run one
+//! at a time (its counters are process-wide).
 
+use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
 use fusedmm_serve::remote::{
     EpochRecord, PartOutcome, PartSlot, RemoteShardedEngine, ShardTransport, WorkerEngine,
     WorkerError,
 };
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError};
+use fusedmm_serve::{
+    AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError, ShardedEngine,
+};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -157,8 +163,8 @@ fn an_unseeded_replica_holds_and_serves_nothing() {
     }
     // A restarted replica joining a coordinator that is at epoch 5.
     let before = memtrack::live_bytes();
-    let record =
-        EpochRecord::Snapshot { epoch: 5, x: Arc::new(feats(0.1)), y: Arc::new(feats(0.9)) };
+    let (x, y) = (Arc::new(feats(0.1)), Arc::new(feats(0.9)));
+    let record = EpochRecord::Snapshot { epoch: 5, x_start: 0, x, y };
     assert_eq!(worker.apply(record), 5);
     let grew = memtrack::live_bytes().saturating_sub(before);
     assert!(worker.embed_part(&[1], 5, Quality::Exact, None).is_ok());
@@ -195,6 +201,7 @@ fn a_worker_does_not_sit_out_the_callers_coalesce_window() {
     let worker = Arc::new(worker(&a, LONG_WINDOW));
     worker.apply(EpochRecord::Snapshot {
         epoch: 0,
+        x_start: 0,
         x: Arc::new(feats(0.1)),
         y: Arc::new(feats(0.9)),
     });
@@ -233,4 +240,167 @@ fn a_delta_the_store_would_refuse_panics_before_anything_ships() {
         assert_eq!(shipped(), before, "rows {rows:?}: the refused record reached the log");
         assert_eq!(remote.store().current_epoch(), 0, "rows {rows:?}: an epoch was minted");
     }
+}
+
+/// `record` as a worker owning global rows `band` decodes it off the
+/// socket: a whole generation holds exactly the band's rows of `X`.
+fn narrowed(record: &EpochRecord, band: Range<usize>) -> EpochRecord {
+    let exact = |x: &Dense| {
+        let d = x.ncols();
+        Arc::new(
+            Dense::from_rows(band.len(), d, &x.as_slice()[band.start * d..band.end * d]).unwrap(),
+        )
+    };
+    match record {
+        EpochRecord::Publish { epoch, x_start: 0, x, y } => EpochRecord::Publish {
+            epoch: *epoch,
+            x_start: band.start,
+            x: exact(x),
+            y: Arc::clone(y),
+        },
+        EpochRecord::Snapshot { epoch, x_start: 0, x, y } => EpochRecord::Snapshot {
+            epoch: *epoch,
+            x_start: band.start,
+            x: exact(x),
+            y: Arc::clone(y),
+        },
+        other => other.clone(),
+    }
+}
+
+/// Two band workers behind a transport that hands each the records a
+/// socket would: its band's rows of `X`, all of `Y`.
+struct BandWorkers {
+    workers: Vec<Arc<WorkerEngine>>,
+    boundaries: Vec<usize>,
+}
+
+impl BandWorkers {
+    fn new(a: &Csr) -> BandWorkers {
+        let part = Partition::part1d(a, 2, PartitionStrategy::NnzBalanced);
+        let boundaries = part.boundaries().to_vec();
+        let workers = (0..2)
+            .map(|s| {
+                let band = boundaries[s]..boundaries[s + 1];
+                let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
+                let ops = OpSet::sigmoid_embedding(None);
+                Arc::new(WorkerEngine::new(a, band, s, x0, y0, ops, config(Duration::ZERO)))
+            })
+            .collect();
+        BandWorkers { workers, boundaries }
+    }
+}
+
+impl ShardTransport for BandWorkers {
+    fn nshards(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn boundaries(&self) -> Vec<usize> {
+        self.boundaries.clone()
+    }
+
+    fn embed_part(
+        &self,
+        shard: usize,
+        nodes: &[usize],
+        epoch: &Arc<FeatureEpoch>,
+        quality: Quality,
+        deadline: Option<Instant>,
+        slot: PartSlot,
+    ) {
+        match self.workers[shard].embed_part(nodes, epoch.epoch(), quality, deadline) {
+            Ok(resp) => slot.resolve(PartOutcome::Rows(resp.rows)),
+            Err(_) => slot.resolve(PartOutcome::Failed),
+        }
+    }
+
+    fn score_part(
+        &self,
+        shard: usize,
+        pairs: &[(usize, usize)],
+        epoch: &Arc<FeatureEpoch>,
+    ) -> Result<Vec<f32>, ServeError> {
+        self.workers[shard]
+            .score_part(pairs, epoch.epoch())
+            .map_err(|_| ServeError::PartFailed { shard: Some(shard) })
+    }
+
+    fn ship(&self, record: &EpochRecord) {
+        for (s, worker) in self.workers.iter().enumerate() {
+            worker.apply(narrowed(record, self.boundaries[s]..self.boundaries[s + 1]));
+        }
+    }
+}
+
+#[test]
+fn band_local_replicas_serve_what_the_in_process_engine_serves_at_every_epoch() {
+    let _serial = serial();
+    let a = graph();
+    let ops = OpSet::sigmoid_embedding(None);
+    let (x, y) = (feats(0.1), feats(0.9));
+    let local = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, 2, config(Duration::ZERO));
+    let transport = Arc::new(BandWorkers::new(&a));
+    let remote =
+        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config(Duration::ZERO));
+    let cut = transport.boundaries[1];
+    assert!(0 < cut && cut < N, "two non-empty bands");
+    let all: Vec<usize> = (0..N).collect();
+    let pairs: Vec<(usize, usize)> = (0..N).map(|u| (u, (u * 11 + 5) % N)).collect();
+    let same = |epoch: u64| {
+        assert_eq!(remote.embed(&all).unwrap(), local.embed(&all).unwrap(), "embed at {epoch}");
+        let (r, l) = (remote.score_edges(&pairs).unwrap(), local.score_edges(&pairs).unwrap());
+        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r), bits(&l), "score_edges at {epoch}");
+        // Every epoch a replica pins holds exactly its band of X.
+        for (s, worker) in transport.workers.iter().enumerate() {
+            let band = transport.boundaries[s]..transport.boundaries[s + 1];
+            let pinned = worker.pinned(epoch).expect("the current epoch is pinned");
+            assert_eq!((pinned.x_start(), pinned.x().nrows()), (band.start, band.len()));
+            assert_eq!(pinned.y().nrows(), N, "a replica holds all of Y");
+        }
+    };
+    same(0);
+    // Rows on both sides of the cut and at both ends.
+    let rows = vec![0, cut - 1, cut, cut + 1, N - 1];
+    let patch = |seed: f32| Dense::from_fn(rows.len(), D, |r, k| ((r * 3 + k) as f32 + seed).sin());
+    for (epoch, seed) in [(1, 0.3), (2, 0.7)] {
+        assert_eq!(remote.delta_update(&rows, &patch(seed), &patch(-seed)), epoch);
+        assert_eq!(local.store().delta_update(&rows, &patch(seed), &patch(-seed)), epoch);
+        same(epoch);
+    }
+    let (x3, y3) = (feats(0.4), feats(0.6));
+    assert_eq!(remote.publish(x3.clone(), y3.clone()), 3);
+    assert_eq!(local.store().publish(x3, y3), 3);
+    same(3);
+    assert_eq!(remote.delta_update(&rows, &patch(0.5), &patch(0.2)), 4);
+    assert_eq!(local.store().delta_update(&rows, &patch(0.5), &patch(0.2)), 4);
+    same(4);
+}
+
+#[test]
+#[should_panic(expected = "misses band")]
+fn a_snapshot_whose_x_misses_the_band_panics_before_the_store_changes() {
+    let _serial = serial();
+    let a = graph();
+    let half = N / 2;
+    let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
+    let ops = OpSet::sigmoid_embedding(None);
+    let worker = WorkerEngine::new(&a, 0..half, 0, x0, y0, ops, config(Duration::ZERO));
+    worker.apply(EpochRecord::Snapshot {
+        epoch: 0,
+        x_start: 0,
+        x: Arc::new(feats(0.1)),
+        y: Arc::new(feats(0.9)),
+    });
+    let seeded = worker.pinned(0).expect("seeded");
+    // Global rows 1..N: row 0 of the band is missing.
+    let x = Dense::from_rows(N - 1, D, &feats(0.4).as_slice()[D..]).unwrap();
+    let record =
+        EpochRecord::Snapshot { epoch: 1, x_start: 1, x: Arc::new(x), y: Arc::new(feats(0.6)) };
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.apply(record)));
+    assert_eq!(worker.current_epoch(), 0, "the refused record reached the store");
+    assert!(worker.pinned(1).is_err(), "the refused record was pinned");
+    assert!(Arc::ptr_eq(&worker.pinned(0).unwrap(), &seeded), "the history changed");
+    std::panic::resume_unwind(refused.expect_err("the record misses the band"));
 }

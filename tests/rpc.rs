@@ -17,7 +17,7 @@ use fusedmm::prelude::*;
 use fusedmm::rpc::proto::WireError;
 use fusedmm::rpc::{
     decode, decode_from, read_frame, read_msg, write_frame, write_msg, DecodeError, Frame,
-    FrameError, Msg,
+    FrameError, Msg, PROTO_VERSION,
 };
 use fusedmm::serve::Quality;
 
@@ -87,9 +87,12 @@ fn build_msg(variant: usize, nums: &[u64], vals: &[f32], dims: (usize, usize), t
         },
         5 => Msg::ScoreOk { scores: vals.to_vec() },
         6 => Msg::Epoch(match tag % 3 {
-            0 => {
-                EpochRecord::Publish { epoch: num(0), x: dense(r, c).into(), y: dense(c, r).into() }
-            }
+            0 => EpochRecord::Publish {
+                epoch: num(0),
+                x_start: num(1) as usize,
+                x: dense(r, c).into(),
+                y: dense(c, r).into(),
+            },
             1 => EpochRecord::Delta {
                 epoch: num(0),
                 rows: nums.iter().map(|&u| u as usize).collect(),
@@ -98,6 +101,7 @@ fn build_msg(variant: usize, nums: &[u64], vals: &[f32], dims: (usize, usize), t
             },
             _ => EpochRecord::Snapshot {
                 epoch: num(0),
+                x_start: num(1) as usize,
                 x: dense(r, c).into(),
                 y: dense(c, r).into(),
             },
@@ -308,6 +312,55 @@ fn first_embed_after_connect_never_races_the_session() {
         }
     }
     drop(servers);
+}
+
+/// A worker speaking an older protocol revision is refused at the
+/// handshake: `connect` never opens a session with it.
+#[test]
+fn a_revision_1_worker_is_refused_at_the_handshake() {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    assert_eq!(PROTO_VERSION, 2);
+    let path = std::env::temp_dir().join(format!("fusedmm-rpc-rev1-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind");
+    let done = Arc::new(AtomicBool::new(false));
+    let stale = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            // Every connection gets a well-formed revision-1 Hello.
+            for stream in listener.incoming() {
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(mut stream) = stream else { continue };
+                let hello = Msg::Hello {
+                    proto_version: 1,
+                    shard: 0,
+                    band_start: 0,
+                    band_len: 8,
+                    y_rows: 8,
+                    d: 4,
+                    epoch: 0,
+                    fresh: true,
+                    backend: "scalar".into(),
+                };
+                let _ = write_msg(&mut stream, 0, &hello);
+            }
+        })
+    };
+    let mut config = RpcConfig::new(vec![path.clone()]);
+    config.fault = Some(Arc::new(FaultPlan::disabled()));
+    config.connect_timeout = Duration::from_millis(300);
+    match RpcTransport::connect(config) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "{e}"),
+        Ok(_) => panic!("a revision-1 worker opened a session"),
+    }
+    done.store(true, Ordering::Release);
+    let _ = UnixStream::connect(&path);
+    stale.join().expect("stale worker thread");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
