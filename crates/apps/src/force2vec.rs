@@ -49,7 +49,7 @@ use rand::{Rng, SeedableRng};
 use fusedmm_baseline::tensor::{dense_mask, OpTally, Tensor};
 use fusedmm_baseline::unfused::unfused_pipeline;
 use fusedmm_core::driver::INLINE_LAUNCH_WORK;
-use fusedmm_core::{fusedmm_opt_scored_into, Blocking, Partition, PartitionStrategy};
+use fusedmm_core::{Launch, Partition, PartitionStrategy, Plan};
 use fusedmm_ops::{sigmoid, AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -119,6 +119,8 @@ pub struct TrainResult {
 pub struct Force2Vec {
     adj: Csr,
     cfg: Force2VecConfig,
+    /// The fused step's one launch: `OpSet::nce_gradient` at `cfg.dim`.
+    plan: Plan,
     /// Keeps the fused backend's `batch × d` step gradient between
     /// steps and epochs: each step takes it, overwrites it, applies it
     /// and lets it park again.
@@ -137,6 +139,7 @@ impl Force2Vec {
         assert!(cfg.dim > 0 && cfg.batch_size > 0 && cfg.epochs > 0);
         Force2Vec {
             adj,
+            plan: Plan::prepare(&OpSet::nce_gradient(None), cfg.dim),
             cfg,
             grad_home: BufferHome::new(),
             xb_home: BufferHome::new(),
@@ -203,17 +206,9 @@ impl Force2Vec {
                     sampler.labelled_batch_into(&self.adj, batch, step);
                     scores.resize(step.adj().nnz(), 0.0);
                     let mut grad = Dense::recycled(&self.grad_home, batch.len(), emb.ncols());
-                    fusedmm_opt_scored_into(
-                        step.adj(),
-                        &xb,
-                        emb,
-                        &OpSet::nce_gradient(None),
-                        Blocking::Auto,
-                        None,
-                        PartitionStrategy::NnzBalanced,
-                        grad.as_mut_slice(),
-                        scores,
-                    );
+                    let (ops, scored) =
+                        (OpSet::nce_gradient(None), Launch::All { scores: Some(scores) });
+                    self.plan.launch(step.adj(), &xb, emb, &ops, scored, grad.as_mut_slice());
                     (grad, None, scored_loss(step, scores))
                 }
                 Backend::Unfused | Backend::DenseTensor => {
@@ -503,17 +498,8 @@ mod tests {
         let xb = gather_rows(&emb, &batch);
         let mut grad = Dense::zeros(batch.len(), 16);
         let mut scores = vec![f32::NAN; step.adj().nnz()];
-        fusedmm_opt_scored_into(
-            step.adj(),
-            &xb,
-            &emb,
-            &OpSet::nce_gradient(None),
-            Blocking::Auto,
-            None,
-            PartitionStrategy::NnzBalanced,
-            grad.as_mut_slice(),
-            &mut scores,
-        );
+        let (ops, scored) = (OpSet::nce_gradient(None), Launch::All { scores: Some(&mut scores) });
+        Plan::prepare(&ops, 16).launch(step.adj(), &xb, &emb, &ops, scored, grad.as_mut_slice());
         let (loss, terms) = scored_loss(&step, &scores);
         let positives = |i: usize| step.positives()[i];
         let (one_band, one_terms) = at_width(1, || positive_loss(step.adj(), positives, &xb, &emb));

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fusedmm_core::{fusedmm_generic, fusedmm_opt};
+use fusedmm_core::fusedmm;
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -97,20 +97,12 @@ impl FrLayout {
         (mul, broadcast)
     }
 
-    /// `Σ_v h·(y_v − x_u)` via the two-call decomposition.
-    fn force_toward(
-        a: &Csr,
-        x: &Dense,
-        ops_mul: &OpSet,
-        ops_bcast: &OpSet,
-        optimized: bool,
-    ) -> Dense {
-        let hy = if optimized {
-            fusedmm_opt(a, x, x, ops_mul)
-        } else {
-            fusedmm_generic(a, x, x, ops_mul)
-        };
-        let hsum = fusedmm_generic(a, x, x, ops_bcast);
+    /// `Σ_v h·(y_v − x_u)` via the two-call decomposition. The `MUL`
+    /// set of the attraction is the FR pattern and runs its specialized
+    /// kernel; the others are unrecognized and run the generic one.
+    fn force_toward(a: &Csr, x: &Dense, ops_mul: &OpSet, ops_bcast: &OpSet) -> Dense {
+        let hy = fusedmm(a, x, x, ops_mul);
+        let hsum = fusedmm(a, x, x, ops_bcast);
         let mut out = hy;
         for u in 0..a.nrows() {
             let xu: Vec<f32> = x.row(u).to_vec();
@@ -143,10 +135,10 @@ impl FrLayout {
 
         for _ in 0..cfg.iterations {
             // Attraction toward neighbors (optimized FR pattern).
-            let att = Self::force_toward(&self.adj, &pos, &att_mul, &att_bcast, true);
+            let att = Self::force_toward(&self.adj, &pos, &att_mul, &att_bcast);
             // Repulsion away from sampled vertices.
             let rep_graph = sampler.sample_batch(&all);
-            let rep = Self::force_toward(&rep_graph, &pos, &rep_mul, &rep_bcast, false);
+            let rep = Self::force_toward(&rep_graph, &pos, &rep_mul, &rep_bcast);
 
             let mut total_disp = 0.0f64;
             for u in 0..n {

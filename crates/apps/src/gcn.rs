@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fusedmm_core::{fusedmm_opt_into, Blocking, PartitionStrategy};
+use fusedmm_core::{Launch, Plan};
 use fusedmm_ops::OpSet;
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
@@ -63,23 +63,29 @@ pub enum Activation {
     Linear,
 }
 
-/// `Z = A × H` through the FusedMM GCN pattern, into storage from
-/// `home` — the sparse aggregation of the GCN and GraphSAGE layers. The
-/// result parks in `home` again when dropped, so a layer that is run
-/// every epoch aggregates into the same `n × d` buffer each time.
-pub(crate) fn aggregate(home: &BufferHome, a: &Csr, h: &Dense) -> Dense {
-    let mut agg = Dense::recycled(home, a.nrows(), h.ncols());
-    fusedmm_opt_into(
-        a,
-        h,
-        h,
-        &OpSet::gcn(),
-        Blocking::Auto,
-        None,
-        PartitionStrategy::NnzBalanced,
-        agg.as_mut_slice(),
-    );
-    agg
+/// The aggregation of a layer `d` features wide: the GCN pattern's
+/// plan and the buffer its output recycles through.
+#[derive(Debug, Clone)]
+pub(crate) struct Aggregate {
+    plan: Plan,
+    home: BufferHome,
+}
+
+impl Aggregate {
+    pub(crate) fn new(d: usize) -> Self {
+        Aggregate { plan: Plan::prepare(&OpSet::gcn(), d), home: BufferHome::new() }
+    }
+
+    /// `Z = A × H` through the FusedMM GCN pattern — the sparse
+    /// aggregation of the GCN and GraphSAGE layers. The result parks in
+    /// the home again when dropped, so a layer that is run every epoch
+    /// aggregates into the same `n × d` buffer each time.
+    pub(crate) fn run(&self, a: &Csr, h: &Dense) -> Dense {
+        let mut agg = Dense::recycled(&self.home, a.nrows(), h.ncols());
+        let all = Launch::All { scores: None };
+        self.plan.launch(a, h, h, &OpSet::gcn(), all, agg.as_mut_slice());
+        agg
+    }
 }
 
 /// One GCN layer: `H' = act(Â H W + b)`.
@@ -88,8 +94,8 @@ pub struct GcnLayer {
     weight: Dense,
     bias: Vec<f32>,
     activation: Activation,
-    /// Keeps the `Â H` buffer between forward passes.
-    agg_home: BufferHome,
+    /// `Â H`, keeping its buffer between forward passes.
+    agg: Aggregate,
 }
 
 impl GcnLayer {
@@ -107,7 +113,8 @@ impl GcnLayer {
     /// Build from explicit parameters.
     pub fn from_parts(weight: Dense, bias: Vec<f32>, activation: Activation) -> Self {
         assert_eq!(weight.ncols(), bias.len(), "bias must match output width");
-        GcnLayer { weight, bias, activation, agg_home: BufferHome::new() }
+        let agg = Aggregate::new(weight.nrows());
+        GcnLayer { weight, bias, activation, agg }
     }
 
     /// Input feature width.
@@ -125,7 +132,7 @@ impl GcnLayer {
     pub fn forward(&self, a_norm: &Csr, h: &Dense) -> Dense {
         assert_eq!(h.ncols(), self.d_in(), "feature width mismatch");
         // Sparse aggregation through the FusedMM GCN pattern.
-        let agg = aggregate(&self.agg_home, a_norm, h);
+        let agg = self.agg.run(a_norm, h);
         // Dense transform.
         let mut out = agg.matmul(&self.weight);
         for r in 0..out.nrows() {

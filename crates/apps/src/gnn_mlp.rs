@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use fusedmm_core::fusedmm_generic;
+use fusedmm_core::fusedmm;
 use fusedmm_ops::{Mlp, OpSet};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -47,10 +47,11 @@ impl GnnMlpLayer {
     }
 
     /// One message-passing step: `Z = FusedMM(A, X, X)` with the
-    /// GNN-MLP operator set.
+    /// GNN-MLP operator set (no specialized kernel recognizes it: the
+    /// generic kernel runs).
     pub fn forward(&self, a: &Csr, x: &Dense) -> Dense {
         assert_eq!(x.ncols(), self.dim(), "feature width mismatch");
-        fusedmm_generic(a, x, x, &OpSet::gnn_mlp(self.mlp.clone()))
+        fusedmm(a, x, x, &OpSet::gnn_mlp(self.mlp.clone()))
     }
 }
 

@@ -20,9 +20,8 @@ use rand::{Rng, SeedableRng};
 
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use fusedmm_sparse::BufferHome;
 
-use crate::gcn::{aggregate, Activation};
+use crate::gcn::{Activation, Aggregate};
 
 /// Scale every row of `a` by `1 / row_nnz` so that ASUM aggregation
 /// computes the neighborhood mean. Isolated vertices keep empty rows
@@ -48,8 +47,8 @@ pub struct SageLayer {
     w_neigh: Dense,
     bias: Vec<f32>,
     activation: Activation,
-    /// Keeps the neighborhood-mean buffer between forward passes.
-    agg_home: BufferHome,
+    /// The neighborhood mean, keeping its buffer between forward passes.
+    agg: Aggregate,
 }
 
 impl SageLayer {
@@ -79,7 +78,8 @@ impl SageLayer {
         assert_eq!(w_self.nrows(), w_neigh.nrows(), "input widths must agree");
         assert_eq!(w_self.ncols(), w_neigh.ncols(), "output widths must agree");
         assert_eq!(w_self.ncols(), bias.len(), "bias must match output width");
-        SageLayer { w_self, w_neigh, bias, activation, agg_home: BufferHome::new() }
+        let agg = Aggregate::new(w_self.nrows());
+        SageLayer { w_self, w_neigh, bias, activation, agg }
     }
 
     /// Input feature width.
@@ -97,7 +97,7 @@ impl SageLayer {
     pub fn forward(&self, a_mean: &Csr, h: &Dense) -> Dense {
         assert_eq!(h.ncols(), self.d_in(), "feature width mismatch");
         // mean_{v∈N(u)} h_v — one fused SpMM-pattern call.
-        let neigh = aggregate(&self.agg_home, a_mean, h);
+        let neigh = self.agg.run(a_mean, h);
         // W_self·h_u + W_neigh·mean + b, then activation.
         let mut out = h.matmul(&self.w_self);
         let tn = neigh.matmul(&self.w_neigh);

@@ -35,7 +35,6 @@ pub fn gspmm(a: &Csr, h: &EdgeTensor, y: &Dense, mop: &MOp, aop: &AOp) -> Dense 
         z.as_mut_slice(),
         d,
         None,
-        None,
         PartitionStrategy::NnzBalanced,
         |rows, band, _| {
             let mut w = vec![0f32; d];

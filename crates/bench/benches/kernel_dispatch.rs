@@ -46,8 +46,8 @@ use fusedmm_core::genkern::{
     KernelSpec, SigmoidKind, LOOKAHEAD,
 };
 use fusedmm_core::{
-    active_backend, cpu_features, fusedmm_opt_into, specialize, Backend, Blocking,
-    PartitionStrategy, Specialized,
+    active_backend, cpu_features, specialize, Backend, Blocking, Launch, PartitionStrategy, Plan,
+    Specialized,
 };
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
@@ -131,9 +131,12 @@ fn shape_table(a: &Csr, rounds: usize) {
             let specs = candidate_specs(backend.lanes(), d, name != "spmm");
             let mut arms = vec![Blocking::Auto];
             arms.extend(specs.iter().copied().map(Blocking::Specialized));
+            let nnz = PartitionStrategy::NnzBalanced;
+            let plans: Vec<Plan> =
+                arms.iter().map(|&b| Plan::with_blocking(&ops, d, b, nnz)).collect();
             let stats = interleaved(rounds, arms.len(), |k| {
-                let nnz = PartitionStrategy::NnzBalanced;
-                fusedmm_opt_into(a, &x, &y, &ops, arms[k], None, nnz, z.as_mut_slice());
+                let all = Launch::All { scores: None };
+                plans[k].launch(a, &x, &y, &ops, all, z.as_mut_slice());
                 black_box(z.as_slice());
             });
             let iqr = |k: usize| stats[k].2 - stats[k].0;

@@ -8,7 +8,7 @@
 
 use fusedmm_bench::report::Table;
 use fusedmm_bench::workloads::{kernel_workload, reps};
-use fusedmm_core::{fusedmm_opt_into, Blocking, PartitionStrategy};
+use fusedmm_core::{Launch, Plan};
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_ops::{OpSet, Pattern};
 use fusedmm_perf::flops::gflops;
@@ -35,17 +35,9 @@ fn main() {
         let ops = OpSet::sigmoid_embedding(None);
         // Z is an operand: allocated once, outside what is timed.
         let mut z = Dense::zeros(w.adj.nrows(), d);
+        let plan = Plan::prepare(&ops, d);
         let t = time_iterations(r, || {
-            fusedmm_opt_into(
-                &w.adj,
-                &w.x,
-                &w.y,
-                &ops,
-                Blocking::Auto,
-                None,
-                PartitionStrategy::NnzBalanced,
-                z.as_mut_slice(),
-            );
+            plan.launch(&w.adj, &w.x, &w.y, &ops, Launch::All { scores: None }, z.as_mut_slice());
             std::hint::black_box(z.as_slice());
         });
         let measured = gflops(Pattern::SigmoidEmbedding, d, w.adj.nnz(), t.avg);

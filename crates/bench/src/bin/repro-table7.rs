@@ -8,7 +8,7 @@
 use fusedmm_baseline::iespmm::IeSpmm;
 use fusedmm_bench::report::Table;
 use fusedmm_bench::workloads::{describe, kernel_workload, reps};
-use fusedmm_core::{fusedmm_opt_with, Blocking, PartitionStrategy};
+use fusedmm_core::fusedmm_opt;
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_ops::OpSet;
 use fusedmm_perf::timer::time_iterations;
@@ -55,15 +55,7 @@ fn main() {
                 };
                 let run_fused = || {
                     time_iterations(r, || {
-                        std::hint::black_box(fusedmm_opt_with(
-                            &w.adj,
-                            &w.x,
-                            &w.y,
-                            &ops,
-                            Blocking::Auto,
-                            None,
-                            PartitionStrategy::NnzBalanced,
-                        ));
+                        std::hint::black_box(fusedmm_opt(&w.adj, &w.x, &w.y, &ops));
                     })
                     .avg
                 };

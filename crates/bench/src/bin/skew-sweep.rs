@@ -39,8 +39,7 @@
 use fusedmm_bench::report::{run_meta, JsonReport, Table};
 use fusedmm_bench::workloads::{env_f64, env_usize, reps};
 use fusedmm_core::{
-    fusedmm_opt_into, kernel_profiles, reset_kernel_profiles, Blocking, HybridConfig,
-    PartitionStrategy,
+    kernel_profiles, reset_kernel_profiles, Blocking, HybridConfig, Launch, PartitionStrategy, Plan,
 };
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
@@ -91,22 +90,18 @@ struct Arm<'a> {
 fn time_arms(arms: &[Arm<'_>], ops: &OpSet, nreps: usize) -> Vec<Vec<f64>> {
     // Every arm is the same `n × d` problem (renumbered or not), so one
     // caller-owned Z serves them all and no round times an allocation.
-    let mut z = Dense::zeros(arms[0].a.nrows(), arms[0].x.ncols());
-    let mut run = |arm: &Arm<'_>| {
-        fusedmm_opt_into(
-            arm.a,
-            arm.x,
-            arm.y,
-            ops,
-            arm.blocking,
-            None,
-            PartitionStrategy::NnzBalanced,
-            z.as_mut_slice(),
-        );
+    let (n, d) = (arms[0].a.nrows(), arms[0].x.ncols());
+    let mut z = Dense::zeros(n, d);
+    let nnz = PartitionStrategy::NnzBalanced;
+    let plans: Vec<Plan> =
+        arms.iter().map(|arm| Plan::with_blocking(ops, d, arm.blocking, nnz)).collect();
+    let mut run = |i: usize| {
+        let arm = &arms[i];
+        plans[i].launch(arm.a, arm.x, arm.y, ops, Launch::All { scores: None }, z.as_mut_slice());
         std::hint::black_box(z.as_slice());
     };
-    for arm in arms {
-        run(arm); // warm-up: page in operands
+    for i in 0..arms.len() {
+        run(i); // warm-up: page in operands
     }
     let mut samples = vec![vec![0f64; nreps]; arms.len()];
     for r in 0..nreps {
@@ -116,7 +111,7 @@ fn time_arms(arms: &[Arm<'_>], ops: &OpSet, nreps: usize) -> Vec<Vec<f64>> {
         for k in 0..arms.len() {
             let i = (r + k) % arms.len();
             let t0 = std::time::Instant::now();
-            run(&arms[i]);
+            run(i);
             samples[i][r] = t0.elapsed().as_secs_f64();
         }
     }

@@ -1,5 +1,5 @@
 //! Benchmark harness plumbing shared by the `repro-*` binaries and the
-//! criterion benches.
+//! `kernel_dispatch` table printer.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md's per-experiment index and EXPERIMENTS.md for

@@ -1,7 +1,7 @@
 //! The three kernel methods of Table VI, plus the memory-budget policy.
 
 use fusedmm_baseline::unfused::unfused_pipeline;
-use fusedmm_core::{fusedmm_generic_into, fusedmm_opt_into, Blocking, PartitionStrategy};
+use fusedmm_core::{Blocking, Launch, Plan};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::timer::{time_iterations, TimingStats};
 use fusedmm_sparse::dense::Dense;
@@ -76,18 +76,15 @@ pub fn run_method(method: Method, w: &Workload, ops: &OpSet, reps: usize) -> Cel
     // the timed loop is the kernel, not a per-iteration memset and page
     // faults. The unfused pipeline's buffers are its own business.
     let mut z = Dense::zeros(w.adj.nrows(), w.d);
-    let (parts, strategy) = (None, PartitionStrategy::NnzBalanced);
+    let blocking = if method == Method::FusedMM { Blocking::Generic } else { Blocking::Auto };
+    let plan =
+        Plan::with_blocking(ops, w.d, blocking, fusedmm_core::PartitionStrategy::NnzBalanced);
     let stats = match method {
         Method::Dgl => time_iterations(reps, || {
             std::hint::black_box(unfused_pipeline(&w.adj, &w.x, &w.y, ops));
         }),
-        Method::FusedMM => time_iterations(reps, || {
-            fusedmm_generic_into(&w.adj, &w.x, &w.y, ops, parts, strategy, z.as_mut_slice());
-            std::hint::black_box(z.as_slice());
-        }),
-        Method::FusedMMOpt => time_iterations(reps, || {
-            let auto = Blocking::Auto;
-            fusedmm_opt_into(&w.adj, &w.x, &w.y, ops, auto, parts, strategy, z.as_mut_slice());
+        Method::FusedMM | Method::FusedMMOpt => time_iterations(reps, || {
+            plan.launch(&w.adj, &w.x, &w.y, ops, Launch::All { scores: None }, z.as_mut_slice());
             std::hint::black_box(z.as_slice());
         }),
     };

@@ -4,9 +4,9 @@
 //! AOP operations, we can optimize the whole kernel by feeding the
 //! output of one operation directly to the next operation without
 //! storing the results." [`specialize`] performs that recognition on an
-//! [`OpSet`]; [`fusedmm_opt`] runs the recognized pattern's
-//! register-blocked kernel at the shape
-//! [`KernelSpec::default_for`] fixes for `(pattern, d, backend)` and
+//! [`OpSet`]; a [`Plan`] launch runs the recognized pattern's
+//! register-blocked kernel at the shape it names — by default the one
+//! [`KernelSpec::default_for`] fixes for `(pattern, d, backend)` — and
 //! falls back to the generic five-step kernel otherwise.
 
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
@@ -14,12 +14,13 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::driver::parallel_row_bands;
-use crate::generic::{generic_launch, validate_scores, validate_shapes};
+use crate::generic::generic_launch;
 use crate::genkern::{
     embed_spec_kernel, entry_backend, fr_spec_kernel, lookahead, spmm_spec_kernel,
     tdist_spec_kernel, KernelSpec, SigmoidKind,
 };
 use crate::part::PartitionStrategy;
+use crate::plan::Plan;
 use crate::simd::{active_backend, Backend};
 
 /// How to run a launch: a recognized pattern resolves to **one**
@@ -91,124 +92,33 @@ pub fn specialize(ops: &OpSet) -> Option<Specialized> {
 
 impl Specialized {
     /// The kernel shape a launch of this pattern runs at dimension `d`
-    /// on `backend` unless the caller names one — every entry point's
-    /// route to [`KernelSpec::default_for`].
+    /// on `backend` unless the caller names one — every plan's route
+    /// to [`KernelSpec::default_for`].
     pub fn default_spec(&self, d: usize, backend: Backend) -> KernelSpec {
         let sddmm = !matches!(self, Specialized::Spmm);
         KernelSpec::default_for(sddmm, d, entry_backend(backend, d).lanes())
     }
 }
 
-/// The optimized FusedMM ("FusedMMopt" in Table VI): the specialized
-/// register-blocked kernel for recognized patterns, generic fallback
-/// otherwise. Runs on the current rayon pool with PART1D balancing.
-pub fn fusedmm_opt(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
-    fusedmm_opt_with(a, x, y, ops, Blocking::Auto, None, PartitionStrategy::NnzBalanced)
-}
-
-/// [`fusedmm_opt`] with explicit blocking, partition count, and
-/// partition strategy (the knobs the ablation and scaling benches turn).
-pub fn fusedmm_opt_with(
+/// The one launch body behind [`Plan::launch`] (operands already
+/// validated): the plan's kernel over every row of `a` into `z`, with
+/// the SDDMM scores into `scores` when given.
+pub(crate) fn run(
+    plan: &Plan,
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
-    blocking: Blocking,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-) -> Dense {
-    let mut z = Dense::zeros(a.nrows(), x.ncols());
-    fusedmm_opt_into(a, x, y, ops, blocking, partitions, strategy, z.as_mut_slice());
-    z
-}
-
-/// [`fusedmm_opt_with`] into a caller-owned output — the one body
-/// behind every allocating entry point. `z` is the row-major
-/// `a.nrows() × d` output; **every row of it is overwritten** and
-/// nothing it held is read: each row kernel starts its fold from `+0.0`
-/// and a zero-degree row stores zeros, so the result is bit-identical
-/// to running into a zeroed buffer, without the zero-fill, the
-/// read-back, or a fresh allocation's page faults. Callers that launch
-/// repeatedly keep one `z` and pass it every time.
-///
-/// # Panics
-/// Panics on a shape mismatch (`z.len() != a.nrows() * d` included).
-#[allow(clippy::too_many_arguments)]
-pub fn fusedmm_opt_into(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-    ops: &OpSet,
-    blocking: Blocking,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-    z: &mut [f32],
-) {
-    validate_shapes(a, x, y);
-    launch(a, x, y, ops, blocking, partitions, strategy, z, None);
-}
-
-/// [`fusedmm_opt_into`] that also hands back the SDDMM scores — the
-/// same launch (there is no second body), with the per-edge scalar the
-/// kernel holds anyway written out instead of dropped. In the paper's
-/// five steps the score of edge `(u, v)` is `s_uv = ROP(VOP(x_u, y_v))`,
-/// the value the SOP consumes: `x_u · y_v` for the sigmoid family
-/// ([`OpSet::nce_gradient`] included), `‖x_u − y_v‖` for the FR and
-/// t-distribution models.
-///
-/// `scores` has one slot per stored entry of `a`, in storage order
-/// (`scores[a.rowptr()[u] + i]` belongs to the `i`-th entry of row `u`;
-/// duplicate and unsorted columns keep their own slots). The contract
-/// mirrors `z`'s: **every slot is overwritten** and nothing the buffer
-/// held is read (a zero-degree row owns no slot and writes nothing), so
-/// a caller keeps one buffer across launches. The sink cannot move the
-/// output: `z` is `to_bits`-equal to the unscored launch, and the
-/// scores themselves do not depend on the kernel shape, the partition
-/// count or where the bands run. [`Blocking::Generic`] honours the sink
-/// (it is the oracle the kernels are checked against, to rounding);
-/// [`Blocking::Hybrid`] with a sink runs the uniform row schedule it is
-/// bit-identical to.
-///
-/// # Panics
-/// As [`fusedmm_opt_into`]; when `scores.len() != a.nnz()`; and when
-/// the operator set has no ROP (GCN/SpMM, GNN-MLP), where no per-edge
-/// scalar exists.
-#[allow(clippy::too_many_arguments)]
-pub fn fusedmm_opt_scored_into(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-    ops: &OpSet,
-    blocking: Blocking,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-    z: &mut [f32],
-    scores: &mut [f32],
-) {
-    validate_shapes(a, x, y);
-    validate_scores(a, ops, scores);
-    launch(a, x, y, ops, blocking, partitions, strategy, z, Some(scores));
-}
-
-/// The one launch body (operands already validated).
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-    ops: &OpSet,
-    blocking: Blocking,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
     z: &mut [f32],
     scores: Option<&mut [f32]>,
 ) {
+    let (blocking, strategy) = (plan.blocking(), plan.strategy());
     let spec = if blocking == Blocking::Generic { None } else { specialize(ops) };
     let d = x.ncols();
     let backend = active_backend();
     let t0 = std::time::Instant::now();
     let Some(spec) = spec else {
-        generic_launch(a, x, y, ops, partitions, strategy, z, scores);
+        generic_launch(a, x, y, ops, strategy, z, scores);
         crate::profile::record_kernel(
             ops.pattern,
             d,
@@ -227,33 +137,31 @@ fn launch(
     // A scored hybrid launch runs the uniform schedule below: the two
     // are bit-identical, and the staged classes have no slot to write.
     if let (Blocking::Hybrid(cfg), None) = (blocking, &scores) {
-        return crate::hybrid::execute(
-            a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec, z,
-        );
+        return crate::hybrid::execute(plan, cfg, &spec, a, x, y, z);
     }
     let entry = entry_backend(backend, d);
     match spec {
         Specialized::Embed(sk) => {
             let kern = embed_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su, &sk)
             });
         }
         Specialized::Fr(alpha) => {
             let kern = fr_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su, alpha)
             });
         }
         Specialized::TDist => {
             let kern = tdist_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, partitions, strategy, |xu, cols, vals, ahead, zu, su| {
+            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su)
             });
         }
         Specialized::Spmm => {
             let kern = spmm_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, None, partitions, strategy, |rows, band, _| {
+            parallel_row_bands(a, z, d, None, strategy, |rows, band, _| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
                     kern(cols, vals, y, &mut band[i * d..(i + 1) * d]);
@@ -282,7 +190,6 @@ fn sddmm_rows<F>(
     x: &Dense,
     z: &mut [f32],
     scores: Option<&mut [f32]>,
-    partitions: Option<usize>,
     strategy: PartitionStrategy,
     row: F,
 ) where
@@ -290,7 +197,7 @@ fn sddmm_rows<F>(
 {
     let d = x.ncols();
     let (rowptr, colidx) = (a.rowptr(), a.colidx());
-    parallel_row_bands(a, z, d, scores, partitions, strategy, |rows, band, mut edges| {
+    parallel_row_bands(a, z, d, scores, strategy, |rows, band, mut edges| {
         let (first, band_end) = (rowptr[rows.start], rowptr[rows.end]);
         for (i, u) in rows.enumerate() {
             let (lo, hi) = (rowptr[u], rowptr[u + 1]);
@@ -306,6 +213,8 @@ fn sddmm_rows<F>(
 mod tests {
     use super::*;
     use crate::generic::fusedmm_reference;
+    use crate::plan::Launch;
+    use crate::{fusedmm, launch_at};
     use fusedmm_ops::SigmoidLut;
     use fusedmm_sparse::coo::{Coo, Dedup};
     use std::sync::Arc;
@@ -374,15 +283,7 @@ mod tests {
                     Blocking::Generic,
                     Blocking::Hybrid(crate::hybrid::HybridConfig::default()),
                 ] {
-                    let z = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        blocking,
-                        Some(4),
-                        PartitionStrategy::NnzBalanced,
-                    );
+                    let z = launch_at(4, &a, &x, &y, &ops, blocking);
                     assert!(
                         z.max_abs_diff(&reference) < 1e-4,
                         "{:?} blocking {:?} d={d}: diff {}",
@@ -405,16 +306,8 @@ mod tests {
         let y = feats(n, d, 0.4);
         let ops = OpSet::sigmoid_embedding(None);
         let want = specialize(&ops).unwrap().default_spec(d, active_backend());
-        let auto = fusedmm_opt(&a, &x, &y, &ops);
-        let named = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &ops,
-            Blocking::Specialized(want),
-            None,
-            PartitionStrategy::NnzBalanced,
-        );
+        let auto = fusedmm(&a, &x, &y, &ops);
+        let named = launch_at(2, &a, &x, &y, &ops, Blocking::Specialized(want));
         assert_eq!(auto.as_slice(), named.as_slice());
         // (Another test may reset the table meanwhile; no *other* label
         // can ever appear at this d.)
@@ -436,25 +329,15 @@ mod tests {
         few.push(3, 0, 0.25);
         for a in [one_row.to_csr(Dedup::Last), few.to_csr(Dedup::Last), Csr::empty(3, n)] {
             let (x, y) = (feats(a.nrows(), 20, 0.3), feats(n, 20, 0.6));
-            let (ops, nnz) = (OpSet::fr_model(0.3), PartitionStrategy::NnzBalanced);
-            let reference = fusedmm_reference(&a, &x, &y, &ops);
+            let ops = OpSet::fr_model(0.3);
+            let (plan, reference) = (Plan::prepare(&ops, 20), fusedmm_reference(&a, &x, &y, &ops));
             for parts in [1usize, 3] {
-                let z = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(parts), nnz);
+                let z = launch_at(parts, &a, &x, &y, &ops, Blocking::Auto);
                 assert!(z.max_abs_diff(&reference) < 1e-5);
                 let mut zs = vec![f32::NAN; z.as_slice().len()];
                 let mut scores = vec![f32::NAN; a.nnz()];
-                let auto = Blocking::Auto;
-                fusedmm_opt_scored_into(
-                    &a,
-                    &x,
-                    &y,
-                    &ops,
-                    auto,
-                    Some(parts),
-                    nnz,
-                    &mut zs,
-                    &mut scores,
-                );
+                let scored = Launch::All { scores: Some(&mut scores) };
+                crate::at_width(parts, || plan.launch(&a, &x, &y, &ops, scored, &mut zs));
                 assert_eq!(zs, z.as_slice());
                 for ((u, v, _), s) in a.iter().zip(&scores) {
                     let want = crate::simd::sqdist(x.row(u), y.row(v)).sqrt();
@@ -470,9 +353,9 @@ mod tests {
         let a = graph(8);
         let x = feats(8, 8, 0.1);
         let (mut z, mut scores) = (vec![0f32; 64], vec![0f32; a.nnz() - 1]);
-        let nnz = PartitionStrategy::NnzBalanced;
         let ops = OpSet::sigmoid_embedding(None);
-        fusedmm_opt_scored_into(&a, &x, &x, &ops, Blocking::Auto, None, nnz, &mut z, &mut scores);
+        let scored = Launch::All { scores: Some(&mut scores) };
+        Plan::prepare(&ops, 8).launch(&a, &x, &x, &ops, scored, &mut z);
     }
 
     #[test]
@@ -482,8 +365,8 @@ mod tests {
         let d = 32;
         let x = feats(n, d, 0.2);
         let y = feats(n, d, 0.5);
-        let exact = fusedmm_opt(&a, &x, &y, &OpSet::sigmoid_embedding(None));
-        let lut = fusedmm_opt(
+        let exact = fusedmm(&a, &x, &y, &OpSet::sigmoid_embedding(None));
+        let lut = fusedmm(
             &a,
             &x,
             &y,
@@ -501,7 +384,7 @@ mod tests {
         let x = feats(n, d, 0.3);
         let y = feats(n, d, 0.6);
         let ops = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
-        let opt = fusedmm_opt(&a, &x, &y, &ops);
+        let opt = fusedmm(&a, &x, &y, &ops);
         let gen = fusedmm_reference(&a, &x, &y, &ops);
         assert!(opt.max_abs_diff(&gen) < 1e-5);
     }

@@ -51,31 +51,29 @@ pub const INLINE_LAUNCH_WORK: usize = 1 << 20;
 /// entry is whatever the caller left there, and `body` decides what
 /// every row becomes.
 ///
-/// `partitions` defaults (when `None`) to the current thread count, as
-/// in the paper where `t` parts feed `t` OpenMP threads.
+/// The partition has one part per thread of the current rayon pool, as
+/// in the paper where `t` parts feed `t` OpenMP threads; a caller picks
+/// `t` by running under `ThreadPool::install`.
 pub fn parallel_row_bands<F>(
     a: &Csr,
     z: &mut [f32],
     d: usize,
     per_edge: Option<&mut [f32]>,
-    partitions: Option<usize>,
     strategy: PartitionStrategy,
     body: F,
 ) where
     F: Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
 {
     let inline = a.nnz().saturating_mul(d) < INLINE_LAUNCH_WORK;
-    row_bands(a, z, d, per_edge, partitions, strategy, inline, body);
+    row_bands(a, z, d, per_edge, strategy, inline, body);
 }
 
 /// [`parallel_row_bands`] with the placement decided by the caller.
-#[allow(clippy::too_many_arguments)]
 fn row_bands<F>(
     a: &Csr,
     z: &mut [f32],
     d: usize,
     mut per_edge: Option<&mut [f32]>,
-    partitions: Option<usize>,
     strategy: PartitionStrategy,
     inline: bool,
     body: F,
@@ -91,7 +89,7 @@ fn row_bands<F>(
     if let Some(e) = &per_edge {
         assert_eq!(e.len(), a.nnz(), "the per-edge output must have one slot per stored entry");
     }
-    let t = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
+    let t = rayon::current_num_threads().max(1);
     let part = Partition::part1d(a, t, strategy);
 
     // Carve Z (and the per-edge output) into disjoint bands following
@@ -130,6 +128,7 @@ fn row_bands<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::at_width;
     use fusedmm_sparse::coo::{Coo, Dedup};
     use fusedmm_sparse::dense::Dense;
 
@@ -145,22 +144,23 @@ mod tests {
     fn bands_cover_all_rows_exactly_once() {
         let a = ring(37);
         let mut z = Dense::zeros(37, 4);
-        parallel_row_bands(
-            &a,
-            z.as_mut_slice(),
-            4,
-            None,
-            Some(5),
-            PartitionStrategy::NnzBalanced,
-            |rows, band, _| {
-                assert_eq!(band.len(), rows.len() * 4);
-                for (i, _r) in rows.enumerate() {
-                    for k in 0..4 {
-                        band[i * 4 + k] += 1.0;
+        at_width(5, || {
+            parallel_row_bands(
+                &a,
+                z.as_mut_slice(),
+                4,
+                None,
+                PartitionStrategy::NnzBalanced,
+                |rows, band, _| {
+                    assert_eq!(band.len(), rows.len() * 4);
+                    for (i, _r) in rows.enumerate() {
+                        for k in 0..4 {
+                            band[i * 4 + k] += 1.0;
+                        }
                     }
-                }
-            },
-        );
+                },
+            )
+        });
         assert!(z.as_slice().iter().all(|&v| v == 1.0), "every cell touched exactly once");
     }
 
@@ -168,19 +168,20 @@ mod tests {
     fn band_offsets_match_rows() {
         let a = ring(16);
         let mut z = Dense::zeros(16, 2);
-        parallel_row_bands(
-            &a,
-            z.as_mut_slice(),
-            2,
-            None,
-            Some(4),
-            PartitionStrategy::NnzBalanced,
-            |rows, band, _| {
-                for (i, r) in rows.enumerate() {
-                    band[i * 2] = r as f32;
-                }
-            },
-        );
+        at_width(4, || {
+            parallel_row_bands(
+                &a,
+                z.as_mut_slice(),
+                2,
+                None,
+                PartitionStrategy::NnzBalanced,
+                |rows, band, _| {
+                    for (i, r) in rows.enumerate() {
+                        band[i * 2] = r as f32;
+                    }
+                },
+            )
+        });
         for r in 0..16 {
             assert_eq!(z.get(r, 0), r as f32);
         }
@@ -190,18 +191,19 @@ mod tests {
     fn single_partition_runs_inline() {
         let a = ring(8);
         let mut z = Dense::zeros(8, 1);
-        parallel_row_bands(
-            &a,
-            z.as_mut_slice(),
-            1,
-            None,
-            Some(1),
-            PartitionStrategy::RowBalanced,
-            |rows, band, _| {
-                assert_eq!(rows, 0..8);
-                band.fill(2.0);
-            },
-        );
+        at_width(1, || {
+            parallel_row_bands(
+                &a,
+                z.as_mut_slice(),
+                1,
+                None,
+                PartitionStrategy::RowBalanced,
+                |rows, band, _| {
+                    assert_eq!(rows, 0..8);
+                    band.fill(2.0);
+                },
+            )
+        });
         assert!(z.as_slice().iter().all(|&v| v == 2.0));
     }
 
@@ -225,30 +227,32 @@ mod tests {
             let mut z = Dense::zeros(101, d);
             let mut per_edge = vec![f32::NAN; a.nnz()];
             let seen = std::sync::Mutex::new(Vec::new());
-            row_bands(
-                &a,
-                z.as_mut_slice(),
-                d,
-                Some(&mut per_edge),
-                Some(4),
-                PartitionStrategy::NnzBalanced,
-                inline,
-                |rows, band, edges| {
-                    seen.lock().unwrap().push(rows.clone());
-                    let edges = edges.expect("a per-edge band for every z band");
-                    let first = a.rowptr()[rows.start];
-                    assert_eq!(edges.len(), a.rowptr()[rows.end] - first);
-                    for (i, u) in rows.enumerate() {
-                        let (cols, vals) = a.row(u);
-                        for k in 0..d {
-                            band[i * d + k] = (cols.len() as f32 + u as f32) / (k as f32 + 3.0);
+            let nnz = PartitionStrategy::NnzBalanced;
+            at_width(4, || {
+                row_bands(
+                    &a,
+                    z.as_mut_slice(),
+                    d,
+                    Some(&mut per_edge),
+                    nnz,
+                    inline,
+                    |rows, band, edges| {
+                        seen.lock().unwrap().push(rows.clone());
+                        let edges = edges.expect("a per-edge band for every z band");
+                        let first = a.rowptr()[rows.start];
+                        assert_eq!(edges.len(), a.rowptr()[rows.end] - first);
+                        for (i, u) in rows.enumerate() {
+                            let (cols, vals) = a.row(u);
+                            for k in 0..d {
+                                band[i * d + k] = (cols.len() as f32 + u as f32) / (k as f32 + 3.0);
+                            }
+                            for (j, (&v, &w)) in cols.iter().zip(vals).enumerate() {
+                                edges[a.rowptr()[u] - first + j] = v as f32 * 0.5 + w;
+                            }
                         }
-                        for (j, (&v, &w)) in cols.iter().zip(vals).enumerate() {
-                            edges[a.rowptr()[u] - first + j] = v as f32 * 0.5 + w;
-                        }
-                    }
-                },
-            );
+                    },
+                )
+            });
             let mut seen = seen.into_inner().unwrap();
             seen.sort_by_key(|r| r.start);
             (seen, z, per_edge)
@@ -270,18 +274,19 @@ mod tests {
         assert!(a.nnz() * 4 < INLINE_LAUNCH_WORK);
         let caller = std::thread::current().id();
         let mut z = Dense::zeros(64, 4);
-        parallel_row_bands(
-            &a,
-            z.as_mut_slice(),
-            4,
-            None,
-            Some(4),
-            PartitionStrategy::NnzBalanced,
-            |_, band, _| {
-                assert_eq!(std::thread::current().id(), caller);
-                band.fill(1.0);
-            },
-        );
+        at_width(4, || {
+            parallel_row_bands(
+                &a,
+                z.as_mut_slice(),
+                4,
+                None,
+                PartitionStrategy::NnzBalanced,
+                |_, band, _| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    band.fill(1.0);
+                },
+            )
+        });
         assert!(z.as_slice().iter().all(|&v| v == 1.0));
     }
 
@@ -294,7 +299,6 @@ mod tests {
             &a,
             z.as_mut_slice(),
             1,
-            None,
             None,
             PartitionStrategy::NnzBalanced,
             |_, _, _| {},

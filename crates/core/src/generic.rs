@@ -101,58 +101,16 @@ pub fn update_u(
     }
 }
 
-/// The generic multithreaded FusedMM: `Z = FusedMM(A, X, Y)` with
-/// user-supplied operations, PART1D load balancing and the current
-/// rayon thread pool.
-pub fn fusedmm_generic(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
-    fusedmm_generic_opts(a, x, y, ops, None, PartitionStrategy::NnzBalanced)
-}
-
-/// [`fusedmm_generic`] with explicit partition count and strategy
-/// (used by the scaling and ablation benchmarks).
-pub fn fusedmm_generic_opts(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-    ops: &OpSet,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-) -> Dense {
-    let mut z = Dense::zeros(a.nrows(), x.ncols());
-    fusedmm_generic_into(a, x, y, ops, partitions, strategy, z.as_mut_slice());
-    z
-}
-
-/// [`fusedmm_generic_opts`] into a caller-owned output: every row of
-/// the row-major `a.nrows() × d` slice `z` is overwritten, whatever it
-/// held (see "Output ownership" in `docs/ARCHITECTURE.md`).
-///
-/// # Panics
-/// Panics on a shape mismatch, `z.len() != a.nrows() * d` included.
-pub fn fusedmm_generic_into(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-    ops: &OpSet,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-    z: &mut [f32],
-) {
-    validate_shapes(a, x, y);
-    generic_launch(a, x, y, ops, partitions, strategy, z, None);
-}
-
-/// The generic kernel's one body, behind [`fusedmm_generic_into`] and
-/// the `Blocking::Generic` arm of the scored launch (operands already
-/// validated; `scores` as in
-/// [`fusedmm_opt_scored_into`](crate::fusedmm_opt_scored_into)).
-#[allow(clippy::too_many_arguments)]
+/// The generic kernel's one body: the `Blocking::Generic` arm of
+/// [`Plan::launch`](crate::Plan::launch), and what every operator set
+/// no specialized kernel recognizes runs (operands already validated;
+/// `scores` as in [`Launch::All`](crate::Launch::All)). Every row of
+/// `z` is overwritten, whatever it held.
 pub(crate) fn generic_launch(
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
-    partitions: Option<usize>,
     strategy: PartitionStrategy,
     z: &mut [f32],
     scores: Option<&mut [f32]>,
@@ -160,7 +118,7 @@ pub(crate) fn generic_launch(
     let d = x.ncols();
     let identity = ops.aop.identity();
     let rowptr = a.rowptr();
-    parallel_row_bands(a, z, d, scores, partitions, strategy, |rows, band, mut edges| {
+    parallel_row_bands(a, z, d, scores, strategy, |rows, band, mut edges| {
         let mut scratch_z = vec![0f32; d];
         let mut scratch_w = vec![0f32; d];
         let first = rowptr[rows.start];
@@ -177,7 +135,7 @@ pub(crate) fn generic_launch(
 }
 
 /// A deliberately simple sequential reference implementation used by the
-/// test suite as ground truth. Same math as [`fusedmm_generic`], no
+/// test suite as ground truth. Same math as the generic kernel, no
 /// partitioning, fresh allocations per row — slow and obviously correct.
 pub fn fusedmm_reference(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     validate_shapes(a, x, y);
@@ -214,9 +172,15 @@ pub fn fusedmm_reference(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{launch_at, Blocking, Launch, Plan};
     use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
     use fusedmm_sparse::coo::{Coo, Dedup};
     use std::sync::Arc;
+
+    /// The generic kernel over every row.
+    fn generic(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
+        launch_at(2, a, x, y, ops, Blocking::Generic)
+    }
 
     fn path3() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 2
@@ -232,7 +196,7 @@ mod tests {
         let a = path3();
         let x = Dense::zeros(3, 2);
         let y = Dense::from_rows(3, 2, &[1.0, 10.0, 2.0, 20.0, 3.0, 30.0]).unwrap();
-        let z = fusedmm_generic(&a, &x, &y, &OpSet::gcn());
+        let z = generic(&a, &x, &y, &OpSet::gcn());
         // z0 = 1*y1 + 2*y2, z1 = 1*y2, z2 = 0
         assert_eq!(z.row(0), &[8.0, 80.0]);
         assert_eq!(z.row(1), &[3.0, 30.0]);
@@ -244,7 +208,7 @@ mod tests {
         let a = path3();
         let x = Dense::from_rows(3, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
         let y = x.clone();
-        let z = fusedmm_generic(&a, &x, &y, &OpSet::sigmoid_embedding(None));
+        let z = generic(&a, &x, &y, &OpSet::sigmoid_embedding(None));
         // row 0: σ(x0·y1)*y1 + σ(x0·y2)*y2, x0·y1 = 0, x0·y2 = 1
         let s0 = fusedmm_ops::sigmoid(0.0);
         let s1 = fusedmm_ops::sigmoid(1.0);
@@ -263,8 +227,7 @@ mod tests {
             OpSet::gcn(),
             OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Min),
         ] {
-            let par =
-                fusedmm_generic_opts(&a, &x, &y, &ops, Some(3), PartitionStrategy::NnzBalanced);
+            let par = launch_at(3, &a, &x, &y, &ops, Blocking::Generic);
             let refr = fusedmm_reference(&a, &x, &y, &ops);
             assert!(par.max_abs_diff(&refr) < 1e-6, "pattern {:?} diverged", ops.pattern);
         }
@@ -278,7 +241,7 @@ mod tests {
         let x = Dense::filled(3, 2, 1.0);
         let y = Dense::filled(3, 2, -5.0);
         let ops = OpSet::custom(VOp::Sel2nd, ROp::Noop, SOp::Noop, MOp::Noop, AOp::Max);
-        let z = fusedmm_generic(&a, &x, &y, &ops);
+        let z = generic(&a, &x, &y, &ops);
         assert_eq!(z.row(0), &[-5.0, -5.0]); // real max over one neighbor
         assert_eq!(z.row(1), &[0.0, 0.0]); // isolated
         assert_eq!(z.row(2), &[0.0, 0.0]);
@@ -297,9 +260,13 @@ mod tests {
             OpSet::sigmoid_embedding(None),
             OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Min),
         ] {
-            let want = fusedmm_generic(&a, &x, &y, &ops);
+            let want = generic(&a, &x, &y, &ops);
             let mut z = vec![f32::NAN; 4 * 3];
-            fusedmm_generic_into(&a, &x, &y, &ops, Some(2), PartitionStrategy::NnzBalanced, &mut z);
+            let plan =
+                Plan::with_blocking(&ops, 3, Blocking::Generic, PartitionStrategy::NnzBalanced);
+            crate::at_width(2, || {
+                plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, &mut z)
+            });
             let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&z), bits(want.as_slice()), "{:?}", ops.pattern);
         }
@@ -322,7 +289,7 @@ mod tests {
             MOp::Mul,
             AOp::Sum,
         );
-        let z = fusedmm_generic(&a, &x, &y, &ops);
+        let z = generic(&a, &x, &y, &ops);
         // row 0: edges (0,1,w=1) and (0,2,w=2): h = w*2 (sum of a*1 over d=2)
         // w per edge = h * y = 2w each lane; total = 2*1 + 2*2 = 6
         assert_eq!(z.row(0), &[6.0, 6.0]);
@@ -334,7 +301,7 @@ mod tests {
         let a = path3();
         let x = Dense::zeros(2, 4);
         let y = Dense::zeros(3, 4);
-        let _ = fusedmm_generic(&a, &x, &y, &OpSet::gcn());
+        let _ = generic(&a, &x, &y, &OpSet::gcn());
     }
 
     #[test]
@@ -347,7 +314,7 @@ mod tests {
         let a = c.to_csr(Dedup::Last);
         let x = Dense::filled(2, 3, 1.0);
         let y = Dense::from_fn(5, 3, |r, _| r as f32);
-        let z = fusedmm_generic(&a, &x, &y, &OpSet::gcn());
+        let z = generic(&a, &x, &y, &OpSet::gcn());
         assert_eq!(z.row(0), &[4.0, 4.0, 4.0]);
         assert_eq!(z.row(1), &[3.0, 3.0, 3.0]);
     }

@@ -106,7 +106,7 @@ impl KernelSpec {
 
     /// The shape a launch runs unless the caller names one
     /// (`Blocking::Specialized`) — **the only place a shape is chosen**:
-    /// `fusedmm`, `fusedmm_opt`, `fusedmm_rows`, `Plan::prepare` and the
+    /// `Plan::prepare` (and with it `fusedmm` and every launch) and the
     /// hybrid classes all resolve through it, so one `(pattern class,
     /// d, lane width)` runs one shape on every process start.
     ///

@@ -8,7 +8,7 @@
 //! sweep; mega rows run as their own cooperative pass). It is a
 //! *row-scheduling policy*, not a kernel level: both classes run the
 //! one kernel family of [`crate::genkern::table`] at the one shape the
-//! uniform launch would run ([`KernelSpec::default_for`]), at every
+//! uniform launch would run ([`KernelSpec::default_for`](crate::genkern::KernelSpec::default_for)), at every
 //! `d ≥ 1`:
 //!
 //! * **strip** (everything below the mega threshold) — the uniform row
@@ -38,7 +38,7 @@
 //! interleaved rounds, both estimators; table in
 //! `docs/ARCHITECTURE.md`, "Degree-aware hybrid execution").
 
-use fusedmm_ops::OpSet;
+use fusedmm_ops::Pattern;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
@@ -46,10 +46,11 @@ use crate::dispatch::Specialized;
 use crate::driver::parallel_row_bands;
 use crate::genkern::{
     embed_msg_kernel, embed_spec_kernel, entry_backend, fr_msg_kernel, fr_spec_kernel, lookahead,
-    span_spec_kernel, spmm_spec_kernel, tdist_msg_kernel, tdist_spec_kernel, KernelSpec,
+    span_spec_kernel, spmm_spec_kernel, tdist_msg_kernel, tdist_spec_kernel,
 };
 use crate::part::PartitionStrategy;
-use crate::simd::{Backend, VLEN};
+use crate::plan::Plan;
+use crate::simd::{active_backend, Backend, VLEN};
 
 /// Column-chunk size for the mega-row message fill (phase A). Each
 /// chunk is an independent SDDMM over a slice of the neighbor list, so
@@ -82,26 +83,23 @@ impl Default for HybridConfig {
     }
 }
 
-/// Run the two degree-class passes with the kernel shape `kspec`
-/// (the one the uniform launch would run), overwriting every row of the
-/// caller's `a.nrows() × d` output `z`. `backend` is the process's
-/// backend, which the profile rows are labelled with.
-#[allow(clippy::too_many_arguments)]
+/// Run `plan`'s launch as the two degree-class passes, with the kernel
+/// shape the uniform launch would run, overwriting every row of the
+/// caller's `a.nrows() × d` output `z`. The profile rows are labelled
+/// with the process's backend.
 pub(crate) fn execute(
+    plan: &Plan,
+    cfg: HybridConfig,
+    spec: &Specialized,
     a: &Csr,
     x: &Dense,
     y: &Dense,
-    ops: &OpSet,
-    spec: &Specialized,
-    cfg: HybridConfig,
-    partitions: Option<usize>,
-    strategy: PartitionStrategy,
-    backend: Backend,
-    kspec: KernelSpec,
     z: &mut [f32],
 ) {
-    let d = x.ncols();
-    let parts = partitions.unwrap_or_else(rayon::current_num_threads).max(1);
+    let (d, pattern, strategy) = (x.ncols(), plan.pattern(), plan.strategy());
+    let backend = active_backend();
+    let kspec = spec.default_spec(d, backend);
+    let parts = rayon::current_num_threads().max(1);
     let mega_min = cfg.mega_floor.max(a.nnz().div_ceil(parts)).max(1);
     let entry = entry_backend(backend, d);
     let sweep = span_spec_kernel(entry, kspec);
@@ -114,11 +112,10 @@ pub(crate) fn execute(
                 a,
                 x,
                 y,
-                ops,
+                pattern,
                 d,
                 mega_min,
                 parts,
-                partitions,
                 strategy,
                 backend,
                 |u, ahead, zu| {
@@ -140,11 +137,10 @@ pub(crate) fn execute(
                 a,
                 x,
                 y,
-                ops,
+                pattern,
                 d,
                 mega_min,
                 parts,
-                partitions,
                 strategy,
                 backend,
                 |u, ahead, zu| {
@@ -165,11 +161,10 @@ pub(crate) fn execute(
                 a,
                 x,
                 y,
-                ops,
+                pattern,
                 d,
                 mega_min,
                 parts,
-                partitions,
                 strategy,
                 backend,
                 |u, ahead, zu| {
@@ -191,11 +186,10 @@ pub(crate) fn execute(
                 a,
                 x,
                 y,
-                ops,
+                pattern,
                 d,
                 mega_min,
                 parts,
-                partitions,
                 strategy,
                 backend,
                 |u, _, zu| {
@@ -219,11 +213,10 @@ fn run_passes<S, M>(
     a: &Csr,
     x: &Dense,
     y: &Dense,
-    ops: &OpSet,
+    pattern: Pattern,
     d: usize,
     mega_min: usize,
     parts: usize,
-    partitions: Option<usize>,
     strategy: PartitionStrategy,
     backend: Backend,
     strip_row: S,
@@ -261,7 +254,7 @@ fn run_passes<S, M>(
     // overwrite them. The recorded time is the slowest band: what a
     // wall clock around the pass would read under PART1D.
     let strip_ns = std::sync::atomic::AtomicU64::new(0);
-    parallel_row_bands(a, z, d, None, partitions, strategy, |rows, band, _| {
+    parallel_row_bands(a, z, d, None, strategy, |rows, band, _| {
         let t0 = std::time::Instant::now();
         let (rowptr, band_end) = (a.rowptr(), a.rowptr()[rows.end]);
         for (i, u) in rows.enumerate() {
@@ -275,7 +268,7 @@ fn run_passes<S, M>(
     // The strip row is always recorded, even when empty, so the profile
     // table shows the hybrid launch happened.
     crate::profile::record_kernel(
-        ops.pattern,
+        pattern,
         d,
         backend,
         "hybrid-strip",
@@ -345,7 +338,7 @@ fn run_passes<S, M>(
             });
         }
         crate::profile::record_kernel(
-            ops.pattern,
+            pattern,
             d,
             backend,
             "hybrid-mega",
@@ -359,7 +352,9 @@ fn run_passes<S, M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{fusedmm_opt_with, Blocking};
+    use crate::dispatch::Blocking;
+    use crate::launch_at;
+    use fusedmm_ops::OpSet;
     use fusedmm_sparse::coo::{Coo, Dedup};
 
     /// A skewed graph: one hub adjacent to everyone, a mid-degree
@@ -404,24 +399,8 @@ mod tests {
                 OpSet::gcn(),
             ] {
                 for parts in [1usize, 2, 4] {
-                    let base = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Auto,
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    let hybrid = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Hybrid(cfg),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
+                    let base = launch_at(parts, &a, &x, &y, &ops, Blocking::Auto);
+                    let hybrid = launch_at(parts, &a, &x, &y, &ops, Blocking::Hybrid(cfg));
                     assert_eq!(
                         base.as_slice(),
                         hybrid.as_slice(),
@@ -450,24 +429,8 @@ mod tests {
         let y = feats(n, d, 0.9);
         let cfg = HybridConfig { mega_floor: 32 };
         let ops = OpSet::sigmoid_embedding(None);
-        let base = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &ops,
-            Blocking::Auto,
-            Some(4),
-            PartitionStrategy::NnzBalanced,
-        );
-        let hybrid = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &ops,
-            Blocking::Hybrid(cfg),
-            Some(4),
-            PartitionStrategy::NnzBalanced,
-        );
+        let base = launch_at(4, &a, &x, &y, &ops, Blocking::Auto);
+        let hybrid = launch_at(4, &a, &x, &y, &ops, Blocking::Hybrid(cfg));
         assert_eq!(base.as_slice(), hybrid.as_slice());
         let labels: Vec<&'static str> = crate::profile::kernel_profiles()
             .iter()
@@ -486,13 +449,12 @@ mod tests {
         let y = feats(n, d, 0.8);
         let ops = OpSet::gcn();
         let cfg = HybridConfig { mega_floor: 32 };
-        let nnz = PartitionStrategy::NnzBalanced;
-        let hybrid = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Hybrid(cfg), Some(2), nnz);
+        let hybrid = launch_at(2, &a, &x, &y, &ops, Blocking::Hybrid(cfg));
         for p in crate::profile::kernel_profiles().iter().filter(|p| p.d == d) {
             assert!(p.blocking.starts_with("hybrid-"), "{p:?}");
         }
         for s in crate::genkern::candidate_specs(crate::simd::active_backend().lanes(), d, false) {
-            let named = fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Specialized(s), Some(2), nnz);
+            let named = launch_at(2, &a, &x, &y, &ops, Blocking::Specialized(s));
             assert_eq!(named.as_slice(), hybrid.as_slice(), "{}", s.label());
         }
     }
@@ -502,15 +464,7 @@ mod tests {
         let a = Csr::empty(10, 10);
         let x = feats(10, 48, 0.1);
         let y = feats(10, 48, 0.2);
-        let z = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::gcn(),
-            Blocking::Hybrid(HybridConfig::default()),
-            Some(2),
-            PartitionStrategy::NnzBalanced,
-        );
+        let z = launch_at(2, &a, &x, &y, &OpSet::gcn(), Blocking::Hybrid(HybridConfig::default()));
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -521,15 +475,8 @@ mod tests {
         let d = 88; // only this test launches at d = 88
         let x = feats(n, d, 0.3);
         let y = feats(n, d, 0.6);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::gcn(),
-            Blocking::Hybrid(HybridConfig { mega_floor: 16 }),
-            Some(2),
-            PartitionStrategy::NnzBalanced,
-        );
+        let hybrid = Blocking::Hybrid(HybridConfig { mega_floor: 16 });
+        let _ = launch_at(2, &a, &x, &y, &OpSet::gcn(), hybrid);
         let profiles = crate::profile::kernel_profiles();
         let total_edges: u64 = profiles
             .iter()

@@ -13,29 +13,19 @@
 //!
 //! # Entry points
 //!
-//! * [`fusedmm`] / [`fusedmm_opt`] — the optimized kernel (two names
-//!   for one entry point): recognizes the operator pattern and
-//!   dispatches to its register-blocked generated kernel ("FusedMMopt"
-//!   in the paper's Table VI), generic fallback otherwise;
-//! * [`fusedmm_generic`] — the flexible five-step kernel with no
-//!   specialization (the paper's unoptimized "FusedMM" row);
-//! * [`fusedmm_opt_into`] / [`Plan::execute_into`] /
-//!   [`fusedmm_generic_into`] — the same kernels writing a
-//!   caller-owned `Z` (every row overwritten, nothing read): the one
-//!   body behind each allocating entry point above, and what a caller
-//!   that launches repeatedly should use;
-//! * [`fusedmm_opt_scored_into`] — [`fusedmm_opt_into`] that also
-//!   hands back the SDDMM scores `s_uv = ROP(VOP(x_u, y_v))`, one per
-//!   stored entry in storage order, into a caller-owned slice under the
-//!   same contract (every slot overwritten, nothing read) — for callers
-//!   that need the per-edge scalar the kernel computed anyway (a
-//!   training loss, attention weights) without a second pass over the
-//!   neighbor rows;
-//! * [`fusedmm_reference`] — slow sequential ground truth for tests;
-//! * [`fusedmm_rows`] — row-subset execution (only the requested output
-//!   rows), the serving-path entry point;
-//! * [`Plan`] / [`PlanCache`] — the per-call dispatch decision lifted
-//!   into an explicit, reusable plan object for serving engines.
+//! * [`Plan::launch`] — the one launch: a [`Plan`] (the per-launch
+//!   dispatch decision, prepared once: which kernel shape, or the
+//!   generic five-step kernel, and how PART1D cuts rows) runs over a
+//!   [`Launch`] descriptor — every row of `A`, optionally handing back
+//!   the SDDMM scores `s_uv = ROP(VOP(x_u, y_v))`, or a subset of
+//!   global rows of a PART1D band, optionally truncated to each row's
+//!   `k` strongest neighbors — into a caller-owned `Z` whose every row
+//!   is overwritten;
+//! * [`fusedmm`] / [`fusedmm_opt`] — one allocating convenience under
+//!   two names: the optimized kernel ("FusedMMopt" in the paper's Table
+//!   VI) over every row, the recognized pattern's register-blocked
+//!   kernel or the generic fallback;
+//! * [`fusedmm_reference`] — slow sequential ground truth for tests.
 //!
 //! Kernels execute on a SIMD backend detected once per process
 //! (AVX-512 or AVX2+FMA on x86-64, NEON on AArch64, portable scalar
@@ -80,29 +70,53 @@ pub mod hybrid;
 pub mod part;
 pub mod plan;
 pub mod profile;
-pub mod rows;
 pub mod simd;
 
-pub use dispatch::{
-    fusedmm_opt, fusedmm_opt_into, fusedmm_opt_scored_into, fusedmm_opt_with, specialize, Blocking,
-    Specialized,
-};
-pub use generic::{fusedmm_generic, fusedmm_generic_into, fusedmm_generic_opts, fusedmm_reference};
+pub use dispatch::{specialize, Blocking, Specialized};
+pub use generic::fusedmm_reference;
 pub use hybrid::HybridConfig;
 pub use part::{Partition, PartitionStrategy};
-pub use plan::{Plan, PlanCache, PlanTag};
+pub use plan::{Launch, Plan};
 pub use profile::{kernel_profiles, reset_kernel_profiles, KernelProfile};
-pub use rows::{fusedmm_rows, fusedmm_rows_banded, fusedmm_rows_banded_topk, fusedmm_rows_with};
 pub use simd::{active_backend, cpu_features, Backend, CpuFeatures};
 
 use fusedmm_ops::OpSet;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-/// `Z = FusedMM(A, X, Y)` — the library's front door. The same entry
-/// point as [`fusedmm_opt`] under the name the quick-start uses.
+/// `Z = FusedMM(A, X, Y)` — the library's front door: [`Plan::prepare`]'s
+/// plan launched over every row into a fresh `a.nrows() × d` output.
+/// [`fusedmm_opt`] is the same function under the paper's name for it.
 pub fn fusedmm(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
-    fusedmm_opt(a, x, y, ops)
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    let all = Launch::All { scores: None };
+    Plan::prepare(ops, x.ncols()).launch(a, x, y, ops, all, z.as_mut_slice());
+    z
+}
+
+pub use self::fusedmm as fusedmm_opt;
+
+/// Run `f` in a pool `width` threads wide, so launches inside it cut
+/// `width` PART1D parts.
+#[cfg(test)]
+pub(crate) fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap().install(f)
+}
+
+/// Every row of `a` under `blocking`, at pool width `width`.
+#[cfg(test)]
+pub(crate) fn launch_at(
+    width: usize,
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+) -> Dense {
+    let plan = Plan::with_blocking(ops, x.ncols(), blocking, PartitionStrategy::NnzBalanced);
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    at_width(width, || plan.launch(a, x, y, ops, Launch::All { scores: None }, z.as_mut_slice()));
+    z
 }
 
 #[cfg(test)]

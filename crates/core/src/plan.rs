@@ -1,31 +1,86 @@
-//! Explicit, shareable kernel execution plans.
+//! Kernel execution plans and the one launch.
 //!
-//! [`crate::fusedmm`] recognizes the operator pattern and resolves the
-//! kernel shape on every call. A [`Plan`] lifts that per-call decision
-//! into a value a serving engine holds: prepare it once — a pure
-//! function of `(pattern, d, backend)`, nothing is measured, so it
-//! costs nothing and is the same on every process start — then execute
-//! full-graph or row-subset kernels through it, and read from it which
-//! kernel a request ran. [`PlanCache`] memoizes plans per (pattern, d)
-//! for engines that serve several operator sets.
-
-use std::collections::HashMap;
-
-use parking_lot::RwLock;
+//! A [`Plan`] is the per-launch dispatch decision lifted into a value:
+//! prepare it once — a pure function of `(pattern, d, backend)`, nothing
+//! is measured, so it costs nothing and is the same on every process
+//! start — then launch through it and read from it which kernel a
+//! request ran. [`Plan::launch`] is the library's one launch: which rows
+//! it computes, where they sit, and whether the SDDMM scores come back
+//! are the [`Launch`] descriptor, not separate entry points.
 
 use fusedmm_ops::{OpSet, Pattern};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
+use fusedmm_sparse::slice::{gather_rows, slice_rows};
 
-use crate::dispatch::{fusedmm_opt_into, specialize, Blocking};
+use crate::dispatch::{specialize, Blocking};
+use crate::generic::{validate_scores, validate_shapes};
 use crate::part::PartitionStrategy;
-use crate::rows::{fusedmm_rows_banded, fusedmm_rows_banded_topk, fusedmm_rows_with};
 use crate::simd::{active_backend, Backend};
+
+/// Which rows a [`Plan::launch`] computes, and what else it hands back.
+#[derive(Debug)]
+pub enum Launch<'a> {
+    /// Every row of `a`: `z` is the row-major `a.nrows() × d` output.
+    ///
+    /// With `scores`, the launch also hands back the SDDMM scores — in
+    /// the paper's five steps the score of edge `(u, v)` is `s_uv =
+    /// ROP(VOP(x_u, y_v))`, the value the SOP consumes: `x_u · y_v` for
+    /// the sigmoid family ([`OpSet::nce_gradient`] included), `‖x_u −
+    /// y_v‖` for the FR and t-distribution models. `scores` has one slot
+    /// per stored entry of `a`, in storage order
+    /// (`scores[a.rowptr()[u] + i]` belongs to the `i`-th entry of row
+    /// `u`; duplicate and unsorted columns keep their own slots). As for `z`, **every slot
+    /// is overwritten** and nothing the buffer held is read (a
+    /// zero-degree row owns no slot). The sink cannot move the output:
+    /// `z` is `to_bits`-equal to the unscored launch, and the scores do
+    /// not depend on the kernel shape, the pool width or where the bands
+    /// run. [`Blocking::Generic`] honours the sink (it is the oracle the
+    /// kernels are checked against, to rounding); [`Blocking::Hybrid`]
+    /// with a sink runs the uniform row schedule it is bit-identical to.
+    All {
+        /// The per-edge score output, if wanted.
+        scores: Option<&'a mut [f32]>,
+    },
+    /// Global rows `ids` of a row band — the serving path. `a` stores
+    /// global rows `start..start + a.nrows()` under local indices while
+    /// its columns (and therefore `y`) stay global: the PART1D shard
+    /// shape of [`Csr::row_band`], the whole graph at `start = 0`. `x`
+    /// holds global rows `x_start..x_start + x.nrows()` and must cover
+    /// the band: the whole feature matrix at `x_start = 0`, a replica's
+    /// band of it at `x_start = start`.
+    ///
+    /// `ids` may come in any order and repeat; `z` is `ids.len() × d`
+    /// and its row `i` is global row `ids[i]`, bit-identical to that row
+    /// of an [`All`](Launch::All) launch over the whole graph (each
+    /// output row is computed independently, in the same column order,
+    /// from the same `x` row wherever `x` starts). Work is proportional
+    /// to the subset's nonzeros: the requested rows of `a` and `x` are
+    /// gathered into a compact `ids.len() × n` slice (the paper's §II
+    /// minibatch) and the kernel runs over that.
+    ///
+    /// With `top_k`, each row aggregates only its `k` strongest
+    /// neighbors ([`Csr::top_k_by_weight`], applied to the slice, so it
+    /// costs O(subset nnz)) — the serving engine's `TopKNeighbors`
+    /// degraded tier. Rows whose degree is at most `k` come out
+    /// bit-identical to the exact launch.
+    Rows {
+        /// Global ids of the rows to compute; each inside the band.
+        ids: &'a [usize],
+        /// Global id of `a`'s row 0.
+        start: usize,
+        /// Global id of `x`'s row 0.
+        x_start: usize,
+        /// Keep only each row's `k` strongest neighbors.
+        top_k: Option<usize>,
+    },
+}
 
 /// A frozen kernel configuration for one (pattern, dimension): which
 /// kernel to run — for a recognized pattern one shape of the kernel
 /// table ([`Blocking::Specialized`]) — which SIMD backend executes it,
-/// and how to partition rows across threads.
+/// and how PART1D cuts rows into parts (one part per thread of the
+/// current pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
     pattern: Pattern,
@@ -43,11 +98,12 @@ impl Plan {
         Plan::with_blocking(ops, d, Blocking::Auto, PartitionStrategy::NnzBalanced)
     }
 
-    /// Build a plan with an explicit blocking choice. [`Blocking::Auto`]
-    /// is resolved here, once, to what it would run on every launch —
-    /// the default shape of a recognized pattern
-    /// ([`Blocking::Specialized`]) or [`Blocking::Generic`] — so
-    /// [`Plan::blocking`] always names the kernel.
+    /// Build a plan with an explicit blocking choice, resolved here,
+    /// once, to the kernel every launch runs — so [`Plan::blocking`]
+    /// always names it. [`Blocking::Auto`] becomes the default shape of
+    /// a recognized pattern ([`Blocking::Specialized`]); an operator set
+    /// no specialized kernel recognizes runs the generic kernel whatever
+    /// was asked for, and the plan says [`Blocking::Generic`].
     pub fn with_blocking(
         ops: &OpSet,
         d: usize,
@@ -56,9 +112,9 @@ impl Plan {
     ) -> Plan {
         let backend = active_backend();
         let blocking = match (blocking, specialize(ops)) {
+            (_, None) => Blocking::Generic,
             (Blocking::Auto, Some(sp)) => Blocking::Specialized(sp.default_spec(d, backend)),
-            (Blocking::Auto, None) => Blocking::Generic,
-            (named, _) => named,
+            (named, Some(_)) => named,
         };
         Plan { pattern: ops.pattern, d, blocking, backend, strategy }
     }
@@ -90,95 +146,83 @@ impl Plan {
         self.strategy
     }
 
-    /// Full-graph execution under this plan.
+    /// `Z = FusedMM(A, X, Y)` over the rows `rows` names, into the
+    /// caller-owned row-major `z`. **Every row of `z` is overwritten**
+    /// and nothing it held is read: each row kernel starts its fold from
+    /// `+0.0` and a zero-degree row stores zeros, so the result is
+    /// bit-identical to running into a zeroed buffer, without the
+    /// zero-fill, the read-back or a fresh allocation's page faults. A
+    /// caller that launches repeatedly keeps one `z`.
+    ///
+    /// Rows are cut into one PART1D part per thread of the current rayon
+    /// pool (run under `ThreadPool::install` to pick the width); the cut
+    /// decides where rows run, never an output bit.
     ///
     /// # Panics
-    /// Panics when `ops` or the operand shapes disagree with what the
-    /// plan was prepared for.
+    /// Panics when `ops` or `x`'s width disagree with what the plan was
+    /// prepared for; on any operand shape mismatch (`z` of the wrong
+    /// length included); for [`Launch::All`] with scores, when
+    /// `scores.len() != a.nnz()` or the operator set has no ROP
+    /// (GCN/SpMM, GNN-MLP: no per-edge scalar exists); for
+    /// [`Launch::Rows`], when `x` does not cover the band or an id falls
+    /// outside it.
+    pub fn launch(
+        &self,
+        a: &Csr,
+        x: &Dense,
+        y: &Dense,
+        ops: &OpSet,
+        rows: Launch<'_>,
+        z: &mut [f32],
+    ) {
+        self.check(ops, x);
+        match rows {
+            Launch::All { scores } => {
+                validate_shapes(a, x, y);
+                if let Some(s) = &scores {
+                    validate_scores(a, ops, s);
+                }
+                crate::dispatch::run(self, a, x, y, ops, z, scores);
+            }
+            Launch::Rows { ids, start, x_start, top_k } => {
+                let local = check_band(a, start, ids, x, x_start, y);
+                if ids.is_empty() {
+                    assert!(z.is_empty(), "Z must have one row per requested row (none)");
+                    return;
+                }
+                let mb = slice_rows(a, &local);
+                let adj = match top_k {
+                    Some(k) => mb.adj.top_k_by_weight(k),
+                    None => mb.adj,
+                };
+                let xb = if x_start == 0 {
+                    gather_rows(x, ids)
+                } else if x_start == start {
+                    gather_rows(x, &local)
+                } else {
+                    gather_rows(x, &ids.iter().map(|&u| u - x_start).collect::<Vec<_>>())
+                };
+                crate::dispatch::run(self, &adj, &xb, y, ops, z, None);
+            }
+        }
+    }
+
+    /// [`Plan::launch`] over every row into a fresh `a.nrows() × d`
+    /// output. Kept only while the frozen `benchmark/` package names it.
     pub fn execute(&self, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
         let mut z = Dense::zeros(a.nrows(), x.ncols());
-        self.execute_into(a, x, y, ops, z.as_mut_slice());
+        self.launch(a, x, y, ops, Launch::All { scores: None }, z.as_mut_slice());
         z
     }
 
-    /// [`Plan::execute`] into a caller-owned output: every row of the
-    /// row-major `a.nrows() × d` slice `z` is overwritten and nothing it
-    /// held is read (see [`fusedmm_opt_into`]). A caller that launches
-    /// repeatedly keeps one `z` and skips the allocation, the zero-fill
-    /// and the first-touch page faults `execute` pays on every call.
-    ///
-    /// # Panics
-    /// As [`Plan::execute`], and when `z.len() != a.nrows() * d`.
-    pub fn execute_into(&self, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, z: &mut [f32]) {
-        self.check(ops, x);
-        fusedmm_opt_into(a, x, y, ops, self.blocking, None, self.strategy, z);
-    }
-
-    /// Row-subset execution under this plan (see
-    /// [`crate::rows::fusedmm_rows`]).
-    pub fn execute_rows(
-        &self,
-        a: &Csr,
-        rows: &[usize],
-        x: &Dense,
-        y: &Dense,
-        ops: &OpSet,
-    ) -> Dense {
-        self.check(ops, x);
-        fusedmm_rows_with(a, rows, x, y, ops, self.blocking, None, self.strategy)
-    }
-
-    /// Row-subset execution against a PART1D row band (see
-    /// [`crate::rows::fusedmm_rows_banded`]): `a_band` holds global rows
-    /// `band_start..` under local indices, `rows` are global ids inside
-    /// the band, and `x` holds global rows `x_start..` — the whole
-    /// feature matrix at `x_start = 0`, or a replica's band of it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_rows_banded(
-        &self,
-        a_band: &Csr,
-        band_start: usize,
-        rows: &[usize],
-        x: &Dense,
-        x_start: usize,
-        y: &Dense,
-        ops: &OpSet,
-    ) -> Dense {
-        self.check(ops, x);
-        let (blocking, strategy) = (self.blocking, self.strategy);
-        fusedmm_rows_banded(a_band, band_start, rows, x, x_start, y, ops, blocking, None, strategy)
-    }
-
-    /// Degraded-tier band execution: like
-    /// [`Plan::execute_rows_banded`], but each requested row aggregates
-    /// only its `k` strongest neighbors (see
-    /// [`crate::rows::fusedmm_rows_banded_topk`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_rows_banded_topk(
-        &self,
-        a_band: &Csr,
-        band_start: usize,
-        rows: &[usize],
-        k: usize,
-        x: &Dense,
-        x_start: usize,
-        y: &Dense,
-        ops: &OpSet,
-    ) -> Dense {
-        self.check(ops, x);
-        fusedmm_rows_banded_topk(
-            a_band,
-            band_start,
-            rows,
-            k,
-            x,
-            x_start,
-            y,
-            ops,
-            self.blocking,
-            None,
-            self.strategy,
-        )
+    /// [`Plan::launch`] over rows `ids` of the whole graph (a band at
+    /// row 0) into a fresh `ids.len() × d` output. Kept only while the
+    /// frozen `benchmark/` package names it.
+    pub fn execute_rows(&self, a: &Csr, ids: &[usize], x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
+        let mut z = Dense::zeros(ids.len(), x.ncols());
+        let rows = Launch::Rows { ids, start: 0, x_start: 0, top_k: None };
+        self.launch(a, x, y, ops, rows, z.as_mut_slice());
+        z
     }
 
     fn check(&self, ops: &OpSet, x: &Dense) {
@@ -197,147 +241,30 @@ impl Plan {
     }
 }
 
-/// Disambiguates otherwise-identical `(pattern, d)` cache entries that
-/// belong to different serving contexts: the engine shard a plan was
-/// prepared for and the feature epoch it serves. Epoch-keyed entries
-/// give invalidation-aware layers — result caches, per-epoch
-/// specializations — a home in the same cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct PlanTag {
-    /// Serving shard id (0 for an unsharded engine).
-    pub shard: u64,
-    /// Feature epoch (0 when the plan is epoch-agnostic).
-    pub epoch: u64,
-}
-
-impl PlanTag {
-    /// Tag for `shard`, epoch-agnostic.
-    pub fn for_shard(shard: u64) -> Self {
-        PlanTag { shard, epoch: 0 }
-    }
-}
-
-/// Default resident-entry cap for a [`PlanCache`] — generous for any
-/// realistic (pattern × dimension × shard) working set, small enough
-/// that per-epoch tagged entries cannot accumulate forever across a
-/// long-lived serving process's publishes.
-pub const PLAN_CACHE_DEFAULT_CAPACITY: usize = 64;
-
-#[derive(Debug)]
-struct PlanCacheInner {
-    /// Value carries an insertion sequence number for eviction
-    /// tie-breaks among same-epoch entries.
-    plans: HashMap<(Pattern, usize, PlanTag), (Plan, u64)>,
-    seq: u64,
-}
-
-/// A concurrent, capacity-bounded memo of [`Plan`]s keyed by (pattern,
-/// dimension, [`PlanTag`]). When the cap is exceeded, entries retire
-/// **oldest-epoch-first**: the stalest epoch-tagged plans go before
-/// fresher ones, and the epoch-*agnostic* sentinel entries (`epoch ==
-/// 0` — the always-hot per-shard plans) are evicted last, by insertion
-/// order.
-#[derive(Debug)]
-pub struct PlanCache {
-    inner: RwLock<PlanCacheInner>,
-    capacity: usize,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PlanCache {
-    /// An empty cache with the default capacity
-    /// ([`PLAN_CACHE_DEFAULT_CAPACITY`]).
-    pub fn new() -> Self {
-        Self::with_capacity(PLAN_CACHE_DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` plans.
-    ///
-    /// # Panics
-    /// Panics when `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a plan cache needs room for at least one plan");
-        PlanCache { inner: RwLock::new(PlanCacheInner { plans: HashMap::new(), seq: 0 }), capacity }
-    }
-
-    /// The resident-entry cap.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The cached plan for `ops` at dimension `d` under the default
-    /// (unsharded, epoch-agnostic) tag, preparing (and memoizing) it on
-    /// first use.
-    pub fn plan_for(&self, ops: &OpSet, d: usize) -> Plan {
-        self.plan_tagged(ops, d, PlanTag::default())
-    }
-
-    /// The cached plan for `ops` at dimension `d` under `tag`,
-    /// preparing (and memoizing) it on first use. May evict the
-    /// oldest-epoch entry when the cache is at capacity.
-    pub fn plan_tagged(&self, ops: &OpSet, d: usize, tag: PlanTag) -> Plan {
-        let key = (ops.pattern, d, tag);
-        if let Some(&(plan, _)) = self.inner.read().plans.get(&key) {
-            return plan;
-        }
-        let plan = Plan::prepare(ops, d);
-        let mut inner = self.inner.write();
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.plans.insert(key, (plan, seq));
-        while inner.plans.len() > self.capacity {
-            // Oldest-epoch-first: the epoch-0 sentinel sorts last (it
-            // is "no epoch", not "the oldest"), so always-hot agnostic
-            // plans outlive per-epoch ones; insertion order breaks
-            // ties.
-            // The entry just inserted is never the victim — a reader
-            // pinned to an old epoch must not thrash its own slot on
-            // every request.
-            let victim = inner
-                .plans
-                .iter()
-                .filter(|(&k, _)| k != key)
-                .min_by_key(|(&(_, _, t), &(_, s))| {
-                    (if t.epoch == 0 { u64::MAX } else { t.epoch }, s)
-                })
-                .map(|(&k, _)| k)
-                .expect("cache over capacity holds more than the fresh entry");
-            inner.plans.remove(&victim);
-        }
-        plan
-    }
-
-    /// Drop every entry tagged with `epoch` — the invalidation hook a
-    /// feature publish uses to retire epoch-keyed plans. Epoch 0 is the
-    /// epoch-*agnostic* sentinel ([`PlanTag::default`] /
-    /// [`PlanTag::for_shard`]), not a real generation, so
-    /// `evict_epoch(0)` is a no-op rather than a cache wipe.
-    pub fn evict_epoch(&self, epoch: u64) {
-        if epoch == 0 {
-            return;
-        }
-        self.inner.write().plans.retain(|&(_, _, tag), _| tag.epoch != epoch);
-    }
-
-    /// Number of memoized plans.
-    pub fn len(&self) -> usize {
-        self.inner.read().plans.len()
-    }
-
-    /// True when no plan has been prepared yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all memoized plans.
-    pub fn clear(&self) {
-        self.inner.write().plans.clear();
-    }
+/// Validate a [`Launch::Rows`] band and map its global `ids` to
+/// band-local indices.
+fn check_band(
+    a: &Csr,
+    start: usize,
+    ids: &[usize],
+    x: &Dense,
+    x_start: usize,
+    y: &Dense,
+) -> Vec<usize> {
+    let end = start + a.nrows();
+    let x_end = x_start + x.nrows();
+    assert!(
+        x_start <= start && end <= x_end,
+        "X must cover the band: rows {x_start}..{x_end} do not cover {start}..{end}"
+    );
+    assert_eq!(y.nrows(), a.ncols(), "Y must have one row per (global) column of the band");
+    assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
+    ids.iter()
+        .map(|&u| {
+            assert!((start..end).contains(&u), "row {u} out of range for band {start}..{end}");
+            u - start
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -358,6 +285,38 @@ mod tests {
         (a, x, y)
     }
 
+    /// Rows of degree 4 (some repeated columns summed away), so a
+    /// top-2 launch drops real neighbors.
+    fn graph(n: usize) -> Csr {
+        let mut c = Coo::new(n, n);
+        for u in 0..n {
+            for k in 1..=4usize {
+                c.push(u, (u * 3 + k * 5) % n, 0.5 + k as f32 * 0.25);
+            }
+        }
+        c.to_csr(Dedup::Sum)
+    }
+
+    fn feats(n: usize, d: usize, seed: f32) -> Dense {
+        Dense::from_fn(n, d, |r, c| ((r * 7 + c * 3) as f32 * 0.05 + seed).sin() * 0.6)
+    }
+
+    fn bits(z: &[f32]) -> Vec<u32> {
+        z.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn rows(ids: &[usize], start: usize, x_start: usize, top_k: Option<usize>) -> Launch<'_> {
+        Launch::Rows { ids, start, x_start, top_k }
+    }
+
+    /// A [`Launch::Rows`] into a fresh `ids.len() × d` output.
+    fn run_rows(plan: &Plan, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, l: Launch<'_>) -> Dense {
+        let Launch::Rows { ids, .. } = l else { unreachable!() };
+        let mut z = Dense::zeros(ids.len(), x.ncols());
+        plan.launch(a, x, y, ops, l, z.as_mut_slice());
+        z
+    }
+
     #[test]
     fn plan_execution_matches_reference() {
         let (a, x, y) = setup(32, 16);
@@ -371,43 +330,27 @@ mod tests {
     }
 
     #[test]
-    fn execute_into_overwrites_a_poisoned_output_with_the_same_bits() {
+    fn launch_overwrites_a_poisoned_output_with_the_same_bits() {
         let (a, x, y) = setup(32, 16);
-        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for ops in [OpSet::gcn(), OpSet::sigmoid_embedding(None)] {
             let plan = Plan::prepare(&ops, 16);
             let want = plan.execute(&a, &x, &y, &ops);
             let mut z = vec![f32::NAN; 32 * 16];
-            plan.execute_into(&a, &x, &y, &ops, &mut z);
+            plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, &mut z);
             assert_eq!(bits(&z), bits(want.as_slice()), "{:?}", ops.pattern);
             // And again into what the first call left behind.
-            plan.execute_into(&a, &x, &y, &ops, &mut z);
+            plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, &mut z);
             assert_eq!(bits(&z), bits(want.as_slice()), "{:?} second call", ops.pattern);
         }
     }
 
     #[test]
     #[should_panic(expected = "one row per row")]
-    fn execute_into_rejects_a_short_output() {
+    fn launch_rejects_a_short_output() {
         let (a, x, y) = setup(8, 4);
         let ops = OpSet::gcn();
-        let plan = Plan::with_blocking(&ops, 4, Blocking::Auto, PartitionStrategy::NnzBalanced);
-        plan.execute_into(&a, &x, &y, &ops, &mut [0.0; 8 * 4 - 1]);
-    }
-
-    #[test]
-    fn plan_rows_match_reference_rows() {
-        let (a, x, y) = setup(40, 8);
-        let ops = OpSet::gcn();
-        let plan = Plan::with_blocking(&ops, 8, Blocking::Auto, PartitionStrategy::NnzBalanced);
-        let r = fusedmm_reference(&a, &x, &y, &ops);
-        let rows = [39usize, 0, 12, 12];
-        let z = plan.execute_rows(&a, &rows, &x, &y, &ops);
-        for (i, &u) in rows.iter().enumerate() {
-            for k in 0..8 {
-                assert!((z.get(i, k) - r.get(u, k)).abs() < 1e-5);
-            }
-        }
+        let plan = Plan::prepare(&ops, 4);
+        plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, &mut [0.0; 8 * 4 - 1]);
     }
 
     #[test]
@@ -428,7 +371,6 @@ mod tests {
     #[test]
     fn prepare_is_a_pure_function_of_pattern_dim_and_backend() {
         use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
-        let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
         for d in [8usize, 32, 100, 128] {
             let (a, x, y) = setup(30, d);
@@ -437,122 +379,34 @@ mod tests {
                 let auto =
                     Plan::with_blocking(&ops, d, Blocking::Auto, PartitionStrategy::NnzBalanced);
                 assert_eq!(prepared, auto, "{:?} d={d}", ops.pattern);
+                assert_eq!(Plan::prepare(&ops, d), prepared, "nothing process-global is consulted");
                 assert_ne!(prepared.blocking(), Blocking::Auto, "a plan names its kernel");
-                // Two fresh caches agree with each other and with the
-                // direct call: nothing process-global is consulted.
-                assert_eq!(PlanCache::new().plan_for(&ops, d), prepared);
-                assert_eq!(PlanCache::new().plan_for(&ops, d), prepared);
-                // What it executes is what `Blocking::Auto` executes.
-                let direct = crate::dispatch::fusedmm_opt(&a, &x, &y, &ops);
-                assert_eq!(bits(&prepared.execute(&a, &x, &y, &ops)), bits(&direct));
+                // What it executes is what the front door executes.
+                let direct = crate::fusedmm(&a, &x, &y, &ops);
+                assert_eq!(
+                    bits(prepared.execute(&a, &x, &y, &ops).as_slice()),
+                    bits(direct.as_slice())
+                );
             }
             assert_eq!(Plan::prepare(&custom, d).blocking(), Blocking::Generic);
         }
     }
 
+    /// An operator set no specialized kernel recognizes runs the generic
+    /// kernel whatever blocking was asked for, and its plan says so.
     #[test]
-    fn cache_memoizes_per_pattern_and_dim() {
-        let cache = PlanCache::new();
-        assert!(cache.is_empty());
-        let ops = OpSet::gcn();
-        let p1 = cache.plan_for(&ops, 32);
-        let p2 = cache.plan_for(&ops, 32);
-        assert_eq!(p1, p2);
-        assert_eq!(cache.len(), 1);
-        let _ = cache.plan_for(&ops, 64);
-        let _ = cache.plan_for(&OpSet::fr_model(0.1), 32);
-        assert_eq!(cache.len(), 3);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn tagged_entries_are_distinct_and_epoch_evictable() {
-        let cache = PlanCache::new();
-        let ops = OpSet::gcn();
-        let _ = cache.plan_for(&ops, 32);
-        let _ = cache.plan_tagged(&ops, 32, PlanTag::for_shard(1));
-        let _ = cache.plan_tagged(&ops, 32, PlanTag { shard: 1, epoch: 7 });
-        assert_eq!(cache.len(), 3, "shard/epoch tags key separate entries");
-        cache.evict_epoch(7);
-        assert_eq!(cache.len(), 2, "only the epoch-7 entry is retired");
-        cache.evict_epoch(0);
-        assert_eq!(cache.len(), 2, "epoch 0 is the agnostic sentinel, never evicted");
-    }
-
-    #[test]
-    fn capacity_cap_evicts_oldest_epoch_first() {
-        let cache = PlanCache::with_capacity(3);
-        assert_eq!(cache.capacity(), 3);
-        let ops = OpSet::gcn();
-        // One epoch-agnostic sentinel plus epoch-tagged entries well
-        // past the cap — the regression this guards: one entry per
-        // (pattern, d, tag) accumulating forever across epochs.
-        let _ = cache.plan_for(&ops, 32);
-        for epoch in 1..=6u64 {
-            let _ = cache.plan_tagged(&ops, 32, PlanTag { shard: 0, epoch });
-            assert!(cache.len() <= 3, "cap violated at epoch {epoch}");
-        }
-        // Newest epochs and the agnostic sentinel survive; the stalest
-        // epochs were retired first.
-        let survives = |tag| cache.inner.read().plans.contains_key(&(ops.pattern, 32, tag));
-        assert!(survives(PlanTag::default()), "epoch-agnostic sentinel outlives epoch entries");
-        assert!(survives(PlanTag { shard: 0, epoch: 6 }));
-        assert!(survives(PlanTag { shard: 0, epoch: 5 }));
-        assert!(!survives(PlanTag { shard: 0, epoch: 1 }));
-        assert!(!survives(PlanTag { shard: 0, epoch: 2 }));
-        // A re-request of an evicted epoch re-prepares without error.
-        let p = cache.plan_tagged(&ops, 32, PlanTag { shard: 0, epoch: 1 });
-        assert_eq!(p.d(), 32);
-    }
-
-    #[test]
-    fn capacity_cap_never_evicts_the_entry_just_requested() {
-        let cache = PlanCache::with_capacity(2);
-        let ops = OpSet::gcn();
-        let _ = cache.plan_tagged(&ops, 8, PlanTag { shard: 0, epoch: 5 });
-        let _ = cache.plan_tagged(&ops, 8, PlanTag { shard: 0, epoch: 6 });
-        // A straggler reader pinned to epoch 1 — the oldest epoch in
-        // the cache after insertion — must land (evicting epoch 5),
-        // not be the victim of its own insert.
-        let _ = cache.plan_tagged(&ops, 8, PlanTag { shard: 0, epoch: 1 });
-        let inner = cache.inner.read();
-        assert!(inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 1 })));
-        assert!(!inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 5 })));
-        assert!(inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 6 })));
-    }
-
-    #[test]
-    fn capacity_cap_falls_back_to_insertion_order_for_agnostic_entries() {
-        let cache = PlanCache::with_capacity(2);
-        let a = OpSet::gcn();
-        let b = OpSet::fr_model(0.1);
-        let c = OpSet::sigmoid_embedding(None);
-        let _ = cache.plan_for(&a, 8);
-        let _ = cache.plan_for(&b, 8);
-        let _ = cache.plan_for(&c, 8);
-        assert_eq!(cache.len(), 2);
-        let inner = cache.inner.read();
-        assert!(
-            !inner.plans.contains_key(&(a.pattern, 8, PlanTag::default())),
-            "oldest-inserted agnostic entry is the tie-break victim"
-        );
-        assert!(inner.plans.contains_key(&(c.pattern, 8, PlanTag::default())));
-    }
-
-    #[test]
-    fn banded_plan_execution_matches_reference_rows() {
-        let (a, x, y) = setup(36, 8);
-        let ops = OpSet::gcn();
-        let plan = Plan::with_blocking(&ops, 8, Blocking::Auto, PartitionStrategy::NnzBalanced);
-        let r = fusedmm_reference(&a, &x, &y, &ops);
-        let band = a.row_band(10..30);
-        let rows = [29usize, 10, 17];
-        let z = plan.execute_rows_banded(&band, 10, &rows, &x, 0, &y, &ops);
-        for (i, &u) in rows.iter().enumerate() {
-            for k in 0..8 {
-                assert!((z.get(i, k) - r.get(u, k)).abs() < 1e-5);
-            }
+    fn unrecognized_ops_plan_as_generic_under_every_blocking() {
+        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
+        let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
+        let spec = crate::genkern::KernelSpec::new(6, 32).unwrap();
+        for blocking in [
+            Blocking::Auto,
+            Blocking::Generic,
+            Blocking::Specialized(spec),
+            Blocking::Hybrid(crate::HybridConfig::default()),
+        ] {
+            let plan = Plan::with_blocking(&custom, 48, blocking, PartitionStrategy::NnzBalanced);
+            assert_eq!(plan.blocking(), Blocking::Generic, "asked for {blocking:?}");
         }
     }
 
@@ -560,8 +414,141 @@ mod tests {
     #[should_panic(expected = "plan prepared for")]
     fn pattern_mismatch_panics() {
         let (a, x, y) = setup(8, 4);
-        let plan =
-            Plan::with_blocking(&OpSet::gcn(), 4, Blocking::Auto, PartitionStrategy::NnzBalanced);
+        let plan = Plan::prepare(&OpSet::gcn(), 4);
         let _ = plan.execute(&a, &x, &y, &OpSet::fr_model(1.0));
+    }
+
+    /// Any order, duplicates, every pattern class, the default and a
+    /// named shape: row `i` is the reference's row `ids[i]`.
+    #[test]
+    fn rows_in_any_order_with_duplicates_match_the_reference() {
+        let n = 50;
+        let a = graph(n);
+        let d = 24;
+        let (x, y) = (feats(n, d, 0.2), feats(n, d, 0.8));
+        let ids = [0usize, 17, 3, 49, 3, 25];
+        let named = Blocking::Specialized(crate::genkern::KernelSpec::new(6, 16).unwrap());
+        for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn(), OpSet::fr_model(0.4)] {
+            let full = fusedmm_reference(&a, &x, &y, &ops);
+            for blocking in [Blocking::Auto, named] {
+                let plan = Plan::with_blocking(&ops, d, blocking, PartitionStrategy::NnzBalanced);
+                let z = plan.execute_rows(&a, &ids, &x, &y, &ops);
+                assert_eq!(z.nrows(), ids.len());
+                for (i, &u) in ids.iter().enumerate() {
+                    for k in 0..d {
+                        let what = format!("{:?} {blocking:?} row {u} lane {k}", ops.pattern);
+                        assert!((z.get(i, k) - full.get(u, k)).abs() < 1e-4, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every row in order is the whole-graph launch, bit for bit.
+    #[test]
+    fn rows_over_every_row_in_order_equal_the_all_launch() {
+        let n = 30;
+        let a = graph(n);
+        let (x, y) = (feats(n, 16, 0.3), feats(n, 16, 0.6));
+        let all: Vec<usize> = (0..n).collect();
+        for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn(), OpSet::tdist_embedding()] {
+            let plan = Plan::prepare(&ops, 16);
+            let whole = plan.execute(&a, &x, &y, &ops);
+            let subset = run_rows(&plan, &a, &x, &y, &ops, rows(&all, 0, 0, None));
+            assert_eq!(bits(subset.as_slice()), bits(whole.as_slice()), "{:?}", ops.pattern);
+        }
+    }
+
+    /// A band at `lo`, with `x` whole, exactly the band, or starting a
+    /// few rows early: the same `x` rows are read, so the output is the
+    /// same bits, exact and top-k alike; the band's rows are the
+    /// unsharded rows.
+    #[test]
+    fn band_rows_are_bit_identical_at_every_x_offset() {
+        let n = 48;
+        let a = graph(n);
+        let d = 16;
+        let (x, y) = (feats(n, d, 0.25), feats(n, d, 0.65));
+        let ops = OpSet::sigmoid_embedding(None);
+        let plan = Plan::prepare(&ops, d);
+        let full = fusedmm_reference(&a, &x, &y, &ops);
+        let (lo, hi) = (13usize, 37usize);
+        let band = a.row_band(lo..hi);
+        // Global ids inside the band, out of order, with a duplicate.
+        let ids = [20usize, 13, 36, 20, 29];
+        let z = run_rows(&plan, &band, &x, &y, &ops, rows(&ids, lo, 0, None));
+        for (i, &u) in ids.iter().enumerate() {
+            for k in 0..d {
+                assert!((z.get(i, k) - full.get(u, k)).abs() < 1e-5, "row {u} lane {k}");
+            }
+        }
+        for x_start in [lo, lo - 3] {
+            let xb = Dense::from_rows(hi - x_start, d, &x.as_slice()[x_start * d..hi * d]).unwrap();
+            let banded = run_rows(&plan, &band, &xb, &y, &ops, rows(&ids, lo, x_start, None));
+            assert_eq!(bits(banded.as_slice()), bits(z.as_slice()), "X from row {x_start}");
+            for k in [2, n] {
+                let whole = run_rows(&plan, &band, &x, &y, &ops, rows(&ids, lo, 0, Some(k)));
+                let part = run_rows(&plan, &band, &xb, &y, &ops, rows(&ids, lo, x_start, Some(k)));
+                let what = format!("top-{k}, X from row {x_start}");
+                assert_eq!(bits(whole.as_slice()), bits(part.as_slice()), "{what}");
+            }
+        }
+    }
+
+    /// Top-k is the kernel over the truncated graph, and a `k` covering
+    /// every degree is the exact launch, bit for bit.
+    #[test]
+    fn top_k_rows_match_the_truncated_graph_and_cover_the_exact_launch() {
+        let n = 48;
+        let a = graph(n);
+        let d = 16;
+        let (x, y) = (feats(n, d, 0.25), feats(n, d, 0.65));
+        let ops = OpSet::sigmoid_embedding(None);
+        let plan = Plan::prepare(&ops, d);
+        let (lo, hi) = (10usize, 40usize);
+        let band = a.row_band(lo..hi);
+        let ids = [12usize, 39, 10, 12, 25];
+        let z = run_rows(&plan, &band, &x, &y, &ops, rows(&ids, lo, 0, Some(2)));
+        // Slicing and truncating commute — both act per row.
+        let full = fusedmm_reference(&a.top_k_by_weight(2), &x, &y, &ops);
+        for (i, &u) in ids.iter().enumerate() {
+            for c in 0..d {
+                assert!((z.get(i, c) - full.get(u, c)).abs() < 1e-5, "row {u} lane {c}");
+            }
+        }
+        let exact = run_rows(&plan, &band, &x, &y, &ops, rows(&ids, lo, 0, None));
+        let covering = run_rows(&plan, &band, &x, &y, &ops, rows(&ids, lo, 0, Some(n)));
+        assert_eq!(bits(covering.as_slice()), bits(exact.as_slice()), "k ≥ max degree");
+    }
+
+    #[test]
+    fn the_empty_subset_launches_into_a_zero_length_output() {
+        let a = graph(10);
+        let (x, y) = (feats(10, 8, 0.1), feats(10, 8, 0.2));
+        let ops = OpSet::gcn();
+        Plan::prepare(&ops, 8).launch(&a, &x, &y, &ops, rows(&[], 0, 0, None), &mut []);
+        let z = Plan::prepare(&ops, 8).execute_rows(&a, &[], &x, &y, &ops);
+        assert_eq!((z.nrows(), z.ncols()), (0, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "X must cover the band")]
+    fn rows_reject_an_x_that_misses_the_band() {
+        let a = graph(20);
+        let (x, y) = (feats(10, 8, 0.0), feats(20, 8, 0.0));
+        let band = a.row_band(5..15);
+        // `x` holds global rows 6..16: row 5 is missing.
+        let ops = OpSet::gcn();
+        let _ = run_rows(&Plan::prepare(&ops, 8), &band, &x, &y, &ops, rows(&[10], 5, 6, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for band")]
+    fn rows_reject_ids_outside_the_band() {
+        let a = graph(20);
+        let (x, y) = (feats(20, 8, 0.0), feats(20, 8, 0.0));
+        let band = a.row_band(5..15);
+        let ops = OpSet::gcn();
+        let _ = run_rows(&Plan::prepare(&ops, 8), &band, &x, &y, &ops, rows(&[4], 5, 0, None));
     }
 }

@@ -1,7 +1,7 @@
 //! Per-shape kernel profiling: cycle and work accounting for every
 //! fused-kernel launch, keyed by `(op, d, backend, kernel shape)`.
 //!
-//! The dispatcher ([`crate::dispatch::fusedmm_opt_with`]) records one
+//! The dispatcher (every [`Plan::launch`](crate::Plan::launch)) records one
 //! observation per launch — wall time, output rows, and edges (nnz)
 //! swept — into a process-global table. Row-subset serving calls route
 //! through the same dispatcher, so the serving engines' kernel work is
@@ -113,8 +113,8 @@ pub fn reset_kernel_profiles() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{fusedmm_opt_with, Blocking};
-    use crate::part::PartitionStrategy;
+    use crate::dispatch::Blocking;
+    use crate::launch_at;
     use fusedmm_ops::OpSet;
     use fusedmm_sparse::coo::{Coo, Dedup};
     use fusedmm_sparse::dense::Dense;
@@ -143,15 +143,7 @@ mod tests {
             .unwrap_or((0, 0, 0));
         let shape = crate::genkern::KernelSpec::new(4, 64).unwrap();
         for _ in 0..3 {
-            let _ = fusedmm_opt_with(
-                &a,
-                &x,
-                &y,
-                &ops,
-                Blocking::Specialized(shape),
-                Some(2),
-                PartitionStrategy::NnzBalanced,
-            );
+            let _ = launch_at(2, &a, &x, &y, &ops, Blocking::Specialized(shape));
         }
         let p = kernel_profiles()
             .into_iter()
@@ -177,15 +169,7 @@ mod tests {
         let x = Dense::filled(n, D, 0.2);
         let y = Dense::filled(n, D, 0.3);
         let ops = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &ops,
-            Blocking::Auto,
-            Some(1),
-            PartitionStrategy::NnzBalanced,
-        );
+        let _ = launch_at(1, &a, &x, &y, &ops, Blocking::Auto);
         let p = kernel_profiles()
             .into_iter()
             .find(|p| p.d == D && p.pattern == Pattern::Custom && p.blocking == "generic")

@@ -15,12 +15,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fusedmm_core::{PartitionStrategy, Plan};
+use fusedmm_core::{Launch, PartitionStrategy, Plan};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::hist::{HistogramSnapshot, LatencyHistogram};
 use fusedmm_perf::registry::Sample;
 use fusedmm_perf::trace::{SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
+use fusedmm_sparse::dense::Dense;
 
 use crate::batcher::{dedup_union, group_by_epoch, scatter_rows, BatchQueue, Pending};
 use crate::engine::EngineConfig;
@@ -177,12 +178,13 @@ impl Band {
     pub fn infer_into(&self, epoch: &FeatureEpoch, z: &mut [f32]) {
         let c = &self.core;
         let t0 = Instant::now();
+        let all = Launch::All { scores: None };
         if epoch.x_start() == c.start && epoch.x().nrows() == c.a.nrows() {
             // `X` is exactly the band (a whole-graph band, or a replica).
-            c.plan.execute_into(&c.a, epoch.x(), epoch.y(), &c.ops, z);
+            c.plan.launch(&c.a, epoch.x(), epoch.y(), &c.ops, all, z);
         } else {
             let xb = copy_rows(epoch.x(), epoch.x_start(), c.start..c.start + c.a.nrows());
-            c.plan.execute_into(&c.a, &xb, epoch.y(), &c.ops, z);
+            c.plan.launch(&c.a, &xb, epoch.y(), &c.ops, all, z);
         }
         c.infer_latency.record(t0.elapsed());
     }
@@ -250,16 +252,15 @@ impl BandCore {
             if let Some(fault) = &self.fault {
                 fault.maybe_panic(seq);
             }
-            let (a, start, ops) = (&self.a, self.start, &self.ops);
-            let (x, x_start, y) = (epoch.x(), epoch.x_start(), epoch.y());
-            match quality {
-                Quality::TopKNeighbors(k) => {
-                    self.plan.execute_rows_banded_topk(a, start, &union, k, x, x_start, y, ops)
-                }
-                Quality::Exact | Quality::CachedOnly => {
-                    self.plan.execute_rows_banded(a, start, &union, x, x_start, y, ops)
-                }
-            }
+            let top_k = match quality {
+                Quality::TopKNeighbors(k) => Some(k),
+                Quality::Exact | Quality::CachedOnly => None,
+            };
+            let rows =
+                Launch::Rows { ids: &union, start: self.start, x_start: epoch.x_start(), top_k };
+            let mut z = Dense::zeros(union.len(), self.plan.d());
+            self.plan.launch(&self.a, epoch.x(), epoch.y(), &self.ops, rows, z.as_mut_slice());
+            z
         }));
         let Ok(union_rows) = launched else {
             self.panics_caught.fetch_add(1, Ordering::Relaxed);

@@ -38,8 +38,10 @@ pub struct EngineConfig {
     /// the wait (lowest latency, least coalescing).
     pub coalesce_window: Duration,
     /// How the engine's kernel plan runs a launch (see [`Blocking`]);
-    /// the default [`Blocking::Auto`] is what every other entry point
-    /// of the library runs.
+    /// the default [`Blocking::Auto`] is what `fusedmm` and
+    /// [`Plan::prepare`] run. An operator set no specialized kernel
+    /// recognizes runs, and plans as, [`Blocking::Generic`] whatever is
+    /// set here.
     pub blocking: Blocking,
     /// Enable the epoch-aware embedding result cache (`None` =
     /// compute every request). Hot repeated rows are then served from

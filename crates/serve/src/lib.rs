@@ -15,8 +15,8 @@
 //!   to whoever computes it, and answers three request kinds:
 //!   * [`FrontEnd::embed`] / [`FrontEnd::embed_begin_opts`] — per-node
 //!     embedding refresh for an arbitrary node subset, through the
-//!     micro-batcher and the row-subset kernel
-//!     [`fusedmm_rows`](fusedmm_core::fusedmm_rows);
+//!     micro-batcher and a row-subset launch
+//!     ([`Launch::Rows`](fusedmm_core::Launch::Rows));
 //!   * [`FrontEnd::score_edges`] — SDDMM-only scoring of candidate
 //!     `(u, v)` pairs, no aggregation and no edge-sized intermediate;
 //!   * [`FrontEnd::infer_full`] — whole-graph inference (the classic

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use fusedmm_core::PlanCache;
+use fusedmm_core::Plan;
 use fusedmm_ops::OpSet;
 use fusedmm_perf::registry::MetricsRegistry;
 use fusedmm_sparse::csr::Csr;
@@ -31,10 +31,6 @@ use crate::transport::LocalBands;
 /// request API is the [`FrontEnd`]'s, reached through `Deref`.
 pub struct ShardedEngine {
     front: FrontEnd<LocalBands>,
-    /// Plans for callers that run kernels beside the engine, keyed by
-    /// `(pattern, d, {shard, epoch})`. The bands themselves all run the
-    /// one plan `EngineConfig::blocking` resolves to.
-    plans: PlanCache,
 }
 
 impl ShardedEngine {
@@ -60,7 +56,7 @@ impl ShardedEngine {
     ) -> ShardedEngine {
         let (a, store, perm) = owned_store(a, x, y, &config);
         let front = local_front(a, store, ops, Some(nshards), &config, perm);
-        ShardedEngine { front, plans: PlanCache::new() }
+        ShardedEngine { front }
     }
 
     /// Like [`ShardedEngine::new`] but borrowing features through an
@@ -80,21 +76,43 @@ impl ShardedEngine {
     ) -> ShardedEngine {
         assert_external_store(&config);
         let front = local_front(a, store, ops, Some(nshards), &config, None);
-        ShardedEngine { front, plans: PlanCache::new() }
+        ShardedEngine { front }
     }
 
-    /// The shard-tagged plan cache (see the field docs); exposed so
-    /// callers can pair a publish with
-    /// [`PlanCache::evict_epoch`](fusedmm_core::PlanCache::evict_epoch)
-    /// once epoch-keyed entries exist.
-    pub fn plans(&self) -> &PlanCache {
-        &self.plans
+    /// The plan every band runs, behind the lookup the frozen
+    /// `benchmark/` package calls (`engine.plans().plan_for(&ops, d)`).
+    /// Kept only while it does: ROADMAP item 1 moves the benchmark to
+    /// [`Plan::prepare`] and deletes this shim.
+    pub fn plans(&self) -> BandPlan {
+        BandPlan(self.front.transport.bands[0].core.plan)
     }
 
     /// [`FrontEnd::register_metrics`] with no extra labels: front-end
     /// samples unlabeled, band samples tagged `shard="<i>"`.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         self.front.register_metrics(registry, &[]);
+    }
+}
+
+/// The plan a [`ShardedEngine`]'s bands run; see
+/// [`ShardedEngine::plans`].
+#[derive(Debug, Clone, Copy)]
+pub struct BandPlan(Plan);
+
+impl BandPlan {
+    /// The bands' plan.
+    ///
+    /// # Panics
+    /// Panics when `(ops.pattern, d)` is not what the bands run.
+    pub fn plan_for(&self, ops: &OpSet, d: usize) -> Plan {
+        assert!(
+            ops.pattern == self.0.pattern() && d == self.0.d(),
+            "the bands run {:?} at d={}, not {:?} at d={d}",
+            self.0.pattern(),
+            self.0.d(),
+            ops.pattern
+        );
+        self.0
     }
 }
 
@@ -176,6 +194,28 @@ mod tests {
             band.infer_into(&epoch, &mut sequential.as_mut_slice()[w[0] * d..w[1] * d]);
         }
         assert_eq!(parallel, sequential, "overlapped bands must not change a single bit");
+    }
+
+    /// The shim hands back what the bands run — here a hybrid plan,
+    /// which `Plan::prepare` would not produce.
+    #[test]
+    fn plans_shim_returns_the_bands_plan() {
+        let hybrid = fusedmm_core::Blocking::Hybrid(fusedmm_core::HybridConfig::default());
+        let config = EngineConfig { blocking: hybrid, ..config() };
+        let z = || Dense::zeros(90, 4);
+        let eng = ShardedEngine::new(graph(90), z(), z(), OpSet::gcn(), 3, config);
+        let plan = eng.plans().plan_for(&OpSet::gcn(), 4);
+        assert_eq!(plan.blocking(), hybrid);
+        assert!(eng.transport.bands.iter().all(|b| b.core.plan == plan));
+    }
+
+    #[test]
+    fn plans_shim_refuses_another_pattern_or_dimension() {
+        let eng = zeros(20, 2);
+        for (ops, d) in [(OpSet::fr_model(0.1), 4), (OpSet::gcn(), 8)] {
+            let lookup = std::panic::AssertUnwindSafe(|| eng.plans().plan_for(&ops, d));
+            assert!(std::panic::catch_unwind(lookup).is_err(), "{:?} at d={d}", ops.pattern);
+        }
     }
 
     #[test]

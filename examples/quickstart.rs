@@ -43,14 +43,14 @@ fn main() {
     println!("OK: fused and unfused pipelines agree.");
 
     // Launching repeatedly? Z is an operand: prepare a plan once, own
-    // the output, and every call overwrites it in place — no
-    // allocation, no zero-fill, and the same bits as `execute`.
+    // the output, and every launch overwrites it in place — no
+    // allocation, no zero-fill, and the same bits as `fusedmm`.
     let plan = Plan::prepare(&ops, d);
-    let fresh = plan.execute(&a, &x, &y, &ops);
+    let fresh = fusedmm(&a, &x, &y, &ops);
     let mut z = Dense::zeros(a.nrows(), d);
     for _ in 0..3 {
-        plan.execute_into(&a, &x, &y, &ops, z.as_mut_slice());
+        plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, z.as_mut_slice());
     }
-    assert_eq!(z, fresh, "execute_into and execute must agree bit for bit");
-    println!("OK: execute_into reuses one output buffer, bit-identical to execute.");
+    assert_eq!(z, fresh, "a launch into a reused buffer and fusedmm must agree bit for bit");
+    println!("OK: Plan::launch reuses one output buffer, bit-identical to fusedmm.");
 }

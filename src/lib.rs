@@ -8,14 +8,14 @@
 //! * [`sparse`] — CSR/CSC/COO and dense matrix substrate;
 //! * [`graph`] — graph generators and the Table V dataset registry;
 //! * [`ops`] — the five-step VOP/ROP/SOP/MOP/AOP operator framework;
-//! * [`kernel`] — the FusedMM kernel itself (generic, specialized, and
-//!   row-subset entry points);
+//! * [`kernel`] — the FusedMM kernel itself: one `Plan::launch` over
+//!   every row or a row subset, specialized or generic;
 //! * [`baseline`] — the unfused (DGL-style), dense (PyTorch-style) and
 //!   inspector-executor (MKL-style) comparators;
 //! * [`apps`] — Force2Vec embedding, FR layout, GCN, GNN-MLP,
 //!   classification;
-//! * [`serve`] — the online serving engine: plan cache, row-subset
-//!   kernels, micro-batched embedding refresh, edge scoring;
+//! * [`serve`] — the online serving engine: row-subset launches,
+//!   micro-batched embedding refresh, edge scoring;
 //! * [`rpc`] — multi-process shard serving: framed socket transport,
 //!   worker serve loop, coordinator client, replicated epoch log;
 //! * [`perf`] — timing, latency histograms, memory tracking, STREAM
@@ -50,10 +50,8 @@ pub use fusedmm_sparse as sparse;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use fusedmm_core::{
-        cpu_features, fusedmm, fusedmm_generic, fusedmm_opt, fusedmm_opt_into,
-        fusedmm_opt_scored_into, fusedmm_opt_with, fusedmm_reference, fusedmm_rows,
-        kernel_profiles, reset_kernel_profiles, Backend, Blocking, HybridConfig, PartitionStrategy,
-        Plan, PlanCache,
+        cpu_features, fusedmm, fusedmm_opt, fusedmm_reference, kernel_profiles,
+        reset_kernel_profiles, Backend, Blocking, HybridConfig, Launch, PartitionStrategy, Plan,
     };
     pub use fusedmm_graph::datasets::Dataset;
     pub use fusedmm_graph::erdos::erdos_renyi;

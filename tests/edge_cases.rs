@@ -131,14 +131,12 @@ fn more_partitions_than_rows() {
     let x = random_features(5, 8, 0.5, 8);
     let y = random_features(5, 8, 0.5, 9);
     let ops = OpSet::sigmoid_embedding(None);
-    let z = fusedmm::kernel::fusedmm_generic_opts(
-        &a,
-        &x,
-        &y,
-        &ops,
-        Some(64),
-        PartitionStrategy::NnzBalanced,
-    );
+    // The generic kernel cut into one part per thread of a pool 64
+    // wide: more parts than rows.
+    let plan = Plan::with_blocking(&ops, 8, Blocking::Generic, PartitionStrategy::NnzBalanced);
+    let mut z = Dense::zeros(5, 8);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(64).build().unwrap();
+    pool.install(|| plan.launch(&a, &x, &y, &ops, Launch::All { scores: None }, z.as_mut_slice()));
     let r = fusedmm_reference(&a, &x, &y, &ops);
     assert!(z.max_abs_diff(&r) < 1e-6);
 }
@@ -156,7 +154,7 @@ fn custom_op_returning_constants() {
         MOp::Noop, // broadcast the scalar
         AOp::Sum,
     );
-    let z = fusedmm_generic(&a, &x, &y, &ops);
+    let z = fusedmm(&a, &x, &y, &ops);
     for u in 0..12 {
         let deg = a.row_nnz(u) as f32;
         let want = deg * 4.0; // each edge contributes the scalar d = 4

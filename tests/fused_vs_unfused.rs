@@ -12,6 +12,27 @@ use std::sync::Arc;
 use fusedmm::baseline::unfused::unfused_pipeline;
 use fusedmm::prelude::*;
 
+/// The generic five-step kernel over every row, in a pool `width`
+/// threads wide (one PART1D part per thread).
+fn generic_at(
+    width: usize,
+    strategy: PartitionStrategy,
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+) -> Dense {
+    let plan = Plan::with_blocking(ops, x.ncols(), Blocking::Generic, strategy);
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+    pool.install(|| plan.launch(a, x, y, ops, Launch::All { scores: None }, z.as_mut_slice()));
+    z
+}
+
+fn generic(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
+    generic_at(0, PartitionStrategy::NnzBalanced, a, x, y, ops)
+}
+
 fn random_graph(n: usize, edges: usize, seed: u64) -> Csr {
     rmat(&RmatConfig::new(n, edges).with_seed(seed))
 }
@@ -35,7 +56,7 @@ fn every_execution_path_agrees_on_generated_dims() {
         let y = random_features(60, d, 0.5, 2);
         for ops in all_presets(d) {
             let reference = fusedmm_reference(&a, &x, &y, &ops);
-            let generic = fusedmm_generic(&a, &x, &y, &ops);
+            let generic = generic(&a, &x, &y, &ops);
             let opt = fusedmm_opt(&a, &x, &y, &ops);
             let tuned = fusedmm(&a, &x, &y, &ops);
             let unfused = unfused_pipeline(&a, &x, &y, &ops).z;
@@ -78,7 +99,7 @@ fn partition_count_does_not_change_results() {
     let reference = fusedmm_reference(&a, &x, &y, &ops);
     for parts in [1usize, 2, 3, 7, 16, 80] {
         for strategy in [PartitionStrategy::NnzBalanced, PartitionStrategy::RowBalanced] {
-            let z = fusedmm::kernel::fusedmm_generic_opts(&a, &x, &y, &ops, Some(parts), strategy);
+            let z = generic_at(parts, strategy, &a, &x, &y, &ops);
             assert!(z.max_abs_diff(&reference) < 1e-5, "parts={parts} strategy={strategy:?}");
         }
     }
@@ -109,7 +130,7 @@ proptest! {
         let x = random_features(n, d, 0.5, seed ^ 1);
         let y = random_features(n, d, 0.5, seed ^ 2);
 
-        let fused = fusedmm_generic(&a, &x, &y, &ops);
+        let fused = generic(&a, &x, &y, &ops);
         let unfused = unfused_pipeline(&a, &x, &y, &ops).z;
         let reference = fusedmm_reference(&a, &x, &y, &ops);
         prop_assert!(fused.max_abs_diff(&reference) < 1e-4);

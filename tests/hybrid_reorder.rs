@@ -10,6 +10,23 @@ use proptest::prelude::*;
 
 use fusedmm::prelude::*;
 
+/// `ops` under `blocking` over every row, in a pool `width` threads
+/// wide (one PART1D part per thread).
+fn launch_at(
+    width: usize,
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+) -> Dense {
+    let plan = Plan::with_blocking(ops, x.ncols(), blocking, PartitionStrategy::NnzBalanced);
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+    pool.install(|| plan.launch(a, x, y, ops, Launch::All { scores: None }, z.as_mut_slice()));
+    z
+}
+
 /// A graph with all four degree classes: a hub row adjacent to
 /// everyone, a mid-degree block, a long short-row tail, and empty rows
 /// at the end.
@@ -46,24 +63,8 @@ fn hybrid_bit_identical_across_dims_and_parts() {
         let y = random_features(n, d, 0.5, 22);
         let ops = OpSet::sigmoid_embedding(None);
         for parts in [1usize, 2, 4] {
-            let auto = fusedmm_opt_with(
-                &a,
-                &x,
-                &y,
-                &ops,
-                Blocking::Auto,
-                Some(parts),
-                PartitionStrategy::NnzBalanced,
-            );
-            let hybrid = fusedmm_opt_with(
-                &a,
-                &x,
-                &y,
-                &ops,
-                Blocking::Hybrid(cfg),
-                Some(parts),
-                PartitionStrategy::NnzBalanced,
-            );
+            let auto = launch_at(parts, &a, &x, &y, &ops, Blocking::Auto);
+            let hybrid = launch_at(parts, &a, &x, &y, &ops, Blocking::Hybrid(cfg));
             assert_eq!(auto.as_slice(), hybrid.as_slice(), "hybrid vs auto d={d} parts={parts}");
         }
     }
@@ -86,17 +87,8 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
     let ops = OpSet::tdist_embedding();
     let cfg = HybridConfig { mega_floor: 32 };
     reset_kernel_profiles();
-    let uniform =
-        fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(4), PartitionStrategy::NnzBalanced);
-    let hybrid = fusedmm_opt_with(
-        &a,
-        &x,
-        &y,
-        &ops,
-        Blocking::Hybrid(cfg),
-        Some(4),
-        PartitionStrategy::NnzBalanced,
-    );
+    let uniform = launch_at(4, &a, &x, &y, &ops, Blocking::Auto);
+    let hybrid = launch_at(4, &a, &x, &y, &ops, Blocking::Hybrid(cfg));
     assert_eq!(uniform.as_slice(), hybrid.as_slice());
     let labels: Vec<&str> = kernel_profiles().iter().map(|p| p.blocking).collect();
     assert!(labels.contains(&"hybrid-mega"), "mega pass missing from profiles: {labels:?}");

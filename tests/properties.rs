@@ -212,7 +212,7 @@ const SWEEP_DIMS: [usize; 13] = [1, 2, 7, 8, 16, 24, 48, 64, 96, 100, 128, 192, 
 /// A threshold low enough that a 40-odd-row graph has strip *and* mega
 /// rows. The mega threshold is `max(mega_floor, nnz / parts)`, so
 /// it only comes down to `mega_floor` under a fine partition
-/// ([`sweep_parts`]).
+/// ([`sweep_width`]).
 const ALL_CLASSES: HybridConfig = HybridConfig { mega_floor: 6 };
 
 /// Everything a launch can be asked to run at dimension `d`: the
@@ -231,8 +231,38 @@ fn sweep_blockings(d: usize) -> Vec<Blocking> {
     blockings
 }
 
-fn sweep_parts(blocking: Blocking, nrows: usize) -> Option<usize> {
-    Some(if blocking == Blocking::Hybrid(ALL_CLASSES) { nrows } else { 3 })
+/// The pool width a sweep launch runs at: the PART1D part count.
+fn sweep_width(blocking: Blocking, nrows: usize) -> usize {
+    if blocking == Blocking::Hybrid(ALL_CLASSES) {
+        nrows
+    } else {
+        3
+    }
+}
+
+/// Run `f` in a pool `width` threads wide: launches inside it cut one
+/// PART1D part per thread.
+fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap().install(f)
+}
+
+fn plan_for(ops: &OpSet, d: usize, blocking: Blocking) -> Plan {
+    Plan::with_blocking(ops, d, blocking, PartitionStrategy::NnzBalanced)
+}
+
+/// `ops` under `blocking` over every row, at pool width `width`.
+fn launch_at(
+    width: usize,
+    a: &Csr,
+    x: &Dense,
+    y: &Dense,
+    ops: &OpSet,
+    blocking: Blocking,
+) -> Dense {
+    let mut z = Dense::zeros(a.nrows(), x.ncols());
+    let plan = plan_for(ops, x.ncols(), blocking);
+    at_width(width, || plan.launch(a, x, y, ops, Launch::All { scores: None }, z.as_mut_slice()));
+    z
 }
 
 fn sweep_features(n: usize, d: usize, seed: u64) -> Dense {
@@ -294,12 +324,10 @@ fn sweep_launches(
     ops: &OpSet,
     mut check: impl FnMut(Blocking, &Dense),
 ) {
-    use fusedmm::kernel::fusedmm_opt_with;
     let d = x.ncols();
-    let nnz = PartitionStrategy::NnzBalanced;
-    let auto = bits(fusedmm_opt_with(a, x, y, ops, Blocking::Auto, Some(3), nnz).as_slice());
+    let auto = bits(launch_at(3, a, x, y, ops, Blocking::Auto).as_slice());
     for blocking in sweep_blockings(d) {
-        let z = fusedmm_opt_with(a, x, y, ops, blocking, sweep_parts(blocking, a.nrows()), nnz);
+        let z = launch_at(sweep_width(blocking, a.nrows()), a, x, y, ops, blocking);
         if blocking != Blocking::Generic {
             assert!(
                 bits(z.as_slice()) == auto,
@@ -452,7 +480,7 @@ proptest! {
     }
 }
 
-/// The overwrite contract of the `_into` entry points: every row of a
+/// The overwrite contract of [`Plan::launch`]: every row of a
 /// caller-owned output is written on every call and nothing it held is
 /// read. For every recognized pattern (and the generic fallback), every
 /// sweep dimension and everything a launch can be asked to run — each
@@ -462,8 +490,6 @@ proptest! {
 /// active, so each forced-backend CI arm checks its own.
 #[test]
 fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
-    use fusedmm::kernel::fusedmm_opt_into;
-
     let a = hostile_graph();
     let n = a.nrows();
     let lut = std::sync::Arc::new(SigmoidLut::default_table());
@@ -485,10 +511,11 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
         let y = sweep_features(n, d, 11);
         for ops in &opsets {
             sweep_launches(&a, &x, &y, ops, |blocking, want| {
-                let strategy = PartitionStrategy::NnzBalanced;
                 let mut z = vec![f32::NAN; n * d];
-                let parts = sweep_parts(blocking, n);
-                fusedmm_opt_into(&a, &x, &y, ops, blocking, parts, strategy, &mut z);
+                let plan = plan_for(ops, d, blocking);
+                at_width(sweep_width(blocking, n), || {
+                    plan.launch(&a, &x, &y, ops, Launch::All { scores: None }, &mut z)
+                });
                 assert!(
                     bits(&z) == bits(want.as_slice()),
                     "{:?}/{:?} {blocking:?} d={d}: _into on a poisoned z differs",
@@ -507,7 +534,7 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
     }
 }
 
-/// The score sink of `fusedmm_opt_scored_into`: for the SDDMM patterns,
+/// The score sink of [`Launch::All`]: for the SDDMM patterns,
 /// at dimensions on both sides of every lane width, for everything a
 /// launch can be asked to run and for one band, a few and one per row,
 /// a NaN-filled `scores` comes back with every slot finite and the same
@@ -521,8 +548,6 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
 /// AVX-512 a checked statement across the forced-backend CI arms.
 #[test]
 fn scored_launches_overwrite_every_slot_and_leave_z_alone() {
-    use fusedmm::kernel::{fusedmm_opt_scored_into, fusedmm_opt_with};
-
     const DIMS: [usize; 7] = [1, 7, 8, 48, 100, 128, 384];
     // FNV of the scores at d = 100 on the unmodified graph, exact
     // binary-fraction features: the dot products, then the norms.
@@ -550,7 +575,6 @@ fn scored_launches_overwrite_every_slot_and_leave_z_alone() {
     };
     let backend = fusedmm::kernel::active_backend();
     let pinned = matches!(backend, Backend::Avx2Fma | Backend::Avx512);
-    let nnz = PartitionStrategy::NnzBalanced;
     for (which, a) in [hostile_graph(), last_row_empty].iter().enumerate() {
         assert_eq!(a.row_nnz(a.nrows() - 1) == 0, which == 1);
         let n = a.nrows();
@@ -561,25 +585,17 @@ fn scored_launches_overwrite_every_slot_and_leave_z_alone() {
                 let mut kernel_scores: Option<Vec<f32>> = None;
                 let mut generic_scores: Option<Vec<f32>> = None;
                 for blocking in sweep_blockings(d) {
+                    let plan = plan_for(ops, d, blocking);
                     for parts in [1usize, 3, 300] {
                         let what = format!(
                             "{:?}/{:?} {blocking:?} d={d} parts={parts}",
                             ops.pattern, ops.sop
                         );
-                        let plain = fusedmm_opt_with(a, &x, &y, ops, blocking, Some(parts), nnz);
+                        let plain = launch_at(parts, a, &x, &y, ops, blocking);
                         let mut z = vec![f32::NAN; n * d];
                         let mut scores = vec![f32::NAN; a.nnz()];
-                        fusedmm_opt_scored_into(
-                            a,
-                            &x,
-                            &y,
-                            ops,
-                            blocking,
-                            Some(parts),
-                            nnz,
-                            &mut z,
-                            &mut scores,
-                        );
+                        let scored = Launch::All { scores: Some(&mut scores) };
+                        at_width(parts, || plan.launch(a, &x, &y, ops, scored, &mut z));
                         assert!(bits(&z) == bits(plain.as_slice()), "{what}: the sink moved z");
                         assert!(scores.iter().all(|s| s.is_finite()), "{what}: a slot was skipped");
                         let family = if blocking == Blocking::Generic {
@@ -616,17 +632,8 @@ fn scored_launch_of_spmm_is_rejected() {
     let x = sweep_features(a.nrows(), 8, 1);
     let mut z = vec![0f32; a.nrows() * 8];
     let mut scores = vec![0f32; a.nnz()];
-    fusedmm::kernel::fusedmm_opt_scored_into(
-        &a,
-        &x,
-        &x,
-        &OpSet::gcn(),
-        Blocking::Auto,
-        None,
-        PartitionStrategy::NnzBalanced,
-        &mut z,
-        &mut scores,
-    );
+    let scored = Launch::All { scores: Some(&mut scores) };
+    Plan::prepare(&OpSet::gcn(), 8).launch(&a, &x, &x, &OpSet::gcn(), scored, &mut z);
 }
 
 /// FNV-1a over the output's `to_bits`, little-endian.
@@ -650,7 +657,6 @@ fn fnv(z: &[f32]) -> u64 {
 /// multiply-add rounds differently) assert shape ≡ shape only.
 #[test]
 fn kernel_bits_are_stable_across_the_one_family_collapse() {
-    use fusedmm::kernel::fusedmm_opt_with;
     use fusedmm::kernel::genkern::candidate_specs;
 
     const DIMS: [usize; 4] = [48, 96, 128, 192];
@@ -686,10 +692,7 @@ fn kernel_bits_are_stable_across_the_one_family_collapse() {
         for (d, &want) in DIMS.into_iter().zip(hashes) {
             let x = exact_features(a.nrows(), d, 3);
             let y = exact_features(a.nrows(), d, 11);
-            let run = |blocking| {
-                let nnz = PartitionStrategy::NnzBalanced;
-                fnv(fusedmm_opt_with(&a, &x, &y, ops, blocking, Some(3), nnz).as_slice())
-            };
+            let run = |blocking| fnv(launch_at(3, &a, &x, &y, ops, blocking).as_slice());
             let auto = run(Blocking::Auto);
             if pinned {
                 assert_eq!(auto, want, "{:?} d={d} on {backend}: Auto moved", ops.pattern);

@@ -14,6 +14,14 @@ use std::time::Duration;
 use fusedmm::prelude::*;
 use fusedmm::serve::{score_edges, FrontEnd, LocalBands};
 
+/// Rows `rows` of the whole graph, through a row-subset launch.
+fn subset(a: &Csr, rows: &[usize], x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
+    let mut z = Dense::zeros(rows.len(), x.ncols());
+    let launch = Launch::Rows { ids: rows, start: 0, x_start: 0, top_k: None };
+    Plan::prepare(ops, x.ncols()).launch(a, x, y, ops, launch, z.as_mut_slice());
+    z
+}
+
 fn assert_rows_match(z: &Dense, reference: &Dense, rows: &[usize], tol: f32, label: &str) {
     assert_eq!(z.nrows(), rows.len(), "{label}: one output row per requested row");
     for (i, &u) in rows.iter().enumerate() {
@@ -50,7 +58,7 @@ proptest! {
         let reference = fusedmm_reference(&a, &x, &y, &ops);
         // Arbitrary order, with duplicates, possibly empty.
         let rows: Vec<usize> = pick.into_iter().map(|p| p % n).collect();
-        let z = fusedmm_rows(&a, &rows, &x, &y, &ops);
+        let z = subset(&a, &rows, &x, &y, &ops);
         prop_assert_eq!(z.nrows(), rows.len());
         for (i, &u) in rows.iter().enumerate() {
             for k in 0..d {
@@ -74,10 +82,11 @@ proptest! {
         let x = random_features(n, d, 0.5, seed ^ 5);
         let y = random_features(n, d, 0.5, seed ^ 6);
         let rows: Vec<usize> = (0..n).rev().step_by(2).collect();
-        let plan = Plan::prepare(&ops, d);
-        let via_plan = plan.execute_rows(&a, &rows, &x, &y, &ops);
-        let direct = fusedmm_rows(&a, &rows, &x, &y, &ops);
-        prop_assert!(via_plan.max_abs_diff(&direct) < 1e-6);
+        // A subset launch computes the rows the whole-graph call
+        // computes, bit for bit.
+        let via_plan = subset(&a, &rows, &x, &y, &ops);
+        let direct = fusedmm::sparse::slice::gather_rows(&fusedmm(&a, &x, &y, &ops), &rows);
+        prop_assert_eq!(via_plan, direct);
     }
 }
 
@@ -90,15 +99,15 @@ fn empty_duplicate_and_reversed_subsets() {
     let ops = OpSet::sigmoid_embedding(None);
     let reference = fusedmm_reference(&a, &x, &y, &ops);
 
-    let empty = fusedmm_rows(&a, &[], &x, &y, &ops);
+    let empty = subset(&a, &[], &x, &y, &ops);
     assert_eq!((empty.nrows(), empty.ncols()), (0, 16));
 
     let dupes = vec![4usize; 7];
-    assert_rows_match(&fusedmm_rows(&a, &dupes, &x, &y, &ops), &reference, &dupes, 1e-5, "dupes");
+    assert_rows_match(&subset(&a, &dupes, &x, &y, &ops), &reference, &dupes, 1e-5, "dupes");
 
     let reversed: Vec<usize> = (0..n).rev().collect();
     assert_rows_match(
-        &fusedmm_rows(&a, &reversed, &x, &y, &ops),
+        &subset(&a, &reversed, &x, &y, &ops),
         &reference,
         &reversed,
         1e-5,
