@@ -30,7 +30,6 @@ const NSHARDS: usize = 2;
 
 fn config() -> EngineConfig {
     EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

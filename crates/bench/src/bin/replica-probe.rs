@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fusedmm_bench::workloads::rpc_demo_workload;
 use fusedmm_core::{Partition, PartitionStrategy};
@@ -38,7 +38,6 @@ const NSHARDS: usize = 2;
 
 fn config() -> EngineConfig {
     EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

@@ -261,7 +261,8 @@ impl RowWaiter {
         FillCell::take_locked(&mut st)
     }
 
-    /// Park until the fill lands (or the owner aborts).
+    /// Park until the fill lands (or the owner aborts). This does no
+    /// work itself: the owner's computation must run on another thread.
     pub fn wait(&self) -> Result<Box<[f32]>, FillAborted> {
         let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {

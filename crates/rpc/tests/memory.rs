@@ -10,7 +10,6 @@
 //! The tests run one at a time (the counters are process-wide).
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
@@ -126,7 +125,6 @@ fn graph(n: usize) -> Csr {
 
 fn config() -> EngineConfig {
     EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

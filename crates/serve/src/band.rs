@@ -1,18 +1,22 @@
 //! One PART1D row band below the request path: its rows, its kernel
-//! plan, its batch queue and the dispatcher thread that drains it.
+//! plan and its batch queue — drained by whichever thread needs one of
+//! its results, not by a thread of its own.
 //!
 //! A band knows nothing about requests — no admission, cache, ledger,
 //! permutation or tracer sampling. It receives parts (sorted, distinct
 //! global ids of its own rows, a pinned epoch, a [`PartSlot`]) from the
-//! front end through [`LocalBands`](crate::LocalBands), coalesces
-//! whatever is queued into one deduplicated row-subset launch per tick,
+//! front end through [`LocalBands`](crate::LocalBands) and queues them
+//! without blocking. A waiter that finds the queue free becomes its
+//! combiner ([`Band::combine`]): it coalesces whatever is queued into
+//! one deduplicated row-subset launch per drain, on its own thread,
 //! and resolves each part's slot — cache registrations first, then the
-//! rows. A panicking launch is caught here and every part in it
-//! resolves `Failed`, which the front end retries once.
+//! rows — until the queue is empty or its caller has what it came for.
+//! A panicking launch is caught here and every part in it resolves
+//! `Failed`, which the front end retries once (on the waiter's thread,
+//! like every launch).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fusedmm_core::{Launch, PartitionStrategy, Plan};
@@ -32,12 +36,14 @@ use crate::score::score_edges_banded;
 use crate::store::{copy_rows, FeatureEpoch};
 use crate::ticket::Quality;
 use crate::transport::{PartOutcome, PartSlot};
+use crate::wait::Watcher;
 
 /// A band's counters at one point in time (see
 /// [`ServeMetrics::bands`](crate::ServeMetrics::bands)).
 #[derive(Debug, Clone, Copy)]
 pub struct BandMetrics {
-    /// Kernel launches this band's dispatcher performed.
+    /// Kernel launches this band ran, on whichever waiting threads
+    /// combined its queue.
     pub batches_dispatched: u64,
     /// Rows the front end asked this band for: each request's distinct
     /// cache misses (the front end deduplicates a request before it
@@ -46,7 +52,7 @@ pub struct BandMetrics {
     /// Rows the band computed after coalescing concurrent parts into
     /// one launch (≤ `rows_requested`).
     pub rows_computed: u64,
-    /// Kernel-launch panics caught at this band's dispatch boundary.
+    /// Kernel-launch panics caught at this band's launch boundary.
     pub panics_caught: u64,
     /// Parts dropped past their deadline without kernel time.
     pub expired_dropped: u64,
@@ -59,7 +65,7 @@ pub struct BandMetrics {
     pub infer: HistogramSnapshot,
 }
 
-pub(crate) struct BandCore {
+pub(crate) struct Band {
     /// The band's adjacency rows under local row indices.
     a: Csr,
     /// Global vertex id of local row 0.
@@ -70,6 +76,8 @@ pub(crate) struct BandCore {
     ops: OpSet,
     pub plan: Plan,
     queue: BatchQueue,
+    /// [`EngineConfig::max_batch_rows`]: the row cap of one drain.
+    max_batch_rows: usize,
     tracer: Arc<Tracer>,
     fault: Option<Arc<FaultPlan>>,
     max_row_degree: usize,
@@ -82,15 +90,9 @@ pub(crate) struct BandCore {
     infer_latency: LatencyHistogram,
 }
 
-pub(crate) struct Band {
-    pub core: Arc<BandCore>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
-}
-
 impl Band {
-    /// Own `a` (global rows `start..start + a.nrows()`) and spawn its
-    /// dispatcher.
-    pub fn spawn(
+    /// Own `a` (global rows `start..start + a.nrows()`).
+    pub fn new(
         a: Csr,
         start: usize,
         shard: Option<usize>,
@@ -101,13 +103,14 @@ impl Band {
     ) -> Band {
         let plan = Plan::with_blocking(&ops, d, config.blocking, PartitionStrategy::NnzBalanced);
         let max_row_degree = (0..a.nrows()).map(|r| a.row_nnz(r)).max().unwrap_or(0);
-        let core = Arc::new(BandCore {
+        Band {
             a,
             start,
             shard,
             ops,
             plan,
             queue: BatchQueue::new(),
+            max_batch_rows: config.max_batch_rows,
             tracer: Arc::clone(&resolved.tracer),
             fault: resolved.fault.clone(),
             max_row_degree,
@@ -118,29 +121,14 @@ impl Band {
             expired_dropped: AtomicU64::new(0),
             score_latency: LatencyHistogram::new(),
             infer_latency: LatencyHistogram::new(),
-        });
-        let dispatcher = {
-            let core = Arc::clone(&core);
-            let (window, max_rows) = (config.coalesce_window, config.max_batch_rows);
-            std::thread::Builder::new()
-                .name("fusedmm-serve-dispatch".into())
-                .spawn(move || {
-                    while let Some(drained) = core.queue.next_batch(window, max_rows) {
-                        core.drop_expired(drained.expired);
-                        for group in group_by_epoch(drained.batch) {
-                            core.launch(group);
-                        }
-                    }
-                })
-                .expect("spawn dispatcher thread")
-        };
-        Band { core, dispatcher: Mutex::new(Some(dispatcher)) }
+        }
     }
 
-    /// Queue one part. A traced part's span closes here as `Enqueue`
-    /// and parents the batch. If the queue is already shut down the
-    /// part is dropped, which resolves its ticket `EngineShutdown` and
-    /// aborts its cache registrations.
+    /// Queue one part without blocking; nothing is computed until a
+    /// waiter combines the queue. A traced part's span closes here as
+    /// `Enqueue` and parents the batch. If the queue is already shut
+    /// down the part is dropped, which resolves its ticket
+    /// `EngineShutdown` and aborts its cache registrations.
     pub fn enqueue(
         &self,
         nodes: &[usize],
@@ -150,7 +138,7 @@ impl Band {
         mut slot: PartSlot,
     ) {
         let span = slot.span.take();
-        let accepted = self.core.queue.push(Pending {
+        let accepted = self.queue.push(Pending {
             nodes: nodes.to_vec(),
             epoch: Arc::clone(epoch),
             slot,
@@ -160,57 +148,69 @@ impl Band {
         });
         if let Some(s) = span.filter(|_| accepted) {
             let end = s.tracer.now();
-            s.tracer.record(s.ctx, SpanKind::Enqueue, s.start_ns, end, self.core.shard, s.rows);
+            s.tracer.record(s.ctx, SpanKind::Enqueue, s.start_ns, end, self.shard, s.rows);
         }
     }
 
+    /// Run the queued batches on the calling thread until the queue is
+    /// empty or `stop` — asked after each batch — says the caller has
+    /// what it came for; unless another thread already combines the
+    /// queue, and then this returns at once. Work left behind by a stop
+    /// wakes the parked waiters.
+    pub fn combine(&self, stop: &mut dyn FnMut() -> bool) {
+        let Some(mut combiner) = self.queue.combine() else { return };
+        while let Some(drained) = combiner.next_batch(self.max_batch_rows) {
+            self.drop_expired(drained.expired);
+            drop(drained.abandoned);
+            for group in group_by_epoch(drained.batch) {
+                self.launch(group);
+            }
+            if stop() {
+                break;
+            }
+        }
+    }
+
+    /// Register `waiter` to be woken when this band has work and no
+    /// combiner; `false` — nothing registered — when it has now.
+    pub fn park(&self, waiter: &Watcher) -> bool {
+        self.queue.park(waiter)
+    }
+
     pub fn score(&self, pairs: &[(usize, usize)], epoch: &FeatureEpoch) -> Vec<f32> {
-        let c = &self.core;
         let t0 = Instant::now();
         let (x, x_start, y) = (epoch.x(), epoch.x_start(), epoch.y());
-        let scores = score_edges_banded(&c.a, c.start, pairs, x, x_start, y, &c.ops);
-        c.score_latency.record(t0.elapsed());
+        let scores = score_edges_banded(&self.a, self.start, pairs, x, x_start, y, &self.ops);
+        self.score_latency.record(t0.elapsed());
         scores
     }
 
     /// Every row of the band under the pinned epoch, into the caller's
     /// `rows × d` slice; every row is overwritten.
     pub fn infer_into(&self, epoch: &FeatureEpoch, z: &mut [f32]) {
-        let c = &self.core;
         let t0 = Instant::now();
         let all = Launch::All { scores: None };
-        if epoch.x_start() == c.start && epoch.x().nrows() == c.a.nrows() {
+        if epoch.x_start() == self.start && epoch.x().nrows() == self.a.nrows() {
             // `X` is exactly the band (a whole-graph band, or a replica).
-            c.plan.launch(&c.a, epoch.x(), epoch.y(), &c.ops, all, z);
+            self.plan.launch(&self.a, epoch.x(), epoch.y(), &self.ops, all, z);
         } else {
-            let xb = copy_rows(epoch.x(), epoch.x_start(), c.start..c.start + c.a.nrows());
-            c.plan.launch(&c.a, &xb, epoch.y(), &c.ops, all, z);
+            let xb = copy_rows(epoch.x(), epoch.x_start(), self.start..self.start + self.a.nrows());
+            self.plan.launch(&self.a, &xb, epoch.y(), &self.ops, all, z);
         }
-        c.infer_latency.record(t0.elapsed());
+        self.infer_latency.record(t0.elapsed());
     }
 
     pub fn queued_rows(&self) -> usize {
-        self.core.queue.queued_rows()
+        self.queue.queued_rows()
     }
 
-    /// Stop accepting parts, finish the queued ones, join the
-    /// dispatcher. Idempotent.
+    /// Stop accepting parts, resolve the queued ones `EngineShutdown`
+    /// and wake every parked waiter; a launch in flight finishes.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.core.queue.shutdown();
-        let handle = self.dispatcher.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.queue.shutdown();
     }
-}
 
-impl Drop for Band {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl BandCore {
     /// Resolve parts whose deadline passed while queued: no kernel time
     /// spent, cache registrations aborted.
     fn drop_expired(&self, expired: Vec<Pending>) {
@@ -223,9 +223,8 @@ impl BandCore {
     /// One kernel launch for a group sharing a pinned epoch and tier.
     fn launch(&self, group: Vec<Pending>) {
         let tracer = &self.tracer;
-        // Deadlines are re-checked right before the launch: the linger
-        // (or a long prior group) may have outlasted one that was live
-        // at drain time.
+        // Deadlines are re-checked right before the launch: a long prior
+        // group may have outlasted one that was live at drain time.
         let now = Instant::now();
         let (group, expired): (Vec<_>, Vec<_>) =
             group.into_iter().partition(|p| p.deadline.is_none_or(|d| d > now));
@@ -240,14 +239,14 @@ impl BandCore {
         let union = dedup_union(group.iter().map(|p| p.nodes.as_slice()));
         let rows_requested: usize = group.iter().map(|p| p.nodes.len()).sum();
         // This launch's sequence number (1, 2, ...), for the fault
-        // plan: only this thread counts launches, landed or panicked.
+        // plan: only the combiner counts launches, landed or panicked.
         let seq = self.batches_dispatched.load(Ordering::Relaxed)
             + self.panics_caught.load(Ordering::Relaxed)
             + 1;
         let kernel_start = if sampled { tracer.now() } else { 0 };
         // The launch is a fault boundary: a panic inside the kernel (or
         // injected by the fault plan) becomes a typed `Failed` per part,
-        // the dispatcher survives, and each ticket retries once.
+        // the combiner survives, and each ticket retries once.
         let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(fault) = &self.fault {
                 fault.maybe_panic(seq);

@@ -1,23 +1,25 @@
-//! Micro-batching: coalesce concurrent node-subset requests into one
-//! deduplicated row batch per dispatcher tick.
+//! Micro-batching: coalesce the node-subset parts queued on one band
+//! into one deduplicated row batch per drain.
 //!
-//! Each part waits on its [`PartSlot`] while a band's dispatcher thread
-//! drains the queue, takes the sorted union of all requested nodes,
-//! runs the row-subset kernel once, and scatters each part's rows back.
-//! Batching
-//! amortizes the kernel launch and deduplication means a hot node
-//! requested by ten concurrent callers is computed once.
+//! A `BatchQueue` holds `Pending` parts and an `executing` flag under
+//! one mutex, and whichever thread needs one of the band's results runs
+//! the queued batches itself (flat combining): the first to find the
+//! flag clear becomes the **combiner** — it takes the sorted union of
+//! each batch's nodes, runs the row-subset kernel once and scatters the
+//! rows back — and clears the flag under that mutex: when it sees the
+//! queue empty, so a part pushed meanwhile rides it, or when the
+//! combiner stops early because its own caller is answered. A thread
+//! that finds the flag held parks registered with the queue; a push
+//! finding no combiner, or a combiner leaving work behind, wakes it.
 //!
-//! The queue is deadline-aware: a drain partitions requests whose
-//! deadline already passed into `Drained::expired` so the dispatcher
-//! can fail them (typed, cheap) without spending kernel time — and it
-//! tracks its total queued rows so the admission policy can bound the
-//! backlog.
+//! A drain siphons parts whose deadline passed (failed typed, no kernel
+//! time) and parts nobody can receive any more, and the queue tracks
+//! its total queued rows so the admission policy can bound the backlog.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 use fusedmm_perf::trace::SpanCtx;
 use fusedmm_sparse::dense::Dense;
@@ -25,6 +27,7 @@ use fusedmm_sparse::dense::Dense;
 use crate::store::FeatureEpoch;
 use crate::ticket::Quality;
 use crate::transport::PartSlot;
+use crate::wait::Watcher;
 
 /// One enqueued part of an embedding request.
 pub(crate) struct Pending {
@@ -40,15 +43,15 @@ pub(crate) struct Pending {
     /// engine shutdown on the caller side and aborts the registrations.
     pub slot: PartSlot,
     /// The request's enqueue-span context when it was sampled for
-    /// tracing: the dispatcher parents its batch/kernel/cache-fill
-    /// spans under it (recorded per sampled request, so each owns a
-    /// complete tree). `None` for unsampled requests — every span site
+    /// tracing: the combiner parents its batch/kernel/cache-fill spans
+    /// under it (recorded per sampled request, so each owns a complete
+    /// tree). `None` for unsampled requests — every span site
     /// downstream short-circuits.
     pub trace: Option<SpanCtx>,
     /// Drop (and resolve `PartOutcome::Expired`) instead of computing
     /// past this instant.
     pub deadline: Option<Instant>,
-    /// The answer tier: decides which kernel the dispatcher launches.
+    /// The answer tier: decides which kernel the combiner launches.
     /// Requests of different tiers never share a launch.
     pub quality: Quality,
 }
@@ -59,24 +62,50 @@ impl Pending {
     }
 }
 
-/// One dispatcher drain: the launchable batch plus any requests whose
-/// deadline passed while queued (to be failed without kernel time).
+/// One drain: the launchable batch, the parts whose deadline passed
+/// while queued (to be failed without kernel time), and the parts
+/// whose ticket was dropped and whose rows nobody else waits on (to be
+/// dropped uncomputed).
 pub(crate) struct Drained {
     pub batch: Vec<Pending>,
     pub expired: Vec<Pending>,
+    pub abandoned: Vec<Pending>,
 }
 
 struct QueueState {
     pending: VecDeque<Pending>,
     shutdown: bool,
+    /// Set while one thread — the combiner — runs this queue's batches.
+    executing: bool,
+    /// Waiters parked on this queue, woken when it has work and no
+    /// combiner. Weak: a waiter that moved on leaves a dead entry,
+    /// pruned at the next registration.
+    parked: Vec<Weak<dyn Fn() + Send + Sync>>,
 }
 
-/// The dispatcher's work queue: a condvar-signalled FIFO of
-/// [`Pending`] requests that tracks its total queued rows (the
-/// admission policy's backlog signal).
+impl QueueState {
+    /// The parked waiters to wake when this queue has work and no
+    /// combiner; fired by the caller after it unlocks.
+    fn wake_if_idle(&mut self) -> Vec<Weak<dyn Fn() + Send + Sync>> {
+        if self.executing || self.pending.is_empty() {
+            Vec::new()
+        } else {
+            std::mem::take(&mut self.parked)
+        }
+    }
+}
+
+fn fire(parked: Vec<Weak<dyn Fn() + Send + Sync>>) {
+    for w in parked.iter().filter_map(Weak::upgrade) {
+        w();
+    }
+}
+
+/// A band's work queue: a FIFO of [`Pending`] parts, the combiner flag
+/// and the parked waiters under one mutex, plus the total queued rows
+/// (the admission policy's backlog signal).
 pub(crate) struct BatchQueue {
-    state: std::sync::Mutex<QueueState>,
-    cv: Condvar,
+    state: Mutex<QueueState>,
     /// Total `nodes.len()` across queued requests. Kept as a separate
     /// atomic so admission can read it without taking the queue lock.
     rows: AtomicUsize,
@@ -84,11 +113,17 @@ pub(crate) struct BatchQueue {
 
 impl BatchQueue {
     pub fn new() -> Self {
-        BatchQueue {
-            state: std::sync::Mutex::new(QueueState { pending: VecDeque::new(), shutdown: false }),
-            cv: Condvar::new(),
-            rows: AtomicUsize::new(0),
-        }
+        let state = QueueState {
+            pending: VecDeque::new(),
+            shutdown: false,
+            executing: false,
+            parked: vec![],
+        };
+        BatchQueue { state: Mutex::new(state), rows: AtomicUsize::new(0) }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Total requested rows currently queued (admission's backlog
@@ -98,78 +133,133 @@ impl BatchQueue {
         self.rows.load(Ordering::Relaxed)
     }
 
-    /// Enqueue a request; returns `false` when the queue is already
-    /// shut down (the request is dropped).
+    /// Enqueue a request without blocking; returns `false` when the
+    /// queue is already shut down (the request is dropped). A push that
+    /// finds no combiner wakes every parked waiter.
     pub fn push(&self, request: Pending) -> bool {
         let rows = request.nodes.len();
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         if state.shutdown {
             return false;
         }
         state.pending.push_back(request);
         self.rows.fetch_add(rows, Ordering::Relaxed);
+        let wake = state.wake_if_idle();
         drop(state);
-        self.cv.notify_one();
+        fire(wake);
         true
     }
 
-    /// Mark the queue closed and wake the dispatcher.
+    /// Stop accepting parts, drop the queued ones — which resolves each
+    /// ticket `EngineShutdown` and aborts its cache registrations — and
+    /// wake every parked waiter. A combiner mid-launch finishes its
+    /// batch.
     pub fn shutdown(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).shutdown = true;
-        self.cv.notify_all();
+        let mut state = self.lock();
+        state.shutdown = true;
+        let queued = std::mem::take(&mut state.pending);
+        self.rows.store(0, Ordering::Relaxed);
+        let parked = std::mem::take(&mut state.parked);
+        drop(state);
+        drop(queued);
+        fire(parked);
     }
 
-    /// Block until work arrives (or shutdown), linger for at most
-    /// `coalesce_window` so concurrent callers can join the batch, then
-    /// drain requests until `max_batch_rows` requested rows are taken
-    /// (always at least one request). The linger ends early when the
-    /// batch fills up — under backlog the wait would add latency
-    /// without any extra coalescing — and otherwise lasts the whole
-    /// window whoever else is or is not calling, so a request's wait
-    /// does not depend on how it happens to interleave with the others.
-    /// Requests whose deadline already passed are siphoned into
-    /// `Drained::expired` without counting toward the row cap. Returns
-    /// `None` only on shutdown with an empty queue.
-    pub fn next_batch(&self, coalesce_window: Duration, max_batch_rows: usize) -> Option<Drained> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.pending.is_empty() {
-            if state.shutdown {
-                return None;
-            }
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+    /// Become this queue's combiner: `None` when the queue is empty or
+    /// another thread already combines it (that thread then drains
+    /// whatever is queued now).
+    pub fn combine(&self) -> Option<Combiner<'_>> {
+        let mut state = self.lock();
+        if state.executing || state.pending.is_empty() {
+            return None;
         }
-        let linger_until = Instant::now() + coalesce_window;
-        // Every push signals the condvar, so each arrival re-checks
-        // the row cap.
-        while !state.shutdown && self.rows.load(Ordering::Relaxed) < max_batch_rows {
-            let left = linger_until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            state = self.cv.wait_timeout(state, left).unwrap_or_else(|e| e.into_inner()).0;
+        state.executing = true;
+        Some(Combiner { queue: self, held: true })
+    }
+
+    /// Register `waiter` to be woken when this queue has work and no
+    /// combiner. Returns `false` — registering nothing — when that is
+    /// already the case: the caller should combine instead of parking.
+    pub fn park(&self, waiter: &Watcher) -> bool {
+        let mut state = self.lock();
+        if !state.executing && !state.pending.is_empty() {
+            return false;
+        }
+        state.parked.retain(|w| w.strong_count() > 0);
+        let me = Arc::as_ptr(waiter).cast::<()>();
+        if !state.parked.iter().any(|w| w.as_ptr().cast::<()>() == me) {
+            state.parked.push(Arc::downgrade(waiter));
+        }
+        true
+    }
+}
+
+/// The combiner flag of one [`BatchQueue`], held by the thread running
+/// its batches. Released by [`next_batch`](Combiner::next_batch) when
+/// it finds the queue empty, or on drop — also when a panic unwinds
+/// through the combiner — in which case any work left behind wakes the
+/// parked waiters.
+pub(crate) struct Combiner<'a> {
+    queue: &'a BatchQueue,
+    held: bool,
+}
+
+impl Combiner<'_> {
+    /// Drain parts until `max_batch_rows` requested rows are taken
+    /// (always at least one part), with no linger. Parts whose deadline
+    /// already passed go to `Drained::expired` and parts nobody can
+    /// receive any more to `Drained::abandoned`, neither counting
+    /// toward the cap. Returns `None`, releasing the flag under the
+    /// same lock, once the queue is empty.
+    pub fn next_batch(&mut self, max_batch_rows: usize) -> Option<Drained> {
+        let mut state = self.queue.lock();
+        if state.pending.is_empty() {
+            state.executing = false;
+            self.held = false;
+            return None;
         }
         let now = Instant::now();
-        let mut batch = Vec::new();
-        let mut expired = Vec::new();
+        let mut drained = Drained { batch: Vec::new(), expired: Vec::new(), abandoned: Vec::new() };
         let mut rows = 0usize;
         let mut drained_rows = 0usize;
         while let Some(front) = state.pending.front() {
-            if front.expired(now) {
-                // Expired work costs no kernel time, so it never
-                // limits the drain — sweep the whole backlog of it.
-                drained_rows += front.nodes.len();
-                expired.push(state.pending.pop_front().expect("front exists"));
+            let n = front.nodes.len();
+            // Neither expired nor abandoned work costs kernel time, so
+            // neither limits the drain — sweep the whole backlog of it.
+            let dead = if front.expired(now) {
+                Some(&mut drained.expired)
+            } else if front.slot.is_abandoned() {
+                Some(&mut drained.abandoned)
+            } else {
+                None
+            };
+            if let Some(dead) = dead {
+                drained_rows += n;
+                dead.push(state.pending.pop_front().expect("front exists"));
                 continue;
             }
-            if !batch.is_empty() && rows + front.nodes.len() > max_batch_rows {
+            if !drained.batch.is_empty() && rows + n > max_batch_rows {
                 break;
             }
-            rows += front.nodes.len();
-            drained_rows += front.nodes.len();
-            batch.push(state.pending.pop_front().expect("front exists"));
+            rows += n;
+            drained_rows += n;
+            drained.batch.push(state.pending.pop_front().expect("front exists"));
         }
-        self.rows.fetch_sub(drained_rows, Ordering::Relaxed);
-        Some(Drained { batch, expired })
+        self.queue.rows.fetch_sub(drained_rows, Ordering::Relaxed);
+        Some(drained)
+    }
+}
+
+impl Drop for Combiner<'_> {
+    fn drop(&mut self) {
+        if !self.held {
+            return;
+        }
+        let mut state = self.queue.lock();
+        state.executing = false;
+        let wake = state.wake_if_idle();
+        drop(state);
+        fire(wake);
     }
 }
 
@@ -223,16 +313,36 @@ pub fn scatter_rows(union_nodes: &[usize], union_rows: &Dense, nodes: &[usize]) 
 mod tests {
     use super::*;
     use crate::store::FeatureStore;
-    use crate::wait::slot;
+    use crate::wait::{slot, SlotPoll, SlotRx};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn epoch() -> Arc<FeatureEpoch> {
         FeatureStore::new(Dense::zeros(1, 1), Dense::zeros(1, 1)).snapshot()
     }
 
-    fn pending(nodes: Vec<usize>, epoch: Arc<FeatureEpoch>) -> Pending {
-        let (tx, _rx) = slot();
+    /// A part plus its receiver: a part whose receiver is dropped is
+    /// abandoned, and drains skip it.
+    fn part(nodes: Vec<usize>, epoch: Arc<FeatureEpoch>) -> (Pending, SlotRx) {
+        let (tx, rx) = slot();
         let slot = PartSlot::new(tx, None, None);
-        Pending { nodes, epoch, slot, trace: None, deadline: None, quality: Quality::Exact }
+        (Pending { nodes, epoch, slot, trace: None, deadline: None, quality: Quality::Exact }, rx)
+    }
+
+    fn pending(nodes: Vec<usize>, epoch: Arc<FeatureEpoch>) -> Pending {
+        part(nodes, epoch).0
+    }
+
+    /// Push a live part; its receiver joins `held`.
+    fn push(q: &BatchQueue, held: &mut Vec<SlotRx>, p: (Pending, SlotRx)) {
+        assert!(q.push(p.0));
+        held.push(p.1);
+    }
+
+    fn counter() -> (Arc<AtomicUsize>, Watcher) {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let f = Arc::clone(&fired);
+        (fired, Arc::new(move || _ = f.fetch_add(1, Ordering::SeqCst)))
     }
 
     #[test]
@@ -255,89 +365,117 @@ mod tests {
 
     #[test]
     fn queue_batches_everything_waiting() {
-        let q = BatchQueue::new();
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
         for n in 0..3usize {
-            assert!(q.push(pending(vec![n], Arc::clone(&ep))));
+            push(&q, &mut held, part(vec![n], Arc::clone(&ep)));
         }
         assert_eq!(q.queued_rows(), 3);
-        let drained = q.next_batch(Duration::ZERO, 1024).expect("work available");
+        let mut combiner = q.combine().expect("work available");
+        let drained = combiner.next_batch(1024).expect("work available");
         assert_eq!(drained.batch.len(), 3);
-        assert!(drained.expired.is_empty());
+        assert!(drained.expired.is_empty() && drained.abandoned.is_empty());
         assert_eq!(q.queued_rows(), 0, "drain returns the rows to the gauge");
-    }
-
-    /// Long enough that a test which wrongly sits out the window fails
-    /// its `elapsed` bound instead of squeaking past it.
-    const LONG_WINDOW: Duration = Duration::from_secs(20);
-
-    #[test]
-    fn full_batch_is_not_delayed_by_the_window() {
-        let q = BatchQueue::new();
-        q.push(pending(vec![0; 16], epoch()));
-        let t0 = Instant::now();
-        let drained = q.next_batch(LONG_WINDOW, 16).expect("work available");
-        assert_eq!(drained.batch.len(), 1);
-        assert!(t0.elapsed() < LONG_WINDOW / 4, "the row cap ends the linger");
+        assert!(combiner.next_batch(1024).is_none(), "empty queue releases the flag");
+        assert!(q.combine().is_none(), "nothing left to combine");
     }
 
     #[test]
-    fn concurrent_callers_share_one_launch() {
-        // One request queued, a second still on its way: the dispatcher
-        // holds the batch open until it lands (and fills the batch),
-        // however the second push and the dispatcher's wait interleave.
-        let q = BatchQueue::new();
+    fn one_combiner_at_a_time_and_it_drains_late_arrivals() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
-        q.push(pending(vec![1], Arc::clone(&ep)));
-        let drained = std::thread::scope(|s| {
-            let dispatcher = s.spawn(|| q.next_batch(LONG_WINDOW, 2).expect("work available"));
-            q.push(pending(vec![2], Arc::clone(&ep)));
-            dispatcher.join().expect("dispatcher")
-        });
-        assert_eq!(drained.batch.len(), 2, "the second caller joined the first one's batch");
+        push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
+        let mut combiner = q.combine().expect("work available");
+        let first = combiner.next_batch(1024).unwrap();
+        push(&q, &mut held, part(vec![2], Arc::clone(&ep)));
+        assert!(q.combine().is_none(), "the flag is held: a second thread leaves it to the first");
+        let late = combiner.next_batch(1024).expect("a part pushed mid-run is the combiner's");
+        assert_eq!((first.batch[0].nodes[0], late.batch[0].nodes[0]), (1, 2));
+        assert!(combiner.next_batch(1024).is_none());
+        drop(combiner);
+        push(&q, &mut held, part(vec![3], ep));
+        assert!(q.combine().is_some(), "a released flag can be taken again");
     }
 
     #[test]
-    fn window_bounds_the_wait_for_a_request_that_never_arrives() {
-        let q = BatchQueue::new();
-        q.push(pending(vec![1], epoch()));
-        let window = Duration::from_millis(30);
-        let t0 = Instant::now();
-        let drained = q.next_batch(window, 1024).expect("work available");
-        assert!(t0.elapsed() >= window, "the batch had room: the full window is spent");
-        assert_eq!(drained.batch.len(), 1);
+    fn parked_waiters_wake_only_when_work_has_no_combiner() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        let ep = epoch();
+        let (fired, waiter) = counter();
+        assert!(q.park(&waiter), "an empty queue parks");
+        assert!(q.park(&waiter), "registering twice is one registration");
+        push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "a push with no combiner wakes the waiter");
+        assert!(!q.park(&waiter), "work without a combiner: combine instead of parking");
+        let combiner = q.combine().unwrap();
+        assert!(q.park(&waiter), "a running combiner drains the queue: parking is safe");
+        push(&q, &mut held, part(vec![2], Arc::clone(&ep)));
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the combiner takes it: no wake-up");
+        drop(combiner);
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "a combiner leaving work behind wakes");
+    }
+
+    #[test]
+    fn a_panicking_combiner_releases_the_flag() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        push(&q, &mut held, part(vec![1], epoch()));
+        push(&q, &mut held, part(vec![2], epoch()));
+        let (fired, waiter) = counter();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut combiner = q.combine().expect("work available");
+            let _batch = combiner.next_batch(1);
+            assert!(q.park(&waiter));
+            panic!("outside any launch's catch_unwind");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the work left behind woke the waiter");
+        assert!(q.combine().is_some(), "the band is not wedged");
+    }
+
+    #[test]
+    fn a_dead_waiter_is_pruned_not_fired() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        let (fired, waiter) = counter();
+        assert!(q.park(&waiter));
+        drop(waiter);
+        let (_, live) = counter();
+        assert!(q.park(&live));
+        assert_eq!(q.lock().parked.len(), 1, "the dead registration was pruned");
+        push(&q, &mut held, part(vec![1], epoch()));
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn queue_respects_row_cap_but_always_progresses() {
-        let q = BatchQueue::new();
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
         // One oversized request plus a small one.
-        q.push(pending(vec![0; 100], Arc::clone(&ep)));
-        q.push(pending(vec![1], Arc::clone(&ep)));
+        push(&q, &mut held, part(vec![0; 100], Arc::clone(&ep)));
+        push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
         assert_eq!(q.queued_rows(), 101);
-        let first = q.next_batch(Duration::ZERO, 10).unwrap();
+        let mut combiner = q.combine().unwrap();
+        let first = combiner.next_batch(10).unwrap();
         assert_eq!(first.batch.len(), 1, "oversized request still dispatched alone");
         assert_eq!(q.queued_rows(), 1);
-        let second = q.next_batch(Duration::ZERO, 10).unwrap();
+        let second = combiner.next_batch(10).unwrap();
         assert_eq!(second.batch.len(), 1);
         assert_eq!(q.queued_rows(), 0);
     }
 
     #[test]
     fn expired_requests_are_siphoned_without_charging_the_cap() {
-        let q = BatchQueue::new();
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
-        let mut dead = pending(vec![0; 50], Arc::clone(&ep));
-        dead.deadline = Some(Instant::now() - Duration::from_millis(1));
-        q.push(dead);
-        let mut live = pending(vec![1, 2], Arc::clone(&ep));
-        live.deadline = Some(Instant::now() + Duration::from_secs(60));
-        q.push(live);
-        q.push(pending(vec![3], Arc::clone(&ep)));
+        let mut dead = part(vec![0; 50], Arc::clone(&ep));
+        dead.0.deadline = Some(Instant::now() - Duration::from_millis(1));
+        push(&q, &mut held, dead);
+        let mut live = part(vec![1, 2], Arc::clone(&ep));
+        live.0.deadline = Some(Instant::now() + Duration::from_secs(60));
+        push(&q, &mut held, live);
+        push(&q, &mut held, part(vec![3], Arc::clone(&ep)));
         // Row cap 4 < the expired request's 50 rows: expired work must
         // not starve the drain.
-        let drained = q.next_batch(Duration::ZERO, 4).unwrap();
+        let drained = q.combine().unwrap().next_batch(4).unwrap();
         assert_eq!(drained.expired.len(), 1);
         assert_eq!(drained.expired[0].nodes.len(), 50);
         assert_eq!(drained.batch.len(), 2, "both live requests fit under the cap");
@@ -345,26 +483,44 @@ mod tests {
     }
 
     #[test]
+    fn abandoned_parts_are_siphoned_unless_they_own_fills() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        let ep = epoch();
+        assert!(q.push(pending(vec![0; 50], Arc::clone(&ep))), "receiver dropped at once");
+        push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
+        let drained = q.combine().unwrap().next_batch(4).unwrap();
+        assert_eq!(drained.abandoned.len(), 1, "nobody can receive the first part's rows");
+        assert_eq!(drained.batch.len(), 1);
+        assert_eq!(q.queued_rows(), 0);
+    }
+
+    #[test]
     fn all_expired_drain_is_valid_progress() {
-        let q = BatchQueue::new();
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
         for n in 0..2usize {
-            let mut p = pending(vec![n], Arc::clone(&ep));
-            p.deadline = Some(Instant::now() - Duration::from_millis(1));
-            q.push(p);
+            let mut p = part(vec![n], Arc::clone(&ep));
+            p.0.deadline = Some(Instant::now() - Duration::from_millis(1));
+            push(&q, &mut held, p);
         }
-        let drained = q.next_batch(Duration::ZERO, 8).unwrap();
+        let drained = q.combine().unwrap().next_batch(8).unwrap();
         assert!(drained.batch.is_empty());
         assert_eq!(drained.expired.len(), 2);
     }
 
     #[test]
     fn shutdown_drains_then_ends() {
-        let q = BatchQueue::new();
-        q.push(pending(vec![3], epoch()));
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        push(&q, &mut held, part(vec![3], epoch()));
+        let (fired, waiter) = counter();
+        let combiner = q.combine().unwrap();
+        assert!(q.park(&waiter));
         q.shutdown();
-        assert!(q.next_batch(Duration::ZERO, 8).is_some(), "queued work still served");
-        assert!(q.next_batch(Duration::ZERO, 8).is_none(), "then the queue reports closed");
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "shutdown wakes every parked waiter");
+        assert!(matches!(held[0].try_recv(), SlotPoll::Closed), "queued part resolved");
+        assert_eq!(q.queued_rows(), 0);
+        drop(combiner);
+        assert!(q.combine().is_none(), "nothing left to run");
         assert!(!q.push(pending(vec![1], epoch())));
     }
 

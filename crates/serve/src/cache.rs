@@ -127,8 +127,8 @@ impl EpochListener for EmbedCache {
 }
 
 /// The in-flight registrations one enqueued request owns, riding the
-/// dispatcher queue with it: `owners[i]` is the registration for the
-/// request's `i`-th node. The dispatcher resolves the set with
+/// band queue with it: `owners[i]` is the registration for the
+/// request's `i`-th node. The band's launch resolves the set with
 /// [`FillSet::complete`] when the rows are computed; a set dropped
 /// unresolved (the request never dispatched, e.g. enqueue raced a
 /// shutdown) aborts every registration so coalesced waiters observe
@@ -197,7 +197,7 @@ mod tests {
     }
 
     /// Route-and-fill every node as an owner — the shape the
-    /// dispatcher's [`FillSet`] path takes with no contention.
+    /// launch's [`FillSet`] path takes with no contention.
     fn fill_all(cache: &EmbedCache, epoch: u64, nodes: &[usize], rows: &Dense) {
         for (i, &u) in nodes.iter().enumerate() {
             match cache.route_miss(u, epoch) {

@@ -95,11 +95,7 @@ impl ShardTransport for LocalTransport {
 }
 
 fn config(cache: bool) -> EngineConfig {
-    EngineConfig {
-        coalesce_window: Duration::ZERO,
-        cache: cache.then(CacheConfig::default),
-        ..EngineConfig::default()
-    }
+    EngineConfig { cache: cache.then(CacheConfig::default), ..EngineConfig::default() }
 }
 
 const N: usize = 80;

@@ -10,7 +10,6 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 
 use fusedmm_cache::CacheConfig;
 use fusedmm_core::{Blocking, Partition, PartitionStrategy, Plan};
@@ -30,13 +29,9 @@ use crate::transport::LocalBands;
 /// Tuning knobs for an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Cap on requested rows the dispatcher coalesces into one kernel
-    /// launch. A single larger request is still served whole.
+    /// Cap on requested rows a band coalesces into one kernel launch.
+    /// A single larger request is still served whole.
     pub max_batch_rows: usize,
-    /// How long the dispatcher lingers after the first request of a
-    /// tick so concurrent callers can join the batch. Zero disables
-    /// the wait (lowest latency, least coalescing).
-    pub coalesce_window: Duration,
     /// How the engine's kernel plan runs a launch (see [`Blocking`]);
     /// the default [`Blocking::Auto`] is what `fusedmm` and
     /// [`Plan::prepare`] run. An operator set no specialized kernel
@@ -80,7 +75,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch_rows: 4096,
-            coalesce_window: Duration::from_micros(50),
             blocking: Blocking::Auto,
             cache: None,
             tracer: None,
@@ -156,8 +150,9 @@ impl std::error::Error for ServeError {}
 /// in-process band. Every request method — `embed`, `embed_begin_opts`,
 /// `score_edges`, `infer_full`, `metrics`, `register_metrics` — is the
 /// [`FrontEnd`]'s, reached through `Deref`. Share it across request
-/// threads by reference (it is `Sync`); dropping it stops the band's
-/// dispatcher.
+/// threads by reference (it is `Sync`); its batches run on the threads
+/// waiting on them, and dropping it resolves whatever is still queued
+/// `EngineShutdown`.
 pub struct Engine {
     front: FrontEnd<LocalBands>,
 }
@@ -167,8 +162,8 @@ impl Engine {
     /// (neighbor-side features) and prepare the kernel plan for `ops`.
     /// For plain embedding refresh pass the same features as `x` and
     /// `y`. The features become epoch 0 of a fresh [`FeatureStore`]
-    /// (reachable via [`FrontEnd::store`] for live updates). Spawns the
-    /// band's micro-batch dispatcher thread.
+    /// (reachable via [`FrontEnd::store`] for live updates). Spawns no
+    /// thread: each batch runs on a thread waiting for it.
     ///
     /// # Panics
     /// Panics when shapes are inconsistent (same contract as
@@ -199,7 +194,7 @@ impl Engine {
 
     /// The frozen kernel plan the band executes under.
     pub fn plan(&self) -> Plan {
-        self.front.transport.bands[0].core.plan
+        self.front.transport.bands[0].plan
     }
 }
 
@@ -270,11 +265,11 @@ pub(crate) fn local_front(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::{EmbedOptions, Quality};
+    use crate::ticket::{EmbedOptions, Quality, Ticket};
     use crate::ShardedEngine;
     use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -291,7 +286,7 @@ mod tests {
     }
 
     fn config() -> EngineConfig {
-        EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() }
+        EngineConfig::default()
     }
 
     fn build(n: usize, d: usize, ops: OpSet, config: EngineConfig) -> Engine {
@@ -506,17 +501,160 @@ mod tests {
 
     #[test]
     fn queued_request_expiring_before_launch_fails_typed() {
-        // A long coalesce linger guarantees the short deadline passes
-        // while the request sits in the queue.
-        let cfg = EngineConfig { coalesce_window: Duration::from_millis(50), ..config() };
+        // The request queues behind an Exact launch whose cache fill the
+        // fault plan stalls past its deadline. Its own begin runs both
+        // (a different tier never shares that launch), and its deadline
+        // is re-checked right before its launch.
+        let cfg = EngineConfig {
+            cache: Some(CacheConfig::default()),
+            fault: Some(Arc::new(FaultPlan::parse("delay_fill_us=100000").unwrap())),
+            ..config()
+        };
         let eng = build(10, 4, OpSet::gcn(), cfg);
-        let opts = EmbedOptions::with_deadline(Instant::now() + Duration::from_millis(5));
+        let ahead = eng.embed_begin(&[2]).unwrap();
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let opts = EmbedOptions { deadline: Some(deadline), quality: Quality::TopKNeighbors(2) };
         let t = eng.embed_begin_opts(&[1], opts).unwrap();
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
+        ahead.wait().unwrap();
         let m = eng.metrics();
         assert_eq!(m.bands[0].expired_dropped, 1);
         assert_eq!(m.requests_failed, 1);
-        assert_eq!(m.bands[0].rows_computed, 0, "no kernel time was spent past the deadline");
+        assert_eq!(m.bands[0].rows_computed, 1, "no kernel time was spent past the deadline");
+    }
+
+    #[test]
+    fn a_dropped_tickets_queued_part_is_not_computed() {
+        let eng = build(20, 8, OpSet::gcn(), config());
+        drop(eng.embed_begin(&[3]).unwrap());
+        eng.embed(&[5]).unwrap();
+        let m = eng.metrics();
+        assert_eq!(m.bands[0].rows_computed, 1, "only the waited-on row was computed");
+        assert_eq!(m.requests_abandoned, 1);
+    }
+
+    #[test]
+    fn a_ticket_nobody_waits_on_is_completed_by_the_next_waiter_on_its_band() {
+        let eng = build(20, 8, OpSet::gcn(), config());
+        let want = eng.embed(&[3]).unwrap();
+        let before = eng.metrics().bands[0].batches_dispatched;
+        let mut idle = eng.embed_begin(&[3]).unwrap();
+        eng.embed(&[5]).unwrap();
+        let m = eng.metrics().bands[0];
+        assert_eq!(m.batches_dispatched - before, 1, "both parts rode the waiter's one launch");
+        assert_eq!(idle.poll(), Some(Ok(want)), "the idle ticket's rows were computed too");
+        assert_eq!(eng.metrics().bands[0].batches_dispatched, m.batches_dispatched);
+    }
+
+    #[test]
+    fn a_coalesced_waiter_completes_whatever_happens_to_the_owners_ticket() {
+        let cached = || EngineConfig { cache: Some(CacheConfig::default()), ..config() };
+        let want = build(20, 8, OpSet::gcn(), config()).embed(&[7]).unwrap();
+        for drop_owner in [false, true] {
+            let eng = build(20, 8, OpSet::gcn(), cached());
+            let owner = eng.embed_begin(&[7]).unwrap();
+            let waiter = eng.embed_begin(&[7]).unwrap();
+            if drop_owner {
+                drop(owner);
+                assert_eq!(waiter.wait().unwrap(), want, "owner dropped");
+            } else {
+                assert_eq!(waiter.wait().unwrap(), want, "owner never waited on");
+                drop(owner);
+            }
+            let m = eng.metrics();
+            assert_eq!(m.bands[0].rows_computed, 1, "one computation served both");
+            assert_eq!(m.cache.unwrap().coalesced_misses, 1);
+        }
+    }
+
+    #[test]
+    fn poll_runs_at_most_one_batch() {
+        let eng = build(20, 8, OpSet::gcn(), EngineConfig { max_batch_rows: 1, ..config() });
+        let mut tickets: Vec<_> = (1..=3).map(|u| eng.embed_begin(&[u]).unwrap()).collect();
+        let batches = || eng.metrics().bands[0].batches_dispatched;
+        assert!(tickets[2].poll().is_none());
+        assert_eq!(batches(), 1, "one batch: the first ticket's part");
+        assert!(tickets[2].poll().is_none());
+        assert_eq!(batches(), 2);
+        assert!(tickets[2].poll().expect("its own batch ran").is_ok());
+        assert_eq!(batches(), 3);
+        assert!(tickets[..2].iter_mut().all(|t| t.poll().is_some_and(|r| r.is_ok())));
+    }
+
+    #[test]
+    fn a_waiter_stops_running_batches_at_its_deadline_and_once_it_is_served() {
+        // Parts of 128 rows, one per batch, and a producer that keeps
+        // 64 of them queued: the queue never empties while it runs.
+        let n = 256;
+        let mut c = Coo::new(n, n);
+        for u in 0..n {
+            for k in 0..32 {
+                c.push(u, (u * 7 + k * 13 + 1) % n, 0.5);
+            }
+        }
+        let cfg = EngineConfig { max_batch_rows: 1, ..config() };
+        let ops = OpSet::sigmoid_embedding(None);
+        let eng =
+            Arc::new(Engine::new(c.to_csr(Dedup::Sum), feats(n, 128), feats(n, 128), ops, cfg));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (flood, stopped) = (Arc::clone(&eng), Arc::clone(&stop));
+        let producer = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let mut window: std::collections::VecDeque<Ticket<Dense>> = Default::default();
+            let mut r = 0usize;
+            while !stopped.load(std::sync::atomic::Ordering::Relaxed) && t0.elapsed().as_secs() < 5
+            {
+                if window.len() == 64 {
+                    match window[0].poll() {
+                        Some(result) => {
+                            result.unwrap();
+                            window.pop_front();
+                        }
+                        None => std::thread::yield_now(),
+                    }
+                    continue;
+                }
+                let nodes: Vec<usize> = (0..128).map(|i| (r * 37 + i * 2) % n).collect();
+                window.push_back(flood.embed_begin(&nodes).unwrap());
+                r += 1;
+            }
+        });
+        while eng.metrics().bands[0].batches_dispatched < 64 {
+            std::thread::yield_now();
+        }
+        let mut t = eng.embed_begin(&[5]).unwrap();
+        let t0 = Instant::now();
+        let first = t.wait_deadline(t0 + Duration::from_millis(2));
+        let at_deadline = t0.elapsed();
+        let served = first.unwrap_or_else(|| t.wait());
+        let at_rows = t0.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        producer.join().unwrap();
+        assert!(served.is_ok());
+        assert!(at_deadline < Duration::from_millis(500), "wait_deadline overran: {at_deadline:?}");
+        assert!(at_rows < Duration::from_secs(1), "wait outlived its rows: {at_rows:?}");
+    }
+
+    #[test]
+    fn a_failed_launch_retries_on_the_waiters_own_thread_bit_identically() {
+        crate::fault::quiet_injected_panics();
+        // Launch 1 lands, launch 2 panics, launch 3 is its retry.
+        let cfg = EngineConfig {
+            fault: Some(Arc::new(FaultPlan::parse("panic_every=2").unwrap())),
+            ..config()
+        };
+        let eng = build(20, 8, OpSet::gcn(), cfg);
+        let healthy = eng.embed(&[3]).unwrap();
+        let mut t = eng.embed_begin(&[3]).unwrap();
+        // Non-blocking polls on this thread: the first runs the failing
+        // launch and re-enqueues the part, the second runs the retry.
+        // No other thread computes anything.
+        assert_eq!(t.poll(), None, "the retry is queued, not yet run");
+        assert_eq!(eng.metrics().bands[0].panics_caught, 1);
+        assert_eq!(t.poll(), Some(Ok(healthy)), "healed by the next poll");
+        let m = eng.metrics();
+        assert_eq!((m.bands[0].panics_caught, m.bands[0].batches_dispatched), (1, 2));
+        assert_eq!((m.requests_harvested, m.requests_failed), (2, 0));
     }
 
     #[test]

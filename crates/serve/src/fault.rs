@@ -4,7 +4,7 @@
 //! tests. A [`FaultPlan`] injects three failure modes at the exact
 //! boundaries the engine hardens:
 //!
-//! * **panic-on-nth-batch** — the dispatcher panics (via
+//! * **panic-on-nth-batch** — a band's launch panics (via
 //!   [`InjectedFault`]) on every `n`-th kernel launch, exercising the
 //!   catch-at-the-shard-boundary path, the per-part `Panicked` reply,
 //!   and the one-shot retry before `PartFailed` surfaces;
@@ -24,7 +24,7 @@
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-/// Panic payload used by injected dispatcher faults, so the panic hook
+/// Panic payload used by injected launch faults, so the panic hook
 /// and `catch_unwind` site can tell deliberate chaos from real bugs.
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedFault;

@@ -45,7 +45,7 @@ use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::Permutation;
 
 use crate::admit::{Admission, AdmissionPolicy};
-use crate::band::{BandCore, BandMetrics};
+use crate::band::{Band, BandMetrics};
 use crate::batcher::dedup_union;
 use crate::cache::{EmbedCache, FillSet};
 use crate::engine::{EngineConfig, ServeError};
@@ -84,7 +84,7 @@ pub struct FrontEnd<T: ShardTransport + ?Sized + 'static> {
     fault: Option<Arc<FaultPlan>>,
     /// Counters of the in-process bands behind the transport (none for
     /// a remote front end).
-    bands: Vec<Arc<BandCore>>,
+    bands: Vec<Arc<Band>>,
     /// Log2 degree histogram of the served rows, frozen at load.
     degree_hist: Vec<usize>,
     /// One observation per request answered with rows, begin → answer.
@@ -328,7 +328,12 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                             owned.push(u);
                             owners.push(owner);
                         }
-                        MissRoute::Waiter(waiter) => waiters.push(WaiterSlot::new(u, waiter)),
+                        MissRoute::Waiter(waiter) => {
+                            // The owning part runs on `u`'s band: waiting
+                            // on the row drives that band.
+                            let band = self.bands.get(self.owner(u));
+                            waiters.push(WaiterSlot::new(u, waiter, band));
+                        }
                         // A fill landed between the lookup miss and the
                         // routing call: the row is already in hand.
                         MissRoute::Resident(row) => waiters.push(WaiterSlot::resolved(u, row)),
@@ -390,6 +395,9 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         let assembly = EmbedAssembly::assemble(
             out, parts, waiters, positions, marks, quality, completion, guard,
         );
+        if let Some(deadline) = opts.deadline {
+            assembly.run_ahead(deadline);
+        }
         Ok(Ticket::pending(assembly))
     }
 
@@ -623,8 +631,9 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     }
 
     /// Stop accepting requests and shut the transport down: queued
-    /// parts finish (in-process bands join their dispatchers) or fail
-    /// typed (sockets). Called automatically on drop.
+    /// parts resolve `EngineShutdown` (in-process bands; a launch in
+    /// flight finishes) or fail typed (sockets). Called automatically
+    /// on drop.
     pub fn shutdown(&self) {
         self.stopped.store(true, Ordering::Release);
         self.transport.shutdown();
@@ -658,7 +667,7 @@ impl FrontEnd<LocalBands> {
             degree_hist.iter_mut().zip(hist).for_each(|(total, rows)| *total += rows);
         }
         let transport = LocalBands::new(bands, first_shard, &ops, store.d(), config, &resolved);
-        let cores = transport.bands.iter().map(|b| Arc::clone(&b.core)).collect();
+        let cores = transport.bands.clone();
         let mut front = FrontEnd::new(Arc::new(transport), store, cache, perm, resolved);
         front.first_shard = first_shard;
         front.bands = cores;

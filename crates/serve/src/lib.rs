@@ -28,10 +28,14 @@
 //!   bit-identical to a single engine; [`RemoteShardedEngine`] — bands
 //!   in worker processes behind a socket transport (`fusedmm-rpc`),
 //!   with [`WorkerEngine`] the one-band front end inside each worker;
-//! * micro-batching ([`batcher`]) — each band's dispatcher thread
-//!   coalesces the parts queued on it into one deduplicated row batch
-//!   per tick, runs it on the rayon pool, and scatters the rows back to
-//!   each part;
+//! * micro-batching ([`batcher`]) — a band has no thread of its own:
+//!   `embed_begin` only enqueues, and the first thread waiting on one
+//!   of the band's results becomes its combiner, coalescing the queued
+//!   parts into one deduplicated row batch per drain, launching it on
+//!   its own thread (through the rayon pool when large) and scattering
+//!   the rows back to each part until the queue is empty or its own
+//!   answer is in (`poll`: one batch; a request with a deadline runs
+//!   its parts as it begins);
 //! * live feature updates ([`store`]) — engines borrow `X`/`Y` through
 //!   an epoch-versioned [`FeatureStore`]: readers pin RCU-style
 //!   snapshots, writers [`publish`](FeatureStore::publish) or
@@ -68,9 +72,10 @@
 //!   gauge, and histogram with a
 //!   [`MetricsRegistry`]
 //!   ([`FrontEnd::register_metrics`], plus
-//!   [`register_kernel_profiles`] for the dispatcher's per-shape
-//!   kernel accounting), exported as Prometheus text or JSON; sampled
-//!   requests additionally record a full lifecycle span tree (enqueue
+//!   [`register_kernel_profiles`] for the per-shape kernel accounting
+//!   of every launch, serving ones included), exported as Prometheus
+//!   text or JSON; sampled requests additionally record a full
+//!   lifecycle span tree (enqueue
 //!   → batch → kernel → cache fill → harvest) into a lock-free
 //!   [`Tracer`] (`FUSEDMM_TRACE=<rate>`),
 //!   dumpable as chrome://tracing JSON;

@@ -79,8 +79,9 @@ pub(crate) fn push_outcome_samples(
 /// Register the process-global kernel profile table
 /// ([`fusedmm_core::kernel_profiles`]) with `registry`: one
 /// `fusedmm_kernel_*` sample set per `(op, d, backend, blocking)`
-/// shape the dispatcher has launched. Serving engines route all row
-/// work through the dispatcher, so this covers their kernel time too.
+/// shape this process has launched. Serving engines launch their row
+/// work through the same plans, on whichever thread combines a band's
+/// queue, so this covers their kernel time too.
 ///
 /// Convert accumulated edges to FLOPs with
 /// [`fusedmm_perf::flops::flops_per_edge`]; the serving bench does

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -278,7 +278,7 @@ impl std::fmt::Display for WorkerError {
 /// `on_delta`-precise, identically to the in-process front end.
 pub struct WorkerEngine {
     /// Its cut is the band; its admission is unlimited (the coordinator
-    /// admitted the request) and its band never lingers.
+    /// admitted the request).
     front: FrontEnd<LocalBands>,
     /// Recent epochs by number. FIFO framing guarantees the record
     /// minting `E` precedes any request pinned at `E`, so a lookup
@@ -299,9 +299,9 @@ impl WorkerEngine {
     /// `config.cache` enables the per-replica result cache;
     /// `config.fault` / `FUSEDMM_FAULT_PLAN` inject
     /// worker-side kernel chaos exactly as in-process;
-    /// `config.coalesce_window` and `config.admission` are ignored — a
-    /// worker never lingers (its serve loop is the band queue's only
-    /// producer) and never sheds (its coordinator admitted the work).
+    /// `config.admission` is ignored — a worker never sheds (its
+    /// coordinator admitted the work). Each connection's serve loop
+    /// computes the parts it receives on its own thread.
     ///
     /// # Panics
     /// Panics on shape mismatches or an out-of-range band.
@@ -321,11 +321,7 @@ impl WorkerEngine {
         let (x_rows, y_rows, d) = (x0.nrows(), y0.nrows(), x0.ncols());
         let store = Arc::new(FeatureStore::unseeded(band.clone(), x_rows, y_rows, d));
         drop((x0, y0));
-        let config = EngineConfig {
-            coalesce_window: Duration::ZERO,
-            admission: Some(AdmissionPolicy::unlimited()),
-            ..config
-        };
+        let config = EngineConfig { admission: Some(AdmissionPolicy::unlimited()), ..config };
         // Keyed by global id over the whole adjacency (only this band's
         // rows are probed or filled), so ids and reverse-adjacency
         // touch sets match the in-process cache.
@@ -484,6 +480,7 @@ mod tests {
     use crate::conformance::LocalTransport;
     use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
+    use std::time::Duration;
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -497,7 +494,7 @@ mod tests {
     }
 
     fn config() -> EngineConfig {
-        EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() }
+        EngineConfig::default()
     }
 
     #[test]

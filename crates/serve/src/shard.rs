@@ -5,7 +5,7 @@
 //! threads share read access to `Y` but write disjoint row bands of
 //! `Z`. The same property makes a band the unit of serving: each band
 //! owns a [`Csr::row_band`](fusedmm_sparse::csr::Csr::row_band) (local
-//! rows, global columns), a plan and a dispatcher, and needs nothing
+//! rows, global columns), a plan and a batch queue, and needs nothing
 //! from its siblings beyond the pinned feature epoch.
 //!
 //! [`ShardedEngine`] is the one front end ([`FrontEnd`]) over N such
@@ -35,7 +35,7 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Cut `a` into at most `nshards` nnz-balanced row bands, one
-    /// in-process band (plan + dispatcher) each, all reading a fresh
+    /// in-process band (plan + batch queue) each, all reading a fresh
     /// [`FeatureStore`] seeded with `x`/`y` as epoch 0.
     ///
     /// With [`EngineConfig::reordering`] set, the graph is renumbered
@@ -84,7 +84,7 @@ impl ShardedEngine {
     /// Kept only while it does: ROADMAP item 1 moves the benchmark to
     /// [`Plan::prepare`] and deletes this shim.
     pub fn plans(&self) -> BandPlan {
-        BandPlan(self.front.transport.bands[0].core.plan)
+        BandPlan(self.front.transport.bands[0].plan)
     }
 
     /// [`FrontEnd::register_metrics`] with no extra labels: front-end
@@ -129,7 +129,6 @@ mod tests {
     use super::*;
     use crate::Engine;
     use fusedmm_sparse::coo::{Coo, Dedup};
-    use std::time::Duration;
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -144,7 +143,7 @@ mod tests {
     }
 
     fn config() -> EngineConfig {
-        EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() }
+        EngineConfig::default()
     }
 
     fn zeros(n: usize, nshards: usize) -> ShardedEngine {
@@ -206,7 +205,7 @@ mod tests {
         let eng = ShardedEngine::new(graph(90), z(), z(), OpSet::gcn(), 3, config);
         let plan = eng.plans().plan_for(&OpSet::gcn(), 4);
         assert_eq!(plan.blocking(), hybrid);
-        assert!(eng.transport.bands.iter().all(|b| b.core.plan == plan));
+        assert!(eng.transport.bands.iter().all(|b| b.plan == plan));
     }
 
     #[test]

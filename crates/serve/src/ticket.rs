@@ -6,12 +6,17 @@
 //! with [`Ticket::poll`] (non-blocking), [`Ticket::wait`] (blocking), or
 //! [`Ticket::wait_deadline`] (bounded blocking) — or park on a whole
 //! window at once with [`wait_any`](crate::wait_any). There is no
-//! executor and no extra thread — a ticket is condvar machinery lifted
-//! into an object: whoever computes a part (a band's dispatcher, a
-//! socket reader, or, for a coalesced miss, the owning request's
-//! computation) resolves a one-shot slot, and harvesting just drains
-//! them. Tickets gather lazily: `embed_begin` dispatches every part
-//! immediately, but nothing blocks until the first `poll`/`wait`.
+//! executor and no extra thread: whoever computes a part (a socket
+//! reader, or a waiting thread running an in-process band's queued
+//! batches, or, for a coalesced miss, the owning request's
+//! computation) resolves a one-shot slot, and harvesting drains them.
+//! `embed_begin` only enqueues (a request with a deadline also runs its
+//! parts' bands until its parts leave the queue, so a late harvest does
+//! not find them expired); otherwise an in-process part is computed
+//! when a thread harvests it or any other part of its band — `wait`
+//! and `wait_deadline` run the band's batches until what they wait on
+//! resolves, then park, and `poll` runs at most one batch per band its
+//! outstanding sources wait on.
 //!
 //! The blocking `embed` call is implemented as
 //! `embed_begin(..)?.wait()`, so ticketed and blocking serving are the
@@ -26,17 +31,18 @@
 //! outcome buckets — no ticket ever hangs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use fusedmm_cache::RowWaiter;
+use fusedmm_cache::{FillAborted, RowWaiter};
 use fusedmm_perf::gauge::GaugeGuard;
 use fusedmm_perf::hist::{HistogramVec, LatencyHistogram};
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
 use fusedmm_sparse::dense::Dense;
 
+use crate::band::Band;
 use crate::engine::ServeError;
-use crate::wait::{PartError, SlotPoll, SlotRx, Watcher};
+use crate::wait::{drive_until, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
 
 /// The answer tier a request asks for (or is downgraded to by the
 /// admission ladder). Degraded tiers trade accuracy for latency and
@@ -246,7 +252,10 @@ impl<T> Ticket<T> {
     /// Non-blocking harvest: `Some(result)` once every piece of the
     /// response has arrived (the ticket is then spent), `None` while
     /// still in flight. Partial progress is kept across calls, so a
-    /// poll loop over many tickets does no repeated work.
+    /// poll loop over many tickets does no repeated work. Each call
+    /// runs at most one queued batch of each in-process band the
+    /// outstanding sources wait on, on the calling thread, so a poll
+    /// loop makes bounded progress by itself.
     pub fn poll(&mut self) -> Option<Result<T, ServeError>> {
         match &mut self.state {
             State::Ready(_) => {
@@ -266,11 +275,12 @@ impl<T> Ticket<T> {
         }
     }
 
-    /// Block until the response is complete and return it.
+    /// Block until the response is complete and return it. In-process
+    /// parts still queued are computed on this thread first.
     pub fn wait(mut self) -> Result<T, ServeError> {
         match std::mem::replace(&mut self.state, State::Taken) {
             State::Ready(r) => r,
-            State::Pending(mut job) => job.harvest(),
+            State::Pending(mut job) => job.harvest(None).expect("no deadline"),
             State::Taken => panic!("ticket already harvested"),
         }
     }
@@ -279,12 +289,14 @@ impl<T> Ticket<T> {
     /// `Some(result)` on completion (the ticket is then spent), `None`
     /// on timeout — the ticket stays live and keeps any partial
     /// progress, so the caller can keep polling or extend the
-    /// deadline. The wait parks on condvars; precision does not depend
-    /// on any poll cadence.
+    /// deadline. Like `wait` it computes queued in-process parts on
+    /// this thread, then parks on a condvar; precision does not depend
+    /// on any poll cadence. It starts no batch past the deadline, but a
+    /// batch it started finishes first.
     pub fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<T, ServeError>> {
         match &mut self.state {
             State::Ready(_) => self.poll(),
-            State::Pending(job) => match job.harvest_deadline(deadline) {
+            State::Pending(job) => match job.harvest(Some(deadline)) {
                 Some(r) => {
                     self.state = State::Taken;
                     Some(r)
@@ -322,6 +334,14 @@ impl<T> Ticket<T> {
         }
     }
 
+    /// Add the in-process bands this ticket's outstanding sources wait
+    /// on to `out` (once each).
+    pub(crate) fn bands(&self, out: &mut Vec<Arc<Band>>) {
+        if let State::Pending(job) = &self.state {
+            job.bands(out);
+        }
+    }
+
     /// Transform the success value when the ticket resolves, keeping
     /// the state machine (and its wakeup plumbing) intact — how
     /// `embed_begin` derives a bare-`Dense` ticket from the
@@ -342,16 +362,17 @@ impl<T> Ticket<T> {
 pub(crate) trait Harvest<T> {
     /// Advance without blocking; `Some` when complete.
     fn try_harvest(&mut self) -> Option<Result<T, ServeError>>;
-    /// Block to completion.
-    fn harvest(&mut self) -> Result<T, ServeError>;
-    /// Block until complete or `deadline`; `None` on timeout.
-    fn harvest_deadline(&mut self, deadline: Instant) -> Option<Result<T, ServeError>>;
+    /// Block until complete or `deadline` (`None`: none); `None` on
+    /// timeout.
+    fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<T, ServeError>>;
     /// Advance without consuming; true when `try_harvest` would return
     /// `Some`.
     fn ready(&mut self) -> bool;
     /// Register a wakeup callback on every still-pending source (fire
     /// immediately when none remain).
     fn subscribe(&mut self, watcher: Watcher);
+    /// Add the in-process bands the still-pending sources wait on.
+    fn bands(&self, out: &mut Vec<Arc<Band>>);
 }
 
 /// [`Ticket::map`]'s harvest adapter: forwards the state machine and
@@ -374,13 +395,8 @@ impl<T, U, F: FnOnce(T) -> U> Harvest<U> for MapHarvest<T, U, F> {
         Some(self.apply(r))
     }
 
-    fn harvest(&mut self) -> Result<U, ServeError> {
-        let r = self.inner.harvest();
-        self.apply(r)
-    }
-
-    fn harvest_deadline(&mut self, deadline: Instant) -> Option<Result<U, ServeError>> {
-        let r = self.inner.harvest_deadline(deadline)?;
+    fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<U, ServeError>> {
+        let r = self.inner.harvest(deadline)?;
         Some(self.apply(r))
     }
 
@@ -390,6 +406,10 @@ impl<T, U, F: FnOnce(T) -> U> Harvest<U> for MapHarvest<T, U, F> {
 
     fn subscribe(&mut self, watcher: Watcher) {
         self.inner.subscribe(watcher)
+    }
+
+    fn bands(&self, out: &mut Vec<Arc<Band>>) {
+        self.inner.bands(out)
     }
 }
 
@@ -436,16 +456,24 @@ pub(crate) struct WaiterSlot {
     /// `None` when the slot was resolved at construction.
     waiter: Option<RowWaiter>,
     row: Option<Box<[f32]>>,
+    /// The in-process band owning `node`, whose queue holds (or will
+    /// hold) the owning part: waiting on the row drives it, so the row
+    /// lands even when nobody waits on the owner's ticket.
+    band: Option<Weak<Band>>,
 }
 
 impl WaiterSlot {
-    pub(crate) fn new(node: usize, waiter: RowWaiter) -> WaiterSlot {
-        WaiterSlot { node, waiter: Some(waiter), row: None }
+    pub(crate) fn new(node: usize, waiter: RowWaiter, band: Option<&Arc<Band>>) -> WaiterSlot {
+        WaiterSlot { node, waiter: Some(waiter), row: None, band: band.map(Arc::downgrade) }
     }
 
     /// A slot whose row is already known (a `MissRoute::Resident`).
     pub(crate) fn resolved(node: usize, row: Box<[f32]>) -> WaiterSlot {
-        WaiterSlot { node, waiter: None, row: Some(row) }
+        WaiterSlot { node, waiter: None, row: Some(row), band: None }
+    }
+
+    fn band(&self) -> Option<Arc<Band>> {
+        self.band.as_ref().and_then(Weak::upgrade)
     }
 
     fn pending(&self) -> Option<&RowWaiter> {
@@ -454,15 +482,26 @@ impl WaiterSlot {
             None => Some(self.waiter.as_ref().expect("unresolved slot has a waiter")),
         }
     }
+
+    /// Block until the row lands or `deadline` passes (`None`), running
+    /// the owning band's batches on this thread meanwhile — so the row
+    /// lands even when nobody waits on the owner's ticket.
+    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<(), FillAborted>> {
+        let Some(waiter) = self.pending() else { return Some(Ok(())) };
+        let wake = WakeQueue::new();
+        waiter.subscribe(WakeQueue::watcher(&wake, 0));
+        let bands: Vec<_> = self.band().into_iter().collect();
+        let row = drive_until(&bands, &wake, deadline, |_| waiter.poll())?;
+        Some(row.map(|row| self.row = Some(row)))
+    }
 }
 
 /// What one advance step over a part's slot decided.
 enum PartStep {
     Resolved,
+    /// Still in flight — a failed part just re-enqueued on its retry
+    /// path included, so the retries a harvest finds share a launch.
     Pending,
-    /// A failed part was re-enqueued on its retry path; poll the fresh
-    /// slot.
-    Retried,
     Terminal,
 }
 
@@ -495,6 +534,9 @@ pub(crate) struct EmbedAssembly {
     /// `Tracer::now()` at the start of the harvest call currently in
     /// progress — the `Harvest` span's start when that call completes.
     harvest_start_ns: u64,
+    /// The last watcher subscribed: a retried part's fresh slot gets it
+    /// too, so whoever waits on this assembly hears the retry land.
+    watcher: Option<Watcher>,
     /// Holds one unit of the front end's in-flight gauge until the
     /// ticket resolves or is dropped.
     _inflight: GaugeGuard,
@@ -524,7 +566,20 @@ impl EmbedAssembly {
             error: None,
             completion,
             harvest_start_ns: 0,
+            watcher: None,
             _inflight: guard,
+        }
+    }
+
+    /// Run each part's band on this thread until the part resolves or
+    /// `deadline` passes — at least one batch, and only on a band no
+    /// other thread combines. `embed_begin` calls this for a request
+    /// with a deadline: nothing else need run the band before a late
+    /// harvest, and the part would expire queued.
+    pub(crate) fn run_ahead(&self, deadline: Instant) {
+        for part in &self.parts {
+            let Some(band) = part.rx.band().filter(|_| Instant::now() < deadline) else { continue };
+            band.combine(&mut || part.rx.is_resolved() || Instant::now() >= deadline);
         }
     }
 
@@ -555,7 +610,10 @@ impl EmbedAssembly {
             PartError::Panicked => match self.parts[i].retry.take() {
                 Some(retry) => {
                     self.parts[i].rx = retry(&self.parts[i].union);
-                    PartStep::Retried
+                    if let Some(w) = &self.watcher {
+                        self.parts[i].rx.subscribe(w.clone());
+                    }
+                    PartStep::Pending
                 }
                 None => {
                     self.error = Some(ServeError::PartFailed { shard: self.parts[i].shard });
@@ -584,24 +642,19 @@ impl EmbedAssembly {
         }
     }
 
-    /// Drive every source forward without blocking. True when the
-    /// assembly can resolve (complete, or terminal error).
+    /// Collect every source that has resolved, without blocking or
+    /// running any batch. True when the assembly can resolve (complete,
+    /// or terminal error).
     fn advance(&mut self) -> bool {
         if self.error.is_some() {
             return true;
         }
         let mut pending = false;
         for i in 0..self.parts.len() {
-            loop {
-                match self.step_part(i) {
-                    PartStep::Resolved => break,
-                    PartStep::Pending => {
-                        pending = true;
-                        break;
-                    }
-                    PartStep::Retried => continue,
-                    PartStep::Terminal => return true,
-                }
+            match self.step_part(i) {
+                PartStep::Resolved => {}
+                PartStep::Pending => pending = true,
+                PartStep::Terminal => return true,
             }
         }
         for w in &mut self.waiters {
@@ -717,13 +770,22 @@ impl Drop for EmbedAssembly {
 impl Harvest<EmbedResponse> for EmbedAssembly {
     fn try_harvest(&mut self) -> Option<Result<EmbedResponse, ServeError>> {
         self.note_harvest_start();
-        if self.advance() {
-            return Some(self.resolve());
+        if !self.advance() {
+            // One batch of each band a pending source waits on: a poll
+            // loop makes progress by itself, in bounded steps.
+            let mut bands = Vec::new();
+            self.bands(&mut bands);
+            for band in bands {
+                band.combine(&mut || true);
+            }
+            if !self.advance() {
+                return None;
+            }
         }
-        None
+        Some(self.resolve())
     }
 
-    fn harvest(&mut self) -> Result<EmbedResponse, ServeError> {
+    fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<EmbedResponse, ServeError>> {
         self.note_harvest_start();
         let mut i = 0;
         while self.error.is_none() && i < self.parts.len() {
@@ -731,47 +793,17 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
                 i += 1;
                 continue;
             }
-            match self.parts[i].rx.recv() {
-                Some(Ok(rows)) => {
-                    self.store_part(i, rows);
-                    i += 1;
-                }
-                // A retried part re-blocks on its fresh slot (`i`
-                // unchanged); a terminal failure exits the loop.
-                Some(Err(e)) => {
-                    let _ = self.part_failed(i, e);
-                }
-                None => self.error = Some(ServeError::EngineShutdown),
-            }
-        }
-        if self.error.is_none() {
-            for w in &mut self.waiters {
-                let Some(waiter) = w.pending() else { continue };
-                match waiter.wait() {
-                    Ok(row) => w.row = Some(row),
-                    Err(_) => {
-                        self.error = Some(ServeError::PartFailed { shard: None });
-                        break;
-                    }
-                }
-            }
-        }
-        self.resolve()
-    }
-
-    fn harvest_deadline(&mut self, deadline: Instant) -> Option<Result<EmbedResponse, ServeError>> {
-        self.note_harvest_start();
-        let mut i = 0;
-        while self.error.is_none() && i < self.parts.len() {
-            if self.parts[i].rows.is_some() {
-                i += 1;
-                continue;
-            }
-            match self.parts[i].rx.recv_deadline(deadline) {
+            let reply = match deadline {
+                Some(deadline) => self.parts[i].rx.recv_deadline(deadline),
+                None => self.parts[i].rx.recv().map_or(SlotPoll::Closed, SlotPoll::Reply),
+            };
+            match reply {
                 SlotPoll::Reply(Ok(rows)) => {
                     self.store_part(i, rows);
                     i += 1;
                 }
+                // A retried part waits again on its fresh slot (`i`
+                // unchanged); a terminal failure exits the loop.
                 SlotPoll::Reply(Err(e)) => {
                     let _ = self.part_failed(i, e);
                 }
@@ -781,14 +813,11 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
         }
         if self.error.is_none() {
             for w in &mut self.waiters {
-                let Some(waiter) = w.pending() else { continue };
-                match waiter.wait_deadline(deadline) {
-                    Some(Ok(row)) => w.row = Some(row),
-                    Some(Err(_)) => {
-                        self.error = Some(ServeError::PartFailed { shard: None });
-                        break;
-                    }
-                    None => return None,
+                if w.wait(deadline)?.is_err() {
+                    // The owning computation died (fault-injected
+                    // poison, or shutdown): fail the ticket.
+                    self.error = Some(ServeError::PartFailed { shard: None });
+                    break;
                 }
             }
         }
@@ -800,6 +829,7 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
     }
 
     fn subscribe(&mut self, watcher: Watcher) {
+        self.watcher = Some(watcher.clone());
         let mut any_pending = false;
         for p in &self.parts {
             if p.rows.is_none() {
@@ -815,6 +845,16 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
         }
         if !any_pending {
             watcher();
+        }
+    }
+
+    fn bands(&self, out: &mut Vec<Arc<Band>>) {
+        let parts = self.parts.iter().filter(|p| p.rows.is_none()).filter_map(|p| p.rx.band());
+        let waiters = self.waiters.iter().filter(|w| w.pending().is_some());
+        for band in parts.chain(waiters.filter_map(WaiterSlot::band)) {
+            if !out.iter().any(|b| Arc::ptr_eq(b, &band)) {
+                out.push(band);
+            }
         }
     }
 }
@@ -1021,7 +1061,7 @@ mod tests {
         let mut t = Ticket::pending(EmbedAssembly::assemble(
             out,
             vec![Part::with_retry(vec![2], 0, None, rx, None)],
-            vec![WaiterSlot::new(8, w)],
+            vec![WaiterSlot::new(8, w, None)],
             vec![(0, 8), (1, 2), (2, 8)],
             exact(4),
             Quality::Exact,
@@ -1046,7 +1086,7 @@ mod tests {
         let t = Ticket::pending(EmbedAssembly::assemble(
             Dense::zeros(1, 1),
             Vec::new(),
-            vec![WaiterSlot::new(3, w)],
+            vec![WaiterSlot::new(3, w, None)],
             vec![(0, 3)],
             exact(1),
             Quality::Exact,
@@ -1060,7 +1100,7 @@ mod tests {
     #[test]
     fn completion_reconciles_every_outcome_bucket() {
         let stats = Arc::new(RequestStats::default());
-        // Harvested: the dispatcher answers and the ticket is waited.
+        // Harvested: the band answers and the ticket is waited.
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
         stats.begin();

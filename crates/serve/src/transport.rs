@@ -3,8 +3,8 @@
 //! [`PartSlot`] carries each answer back.
 //!
 //! Two transports exist. [`LocalBands`] holds in-process PART1D row
-//! bands — one batch queue and dispatcher thread per band — and is what
-//! [`Engine`](crate::Engine) (one band),
+//! bands — one batch queue per band, run by the threads waiting on
+//! it — and is what [`Engine`](crate::Engine) (one band),
 //! [`ShardedEngine`](crate::ShardedEngine) (N bands) and a
 //! [`WorkerEngine`](crate::WorkerEngine) (its one band) serve through.
 //! `RpcTransport` in `fusedmm-rpc` frames the same parts onto sockets to
@@ -79,6 +79,12 @@ pub(crate) struct PartSpan {
 impl PartSlot {
     pub(crate) fn new(tx: SlotTx, fills: Option<FillSet>, span: Option<PartSpan>) -> PartSlot {
         PartSlot { tx, fills, span }
+    }
+
+    /// True when nobody needs this part's rows: its ticket is gone and
+    /// it owns no cache registration another request may wait on.
+    pub(crate) fn is_abandoned(&self) -> bool {
+        self.fills.is_none() && self.tx.is_abandoned()
     }
 
     /// Resolve the part. Consumes the slot; rows complete the part's
@@ -165,12 +171,14 @@ pub trait ShardTransport: Send + Sync {
 /// In-process PART1D row bands as a transport: band `s` owns global
 /// rows `boundaries[s]..boundaries[s + 1]` (its
 /// [`Csr::row_band`](fusedmm_sparse::csr::Csr::row_band), local rows,
-/// global columns), a kernel plan, and a batch queue drained by its own
-/// dispatcher thread. Bands share nothing but the pinned epoch each
-/// part carries, so they need no feature store of their own — which is
-/// also why [`ship`](ShardTransport::ship) has nothing to do here.
+/// global columns), a kernel plan, and a batch queue drained by the
+/// threads waiting on its parts: each slot handed out here names its
+/// band, so its waiter can run the band's batches before it parks.
+/// Bands share nothing but the pinned epoch each part carries, so they
+/// need no feature store of their own — which is also why
+/// [`ship`](ShardTransport::ship) has nothing to do here.
 pub struct LocalBands {
-    pub(crate) bands: Vec<Band>,
+    pub(crate) bands: Vec<Arc<Band>>,
     boundaries: Vec<usize>,
     /// Where the whole output of
     /// [`FrontEnd::infer_full`](crate::FrontEnd::infer_full) parks when
@@ -198,7 +206,7 @@ impl LocalBands {
                 assert_eq!(rows.start, *boundaries.last().expect("nonempty"), "bands tile");
                 boundaries.push(rows.end);
                 let shard = first_shard.map(|b| b + s);
-                Band::spawn(a, rows.start, shard, ops.clone(), d, config, resolved)
+                Arc::new(Band::new(a, rows.start, shard, ops.clone(), d, config, resolved))
             })
             .collect();
         LocalBands { bands, boundaries, out_home: BufferHome::new() }
@@ -223,7 +231,9 @@ impl ShardTransport for LocalBands {
         deadline: Option<Instant>,
         slot: PartSlot,
     ) {
-        self.bands[shard].enqueue(nodes, epoch, quality, deadline, slot);
+        let band = &self.bands[shard];
+        slot.tx.attach(band);
+        band.enqueue(nodes, epoch, quality, deadline, slot);
     }
 
     fn score_part(

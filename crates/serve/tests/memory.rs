@@ -6,7 +6,6 @@
 //! The tests run one at a time (the counters are process-wide).
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
@@ -51,7 +50,6 @@ fn feats(seed: f32) -> Dense {
 
 fn engine(cached: bool) -> ShardedEngine {
     let config = EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         cache: cached.then(|| CacheConfig::with_mb(1)),
@@ -83,11 +81,7 @@ fn a_cached_sharded_engine_builds_with_one_transpose_and_one_band_to_spare() {
     let part = Partition::part1d(&a, 2, PartitionStrategy::NnzBalanced);
     let band_bytes = |s: usize| a.row_band(part.rows(s)).storage_bytes();
     let largest_band = band_bytes(0).max(band_bytes(1));
-    let config = EngineConfig {
-        coalesce_window: Duration::ZERO,
-        cache: Some(CacheConfig::with_mb(1)),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { cache: Some(CacheConfig::with_mb(1)), ..EngineConfig::default() };
     let ops = OpSet::sigmoid_embedding(None);
     let (engine, extra) = memtrack::measure_peak(|| ShardedEngine::new(a, x, y, ops, 2, config));
     // The cut moves `A` into its bands: past the reverse adjacency,

@@ -1,17 +1,17 @@
 //! A feature generation exists once per process that holds it: what
 //! the coordinator allocates when it seeds and publishes, that a fresh
 //! replica holds and serves nothing until its first record (and that
-//! record is then its only pair), and that a worker's band
-//! engine does not sit out a coalescing window nobody can join — and
-//! that a write the store would refuse never reaches the log. A
+//! record is then its only pair), that a worker computes each part on
+//! the thread serving it — and that a write the store would refuse
+//! never reaches the log. A
 //! replica holds only its band's rows of `X`, and serves what the
 //! in-process engine serves from all of them. The counting allocator
 //! is installed so "no copy" is checked in bytes, and the tests run one
 //! at a time (its counters are process-wide).
 
 use std::ops::Range;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
@@ -55,18 +55,17 @@ fn feats(seed: f32) -> Dense {
     Dense::from_fn(N, D, |r, k| ((r * 13 + k * 7) as f32 * 0.017 + seed).sin() * 0.6)
 }
 
-fn config(coalesce_window: Duration) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
-        coalesce_window,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()
     }
 }
 
-fn worker(a: &Csr, coalesce_window: Duration) -> WorkerEngine {
+fn worker(a: &Csr, config: EngineConfig) -> WorkerEngine {
     let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
-    WorkerEngine::new(a, 0..N, 0, x0, y0, OpSet::sigmoid_embedding(None), config(coalesce_window))
+    WorkerEngine::new(a, 0..N, 0, x0, y0, OpSet::sigmoid_embedding(None), config)
 }
 
 fn storage(m: &Dense) -> *const f32 {
@@ -129,7 +128,7 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
 
     let (x, y) = (feats(0.1), feats(0.9));
     let (remote, seeded) = memtrack::measure_peak(|| {
-        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config(Duration::ZERO))
+        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config())
     });
     assert!(seeded < MATRIX / 20, "seeding the log allocated {seeded} bytes");
     let epoch = remote.store().snapshot();
@@ -149,7 +148,7 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
 fn an_unseeded_replica_holds_and_serves_nothing() {
     let _serial = serial();
     let a = graph();
-    let worker = worker(&a, Duration::ZERO);
+    let worker = worker(&a, config());
     assert!(worker.is_fresh());
     let unseeded = [
         worker.embed_part(&[1], 0, Quality::Exact, None).map(drop),
@@ -182,7 +181,7 @@ fn an_unseeded_replica_holds_and_serves_nothing() {
 fn a_delta_before_any_snapshot_is_a_log_gap() {
     let _serial = serial();
     let a = graph();
-    let worker = worker(&a, Duration::ZERO);
+    let worker = worker(&a, config());
     worker.apply(EpochRecord::Delta {
         epoch: 1,
         rows: vec![0],
@@ -192,43 +191,47 @@ fn a_delta_before_any_snapshot_is_a_log_gap() {
 }
 
 #[test]
-fn a_worker_does_not_sit_out_the_callers_coalesce_window() {
+fn a_worker_computes_its_part_on_the_serving_thread() {
     let _serial = serial();
-    /// Long enough that a worker which lingers fails the bound below
-    /// instead of squeaking past it.
-    const LONG_WINDOW: Duration = Duration::from_secs(20);
     let a = graph();
-    let worker = Arc::new(worker(&a, LONG_WINDOW));
+    // Every launch panics, so the panic hook names the thread that ran
+    // each one: the part's launch and its retry.
+    let panic_every_launch = Some(Arc::new(FaultPlan::parse("panic_every=1").expect("plan")));
+    let worker = worker(&a, EngineConfig { fault: panic_every_launch, ..config() });
     worker.apply(EpochRecord::Snapshot {
         epoch: 0,
         x_start: 0,
         x: Arc::new(feats(0.1)),
         y: Arc::new(feats(0.9)),
     });
-    let (tx, rx) = mpsc::channel();
-    let serving = Arc::clone(&worker);
-    // Detached on purpose: if the worker lingers, the test fails at the
-    // timeout below rather than joining a 20 s wait.
-    std::thread::spawn(move || {
-        let _ = tx.send(serving.embed_part(&[3, 4, 5], 0, Quality::Exact, None).map(|r| r.rows));
-    });
-    let rows = rx
-        .recv_timeout(LONG_WINDOW / 4)
-        .expect("embed_part is the band queue's only producer: nothing to wait for")
-        .expect("embed_part");
-    assert_eq!((rows.nrows(), rows.ncols()), (3, D));
+    let launched_on = Arc::new(Mutex::new(Vec::new()));
+    let previous = std::panic::take_hook();
+    let seen = Arc::clone(&launched_on);
+    std::panic::set_hook(Box::new(move |_| {
+        let name = std::thread::current().name().map(str::to_owned);
+        seen.lock().expect("names").push(name);
+    }));
+    let served = std::thread::Builder::new()
+        .name("serve-loop".into())
+        .spawn(move || worker.embed_part(&[3, 4, 5], 0, Quality::Exact, None).map(|r| r.rows))
+        .expect("spawn")
+        .join()
+        .expect("the launch panics are caught");
+    std::panic::set_hook(previous);
+    assert!(
+        matches!(served, Err(WorkerError::Serve(ServeError::PartFailed { .. }))),
+        "both launches panicked: {served:?}"
+    );
+    let names = launched_on.lock().expect("names").clone();
+    assert_eq!(names, vec![Some("serve-loop".to_string()); 2], "no other thread launched");
 }
 
 #[test]
 fn a_delta_the_store_would_refuse_panics_before_anything_ships() {
     let _serial = serial();
     let transport = Arc::new(Recording::default());
-    let remote = RemoteShardedEngine::new(
-        feats(0.1),
-        feats(0.9),
-        Arc::clone(&transport) as _,
-        config(Duration::ZERO),
-    );
+    let remote =
+        RemoteShardedEngine::new(feats(0.1), feats(0.9), Arc::clone(&transport) as _, config());
     let shipped = || transport.shipped.lock().expect("shipped").len();
     let one_row = Dense::zeros(1, D);
     // Row `N` is past the last row; two ids with one patch row is short.
@@ -284,7 +287,7 @@ impl BandWorkers {
                 let band = boundaries[s]..boundaries[s + 1];
                 let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
                 let ops = OpSet::sigmoid_embedding(None);
-                Arc::new(WorkerEngine::new(a, band, s, x0, y0, ops, config(Duration::ZERO)))
+                Arc::new(WorkerEngine::new(a, band, s, x0, y0, ops, config()))
             })
             .collect();
         BandWorkers { workers, boundaries }
@@ -339,10 +342,9 @@ fn band_local_replicas_serve_what_the_in_process_engine_serves_at_every_epoch() 
     let a = graph();
     let ops = OpSet::sigmoid_embedding(None);
     let (x, y) = (feats(0.1), feats(0.9));
-    let local = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, 2, config(Duration::ZERO));
+    let local = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, 2, config());
     let transport = Arc::new(BandWorkers::new(&a));
-    let remote =
-        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config(Duration::ZERO));
+    let remote = RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config());
     let cut = transport.boundaries[1];
     assert!(0 < cut && cut < N, "two non-empty bands");
     let all: Vec<usize> = (0..N).collect();
@@ -386,7 +388,7 @@ fn a_snapshot_whose_x_misses_the_band_panics_before_the_store_changes() {
     let half = N / 2;
     let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
     let ops = OpSet::sigmoid_embedding(None);
-    let worker = WorkerEngine::new(&a, 0..half, 0, x0, y0, ops, config(Duration::ZERO));
+    let worker = WorkerEngine::new(&a, 0..half, 0, x0, y0, ops, config());
     worker.apply(EpochRecord::Snapshot {
         epoch: 0,
         x_start: 0,

@@ -79,7 +79,7 @@ fn main() {
         feats.clone(),
         feats.clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig { coalesce_window: Duration::from_micros(100), ..steady_config() },
+        steady_config(),
     );
     println!("engine ready: plan = {:?}, backend = {}\n", engine.plan(), engine.plan().backend());
 
@@ -147,7 +147,7 @@ fn main() {
     // bit-identical to the single engine on the same epoch.
     let shards = env_usize("FUSEDMM_SERVE_SHARDS", 4);
     println!("\nsharding the graph into {shards} nnz-balanced bands...");
-    let cfg = EngineConfig { coalesce_window: Duration::from_micros(100), ..steady_config() };
+    let cfg = steady_config();
     let sharded = ShardedEngine::new(
         a.clone(),
         feats.clone(),
@@ -194,11 +194,7 @@ fn main() {
         epoch0.x().clone(),
         epoch0.y().clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig {
-            coalesce_window: Duration::from_micros(100),
-            cache: Some(CacheConfig::with_mb(cache_mb)),
-            ..steady_config()
-        },
+        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..steady_config() },
     );
     // A skewed hot set: 90% of requests revisit the same 256 nodes.
     let hot: Vec<usize> = (0..256).map(|i| (i * 977) % n).collect();
@@ -235,7 +231,7 @@ fn main() {
         a.clone(),
         cached.store().clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig { coalesce_window: Duration::from_micros(100), ..steady_config() },
+        steady_config(),
     );
     assert_eq!(
         after_delta,
@@ -256,9 +252,11 @@ fn main() {
     // launches a deep window of `embed_begin` tickets, does other work
     // (here: nothing but issuing more), and harvests completions with
     // `wait_any` — parked until some ticket is ready, in completion
-    // order, no spin. A long coalesce window holds the first batch
-    // open, so later tickets asking for the same hot nodes register
-    // against the in-flight rows instead of recomputing them.
+    // order, no spin. `embed_begin` only enqueues, so nothing runs
+    // until the harvest does: later tickets asking for the same hot
+    // nodes register against the in-flight rows instead of recomputing
+    // them, and the harvesting thread runs the queued window as one
+    // shared launch.
     let depth = env_usize("FUSEDMM_SERVE_INFLIGHT", 256);
     println!("\nnon-blocking serving: launching a window of {depth} ticketed requests...");
     let ticketed = Engine::new(
@@ -266,11 +264,7 @@ fn main() {
         epoch0.x().clone(),
         epoch0.y().clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig {
-            coalesce_window: Duration::from_millis(10),
-            cache: Some(CacheConfig::with_mb(cache_mb)),
-            ..steady_config()
-        },
+        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..steady_config() },
     );
     let requests: Vec<Vec<usize>> =
         (0..depth).map(|r| (0..16).map(|i| hot[(r * 3 + i) % hot.len()]).collect()).collect();
@@ -328,7 +322,6 @@ fn main() {
         OpSet::sigmoid_embedding(None),
         shards,
         EngineConfig {
-            coalesce_window: Duration::from_micros(100),
             cache: Some(CacheConfig::with_mb(cache_mb)),
             tracer: Some(tracer.clone()),
             ..steady_config()
@@ -374,7 +367,6 @@ fn main() {
         OpSet::sigmoid_embedding(None),
         shards,
         EngineConfig {
-            coalesce_window: Duration::from_micros(100),
             cache: Some(CacheConfig::with_mb(cache_mb)),
             // admission: None / fault: None -> resolve from the env.
             ..EngineConfig::default()

@@ -17,7 +17,6 @@ use fusedmm::prelude::*;
 /// injection — the bit-identity baseline.
 fn fault_free_config() -> EngineConfig {
     EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()
@@ -84,23 +83,60 @@ fn sharded_deadline_expiry_is_typed_and_counted() {
     let n = 48;
     let a = rmat(&RmatConfig::new(n, 3 * n).with_seed(5));
     let feats = random_features(n, 4, 0.5, 6);
-    let eng = ShardedEngine::new(
-        a,
-        feats.clone(),
-        feats,
-        OpSet::gcn(),
-        2,
-        EngineConfig { coalesce_window: Duration::from_millis(50), ..fault_free_config() },
-    );
-    let opts = EmbedOptions::with_deadline(Instant::now() + Duration::from_millis(5));
+    let config = EngineConfig {
+        cache: Some(CacheConfig::default()),
+        fault: Some(Arc::new(FaultPlan::parse("delay_fill_us=100000").unwrap())),
+        ..fault_free_config()
+    };
+    let eng = ShardedEngine::new(a, feats.clone(), feats, OpSet::gcn(), 2, config);
+    // Each piece queues behind an Exact launch whose cache fill the
+    // fault plan stalls past the deadline; a different tier never
+    // shares that launch, and the deadline is re-checked before its own.
+    let ahead = eng.embed_begin(&[1, 47]).unwrap();
+    let deadline = Instant::now() + Duration::from_millis(20);
+    let opts = EmbedOptions { deadline: Some(deadline), quality: Quality::TopKNeighbors(2) };
     let t = eng.embed_begin_opts(&[1, 47], opts).unwrap();
     assert_eq!(t.wait().map(|r| r.rows), Err(ServeError::DeadlineExpired));
+    ahead.wait().unwrap();
     let m = eng.metrics();
     assert_eq!(m.requests_failed, 1);
-    assert!(
-        m.band_total(|b| b.expired_dropped) >= 1,
-        "a band dispatcher dropped the expired piece"
-    );
+    assert_eq!(m.band_total(|b| b.expired_dropped), 2, "both pieces expired in their queues");
+    assert_eq!(m.band_total(|b| b.rows_computed), 2, "no kernel time past the deadline");
+}
+
+/// A request with a deadline runs its own parts as it begins, so a
+/// window of them harvested late — after other work, once every
+/// deadline has passed — is served in full, not expired in the queue.
+#[test]
+fn deadline_tickets_harvested_late_are_served() {
+    let (n, d) = (96, 8);
+    let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(13));
+    let x = random_features(n, d, 0.5, 7);
+    let y = random_features(n, d, 0.5, 8);
+    let ops = OpSet::sigmoid_embedding(None);
+    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), fault_free_config());
+    let windows: Vec<Vec<usize>> =
+        (0..16).map(|i| vec![(i * 7) % n, (i * 13 + 5) % n, (i * 31 + 2) % n]).collect();
+    for nshards in [1, 2] {
+        let config = EngineConfig { cache: Some(CacheConfig::default()), ..fault_free_config() };
+        let eng = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), nshards, config);
+        let deadline = Instant::now() + Duration::from_millis(300);
+        let opts = EmbedOptions::with_deadline(deadline);
+        let mut tix: Vec<_> =
+            windows.iter().map(|w| eng.embed_begin_opts(w, opts).unwrap()).collect();
+        eng.embed(&[0, 1, 2]).unwrap();
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        let mut served = 0;
+        while let Some(i) = wait_any(&mut tix) {
+            let resp = tix[i].poll().expect("ready after wait_any").expect("served in time");
+            assert_eq!(resp.rows, single.embed(&windows[i]).unwrap(), "window {i} bit-identical");
+            served += 1;
+        }
+        let m = eng.metrics();
+        assert_eq!(served, windows.len());
+        assert_eq!((m.requests_harvested, m.requests_failed), (17, 0), "{nshards} shards");
+        assert_eq!(m.band_total(|b| b.expired_dropped), 0);
+    }
 }
 
 /// Transport chaos: serve through real unix sockets whose coordinator
@@ -242,7 +278,6 @@ proptest! {
             ops,
             3,
             EngineConfig {
-                coalesce_window: Duration::ZERO,
                 cache: Some(CacheConfig::default()),
                 admission: Some(AdmissionPolicy {
                     max_inflight: cap as usize,

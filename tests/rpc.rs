@@ -237,7 +237,6 @@ proptest! {
 
 fn engine_config() -> EngineConfig {
     EngineConfig {
-        coalesce_window: Duration::ZERO,
         admission: Some(AdmissionPolicy::unlimited()),
         fault: Some(Arc::new(FaultPlan::disabled())),
         ..EngineConfig::default()

@@ -124,13 +124,7 @@ fn engine_serves_concurrent_overlapping_batches() {
     let ops = OpSet::sigmoid_embedding(None);
     let reference = fusedmm_reference(&a, &feats, &feats, &ops);
 
-    let engine = Engine::new(
-        a,
-        feats.clone(),
-        feats,
-        ops,
-        EngineConfig { coalesce_window: Duration::from_micros(20), ..EngineConfig::default() },
-    );
+    let engine = Engine::new(a, feats.clone(), feats, ops, EngineConfig::default());
 
     let threads = 8;
     let rounds = 6;
@@ -172,8 +166,7 @@ fn ring_fixture(n: usize, d: usize) -> (Csr, Dense, EngineConfig) {
     for u in 0..n {
         c.push(u, (u + 1) % n, 1.0);
     }
-    let cfg =
-        EngineConfig { coalesce_window: Duration::from_micros(20), ..EngineConfig::default() };
+    let cfg = EngineConfig::default();
     (c.to_csr(Dedup::Sum), Dense::filled(n, d, 1.0), cfg)
 }
 
@@ -305,7 +298,7 @@ fn sharded_engines_are_bit_identical_to_the_single_engine() {
     let x = random_features(n, d, 0.5, 11);
     let y = random_features(n, d, 0.5, 12);
     let ops = OpSet::sigmoid_embedding(None);
-    let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
+    let cfg = EngineConfig::default();
     let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), cfg.clone());
 
     let nodes: Vec<usize> = (0..40).map(|i| (i * 13 + 5) % n).chain([7, 7, 149, 0]).collect();
@@ -344,7 +337,7 @@ fn shared_store_updates_every_engine_at_once() {
     }
     let a = c.to_csr(Dedup::Sum);
     let store = Arc::new(FeatureStore::new(Dense::filled(n, d, 1.0), Dense::filled(n, d, 1.0)));
-    let cfg = EngineConfig { coalesce_window: Duration::ZERO, ..EngineConfig::default() };
+    let cfg = EngineConfig::default();
     let plain = Engine::with_store(a.clone(), Arc::clone(&store), OpSet::gcn(), cfg.clone());
     let sharded = ShardedEngine::with_store(a, Arc::clone(&store), OpSet::gcn(), 2, cfg);
     store.publish(Dense::filled(n, d, 5.0), Dense::filled(n, d, 5.0));
@@ -359,7 +352,7 @@ fn shared_store_updates_every_engine_at_once() {
 type AnyEngine = Box<dyn std::ops::Deref<Target = FrontEnd<LocalBands>> + Send + Sync>;
 
 fn build(a: Csr, x: Dense, y: Dense, shards: usize, cache: Option<CacheConfig>) -> AnyEngine {
-    build_with(a, x, y, shards, cache, OpSet::sigmoid_embedding(None), Duration::ZERO)
+    build_with(a, x, y, shards, cache, OpSet::sigmoid_embedding(None))
 }
 
 fn build_with(
@@ -369,9 +362,8 @@ fn build_with(
     shards: usize,
     cache: Option<CacheConfig>,
     ops: OpSet,
-    coalesce_window: Duration,
 ) -> AnyEngine {
-    let cfg = EngineConfig { coalesce_window, cache, ..EngineConfig::default() };
+    let cfg = EngineConfig { cache, ..EngineConfig::default() };
     if shards <= 1 {
         Box::new(Engine::new(a, x, y, ops, cfg))
     } else {
@@ -658,10 +650,10 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
     let ops = OpSet::sigmoid_embedding(None);
     let reference = fusedmm_reference(&a, &x, &y, &ops);
     for shards in [1usize, 3] {
-        // A long coalesce window holds the dispatcher's batch open, so
-        // the second and third tickets are guaranteed to find node 7
-        // still in flight (routing happens at begin time, before any
-        // fill can land).
+        // `embed_begin` only enqueues: nothing computes node 7 before
+        // the first wait, so the second and third tickets are
+        // guaranteed to find it still in flight (routing happens at
+        // begin time, before any fill can land).
         let eng = build_with(
             a.clone(),
             x.clone(),
@@ -669,7 +661,6 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
             shards,
             Some(CacheConfig::default()),
             ops.clone(),
-            Duration::from_millis(150),
         );
         let t1 = eng.embed_begin(&[7]).unwrap();
         let t2 = eng.embed_begin(&[7]).unwrap();
@@ -706,9 +697,8 @@ fn ticket_windows_pin_monotonic_untorn_epochs_under_publishes() {
         let n = 90;
         let d = 8;
         let publishes = 30usize;
-        let (a, feats, cfg) = ring_fixture(n, d);
-        let eng =
-            build_with(a, feats.clone(), feats, shards, None, OpSet::gcn(), cfg.coalesce_window);
+        let (a, feats, _) = ring_fixture(n, d);
+        let eng = build_with(a, feats.clone(), feats, shards, None, OpSet::gcn());
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             let eng = &eng;
@@ -793,13 +783,13 @@ proptest! {
         let feats = Dense::from_fn(n, d, |r, k| (r * d + k) as f32);
         let plain = build_with(
             a.clone(), feats.clone(), feats.clone(), shards, None,
-            OpSet::gcn(), Duration::ZERO,
+            OpSet::gcn(),
         );
         // A budget far above n rows, so eviction never perturbs the
         // exactly-once model.
         let cached = build_with(
             a, feats.clone(), feats, shards,
-            Some(CacheConfig::default()), OpSet::gcn(), Duration::ZERO,
+            Some(CacheConfig::default()), OpSet::gcn(),
         );
         // Model: `covered[u]` is true while some computation of row u
         // (resident or still in flight) is valid at the current epoch.
@@ -887,4 +877,149 @@ fn engine_edge_scores_match_direct_sddmm() {
     }
     // Scores are sigmoids: all in (0, 1).
     assert!(served.iter().all(|&s| s > 0.0 && s < 1.0));
+}
+
+/// The hang guard of the waiter-runs-the-batch state machine: 8 threads
+/// × 250 requests over 1, 2 and 4 shards with the cache on, harvested
+/// by every method — `wait`, a `poll` loop, a `wait_any` window and
+/// `wait_deadline` — so combiners, parked waiters, coalesced cache
+/// waiters and one-batch polls interleave on every band. Every response
+/// is bit-identical to the whole-graph launch (`fusedmm`) and within
+/// 1e-5 of `fusedmm_reference`, and the ledger reconciles. A lost
+/// wakeup trips the watchdog, which fails the run instead of hanging
+/// it.
+#[test]
+fn waiters_running_the_batches_never_hang_and_stay_bit_identical() {
+    const THREADS: usize = 8;
+    const REQUESTS: usize = 250;
+    let (n, d) = (256, 16);
+    let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(71));
+    let x = random_features(n, d, 0.5, 72);
+    let y = random_features(n, d, 0.5, 73);
+    let ops = OpSet::sigmoid_embedding(None);
+    let reference = fusedmm(&a, &x, &y, &ops);
+    let all: Vec<usize> = (0..n).collect();
+    assert_rows_match(&reference, &fusedmm_reference(&a, &x, &y, &ops), &all, 1e-5, "reference");
+    /// Stops the watchdog however the test ends.
+    struct Finished(Arc<AtomicBool>);
+    impl Drop for Finished {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let finished = Finished(Arc::new(AtomicBool::new(false)));
+    let watchdog = {
+        let finished = Arc::clone(&finished.0);
+        std::thread::spawn(move || {
+            let t0 = std::time::Instant::now();
+            while !finished.load(Ordering::Acquire) {
+                if t0.elapsed() > Duration::from_secs(60) {
+                    eprintln!("serving stress test still running after 60 s: a lost wakeup");
+                    std::process::abort();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        })
+    };
+    for shards in [1usize, 2, 4] {
+        // A cache far smaller than the hot set: rows keep missing,
+        // coalescing and evicting instead of settling into hits.
+        let cache = Some(CacheConfig { byte_budget: 4 << 10, segments: 4 });
+        let eng = build(a.clone(), x.clone(), y.clone(), shards, cache);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (eng, reference) = (&eng, &reference);
+                s.spawn(move || {
+                    let check = |nodes: &[usize], z: Dense| {
+                        for (i, &u) in nodes.iter().enumerate() {
+                            let same = z.row(i).iter().zip(reference.row(u));
+                            assert!(
+                                same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()),
+                                "thread {t} node {u} (shards={shards}) diverged from the reference"
+                            );
+                        }
+                    };
+                    let (mut window, mut asked) = (Vec::new(), Vec::new());
+                    let drain = |window: &mut Vec<Ticket<Dense>>, asked: &mut Vec<Vec<usize>>| {
+                        while let Some(i) = wait_any(window) {
+                            let z = window[i].poll().expect("ready after wait_any");
+                            check(&asked[i], z.expect("wait_any"));
+                        }
+                        window.clear();
+                        asked.clear();
+                    };
+                    for r in 0..REQUESTS {
+                        // Hot, overlapping ids so threads coalesce on
+                        // each other's in-flight rows.
+                        let len = 1 + (t + r) % 9;
+                        let nodes: Vec<usize> =
+                            (0..len).map(|i| (t * 7 + r * 13 + i * 29) % (n / 4) * 4).collect();
+                        let mut ticket = eng.embed_begin(&nodes).expect("embed_begin");
+                        match r % 4 {
+                            0 => check(&nodes, ticket.wait().expect("wait")),
+                            1 => loop {
+                                if let Some(z) = ticket.poll() {
+                                    break check(&nodes, z.expect("poll"));
+                                }
+                                std::thread::yield_now();
+                            },
+                            2 => {
+                                window.push(ticket);
+                                asked.push(nodes);
+                                if window.len() == 4 {
+                                    drain(&mut window, &mut asked);
+                                }
+                            }
+                            _ => {
+                                let far = std::time::Instant::now() + Duration::from_secs(30);
+                                let z = ticket.wait_deadline(far).expect("within the deadline");
+                                check(&nodes, z.expect("wait_deadline"));
+                            }
+                        }
+                    }
+                    drain(&mut window, &mut asked);
+                });
+            }
+        });
+        let m = eng.metrics();
+        assert_eq!(m.requests_begun, (THREADS * REQUESTS) as u64, "shards={shards}");
+        assert_eq!(m.requests_failed + m.requests_shed + m.requests_abandoned, 0);
+        assert_eq!(m.requests_begun, m.requests_harvested + m.requests_degraded);
+        assert_eq!(m.inflight, 0, "every ticket resolved (shards={shards})");
+        let cache = m.cache.expect("cache on");
+        assert!(cache.coalesced_misses > 0 && cache.evictions > 0, "shards={shards}: {cache}");
+    }
+    drop(finished);
+    watchdog.join().expect("watchdog");
+}
+
+/// No engine spawns a thread of its own to run its batches: after
+/// building an `Engine`, a 4-shard `ShardedEngine` and a `WorkerEngine`,
+/// no thread of this process carries the old per-band dispatcher's
+/// name.
+#[cfg(target_os = "linux")]
+#[test]
+fn no_engine_spawns_a_dispatcher_thread() {
+    let n = 64;
+    let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(5));
+    let feats = random_features(n, 8, 0.5, 6);
+    let ops = OpSet::sigmoid_embedding(None);
+    let cfg = EngineConfig::default;
+    let engine = Engine::new(a.clone(), feats.clone(), feats.clone(), ops.clone(), cfg());
+    let sharded =
+        ShardedEngine::new(a.clone(), feats.clone(), feats.clone(), ops.clone(), 4, cfg());
+    let worker = WorkerEngine::new(&a, 0..n / 2, 0, feats.clone(), feats, ops, cfg());
+    engine.embed(&[1, 2]).expect("engine");
+    sharded.embed(&[1, 63]).expect("sharded");
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    assert!(!names.is_empty(), "this thread at least");
+    assert!(
+        names.iter().all(|name| !name.starts_with("fusedmm-serve-d")),
+        "a dispatcher thread is running: {names:?}"
+    );
+    drop((engine, sharded, worker));
 }

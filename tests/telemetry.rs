@@ -9,7 +9,6 @@
 //! per request, parents precede children, no cross-request links).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::time::Duration;
 
 use fusedmm::perf::registry::{parse_prometheus, MetricValue};
 use fusedmm::prelude::*;
@@ -26,11 +25,7 @@ fn graph(n: usize) -> Csr {
 }
 
 fn config(cached: bool) -> EngineConfig {
-    EngineConfig {
-        coalesce_window: Duration::from_micros(50),
-        cache: cached.then(CacheConfig::default),
-        ..EngineConfig::default()
-    }
+    EngineConfig { cache: cached.then(CacheConfig::default), ..EngineConfig::default() }
 }
 
 /// A single or a sharded engine: both are the one front end over
