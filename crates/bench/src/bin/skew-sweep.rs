@@ -1,33 +1,26 @@
-//! RMAT skew sweep: the uniform launch vs degree-aware hybrid row
-//! scheduling vs hybrid + degree-sort reordering, across a sweep of
-//! quadrant skew — the experiment behind ROADMAP item 3's "skewed
-//! graphs" claim.
+//! RMAT skew sweep: the uniform launch vs the same launch on the
+//! degree-sorted problem, across a sweep of quadrant skew — the
+//! experiment behind ROADMAP item 3's "skewed graphs" claim.
 //!
 //! The sweep interpolates the RMAT quadrant probabilities from uniform
 //! `(0.25, 0.25, 0.25, 0.25)` at `s = 0` (an Erdős–Rényi-like graph
 //! with no hubs) to the sharp Graph500 parameterization
-//! `(0.57, 0.19, 0.19, 0.05)` at `s = 1.5`. Three arms run per point:
+//! `(0.57, 0.19, 0.19, 0.05)` at `s = 1.5`. Two arms run per point,
+//! both under `Blocking::Auto` with PART1D cut by nnz:
 //!
-//! * `uniform` — [`Blocking::Auto`], every row through the same
-//!   row kernel (the library default);
-//! * `hybrid` — [`Blocking::Hybrid`] with the default degree classes
-//!   (the row kernel below the mega threshold, span-split mega rows)
-//!   over the same kernel shape;
-//! * `hybrid+reord` — the same hybrid kernel on the
-//!   [`Reordering::DegreeSort`]-permuted problem (permutation applied
-//!   once outside the timed region, as [`fusedmm_serve::Engine`] does
-//!   at load time).
+//! * `uniform` — the graph as generated;
+//! * `reordered` — the [`Reordering::DegreeSort`]-permuted problem
+//!   (permutation applied once outside the timed region, as
+//!   [`fusedmm_serve::Engine`] does at load time).
 //!
 //! Arms are timed in interleaved rounds (rotating the in-round order):
 //! the `_ms` columns report each arm's fastest round, the speedup
-//! columns the **median of per-round ratios** — within a round the
-//! arms run close together, so machine drift mostly cancels out of
-//! the ratio. The binary exits nonzero when hybrid's overhead over
-//! uniform on the unskewed `s = 0` arm exceeds `FUSEDMM_SKEW_GUARD`
-//! (default 1.05×) by **both** the median-ratio and best-round
-//! estimates — the "never pay for what you don't use" regression gate
-//! CI enforces, with two noise-robust estimators that must agree
-//! before the build fails.
+//! column the **median of per-round ratios** — within a round the arms
+//! run close together, so machine drift mostly cancels out of the
+//! ratio. The binary exits nonzero unless the reordered arm's `z`,
+//! unpermuted, is bit-identical to the uniform arm's at every skew:
+//! reordering renumbers rows but keeps each row's neighbor order, so
+//! any differing bit is a permutation bug — the gate CI enforces.
 //!
 //! Environment knobs: `FUSEDMM_SKEW_N` (vertices, default 20000),
 //! `FUSEDMM_SKEW_DEG` (average degree, default 8), `FUSEDMM_SKEW_D`
@@ -37,17 +30,15 @@
 //! Run: `cargo run --release --bin skew-sweep`
 
 use fusedmm_bench::report::{run_meta, JsonReport, Table};
-use fusedmm_bench::workloads::{env_f64, env_usize, reps};
-use fusedmm_core::{
-    kernel_profiles, reset_kernel_profiles, Blocking, HybridConfig, Launch, PartitionStrategy, Plan,
-};
+use fusedmm_bench::workloads::{env_usize, reps};
+use fusedmm_core::{Launch, Plan};
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
 use fusedmm_graph::Reordering;
 use fusedmm_ops::OpSet;
 use fusedmm_sparse::{Csr, Dense};
 
-/// Sweep points: `s = 0` is the unskewed guard arm; the paper-relevant
+/// Sweep points: `s = 0` is the unskewed arm; the paper-relevant
 /// regime is `s >= 1.0`.
 const SKEWS: [f64; 4] = [0.0, 0.5, 1.0, 1.5];
 
@@ -71,33 +62,29 @@ fn skewed_rmat(n: usize, nedges: usize, s: f64) -> Csr {
     rmat(&cfg)
 }
 
-/// One comparison arm: a (possibly renumbered) problem and the blocking
-/// level to run it at.
+/// One comparison arm: a (possibly renumbered) problem.
 struct Arm<'a> {
     a: &'a Csr,
     x: &'a Dense,
     y: &'a Dense,
-    blocking: Blocking,
 }
 
-/// Time every arm with interleaved rounds — arm 0, arm 1, arm 2,
-/// repeat — returning the per-round samples for each arm. A shared
-/// machine drifts on a timescale of whole benchmark windows;
+/// Time every arm with interleaved rounds — arm 0, arm 1, repeat —
+/// returning the per-round samples and the last output of each arm. A
+/// shared machine drifts on a timescale of whole benchmark windows;
 /// round-robin interleaving makes the noise hit all arms alike instead
 /// of poisoning whichever arm owned the slow window, and keeping the
-/// rounds lets the guard compare arms *within* a round (back-to-back,
+/// rounds lets the speedup compare arms *within* a round (back-to-back,
 /// so drift cancels) rather than across the whole window.
-fn time_arms(arms: &[Arm<'_>], ops: &OpSet, nreps: usize) -> Vec<Vec<f64>> {
+fn time_arms(arms: &[Arm<'_>], ops: &OpSet, nreps: usize) -> (Vec<Vec<f64>>, Vec<Dense>) {
     // Every arm is the same `n × d` problem (renumbered or not), so one
-    // caller-owned Z serves them all and no round times an allocation.
+    // plan serves them all and no round times an allocation.
     let (n, d) = (arms[0].a.nrows(), arms[0].x.ncols());
-    let mut z = Dense::zeros(n, d);
-    let nnz = PartitionStrategy::NnzBalanced;
-    let plans: Vec<Plan> =
-        arms.iter().map(|arm| Plan::with_blocking(ops, d, arm.blocking, nnz)).collect();
+    let mut zs: Vec<Dense> = arms.iter().map(|_| Dense::zeros(n, d)).collect();
+    let plan = Plan::prepare(ops, d);
     let mut run = |i: usize| {
-        let arm = &arms[i];
-        plans[i].launch(arm.a, arm.x, arm.y, ops, Launch::All { scores: None }, z.as_mut_slice());
+        let (arm, z) = (&arms[i], &mut zs[i]);
+        plan.launch(arm.a, arm.x, arm.y, ops, Launch::All { scores: None }, z.as_mut_slice());
         std::hint::black_box(z.as_slice());
     };
     for i in 0..arms.len() {
@@ -115,7 +102,7 @@ fn time_arms(arms: &[Arm<'_>], ops: &OpSet, nreps: usize) -> Vec<Vec<f64>> {
             samples[i][r] = t0.elapsed().as_secs_f64();
         }
     }
-    samples
+    (samples, zs)
 }
 
 fn min_of(samples: &[f64]) -> f64 {
@@ -139,10 +126,6 @@ fn main() {
     let n = env_usize("FUSEDMM_SKEW_N", 20_000);
     let deg = env_usize("FUSEDMM_SKEW_DEG", 8);
     let d = env_usize("FUSEDMM_SKEW_D", 96);
-    let guard = env_f64("FUSEDMM_SKEW_GUARD", 1.05);
-    let hybrid_cfg = HybridConfig {
-        mega_floor: env_usize("FUSEDMM_SKEW_MEGA_FLOOR", HybridConfig::default().mega_floor),
-    };
     let nreps = reps();
     let nedges = (n * deg / 2).max(1);
     let ops = OpSet::sigmoid_embedding(None);
@@ -152,18 +135,9 @@ fn main() {
     meta.print();
     println!();
 
-    let mut table = Table::new(&[
-        "skew",
-        "nnz",
-        "max_deg",
-        "uniform_ms",
-        "hybrid_ms",
-        "hybrid+reord_ms",
-        "hybrid_speedup",
-        "reord_speedup",
-    ]);
-    let mut guard_violation = None;
-    reset_kernel_profiles();
+    let mut table =
+        Table::new(&["skew", "nnz", "max_deg", "uniform_ms", "reordered_ms", "reord_speedup"]);
+    let mut mismatched = Vec::new();
 
     for s in SKEWS {
         let a = skewed_rmat(n, nedges, s);
@@ -178,86 +152,40 @@ fn main() {
         let xp = perm.permute_rows(&x);
         let yp = perm.permute_rows(&y);
 
-        let times = time_arms(
-            &[
-                Arm { a: &a, x: &x, y: &y, blocking: Blocking::Auto },
-                Arm { a: &a, x: &x, y: &y, blocking: Blocking::Hybrid(hybrid_cfg) },
-                Arm { a: &ap, x: &xp, y: &yp, blocking: Blocking::Hybrid(hybrid_cfg) },
-            ],
-            &ops,
-            nreps,
-        );
-        let (uniform, hybrid, reordered) =
-            (min_of(&times[0]), min_of(&times[1]), min_of(&times[2]));
+        let (times, zs) =
+            time_arms(&[Arm { a: &a, x: &x, y: &y }, Arm { a: &ap, x: &xp, y: &yp }], &ops, nreps);
+        let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        if bits(&perm.unpermute_rows(&zs[1])) != bits(&zs[0]) {
+            mismatched.push(s);
+        }
 
         table.row(vec![
             format!("{s:.1}"),
             a.nnz().to_string(),
             a.max_degree().to_string(),
-            format!("{:.3}", uniform * 1e3),
-            format!("{:.3}", hybrid * 1e3),
-            format!("{:.3}", reordered * 1e3),
+            format!("{:.3}", min_of(&times[0]) * 1e3),
+            format!("{:.3}", min_of(&times[1]) * 1e3),
             format!("{:.3}", 1.0 / median_ratio(&times[1], &times[0])),
-            format!("{:.3}", 1.0 / median_ratio(&times[2], &times[0])),
         ]);
-
-        if s == 0.0 {
-            // Two overhead estimates with uncorrelated failure modes:
-            // the paired-round median (robust to drift, sensitive to
-            // interference spikes that land on >half the rounds) and
-            // the ratio of best rounds (robust to spikes — noise only
-            // ever adds time — sensitive to drift between the arms'
-            // best windows). A real regression moves both; the guard
-            // trips only on consensus, so a noisy tenant can't fail
-            // the build on its own.
-            let med = median_ratio(&times[1], &times[0]);
-            let best = hybrid / uniform;
-            if med.min(best) > guard {
-                guard_violation = Some((med, best));
-            }
-        }
     }
 
     table.print();
-    println!();
-
-    // Per-degree-class kernel accounting: the hybrid passes report
-    // under their own blocking labels, so the class split is auditable
-    // from the same run.
-    let mut prof = Table::new(&["blocking", "calls", "rows", "edges", "total_ms"]);
-    for p in kernel_profiles() {
-        if p.d != d {
-            continue;
-        }
-        prof.row(vec![
-            p.blocking.to_string(),
-            p.calls.to_string(),
-            p.rows.to_string(),
-            p.edges.to_string(),
-            format!("{:.3}", p.elapsed.as_secs_f64() * 1e3),
-        ]);
-    }
-    println!("Kernel profile (per blocking label, d={d}):");
-    prof.print();
 
     if let Some(path) = JsonReport::env_path() {
         let mut report = JsonReport::new();
         report.section("meta", &meta);
         report.section("skew_sweep", &table);
-        report.section("kernel_profile", &prof);
         report.write(&path).expect("write FUSEDMM_BENCH_JSON report");
         println!("\nwrote {}", path.display());
     }
 
     println!(
-        "\nPaper shape to verify: hybrid+reord >= hybrid >= uniform as skew grows; \
-         all three within noise at s=0."
+        "\nPaper shape to verify: reordered >= uniform as skew grows; both within noise at s=0."
     );
-    if let Some((med, best)) = guard_violation {
+    if !mismatched.is_empty() {
         eprintln!(
-            "GUARD FAILED: hybrid overhead on the unskewed arm exceeds the {guard:.2}x \
-             budget by both estimates (median per-round ratio {med:.3}x, \
-             best-round ratio {best:.3}x)"
+            "GATE FAILED: the reordered arm's z, unpermuted, differs from the uniform arm's \
+             at skew {mismatched:?}"
         );
         std::process::exit(1);
     }

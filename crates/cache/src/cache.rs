@@ -3,8 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex as StdMutex};
 
 use parking_lot::Mutex;
 
@@ -189,13 +188,12 @@ impl std::fmt::Display for FillAborted {
 
 impl std::error::Error for FillAborted {}
 
-/// One coalesced waiter's resolution cell: a mutex/condvar pair the
+/// One coalesced waiter's resolution cell: a mutex-guarded slot the
 /// owner's fill (or abort) resolves exactly once. Unlike a channel it
 /// supports **wakeup subscription** — a harvest waiting on many
 /// sources registers a callback and parks once instead of polling.
 struct FillCell {
     state: StdMutex<CellState>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -206,12 +204,12 @@ struct CellState {
 
 impl FillCell {
     fn new() -> Arc<FillCell> {
-        Arc::new(FillCell { state: StdMutex::new(CellState::default()), cv: Condvar::new() })
+        Arc::new(FillCell { state: StdMutex::new(CellState::default()) })
     }
 
-    /// Resolve once (later calls are no-ops), wake blocked waiters, and
-    /// fire subscribed watchers — outside the lock, so a watcher may
-    /// take unrelated locks without ordering risk.
+    /// Resolve once (later calls are no-ops) and fire subscribed
+    /// watchers — outside the lock, so a watcher may take unrelated
+    /// locks without ordering risk.
     fn resolve(&self, value: Result<Box<[f32]>, FillAborted>) {
         let watchers = {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -221,7 +219,6 @@ impl FillCell {
             st.value = Some(value);
             std::mem::take(&mut st.watchers)
         };
-        self.cv.notify_all();
         for w in watchers {
             w();
         }
@@ -240,9 +237,9 @@ impl FillCell {
 }
 
 /// Waiter-side handle of a coalesced miss: resolves with the computed
-/// row when the owning request's fill lands. Blocking waits park on a
-/// condvar (no poll cadence); [`RowWaiter::subscribe`] registers a
-/// wakeup callback for multi-source waiting.
+/// row when the owning request's fill lands. [`RowWaiter::poll`]
+/// probes it; [`RowWaiter::subscribe`] registers a wakeup callback for
+/// multi-source waiting.
 pub struct RowWaiter {
     cell: Arc<FillCell>,
 }
@@ -259,37 +256,6 @@ impl RowWaiter {
     pub fn poll(&self) -> Option<Result<Box<[f32]>, FillAborted>> {
         let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
         FillCell::take_locked(&mut st)
-    }
-
-    /// Park until the fill lands (or the owner aborts). This does no
-    /// work itself: the owner's computation must run on another thread.
-    pub fn wait(&self) -> Result<Box<[f32]>, FillAborted> {
-        let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(v) = FillCell::take_locked(&mut st) {
-                return v;
-            }
-            st = self.cell.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Park until the fill lands, the owner aborts, or `deadline`
-    /// passes (`None` on timeout; the handle stays usable). Deadline
-    /// precision comes from the condvar timeout, not a poll loop.
-    pub fn wait_deadline(&self, deadline: Instant) -> Option<Result<Box<[f32]>, FillAborted>> {
-        let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(v) = FillCell::take_locked(&mut st) {
-                return Some(v);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) =
-                self.cell.cv.wait_timeout(st, deadline - now).unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
     }
 
     /// Register a wakeup callback: fired once when the cell resolves
@@ -856,7 +822,7 @@ mod tests {
         };
         assert!(w1.poll().is_none(), "nothing filled yet");
         c.fill(owner, &row(2, 7.0));
-        assert_eq!(w1.wait().unwrap().as_ref(), &[7.0, 7.0]);
+        assert_eq!(w1.poll().expect("filled").unwrap().as_ref(), &[7.0, 7.0]);
         assert_eq!(w2.poll().unwrap().unwrap().as_ref(), &[7.0, 7.0]);
         // The fill also landed as a cache entry.
         let mut out = row(2, 0.0);
@@ -884,7 +850,11 @@ mod tests {
             panic!("post-invalidation miss must re-compute")
         };
         c.fill(owner, &row(2, 1.0));
-        assert_eq!(w.wait().unwrap().as_ref(), &[1.0, 1.0], "pre-bump waiter still served");
+        assert_eq!(
+            w.poll().expect("filled").unwrap().as_ref(),
+            &[1.0, 1.0],
+            "pre-bump waiter still served"
+        );
         // The stale fill was refused as a cache entry...
         let mut out = row(2, 0.0);
         assert!(!c.lookup(5, 3, &mut out));
@@ -928,18 +898,6 @@ mod tests {
         let mut out = row(2, 0.0);
         assert!(!c.lookup(1, 0, &mut out), "aborted computation inserted nothing");
         assert_eq!(c.metrics().inflight_rows, 0);
-    }
-
-    #[test]
-    fn wait_deadline_times_out_then_resolves() {
-        let c = std::sync::Arc::new(ResultCache::new(4, 2, CacheConfig::default()));
-        let MissRoute::Owner(owner) = c.route_miss(2, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = c.route_miss(2, 0) else { panic!("waiter") };
-        let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        assert_eq!(w.wait_deadline(deadline), None, "no fill before the deadline");
-        c.fill(owner, &row(2, 4.0));
-        let far = Instant::now() + std::time::Duration::from_secs(5);
-        assert_eq!(w.wait_deadline(far).unwrap().unwrap().as_ref(), &[4.0, 4.0]);
     }
 
     #[test]

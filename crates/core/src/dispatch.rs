@@ -41,13 +41,6 @@ pub enum Blocking {
     /// Force the generic five-step kernel even for recognized patterns —
     /// the paper's unoptimized "FusedMM" row.
     Generic,
-    /// Degree-aware row scheduling for skewed graphs, over the same
-    /// kernel shape [`Blocking::Auto`] runs: rows are classified by
-    /// degree (the row kernel below the mega threshold, cooperative
-    /// span-split execution for mega rows).
-    /// Engages for every recognized pattern at every `d`;
-    /// bit-identical to the uniform launch.
-    Hybrid(crate::hybrid::HybridConfig),
 }
 
 /// A recognized specialized pattern with its extracted parameters.
@@ -134,11 +127,6 @@ pub(crate) fn run(
         Blocking::Specialized(s) => s,
         _ => spec.default_spec(d, backend),
     };
-    // A scored hybrid launch runs the uniform schedule below: the two
-    // are bit-identical, and the staged classes have no slot to write.
-    if let (Blocking::Hybrid(cfg), None) = (blocking, &scores) {
-        return crate::hybrid::execute(plan, cfg, &spec, a, x, y, z);
-    }
     let entry = entry_backend(backend, d);
     match spec {
         Specialized::Embed(sk) => {
@@ -277,12 +265,7 @@ mod tests {
             ] {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
                 let spec = KernelSpec::new(12, 64).unwrap();
-                for blocking in [
-                    Blocking::Auto,
-                    Blocking::Specialized(spec),
-                    Blocking::Generic,
-                    Blocking::Hybrid(crate::hybrid::HybridConfig::default()),
-                ] {
+                for blocking in [Blocking::Auto, Blocking::Specialized(spec), Blocking::Generic] {
                     let z = launch_at(4, &a, &x, &y, &ops, blocking);
                     assert!(
                         z.max_abs_diff(&reference) < 1e-4,

@@ -28,8 +28,8 @@ use fusedmm_sparse::dense::Dense;
 
 pub(crate) use table::entry_backend;
 pub use table::{
-    candidate_specs, embed_msg_kernel, embed_spec_kernel, fr_msg_kernel, fr_spec_kernel, lookahead,
-    span_spec_kernel, spmm_spec_kernel, tdist_msg_kernel, tdist_spec_kernel, KernelSpec, LOOKAHEAD,
+    candidate_specs, embed_spec_kernel, fr_spec_kernel, lookahead, spmm_spec_kernel,
+    tdist_spec_kernel, KernelSpec, LOOKAHEAD,
 };
 
 /// Which SOP the embedding kernels apply to the dot product: a sigmoid
@@ -81,20 +81,3 @@ pub type SpmmRowKernel = fn(&[usize], &[f32], &Dense, &mut [f32]);
 /// Row kernel signature for the t-distribution embedding pattern.
 pub type TDistRowKernel =
     fn(&[f32], &[usize], &[f32], &[usize], &Dense, &mut [f32], Option<&mut [f32]>);
-
-/// Message-fill kernel for the embedding pattern (mega-row phase A):
-/// computes `h[i] = sop(x_u · y_{cols[i]}, vals[i])` for a column slice
-/// and its edge values.
-pub type EmbedMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &SigmoidKind, &mut [f32]);
-/// Message-fill kernel for the FR pattern (the edge values ride along
-/// unread, so the three fills share one argument order).
-pub type FrMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, f32, &mut [f32]);
-/// Message-fill kernel for the t-distribution pattern.
-pub type TDistMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32]);
-/// Column-span sweep kernel (mega-row phase B): folds *all* neighbor
-/// messages into one VLEN-aligned span `z[span_off .. span_off + w)` of
-/// the output row, in original neighbor order, overwriting the span.
-/// Splitting `d` into spans keeps the per-element accumulation order
-/// identical to the row kernel while letting threads own disjoint
-/// spans.
-pub type SpanSweepKernel = fn(&[usize], &[f32], &Dense, &mut [f32], usize);

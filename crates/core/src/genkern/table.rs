@@ -53,10 +53,7 @@ use crate::simd::NeonIsa;
 use crate::simd::{Avx2Isa, Avx512Isa};
 use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 
-use super::{
-    EmbedMsgKernel, EmbedRowKernel, FrMsgKernel, FrRowKernel, SigmoidKind, SpanSweepKernel,
-    SpmmRowKernel, TDistMsgKernel, TDistRowKernel,
-};
+use super::{EmbedRowKernel, FrRowKernel, SigmoidKind, SpmmRowKernel, TDistRowKernel};
 
 /// Main-pass panel counts the table instantiates (units of the
 /// backend's lane width). 24 only pays on 16-lane ISAs (32 zmm
@@ -106,9 +103,9 @@ impl KernelSpec {
 
     /// The shape a launch runs unless the caller names one
     /// (`Blocking::Specialized`) — **the only place a shape is chosen**:
-    /// `Plan::prepare` (and with it `fusedmm` and every launch) and the
-    /// hybrid classes all resolve through it, so one `(pattern class,
-    /// d, lane width)` runs one shape on every process start.
+    /// `Plan::prepare` (and with it `fusedmm` and every launch) resolves
+    /// through it, so one `(pattern class, d, lane width)` runs one
+    /// shape on every process start.
     ///
     /// The rule: the largest main pass in {8, 6, 4} lane-widths that
     /// fits `d` (4 when none does — such rows never enter the main
@@ -295,8 +292,8 @@ const LINE_F32S: usize = 16;
 /// The SDDMM half of every pattern with a reduction, written once:
 /// for each neighbor `v = cols[i]`, reduce `r = x_u · y_v` (or
 /// `‖x_u − y_v‖²` when `NORM`) and store the message `h[i] = f(r,
-/// vals[i])`. The row bodies and the mega-row message bodies all call
-/// it with their SOP as `f`. It is the only place that
+/// vals[i])`. The three SDDMM row bodies call it with their SOP as
+/// `f`. It is the only place that
 ///
 /// * **looks ahead**: while edge `i` is reduced, every cache line of
 ///   `y.row(ahead[i])` is requested — `ahead[i]` being the column id
@@ -477,125 +474,6 @@ fn spmm_spec_row_body<I: SimdIsa, const MAIN: usize>(
     panel_spec::<I, MAIN, false>(cols, vals, y, zu);
 }
 
-// --- message fill and span sweep (hybrid mega class) -----------------------
-//
-// A mega row runs in two phases so that threads can share it. Phase A
-// (`*_msg_body`) fills the messages for a slice of the row's neighbors;
-// each message is an independent reduction, so slices can be filled by
-// different threads with no effect on the result. Phase B
-// (`span_spec_body`) folds *every* neighbor, in row order, into one
-// column span of `z_u`: threads split the row by output columns, not by
-// neighbors, so the per-element fold order is fixed by the span plan —
-// bit-identical to the row kernel's chunked fold for any thread count.
-
-#[inline(always)]
-fn embed_msg_body<I: SimdIsa>(
-    xu: &[f32],
-    cols: &[usize],
-    vals: &[f32],
-    y: &Dense,
-    sk: &SigmoidKind,
-    h: &mut [f32],
-) {
-    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    let ahead = lookahead(cols, 0, cols.len());
-    fill_messages::<I, false>(xu, cols, vals, ahead, y, h, None, |s, a| sk.eval(s, a));
-}
-
-#[inline(always)]
-fn fr_msg_body<I: SimdIsa>(
-    xu: &[f32],
-    cols: &[usize],
-    vals: &[f32],
-    y: &Dense,
-    alpha: f32,
-    h: &mut [f32],
-) {
-    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    let ahead = lookahead(cols, 0, cols.len());
-    fill_messages::<I, true>(xu, cols, vals, ahead, y, h, None, |r, _| alpha * r.sqrt());
-}
-
-#[inline(always)]
-fn tdist_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, h: &mut [f32]) {
-    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    let ahead = lookahead(cols, 0, cols.len());
-    fill_messages::<I, true>(xu, cols, vals, ahead, y, h, None, |r, _| 1.0 / (1.0 + r));
-}
-
-/// Folds all neighbors, in row order and starting from `+0.0`, into one
-/// VLEN-aligned span of the output row (overwriting it). The span
-/// *offset* must stay VLEN-aligned (it fixes each thread's fold
-/// origin); the final span may end unaligned (it absorbs the sub-VLEN
-/// remainder at odd `d`), finished by the masked-tail panel.
-#[inline(always)]
-fn span_spec_body<I: SimdIsa, const MAIN: usize>(
-    cols: &[usize],
-    h: &[f32],
-    y: &Dense,
-    z_span: &mut [f32],
-    span_off: usize,
-) {
-    let w = z_span.len();
-    let d = y.ncols();
-    assert!(
-        span_off.is_multiple_of(VLEN)
-            && span_off + w <= d
-            && (w.is_multiple_of(VLEN) || span_off + w == d),
-        "span [{span_off}, {span_off}+{w}) not a VLEN-aligned slice of row width {d}"
-    );
-    assert!(h.len() >= cols.len(), "span kernel: fewer messages than neighbors");
-    if let Some(&vmax) = cols.iter().max() {
-        assert!(vmax < y.nrows(), "span kernel: column {vmax} out of range");
-    }
-    let yp = y.as_slice().as_ptr();
-    let zp = z_span.as_mut_ptr();
-    let mut p = 0;
-    // SAFETY: as in `panel_spec`, with every `y` window shifted by
-    // `span_off`: `[v * d + span_off + p, .. + lanes)` with `v <
-    // y.nrows()` and `span_off + w <= d` asserted above and `p + lanes
-    // <= w` by each pass's loop bound; `z_span` windows are `[p, p +
-    // lanes)` against `z_span.len() == w`; the masked tail touches `r
-    // = w - p` lanes. Unaligned `loadu`/`storeu` by contract; `I` is
-    // executable because the entry was handed out after
-    // `Backend::is_available()`.
-    unsafe {
-        macro_rules! span_pass {
-            ($panels:expr) => {
-                while p + $panels * I::LANES <= w {
-                    let mut acc = [I::zero(); $panels];
-                    for (i, &v) in cols.iter().enumerate() {
-                        let hv = I::splat(h[i]);
-                        let base = yp.add(v * d + span_off + p);
-                        for (q, a) in acc.iter_mut().enumerate() {
-                            *a = I::fma(*a, hv, I::loadu(base.add(q * I::LANES)));
-                        }
-                    }
-                    for (q, a) in acc.iter().enumerate() {
-                        I::storeu(zp.add(p + q * I::LANES), *a);
-                    }
-                    p += $panels * I::LANES;
-                }
-            };
-        }
-        span_pass!(MAIN);
-        if MAIN > 4 {
-            span_pass!(4);
-        }
-        span_pass!(2);
-        span_pass!(1);
-        if p < w {
-            let r = w - p;
-            let mut acc = I::zero();
-            for (i, &v) in cols.iter().enumerate() {
-                let hv = I::splat(h[i]);
-                acc = I::fma(acc, hv, I::loadu_partial(yp.add(v * d + span_off + p), r));
-            }
-            I::storeu_partial(zp.add(p), acc, r);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Per-backend shaped entries
 // ---------------------------------------------------------------------------
@@ -676,16 +554,6 @@ spec_entries!(tdist_spec_row_body => tdist_spec_scalar, tdist_spec_avx2, tdist_s
 spec_entries!(spmm_spec_row_body => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon;
     [MAIN]; (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 
-spec_entries!(embed_msg_body => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon;
-    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
-spec_entries!(fr_msg_body => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon;
-    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, alpha: f32, h: &mut [f32]));
-spec_entries!(tdist_msg_body => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon;
-    []; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, h: &mut [f32]));
-
-spec_entries!(span_spec_body => span_spec_scalar, span_spec_avx2, span_spec_avx512, span_spec_neon;
-    [MAIN]; (cols: &[usize], h: &[f32], y: &Dense, z_span: &mut [f32], span_off: usize));
-
 // ---------------------------------------------------------------------------
 // Selectors: (backend, spec) -> compiled shape
 // ---------------------------------------------------------------------------
@@ -716,7 +584,7 @@ macro_rules! shape_mh {
     }};
 }
 
-/// Turbofish a `MAIN`-only grid point (span/SpMM shapes) into
+/// Turbofish a `MAIN`-only grid point (SpMM shapes) into
 /// the matching compiled instantiation of `$entry`.
 macro_rules! shape_m {
     ($spec:expr, $entry:ident) => {{
@@ -729,15 +597,6 @@ macro_rules! shape_m {
             24 => $entry::<24>,
             _ => unreachable!("KernelSpec outside the generated shape grid"),
         }
-    }};
-}
-
-/// The message-fill entries have no shape: pass the one instantiation
-/// through.
-macro_rules! shape_none {
-    ($spec:expr, $entry:ident) => {{
-        let () = $spec;
-        $entry
     }};
 }
 
@@ -782,30 +641,6 @@ pub fn tdist_spec_kernel(b: Backend, spec: KernelSpec) -> TDistRowKernel {
 /// main-pass shape applies (no SDDMM reduction, no message buffer).
 pub fn spmm_spec_kernel(b: Backend, spec: KernelSpec) -> SpmmRowKernel {
     select_spec!(b, spec, shape_m => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon)
-}
-
-/// The mega-row embedding message-fill kernel compiled for `b`
-/// (phase A of the split-mega-row pass; each neighbor slice is an
-/// independent fill).
-pub fn embed_msg_kernel(b: Backend) -> EmbedMsgKernel {
-    select_spec!(b, (), shape_none => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon)
-}
-
-/// The mega-row FR message-fill kernel compiled for `b`.
-pub fn fr_msg_kernel(b: Backend) -> FrMsgKernel {
-    select_spec!(b, (), shape_none => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon)
-}
-
-/// The mega-row t-distribution message-fill kernel compiled for `b`.
-pub fn tdist_msg_kernel(b: Backend) -> TDistMsgKernel {
-    select_spec!(b, (), shape_none => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon)
-}
-
-/// The shaped mega-row column-span sweep compiled for `(b, spec)` —
-/// hybrid phase B (pattern-independent: the messages were already
-/// computed). The final span may end unaligned at odd `d`.
-pub fn span_spec_kernel(b: Backend, spec: KernelSpec) -> SpanSweepKernel {
-    select_spec!(b, spec, shape_m => span_spec_scalar, span_spec_avx2, span_spec_avx512, span_spec_neon)
 }
 
 #[cfg(test)]
@@ -1130,15 +965,6 @@ mod tests {
                     dirty.fill(f32::INFINITY);
                     tdist_spec_kernel(b, spec)(xu, &[], &[], la(&[]), &y, &mut dirty, None);
                     assert!(plus_zero(&dirty), "empty tdist row {b} d={d}");
-
-                    let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
-                    span_spec_kernel(b, spec)(cols, vals, &y, &mut clean[8..32], 8);
-                    span_spec_kernel(b, spec)(cols, vals, &y, &mut dirty[8..32], 8);
-                    assert_eq!(bits(&clean[8..32]), bits(&dirty[8..32]), "span {b} d={d}");
-                    assert!(
-                        dirty[..8].iter().chain(&dirty[32..]).all(|v| v.is_nan()),
-                        "span stays in span"
-                    );
                 }
             }
         }
@@ -1260,79 +1086,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn msg_fill_plus_span_sweep_bit_identical_to_the_row_kernel() {
-        // A heavy row (degree > every HC exercises the row kernel's
-        // chunked fold) computed as mega phases A + B must match the
-        // row kernel bit for bit, for any span split. At odd d the last
-        // span absorbs the sub-VLEN remainder.
-        let n = 90;
-        let a = chain(n, 80);
-        for d in [48usize, 96, 100] {
-            let x = feats(n, d, 0.3);
-            let y = feats(n, d, 0.7);
-            let (cols, vals) = a.row(7);
-            let aligned = d / VLEN * VLEN;
-            let mut splits = vec![vec![d], vec![aligned / 2, d - aligned / 2]];
-            splits.push(
-                (0..d / VLEN)
-                    .map(|t| if t + 1 == d / VLEN { d - t * VLEN } else { VLEN })
-                    .collect(),
-            );
-            for b in available() {
-                let spec = KernelSpec::default_for(true, d, b.lanes());
-                // The labelled SOP reads the edge value in phase A, so
-                // the value slices must split with the column slices.
-                for sk in [SigmoidKind::Exact, SigmoidKind::ExactMinusEdge] {
-                    let mut z_row = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(
-                        x.row(7),
-                        cols,
-                        vals,
-                        la(cols),
-                        &y,
-                        &mut z_row,
-                        None,
-                        &sk,
-                    );
-                    // Phase A: messages filled in two independent slices.
-                    let mut h = vec![0f32; cols.len()];
-                    let split = cols.len() / 3;
-                    let (h0, h1) = h.split_at_mut(split);
-                    embed_msg_kernel(b)(x.row(7), &cols[..split], &vals[..split], &y, &sk, h0);
-                    embed_msg_kernel(b)(x.row(7), &cols[split..], &vals[split..], &y, &sk, h1);
-                    // Phase B: every VLEN-aligned span split must agree.
-                    for spans in &splits {
-                        let mut z = vec![0f32; d];
-                        let mut off = 0;
-                        for &w in spans {
-                            span_spec_kernel(b, spec)(cols, &h, &y, &mut z[off..off + w], off);
-                            off += w;
-                        }
-                        assert_eq!(z, z_row, "embed mega {b} d={d} {sk:?} {spans:?}");
-                    }
-                }
-                let mut h = vec![0f32; cols.len()];
-                let mut z_row = vec![0f32; d];
-                let mut z = vec![0f32; d];
-                fr_spec_kernel(b, spec)(x.row(7), cols, vals, la(cols), &y, &mut z_row, None, 0.6);
-                fr_msg_kernel(b)(x.row(7), cols, vals, &y, 0.6, &mut h);
-                span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
-                assert_eq!(z, z_row, "fr mega {b} d={d}");
-                tdist_spec_kernel(b, spec)(x.row(7), cols, vals, la(cols), &y, &mut z_row, None);
-                tdist_msg_kernel(b)(x.row(7), cols, vals, &y, &mut h);
-                span_spec_kernel(b, spec)(cols, &h, &y, &mut z, 0);
-                assert_eq!(z, z_row, "tdist mega {b} d={d}");
-                // SpMM: the values are the messages.
-                spmm_spec_kernel(b, spec)(cols, vals, &y, &mut z_row);
-                let (lo, hi) = z.split_at_mut(aligned / 2);
-                span_spec_kernel(b, spec)(cols, vals, &y, lo, 0);
-                span_spec_kernel(b, spec)(cols, vals, &y, hi, aligned / 2);
-                assert_eq!(z, z_row, "spmm mega {b} d={d}");
             }
         }
     }

@@ -66,7 +66,6 @@ pub mod dispatch;
 pub mod driver;
 pub mod generic;
 pub mod genkern;
-pub mod hybrid;
 pub mod part;
 pub mod plan;
 pub mod profile;
@@ -74,7 +73,6 @@ pub mod simd;
 
 pub use dispatch::{specialize, Blocking, Specialized};
 pub use generic::fusedmm_reference;
-pub use hybrid::HybridConfig;
 pub use part::{Partition, PartitionStrategy};
 pub use plan::{Launch, Plan};
 pub use profile::{kernel_profiles, reset_kernel_profiles, KernelProfile};

@@ -26,10 +26,6 @@ pub enum PartitionStrategy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     boundaries: Vec<usize>,
-    /// Largest row degree inside each part (0 for empty parts) —
-    /// recorded at partition time so serving shards can export a
-    /// skew gauge without rescanning the matrix.
-    max_row_degree: Vec<usize>,
 }
 
 impl Partition {
@@ -78,12 +74,7 @@ impl Partition {
         }
         boundaries.push(m);
         debug_assert!(boundaries.windows(2).all(|w| w[0] <= w[1]));
-        let rowptr = a.rowptr();
-        let max_row_degree = boundaries
-            .windows(2)
-            .map(|b| (b[0]..b[1]).map(|r| rowptr[r + 1] - rowptr[r]).max().unwrap_or(0))
-            .collect();
-        Partition { boundaries, max_row_degree }
+        Partition { boundaries }
     }
 
     /// Number of parts (including possibly empty trailing parts).
@@ -104,19 +95,6 @@ impl Partition {
     /// The boundary array (`len() + 1` entries).
     pub fn boundaries(&self) -> &[usize] {
         &self.boundaries
-    }
-
-    /// Largest row degree inside part `i` (0 when the part is empty).
-    /// A band whose maximum approaches its whole nnz share signals a
-    /// hub row that PART1D cannot balance away — the case the hybrid
-    /// dispatcher's mega class exists for.
-    pub fn part_max_row_degree(&self, i: usize) -> usize {
-        self.max_row_degree[i]
-    }
-
-    /// Per-part maximum row degrees (`len()` entries).
-    pub fn max_row_degrees(&self) -> &[usize] {
-        &self.max_row_degree
     }
 
     /// Nonzeros assigned to part `i`.
@@ -300,17 +278,6 @@ mod tests {
         for i in 0..p.len() {
             assert!(p.rows(i).len() <= 1, "band {i} spans more than one row");
         }
-    }
-
-    #[test]
-    fn per_band_max_degree_tracks_the_heavy_rows() {
-        let a = skewed(100, 10); // rows 0..10 have degree 64, rest degree 1
-        let p = Partition::part1d(&a, 4, PartitionStrategy::RowBalanced);
-        assert_eq!(p.max_row_degrees().len(), p.len());
-        assert_eq!(p.part_max_row_degree(0), 64, "first band holds the heavy rows");
-        assert_eq!(p.part_max_row_degree(3), 1, "last band is all tail");
-        let empty = Partition::part1d(&Csr::empty(8, 8), 2, PartitionStrategy::NnzBalanced);
-        assert!(empty.max_row_degrees().iter().all(|&m| m == 0));
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub enum Launch<'a> {
     /// `z` is `to_bits`-equal to the unscored launch, and the scores do
     /// not depend on the kernel shape, the pool width or where the bands
     /// run. [`Blocking::Generic`] honours the sink (it is the oracle the
-    /// kernels are checked against, to rounding); [`Blocking::Hybrid`]
-    /// with a sink runs the uniform row schedule it is bit-identical to.
+    /// kernels are checked against, to rounding).
     All {
         /// The per-edge score output, if wanted.
         scores: Option<&'a mut [f32]>,
@@ -399,12 +398,7 @@ mod tests {
         use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
         let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
         let spec = crate::genkern::KernelSpec::new(6, 32).unwrap();
-        for blocking in [
-            Blocking::Auto,
-            Blocking::Generic,
-            Blocking::Specialized(spec),
-            Blocking::Hybrid(crate::HybridConfig::default()),
-        ] {
+        for blocking in [Blocking::Auto, Blocking::Generic, Blocking::Specialized(spec)] {
             let plan = Plan::with_blocking(&custom, 48, blocking, PartitionStrategy::NnzBalanced);
             assert_eq!(plan.blocking(), Blocking::Generic, "asked for {blocking:?}");
         }

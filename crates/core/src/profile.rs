@@ -35,9 +35,8 @@ pub struct KernelProfile {
     /// SIMD backend the kernels ran on.
     pub backend: Backend,
     /// What ran: `spec-m{M}-h{H}` (the kernel table's shape —
-    /// per-variant roofline rows fall out of the label), `generic`
-    /// (the unspecialized five-step kernel), or the
-    /// `hybrid-strip`/`hybrid-mega` per-class rows.
+    /// per-variant roofline rows fall out of the label) or `generic`
+    /// (the unspecialized five-step kernel).
     pub blocking: &'static str,
     /// Launches recorded.
     pub calls: u64,

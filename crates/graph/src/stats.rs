@@ -62,7 +62,7 @@ impl GraphStats {
 /// degree 0 is excluded). Power-law graphs show a long, slowly decaying
 /// tail across buckets. Thin wrapper over
 /// [`Csr::degree_histogram_log2`], the shared degree-scan helper also
-/// used by the hybrid-kernel row classifier and the metrics registry.
+/// used by the metrics registry.
 pub fn degree_histogram_log2(a: &Csr) -> Vec<usize> {
     a.degree_histogram_log2()
 }

@@ -264,7 +264,7 @@ mod tests {
         let MissRoute::Owner(owner) = cache.route_miss(2, 0) else { panic!("owner") };
         let MissRoute::Waiter(w) = cache.route_miss(2, 0) else { panic!("waiter") };
         drop(FillSet::new(Arc::clone(&cache), vec![owner], None));
-        assert!(w.wait().is_err(), "waiter observes the abort, not a hang");
+        assert!(w.poll().expect("resolved").is_err(), "waiter observes the abort, not a hang");
         assert_eq!(cache.metrics().inflight_rows, 0);
     }
 
@@ -276,7 +276,7 @@ mod tests {
         let MissRoute::Waiter(w) = cache.route_miss(3, 0) else { panic!("waiter") };
         let rows = Dense::from_rows(2, 2, &[1.0, 1.5, 3.0, 3.5]).unwrap();
         FillSet::new(Arc::clone(&cache), vec![o1, o2], None).complete(&rows);
-        assert_eq!(w.wait().unwrap().as_ref(), &[3.0, 3.5]);
+        assert_eq!(w.poll().expect("filled").unwrap().as_ref(), &[3.0, 3.5]);
         let mut out = Dense::zeros(2, 2);
         let (misses, _) = cache.split(&[1, 3], 0, &mut out);
         assert!(misses.is_empty(), "both rows resident after the fill");
@@ -297,8 +297,11 @@ mod tests {
         let MissRoute::Waiter(w_healthy) = cache.route_miss(healthy, 0) else { panic!("waiter") };
         let rows = Dense::from_rows(2, 2, &[2.0, 2.5, 7.0, 7.5]).unwrap();
         FillSet::new(Arc::clone(&cache), vec![o1, o2], Some(plan)).complete(&rows);
-        assert!(w_poisoned.wait().is_err(), "poisoned fill aborted, waiter fails cleanly");
-        assert_eq!(w_healthy.wait().unwrap().as_ref(), &[7.0, 7.5]);
+        assert!(
+            w_poisoned.poll().expect("resolved").is_err(),
+            "poisoned fill aborted, waiter fails cleanly"
+        );
+        assert_eq!(w_healthy.poll().expect("filled").unwrap().as_ref(), &[7.0, 7.5]);
         let mut out = Dense::zeros(1, 2);
         let (misses, _) = cache.split(&[2], 0, &mut out);
         assert_eq!(misses, vec![2], "the poisoned row was never cached");

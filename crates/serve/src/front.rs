@@ -601,7 +601,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             let labels = &front_labels;
             let l = |s: Sample| apply_labels(s, labels);
             // Bucket i counts rows with degree in [2^i, 2^{i+1}): the
-            // skew signal behind the hybrid kernel's class split.
+            // graph's degree skew.
             for (bucket, &rows) in degree_hist.iter().enumerate() {
                 let s = Sample::gauge("fusedmm_degree_histogram_rows", rows as f64);
                 out.push(l(s.label("bucket", bucket.to_string())));

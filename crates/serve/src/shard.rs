@@ -195,16 +195,16 @@ mod tests {
         assert_eq!(parallel, sequential, "overlapped bands must not change a single bit");
     }
 
-    /// The shim hands back what the bands run — here a hybrid plan,
-    /// which `Plan::prepare` would not produce.
+    /// The shim hands back what the bands run — here a generic plan,
+    /// which `Plan::prepare` would not produce for a recognized pattern.
     #[test]
     fn plans_shim_returns_the_bands_plan() {
-        let hybrid = fusedmm_core::Blocking::Hybrid(fusedmm_core::HybridConfig::default());
-        let config = EngineConfig { blocking: hybrid, ..config() };
+        let generic = fusedmm_core::Blocking::Generic;
+        let config = EngineConfig { blocking: generic, ..config() };
         let z = || Dense::zeros(90, 4);
         let eng = ShardedEngine::new(graph(90), z(), z(), OpSet::gcn(), 3, config);
         let plan = eng.plans().plan_for(&OpSet::gcn(), 4);
-        assert_eq!(plan.blocking(), hybrid);
+        assert_eq!(plan.blocking(), generic);
         assert!(eng.transport.bands.iter().all(|b| b.plan == plan));
     }
 

@@ -51,7 +51,7 @@ pub use fusedmm_sparse as sparse;
 pub mod prelude {
     pub use fusedmm_core::{
         cpu_features, fusedmm, fusedmm_opt, fusedmm_reference, kernel_profiles,
-        reset_kernel_profiles, Backend, Blocking, HybridConfig, Launch, PartitionStrategy, Plan,
+        reset_kernel_profiles, Backend, Blocking, Launch, PartitionStrategy, Plan,
     };
     pub use fusedmm_graph::datasets::Dataset;
     pub use fusedmm_graph::erdos::erdos_renyi;

@@ -209,35 +209,15 @@ fn matrix_market_round_trip_on_random_graph() {
 /// kernels as the active backend (8-lane ones at `d ≤ 8`).
 const SWEEP_DIMS: [usize; 13] = [1, 2, 7, 8, 16, 24, 48, 64, 96, 100, 128, 192, 384];
 
-/// A threshold low enough that a 40-odd-row graph has strip *and* mega
-/// rows. The mega threshold is `max(mega_floor, nnz / parts)`, so
-/// it only comes down to `mega_floor` under a fine partition
-/// ([`sweep_width`]).
-const ALL_CLASSES: HybridConfig = HybridConfig { mega_floor: 6 };
-
 /// Everything a launch can be asked to run at dimension `d`: the
-/// default, every shape the table compiles for the active backend,
-/// hybrid scheduling under both threshold sets, and the generic kernel.
+/// default, every shape the table compiles for the active backend, and
+/// the generic kernel.
 fn sweep_blockings(d: usize) -> Vec<Blocking> {
     use fusedmm::kernel::genkern::candidate_specs;
     let lanes = fusedmm::kernel::active_backend().lanes();
-    let mut blockings = vec![
-        Blocking::Auto,
-        Blocking::Hybrid(HybridConfig::default()),
-        Blocking::Hybrid(ALL_CLASSES),
-        Blocking::Generic,
-    ];
+    let mut blockings = vec![Blocking::Auto, Blocking::Generic];
     blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
     blockings
-}
-
-/// The pool width a sweep launch runs at: the PART1D part count.
-fn sweep_width(blocking: Blocking, nrows: usize) -> usize {
-    if blocking == Blocking::Hybrid(ALL_CLASSES) {
-        nrows
-    } else {
-        3
-    }
 }
 
 /// Run `f` in a pool `width` threads wide: launches inside it cut one
@@ -314,29 +294,32 @@ fn hostile_graph() -> Csr {
     a
 }
 
-/// Run `check(blocking, z)` for every [`sweep_blockings`] entry at `d`,
-/// having asserted that every specialized shape and both hybrid
-/// configurations are `to_bits`-equal to `Blocking::Auto`.
+/// Run `check(blocking, width, z)` for every [`sweep_blockings`] entry
+/// at `d` at pool width 3, and for `Blocking::Auto` once more at pool
+/// width `a.nrows()` (one row per PART1D part), having asserted that
+/// every launch but the generic kernel's is `to_bits`-equal to the
+/// width-3 `Blocking::Auto`.
 fn sweep_launches(
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
-    mut check: impl FnMut(Blocking, &Dense),
+    mut check: impl FnMut(Blocking, usize, &Dense),
 ) {
     let d = x.ncols();
     let auto = bits(launch_at(3, a, x, y, ops, Blocking::Auto).as_slice());
-    for blocking in sweep_blockings(d) {
-        let z = launch_at(sweep_width(blocking, a.nrows()), a, x, y, ops, blocking);
+    let widths = sweep_blockings(d).into_iter().map(|b| (b, 3));
+    for (blocking, width) in widths.chain([(Blocking::Auto, a.nrows())]) {
+        let z = launch_at(width, a, x, y, ops, blocking);
         if blocking != Blocking::Generic {
             assert!(
                 bits(z.as_slice()) == auto,
-                "{:?}/{:?} {blocking:?} d={d}: differs from Auto in some bit",
+                "{:?}/{:?} {blocking:?} width={width} d={d}: differs from Auto in some bit",
                 ops.pattern,
                 ops.sop
             );
         }
-        check(blocking, &z);
+        check(blocking, width, &z);
     }
 }
 
@@ -346,10 +329,10 @@ fn sweep_launches(
 fn sweep_against_reference(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, tol: f32) {
     let reference = fusedmm_reference(a, x, y, ops);
     let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    sweep_launches(a, x, y, ops, |blocking, z| {
+    sweep_launches(a, x, y, ops, |blocking, width, z| {
         assert!(
             z.max_abs_diff(&reference) < tol * scale,
-            "{:?}/{:?} {blocking:?} d={}: diff {}",
+            "{:?}/{:?} {blocking:?} width={width} d={}: diff {}",
             ops.pattern,
             ops.sop,
             x.ncols(),
@@ -389,7 +372,7 @@ proptest! {
     }
 
     /// Every way of running a recognized pattern agrees: all shapes of
-    /// the kernel table and both hybrid configurations with
+    /// the kernel table and a one-row-per-part launch with
     /// `Blocking::Auto` bit for bit ([`sweep_launches`]), and all of
     /// them — the generic kernel included — with the naive reference
     /// within tolerance, at every sweep dimension.
@@ -411,11 +394,10 @@ proptest! {
         }
     }
 
-    /// The same sweep on a graph where the hybrid classes all occur and
-    /// rows outlast every message chunk ([`hostile_graph`]), with the
-    /// table-lookup sigmoid among the patterns — including the dims
-    /// hybrid scheduling used to decline (8, 16, 64) and `d` below the
-    /// lane width.
+    /// The same sweep on a graph with empty rows, a hub and rows that
+    /// outlast every message chunk ([`hostile_graph`]), with the
+    /// table-lookup sigmoid among the patterns — including `d` below
+    /// the lane width.
     #[test]
     fn specialized_table_and_hybrid_cover_odd_dims(seed in 0u64..100) {
         let a = hostile_graph();
@@ -438,8 +420,8 @@ proptest! {
     }
 
     /// The labelled NCE-gradient SOP `σ(s) − a_uv` runs the recognized
-    /// sigmoid kernels: every shape on the active backend and the
-    /// hybrid executor agree with the naive reference — on a
+    /// sigmoid kernels: every shape on the active backend agrees with
+    /// the naive reference — on a
     /// step-matrix-shaped operand: mixed 0/1 edge values, unsorted
     /// rows, and the same column under both labels.
     #[test]
@@ -484,7 +466,7 @@ proptest! {
 /// caller-owned output is written on every call and nothing it held is
 /// read. For every recognized pattern (and the generic fallback), every
 /// sweep dimension and everything a launch can be asked to run — each
-/// shape of the kernel table and both hybrid configurations included —
+/// shape of the kernel table and one row per PART1D part included —
 /// running into a NaN-filled `z` leaves exactly the bits of the
 /// allocating call, on [`hostile_graph`]. Runs on whichever backend is
 /// active, so each forced-backend CI arm checks its own.
@@ -510,10 +492,10 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
         let x = sweep_features(n, d, 3);
         let y = sweep_features(n, d, 11);
         for ops in &opsets {
-            sweep_launches(&a, &x, &y, ops, |blocking, want| {
+            sweep_launches(&a, &x, &y, ops, |blocking, width, want| {
                 let mut z = vec![f32::NAN; n * d];
                 let plan = plan_for(ops, d, blocking);
-                at_width(sweep_width(blocking, n), || {
+                at_width(width, || {
                     plan.launch(&a, &x, &y, ops, Launch::All { scores: None }, &mut z)
                 });
                 assert!(
@@ -538,7 +520,7 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
 /// at dimensions on both sides of every lane width, for everything a
 /// launch can be asked to run and for one band, a few and one per row,
 /// a NaN-filled `scores` comes back with every slot finite and the same
-/// bits whatever the shape, the partition or the hybrid setting; the
+/// bits whatever the shape or the partition; the
 /// generic kernel's scores (the oracle: `ROP(VOP(x_u, y_v))` computed
 /// step by step) agree within the sweep's tolerance; and `z` is the
 /// unscored launch's `z`, bit for bit. On [`hostile_graph`] as it is
