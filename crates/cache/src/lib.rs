@@ -13,9 +13,11 @@
 //!   sweep on the write path.
 //! * **Delta update** (a row patch) invalidates *precisely*: only the
 //!   patched vertices and the rows whose aggregation reads a patched
-//!   `Y` row (their in-neighbors — see
-//!   [`Csr::touch_set`](../fusedmm_sparse/csr/struct.Csr.html)) are
-//!   retired, so a training-style row patch does not flush the hot set.
+//!   `Y` row (their in-neighbors) are retired, so a training-style row
+//!   patch does not flush the hot set. The cache takes that row set
+//!   from its caller ([`ResultCache::invalidate_rows`]); the serving
+//!   layer finds it in the graph it already holds when the pattern is
+//!   symmetric, and in a transpose of the cached rows otherwise.
 //!
 //! # Validity contract
 //!

@@ -204,6 +204,16 @@ impl Band {
         self.queue.queued_rows()
     }
 
+    /// Global vertex id of the band's first row.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// The stored column ids of global row `u`, which the band owns.
+    pub fn row_cols(&self, u: usize) -> &[usize] {
+        self.a.row(u - self.start).0
+    }
+
     /// Stop accepting parts, resolve the queued ones `EngineShutdown`
     /// and wake every parked waiter; a launch in flight finishes.
     /// Idempotent.

@@ -1,6 +1,6 @@
 //! The serving stack's result-cache layer: a
 //! [`ResultCache`] bound to one graph's
-//! reverse adjacency and subscribed to the engine's
+//! in-neighbour index and subscribed to the engine's
 //! [`FeatureStore`](crate::FeatureStore).
 //!
 //! [`EmbedCache`] is the piece the engines talk to: it splits a request
@@ -12,9 +12,19 @@
 //! [`EpochListener`], translates epoch
 //! transitions into invalidations. A publish invalidates everything
 //! (lazily, by epoch stamp); a delta update invalidates only the
-//! patched rows *and their in-neighbors*, the exact dependency set of
-//! the kernel's per-row aggregation, computed from the transposed
-//! adjacency by [`Csr::touch_set`](fusedmm_sparse::csr::Csr::touch_set).
+//! patched rows *and their in-neighbours*, the exact dependency set of
+//! the kernel's per-row aggregation (`EmbedCache::touch_set`).
+//!
+//! The in-neighbours of `v` — the output rows whose aggregation reads
+//! `y_v` — come from one of two indexes, chosen once at construction:
+//!
+//! * **The bands.** When `A`'s pattern is symmetric
+//!   ([`Csr::is_pattern_symmetric`]), row `v` of `A` lists them, and the
+//!   band that serves row `v` already holds it: the cache keeps a
+//!   `Weak` handle per band and no graph of its own.
+//! * **A transpose.** Otherwise the cache owns `Aᵀ` of the rows it
+//!   caches (a replica: its band's rows only), one counting pass at
+//!   construction.
 //!
 //! Owned rows travel with their part as a `FillSet` inside its
 //! [`PartSlot`](crate::PartSlot): whoever resolves the slot with rows
@@ -23,12 +33,13 @@
 //! computation does, independent of when (or whether) the owning ticket
 //! is harvested.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use fusedmm_cache::{CacheConfig, CacheMetrics, InflightOwner, MissRoute, ResultCache};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
+use crate::band::Band;
 use crate::fault::FaultPlan;
 use crate::store::EpochListener;
 
@@ -38,9 +49,18 @@ use crate::store::EpochListener;
 /// observe it through [`CacheMetrics`].
 pub struct EmbedCache {
     cache: ResultCache,
-    /// `A^T`: row `v` lists the in-neighbors of vertex `v` — the
-    /// output rows whose aggregation reads `y_v`.
-    rev: Csr,
+    in_neighbors: InNeighbors,
+}
+
+/// Where a delta finds the output rows that read a patched `y_v`.
+enum InNeighbors {
+    /// `A`'s pattern is symmetric: row `v` of the band serving `v`.
+    /// Named once the bands exist ([`EmbedCache::name_bands`]); `Weak`
+    /// because queued parts hold the cache and bands hold their queues.
+    Bands(OnceLock<Vec<Weak<Band>>>),
+    /// Row `v` of `Aᵀ` over the cached rows, which start at global row
+    /// `start`: the local ids of the rows that read `y_v`.
+    Transpose { rev: Csr, start: usize },
 }
 
 impl std::fmt::Debug for EmbedCache {
@@ -50,12 +70,73 @@ impl std::fmt::Debug for EmbedCache {
 }
 
 impl EmbedCache {
-    /// A cache over the output rows of `a` at embedding dimension `d`.
-    /// Pays one O(nnz) counting transpose to own the reverse adjacency
-    /// the delta-precise touch sets need: while it runs, the only
-    /// memory beyond `a` is `Aᵀ` itself plus one `ncols + 1` cursor.
-    pub(crate) fn new(a: &Csr, d: usize, config: CacheConfig) -> EmbedCache {
-        EmbedCache { cache: ResultCache::new(a.nrows(), d, config), rev: a.transpose() }
+    /// A cache over `nvertices` output rows at embedding dimension `d`
+    /// of a graph whose pattern is symmetric: it reads in-neighbours
+    /// from the bands, so it holds no adjacency. Name the bands before
+    /// the store can announce a delta to it.
+    pub(crate) fn over_bands(nvertices: usize, d: usize, config: CacheConfig) -> EmbedCache {
+        let in_neighbors = InNeighbors::Bands(OnceLock::new());
+        EmbedCache { cache: ResultCache::new(nvertices, d, config), in_neighbors }
+    }
+
+    /// A cache over `nvertices` output rows at embedding dimension `d`
+    /// that caches only `rows` (global rows `start..start +
+    /// rows.nrows()`): it pays one O(nnz) counting transpose of `rows`
+    /// to own their reverse adjacency. While it runs, the only memory
+    /// beyond `rows` is `rowsᵀ` itself plus one `ncols + 1` cursor.
+    pub(crate) fn transposed(
+        rows: &Csr,
+        start: usize,
+        nvertices: usize,
+        d: usize,
+        config: CacheConfig,
+    ) -> EmbedCache {
+        let in_neighbors = InNeighbors::Transpose { rev: rows.transpose(), start };
+        EmbedCache { cache: ResultCache::new(nvertices, d, config), in_neighbors }
+    }
+
+    /// Hand a band-indexed cache the bands that serve its rows, in row
+    /// order; a transpose-indexed cache ignores them. Called once.
+    pub(crate) fn name_bands(&self, bands: &[Arc<Band>]) {
+        if let InNeighbors::Bands(named) = &self.in_neighbors {
+            let weak = bands.iter().map(Arc::downgrade).collect();
+            assert!(named.set(weak).is_ok(), "a cache's bands are named once");
+        }
+    }
+
+    /// The output rows a delta on `patched` invalidates, sorted and
+    /// deduplicated: the patched vertices themselves (their `X` rows
+    /// changed) plus every in-neighbour (rows whose aggregation reads a
+    /// patched `Y` row). Everything outside it is provably unaffected.
+    /// Costs O(Σ in-degree(patched) log), independent of the graph.
+    pub(crate) fn touch_set(&self, patched: &[usize]) -> Vec<usize> {
+        let mut touched = patched.to_vec();
+        match &self.in_neighbors {
+            InNeighbors::Transpose { rev, start } => {
+                for &v in patched {
+                    touched.extend(rev.row(v).0.iter().map(|&u| start + u));
+                }
+            }
+            InNeighbors::Bands(named) => {
+                // Every band lives as long as the front end that reads
+                // this cache; past it, nothing is left to invalidate.
+                let bands: Vec<Arc<Band>> = named
+                    .get()
+                    .and_then(|named| named.iter().map(Weak::upgrade).collect())
+                    .unwrap_or_default();
+                if !bands.is_empty() {
+                    for &v in patched {
+                        // The last band starting at or before `v`: empty
+                        // bands share their start with their successor.
+                        let owner = bands.partition_point(|b| b.start() <= v) - 1;
+                        touched.extend_from_slice(bands[owner].row_cols(v));
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
     }
 
     /// Probe every requested node at the pinned epoch. Hit rows are
@@ -122,7 +203,7 @@ impl EpochListener for EmbedCache {
         // The touch set may include patched Y-row ids beyond the
         // output row space on rectangular graphs; the cache ignores
         // out-of-range ids.
-        self.cache.invalidate_rows(epoch, &self.rev.touch_set(rows));
+        self.cache.invalidate_rows(epoch, &self.touch_set(rows));
     }
 }
 
@@ -186,7 +267,13 @@ impl Drop for FillSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use crate::front::Resolved;
+    use fusedmm_core::{Partition, PartitionStrategy};
+    use fusedmm_graph::rmat::{rmat, RmatConfig};
+    use fusedmm_ops::OpSet;
     use fusedmm_sparse::coo::{Coo, Dedup};
+    use std::ops::Range;
 
     fn ring(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -194,6 +281,122 @@ mod tests {
             c.push(u, (u + 1) % n, 1.0);
         }
         c.to_csr(Dedup::Sum)
+    }
+
+    /// A transpose-indexed cache over every row of `a`, at d = 2.
+    fn transposed(a: &Csr) -> EmbedCache {
+        EmbedCache::transposed(a, 0, a.nrows(), 2, CacheConfig::default())
+    }
+
+    /// A band-indexed cache over `a`, cut into `ranges`, and the bands
+    /// it reads (the caller keeps them alive).
+    fn over_bands(a: &Csr, ranges: &[Range<usize>]) -> (EmbedCache, Vec<Arc<Band>>) {
+        let config =
+            EngineConfig { fault: Some(Arc::new(FaultPlan::disabled())), ..Default::default() };
+        let resolved = Resolved::from(&config);
+        let bands: Vec<Arc<Band>> = ranges
+            .iter()
+            .map(|rows| {
+                let band = a.row_band(rows.clone());
+                Arc::new(Band::new(band, rows.start, None, OpSet::gcn(), 2, &config, &resolved))
+            })
+            .collect();
+        let cache = EmbedCache::over_bands(a.nrows(), 2, CacheConfig::default());
+        cache.name_bands(&bands);
+        (cache, bands)
+    }
+
+    #[test]
+    fn transpose_touch_set_is_patched_plus_in_neighbors() {
+        // A: 0→{0,2}, 2→{0,1}. Row v of Aᵀ lists v's in-neighbours.
+        let a = Csr::from_parts(3, 3, vec![0, 2, 2, 4], vec![0, 2, 0, 1], vec![1.0; 4]).unwrap();
+        let cache = transposed(&a);
+        // Patch vertex 2: in-neighbours(2) = {0} (only a_02 ≠ 0).
+        assert_eq!(cache.touch_set(&[2]), vec![0, 2]);
+        // Patch vertex 0: rows 0 and 2 both read y_0; plus 0 itself.
+        assert_eq!(cache.touch_set(&[0]), vec![0, 2]);
+        // Patch vertex 1: only row 2 reads y_1.
+        assert_eq!(cache.touch_set(&[1]), vec![1, 2]);
+        // Duplicates and unions dedup; an empty patch is empty.
+        assert_eq!(cache.touch_set(&[1, 1, 2]), vec![0, 1, 2]);
+        assert_eq!(cache.touch_set(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_band_transpose_names_its_in_neighbors_by_global_id() {
+        // Ring u→u+1 over 8 vertices; the replica caches rows 3..6.
+        let a = ring(8);
+        let band = EmbedCache::transposed(&a.row_band(3..6), 3, 8, 2, CacheConfig::default());
+        // y_5 is read by row 4 (in the band); y_3 by row 2 (outside it).
+        assert_eq!(band.touch_set(&[5]), vec![4, 5]);
+        assert_eq!(band.touch_set(&[3]), vec![3]);
+        assert_eq!(band.touch_set(&[4, 6]), vec![3, 4, 5, 6]);
+        // Restricted to the band, it is the whole graph's touch set.
+        let whole = transposed(&a);
+        for v in 0..8 {
+            let within: Vec<usize> = whole
+                .touch_set(&[v])
+                .into_iter()
+                .filter(|&u| u == v || (3..6).contains(&u))
+                .collect();
+            assert_eq!(band.touch_set(&[v]), within, "patched {v}");
+        }
+    }
+
+    #[test]
+    fn band_and_transpose_touch_sets_agree_on_symmetric_graphs() {
+        for seed in 0..6u64 {
+            let n = 48;
+            let a = rmat(&RmatConfig::new(n, 3 * n).with_seed(seed));
+            assert!(a.is_pattern_symmetric());
+            let reference = transposed(&a);
+            let mut cuts: Vec<Vec<Range<usize>>> = [1, 2, 4]
+                .iter()
+                .map(|&s| {
+                    let part = Partition::part1d(&a, s, PartitionStrategy::NnzBalanced);
+                    (0..part.len()).map(|b| part.rows(b)).collect()
+                })
+                .collect();
+            // Empty bands, leading, inner and trailing: each shares its
+            // start with its successor.
+            let m = 1 + seed as usize * 7;
+            cuts.push(vec![0..0, 0..m, m..m, m..n]);
+            cuts.push(vec![0..m, m..n, n..n, n..n]);
+            for ranges in &cuts {
+                let (cache, _bands) = over_bands(&a, ranges);
+                let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for _ in 0..32 {
+                    let len = 1 + (state % 5) as usize;
+                    let patched: Vec<usize> = (0..len)
+                        .map(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state % n as u64) as usize
+                        })
+                        .collect();
+                    assert_eq!(
+                        cache.touch_set(&patched),
+                        reference.touch_set(&patched),
+                        "seed {seed}, cut {ranges:?}, patch {patched:?}"
+                    );
+                }
+                // Every vertex alone, the isolated ones included.
+                for v in 0..n {
+                    assert_eq!(cache.touch_set(&[v]), reference.touch_set(&[v]), "vertex {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_band_indexed_cache_outliving_its_bands_retires_only_patched_rows() {
+        let a = rmat(&RmatConfig::new(16, 40).with_seed(3));
+        let (cache, bands) = over_bands(&a, &[0..8, 8..16]);
+        let v = (0..16).find(|&v| a.row_nnz(v) > 0).expect("an edge");
+        assert!(cache.touch_set(&[v]).len() > 1);
+        drop(bands);
+        assert_eq!(cache.touch_set(&[v]), vec![v]);
     }
 
     /// Route-and-fill every node as an owner — the shape the
@@ -210,7 +413,7 @@ mod tests {
     #[test]
     fn split_fills_hits_and_returns_miss_positions() {
         let a = ring(6);
-        let cache = EmbedCache::new(&a, 2, CacheConfig::default());
+        let cache = transposed(&a);
         let mut out = Dense::zeros(4, 2);
         // Nothing cached yet: everything misses, duplicates dedup.
         let (misses, positions) = cache.split(&[3, 1, 3, 5], 0, &mut out);
@@ -236,7 +439,7 @@ mod tests {
         // Ring u→u+1: patching v invalidates v (its X row) and v-1
         // (aggregates y_v). Everything else survives.
         let n = 8;
-        let cache = EmbedCache::new(&ring(n), 2, CacheConfig::default());
+        let cache = transposed(&ring(n));
         let all: Vec<usize> = (0..n).collect();
         let rows = Dense::from_fn(n, 2, |r, _| r as f32);
         fill_all(&cache, 0, &all, &rows);
@@ -249,7 +452,7 @@ mod tests {
 
     #[test]
     fn publish_listener_flushes_lazily() {
-        let cache = EmbedCache::new(&ring(4), 2, CacheConfig::default());
+        let cache = transposed(&ring(4));
         fill_all(&cache, 0, &[0, 1, 2, 3], &Dense::zeros(4, 2));
         cache.on_publish(1);
         let mut out = Dense::zeros(4, 2);
@@ -260,7 +463,7 @@ mod tests {
 
     #[test]
     fn dropped_fillset_aborts_its_registrations() {
-        let cache = Arc::new(EmbedCache::new(&ring(4), 2, CacheConfig::default()));
+        let cache = Arc::new(transposed(&ring(4)));
         let MissRoute::Owner(owner) = cache.route_miss(2, 0) else { panic!("owner") };
         let MissRoute::Waiter(w) = cache.route_miss(2, 0) else { panic!("waiter") };
         drop(FillSet::new(Arc::clone(&cache), vec![owner], None));
@@ -270,7 +473,7 @@ mod tests {
 
     #[test]
     fn completed_fillset_backfills_waiters_and_cache() {
-        let cache = Arc::new(EmbedCache::new(&ring(4), 2, CacheConfig::default()));
+        let cache = Arc::new(transposed(&ring(4)));
         let MissRoute::Owner(o1) = cache.route_miss(1, 0) else { panic!("owner") };
         let MissRoute::Owner(o2) = cache.route_miss(3, 0) else { panic!("owner") };
         let MissRoute::Waiter(w) = cache.route_miss(3, 0) else { panic!("waiter") };
@@ -286,7 +489,7 @@ mod tests {
 
     #[test]
     fn poisoned_segment_aborts_only_its_fills() {
-        let cache = Arc::new(EmbedCache::new(&ring(4), 2, CacheConfig::default()));
+        let cache = Arc::new(transposed(&ring(4)));
         let poisoned = cache.segment_of(2);
         let healthy =
             (0..4).find(|&u| cache.segment_of(u) != poisoned).expect("more than one stripe");

@@ -21,8 +21,9 @@ use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::Permutation;
 
 use crate::admit::AdmissionPolicy;
+use crate::cache::EmbedCache;
 use crate::fault::FaultPlan;
-use crate::front::{result_cache, FrontEnd};
+use crate::front::FrontEnd;
 use crate::store::FeatureStore;
 use crate::transport::LocalBands;
 
@@ -169,8 +170,8 @@ impl Engine {
     /// Panics when shapes are inconsistent (same contract as
     /// [`fusedmm_core::fusedmm`]).
     pub fn new(a: Csr, x: Dense, y: Dense, ops: OpSet, config: EngineConfig) -> Engine {
-        let (a, store, perm) = owned_store(a, x, y, &config);
-        Engine { front: local_front(a, store, ops, None, &config, perm) }
+        let (a, store, perm, symmetric) = owned_store(a, x, y, &config);
+        Engine { front: local_front(a, store, ops, None, &config, perm, symmetric) }
     }
 
     /// Like [`Engine::new`], but borrowing features through an existing
@@ -189,7 +190,8 @@ impl Engine {
         config: EngineConfig,
     ) -> Engine {
         assert_external_store(&config);
-        Engine { front: local_front(a, store, ops, None, &config, None) }
+        let symmetric = cached_and_symmetric(&a, &config);
+        Engine { front: local_front(a, store, ops, None, &config, None, symmetric) }
     }
 
     /// The frozen kernel plan the band executes under.
@@ -209,23 +211,34 @@ impl std::ops::Deref for Engine {
 /// Engine-owned features: the store, and — with
 /// [`EngineConfig::reordering`] — the permuted graph and its
 /// permutation (the store then speaks external ids on its write path).
+/// Last, [`cached_and_symmetric`], decided on `a` before permuting: the
+/// permuted rows are unsorted, and `P·A·Pᵀ` is symmetric exactly when
+/// `A` is.
 pub(crate) fn owned_store(
     a: Csr,
     x: Dense,
     y: Dense,
     config: &EngineConfig,
-) -> (Csr, Arc<FeatureStore>, Option<Arc<Permutation>>) {
+) -> (Csr, Arc<FeatureStore>, Option<Arc<Permutation>>, bool) {
     assert_eq!(x.nrows(), a.nrows(), "X must have one row per vertex");
     assert_eq!(y.nrows(), a.ncols(), "Y must have one row per vertex");
     assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
+    let symmetric = cached_and_symmetric(&a, config);
     match config.reordering {
         Some(r) => {
             let perm = Arc::new(r.compute(&a));
             let store = FeatureStore::with_permutation(x, y, Arc::clone(&perm));
-            (perm.permute_csr(&a), Arc::new(store), Some(perm))
+            (perm.permute_csr(&a), Arc::new(store), Some(perm), symmetric)
         }
-        None => (a, Arc::new(FeatureStore::new(x, y)), None),
+        None => (a, Arc::new(FeatureStore::new(x, y)), None, symmetric),
     }
+}
+
+/// Whether `config` asks for a result cache over a graph whose pattern
+/// is symmetric — one whose bands can serve the cache's touch sets. An
+/// uncached engine reads nothing.
+pub(crate) fn cached_and_symmetric(a: &Csr, config: &EngineConfig) -> bool {
+    config.cache.is_some() && a.is_pattern_symmetric()
 }
 
 pub(crate) fn assert_external_store(config: &EngineConfig) {
@@ -238,7 +251,10 @@ pub(crate) fn assert_external_store(config: &EngineConfig) {
 
 /// The in-process front end over `a` (already in the store's row
 /// order): one unlabeled band, or — with `nshards` — an nnz-balanced
-/// PART1D cut into at most that many bands labeled from shard 0.
+/// PART1D cut into at most that many bands labeled from shard 0. With
+/// [`EngineConfig::cache`] set, the cache reads its touch sets from the
+/// bands when `symmetric` ([`cached_and_symmetric`]) and from its own
+/// `Aᵀ` otherwise.
 pub(crate) fn local_front(
     a: Csr,
     store: Arc<FeatureStore>,
@@ -246,10 +262,16 @@ pub(crate) fn local_front(
     nshards: Option<usize>,
     config: &EngineConfig,
     perm: Option<Arc<Permutation>>,
+    symmetric: bool,
 ) -> FrontEnd<LocalBands> {
     assert_eq!(store.x_rows(), a.nrows(), "store X must have one row per vertex");
     assert_eq!(store.y_rows(), a.ncols(), "store Y must have one row per vertex");
-    let cache = result_cache(&a, &store, config);
+    let cache = config.cache.map(|cache| {
+        Arc::new(match symmetric {
+            true => EmbedCache::over_bands(a.nrows(), store.d(), cache),
+            false => EmbedCache::transposed(&a, 0, a.nrows(), store.d(), cache),
+        })
+    });
     let (bands, first_shard) = match nshards {
         None => (vec![(0..a.nrows(), a)], None),
         Some(nshards) => {
@@ -771,6 +793,51 @@ mod tests {
         assert_eq!(eng.embed(&nodes).unwrap(), cold, "warm reordered cache differs");
         let m = eng.cache_metrics().unwrap();
         assert_eq!(m.hits, 5, "warm pass hits every row under translated keys");
+    }
+
+    #[test]
+    fn reordered_cache_over_a_symmetric_graph_tracks_deltas() {
+        // The symmetry is decided before permuting, so these caches read
+        // their touch sets from the permuted bands.
+        let (n, d) = (64, 8);
+        let a = fusedmm_graph::rmat::rmat(&fusedmm_graph::rmat::RmatConfig::new(n, 3 * n));
+        assert!(a.is_pattern_symmetric());
+        let feats = Dense::from_fn(n, d, |r, k| ((r * 7 + k * 3) as f32 * 0.05).cos());
+        let ops = OpSet::sigmoid_embedding(None);
+        let all: Vec<usize> = (0..n).collect();
+        let hub = (0..n).max_by_key(|&u| a.row_nnz(u)).unwrap();
+        for reordering in [Reordering::DegreeSort, Reordering::RcmBfs] {
+            for nshards in [1, 2] {
+                let cfg = EngineConfig {
+                    cache: Some(CacheConfig::default()),
+                    reordering: Some(reordering),
+                    ..config()
+                };
+                let (x, y) = (feats.clone(), feats.clone());
+                let plain = ShardedEngine::new(
+                    a.clone(),
+                    x.clone(),
+                    y.clone(),
+                    ops.clone(),
+                    nshards,
+                    config(),
+                );
+                let cached = ShardedEngine::new(a.clone(), x, y, ops.clone(), nshards, cfg);
+                assert_eq!(cached.embed(&all).unwrap(), plain.embed(&all).unwrap());
+                for (step, rows) in [vec![hub], vec![1, 40], vec![n - 1]].iter().enumerate() {
+                    let patch = Dense::filled(rows.len(), d, 0.1 * (step + 1) as f32);
+                    for engine in [&plain, &cached] {
+                        engine.store().delta_update(rows, &patch, &patch);
+                    }
+                    assert_eq!(
+                        cached.embed(&all).unwrap(),
+                        plain.embed(&all).unwrap(),
+                        "{reordering:?}, {nshards} shards, after patching {rows:?}"
+                    );
+                }
+                assert!(cached.cache_metrics().unwrap().invalidated_rows > 0);
+            }
+        }
     }
 
     #[test]

@@ -121,20 +121,6 @@ impl Resolved {
     }
 }
 
-/// The result cache `config` asks for over the output rows of `a`,
-/// subscribed to `store`'s invalidations.
-pub(crate) fn result_cache(
-    a: &Csr,
-    store: &FeatureStore,
-    config: &EngineConfig,
-) -> Option<Arc<EmbedCache>> {
-    config.cache.map(|cache_config| {
-        let cache = Arc::new(EmbedCache::new(a, store.d(), cache_config));
-        store.subscribe(Arc::clone(&cache) as _);
-        cache
-    })
-}
-
 impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     /// A front end over `transport`'s cut, shards labeled from 0.
     pub(crate) fn new(
@@ -649,7 +635,8 @@ impl<T: ShardTransport + ?Sized + 'static> Drop for FrontEnd<T> {
 impl FrontEnd<LocalBands> {
     /// A front end over in-process bands: band `s` owns
     /// `bands[s].0` (global rows) with adjacency `bands[s].1`, labeled
-    /// shard `first_shard + s`.
+    /// shard `first_shard + s`. A `cache` is handed the bands and then
+    /// subscribed to `store`'s invalidations.
     pub(crate) fn local(
         bands: Vec<(Range<usize>, Csr)>,
         first_shard: Option<usize>,
@@ -668,6 +655,11 @@ impl FrontEnd<LocalBands> {
         }
         let transport = LocalBands::new(bands, first_shard, &ops, store.d(), config, &resolved);
         let cores = transport.bands.clone();
+        if let Some(cache) = &cache {
+            // Its index is complete before any delta can reach it.
+            cache.name_bands(&cores);
+            store.subscribe(Arc::clone(cache) as _);
+        }
         let mut front = FrontEnd::new(Arc::new(transport), store, cache, perm, resolved);
         front.first_shard = first_shard;
         front.bands = cores;

@@ -43,8 +43,9 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::admit::AdmissionPolicy;
+use crate::cache::EmbedCache;
 use crate::engine::{EngineConfig, ServeError};
-use crate::front::{result_cache, FrontEnd, Resolved};
+use crate::front::{FrontEnd, Resolved};
 use crate::store::{copy_rows, FeatureEpoch, FeatureStore};
 use crate::ticket::{EmbedOptions, EmbedResponse, Quality, Ticket};
 use crate::transport::LocalBands;
@@ -322,11 +323,15 @@ impl WorkerEngine {
         let store = Arc::new(FeatureStore::unseeded(band.clone(), x_rows, y_rows, d));
         drop((x0, y0));
         let config = EngineConfig { admission: Some(AdmissionPolicy::unlimited()), ..config };
-        // Keyed by global id over the whole adjacency (only this band's
-        // rows are probed or filled), so ids and reverse-adjacency
-        // touch sets match the in-process cache.
-        let cache = result_cache(a, &store, &config);
-        let bands = vec![(band.clone(), a.row_band(band))];
+        let rows = a.row_band(band.clone());
+        // Keyed by global id (only this band's rows are probed or
+        // filled), indexed by the band's own transpose: a delta retires
+        // the in-neighbours this replica caches, as the in-process
+        // cache retires them among its rows.
+        let cache = config
+            .cache
+            .map(|cache| Arc::new(EmbedCache::transposed(&rows, band.start, x_rows, d, cache)));
+        let bands = vec![(band, rows)];
         let front = FrontEnd::local(bands, Some(shard), store, cache, None, ops, &config);
         WorkerEngine { front, epochs: Mutex::new(BTreeMap::new()), shard }
     }

@@ -22,7 +22,9 @@ use fusedmm_perf::registry::MetricsRegistry;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::engine::{assert_external_store, local_front, owned_store, EngineConfig};
+use crate::engine::{
+    assert_external_store, cached_and_symmetric, local_front, owned_store, EngineConfig,
+};
 use crate::front::FrontEnd;
 use crate::store::FeatureStore;
 use crate::transport::LocalBands;
@@ -54,8 +56,8 @@ impl ShardedEngine {
         nshards: usize,
         config: EngineConfig,
     ) -> ShardedEngine {
-        let (a, store, perm) = owned_store(a, x, y, &config);
-        let front = local_front(a, store, ops, Some(nshards), &config, perm);
+        let (a, store, perm, symmetric) = owned_store(a, x, y, &config);
+        let front = local_front(a, store, ops, Some(nshards), &config, perm, symmetric);
         ShardedEngine { front }
     }
 
@@ -75,7 +77,8 @@ impl ShardedEngine {
         config: EngineConfig,
     ) -> ShardedEngine {
         assert_external_store(&config);
-        let front = local_front(a, store, ops, Some(nshards), &config, None);
+        let symmetric = cached_and_symmetric(&a, &config);
+        let front = local_front(a, store, ops, Some(nshards), &config, None, symmetric);
         ShardedEngine { front }
     }
 

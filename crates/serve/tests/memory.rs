@@ -1,15 +1,19 @@
 //! What a cached engine holds, in bytes, under the counting allocator:
 //! building a 2-shard `ShardedEngine` with the result cache costs at
 //! most its reverse adjacency `Aᵀ` and one band (the one being cut off
-//! `A`), a delta on a generation nobody else holds writes its rows in
-//! place, and a delta on a pinned one copies and leaves the pin alone.
-//! The tests run one at a time (the counters are process-wide).
+//! `A`) — and no `Aᵀ` at all when `A`'s pattern is symmetric — a
+//! cached replica indexes only its band, a delta on a generation
+//! nobody else holds writes its rows in place, and a delta on a pinned
+//! one copies and leaves the pin alone. The tests run one at a time
+//! (the counters are process-wide).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use fusedmm_cache::ResultCache;
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
+use fusedmm_serve::remote::WorkerEngine;
 use fusedmm_serve::{AdmissionPolicy, CacheConfig, EngineConfig, FaultPlan, ShardedEngine};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -41,6 +45,23 @@ fn graph() -> Csr {
         colidx.extend(row);
     }
     let values = (0..N * DEGREE).map(|i| 0.25 + (i % 5) as f32 * 0.125).collect();
+    Csr::from_parts(N, N, rowptr, colidx, values).unwrap()
+}
+
+/// `DEGREE` distinct neighbours per vertex, `u ± (7k² + k)`, each edge
+/// stored both ways: a symmetric pattern.
+fn symmetric_graph() -> Csr {
+    let rowptr = (0..=N).map(|u| u * DEGREE).collect();
+    let mut colidx = Vec::with_capacity(N * DEGREE);
+    for u in 0..N {
+        let mut row: Vec<usize> = (1..=DEGREE / 2)
+            .map(|k| 7 * k * k + k)
+            .flat_map(|s| [(u + s) % N, (u + N - s) % N])
+            .collect();
+        row.sort_unstable();
+        colidx.extend(row);
+    }
+    let values = vec![0.5; N * DEGREE];
     Csr::from_parts(N, N, rowptr, colidx, values).unwrap()
 }
 
@@ -92,6 +113,60 @@ fn a_cached_sharded_engine_builds_with_one_transpose_and_one_band_to_spare() {
          ({largest_band}) + 512 KiB allowed"
     );
     assert_eq!(engine.nshards(), 2);
+}
+
+#[test]
+fn a_cached_sharded_engine_over_a_symmetric_graph_builds_with_no_transpose() {
+    let _serial = serial();
+    let (a, x, y) = (symmetric_graph(), feats(0.1), feats(0.7));
+    assert!(a.is_pattern_symmetric());
+    let a_bytes = a.storage_bytes();
+    let part = Partition::part1d(&a, 2, PartitionStrategy::NnzBalanced);
+    let band_bytes = |s: usize| a.row_band(part.rows(s)).storage_bytes();
+    let largest_band = band_bytes(0).max(band_bytes(1));
+    let config = EngineConfig { cache: Some(CacheConfig::with_mb(1)), ..EngineConfig::default() };
+    let ops = OpSet::sigmoid_embedding(None);
+    let (engine, extra) = memtrack::measure_peak(|| ShardedEngine::new(a, x, y, ops, 2, config));
+    // The touch sets read the bands: building holds the band being cut
+    // off `A` and the symmetry check's one cursor per row, never `Aᵀ`.
+    assert!(
+        extra <= largest_band + MIB / 2,
+        "building peaked {extra} bytes over its inputs; the largest band ({largest_band}) + 512 \
+         KiB allowed, and Aᵀ alone is {a_bytes}"
+    );
+    assert!(largest_band + MIB / 2 < a_bytes, "the bound tells the two indexes apart");
+    assert_eq!(engine.nshards(), 2);
+}
+
+#[test]
+fn a_cached_replica_indexes_only_its_band() {
+    let _serial = serial();
+    let a = graph();
+    let band = Partition::part1d(&a, 2, PartitionStrategy::NnzBalanced).rows(1);
+    let retained = |cache: Option<CacheConfig>| {
+        let (x0, y0) = (Dense::zeros(N, 4), Dense::zeros(N, 4));
+        let config = EngineConfig { cache, ..EngineConfig::default() };
+        let ops = OpSet::sigmoid_embedding(None);
+        let before = memtrack::live_bytes() as i64;
+        let worker = WorkerEngine::new(&a, band.clone(), 1, x0, y0, ops, config);
+        let held = memtrack::live_bytes() as i64 - before;
+        drop(worker);
+        held
+    };
+    let before = memtrack::live_bytes() as i64;
+    let cache = ResultCache::new(N, 4, CacheConfig::with_mb(1));
+    let cache_bytes = memtrack::live_bytes() as i64 - before;
+    drop(cache);
+    let index = retained(Some(CacheConfig::with_mb(1))) - retained(None) - cache_bytes;
+    // `Aᵀ` of the band: one row pointer per vertex of the column space,
+    // one (index, value) per entry of the band.
+    let band_t = a.row_band(band).transpose().storage_bytes() as i64;
+    let whole_t = a.storage_bytes() as i64;
+    assert!(
+        index.abs_diff(band_t) < 4096,
+        "a cached replica holds {index} bytes of index; the band's transpose is {band_t}"
+    );
+    assert!(band_t < whole_t * 3 / 4, "the band's transpose {band_t} vs the whole {whole_t}");
 }
 
 #[test]

@@ -421,31 +421,36 @@ impl Csr {
         bands
     }
 
-    /// Delta-invalidation touch set, for callers holding this matrix
-    /// as the **reverse** adjacency `A^T` (row `v` of `A^T` lists the
-    /// in-neighbors of vertex `v` — the rows of `A` whose support
-    /// contains column `v`).
+    /// Whether the *pattern* is symmetric: the matrix is square and
+    /// `(v, u)` is stored exactly when `(u, v)` is. Values are never
+    /// compared. Row `v` then lists the in-neighbours of `v` as well as
+    /// its out-neighbours, so the matrix is its own reverse adjacency.
     ///
-    /// Given the vertices `patched` by a feature delta update, returns
-    /// the sorted, deduplicated set of `A`-row outputs that depend on
-    /// any of them: the patched vertices themselves (their `X` rows
-    /// changed) plus every in-neighbor (rows whose aggregation reads a
-    /// patched `Y` row). Everything outside this set is provably
-    /// unaffected by the patch — the precision that lets a result
-    /// cache survive training-style row updates. Cost is
-    /// O(Σ in-degree(patched) log), independent of the graph size.
-    ///
-    /// # Panics
-    /// Panics when a patched id is not a row of this (reverse) matrix.
-    pub fn touch_set(&self, patched: &[usize]) -> Vec<usize> {
-        let mut touched: Vec<usize> = patched.to_vec();
-        for &v in patched {
-            assert!(v < self.nrows, "patched vertex {v} out of range for {} rows", self.nrows);
-            touched.extend_from_slice(self.row(v).0);
+    /// One read per stored entry. Rows are visited in ascending order,
+    /// and each `(u, v)` must be the next unconsumed entry of row `v`
+    /// (one cursor per row): over sorted rows, row `v`'s entries are met
+    /// in exactly the order the visit consumes them. A matrix with
+    /// unsorted rows answers through its transpose, whose rows are
+    /// sorted and whose pattern is symmetric exactly when this one's is.
+    pub fn is_pattern_symmetric(&self) -> bool {
+        if self.nrows != self.ncols {
+            return false;
         }
-        touched.sort_unstable();
-        touched.dedup();
-        touched
+        if !self.sorted_cols {
+            return self.transpose().is_pattern_symmetric();
+        }
+        let mut cursor = self.rowptr[..self.nrows].to_vec();
+        for u in 0..self.nrows {
+            for &v in self.row(u).0 {
+                let next = cursor[v];
+                if next == self.rowptr[v + 1] || self.colidx[next] != u {
+                    return false;
+                }
+                cursor[v] = next + 1;
+            }
+        }
+        // Every entry consumed one distinct entry of its mirror row.
+        true
     }
 
     /// Scale row `u`'s values by `s` — used to build the symmetric-
@@ -795,27 +800,6 @@ mod tests {
         assert!(t.sorted_cols);
         // The column-compressed form keeps every stored entry.
         assert_eq!(m.to_csc().nnz(), 4);
-    }
-
-    #[test]
-    fn touch_set_is_patched_plus_in_neighbors() {
-        // A: 0→{0,2}, 2→{0,1}. Reverse adjacency rows list in-neighbors.
-        let rev = small().transpose();
-        // Patch vertex 2: in-neighbors(2) = {0} (only a_02 ≠ 0).
-        assert_eq!(rev.touch_set(&[2]), vec![0, 2]);
-        // Patch vertex 0: rows 0 and 2 both read y_0; plus 0 itself.
-        assert_eq!(rev.touch_set(&[0]), vec![0, 2]);
-        // Patch vertex 1: only row 2 reads y_1.
-        assert_eq!(rev.touch_set(&[1]), vec![1, 2]);
-        // Duplicates and unions dedup; empty patch is empty.
-        assert_eq!(rev.touch_set(&[1, 1, 2]), vec![0, 1, 2]);
-        assert_eq!(rev.touch_set(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn touch_set_rejects_bad_vertex() {
-        let _ = small().transpose().touch_set(&[3]);
     }
 
     #[test]

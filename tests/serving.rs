@@ -387,17 +387,22 @@ proptest! {
     /// Embeds deliberately revisit overlapping hot subsets so warm hits,
     /// post-delta partial invalidation, and post-publish flushes are all
     /// exercised, and each engine pair drives its own store through the
-    /// identical write sequence.
+    /// identical write sequence. Undirected graphs run the cache whose
+    /// touch sets read the bands, directed ones the cache that owns
+    /// `Aᵀ`.
     #[test]
     fn cached_engine_is_bit_identical_under_write_interleavings(
         seed in 0u64..400,
         shards_pick in 0usize..3,
+        directed in 0usize..2,
         script in proptest::collection::vec((0usize..5, 0u64..10_000), 4..16),
     ) {
         let n = 40;
         let d = 8;
         let shards = [1usize, 2, 4][shards_pick];
-        let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(seed));
+        let graph = RmatConfig::new(n, 4 * n).with_seed(seed);
+        let a = rmat(&if directed == 1 { graph.directed() } else { graph });
+        prop_assert_eq!(a.is_pattern_symmetric(), directed == 0);
         let x = random_features(n, d, 0.5, seed ^ 21);
         let y = random_features(n, d, 0.5, seed ^ 22);
         let plain = build(a.clone(), x.clone(), y.clone(), shards, None);
