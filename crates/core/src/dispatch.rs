@@ -9,19 +9,21 @@
 //! [`KernelSpec::default_for`] fixes for `(pattern, d, backend)` — and
 //! falls back to the generic five-step kernel otherwise.
 
+use std::ops::Range;
+
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::driver::parallel_row_bands;
+use crate::driver::row_bands;
 use crate::generic::generic_launch;
 use crate::genkern::{
     embed_spec_kernel, entry_backend, fr_spec_kernel, lookahead, spmm_spec_kernel,
-    tdist_spec_kernel, KernelSpec, SigmoidKind,
+    tdist_spec_kernel, KernelSpec, SigmoidKind, LOOKAHEAD,
 };
 use crate::part::PartitionStrategy;
 use crate::plan::Plan;
-use crate::simd::{active_backend, Backend};
+use crate::simd::{active_backend, prefetch_lines, Backend};
 
 /// How to run a launch: a recognized pattern resolves to **one**
 /// register-blocked kernel shape (`Spec(shape)`), everything else to
@@ -93,15 +95,104 @@ impl Specialized {
     }
 }
 
+/// Where output row `i` of a launch reads: its row of the launch's
+/// adjacency `a` and its row of `x`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowMap<'a> {
+    /// Row `i` of both — every row of `a` in storage order
+    /// ([`Launch::All`](crate::Launch::All)).
+    All,
+    /// Global row `ids[i]` of a band read in place: row `ids[i] − start`
+    /// of `a`, row `ids[i] − x_start` of `x`.
+    Band {
+        /// The requested global ids.
+        ids: &'a [usize],
+        /// Global id of `a`'s row 0.
+        start: usize,
+        /// Global id of `x`'s row 0.
+        x_start: usize,
+    },
+    /// Row `i` of `a`, which holds the requested rows in request order
+    /// (the truncated top-k slice); row `ids[i] − x_start` of `x`.
+    Slice {
+        /// The requested global ids.
+        ids: &'a [usize],
+        /// Global id of `x`'s row 0.
+        x_start: usize,
+    },
+}
+
+impl RowMap<'_> {
+    /// Output rows of a launch over `a`.
+    fn len(&self, a: &Csr) -> usize {
+        match self {
+            RowMap::All => a.nrows(),
+            RowMap::Band { ids, .. } | RowMap::Slice { ids, .. } => ids.len(),
+        }
+    }
+
+    /// Nonzeros a launch over `a` sweeps.
+    fn nnz(&self, a: &Csr) -> usize {
+        match self {
+            RowMap::All => a.nnz(),
+            _ => (0..self.len(a)).map(|i| a.row_nnz(self.a_row(i))).sum(),
+        }
+    }
+
+    /// Output row `i`'s row of the launch's adjacency.
+    #[inline(always)]
+    pub(crate) fn a_row(&self, i: usize) -> usize {
+        match self {
+            RowMap::All | RowMap::Slice { .. } => i,
+            RowMap::Band { ids, start, .. } => ids[i] - start,
+        }
+    }
+
+    /// Output row `i`'s row of `x`.
+    #[inline(always)]
+    pub(crate) fn x_row(&self, i: usize) -> usize {
+        match self {
+            RowMap::All => i,
+            RowMap::Band { ids, x_start, .. } | RowMap::Slice { ids, x_start } => ids[i] - x_start,
+        }
+    }
+
+    /// Run `body` over the PART1D parts of this launch's output rows
+    /// (see [`row_bands`]): the parts are cut by the nonzeros the rows
+    /// sweep, so a subset launch balances its threads as a whole-graph
+    /// launch does.
+    pub(crate) fn bands<F>(
+        &self,
+        a: &Csr,
+        z: &mut [f32],
+        d: usize,
+        per_edge: Option<&mut [f32]>,
+        strategy: PartitionStrategy,
+        body: F,
+    ) where
+        F: Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
+    {
+        let rowptr = a.rowptr();
+        let degree = |i: usize| {
+            let u = self.a_row(i);
+            rowptr[u + 1] - rowptr[u]
+        };
+        row_bands(self.len(a), self.nnz(a), degree, z, d, per_edge, strategy, body);
+    }
+}
+
 /// The one launch body behind [`Plan::launch`] (operands already
-/// validated): the plan's kernel over every row of `a` into `z`, with
-/// the SDDMM scores into `scores` when given.
+/// validated): the plan's kernel over the rows `map` names into `z`,
+/// with the SDDMM scores into `scores` when given (only over
+/// [`RowMap::All`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     plan: &Plan,
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
+    map: RowMap<'_>,
     z: &mut [f32],
     scores: Option<&mut [f32]>,
 ) {
@@ -111,16 +202,8 @@ pub(crate) fn run(
     let backend = active_backend();
     let t0 = std::time::Instant::now();
     let Some(spec) = spec else {
-        generic_launch(a, x, y, ops, strategy, z, scores);
-        crate::profile::record_kernel(
-            ops.pattern,
-            d,
-            backend,
-            "generic",
-            t0.elapsed(),
-            a.nrows(),
-            a.nnz(),
-        );
+        generic_launch(a, x, y, ops, map, strategy, z, scores);
+        plan.record(t0.elapsed(), map.len(a), map.nnz(a));
         return;
     };
     let kspec = match blocking {
@@ -128,73 +211,130 @@ pub(crate) fn run(
         _ => spec.default_spec(d, backend),
     };
     let entry = entry_backend(backend, d);
+    let sched = Schedule { a, x, y, map, backend: entry };
     match spec {
         Specialized::Embed(sk) => {
             let kern = embed_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
+            sched.sddmm_rows(z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su, &sk)
             });
         }
         Specialized::Fr(alpha) => {
             let kern = fr_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
+            sched.sddmm_rows(z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su, alpha)
             });
         }
         Specialized::TDist => {
             let kern = tdist_spec_kernel(entry, kspec);
-            sddmm_rows(a, x, z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
+            sched.sddmm_rows(z, scores, strategy, |xu, cols, vals, ahead, zu, su| {
                 kern(xu, cols, vals, ahead, y, zu, su)
             });
         }
         Specialized::Spmm => {
             let kern = spmm_spec_kernel(entry, kspec);
-            parallel_row_bands(a, z, d, None, strategy, |rows, band, _| {
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    kern(cols, vals, y, &mut band[i * d..(i + 1) * d]);
+            map.bands(a, z, d, None, strategy, |rows, band, _| {
+                for (k, i) in rows.clone().enumerate() {
+                    if !matches!(map, RowMap::All) {
+                        sched.prefetch_rows(i, rows.end, false);
+                    }
+                    let (cols, vals) = a.row(map.a_row(i));
+                    kern(cols, vals, y, &mut band[k * d..(k + 1) * d]);
                 }
             });
         }
     }
-    crate::profile::record_kernel(
-        ops.pattern,
-        d,
-        backend,
-        kspec.label(),
-        t0.elapsed(),
-        a.nrows(),
-        a.nnz(),
-    );
+    plan.record(t0.elapsed(), map.len(a), map.nnz(a));
 }
 
-/// The uniform row schedule of the three SDDMM patterns: every row of
-/// every band, in storage order, as `row(x_u, cols, vals, ahead, z_u,
-/// scores_u)` — `ahead` being the row's look-ahead stream up to the end
-/// of its band (the next row's columns are the next thing this thread
-/// reads) and `scores_u` the row's slots of the score output, if any.
-fn sddmm_rows<F>(
-    a: &Csr,
-    x: &Dense,
-    z: &mut [f32],
-    scores: Option<&mut [f32]>,
-    strategy: PartitionStrategy,
-    row: F,
-) where
-    F: Fn(&[f32], &[usize], &[f32], &[usize], &mut [f32], Option<&mut [f32]>) + Sync,
-{
-    let d = x.ncols();
-    let (rowptr, colidx) = (a.rowptr(), a.colidx());
-    parallel_row_bands(a, z, d, scores, strategy, |rows, band, mut edges| {
-        let (first, band_end) = (rowptr[rows.start], rowptr[rows.end]);
-        for (i, u) in rows.enumerate() {
-            let (lo, hi) = (rowptr[u], rowptr[u + 1]);
-            let (cols, vals) = a.row(u);
-            let su = edges.as_deref_mut().map(|e| &mut e[lo - first..hi - first]);
-            let ahead = lookahead(colidx, lo, band_end);
-            row(x.row(u), cols, vals, ahead, &mut band[i * d..(i + 1) * d], su);
+/// The operands one launch's row schedule walks.
+struct Schedule<'a> {
+    a: &'a Csr,
+    x: &'a Dense,
+    y: &'a Dense,
+    map: RowMap<'a>,
+    /// The backend whose prefetch the cross-row look-ahead issues.
+    backend: Backend,
+}
+
+impl Schedule<'_> {
+    /// The uniform row schedule of the three SDDMM patterns: every row
+    /// of every band as `row(x_u, cols, vals, ahead, z_u, scores_u)` —
+    /// `scores_u` the row's slots of the score output, if any, and
+    /// `ahead` the row's look-ahead stream. Over every row
+    /// ([`RowMap::All`]) the stream runs to the end of the band: the
+    /// next row's columns are the next thing this thread reads. Rows
+    /// read in place from wherever they are stored stream only their
+    /// own columns, and [`prefetch_rows`](Self::prefetch_rows) asks for
+    /// what the next rows read before the current one ends.
+    fn sddmm_rows<F>(
+        &self,
+        z: &mut [f32],
+        scores: Option<&mut [f32]>,
+        strategy: PartitionStrategy,
+        row: F,
+    ) where
+        F: Fn(&[f32], &[usize], &[f32], &[usize], &mut [f32], Option<&mut [f32]>) + Sync,
+    {
+        let (a, x, map) = (self.a, self.x, self.map);
+        let d = x.ncols();
+        let (rowptr, colidx) = (a.rowptr(), a.colidx());
+        map.bands(a, z, d, scores, strategy, |rows, band, mut edges| {
+            // Stored order only for `All`, the one map with scores.
+            let stored = matches!(map, RowMap::All);
+            let (first, band_end) =
+                if stored { (rowptr[rows.start], rowptr[rows.end]) } else { (0, 0) };
+            for (k, i) in rows.clone().enumerate() {
+                let u = map.a_row(i);
+                let (lo, hi) = (rowptr[u], rowptr[u + 1]);
+                let ahead = if stored {
+                    lookahead(colidx, lo, band_end)
+                } else {
+                    self.prefetch_rows(i, rows.end, true);
+                    lookahead(colidx, lo, hi)
+                };
+                let (cols, vals) = a.row(u);
+                let su = edges.as_deref_mut().map(|e| &mut e[lo - first..hi - first]);
+                row(x.row(map.x_row(i)), cols, vals, ahead, &mut band[k * d..(k + 1) * d], su);
+            }
+        });
+    }
+
+    /// The cross-row half of an in-place launch's look-ahead, issued at
+    /// the start of output row `i` of a part ending at `end`: the
+    /// `rowptr` entries of row `i + 3`, the head of row `i + 2`'s column
+    /// ids and values, and the `y` rows of row `i + 1`'s first
+    /// [`LOOKAHEAD`] neighbours — plus, when the pattern reads `x`
+    /// (`sddmm`), row `i + 1`'s `x` row. Each read it makes was asked
+    /// for one row earlier, and the row's own stream takes over at its
+    /// [`LOOKAHEAD`]-th neighbour, so every `y` row is requested before
+    /// it is reduced, as in a launch over adjacent rows.
+    #[inline(always)]
+    fn prefetch_rows(&self, i: usize, end: usize, sddmm: bool) {
+        let (a, map, b) = (self.a, self.map, self.backend);
+        let (rowptr, colidx) = (a.rowptr(), a.colidx());
+        if i + 3 < end {
+            let u = map.a_row(i + 3);
+            prefetch_lines(b, &rowptr[u..u + 2]);
         }
-    });
+        if i + 2 < end {
+            let u = map.a_row(i + 2);
+            let lo = rowptr[u];
+            let head = lo..rowptr[u + 1].min(lo + LOOKAHEAD);
+            prefetch_lines(b, &colidx[head.clone()]);
+            prefetch_lines(b, &a.values()[head]);
+        }
+        if i + 1 < end {
+            let u = map.a_row(i + 1);
+            if sddmm {
+                prefetch_lines(b, self.x.row(map.x_row(i + 1)));
+            }
+            let lo = rowptr[u];
+            for &v in &colidx[lo..rowptr[u + 1].min(lo + LOOKAHEAD)] {
+                prefetch_lines(b, self.y.row(v));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::ops::Range;
 
 use fusedmm_sparse::csr::Csr;
 
-use crate::part::{Partition, PartitionStrategy};
+use crate::part::{Cuts, PartitionStrategy};
 
 /// Launches with less work than this — `nnz(A) × d` multiply-adds, the
 /// MOP+AOP sweep every pattern performs — run their bands on the
@@ -64,13 +64,39 @@ pub fn parallel_row_bands<F>(
 ) where
     F: Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
 {
-    let inline = a.nnz().saturating_mul(d) < INLINE_LAUNCH_WORK;
-    row_bands(a, z, d, per_edge, strategy, inline, body);
+    let rowptr = a.rowptr();
+    let degree = |r: usize| rowptr[r + 1] - rowptr[r];
+    row_bands(a.nrows(), a.nnz(), degree, z, d, per_edge, strategy, body);
 }
 
-/// [`parallel_row_bands`] with the placement decided by the caller.
-fn row_bands<F>(
-    a: &Csr,
+/// [`parallel_row_bands`] over any sequence of `rows` output rows whose
+/// `i`-th sweeps `degree(i)` of `nnz` nonzeros — every row of a matrix,
+/// or a launch's requested rows in request order. Inline launches run
+/// their parts one after the other and allocate nothing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn row_bands<D, F>(
+    rows: usize,
+    nnz: usize,
+    degree: D,
+    z: &mut [f32],
+    d: usize,
+    per_edge: Option<&mut [f32]>,
+    strategy: PartitionStrategy,
+    body: F,
+) where
+    D: Fn(usize) -> usize,
+    F: Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
+{
+    let inline = nnz.saturating_mul(d) < INLINE_LAUNCH_WORK;
+    placed_bands(rows, nnz, degree, z, d, per_edge, strategy, inline, body);
+}
+
+/// [`row_bands`] with the placement decided by the caller.
+#[allow(clippy::too_many_arguments)]
+fn placed_bands<D, F>(
+    rows: usize,
+    nnz: usize,
+    degree: D,
     z: &mut [f32],
     d: usize,
     mut per_edge: Option<&mut [f32]>,
@@ -78,49 +104,43 @@ fn row_bands<F>(
     inline: bool,
     body: F,
 ) where
+    D: Fn(usize) -> usize,
     F: Fn(Range<usize>, &mut [f32], Option<&mut [f32]>) + Sync,
 {
-    assert_eq!(
-        z.len(),
-        a.nrows() * d,
-        "Z must have one row per row of A ({} rows of width {d})",
-        a.nrows()
-    );
+    assert_eq!(z.len(), rows * d, "Z must have one row per row of A ({rows} rows of width {d})");
     if let Some(e) = &per_edge {
-        assert_eq!(e.len(), a.nnz(), "the per-edge output must have one slot per stored entry");
+        assert_eq!(e.len(), nnz, "the per-edge output must have one slot per stored entry");
     }
     let t = rayon::current_num_threads().max(1);
-    let part = Partition::part1d(a, t, strategy);
+    let cuts = Cuts::new(rows, nnz, &degree, t, strategy);
 
     // Carve Z (and the per-edge output) into disjoint bands following
-    // the partition boundaries.
-    let rowptr = a.rowptr();
-    let mut bands = Vec::with_capacity(part.len());
+    // the partition boundaries, one part at a time.
     let mut rest: &mut [f32] = z;
-    for i in 0..part.len() {
-        let rows = part.rows(i);
-        let (band, tail) = rest.split_at_mut(rows.len() * d);
+    let mut next_band = |part: Range<usize>| {
+        let (band, tail) = std::mem::take(&mut rest).split_at_mut(part.len() * d);
         rest = tail;
         let edges = per_edge.take().map(|e| {
-            let (band, tail) = e.split_at_mut(rowptr[rows.end] - rowptr[rows.start]);
+            let (band, tail) = e.split_at_mut(part.clone().map(&degree).sum());
             per_edge = Some(tail);
             band
         });
-        bands.push((rows, band, edges));
-    }
-    debug_assert!(rest.is_empty() && per_edge.is_none_or(|e| e.is_empty()));
+        (part, band, edges)
+    };
 
-    if inline || bands.len() == 1 {
-        for (rows, band, edges) in bands {
-            body(rows, band, edges);
+    if inline || cuts.len() == 1 {
+        for part in cuts {
+            let (part, band, edges) = next_band(part);
+            body(part, band, edges);
         }
         return;
     }
 
     rayon::scope(|scope| {
-        for (rows, band, edges) in bands {
+        for part in cuts {
+            let (part, band, edges) = next_band(part);
             let body = &body;
-            scope.spawn(move |_| body(rows, band, edges));
+            scope.spawn(move |_| body(part, band, edges));
         }
     });
 }
@@ -229,8 +249,11 @@ mod tests {
             let seen = std::sync::Mutex::new(Vec::new());
             let nnz = PartitionStrategy::NnzBalanced;
             at_width(4, || {
-                row_bands(
-                    &a,
+                let rowptr = a.rowptr();
+                placed_bands(
+                    a.nrows(),
+                    a.nnz(),
+                    |r| rowptr[r + 1] - rowptr[r],
                     z.as_mut_slice(),
                     d,
                     Some(&mut per_edge),

@@ -12,7 +12,7 @@ use fusedmm_ops::{Message, OpSet};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::driver::parallel_row_bands;
+use crate::dispatch::RowMap;
 use crate::part::PartitionStrategy;
 
 /// Check the operand shapes of `Z = FusedMM(A, X, Y)`.
@@ -104,13 +104,16 @@ pub fn update_u(
 /// The generic kernel's one body: the `Blocking::Generic` arm of
 /// [`Plan::launch`](crate::Plan::launch), and what every operator set
 /// no specialized kernel recognizes runs (operands already validated;
-/// `scores` as in [`Launch::All`](crate::Launch::All)). Every row of
-/// `z` is overwritten, whatever it held.
+/// `scores` as in [`Launch::All`](crate::Launch::All)), over the rows
+/// `map` names, read in place. Every row of `z` is overwritten,
+/// whatever it held.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn generic_launch(
     a: &Csr,
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
+    map: RowMap<'_>,
     strategy: PartitionStrategy,
     z: &mut [f32],
     scores: Option<&mut [f32]>,
@@ -118,18 +121,21 @@ pub(crate) fn generic_launch(
     let d = x.ncols();
     let identity = ops.aop.identity();
     let rowptr = a.rowptr();
-    parallel_row_bands(a, z, d, scores, strategy, |rows, band, mut edges| {
+    map.bands(a, z, d, scores, strategy, |rows, band, mut edges| {
         let mut scratch_z = vec![0f32; d];
         let mut scratch_w = vec![0f32; d];
-        let first = rowptr[rows.start];
-        for (i, u) in rows.enumerate() {
-            let zu = &mut band[i * d..(i + 1) * d];
+        // Scores come only with `RowMap::All`, whose rows are in order.
+        let first = if edges.is_some() { rowptr[rows.start] } else { 0 };
+        for (k, i) in rows.enumerate() {
+            let zu = &mut band[k * d..(k + 1) * d];
+            let u = map.a_row(i);
             let (cols, vals) = a.row(u);
             // Isolated vertex: defined as the zero vector, not the AOP
             // identity (±∞ for max/min would poison consumers).
             zu.fill(if cols.is_empty() { 0.0 } else { identity });
             let su = edges.as_deref_mut().map(|e| &mut e[rowptr[u] - first..rowptr[u + 1] - first]);
-            update_u(ops, x.row(u), cols, vals, y, zu, su, &mut scratch_z, &mut scratch_w);
+            let xu = x.row(map.x_row(i));
+            update_u(ops, xu, cols, vals, y, zu, su, &mut scratch_z, &mut scratch_w);
         }
     });
 }

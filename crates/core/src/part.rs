@@ -9,6 +9,8 @@
 //! synchronization: threads share read access to `Y` but write disjoint
 //! row bands of `Z`.
 
+use std::ops::Range;
+
 use fusedmm_sparse::csr::Csr;
 
 /// How rows are assigned to parts.
@@ -36,43 +38,11 @@ impl Partition {
     /// # Panics
     /// Panics when `parts == 0`.
     pub fn part1d(a: &Csr, parts: usize, strategy: PartitionStrategy) -> Self {
-        assert!(parts > 0, "cannot partition into zero parts");
-        let m = a.nrows();
-        let parts = parts.min(m).max(1);
-        let mut boundaries = Vec::with_capacity(parts + 1);
+        let rowptr = a.rowptr();
+        let cuts = Cuts::new(a.nrows(), a.nnz(), |r| rowptr[r + 1] - rowptr[r], parts, strategy);
+        let mut boundaries = Vec::with_capacity(cuts.len() + 1);
         boundaries.push(0);
-        match strategy {
-            PartitionStrategy::RowBalanced => {
-                for i in 1..parts {
-                    boundaries.push(i * m / parts);
-                }
-            }
-            PartitionStrategy::NnzBalanced => {
-                // One scan of the row pointer array: advance the cut each
-                // time the cumulative nnz passes the next multiple of
-                // nnz/parts. O(m), as the paper states for PART1D.
-                let nnz = a.nnz();
-                let rowptr = a.rowptr();
-                let mut next_part = 1usize;
-                for r in 1..m {
-                    if next_part >= parts {
-                        break;
-                    }
-                    let target = nnz * next_part / parts;
-                    if rowptr[r] >= target {
-                        boundaries.push(r);
-                        next_part += 1;
-                    }
-                }
-                // If nnz is concentrated in few rows some cuts may not
-                // have been placed; pad with m so trailing parts are
-                // empty rather than missing.
-                while boundaries.len() < parts {
-                    boundaries.push(m);
-                }
-            }
-        }
-        boundaries.push(m);
+        boundaries.extend(cuts.map(|rows| rows.end));
         debug_assert!(boundaries.windows(2).all(|w| w[0] <= w[1]));
         Partition { boundaries }
     }
@@ -114,6 +84,92 @@ impl Partition {
         max as f64 / ideal
     }
 }
+
+/// A PART1D cut made one part at a time, allocating nothing: the row
+/// ranges [`Partition::part1d`] stores, for any sequence of `rows` rows
+/// whose `i`-th holds `degree(i)` of the `nnz` nonzeros — the rows of a
+/// matrix in order, or a launch's requested rows in request order.
+///
+/// Nnz-balanced cuts advance one scan of the running nonzero count, as
+/// the paper states for PART1D: a part ends before the first row at
+/// which the count reaches the next multiple of `nnz / parts`. When the
+/// nonzeros sit in few rows some cuts are never placed, and the
+/// trailing parts come out empty rather than missing.
+pub(crate) struct Cuts<D> {
+    degree: D,
+    rows: usize,
+    nnz: usize,
+    parts: usize,
+    strategy: PartitionStrategy,
+    /// Parts produced so far.
+    made: usize,
+    /// First row of the next part.
+    start: usize,
+    /// The next row the nnz scan tests as a cut.
+    scan: usize,
+    /// Nonzeros of the rows before `scan`.
+    before: usize,
+}
+
+impl<D: Fn(usize) -> usize> Cuts<D> {
+    /// At most `parts` parts (one per row when there are fewer rows).
+    ///
+    /// # Panics
+    /// Panics when `parts == 0`.
+    pub(crate) fn new(
+        rows: usize,
+        nnz: usize,
+        degree: D,
+        parts: usize,
+        strategy: PartitionStrategy,
+    ) -> Self {
+        assert!(parts > 0, "cannot partition into zero parts");
+        let before = if rows > 0 { degree(0) } else { 0 };
+        let parts = parts.min(rows).max(1);
+        Cuts { degree, rows, nnz, parts, strategy, made: 0, start: 0, scan: 1, before }
+    }
+
+    /// The end of part `self.made` (already counted), not the last.
+    fn cut(&mut self) -> usize {
+        match self.strategy {
+            PartitionStrategy::RowBalanced => self.made * self.rows / self.parts,
+            PartitionStrategy::NnzBalanced => {
+                let target = self.nnz * self.made / self.parts;
+                while self.scan < self.rows {
+                    let (r, reached) = (self.scan, self.before >= target);
+                    self.before += (self.degree)(r);
+                    self.scan += 1;
+                    if reached {
+                        return r;
+                    }
+                }
+                self.rows
+            }
+        }
+    }
+}
+
+impl<D: Fn(usize) -> usize> Iterator for Cuts<D> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.made == self.parts {
+            return None;
+        }
+        self.made += 1;
+        let end = if self.made == self.parts { self.rows } else { self.cut() };
+        let rows = self.start..end;
+        self.start = end;
+        Some(rows)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.parts - self.made;
+        (left, Some(left))
+    }
+}
+
+impl<D: Fn(usize) -> usize> ExactSizeIterator for Cuts<D> {}
 
 #[cfg(test)]
 mod tests {

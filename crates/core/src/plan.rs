@@ -2,20 +2,21 @@
 //!
 //! A [`Plan`] is the per-launch dispatch decision lifted into a value:
 //! prepare it once — a pure function of `(pattern, d, backend)`, nothing
-//! is measured, so it costs nothing and is the same on every process
-//! start — then launch through it and read from it which kernel a
-//! request ran. [`Plan::launch`] is the library's one launch: which rows
+//! is measured, so it is the same on every process start, and it costs
+//! one lookup of the kernel-profile row its launches add to — then
+//! launch through it and read from it which kernel a request ran. [`Plan::launch`] is the library's one launch: which rows
 //! it computes, where they sit, and whether the SDDMM scores come back
 //! are the [`Launch`] descriptor, not separate entry points.
 
 use fusedmm_ops::{OpSet, Pattern};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
-use fusedmm_sparse::slice::{gather_rows, slice_rows};
+use fusedmm_sparse::slice::slice_rows;
 
-use crate::dispatch::{specialize, Blocking};
+use crate::dispatch::{specialize, Blocking, RowMap};
 use crate::generic::{validate_scores, validate_shapes};
 use crate::part::PartitionStrategy;
+use crate::profile::ProfileSlot;
 use crate::simd::{active_backend, Backend};
 
 /// Which rows a [`Plan::launch`] computes, and what else it hands back.
@@ -54,15 +55,20 @@ pub enum Launch<'a> {
     /// of an [`All`](Launch::All) launch over the whole graph (each
     /// output row is computed independently, in the same column order,
     /// from the same `x` row wherever `x` starts). Work is proportional
-    /// to the subset's nonzeros: the requested rows of `a` and `x` are
-    /// gathered into a compact `ids.len() × n` slice (the paper's §II
-    /// minibatch) and the kernel runs over that.
+    /// to the subset's nonzeros, and the rows are read in place: each
+    /// row kernel runs over its row of `a` and its row of `x` where they
+    /// are stored and writes `z`'s row once, so a launch on the calling
+    /// thread allocates nothing. While one row runs, the next rows'
+    /// column ids, `x` row and first neighbours' `y` rows are requested
+    /// (the look-ahead a contiguous launch gets from its column stream).
+    /// A launch big enough for the pool cuts the id list into parts of
+    /// equal nonzeros, as PART1D cuts a matrix.
     ///
     /// With `top_k`, each row aggregates only its `k` strongest
-    /// neighbors ([`Csr::top_k_by_weight`], applied to the slice, so it
-    /// costs O(subset nnz)) — the serving engine's `TopKNeighbors`
-    /// degraded tier. Rows whose degree is at most `k` come out
-    /// bit-identical to the exact launch.
+    /// neighbors ([`Csr::top_k_by_weight`], applied to a slice of the
+    /// requested rows, so it costs O(subset nnz)) — the serving engine's
+    /// `TopKNeighbors` degraded tier. Rows whose degree is at most `k`
+    /// come out bit-identical to the exact launch.
     Rows {
         /// Global ids of the rows to compute; each inside the band.
         ids: &'a [usize],
@@ -80,13 +86,27 @@ pub enum Launch<'a> {
 /// table ([`Blocking::Specialized`]) — which SIMD backend executes it,
 /// and how PART1D cuts rows into parts (one part per thread of the
 /// current pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
     pattern: Pattern,
     d: usize,
     blocking: Blocking,
     backend: Backend,
     strategy: PartitionStrategy,
+    /// The kernel-profile row every launch of this plan adds to.
+    profile: ProfileSlot,
+}
+
+impl std::fmt::Debug for Plan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Plan")
+            .field("pattern", &self.pattern)
+            .field("d", &self.d)
+            .field("blocking", &self.blocking)
+            .field("backend", &self.backend)
+            .field("strategy", &self.strategy)
+            .finish()
+    }
 }
 
 impl Plan {
@@ -115,7 +135,12 @@ impl Plan {
             (Blocking::Auto, Some(sp)) => Blocking::Specialized(sp.default_spec(d, backend)),
             (named, Some(_)) => named,
         };
-        Plan { pattern: ops.pattern, d, blocking, backend, strategy }
+        let kernel = match blocking {
+            Blocking::Specialized(spec) => spec.label(),
+            _ => "generic",
+        };
+        let profile = ProfileSlot::of(ops.pattern, d, backend, kernel);
+        Plan { pattern: ops.pattern, d, blocking, backend, strategy, profile }
     }
 
     /// The operator pattern this plan was prepared for.
@@ -181,27 +206,26 @@ impl Plan {
                 if let Some(s) = &scores {
                     validate_scores(a, ops, s);
                 }
-                crate::dispatch::run(self, a, x, y, ops, z, scores);
+                crate::dispatch::run(self, a, x, y, ops, RowMap::All, z, scores);
             }
             Launch::Rows { ids, start, x_start, top_k } => {
-                let local = check_band(a, start, ids, x, x_start, y);
+                check_band(a, start, ids, x, x_start, y);
                 if ids.is_empty() {
                     assert!(z.is_empty(), "Z must have one row per requested row (none)");
                     return;
                 }
-                let mb = slice_rows(a, &local);
-                let adj = match top_k {
-                    Some(k) => mb.adj.top_k_by_weight(k),
-                    None => mb.adj,
-                };
-                let xb = if x_start == 0 {
-                    gather_rows(x, ids)
-                } else if x_start == start {
-                    gather_rows(x, &local)
-                } else {
-                    gather_rows(x, &ids.iter().map(|&u| u - x_start).collect::<Vec<_>>())
-                };
-                crate::dispatch::run(self, &adj, &xb, y, ops, z, None);
+                match top_k {
+                    None => {
+                        let band = RowMap::Band { ids, start, x_start };
+                        crate::dispatch::run(self, a, x, y, ops, band, z, None);
+                    }
+                    Some(k) => {
+                        let local: Vec<usize> = ids.iter().map(|&u| u - start).collect();
+                        let adj = slice_rows(a, &local).adj.top_k_by_weight(k);
+                        let slice = RowMap::Slice { ids, x_start };
+                        crate::dispatch::run(self, &adj, x, y, ops, slice, z, None);
+                    }
+                }
             }
         }
     }
@@ -224,6 +248,11 @@ impl Plan {
         z
     }
 
+    /// Add one launch to this plan's kernel-profile row.
+    pub(crate) fn record(&self, elapsed: std::time::Duration, rows: usize, edges: usize) {
+        self.profile.record(elapsed, rows, edges);
+    }
+
     fn check(&self, ops: &OpSet, x: &Dense) {
         assert_eq!(
             ops.pattern, self.pattern,
@@ -240,16 +269,9 @@ impl Plan {
     }
 }
 
-/// Validate a [`Launch::Rows`] band and map its global `ids` to
-/// band-local indices.
-fn check_band(
-    a: &Csr,
-    start: usize,
-    ids: &[usize],
-    x: &Dense,
-    x_start: usize,
-    y: &Dense,
-) -> Vec<usize> {
+/// Validate a [`Launch::Rows`] band: `x` covers it, `y` matches its
+/// columns, and every id is one of its rows.
+fn check_band(a: &Csr, start: usize, ids: &[usize], x: &Dense, x_start: usize, y: &Dense) {
     let end = start + a.nrows();
     let x_end = x_start + x.nrows();
     assert!(
@@ -258,12 +280,9 @@ fn check_band(
     );
     assert_eq!(y.nrows(), a.ncols(), "Y must have one row per (global) column of the band");
     assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
-    ids.iter()
-        .map(|&u| {
-            assert!((start..end).contains(&u), "row {u} out of range for band {start}..{end}");
-            u - start
-        })
-        .collect()
+    if let Some(&u) = ids.iter().find(|&&u| !(start..end).contains(&u)) {
+        panic!("row {u} out of range for band {start}..{end}");
+    }
 }
 
 #[cfg(test)]

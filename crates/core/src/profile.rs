@@ -12,11 +12,12 @@
 //! `fusedmm_kernel_*` samples labeled `op` / `d` / `backend` /
 //! `blocking`.
 //!
-//! Cost: one `Instant` pair and one short mutex-protected hash-map
-//! upsert per *launch* (not per row or edge) — noise next to a kernel
-//! sweep, so the hooks stay compiled in unconditionally.
+//! Cost: a [`Plan`](crate::Plan) resolves its table slot once, when it
+//! is built; a launch then adds to four relaxed atomic counters — no
+//! lock, no hash, so concurrent launches never wait on each other here
+//! and the hooks stay compiled in unconditionally.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -49,64 +50,99 @@ pub struct KernelProfile {
     pub edges: u64,
 }
 
-#[derive(Default)]
+/// One shape key's accumulators. Slots are never freed: a plan holds
+/// its slot for the life of the process, so the table only grows, by
+/// one small entry per distinct `(pattern, d, backend, kernel)`.
+#[derive(Debug, Default)]
 struct Acc {
-    calls: u64,
-    nanos: u64,
-    rows: u64,
-    edges: u64,
+    calls: AtomicU64,
+    nanos: AtomicU64,
+    rows: AtomicU64,
+    edges: AtomicU64,
 }
 
 type Key = (Pattern, usize, Backend, &'static str);
 
-fn table() -> &'static Mutex<HashMap<Key, Acc>> {
-    static TABLE: OnceLock<Mutex<HashMap<Key, Acc>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
+fn table() -> &'static Mutex<Vec<(Key, &'static Acc)>> {
+    static TABLE: OnceLock<Mutex<Vec<(Key, &'static Acc)>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Record one kernel launch (called by the dispatcher).
-pub(crate) fn record_kernel(
-    pattern: Pattern,
-    d: usize,
-    backend: Backend,
-    blocking: &'static str,
-    elapsed: Duration,
-    rows: usize,
-    edges: usize,
-) {
-    let mut t = table().lock().unwrap();
-    let acc = t.entry((pattern, d, backend, blocking)).or_default();
-    acc.calls += 1;
-    acc.nanos += elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-    acc.rows += rows as u64;
-    acc.edges += edges as u64;
+/// A launch's row of the profile table, resolved once per plan.
+/// Two slots are equal when they are the same row — which is when their
+/// keys are.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProfileSlot(&'static Acc);
+
+impl PartialEq for ProfileSlot {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for ProfileSlot {}
+
+impl ProfileSlot {
+    /// The slot of `(pattern, d, backend, kernel)`, created on first use.
+    pub(crate) fn of(pattern: Pattern, d: usize, backend: Backend, kernel: &'static str) -> Self {
+        let key = (pattern, d, backend, kernel);
+        let mut t = table().lock().unwrap_or_else(|e| e.into_inner());
+        let acc = match t.iter().find(|(k, _)| *k == key) {
+            Some(&(_, acc)) => acc,
+            None => {
+                let acc: &'static Acc = Box::leak(Box::default());
+                t.push((key, acc));
+                acc
+            }
+        };
+        ProfileSlot(acc)
+    }
+
+    /// Record one launch.
+    pub(crate) fn record(self, elapsed: Duration, rows: usize, edges: usize) {
+        let acc = self.0;
+        acc.calls.fetch_add(1, Ordering::Relaxed);
+        let nanos = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        acc.nanos.fetch_add(nanos, Ordering::Relaxed);
+        acc.rows.fetch_add(rows as u64, Ordering::Relaxed);
+        acc.edges.fetch_add(edges as u64, Ordering::Relaxed);
+    }
 }
 
 /// The accumulated per-shape kernel profiles, sorted by
-/// `(op name, d, blocking)` for stable reporting.
+/// `(op name, d, blocking)` for stable reporting. Shapes with no launch
+/// since the last [`reset_kernel_profiles`] are left out.
 pub fn kernel_profiles() -> Vec<KernelProfile> {
-    let t = table().lock().unwrap();
+    let t = table().lock().unwrap_or_else(|e| e.into_inner());
     let mut out: Vec<KernelProfile> = t
         .iter()
-        .map(|(&(pattern, d, backend, blocking), acc)| KernelProfile {
+        .map(|&((pattern, d, backend, blocking), acc)| KernelProfile {
             pattern,
             d,
             backend,
             blocking,
-            calls: acc.calls,
-            elapsed: Duration::from_nanos(acc.nanos),
-            rows: acc.rows,
-            edges: acc.edges,
+            calls: acc.calls.load(Ordering::Relaxed),
+            elapsed: Duration::from_nanos(acc.nanos.load(Ordering::Relaxed)),
+            rows: acc.rows.load(Ordering::Relaxed),
+            edges: acc.edges.load(Ordering::Relaxed),
         })
+        .filter(|p| p.calls > 0)
         .collect();
     out.sort_by_key(|p| (p.pattern.name(), p.d, p.blocking));
     out
 }
 
 /// Clear the profile table — benches call this between sections so a
-/// report covers exactly one workload.
+/// report covers exactly one workload. The counters are zeroed in
+/// place (plans keep their slots); a launch landing meanwhile may keep
+/// part of its observation.
 pub fn reset_kernel_profiles() {
-    table().lock().unwrap().clear();
+    let t = table().lock().unwrap_or_else(|e| e.into_inner());
+    for (_, acc) in t.iter() {
+        for c in [&acc.calls, &acc.nanos, &acc.rows, &acc.edges] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]

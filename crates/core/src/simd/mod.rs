@@ -282,6 +282,35 @@ pub fn sqdist(x: &[f32], y: &[f32]) -> f32 {
     (slice_ops().sqdist)(x, y)
 }
 
+/// Ask for every cache line of `s` ahead of its use, through backend
+/// `b`'s [`SimdIsa::prefetch`] — a hint that reads nothing and changes
+/// no value. The row schedule issues it for rows a launch has not
+/// reached yet; the portable scalar backend issues nothing, as its
+/// kernels do.
+#[inline(always)]
+pub(crate) fn prefetch_lines<T>(b: Backend, s: &[T]) {
+    #[inline(always)]
+    fn each_line<T>(s: &[T], prefetch: impl Fn(*const f32)) {
+        let p = s.as_ptr().cast::<u8>();
+        for off in (0..std::mem::size_of_val(s)).step_by(64) {
+            prefetch(p.wrapping_add(off).cast());
+        }
+    }
+    match b {
+        // SAFETY: `prefetch` accepts any address and never dereferences
+        // it; the pointers are formed with wrapping arithmetic inside
+        // `s`. ISA — `b` is the backend a plan's launch runs, which
+        // `active_backend` only hands out when `is_available()`, and
+        // both x86 backends' prefetch is baseline SSE.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma | Backend::Avx512 => each_line(s, |p| unsafe { Avx2Isa::prefetch(p) }),
+        // SAFETY: as above; NEON is baseline on AArch64.
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => each_line(s, |p| unsafe { NeonIsa::prefetch(p) }),
+        _ => {}
+    }
+}
+
 /// [`dot`] computed by an explicit backend — for cross-backend tests
 /// and ablation benches.
 ///

@@ -381,7 +381,7 @@ impl ShardTransport for RpcTransport {
     fn embed_part(
         &self,
         shard: usize,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,

@@ -11,6 +11,8 @@
 //! one deduplicated row-subset launch per drain, on its own thread,
 //! and resolves each part's slot — cache registrations first, then the
 //! rows — until the queue is empty or its caller has what it came for.
+//! A part whose nodes are the launch's whole union receives the
+//! launch's output itself: the kernel writes that reply once.
 //! A panicking launch is caught here and every part in it resolves
 //! `Failed`, which the front end retries once (on the waiter's thread,
 //! like every launch).
@@ -27,7 +29,7 @@ use fusedmm_perf::trace::{SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
-use crate::batcher::{dedup_union, group_by_epoch, scatter_rows, BatchQueue, Pending};
+use crate::batcher::{dedup_union, next_group, scatter_rows, BatchQueue, Buffers, Pending, Reply};
 use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
 use crate::front::Resolved;
@@ -131,7 +133,7 @@ impl Band {
     /// `EngineShutdown` and aborts its cache registrations.
     pub fn enqueue(
         &self,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,
@@ -139,7 +141,7 @@ impl Band {
     ) {
         let span = slot.span.take();
         let accepted = self.queue.push(Pending {
-            nodes: nodes.to_vec(),
+            nodes: Arc::clone(nodes),
             epoch: Arc::clone(epoch),
             slot,
             trace: span.as_ref().map(|s| s.ctx),
@@ -159,11 +161,12 @@ impl Band {
     /// wakes the parked waiters.
     pub fn combine(&self, stop: &mut dyn FnMut() -> bool) {
         let Some(mut combiner) = self.queue.combine() else { return };
-        while let Some(drained) = combiner.next_batch(self.max_batch_rows) {
-            self.drop_expired(drained.expired);
-            drop(drained.abandoned);
-            for group in group_by_epoch(drained.batch) {
-                self.launch(group);
+        while combiner.next_batch(self.max_batch_rows) {
+            let b = &mut combiner.buffers;
+            self.drop_expired(b.expired.drain(..));
+            b.abandoned.clear();
+            while next_group(&mut b.batch, &mut b.group) {
+                self.launch(b);
             }
             if stop() {
                 break;
@@ -223,22 +226,23 @@ impl Band {
 
     /// Resolve parts whose deadline passed while queued: no kernel time
     /// spent, cache registrations aborted.
-    fn drop_expired(&self, expired: Vec<Pending>) {
+    fn drop_expired(&self, expired: impl Iterator<Item = Pending>) {
         for part in expired {
             self.expired_dropped.fetch_add(1, Ordering::Relaxed);
             part.slot.resolve(PartOutcome::Expired);
         }
     }
 
-    /// One kernel launch for a group sharing a pinned epoch and tier.
-    fn launch(&self, group: Vec<Pending>) {
+    /// One kernel launch for `b.group`, parts sharing a pinned epoch and
+    /// tier, which leaves the group empty; `b.union` and `b.replies` are
+    /// working space.
+    fn launch(&self, b: &mut Buffers) {
+        let Buffers { group, union, replies, .. } = b;
         let tracer = &self.tracer;
         // Deadlines are re-checked right before the launch: a long prior
         // group may have outlasted one that was live at drain time.
         let now = Instant::now();
-        let (group, expired): (Vec<_>, Vec<_>) =
-            group.into_iter().partition(|p| p.deadline.is_none_or(|d| d > now));
-        self.drop_expired(expired);
+        self.drop_expired(group.extract_if(.., |p| p.expired(now)));
         let Some(first) = group.first() else { return };
         let (epoch, quality) = (Arc::clone(&first.epoch), first.quality);
         // Batch/kernel timestamps are taken once per launch and
@@ -246,7 +250,13 @@ impl Band {
         // owns a complete tree even when the batch coalesced many.
         let sampled = group.iter().any(|p| p.trace.is_some());
         let batch_start = if sampled { tracer.now() } else { 0 };
-        let union = dedup_union(group.iter().map(|p| p.nodes.as_slice()));
+        // A lone part's nodes are the union: its reply is the launch.
+        let ids: &[usize] = if let [one] = group.as_slice() {
+            &one.nodes
+        } else {
+            dedup_union(group.iter().map(|p| &*p.nodes), union);
+            union
+        };
         let rows_requested: usize = group.iter().map(|p| p.nodes.len()).sum();
         // This launch's sequence number (1, 2, ...), for the fault
         // plan: only the combiner counts launches, landed or panicked.
@@ -265,56 +275,78 @@ impl Band {
                 Quality::TopKNeighbors(k) => Some(k),
                 Quality::Exact | Quality::CachedOnly => None,
             };
-            let rows =
-                Launch::Rows { ids: &union, start: self.start, x_start: epoch.x_start(), top_k };
-            let mut z = Dense::zeros(union.len(), self.plan.d());
+            let rows = Launch::Rows { ids, start: self.start, x_start: epoch.x_start(), top_k };
+            let mut z = Dense::zeros(ids.len(), self.plan.d());
             self.plan.launch(&self.a, epoch.x(), epoch.y(), &self.ops, rows, z.as_mut_slice());
             z
         }));
-        let Ok(union_rows) = launched else {
+        let Ok(z) = launched else {
             self.panics_caught.fetch_add(1, Ordering::Relaxed);
-            for part in group {
+            for part in group.drain(..) {
                 part.slot.resolve(PartOutcome::Failed);
             }
             return;
         };
         let kernel_end = if sampled { tracer.now() } else { 0 };
-        // Unpin the epoch before waking anyone: a caller that writes
-        // once its request completes finds the generation free to patch
-        // in place.
+        let computed = ids.len();
+        // The launch output goes to a part whose nodes are the union, in
+        // its order, once every other part has a copy of its rows.
+        let owner = group.iter().position(|p| *p.nodes == *ids);
+        // Unpin the epoch — every part's hold on it — before waking
+        // anyone: a caller that writes once its request completes finds
+        // the generation free to patch in place.
         drop(epoch);
-        let group: Vec<_> = group.into_iter().map(|p| (p.nodes, p.slot, p.trace)).collect();
+        replies.extend(group.drain(..).map(|p| (p.nodes, p.slot, p.trace)));
         // Account before resolving so a caller that observes its own
         // completion also observes the batch in the metrics.
         self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
         self.rows_requested.fetch_add(rows_requested as u64, Ordering::Relaxed);
-        self.rows_computed.fetch_add(union.len() as u64, Ordering::Relaxed);
-        for (nodes, mut slot, trace) in group {
-            let out = scatter_rows(&union, &union_rows, &nodes);
-            let batch = trace.map(|parent| tracer.child(parent));
-            if let Some(ctx) = batch {
-                let kernel = tracer.child(ctx);
-                let rows = union.len() as u64;
-                tracer.record(kernel, SpanKind::Kernel, kernel_start, kernel_end, self.shard, rows);
-            }
-            // Cache registrations resolve before the reply, so
-            // coalesced waiters complete with the computation —
-            // independent of when this part's ticket is harvested.
-            if let Some(fills) = slot.fills.take() {
-                let fill_start = if batch.is_some() { tracer.now() } else { 0 };
-                fills.complete(&out);
-                if let Some(ctx) = batch {
-                    let fill = tracer.child(ctx);
-                    let (end, rows) = (tracer.now(), out.nrows() as u64);
-                    tracer.record(fill, SpanKind::CacheFill, fill_start, end, self.shard, rows);
-                }
-            }
-            if let Some(ctx) = batch {
-                let (end, rows) = (tracer.now(), rows_requested as u64);
-                tracer.record(ctx, SpanKind::Batch, batch_start, end, self.shard, rows);
-            }
-            slot.resolve(PartOutcome::Rows(out));
+        self.rows_computed.fetch_add(computed as u64, Ordering::Relaxed);
+        let times = (batch_start, kernel_start, kernel_end);
+        let owner = owner.map(|i| replies.remove(i));
+        for part in replies.drain(..) {
+            let out = scatter_rows(union, &z, &part.0);
+            self.reply(part, out, computed, times, rows_requested);
         }
+        if let Some(part) = owner {
+            self.reply(part, z, computed, times, rows_requested);
+        }
+    }
+
+    /// Resolve one part of a landed launch with its rows: its spans when
+    /// sampled, its cache registrations, then the reply.
+    fn reply(
+        &self,
+        (_, mut slot, trace): Reply,
+        out: Dense,
+        computed: usize,
+        (batch_start, kernel_start, kernel_end): (u64, u64, u64),
+        rows_requested: usize,
+    ) {
+        let tracer = &self.tracer;
+        let batch = trace.map(|parent| tracer.child(parent));
+        if let Some(ctx) = batch {
+            let kernel = tracer.child(ctx);
+            let rows = computed as u64;
+            tracer.record(kernel, SpanKind::Kernel, kernel_start, kernel_end, self.shard, rows);
+        }
+        // Cache registrations resolve before the reply, so coalesced
+        // waiters complete with the computation — independent of when
+        // this part's ticket is harvested.
+        if let Some(fills) = slot.fills.take() {
+            let fill_start = if batch.is_some() { tracer.now() } else { 0 };
+            fills.complete(&out);
+            if let Some(ctx) = batch {
+                let fill = tracer.child(ctx);
+                let (end, rows) = (tracer.now(), out.nrows() as u64);
+                tracer.record(fill, SpanKind::CacheFill, fill_start, end, self.shard, rows);
+            }
+        }
+        if let Some(ctx) = batch {
+            let (end, rows) = (tracer.now(), rows_requested as u64);
+            tracer.record(ctx, SpanKind::Batch, batch_start, end, self.shard, rows);
+        }
+        slot.resolve(PartOutcome::Rows(out));
     }
 
     pub fn metrics(&self) -> BandMetrics {

@@ -5,9 +5,9 @@
 //! one mutex, and whichever thread needs one of the band's results runs
 //! the queued batches itself (flat combining): the first to find the
 //! flag clear becomes the **combiner** — it takes the sorted union of
-//! each batch's nodes, runs the row-subset kernel once and scatters the
-//! rows back — and clears the flag under that mutex: when it sees the
-//! queue empty, so a part pushed meanwhile rides it, or when the
+//! each batch's nodes, runs the row-subset kernel once and hands each
+//! part its rows — and clears the flag under that mutex: when it sees
+//! the queue empty, so a part pushed meanwhile rides it, or when the
 //! combiner stops early because its own caller is answered. A thread
 //! that finds the flag held parks registered with the queue; a push
 //! finding no combiner, or a combiner leaving work behind, wakes it.
@@ -15,10 +15,13 @@
 //! A drain siphons parts whose deadline passed (failed typed, no kernel
 //! time) and parts nobody can receive any more, and the queue tracks
 //! its total queued rows so the admission policy can bound the backlog.
+//! The drain, the per-epoch grouping and the union work in buffers the
+//! queue keeps and lends to its combiner: a warm queue allocates
+//! nothing per drain.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fusedmm_perf::trace::SpanCtx;
@@ -31,9 +34,9 @@ use crate::wait::Watcher;
 
 /// One enqueued part of an embedding request.
 pub(crate) struct Pending {
-    /// Requested node ids (the front end sends them sorted and
-    /// distinct; the batcher does not rely on it).
-    pub nodes: Vec<usize>,
+    /// Requested node ids, sorted and distinct — the list the request's
+    /// part holds, shared.
+    pub nodes: Arc<[usize]>,
     /// The feature epoch pinned at request begin: the whole response
     /// is computed from this snapshot, never torn across a publish.
     pub epoch: Arc<FeatureEpoch>,
@@ -57,19 +60,41 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    fn expired(&self, now: Instant) -> bool {
+    pub fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| d <= now)
     }
 }
 
-/// One drain: the launchable batch, the parts whose deadline passed
-/// while queued (to be failed without kernel time), and the parts
-/// whose ticket was dropped and whose rows nobody else waits on (to be
-/// dropped uncomputed).
-pub(crate) struct Drained {
+/// A landed part on its way to its reply: its nodes, its slot and its
+/// trace context — and no longer its pinned epoch.
+pub(crate) type Reply = (Arc<[usize]>, PartSlot, Option<SpanCtx>);
+
+/// The buffers a queue lends its combiner. After a drain, `batch` holds
+/// the launchable parts, `expired` the parts whose deadline passed
+/// while queued (to be failed without kernel time) and `abandoned` the
+/// parts whose ticket was dropped and whose rows nobody else waits on
+/// (to be dropped uncomputed); `group`, `union` and `replies` are the
+/// launch's working space.
+#[derive(Default)]
+pub(crate) struct Buffers {
     pub batch: Vec<Pending>,
     pub expired: Vec<Pending>,
     pub abandoned: Vec<Pending>,
+    pub group: Vec<Pending>,
+    pub union: Vec<usize>,
+    pub replies: Vec<Reply>,
+}
+
+impl Buffers {
+    /// Empty every buffer, keeping its capacity.
+    fn clear(&mut self) {
+        self.batch.clear();
+        self.expired.clear();
+        self.abandoned.clear();
+        self.group.clear();
+        self.union.clear();
+        self.replies.clear();
+    }
 }
 
 struct QueueState {
@@ -78,26 +103,22 @@ struct QueueState {
     /// Set while one thread — the combiner — runs this queue's batches.
     executing: bool,
     /// Waiters parked on this queue, woken when it has work and no
-    /// combiner. Weak: a waiter that moved on leaves a dead entry,
-    /// pruned at the next registration.
-    parked: Vec<Weak<dyn Fn() + Send + Sync>>,
+    /// combiner. A waiter that moved on leaves a dead entry, pruned at
+    /// the next registration.
+    parked: Vec<Watcher>,
+    /// The combiner's buffers, home while nobody combines.
+    buffers: Buffers,
 }
 
 impl QueueState {
-    /// The parked waiters to wake when this queue has work and no
-    /// combiner; fired by the caller after it unlocks.
-    fn wake_if_idle(&mut self) -> Vec<Weak<dyn Fn() + Send + Sync>> {
-        if self.executing || self.pending.is_empty() {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.parked)
+    /// Wake every parked waiter if this queue has work and no combiner.
+    /// A kick only sets a flag and notifies a condvar, and no waiter
+    /// holds its own lock while taking a queue's, so firing under this
+    /// lock cannot deadlock — and the list keeps its capacity.
+    fn wake_if_idle(&mut self) {
+        if !self.executing && !self.pending.is_empty() {
+            self.parked.drain(..).for_each(|w| w.fire());
         }
-    }
-}
-
-fn fire(parked: Vec<Weak<dyn Fn() + Send + Sync>>) {
-    for w in parked.iter().filter_map(Weak::upgrade) {
-        w();
     }
 }
 
@@ -118,6 +139,7 @@ impl BatchQueue {
             shutdown: false,
             executing: false,
             parked: vec![],
+            buffers: Buffers::default(),
         };
         BatchQueue { state: Mutex::new(state), rows: AtomicUsize::new(0) }
     }
@@ -144,9 +166,7 @@ impl BatchQueue {
         }
         state.pending.push_back(request);
         self.rows.fetch_add(rows, Ordering::Relaxed);
-        let wake = state.wake_if_idle();
-        drop(state);
-        fire(wake);
+        state.wake_if_idle();
         true
     }
 
@@ -159,10 +179,9 @@ impl BatchQueue {
         state.shutdown = true;
         let queued = std::mem::take(&mut state.pending);
         self.rows.store(0, Ordering::Relaxed);
-        let parked = std::mem::take(&mut state.parked);
+        state.parked.drain(..).for_each(|w| w.fire());
         drop(state);
         drop(queued);
-        fire(parked);
     }
 
     /// Become this queue's combiner: `None` when the queue is empty or
@@ -174,7 +193,8 @@ impl BatchQueue {
             return None;
         }
         state.executing = true;
-        Some(Combiner { queue: self, held: true })
+        let buffers = std::mem::take(&mut state.buffers);
+        Some(Combiner { queue: self, held: true, buffers })
     }
 
     /// Register `waiter` to be woken when this queue has work and no
@@ -185,41 +205,44 @@ impl BatchQueue {
         if !state.executing && !state.pending.is_empty() {
             return false;
         }
-        state.parked.retain(|w| w.strong_count() > 0);
-        let me = Arc::as_ptr(waiter).cast::<()>();
-        if !state.parked.iter().any(|w| w.as_ptr().cast::<()>() == me) {
-            state.parked.push(Arc::downgrade(waiter));
+        state.parked.retain(Watcher::is_live);
+        if !state.parked.iter().any(|w| w.same(waiter)) {
+            state.parked.push(waiter.clone());
         }
         true
     }
 }
 
 /// The combiner flag of one [`BatchQueue`], held by the thread running
-/// its batches. Released by [`next_batch`](Combiner::next_batch) when
-/// it finds the queue empty, or on drop — also when a panic unwinds
-/// through the combiner — in which case any work left behind wakes the
-/// parked waiters.
+/// its batches, with the queue's buffers on loan. Released by
+/// [`next_batch`](Combiner::next_batch) when it finds the queue empty,
+/// or on drop — also when a panic unwinds through the combiner — in
+/// which case any work left behind wakes the parked waiters.
 pub(crate) struct Combiner<'a> {
     queue: &'a BatchQueue,
     held: bool,
+    pub buffers: Buffers,
 }
 
 impl Combiner<'_> {
-    /// Drain parts until `max_batch_rows` requested rows are taken
-    /// (always at least one part), with no linger. Parts whose deadline
-    /// already passed go to `Drained::expired` and parts nobody can
-    /// receive any more to `Drained::abandoned`, neither counting
-    /// toward the cap. Returns `None`, releasing the flag under the
-    /// same lock, once the queue is empty.
-    pub fn next_batch(&mut self, max_batch_rows: usize) -> Option<Drained> {
+    /// Drain parts into `buffers.batch` until `max_batch_rows` requested
+    /// rows are taken (always at least one part), with no linger. Parts
+    /// whose deadline already passed go to `buffers.expired` and parts
+    /// nobody can receive any more to `buffers.abandoned`, neither
+    /// counting toward the cap. The caller empties all three before the
+    /// next drain. Returns `false`, releasing the flag and returning the
+    /// buffers under the same lock, once the queue is empty.
+    pub fn next_batch(&mut self, max_batch_rows: usize) -> bool {
         let mut state = self.queue.lock();
         if state.pending.is_empty() {
             state.executing = false;
+            self.buffers.clear();
+            state.buffers = std::mem::take(&mut self.buffers);
             self.held = false;
-            return None;
+            return false;
         }
         let now = Instant::now();
-        let mut drained = Drained { batch: Vec::new(), expired: Vec::new(), abandoned: Vec::new() };
+        let b = &mut self.buffers;
         let mut rows = 0usize;
         let mut drained_rows = 0usize;
         while let Some(front) = state.pending.front() {
@@ -227,9 +250,9 @@ impl Combiner<'_> {
             // Neither expired nor abandoned work costs kernel time, so
             // neither limits the drain — sweep the whole backlog of it.
             let dead = if front.expired(now) {
-                Some(&mut drained.expired)
+                Some(&mut b.expired)
             } else if front.slot.is_abandoned() {
-                Some(&mut drained.abandoned)
+                Some(&mut b.abandoned)
             } else {
                 None
             };
@@ -238,15 +261,15 @@ impl Combiner<'_> {
                 dead.push(state.pending.pop_front().expect("front exists"));
                 continue;
             }
-            if !drained.batch.is_empty() && rows + n > max_batch_rows {
+            if !b.batch.is_empty() && rows + n > max_batch_rows {
                 break;
             }
             rows += n;
             drained_rows += n;
-            drained.batch.push(state.pending.pop_front().expect("front exists"));
+            b.batch.push(state.pending.pop_front().expect("front exists"));
         }
         self.queue.rows.fetch_sub(drained_rows, Ordering::Relaxed);
-        Some(drained)
+        true
     }
 }
 
@@ -255,43 +278,41 @@ impl Drop for Combiner<'_> {
         if !self.held {
             return;
         }
+        // Whatever a panic left in the buffers resolves (closed) here,
+        // outside the queue lock.
+        self.buffers.clear();
         let mut state = self.queue.lock();
         state.executing = false;
-        let wake = state.wake_if_idle();
-        drop(state);
-        fire(wake);
+        state.buffers = std::mem::take(&mut self.buffers);
+        state.wake_if_idle();
     }
 }
 
-/// Split a drained batch into kernel-launch groups that share one
-/// pinned [`FeatureEpoch`] (identity, not number — two snapshots of the
-/// same epoch object are the same group) *and* one [`Quality`] tier.
-/// Requests pinned to different epochs must never share a kernel
-/// launch, or responses would mix feature generations; requests of
-/// different tiers run different kernels. Grouping (rather than
-/// flushing per request) keeps full coalescing in the common case.
-/// Order is preserved: groups appear in first-seen order and requests
-/// keep their queue order within a group.
-pub(crate) fn group_by_epoch(batch: Vec<Pending>) -> Vec<Vec<Pending>> {
-    let mut groups: Vec<Vec<Pending>> = Vec::new();
-    for pending in batch {
-        match groups
-            .iter_mut()
-            .find(|g| Arc::ptr_eq(&g[0].epoch, &pending.epoch) && g[0].quality == pending.quality)
-        {
-            Some(group) => group.push(pending),
-            None => groups.push(vec![pending]),
-        }
-    }
-    groups
+/// Move the first kernel-launch group of `batch` into `group`: the
+/// parts sharing the first part's pinned [`FeatureEpoch`] (identity,
+/// not number — two snapshots of the same epoch object are the same
+/// group) *and* its [`Quality`] tier. Requests pinned to different
+/// epochs must never share a kernel launch, or responses would mix
+/// feature generations; requests of different tiers run different
+/// kernels. Grouping (rather than flushing per request) keeps full
+/// coalescing in the common case. Called until it returns `false`,
+/// groups come out in first-seen order and requests keep their queue
+/// order within a group.
+pub(crate) fn next_group(batch: &mut Vec<Pending>, group: &mut Vec<Pending>) -> bool {
+    let Some(first) = batch.first() else { return false };
+    let (epoch, quality) = (Arc::as_ptr(&first.epoch), first.quality);
+    let same = |p: &mut Pending| std::ptr::eq(Arc::as_ptr(&p.epoch), epoch) && p.quality == quality;
+    group.extend(batch.extract_if(.., same));
+    true
 }
 
-/// Sorted union of all node lists in `requests` (each node once).
-pub fn dedup_union<'a>(requests: impl IntoIterator<Item = &'a [usize]>) -> Vec<usize> {
-    let mut union: Vec<usize> = requests.into_iter().flatten().copied().collect();
+/// The sorted union of all node lists in `requests` (each node once),
+/// into `union`.
+pub fn dedup_union<'a>(requests: impl IntoIterator<Item = &'a [usize]>, union: &mut Vec<usize>) {
+    union.clear();
+    union.extend(requests.into_iter().flatten());
     union.sort_unstable();
     union.dedup();
-    union
 }
 
 /// Gather `nodes`' rows out of the union result: `union_rows[i]` is the
@@ -313,8 +334,7 @@ pub fn scatter_rows(union_nodes: &[usize], union_rows: &Dense, nodes: &[usize]) 
 mod tests {
     use super::*;
     use crate::store::FeatureStore;
-    use crate::wait::{slot, SlotPoll, SlotRx};
-    use std::sync::atomic::AtomicUsize;
+    use crate::wait::{slot, SlotPoll, SlotRx, WakeQueue};
     use std::time::Duration;
 
     fn epoch() -> Arc<FeatureEpoch> {
@@ -326,6 +346,7 @@ mod tests {
     fn part(nodes: Vec<usize>, epoch: Arc<FeatureEpoch>) -> (Pending, SlotRx) {
         let (tx, rx) = slot();
         let slot = PartSlot::new(tx, None, None);
+        let nodes = nodes.into();
         (Pending { nodes, epoch, slot, trace: None, deadline: None, quality: Quality::Exact }, rx)
     }
 
@@ -339,18 +360,55 @@ mod tests {
         held.push(p.1);
     }
 
-    fn counter() -> (Arc<AtomicUsize>, Watcher) {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        (fired, Arc::new(move || _ = f.fetch_add(1, Ordering::SeqCst)))
+    /// A parked waiter and a count of the kicks it received.
+    struct Waiter {
+        wake: Arc<WakeQueue>,
+        kicks: usize,
+    }
+
+    impl Waiter {
+        fn new() -> Waiter {
+            Waiter { wake: WakeQueue::new(), kicks: 0 }
+        }
+
+        fn watcher(&self) -> Watcher {
+            Watcher::Kick(Arc::downgrade(&self.wake))
+        }
+
+        /// Kicks received so far (each read consumes the pending one).
+        fn kicks(&mut self) -> usize {
+            use crate::wait::Wake;
+            if self.wake.signalled() {
+                self.kicks += 1;
+                self.wake.rearm();
+            }
+            self.kicks
+        }
+    }
+
+    fn nodes_of(parts: &[Pending]) -> Vec<usize> {
+        parts.iter().map(|p| p.nodes[0]).collect()
+    }
+
+    /// Every group of `batch`, in order.
+    fn groups(mut batch: Vec<Pending>) -> Vec<Vec<Pending>> {
+        let mut out = Vec::new();
+        let mut group = Vec::new();
+        while next_group(&mut batch, &mut group) {
+            out.push(std::mem::take(&mut group));
+        }
+        out
     }
 
     #[test]
     fn union_sorts_and_dedups() {
         let a: &[usize] = &[5, 1, 9];
         let b: &[usize] = &[1, 1, 7];
-        assert_eq!(dedup_union([a, b]), vec![1, 5, 7, 9]);
-        assert_eq!(dedup_union([] as [&[usize]; 0]), Vec::<usize>::new());
+        let mut union = vec![42];
+        dedup_union([a, b], &mut union);
+        assert_eq!(union, vec![1, 5, 7, 9]);
+        dedup_union([] as [&[usize]; 0], &mut union);
+        assert_eq!(union, Vec::<usize>::new());
     }
 
     #[test]
@@ -372,12 +430,32 @@ mod tests {
         }
         assert_eq!(q.queued_rows(), 3);
         let mut combiner = q.combine().expect("work available");
-        let drained = combiner.next_batch(1024).expect("work available");
-        assert_eq!(drained.batch.len(), 3);
-        assert!(drained.expired.is_empty() && drained.abandoned.is_empty());
+        assert!(combiner.next_batch(1024), "work available");
+        let b = &mut combiner.buffers;
+        assert_eq!(b.batch.len(), 3);
+        assert!(b.expired.is_empty() && b.abandoned.is_empty());
+        b.batch.clear();
         assert_eq!(q.queued_rows(), 0, "drain returns the rows to the gauge");
-        assert!(combiner.next_batch(1024).is_none(), "empty queue releases the flag");
+        assert!(!combiner.next_batch(1024), "empty queue releases the flag");
         assert!(q.combine().is_none(), "nothing left to combine");
+    }
+
+    #[test]
+    fn the_buffers_come_home_with_their_capacity() {
+        let (q, mut held) = (BatchQueue::new(), Vec::new());
+        let ep = epoch();
+        for n in 0..5usize {
+            push(&q, &mut held, part(vec![n], Arc::clone(&ep)));
+        }
+        let mut combiner = q.combine().unwrap();
+        assert!(combiner.next_batch(1024));
+        let cap = combiner.buffers.batch.capacity();
+        combiner.buffers.batch.clear();
+        assert!(!combiner.next_batch(1024));
+        drop(combiner);
+        push(&q, &mut held, part(vec![9], ep));
+        let combiner = q.combine().unwrap();
+        assert_eq!(combiner.buffers.batch.capacity(), cap, "the next combiner reuses the batch");
     }
 
     #[test]
@@ -386,12 +464,14 @@ mod tests {
         let ep = epoch();
         push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
         let mut combiner = q.combine().expect("work available");
-        let first = combiner.next_batch(1024).unwrap();
+        assert!(combiner.next_batch(1024));
+        let first = std::mem::take(&mut combiner.buffers.batch);
         push(&q, &mut held, part(vec![2], Arc::clone(&ep)));
         assert!(q.combine().is_none(), "the flag is held: a second thread leaves it to the first");
-        let late = combiner.next_batch(1024).expect("a part pushed mid-run is the combiner's");
-        assert_eq!((first.batch[0].nodes[0], late.batch[0].nodes[0]), (1, 2));
-        assert!(combiner.next_batch(1024).is_none());
+        assert!(combiner.next_batch(1024), "a part pushed mid-run is the combiner's");
+        let late = std::mem::take(&mut combiner.buffers.batch);
+        assert_eq!((first[0].nodes[0], late[0].nodes[0]), (1, 2));
+        assert!(!combiner.next_batch(1024));
         drop(combiner);
         push(&q, &mut held, part(vec![3], ep));
         assert!(q.combine().is_some(), "a released flag can be taken again");
@@ -401,18 +481,19 @@ mod tests {
     fn parked_waiters_wake_only_when_work_has_no_combiner() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
-        let (fired, waiter) = counter();
-        assert!(q.park(&waiter), "an empty queue parks");
-        assert!(q.park(&waiter), "registering twice is one registration");
+        let mut waiter = Waiter::new();
+        assert!(q.park(&waiter.watcher()), "an empty queue parks");
+        assert!(q.park(&waiter.watcher()), "registering twice is one registration");
+        assert_eq!(q.lock().parked.len(), 1);
         push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "a push with no combiner wakes the waiter");
-        assert!(!q.park(&waiter), "work without a combiner: combine instead of parking");
+        assert_eq!(waiter.kicks(), 1, "a push with no combiner wakes the waiter");
+        assert!(!q.park(&waiter.watcher()), "work without a combiner: combine instead of parking");
         let combiner = q.combine().unwrap();
-        assert!(q.park(&waiter), "a running combiner drains the queue: parking is safe");
+        assert!(q.park(&waiter.watcher()), "a running combiner drains the queue: parking is safe");
         push(&q, &mut held, part(vec![2], Arc::clone(&ep)));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "the combiner takes it: no wake-up");
+        assert_eq!(waiter.kicks(), 1, "the combiner takes it: no wake-up");
         drop(combiner);
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "a combiner leaving work behind wakes");
+        assert_eq!(waiter.kicks(), 2, "a combiner leaving work behind wakes");
     }
 
     #[test]
@@ -420,29 +501,30 @@ mod tests {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         push(&q, &mut held, part(vec![1], epoch()));
         push(&q, &mut held, part(vec![2], epoch()));
-        let (fired, waiter) = counter();
+        let mut waiter = Waiter::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut combiner = q.combine().expect("work available");
-            let _batch = combiner.next_batch(1);
-            assert!(q.park(&waiter));
+            let _ = combiner.next_batch(1);
+            assert!(q.park(&waiter.watcher()));
             panic!("outside any launch's catch_unwind");
         }));
         assert!(unwound.is_err());
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "the work left behind woke the waiter");
+        assert_eq!(waiter.kicks(), 1, "the work left behind woke the waiter");
+        assert!(matches!(held[0].try_recv(), SlotPoll::Closed), "the drained part resolved");
         assert!(q.combine().is_some(), "the band is not wedged");
     }
 
     #[test]
     fn a_dead_waiter_is_pruned_not_fired() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
-        let (fired, waiter) = counter();
-        assert!(q.park(&waiter));
+        let waiter = Waiter::new();
+        assert!(q.park(&waiter.watcher()));
         drop(waiter);
-        let (_, live) = counter();
-        assert!(q.park(&live));
+        let mut live = Waiter::new();
+        assert!(q.park(&live.watcher()));
         assert_eq!(q.lock().parked.len(), 1, "the dead registration was pruned");
         push(&q, &mut held, part(vec![1], epoch()));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert_eq!(live.kicks(), 1);
     }
 
     #[test]
@@ -450,15 +532,16 @@ mod tests {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
         // One oversized request plus a small one.
-        push(&q, &mut held, part(vec![0; 100], Arc::clone(&ep)));
+        push(&q, &mut held, part((0..100).collect(), Arc::clone(&ep)));
         push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
         assert_eq!(q.queued_rows(), 101);
         let mut combiner = q.combine().unwrap();
-        let first = combiner.next_batch(10).unwrap();
-        assert_eq!(first.batch.len(), 1, "oversized request still dispatched alone");
+        assert!(combiner.next_batch(10));
+        assert_eq!(combiner.buffers.batch.len(), 1, "oversized request still dispatched alone");
+        combiner.buffers.batch.clear();
         assert_eq!(q.queued_rows(), 1);
-        let second = combiner.next_batch(10).unwrap();
-        assert_eq!(second.batch.len(), 1);
+        assert!(combiner.next_batch(10));
+        assert_eq!(combiner.buffers.batch.len(), 1);
         assert_eq!(q.queued_rows(), 0);
     }
 
@@ -466,7 +549,7 @@ mod tests {
     fn expired_requests_are_siphoned_without_charging_the_cap() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
-        let mut dead = part(vec![0; 50], Arc::clone(&ep));
+        let mut dead = part((0..50).collect(), Arc::clone(&ep));
         dead.0.deadline = Some(Instant::now() - Duration::from_millis(1));
         push(&q, &mut held, dead);
         let mut live = part(vec![1, 2], Arc::clone(&ep));
@@ -475,10 +558,12 @@ mod tests {
         push(&q, &mut held, part(vec![3], Arc::clone(&ep)));
         // Row cap 4 < the expired request's 50 rows: expired work must
         // not starve the drain.
-        let drained = q.combine().unwrap().next_batch(4).unwrap();
-        assert_eq!(drained.expired.len(), 1);
-        assert_eq!(drained.expired[0].nodes.len(), 50);
-        assert_eq!(drained.batch.len(), 2, "both live requests fit under the cap");
+        let mut combiner = q.combine().unwrap();
+        assert!(combiner.next_batch(4));
+        let b = &combiner.buffers;
+        assert_eq!(b.expired.len(), 1);
+        assert_eq!(b.expired[0].nodes.len(), 50);
+        assert_eq!(b.batch.len(), 2, "both live requests fit under the cap");
         assert_eq!(q.queued_rows(), 0);
     }
 
@@ -486,11 +571,12 @@ mod tests {
     fn abandoned_parts_are_siphoned_unless_they_own_fills() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
-        assert!(q.push(pending(vec![0; 50], Arc::clone(&ep))), "receiver dropped at once");
+        assert!(q.push(pending((0..50).collect(), Arc::clone(&ep))), "receiver dropped at once");
         push(&q, &mut held, part(vec![1], Arc::clone(&ep)));
-        let drained = q.combine().unwrap().next_batch(4).unwrap();
-        assert_eq!(drained.abandoned.len(), 1, "nobody can receive the first part's rows");
-        assert_eq!(drained.batch.len(), 1);
+        let mut combiner = q.combine().unwrap();
+        assert!(combiner.next_batch(4));
+        assert_eq!(combiner.buffers.abandoned.len(), 1, "nobody can receive the first part's rows");
+        assert_eq!(combiner.buffers.batch.len(), 1);
         assert_eq!(q.queued_rows(), 0);
     }
 
@@ -503,20 +589,21 @@ mod tests {
             p.0.deadline = Some(Instant::now() - Duration::from_millis(1));
             push(&q, &mut held, p);
         }
-        let drained = q.combine().unwrap().next_batch(8).unwrap();
-        assert!(drained.batch.is_empty());
-        assert_eq!(drained.expired.len(), 2);
+        let mut combiner = q.combine().unwrap();
+        assert!(combiner.next_batch(8));
+        assert!(combiner.buffers.batch.is_empty());
+        assert_eq!(combiner.buffers.expired.len(), 2);
     }
 
     #[test]
     fn shutdown_drains_then_ends() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         push(&q, &mut held, part(vec![3], epoch()));
-        let (fired, waiter) = counter();
+        let mut waiter = Waiter::new();
         let combiner = q.combine().unwrap();
-        assert!(q.park(&waiter));
+        assert!(q.park(&waiter.watcher()));
         q.shutdown();
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "shutdown wakes every parked waiter");
+        assert_eq!(waiter.kicks(), 1, "shutdown wakes every parked waiter");
         assert!(matches!(held[0].try_recv(), SlotPoll::Closed), "queued part resolved");
         assert_eq!(q.queued_rows(), 0);
         drop(combiner);
@@ -538,10 +625,10 @@ mod tests {
             pending(vec![3], Arc::clone(&new)),
             pending(vec![4], Arc::clone(&new)),
         ];
-        let groups = group_by_epoch(batch);
+        let groups = groups(batch);
         assert_eq!(groups.len(), 2, "one kernel-launch group per pinned epoch");
-        assert_eq!(groups[0].iter().map(|p| p.nodes[0]).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(groups[1].iter().map(|p| p.nodes[0]).collect::<Vec<_>>(), vec![1, 3, 4]);
+        assert_eq!(nodes_of(&groups[0]), vec![0, 2]);
+        assert_eq!(nodes_of(&groups[1]), vec![1, 3, 4]);
         assert_eq!(groups[0][0].epoch.epoch(), 0);
         assert_eq!(groups[1][0].epoch.epoch(), 1);
     }
@@ -553,9 +640,9 @@ mod tests {
         topk.quality = Quality::TopKNeighbors(4);
         let batch =
             vec![pending(vec![0], Arc::clone(&ep)), topk, pending(vec![2], Arc::clone(&ep))];
-        let groups = group_by_epoch(batch);
+        let groups = groups(batch);
         assert_eq!(groups.len(), 2, "same epoch, different tier → different group");
-        assert_eq!(groups[0].iter().map(|p| p.nodes[0]).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(nodes_of(&groups[0]), vec![0, 2]);
         assert_eq!(groups[1][0].quality, Quality::TopKNeighbors(4));
     }
 
@@ -563,7 +650,7 @@ mod tests {
     fn single_epoch_batch_is_one_group() {
         let ep = epoch();
         let batch = (0..4).map(|n| pending(vec![n], Arc::clone(&ep))).collect::<Vec<_>>();
-        let groups = group_by_epoch(batch);
+        let groups = groups(batch);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 4);
     }

@@ -59,14 +59,14 @@ impl ShardTransport for LocalTransport {
     fn embed_part(
         &self,
         shard: usize,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,
         slot: PartSlot,
     ) {
         let (worker, nodes, epoch) =
-            (Arc::clone(&self.workers[shard]), nodes.to_vec(), epoch.epoch());
+            (Arc::clone(&self.workers[shard]), Arc::clone(nodes), epoch.epoch());
         std::thread::spawn(move || match worker.embed_part(&nodes, epoch, quality, deadline) {
             Ok(resp) => slot.resolve(PartOutcome::Rows(resp.rows)),
             Err(WorkerError::Serve(ServeError::DeadlineExpired)) => {

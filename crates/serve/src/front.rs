@@ -29,6 +29,7 @@
 //! independently, from the same row slice, in the same column order,
 //! under the same blocking.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,8 +54,8 @@ use crate::fault::FaultPlan;
 use crate::observe::{apply_labels, push_cache_samples, push_outcome_samples};
 use crate::store::{FeatureEpoch, FeatureStore};
 use crate::ticket::{
-    Completion, EmbedAssembly, EmbedOptions, EmbedResponse, Part, PartRetry, Quality, RequestStats,
-    Ticket, TraceHandle, WaiterSlot,
+    Completion, EmbedAssembly, EmbedOptions, EmbedResponse, Part, Quality, Redispatch,
+    RequestStats, Ticket, TraceHandle, WaiterSlot,
 };
 use crate::transport::{LocalBands, PartSlot, PartSpan, ShardTransport};
 use crate::wait::slot;
@@ -65,6 +66,9 @@ use crate::wait::slot;
 /// `RemoteShardedEngine` answer. Dropping it shuts the transport down.
 pub struct FrontEnd<T: ShardTransport + ?Sized + 'static> {
     pub(crate) transport: Arc<T>,
+    /// The same transport, as the one type a ticket's retry sends
+    /// through.
+    redispatch: Arc<dyn ShardTransport>,
     store: Arc<FeatureStore>,
     /// `boundaries[s]..boundaries[s + 1]` is shard `s`'s global row
     /// band (a worker's cut is its one band).
@@ -125,6 +129,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     /// A front end over `transport`'s cut, shards labeled from 0.
     pub(crate) fn new(
         transport: Arc<T>,
+        redispatch: Arc<dyn ShardTransport>,
         store: Arc<FeatureStore>,
         cache: Option<Arc<EmbedCache>>,
         perm: Option<Arc<Permutation>>,
@@ -136,6 +141,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         let fanout = Arc::new(HistogramVec::new(transport.nshards()));
         FrontEnd {
             transport,
+            redispatch,
             store,
             boundaries,
             first_shard: Some(0),
@@ -211,7 +217,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     /// gathers lazily. Errors are eager: shutdown, out-of-range ids,
     /// admission rejection and pre-expired deadlines are reported here.
     pub fn embed_begin(&self, nodes: &[usize]) -> Result<Ticket<Dense>, ServeError> {
-        Ok(self.embed_begin_opts(nodes, EmbedOptions::default())?.map(|r| r.rows))
+        Ok(self.embed_begin_opts(nodes, EmbedOptions::default())?.rows())
     }
 
     /// [`embed_begin`](Self::embed_begin) with a deadline (expired work
@@ -282,10 +288,10 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         let epoch = pinned.unwrap_or_else(|| self.store.snapshot());
         let guard = self.inflight.acquire();
         let n = nodes.len();
-        let mut out = Dense::zeros(n, self.dimension());
         if quality == Quality::CachedOnly {
             // Whatever the cache holds at the pinned epoch; misses are
             // zero rows marked degraded. No part, no kernel time.
+            let mut out = Dense::zeros(n, self.dimension());
             let mut marks = vec![true; n];
             if let Some(cache) = &self.cache {
                 let route_start = self.route_start(root);
@@ -298,14 +304,18 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             }
             return Ok(self.answer_now(out, marks, quality, t0, root));
         }
-        // The rows still to compute (sorted, distinct), the output
-        // positions they owe, coalesced waiters, and the cache
-        // registrations this request owns (one per row to compute).
-        // `TopKNeighbors` bypasses the cache: truncated rows are never
-        // cached or mixed with exact ones.
-        let (to_compute, positions, waiters, owners) = match &self.cache {
+        // The rows still to compute (sorted, distinct), the response
+        // under assembly with the output positions it is still owed,
+        // coalesced waiters, and the cache registrations this request
+        // owns (one per row to compute). `TopKNeighbors` bypasses the
+        // cache: truncated rows are never cached or mixed with exact
+        // ones. An uncached request for sorted, distinct ids owes
+        // nothing but its one part's rows — when one shard serves them
+        // all, that part's rows are the response.
+        let (to_compute, out, positions, waiters, mut owners) = match &self.cache {
             Some(cache) if quality == Quality::Exact => {
                 let route_start = self.route_start(root);
+                let mut out = Dense::zeros(n, self.dimension());
                 let (misses, positions) = cache.split(nodes, epoch.epoch(), &mut out);
                 let (mut owned, mut owners, mut waiters) = (Vec::new(), Vec::new(), Vec::new());
                 for &u in &misses {
@@ -329,23 +339,34 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 if misses.is_empty() {
                     return Ok(self.answer_now(out, vec![false; n], quality, t0, root));
                 }
-                (owned, positions, waiters, owners)
+                let positions = positions.into_iter().map(|i| (i, nodes[i])).collect();
+                (Cow::Owned(owned), Some(out), positions, waiters, owners)
             }
-            _ => (dedup_union([nodes]), (0..n).collect(), Vec::new(), Vec::new()),
+            _ if nodes.windows(2).all(|w| w[0] < w[1])
+                && self.owner(nodes[0]) == self.owner(nodes[n - 1]) =>
+            {
+                (Cow::Borrowed(nodes), None, Vec::new(), Vec::new(), Vec::new())
+            }
+            _ => {
+                let mut sorted = Vec::new();
+                dedup_union([nodes], &mut sorted);
+                let out = Dense::zeros(n, self.dimension());
+                let positions = nodes.iter().copied().enumerate().collect();
+                (Cow::Owned(sorted), Some(out), positions, Vec::new(), Vec::new())
+            }
         };
-        let mut per_shard: Vec<(Vec<usize>, Vec<InflightOwner>)> =
-            (0..self.nshards()).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut owners = owners.into_iter();
-        for &u in &to_compute {
-            let (shard_nodes, shard_owners) = &mut per_shard[self.owner(u)];
-            shard_nodes.push(u);
-            shard_owners.extend(owners.next());
-        }
+        // Bands are contiguous and ordered, so shard `s`'s rows are one
+        // run of the sorted list, and its owners the matching run.
         let mut parts = Vec::new();
-        for (s, (shard_nodes, shard_owners)) in per_shard.into_iter().enumerate() {
-            if shard_nodes.is_empty() {
-                continue;
-            }
+        let mut owners = owners.drain(..);
+        let mut rest: &[usize] = &to_compute;
+        while let Some(&first) = rest.first() {
+            let s = self.owner(first);
+            let end = self.boundaries[s + 1];
+            let (shard_nodes, tail) = rest.split_at(rest.partition_point(|&u| u < end));
+            rest = tail;
+            let shard_owners: Vec<InflightOwner> =
+                owners.by_ref().take(shard_nodes.len()).collect();
             let fills = (!shard_owners.is_empty()).then(|| {
                 let cache = Arc::clone(self.cache.as_ref().expect("owners come from the cache"));
                 FillSet::new(cache, shard_owners, self.fault.clone())
@@ -358,13 +379,12 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 shard,
                 rows: shard_nodes.len() as u64,
             });
+            let shard_nodes: Arc<[usize]> = Arc::from(shard_nodes);
             let (tx, rx) = slot();
             let part_slot = PartSlot::new(tx, fills, span);
             self.transport.embed_part(s, &shard_nodes, &epoch, quality, opts.deadline, part_slot);
-            let retry = self.retry(s, &epoch, quality, opts.deadline);
-            parts.push(Part::with_retry(shard_nodes, s, shard, rx, Some(retry)));
+            parts.push(Part::new(shard_nodes, s, shard, rx));
         }
-        let positions = positions.into_iter().map(|i| (i, nodes[i])).collect();
         self.stats.begin();
         let completion = Completion {
             latency: Some(Arc::clone(&self.embed_latency)),
@@ -377,39 +397,28 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             fanout: Some(Arc::clone(&self.fanout)),
             begun: t0,
         };
+        let retry = Redispatch {
+            transport: Arc::clone(&self.redispatch),
+            epoch,
+            quality,
+            deadline: opts.deadline,
+        };
         let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); n];
         let assembly = EmbedAssembly::assemble(
-            out, parts, waiters, positions, marks, quality, completion, guard,
+            out,
+            parts,
+            waiters,
+            positions,
+            marks,
+            quality,
+            Some(retry),
+            completion,
+            guard,
         );
         if let Some(deadline) = opts.deadline {
             assembly.run_ahead(deadline);
         }
         Ok(Ticket::pending(assembly))
-    }
-
-    /// The healthy-path retry of part `s`: the same nodes through the
-    /// same `embed_part` at the same pinned epoch (an Exact retry is
-    /// bit-identical), with no cache fills and no span.
-    fn retry(
-        &self,
-        s: usize,
-        epoch: &Arc<FeatureEpoch>,
-        quality: Quality,
-        deadline: Option<Instant>,
-    ) -> PartRetry {
-        let (transport, epoch) = (Arc::clone(&self.transport), Arc::clone(epoch));
-        Box::new(move |nodes: &[usize]| {
-            let (tx, rx) = slot();
-            transport.embed_part(
-                s,
-                nodes,
-                &epoch,
-                quality,
-                deadline,
-                PartSlot::new(tx, None, None),
-            );
-            rx
-        })
     }
 
     /// A request answered at begin, with no part: count it, time it,
@@ -660,7 +669,9 @@ impl FrontEnd<LocalBands> {
             cache.name_bands(&cores);
             store.subscribe(Arc::clone(cache) as _);
         }
-        let mut front = FrontEnd::new(Arc::new(transport), store, cache, perm, resolved);
+        let transport = Arc::new(transport);
+        let redispatch = Arc::clone(&transport) as Arc<dyn ShardTransport>;
+        let mut front = FrontEnd::new(transport, redispatch, store, cache, perm, resolved);
         front.first_shard = first_shard;
         front.bands = cores;
         front.degree_hist = degree_hist;

@@ -173,7 +173,14 @@ impl RemoteShardedEngine {
         let base = store.snapshot();
         let (x, y) = base.shared();
         transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x_start: 0, x, y });
-        let front = FrontEnd::new(transport, store, None, None, Resolved::from(&config));
+        let front = FrontEnd::new(
+            Arc::clone(&transport),
+            transport,
+            store,
+            None,
+            None,
+            Resolved::from(&config),
+        );
         RemoteShardedEngine { front, write_order: Mutex::new(()) }
     }
 
@@ -580,7 +587,7 @@ mod tests {
             fn embed_part(
                 &self,
                 shard: usize,
-                nodes: &[usize],
+                nodes: &Arc<[usize]>,
                 epoch: &Arc<FeatureEpoch>,
                 quality: Quality,
                 deadline: Option<Instant>,

@@ -42,7 +42,9 @@ use fusedmm_sparse::dense::Dense;
 
 use crate::band::Band;
 use crate::engine::ServeError;
-use crate::wait::{drive_until, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
+use crate::store::FeatureEpoch;
+use crate::transport::{PartSlot, ShardTransport};
+use crate::wait::{drive_until, slot, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
 
 /// The answer tier a request asks for (or is downgraded to by the
 /// admission ladder). Degraded tiers trade accuracy for latency and
@@ -222,7 +224,8 @@ pub struct Ticket<T> {
 
 enum State<T> {
     Ready(Result<T, ServeError>),
-    Pending(Box<dyn Harvest<T> + Send>),
+    /// The assembly, and what the caller receives of its response.
+    Pending(Box<EmbedAssembly>, fn(EmbedResponse) -> T),
     Taken,
 }
 
@@ -230,10 +233,29 @@ impl<T> std::fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = match &self.state {
             State::Ready(_) => "ready",
-            State::Pending(_) => "pending",
+            State::Pending(..) => "pending",
             State::Taken => "taken",
         };
         f.debug_struct("Ticket").field("state", &state).finish()
+    }
+}
+
+impl Ticket<EmbedResponse> {
+    /// A ticket that harvests `job` on demand.
+    pub(crate) fn pending(job: EmbedAssembly) -> Self {
+        Ticket { state: State::Pending(Box::new(job), |r| r) }
+    }
+
+    /// The same ticket answering only the rows — how `embed_begin`
+    /// serves the full-response path without a second code path (or a
+    /// second box).
+    pub(crate) fn rows(self) -> Ticket<Dense> {
+        let state = match self.state {
+            State::Ready(r) => State::Ready(r.map(|r| r.rows)),
+            State::Pending(job, _) => State::Pending(job, |r| r.rows),
+            State::Taken => State::Taken,
+        };
+        Ticket { state }
     }
 }
 
@@ -242,11 +264,6 @@ impl<T> Ticket<T> {
     /// request).
     pub(crate) fn ready(result: Result<T, ServeError>) -> Self {
         Ticket { state: State::Ready(result) }
-    }
-
-    /// A ticket that harvests `job` on demand.
-    pub(crate) fn pending(job: impl Harvest<T> + Send + 'static) -> Self {
-        Ticket { state: State::Pending(Box::new(job)) }
     }
 
     /// Non-blocking harvest: `Some(result)` once every piece of the
@@ -258,21 +275,18 @@ impl<T> Ticket<T> {
     /// loop makes bounded progress by itself.
     pub fn poll(&mut self) -> Option<Result<T, ServeError>> {
         match &mut self.state {
-            State::Ready(_) => {
-                let State::Ready(r) = std::mem::replace(&mut self.state, State::Taken) else {
-                    unreachable!()
-                };
-                Some(r)
+            State::Ready(_) => {}
+            State::Pending(job, project) => {
+                let r = job.try_harvest()?.map(*project);
+                self.state = State::Taken;
+                return Some(r);
             }
-            State::Pending(job) => match job.try_harvest() {
-                Some(r) => {
-                    self.state = State::Taken;
-                    Some(r)
-                }
-                None => None,
-            },
             State::Taken => panic!("ticket already harvested"),
         }
+        let State::Ready(r) = std::mem::replace(&mut self.state, State::Taken) else {
+            unreachable!()
+        };
+        Some(r)
     }
 
     /// Block until the response is complete and return it. In-process
@@ -280,7 +294,9 @@ impl<T> Ticket<T> {
     pub fn wait(mut self) -> Result<T, ServeError> {
         match std::mem::replace(&mut self.state, State::Taken) {
             State::Ready(r) => r,
-            State::Pending(mut job) => job.harvest(None).expect("no deadline"),
+            State::Pending(mut job, project) => {
+                job.harvest(None).expect("no deadline").map(project)
+            }
             State::Taken => panic!("ticket already harvested"),
         }
     }
@@ -296,13 +312,11 @@ impl<T> Ticket<T> {
     pub fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<T, ServeError>> {
         match &mut self.state {
             State::Ready(_) => self.poll(),
-            State::Pending(job) => match job.harvest(Some(deadline)) {
-                Some(r) => {
-                    self.state = State::Taken;
-                    Some(r)
-                }
-                None => None,
-            },
+            State::Pending(job, project) => {
+                let r = job.harvest(Some(deadline))?.map(*project);
+                self.state = State::Taken;
+                Some(r)
+            }
             State::Taken => panic!("ticket already harvested"),
         }
     }
@@ -318,18 +332,18 @@ impl<T> Ticket<T> {
     pub(crate) fn ready_now(&mut self) -> bool {
         match &mut self.state {
             State::Ready(_) => true,
-            State::Pending(job) => job.ready(),
+            State::Pending(job, _) => job.advance(),
             State::Taken => false,
         }
     }
 
-    /// Register a wakeup callback on every still-pending source of
-    /// this ticket (fired immediately when already resolved). Spent
-    /// tickets ignore the call.
+    /// Register a watcher on every still-pending source of this ticket
+    /// (fired immediately when already resolved). Spent tickets ignore
+    /// the call.
     pub(crate) fn subscribe(&mut self, watcher: Watcher) {
         match &mut self.state {
-            State::Ready(_) => watcher(),
-            State::Pending(job) => job.subscribe(watcher),
+            State::Ready(_) => watcher.fire(),
+            State::Pending(job, _) => job.subscribe(watcher),
             State::Taken => {}
         }
     }
@@ -337,113 +351,55 @@ impl<T> Ticket<T> {
     /// Add the in-process bands this ticket's outstanding sources wait
     /// on to `out` (once each).
     pub(crate) fn bands(&self, out: &mut Vec<Arc<Band>>) {
-        if let State::Pending(job) = &self.state {
+        if let State::Pending(job, _) = &self.state {
             job.bands(out);
         }
     }
-
-    /// Transform the success value when the ticket resolves, keeping
-    /// the state machine (and its wakeup plumbing) intact — how
-    /// `embed_begin` derives a bare-`Dense` ticket from the
-    /// full-response path without a second code path.
-    pub(crate) fn map<U: 'static>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Ticket<U>
-    where
-        T: 'static,
-    {
-        match self.state {
-            State::Ready(r) => Ticket::ready(r.map(f)),
-            State::Pending(job) => Ticket::pending(MapHarvest { inner: job, f: Some(f) }),
-            State::Taken => Ticket { state: State::Taken },
-        }
-    }
 }
 
-/// The harvesting strategy behind a pending [`Ticket`].
-pub(crate) trait Harvest<T> {
-    /// Advance without blocking; `Some` when complete.
-    fn try_harvest(&mut self) -> Option<Result<T, ServeError>>;
-    /// Block until complete or `deadline` (`None`: none); `None` on
-    /// timeout.
-    fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<T, ServeError>>;
-    /// Advance without consuming; true when `try_harvest` would return
-    /// `Some`.
-    fn ready(&mut self) -> bool;
-    /// Register a wakeup callback on every still-pending source (fire
-    /// immediately when none remain).
-    fn subscribe(&mut self, watcher: Watcher);
-    /// Add the in-process bands the still-pending sources wait on.
-    fn bands(&self, out: &mut Vec<Arc<Band>>);
+/// What a failed part's one retry re-dispatches through: the transport
+/// it went out on, at the same pinned epoch (an Exact retry is
+/// bit-identical), tier and deadline — with no cache fills (the
+/// originals were aborted) and no span.
+pub(crate) struct Redispatch {
+    pub transport: Arc<dyn ShardTransport>,
+    pub epoch: Arc<FeatureEpoch>,
+    pub quality: Quality,
+    pub deadline: Option<Instant>,
 }
 
-/// [`Ticket::map`]'s harvest adapter: forwards the state machine and
-/// applies `f` to the success value exactly once, at resolution.
-struct MapHarvest<T, U, F: FnOnce(T) -> U> {
-    inner: Box<dyn Harvest<T> + Send>,
-    f: Option<F>,
-}
-
-impl<T, U, F: FnOnce(T) -> U> MapHarvest<T, U, F> {
-    fn apply(&mut self, r: Result<T, ServeError>) -> Result<U, ServeError> {
-        let f = self.f.take().expect("a map resolves once");
-        r.map(f)
+impl Redispatch {
+    /// Send `nodes` to `shard` again; the fresh slot's receiver.
+    fn send(&self, shard: usize, nodes: &Arc<[usize]>) -> SlotRx {
+        let (tx, rx) = slot();
+        let part = PartSlot::new(tx, None, None);
+        self.transport.embed_part(shard, nodes, &self.epoch, self.quality, self.deadline, part);
+        rx
     }
 }
-
-impl<T, U, F: FnOnce(T) -> U> Harvest<U> for MapHarvest<T, U, F> {
-    fn try_harvest(&mut self) -> Option<Result<U, ServeError>> {
-        let r = self.inner.try_harvest()?;
-        Some(self.apply(r))
-    }
-
-    fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<U, ServeError>> {
-        let r = self.inner.harvest(deadline)?;
-        Some(self.apply(r))
-    }
-
-    fn ready(&mut self) -> bool {
-        self.inner.ready()
-    }
-
-    fn subscribe(&mut self, watcher: Watcher) {
-        self.inner.subscribe(watcher)
-    }
-
-    fn bands(&self, out: &mut Vec<Arc<Band>>) {
-        self.inner.bands(out)
-    }
-}
-
-/// The healthy-path re-dispatch a part falls back to when its original
-/// computation failed: same nodes, same pinned epoch (an Exact retry is
-/// bit-identical), no cache fills (the originals were aborted).
-pub(crate) type PartRetry = Box<dyn FnOnce(&[usize]) -> SlotRx + Send>;
 
 /// One dispatched sub-request: the transport will reply one row per
 /// entry of `union`, in that order — or a typed [`PartError`].
 pub(crate) struct Part {
-    /// Sorted, deduplicated nodes this part computes.
-    union: Vec<usize>,
-    /// Member index in the fan-out histogram (the shard index).
+    /// Sorted, deduplicated nodes this part computes, shared with the
+    /// queued part.
+    union: Arc<[usize]>,
+    /// The transport's shard index: where a retry goes, and the member
+    /// index in the fan-out histogram.
     tag: usize,
     /// The failing shard reported by `ServeError::PartFailed` (`None`
     /// for a standalone engine's part).
     shard: Option<usize>,
     rx: SlotRx,
     rows: Option<Dense>,
-    /// One-shot healthy-path retry, consumed on the first `Panicked`
-    /// reply. `None` (or consumed) means the next failure is terminal.
-    retry: Option<PartRetry>,
+    /// The one-shot retry is unspent: the first `Panicked` reply
+    /// re-dispatches through the assembly's [`Redispatch`].
+    retry: bool,
 }
 
 impl Part {
-    pub(crate) fn with_retry(
-        union: Vec<usize>,
-        tag: usize,
-        shard: Option<usize>,
-        rx: SlotRx,
-        retry: Option<PartRetry>,
-    ) -> Part {
-        Part { union, tag, shard, rx, rows: None, retry }
+    pub(crate) fn new(union: Arc<[usize]>, tag: usize, shard: Option<usize>, rx: SlotRx) -> Part {
+        Part { union, tag, shard, rx, rows: None, retry: true }
     }
 }
 
@@ -489,9 +445,10 @@ impl WaiterSlot {
     fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<(), FillAborted>> {
         let Some(waiter) = self.pending() else { return Some(Ok(())) };
         let wake = WakeQueue::new();
-        waiter.subscribe(WakeQueue::watcher(&wake, 0));
-        let bands: Vec<_> = self.band().into_iter().collect();
-        let row = drive_until(&bands, &wake, deadline, |_| waiter.poll())?;
+        let kick = Watcher::Kick(Arc::downgrade(&wake));
+        waiter.subscribe(kick.clone().into_callback());
+        let band = self.band();
+        let row = drive_until(band.as_slice(), &*wake, &kick, deadline, || waiter.poll())?;
         Some(row.map(|row| self.row = Some(row)))
     }
 }
@@ -508,13 +465,14 @@ enum PartStep {
 /// The embed-request harvest of the one front end: hit rows are
 /// pre-filled into `out`, dispatched parts and coalesced waiters
 /// stream in, and the first call that finds everything present
-/// assembles the response in request order. A typed part failure
-/// (failure past its retry, expired deadline, shutdown) resolves the
-/// ticket with the corresponding error instead.
+/// assembles the response in request order — or, when the request's
+/// one part computes exactly its ids in order, answers with that part's
+/// rows as they are. A typed part failure (failure past its retry,
+/// expired deadline, shutdown) resolves the ticket with the
+/// corresponding error instead.
 pub(crate) struct EmbedAssembly {
-    /// Pre-filled output; taken by the resolving call (success or
-    /// error), so `Drop` counts `abandoned` only for truly unresolved
-    /// tickets.
+    /// The response under assembly, hit rows pre-filled; `None` when
+    /// the request adopts its one part's rows.
     out: Option<Dense>,
     parts: Vec<Part>,
     waiters: Vec<WaiterSlot>,
@@ -525,9 +483,15 @@ pub(crate) struct EmbedAssembly {
     degraded: Vec<bool>,
     /// The tier this request is served at.
     quality: Quality,
+    /// Where a failed part retries (`None`: its first failure is
+    /// terminal).
+    retry: Option<Redispatch>,
     /// A terminal error, sticky once set: the next harvest call
     /// resolves it.
     error: Option<ServeError>,
+    /// Set by the resolving call (success or error), so `Drop` counts
+    /// `abandoned` only for truly unresolved tickets.
+    resolved: bool,
     /// Recorded when the assembly resolves: request latency,
     /// reconciliation counters, the sampled root span, gather progress.
     completion: Completion,
@@ -543,27 +507,32 @@ pub(crate) struct EmbedAssembly {
 }
 
 impl EmbedAssembly {
-    /// `out` holds the hit rows, `positions` name the `(output row,
-    /// node)` pairs parts and waiters still owe.
+    /// `out` holds the hit rows and `positions` name the `(output row,
+    /// node)` pairs parts and waiters still owe; with `out` `None`, the
+    /// one part in `parts` owes every row, in order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        out: Dense,
+        out: Option<Dense>,
         parts: Vec<Part>,
         waiters: Vec<WaiterSlot>,
         positions: Vec<(usize, usize)>,
         degraded: Vec<bool>,
         quality: Quality,
+        retry: Option<Redispatch>,
         completion: Completion,
         guard: GaugeGuard,
     ) -> Self {
+        debug_assert!(out.is_some() || (parts.len() == 1 && waiters.is_empty()));
         EmbedAssembly {
-            out: Some(out),
+            out,
             parts,
             waiters,
             positions,
             degraded,
             quality,
+            retry,
             error: None,
+            resolved: false,
             completion,
             harvest_start_ns: 0,
             watcher: None,
@@ -598,7 +567,7 @@ impl EmbedAssembly {
         self.parts[i].rows = Some(rows);
     }
 
-    /// React to a typed part failure: consume the retry (healthy-path
+    /// React to a typed part failure: spend the retry (healthy-path
     /// re-dispatch, same pinned epoch) on the first failure, or set the
     /// terminal error.
     fn part_failed(&mut self, i: usize, e: PartError) -> PartStep {
@@ -607,11 +576,13 @@ impl EmbedAssembly {
                 self.error = Some(ServeError::DeadlineExpired);
                 PartStep::Terminal
             }
-            PartError::Panicked => match self.parts[i].retry.take() {
+            PartError::Panicked => match self.retry.as_ref().filter(|_| self.parts[i].retry) {
                 Some(retry) => {
-                    self.parts[i].rx = retry(&self.parts[i].union);
+                    let part = &mut self.parts[i];
+                    part.retry = false;
+                    part.rx = retry.send(part.tag, &part.union);
                     if let Some(w) = &self.watcher {
-                        self.parts[i].rx.subscribe(w.clone());
+                        part.rx.subscribe(w.clone());
                     }
                     PartStep::Pending
                 }
@@ -679,16 +650,15 @@ impl EmbedAssembly {
     /// response. Only called once `advance` (or a blocking walk)
     /// reported readiness.
     fn resolve(&mut self) -> Result<EmbedResponse, ServeError> {
+        self.resolved = true;
         match self.error.take() {
             Some(e) => self.finish_err(e),
             None => self.complete(),
         }
     }
 
-    /// Resolve with `e`: count `failed`, close the root span, and take
-    /// `out` so `Drop` does not also count `abandoned`.
+    /// Resolve with `e`: count `failed` and close the root span.
     fn finish_err(&mut self, e: ServeError) -> Result<EmbedResponse, ServeError> {
-        self.out = None;
         if let Some(stats) = &self.completion.stats {
             stats.fail();
         }
@@ -698,29 +668,36 @@ impl EmbedAssembly {
         Err(e)
     }
 
-    /// Copy every outstanding row into `out` and finish. Only called
-    /// once all parts and waiters have resolved.
-    fn complete(&mut self) -> Result<EmbedResponse, ServeError> {
-        let mut out = self.out.take().expect("assembly completes once");
-        // One index over every owed row, then one pass over the
-        // positions — assembly stays linear even when a request fully
-        // coalesced into hundreds of waiter slots.
-        let mut by_node: std::collections::HashMap<usize, &[f32]> =
-            std::collections::HashMap::new();
-        for p in &self.parts {
-            let rows = p.rows.as_ref().expect("part resolved");
-            for (j, &u) in p.union.iter().enumerate() {
-                by_node.insert(u, rows.row(j));
+    /// The row owed for `node` by a part or a waiter. Parts hold
+    /// disjoint sorted unions in shard order and waiters are sorted by
+    /// node, so both are binary searches.
+    fn owed(&self, node: usize) -> &[f32] {
+        let p = self.parts.partition_point(|p| p.union.last().is_some_and(|&last| last < node));
+        if let Some(part) = self.parts.get(p) {
+            if let Ok(j) = part.union.binary_search(&node) {
+                return part.rows.as_ref().expect("part resolved").row(j);
             }
         }
-        for w in &self.waiters {
-            by_node.insert(w.node, w.row.as_ref().expect("waiter resolved"));
-        }
-        for &(pos, node) in &self.positions {
-            let row =
-                by_node.get(&node).expect("every miss position is owed by a part or a waiter");
-            out.row_mut(pos).copy_from_slice(row);
-        }
+        let w = self
+            .waiters
+            .binary_search_by_key(&node, |w| w.node)
+            .expect("every miss position is owed by a part or a waiter");
+        self.waiters[w].row.as_ref().expect("waiter resolved")
+    }
+
+    /// Place every outstanding row and finish. Only called once all
+    /// parts and waiters have resolved.
+    fn complete(&mut self) -> Result<EmbedResponse, ServeError> {
+        let rows = match self.out.take() {
+            // The one part computed exactly the requested ids, in order.
+            None => self.parts[0].rows.take().expect("part resolved"),
+            Some(mut out) => {
+                for &(pos, node) in &self.positions {
+                    out.row_mut(pos).copy_from_slice(self.owed(node));
+                }
+                out
+            }
+        };
         if let Some(hist) = &self.completion.latency {
             hist.record(self.completion.begun.elapsed());
         }
@@ -735,39 +712,14 @@ impl EmbedAssembly {
         if let Some(tr) = &self.completion.trace {
             let now = tr.tracer.now();
             let harvest = tr.tracer.child(tr.root);
-            tr.tracer.record(
-                harvest,
-                SpanKind::Harvest,
-                self.harvest_start_ns,
-                now,
-                None,
-                out.nrows() as u64,
-            );
-            tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, now, None, out.nrows() as u64);
+            let n = rows.nrows() as u64;
+            tr.tracer.record(harvest, SpanKind::Harvest, self.harvest_start_ns, now, None, n);
+            tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, now, None, n);
         }
-        Ok(EmbedResponse { rows: out, served_degraded: degraded, quality: self.quality })
+        Ok(EmbedResponse { rows, served_degraded: degraded, quality: self.quality })
     }
-}
 
-impl Drop for EmbedAssembly {
-    fn drop(&mut self) {
-        // `resolve` takes `out` (on success *and* on error); if it is
-        // still here the ticket never resolved — dropped unharvested.
-        if self.out.is_none() {
-            return;
-        }
-        if let Some(stats) = &self.completion.stats {
-            stats.abandoned.fetch_add(1, Ordering::Relaxed);
-        }
-        // Close the root span anyway so a sampled-then-abandoned
-        // request still leaves a rooted (if truncated) tree.
-        if let Some(tr) = &self.completion.trace {
-            tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, tr.tracer.now(), None, 0);
-        }
-    }
-}
-
-impl Harvest<EmbedResponse> for EmbedAssembly {
+    /// Advance without blocking; `Some` when complete.
     fn try_harvest(&mut self) -> Option<Result<EmbedResponse, ServeError>> {
         self.note_harvest_start();
         if !self.advance() {
@@ -785,6 +737,8 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
         Some(self.resolve())
     }
 
+    /// Block until complete or `deadline` (`None`: none); `None` on
+    /// timeout.
     fn harvest(&mut self, deadline: Option<Instant>) -> Option<Result<EmbedResponse, ServeError>> {
         self.note_harvest_start();
         let mut i = 0;
@@ -824,10 +778,8 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
         Some(self.resolve())
     }
 
-    fn ready(&mut self) -> bool {
-        self.advance()
-    }
-
+    /// Register a watcher on every still-pending source (fire it
+    /// immediately when none remain).
     fn subscribe(&mut self, watcher: Watcher) {
         self.watcher = Some(watcher.clone());
         let mut any_pending = false;
@@ -840,14 +792,15 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
         for w in &self.waiters {
             if let Some(waiter) = w.pending() {
                 any_pending = true;
-                waiter.subscribe(watcher.clone());
+                waiter.subscribe(watcher.clone().into_callback());
             }
         }
         if !any_pending {
-            watcher();
+            watcher.fire();
         }
     }
 
+    /// Add the in-process bands the still-pending sources wait on.
     fn bands(&self, out: &mut Vec<Arc<Band>>) {
         let parts = self.parts.iter().filter(|p| p.rows.is_none()).filter_map(|p| p.rx.band());
         let waiters = self.waiters.iter().filter(|w| w.pending().is_some());
@@ -855,6 +808,23 @@ impl Harvest<EmbedResponse> for EmbedAssembly {
             if !out.iter().any(|b| Arc::ptr_eq(b, &band)) {
                 out.push(band);
             }
+        }
+    }
+}
+
+impl Drop for EmbedAssembly {
+    fn drop(&mut self) {
+        if self.resolved {
+            return;
+        }
+        // Never resolved: the ticket was dropped unharvested.
+        if let Some(stats) = &self.completion.stats {
+            stats.abandoned.fetch_add(1, Ordering::Relaxed);
+        }
+        // Close the root span anyway so a sampled-then-abandoned
+        // request still leaves a rooted (if truncated) tree.
+        if let Some(tr) = &self.completion.trace {
+            tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, tr.tracer.now(), None, 0);
         }
     }
 }
@@ -875,39 +845,89 @@ mod tests {
         vec![false; n]
     }
 
-    /// A request answered by `part` alone: its nodes, in order, `d`
-    /// columns wide.
+    /// A request answered by `part` alone, adopting its rows; a failed
+    /// part retries through `retry`, when given.
     fn single(
         part: Part,
-        d: usize,
         quality: Quality,
+        retry: Option<Redispatch>,
         completion: Completion,
         g: GaugeGuard,
     ) -> EmbedAssembly {
-        let n = part.union.len();
-        let positions = part.union.iter().copied().enumerate().collect();
-        let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); n];
-        let out = Dense::zeros(n, d);
+        let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); part.union.len()];
+        let (parts, waiters, positions) = (vec![part], Vec::new(), Vec::new());
         EmbedAssembly::assemble(
-            out,
-            vec![part],
-            Vec::new(),
-            positions,
-            marks,
-            quality,
-            completion,
-            g,
+            None, parts, waiters, positions, marks, quality, retry, completion, g,
         )
     }
 
-    fn direct(
-        nodes: Vec<usize>,
-        d: usize,
-        rx: SlotRx,
-        completion: Completion,
-        g: GaugeGuard,
-    ) -> EmbedAssembly {
-        single(Part::with_retry(nodes, 0, None, rx, None), d, Quality::Exact, completion, g)
+    fn part(nodes: &[usize], shard: Option<usize>, rx: SlotRx) -> Part {
+        Part::new(nodes.into(), 0, shard, rx)
+    }
+
+    fn direct(nodes: &[usize], rx: SlotRx, completion: Completion, g: GaugeGuard) -> EmbedAssembly {
+        single(part(nodes, None, rx), Quality::Exact, None, completion, g)
+    }
+
+    /// A transport that keeps every part it is sent, for the test to
+    /// resolve.
+    #[derive(Default)]
+    struct Held {
+        parts: std::sync::Mutex<Vec<(Vec<usize>, PartSlot)>>,
+    }
+
+    impl ShardTransport for Held {
+        fn nshards(&self) -> usize {
+            1
+        }
+
+        fn boundaries(&self) -> Vec<usize> {
+            vec![0, usize::MAX]
+        }
+
+        fn embed_part(
+            &self,
+            _shard: usize,
+            nodes: &Arc<[usize]>,
+            _epoch: &Arc<FeatureEpoch>,
+            _quality: Quality,
+            _deadline: Option<Instant>,
+            slot: PartSlot,
+        ) {
+            self.parts.lock().unwrap().push((nodes.to_vec(), slot));
+        }
+
+        fn score_part(
+            &self,
+            _shard: usize,
+            _pairs: &[(usize, usize)],
+            _epoch: &Arc<FeatureEpoch>,
+        ) -> Result<Vec<f32>, ServeError> {
+            unreachable!("no scoring here")
+        }
+
+        fn ship(&self, _record: &crate::remote::EpochRecord) {}
+    }
+
+    impl Held {
+        /// Resolve the `i`-th part this transport was sent.
+        fn resolve(&self, i: usize, outcome: crate::transport::PartOutcome) -> Vec<usize> {
+            let mut parts = self.parts.lock().unwrap();
+            let (nodes, slot) = parts.remove(i);
+            drop(parts);
+            slot.resolve(outcome);
+            nodes
+        }
+    }
+
+    fn retry_via(held: &Arc<Held>) -> Redispatch {
+        let store = crate::store::FeatureStore::new(Dense::zeros(1, 1), Dense::zeros(1, 1));
+        Redispatch {
+            transport: Arc::clone(held) as Arc<dyn ShardTransport>,
+            epoch: store.snapshot(),
+            quality: Quality::Exact,
+            deadline: None,
+        }
     }
 
     #[test]
@@ -929,16 +949,26 @@ mod tests {
     }
 
     #[test]
-    fn mapped_ticket_transforms_the_result() {
-        let t = Ticket::ready(Ok(21usize)).map(|v| v * 2);
-        assert_eq!(t.wait(), Ok(42));
+    fn a_rows_ticket_answers_the_response_rows() {
+        let rows = Dense::from_rows(1, 2, &[1.0, 2.0]).unwrap();
+        let response = EmbedResponse {
+            rows: rows.clone(),
+            served_degraded: vec![false],
+            quality: Quality::Exact,
+        };
+        assert_eq!(Ticket::ready(Ok(response)).rows().wait(), Ok(rows.clone()));
+        let (_gauge, g) = guard();
+        let (tx, rx) = slot();
+        let t = Ticket::pending(direct(&[5], rx, Completion::default(), g)).rows();
+        tx.send(Ok(rows.clone()));
+        assert_eq!(t.wait(), Ok(rows));
     }
 
     #[test]
     fn assembly_polls_then_completes() {
         let (gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![0, 1], 2, rx, Completion::default(), g));
+        let mut t = Ticket::pending(direct(&[0, 1], rx, Completion::default(), g));
         assert_eq!(t.poll(), None, "nothing sent yet");
         assert_eq!(gauge.value(), 1);
         let rows = Dense::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -954,7 +984,7 @@ mod tests {
     fn dropped_ticket_releases_the_gauge() {
         let (gauge, g) = guard();
         let (_tx, rx) = slot();
-        let t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
+        let t = Ticket::pending(direct(&[0], rx, Completion::default(), g));
         assert_eq!(gauge.value(), 1);
         drop(t);
         assert_eq!(gauge.value(), 0);
@@ -965,7 +995,7 @@ mod tests {
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
         drop(tx);
-        let t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
+        let t = Ticket::pending(direct(&[0], rx, Completion::default(), g));
         assert_eq!(t.wait().unwrap_err(), ServeError::EngineShutdown);
     }
 
@@ -973,7 +1003,7 @@ mod tests {
     fn wait_deadline_times_out_and_stays_live() {
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![3], 1, rx, Completion::default(), g));
+        let mut t = Ticket::pending(direct(&[3], rx, Completion::default(), g));
         let soon = Instant::now() + std::time::Duration::from_millis(5);
         assert!(t.wait_deadline(soon).is_none());
         assert!(t.is_live());
@@ -985,48 +1015,48 @@ mod tests {
 
     #[test]
     fn panicked_part_retries_once_then_fails_terminally() {
-        // First failure consumes the retry; the retried slot fails
-        // again and the ticket resolves PartFailed with the shard id.
+        // First failure spends the retry; the retried slot fails again
+        // and the ticket resolves PartFailed with the shard id.
+        use crate::transport::PartOutcome;
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let (retry_tx, retry_rx) = slot();
-        let retry_slot = std::sync::Mutex::new(Some(retry_rx));
-        let retried = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let retried_in = Arc::clone(&retried);
-        let retry: PartRetry = Box::new(move |nodes: &[usize]| {
-            assert_eq!(nodes, &[4, 7]);
-            retried_in.fetch_add(1, Ordering::SeqCst);
-            retry_slot.lock().unwrap().take().expect("retry used once")
-        });
-        let part = Part::with_retry(vec![4, 7], 0, Some(2), rx, Some(retry));
-        let mut t = Ticket::pending(single(part, 1, Quality::Exact, Completion::default(), g));
+        let held = Arc::new(Held::default());
+        let p = part(&[4, 7], Some(2), rx);
+        let mut t = Ticket::pending(single(
+            p,
+            Quality::Exact,
+            Some(retry_via(&held)),
+            Completion::default(),
+            g,
+        ));
+        assert!(held.parts.lock().unwrap().is_empty(), "no retry is sent before a failure");
         tx.send(Err(PartError::Panicked));
         assert_eq!(t.poll(), None, "retry re-enqueued; fresh slot still pending");
-        assert_eq!(retried.load(Ordering::SeqCst), 1);
-        retry_tx.send(Err(PartError::Panicked));
+        assert_eq!(held.resolve(0, PartOutcome::Failed), vec![4, 7], "the same nodes again");
         assert_eq!(
             t.poll(),
             Some(Err(ServeError::PartFailed { shard: Some(2) })),
             "second panic is terminal"
         );
+        assert!(held.parts.lock().unwrap().is_empty(), "one retry, not two");
     }
 
     #[test]
     fn panicked_part_recovers_via_retry() {
+        use crate::transport::PartOutcome;
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let (retry_tx, retry_rx) = slot();
-        let retry_slot = std::sync::Mutex::new(Some(retry_rx));
-        let retry: PartRetry =
-            Box::new(move |_: &[usize]| retry_slot.lock().unwrap().take().unwrap());
-        let part = Part::with_retry(vec![1], 0, Some(0), rx, Some(retry));
+        let held = Arc::new(Held::default());
         let stats = Arc::new(RequestStats::default());
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(single(part, 1, Quality::Exact, completion, g));
+        let p = part(&[1], Some(0), rx);
+        let mut t =
+            Ticket::pending(single(p, Quality::Exact, Some(retry_via(&held)), completion, g));
         tx.send(Err(PartError::Panicked));
+        assert_eq!(t.poll(), None);
         let rows = Dense::from_rows(1, 1, &[5.0]).unwrap();
-        retry_tx.send(Ok(rows.clone()));
+        held.resolve(0, PartOutcome::Rows(rows.clone()));
         let resp = t.wait().expect("retry healed the request");
         assert_eq!(resp.rows, rows);
         assert_eq!(stats.harvested.load(Ordering::Relaxed), 1, "a healed request harvests");
@@ -1040,7 +1070,7 @@ mod tests {
         let stats = Arc::new(RequestStats::default());
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![0], 1, rx, completion, g));
+        let t = Ticket::pending(direct(&[0], rx, completion, g));
         tx.send(Err(PartError::Expired));
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
         assert_eq!(stats.failed.load(Ordering::Relaxed), 1);
@@ -1059,12 +1089,13 @@ mod tests {
         let MissRoute::Waiter(w) = cache.route_miss(8, 0) else { panic!("waiter") };
         let (tx, rx) = slot();
         let mut t = Ticket::pending(EmbedAssembly::assemble(
-            out,
-            vec![Part::with_retry(vec![2], 0, None, rx, None)],
+            Some(out),
+            vec![part(&[2], None, rx)],
             vec![WaiterSlot::new(8, w, None)],
             vec![(0, 8), (1, 2), (2, 8)],
             exact(4),
             Quality::Exact,
+            None,
             Completion::default(),
             g,
         ));
@@ -1084,12 +1115,13 @@ mod tests {
         let MissRoute::Owner(owner) = cache.route_miss(3, 0) else { panic!("owner") };
         let MissRoute::Waiter(w) = cache.route_miss(3, 0) else { panic!("waiter") };
         let t = Ticket::pending(EmbedAssembly::assemble(
-            Dense::zeros(1, 1),
+            Some(Dense::zeros(1, 1)),
             Vec::new(),
             vec![WaiterSlot::new(3, w, None)],
             vec![(0, 3)],
             exact(1),
             Quality::Exact,
+            None,
             Completion::default(),
             g,
         ));
@@ -1105,7 +1137,7 @@ mod tests {
         let (tx, rx) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![0], 1, rx, completion, g));
+        let t = Ticket::pending(direct(&[0], rx, completion, g));
         tx.send(Ok(Dense::from_rows(1, 1, &[1.0]).unwrap()));
         t.wait().unwrap();
         // Abandoned: the ticket is dropped before any answer.
@@ -1113,7 +1145,7 @@ mod tests {
         let (_tx2, rx2) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        drop(Ticket::pending(direct(vec![1], 1, rx2, completion, g2)));
+        drop(Ticket::pending(direct(&[1], rx2, completion, g2)));
         // Ready at creation.
         stats.ready();
         // Shed at admission.
@@ -1123,7 +1155,7 @@ mod tests {
         let (tx3, rx3) = slot();
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let t = Ticket::pending(direct(vec![2], 1, rx3, completion, g3));
+        let t = Ticket::pending(direct(&[2], rx3, completion, g3));
         tx3.send(Err(PartError::Expired));
         assert!(t.wait().is_err());
         // Degraded at creation (CachedOnly with misses).
@@ -1145,8 +1177,8 @@ mod tests {
         let stats = Arc::new(RequestStats::default());
         stats.begin();
         let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
-        let part = Part::with_retry(vec![0, 1], 0, None, rx, None);
-        let t = Ticket::pending(single(part, 1, Quality::TopKNeighbors(2), completion, g));
+        let p = part(&[0, 1], None, rx);
+        let t = Ticket::pending(single(p, Quality::TopKNeighbors(2), None, completion, g));
         tx.send(Ok(Dense::from_rows(2, 1, &[1.0, 2.0]).unwrap()));
         let resp = t.wait().unwrap();
         assert_eq!(resp.quality, Quality::TopKNeighbors(2));
@@ -1157,19 +1189,15 @@ mod tests {
 
     #[test]
     fn subscribe_wakes_on_the_last_outstanding_source() {
-        use std::sync::atomic::AtomicUsize;
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
-        let mut t = Ticket::pending(direct(vec![0], 1, rx, Completion::default(), g));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        t.subscribe(Arc::new(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        let mut t = Ticket::pending(direct(&[0], rx, Completion::default(), g));
+        let wake = WakeQueue::new();
+        t.subscribe(Watcher::Ready(Arc::clone(&wake), 4));
+        assert_eq!(wake.try_pop(), None);
         assert!(!t.ready_now());
         tx.send(Ok(Dense::from_rows(1, 1, &[3.0]).unwrap()));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "source resolution fired the watcher");
+        assert_eq!(wake.try_pop(), Some(4), "source resolution fired the watcher");
         assert!(t.ready_now());
         assert!(t.poll().unwrap().is_ok());
     }
@@ -1185,7 +1213,7 @@ mod tests {
             trace: Some(TraceHandle { tracer: Arc::clone(&tracer), root, begin_ns }),
             ..Completion::default()
         };
-        let t = Ticket::pending(direct(vec![0, 1], 1, rx, completion, g));
+        let t = Ticket::pending(direct(&[0, 1], rx, completion, g));
         tx.send(Ok(Dense::from_rows(2, 1, &[1.0, 2.0]).unwrap()));
         t.wait().unwrap();
         let spans = tracer.spans();

@@ -129,14 +129,15 @@ pub trait ShardTransport: Send + Sync {
 
     /// Dispatch one embed part — sorted, distinct `nodes` of shard
     /// `shard`, computed from the pinned `epoch` — and resolve `slot`
-    /// with the outcome. Must not block on the computation: the caller
+    /// with the outcome. `nodes` is the list the request's ticket holds;
+    /// a transport that keeps it shares it rather than copying it. Must not block on the computation: the caller
     /// holds the request path. A transport that crosses a process
     /// boundary sends `epoch.epoch()`; the replica serves that number
     /// from its own history.
     fn embed_part(
         &self,
         shard: usize,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,
@@ -225,7 +226,7 @@ impl ShardTransport for LocalBands {
     fn embed_part(
         &self,
         shard: usize,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,

@@ -3,7 +3,7 @@
 //!
 //! A band answers each enqueued part through a `Slot`: a single-value
 //! cell on a mutex that — unlike `mpsc` — supports **wakeup
-//! subscription**: each source fires its callbacks exactly once, when
+//! subscription**: each source fires its watchers exactly once, when
 //! it resolves. Slots also carry typed failure (`PartError`): a caught
 //! kernel panic or a dropped-past-deadline part is reported instead of
 //! silently disconnecting, so tickets can retry or surface a precise
@@ -17,15 +17,20 @@
 //! and [`Ticket::wait_deadline`](crate::Ticket::wait_deadline)), a
 //! coalesced row's wait, and [`wait_any`]: run the queued batches of
 //! every band the wait depends on until something the wait watches
-//! resolves or its deadline passes, and park on a wake queue only when
-//! every such band is empty or held by another combiner — registered
-//! with each, so new work on any of them wakes this thread to run it.
-//! The sources push their ticket's index on the same queue, which makes
-//! [`wait_any`] O(1) per completion: no poll loop sweeps N tickets per
-//! wakeup.
+//! resolves or its deadline passes, and park only when every such band
+//! is empty or held by another combiner — registered with each, so new
+//! work on any of them wakes this thread to run it.
+//!
+//! Where a wait parks is a `Wake`. A slot is its own: its receiver
+//! parks on the slot's condvar, woken by the slot resolving or by a
+//! band's kick, so a single-slot wait allocates nothing. [`wait_any`]
+//! parks on a `WakeQueue` onto which every source of every ticket in
+//! the window pushes its ticket's index, which makes it O(1) per
+//! completion: no poll loop sweeps N tickets per wakeup. A kick is a
+//! flag, never an index, so it cannot be mistaken for a completion.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
 use fusedmm_sparse::dense::Dense;
@@ -33,8 +38,60 @@ use fusedmm_sparse::dense::Dense;
 use crate::band::Band;
 use crate::ticket::Ticket;
 
-/// A wakeup callback fired when a pending source resolves.
-pub(crate) type Watcher = Arc<dyn Fn() + Send + Sync>;
+/// Who to tell when a source resolves or a band has work nobody runs.
+#[derive(Clone)]
+pub(crate) enum Watcher {
+    /// Prompt the waiter parked on this queue to drive again. Weak: a
+    /// waiter that moved on leaves a dead entry, pruned by the band.
+    Kick(Weak<WakeQueue>),
+    /// Prompt the receiver parked in this slot to drive again (weak, as
+    /// above).
+    Slot(Weak<SlotShared>),
+    /// Report ticket `index` ready on a window's wake queue.
+    Ready(Arc<WakeQueue>, usize),
+}
+
+impl Watcher {
+    pub fn fire(&self) {
+        match self {
+            Watcher::Kick(q) => {
+                if let Some(q) = q.upgrade() {
+                    q.kick();
+                }
+            }
+            Watcher::Slot(s) => {
+                if let Some(s) = s.upgrade() {
+                    s.kick();
+                }
+            }
+            Watcher::Ready(q, index) => q.push(*index),
+        }
+    }
+
+    /// False once the waiter behind a weak watcher is gone.
+    pub fn is_live(&self) -> bool {
+        match self {
+            Watcher::Kick(q) => q.strong_count() > 0,
+            Watcher::Slot(s) => s.strong_count() > 0,
+            Watcher::Ready(..) => true,
+        }
+    }
+
+    /// True when both watchers tell the same waiter the same thing.
+    pub fn same(&self, other: &Watcher) -> bool {
+        match (self, other) {
+            (Watcher::Kick(a), Watcher::Kick(b)) => a.ptr_eq(b),
+            (Watcher::Slot(a), Watcher::Slot(b)) => a.ptr_eq(b),
+            (Watcher::Ready(a, i), Watcher::Ready(b, j)) => Arc::ptr_eq(a, b) && i == j,
+            _ => false,
+        }
+    }
+
+    /// This watcher as a callback, for the result cache's row waiters.
+    pub fn into_callback(self) -> Arc<dyn Fn() + Send + Sync> {
+        Arc::new(move || self.fire())
+    }
+}
 
 /// Why a band could not answer a part with rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,15 +117,62 @@ pub(crate) enum SlotPoll {
     Closed,
 }
 
+/// Where a blocking wait parks between drives: a flag for band kicks
+/// plus whatever the wait watches, under one mutex and condvar.
+pub(crate) trait Wake {
+    /// Forget earlier kicks; called before each look at the sources, so
+    /// a kick landing after it is seen.
+    fn rearm(&self);
+    /// True once a watched source resolved or a band kicked since the
+    /// last [`rearm`](Self::rearm).
+    fn signalled(&self) -> bool;
+    /// Park until [`signalled`](Self::signalled) (true) or `deadline`
+    /// passes (false).
+    fn park(&self, deadline: Option<Instant>) -> bool;
+}
+
+/// Wait on `cv` under `guard` until `done` holds (true) or `deadline`
+/// passes (false).
+fn park_on<T>(
+    cv: &Condvar,
+    mut guard: MutexGuard<'_, T>,
+    deadline: Option<Instant>,
+    done: impl Fn(&T) -> bool,
+) -> bool {
+    while !done(&guard) {
+        match deadline {
+            None => guard = cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                guard = cv.wait_timeout(guard, left).unwrap_or_else(|e| e.into_inner()).0;
+            }
+        }
+    }
+    true
+}
+
 #[derive(Default)]
 struct SlotState {
     value: Option<PartReply>,
     closed: bool,
+    /// A band kicked the receiver since its last look.
+    kicked: bool,
     watchers: Vec<Watcher>,
 }
 
-struct SlotShared {
+impl SlotState {
+    fn resolved(&self) -> bool {
+        self.value.is_some() || self.closed
+    }
+}
+
+/// The shared cell of one slot — also its receiver's [`Wake`].
+pub(crate) struct SlotShared {
     state: Mutex<SlotState>,
+    cv: Condvar,
     /// The in-process band that resolves this slot, when there is one:
     /// a waiter runs its batches. Weak, so a ticket never keeps an
     /// engine's band alive.
@@ -76,26 +180,47 @@ struct SlotShared {
 }
 
 impl SlotShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Mark resolved (value or close) and fire every subscribed watcher
-    /// — outside the lock, so a watcher may take unrelated locks (the
-    /// wake queue's) without ordering risk.
+    /// Mark resolved (value or close), wake the receiver and fire every
+    /// subscribed watcher — outside the lock, so a watcher may take
+    /// unrelated locks (a wake queue's) without ordering risk.
     fn resolve(&self, value: Option<PartReply>) {
         let watchers = {
             let mut st = self.lock();
             match value {
-                Some(v) if st.value.is_none() && !st.closed => st.value = Some(v),
+                Some(v) if !st.resolved() => st.value = Some(v),
                 Some(_) => return,
                 None => st.closed = true,
             }
             std::mem::take(&mut st.watchers)
         };
-        for w in watchers {
-            w();
+        self.cv.notify_all();
+        for w in &watchers {
+            w.fire();
         }
+    }
+
+    fn kick(&self) {
+        self.lock().kicked = true;
+        self.cv.notify_all();
+    }
+}
+
+impl Wake for SlotShared {
+    fn rearm(&self) {
+        self.lock().kicked = false;
+    }
+
+    fn signalled(&self) -> bool {
+        let st = self.lock();
+        st.kicked || st.resolved()
+    }
+
+    fn park(&self, deadline: Option<Instant>) -> bool {
+        park_on(&self.cv, self.lock(), deadline, |st| st.kicked || st.resolved())
     }
 }
 
@@ -112,8 +237,11 @@ pub(crate) struct SlotRx {
 
 /// A fresh unresolved slot.
 pub(crate) fn slot() -> (SlotTx, SlotRx) {
-    let shared =
-        Arc::new(SlotShared { state: Mutex::new(SlotState::default()), band: OnceLock::new() });
+    let shared = Arc::new(SlotShared {
+        state: Mutex::new(SlotState::default()),
+        cv: Condvar::new(),
+        band: OnceLock::new(),
+    });
     (SlotTx { shared: Some(Arc::clone(&shared)) }, SlotRx { shared })
 }
 
@@ -160,8 +288,7 @@ impl SlotRx {
 
     /// True once the slot has resolved (reply or close); moves nothing.
     pub fn is_resolved(&self) -> bool {
-        let st = self.shared.lock();
-        st.value.is_some() || st.closed
+        self.shared.lock().resolved()
     }
 
     /// Block until the reply lands, running the band's queued batches on
@@ -180,12 +307,13 @@ impl SlotRx {
         self.recv_until(Some(deadline))
     }
 
+    /// The wait parks on the slot itself: nothing to allocate.
     fn recv_until(&self, deadline: Option<Instant>) -> SlotPoll {
-        let wake = WakeQueue::new();
-        self.subscribe(WakeQueue::watcher(&wake, 0));
-        let bands: Vec<_> = self.band().into_iter().collect();
-        let ready = |_| Some(self.try_recv()).filter(|r| !matches!(r, SlotPoll::Pending));
-        drive_until(&bands, &wake, deadline, ready).unwrap_or(SlotPoll::Pending)
+        let band = self.band();
+        let kick = Watcher::Slot(Arc::downgrade(&self.shared));
+        let ready = || Some(self.try_recv()).filter(|r| !matches!(r, SlotPoll::Pending));
+        drive_until(band.as_slice(), &*self.shared, &kick, deadline, ready)
+            .unwrap_or(SlotPoll::Pending)
     }
 
     /// The band resolving this slot, while it is in process and alive.
@@ -193,108 +321,94 @@ impl SlotRx {
         self.shared.band.get().and_then(Weak::upgrade)
     }
 
-    /// Register a wakeup callback: fired once when the slot resolves
-    /// (reply or close) — immediately, if it already has.
+    /// Register a watcher: fired once when the slot resolves (reply or
+    /// close) — immediately, if it already has.
     pub fn subscribe(&self, watcher: Watcher) {
-        let fire_now = {
-            let mut st = self.shared.lock();
-            if st.value.is_some() || st.closed {
-                true
-            } else {
-                st.watchers.push(watcher.clone());
-                false
-            }
-        };
-        if fire_now {
-            watcher();
+        let mut st = self.shared.lock();
+        if st.resolved() {
+            drop(st);
+            watcher.fire();
+        } else {
+            st.watchers.push(watcher);
         }
     }
 }
 
-/// The index a band pushes onto a [`WakeQueue`] when it has work and no
-/// combiner: not a ticket, a prompt to drive again.
-const KICK: usize = usize::MAX;
+#[derive(Default)]
+struct WakeState {
+    ready: VecDeque<usize>,
+    kicked: bool,
+}
 
-/// The wakeup channel behind every blocking wait: completing sources
-/// push their ticket's index, bands push [`KICK`], and the waiter parks
-/// on the condvar until something arrives.
+/// The wake channel of a wait over several sources ([`wait_any`], a
+/// coalesced row): completing sources push their ticket's index, bands
+/// kick, and the waiter parks on the condvar until either arrives.
 pub(crate) struct WakeQueue {
-    ready: Mutex<VecDeque<usize>>,
+    state: Mutex<WakeState>,
     cv: Condvar,
 }
 
 impl WakeQueue {
     pub fn new() -> Arc<WakeQueue> {
-        Arc::new(WakeQueue { ready: Mutex::new(VecDeque::new()), cv: Condvar::new() })
+        Arc::new(WakeQueue { state: Mutex::new(WakeState::default()), cv: Condvar::new() })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-        self.ready.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A watcher pushing `index` onto `wake`.
-    pub fn watcher(wake: &Arc<WakeQueue>, index: usize) -> Watcher {
-        let wake = Arc::clone(wake);
-        Arc::new(move || wake.push(index))
+    fn lock(&self) -> MutexGuard<'_, WakeState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     pub fn push(&self, index: usize) {
-        self.lock().push_back(index);
+        self.lock().ready.push_back(index);
+        self.cv.notify_one();
+    }
+
+    fn kick(&self) {
+        self.lock().kicked = true;
         self.cv.notify_one();
     }
 
     pub fn try_pop(&self) -> Option<usize> {
-        self.lock().pop_front()
+        self.lock().ready.pop_front()
+    }
+}
+
+impl Wake for WakeQueue {
+    fn rearm(&self) {
+        self.lock().kicked = false;
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+    fn signalled(&self) -> bool {
+        let st = self.lock();
+        st.kicked || !st.ready.is_empty()
     }
 
-    /// Park until an index is queued (true) or `deadline` passes
-    /// (false); leaves the index queued.
-    pub fn wait_nonempty(&self, deadline: Option<Instant>) -> bool {
-        let mut q = self.lock();
-        while q.is_empty() {
-            match deadline {
-                None => q = self.cv.wait(q).unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return false;
-                    }
-                    q = self.cv.wait_timeout(q, left).unwrap_or_else(|e| e.into_inner()).0;
-                }
-            }
-        }
-        true
+    fn park(&self, deadline: Option<Instant>) -> bool {
+        park_on(&self.cv, self.lock(), deadline, |st| st.kicked || !st.ready.is_empty())
     }
 }
 
 /// The drive-then-park loop behind every blocking wait. Each round
-/// asks `ready` about every ticket index `wake` collected, then runs the
-/// queued batches of `bands` on this thread — a band another thread is
-/// combining is left to that thread — and stops after the batch in
-/// which something pushes onto `wake` or `deadline` passes, so a
-/// producer that keeps a band busy cannot hold this thread. It parks
-/// only when every band is empty or held by a combiner, and registers
-/// with each first: a part enqueued on one of them while nobody
-/// combines it wakes this thread to run it. `None` once `deadline`
-/// passes.
+/// asks `ready` whether the wait is over, then runs the queued batches
+/// of `bands` on this thread — a band another thread is combining is
+/// left to that thread — and stops after the batch in which `wake` is
+/// signalled or `deadline` passes, so a producer that keeps a band
+/// busy cannot hold this thread. It parks only when every band is empty
+/// or held by a combiner, and registers `kick` with each first: a part
+/// enqueued on one of them while nobody combines it wakes this thread
+/// to run it. `None` once `deadline` passes.
 pub(crate) fn drive_until<R>(
     bands: &[Arc<Band>],
-    wake: &Arc<WakeQueue>,
+    wake: &impl Wake,
+    kick: &Watcher,
     deadline: Option<Instant>,
-    mut ready: impl FnMut(usize) -> Option<R>,
+    mut ready: impl FnMut() -> Option<R>,
 ) -> Option<R> {
-    let kick = WakeQueue::watcher(wake, KICK);
     let past = || deadline.is_some_and(|d| Instant::now() >= d);
-    let mut stop = || !wake.is_empty() || past();
+    let mut stop = || wake.signalled() || past();
     loop {
-        while let Some(i) = wake.try_pop() {
-            if let Some(r) = (i != KICK).then(|| ready(i)).flatten() {
-                return Some(r);
-            }
+        wake.rearm();
+        if let Some(r) = ready() {
+            return Some(r);
         }
         if past() {
             return None;
@@ -305,8 +419,8 @@ pub(crate) fn drive_until<R>(
                 break;
             }
         }
-        let idle = wake.is_empty() && bands.iter().all(|band| band.park(&kick));
-        if idle && !wake.wait_nonempty(deadline) {
+        let idle = !wake.signalled() && bands.iter().all(|band| band.park(kick));
+        if idle && !wake.park(deadline) {
             return None;
         }
     }
@@ -341,20 +455,25 @@ pub fn wait_any<T>(tickets: &mut [Ticket<T>]) -> Option<usize> {
     let mut bands = Vec::new();
     for (i, t) in tickets.iter_mut().enumerate() {
         if t.is_live() {
-            t.subscribe(WakeQueue::watcher(&wake, i));
+            t.subscribe(Watcher::Ready(Arc::clone(&wake), i));
             t.bands(&mut bands);
         }
     }
-    drive_until(&bands, &wake, None, |i| {
-        let t = &mut tickets[i];
-        (t.is_live() && t.ready_now()).then_some(i)
+    let kick = Watcher::Kick(Arc::downgrade(&wake));
+    drive_until(&bands, &*wake, &kick, None, || {
+        while let Some(i) = wake.try_pop() {
+            let t = &mut tickets[i];
+            if t.is_live() && t.ready_now() {
+                return Some(i);
+            }
+        }
+        None
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rows(v: f32) -> Dense {
         Dense::from_rows(1, 1, &[v]).unwrap()
@@ -417,34 +536,85 @@ mod tests {
         h.join().unwrap();
     }
 
-    #[test]
-    fn subscribe_fires_on_resolution_and_immediately_when_late() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = slot();
-        let f = Arc::clone(&fired);
-        rx.subscribe(Arc::new(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        tx.send(Ok(rows(1.0)));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "watcher fired on send");
-        // Late subscription on an already-resolved slot fires at once.
-        let f = Arc::clone(&fired);
-        rx.subscribe(Arc::new(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
+    /// A window's wake queue and the index a watcher reports on it.
+    fn ready_watcher(index: usize) -> (Arc<WakeQueue>, Watcher) {
+        let q = WakeQueue::new();
+        let w = Watcher::Ready(Arc::clone(&q), index);
+        (q, w)
     }
 
     #[test]
-    fn wake_queue_delivers_in_order() {
+    fn subscribe_fires_on_resolution_and_immediately_when_late() {
+        let (tx, rx) = slot();
+        let (q, w) = ready_watcher(3);
+        rx.subscribe(w);
+        assert_eq!(q.try_pop(), None);
+        tx.send(Ok(rows(1.0)));
+        assert_eq!(q.try_pop(), Some(3), "watcher fired on send");
+        // Late subscription on an already-resolved slot fires at once.
+        let (late, w) = ready_watcher(5);
+        rx.subscribe(w);
+        assert_eq!(late.try_pop(), Some(5));
+    }
+
+    #[test]
+    fn wake_queue_delivers_in_order_and_kicks_carry_no_index() {
         let q = WakeQueue::new();
+        Watcher::Kick(Arc::downgrade(&q)).fire();
+        assert!(q.signalled() && q.park(None), "a kick wakes the parked waiter");
+        assert_eq!(q.try_pop(), None, "a kick is not an index");
+        q.rearm();
+        assert!(!q.signalled());
         q.push(4);
         q.push(9);
-        assert!(q.wait_nonempty(None));
+        assert!(q.park(None));
         assert_eq!(q.try_pop(), Some(4));
         assert_eq!(q.try_pop(), Some(9));
         assert_eq!(q.try_pop(), None);
+    }
+
+    /// The receiver parks on the slot itself, and a send from another
+    /// thread — here well after it parked — wakes it with the reply.
+    #[test]
+    fn a_slot_resolved_from_another_thread_wakes_its_parked_receiver() {
+        for delay_ms in [0u64, 20] {
+            let (tx, rx) = slot();
+            let h = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+                tx.send(Ok(rows(delay_ms as f32)));
+            });
+            let z = rx.recv().expect("sender replied").expect("ok");
+            assert_eq!(z.as_slice(), &[delay_ms as f32]);
+            h.join().unwrap();
+        }
+    }
+
+    /// A band keeps the kick a wait registered after that wait returned
+    /// (it is pruned only once the slot is gone). Fired later, it wakes
+    /// the slot's next wait to drive again — and is never mistaken for
+    /// the slot resolving, however often it fires.
+    #[test]
+    fn a_stale_band_kick_is_never_a_completion() {
+        let (tx, rx) = slot();
+        let stale = Watcher::Slot(Arc::downgrade(&rx.shared));
+        let soon = || Instant::now() + std::time::Duration::from_millis(5);
+        assert!(matches!(rx.recv_deadline(soon()), SlotPoll::Pending));
+        for _ in 0..3 {
+            stale.fire();
+            assert!(matches!(rx.recv_deadline(soon()), SlotPoll::Pending), "a kick is no reply");
+            assert!(!rx.is_resolved());
+        }
+        let (q, w) = ready_watcher(7);
+        rx.subscribe(w);
+        stale.fire();
+        assert_eq!(q.try_pop(), None, "subscribers hear completions, not kicks");
+        tx.send(Ok(rows(2.0)));
+        assert_eq!(q.try_pop(), Some(7));
+        assert!(matches!(rx.recv_deadline(soon()), SlotPoll::Reply(Ok(_))));
+        assert!(stale.is_live(), "alive while the receiver is");
+        drop(rx);
+        assert!(!stale.is_live(), "a band prunes it once the slot is gone");
+        stale.fire();
     }
 
     #[test]

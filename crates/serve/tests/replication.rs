@@ -91,7 +91,7 @@ impl ShardTransport for Recording {
     fn embed_part(
         &self,
         _shard: usize,
-        _nodes: &[usize],
+        _nodes: &Arc<[usize]>,
         _epoch: &Arc<FeatureEpoch>,
         _quality: Quality,
         _deadline: Option<Instant>,
@@ -306,7 +306,7 @@ impl ShardTransport for BandWorkers {
     fn embed_part(
         &self,
         shard: usize,
-        nodes: &[usize],
+        nodes: &Arc<[usize]>,
         epoch: &Arc<FeatureEpoch>,
         quality: Quality,
         deadline: Option<Instant>,

@@ -516,6 +516,76 @@ fn into_on_a_poisoned_output_equals_the_allocating_call_bit_for_bit() {
     }
 }
 
+/// [`Launch::Rows`] reads a band in place, and each row it writes is
+/// the [`Launch::All`] row: for every pattern (the generic kernel's
+/// included), everything a launch can be asked to run and every sweep
+/// dimension, rows of a band of [`hostile_graph`] at an offset —
+/// requested unsorted and repeated, zero-degree rows and a 70-long row
+/// among them — come out `to_bits`-equal to the whole-graph launch's
+/// rows, into a NaN-poisoned `z`, whether `x` is the whole matrix
+/// (`x_start = 0`) or exactly the band (`x_start = start`). At the
+/// widest dimensions the id list is also repeated until the launch is
+/// big enough for the pool, which cuts it by nonzeros. Runs on
+/// whichever backend is active, so each forced-backend CI arm checks
+/// its own.
+#[test]
+fn row_launches_read_the_band_in_place_and_equal_the_all_launch_bit_for_bit() {
+    let a = hostile_graph();
+    let n = a.nrows();
+    let (lo, hi) = (5usize, 41usize);
+    let band = a.row_band(lo..hi);
+    let ids = [40usize, 7, 6, 7, 23, 5, 12, 33, 40, 18, 9];
+    assert!(ids.iter().any(|&u| a.row_nnz(u) == 0) && ids.contains(&7));
+    let lut = std::sync::Arc::new(SigmoidLut::default_table());
+    let generic_only = {
+        use fusedmm::ops::{AOp, MOp, ROp, SOp, VOp};
+        OpSet::custom(VOp::Add, ROp::Max, SOp::Relu, MOp::Mul, AOp::Max)
+    };
+    let opsets = [
+        OpSet::gcn(),
+        OpSet::sigmoid_embedding(None),
+        OpSet::sigmoid_embedding(Some(lut)),
+        OpSet::nce_gradient(None),
+        OpSet::fr_model(0.4),
+        OpSet::tdist_embedding(),
+        generic_only,
+    ];
+    for d in SWEEP_DIMS {
+        let x = sweep_features(n, d, 5);
+        let y = sweep_features(n, d, 13);
+        let x_band = Dense::from_rows(hi - lo, d, &x.as_slice()[lo * d..hi * d]).unwrap();
+        // Repeated until `nnz × d` is past the inline threshold.
+        let pooled: Vec<usize> = ids.iter().copied().cycle().take(4096).collect();
+        for ops in &opsets {
+            for blocking in sweep_blockings(d) {
+                let plan = plan_for(ops, d, blocking);
+                let all = launch_at(3, &a, &x, &y, ops, blocking);
+                let mut lists: Vec<&[usize]> = vec![&ids];
+                if d >= 192 && blocking == Blocking::Auto {
+                    lists.push(&pooled);
+                }
+                for (xs, x_start) in [(&x, 0), (&x_band, lo)] {
+                    for &list in &lists {
+                        let mut z = vec![f32::NAN; list.len() * d];
+                        let rows = Launch::Rows { ids: list, start: lo, x_start, top_k: None };
+                        at_width(3, || plan.launch(&band, xs, &y, ops, rows, &mut z));
+                        for (i, &u) in list.iter().enumerate() {
+                            assert!(
+                                bits(&z[i * d..(i + 1) * d]) == bits(all.row(u)),
+                                "{:?}/{:?} {blocking:?} d={d} x_start={x_start} \
+                                 {} ids: row {u} differs from the All launch",
+                                ops.pattern,
+                                ops.sop,
+                                list.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The score sink of [`Launch::All`]: for the SDDMM patterns,
 /// at dimensions on both sides of every lane width, for everything a
 /// launch can be asked to run and for one band, a few and one per row,

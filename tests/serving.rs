@@ -998,6 +998,89 @@ fn waiters_running_the_batches_never_hang_and_stay_bit_identical() {
     watchdog.join().expect("watchdog");
 }
 
+/// Parts queued before anyone waits share one launch. The launch
+/// output goes to the part that asked for exactly the union — here the
+/// middle one of three, and in a second round none — and every other
+/// part gets a copy of its rows: all of them bit-identical to the
+/// whole-graph launch.
+#[test]
+fn a_coalesced_launch_answers_every_part_and_hands_its_output_to_the_union() {
+    let (n, d) = (64, 8);
+    let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(91));
+    let (x, y) = (random_features(n, d, 0.5, 92), random_features(n, d, 0.5, 93));
+    let ops = OpSet::sigmoid_embedding(None);
+    let reference = fusedmm(&a, &x, &y, &ops);
+    let eng = Engine::new(a, x, y, ops, EngineConfig::default());
+    let rounds: [&[&[usize]]; 2] = [&[&[3], &[1, 3, 5], &[5], &[1, 5]], &[&[2, 9], &[9, 4], &[4]]];
+    for (round, asked) in rounds.into_iter().enumerate() {
+        let before = eng.metrics().band_total(|b| b.batches_dispatched);
+        let tickets: Vec<_> =
+            asked.iter().map(|ids| eng.embed_begin(ids).expect("begin")).collect();
+        for (ids, ticket) in asked.iter().zip(tickets) {
+            let z = ticket.wait().expect("rows");
+            for (k, &u) in ids.iter().enumerate() {
+                let same = z.row(k).iter().zip(reference.row(u));
+                assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()), "round {round}");
+            }
+        }
+        let batches = eng.metrics().band_total(|b| b.batches_dispatched) - before;
+        assert_eq!(batches, 1, "round {round}: the queued parts coalesced into one launch");
+    }
+}
+
+/// `wait_any` parks on one wake queue that the window's slots report
+/// ticket indices on and the bands kick. Over a window whose spent
+/// tickets sit among live ones, while another thread keeps queueing
+/// parts on the same bands (so kicks keep arriving), it returns every
+/// live ticket exactly once, each one ready — never a spent index and
+/// never a kick.
+#[test]
+fn wait_any_returns_only_live_ready_tickets_while_bands_kick() {
+    let (n, d) = (512, 16);
+    let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(81));
+    let (x, y) = (random_features(n, d, 0.5, 82), random_features(n, d, 0.5, 83));
+    let ops = OpSet::sigmoid_embedding(None);
+    let reference = fusedmm(&a, &x, &y, &ops);
+    let eng = build(a, x, y, 2, None);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut r = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                r += 1;
+                let ids: Vec<usize> = (0..8).map(|i| (r * 37 + i * 61) % n).collect();
+                eng.embed(&ids).expect("background embed");
+            }
+        });
+        for round in 0..20usize {
+            let asked: Vec<Vec<usize>> = (0..12)
+                .map(|t| (0..1 + t % 5).map(|i| (round * 101 + t * 43 + i * 7) % n).collect())
+                .collect();
+            let mut window: Vec<Ticket<Dense>> =
+                asked.iter().map(|ids| eng.embed_begin(ids).expect("embed_begin")).collect();
+            let far = std::time::Instant::now() + Duration::from_secs(30);
+            let spent = [0usize, 5, 11];
+            for &i in &spent {
+                window[i].wait_deadline(far).expect("within the deadline").expect("rows");
+            }
+            let mut seen = vec![false; window.len()];
+            while let Some(i) = wait_any(&mut window) {
+                assert!(!spent.contains(&i), "round {round}: spent ticket {i} returned");
+                assert!(window[i].is_live() && !seen[i], "round {round}: ticket {i} twice");
+                seen[i] = true;
+                let z = window[i].poll().expect("ready after wait_any").expect("rows");
+                for (k, &u) in asked[i].iter().enumerate() {
+                    let same = z.row(k).iter().zip(reference.row(u));
+                    assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()));
+                }
+            }
+            let live = (0..window.len()).filter(|i| !spent.contains(i));
+            assert!(live.into_iter().all(|i| seen[i]), "round {round}: a live ticket was missed");
+        }
+        stop.store(true, Ordering::Release);
+    });
+}
+
 /// No engine spawns a thread of its own to run its batches: after
 /// building an `Engine`, a 4-shard `ShardedEngine` and a `WorkerEngine`,
 /// no thread of this process carries the old per-band dispatcher's
