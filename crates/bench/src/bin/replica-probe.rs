@@ -12,11 +12,11 @@
 //! the band graphs and the coordinator's pair only (a worker drops the
 //! `x0`/`y0` it is built with; the peak column shows the one placeholder
 //! pair this probe allocates per worker while it builds), `engine new`
-//! to add nothing to either column and to take no time (the record
-//! shares the store's allocation; the writers stream it), and `first
-//! embed` to end exactly one `X` and two `Y`s (`1.5 P`) above `workers
-//! up` — each replica's band of `X` and its `Y`, read into memory that
-//! held nothing — with a peak equal to that live level.
+//! to end exactly one `X` and two `Y`s (`1.5 P`) above `workers up` —
+//! the record shares the store's allocation, `new` writes each worker's
+//! seeding frame from it before returning, and each replica reads its
+//! band of `X` and its `Y` into memory that held nothing — with a peak
+//! equal to that live level, and `first embed` to add nothing.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -3,40 +3,54 @@
 //! worker, with reconnect-and-catch-up, per-worker telemetry, and
 //! transport-level fault injection.
 //!
-//! Per worker, three moving parts:
+//! Per worker, one lock and one thread:
 //!
-//! * a **manager thread** — connects, reads the worker's `Hello`,
-//!   computes the epoch-log catch-up slice for the worker's reported
-//!   epoch (snapshot + tail for a fresh or far-lagging replica, tail
-//!   only otherwise), then becomes the connection's writer, draining
-//!   the outgoing frame queue; on any failure it severs the
-//!   connection, fails every pending request typed (the front end's
-//!   retry machinery takes over), and reconnects with backoff;
-//! * a **reader thread** per connection — decodes reply frames and
-//!   resolves them against the pending map by request id (replies
-//!   complete out of order), records round-trip latencies, and tracks
-//!   the worker's epoch acknowledgements for the lag gauge;
-//! * the **queue** — one FIFO of outbound messages, framed and
-//!   encoded by the writer straight into the socket (a queued epoch
-//!   record is a pair of `Arc`s to the generation it ships, not a copy
-//!   of it, and the writer sends the worker only its band's rows of
-//!   `X`). Epoch records and requests ride the same queue, which *is*
-//!   the ordering guarantee: a record shipped before a request is
-//!   written before it.
+//! * the **session** — a mutex over the open connection's buffered
+//!   writer and the worker's band of `X` (`None` while the worker is
+//!   down). A sender writes its own frame under it: `embed_part` and
+//!   `score_part` insert their pending entry, then encode and write
+//!   their request; `ship` writes its epoch record, narrowed to the
+//!   worker's band, straight from the record's shared matrices. `ship`
+//!   returns only once its record is written to every open session,
+//!   which *is* the ordering guarantee: a request sent after a `ship`
+//!   follows its record on the stream.
+//! * the **manager thread** (`fusedmm-rpc-<shard>`) — connects, reads
+//!   the worker's `Hello`, writes the epoch-log catch-up slice for the
+//!   worker's reported epoch (snapshot + tail for a fresh or
+//!   far-lagging replica, tail only otherwise), opens the session, and
+//!   then reads the session's replies: it resolves them against the
+//!   pending map by request id (replies complete out of order), records
+//!   round-trip latencies, and tracks the worker's epoch
+//!   acknowledgements for the lag gauge.
+//!
+//! A session ends one way, whatever ends it — a failed write, a
+//! `drop_conn_every` sever, a write stalled past
+//! [`RpcConfig::connect_timeout`], the worker hanging up, a corrupt
+//! reply, or [`shutdown`](ShardTransport::shutdown): the socket is shut
+//! first, which unblocks a sender stuck in `write`; the manager's read
+//! sees the end; the session becomes `None`; every pending request
+//! fails typed (the front end's retry machinery takes over); and the
+//! manager reconnects with backoff. Locks nest session → pending, and
+//! nothing takes them the other way.
 //!
 //! Exactly-once log delivery across reconnects: a transport-wide
-//! `ship_order` mutex makes `ship` (append to log + enqueue to every
-//! connected worker) and reconnect catch-up (snapshot the log +
-//! enqueue + mark connected) atomic with respect to each other, so a
-//! record is either in a connection's catch-up slice or enqueued live
-//! after it — never both, never neither.
+//! `ship_order` mutex makes `ship` (append to the log + write to every
+//! open session) and reconnect catch-up (read the log's slice + write
+//! it + open the session) atomic with respect to each other, so a
+//! record is either in a connection's catch-up slice or written live
+//! after it — never both, never neither. The worker acknowledges each
+//! catch-up record while the manager is still writing; the slice is at
+//! most a snapshot plus the log's 64-record tail, so those acks fit the
+//! socket's buffers until the manager starts reading.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
+use std::net::Shutdown;
+use std::ops::Range;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use fusedmm_core::active_backend;
@@ -45,7 +59,7 @@ use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
 use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality, ServeError};
 
-use crate::frame::{read_msg, write_msg_for, Received};
+use crate::frame::{fits_frame, read_msg, write_msg_for, Received};
 use crate::log::EpochLog;
 use crate::proto::{Msg, WireError, PROTO_VERSION};
 
@@ -54,14 +68,17 @@ pub struct RpcConfig {
     /// One unix-socket path per shard; index order defines shard
     /// numbering and must match each worker's `Hello`.
     pub paths: Vec<PathBuf>,
-    /// How long [`RpcTransport::connect`] waits for every worker's
-    /// handshake before giving up.
+    /// The bound on any wait for a worker: [`RpcTransport::connect`]'s
+    /// wait for every first session, one `Hello` read, a frame write
+    /// that makes no progress (the session ends, as if the worker had
+    /// hung up), and a `score_part` reply.
     pub connect_timeout: Duration,
     /// Backoff between reconnect attempts.
     pub reconnect_backoff: Duration,
     /// Transport fault injection (`drop_conn_every` severs the
     /// connection on every n-th request frame, `delay_frame_us` stalls
-    /// each frame write); `None` falls back to `FUSEDMM_FAULT_PLAN`.
+    /// the thread writing each frame); `None` falls back to
+    /// `FUSEDMM_FAULT_PLAN`.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -78,7 +95,7 @@ impl RpcConfig {
 }
 
 /// What the transport knows about one worker after its handshake.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct WorkerLayout {
     band_start: u64,
     band_len: u64,
@@ -88,25 +105,47 @@ struct WorkerLayout {
 
 impl WorkerLayout {
     /// The worker's global row band: the rows of `X` it holds.
-    fn band(&self) -> std::ops::Range<usize> {
+    fn band(&self) -> Range<usize> {
         self.band_start as usize..(self.band_start + self.band_len) as usize
     }
 }
 
-/// One queued outbound message.
-struct OutFrame {
-    request_id: u64,
-    msg: Msg,
-    /// Request frames (embed/score) count toward the fault plan's
-    /// `drop_conn_every` schedule; epoch records don't (severing the
-    /// log stream would only test the catch-up path twice).
-    is_request: bool,
+/// An open connection's sending half.
+struct Session {
+    w: BufWriter<UnixStream>,
+    /// The worker's rows of `X`: epoch records go out narrowed to them.
+    band: Range<usize>,
+    /// The fault plan's stall before each frame.
+    delay: Option<Duration>,
 }
 
-/// Outbound queue + connection state, under one lock.
-struct Queue {
-    frames: VecDeque<OutFrame>,
-    connected: bool,
+impl Session {
+    /// Shut the socket: a sender blocked on it returns, and the
+    /// manager's read sees the session end (module docs).
+    fn sever(&self) {
+        let _ = self.w.get_ref().shutdown(Shutdown::Both);
+    }
+
+    /// Write and flush one frame. A failed or stalled write severs the
+    /// session.
+    fn write(&mut self, telemetry: &WorkerTelemetry, request_id: u64, msg: &Msg) -> bool {
+        if let Some(delay) = self.delay {
+            std::thread::sleep(delay);
+        }
+        let written = write_msg_for(&mut self.w, request_id, msg, &self.band)
+            .and_then(|len| self.w.flush().map(|()| len));
+        match written {
+            Ok(len) => {
+                telemetry.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
+                telemetry.frames_sent.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Err(_) => {
+                self.sever();
+                false
+            }
+        }
+    }
 }
 
 /// A request awaiting its reply frame.
@@ -141,17 +180,16 @@ struct WorkerTelemetry {
 struct WorkerState {
     shard: usize,
     path: PathBuf,
-    queue: Mutex<Queue>,
-    queue_cv: Condvar,
+    session: Mutex<Option<Session>>,
     pending: Mutex<HashMap<u64, Pending>>,
-    /// Layout from the first successful handshake (validated against
-    /// on every reconnect), plus the handshake rendezvous for
+    /// Layout from the first handshake, set once its session is open
+    /// (every reconnect is checked against it), plus the rendezvous for
     /// `connect`.
     layout: Mutex<Option<WorkerLayout>>,
     layout_cv: Condvar,
     /// Highest epoch the worker acknowledged applying.
     acked: AtomicU64,
-    /// Rows of embed work queued or in flight toward this worker.
+    /// Rows of embed work in flight toward this worker.
     queued_rows: AtomicUsize,
     /// True once any session succeeded — the next handshake is a
     /// *re*connect.
@@ -160,33 +198,29 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    /// Fail every pending request typed and drop queued frames. The
-    /// front-end retry/`PartFailed` machinery handles the rest.
+    /// Fail every pending request typed.
     fn fail_all(&self) {
         let drained: Vec<Pending> = {
             let mut pending = self.pending.lock().expect("pending map");
             pending.drain().map(|(_, p)| p).collect()
         };
         for p in drained {
-            match p {
-                Pending::Embed { slot, rows, .. } => {
-                    self.queued_rows.fetch_sub(rows, Ordering::Relaxed);
-                    slot.resolve(PartOutcome::Failed);
-                }
-                Pending::Score { cell, .. } => {
-                    cell.resolve(Err(ServeError::PartFailed { shard: Some(self.shard) }));
-                }
-            }
+            self.fail(p);
         }
     }
 
-    /// Mark disconnected and wake the writer.
-    fn disconnect(&self) {
-        let mut q = self.queue.lock().expect("queue");
-        q.connected = false;
-        q.frames.clear();
-        drop(q);
-        self.queue_cv.notify_all();
+    /// Fail one request typed. The front-end retry/`PartFailed`
+    /// machinery handles the rest.
+    fn fail(&self, p: Pending) {
+        match p {
+            Pending::Embed { slot, rows, .. } => {
+                self.queued_rows.fetch_sub(rows, Ordering::Relaxed);
+                slot.resolve(PartOutcome::Failed);
+            }
+            Pending::Score { cell, .. } => {
+                cell.resolve(Err(ServeError::PartFailed { shard: Some(self.shard) }));
+            }
+        }
     }
 }
 
@@ -200,26 +234,25 @@ pub struct RpcTransport {
     /// Shared with the manager threads.
     ship_order: Arc<Mutex<()>>,
     next_id: AtomicU64,
-    /// Request frames written across all workers — the fault plan's
+    /// Request frames sent across all workers — the fault plan's
     /// `drop_conn_every` sequence.
-    request_seq: Arc<AtomicU64>,
+    request_seq: AtomicU64,
+    drop_conn_every: Option<u64>,
+    /// [`RpcConfig::connect_timeout`].
+    timeout: Duration,
     stop: Arc<AtomicBool>,
-    boundaries: std::sync::OnceLock<Vec<usize>>,
+    boundaries: OnceLock<Vec<usize>>,
 }
 
 impl RpcTransport {
-    /// Connect to every worker and wait for all handshakes, assembling
-    /// the shard layout (`boundaries`) from the workers' reported
-    /// bands. Fails if any worker's handshake doesn't arrive within
+    /// Connect to every worker and wait until each has an open
+    /// session, assembling the shard layout (`boundaries`) from the
+    /// workers' reported bands. Fails if any session isn't open within
     /// `config.connect_timeout` or the reported bands don't tile a
     /// contiguous row space.
     pub fn connect(config: RpcConfig) -> io::Result<Arc<RpcTransport>> {
         assert!(!config.paths.is_empty(), "at least one worker");
-        let fault = config.fault.clone().or_else(FaultPlan::from_env);
-        let stop = Arc::new(AtomicBool::new(false));
-        let request_seq = Arc::new(AtomicU64::new(0));
-        let log = Arc::new(EpochLog::new());
-        let ship_order = Arc::new(Mutex::new(()));
+        let fault = config.fault.or_else(FaultPlan::from_env);
         let workers: Vec<Arc<WorkerState>> = config
             .paths
             .iter()
@@ -228,8 +261,7 @@ impl RpcTransport {
                 Arc::new(WorkerState {
                     shard,
                     path: path.clone(),
-                    queue: Mutex::new(Queue { frames: VecDeque::new(), connected: false }),
-                    queue_cv: Condvar::new(),
+                    session: Mutex::new(None),
                     pending: Mutex::new(HashMap::new()),
                     layout: Mutex::new(None),
                     layout_cv: Condvar::new(),
@@ -242,38 +274,46 @@ impl RpcTransport {
             .collect();
         let transport = Arc::new(RpcTransport {
             workers,
-            log,
-            ship_order,
+            log: Arc::new(EpochLog::new()),
+            ship_order: Arc::new(Mutex::new(())),
             next_id: AtomicU64::new(1),
-            request_seq,
-            stop,
-            boundaries: std::sync::OnceLock::new(),
+            request_seq: AtomicU64::new(0),
+            drop_conn_every: fault.as_deref().and_then(FaultPlan::conn_drop_every),
+            timeout: config.connect_timeout,
+            stop: Arc::new(AtomicBool::new(false)),
+            boundaries: OnceLock::new(),
         });
         for state in &transport.workers {
-            let state = Arc::clone(state);
-            let log = Arc::clone(&transport.log);
-            let stop = Arc::clone(&transport.stop);
-            let seq = Arc::clone(&transport.request_seq);
-            let fault = fault.clone();
-            let backoff = config.reconnect_backoff;
-            let ship_order = Arc::clone(&transport.ship_order);
-            std::thread::spawn(move || {
-                manage_worker(state, log, stop, seq, fault, backoff, ship_order)
-            });
+            let manager = Manager {
+                state: Arc::clone(state),
+                log: Arc::clone(&transport.log),
+                ship_order: Arc::clone(&transport.ship_order),
+                stop: Arc::clone(&transport.stop),
+                frame_delay: fault.as_deref().and_then(FaultPlan::frame_delay),
+                backoff: config.reconnect_backoff,
+                timeout: config.connect_timeout,
+            };
+            std::thread::Builder::new()
+                .name(format!("fusedmm-rpc-{}", state.shard))
+                .spawn(move || manager.run())?;
         }
-        // Wait for every handshake, then freeze the layout.
-        let deadline = Instant::now() + config.connect_timeout;
-        let timed_out = |shard: usize, what: &str| {
+        // Wait for every first session, then freeze the layout. A
+        // manager publishes its worker's layout only once the session
+        // is open, so a part dispatched after this returns never finds
+        // a worker that is still connecting.
+        let refuse = |kind, what: String| {
             transport.shutdown();
-            io::Error::new(io::ErrorKind::TimedOut, format!("worker {shard} {what} timed out"))
+            io::Error::new(kind, what)
         };
+        let deadline = Instant::now() + config.connect_timeout;
         let mut layouts = Vec::with_capacity(transport.workers.len());
         for state in &transport.workers {
             let mut slot = state.layout.lock().expect("layout");
             while slot.is_none() {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
-                    return Err(timed_out(state.shard, "handshake"));
+                    let what = format!("worker {} handshake timed out", state.shard);
+                    return Err(refuse(io::ErrorKind::TimedOut, what));
                 }
                 let (s, _) = state.layout_cv.wait_timeout(slot, left).expect("layout wait");
                 slot = s;
@@ -283,39 +323,16 @@ impl RpcTransport {
         let mut boundaries = vec![layouts[0].band_start as usize];
         for (s, l) in layouts.iter().enumerate() {
             if l.band_start as usize != *boundaries.last().expect("nonempty") {
-                transport.shutdown();
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("worker {s} band does not abut its predecessor"),
-                ));
+                let what = format!("worker {s} band does not abut its predecessor");
+                return Err(refuse(io::ErrorKind::InvalidData, what));
             }
             boundaries.push((l.band_start + l.band_len) as usize);
             if l.d != layouts[0].d || l.y_rows != layouts[0].y_rows {
-                transport.shutdown();
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("worker {s} disagrees on dimensions"),
-                ));
+                let what = format!("worker {s} disagrees on dimensions");
+                return Err(refuse(io::ErrorKind::InvalidData, what));
             }
         }
         transport.boundaries.set(boundaries).expect("boundaries set once, here");
-        // A manager publishes the layout when it has read the `Hello`
-        // and opens the session (catch-up queued, `connected` set) a
-        // little later; a part dispatched in between would fail fast as
-        // if the worker were down. Return only once every session is
-        // open.
-        for state in &transport.workers {
-            let mut q = state.queue.lock().expect("queue");
-            while !q.connected {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    drop(q);
-                    return Err(timed_out(state.shard, "session"));
-                }
-                let (guard, _) = state.queue_cv.wait_timeout(q, left).expect("queue wait");
-                q = guard;
-            }
-        }
         Ok(transport)
     }
 
@@ -367,6 +384,35 @@ impl RpcTransport {
     pub fn reconnects(&self, shard: usize) -> u64 {
         self.workers[shard].telemetry.reconnects.load(Ordering::Relaxed)
     }
+
+    /// Send one request frame on `shard`'s open session, registering
+    /// `pending` for its reply first (both under the session lock, so
+    /// the session's end fails whatever it owes). Returns the request
+    /// id, or fails `pending` when the worker has no session.
+    fn request(&self, shard: usize, msg: &Msg, pending: Pending) -> Option<u64> {
+        let state = &self.workers[shard];
+        if let Pending::Embed { rows, .. } = &pending {
+            state.queued_rows.fetch_add(*rows, Ordering::Relaxed);
+        }
+        let mut guard = state.session.lock().expect("session");
+        let Some(session) = guard.as_mut() else {
+            drop(guard);
+            state.fail(pending);
+            return None;
+        };
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        state.pending.lock().expect("pending map").insert(id, pending);
+        if let Some(n) = self.drop_conn_every {
+            if (self.request_seq.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(n) {
+                // Scheduled chaos: sever instead of sending. The request
+                // fails with the rest of the session's pending set.
+                session.sever();
+                return Some(id);
+            }
+        }
+        session.write(&state.telemetry, id, msg);
+        Some(id)
+    }
 }
 
 impl ShardTransport for RpcTransport {
@@ -394,27 +440,7 @@ impl ShardTransport for RpcTransport {
                 .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64),
             nodes: nodes.iter().map(|&n| n as u64).collect(),
         };
-        let state = &self.workers[shard];
-        // Insert into pending *under the queue lock* so a concurrent
-        // disconnect either sees the entry (and fails it) or the
-        // enqueue sees the disconnect (and fails fast) — never a
-        // queued frame without a pending entry.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut q = state.queue.lock().expect("queue");
-        if !q.connected {
-            drop(q);
-            slot.resolve(PartOutcome::Failed);
-            return;
-        }
-        state
-            .pending
-            .lock()
-            .expect("pending map")
-            .insert(id, Pending::Embed { slot, sent: Instant::now(), rows: nodes.len() });
-        state.queued_rows.fetch_add(nodes.len(), Ordering::Relaxed);
-        q.frames.push_back(OutFrame { request_id: id, msg, is_request: true });
-        drop(q);
-        state.queue_cv.notify_all();
+        self.request(shard, &msg, Pending::Embed { slot, sent: Instant::now(), rows: nodes.len() });
     }
 
     fn score_part(
@@ -425,30 +451,18 @@ impl ShardTransport for RpcTransport {
     ) -> Result<Vec<f32>, ServeError> {
         let pairs = pairs.iter().map(|&(u, v)| (u as u64, v as u64)).collect();
         let msg = Msg::Score { epoch: epoch.epoch(), pairs };
-        let state = &self.workers[shard];
         let cell = Arc::new(ScoreCell { slot: Mutex::new(None), cv: Condvar::new() });
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut q = state.queue.lock().expect("queue");
-            if !q.connected {
-                return Err(ServeError::PartFailed { shard: Some(shard) });
-            }
-            state
-                .pending
-                .lock()
-                .expect("pending map")
-                .insert(id, Pending::Score { cell: Arc::clone(&cell), sent: Instant::now() });
-            q.frames.push_back(OutFrame { request_id: id, msg, is_request: true });
-        }
-        state.queue_cv.notify_all();
-        let deadline = Instant::now() + Duration::from_secs(30);
+        let pending = Pending::Score { cell: Arc::clone(&cell), sent: Instant::now() };
+        let id = self.request(shard, &msg, pending);
+        let deadline = Instant::now() + self.timeout;
         let mut slot = cell.slot.lock().expect("score cell");
         while slot.is_none() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // Give up typed; a late reply resolves a cell nobody
-                // reads, which is harmless.
-                state.pending.lock().expect("pending map").remove(&id);
+                // Give up typed; a late reply finds no pending entry.
+                if let Some(id) = id {
+                    take(&self.workers[shard], id);
+                }
                 return Err(ServeError::PartFailed { shard: Some(shard) });
             }
             let (s, _) = cell.cv.wait_timeout(slot, left).expect("score wait");
@@ -458,17 +472,26 @@ impl ShardTransport for RpcTransport {
     }
 
     fn ship(&self, record: &EpochRecord) {
+        let msg = Msg::Epoch(record.clone());
+        // Before any lock, as `publish` checks shapes: a record some
+        // worker's frame cannot hold panics here, not inside a write
+        // with the session (and `ship_order`) held.
+        if let Some(bounds) = self.boundaries.get() {
+            for (s, band) in bounds.windows(2).enumerate() {
+                let len = msg.encoded_len_for(Some(&(band[0]..band[1])));
+                assert!(
+                    fits_frame(len),
+                    "epoch {} record for worker {s} is {len} bytes, past MAX_FRAME",
+                    record.epoch()
+                );
+            }
+        }
         let _order = self.ship_order.lock().expect("ship order");
         self.log.ship(record);
         for state in &self.workers {
-            let mut q = state.queue.lock().expect("queue");
-            // Disconnected workers get the record via catch-up.
-            if q.connected {
-                let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let msg = Msg::Epoch(record.clone());
-                q.frames.push_back(OutFrame { request_id, msg, is_request: false });
-                drop(q);
-                state.queue_cv.notify_all();
+            // A worker without a session gets the record by catch-up.
+            if let Some(session) = state.session.lock().expect("session").as_mut() {
+                session.write(&state.telemetry, 0, &msg);
             }
         }
     }
@@ -480,7 +503,11 @@ impl ShardTransport for RpcTransport {
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         for state in &self.workers {
-            state.disconnect();
+            // The first step of a session's end; its manager takes the
+            // rest and exits.
+            if let Some(session) = state.session.lock().expect("session").as_ref() {
+                session.sever();
+            }
             state.fail_all();
         }
     }
@@ -492,77 +519,79 @@ impl Drop for RpcTransport {
     }
 }
 
-/// One worker's connection manager: connect → handshake → catch-up →
-/// write loop, forever (with backoff) until the transport stops.
-fn manage_worker(
+/// What one worker's manager thread holds.
+struct Manager {
     state: Arc<WorkerState>,
     log: Arc<EpochLog>,
-    stop: Arc<AtomicBool>,
-    request_seq: Arc<AtomicU64>,
-    fault: Option<Arc<FaultPlan>>,
-    backoff: Duration,
     ship_order: Arc<Mutex<()>>,
-) {
-    while !stop.load(Ordering::Acquire) {
-        let Ok(stream) = UnixStream::connect(&state.path) else {
-            std::thread::sleep(backoff);
-            continue;
+    stop: Arc<AtomicBool>,
+    frame_delay: Option<Duration>,
+    backoff: Duration,
+    timeout: Duration,
+}
+
+impl Manager {
+    /// Connect → handshake → catch-up → read replies, then end the
+    /// session and start over (after a backoff when connecting
+    /// failed), until the transport stops.
+    fn run(self) {
+        let state = &*self.state;
+        while !self.stop.load(Ordering::Acquire) {
+            let Some(stream) = self.open() else {
+                std::thread::sleep(self.backoff);
+                continue;
+            };
+            read_replies(state, &stream);
+            // The one end of a session (module docs).
+            let _ = stream.shutdown(Shutdown::Both);
+            *state.session.lock().expect("session") = None;
+            state.fail_all();
+        }
+    }
+
+    /// Connect, check the worker's `Hello`, write its catch-up slice
+    /// and open the session. Returns the socket to read replies from.
+    fn open(&self) -> Option<UnixStream> {
+        let state = &*self.state;
+        let stream = UnixStream::connect(&state.path).ok()?;
+        // Bound the handshake read and every write: a wedged worker
+        // cannot pin the manager or a sender. Replies are awaited
+        // untimed — a session may idle.
+        stream.set_read_timeout(Some(self.timeout)).ok()?;
+        stream.set_write_timeout(Some(self.timeout)).ok()?;
+        let (layout, epoch, fresh) = read_hello(state, &stream)?;
+        stream.set_read_timeout(None).ok()?;
+        let mut session = Session {
+            w: BufWriter::new(stream.try_clone().ok()?),
+            band: layout.band(),
+            delay: self.frame_delay,
         };
-        // Bound the handshake read so a wedged worker doesn't pin the
-        // manager forever; the session itself runs untimed.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let Some((worker_epoch, worker_fresh)) = read_hello(&state, &stream) else {
-            std::thread::sleep(backoff);
-            continue;
-        };
-        let _ = stream.set_read_timeout(None);
-        // Catch-up + mark connected, atomically vs `ship` (module docs).
         {
-            let _order = ship_order.lock().expect("ship order");
-            let from = if worker_fresh { None } else { Some(worker_epoch) };
-            let records = log.catch_up(from);
-            let mut q = state.queue.lock().expect("queue");
-            q.frames.clear();
-            for record in records {
-                q.frames.push_back(OutFrame {
-                    request_id: 0,
-                    msg: Msg::Epoch(record),
-                    is_request: false,
-                });
+            let _order = self.ship_order.lock().expect("ship order");
+            for record in self.log.catch_up((!fresh).then_some(epoch)) {
+                if !session.write(&state.telemetry, 0, &Msg::Epoch(record)) {
+                    return None;
+                }
             }
-            q.connected = true;
+            *state.session.lock().expect("session") = Some(session);
+        }
+        // `shutdown` may have run before the session existed to sever.
+        if self.stop.load(Ordering::Acquire) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         if state.had_session.swap(true, Ordering::AcqRel) {
             state.telemetry.reconnects.fetch_add(1, Ordering::Relaxed);
         }
-        state.queue_cv.notify_all();
-        let reader = {
-            let state = Arc::clone(&state);
-            let stream = match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => {
-                    state.disconnect();
-                    continue;
-                }
-            };
-            std::thread::spawn(move || read_replies(&state, stream))
-        };
-        write_outgoing(&state, &stream, &stop, &request_seq, fault.as_deref());
-        // Session over (either side failed or chaos severed it):
-        // tear down, fail pending, loop back to reconnect.
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        state.disconnect();
-        let _ = reader.join();
-        state.fail_all();
+        state.layout.lock().expect("layout").get_or_insert(layout);
+        state.layout_cv.notify_all();
+        Some(stream)
     }
-    state.disconnect();
-    state.fail_all();
 }
 
-/// Read and validate the worker's handshake. Returns
-/// `(epoch, fresh)` and records the layout on first contact.
-fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
-    let mut r = BufReader::new(stream.try_clone().ok()?);
+/// Read and check the worker's handshake: the right revision and shard,
+/// and on a reconnect the layout of the first contact. Returns the
+/// layout, the worker's epoch and whether it is fresh.
+fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(WorkerLayout, u64, bool)> {
     let Ok(Msg::Hello {
         proto_version,
         shard,
@@ -573,7 +602,7 @@ fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
         epoch,
         fresh,
         backend,
-    }) = read_msg(&mut r).ok()?.msg
+    }) = read_msg(&mut BufReader::new(stream)).ok()?.msg
     else {
         return None;
     };
@@ -581,90 +610,29 @@ fn read_hello(state: &WorkerState, stream: &UnixStream) -> Option<(u64, bool)> {
         return None;
     }
     let layout = WorkerLayout { band_start, band_len, y_rows, d };
-    let mut slot = state.layout.lock().expect("layout");
-    if let Some(existing) = slot.as_ref() {
+    match state.layout.lock().expect("layout").as_ref() {
         // A restarted worker must come back with the same shape.
-        if existing.band_start != layout.band_start
-            || existing.band_len != layout.band_len
-            || existing.d != layout.d
-        {
-            return None;
-        }
-    } else {
-        if backend != active_backend().label() {
-            eprintln!(
-                "fusedmm-rpc: worker {} serves with backend `{}` (coordinator: `{}`)",
-                state.shard,
-                backend,
-                active_backend().label()
-            );
-        }
-        *slot = Some(layout);
+        Some(first) if *first != layout => return None,
+        Some(_) => {}
+        None if backend != active_backend().label() => eprintln!(
+            "fusedmm-rpc: worker {} serves with backend `{}` (coordinator: `{}`)",
+            state.shard,
+            backend,
+            active_backend().label()
+        ),
+        None => {}
     }
-    drop(slot);
-    state.layout_cv.notify_all();
-    Some((epoch, fresh))
+    Some((layout, epoch, fresh))
 }
 
-/// The connection's writer: drain the queue in FIFO order, applying
-/// the fault plan's frame delay and scheduled connection drops. Epoch
-/// records go out narrowed to the worker's band of `X`.
-fn write_outgoing(
-    state: &WorkerState,
-    stream: &UnixStream,
-    stop: &AtomicBool,
-    request_seq: &AtomicU64,
-    fault: Option<&FaultPlan>,
-) {
-    let band = state.layout.lock().expect("layout").as_ref().expect("handshake read").band();
-    let Ok(raw) = stream.try_clone() else { return };
-    let mut w = BufWriter::new(raw);
-    loop {
-        let out = {
-            let mut q = state.queue.lock().expect("queue");
-            loop {
-                if !q.connected || stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(out) = q.frames.pop_front() {
-                    break out;
-                }
-                q = state.queue_cv.wait(q).expect("queue wait");
-            }
-        };
-        if let Some(delay) = fault.and_then(FaultPlan::frame_delay) {
-            std::thread::sleep(delay);
-        }
-        if out.is_request {
-            let seq = request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(n) = fault.and_then(FaultPlan::conn_drop_every) {
-                if seq.is_multiple_of(n) {
-                    // Scheduled chaos: sever instead of sending. The
-                    // dropped request fails with the rest of the
-                    // session's pending set.
-                    return;
-                }
-            }
-        }
-        let Ok(len) = write_msg_for(&mut w, out.request_id, &out.msg, &band) else { return };
-        if w.flush().is_err() {
-            return;
-        }
-        state.telemetry.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
-        state.telemetry.frames_sent.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The connection's reader: resolve replies against the pending map.
-fn read_replies(state: &WorkerState, stream: UnixStream) {
-    let mut r = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+/// The session's replies, resolved against the pending map until the
+/// stream ends or a frame is corrupt.
+fn read_replies(state: &WorkerState, stream: &UnixStream) {
+    let mut r = BufReader::new(stream);
     while let Ok(Received { request_id, wire_len, msg }) = read_msg(&mut r) {
         state.telemetry.bytes_received.fetch_add(wire_len as u64, Ordering::Relaxed);
         state.telemetry.frames_received.fetch_add(1, Ordering::Relaxed);
-        let Ok(msg) = msg else { break }; // protocol corruption: force a reconnect
+        let Ok(msg) = msg else { return }; // protocol corruption: force a reconnect
         match msg {
             Msg::EpochAck { epoch } => {
                 state.acked.fetch_max(epoch, Ordering::Relaxed);
@@ -704,8 +672,6 @@ fn read_replies(state: &WorkerState, stream: UnixStream) {
             _ => {}
         }
     }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    state.disconnect();
 }
 
 fn take(state: &WorkerState, id: u64) -> Option<Pending> {

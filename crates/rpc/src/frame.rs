@@ -36,6 +36,14 @@ pub const HEADER: usize = 8 + 1;
 /// allocation request.
 pub const MAX_FRAME: u32 = 1 << 30;
 
+/// Whether a frame with a `payload_len`-byte payload fits
+/// [`MAX_FRAME`]: the one length rule. A reader refuses a length word
+/// past it, [`write_msg`] panics past it, and the coordinator checks an
+/// epoch record against it before it ships anything.
+pub(crate) fn fits_frame(payload_len: usize) -> bool {
+    payload_len <= MAX_FRAME as usize - HEADER
+}
+
 /// One wire frame, header decoded, payload raw.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -85,9 +93,8 @@ fn write_header(
     request_id: u64,
     kind: u8,
 ) -> io::Result<()> {
-    let len = HEADER + payload_len;
-    assert!(len <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
-    w.write_all(&(len as u32).to_le_bytes())?;
+    assert!(fits_frame(payload_len), "frame payload exceeds MAX_FRAME");
+    w.write_all(&((HEADER + payload_len) as u32).to_le_bytes())?;
     w.write_all(&request_id.to_le_bytes())?;
     w.write_all(&[kind])
 }
@@ -103,7 +110,7 @@ fn read_header(r: &mut impl Read) -> Result<(usize, u64, u8), FrameError> {
         Err(e) => return Err(FrameError::Io(e)),
     }
     let len = u32::from_le_bytes(len_bytes);
-    if len < HEADER as u32 || len > MAX_FRAME {
+    if (len as usize).checked_sub(HEADER).is_none_or(|payload| !fits_frame(payload)) {
         return Err(FrameError::BadLength(len));
     }
     let mut id_bytes = [0u8; 8];
@@ -251,6 +258,27 @@ mod tests {
                 assert!(matches!(r, Err(FrameError::Io(_))), "cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn a_frame_of_max_frame_bytes_fits_and_one_more_does_not() {
+        let largest = MAX_FRAME as usize - HEADER;
+        assert!(fits_frame(largest) && !fits_frame(largest + 1));
+        // The writer: the largest frame's header goes out; one byte more
+        // panics before anything is written. No payload is built.
+        let mut wire = Vec::new();
+        write_header(&mut wire, largest, 3, 4).unwrap();
+        assert_eq!(wire[..4], MAX_FRAME.to_le_bytes());
+        let mut past = Vec::new();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            write_header(&mut past, largest + 1, 3, 4)
+        }));
+        assert!(refused.is_err() && past.is_empty());
+        // The reader: the same length word is a frame, one more is not.
+        assert_eq!(read_header(&mut &wire[..]).unwrap(), (largest, 3, 4));
+        let mut past = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        past.extend_from_slice(&wire[4..]);
+        assert!(matches!(read_header(&mut &past[..]), Err(FrameError::BadLength(_))));
     }
 
     fn embed_ok() -> Msg {

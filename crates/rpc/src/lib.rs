@@ -28,13 +28,15 @@
 //!   stream order.
 //! * [`client`] — the coordinator side: [`RpcTransport`] implements
 //!   [`ShardTransport`](fusedmm_serve::remote::ShardTransport) for
-//!   [`RemoteShardedEngine`](fusedmm_serve::remote::RemoteShardedEngine),
-//!   with per-worker connection managers, reconnect + epoch-log
-//!   catch-up (snapshot for fresh replicas, log suffix for lagging
-//!   ones), request timeouts mapped onto the typed `PartFailed` /
-//!   deadline machinery, transport fault injection
-//!   (`drop_conn_every` / `delay_frame_us`), and `fusedmm_rpc_*`
-//!   telemetry.
+//!   [`RemoteShardedEngine`](fusedmm_serve::remote::RemoteShardedEngine).
+//!   Per worker it keeps one thread, a connection manager that
+//!   reconnects, catches the replica up from the epoch log (snapshot
+//!   for fresh replicas, log suffix for lagging ones) and reads the
+//!   replies; whoever sends a request or ships a record writes its own
+//!   frame under the worker's session lock. Failures and timeouts map
+//!   onto the typed `PartFailed` / deadline machinery; transport fault
+//!   injection (`drop_conn_every` / `delay_frame_us`) and
+//!   `fusedmm_rpc_*` telemetry ride along.
 
 #![forbid(unsafe_code)]
 

@@ -14,8 +14,8 @@
 //! the allocation the coordinator's store holds (a snapshot or publish
 //! record is an `Arc` pair), and the log copies it only when a fold has
 //! to patch delta rows into a base somebody else still holds. The log
-//! keeps whole records — all of `X` — and each worker's connection
-//! narrows them to the worker's band as it writes them.
+//! keeps whole records — all of `X` — and each record is narrowed to a
+//! worker's band as it is written to that worker's socket.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,8 +39,8 @@ struct Inner {
 /// The append-only (logically) epoch log. Thread-safe; `ship` and
 /// `catch_up` may race freely — a record is either in the slice a
 /// reconnecting worker receives or ordered after it on the live
-/// stream, never both, provided the caller serializes per-connection
-/// delivery (the client's per-worker queue lock does).
+/// stream, never both, provided the caller serializes live delivery
+/// against catch-up (the client's `ship_order` lock does).
 pub struct EpochLog {
     inner: Mutex<Inner>,
 }

@@ -64,7 +64,8 @@ const EPOCH_RETAIN: usize = 64;
 ///
 /// Whole generations are *shared*, not owned: a record holds the
 /// allocations of the store epoch it describes, so cloning a record —
-/// into the log, into each worker's queue — never copies a matrix, and
+/// into the log, into the message a transport writes — never copies a
+/// matrix, and
 /// a replica that applies a decoded record moves those allocations
 /// into its own store. Deltas are a few rows and stay owned.
 ///

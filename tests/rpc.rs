@@ -19,7 +19,7 @@ use fusedmm::rpc::{
     decode, decode_from, read_frame, read_msg, write_frame, write_msg, DecodeError, Frame,
     FrameError, Msg, PROTO_VERSION,
 };
-use fusedmm::serve::Quality;
+use fusedmm::serve::{Quality, ServeError};
 
 // ---------------------------------------------------------------------
 // Codec totality and round-trip.
@@ -313,53 +313,150 @@ fn first_embed_after_connect_never_races_the_session() {
     drop(servers);
 }
 
+/// A fake worker on a fresh socket: every connection it accepts gets
+/// `hello(i)` (`i` counts the connections, from 0) and is then handed to
+/// `keep`, which holds it open or drops it. Stop it with [`FakeWorker::stop`].
+struct FakeWorker {
+    path: std::path::PathBuf,
+    answered: Arc<std::sync::atomic::AtomicUsize>,
+    done: Arc<std::sync::atomic::AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl FakeWorker {
+    fn start(tag: &str, hello: impl Fn(usize) -> Msg + Send + 'static, keep: bool) -> FakeWorker {
+        use std::os::unix::net::UnixListener;
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let path =
+            std::env::temp_dir().join(format!("fusedmm-rpc-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let answered = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let (answered, done) = (Arc::clone(&answered), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                for stream in listener.incoming() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let Ok(mut stream) = stream else { continue };
+                    let _ = write_msg(&mut stream, 0, &hello(answered.load(Ordering::Acquire)));
+                    answered.fetch_add(1, Ordering::AcqRel);
+                    if keep {
+                        held.push(stream);
+                    }
+                }
+            })
+        };
+        FakeWorker { path, answered, done, thread: Some(thread) }
+    }
+
+    fn answered(&self) -> usize {
+        self.answered.load(std::sync::atomic::Ordering::Acquire)
+    }
+
+    fn stop(&mut self) {
+        self.done.store(true, std::sync::atomic::Ordering::Release);
+        let _ = std::os::unix::net::UnixStream::connect(&self.path);
+        if let Some(thread) = self.thread.take() {
+            thread.join().expect("fake worker thread");
+        }
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// A revision-`version` `Hello` from worker 0 holding rows `0..n` of `X`.
+fn hello(version: u32, n: usize, y_rows: usize, d: usize) -> Msg {
+    Msg::Hello {
+        proto_version: version,
+        shard: 0,
+        band_start: 0,
+        band_len: n as u64,
+        y_rows: y_rows as u64,
+        d: d as u32,
+        epoch: 0,
+        fresh: true,
+        backend: fusedmm::kernel::active_backend().label().to_string(),
+    }
+}
+
 /// A worker speaking an older protocol revision is refused at the
 /// handshake: `connect` never opens a session with it.
 #[test]
 fn a_revision_1_worker_is_refused_at_the_handshake() {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     assert_eq!(PROTO_VERSION, 2);
-    let path = std::env::temp_dir().join(format!("fusedmm-rpc-rev1-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path).expect("bind");
-    let done = Arc::new(AtomicBool::new(false));
-    let stale = {
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            // Every connection gets a well-formed revision-1 Hello.
-            for stream in listener.incoming() {
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(mut stream) = stream else { continue };
-                let hello = Msg::Hello {
-                    proto_version: 1,
-                    shard: 0,
-                    band_start: 0,
-                    band_len: 8,
-                    y_rows: 8,
-                    d: 4,
-                    epoch: 0,
-                    fresh: true,
-                    backend: "scalar".into(),
-                };
-                let _ = write_msg(&mut stream, 0, &hello);
-            }
-        })
-    };
-    let mut config = RpcConfig::new(vec![path.clone()]);
+    let mut stale = FakeWorker::start("rev1", |_| hello(1, 8, 8, 4), false);
+    let mut config = RpcConfig::new(vec![stale.path.clone()]);
     config.fault = Some(Arc::new(FaultPlan::disabled()));
     config.connect_timeout = Duration::from_millis(300);
     match RpcTransport::connect(config) {
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "{e}"),
         Ok(_) => panic!("a revision-1 worker opened a session"),
     }
-    done.store(true, Ordering::Release);
-    let _ = UnixStream::connect(&path);
-    stale.join().expect("stale worker thread");
-    let _ = std::fs::remove_file(&path);
+    stale.stop();
+}
+
+/// A worker that comes back with another height of `Y` is refused at
+/// the handshake like any other change of shape: it could not apply
+/// the catch-up snapshot, so a session with it would flap forever.
+#[test]
+fn a_worker_back_with_another_y_height_is_refused_at_the_handshake() {
+    // The first contact reports 8 rows of `Y`, every later one 9; each
+    // connection is dropped right after its `Hello`.
+    let mut fake = FakeWorker::start(
+        "y-rows",
+        |i| hello(PROTO_VERSION, 8, if i == 0 { 8 } else { 9 }, 4),
+        false,
+    );
+    let mut config = RpcConfig::new(vec![fake.path.clone()]);
+    config.fault = Some(Arc::new(FaultPlan::disabled()));
+    config.reconnect_backoff = Duration::from_millis(5);
+    let transport = RpcTransport::connect(config).expect("the first contact opens a session");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fake.answered() < 3 {
+        assert!(Instant::now() < deadline, "the coordinator stopped reconnecting");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(transport.reconnects(0), 0, "a worker with another Y height opened a session");
+    drop(transport);
+    fake.stop();
+}
+
+/// A worker that completes its handshake and then never reads cannot
+/// hang the coordinator: a write that makes no progress for
+/// `connect_timeout` ends the session like any other failure, so the
+/// seeding `ship` returns, and a part sent afterwards fails typed
+/// instead of waiting behind the stuck frame.
+#[test]
+fn a_worker_that_stops_reading_cannot_hang_the_coordinator() {
+    // X and Y of 4096 x 128: a 4 MiB seeding frame, far past what the
+    // socket buffers hold.
+    let (n, d) = (4096, 128);
+    let mut fake = FakeWorker::start("deaf", move |_| hello(PROTO_VERSION, n, n, d), true);
+    let mut config = RpcConfig::new(vec![fake.path.clone()]);
+    config.fault = Some(Arc::new(FaultPlan::disabled()));
+    config.connect_timeout = Duration::from_millis(500);
+    let transport = RpcTransport::connect(config).expect("the handshake completes");
+    let t0 = Instant::now();
+    let remote = RemoteShardedEngine::new(
+        Dense::zeros(n, d),
+        Dense::zeros(n, d),
+        transport,
+        engine_config(),
+    );
+    let built = t0.elapsed();
+    assert!(built < Duration::from_secs(5), "seeding a deaf worker took {built:?}");
+    let mut ticket = remote.embed_begin(&[0]).expect("admitted");
+    match ticket.wait_deadline(Instant::now() + Duration::from_secs(5)) {
+        Some(Err(ServeError::PartFailed { .. })) => {}
+        Some(Err(e)) => panic!("a part on a deaf worker failed with {e}, not PartFailed"),
+        Some(Ok(_)) => panic!("a deaf worker answered"),
+        None => panic!("a part on a deaf worker was still pending after 5 s"),
+    }
+    drop(remote);
+    fake.stop();
 }
 
 #[test]

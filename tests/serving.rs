@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fusedmm::kernel::Partition;
 use fusedmm::prelude::*;
 use fusedmm::serve::{score_edges, FrontEnd, LocalBands};
 
@@ -884,19 +885,121 @@ fn engine_edge_scores_match_direct_sddmm() {
     assert!(served.iter().all(|&s| s > 0.0 && s < 1.0));
 }
 
-/// The hang guard of the waiter-runs-the-batch state machine: 8 threads
-/// × 250 requests over 1, 2 and 4 shards with the cache on, harvested
-/// by every method — `wait`, a `poll` loop, a `wait_any` window and
-/// `wait_deadline` — so combiners, parked waiters, coalesced cache
-/// waiters and one-batch polls interleave on every band. Every response
-/// is bit-identical to the whole-graph launch (`fusedmm`) and within
-/// 1e-5 of `fusedmm_reference`, and the ledger reconciles. A lost
-/// wakeup trips the watchdog, which fails the run instead of hanging
-/// it.
+/// Aborts the process when the test that started it is still running
+/// after 60 s: a lost wakeup fails the run instead of hanging it.
+/// Dropping it, however the test ends, stops it.
+struct Watchdog {
+    finished: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Watchdog {
+    fn start(what: &'static str) -> Watchdog {
+        let finished = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let finished = Arc::clone(&finished);
+            std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                while !finished.load(Ordering::Acquire) {
+                    if t0.elapsed() > Duration::from_secs(60) {
+                        eprintln!("{what} still running after 60 s: a lost wakeup");
+                        std::process::abort();
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        };
+        Watchdog { finished, thread: Some(thread) }
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.finished.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+const HAMMER_THREADS: usize = 8;
+const HAMMER_REQUESTS: usize = 250;
+
+/// `HAMMER_THREADS` callers × `HAMMER_REQUESTS` requests of hot,
+/// overlapping ids through `eng`, harvested by every method — `wait`, a
+/// `poll` loop, a `wait_any` window and `wait_deadline` — so combiners,
+/// parked waiters, coalesced cache waiters and one-batch polls
+/// interleave. Every answer must be bit-identical to `reference`.
+fn hammer<T: ShardTransport + ?Sized + 'static>(eng: &FrontEnd<T>, reference: &Dense, label: &str) {
+    let n = reference.nrows();
+    std::thread::scope(|s| {
+        for t in 0..HAMMER_THREADS {
+            s.spawn(move || {
+                let check = |nodes: &[usize], z: Dense| {
+                    for (i, &u) in nodes.iter().enumerate() {
+                        let same = z.row(i).iter().zip(reference.row(u));
+                        assert!(
+                            same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "thread {t} node {u} ({label}) diverged from the reference"
+                        );
+                    }
+                };
+                let (mut window, mut asked) = (Vec::new(), Vec::new());
+                let drain = |window: &mut Vec<Ticket<Dense>>, asked: &mut Vec<Vec<usize>>| {
+                    while let Some(i) = wait_any(window) {
+                        let z = window[i].poll().expect("ready after wait_any");
+                        check(&asked[i], z.expect("wait_any"));
+                    }
+                    window.clear();
+                    asked.clear();
+                };
+                for r in 0..HAMMER_REQUESTS {
+                    // Hot, overlapping ids so threads coalesce on each
+                    // other's in-flight rows.
+                    let len = 1 + (t + r) % 9;
+                    let nodes: Vec<usize> =
+                        (0..len).map(|i| (t * 7 + r * 13 + i * 29) % (n / 4) * 4).collect();
+                    let mut ticket = eng.embed_begin(&nodes).expect("embed_begin");
+                    match r % 4 {
+                        0 => check(&nodes, ticket.wait().expect("wait")),
+                        1 => loop {
+                            if let Some(z) = ticket.poll() {
+                                break check(&nodes, z.expect("poll"));
+                            }
+                            std::thread::yield_now();
+                        },
+                        2 => {
+                            window.push(ticket);
+                            asked.push(nodes);
+                            if window.len() == 4 {
+                                drain(&mut window, &mut asked);
+                            }
+                        }
+                        _ => {
+                            let far = std::time::Instant::now() + Duration::from_secs(30);
+                            let z = ticket.wait_deadline(far).expect("within the deadline");
+                            check(&nodes, z.expect("wait_deadline"));
+                        }
+                    }
+                }
+                drain(&mut window, &mut asked);
+            });
+        }
+    });
+    let m = eng.metrics();
+    assert_eq!(m.requests_begun, (HAMMER_THREADS * HAMMER_REQUESTS) as u64, "{label}");
+    assert_eq!(m.requests_failed + m.requests_shed + m.requests_abandoned, 0, "{label}: {m}");
+    assert_eq!(m.requests_begun, m.requests_harvested + m.requests_degraded, "{label}");
+    assert_eq!(m.inflight, 0, "every ticket resolved ({label})");
+}
+
+/// The hang guard of the waiter-runs-the-batch state machine: the
+/// `hammer` over 1, 2 and 4 shards with the cache on, so every band
+/// sees combiners, parked waiters and coalesced cache waiters. Every
+/// response is bit-identical to the whole-graph launch (`fusedmm`) and
+/// within 1e-5 of `fusedmm_reference`, and the ledger reconciles.
 #[test]
 fn waiters_running_the_batches_never_hang_and_stay_bit_identical() {
-    const THREADS: usize = 8;
-    const REQUESTS: usize = 250;
     let (n, d) = (256, 16);
     let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(71));
     let x = random_features(n, d, 0.5, 72);
@@ -905,97 +1008,85 @@ fn waiters_running_the_batches_never_hang_and_stay_bit_identical() {
     let reference = fusedmm(&a, &x, &y, &ops);
     let all: Vec<usize> = (0..n).collect();
     assert_rows_match(&reference, &fusedmm_reference(&a, &x, &y, &ops), &all, 1e-5, "reference");
-    /// Stops the watchdog however the test ends.
-    struct Finished(Arc<AtomicBool>);
-    impl Drop for Finished {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let finished = Finished(Arc::new(AtomicBool::new(false)));
-    let watchdog = {
-        let finished = Arc::clone(&finished.0);
-        std::thread::spawn(move || {
-            let t0 = std::time::Instant::now();
-            while !finished.load(Ordering::Acquire) {
-                if t0.elapsed() > Duration::from_secs(60) {
-                    eprintln!("serving stress test still running after 60 s: a lost wakeup");
-                    std::process::abort();
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        })
-    };
+    let _watchdog = Watchdog::start("serving stress test");
     for shards in [1usize, 2, 4] {
         // A cache far smaller than the hot set: rows keep missing,
         // coalescing and evicting instead of settling into hits.
         let cache = Some(CacheConfig { byte_budget: 4 << 10, segments: 4 });
         let eng = build(a.clone(), x.clone(), y.clone(), shards, cache);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let (eng, reference) = (&eng, &reference);
-                s.spawn(move || {
-                    let check = |nodes: &[usize], z: Dense| {
-                        for (i, &u) in nodes.iter().enumerate() {
-                            let same = z.row(i).iter().zip(reference.row(u));
-                            assert!(
-                                same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()),
-                                "thread {t} node {u} (shards={shards}) diverged from the reference"
-                            );
-                        }
-                    };
-                    let (mut window, mut asked) = (Vec::new(), Vec::new());
-                    let drain = |window: &mut Vec<Ticket<Dense>>, asked: &mut Vec<Vec<usize>>| {
-                        while let Some(i) = wait_any(window) {
-                            let z = window[i].poll().expect("ready after wait_any");
-                            check(&asked[i], z.expect("wait_any"));
-                        }
-                        window.clear();
-                        asked.clear();
-                    };
-                    for r in 0..REQUESTS {
-                        // Hot, overlapping ids so threads coalesce on
-                        // each other's in-flight rows.
-                        let len = 1 + (t + r) % 9;
-                        let nodes: Vec<usize> =
-                            (0..len).map(|i| (t * 7 + r * 13 + i * 29) % (n / 4) * 4).collect();
-                        let mut ticket = eng.embed_begin(&nodes).expect("embed_begin");
-                        match r % 4 {
-                            0 => check(&nodes, ticket.wait().expect("wait")),
-                            1 => loop {
-                                if let Some(z) = ticket.poll() {
-                                    break check(&nodes, z.expect("poll"));
-                                }
-                                std::thread::yield_now();
-                            },
-                            2 => {
-                                window.push(ticket);
-                                asked.push(nodes);
-                                if window.len() == 4 {
-                                    drain(&mut window, &mut asked);
-                                }
-                            }
-                            _ => {
-                                let far = std::time::Instant::now() + Duration::from_secs(30);
-                                let z = ticket.wait_deadline(far).expect("within the deadline");
-                                check(&nodes, z.expect("wait_deadline"));
-                            }
-                        }
-                    }
-                    drain(&mut window, &mut asked);
-                });
-            }
-        });
-        let m = eng.metrics();
-        assert_eq!(m.requests_begun, (THREADS * REQUESTS) as u64, "shards={shards}");
-        assert_eq!(m.requests_failed + m.requests_shed + m.requests_abandoned, 0);
-        assert_eq!(m.requests_begun, m.requests_harvested + m.requests_degraded);
-        assert_eq!(m.inflight, 0, "every ticket resolved (shards={shards})");
-        let cache = m.cache.expect("cache on");
+        hammer(&**eng, &reference, &format!("shards={shards}"));
+        let cache = eng.metrics().cache.expect("cache on");
         assert!(cache.coalesced_misses > 0 && cache.evictions > 0, "shards={shards}: {cache}");
     }
-    drop(finished);
-    watchdog.join().expect("watchdog");
+}
+
+/// The same hang guard over sockets: the `hammer` on a
+/// `RemoteShardedEngine` over 2 workers (each with a small cache),
+/// while a ninth thread ships `delta_update`s that rewrite rows with
+/// the values they already hold. Epochs advance and their records
+/// interleave with the callers' frames on each socket; every answer
+/// stays bit-identical to `fusedmm` and the ledger reconciles with
+/// nothing failed.
+#[test]
+fn remote_callers_never_hang_and_stay_bit_identical_while_deltas_ship() {
+    let (n, d, nshards) = (256, 16, 2);
+    let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(71));
+    let x = random_features(n, d, 0.5, 72);
+    let y = random_features(n, d, 0.5, 73);
+    let ops = OpSet::sigmoid_embedding(None);
+    let reference = fusedmm(&a, &x, &y, &ops);
+    let config = |cache| EngineConfig {
+        cache,
+        admission: Some(AdmissionPolicy::unlimited()),
+        fault: Some(Arc::new(FaultPlan::disabled())),
+        ..EngineConfig::default()
+    };
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let paths: Vec<std::path::PathBuf> =
+        (0..nshards).map(|s| dir.join(format!("fusedmm-hammer-{pid}-{s}.sock"))).collect();
+    let partition = Partition::part1d(&a, nshards, PartitionStrategy::NnzBalanced);
+    let servers: Vec<WorkerServer> = (0..nshards)
+        .map(|s| {
+            let cache = Some(CacheConfig { byte_budget: 4 << 10, segments: 4 });
+            let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
+            let worker =
+                WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops.clone(), config(cache));
+            WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
+        })
+        .collect();
+    let mut rpc = RpcConfig::new(paths.clone());
+    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
+    let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
+    let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport, config(None));
+    let _watchdog = Watchdog::start("remote serving stress test");
+    let stop = AtomicBool::new(false);
+    let shipped = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut shipped = 0;
+            // Fewer records than a replica's 64-epoch history, so no
+            // caller's pinned epoch can age out of it.
+            while !stop.load(Ordering::Acquire) && shipped < 48 {
+                let rows: Vec<usize> = (0..4).map(|i| (shipped * 4 + i) % n).collect();
+                let xr = Dense::from_fn(rows.len(), d, |r, k| x.get(rows[r], k));
+                let yr = Dense::from_fn(rows.len(), d, |r, k| y.get(rows[r], k));
+                remote.delta_update(&rows, &xr, &yr);
+                shipped += 1;
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            shipped
+        });
+        hammer(&remote, &reference, "remote");
+        stop.store(true, Ordering::Release);
+        writer.join().expect("delta writer")
+    });
+    assert!(shipped > 0, "no delta shipped while the callers ran");
+    assert_eq!(remote.metrics().feature_epoch, shipped as u64);
+    drop(remote);
+    drop(servers);
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 /// Parts queued before anyone waits share one launch. The launch
