@@ -314,9 +314,8 @@ impl ResultCache {
     /// embedding dimension `d`.
     ///
     /// # Panics
-    /// Panics when `d == 0` or `config.segments == 0`.
+    /// Panics when `config.segments == 0`.
     pub fn new(nvertices: usize, d: usize, config: CacheConfig) -> ResultCache {
-        assert!(d > 0, "cannot cache zero-dimensional rows");
         assert!(config.segments > 0, "cache needs at least one segment");
         let row_bytes = 4 * d + ENTRY_OVERHEAD;
         // At least one row per segment so a tiny budget still caches.

@@ -69,8 +69,8 @@ impl CacheStats {
     }
 }
 
-/// Point-in-time cache statistics, surfaced next to the serving
-/// engine's latency metrics.
+/// Point-in-time cache statistics: what the serving layer's collector
+/// exports as `fusedmm_cache_*` samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheMetrics {
     /// Row lookups served from the cache.
@@ -104,43 +104,6 @@ pub struct CacheMetrics {
     pub hit_ratio: RatioSnapshot,
 }
 
-impl CacheMetrics {
-    /// Overall row-level hit ratio (`hits / (hits + misses)`), 0 when
-    /// nothing was looked up.
-    pub fn overall_hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for CacheMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hits={} misses={} ({:.1}% hit, {} coalesced) inserts={} evict={} delta-inval={} \
-             flushes={} in-flight={} (peak {}) resident={} rows / {} KiB, per-request hit \
-             ratio: {}",
-            self.hits,
-            self.misses,
-            self.overall_hit_ratio() * 100.0,
-            self.coalesced_misses,
-            self.inserts,
-            self.evictions,
-            self.invalidated_rows,
-            self.flushes,
-            self.inflight_rows,
-            self.inflight_peak_rows,
-            self.entries,
-            self.bytes >> 10,
-            self.hit_ratio
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,16 +116,6 @@ mod tests {
         s.hit_ratio.record_fraction(3, 4);
         let m = s.snapshot();
         assert_eq!((m.hits, m.misses), (3, 1));
-        assert!((m.overall_hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(m.hit_ratio.count, 1);
-        let line = m.to_string();
-        assert!(line.contains("75.0% hit"), "{line}");
-    }
-
-    #[test]
-    fn empty_metrics_report_zero_ratio() {
-        let m = CacheStats::default().snapshot();
-        assert_eq!(m.overall_hit_ratio(), 0.0);
-        assert_eq!(m.hit_ratio.count, 0);
     }
 }

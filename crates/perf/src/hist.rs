@@ -325,17 +325,6 @@ pub struct HistogramSnapshot {
     pub max: Duration,
 }
 
-impl HistogramSnapshot {
-    /// Requests per second over `elapsed` wall-clock time.
-    pub fn throughput(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.count as f64 / elapsed.as_secs_f64()
-        }
-    }
-}
-
 impl std::fmt::Display for HistogramSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -412,16 +401,6 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 8000);
-    }
-
-    #[test]
-    fn throughput_from_snapshot() {
-        let h = LatencyHistogram::new();
-        for _ in 0..500 {
-            h.record(Duration::from_micros(1));
-        }
-        let rps = h.snapshot().throughput(Duration::from_secs(2));
-        assert!((rps - 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! A pull-model metrics registry: one place to enumerate every
 //! counter, gauge, and histogram the serving stack maintains.
 //!
-//! PRs 1–5 grew metrics organically — `EngineMetrics`,
-//! `ShardedMetrics`, `CacheMetrics`, assorted histograms — each with
-//! its own snapshot struct and `Display`. [`MetricsRegistry`] absorbs
-//! them behind one registration API without changing how they are
-//! *recorded*: the hot paths keep hitting their relaxed atomics, and
+//! Every serving counter is read out through it and nothing else:
+//! the hot paths keep hitting their relaxed atomics, and
 //! the registry holds **collector closures** that read those atomics
 //! only when a snapshot is requested (the Prometheus "collector"
 //! model). A collector captures its `Arc`s and appends [`Sample`]s —
@@ -164,6 +161,22 @@ impl MetricsSnapshot {
             MetricValue::Gauge(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// The latency summary of the first matching sample, or `None` when
+    /// absent or not a histogram.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+        match &self.get(name, labels)?.value {
+            MetricValue::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    /// Every counter sample named `name` summed over its label sets —
+    /// a per-shard counter's total across shards; 0 when there is none.
+    pub fn sum(&self, name: &str) -> u64 {
+        let counters = self.samples.iter().filter(|s| s.name == name);
+        counters.map(|s| if let MetricValue::Counter(v) = s.value { v } else { 0 }).sum()
     }
 
     /// Render as Prometheus text format 0.0.4. Counters and gauges are
@@ -461,6 +474,35 @@ mod tests {
         assert_eq!(reg.snapshot().counter("fusedmm_zz_total", &[]), Some(7));
         assert_eq!(s1.gauge_value("fusedmm_aa", &[("shard", "0")]), Some(2.5));
         assert_eq!(s1.gauge_value("fusedmm_aa", &[("shard", "1")]), None);
+    }
+
+    #[test]
+    fn histogram_reads_one_label_set_and_sum_adds_every_one() {
+        let reg = MetricsRegistry::new();
+        let h = LatencyHistogram::new();
+        h.record(Duration::from_micros(5));
+        let (hs, empty) = (h.snapshot(), LatencyHistogram::new().snapshot());
+        reg.register(move |out| {
+            out.push(Sample::histogram("fusedmm_lat_seconds", hs).label("shard", "1"));
+            out.push(Sample::histogram("fusedmm_lat_seconds", empty));
+            out.push(Sample::counter("fusedmm_rows_total", 3).label("shard", "0"));
+            out.push(Sample::counter("fusedmm_rows_total", 4).label("shard", "1"));
+            out.push(Sample::counter("fusedmm_begun_total", 9));
+            out.push(Sample::gauge("fusedmm_epoch", 2.0));
+        });
+        let snap = reg.snapshot();
+        // The sample whose labels include the asked pairs; with none
+        // asked, the first of that name.
+        assert_eq!(snap.histogram("fusedmm_lat_seconds", &[("shard", "1")]), Some(&hs));
+        assert_eq!(snap.histogram("fusedmm_lat_seconds", &[]), Some(&hs));
+        assert_eq!(snap.histogram("fusedmm_lat_seconds", &[("shard", "2")]), None);
+        assert_eq!(snap.histogram("fusedmm_rows_total", &[]), None, "not a histogram");
+        assert_eq!(snap.histogram("fusedmm_missing_seconds", &[]), None);
+        // Summed over every label set, unlabeled alike; absent reads 0.
+        assert_eq!(snap.sum("fusedmm_rows_total"), 7);
+        assert_eq!(snap.sum("fusedmm_begun_total"), 9);
+        assert_eq!(snap.sum("fusedmm_epoch"), 0, "gauges are not counted");
+        assert_eq!(snap.sum("fusedmm_missing_total"), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use fusedmm_core::{Launch, PartitionStrategy, Plan};
 use fusedmm_ops::OpSet;
-use fusedmm_perf::hist::{HistogramSnapshot, LatencyHistogram};
+use fusedmm_perf::hist::LatencyHistogram;
 use fusedmm_perf::registry::Sample;
 use fusedmm_perf::trace::{SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
@@ -40,33 +40,6 @@ use crate::ticket::Quality;
 use crate::transport::{PartOutcome, PartSlot};
 use crate::wait::Watcher;
 
-/// A band's counters at one point in time (see
-/// [`ServeMetrics::bands`](crate::ServeMetrics::bands)).
-#[derive(Debug, Clone, Copy)]
-pub struct BandMetrics {
-    /// Kernel launches this band ran, on whichever waiting threads
-    /// combined its queue.
-    pub batches_dispatched: u64,
-    /// Rows the front end asked this band for: each request's distinct
-    /// cache misses (the front end deduplicates a request before it
-    /// reaches a band).
-    pub rows_requested: u64,
-    /// Rows the band computed after coalescing concurrent parts into
-    /// one launch (≤ `rows_requested`).
-    pub rows_computed: u64,
-    /// Kernel-launch panics caught at this band's launch boundary.
-    pub panics_caught: u64,
-    /// Parts dropped past their deadline without kernel time.
-    pub expired_dropped: u64,
-    /// Largest row degree in the band — the skew its critical path
-    /// carries.
-    pub max_row_degree: usize,
-    /// Edge-scoring latency of this band's share of `score_edges`.
-    pub score: HistogramSnapshot,
-    /// Latency of this band's share of `infer_full`.
-    pub infer: HistogramSnapshot,
-}
-
 pub(crate) struct Band {
     /// The band's adjacency rows under local row indices.
     a: Csr,
@@ -82,11 +55,18 @@ pub(crate) struct Band {
     max_batch_rows: usize,
     tracer: Arc<Tracer>,
     fault: Option<Arc<FaultPlan>>,
+    /// Largest row degree in the band: the skew its critical path
+    /// carries.
     max_row_degree: usize,
+    /// Kernel launches, on whichever waiting threads combined the queue.
     batches_dispatched: AtomicU64,
+    /// Rows the front end asked for (each request's distinct misses).
     rows_requested: AtomicU64,
+    /// Rows launched after coalescing concurrent parts (≤ requested).
     rows_computed: AtomicU64,
+    /// Kernel-launch panics caught at the launch boundary.
     panics_caught: AtomicU64,
+    /// Parts dropped past their deadline without kernel time.
     expired_dropped: AtomicU64,
     score_latency: LatencyHistogram,
     infer_latency: LatencyHistogram,
@@ -349,23 +329,9 @@ impl Band {
         slot.resolve(PartOutcome::Rows(out));
     }
 
-    pub fn metrics(&self) -> BandMetrics {
-        BandMetrics {
-            batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            rows_requested: self.rows_requested.load(Ordering::Relaxed),
-            rows_computed: self.rows_computed.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            expired_dropped: self.expired_dropped.load(Ordering::Relaxed),
-            max_row_degree: self.max_row_degree,
-            score: self.score_latency.snapshot(),
-            infer: self.infer_latency.snapshot(),
-        }
-    }
-
     /// Append this band's samples, tagged `shard="<i>"` when the band
     /// has a shard label, plus `labels`.
     pub fn push_samples(&self, out: &mut Vec<Sample>, labels: &[(String, String)]) {
-        let m = self.metrics();
         let l = |s: Sample| {
             let s = apply_labels(s, labels);
             match self.shard {
@@ -373,13 +339,19 @@ impl Band {
                 None => s,
             }
         };
-        out.push(l(Sample::histogram("fusedmm_score_latency_seconds", m.score)));
-        out.push(l(Sample::histogram("fusedmm_infer_latency_seconds", m.infer)));
-        out.push(l(Sample::counter("fusedmm_batches_dispatched_total", m.batches_dispatched)));
-        out.push(l(Sample::counter("fusedmm_rows_requested_total", m.rows_requested)));
-        out.push(l(Sample::counter("fusedmm_rows_computed_total", m.rows_computed)));
-        out.push(l(Sample::counter("fusedmm_panics_caught_total", m.panics_caught)));
-        out.push(l(Sample::counter("fusedmm_expired_dropped_total", m.expired_dropped)));
-        out.push(l(Sample::gauge("fusedmm_partition_max_row_degree", m.max_row_degree as f64)));
+        let (score, infer) = (self.score_latency.snapshot(), self.infer_latency.snapshot());
+        out.push(l(Sample::histogram("fusedmm_score_latency_seconds", score)));
+        out.push(l(Sample::histogram("fusedmm_infer_latency_seconds", infer)));
+        for (name, counter) in [
+            ("fusedmm_batches_dispatched_total", &self.batches_dispatched),
+            ("fusedmm_rows_requested_total", &self.rows_requested),
+            ("fusedmm_rows_computed_total", &self.rows_computed),
+            ("fusedmm_panics_caught_total", &self.panics_caught),
+            ("fusedmm_expired_dropped_total", &self.expired_dropped),
+        ] {
+            out.push(l(Sample::counter(name, counter.load(Ordering::Relaxed))));
+        }
+        let degree = self.max_row_degree as f64;
+        out.push(l(Sample::gauge("fusedmm_partition_max_row_degree", degree)));
     }
 }

@@ -46,8 +46,8 @@ use crate::store::EpochListener;
 /// An embedding result cache for one graph, keyed by global node id
 /// and owned by the front end whatever its transport. Constructed when
 /// [`EngineConfig::cache`](crate::EngineConfig) is set; callers only
-/// observe it through [`CacheMetrics`].
-pub struct EmbedCache {
+/// observe it through the front end's `fusedmm_cache_*` samples.
+pub(crate) struct EmbedCache {
     cache: ResultCache,
     in_neighbors: InNeighbors,
 }
@@ -188,8 +188,8 @@ impl EmbedCache {
         self.cache.segment_of(node)
     }
 
-    /// Point-in-time cache statistics.
-    pub fn metrics(&self) -> CacheMetrics {
+    /// Point-in-time cache statistics (the collector's input).
+    pub(crate) fn metrics(&self) -> CacheMetrics {
         self.cache.metrics()
     }
 }

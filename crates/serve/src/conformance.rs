@@ -4,14 +4,16 @@
 //! result cache off and on. They share one request path, so they must
 //! answer alike: the same rows and scores bit for bit, the same typed
 //! errors, the same tier marks, a reconciling ledger, one latency
-//! observation per answered request, and `EngineShutdown` after
-//! shutdown.
+//! observation per answered request, the same request-side sample
+//! names, and `EngineShutdown` after shutdown.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fusedmm_core::{fusedmm_reference, Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
+use fusedmm_perf::registry::MetricsSnapshot;
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -130,10 +132,14 @@ struct Answers {
     topk: EmbedResponse,
 }
 
-/// Drive the script through `front`; returns the comparable answers and
+/// Drive the script through `front`; returns the comparable answers,
 /// the `CachedOnly` response (which depends on whether the front end
-/// itself holds a cache). Checks the per-front-end invariants inline.
-fn run<T: ShardTransport + ?Sized>(front: &FrontEnd<T>, label: &str) -> (Answers, EmbedResponse) {
+/// itself holds a cache) and the front end's scrape. Checks the
+/// per-front-end invariants inline, reading them from the scrape.
+fn run<T: ShardTransport + ?Sized>(
+    front: &FrontEnd<T>,
+    label: &str,
+) -> (Answers, EmbedResponse, MetricsSnapshot) {
     let rows: Vec<Dense> = requests().iter().map(|r| front.embed(r).expect(label)).collect();
     let pairs: Vec<(usize, usize)> = (0..N).map(|u| (u, (u * 7 + 3) % N)).collect();
     let scores = front.score_edges(&pairs).expect(label);
@@ -153,18 +159,20 @@ fn run<T: ShardTransport + ?Sized>(front: &FrontEnd<T>, label: &str) -> (Answers
     // Rows answered: every request, the top-k and the cached-only one.
     let answered = requests().len() as u64 + 2;
     let m = front.metrics();
-    assert_eq!(m.embed.count, answered, "{label}: one latency observation per answer");
-    let resolved = m.requests_harvested
-        + m.requests_degraded
-        + m.requests_shed
-        + m.requests_failed
-        + m.requests_abandoned;
-    assert_eq!(m.requests_begun, resolved, "{label}: the ledger reconciles");
-    assert_eq!((m.requests_begun, m.requests_failed), (answered + 1, 1), "{label}");
+    let latency = m.histogram("fusedmm_embed_latency_seconds", &[]).expect(label);
+    assert_eq!(latency.count, answered, "{label}: one latency observation per answer");
+    let count = |outcome: &str| {
+        let name = format!("fusedmm_requests_{outcome}_total");
+        m.counter(&name, &[]).unwrap_or_else(|| panic!("{label}: no {name}"))
+    };
+    let outcomes = ["harvested", "degraded", "shed", "failed", "abandoned"];
+    let resolved: u64 = outcomes.iter().map(|o| count(o)).sum();
+    assert_eq!(count("begun"), resolved, "{label}: the ledger reconciles");
+    assert_eq!((count("begun"), count("failed")), (answered + 1, 1), "{label}");
     front.shutdown();
     assert_eq!(front.embed(&[0]), Err(ServeError::EngineShutdown), "{label}");
     assert_eq!(front.score_edges(&[(0, 1)]), Err(ServeError::EngineShutdown), "{label}");
-    (Answers { rows, scores, errors, topk }, cached_only)
+    (Answers { rows, scores, errors, topk }, cached_only, m)
 }
 
 #[test]
@@ -194,7 +202,7 @@ fn every_front_end_answers_the_script_alike() {
         answers.push((label("remote"), false, run(&*remote, &label("remote"))));
     }
 
-    let (first, _, (want, _)) = &answers[0];
+    let (first, _, (want, _, first_scrape)) = &answers[0];
     let reference = fusedmm_reference(&a, &x, &y, &ops);
     for (rows, nodes) in want.rows.iter().zip(requests()) {
         for (i, &u) in nodes.iter().enumerate() {
@@ -208,8 +216,31 @@ fn every_front_end_answers_the_script_alike() {
         [out_of_range.clone(), out_of_range.clone(), out_of_range, ServeError::DeadlineExpired];
     assert_eq!(want.errors, typed);
     assert_eq!(want.topk.served_degraded, vec![true; 5]);
-    for (label, front_cache, (got, cached_only)) in &answers {
+    // One vocabulary: every front end exports its request side under
+    // the same unlabeled names. A band's samples are unlabeled only in
+    // an `Engine` (elsewhere they carry `shard`), and the cache's only
+    // where the front end holds one, so both are set aside.
+    let scrapes = answers.iter().flat_map(|(_, _, (_, _, m))| &m.samples);
+    let per_band: BTreeSet<&str> = scrapes
+        .filter(|s| s.labels.iter().any(|(k, _)| k == "shard"))
+        .map(|s| s.name.as_str())
+        .collect();
+    let request_side = |m: &MetricsSnapshot| -> BTreeSet<String> {
+        let unlabeled = m.samples.iter().filter(|s| s.labels.is_empty());
+        unlabeled
+            .map(|s| s.name.clone())
+            .filter(|name| !per_band.contains(name.as_str()))
+            .filter(|name| !name.starts_with("fusedmm_cache_"))
+            .collect()
+    };
+    let vocabulary = request_side(first_scrape);
+    assert!(vocabulary.contains("fusedmm_requests_begun_total"), "{vocabulary:?}");
+    assert!(vocabulary.contains("fusedmm_embed_latency_seconds"), "{vocabulary:?}");
+    for (label, front_cache, (got, cached_only, m)) in &answers {
         assert!(got == want, "{label} answered differently from {first}");
+        assert_eq!(request_side(m), vocabulary, "{label} exports other request-side names");
+        let cache_samples = m.samples.iter().any(|s| s.name.starts_with("fusedmm_cache_"));
+        assert_eq!(cache_samples, *front_cache, "{label}: cache samples iff a front-end cache");
         // Node 1 was never requested: with a front-end cache only its
         // rows miss (zeroed and marked); without one every row does.
         let marks = if *front_cache { vec![false, true, false, true] } else { vec![true; 4] };

@@ -290,8 +290,16 @@ mod tests {
     use crate::ticket::{EmbedOptions, Quality, Ticket};
     use crate::ShardedEngine;
     use fusedmm_core::fusedmm_reference;
+    use fusedmm_perf::registry::{MetricValue, MetricsSnapshot};
     use fusedmm_sparse::coo::{Coo, Dedup};
     use std::time::{Duration, Instant};
+
+    /// `(begun, harvested + degraded + shed + failed + abandoned)`.
+    fn ledger(m: &MetricsSnapshot) -> (u64, u64) {
+        let outcomes = ["harvested", "degraded", "shed", "failed", "abandoned"];
+        let resolved = outcomes.iter().map(|o| m.sum(&format!("fusedmm_requests_{o}_total")));
+        (m.sum("fusedmm_requests_begun_total"), resolved.sum())
+    }
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -359,7 +367,8 @@ mod tests {
         let eng = build(30, 8, OpSet::gcn(), config());
         let reference = fusedmm_reference(&graph(30), &feats(30, 8), &feats(30, 8), &OpSet::gcn());
         assert!(eng.infer_full().max_abs_diff(&reference) < 1e-4);
-        assert_eq!(eng.metrics().bands[0].infer.count, 1);
+        let infer = eng.metrics().histogram("fusedmm_infer_latency_seconds", &[]).copied();
+        assert_eq!(infer.map(|h| h.count), Some(1));
     }
 
     #[test]
@@ -368,13 +377,15 @@ mod tests {
         eng.embed(&[1, 2, 3]).unwrap();
         eng.embed(&[3, 3, 3]).unwrap();
         let m = eng.metrics();
-        assert_eq!(m.embed.count, 2);
+        let embed = m.histogram("fusedmm_embed_latency_seconds", &[]).expect("latency sample");
+        assert_eq!(embed.count, 2);
         // The front end deduplicates each request before its band sees it.
-        assert_eq!(m.bands[0].rows_requested, 4);
-        assert!(m.bands[0].rows_computed <= 4);
-        assert!(m.bands[0].batches_dispatched >= 1);
-        assert!(m.embed.p99 >= m.embed.p50);
-        assert_eq!((m.feature_epoch, m.epoch_swaps), (0, 0));
+        assert_eq!(m.sum("fusedmm_rows_requested_total"), 4);
+        assert!(m.sum("fusedmm_rows_computed_total") <= 4);
+        assert!(m.sum("fusedmm_batches_dispatched_total") >= 1);
+        assert!(embed.p99 >= embed.p50);
+        assert_eq!(m.gauge_value("fusedmm_feature_epoch", &[]), Some(0.0));
+        assert_eq!(m.counter("fusedmm_epoch_swaps_total", &[]), Some(0));
     }
 
     #[test]
@@ -401,7 +412,8 @@ mod tests {
             }
         }
         let m = eng.metrics();
-        assert_eq!((m.feature_epoch, m.epoch_swaps), (1, 1));
+        assert_eq!(m.gauge_value("fusedmm_feature_epoch", &[]), Some(1.0));
+        assert_eq!(m.counter("fusedmm_epoch_swaps_total", &[]), Some(1));
     }
 
     #[test]
@@ -423,13 +435,17 @@ mod tests {
         let nodes = [7usize, 0, 39, 7, 12];
         let first = cached.embed(&nodes).unwrap();
         assert_eq!(cached.embed(&nodes).unwrap(), first, "warm cache is bit-identical");
-        let m = cached.cache_metrics().expect("cache enabled");
-        assert_eq!(m.misses, 5, "cold pass misses every requested row");
-        assert_eq!(m.hits, 5, "warm pass hits every requested row");
-        assert_eq!(m.inserts, 4, "the deduped union is inserted once per node");
-        assert_eq!(m.hit_ratio.count, 2);
+        let m = cached.metrics();
+        assert_eq!(m.counter("fusedmm_cache_misses_total", &[]), Some(5), "cold pass misses all");
+        assert_eq!(m.counter("fusedmm_cache_hits_total", &[]), Some(5), "warm pass hits all");
+        let inserts = m.counter("fusedmm_cache_inserts_total", &[]);
+        assert_eq!(inserts, Some(4), "the deduped union is inserted once per node");
+        match m.get("fusedmm_cache_hit_ratio", &[]).map(|s| &s.value) {
+            Some(MetricValue::Ratio(r)) => assert_eq!(r.count, 2),
+            other => panic!("hit ratio sample: {other:?}"),
+        }
         // The band only ever saw the cold misses.
-        assert_eq!(cached.metrics().bands[0].rows_requested, 4);
+        assert_eq!(m.sum("fusedmm_rows_requested_total"), 4);
     }
 
     #[test]
@@ -440,8 +456,9 @@ mod tests {
         let all: Vec<usize> = (0..n).collect();
         let warm = eng.embed(&all).unwrap();
         assert_eq!(eng.embed(&all).unwrap(), warm);
-        let m0 = eng.cache_metrics().unwrap();
-        assert_eq!((m0.hits, m0.misses), (n as u64, n as u64));
+        let cache = |name: &str| eng.metrics().counter(name, &[]).expect("cache enabled");
+        let hits0 = cache("fusedmm_cache_hits_total");
+        assert_eq!((hits0, cache("fusedmm_cache_misses_total")), (n as u64, n as u64));
 
         // Delta-patch node 5: rows 4 (aggregates y_5) and 5 retire,
         // everything else keeps hitting.
@@ -456,23 +473,23 @@ mod tests {
                 assert_eq!(after_delta.row(u), warm.row(u), "row {u} unaffected by the delta");
             }
         }
-        let m1 = eng.cache_metrics().unwrap();
-        assert_eq!(m1.invalidated_rows, 2, "only node 5 and in-neighbor 4 retired");
+        let retired = cache("fusedmm_cache_invalidated_rows_total");
+        assert_eq!(retired, 2, "only node 5 and in-neighbor 4 retired");
         // Of the full sweep after the delta, all but rows 4 and 5 hit
         // (row 4 was just recomputed by the single-node request).
-        assert!(m1.hits >= m0.hits + (n as u64 - 2));
+        assert!(cache("fusedmm_cache_hits_total") >= hits0 + (n as u64 - 2));
 
         // A publish invalidates everything: the next sweep misses all.
         let x2 = Dense::filled(n, 4, 2.0);
         eng.store().publish(x2.clone(), x2);
-        let misses_before = eng.cache_metrics().unwrap().misses;
+        let misses_before = cache("fusedmm_cache_misses_total");
         let after_publish = eng.embed(&all).unwrap();
         for u in 0..n {
             assert_eq!(after_publish.row(u), &[2.0; 4], "published epoch served everywhere");
         }
-        let m2 = eng.cache_metrics().unwrap();
-        assert_eq!(m2.misses, misses_before + n as u64, "publish flushed the whole hot set");
-        assert_eq!(m2.flushes, 1);
+        let misses = cache("fusedmm_cache_misses_total");
+        assert_eq!(misses, misses_before + n as u64, "publish flushed the whole hot set");
+        assert_eq!(cache("fusedmm_cache_flushes_total"), 1);
     }
 
     #[test]
@@ -487,15 +504,9 @@ mod tests {
         held.wait().unwrap();
         eng.embed(&[2]).unwrap();
         let m = eng.metrics();
-        assert_eq!(m.requests_shed, 1);
-        assert_eq!(
-            m.requests_begun,
-            m.requests_harvested
-                + m.requests_degraded
-                + m.requests_shed
-                + m.requests_failed
-                + m.requests_abandoned
-        );
+        assert_eq!(m.counter("fusedmm_requests_shed_total", &[]), Some(1));
+        let (begun, resolved) = ledger(&m);
+        assert_eq!(begun, resolved);
     }
 
     #[test]
@@ -540,9 +551,10 @@ mod tests {
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
         ahead.wait().unwrap();
         let m = eng.metrics();
-        assert_eq!(m.bands[0].expired_dropped, 1);
-        assert_eq!(m.requests_failed, 1);
-        assert_eq!(m.bands[0].rows_computed, 1, "no kernel time was spent past the deadline");
+        assert_eq!(m.sum("fusedmm_expired_dropped_total"), 1);
+        assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(1));
+        let computed = m.sum("fusedmm_rows_computed_total");
+        assert_eq!(computed, 1, "no kernel time was spent past the deadline");
     }
 
     #[test]
@@ -551,21 +563,22 @@ mod tests {
         drop(eng.embed_begin(&[3]).unwrap());
         eng.embed(&[5]).unwrap();
         let m = eng.metrics();
-        assert_eq!(m.bands[0].rows_computed, 1, "only the waited-on row was computed");
-        assert_eq!(m.requests_abandoned, 1);
+        assert_eq!(m.sum("fusedmm_rows_computed_total"), 1, "only the waited-on row was computed");
+        assert_eq!(m.counter("fusedmm_requests_abandoned_total", &[]), Some(1));
     }
 
     #[test]
     fn a_ticket_nobody_waits_on_is_completed_by_the_next_waiter_on_its_band() {
         let eng = build(20, 8, OpSet::gcn(), config());
         let want = eng.embed(&[3]).unwrap();
-        let before = eng.metrics().bands[0].batches_dispatched;
+        let batches = || eng.metrics().sum("fusedmm_batches_dispatched_total");
+        let before = batches();
         let mut idle = eng.embed_begin(&[3]).unwrap();
         eng.embed(&[5]).unwrap();
-        let m = eng.metrics().bands[0];
-        assert_eq!(m.batches_dispatched - before, 1, "both parts rode the waiter's one launch");
+        let after = batches();
+        assert_eq!(after - before, 1, "both parts rode the waiter's one launch");
         assert_eq!(idle.poll(), Some(Ok(want)), "the idle ticket's rows were computed too");
-        assert_eq!(eng.metrics().bands[0].batches_dispatched, m.batches_dispatched);
+        assert_eq!(batches(), after);
     }
 
     #[test]
@@ -584,8 +597,8 @@ mod tests {
                 drop(owner);
             }
             let m = eng.metrics();
-            assert_eq!(m.bands[0].rows_computed, 1, "one computation served both");
-            assert_eq!(m.cache.unwrap().coalesced_misses, 1);
+            assert_eq!(m.sum("fusedmm_rows_computed_total"), 1, "one computation served both");
+            assert_eq!(m.counter("fusedmm_cache_coalesced_misses_total", &[]), Some(1));
         }
     }
 
@@ -593,7 +606,7 @@ mod tests {
     fn poll_runs_at_most_one_batch() {
         let eng = build(20, 8, OpSet::gcn(), EngineConfig { max_batch_rows: 1, ..config() });
         let mut tickets: Vec<_> = (1..=3).map(|u| eng.embed_begin(&[u]).unwrap()).collect();
-        let batches = || eng.metrics().bands[0].batches_dispatched;
+        let batches = || eng.metrics().sum("fusedmm_batches_dispatched_total");
         assert!(tickets[2].poll().is_none());
         assert_eq!(batches(), 1, "one batch: the first ticket's part");
         assert!(tickets[2].poll().is_none());
@@ -624,7 +637,9 @@ mod tests {
             let t0 = Instant::now();
             let mut window: std::collections::VecDeque<Ticket<Dense>> = Default::default();
             let mut r = 0usize;
-            while !stopped.load(std::sync::atomic::Ordering::Relaxed) && t0.elapsed().as_secs() < 5
+            // Runs until told to stop; the cap only ends it if the test
+            // panicked first.
+            while !stopped.load(std::sync::atomic::Ordering::Relaxed) && t0.elapsed().as_secs() < 60
             {
                 if window.len() == 64 {
                     match window[0].poll() {
@@ -641,7 +656,8 @@ mod tests {
                 r += 1;
             }
         });
-        while eng.metrics().bands[0].batches_dispatched < 64 {
+        while eng.metrics().sum("fusedmm_batches_dispatched_total") < 64 {
+            assert!(!producer.is_finished(), "the producer ended before 64 batches ran");
             std::thread::yield_now();
         }
         let mut t = eng.embed_begin(&[5]).unwrap();
@@ -672,11 +688,13 @@ mod tests {
         // launch and re-enqueues the part, the second runs the retry.
         // No other thread computes anything.
         assert_eq!(t.poll(), None, "the retry is queued, not yet run");
-        assert_eq!(eng.metrics().bands[0].panics_caught, 1);
+        assert_eq!(eng.metrics().sum("fusedmm_panics_caught_total"), 1);
         assert_eq!(t.poll(), Some(Ok(healthy)), "healed by the next poll");
         let m = eng.metrics();
-        assert_eq!((m.bands[0].panics_caught, m.bands[0].batches_dispatched), (1, 2));
-        assert_eq!((m.requests_harvested, m.requests_failed), (2, 0));
+        assert_eq!(m.sum("fusedmm_panics_caught_total"), 1);
+        assert_eq!(m.sum("fusedmm_batches_dispatched_total"), 2);
+        assert_eq!(m.counter("fusedmm_requests_harvested_total", &[]), Some(2));
+        assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(0));
     }
 
     #[test]
@@ -692,8 +710,9 @@ mod tests {
         let healed = eng.embed(&[3]).unwrap();
         assert_eq!(healed, healthy, "a retried Exact request is bit-identical");
         let m = eng.metrics();
-        assert_eq!(m.bands[0].panics_caught, 1);
-        assert_eq!((m.requests_harvested, m.requests_failed), (2, 0));
+        assert_eq!(m.sum("fusedmm_panics_caught_total"), 1);
+        assert_eq!(m.counter("fusedmm_requests_harvested_total", &[]), Some(2));
+        assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(0));
     }
 
     #[test]
@@ -791,8 +810,8 @@ mod tests {
         let cold = eng.embed(&nodes).unwrap();
         assert_eq!(cold, plain.embed(&nodes).unwrap(), "cold reordered cache differs");
         assert_eq!(eng.embed(&nodes).unwrap(), cold, "warm reordered cache differs");
-        let m = eng.cache_metrics().unwrap();
-        assert_eq!(m.hits, 5, "warm pass hits every row under translated keys");
+        let hits = eng.metrics().counter("fusedmm_cache_hits_total", &[]);
+        assert_eq!(hits, Some(5), "warm pass hits every row under translated keys");
     }
 
     #[test]
@@ -835,7 +854,8 @@ mod tests {
                         "{reordering:?}, {nshards} shards, after patching {rows:?}"
                     );
                 }
-                assert!(cached.cache_metrics().unwrap().invalidated_rows > 0);
+                let retired = cached.metrics().counter("fusedmm_cache_invalidated_rows_total", &[]);
+                assert!(retired.expect("cache enabled") > 0);
             }
         }
     }

@@ -33,20 +33,20 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fusedmm_cache::{CacheMetrics, InflightOwner, MissRoute};
+use fusedmm_cache::{InflightOwner, MissRoute};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::gauge::Gauge;
-use fusedmm_perf::hist::{HistogramSnapshot, HistogramVec, LatencyHistogram};
-use fusedmm_perf::registry::{MetricsRegistry, Sample};
+use fusedmm_perf::hist::{HistogramVec, LatencyHistogram};
+use fusedmm_perf::registry::{MetricsRegistry, MetricsSnapshot, Sample};
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 use fusedmm_sparse::Permutation;
 
 use crate::admit::{Admission, AdmissionPolicy};
-use crate::band::{Band, BandMetrics};
+use crate::band::Band;
 use crate::batcher::dedup_union;
 use crate::cache::{EmbedCache, FillSet};
 use crate::engine::{EngineConfig, ServeError};
@@ -103,7 +103,6 @@ pub struct FrontEnd<T: ShardTransport + ?Sized + 'static> {
     /// Per shard: time from request begin until that shard's rows were
     /// gathered (harvest order and idle time included).
     fanout: Arc<HistogramVec>,
-    started: Instant,
     stopped: AtomicBool,
 }
 
@@ -157,7 +156,6 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             inflight: Arc::new(Gauge::new()),
             stats: Arc::new(RequestStats::default()),
             fanout,
-            started: Instant::now(),
             stopped: AtomicBool::new(false),
         }
     }
@@ -387,14 +385,14 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         }
         self.stats.begin();
         let completion = Completion {
-            latency: Some(Arc::clone(&self.embed_latency)),
-            stats: Some(Arc::clone(&self.stats)),
+            latency: Arc::clone(&self.embed_latency),
+            stats: Arc::clone(&self.stats),
             trace: root.map(|(root, begin_ns)| TraceHandle {
                 tracer: Arc::clone(&self.tracer),
                 root,
                 begin_ns,
             }),
-            fanout: Some(Arc::clone(&self.fanout)),
+            fanout: Arc::clone(&self.fanout),
             begun: t0,
         };
         let retry = Redispatch {
@@ -543,36 +541,13 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         (0..self.nshards()).map(|s| self.transport.queued_rows(s)).sum()
     }
 
-    /// Point-in-time serving metrics.
-    pub fn metrics(&self) -> ServeMetrics {
-        let uptime = self.started.elapsed();
-        let embed = self.embed_latency.snapshot();
-        let inflight = self.inflight.snapshot();
-        let stat = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        ServeMetrics {
-            uptime,
-            embed_requests_per_sec: embed.throughput(uptime),
-            embed,
-            fanout: (0..self.nshards()).map(|s| self.fanout.snapshot(s)).collect(),
-            requests_begun: stat(&self.stats.begun),
-            requests_harvested: stat(&self.stats.harvested),
-            requests_degraded: stat(&self.stats.degraded),
-            requests_shed: stat(&self.stats.shed),
-            requests_failed: stat(&self.stats.failed),
-            requests_abandoned: stat(&self.stats.abandoned),
-            inflight: inflight.current,
-            inflight_peak: inflight.peak,
-            queued_rows: self.queued_rows(),
-            feature_epoch: self.store.current_epoch(),
-            epoch_swaps: self.store.swap_count(),
-            cache: self.cache_metrics(),
-            bands: self.bands.iter().map(|b| b.metrics()).collect(),
-        }
-    }
-
-    /// The result cache's statistics, when one is enabled.
-    pub fn cache_metrics(&self) -> Option<CacheMetrics> {
-        self.cache.as_ref().map(|c| c.metrics())
+    /// One scrape of this front end's samples: what
+    /// [`register_metrics`](Self::register_metrics) with no extra
+    /// labels exports, under the same `fusedmm_*` names.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let registry = MetricsRegistry::new();
+        self.register_metrics(&registry, &[]);
+        registry.snapshot()
     }
 
     /// Register the front end's collector, then one collector per band,
@@ -719,102 +694,5 @@ impl FrontEnd<LocalBands> {
             Some(p) => p.unpermute_rows(&out),
             None => out,
         }
-    }
-}
-
-/// Serving statistics of one front end, from
-/// [`FrontEnd::metrics`]: the request side once, plus one
-/// [`BandMetrics`] per in-process band (none behind a remote
-/// transport).
-#[derive(Debug, Clone)]
-pub struct ServeMetrics {
-    /// Time since the front end was constructed.
-    pub uptime: Duration,
-    /// Request latency, begin → answer: one observation per request
-    /// answered with rows (failed and abandoned requests record none).
-    pub embed: HistogramSnapshot,
-    /// Answered embed requests per second over the whole uptime.
-    pub embed_requests_per_sec: f64,
-    /// Per shard: time from request begin until that shard's rows were
-    /// gathered — the response-assembly timeline, not per-shard compute.
-    pub fanout: Vec<HistogramSnapshot>,
-    /// Requests that reached admission (every `embed_begin` that counted
-    /// an outcome: resolved at begin, shed, or dispatched).
-    pub requests_begun: u64,
-    /// Requests answered exactly.
-    pub requests_harvested: u64,
-    /// Requests answered with at least one degraded row (`CachedOnly`
-    /// misses, `TopKNeighbors`).
-    pub requests_degraded: u64,
-    /// Requests rejected by the admission policy.
-    pub requests_shed: u64,
-    /// Requests resolved with an error after admission (deadline
-    /// expired, part failed past its retry, shutdown mid-flight).
-    pub requests_failed: u64,
-    /// Tickets dropped unresolved. `begun == harvested + degraded +
-    /// shed + failed + abandoned` once every ticket has resolved.
-    pub requests_abandoned: u64,
-    /// Requests currently open: blocking calls plus un-harvested
-    /// [`Ticket`]s.
-    pub inflight: u64,
-    /// Deepest in-flight window ever held.
-    pub inflight_peak: u64,
-    /// Rows queued but not yet dispatched, summed over shards — the
-    /// admission policy's backlog signal.
-    pub queued_rows: usize,
-    /// The feature epoch currently served (new requests pin this one).
-    pub feature_epoch: u64,
-    /// Completed feature-store swaps (publishes + delta updates).
-    pub epoch_swaps: u64,
-    /// Result-cache statistics, when the cache is enabled.
-    pub cache: Option<CacheMetrics>,
-    /// The in-process bands' counters, in band order.
-    pub bands: Vec<BandMetrics>,
-}
-
-impl ServeMetrics {
-    /// `field` summed over every band.
-    pub fn band_total(&self, field: impl Fn(&BandMetrics) -> u64) -> u64 {
-        self.bands.iter().map(field).sum()
-    }
-}
-
-impl std::fmt::Display for ServeMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "embed: {} ({:.0} req/s)", self.embed, self.embed_requests_per_sec)?;
-        write!(
-            f,
-            "requests: {} begun / {} harvested / {} degraded / {} shed / {} failed / {} \
-             abandoned  in-flight: {} (peak {})  queued rows: {}  epoch: {} ({} swaps)",
-            self.requests_begun,
-            self.requests_harvested,
-            self.requests_degraded,
-            self.requests_shed,
-            self.requests_failed,
-            self.requests_abandoned,
-            self.inflight,
-            self.inflight_peak,
-            self.queued_rows,
-            self.feature_epoch,
-            self.epoch_swaps
-        )?;
-        if let Some(cache) = &self.cache {
-            write!(f, "\ncache: {cache}")?;
-        }
-        for (s, b) in self.bands.iter().enumerate() {
-            write!(
-                f,
-                "\n  band {s}: batches {}  rows requested {} / computed {}  panics caught {}  \
-                 expired {}  score p99 {:.3?}  infer p99 {:.3?}",
-                b.batches_dispatched,
-                b.rows_requested,
-                b.rows_computed,
-                b.panics_caught,
-                b.expired_dropped,
-                b.score.p99,
-                b.infer.p99
-            )?;
-        }
-        Ok(())
     }
 }

@@ -47,7 +47,7 @@
 //!   [`Reordering::RcmBfs`]) for locality and band balance, translating
 //!   ids at the serving boundary so external vertex ids never change
 //!   and every response stays bit-identical to unreordered serving;
-//! * result caching ([`cache`]) — with [`EngineConfig::cache`] set,
+//! * result caching — with [`EngineConfig::cache`] set,
 //!   hot rows are served from an epoch-aware
 //!   [`ResultCache`](fusedmm_cache::ResultCache): a
 //!   [`publish`](FeatureStore::publish) invalidates everything lazily
@@ -66,8 +66,9 @@
 //!   bit-identical to uncached serving and invalidation-safe;
 //! * latency accounting — every answered request records once into a
 //!   [`LatencyHistogram`](fusedmm_perf::LatencyHistogram), surfaced
-//!   as p50/p90/p99 and throughput by [`FrontEnd::metrics`] — one
-//!   [`ServeMetrics`], with a [`BandMetrics`] per in-process band;
+//!   as p50/p90/p99 under `fusedmm_embed_latency_seconds`;
+//!   [`FrontEnd::metrics`] is one scrape of the front end's samples,
+//!   the same names a [`MetricsRegistry`] exports;
 //! * observability ([`observe`]) — front ends register every counter,
 //!   gauge, and histogram with a
 //!   [`MetricsRegistry`]
@@ -138,7 +139,7 @@
 pub mod admit;
 mod band;
 pub mod batcher;
-pub mod cache;
+mod cache;
 #[cfg(test)]
 mod conformance;
 pub mod engine;
@@ -154,23 +155,21 @@ pub mod transport;
 pub mod wait;
 
 pub use admit::AdmissionPolicy;
-pub use cache::EmbedCache;
 pub use fault::{quiet_injected_panics, FaultPlan, InjectedFault};
 pub use observe::register_kernel_profiles;
 // The graph crate's reordering strategies are part of this crate's
 // public surface (EngineConfig::reordering).
 pub use fusedmm_graph::Reordering;
-// The cache crate's config/metrics are part of this crate's public
-// surface (EngineConfig::cache, ServeMetrics::cache).
-pub use fusedmm_cache::{CacheConfig, CacheMetrics};
+// The cache crate's config is part of this crate's public surface
+// (EngineConfig::cache).
+pub use fusedmm_cache::CacheConfig;
 // The perf crate's telemetry types are part of this crate's public
 // surface (register_metrics, EngineConfig::tracer).
 pub use fusedmm_perf::registry::{MetricsRegistry, MetricsSnapshot, Sample};
 pub use fusedmm_perf::trace::Tracer;
 
-pub use band::BandMetrics;
 pub use engine::{Engine, EngineConfig, ServeError};
-pub use front::{FrontEnd, ServeMetrics};
+pub use front::FrontEnd;
 pub use remote::{EpochRecord, RemoteShardedEngine, WorkerEngine, WorkerError};
 pub use score::{score_edges, score_edges_banded};
 pub use shard::ShardedEngine;

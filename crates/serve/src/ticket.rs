@@ -193,21 +193,30 @@ pub(crate) struct TraceHandle {
 pub(crate) struct Completion {
     /// The front end's request-latency histogram: one observation
     /// (begin → response) when the assembly resolves with rows.
-    pub latency: Option<Arc<LatencyHistogram>>,
+    pub latency: Arc<LatencyHistogram>,
     /// The front end's reconciliation counters.
-    pub stats: Option<Arc<RequestStats>>,
+    pub stats: Arc<RequestStats>,
     /// The sampled root span, when this request was admitted.
     pub trace: Option<TraceHandle>,
     /// Gather progress: member `parts[i].tag` records when that part's
     /// rows arrive.
-    pub fanout: Option<Arc<HistogramVec>>,
+    pub fanout: Arc<HistogramVec>,
     /// When the request began.
     pub begun: Instant,
 }
 
+/// A completion of its own, untraced, with one fan-out slot: what a
+/// unit test's assembly of one tag-0 part records into.
+#[cfg(test)]
 impl Default for Completion {
     fn default() -> Self {
-        Completion { latency: None, stats: None, trace: None, fanout: None, begun: Instant::now() }
+        Completion {
+            latency: Arc::new(LatencyHistogram::new()),
+            stats: Arc::default(),
+            trace: None,
+            fanout: Arc::new(HistogramVec::new(1)),
+            begun: Instant::now(),
+        }
     }
 }
 
@@ -561,9 +570,7 @@ impl EmbedAssembly {
     }
 
     fn store_part(&mut self, i: usize, rows: Dense) {
-        if let Some(fanout) = &self.completion.fanout {
-            fanout.record(self.parts[i].tag, self.completion.begun.elapsed());
-        }
+        self.completion.fanout.record(self.parts[i].tag, self.completion.begun.elapsed());
         self.parts[i].rows = Some(rows);
     }
 
@@ -659,9 +666,7 @@ impl EmbedAssembly {
 
     /// Resolve with `e`: count `failed` and close the root span.
     fn finish_err(&mut self, e: ServeError) -> Result<EmbedResponse, ServeError> {
-        if let Some(stats) = &self.completion.stats {
-            stats.fail();
-        }
+        self.completion.stats.fail();
         if let Some(tr) = &self.completion.trace {
             tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, tr.tracer.now(), None, 0);
         }
@@ -698,16 +703,12 @@ impl EmbedAssembly {
                 out
             }
         };
-        if let Some(hist) = &self.completion.latency {
-            hist.record(self.completion.begun.elapsed());
-        }
+        self.completion.latency.record(self.completion.begun.elapsed());
         let degraded = std::mem::take(&mut self.degraded);
-        if let Some(stats) = &self.completion.stats {
-            if degraded.iter().any(|&b| b) {
-                stats.degraded_harvest();
-            } else {
-                stats.harvest();
-            }
+        if degraded.iter().any(|&b| b) {
+            self.completion.stats.degraded_harvest();
+        } else {
+            self.completion.stats.harvest();
         }
         if let Some(tr) = &self.completion.trace {
             let now = tr.tracer.now();
@@ -818,9 +819,7 @@ impl Drop for EmbedAssembly {
             return;
         }
         // Never resolved: the ticket was dropped unharvested.
-        if let Some(stats) = &self.completion.stats {
-            stats.abandoned.fetch_add(1, Ordering::Relaxed);
-        }
+        self.completion.stats.abandoned.fetch_add(1, Ordering::Relaxed);
         // Close the root span anyway so a sampled-then-abandoned
         // request still leaves a rooted (if truncated) tree.
         if let Some(tr) = &self.completion.trace {
@@ -1049,7 +1048,7 @@ mod tests {
         let held = Arc::new(Held::default());
         let stats = Arc::new(RequestStats::default());
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         let p = part(&[1], Some(0), rx);
         let mut t =
             Ticket::pending(single(p, Quality::Exact, Some(retry_via(&held)), completion, g));
@@ -1069,7 +1068,7 @@ mod tests {
         let (tx, rx) = slot();
         let stats = Arc::new(RequestStats::default());
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         let t = Ticket::pending(direct(&[0], rx, completion, g));
         tx.send(Err(PartError::Expired));
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExpired);
@@ -1136,7 +1135,7 @@ mod tests {
         let (_gauge, g) = guard();
         let (tx, rx) = slot();
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         let t = Ticket::pending(direct(&[0], rx, completion, g));
         tx.send(Ok(Dense::from_rows(1, 1, &[1.0]).unwrap()));
         t.wait().unwrap();
@@ -1144,7 +1143,7 @@ mod tests {
         let (_gauge2, g2) = guard();
         let (_tx2, rx2) = slot();
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         drop(Ticket::pending(direct(&[1], rx2, completion, g2)));
         // Ready at creation.
         stats.ready();
@@ -1154,7 +1153,7 @@ mod tests {
         let (_gauge3, g3) = guard();
         let (tx3, rx3) = slot();
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         let t = Ticket::pending(direct(&[2], rx3, completion, g3));
         tx3.send(Err(PartError::Expired));
         assert!(t.wait().is_err());
@@ -1176,7 +1175,7 @@ mod tests {
         let (tx, rx) = slot();
         let stats = Arc::new(RequestStats::default());
         stats.begin();
-        let completion = Completion { stats: Some(Arc::clone(&stats)), ..Completion::default() };
+        let completion = Completion { stats: Arc::clone(&stats), ..Completion::default() };
         let p = part(&[0, 1], None, rx);
         let t = Ticket::pending(single(p, Quality::TopKNeighbors(2), None, completion, g));
         tx.send(Ok(Dense::from_rows(2, 1, &[1.0, 2.0]).unwrap()));

@@ -133,10 +133,11 @@ fn main() {
     });
 
     let m = engine.metrics();
-    println!("\nserving metrics after {:.2}s uptime:", m.uptime.as_secs_f64());
-    println!("{m}");
+    let embed = m.histogram("fusedmm_embed_latency_seconds", &[]).expect("latency sample");
+    println!("\nserving metrics:\nembed: {embed}");
+    println!("batches: {}", m.sum("fusedmm_batches_dispatched_total"));
     let (requested, computed) =
-        (m.band_total(|b| b.rows_requested), m.band_total(|b| b.rows_computed));
+        (m.sum("fusedmm_rows_requested_total"), m.sum("fusedmm_rows_computed_total"));
     println!(
         "\ncoalescing saved {:.1}% of row computations ({requested} requested, {computed} computed)",
         100.0 * (1.0 - computed as f64 / requested.max(1) as f64),
@@ -177,7 +178,10 @@ fn main() {
     );
     println!("sharded results verified bit-identical to a single engine on the same store");
     let sm = sharded.metrics();
-    println!("{sm}");
+    let per_band: Vec<u64> = (0..sharded.nshards())
+        .filter_map(|s| sm.counter("fusedmm_rows_computed_total", &[("shard", &s.to_string())]))
+        .collect();
+    println!("rows computed per band: {per_band:?}");
 
     // Result caching: hot repeats served from memory, publishes flush
     // lazily, delta updates invalidate only their touch set.
@@ -238,14 +242,21 @@ fn main() {
         uncached_after.embed(&probe).expect("uncached probe"),
         "cached responses must stay bit-identical after a delta update"
     );
-    let m = cached.cache_metrics().expect("cache enabled");
-    println!("cache after hot-repeat traffic + a delta update:\n  {m}");
-    assert!(m.hits > 0, "cache enabled but zero hits recorded — hot repeats were not served");
-    assert!(m.inserts > 0);
+    let m = cached.metrics();
+    let cache = |name: &str| m.counter(name, &[]).expect("cache enabled");
+    let (hits, misses) = (cache("fusedmm_cache_hits_total"), cache("fusedmm_cache_misses_total"));
+    let (inserts, retired) =
+        (cache("fusedmm_cache_inserts_total"), cache("fusedmm_cache_invalidated_rows_total"));
+    println!(
+        "cache after hot-repeat traffic + a delta update: {hits} hits, {misses} misses, \
+         {inserts} inserts, {retired} rows invalidated"
+    );
+    assert!(hits > 0, "cache enabled but zero hits recorded — hot repeats were not served");
+    assert!(inserts > 0);
     println!(
         "cache verified: {:.1}% of {} row lookups served from memory",
-        m.overall_hit_ratio() * 100.0,
-        m.hits + m.misses
+        100.0 * hits as f64 / (hits + misses) as f64,
+        hits + misses
     );
 
     // Non-blocking ticketed serving with miss coalescing: one thread
@@ -277,18 +288,20 @@ fn main() {
     }
     let elapsed = t0.elapsed();
     let tm = ticketed.metrics();
+    let gauge = |name: &str| tm.gauge_value(name, &[]).expect("front-end gauge");
     println!(
         "harvested {depth} tickets in {:.1} ms ({:.0} req/s, peak in-flight {})",
         elapsed.as_secs_f64() * 1e3,
         depth as f64 / elapsed.as_secs_f64(),
-        tm.inflight_peak
+        gauge("fusedmm_requests_inflight_peak")
     );
-    let cm = tm.cache.expect("ticketed engine runs cached");
+    let cache = |name: &str| tm.counter(name, &[]).expect("ticketed engine runs cached");
+    let coalesced = cache("fusedmm_cache_coalesced_misses_total");
     println!(
-        "coalescing: {} of {} misses rode another request's computation ({} rows dispatched)",
-        cm.coalesced_misses,
-        cm.misses,
-        tm.band_total(|b| b.rows_computed)
+        "coalescing: {coalesced} of {} misses rode another request's computation ({} rows \
+         dispatched)",
+        cache("fusedmm_cache_misses_total"),
+        tm.sum("fusedmm_rows_computed_total")
     );
     // Ticketed responses are bit-identical to blocking serving: the
     // window was launched against one quiescent epoch, so a blocking
@@ -300,12 +313,9 @@ fn main() {
             "ticketed response diverged from blocking embed"
         );
     }
-    assert_eq!(tm.inflight, 0, "every ticket resolved");
+    assert_eq!(gauge("fusedmm_requests_inflight"), 0.0, "every ticket resolved");
     if depth >= 2 {
-        assert!(
-            cm.coalesced_misses > 0,
-            "a deep window over a hot set must coalesce concurrent misses"
-        );
+        assert!(coalesced > 0, "a deep window over a hot set must coalesce concurrent misses");
     }
     println!("verified: {depth} ticketed responses bit-identical to blocking embed");
 
@@ -407,19 +417,21 @@ fn main() {
         "overload outcomes: {ok_exact} exact, {ok_degraded} degraded, {failed} failed, \
          {eager_shed} shed, {eager_expired} expired at admission"
     );
-    println!("{cm}");
+    let outcome = |o: &str| cm.sum(&format!("fusedmm_requests_{o}_total"));
+    let outcomes = ["harvested", "degraded", "shed", "failed", "abandoned"];
+    println!(
+        "ledger: {} begun = {}",
+        outcome("begun"),
+        outcomes.map(|o| format!("{} {o}", outcome(o))).join(" + ")
+    );
     assert_eq!(
-        cm.requests_begun,
-        cm.requests_harvested
-            + cm.requests_degraded
-            + cm.requests_shed
-            + cm.requests_failed
-            + cm.requests_abandoned,
+        outcome("begun"),
+        outcomes.iter().map(|o| outcome(o)).sum::<u64>(),
         "request reconciliation must be exact under chaos"
     );
     if policy.is_limited() {
         assert!(
-            cm.requests_shed + cm.requests_degraded > 0,
+            outcome("shed") + outcome("degraded") > 0,
             "a 4x overload past the admission cap must shed or degrade"
         );
     }

@@ -66,9 +66,9 @@ pub mod prelude {
     };
     pub use fusedmm_serve::{
         quiet_injected_panics, register_kernel_profiles, wait_any, AdmissionPolicy, CacheConfig,
-        CacheMetrics, EmbedOptions, EmbedResponse, Engine, EngineConfig, FaultPlan, FeatureStore,
-        MetricsRegistry, MetricsSnapshot, Quality, Reordering, ServeError, ServeMetrics,
-        ShardedEngine, Ticket, Tracer,
+        EmbedOptions, EmbedResponse, Engine, EngineConfig, FaultPlan, FeatureStore,
+        MetricsRegistry, MetricsSnapshot, Quality, Reordering, ServeError, ShardedEngine, Ticket,
+        Tracer,
     };
     pub use fusedmm_sparse::coo::Dedup;
     pub use fusedmm_sparse::{Coo, Csc, Csr, Dense, Permutation};

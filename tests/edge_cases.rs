@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use fusedmm::baseline::unfused::unfused_pipeline;
 use fusedmm::prelude::*;
+use fusedmm::serve::{FrontEnd, LocalBands};
 
 fn presets() -> Vec<OpSet> {
     vec![
@@ -235,13 +236,16 @@ fn cached_matches_uncached_through_a_delta(
     };
     agree("cold");
     agree("warm");
-    let before = cached.cache_metrics().expect("cached").invalidated_rows;
+    let invalidated = || {
+        let m = cached.metrics();
+        m.counter("fusedmm_cache_invalidated_rows_total", &[]).expect("cached")
+    };
+    let before = invalidated();
     let patch = random_features(1, d, 0.5, 33);
     for engine in [&cached, &plain] {
         assert_eq!(engine.store().delta_update(&[patched], &patch, &patch), 1);
     }
-    let m = cached.cache_metrics().expect("cached");
-    assert_eq!(m.invalidated_rows - before, retired, "rows a delta on {patched} retired");
+    assert_eq!(invalidated() - before, retired, "rows a delta on {patched} retired");
     agree("after the delta");
     cached.boundaries().to_vec()
 }
@@ -290,4 +294,45 @@ fn cached_engines_over_a_cut_with_empty_bands() {
     assert!(cut.windows(2).any(|w| w[0] == w[1]), "no empty band in the cut {cut:?}");
     cached_matches_uncached_through_a_delta(&a, 4, 5, 2);
     cached_matches_uncached_through_a_delta(&a, 4, 4, 2);
+}
+
+/// Defined behaviour at d ∈ {0, 1}: an `Engine` and a 2-shard
+/// `ShardedEngine` with the result cache on answer `embed` (cold and
+/// warm), `score_edges` and `infer_full` bit for bit as the same
+/// deployment without it.
+#[test]
+fn cached_engines_at_zero_and_one_dimension_answer_as_uncached_ones() {
+    type AnyEngine = Box<dyn std::ops::Deref<Target = FrontEnd<LocalBands>>>;
+    let n = 24;
+    let a = erdos_renyi(n, 3 * n, 5);
+    let nodes = [5, 0, 23, 5, 11];
+    let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 5 + 2) % n)).collect();
+    let bits =
+        |z: Dense| (z.nrows(), z.ncols(), z.as_slice().iter().map(|v| v.to_bits()).collect());
+    for d in [0, 1] {
+        let (x, y) = (random_features(n, d, 0.5, 41), random_features(n, d, 0.5, 42));
+        for shards in [1, 2] {
+            let build = |cache: Option<CacheConfig>| -> AnyEngine {
+                let (a, x, y, ops) = (a.clone(), x.clone(), y.clone(), OpSet::gcn());
+                let config = EngineConfig { cache, ..EngineConfig::default() };
+                match shards {
+                    1 => Box::new(Engine::new(a, x, y, ops, config)),
+                    _ => Box::new(ShardedEngine::new(a, x, y, ops, shards, config)),
+                }
+            };
+            let (plain, cached) = (build(None), build(Some(CacheConfig::default())));
+            let label = format!("d={d}, {shards} shard(s)");
+            let want: (usize, usize, Vec<u32>) = bits(plain.embed(&nodes).expect(&label));
+            assert_eq!(want.0, nodes.len(), "{label}");
+            for pass in ["cold", "warm"] {
+                assert_eq!(bits(cached.embed(&nodes).expect(&label)), want, "{label}, {pass}");
+            }
+            let scores = |e: &AnyEngine| {
+                let s = e.score_edges(&pairs).expect(&label);
+                s.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(scores(&cached), scores(&plain), "{label}: scores");
+            assert_eq!(bits(cached.infer_full()), bits(plain.infer_full()), "{label}: infer_full");
+        }
+    }
 }

@@ -13,6 +13,14 @@ use std::time::{Duration, Instant};
 use fusedmm::kernel::Partition;
 use fusedmm::prelude::*;
 
+/// `(begun, harvested + degraded + shed + failed + abandoned)` from
+/// one scrape's ledger samples.
+fn ledger(m: &MetricsSnapshot) -> (u64, u64) {
+    let outcomes = ["harvested", "degraded", "shed", "failed", "abandoned"];
+    let resolved = outcomes.iter().map(|o| m.sum(&format!("fusedmm_requests_{o}_total")));
+    (m.sum("fusedmm_requests_begun_total"), resolved.sum())
+}
+
 /// A config immune to the chaos environment: unlimited admission, no
 /// injection — the bit-identity baseline.
 fn fault_free_config() -> EngineConfig {
@@ -44,16 +52,11 @@ fn every_launch_panicking_resolves_typed_not_hung() {
     // the request must resolve with a typed error, never hang.
     assert_eq!(eng.embed(&[3, 7]), Err(ServeError::PartFailed { shard: None }));
     let m = eng.metrics();
-    assert_eq!(m.requests_failed, 1);
-    assert!(m.bands[0].panics_caught >= 2, "original launch and its retry both panicked");
-    assert_eq!(
-        m.requests_begun,
-        m.requests_harvested
-            + m.requests_degraded
-            + m.requests_shed
-            + m.requests_failed
-            + m.requests_abandoned
-    );
+    assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(1));
+    let panics = m.sum("fusedmm_panics_caught_total");
+    assert!(panics >= 2, "original launch and its retry both panicked");
+    let (begun, resolved) = ledger(&m);
+    assert_eq!(begun, resolved);
 }
 
 #[test]
@@ -99,9 +102,10 @@ fn sharded_deadline_expiry_is_typed_and_counted() {
     assert_eq!(t.wait().map(|r| r.rows), Err(ServeError::DeadlineExpired));
     ahead.wait().unwrap();
     let m = eng.metrics();
-    assert_eq!(m.requests_failed, 1);
-    assert_eq!(m.band_total(|b| b.expired_dropped), 2, "both pieces expired in their queues");
-    assert_eq!(m.band_total(|b| b.rows_computed), 2, "no kernel time past the deadline");
+    assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(1));
+    let expired = m.sum("fusedmm_expired_dropped_total");
+    assert_eq!(expired, 2, "both pieces expired in their queues");
+    assert_eq!(m.sum("fusedmm_rows_computed_total"), 2, "no kernel time past the deadline");
 }
 
 /// A request with a deadline runs its own parts as it begins, so a
@@ -134,8 +138,10 @@ fn deadline_tickets_harvested_late_are_served() {
         }
         let m = eng.metrics();
         assert_eq!(served, windows.len());
-        assert_eq!((m.requests_harvested, m.requests_failed), (17, 0), "{nshards} shards");
-        assert_eq!(m.band_total(|b| b.expired_dropped), 0);
+        let harvested = m.counter("fusedmm_requests_harvested_total", &[]);
+        let failed = m.counter("fusedmm_requests_failed_total", &[]);
+        assert_eq!((harvested, failed), (Some(17), Some(0)), "{nshards} shards");
+        assert_eq!(m.sum("fusedmm_expired_dropped_total"), 0);
     }
 }
 
@@ -227,18 +233,11 @@ fn transport_disconnect_chaos_resolves_every_request_and_reconciles() {
     assert!(total_reconnects() > 0, "severed links were re-established");
 
     let m = remote.metrics();
-    assert_eq!(m.requests_begun, 40);
-    assert_eq!(
-        m.requests_begun,
-        m.requests_harvested
-            + m.requests_degraded
-            + m.requests_shed
-            + m.requests_failed
-            + m.requests_abandoned,
-        "remote ledger reconciles exactly under transport chaos: {m}"
-    );
-    assert_eq!(m.requests_harvested, ok);
-    assert_eq!(m.requests_failed, failed);
+    let (begun, resolved) = ledger(&m);
+    assert_eq!(begun, 40);
+    assert_eq!(begun, resolved, "remote ledger reconciles exactly under transport chaos");
+    assert_eq!(m.counter("fusedmm_requests_harvested_total", &[]), Some(ok));
+    assert_eq!(m.counter("fusedmm_requests_failed_total", &[]), Some(failed));
 
     drop(remote);
     drop(servers);
@@ -371,17 +370,9 @@ proptest! {
         }
         drop(tix);
         let m = eng.metrics();
-        prop_assert_eq!(m.requests_begun, picks.len() as u64, "every request counted begun");
-        prop_assert_eq!(m.requests_shed, shed_local);
-        prop_assert_eq!(
-            m.requests_begun,
-            m.requests_harvested
-                + m.requests_degraded
-                + m.requests_shed
-                + m.requests_failed
-                + m.requests_abandoned,
-            "reconciliation is exact: {}",
-            m
-        );
+        let (begun, resolved) = ledger(&m);
+        prop_assert_eq!(begun, picks.len() as u64, "every request counted begun");
+        prop_assert_eq!(m.counter("fusedmm_requests_shed_total", &[]), Some(shed_local));
+        prop_assert_eq!(begun, resolved, "reconciliation is exact: {}", m.to_prometheus());
     }
 }

@@ -534,16 +534,12 @@ fn remote_engine_is_bit_identical_over_sockets_and_survives_worker_restart() {
 
     // Every ticket resolved; the ledger reconciles exactly.
     let m = remote.metrics();
-    assert_eq!(
-        m.requests_begun,
-        m.requests_harvested
-            + m.requests_degraded
-            + m.requests_shed
-            + m.requests_failed
-            + m.requests_abandoned,
-        "remote front-end ledger reconciles: {m:?}"
-    );
-    assert_eq!(m.feature_epoch, 3);
+    let outcomes = ["harvested", "degraded", "shed", "failed", "abandoned"];
+    let resolved: u64 =
+        outcomes.iter().map(|o| m.sum(&format!("fusedmm_requests_{o}_total"))).sum();
+    let begun = m.counter("fusedmm_requests_begun_total", &[]).expect("ledger sample");
+    assert_eq!(begun, resolved, "remote front-end ledger reconciles: {}", m.to_prometheus());
+    assert_eq!(m.gauge_value("fusedmm_feature_epoch", &[]), Some(3.0));
 
     drop(remote);
     drop(servers);

@@ -146,14 +146,15 @@ fn engine_serves_concurrent_overlapping_batches() {
     });
 
     let m = engine.metrics();
-    assert_eq!(m.embed.count, (threads * rounds) as u64);
-    assert_eq!(m.bands[0].rows_requested, (threads * rounds * 16) as u64);
+    let embed = m.histogram("fusedmm_embed_latency_seconds", &[]).expect("latency sample");
+    assert_eq!(embed.count, (threads * rounds) as u64);
+    let requested = m.sum("fusedmm_rows_requested_total");
+    assert_eq!(requested, (threads * rounds * 16) as u64);
     assert!(
-        m.bands[0].rows_computed <= m.bands[0].rows_requested,
+        m.sum("fusedmm_rows_computed_total") <= requested,
         "dedup never computes more than asked"
     );
-    assert!(m.embed.p50 <= m.embed.p99);
-    assert!(m.embed_requests_per_sec > 0.0);
+    assert!(embed.p50 <= embed.p99);
 }
 
 /// Build the snapshot-isolation fixture: a ring graph (every row has
@@ -241,8 +242,8 @@ fn readers_never_observe_a_torn_epoch_during_publishes() {
         }
     });
     let m = eng.metrics();
-    assert_eq!(m.epoch_swaps, publishes as u64);
-    assert_eq!(m.feature_epoch, publishes as u64);
+    assert_eq!(m.counter("fusedmm_epoch_swaps_total", &[]), Some(publishes as u64));
+    assert_eq!(m.gauge_value("fusedmm_feature_epoch", &[]), Some(publishes as f64));
 }
 
 /// Same isolation property through the sharded front end: one pinned
@@ -284,7 +285,7 @@ fn sharded_responses_never_tear_across_shards_or_epochs() {
             });
         }
     });
-    assert_eq!(eng.metrics().epoch_swaps, publishes as u64);
+    assert_eq!(eng.metrics().counter("fusedmm_epoch_swaps_total", &[]), Some(publishes as u64));
 }
 
 /// The acceptance-criteria equivalence test: a ShardedEngine with 1, 2,
@@ -318,11 +319,13 @@ fn sharded_engines_are_bit_identical_to_the_single_engine() {
         let f = sharded.infer_full();
         assert_eq!(f, f1, "{shards}-shard inference differs from single engine");
         let m = sharded.metrics();
-        assert_eq!(m.bands.len(), sharded.nshards());
+        let per_shard = |name: &str| m.samples.iter().filter(|s| s.name == name).count();
+        assert_eq!(per_shard("fusedmm_rows_computed_total"), sharded.nshards());
         // One front-end embed call is one request, however many shards
         // it fanned out to.
-        assert_eq!(m.embed.count, 1);
-        assert_eq!(m.fanout.len(), sharded.nshards());
+        let embed = m.histogram("fusedmm_embed_latency_seconds", &[]).expect("latency sample");
+        assert_eq!(embed.count, 1);
+        assert_eq!(per_shard("fusedmm_fanout_gather_seconds"), sharded.nshards());
     }
 }
 
@@ -344,8 +347,8 @@ fn shared_store_updates_every_engine_at_once() {
     store.publish(Dense::filled(n, d, 5.0), Dense::filled(n, d, 5.0));
     assert_eq!(plain.embed(&[3]).unwrap().row(0), &[5.0; 8]);
     assert_eq!(sharded.embed(&[3, 40]).unwrap().row(1), &[5.0; 8]);
-    assert_eq!(plain.metrics().feature_epoch, 1);
-    assert_eq!(sharded.metrics().feature_epoch, 1);
+    assert_eq!(plain.metrics().gauge_value("fusedmm_feature_epoch", &[]), Some(1.0));
+    assert_eq!(sharded.metrics().gauge_value("fusedmm_feature_epoch", &[]), Some(1.0));
 }
 
 /// A single engine or a sharded one: both are the one front end over
@@ -375,7 +378,7 @@ fn build_with(
 /// Rows the bands actually computed (the front end dispatches nothing
 /// itself).
 fn rows_computed(eng: &AnyEngine) -> u64 {
-    eng.metrics().band_total(|b| b.rows_computed)
+    eng.metrics().sum("fusedmm_rows_computed_total")
 }
 
 proptest! {
@@ -521,11 +524,11 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
             let (eng, history, done, phase, write) = (&eng, &history, &done, &phase, &write);
             let writer = s.spawn(move || {
                 phase.wait();
-                let after_repeat = eng.cache_metrics().expect("cache enabled");
+                let after_repeat = eng.metrics();
                 write(1);
-                let after_delta = eng.cache_metrics().expect("cache enabled");
+                let after_delta = eng.metrics();
                 write(3);
-                let after_publish = eng.cache_metrics().expect("cache enabled");
+                let after_publish = eng.metrics();
                 phase.wait();
                 for e in 4..=50u64 {
                     write(e);
@@ -574,17 +577,19 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
             writer.join().expect("writer")
         });
         // Liveness, from the deterministic phase alone.
+        let cache = |m: &MetricsSnapshot, name: &str| {
+            m.counter(&format!("fusedmm_cache_{name}_total"), &[]).expect("cache enabled")
+        };
+        let hits = cache(&after_repeat, "hits");
+        assert!(hits >= n as u64, "every repeated row is a hit (shards={shards}): {hits} hits");
+        let flushes = cache(&after_repeat, "flushes");
+        assert_eq!(cache(&after_repeat, "invalidated_rows") + flushes, 0);
         assert!(
-            after_repeat.hits >= n as u64,
-            "every repeated row is a hit (shards={shards}): {} hits",
-            after_repeat.hits
-        );
-        assert_eq!(after_repeat.invalidated_rows + after_repeat.flushes, 0);
-        assert!(
-            after_delta.invalidated_rows > 0 && after_delta.flushes == 0,
+            cache(&after_delta, "invalidated_rows") > 0 && cache(&after_delta, "flushes") == 0,
             "the delta dropped resident rows (shards={shards})"
         );
-        assert!(after_publish.flushes > 0, "the publish flushed the cache (shards={shards})");
+        let flushes = cache(&after_publish, "flushes");
+        assert!(flushes > 0, "the publish flushed the cache (shards={shards})");
     }
 }
 
@@ -685,11 +690,15 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
             1,
             "exactly one enqueue computed the row (shards={shards})"
         );
-        let m = eng.cache_metrics().expect("cache enabled");
-        assert_eq!(m.misses, 3, "all three requests missed (shards={shards})");
-        assert_eq!(m.coalesced_misses, 2, "two waiters coalesced (shards={shards})");
-        assert_eq!(m.inserts, 1, "the single fill was admitted once (shards={shards})");
-        assert_eq!(m.inflight_rows, 0, "registration resolved (shards={shards})");
+        let m = eng.metrics();
+        let misses = m.counter("fusedmm_cache_misses_total", &[]);
+        assert_eq!(misses, Some(3), "all three requests missed (shards={shards})");
+        let coalesced = m.counter("fusedmm_cache_coalesced_misses_total", &[]);
+        assert_eq!(coalesced, Some(2), "two waiters coalesced (shards={shards})");
+        let inserts = m.counter("fusedmm_cache_inserts_total", &[]);
+        assert_eq!(inserts, Some(1), "the single fill was admitted once (shards={shards})");
+        let inflight = m.gauge_value("fusedmm_cache_inflight_rows", &[]);
+        assert_eq!(inflight, Some(0.0), "registration resolved (shards={shards})");
     }
 }
 
@@ -987,10 +996,13 @@ fn hammer<T: ShardTransport + ?Sized + 'static>(eng: &FrontEnd<T>, reference: &D
         }
     });
     let m = eng.metrics();
-    assert_eq!(m.requests_begun, (HAMMER_THREADS * HAMMER_REQUESTS) as u64, "{label}");
-    assert_eq!(m.requests_failed + m.requests_shed + m.requests_abandoned, 0, "{label}: {m}");
-    assert_eq!(m.requests_begun, m.requests_harvested + m.requests_degraded, "{label}");
-    assert_eq!(m.inflight, 0, "every ticket resolved ({label})");
+    let count = |outcome: &str| m.sum(&format!("fusedmm_requests_{outcome}_total"));
+    assert_eq!(count("begun"), (HAMMER_THREADS * HAMMER_REQUESTS) as u64, "{label}");
+    let lost = count("failed") + count("shed") + count("abandoned");
+    assert_eq!(lost, 0, "{label}: {}", m.to_prometheus());
+    assert_eq!(count("begun"), count("harvested") + count("degraded"), "{label}");
+    let inflight = m.gauge_value("fusedmm_requests_inflight", &[]);
+    assert_eq!(inflight, Some(0.0), "every ticket resolved ({label})");
 }
 
 /// The hang guard of the waiter-runs-the-batch state machine: the
@@ -1015,8 +1027,13 @@ fn waiters_running_the_batches_never_hang_and_stay_bit_identical() {
         let cache = Some(CacheConfig { byte_budget: 4 << 10, segments: 4 });
         let eng = build(a.clone(), x.clone(), y.clone(), shards, cache);
         hammer(&**eng, &reference, &format!("shards={shards}"));
-        let cache = eng.metrics().cache.expect("cache on");
-        assert!(cache.coalesced_misses > 0 && cache.evictions > 0, "shards={shards}: {cache}");
+        let m = eng.metrics();
+        let coalesced = m.counter("fusedmm_cache_coalesced_misses_total", &[]).expect("cache on");
+        let evictions = m.counter("fusedmm_cache_evictions_total", &[]).expect("cache on");
+        assert!(
+            coalesced > 0 && evictions > 0,
+            "shards={shards}: {coalesced} coalesced, {evictions} evicted"
+        );
     }
 }
 
@@ -1081,7 +1098,7 @@ fn remote_callers_never_hang_and_stay_bit_identical_while_deltas_ship() {
         writer.join().expect("delta writer")
     });
     assert!(shipped > 0, "no delta shipped while the callers ran");
-    assert_eq!(remote.metrics().feature_epoch, shipped as u64);
+    assert_eq!(remote.metrics().gauge_value("fusedmm_feature_epoch", &[]), Some(shipped as f64));
     drop(remote);
     drop(servers);
     for p in &paths {
@@ -1104,7 +1121,8 @@ fn a_coalesced_launch_answers_every_part_and_hands_its_output_to_the_union() {
     let eng = Engine::new(a, x, y, ops, EngineConfig::default());
     let rounds: [&[&[usize]]; 2] = [&[&[3], &[1, 3, 5], &[5], &[1, 5]], &[&[2, 9], &[9, 4], &[4]]];
     for (round, asked) in rounds.into_iter().enumerate() {
-        let before = eng.metrics().band_total(|b| b.batches_dispatched);
+        let batches = || eng.metrics().sum("fusedmm_batches_dispatched_total");
+        let before = batches();
         let tickets: Vec<_> =
             asked.iter().map(|ids| eng.embed_begin(ids).expect("begin")).collect();
         for (ids, ticket) in asked.iter().zip(tickets) {
@@ -1114,8 +1132,8 @@ fn a_coalesced_launch_answers_every_part_and_hands_its_output_to_the_union() {
                 assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()), "round {round}");
             }
         }
-        let batches = eng.metrics().band_total(|b| b.batches_dispatched) - before;
-        assert_eq!(batches, 1, "round {round}: the queued parts coalesced into one launch");
+        let launches = batches() - before;
+        assert_eq!(launches, 1, "round {round}: the queued parts coalesced into one launch");
     }
 }
 
