@@ -14,6 +14,11 @@
 //! rule in `default_for` is whatever passes that verdict on both x86
 //! backends; shapes that are never within spread of a cell's best are
 //! listed at the end (listed, not chased — the grid is not tuned here).
+//! The table compiles only the shapes the rule returns (main passes of
+//! 4, 6 and 8 lane-widths), so a shape outside it is measured by adding
+//! it to `MAIN_GRID` and the selector on a scratch tree; the pass that
+//! retired 12- and 24-panel passes and 16- and 64-deep message chunks
+//! is in `docs/ARCHITECTURE.md`, "The kernel table".
 //!
 //! A second section times rows no wider than an 8-lane register on the
 //! 16-lane backend's entries against the same bodies' 8-lane entries —
@@ -126,9 +131,8 @@ fn shape_table(a: &Csr, rounds: usize) {
             ("fr", OpSet::fr_model(0.4)),
             ("tdist", OpSet::tdist_embedding()),
         ] {
-            let pattern = specialize(&ops).expect("a recognized pattern");
-            let default = pattern.default_spec(d, backend);
-            let specs = candidate_specs(backend.lanes(), d, name != "spmm");
+            let default = KernelSpec::default_for(d, backend);
+            let specs = candidate_specs(backend.lanes(), d);
             let mut arms = vec![Blocking::Auto];
             arms.extend(specs.iter().copied().map(Blocking::Specialized));
             let nnz = PartitionStrategy::NnzBalanced;
@@ -255,7 +259,7 @@ fn lookahead_distances(rounds: usize) {
             ("tdist", OpSet::tdist_embedding()),
         ] {
             let pattern = specialize(&ops).expect("a recognized pattern");
-            let spec = pattern.default_spec(d, backend);
+            let spec = KernelSpec::default_for(d, backend);
             // One row through the pattern's kernel at the default shape.
             type Row<'a> = Box<dyn Fn(&[f32], &[usize], &[f32], &[usize], &mut [f32]) + 'a>;
             let y = &y;

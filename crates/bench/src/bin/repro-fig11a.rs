@@ -6,9 +6,9 @@
 //!
 //! * register blocking — the generic five-step kernel (no blocking)
 //!   against the register-blocked kernel at each main-pass size the
-//!   table compiles with a 32-row message chunk: MAIN *is* the paper's
-//!   blocking factor, so this is Fig. 11's sensitivity sweep and the
-//!   §IV-A win in one group;
+//!   table compiles that fits d: MAIN *is* the paper's blocking factor,
+//!   so this is Fig. 11's sensitivity sweep and the §IV-A win in one
+//!   group;
 //! * nnz-balanced PART1D against naive equal-row parts on a skewed
 //!   RMAT graph — the load balancing of §III-C;
 //! * lookup-table against exact sigmoid — the Force2Vec-style SOP
@@ -93,11 +93,9 @@ fn ablations(scale: f64, d: usize, r: usize) {
         exact.clone(),
         Plan::with_blocking(&exact, d, Blocking::Generic, nnz),
     )];
-    for spec in candidate_specs(active_backend().lanes(), d, true) {
-        if spec.h_chunk() == 32 {
-            let plan = Plan::with_blocking(&exact, d, Blocking::Specialized(spec), nnz);
-            blocking.push((format!("main {}", spec.main_panels()), exact.clone(), plan));
-        }
+    for spec in candidate_specs(active_backend().lanes(), d) {
+        let plan = Plan::with_blocking(&exact, d, Blocking::Specialized(spec), nnz);
+        blocking.push((format!("main {}", spec.main_panels()), exact.clone(), plan));
     }
     group("register blocking", &w.adj, (&w.x, &w.y), blocking);
 

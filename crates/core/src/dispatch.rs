@@ -6,7 +6,7 @@
 //! storing the results." [`specialize`] performs that recognition on an
 //! [`OpSet`]; a [`Plan`] launch runs the recognized pattern's
 //! register-blocked kernel at the shape it names — by default the one
-//! [`KernelSpec::default_for`] fixes for `(pattern, d, backend)` — and
+//! [`KernelSpec::default_for`] fixes for `(d, backend)` — and
 //! falls back to the generic five-step kernel otherwise.
 
 use std::ops::Range;
@@ -31,8 +31,8 @@ use crate::simd::{active_backend, prefetch_lines, Backend};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Blocking {
     /// The library default: a recognized pattern runs the shape
-    /// [`KernelSpec::default_for`] fixes for its `(pattern class, d,
-    /// backend)`; an unrecognized one runs the generic kernel.
+    /// [`KernelSpec::default_for`] fixes for its `(d, backend)`; an
+    /// unrecognized one runs the generic kernel.
     Auto,
     /// Run one named shape of the kernel table (see
     /// [`crate::genkern::table`]) instead of the default — the single
@@ -82,16 +82,6 @@ pub fn specialize(ops: &OpSet) -> Option<Specialized> {
         (VOp::Sub, ROp::Norm, SOp::TDist, MOp::Mul, AOp::Sum) => Some(Specialized::TDist),
         (VOp::Sel2nd, ROp::Noop, SOp::Noop, MOp::Mul, AOp::Sum) => Some(Specialized::Spmm),
         _ => None,
-    }
-}
-
-impl Specialized {
-    /// The kernel shape a launch of this pattern runs at dimension `d`
-    /// on `backend` unless the caller names one — every plan's route
-    /// to [`KernelSpec::default_for`].
-    pub fn default_spec(&self, d: usize, backend: Backend) -> KernelSpec {
-        let sddmm = !matches!(self, Specialized::Spmm);
-        KernelSpec::default_for(sddmm, d, entry_backend(backend, d).lanes())
     }
 }
 
@@ -196,21 +186,19 @@ pub(crate) fn run(
     z: &mut [f32],
     scores: Option<&mut [f32]>,
 ) {
-    let (blocking, strategy) = (plan.blocking(), plan.strategy());
-    let spec = if blocking == Blocking::Generic { None } else { specialize(ops) };
+    let strategy = plan.strategy();
     let d = x.ncols();
-    let backend = active_backend();
     let t0 = std::time::Instant::now();
-    let Some(spec) = spec else {
+    let specialized = match plan.blocking() {
+        Blocking::Specialized(kspec) => specialize(ops).map(|spec| (spec, kspec)),
+        _ => None,
+    };
+    let Some((spec, kspec)) = specialized else {
         generic_launch(a, x, y, ops, map, strategy, z, scores);
         plan.record(t0.elapsed(), map.len(a), map.nnz(a));
         return;
     };
-    let kspec = match blocking {
-        Blocking::Specialized(s) => s,
-        _ => spec.default_spec(d, backend),
-    };
-    let entry = entry_backend(backend, d);
+    let entry = entry_backend(active_backend(), d);
     let sched = Schedule { a, x, y, map, backend: entry };
     match spec {
         Specialized::Embed(sk) => {
@@ -404,7 +392,9 @@ mod tests {
                 OpSet::gcn(),
             ] {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
-                let spec = KernelSpec::new(12, 64).unwrap();
+                // The default at none of these dims: m4 at 16 and 24; m8
+                // (8 lanes) or m4 (16 lanes) at 64.
+                let spec = KernelSpec::new(6).unwrap();
                 for blocking in [Blocking::Auto, Blocking::Specialized(spec), Blocking::Generic] {
                     let z = launch_at(4, &a, &x, &y, &ops, blocking);
                     assert!(
@@ -428,7 +418,7 @@ mod tests {
         let x = feats(n, d, 0.1);
         let y = feats(n, d, 0.4);
         let ops = OpSet::sigmoid_embedding(None);
-        let want = specialize(&ops).unwrap().default_spec(d, active_backend());
+        let want = KernelSpec::default_for(d, active_backend());
         let auto = fusedmm(&a, &x, &y, &ops);
         let named = launch_at(2, &a, &x, &y, &ops, Blocking::Specialized(want));
         assert_eq!(auto.as_slice(), named.as_slice());

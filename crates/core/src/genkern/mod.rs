@@ -11,10 +11,10 @@
 //! pattern's row body written once over the [`crate::simd`] ISA
 //! abstraction, monomorphized per SIMD
 //! [`Backend`](crate::simd::Backend) (AVX-512 / AVX2+FMA / NEON /
-//! scalar) and per [`KernelSpec`] shape (main-pass panel count × message
-//! chunk depth), accepting any `d ≥ 1` through a fused masked-tail
-//! panel. Which shape a launch runs is a pure function of `(pattern
-//! class, d, lane width)` — [`KernelSpec::default_for`].
+//! scalar) and per [`KernelSpec`] shape (main-pass panel count),
+//! accepting any `d ≥ 1` through a fused masked-tail panel. Which shape
+//! a launch runs is a pure function of `(d, backend)` —
+//! [`KernelSpec::default_for`].
 //!
 //! This module holds what the family's callers share: the kernel
 //! fn-pointer types and [`SigmoidKind`].

@@ -1,28 +1,30 @@
 //! The one specialized row-kernel family: a generated table of
-//! monomorphized kernel shapes, one of which is fixed per
-//! `(pattern, d, backend)` by [`KernelSpec::default_for`].
+//! monomorphized kernel shapes, one of which is fixed per `(d,
+//! backend)` by [`KernelSpec::default_for`].
 //!
 //! Every kernel body consumes the feature dimension as a cascade of
 //! register-resident panels — `z_u`'s accumulators stay in registers
 //! across the neighbor loop, the paper's register blocking — and is
-//! instantiated over a small set of const-generic shapes:
+//! instantiated once per main-pass size `MAIN`, in panels of the
+//! backend's lane width (`SimdIsa::LANES`): [`MAIN_GRID`] = {4, 6, 8}.
+//! `MAIN` is the paper's blocking factor. For the patterns with a
+//! reduction (embedding, FR, t-dist) the per-neighbor messages `h_v`
+//! are produced `H_CHUNK` (= 32) neighbors at a time, then the chunk's
+//! contribution is swept panel by panel, so the chunk's `y` rows stay
+//! in L1 between the two passes.
 //!
-//! * `MAIN` — panels per main-pass iteration, in units of the
-//!   backend's lane width (`SimdIsa::LANES`): [`MAIN_GRID`] =
-//!   {4, 6, 8, 12, 24}. This is the paper's blocking factor;
-//! * `HC` — SDDMM message-buffer depth: [`HC_GRID`] = {16, 32, 64}.
-//!   For the patterns with a reduction (embedding, FR, t-dist) the
-//!   per-neighbor messages `h_v` are produced `HC` neighbors at a
-//!   time, then the chunk's contribution is swept panel by panel, so
-//!   the chunk's `y` rows stay in L1 between the two passes.
-//!
-//! A [`KernelSpec`] names one point of that grid. The paper's `extract`
+//! A [`KernelSpec`] names one point of that grid, and the grid is
+//! exactly the set of shapes the rule can return. The paper's `extract`
 //! tool generates every shape per dimension and tunes the blocking
 //! factor offline; here the offline step is the interleaved shape table
 //! printed by `cargo bench -p fusedmm-bench --bench kernel_dispatch`,
 //! and its outcome is the rule in [`KernelSpec::default_for`] — a pure
 //! function, so every process start, training and serving alike, runs
-//! the same shape. [`candidate_specs`] is what that bench sweeps and
+//! the same shape. Shapes the rule never picks (main passes of 12 and
+//! 24 panels, chunk depths 16 and 64) beat it by more than the rounds'
+//! spread in no cell that a second pass reproduced, so they are not
+//! compiled (`docs/ARCHITECTURE.md`, "The kernel table").
+//! [`candidate_specs`] is what that bench sweeps and
 //! `Blocking::Specialized` is the explicit override.
 //!
 //! The kernels accept **any** `d ≥ 1`: the cascade ends in one
@@ -38,8 +40,8 @@
 //!
 //! Shape choices never change results: for every output element the
 //! fold over neighbors runs in row-storage order regardless of how
-//! `MAIN` tiles the dimension or `HC` chunks the neighbor list, so all
-//! specs of one backend are bit-identical to each other — and the
+//! `MAIN` tiles the dimension or how the neighbor list is chunked, so
+//! all specs of one backend are bit-identical to each other — and the
 //! AVX-512 and AVX2 backends stay bit-identical to *each other* down
 //! the masked tails (see [`crate::simd`]).
 
@@ -56,14 +58,14 @@ use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 use super::{EmbedRowKernel, FrRowKernel, SigmoidKind, SpmmRowKernel, TDistRowKernel};
 
 /// Main-pass panel counts the table instantiates (units of the
-/// backend's lane width). 24 only pays on 16-lane ISAs (32 zmm
-/// registers); on 8-lane backends it would spill, so
-/// [`candidate_specs`] filters it out there.
-pub const MAIN_GRID: &[u8] = &[4, 6, 8, 12, 24];
+/// backend's lane width): exactly the sizes [`KernelSpec::default_for`]
+/// returns somewhere (`tests/properties.rs` checks both directions).
+pub const MAIN_GRID: &[u8] = &[4, 6, 8];
 
-/// SDDMM message-buffer depths the table instantiates. Patterns with
-/// no reduction (SpMM) ignore the depth; their specs pin it to 32.
-pub const HC_GRID: &[u16] = &[16, 32, 64];
+/// SDDMM message-buffer depth: neighbors whose messages a row kernel
+/// fills before it sweeps their `y` rows into `z_u`. Patterns with no
+/// reduction (SpMM) have no message buffer.
+const H_CHUNK: usize = 32;
 
 /// How many positions ahead in the CSR column stream the message fill
 /// asks for a neighbor row ([`lookahead`], `fill_messages`). The fill
@@ -83,44 +85,34 @@ pub const LOOKAHEAD: usize = 6;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelSpec {
     main_panels: u8,
-    h_chunk: u16,
 }
 
 impl KernelSpec {
     /// The shape of a dimension too narrow for any main pass: its rows
     /// run only the 4/2/1-panel cleanup and the masked tail.
-    pub const FALLBACK: KernelSpec = KernelSpec { main_panels: 4, h_chunk: 32 };
+    pub const FALLBACK: KernelSpec = KernelSpec { main_panels: 4 };
 
-    /// Build a spec from a grid point; `None` when either coordinate
-    /// is off the generated grid.
-    pub fn new(main_panels: u8, h_chunk: u16) -> Option<KernelSpec> {
-        if MAIN_GRID.contains(&main_panels) && HC_GRID.contains(&h_chunk) {
-            Some(KernelSpec { main_panels, h_chunk })
-        } else {
-            None
-        }
+    /// Build a spec from a grid point; `None` off [`MAIN_GRID`].
+    pub fn new(main_panels: u8) -> Option<KernelSpec> {
+        MAIN_GRID.contains(&main_panels).then_some(KernelSpec { main_panels })
     }
 
-    /// The shape a launch runs unless the caller names one
-    /// (`Blocking::Specialized`) — **the only place a shape is chosen**:
-    /// `Plan::prepare` (and with it `fusedmm` and every launch) resolves
-    /// through it, so one `(pattern class, d, lane width)` runs one
-    /// shape on every process start.
+    /// The shape a launch runs on `backend` at dimension `d` unless the
+    /// caller names one (`Blocking::Specialized`) — **the only place a
+    /// shape is chosen**: `Plan::prepare` (and with it `fusedmm` and
+    /// every launch) resolves through it, so one `(d, backend)` runs one
+    /// shape, whatever the pattern, on every process start.
     ///
     /// The rule: the largest main pass in {8, 6, 4} lane-widths that
     /// fits `d` (4 when none does — such rows never enter the main
-    /// pass), message depth 32. `sddmm` says whether the pattern has a
-    /// reduction; the measured table does not separate the chunk depths
-    /// by more than the rounds' own spread, so both classes take 32,
-    /// which is also the only depth [`candidate_specs`] offers SpMM.
-    /// The table that fixed the rule (and the shapes it never favours)
-    /// is in `docs/ARCHITECTURE.md`; re-derive it with the
-    /// `kernel_dispatch` bench before changing a line here.
-    pub fn default_for(sddmm: bool, d: usize, lanes: usize) -> KernelSpec {
-        // Part of the key; today's rule does not branch on it (above).
-        let _ = sddmm;
+    /// pass), at the lane width of the entries that run the row
+    /// (`entry_backend`: 8 lanes for `d ≤ 8` on AVX-512). The table that
+    /// fixed the rule is in `docs/ARCHITECTURE.md`; re-derive it with
+    /// the `kernel_dispatch` bench before changing a line here.
+    pub fn default_for(d: usize, backend: Backend) -> KernelSpec {
+        let lanes = entry_backend(backend, d).lanes();
         let main_panels = [8u8, 6, 4].into_iter().find(|&m| m as usize * lanes <= d).unwrap_or(4);
-        KernelSpec { main_panels, h_chunk: 32 }
+        KernelSpec { main_panels }
     }
 
     /// Panels per main-pass iteration, in units of the backend's lane
@@ -129,60 +121,33 @@ impl KernelSpec {
         self.main_panels as usize
     }
 
-    /// SDDMM message-buffer depth (neighbors per chunk).
-    pub fn h_chunk(&self) -> usize {
-        self.h_chunk as usize
-    }
-
-    /// Static profiling label for this shape, e.g. `"spec-m12-h32"` —
-    /// the blocking label recorded per kernel launch by
-    /// [`crate::profile`].
+    /// Static profiling label for this shape, e.g. `"spec-m8"` — the
+    /// blocking label recorded per kernel launch by [`crate::profile`].
     pub fn label(&self) -> &'static str {
-        match (self.main_panels, self.h_chunk) {
-            (4, 16) => "spec-m4-h16",
-            (4, 32) => "spec-m4-h32",
-            (4, 64) => "spec-m4-h64",
-            (6, 16) => "spec-m6-h16",
-            (6, 32) => "spec-m6-h32",
-            (6, 64) => "spec-m6-h64",
-            (8, 16) => "spec-m8-h16",
-            (8, 32) => "spec-m8-h32",
-            (8, 64) => "spec-m8-h64",
-            (12, 16) => "spec-m12-h16",
-            (12, 32) => "spec-m12-h32",
-            (12, 64) => "spec-m12-h64",
-            (24, 16) => "spec-m24-h16",
-            (24, 32) => "spec-m24-h32",
-            (24, 64) => "spec-m24-h64",
+        match self.main_panels {
+            4 => "spec-m4",
+            6 => "spec-m6",
+            8 => "spec-m8",
             _ => unreachable!("KernelSpec outside the generated shape grid"),
         }
     }
 }
 
-/// The shapes the `kernel_dispatch` bench sweeps for a `(d, backend)`
-/// pair: main-pass sizes that fit the dimension at the backend's lane
-/// width (24 panels only where 32 vector registers exist), crossed with
-/// the chunk depths — all of [`HC_GRID`] for SDDMM patterns, pinned to
-/// 32 where there is no reduction. Never empty: a dimension too narrow
-/// for any main pass still runs its 4/2/1/masked-tail passes under the
-/// fallback shape.
-pub fn candidate_specs(lanes: usize, d: usize, sddmm: bool) -> Vec<KernelSpec> {
-    let mut mains: Vec<u8> = MAIN_GRID
+/// The shapes the `kernel_dispatch` bench sweeps for a `(d, lane
+/// width)` pair: the main-pass sizes that fit the dimension. Never
+/// empty: a dimension too narrow for any main pass still runs its
+/// 4/2/1/masked-tail passes under the fallback shape.
+pub fn candidate_specs(lanes: usize, d: usize) -> Vec<KernelSpec> {
+    let fits: Vec<KernelSpec> = MAIN_GRID
         .iter()
-        .copied()
-        .filter(|&m| m as usize * lanes <= d && (m <= 12 || lanes >= 16))
+        .filter(|&&m| m as usize * lanes <= d)
+        .map(|&main_panels| KernelSpec { main_panels })
         .collect();
-    if mains.is_empty() {
-        mains.push(KernelSpec::FALLBACK.main_panels);
+    if fits.is_empty() {
+        vec![KernelSpec::FALLBACK]
+    } else {
+        fits
     }
-    let hcs: &[u16] = if sddmm { HC_GRID } else { &[32] };
-    let mut out = Vec::with_capacity(mains.len() * hcs.len());
-    for &m in &mains {
-        for &h in hcs {
-            out.push(KernelSpec { main_panels: m, h_chunk: h });
-        }
-    }
-    out
 }
 
 /// The backend whose compiled entries run rows of width `d` when the
@@ -366,7 +331,7 @@ pub fn lookahead(colidx: &[usize], start: usize, end: usize) -> &[usize] {
 // `+0.0`, later chunks of a long row resume the partial sum, an empty
 // row stores zeros.
 
-/// One `HC`-deep chunk of a row's fold, starting at neighbor `start`.
+/// One `H_CHUNK`-deep chunk of a row's fold, starting at neighbor `start`.
 #[inline(always)]
 fn spec_chunk<I: SimdIsa, const MAIN: usize>(
     start: usize,
@@ -382,11 +347,11 @@ fn spec_chunk<I: SimdIsa, const MAIN: usize>(
     }
 }
 
-/// A whole SDDMM row: `HC` messages at a time through
+/// A whole SDDMM row: `H_CHUNK` messages at a time through
 /// [`fill_messages`], each chunk folded while its `y` rows are in L1.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn sddmm_row<I: SimdIsa, const MAIN: usize, const HC: usize, const NORM: bool>(
+fn sddmm_row<I: SimdIsa, const MAIN: usize, const NORM: bool>(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
@@ -396,11 +361,11 @@ fn sddmm_row<I: SimdIsa, const MAIN: usize, const HC: usize, const NORM: bool>(
     mut scores: Option<&mut [f32]>,
     f: impl Fn(f32, f32) -> f32,
 ) {
-    let mut h = [0f32; HC];
+    let mut h = [0f32; H_CHUNK];
     let mut start = 0;
     // At least one pass, so an empty row still stores its zeros.
     loop {
-        let stop = (start + HC).min(cols.len());
+        let stop = (start + H_CHUNK).min(cols.len());
         fill_messages::<I, NORM>(
             xu,
             &cols[start..stop],
@@ -421,7 +386,7 @@ fn sddmm_row<I: SimdIsa, const MAIN: usize, const HC: usize, const NORM: bool>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
+fn embed_spec_row_body<I: SimdIsa, const MAIN: usize>(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
@@ -431,12 +396,12 @@ fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     scores: Option<&mut [f32]>,
     sk: &SigmoidKind,
 ) {
-    sddmm_row::<I, MAIN, HC, false>(xu, cols, vals, ahead, y, zu, scores, |s, a| sk.eval(s, a));
+    sddmm_row::<I, MAIN, false>(xu, cols, vals, ahead, y, zu, scores, |s, a| sk.eval(s, a));
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn fr_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
+fn fr_spec_row_body<I: SimdIsa, const MAIN: usize>(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
@@ -446,11 +411,11 @@ fn fr_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     scores: Option<&mut [f32]>,
     alpha: f32,
 ) {
-    sddmm_row::<I, MAIN, HC, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| alpha * r.sqrt());
+    sddmm_row::<I, MAIN, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| alpha * r.sqrt());
 }
 
 #[inline(always)]
-fn tdist_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
+fn tdist_spec_row_body<I: SimdIsa, const MAIN: usize>(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
@@ -459,7 +424,7 @@ fn tdist_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     zu: &mut [f32],
     scores: Option<&mut [f32]>,
 ) {
-    sddmm_row::<I, MAIN, HC, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| 1.0 / (1.0 + r));
+    sddmm_row::<I, MAIN, true>(xu, cols, vals, ahead, y, zu, scores, |r, _| 1.0 / (1.0 + r));
 }
 
 #[inline(always)]
@@ -485,107 +450,81 @@ fn spmm_spec_row_body<I: SimdIsa, const MAIN: usize>(
 
 macro_rules! spec_entries {
     ($body:ident => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident;
-     [$($cp:ident),*]; ($($a:ident: $t:ty),*)) => {
+     ($($a:ident: $t:ty),*)) => {
         #[allow(clippy::too_many_arguments)]
-        fn $scalar<$(const $cp: usize),*>($($a: $t),*) {
-            $body::<ScalarIsa, $($cp),*>($($a),*)
+        fn $scalar<const MAIN: usize>($($a: $t),*) {
+            $body::<ScalarIsa, MAIN>($($a),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[allow(clippy::too_many_arguments)]
-        fn $avx2<$(const $cp: usize),*>($($a: $t),*) {
+        fn $avx2<const MAIN: usize>($($a: $t),*) {
             /// # Safety
             /// The CPU must support AVX2 and FMA.
             #[target_feature(enable = "avx2,fma")]
             #[allow(clippy::too_many_arguments)]
-            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
-                $body::<Avx2Isa, $($cp),*>($($a),*)
+            unsafe fn inner<const MAIN: usize>($($a: $t),*) {
+                $body::<Avx2Isa, MAIN>($($a),*)
             }
             // SAFETY: `inner`'s only requirement is a CPU with AVX2 and
             // FMA; the selectors (`select_spec!`) hand this entry out
             // only after `Backend::Avx2Fma.is_available()` returned
             // true. The body it inlines is safe code over slices.
-            unsafe { inner::<$($cp),*>($($a),*) }
+            unsafe { inner::<MAIN>($($a),*) }
         }
 
         #[cfg(target_arch = "x86_64")]
         #[allow(clippy::too_many_arguments)]
-        fn $avx512<$(const $cp: usize),*>($($a: $t),*) {
+        fn $avx512<const MAIN: usize>($($a: $t),*) {
             // avx2+fma are enabled too: reductions finish with the ymm
             // cleanup that keeps them bit-identical to the AVX2 backend.
             /// # Safety
             /// The CPU must support AVX-512F, AVX2 and FMA.
             #[target_feature(enable = "avx512f,avx2,fma")]
             #[allow(clippy::too_many_arguments)]
-            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
-                $body::<Avx512Isa, $($cp),*>($($a),*)
+            unsafe fn inner<const MAIN: usize>($($a: $t),*) {
+                $body::<Avx512Isa, MAIN>($($a),*)
             }
             // SAFETY: `inner`'s only requirement is a CPU with AVX-512F,
             // AVX2 and FMA; the selectors hand this entry out only
             // after `Backend::Avx512.is_available()`, which probes all
             // three, returned true.
-            unsafe { inner::<$($cp),*>($($a),*) }
+            unsafe { inner::<MAIN>($($a),*) }
         }
 
         #[cfg(target_arch = "aarch64")]
         #[allow(clippy::too_many_arguments)]
-        fn $neon<$(const $cp: usize),*>($($a: $t),*) {
+        fn $neon<const MAIN: usize>($($a: $t),*) {
             /// # Safety
             /// The CPU must support NEON.
             #[target_feature(enable = "neon")]
             #[allow(clippy::too_many_arguments)]
-            unsafe fn inner<$(const $cp: usize),*>($($a: $t),*) {
-                $body::<NeonIsa, $($cp),*>($($a),*)
+            unsafe fn inner<const MAIN: usize>($($a: $t),*) {
+                $body::<NeonIsa, MAIN>($($a),*)
             }
             // SAFETY: `inner`'s only requirement is a CPU with NEON; the
             // selectors hand this entry out only after
             // `Backend::Neon.is_available()` returned true.
-            unsafe { inner::<$($cp),*>($($a),*) }
+            unsafe { inner::<MAIN>($($a),*) }
         }
     };
 }
 
 spec_entries!(embed_spec_row_body => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, sk: &SigmoidKind));
+    (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, sk: &SigmoidKind));
 spec_entries!(fr_spec_row_body => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, alpha: f32));
+    (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>, alpha: f32));
 spec_entries!(tdist_spec_row_body => tdist_spec_scalar, tdist_spec_avx2, tdist_spec_avx512, tdist_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>));
+    (xu: &[f32], cols: &[usize], vals: &[f32], ahead: &[usize], y: &Dense, zu: &mut [f32], scores: Option<&mut [f32]>));
 spec_entries!(spmm_spec_row_body => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon;
-    [MAIN]; (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
+    (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 
 // ---------------------------------------------------------------------------
 // Selectors: (backend, spec) -> compiled shape
 // ---------------------------------------------------------------------------
 
-/// Turbofish a `(MAIN, HC)` grid point into the matching compiled
-/// instantiation of `$entry`.
-macro_rules! shape_mh {
-    ($spec:expr, $entry:ident) => {{
-        let s: KernelSpec = $spec;
-        match (s.main_panels, s.h_chunk) {
-            (4, 16) => $entry::<4, 16>,
-            (4, 32) => $entry::<4, 32>,
-            (4, 64) => $entry::<4, 64>,
-            (6, 16) => $entry::<6, 16>,
-            (6, 32) => $entry::<6, 32>,
-            (6, 64) => $entry::<6, 64>,
-            (8, 16) => $entry::<8, 16>,
-            (8, 32) => $entry::<8, 32>,
-            (8, 64) => $entry::<8, 64>,
-            (12, 16) => $entry::<12, 16>,
-            (12, 32) => $entry::<12, 32>,
-            (12, 64) => $entry::<12, 64>,
-            (24, 16) => $entry::<24, 16>,
-            (24, 32) => $entry::<24, 32>,
-            (24, 64) => $entry::<24, 64>,
-            _ => unreachable!("KernelSpec outside the generated shape grid"),
-        }
-    }};
-}
-
-/// Turbofish a `MAIN`-only grid point (SpMM shapes) into
-/// the matching compiled instantiation of `$entry`.
+/// Turbofish a grid point into the matching compiled instantiation of
+/// `$entry`.
 macro_rules! shape_m {
     ($spec:expr, $entry:ident) => {{
         let s: KernelSpec = $spec;
@@ -593,25 +532,23 @@ macro_rules! shape_m {
             4 => $entry::<4>,
             6 => $entry::<6>,
             8 => $entry::<8>,
-            12 => $entry::<12>,
-            24 => $entry::<24>,
             _ => unreachable!("KernelSpec outside the generated shape grid"),
         }
     }};
 }
 
 macro_rules! select_spec {
-    ($b:expr, $spec:expr, $shape:ident => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident) => {{
+    ($b:expr, $spec:expr => $scalar:ident, $avx2:ident, $avx512:ident, $neon:ident) => {{
         let b = $b;
         assert!(b.is_available(), "backend {b} not available on this CPU");
         match b {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => $shape!($spec, $avx512),
+            Backend::Avx512 => shape_m!($spec, $avx512),
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2Fma => $shape!($spec, $avx2),
+            Backend::Avx2Fma => shape_m!($spec, $avx2),
             #[cfg(target_arch = "aarch64")]
-            Backend::Neon => $shape!($spec, $neon),
-            _ => $shape!($spec, $scalar),
+            Backend::Neon => shape_m!($spec, $neon),
+            _ => shape_m!($spec, $scalar),
         }
     }};
 }
@@ -622,25 +559,25 @@ macro_rules! select_spec {
 /// # Panics
 /// Panics when `b` is not available on this CPU.
 pub fn embed_spec_kernel(b: Backend, spec: KernelSpec) -> EmbedRowKernel {
-    select_spec!(b, spec, shape_mh => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon)
+    select_spec!(b, spec => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon)
 }
 
 /// The shaped FR row kernel compiled for `(b, spec)` (see
 /// [`embed_spec_kernel`] for the contract).
 pub fn fr_spec_kernel(b: Backend, spec: KernelSpec) -> FrRowKernel {
-    select_spec!(b, spec, shape_mh => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon)
+    select_spec!(b, spec => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon)
 }
 
 /// The shaped t-distribution row kernel compiled for `(b, spec)` (see
 /// [`embed_spec_kernel`] for the contract).
 pub fn tdist_spec_kernel(b: Backend, spec: KernelSpec) -> TDistRowKernel {
-    select_spec!(b, spec, shape_mh => tdist_spec_scalar, tdist_spec_avx2, tdist_spec_avx512, tdist_spec_neon)
+    select_spec!(b, spec => tdist_spec_scalar, tdist_spec_avx2, tdist_spec_avx512, tdist_spec_neon)
 }
 
-/// The shaped SpMM row kernel compiled for `(b, spec)`; only the
-/// main-pass shape applies (no SDDMM reduction, no message buffer).
+/// The shaped SpMM row kernel compiled for `(b, spec)`: edge weights are
+/// the messages (no SDDMM reduction, no message buffer).
 pub fn spmm_spec_kernel(b: Backend, spec: KernelSpec) -> SpmmRowKernel {
-    select_spec!(b, spec, shape_m => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon)
+    select_spec!(b, spec => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon)
 }
 
 #[cfg(test)]
@@ -700,63 +637,23 @@ mod tests {
     }
 
     #[test]
-    fn grid_membership_is_enforced() {
-        assert!(KernelSpec::new(12, 32).is_some());
-        assert!(KernelSpec::new(24, 16).is_some());
-        assert!(KernelSpec::new(5, 32).is_none());
-        assert!(KernelSpec::new(12, 48).is_none());
-        assert_eq!(KernelSpec::FALLBACK.label(), "spec-m4-h32");
-    }
-
-    #[test]
-    fn labels_are_unique_per_grid_point() {
-        let mut seen = std::collections::HashSet::new();
-        for &m in MAIN_GRID {
-            for &h in HC_GRID {
-                assert!(seen.insert(KernelSpec::new(m, h).unwrap().label()));
-            }
-        }
-        assert_eq!(seen.len(), MAIN_GRID.len() * HC_GRID.len());
-    }
-
-    #[test]
-    fn candidates_respect_lane_width_and_dim() {
-        // 8-lane backend at d=96: 24-panel (192-lane) shapes excluded.
-        let c8 = candidate_specs(8, 96, true);
-        assert!(c8.iter().all(|s| s.main_panels() * 8 <= 96 && s.main_panels() <= 12));
-        assert!(c8.iter().any(|s| s.main_panels() == 12));
-        // 16-lane backend at d=384: the 24-panel sweep is in.
-        let c16 = candidate_specs(16, 384, true);
-        assert!(c16.iter().any(|s| s.main_panels() == 24));
-        // Narrow dims still yield the fallback shape.
-        let c7 = candidate_specs(16, 7, true);
-        assert!(!c7.is_empty());
-        assert!(c7.iter().all(|s| s.main_panels() == 4));
-        // No reduction -> chunk depth pinned.
-        let spmm = candidate_specs(8, 96, false);
-        assert!(spmm.iter().all(|s| s.h_chunk() == 32));
-    }
-
-    #[test]
     fn the_default_is_the_largest_fitting_main_pass_up_to_eight() {
-        for (lanes, d, main) in [
-            (8, 7, 4),
-            (8, 32, 4),
-            (8, 48, 6),
-            (8, 64, 8),
-            (8, 100, 8),
-            (8, 384, 8),
-            (16, 8, 4),
-            (16, 64, 4),
-            (16, 96, 6),
-            (16, 100, 6),
-            (16, 128, 8),
-            (16, 384, 8),
+        use Backend::{Avx2Fma as A8, Avx512 as A16};
+        for (b, d, main) in [
+            (A8, 7, 4),
+            (A8, 32, 4),
+            (A8, 48, 6),
+            (A8, 64, 8),
+            (A8, 100, 8),
+            (A8, 384, 8),
+            (A16, 8, 4),
+            (A16, 64, 4),
+            (A16, 96, 6),
+            (A16, 100, 6),
+            (A16, 128, 8),
+            (A16, 384, 8),
         ] {
-            for sddmm in [false, true] {
-                let s = KernelSpec::default_for(sddmm, d, lanes);
-                assert_eq!((s.main_panels(), s.h_chunk()), (main, 32), "lanes={lanes} d={d}");
-            }
+            assert_eq!(KernelSpec::default_for(d, b).main_panels(), main, "{b} d={d}");
         }
     }
 
@@ -780,7 +677,7 @@ mod tests {
         // candidate reproduces the fallback shape bit for bit — at
         // panel-aligned dims, at dims below the lane width and at odd
         // dims that end in the masked tail. Degree 70 spans several
-        // chunks at every HC.
+        // message chunks.
         let n = 80;
         let a = chain(n, 70);
         let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -806,7 +703,7 @@ mod tests {
                 fr_spec_kernel(b, base)(xu, cols, vals, la(cols), &y, &mut f0, None, 0.6);
                 tdist_spec_kernel(b, base)(xu, cols, vals, la(cols), &y, &mut t0, None);
                 spmm_spec_kernel(b, base)(cols, vals, &y, &mut s0);
-                for spec in candidate_specs(b.lanes(), d, true) {
+                for spec in candidate_specs(b.lanes(), d) {
                     let mut z = vec![f32::NAN; d];
                     embed_spec_kernel(b, spec)(
                         xu,
@@ -851,7 +748,7 @@ mod tests {
                 }
             };
             for b in available() {
-                for spec in candidate_specs(b.lanes(), d, true) {
+                for spec in candidate_specs(b.lanes(), d) {
                     let mut z = vec![0f32; d];
                     embed_spec_kernel(b, spec)(
                         xu,
@@ -931,7 +828,7 @@ mod tests {
     #[test]
     fn spec_kernels_ignore_what_the_output_row_held() {
         // d = 100 ends in the masked tail; degree 70 spans several
-        // chunks at every HC, so first-chunk overwrite and later-chunk
+        // message chunks, so first-chunk overwrite and later-chunk
         // resume are both exercised. An empty row stores +0.0.
         let n = 80;
         let a = chain(n, 70);
@@ -943,7 +840,7 @@ mod tests {
             let (cols, vals) = a.row(3);
             let xu = x.row(3);
             for b in available() {
-                for spec in candidate_specs(b.lanes(), d, true) {
+                for spec in candidate_specs(b.lanes(), d) {
                     let (mut clean, mut dirty) = (vec![0f32; d], vec![f32::NAN; d]);
                     let k = embed_spec_kernel(b, spec);
                     k(xu, cols, vals, la(cols), &y, &mut clean, None, &SigmoidKind::Exact);
@@ -972,7 +869,7 @@ mod tests {
 
     #[test]
     fn scores_are_the_reductions_and_the_sink_cannot_move_the_row() {
-        // Degree 70 spans several chunks at every HC, so the score
+        // Degree 70 spans several message chunks, so the score
         // slice is cut at chunk boundaries; an empty row has no slot.
         let n = 80;
         let a = chain(n, 70);
@@ -989,7 +886,7 @@ mod tests {
                     .iter()
                     .map(|&v| crate::simd::sqdist_with(b, xu, y.row(v)).sqrt())
                     .collect();
-                for spec in candidate_specs(b.lanes(), d, true) {
+                for spec in candidate_specs(b.lanes(), d) {
                     let what = format!("{b} d={d} {}", spec.label());
                     let (mut plain, mut z) = (vec![0f32; d], vec![f32::NAN; d]);
                     let mut s = vec![f32::NAN; cols.len()];
@@ -1064,7 +961,7 @@ mod tests {
                 let x = feats(a.nrows(), d, 0.3);
                 let y = feats(n, d, 0.7);
                 for b in available() {
-                    let spec = KernelSpec::default_for(true, d, b.lanes());
+                    let spec = KernelSpec::default_for(d, b);
                     for u in 0..a.nrows() {
                         let (cols, vals) = a.row(u);
                         let mid = rowptr[u + 1].max(a.nnz() / 2);

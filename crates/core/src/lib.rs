@@ -33,7 +33,7 @@
 //! `FUSEDMM_FORCE_BACKEND=<name>` to request a specific one (`scalar`
 //! pins the portable fallback). There is one specialized kernel family
 //! ([`genkern::table`]) and the shape a launch runs is a pure function
-//! of `(pattern class, d, backend)` —
+//! of `(d, backend)` —
 //! [`KernelSpec::default_for`](genkern::KernelSpec::default_for) —
 //! so nothing is measured at run time and every process start runs the
 //! same kernel; `docs/ARCHITECTURE.md` at the workspace root draws the

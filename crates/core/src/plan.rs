@@ -15,6 +15,7 @@ use fusedmm_sparse::slice::slice_rows;
 
 use crate::dispatch::{specialize, Blocking, RowMap};
 use crate::generic::{validate_scores, validate_shapes};
+use crate::genkern::KernelSpec;
 use crate::part::PartitionStrategy;
 use crate::profile::ProfileSlot;
 use crate::simd::{active_backend, Backend};
@@ -132,7 +133,7 @@ impl Plan {
         let backend = active_backend();
         let blocking = match (blocking, specialize(ops)) {
             (_, None) => Blocking::Generic,
-            (Blocking::Auto, Some(sp)) => Blocking::Specialized(sp.default_spec(d, backend)),
+            (Blocking::Auto, Some(_)) => Blocking::Specialized(KernelSpec::default_for(d, backend)),
             (named, Some(_)) => named,
         };
         let kernel = match blocking {
@@ -374,8 +375,10 @@ mod tests {
     #[test]
     fn plan_records_the_active_backend_and_a_named_shape() {
         let ops = OpSet::gcn();
-        let named = Blocking::Specialized(crate::genkern::KernelSpec::new(6, 32).unwrap());
-        for d in [48usize, 100] {
+        // Each d names a shape that is its default on neither x86
+        // backend (the defaults: m6 / m4 at 48, m8 / m6 at 100).
+        for (d, main) in [(48usize, 8u8), (100, 4)] {
+            let named = Blocking::Specialized(KernelSpec::new(main).unwrap());
             let plan = Plan::with_blocking(&ops, d, named, PartitionStrategy::NnzBalanced);
             assert_eq!(plan.backend(), crate::simd::active_backend());
             assert_eq!(plan.blocking(), named);
@@ -416,7 +419,7 @@ mod tests {
     fn unrecognized_ops_plan_as_generic_under_every_blocking() {
         use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
         let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
-        let spec = crate::genkern::KernelSpec::new(6, 32).unwrap();
+        let spec = KernelSpec::new(6).unwrap();
         for blocking in [Blocking::Auto, Blocking::Generic, Blocking::Specialized(spec)] {
             let plan = Plan::with_blocking(&custom, 48, blocking, PartitionStrategy::NnzBalanced);
             assert_eq!(plan.blocking(), Blocking::Generic, "asked for {blocking:?}");
@@ -440,7 +443,8 @@ mod tests {
         let d = 24;
         let (x, y) = (feats(n, d, 0.2), feats(n, d, 0.8));
         let ids = [0usize, 17, 3, 49, 3, 25];
-        let named = Blocking::Specialized(crate::genkern::KernelSpec::new(6, 16).unwrap());
+        // Not the default at d = 24 (m4 on every lane width).
+        let named = Blocking::Specialized(KernelSpec::new(6).unwrap());
         for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn(), OpSet::fr_model(0.4)] {
             let full = fusedmm_reference(&a, &x, &y, &ops);
             for blocking in [Blocking::Auto, named] {

@@ -35,7 +35,7 @@ pub struct KernelProfile {
     pub d: usize,
     /// SIMD backend the kernels ran on.
     pub backend: Backend,
-    /// What ran: `spec-m{M}-h{H}` (the kernel table's shape —
+    /// What ran: `spec-m{M}` (the kernel table's shape —
     /// per-variant roofline rows fall out of the label) or `generic`
     /// (the unspecialized five-step kernel).
     pub blocking: &'static str,
@@ -176,15 +176,14 @@ mod tests {
             .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding)
             .map(|p| (p.calls, p.rows, p.edges))
             .unwrap_or((0, 0, 0));
-        let shape = crate::genkern::KernelSpec::new(4, 64).unwrap();
+        // Not the default at D = 40 (m4 on every lane width).
+        let shape = crate::genkern::KernelSpec::new(6).unwrap();
         for _ in 0..3 {
             let _ = launch_at(2, &a, &x, &y, &ops, Blocking::Specialized(shape));
         }
         let p = kernel_profiles()
             .into_iter()
-            .find(|p| {
-                p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == "spec-m4-h64"
-            })
+            .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == "spec-m6")
             .expect("launches recorded under the shape's label");
         assert!(p.calls >= before.0 + 3);
         assert!(p.rows >= before.1 + 3 * n as u64);

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fusedmm_core::{Launch, PartitionStrategy, Plan};
+use fusedmm_core::{Launch, Plan};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::hist::LatencyHistogram;
 use fusedmm_perf::registry::Sample;
@@ -83,7 +83,7 @@ impl Band {
         config: &EngineConfig,
         resolved: &Resolved,
     ) -> Band {
-        let plan = Plan::with_blocking(&ops, d, config.blocking, PartitionStrategy::NnzBalanced);
+        let plan = Plan::prepare(&ops, d);
         let max_row_degree = (0..a.nrows()).map(|r| a.row_nnz(r)).max().unwrap_or(0);
         Band {
             a,

@@ -12,7 +12,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use fusedmm_cache::CacheConfig;
-use fusedmm_core::{Blocking, Partition, PartitionStrategy, Plan};
+use fusedmm_core::{Partition, PartitionStrategy, Plan};
 use fusedmm_graph::Reordering;
 use fusedmm_ops::OpSet;
 use fusedmm_perf::trace::Tracer;
@@ -33,12 +33,6 @@ pub struct EngineConfig {
     /// Cap on requested rows a band coalesces into one kernel launch.
     /// A single larger request is still served whole.
     pub max_batch_rows: usize,
-    /// How the engine's kernel plan runs a launch (see [`Blocking`]);
-    /// the default [`Blocking::Auto`] is what `fusedmm` and
-    /// [`Plan::prepare`] run. An operator set no specialized kernel
-    /// recognizes runs, and plans as, [`Blocking::Generic`] whatever is
-    /// set here.
-    pub blocking: Blocking,
     /// Enable the epoch-aware embedding result cache (`None` =
     /// compute every request). Hot repeated rows are then served from
     /// memory; publishes invalidate everything lazily, delta updates
@@ -76,7 +70,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch_rows: 4096,
-            blocking: Blocking::Auto,
             cache: None,
             tracer: None,
             admission: None,

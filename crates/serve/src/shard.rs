@@ -199,15 +199,15 @@ mod tests {
     }
 
     /// The shim hands back what the bands run — here a generic plan,
-    /// which `Plan::prepare` would not produce for a recognized pattern.
+    /// which an operator set no specialized kernel recognizes plans as.
     #[test]
     fn plans_shim_returns_the_bands_plan() {
-        let generic = fusedmm_core::Blocking::Generic;
-        let config = EngineConfig { blocking: generic, ..config() };
+        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
+        let custom = OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum);
         let z = || Dense::zeros(90, 4);
-        let eng = ShardedEngine::new(graph(90), z(), z(), OpSet::gcn(), 3, config);
-        let plan = eng.plans().plan_for(&OpSet::gcn(), 4);
-        assert_eq!(plan.blocking(), generic);
+        let eng = ShardedEngine::new(graph(90), z(), z(), custom.clone(), 3, config());
+        let plan = eng.plans().plan_for(&custom, 4);
+        assert_eq!(plan.blocking(), fusedmm_core::Blocking::Generic);
         assert!(eng.transport.bands.iter().all(|b| b.plan == plan));
     }
 

@@ -216,7 +216,7 @@ fn sweep_blockings(d: usize) -> Vec<Blocking> {
     use fusedmm::kernel::genkern::candidate_specs;
     let lanes = fusedmm::kernel::active_backend().lanes();
     let mut blockings = vec![Blocking::Auto, Blocking::Generic];
-    blockings.extend(candidate_specs(lanes, d, true).into_iter().map(Blocking::Specialized));
+    blockings.extend(candidate_specs(lanes, d).into_iter().map(Blocking::Specialized));
     blockings
 }
 
@@ -749,7 +749,7 @@ fn kernel_bits_are_stable_across_the_one_family_collapse() {
             if pinned {
                 assert_eq!(auto, want, "{:?} d={d} on {backend}: Auto moved", ops.pattern);
             }
-            for spec in candidate_specs(backend.lanes(), d, true) {
+            for spec in candidate_specs(backend.lanes(), d) {
                 let got = run(Blocking::Specialized(spec));
                 assert_eq!(got, auto, "{:?} d={d} on {backend}: {}", ops.pattern, spec.label());
             }
@@ -757,9 +757,9 @@ fn kernel_bits_are_stable_across_the_one_family_collapse() {
     }
 }
 
-/// The shape a launch runs is a rule, not a measurement: for every lane
-/// width a backend reports and every `d`, the default is a grid point
-/// and one of the candidates the shape-table bench sweeps.
+/// The shape a launch runs is a rule, not a measurement: on every
+/// backend (both lane widths) and at every `d`, the default is a grid
+/// point and one of the candidates the shape-table bench sweeps.
 #[test]
 fn the_default_shape_is_a_candidate_at_every_dim_and_lane_width() {
     use fusedmm::kernel::genkern::{candidate_specs, KernelSpec};
@@ -767,17 +767,50 @@ fn the_default_shape_is_a_candidate_at_every_dim_and_lane_width() {
     lane_widths.sort_unstable();
     lane_widths.dedup();
     assert_eq!(lane_widths, [8, 16]);
-    for lanes in lane_widths {
+    for &b in Backend::ALL.iter() {
         for d in 1..=520usize {
-            for sddmm in [false, true] {
-                let s = KernelSpec::default_for(sddmm, d, lanes);
-                assert_eq!(KernelSpec::new(s.main_panels() as u8, s.h_chunk() as u16), Some(s));
-                assert!(
-                    candidate_specs(lanes, d, sddmm).contains(&s),
-                    "default {} is not a candidate at lanes={lanes} d={d} sddmm={sddmm}",
-                    s.label()
-                );
-            }
+            let s = KernelSpec::default_for(d, b);
+            assert_eq!(KernelSpec::new(s.main_panels() as u8), Some(s));
+            assert!(
+                candidate_specs(b.lanes(), d).contains(&s),
+                "default {} is not a candidate on {b} at d={d}",
+                s.label()
+            );
+        }
+    }
+}
+
+/// The converse — the grid is the rule: the table compiles only shapes
+/// the rule picks. Every grid point is the default at some `d` on an
+/// 8-lane or a 16-lane backend, only grid points construct, each reads
+/// `spec-m{M}`, and the bench sweeps the shapes whose main pass fits
+/// `d` (the fallback alone where none does).
+#[test]
+fn every_compiled_shape_is_the_default_somewhere() {
+    use fusedmm::kernel::genkern::table::MAIN_GRID;
+    use fusedmm::kernel::genkern::{candidate_specs, KernelSpec};
+    let defaults: std::collections::HashSet<KernelSpec> = [Backend::Avx2Fma, Backend::Avx512]
+        .into_iter()
+        .flat_map(|b| (1..=520usize).map(move |d| KernelSpec::default_for(d, b)))
+        .collect();
+    for m in 0..=u8::MAX {
+        let spec = KernelSpec::new(m);
+        assert_eq!(spec.is_some(), MAIN_GRID.contains(&m), "m{m}: grid membership");
+        if let Some(s) = spec {
+            assert!(defaults.contains(&s), "{} is compiled but no default", s.label());
+            assert_eq!(s.label(), format!("spec-m{m}"));
+        }
+    }
+    assert_eq!(KernelSpec::FALLBACK.label(), "spec-m4");
+    for lanes in [8, 16] {
+        for d in 1..=520usize {
+            let fitting: Vec<usize> =
+                MAIN_GRID.iter().map(|&m| m as usize).filter(|m| m * lanes <= d).collect();
+            let swept: Vec<usize> =
+                candidate_specs(lanes, d).iter().map(|s| s.main_panels()).collect();
+            let want =
+                if fitting.is_empty() { vec![KernelSpec::FALLBACK.main_panels()] } else { fitting };
+            assert_eq!(swept, want, "lanes={lanes} d={d}");
         }
     }
 }
