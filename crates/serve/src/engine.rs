@@ -280,8 +280,7 @@ pub(crate) fn local_front(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::{EmbedOptions, Quality, Ticket};
-    use crate::ShardedEngine;
+    use crate::ticket::{EmbedOptions, Quality};
     use fusedmm_core::fusedmm_reference;
     use fusedmm_perf::registry::{MetricValue, MetricsSnapshot};
     use fusedmm_sparse::coo::{Coo, Dedup};
@@ -611,59 +610,28 @@ mod tests {
 
     #[test]
     fn a_waiter_stops_running_batches_at_its_deadline_and_once_it_is_served() {
-        // Parts of 128 rows, one per batch, and a producer that keeps
-        // 64 of them queued: the queue never empties while it runs.
+        // One 128-row part per batch: K parts queued ahead of the
+        // waiter's one-row part and K behind it, all on this thread.
+        const K: usize = 8;
         let n = 256;
-        let mut c = Coo::new(n, n);
-        for u in 0..n {
-            for k in 0..32 {
-                c.push(u, (u * 7 + k * 13 + 1) % n, 0.5);
-            }
-        }
         let cfg = EngineConfig { max_batch_rows: 1, ..config() };
-        let ops = OpSet::sigmoid_embedding(None);
-        let eng =
-            Arc::new(Engine::new(c.to_csr(Dedup::Sum), feats(n, 128), feats(n, 128), ops, cfg));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (flood, stopped) = (Arc::clone(&eng), Arc::clone(&stop));
-        let producer = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let mut window: std::collections::VecDeque<Ticket<Dense>> = Default::default();
-            let mut r = 0usize;
-            // Runs until told to stop; the cap only ends it if the test
-            // panicked first.
-            while !stopped.load(std::sync::atomic::Ordering::Relaxed) && t0.elapsed().as_secs() < 60
-            {
-                if window.len() == 64 {
-                    match window[0].poll() {
-                        Some(result) => {
-                            result.unwrap();
-                            window.pop_front();
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                    continue;
-                }
-                let nodes: Vec<usize> = (0..128).map(|i| (r * 37 + i * 2) % n).collect();
-                window.push_back(flood.embed_begin(&nodes).unwrap());
-                r += 1;
-            }
-        });
-        while eng.metrics().sum("fusedmm_batches_dispatched_total") < 64 {
-            assert!(!producer.is_finished(), "the producer ended before 64 batches ran");
-            std::thread::yield_now();
-        }
+        let eng = build(n, 8, OpSet::sigmoid_embedding(None), cfg);
+        let part = |r: usize| (0..128).map(|i| (r * 37 + i * 2) % n).collect::<Vec<_>>();
+        let _ahead: Vec<_> = (0..K).map(|r| eng.embed_begin(&part(r)).unwrap()).collect();
         let mut t = eng.embed_begin(&[5]).unwrap();
-        let t0 = Instant::now();
-        let first = t.wait_deadline(t0 + Duration::from_millis(2));
-        let at_deadline = t0.elapsed();
-        let served = first.unwrap_or_else(|| t.wait());
-        let at_rows = t0.elapsed();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        producer.join().unwrap();
-        assert!(served.is_ok());
-        assert!(at_deadline < Duration::from_millis(500), "wait_deadline overran: {at_deadline:?}");
-        assert!(at_rows < Duration::from_secs(1), "wait outlived its rows: {at_rows:?}");
+        let _behind: Vec<_> = (K..2 * K).map(|r| eng.embed_begin(&part(r)).unwrap()).collect();
+        let counts = || {
+            let m = eng.metrics();
+            let queued = m.gauge_value("fusedmm_queue_rows", &[]).unwrap() as usize;
+            (m.sum("fusedmm_batches_dispatched_total"), queued)
+        };
+        assert_eq!(counts(), (0, 2 * K * 128 + 1));
+        // A deadline already past starts no batch.
+        assert_eq!(t.wait_deadline(Instant::now() - Duration::from_millis(1)), None);
+        assert_eq!(counts(), (0, 2 * K * 128 + 1));
+        // `wait` runs the batches up to its own and leaves the rest.
+        assert!(t.wait().is_ok());
+        assert_eq!(counts(), (K as u64 + 1, K * 128));
     }
 
     #[test]
@@ -741,116 +709,6 @@ mod tests {
             c.push(v, (v % (n - 1)) + 1, 0.7);
         }
         c.to_csr(Dedup::Sum)
-    }
-
-    #[test]
-    fn reordered_engines_are_bit_identical_and_keep_external_ids() {
-        let (n, d) = (48, 16);
-        let a = skewed(n);
-        let feats = Dense::from_fn(n, d, |r, k| ((r * 3 + k * 7) as f32 * 0.05).sin());
-        let plain = Engine::new(a.clone(), feats.clone(), feats.clone(), OpSet::gcn(), config());
-        let nodes = [5usize, 0, 47, 5, 13];
-        let pairs = [(0usize, 7usize), (13, 0), (47, 46)];
-        let base_embed = plain.embed(&nodes).unwrap();
-        let base_scores = plain.score_edges(&pairs).unwrap();
-        let base_full = plain.infer_full();
-        for r in [Reordering::DegreeSort, Reordering::RcmBfs] {
-            let cfg = EngineConfig { reordering: Some(r), ..config() };
-            let single =
-                Engine::new(a.clone(), feats.clone(), feats.clone(), OpSet::gcn(), cfg.clone());
-            let sharded =
-                ShardedEngine::new(a.clone(), feats.clone(), feats.clone(), OpSet::gcn(), 3, cfg);
-            for eng in [&*single, &*sharded] {
-                assert_eq!(eng.embed(&nodes).unwrap(), base_embed, "{r:?} embed differs");
-                assert_eq!(eng.score_edges(&pairs).unwrap(), base_scores, "{r:?} scores differ");
-                assert_eq!(eng.infer_full().as_slice(), base_full.as_slice(), "{r:?} infer_full");
-                // External id space is unchanged, including its bounds.
-                let out_of_range = ServeError::NodeOutOfRange { node: n, nvertices: n };
-                assert_eq!(eng.embed(&[n]), Err(out_of_range.clone()));
-                assert_eq!(eng.score_edges(&[(0, n)]), Err(out_of_range));
-            }
-        }
-    }
-
-    #[test]
-    fn reordered_engine_store_writes_use_external_ids() {
-        let eng =
-            ring_engine(10, EngineConfig { reordering: Some(Reordering::RcmBfs), ..config() });
-        let patch = Dense::filled(1, 4, -1.0);
-        eng.store().delta_update(&[5], &patch, &patch);
-        assert_eq!(eng.embed(&[4]).unwrap().row(0), &[-1.0; 4], "external row 5 was patched");
-        assert_eq!(eng.embed(&[0]).unwrap().row(0), &[4.0, 5.0, 6.0, 7.0], "row 1 untouched");
-        // A publish in external order serves externally-correct rows.
-        let x2 = Dense::from_fn(10, 4, |r, k| (100 * r + k) as f32);
-        eng.store().publish(x2.clone(), x2);
-        assert_eq!(eng.embed(&[3]).unwrap().row(0), &[400.0, 401.0, 402.0, 403.0]);
-    }
-
-    #[test]
-    fn reordered_engine_with_cache_is_bit_identical() {
-        let (n, d) = (40, 8);
-        let a = skewed(n);
-        let feats = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.07).cos());
-        let ops = OpSet::sigmoid_embedding(None);
-        let plain = Engine::new(a.clone(), feats.clone(), feats.clone(), ops.clone(), config());
-        let cfg = EngineConfig {
-            cache: Some(CacheConfig::default()),
-            reordering: Some(Reordering::DegreeSort),
-            ..config()
-        };
-        let eng = Engine::new(a, feats.clone(), feats, ops, cfg);
-        let nodes = [0usize, 17, 3, 17, 39];
-        let cold = eng.embed(&nodes).unwrap();
-        assert_eq!(cold, plain.embed(&nodes).unwrap(), "cold reordered cache differs");
-        assert_eq!(eng.embed(&nodes).unwrap(), cold, "warm reordered cache differs");
-        let hits = eng.metrics().counter("fusedmm_cache_hits_total", &[]);
-        assert_eq!(hits, Some(5), "warm pass hits every row under translated keys");
-    }
-
-    #[test]
-    fn reordered_cache_over_a_symmetric_graph_tracks_deltas() {
-        // The symmetry is decided before permuting, so these caches read
-        // their touch sets from the permuted bands.
-        let (n, d) = (64, 8);
-        let a = fusedmm_graph::rmat::rmat(&fusedmm_graph::rmat::RmatConfig::new(n, 3 * n));
-        assert!(a.is_pattern_symmetric());
-        let feats = Dense::from_fn(n, d, |r, k| ((r * 7 + k * 3) as f32 * 0.05).cos());
-        let ops = OpSet::sigmoid_embedding(None);
-        let all: Vec<usize> = (0..n).collect();
-        let hub = (0..n).max_by_key(|&u| a.row_nnz(u)).unwrap();
-        for reordering in [Reordering::DegreeSort, Reordering::RcmBfs] {
-            for nshards in [1, 2] {
-                let cfg = EngineConfig {
-                    cache: Some(CacheConfig::default()),
-                    reordering: Some(reordering),
-                    ..config()
-                };
-                let (x, y) = (feats.clone(), feats.clone());
-                let plain = ShardedEngine::new(
-                    a.clone(),
-                    x.clone(),
-                    y.clone(),
-                    ops.clone(),
-                    nshards,
-                    config(),
-                );
-                let cached = ShardedEngine::new(a.clone(), x, y, ops.clone(), nshards, cfg);
-                assert_eq!(cached.embed(&all).unwrap(), plain.embed(&all).unwrap());
-                for (step, rows) in [vec![hub], vec![1, 40], vec![n - 1]].iter().enumerate() {
-                    let patch = Dense::filled(rows.len(), d, 0.1 * (step + 1) as f32);
-                    for engine in [&plain, &cached] {
-                        engine.store().delta_update(rows, &patch, &patch);
-                    }
-                    assert_eq!(
-                        cached.embed(&all).unwrap(),
-                        plain.embed(&all).unwrap(),
-                        "{reordering:?}, {nshards} shards, after patching {rows:?}"
-                    );
-                }
-                let retired = cached.metrics().counter("fusedmm_cache_invalidated_rows_total", &[]);
-                assert!(retired.expect("cache enabled") > 0);
-            }
-        }
     }
 
     #[test]

@@ -140,8 +140,6 @@ pub mod admit;
 mod band;
 pub mod batcher;
 mod cache;
-#[cfg(test)]
-mod conformance;
 pub mod engine;
 pub mod fault;
 pub mod front;

@@ -490,10 +490,7 @@ impl WorkerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::LocalTransport;
-    use fusedmm_core::fusedmm_reference;
     use fusedmm_sparse::coo::{Coo, Dedup};
-    use std::time::Duration;
 
     fn graph(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -508,141 +505,6 @@ mod tests {
 
     fn config() -> EngineConfig {
         EngineConfig::default()
-    }
-
-    #[test]
-    fn remote_front_end_matches_in_process_across_publishes_and_deltas() {
-        let n = 80;
-        let d = 12;
-        let a = graph(n);
-        let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.05).sin());
-        let y = Dense::from_fn(n, d, |r, k| ((r + k * 2) as f32 * 0.04).cos());
-        let ops = OpSet::sigmoid_embedding(None);
-        let local = crate::ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, 3, config());
-        let transport = Arc::new(LocalTransport::new(&a, 3, d, true));
-        let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport, config());
-        assert_eq!(remote.boundaries(), local.boundaries(), "same PART1D cut");
-
-        let windows: Vec<Vec<usize>> =
-            vec![vec![79, 0, 40, 79, 13, 41, 7], vec![5, 64, 5], (0..n).collect()];
-        for w in &windows {
-            assert_eq!(remote.embed(w).unwrap(), local.embed(w).unwrap(), "epoch 0");
-        }
-        // A delta update: both sides mint epoch 1 from the same patch.
-        let rows = vec![0usize, 13, 79];
-        let px = Dense::from_fn(rows.len(), d, |r, k| (r * 7 + k) as f32 * 0.01);
-        let py = Dense::from_fn(rows.len(), d, |r, k| (r + k * 3) as f32 * 0.02);
-        assert_eq!(remote.delta_update(&rows, &px, &py), 1);
-        assert_eq!(local.store().delta_update(&rows, &px, &py), 1);
-        for w in &windows {
-            assert_eq!(remote.embed(w).unwrap(), local.embed(w).unwrap(), "epoch 1");
-        }
-        // A whole publish: epoch 2.
-        let x2 = Dense::from_fn(n, d, |r, k| ((r + k) as f32 * 0.03).cos());
-        let y2 = Dense::from_fn(n, d, |r, k| ((r * 2 + k) as f32 * 0.05).sin());
-        assert_eq!(remote.publish(x2.clone(), y2.clone()), 2);
-        assert_eq!(local.store().publish(x2.clone(), y2.clone()), 2);
-        for w in &windows {
-            assert_eq!(remote.embed(w).unwrap(), local.embed(w).unwrap(), "epoch 2");
-        }
-        // Reference check so the whole chain is anchored to the paper
-        // kernel, not just to itself (approximate: the blocked kernel
-        // sums in a different order than the naive reference).
-        let reference = fusedmm_reference(&a, &x2, &y2, &OpSet::sigmoid_embedding(None));
-        let z = remote.embed(&[3, 17, 42]).unwrap();
-        for (i, &u) in [3usize, 17, 42].iter().enumerate() {
-            for (got, want) in z.row(i).iter().zip(reference.row(u)) {
-                assert!((got - want).abs() <= 1e-5, "row {u}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn score_edges_fans_out_to_all_shards_before_waiting() {
-        use std::sync::{Condvar, Mutex};
-
-        /// Wraps the in-process transport with an entry latch: every
-        /// `score_part` call blocks until all `expected` shards' calls
-        /// are in flight at once. The sequential resolution this guards
-        /// against waits on shard 0's reply before issuing shard 1's
-        /// call, so the latch can never fill — the timeout then turns
-        /// that regression into a typed failure rather than a hang
-        /// (and blocked threads cost nothing, so this holds on one
-        /// core too).
-        struct LatchTransport {
-            inner: LocalTransport,
-            entered: Mutex<usize>,
-            all_in: Condvar,
-            expected: usize,
-        }
-
-        impl ShardTransport for LatchTransport {
-            fn nshards(&self) -> usize {
-                self.inner.nshards()
-            }
-
-            fn boundaries(&self) -> Vec<usize> {
-                self.inner.boundaries()
-            }
-
-            fn embed_part(
-                &self,
-                shard: usize,
-                nodes: &Arc<[usize]>,
-                epoch: &Arc<FeatureEpoch>,
-                quality: Quality,
-                deadline: Option<Instant>,
-                slot: PartSlot,
-            ) {
-                self.inner.embed_part(shard, nodes, epoch, quality, deadline, slot);
-            }
-
-            fn score_part(
-                &self,
-                shard: usize,
-                pairs: &[(usize, usize)],
-                epoch: &Arc<FeatureEpoch>,
-            ) -> Result<Vec<f32>, ServeError> {
-                let mut n = self.entered.lock().unwrap();
-                *n += 1;
-                self.all_in.notify_all();
-                while *n < self.expected {
-                    let (guard, timeout) =
-                        self.all_in.wait_timeout(n, Duration::from_secs(10)).unwrap();
-                    n = guard;
-                    if timeout.timed_out() && *n < self.expected {
-                        return Err(ServeError::PartFailed { shard: Some(shard) });
-                    }
-                }
-                drop(n);
-                self.inner.score_part(shard, pairs, epoch)
-            }
-
-            fn ship(&self, record: &EpochRecord) {
-                self.inner.ship(record);
-            }
-        }
-
-        let n = 60;
-        let d = 8;
-        let nshards = 3;
-        let a = graph(n);
-        let x = Dense::from_fn(n, d, |r, k| ((r + k) as f32 * 0.07).sin());
-        let y = Dense::from_fn(n, d, |r, k| ((r * 2 + k) as f32 * 0.03).cos());
-        let ops = OpSet::sigmoid_embedding(None);
-        let local =
-            crate::ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, nshards, config());
-        let transport = Arc::new(LatchTransport {
-            inner: LocalTransport::new(&a, nshards, d, false),
-            entered: Mutex::new(0),
-            all_in: Condvar::new(),
-            expected: nshards,
-        });
-        let remote = RemoteShardedEngine::new(x, y, transport, config());
-        // Sources span 0..n, so every shard's band owns at least one
-        // pair and all three latch slots must fill.
-        let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 7 + 3) % n)).collect();
-        assert_eq!(remote.score_edges(&pairs).unwrap(), local.score_edges(&pairs).unwrap());
     }
 
     #[test]

@@ -2,27 +2,24 @@
 //! the coordinator allocates when it seeds and publishes, that a fresh
 //! replica holds and serves nothing until its first record (and that
 //! record is then its only pair), that a worker computes each part on
-//! the thread serving it — and that a write the store would refuse
-//! never reaches the log. A
-//! replica holds only its band's rows of `X`, and serves what the
-//! in-process engine serves from all of them. The counting allocator
+//! the thread serving it, that a write the store would refuse never
+//! reaches the log, and that a record missing part of a replica's band
+//! is refused. (That a replica holds exactly its band of `X` and serves
+//! what the in-process engine serves is checked by every remote cell of
+//! `tests/conformance.rs`.) The counting allocator
 //! is installed so "no copy" is checked in bytes, and the tests run one
 //! at a time (its counters are process-wide).
 
-use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
 use fusedmm_serve::remote::{
     EpochRecord, PartOutcome, PartSlot, RemoteShardedEngine, ShardTransport, WorkerEngine,
     WorkerError,
 };
-use fusedmm_serve::{
-    AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError, ShardedEngine,
-};
+use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -243,141 +240,6 @@ fn a_delta_the_store_would_refuse_panics_before_anything_ships() {
         assert_eq!(shipped(), before, "rows {rows:?}: the refused record reached the log");
         assert_eq!(remote.store().current_epoch(), 0, "rows {rows:?}: an epoch was minted");
     }
-}
-
-/// `record` as a worker owning global rows `band` decodes it off the
-/// socket: a whole generation holds exactly the band's rows of `X`.
-fn narrowed(record: &EpochRecord, band: Range<usize>) -> EpochRecord {
-    let exact = |x: &Dense| {
-        let d = x.ncols();
-        Arc::new(
-            Dense::from_rows(band.len(), d, &x.as_slice()[band.start * d..band.end * d]).unwrap(),
-        )
-    };
-    match record {
-        EpochRecord::Publish { epoch, x_start: 0, x, y } => EpochRecord::Publish {
-            epoch: *epoch,
-            x_start: band.start,
-            x: exact(x),
-            y: Arc::clone(y),
-        },
-        EpochRecord::Snapshot { epoch, x_start: 0, x, y } => EpochRecord::Snapshot {
-            epoch: *epoch,
-            x_start: band.start,
-            x: exact(x),
-            y: Arc::clone(y),
-        },
-        other => other.clone(),
-    }
-}
-
-/// Two band workers behind a transport that hands each the records a
-/// socket would: its band's rows of `X`, all of `Y`.
-struct BandWorkers {
-    workers: Vec<Arc<WorkerEngine>>,
-    boundaries: Vec<usize>,
-}
-
-impl BandWorkers {
-    fn new(a: &Csr) -> BandWorkers {
-        let part = Partition::part1d(a, 2, PartitionStrategy::NnzBalanced);
-        let boundaries = part.boundaries().to_vec();
-        let workers = (0..2)
-            .map(|s| {
-                let band = boundaries[s]..boundaries[s + 1];
-                let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
-                let ops = OpSet::sigmoid_embedding(None);
-                Arc::new(WorkerEngine::new(a, band, s, x0, y0, ops, config()))
-            })
-            .collect();
-        BandWorkers { workers, boundaries }
-    }
-}
-
-impl ShardTransport for BandWorkers {
-    fn nshards(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn boundaries(&self) -> Vec<usize> {
-        self.boundaries.clone()
-    }
-
-    fn embed_part(
-        &self,
-        shard: usize,
-        nodes: &Arc<[usize]>,
-        epoch: &Arc<FeatureEpoch>,
-        quality: Quality,
-        deadline: Option<Instant>,
-        slot: PartSlot,
-    ) {
-        match self.workers[shard].embed_part(nodes, epoch.epoch(), quality, deadline) {
-            Ok(resp) => slot.resolve(PartOutcome::Rows(resp.rows)),
-            Err(_) => slot.resolve(PartOutcome::Failed),
-        }
-    }
-
-    fn score_part(
-        &self,
-        shard: usize,
-        pairs: &[(usize, usize)],
-        epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError> {
-        self.workers[shard]
-            .score_part(pairs, epoch.epoch())
-            .map_err(|_| ServeError::PartFailed { shard: Some(shard) })
-    }
-
-    fn ship(&self, record: &EpochRecord) {
-        for (s, worker) in self.workers.iter().enumerate() {
-            worker.apply(narrowed(record, self.boundaries[s]..self.boundaries[s + 1]));
-        }
-    }
-}
-
-#[test]
-fn band_local_replicas_serve_what_the_in_process_engine_serves_at_every_epoch() {
-    let _serial = serial();
-    let a = graph();
-    let ops = OpSet::sigmoid_embedding(None);
-    let (x, y) = (feats(0.1), feats(0.9));
-    let local = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops, 2, config());
-    let transport = Arc::new(BandWorkers::new(&a));
-    let remote = RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config());
-    let cut = transport.boundaries[1];
-    assert!(0 < cut && cut < N, "two non-empty bands");
-    let all: Vec<usize> = (0..N).collect();
-    let pairs: Vec<(usize, usize)> = (0..N).map(|u| (u, (u * 11 + 5) % N)).collect();
-    let same = |epoch: u64| {
-        assert_eq!(remote.embed(&all).unwrap(), local.embed(&all).unwrap(), "embed at {epoch}");
-        let (r, l) = (remote.score_edges(&pairs).unwrap(), local.score_edges(&pairs).unwrap());
-        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&r), bits(&l), "score_edges at {epoch}");
-        // Every epoch a replica pins holds exactly its band of X.
-        for (s, worker) in transport.workers.iter().enumerate() {
-            let band = transport.boundaries[s]..transport.boundaries[s + 1];
-            let pinned = worker.pinned(epoch).expect("the current epoch is pinned");
-            assert_eq!((pinned.x_start(), pinned.x().nrows()), (band.start, band.len()));
-            assert_eq!(pinned.y().nrows(), N, "a replica holds all of Y");
-        }
-    };
-    same(0);
-    // Rows on both sides of the cut and at both ends.
-    let rows = vec![0, cut - 1, cut, cut + 1, N - 1];
-    let patch = |seed: f32| Dense::from_fn(rows.len(), D, |r, k| ((r * 3 + k) as f32 + seed).sin());
-    for (epoch, seed) in [(1, 0.3), (2, 0.7)] {
-        assert_eq!(remote.delta_update(&rows, &patch(seed), &patch(-seed)), epoch);
-        assert_eq!(local.store().delta_update(&rows, &patch(seed), &patch(-seed)), epoch);
-        same(epoch);
-    }
-    let (x3, y3) = (feats(0.4), feats(0.6));
-    assert_eq!(remote.publish(x3.clone(), y3.clone()), 3);
-    assert_eq!(local.store().publish(x3, y3), 3);
-    same(3);
-    assert_eq!(remote.delta_update(&rows, &patch(0.5), &patch(0.2)), 4);
-    assert_eq!(local.store().delta_update(&rows, &patch(0.5), &patch(0.2)), 4);
-    same(4);
 }
 
 #[test]

@@ -464,10 +464,12 @@ impl Csr {
     }
 
     /// Truncate each row to its `k` strongest neighbors (largest
-    /// `|value|`; ties keep the lower column id, so the result is
-    /// deterministic). Rows with at most `k` nonzeros are unchanged;
-    /// the kept entries stay column-sorted, preserving the
-    /// deterministic accumulation order the kernels rely on. This is
+    /// `|value|`; ties keep the earlier entry in storage order — the
+    /// lower column id in a column-sorted row — so the choice is
+    /// deterministic and survives [`Csr::permute_symmetric`], which
+    /// keeps each row's order). Rows with at most `k` nonzeros are
+    /// unchanged; the kept entries stay in storage order, preserving
+    /// the deterministic accumulation order the kernels rely on. This is
     /// the degraded-tier neighbor index: aggregating over the
     /// truncated matrix approximates the exact answer at a fraction of
     /// the flops, with error concentrated on heavy rows.
@@ -486,16 +488,12 @@ impl Csr {
             } else {
                 order.clear();
                 order.extend(0..cols.len());
+                // A stable sort: ties stay in storage order.
                 order.sort_by(|&i, &j| {
-                    vals[j]
-                        .abs()
-                        .partial_cmp(&vals[i].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(cols[i].cmp(&cols[j]))
+                    vals[j].abs().partial_cmp(&vals[i].abs()).unwrap_or(std::cmp::Ordering::Equal)
                 });
                 order.truncate(k);
-                // Entries within a row are column-sorted, so sorting the
-                // surviving indices restores canonical order.
+                // Sorting the surviving indices restores storage order.
                 order.sort_unstable();
                 for &i in order.iter() {
                     colidx.push(cols[i]);
@@ -824,7 +822,7 @@ mod tests {
         assert_eq!((t.nrows(), t.ncols(), t.nnz()), (3, 5, 3));
         // k covering every row is the identity.
         assert_eq!(a.top_k_by_weight(3), a);
-        // Ties keep the lower column id.
+        // Ties keep the earlier entry: here the lower column id.
         let mut tie = Coo::new(1, 4);
         tie.push(0, 1, 1.0);
         tie.push(0, 2, -1.0);

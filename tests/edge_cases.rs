@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use fusedmm::baseline::unfused::unfused_pipeline;
 use fusedmm::prelude::*;
-use fusedmm::serve::{FrontEnd, LocalBands};
 
 fn presets() -> Vec<OpSet> {
     vec![
@@ -195,144 +194,4 @@ fn sage_and_tdist_on_degenerate_graphs() {
     let layer = SageLayer::new(8, 4, Activation::Linear, 1);
     let out = layer.forward(&row_normalize(&a), &x);
     assert!(out.as_slice().iter().all(|v| v.is_finite()));
-}
-
-fn graph_of(n: usize, edges: &[(usize, usize)]) -> Csr {
-    let mut c = Coo::new(n, n);
-    for &(u, v) in edges {
-        c.push(u, v, 0.5 + (u + v) as f32 * 0.25);
-    }
-    c.to_csr(Dedup::Sum)
-}
-
-/// A cached engine over `a` cut into `shards` bands answers every row
-/// as an uncached twin does, before and after a delta on `patched`, and
-/// the delta retires exactly `retired` of the warm rows. Returns the
-/// cut.
-fn cached_matches_uncached_through_a_delta(
-    a: &Csr,
-    shards: usize,
-    patched: usize,
-    retired: u64,
-) -> Vec<usize> {
-    let (n, d) = (a.nrows(), 4);
-    let (x, y) = (random_features(n, d, 0.5, 31), random_features(n, d, 0.5, 32));
-    let config = |cache: Option<CacheConfig>| EngineConfig {
-        cache,
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    };
-    let ops = OpSet::sigmoid_embedding(None);
-    let build = |cache| {
-        ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), shards, config(cache))
-    };
-    let (cached, plain) = (build(Some(CacheConfig::default())), build(None));
-    let all: Vec<usize> = (0..n).collect();
-    let bits = |m: Dense| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let agree = |when: &str| {
-        let (c, p) = (cached.embed(&all).expect("cached"), plain.embed(&all).expect("plain"));
-        assert_eq!(bits(c), bits(p), "cached ≢ uncached {when}");
-    };
-    agree("cold");
-    agree("warm");
-    let invalidated = || {
-        let m = cached.metrics();
-        m.counter("fusedmm_cache_invalidated_rows_total", &[]).expect("cached")
-    };
-    let before = invalidated();
-    let patch = random_features(1, d, 0.5, 33);
-    for engine in [&cached, &plain] {
-        assert_eq!(engine.store().delta_update(&[patched], &patch, &patch), 1);
-    }
-    assert_eq!(invalidated() - before, retired, "rows a delta on {patched} retired");
-    agree("after the delta");
-    cached.boundaries().to_vec()
-}
-
-#[test]
-fn cached_engines_over_isolated_vertices() {
-    // Vertices 1 and 4 have no edges; the rest form a symmetric path
-    // 0–2–3–5, plus a self loop on 3.
-    let path = [(0, 2), (2, 0), (2, 3), (3, 2), (3, 5), (5, 3), (3, 3)];
-    let symmetric = graph_of(6, &path);
-    assert!(symmetric.is_pattern_symmetric());
-    // The same vertices, edges one way only.
-    let directed = graph_of(6, &[(0, 2), (2, 3), (3, 5), (3, 3)]);
-    assert!(!directed.is_pattern_symmetric());
-    for a in [&symmetric, &directed] {
-        for shards in [1, 2, 3] {
-            for isolated in [1, 4] {
-                cached_matches_uncached_through_a_delta(a, shards, isolated, 1);
-            }
-        }
-    }
-    // A delta on 3 retires 3 and the rows that read y_3.
-    for shards in [1, 2, 3] {
-        cached_matches_uncached_through_a_delta(&symmetric, shards, 3, 3);
-        cached_matches_uncached_through_a_delta(&directed, shards, 3, 2);
-    }
-}
-
-#[test]
-fn cached_engines_over_one_vertex() {
-    for a in [Csr::empty(1, 1), graph_of(1, &[(0, 0)])] {
-        assert!(a.is_pattern_symmetric());
-        for shards in [1, 2] {
-            cached_matches_uncached_through_a_delta(&a, shards, 0, 1);
-        }
-    }
-}
-
-#[test]
-fn cached_engines_over_a_cut_with_empty_bands() {
-    // Only vertices 4 and 5 have edges: PART1D into 4 bands leaves the
-    // last one empty, sharing its start with the end of the graph.
-    let a = graph_of(6, &[(4, 5), (5, 4), (5, 5)]);
-    assert!(a.is_pattern_symmetric());
-    let cut = cached_matches_uncached_through_a_delta(&a, 4, 2, 1);
-    assert!(cut.windows(2).any(|w| w[0] == w[1]), "no empty band in the cut {cut:?}");
-    cached_matches_uncached_through_a_delta(&a, 4, 5, 2);
-    cached_matches_uncached_through_a_delta(&a, 4, 4, 2);
-}
-
-/// Defined behaviour at d ∈ {0, 1}: an `Engine` and a 2-shard
-/// `ShardedEngine` with the result cache on answer `embed` (cold and
-/// warm), `score_edges` and `infer_full` bit for bit as the same
-/// deployment without it.
-#[test]
-fn cached_engines_at_zero_and_one_dimension_answer_as_uncached_ones() {
-    type AnyEngine = Box<dyn std::ops::Deref<Target = FrontEnd<LocalBands>>>;
-    let n = 24;
-    let a = erdos_renyi(n, 3 * n, 5);
-    let nodes = [5, 0, 23, 5, 11];
-    let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 5 + 2) % n)).collect();
-    let bits =
-        |z: Dense| (z.nrows(), z.ncols(), z.as_slice().iter().map(|v| v.to_bits()).collect());
-    for d in [0, 1] {
-        let (x, y) = (random_features(n, d, 0.5, 41), random_features(n, d, 0.5, 42));
-        for shards in [1, 2] {
-            let build = |cache: Option<CacheConfig>| -> AnyEngine {
-                let (a, x, y, ops) = (a.clone(), x.clone(), y.clone(), OpSet::gcn());
-                let config = EngineConfig { cache, ..EngineConfig::default() };
-                match shards {
-                    1 => Box::new(Engine::new(a, x, y, ops, config)),
-                    _ => Box::new(ShardedEngine::new(a, x, y, ops, shards, config)),
-                }
-            };
-            let (plain, cached) = (build(None), build(Some(CacheConfig::default())));
-            let label = format!("d={d}, {shards} shard(s)");
-            let want: (usize, usize, Vec<u32>) = bits(plain.embed(&nodes).expect(&label));
-            assert_eq!(want.0, nodes.len(), "{label}");
-            for pass in ["cold", "warm"] {
-                assert_eq!(bits(cached.embed(&nodes).expect(&label)), want, "{label}, {pass}");
-            }
-            let scores = |e: &AnyEngine| {
-                let s = e.score_edges(&pairs).expect(&label);
-                s.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(scores(&cached), scores(&plain), "{label}: scores");
-            assert_eq!(bits(cached.infer_full()), bits(plain.infer_full()), "{label}: infer_full");
-        }
-    }
 }

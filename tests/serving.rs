@@ -2,9 +2,9 @@
 //! full-graph reference on exactly the requested rows — for random
 //! graphs, operator sets, and subsets (empty, duplicated, out of
 //! order) — the engine must preserve that agreement under concurrent,
-//! overlapping request traffic, responses must pin exactly one feature
-//! epoch while publishes race them, and a PART1D-sharded engine must be
-//! bit-identical to the single engine on the same graph.
+//! overlapping request traffic, and responses must pin exactly one
+//! feature epoch while publishes race them. (Front ends answering
+//! alike is `tests/conformance.rs`.)
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -288,47 +288,6 @@ fn sharded_responses_never_tear_across_shards_or_epochs() {
     assert_eq!(eng.metrics().counter("fusedmm_epoch_swaps_total", &[]), Some(publishes as u64));
 }
 
-/// The acceptance-criteria equivalence test: a ShardedEngine with 1, 2,
-/// and 4 shards returns **bit-identical** results to the single Engine
-/// on the same graph, for embed (request order, duplicates), edge
-/// scoring, and full inference.
-#[test]
-fn sharded_engines_are_bit_identical_to_the_single_engine() {
-    let n = 150;
-    let d = 24;
-    let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(21));
-    let x = random_features(n, d, 0.5, 11);
-    let y = random_features(n, d, 0.5, 12);
-    let ops = OpSet::sigmoid_embedding(None);
-    let cfg = EngineConfig::default();
-    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), cfg.clone());
-
-    let nodes: Vec<usize> = (0..40).map(|i| (i * 13 + 5) % n).chain([7, 7, 149, 0]).collect();
-    let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 17 + 3) % n)).collect();
-    let z1 = single.embed(&nodes).unwrap();
-    let s1 = single.score_edges(&pairs).unwrap();
-    let f1 = single.infer_full();
-
-    for shards in [1usize, 2, 4] {
-        let sharded =
-            ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), shards, cfg.clone());
-        let z = sharded.embed(&nodes).unwrap();
-        assert_eq!(z, z1, "{shards}-shard embed differs from single engine");
-        let sc = sharded.score_edges(&pairs).unwrap();
-        assert_eq!(sc, s1, "{shards}-shard scores differ from single engine");
-        let f = sharded.infer_full();
-        assert_eq!(f, f1, "{shards}-shard inference differs from single engine");
-        let m = sharded.metrics();
-        let per_shard = |name: &str| m.samples.iter().filter(|s| s.name == name).count();
-        assert_eq!(per_shard("fusedmm_rows_computed_total"), sharded.nshards());
-        // One front-end embed call is one request, however many shards
-        // it fanned out to.
-        let embed = m.histogram("fusedmm_embed_latency_seconds", &[]).expect("latency sample");
-        assert_eq!(embed.count, 1);
-        assert_eq!(per_shard("fusedmm_fanout_gather_seconds"), sharded.nshards());
-    }
-}
-
 /// Engines sharing one store see a publish atomically: both a plain
 /// engine and a sharded one serve the new epoch after one publish call.
 #[test]
@@ -590,61 +549,6 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
         );
         let flushes = cache(&after_publish, "flushes");
         assert!(flushes > 0, "the publish flushed the cache (shards={shards})");
-    }
-}
-
-/// The acceptance-criteria ticket-equivalence test: `embed_begin` +
-/// harvest (in any order, by any method) returns exactly what the
-/// blocking `embed` returns, for single and 1/2/4-shard engines, with
-/// and without the result cache.
-#[test]
-fn tickets_are_bit_identical_to_blocking_embed_across_topologies() {
-    let n = 120;
-    let d = 16;
-    let a = rmat(&RmatConfig::new(n, 5 * n).with_seed(33));
-    let x = random_features(n, d, 0.5, 31);
-    let y = random_features(n, d, 0.5, 32);
-    for shards in [1usize, 2, 4] {
-        for cache in [None, Some(CacheConfig::default())] {
-            let eng = build(a.clone(), x.clone(), y.clone(), shards, cache);
-            let twin = build(a.clone(), x.clone(), y.clone(), shards, None);
-            // Overlapping node sets spanning every band, duplicates
-            // included; launch the whole window before harvesting.
-            let requests: Vec<Vec<usize>> = (0..12)
-                .map(|r| (0..10).map(|i| (r * 13 + i * 7) % n).chain([0, n - 1]).collect())
-                .collect();
-            let mut tickets: Vec<Ticket<Dense>> =
-                requests.iter().map(|nodes| eng.embed_begin(nodes).expect("embed_begin")).collect();
-            // Harvest out of order, alternating methods: reverse-order
-            // wait, poll loop, and deadline waits.
-            let mut results: Vec<Option<Dense>> = (0..tickets.len()).map(|_| None).collect();
-            for i in (8..12).rev() {
-                results[i] = Some(tickets.pop().unwrap().wait().expect("wait"));
-            }
-            for (i, mut t) in tickets.drain(..).enumerate() {
-                let z = if i % 2 == 0 {
-                    loop {
-                        if let Some(z) = t.poll() {
-                            break z.expect("poll");
-                        }
-                        std::thread::yield_now();
-                    }
-                } else {
-                    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                    t.wait_deadline(deadline).expect("deadline not reached").expect("harvest")
-                };
-                results[i] = Some(z);
-            }
-            for (nodes, z) in requests.iter().zip(&results) {
-                assert_eq!(
-                    z.as_ref().expect("harvested"),
-                    &twin.embed(nodes).expect("embed"),
-                    "ticketed result diverged from blocking embed \
-                     (shards={shards}, cache={})",
-                    if cache.is_some() { "on" } else { "off" }
-                );
-            }
-        }
     }
 }
 
