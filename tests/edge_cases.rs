@@ -8,6 +8,10 @@ use std::sync::Arc;
 use fusedmm::baseline::unfused::unfused_pipeline;
 use fusedmm::prelude::*;
 
+mod matrix;
+
+use matrix::{check_cells, slice, Front, Graph};
+
 fn presets() -> Vec<OpSet> {
     vec![
         OpSet::sigmoid_embedding(None),
@@ -194,4 +198,73 @@ fn sage_and_tdist_on_degenerate_graphs() {
     let layer = SageLayer::new(8, 4, Activation::Linear, 1);
     let out = layer.forward(&row_normalize(&a), &x);
     assert!(out.as_slice().iter().all(|v| v.is_finite()));
+}
+
+/// Isolated vertices, symmetric and directed, behind 1, 2 and 4 shards
+/// with the result cache on: a delta on an isolated vertex retires its
+/// row only, one on vertex 3 its row and the rows that read `y_3` (3
+/// symmetric, 2 directed), and every answer is a plain `Engine`'s.
+#[test]
+fn cached_engines_over_isolated_vertices() {
+    assert!(Graph::IsolatedSymmetric.csr().is_pattern_symmetric());
+    assert!(!Graph::IsolatedDirected.csr().is_pattern_symmetric());
+    check_cells(&slice(|c| {
+        matches!(c.graph, Graph::IsolatedSymmetric | Graph::IsolatedDirected)
+            && matches!(c.front, Front::Sharded(_))
+            && c.cache
+            && c.reordering.is_none()
+            && c.d == 7
+            && !c.hostile
+    }));
+}
+
+/// One vertex with a self loop, 1, 2 and 4 shards, cache on: a delta
+/// on it retires its one row.
+#[test]
+fn cached_engines_over_one_vertex() {
+    assert!(Graph::OneVertex.csr().is_pattern_symmetric());
+    check_cells(&slice(|c| {
+        c.graph == Graph::OneVertex
+            && matches!(c.front, Front::Sharded(_))
+            && c.cache
+            && c.reordering.is_none()
+            && c.d == 7
+            && !c.hostile
+    }));
+}
+
+/// A 4-way cut whose last band is empty, cache on: deltas on 2, 5 and 4
+/// retire 1, 2 and 2 rows.
+#[test]
+fn cached_engines_over_a_cut_with_empty_bands() {
+    let cut = fusedmm::kernel::Partition::part1d(
+        &Graph::EmptyBand.csr(),
+        4,
+        PartitionStrategy::NnzBalanced,
+    );
+    assert!(cut.boundaries().windows(2).any(|w| w[0] == w[1]), "{:?}", cut.boundaries());
+    check_cells(&slice(|c| {
+        c.graph == Graph::EmptyBand
+            && c.front == Front::Sharded(4)
+            && c.cache
+            && c.reordering.is_none()
+            && c.d == 7
+            && !c.hostile
+    }));
+}
+
+/// Defined behaviour at d ∈ {0, 1}: an `Engine` and a 2-shard
+/// `ShardedEngine` with the result cache on answer `embed` (cold and
+/// warm), `score_edges` and `infer_full` bit for bit as a plain
+/// uncached `Engine`.
+#[test]
+fn cached_engines_at_zero_and_one_dimension_answer_as_uncached_ones() {
+    check_cells(&slice(|c| {
+        matches!(c.front, Front::Engine | Front::Sharded(2))
+            && c.cache
+            && c.reordering.is_none()
+            && c.d <= 1
+            && c.graph == Graph::Rmat
+            && !c.hostile
+    }));
 }

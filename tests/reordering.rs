@@ -1,11 +1,29 @@
-//! Load-time reordering: permutations must round-trip exactly. (That a
-//! serving engine under any [`Reordering`] answers bit-identically to a
-//! plain one in the external id space is a column of the equivalence
-//! matrix in `tests/conformance.rs`.)
+//! Load-time reordering, end to end: a serving engine configured with
+//! any [`Reordering`] — sharded or not, cached or not — must answer
+//! every request bit-identically to a plain engine in the external id
+//! space, and permutations must round-trip exactly.
 
 use proptest::prelude::*;
 
 use fusedmm::prelude::*;
+
+mod matrix;
+
+use matrix::{check_cells, slice, Front, Graph};
+
+/// Every (reordering, shards, cache) serving combination answers in
+/// the external id space, bit-identical to a plain unreordered engine:
+/// the reordering slice of the equivalence matrix.
+#[test]
+fn reordered_serving_bit_identical() {
+    check_cells(&slice(|c| {
+        c.reordering.is_some()
+            && matches!(c.front, Front::Sharded(_))
+            && c.d == 64
+            && c.graph == Graph::Rmat
+            && !c.hostile
+    }));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -2,9 +2,10 @@
 //! full-graph reference on exactly the requested rows — for random
 //! graphs, operator sets, and subsets (empty, duplicated, out of
 //! order) — the engine must preserve that agreement under concurrent,
-//! overlapping request traffic, and responses must pin exactly one
-//! feature epoch while publishes race them. (Front ends answering
-//! alike is `tests/conformance.rs`.)
+//! overlapping request traffic, responses must pin exactly one feature
+//! epoch while publishes race them, and sharded engines and tickets
+//! must answer as a plain engine's blocking `embed` (slices of the
+//! equivalence matrix in `tests/matrix/mod.rs`).
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,6 +15,10 @@ use std::time::Duration;
 use fusedmm::kernel::Partition;
 use fusedmm::prelude::*;
 use fusedmm::serve::{score_edges, FrontEnd, LocalBands};
+
+mod matrix;
+
+use matrix::{check_cells, slice, Front, Graph};
 
 /// Rows `rows` of the whole graph, through a row-subset launch.
 fn subset(a: &Csr, rows: &[usize], x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
@@ -288,6 +293,23 @@ fn sharded_responses_never_tear_across_shards_or_epochs() {
     assert_eq!(eng.metrics().counter("fusedmm_epoch_swaps_total", &[]), Some(publishes as u64));
 }
 
+/// A ShardedEngine with 1, 2 and 4 shards returns **bit-identical**
+/// results to the single Engine on the same graph, for embed (request
+/// order, duplicates), edge scoring and full inference, with one
+/// rows-computed and one fan-out sample per shard and one latency
+/// observation per call: the sharded slice of the equivalence matrix.
+#[test]
+fn sharded_engines_are_bit_identical_to_the_single_engine() {
+    check_cells(&slice(|c| {
+        matches!(c.front, Front::Sharded(_))
+            && !c.cache
+            && c.reordering.is_none()
+            && c.d == 64
+            && c.graph == Graph::Rmat
+            && !c.hostile
+    }));
+}
+
 /// Engines sharing one store see a publish atomically: both a plain
 /// engine and a sharded one serve the new epoch after one publish call.
 #[test]
@@ -550,6 +572,23 @@ fn cached_responses_are_epoch_consistent_under_concurrent_writes() {
         let flushes = cache(&after_publish, "flushes");
         assert!(flushes > 0, "the publish flushed the cache (shards={shards})");
     }
+}
+
+/// `embed_begin` + harvest (in any order, by any method) returns
+/// exactly what the blocking `embed` returns, for single and
+/// 1/2/4-shard engines, with and without the result cache: the
+/// in-process topologies of the equivalence matrix, whose every cell
+/// harvests its ticket window by `wait`, `poll`, `wait_deadline` and
+/// `wait_any`.
+#[test]
+fn tickets_are_bit_identical_to_blocking_embed_across_topologies() {
+    check_cells(&slice(|c| {
+        matches!(c.front, Front::Engine | Front::Sharded(_))
+            && c.reordering.is_none()
+            && c.d == 64
+            && c.graph == Graph::Rmat
+            && !c.hostile
+    }));
 }
 
 /// The acceptance-criteria coalescing test: ≥2 concurrent misses on
