@@ -6,11 +6,14 @@
 //! permutation or tracer sampling. It receives parts (sorted, distinct
 //! global ids of its own rows, a pinned epoch, a [`PartSlot`]) from the
 //! front end through [`LocalBands`](crate::LocalBands) and queues them
-//! without blocking. A waiter that finds the queue free becomes its
-//! combiner ([`Band::combine`]): it coalesces whatever is queued into
-//! one deduplicated row-subset launch per drain, on its own thread,
-//! and resolves each part's slot — cache registrations first, then the
-//! rows — until the queue is empty or its caller has what it came for.
+//! without blocking. A waiter with work to run there becomes one of its
+//! combiners ([`Band::combine`]): a blocking caller always runs its own
+//! claimed parts, even beside another combiner, and any waiter runs
+//! unclaimed work nobody else combines. A combiner coalesces what it
+//! may run into one deduplicated row-subset launch per drain, on its
+//! own thread, and resolves each part's slot — cache registrations
+//! first, then the rows — until nothing it may run is queued or its
+//! caller has what it came for.
 //! A part whose nodes are the launch's whole union receives the
 //! launch's output itself: the kernel writes that reply once.
 //! A panicking launch is caught here and every part in it resolves
@@ -38,7 +41,7 @@ use crate::score::score_edges_banded;
 use crate::store::{copy_rows, FeatureEpoch};
 use crate::ticket::Quality;
 use crate::transport::{PartOutcome, PartSlot};
-use crate::wait::Watcher;
+use crate::wait::{Claim, Watcher};
 
 pub(crate) struct Band {
     /// The band's adjacency rows under local row indices.
@@ -58,6 +61,10 @@ pub(crate) struct Band {
     /// Largest row degree in the band: the skew its critical path
     /// carries.
     max_row_degree: usize,
+    /// Launches started, landed or panicked: the fault plan's sequence
+    /// numbers, one `fetch_add` each so concurrent combiners never
+    /// share one.
+    launches: AtomicU64,
     /// Kernel launches, on whichever waiting threads combined the queue.
     batches_dispatched: AtomicU64,
     /// Rows the front end asked for (each request's distinct misses).
@@ -96,6 +103,7 @@ impl Band {
             tracer: Arc::clone(&resolved.tracer),
             fault: resolved.fault.clone(),
             max_row_degree,
+            launches: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),
             rows_requested: AtomicU64::new(0),
             rows_computed: AtomicU64::new(0),
@@ -134,13 +142,14 @@ impl Band {
         }
     }
 
-    /// Run the queued batches on the calling thread until the queue is
-    /// empty or `stop` — asked after each batch — says the caller has
-    /// what it came for; unless another thread already combines the
-    /// queue, and then this returns at once. Work left behind by a stop
-    /// wakes the parked waiters.
-    pub fn combine(&self, stop: &mut dyn FnMut() -> bool) {
-        let Some(mut combiner) = self.queue.combine() else { return };
+    /// Run the queued batches caller `claim` may run on the calling
+    /// thread, until none is left or `stop` — asked after each batch —
+    /// says the caller has what it came for; unless `claim` has no part
+    /// queued and another thread already combines the queue, and then
+    /// this returns at once. Unclaimed work left behind by the last
+    /// combiner wakes the parked waiters.
+    pub fn combine(&self, claim: Claim, stop: &mut dyn FnMut() -> bool) {
+        let Some(mut combiner) = self.queue.combine(claim) else { return };
         while combiner.next_batch(self.max_batch_rows) {
             let b = &mut combiner.buffers;
             self.drop_expired(b.expired.drain(..));
@@ -154,10 +163,17 @@ impl Band {
         }
     }
 
-    /// Register `waiter` to be woken when this band has work and no
-    /// combiner; `false` — nothing registered — when it has now.
-    pub fn park(&self, waiter: &Watcher) -> bool {
-        self.queue.park(waiter)
+    /// Register `waiter`, caller `claim`'s, to be woken when this band
+    /// has work anyone may run and no combiner; `false` — nothing
+    /// registered — when `claim` should combine it now.
+    pub fn park(&self, waiter: &Watcher, claim: Claim) -> bool {
+        self.queue.park(waiter, claim)
+    }
+
+    /// Wake the parked waiters if work anyone may run has no combiner
+    /// (a claimed part whose ticket was just dropped).
+    pub fn kick(&self) {
+        self.queue.kick();
     }
 
     pub fn score(&self, pairs: &[(usize, usize)], epoch: &FeatureEpoch) -> Vec<f32> {
@@ -239,10 +255,8 @@ impl Band {
         };
         let rows_requested: usize = group.iter().map(|p| p.nodes.len()).sum();
         // This launch's sequence number (1, 2, ...), for the fault
-        // plan: only the combiner counts launches, landed or panicked.
-        let seq = self.batches_dispatched.load(Ordering::Relaxed)
-            + self.panics_caught.load(Ordering::Relaxed)
-            + 1;
+        // plan, unique however many combiners launch at once.
+        let seq = self.launches.fetch_add(1, Ordering::Relaxed) + 1;
         let kernel_start = if sampled { tracer.now() } else { 0 };
         // The launch is a fault boundary: a panic inside the kernel (or
         // injected by the fault plan) becomes a typed `Failed` per part,

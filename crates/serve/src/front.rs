@@ -58,7 +58,7 @@ use crate::ticket::{
     RequestStats, Ticket, TraceHandle, WaiterSlot,
 };
 use crate::transport::{LocalBands, PartSlot, PartSpan, ShardTransport};
-use crate::wait::slot;
+use crate::wait::{slot, Claim};
 
 /// The request path over one transport. Reached through
 /// [`Deref`](std::ops::Deref) from every public engine type: the
@@ -205,9 +205,13 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     /// Refresh embeddings for `nodes` (any order, duplicates allowed):
     /// one output row per requested node, in request order, every row
     /// computed from one pinned feature epoch. The same code path as
-    /// [`embed_begin`](Self::embed_begin) followed by [`Ticket::wait`].
+    /// [`embed_begin`](Self::embed_begin) followed by [`Ticket::wait`],
+    /// except that the calling thread claims the parts it dispatches:
+    /// in process, it runs them itself, and no other caller's combiner
+    /// takes them.
     pub fn embed(&self, nodes: &[usize]) -> Result<Dense, ServeError> {
-        self.embed_begin(nodes)?.wait()
+        let claim = Some(Claim::mine());
+        self.begin(nodes, EmbedOptions::default(), None, claim)?.rows().wait()
     }
 
     /// Begin an embedding request without blocking: the epoch is pinned
@@ -228,16 +232,19 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         nodes: &[usize],
         opts: EmbedOptions,
     ) -> Result<Ticket<EmbedResponse>, ServeError> {
-        self.begin(nodes, opts, None)
+        self.begin(nodes, opts, None, None)
     }
 
     /// The request body (see the module docs), pinned at `pinned` or,
-    /// when `None`, at the store's current epoch.
+    /// when `None`, at the store's current epoch. Every part carries
+    /// `claim`: a blocking caller's own, which the thread that waits on
+    /// the ticket must hold.
     pub(crate) fn begin(
         &self,
         nodes: &[usize],
         opts: EmbedOptions,
         pinned: Option<Arc<FeatureEpoch>>,
+        claim: Option<Claim>,
     ) -> Result<Ticket<EmbedResponse>, ServeError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServeError::EngineShutdown);
@@ -379,7 +386,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             });
             let shard_nodes: Arc<[usize]> = Arc::from(shard_nodes);
             let (tx, rx) = slot();
-            let part_slot = PartSlot::new(tx, fills, span);
+            let part_slot = PartSlot::new(tx, fills, span, claim);
             self.transport.embed_part(s, &shard_nodes, &epoch, quality, opts.deadline, part_slot);
             parts.push(Part::new(shard_nodes, s, shard, rx));
         }
@@ -400,6 +407,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             epoch,
             quality,
             deadline: opts.deadline,
+            claim,
         };
         let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); n];
         let assembly = EmbedAssembly::assemble(

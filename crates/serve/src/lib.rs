@@ -29,13 +29,14 @@
 //!   in worker processes behind a socket transport (`fusedmm-rpc`),
 //!   with [`WorkerEngine`] the one-band front end inside each worker;
 //! * micro-batching ([`batcher`]) — a band has no thread of its own:
-//!   `embed_begin` only enqueues, and the first thread waiting on one
-//!   of the band's results becomes its combiner, coalescing the queued
-//!   parts into one deduplicated row batch per drain, launching it on
-//!   its own thread (through the rayon pool when large) and scattering
-//!   the rows back to each part until the queue is empty or its own
-//!   answer is in (`poll`: one batch; a request with a deadline runs
-//!   its parts as it begins);
+//!   `embed_begin` only enqueues, and a thread waiting on one of the
+//!   band's results becomes a combiner — a blocking `embed` always, for
+//!   the parts it claimed, and otherwise the first waiter to find no
+//!   combiner — coalescing the queued parts it may run into one
+//!   deduplicated row batch per drain, launching it on its own thread
+//!   (through the rayon pool when large) and scattering the rows back
+//!   to each part until none is left or its own answer is in (`poll`:
+//!   one batch; a request with a deadline runs its parts as it begins);
 //! * live feature updates ([`store`]) — engines borrow `X`/`Y` through
 //!   an epoch-versioned [`FeatureStore`]: readers pin RCU-style
 //!   snapshots, writers [`publish`](FeatureStore::publish) or

@@ -50,6 +50,7 @@ use crate::store::{copy_rows, FeatureEpoch, FeatureStore};
 use crate::ticket::{EmbedOptions, EmbedResponse, Quality, Ticket};
 use crate::transport::LocalBands;
 pub use crate::transport::{PartOutcome, PartSlot, ShardTransport};
+use crate::wait::Claim;
 
 /// How many recent epochs a worker keeps pinned for in-flight
 /// requests. The transport is FIFO per connection, so the record
@@ -448,7 +449,8 @@ impl WorkerEngine {
 
     /// Serve one embed part at the exact epoch the coordinator pinned,
     /// through the front end's one request path (cache, band, retry).
-    /// `nodes` are global ids within this replica's band.
+    /// `nodes` are global ids within this replica's band. Like `embed`,
+    /// the calling thread claims the part and runs it itself.
     pub fn embed_part(
         &self,
         nodes: &[usize],
@@ -459,7 +461,7 @@ impl WorkerEngine {
         let pinned = self.pinned(epoch)?;
         let opts = EmbedOptions { deadline, quality };
         self.front
-            .begin(nodes, opts, Some(pinned))
+            .begin(nodes, opts, Some(pinned), Some(Claim::mine()))
             .and_then(Ticket::wait)
             .map_err(WorkerError::Serve)
     }

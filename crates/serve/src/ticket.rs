@@ -44,7 +44,7 @@ use crate::band::Band;
 use crate::engine::ServeError;
 use crate::store::FeatureEpoch;
 use crate::transport::{PartSlot, ShardTransport};
-use crate::wait::{drive_until, slot, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
+use crate::wait::{drive_until, slot, Claim, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
 
 /// The answer tier a request asks for (or is downgraded to by the
 /// admission ladder). Degraded tiers trade accuracy for latency and
@@ -368,20 +368,22 @@ impl<T> Ticket<T> {
 
 /// What a failed part's one retry re-dispatches through: the transport
 /// it went out on, at the same pinned epoch (an Exact retry is
-/// bit-identical), tier and deadline — with no cache fills (the
+/// bit-identical), tier, deadline and claim — with no cache fills (the
 /// originals were aborted) and no span.
 pub(crate) struct Redispatch {
     pub transport: Arc<dyn ShardTransport>,
     pub epoch: Arc<FeatureEpoch>,
     pub quality: Quality,
     pub deadline: Option<Instant>,
+    /// The blocking caller's claim: its retry is its own to run too.
+    pub claim: Option<Claim>,
 }
 
 impl Redispatch {
     /// Send `nodes` to `shard` again; the fresh slot's receiver.
     fn send(&self, shard: usize, nodes: &Arc<[usize]>) -> SlotRx {
         let (tx, rx) = slot();
-        let part = PartSlot::new(tx, None, None);
+        let part = PartSlot::new(tx, None, None, self.claim);
         self.transport.embed_part(shard, nodes, &self.epoch, self.quality, self.deadline, part);
         rx
     }
@@ -555,9 +557,10 @@ impl EmbedAssembly {
     /// with a deadline: nothing else need run the band before a late
     /// harvest, and the part would expire queued.
     pub(crate) fn run_ahead(&self, deadline: Instant) {
+        let claim = Claim::mine();
         for part in &self.parts {
             let Some(band) = part.rx.band().filter(|_| Instant::now() < deadline) else { continue };
-            band.combine(&mut || part.rx.is_resolved() || Instant::now() >= deadline);
+            band.combine(claim, &mut || part.rx.is_resolved() || Instant::now() >= deadline);
         }
     }
 
@@ -728,8 +731,9 @@ impl EmbedAssembly {
             // loop makes progress by itself, in bounded steps.
             let mut bands = Vec::new();
             self.bands(&mut bands);
+            let claim = Claim::mine();
             for band in bands {
-                band.combine(&mut || true);
+                band.combine(claim, &mut || true);
             }
             if !self.advance() {
                 return None;
@@ -824,6 +828,14 @@ impl Drop for EmbedAssembly {
         // request still leaves a rooted (if truncated) tree.
         if let Some(tr) = &self.completion.trace {
             tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, tr.tracer.now(), None, 0);
+        }
+        // A claimed part still queued is anyone's to run once its ticket
+        // is gone — a request coalesced onto its rows may wait on them:
+        // let go of the receivers, then wake whoever parked on the bands.
+        if self.retry.as_ref().is_some_and(|r| r.claim.is_some()) {
+            let parts = std::mem::take(&mut self.parts).into_iter();
+            let bands: Vec<Arc<Band>> = parts.filter_map(|p| p.rx.band()).collect();
+            bands.iter().for_each(|band| band.kick());
         }
     }
 }
@@ -926,6 +938,7 @@ mod tests {
             epoch: store.snapshot(),
             quality: Quality::Exact,
             deadline: None,
+            claim: None,
         }
     }
 

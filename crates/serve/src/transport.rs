@@ -30,7 +30,7 @@ use crate::front::Resolved;
 use crate::remote::EpochRecord;
 use crate::store::FeatureEpoch;
 use crate::ticket::Quality;
-use crate::wait::{PartError, SlotTx};
+use crate::wait::{Claim, PartError, SlotTx};
 
 /// How a transport resolves one embed part.
 #[derive(Debug)]
@@ -51,7 +51,9 @@ pub enum PartOutcome {
 /// part: the ticket's one-shot reply slot, the part's cache
 /// registrations (completed with the rows before the reply, so
 /// coalesced waiters resolve with the computation, not with the
-/// harvest), and the part's span when the request is traced.
+/// harvest), the part's span when the request is traced, and the
+/// `Claim` of the blocking caller that dispatched it — only that
+/// thread runs it in process (a socket transport ignores it).
 ///
 /// Dropping a slot unresolved closes it, which surfaces as
 /// [`ServeError::EngineShutdown`] on the ticket and aborts its cache
@@ -62,6 +64,7 @@ pub struct PartSlot {
     tx: SlotTx,
     pub(crate) fills: Option<FillSet>,
     pub(crate) span: Option<PartSpan>,
+    pub(crate) claim: Option<Claim>,
 }
 
 /// A traced part's span, opened when the front end dispatched it: a
@@ -77,20 +80,30 @@ pub(crate) struct PartSpan {
 }
 
 impl PartSlot {
-    pub(crate) fn new(tx: SlotTx, fills: Option<FillSet>, span: Option<PartSpan>) -> PartSlot {
-        PartSlot { tx, fills, span }
+    pub(crate) fn new(
+        tx: SlotTx,
+        fills: Option<FillSet>,
+        span: Option<PartSpan>,
+        claim: Option<Claim>,
+    ) -> PartSlot {
+        PartSlot { tx, fills, span, claim }
+    }
+
+    /// True once the part's ticket is gone: nobody can read its reply.
+    pub(crate) fn ticket_gone(&self) -> bool {
+        self.tx.is_abandoned()
     }
 
     /// True when nobody needs this part's rows: its ticket is gone and
     /// it owns no cache registration another request may wait on.
     pub(crate) fn is_abandoned(&self) -> bool {
-        self.fills.is_none() && self.tx.is_abandoned()
+        self.fills.is_none() && self.ticket_gone()
     }
 
     /// Resolve the part. Consumes the slot; rows complete the part's
     /// cache registrations first, any other outcome aborts them.
     pub fn resolve(self, outcome: PartOutcome) {
-        let PartSlot { tx, fills, span } = self;
+        let PartSlot { tx, fills, span, .. } = self;
         if let Some(span) = span {
             let end = span.tracer.now();
             span.tracer.record(span.ctx, SpanKind::Rpc, span.start_ns, end, span.shard, span.rows);

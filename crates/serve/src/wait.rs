@@ -17,9 +17,16 @@
 //! and [`Ticket::wait_deadline`](crate::Ticket::wait_deadline)), a
 //! coalesced row's wait, and [`wait_any`]: run the queued batches of
 //! every band the wait depends on until something the wait watches
-//! resolves or its deadline passes, and park only when every such band
-//! is empty or held by another combiner — registered with each, so new
+//! resolves or its deadline passes, and park only when no such band
+//! holds work this thread should run — registered with each, so new
 //! work on any of them wakes this thread to run it.
+//!
+//! A blocking call runs its own parts. `embed` — and a worker serving
+//! its coordinator's part, also embed-then-wait on one thread — marks
+//! each part it dispatches with the calling thread's `Claim`, and only
+//! that thread runs a claimed part (until its ticket is gone), so two
+//! callers never sleep on each other's combiner. Ticket parts carry no
+//! claim: any waiter on their band runs them.
 //!
 //! Where a wait parks is a `Wake`. A slot is its own: its receiver
 //! parks on the slot's condvar, woken by the slot resolving or by a
@@ -30,6 +37,8 @@
 //! flag, never an index, so it cannot be mistaken for a completion.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
@@ -37,6 +46,30 @@ use fusedmm_sparse::dense::Dense;
 
 use crate::band::Band;
 use crate::ticket::Ticket;
+
+/// The mark a blocking caller puts on the parts it dispatches: only
+/// the thread holding the claim runs them, on its own thread, while it
+/// waits for them. One per thread, fixed for the thread's life; a
+/// thread-local counter value, not `thread::current()`, which clones an
+/// `Arc` on every call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Claim(NonZeroU64);
+
+impl Claim {
+    /// The calling thread's claim.
+    pub fn mine() -> Claim {
+        thread_local! {
+            static MINE: Claim = Claim::fresh();
+        }
+        MINE.with(|c| *c)
+    }
+
+    /// A claim no thread holds yet.
+    pub fn fresh() -> Claim {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Claim(NonZeroU64::new(NEXT.fetch_add(1, Ordering::Relaxed)).expect("claim ids run out"))
+    }
+}
 
 /// Who to tell when a source resolves or a band has work nobody runs.
 #[derive(Clone)]
@@ -389,13 +422,14 @@ impl Wake for WakeQueue {
 
 /// The drive-then-park loop behind every blocking wait. Each round
 /// asks `ready` whether the wait is over, then runs the queued batches
-/// of `bands` on this thread — a band another thread is combining is
-/// left to that thread — and stops after the batch in which `wake` is
-/// signalled or `deadline` passes, so a producer that keeps a band
-/// busy cannot hold this thread. It parks only when every band is empty
-/// or held by a combiner, and registers `kick` with each first: a part
-/// enqueued on one of them while nobody combines it wakes this thread
-/// to run it. `None` once `deadline` passes.
+/// of `bands` on this thread — its own claimed parts always, unclaimed
+/// ones unless another thread already combines the band — and stops
+/// after the batch in which `wake` is signalled or `deadline` passes,
+/// so a producer that keeps a band busy cannot hold this thread. It
+/// parks only when no band holds work this thread should run, and
+/// registers `kick` with each first: unclaimed work left on one of them
+/// with nobody combining it wakes this thread to run it. `None` once
+/// `deadline` passes.
 pub(crate) fn drive_until<R>(
     bands: &[Arc<Band>],
     wake: &impl Wake,
@@ -405,6 +439,7 @@ pub(crate) fn drive_until<R>(
 ) -> Option<R> {
     let past = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut stop = || wake.signalled() || past();
+    let claim = Claim::mine();
     loop {
         wake.rearm();
         if let Some(r) = ready() {
@@ -414,12 +449,12 @@ pub(crate) fn drive_until<R>(
             return None;
         }
         for band in bands {
-            band.combine(&mut stop);
+            band.combine(claim, &mut stop);
             if stop() {
                 break;
             }
         }
-        let idle = !wake.signalled() && bands.iter().all(|band| band.park(kick));
+        let idle = !wake.signalled() && bands.iter().all(|band| band.park(kick, claim));
         if idle && !wake.park(deadline) {
             return None;
         }

@@ -8,10 +8,22 @@
 //! of a request — begin, launch, reply and harvest — lands on the
 //! calling thread. The budgets are exact: a count that moves, either
 //! way, is a change to the request path that should be looked at.
+//!
+//! The same holds with two callers at once: each blocking caller runs
+//! its own parts, so each thread's per-call count is the lone caller's,
+//! and a caller never sleeps on the other's launch — counted as the
+//! thread's voluntary context switches. These two-caller budgets stay
+//! out of CI's AddressSanitizer job, which does not run this file: the
+//! sanitizer slows every call several times over, which widens the
+//! windows in which the two callers meet on a lock, so a switch count
+//! taken under it measures the sanitizer rather than the request path.
+//! Tests here run one at a time (`SERIAL`) for the same reason: a
+//! thread of another test competing for the two callers' cores would
+//! put them to sleep on each other's locks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 
 use fusedmm::perf::trace::Tracer;
 use fusedmm::prelude::*;
@@ -77,6 +89,13 @@ fn allocations<R>(warm: usize, mut f: impl FnMut() -> R) -> u64 {
     after - before
 }
 
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 const N: usize = 2000;
 const D: usize = 64;
 
@@ -102,6 +121,7 @@ fn config() -> EngineConfig {
 /// the one row into the buffer the caller receives.
 #[test]
 fn a_single_row_embed_allocates_six_times() {
+    let _serial = serial();
     let (a, x, y) = inputs();
     let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), config());
     let mut id = 0;
@@ -118,6 +138,7 @@ fn a_single_row_embed_allocates_six_times() {
 /// and the ticket's box.
 #[test]
 fn a_64_row_two_shard_embed_allocates_twelve_times() {
+    let _serial = serial();
     let (a, x, y) = inputs();
     let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
     // Unsorted, spread over both shards, no repeats.
@@ -132,6 +153,7 @@ fn a_64_row_two_shard_embed_allocates_twelve_times() {
 /// writes the caller's buffer: nothing to allocate.
 #[test]
 fn an_inline_row_launch_allocates_nothing() {
+    let _serial = serial();
     let (a, x, y) = inputs();
     let ops = OpSet::sigmoid_embedding(None);
     let plan = Plan::prepare(&ops, D);
@@ -144,4 +166,117 @@ fn an_inline_row_launch_allocates_nothing() {
     assert_eq!(n, 0, "an inline Launch::Rows");
     let want = plan.execute_rows(&a, &ids, &x, &y, &ops);
     assert_eq!(z, want.as_slice());
+}
+
+/// `f(caller)` on two threads released together, one result each.
+fn two_callers<R: Send>(f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2)
+            .map(|caller| {
+                let (f, barrier) = (&f, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    f(caller)
+                })
+            })
+            .collect();
+        callers.into_iter().map(|h| h.join().expect("caller panicked")).collect()
+    })
+}
+
+/// Two callers at once, each making warm 64-row embeds over two
+/// uncached shards: every call of each allocates the lone caller's
+/// twelve, on its own thread. A caller whose launch ran on the other
+/// thread would count fewer, and the other more.
+#[test]
+fn two_callers_each_allocate_the_single_caller_budget() {
+    let _serial = serial();
+    let (a, x, y) = inputs();
+    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    let cut = engine.boundaries()[1];
+    let counts = two_callers(|caller| {
+        // Unsorted, 32 rows in each shard, no repeats.
+        let rows = |r: usize, i: usize| {
+            let (start, len) = if i.is_multiple_of(2) { (0, cut) } else { (cut, N - cut) };
+            start + (i / 2 * 97 + r * 31 + caller * 7) % len
+        };
+        let requests: Vec<Vec<usize>> =
+            (0..1200).map(|r| (0..64).map(|i| rows(r, i)).collect()).collect();
+        let mut round = requests.iter();
+        // The first 200 calls, with the other caller running, warm the
+        // second combiner's buffers too.
+        let warm = allocations(200, || engine.embed(round.next().expect("a request")));
+        let calls = round.map(|ids| allocations(0, || engine.embed(ids)));
+        std::iter::once(warm).chain(calls).collect::<Vec<u64>>()
+    });
+    for (caller, counts) in counts.iter().enumerate() {
+        assert_eq!(counts.len(), 1000);
+        let off: Vec<_> = counts.iter().enumerate().filter(|&(_, &n)| n != 12).collect();
+        assert!(off.is_empty(), "caller {caller}: calls (index, count) off budget: {off:?}");
+    }
+}
+
+/// This thread's voluntary context switches so far.
+fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("voluntary_ctxt_switches:")).expect("field");
+    line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("a count")
+}
+
+/// Two callers at once on a cached two-shard engine, reading
+/// overlapping Zipf-skewed ids, so their misses meet in the same bands
+/// and now and then in the same in-flight row: a caller runs its own
+/// launches and almost never sleeps. With one combiner per band, the
+/// caller whose part sat in the other's batch slept on it: about every
+/// second call.
+#[test]
+fn two_cached_callers_almost_never_sleep_on_each_other() {
+    let _serial = serial();
+    // Many more rows than the other budgets' graph, as in a serving
+    // workload: misses of the two callers then rarely meet in a row in
+    // flight, and a caller waits on the other only then.
+    const ROWS: usize = 1 << 15;
+    let a = rmat(&RmatConfig::new(ROWS, 8 * ROWS).with_seed(11));
+    let (x, y) = (random_features(ROWS, D, 0.5, 1), random_features(ROWS, D, 0.5, 2));
+    // About a quarter of the rows fit. Enough lock stripes that the two
+    // callers seldom meet on a cache lock, which puts one to sleep
+    // whatever the bands do: with the default 16, an unoptimized build
+    // reads about 0.1 switches per call from that alone.
+    let cache = CacheConfig { byte_budget: ROWS / 4 * D * 4, segments: 256 };
+    let config = EngineConfig { cache: Some(cache), ..config() };
+    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config);
+    const CALLS: usize = 2000;
+    let per_call = two_callers(|caller| {
+        // Zipf(1.1) over ranks by inverse CDF; ranks are scattered over
+        // the ids (an odd multiplier is a bijection mod 2^15), so hot rows
+        // are not RMAT's hubs.
+        let mut cdf: Vec<f64> = (1..=ROWS).map(|r| (r as f64).powf(-1.1)).collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for c in &mut cdf {
+            acc += *c / total;
+            *c = acc;
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ caller as u64;
+        let mut id = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let rank = cdf.partition_point(|&c| c <= u).min(ROWS - 1);
+            (rank * 7919 + 12345) % ROWS
+        };
+        let requests: Vec<Vec<usize>> =
+            (0..CALLS + 100).map(|_| (0..64).map(|_| id()).collect()).collect();
+        for ids in &requests[..100] {
+            engine.embed(ids).expect("embed");
+        }
+        let before = voluntary_switches();
+        for ids in &requests[100..] {
+            engine.embed(ids).expect("embed");
+        }
+        (voluntary_switches() - before) as f64 / CALLS as f64
+    });
+    for (caller, per_call) in per_call.iter().enumerate() {
+        assert!(*per_call <= 0.05, "caller {caller}: {per_call:.3} voluntary switches per call");
+    }
 }

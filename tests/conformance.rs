@@ -11,7 +11,9 @@ use std::sync::Arc;
 use fusedmm::kernel::Partition;
 use fusedmm::prelude::*;
 
-use matrix::{check_cells, config, covering_set, replicas, slice, Graph, InProcess, Inputs, Latch};
+use matrix::{
+    check_cells, config, covering_set, replicas, slice, Front, Graph, InProcess, Inputs, Latch,
+};
 
 #[test]
 fn a_pairwise_covering_set_of_cells_answers_as_a_plain_engine() {
@@ -26,6 +28,23 @@ fn every_front_end_cache_and_reordering_answers_alike_on_rmat_and_an_empty_band(
     assert!(cut.boundaries().windows(2).any(|w| w[0] == w[1]), "{:?}", cut.boundaries());
     check_cells(&slice(|c| {
         c.d == 64 && matches!(c.graph, Graph::Rmat | Graph::EmptyBand) && !c.hostile
+    }));
+}
+
+/// Two blocking callers at once on `Engine` and a two-shard
+/// `ShardedEngine`, cache off and on: each runs its own parts — beside
+/// the other on the same band — and with the cache, one caller's misses
+/// wait on rows the other computes. Every answer is what a plain
+/// `Engine` answers making the same calls one after the other, bit for
+/// bit. (Every cell runs this step; this slice names it.)
+#[test]
+fn two_blocking_callers_at_once_answer_as_one_serial_engine() {
+    check_cells(&slice(|c| {
+        matches!(c.front, Front::Engine | Front::Sharded(2))
+            && c.reordering.is_none()
+            && c.d == 64
+            && c.graph == Graph::Rmat
+            && !c.hostile
     }));
 }
 

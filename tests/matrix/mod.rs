@@ -10,9 +10,11 @@
 //! Each cell runs one script: embeds harvested by every ticket method,
 //! `score_edges`, `infer_full` where the front end has it, typed
 //! errors, tier marks, cache hits and the exact rows a delta retires,
-//! deltas and a publish, the ledger, one latency observation per
-//! answer, the request-side sample names, replicas holding exactly
-//! their band, and `EngineShutdown` after shutdown.
+//! deltas and a publish, two blocking callers at once on the cold
+//! cache the publish leaves (the reference makes their calls one after
+//! the other), the ledger, one latency observation per answer, the
+//! request-side sample names, replicas holding exactly their band, and
+//! `EngineShutdown` after shutdown.
 //!
 //! `tests/conformance.rs` runs a pairwise covering set of the axes plus
 //! the full front end × cache × reordering product on RMAT and on a cut
@@ -27,7 +29,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::{Deref, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fusedmm::kernel::Partition;
@@ -439,6 +441,9 @@ struct Hooks<'a> {
     front_cache: bool,
     /// The front end or its replicas hold one.
     cache: bool,
+    /// The concurrent step's two callers run at once (else one after
+    /// the other, on this thread).
+    together: bool,
 }
 
 /// Begin every request before harvesting any, then harvest request `i`
@@ -471,6 +476,44 @@ fn harvest<T: ShardTransport + ?Sized>(front: &FrontEnd<T>, requests: &[Vec<usiz
         out[i] = Some(t.wait().expect("rows"));
     }
     out.into_iter().map(|z| z.expect("harvested")).collect()
+}
+
+/// Requests each caller of the concurrent step makes.
+const ROUNDS: usize = 12;
+
+/// Caller `c`'s `r`-th request of the concurrent step: eight ids, seven
+/// of them also in the other caller's request of the same round.
+fn caller_request(n: usize, c: usize, r: usize) -> Vec<usize> {
+    (c..c + 8).map(|i| (i * 5 + r * 3) % n).collect()
+}
+
+/// The concurrent step's answers, caller 0's requests first: blocking
+/// `embed`s from two threads released together before each round, or,
+/// when `together` is false, both callers' requests made one after the
+/// other here.
+fn two_callers<T: ShardTransport + ?Sized>(
+    front: &FrontEnd<T>,
+    together: bool,
+    label: &str,
+) -> Vec<Dense> {
+    let n = front.nvertices();
+    let barrier = Barrier::new(2);
+    let caller = |c: usize| -> Vec<Dense> {
+        let round = |r| {
+            if together {
+                barrier.wait();
+            }
+            front.embed(&caller_request(n, c, r)).expect(label)
+        };
+        (0..ROUNDS).map(round).collect()
+    };
+    if !together {
+        return (0..2).flat_map(caller).collect();
+    }
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2).map(|c| s.spawn(move || caller(c))).collect();
+        callers.into_iter().flat_map(|h| h.join().expect("a caller panicked")).collect()
+    })
 }
 
 /// Drive the script through `front`, checking what depends on the
@@ -582,6 +625,12 @@ fn run<T: ShardTransport + ?Sized>(
     }
     let (x, y) = (features(n, d, 3, inp.hostile), features(n, d, 4, inp.hostile));
     let epoch = (hooks.publish)(x, y);
+    // The publish left every cached row stale: the two callers' misses
+    // meet, and with a cache one waits on a row the other computes.
+    answered.set(answered.get() + 2 * ROUNDS as u64);
+    for (i, z) in two_callers(front, hooks.together, label).iter().enumerate() {
+        ans.rows(format!("epoch {epoch}: caller {} embed {}", i / ROUNDS, i % ROUNDS), z);
+    }
     window(&mut ans, &format!("epoch {epoch}"));
     ans.scores("last epoch: scores", &front.score_edges(&pairs).expect(label));
     if let Some(infer) = hooks.infer {
@@ -613,6 +662,7 @@ fn run_deployment(
     deployment: &Deployment,
     inp: &Inputs,
     cache: bool,
+    together: bool,
     label: &str,
 ) -> (Answers, MetricsSnapshot) {
     match deployment {
@@ -624,6 +674,7 @@ fn run_deployment(
                 replicas: &[],
                 front_cache: cache,
                 cache,
+                together,
             };
             run(front, &hooks, inp, label)
         }
@@ -635,6 +686,7 @@ fn run_deployment(
                 replicas,
                 front_cache: false,
                 cache,
+                together,
             };
             run(engine, &hooks, inp, label)
         }
@@ -650,7 +702,7 @@ fn reference(inp: &Inputs) -> Answers {
         let want = fusedmm_reference(&inp.a, &inp.x, &inp.y, &OpSet::sigmoid_embedding(None));
         assert!(front.infer_full().max_abs_diff(&want) <= 1e-5, "{:?} d={}", inp.graph, inp.d);
     }
-    let want = run_deployment(&engine, inp, false, "reference").0;
+    let want = run_deployment(&engine, inp, false, false, "reference").0;
     let out_of_range = ServeError::NodeOutOfRange { node: inp.a.nrows(), nvertices: inp.a.nrows() };
     let typed =
         [out_of_range.clone(), out_of_range.clone(), out_of_range, ServeError::DeadlineExpired];
@@ -673,7 +725,7 @@ pub fn check_cells(cells: &[Cell6]) {
         let want =
             references.entry((inp.graph, inp.d, inp.hostile)).or_insert_with(|| reference(&inp));
         let deployment = deploy(front, cache, reordering, &inp);
-        let (got, scrape) = run_deployment(&deployment, &inp, cache, &label);
+        let (got, scrape) = run_deployment(&deployment, &inp, cache, true, &label);
         // The remote front end has no `infer_full`.
         let remote = matches!(deployment, Deployment::Remote { .. });
         let want_seen =

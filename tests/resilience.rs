@@ -59,6 +59,53 @@ fn every_launch_panicking_resolves_typed_not_hung() {
     assert_eq!(begun, resolved);
 }
 
+/// Two blocking callers run their own launches on the same two bands at
+/// once, and each band still numbers its launches as one sequence for
+/// the fault plan: exactly every second launch panics. Every request
+/// resolves — healed by its retry, or `PartFailed` when the retry drew
+/// an even number too — and the ledger balances.
+#[test]
+fn concurrent_claimants_panic_exactly_every_second_launch() {
+    quiet_injected_panics();
+    let n = 256;
+    let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(5));
+    let (x, y) = (random_features(n, 16, 0.5, 1), random_features(n, 16, 0.5, 2));
+    let fault = Some(Arc::new(FaultPlan::parse("panic_every=2").unwrap()));
+    let config = EngineConfig { fault, ..fault_free_config() };
+    let eng = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config);
+    let calls = 400;
+    let barrier = std::sync::Barrier::new(2);
+    let outcomes: Vec<Result<Dense, ServeError>> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2)
+            .map(|t| {
+                let (eng, barrier) = (&eng, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    // Both shards every call, overlapping the other caller's rows.
+                    let ids = |i: usize| [(i * 7 + t) % (n / 2), n / 2 + (i * 13 + t) % (n / 2)];
+                    (0..calls).map(|i| eng.embed(&ids(i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        callers.into_iter().flat_map(|h| h.join().expect("caller panicked")).collect()
+    });
+    let healed = outcomes.iter().filter(|r| r.is_ok()).count();
+    for r in &outcomes {
+        assert!(matches!(r, Ok(_) | Err(ServeError::PartFailed { .. })), "{r:?}");
+    }
+    assert!(healed > 0, "most requests heal on their retry");
+    let m = eng.metrics();
+    for shard in ["0", "1"] {
+        let count = |name| m.counter(name, &[("shard", shard)]).expect("a band counter");
+        let panics = count("fusedmm_panics_caught_total");
+        let launches = count("fusedmm_batches_dispatched_total") + panics;
+        assert!(launches >= calls as u64, "shard {shard}: {launches} launches");
+        assert_eq!(panics, launches / 2, "shard {shard}: every second launch panics");
+    }
+    let (begun, resolved) = ledger(&m);
+    assert_eq!((begun, resolved), (2 * calls as u64, 2 * calls as u64));
+}
+
 #[test]
 fn wait_any_drains_an_overloaded_window_across_shards() {
     let n = 96;
