@@ -662,9 +662,26 @@ impl EmbedAssembly {
     fn resolve(&mut self) -> Result<EmbedResponse, ServeError> {
         self.resolved = true;
         match self.error.take() {
-            Some(e) => self.finish_err(e),
+            Some(e) => {
+                self.release_claimed_parts();
+                self.finish_err(e)
+            }
             None => self.complete(),
         }
+    }
+
+    /// Let go of the claimed parts still owed and wake whoever parked on
+    /// their bands. Called once the ticket can no longer use them —
+    /// resolved with an error, or dropped unresolved: a claimed part
+    /// still queued is then anyone's to run, and a request coalesced
+    /// onto its rows may wait on them.
+    fn release_claimed_parts(&mut self) {
+        if self.retry.as_ref().is_none_or(|r| r.claim.is_none()) {
+            return;
+        }
+        let owed = std::mem::take(&mut self.parts).into_iter().filter(|p| p.rows.is_none());
+        let bands: Vec<Arc<Band>> = owed.filter_map(|p| p.rx.band()).collect();
+        bands.iter().for_each(|band| band.kick());
     }
 
     /// Resolve with `e`: count `failed` and close the root span.
@@ -829,14 +846,7 @@ impl Drop for EmbedAssembly {
         if let Some(tr) = &self.completion.trace {
             tr.tracer.record(tr.root, SpanKind::Embed, tr.begin_ns, tr.tracer.now(), None, 0);
         }
-        // A claimed part still queued is anyone's to run once its ticket
-        // is gone — a request coalesced onto its rows may wait on them:
-        // let go of the receivers, then wake whoever parked on the bands.
-        if self.retry.as_ref().is_some_and(|r| r.claim.is_some()) {
-            let parts = std::mem::take(&mut self.parts).into_iter();
-            let bands: Vec<Arc<Band>> = parts.filter_map(|p| p.rx.band()).collect();
-            bands.iter().for_each(|band| band.kick());
-        }
+        self.release_claimed_parts();
     }
 }
 

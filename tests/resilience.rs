@@ -7,6 +7,7 @@
 //! policy sheds a 4× overload.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,6 +105,61 @@ fn concurrent_claimants_panic_exactly_every_second_launch() {
     }
     let (begun, resolved) = ledger(&m);
     assert_eq!((begun, resolved), (2 * calls as u64, 2 * calls as u64));
+}
+
+/// A blocking caller whose request fails past its retry lets go of the
+/// parts it still has queued: a second caller whose row coalesced onto
+/// one of them runs it (and fails typed) instead of sleeping on a band
+/// that nobody wakes. Every launch panics, so each round ends in
+/// `PartFailed` for both callers; whenever caller 0 begins first, caller
+/// 1's one row waits on caller 0's shard-1 part, which caller 0 never
+/// runs, because its shard-0 part fails first.
+#[test]
+fn a_failed_claimant_leaves_its_queued_parts_to_coalesced_waiters() {
+    quiet_injected_panics();
+    let n = 64;
+    let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(3));
+    let feats = random_features(n, 8, 0.5, 4);
+    let config = EngineConfig {
+        cache: Some(CacheConfig::default()),
+        fault: Some(Arc::new(FaultPlan::parse("panic_every=1").unwrap())),
+        ..fault_free_config()
+    };
+    let eng = Arc::new(ShardedEngine::new(a, feats.clone(), feats, OpSet::gcn(), 2, config));
+    let rounds = 300;
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Detached threads and a bounded receive: a hung call fails the
+    // test instead of hanging it.
+    for t in 0..2 {
+        let (eng, arrived, tx) = (Arc::clone(&eng), Arc::clone(&arrived), tx.clone());
+        std::thread::spawn(move || {
+            for r in 0..rounds {
+                // Start each round together (a sleeping barrier wakes
+                // one thread tens of µs late, so the calls rarely
+                // overlap), then caller 1 lags 0–15 µs: some rounds
+                // land it inside caller 0's call.
+                arrived.fetch_add(1, Ordering::AcqRel);
+                while arrived.load(Ordering::Acquire) < 2 * (r + 1) {
+                    std::thread::yield_now();
+                }
+                let lag = Instant::now() + Duration::from_micros((t * (r % 16)) as u64);
+                while Instant::now() < lag {
+                    std::hint::spin_loop();
+                }
+                let shared = n / 2 + r % (n / 2);
+                let ids = if t == 0 { vec![r % (n / 2), shared] } else { vec![shared] };
+                let _ = tx.send(eng.embed(&ids));
+            }
+        });
+    }
+    for call in 0..2 * rounds {
+        let out = rx.recv_timeout(Duration::from_secs(30));
+        let out = out.unwrap_or_else(|_| panic!("call {call} of {} never returned", 2 * rounds));
+        assert!(matches!(out, Err(ServeError::PartFailed { .. })), "{out:?}");
+    }
+    let (begun, resolved) = ledger(&eng.metrics());
+    assert_eq!((begun, resolved), (2 * rounds as u64, 2 * rounds as u64));
 }
 
 #[test]
