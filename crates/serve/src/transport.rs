@@ -89,7 +89,8 @@ impl PartSlot {
         PartSlot { tx, fills, span, claim }
     }
 
-    /// True once the part's ticket is gone: nobody can read its reply.
+    /// True once the part's ticket is gone: nobody can read its reply
+    /// (the ticket was dropped, or resolved with an error without it).
     pub(crate) fn ticket_gone(&self) -> bool {
         self.tx.is_abandoned()
     }

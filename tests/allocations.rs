@@ -228,7 +228,7 @@ fn voluntary_switches() -> u64 {
 /// overlapping Zipf-skewed ids, so their parts meet in the same bands
 /// on almost every call: a caller runs its own launches and almost
 /// never sleeps. With one combiner per band, the caller whose part sat
-/// in the other's batch slept on it: about every call (0.6–1.3
+/// in the other's batch slept on it: about every call (0.7–1.2
 /// switches per call in a debug build). The engine is uncached so the
 /// count sees the bands alone: two cached callers also meet on the
 /// cache's segment locks, a hand-off of its own (0.1–0.25 switches per
