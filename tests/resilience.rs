@@ -129,35 +129,38 @@ fn a_failed_claimant_leaves_its_queued_parts_to_coalesced_waiters() {
     let rounds = 300;
     let arrived = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = std::sync::mpsc::channel();
-    // Detached threads and a bounded receive: a hung call fails the
-    // test instead of hanging it.
-    for t in 0..2 {
-        let (eng, arrived, tx) = (Arc::clone(&eng), Arc::clone(&arrived), tx.clone());
-        std::thread::spawn(move || {
-            for r in 0..rounds {
-                // Start each round together (a sleeping barrier wakes
-                // one thread tens of µs late, so the calls rarely
-                // overlap), then caller 1 lags 0–15 µs: some rounds
-                // land it inside caller 0's call.
-                arrived.fetch_add(1, Ordering::AcqRel);
-                while arrived.load(Ordering::Acquire) < 2 * (r + 1) {
-                    std::thread::yield_now();
+    // Unscoped threads, joined only once every call has returned, and a
+    // bounded receive: a hung call fails the test instead of hanging it.
+    let callers: Vec<_> = (0..2)
+        .map(|t| {
+            let (eng, arrived, tx) = (Arc::clone(&eng), Arc::clone(&arrived), tx.clone());
+            std::thread::spawn(move || {
+                for r in 0..rounds {
+                    // Start each round together (a sleeping barrier wakes
+                    // one thread tens of µs late, so the calls rarely
+                    // overlap), then caller 1 lags 0–15 µs: some rounds
+                    // land it inside caller 0's call.
+                    arrived.fetch_add(1, Ordering::AcqRel);
+                    while arrived.load(Ordering::Acquire) < 2 * (r + 1) {
+                        std::thread::yield_now();
+                    }
+                    let lag = Instant::now() + Duration::from_micros((t * (r % 16)) as u64);
+                    while Instant::now() < lag {
+                        std::hint::spin_loop();
+                    }
+                    let shared = n / 2 + r % (n / 2);
+                    let ids = if t == 0 { vec![r % (n / 2), shared] } else { vec![shared] };
+                    let _ = tx.send(eng.embed(&ids));
                 }
-                let lag = Instant::now() + Duration::from_micros((t * (r % 16)) as u64);
-                while Instant::now() < lag {
-                    std::hint::spin_loop();
-                }
-                let shared = n / 2 + r % (n / 2);
-                let ids = if t == 0 { vec![r % (n / 2), shared] } else { vec![shared] };
-                let _ = tx.send(eng.embed(&ids));
-            }
-        });
-    }
+            })
+        })
+        .collect();
     for call in 0..2 * rounds {
         let out = rx.recv_timeout(Duration::from_secs(30));
         let out = out.unwrap_or_else(|_| panic!("call {call} of {} never returned", 2 * rounds));
         assert!(matches!(out, Err(ServeError::PartFailed { .. })), "{out:?}");
     }
+    callers.into_iter().for_each(|h| h.join().expect("caller panicked"));
     let (begun, resolved) = ledger(&eng.metrics());
     assert_eq!((begun, resolved), (2 * rounds as u64, 2 * rounds as u64));
 }
