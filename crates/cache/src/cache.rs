@@ -3,7 +3,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
 
 use parking_lot::Mutex;
 
@@ -56,28 +55,18 @@ struct InsertStats {
     evicted: u64,
 }
 
-/// Waiters removed from a resolved in-flight registration.
-#[derive(Default)]
-struct TakenWaiters {
-    cells: Vec<Arc<FillCell>>,
-    /// False when the registration was already resolved (double
-    /// fill/abort is a no-op, and must not unbalance the gauge).
-    resolved: bool,
-}
-
 /// One in-flight row computation another request may coalesce onto.
-struct Inflight {
+struct Inflight<W> {
     /// The owner's pinned epoch — the stamp the fill will carry.
     epoch: u64,
     /// Unique registration id, so an owner's completion can never
     /// resolve a different registration for the same node.
     token: u64,
-    /// Waiters to back-fill when the owner completes.
-    waiters: Vec<Arc<FillCell>>,
+    /// The coalesced waiters' handles, returned by the fill or abort.
+    waiters: Vec<W>,
 }
 
-#[derive(Default)]
-struct Segment {
+struct Segment<W> {
     map: HashMap<usize, Entry>,
     /// CLOCK ring of node ids. Invalidation removes from `map` only;
     /// orphaned ring slots are reclaimed lazily when the hand passes.
@@ -86,10 +75,16 @@ struct Segment {
     /// In-flight computations keyed by node. Usually zero or one entry
     /// per node; a second appears only when an epoch bump invalidated
     /// the first mid-flight (the stale one then completes waiter-less).
-    inflight: HashMap<usize, Vec<Inflight>>,
+    inflight: HashMap<usize, Vec<Inflight<W>>>,
 }
 
-impl Segment {
+impl<W> Default for Segment<W> {
+    fn default() -> Self {
+        Segment { map: HashMap::new(), ring: Vec::new(), hand: 0, inflight: HashMap::new() }
+    }
+}
+
+impl<W> Segment<W> {
     /// Retire one resident entry CLOCK-style: referenced entries get a
     /// second chance (bit cleared, hand advances), unreferenced ones
     /// are evicted. Returns false only when the segment is empty.
@@ -142,9 +137,10 @@ pub enum MissRoute {
     Owner(InflightOwner),
     /// An equivalent computation is already in flight — the fill the
     /// owner produces is bit-identical to what this caller would
-    /// compute at its own pinned epoch. Wait on the handle instead of
+    /// compute at its own pinned epoch. The caller's handle is
+    /// registered with it; wait on the handle's other end instead of
     /// computing.
-    Waiter(RowWaiter),
+    Coalesced,
     /// A concurrent fill landed between the caller's lookup miss and
     /// this routing call: the row is already resident and valid at the
     /// caller's pinned epoch — here it is, nothing to compute or wait
@@ -175,112 +171,16 @@ impl InflightOwner {
     }
 }
 
-/// The owner of a coalesced computation gave up (engine shutdown)
-/// before producing the row; the waiter must fail or recompute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillAborted;
-
-impl std::fmt::Display for FillAborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "the in-flight computation this request coalesced onto was aborted")
-    }
-}
-
-impl std::error::Error for FillAborted {}
-
-/// One coalesced waiter's resolution cell: a mutex-guarded slot the
-/// owner's fill (or abort) resolves exactly once. Unlike a channel it
-/// supports **wakeup subscription** — a harvest waiting on many
-/// sources registers a callback and parks once instead of polling.
-struct FillCell {
-    state: StdMutex<CellState>,
-}
-
-#[derive(Default)]
-struct CellState {
-    value: Option<Result<Box<[f32]>, FillAborted>>,
-    watchers: Vec<Arc<dyn Fn() + Send + Sync>>,
-}
-
-impl FillCell {
-    fn new() -> Arc<FillCell> {
-        Arc::new(FillCell { state: StdMutex::new(CellState::default()) })
-    }
-
-    /// Resolve once (later calls are no-ops) and fire subscribed
-    /// watchers — outside the lock, so a watcher may take unrelated
-    /// locks without ordering risk.
-    fn resolve(&self, value: Result<Box<[f32]>, FillAborted>) {
-        let watchers = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.value.is_some() {
-                return;
-            }
-            st.value = Some(value);
-            std::mem::take(&mut st.watchers)
-        };
-        for w in watchers {
-            w();
-        }
-    }
-
-    /// Take the resolution if present. A consumed cell keeps reporting
-    /// `FillAborted`, matching the disconnected-channel semantics the
-    /// waiter had when it was mpsc-based.
-    fn take_locked(st: &mut CellState) -> Option<Result<Box<[f32]>, FillAborted>> {
-        if st.value.is_some() {
-            st.value.replace(Err(FillAborted))
-        } else {
-            None
-        }
-    }
-}
-
-/// Waiter-side handle of a coalesced miss: resolves with the computed
-/// row when the owning request's fill lands. [`RowWaiter::poll`]
-/// probes it; [`RowWaiter::subscribe`] registers a wakeup callback for
-/// multi-source waiting.
-pub struct RowWaiter {
-    cell: Arc<FillCell>,
-}
-
-impl std::fmt::Debug for RowWaiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RowWaiter").finish_non_exhaustive()
-    }
-}
-
-impl RowWaiter {
-    /// Non-blocking probe: `Some(Ok(row))` once filled, `Some(Err(_))`
-    /// when the owner aborted, `None` while still in flight.
-    pub fn poll(&self) -> Option<Result<Box<[f32]>, FillAborted>> {
-        let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        FillCell::take_locked(&mut st)
-    }
-
-    /// Register a wakeup callback: fired once when the cell resolves
-    /// (fill or abort) — immediately, if it already has.
-    pub fn subscribe(&self, watcher: Arc<dyn Fn() + Send + Sync>) {
-        let fire_now = {
-            let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.value.is_some() {
-                true
-            } else {
-                st.watchers.push(watcher.clone());
-                false
-            }
-        };
-        if fire_now {
-            watcher();
-        }
-    }
-}
-
 /// A sharded, lock-striped, epoch-aware cache of computed embedding
 /// rows. See the crate docs for the validity contract; see
 /// [`CacheConfig`] for sizing.
-pub struct ResultCache {
-    segments: Vec<Mutex<Segment>>,
+///
+/// `W` is the handle a coalesced miss registers with an in-flight
+/// computation ([`ResultCache::route_miss`]); the owner's
+/// [`fill`](ResultCache::fill) or [`abort`](ResultCache::abort) hands
+/// the handles back, so what a waiter waits on is the caller's choice.
+pub struct ResultCache<W> {
+    segments: Vec<Mutex<Segment<W>>>,
     /// Per-segment resident-entry cap derived from the byte budget.
     seg_cap: usize,
     d: usize,
@@ -297,7 +197,7 @@ pub struct ResultCache {
     stats: CacheStats,
 }
 
-impl std::fmt::Debug for ResultCache {
+impl<W> std::fmt::Debug for ResultCache<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("nvertices", &self.nvertices)
@@ -309,13 +209,13 @@ impl std::fmt::Debug for ResultCache {
     }
 }
 
-impl ResultCache {
+impl<W> ResultCache<W> {
     /// A cache over output rows of a graph with `nvertices` rows at
     /// embedding dimension `d`.
     ///
     /// # Panics
     /// Panics when `config.segments == 0`.
-    pub fn new(nvertices: usize, d: usize, config: CacheConfig) -> ResultCache {
+    pub fn new(nvertices: usize, d: usize, config: CacheConfig) -> ResultCache<W> {
         assert!(config.segments > 0, "cache needs at least one segment");
         let row_bytes = 4 * d + ENTRY_OVERHEAD;
         // At least one row per segment so a tiny budget still caches.
@@ -358,7 +258,7 @@ impl ResultCache {
         node % self.segments.len()
     }
 
-    fn segment(&self, node: usize) -> &Mutex<Segment> {
+    fn segment(&self, node: usize) -> &Mutex<Segment<W>> {
         &self.segments[self.segment_of(node)]
     }
 
@@ -444,7 +344,7 @@ impl ResultCache {
     /// stat deltas deferred (atomics are not touched while locked).
     fn insert_locked(
         &self,
-        seg: &mut Segment,
+        seg: &mut Segment<W>,
         node: usize,
         epoch: u64,
         row: &[f32],
@@ -501,12 +401,15 @@ impl ResultCache {
     /// must resolve the registration with [`ResultCache::fill`] or
     /// [`ResultCache::abort`]), or it **coalesces** onto an in-flight
     /// computation whose fill is provably bit-identical to what the
-    /// caller would compute at `pinned`, or — when a concurrent fill
-    /// landed between the caller's lookup miss and this call — the row
-    /// is already **resident** and returned directly. The
-    /// resident/in-flight/owner decision is atomic under the segment
-    /// lock ([`ResultCache::fill`] resolves under the same lock), so a
-    /// row is never computed twice within one validity window.
+    /// caller would compute at `pinned` (the handle `waiter()` makes is
+    /// registered with it), or — when a concurrent fill landed between
+    /// the caller's lookup miss and this call — the row is already
+    /// **resident** and returned directly. `waiter` runs only when the
+    /// miss coalesces, under the segment lock: it must not call back
+    /// into the cache. The resident/in-flight/owner decision is atomic
+    /// under the segment lock ([`ResultCache::fill`] resolves under the
+    /// same lock), so a row is never computed twice within one validity
+    /// window.
     ///
     /// Coalescing applies the same validity predicate as a lookup: a
     /// waiter pinned to `pinned` attaches to an in-flight registration
@@ -519,7 +422,7 @@ impl ResultCache {
     ///
     /// # Panics
     /// Panics when `node >= nvertices`.
-    pub fn route_miss(&self, node: usize, pinned: u64) -> MissRoute {
+    pub fn route_miss(&self, node: usize, pinned: u64, waiter: impl FnOnce() -> W) -> MissRoute {
         assert!(node < self.nvertices, "node {node} outside cache range {}", self.nvertices);
         let mut seg = self.segment(node).lock();
         // A fill may have landed since the caller's lookup missed:
@@ -537,11 +440,10 @@ impl ResultCache {
         }
         if let Some(entries) = seg.inflight.get_mut(&node) {
             if let Some(e) = entries.iter_mut().find(|e| self.valid(node, e.epoch, pinned)) {
-                let cell = FillCell::new();
-                e.waiters.push(Arc::clone(&cell));
+                e.waiters.push(waiter());
                 drop(seg);
                 self.stats.coalesced_misses.fetch_add(1, Ordering::Relaxed);
-                return MissRoute::Waiter(RowWaiter { cell });
+                return MissRoute::Coalesced;
             }
         }
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
@@ -555,66 +457,61 @@ impl ResultCache {
         MissRoute::Owner(InflightOwner { node, epoch: pinned, token })
     }
 
-    /// Complete an in-flight registration: back-fill every coalesced
-    /// waiter with `row` and insert it into the cache (subject to the
-    /// usual staleness refusal — a fill raced by an invalidation still
+    /// Complete an in-flight registration: insert `row` into the cache
+    /// and hand back the coalesced waiters' handles, for the caller to
+    /// back-fill with `row` (a fill raced by an invalidation still
     /// serves its registered waiters, whose pinned epochs pre-date the
     /// invalidation, but is not admitted as a cache entry). The
     /// registration removal and the insert happen under one segment
     /// lock acquisition, so a concurrent [`ResultCache::route_miss`]
     /// observes either "in flight" or "resident" — never the gap in
-    /// between (which would make it recompute the row).
+    /// between (which would make it recompute the row). The handles
+    /// come back after the lock drops, so whatever releasing one does
+    /// (a wakeup, another lock) runs outside it. A registration already
+    /// resolved has no handles left.
     ///
     /// # Panics
     /// Panics when `row.len() != d`.
-    pub fn fill(&self, owner: InflightOwner, row: &[f32]) {
+    pub fn fill(&self, owner: InflightOwner, row: &[f32]) -> Vec<W> {
         assert_eq!(row.len(), self.d, "row slice must hold one row");
         let mut seg = self.segment(owner.node).lock();
         let waiters = Self::take_inflight_locked(&mut seg, &owner);
         let outcome = self.insert_locked(&mut seg, owner.node, owner.epoch, row);
         drop(seg);
-        // Waiter cells resolve after the segment lock drops: the
-        // registration removal and the insert already happened
-        // atomically above, and a subscribed watcher must be free to
-        // take unrelated locks.
-        for cell in &waiters.cells {
-            cell.resolve(Ok(row.into()));
-        }
-        if waiters.resolved {
-            self.stats.inflight.dec();
-        }
         self.apply_insert_stats(outcome);
+        self.resolved(waiters)
     }
 
     /// Abandon an in-flight registration (the owning request failed,
-    /// e.g. on engine shutdown): waiters observe the abort and fail or
-    /// recompute; nothing is inserted.
-    pub fn abort(&self, owner: InflightOwner) {
+    /// e.g. on engine shutdown): nothing is inserted, and the coalesced
+    /// waiters' handles come back, after the lock drops, for the caller
+    /// to fail.
+    pub fn abort(&self, owner: InflightOwner) -> Vec<W> {
         let mut seg = self.segment(owner.node).lock();
         let waiters = Self::take_inflight_locked(&mut seg, &owner);
         drop(seg);
-        for cell in &waiters.cells {
-            cell.resolve(Err(FillAborted));
-        }
-        if waiters.resolved {
-            self.stats.inflight.dec();
-        }
+        self.resolved(waiters)
     }
 
     /// Remove `owner`'s registration under the caller-held lock,
-    /// returning its waiters (gauge update deferred to the caller).
-    fn take_inflight_locked(seg: &mut Segment, owner: &InflightOwner) -> TakenWaiters {
-        let Some(entries) = seg.inflight.get_mut(&owner.node) else {
-            return TakenWaiters::default();
-        };
-        let Some(pos) = entries.iter().position(|e| e.token == owner.token) else {
-            return TakenWaiters::default();
-        };
+    /// returning its waiters — `None` when it was already resolved.
+    fn take_inflight_locked(seg: &mut Segment<W>, owner: &InflightOwner) -> Option<Vec<W>> {
+        let entries = seg.inflight.get_mut(&owner.node)?;
+        let pos = entries.iter().position(|e| e.token == owner.token)?;
         let entry = entries.swap_remove(pos);
         if entries.is_empty() {
             seg.inflight.remove(&owner.node);
         }
-        TakenWaiters { cells: entry.waiters, resolved: true }
+        Some(entry.waiters)
+    }
+
+    /// The gauge side of a resolution: a registration resolved twice
+    /// (double fill or abort) is a no-op and leaves the gauge alone.
+    fn resolved(&self, waiters: Option<Vec<W>>) -> Vec<W> {
+        if waiters.is_some() {
+            self.stats.inflight.dec();
+        }
+        waiters.unwrap_or_default()
     }
 
     /// A publish minted `epoch`: lazily invalidate every entry stamped
@@ -671,7 +568,17 @@ mod tests {
         vec![v; d]
     }
 
-    fn tiny(nvertices: usize, d: usize, rows_budget: usize) -> ResultCache {
+    /// A cache at the default sizing whose waiters are tagged by number.
+    fn cache(nvertices: usize, d: usize) -> ResultCache<u32> {
+        ResultCache::new(nvertices, d, CacheConfig::default())
+    }
+
+    /// A route that must not coalesce: making a waiter is a failure.
+    fn no_waiter() -> u32 {
+        panic!("this miss must not coalesce")
+    }
+
+    fn tiny(nvertices: usize, d: usize, rows_budget: usize) -> ResultCache<u32> {
         // One segment so capacity is exact and eviction deterministic.
         let row_bytes = 4 * d + ENTRY_OVERHEAD;
         ResultCache::new(
@@ -683,7 +590,7 @@ mod tests {
 
     #[test]
     fn roundtrip_hit_and_absent_miss() {
-        let c = ResultCache::new(10, 4, CacheConfig::default());
+        let c = cache(10, 4);
         let mut out = row(4, 0.0);
         assert!(!c.lookup(3, 0, &mut out));
         c.insert(3, 0, &row(4, 1.5));
@@ -696,7 +603,7 @@ mod tests {
 
     #[test]
     fn publish_invalidates_everything_lazily() {
-        let c = ResultCache::new(4, 2, CacheConfig::default());
+        let c = cache(4, 2);
         c.insert(0, 0, &row(2, 1.0));
         c.insert(1, 0, &row(2, 2.0));
         c.invalidate_all(1);
@@ -712,7 +619,7 @@ mod tests {
 
     #[test]
     fn delta_invalidation_is_precise() {
-        let c = ResultCache::new(6, 2, CacheConfig::default());
+        let c = cache(6, 2);
         for u in 0..6 {
             c.insert(u, 0, &row(2, u as f32));
         }
@@ -732,7 +639,7 @@ mod tests {
 
     #[test]
     fn stale_reinsert_after_delta_is_rejected() {
-        let c = ResultCache::new(4, 2, CacheConfig::default());
+        let c = cache(4, 2);
         // Reader computed node 2's row at epoch 0; before it could
         // insert, a delta touching node 2 minted epoch 1.
         c.invalidate_rows(1, &[2]);
@@ -747,7 +654,7 @@ mod tests {
 
     #[test]
     fn old_reader_never_sees_a_newer_row() {
-        let c = ResultCache::new(4, 2, CacheConfig::default());
+        let c = cache(4, 2);
         c.insert(1, 5, &row(2, 5.0));
         let mut out = row(2, 0.0);
         // A reader still pinned to epoch 3 must recompute, not read
@@ -809,20 +716,17 @@ mod tests {
 
     #[test]
     fn second_miss_coalesces_and_is_backfilled() {
-        let c = ResultCache::new(8, 2, CacheConfig::default());
-        let MissRoute::Owner(owner) = c.route_miss(3, 0) else {
+        let c = cache(8, 2);
+        let MissRoute::Owner(owner) = c.route_miss(3, 0, no_waiter) else {
             panic!("first miss must own the computation");
         };
-        let MissRoute::Waiter(w1) = c.route_miss(3, 0) else {
+        let MissRoute::Coalesced = c.route_miss(3, 0, || 1) else {
             panic!("second miss must coalesce");
         };
-        let MissRoute::Waiter(w2) = c.route_miss(3, 0) else {
+        let MissRoute::Coalesced = c.route_miss(3, 0, || 2) else {
             panic!("third miss must coalesce too");
         };
-        assert!(w1.poll().is_none(), "nothing filled yet");
-        c.fill(owner, &row(2, 7.0));
-        assert_eq!(w1.poll().expect("filled").unwrap().as_ref(), &[7.0, 7.0]);
-        assert_eq!(w2.poll().unwrap().unwrap().as_ref(), &[7.0, 7.0]);
+        assert_eq!(c.fill(owner, &row(2, 7.0)), vec![1, 2], "the fill hands back both waiters");
         // The fill also landed as a cache entry.
         let mut out = row(2, 0.0);
         assert!(c.lookup(3, 0, &mut out));
@@ -835,30 +739,25 @@ mod tests {
 
     #[test]
     fn coalescing_spans_epochs_only_while_valid() {
-        let c = ResultCache::new(8, 2, CacheConfig::default());
-        let MissRoute::Owner(owner) = c.route_miss(5, 0) else { panic!("owner") };
+        let c = cache(8, 2);
+        let MissRoute::Owner(owner) = c.route_miss(5, 0, no_waiter) else { panic!("owner") };
         // A reader pinned to a *newer* epoch with no invalidating write
         // in between coalesces: the epoch-0 row equals the epoch-2 row.
-        let MissRoute::Waiter(w) = c.route_miss(5, 2) else {
+        let MissRoute::Coalesced = c.route_miss(5, 2, || 1) else {
             panic!("valid newer pin must coalesce")
         };
         // A delta touching node 5 mints epoch 3: readers at the new
         // epoch must re-compute, not consume the stale fill.
         c.invalidate_rows(3, &[5]);
-        let MissRoute::Owner(owner2) = c.route_miss(5, 3) else {
+        let MissRoute::Owner(owner2) = c.route_miss(5, 3, no_waiter) else {
             panic!("post-invalidation miss must re-compute")
         };
-        c.fill(owner, &row(2, 1.0));
-        assert_eq!(
-            w.poll().expect("filled").unwrap().as_ref(),
-            &[1.0, 1.0],
-            "pre-bump waiter still served"
-        );
+        assert_eq!(c.fill(owner, &row(2, 1.0)), vec![1], "pre-bump waiter still served");
         // The stale fill was refused as a cache entry...
         let mut out = row(2, 0.0);
         assert!(!c.lookup(5, 3, &mut out));
         // ...while the re-computed one is admitted.
-        c.fill(owner2, &row(2, 2.0));
+        assert!(c.fill(owner2, &row(2, 2.0)).is_empty());
         assert!(c.lookup(5, 3, &mut out));
         assert_eq!(out, row(2, 2.0));
         assert_eq!(c.metrics().inflight_rows, 0);
@@ -869,10 +768,10 @@ mod tests {
         // The exactly-once race: a lookup misses, the in-flight fill
         // lands, then the routing call runs. It must return the
         // now-resident row, never register a second owner.
-        let c = ResultCache::new(8, 2, CacheConfig::default());
-        let MissRoute::Owner(owner) = c.route_miss(6, 0) else { panic!("owner") };
-        c.fill(owner, &row(2, 9.0));
-        match c.route_miss(6, 0) {
+        let c = cache(8, 2);
+        let MissRoute::Owner(owner) = c.route_miss(6, 0, no_waiter) else { panic!("owner") };
+        assert!(c.fill(owner, &row(2, 9.0)).is_empty());
+        match c.route_miss(6, 0, no_waiter) {
             MissRoute::Resident(r) => assert_eq!(r.as_ref(), &[9.0, 9.0]),
             _ => panic!("post-fill route must find the resident row"),
         }
@@ -881,50 +780,31 @@ mod tests {
         assert_eq!(m.inflight_rows, 0);
         // A stale resident row (invalidated since) is not served.
         c.invalidate_rows(1, &[6]);
-        match c.route_miss(6, 1) {
-            MissRoute::Owner(o) => c.abort(o),
+        match c.route_miss(6, 1, no_waiter) {
+            MissRoute::Owner(o) => assert!(c.abort(o).is_empty()),
             _ => panic!("invalidated resident row must not be served"),
         }
     }
 
     #[test]
-    fn abort_disconnects_waiters() {
-        let c = ResultCache::new(4, 2, CacheConfig::default());
-        let MissRoute::Owner(owner) = c.route_miss(1, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = c.route_miss(1, 0) else { panic!("waiter") };
-        c.abort(owner);
-        assert_eq!(w.poll(), Some(Err(FillAborted)));
+    fn abort_hands_back_its_waiters_and_inserts_nothing() {
+        let c = cache(4, 2);
+        let MissRoute::Owner(owner) = c.route_miss(1, 0, no_waiter) else { panic!("owner") };
+        let MissRoute::Coalesced = c.route_miss(1, 0, || 4) else { panic!("waiter") };
+        let again = InflightOwner { ..owner };
+        assert_eq!(c.abort(owner), vec![4]);
         let mut out = row(2, 0.0);
         assert!(!c.lookup(1, 0, &mut out), "aborted computation inserted nothing");
+        assert_eq!(c.metrics().inflight_rows, 0);
+        // Resolving the same registration again is a no-op: no waiter
+        // comes back twice and the gauge does not go below zero.
+        assert!(c.abort(again).is_empty());
         assert_eq!(c.metrics().inflight_rows, 0);
     }
 
     #[test]
-    fn subscribed_watcher_fires_on_fill_and_immediately_when_late() {
-        use std::sync::atomic::AtomicUsize;
-        let c = ResultCache::new(4, 2, CacheConfig::default());
-        let MissRoute::Owner(owner) = c.route_miss(3, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = c.route_miss(3, 0) else { panic!("waiter") };
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        w.subscribe(Arc::new(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 0, "nothing resolved yet");
-        c.fill(owner, &row(2, 6.0));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "watcher fired on fill");
-        // Subscribing after resolution fires at once.
-        let f = Arc::clone(&fired);
-        w.subscribe(Arc::new(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-        assert_eq!(w.poll().unwrap().unwrap().as_ref(), &[6.0, 6.0]);
-    }
-
-    #[test]
     fn concurrent_mixed_traffic_stays_consistent() {
-        let c = std::sync::Arc::new(ResultCache::new(
+        let c = std::sync::Arc::new(ResultCache::<u32>::new(
             64,
             8,
             CacheConfig { byte_budget: 40 * (4 * 8 + ENTRY_OVERHEAD), segments: 4 },

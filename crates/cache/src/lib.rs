@@ -46,8 +46,10 @@
 //! compute the row. [`ResultCache::route_miss`] closes that gap with
 //! in-flight entry states: the first miss in a validity window becomes
 //! the **owner** (it computes the row and resolves the registration
-//! with [`ResultCache::fill`]), later misses become **waiters**
-//! ([`cache::RowWaiter`]) back-filled when the owner's fill lands.
+//! with [`ResultCache::fill`]), later misses become **waiters**: each
+//! registers a handle of the caller's choosing (the `W` of
+//! [`ResultCache<W>`]), which the owner's fill or
+//! [`abort`](ResultCache::abort) hands back for the caller to resolve.
 //! Coalescing applies the exact lookup validity predicate to the
 //! in-flight registration's epoch stamp, so a waiter only ever receives
 //! a row bit-identical to what it would have computed itself — and an
@@ -59,5 +61,5 @@
 pub mod cache;
 pub mod stats;
 
-pub use cache::{CacheConfig, FillAborted, InflightOwner, MissRoute, ResultCache, RowWaiter};
+pub use cache::{CacheConfig, InflightOwner, MissRoute, ResultCache};
 pub use stats::{CacheMetrics, CacheStats};

@@ -26,29 +26,37 @@
 //!   caches (a replica: its band's rows only), one counting pass at
 //!   construction.
 //!
-//! Owned rows travel with their part as a `FillSet` inside its
-//! [`PartSlot`](crate::PartSlot): whoever resolves the slot with rows
-//! resolves every registration (cache insert + waiter back-fill) before
-//! completing the caller — so coalesced waiters resolve as soon as the
-//! computation does, independent of when (or whether) the owning ticket
-//! is harvested.
+//! A coalesced miss registers the sending half of a reply slot with the
+//! registration it rides, and its ticket holds the receiving half, as
+//! it does for a part. Owned rows travel with their part as a `FillSet`
+//! inside its [`PartSlot`](crate::PartSlot): whoever resolves the slot
+//! with rows resolves every registration (cache insert, then one row
+//! sent to each coalesced waiter) before completing the caller — so
+//! coalesced waiters resolve as soon as the computation does,
+//! independent of when (or whether) the owning ticket is harvested. A
+//! registration aborted instead drops its waiters' senders, which closes
+//! their slots.
 
 use std::sync::{Arc, OnceLock, Weak};
 
-use fusedmm_cache::{CacheConfig, CacheMetrics, InflightOwner, MissRoute, ResultCache};
+use fusedmm_cache::{CacheConfig, InflightOwner, ResultCache};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::band::Band;
 use crate::fault::FaultPlan;
 use crate::store::EpochListener;
+use crate::wait::SlotTx;
 
 /// An embedding result cache for one graph, keyed by global node id
 /// and owned by the front end whatever its transport. Constructed when
 /// [`EngineConfig::cache`](crate::EngineConfig) is set; callers only
 /// observe it through the front end's `fusedmm_cache_*` samples.
 pub(crate) struct EmbedCache {
-    cache: ResultCache,
+    /// The rows, and the slots of the misses coalesced onto an
+    /// in-flight row: what the front end routes through and a
+    /// [`FillSet`] resolves.
+    pub(crate) results: ResultCache<SlotTx>,
     in_neighbors: InNeighbors,
 }
 
@@ -65,7 +73,7 @@ enum InNeighbors {
 
 impl std::fmt::Debug for EmbedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EmbedCache").field("cache", &self.cache).finish_non_exhaustive()
+        f.debug_struct("EmbedCache").field("results", &self.results).finish_non_exhaustive()
     }
 }
 
@@ -76,7 +84,7 @@ impl EmbedCache {
     /// the store can announce a delta to it.
     pub(crate) fn over_bands(nvertices: usize, d: usize, config: CacheConfig) -> EmbedCache {
         let in_neighbors = InNeighbors::Bands(OnceLock::new());
-        EmbedCache { cache: ResultCache::new(nvertices, d, config), in_neighbors }
+        EmbedCache { results: ResultCache::new(nvertices, d, config), in_neighbors }
     }
 
     /// A cache over `nvertices` output rows at embedding dimension `d`
@@ -92,7 +100,7 @@ impl EmbedCache {
         config: CacheConfig,
     ) -> EmbedCache {
         let in_neighbors = InNeighbors::Transpose { rev: rows.transpose(), start };
-        EmbedCache { cache: ResultCache::new(nvertices, d, config), in_neighbors }
+        EmbedCache { results: ResultCache::new(nvertices, d, config), in_neighbors }
     }
 
     /// Hand a band-indexed cache the bands that serve its rows, in row
@@ -142,68 +150,40 @@ impl EmbedCache {
     /// Probe every requested node at the pinned epoch. Hit rows are
     /// copied straight into the matching rows of `out` (one row per
     /// entry of `nodes`, caller-allocated); returns the sorted,
-    /// deduplicated missing nodes plus the positions in `nodes` still
-    /// to be filled. Records the per-request hit ratio.
+    /// deduplicated missing nodes plus the `(position in nodes, node)`
+    /// pairs still to be filled. Records the per-request hit ratio.
     pub(crate) fn split(
         &self,
         nodes: &[usize],
         epoch: u64,
         out: &mut Dense,
-    ) -> (Vec<usize>, Vec<usize>) {
+    ) -> (Vec<usize>, Vec<(usize, usize)>) {
         let mut misses = Vec::new();
         let mut positions = Vec::new();
         for (i, &u) in nodes.iter().enumerate() {
-            if self.cache.lookup(u, epoch, out.row_mut(i)) {
+            if self.results.lookup(u, epoch, out.row_mut(i)) {
                 continue;
             }
             misses.push(u);
-            positions.push(i);
+            positions.push((i, u));
         }
-        self.cache.record_request((nodes.len() - positions.len()) as u64, nodes.len() as u64);
+        self.results.record_request((nodes.len() - positions.len()) as u64, nodes.len() as u64);
         misses.sort_unstable();
         misses.dedup();
         (misses, positions)
-    }
-
-    /// Route one missing node at the pinned epoch: own the computation
-    /// or coalesce onto an in-flight one (see
-    /// [`ResultCache::route_miss`]).
-    pub(crate) fn route_miss(&self, node: usize, epoch: u64) -> MissRoute {
-        self.cache.route_miss(node, epoch)
-    }
-
-    /// Resolve one owned registration with its computed row.
-    pub(crate) fn fill(&self, owner: InflightOwner, row: &[f32]) {
-        self.cache.fill(owner, row);
-    }
-
-    /// Abandon one owned registration (the computation failed).
-    pub(crate) fn abort(&self, owner: InflightOwner) {
-        self.cache.abort(owner);
-    }
-
-    /// The lock stripe `node`'s entry lives in (the fault plan's
-    /// poisoned-segment targeting).
-    pub(crate) fn segment_of(&self, node: usize) -> usize {
-        self.cache.segment_of(node)
-    }
-
-    /// Point-in-time cache statistics (the collector's input).
-    pub(crate) fn metrics(&self) -> CacheMetrics {
-        self.cache.metrics()
     }
 }
 
 impl EpochListener for EmbedCache {
     fn on_publish(&self, epoch: u64) {
-        self.cache.invalidate_all(epoch);
+        self.results.invalidate_all(epoch);
     }
 
     fn on_delta(&self, epoch: u64, rows: &[usize]) {
         // The touch set may include patched Y-row ids beyond the
         // output row space on rectangular graphs; the cache ignores
         // out-of-range ids.
-        self.cache.invalidate_rows(epoch, &self.touch_set(rows));
+        self.results.invalidate_rows(epoch, &self.touch_set(rows));
     }
 }
 
@@ -212,15 +192,15 @@ impl EpochListener for EmbedCache {
 /// request's `i`-th node. The band's launch resolves the set with
 /// [`FillSet::complete`] when the rows are computed; a set dropped
 /// unresolved (the request never dispatched, e.g. enqueue raced a
-/// shutdown) aborts every registration so coalesced waiters observe
-/// the failure instead of hanging.
+/// shutdown) aborts every registration: its waiters' slots close, so
+/// they observe the failure instead of hanging.
 pub(crate) struct FillSet {
     cache: Arc<EmbedCache>,
     owners: Vec<InflightOwner>,
     /// When a fault plan poisons a cache segment, fills landing in it
     /// are aborted instead of inserted — the owning request still gets
     /// its computed rows, but the row is never cached and coalesced
-    /// waiters observe the failure (chaos coverage for the abort path).
+    /// waiters' slots close (chaos coverage for the abort path).
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -236,21 +216,27 @@ impl FillSet {
     }
 
     /// Resolve every registration: `rows.row(i)` is the computed row
-    /// for `owners[i]` — inserted into the cache and sent to every
-    /// coalesced waiter (or aborted, when the fault plan poisoned the
-    /// owner's segment). A fault plan's fill delay stalls here first,
-    /// widening the window in which coalesced waiters are outstanding.
+    /// for `owners[i]` — inserted into the cache and sent, as a one-row
+    /// matrix, to every coalesced waiter (or aborted, when the fault
+    /// plan poisoned the owner's segment, which closes the waiters'
+    /// slots). A fault plan's fill delay stalls here first, widening the
+    /// window in which coalesced waiters are outstanding.
     pub(crate) fn complete(mut self, rows: &Dense) {
         assert_eq!(rows.nrows(), self.owners.len(), "one computed row per owned registration");
         if let Some(delay) = self.fault.as_ref().and_then(|f| f.fill_delay()) {
             std::thread::sleep(delay);
         }
         let poisoned = self.fault.as_ref().and_then(|f| f.poisoned_segment());
+        let results = &self.cache.results;
         for (i, owner) in self.owners.drain(..).enumerate() {
-            if poisoned == Some(self.cache.segment_of(owner.node())) {
-                self.cache.abort(owner);
-            } else {
-                self.cache.fill(owner, rows.row(i));
+            if poisoned == Some(results.segment_of(owner.node())) {
+                drop(results.abort(owner));
+                continue;
+            }
+            let row = rows.row(i);
+            for waiter in results.fill(owner, row) {
+                let one = Dense::from_rows(1, row.len(), row).expect("one row");
+                waiter.send(Ok(one));
             }
         }
     }
@@ -259,7 +245,7 @@ impl FillSet {
 impl Drop for FillSet {
     fn drop(&mut self) {
         for owner in self.owners.drain(..) {
-            self.cache.abort(owner);
+            drop(self.cache.results.abort(owner));
         }
     }
 }
@@ -269,6 +255,8 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::front::Resolved;
+    use crate::wait::{slot, SlotPoll, SlotRx};
+    use fusedmm_cache::MissRoute;
     use fusedmm_core::{Partition, PartitionStrategy};
     use fusedmm_graph::rmat::{rmat, RmatConfig};
     use fusedmm_ops::OpSet;
@@ -399,14 +387,42 @@ mod tests {
         assert_eq!(cache.touch_set(&[v]), vec![v]);
     }
 
+    /// A route that must not coalesce.
+    fn no_waiter() -> SlotTx {
+        panic!("an uncontended cold route must own")
+    }
+
     /// Route-and-fill every node as an owner — the shape the
     /// launch's [`FillSet`] path takes with no contention.
     fn fill_all(cache: &EmbedCache, epoch: u64, nodes: &[usize], rows: &Dense) {
         for (i, &u) in nodes.iter().enumerate() {
-            match cache.route_miss(u, epoch) {
-                MissRoute::Owner(owner) => cache.fill(owner, rows.row(i)),
+            match cache.results.route_miss(u, epoch, no_waiter) {
+                MissRoute::Owner(owner) => {
+                    assert!(cache.results.fill(owner, rows.row(i)).is_empty())
+                }
                 _ => panic!("uncontended cold route must own"),
             }
+        }
+    }
+
+    /// Own `node`'s row, then coalesce a second miss onto it: the
+    /// registration and the waiter's receiving half.
+    fn owner_and_waiter(cache: &EmbedCache, node: usize) -> (InflightOwner, SlotRx) {
+        let MissRoute::Owner(owner) = cache.results.route_miss(node, 0, no_waiter) else {
+            panic!("owner")
+        };
+        let (tx, rx) = slot();
+        let MissRoute::Coalesced = cache.results.route_miss(node, 0, || tx) else {
+            panic!("waiter")
+        };
+        (owner, rx)
+    }
+
+    /// The one row a filled waiter's slot holds.
+    fn filled(rx: &SlotRx) -> Vec<f32> {
+        match rx.try_recv() {
+            SlotPoll::Reply(Ok(z)) if z.nrows() == 1 => z.as_slice().to_vec(),
+            _ => panic!("a filled waiter holds one row"),
         }
     }
 
@@ -418,7 +434,7 @@ mod tests {
         // Nothing cached yet: everything misses, duplicates dedup.
         let (misses, positions) = cache.split(&[3, 1, 3, 5], 0, &mut out);
         assert_eq!(misses, vec![1, 3, 5]);
-        assert_eq!(positions, vec![0, 1, 2, 3]);
+        assert_eq!(positions, vec![(0, 3), (1, 1), (2, 3), (3, 5)]);
         // Fill and re-probe: all hits, rows land in place.
         let rows = Dense::from_rows(3, 2, &[1.0, 1.0, 3.0, 3.0, 5.0, 5.0]).unwrap();
         fill_all(&cache, 0, &misses, &rows);
@@ -429,7 +445,7 @@ mod tests {
         assert_eq!(out2.row(1), &[1.0, 1.0]);
         assert_eq!(out2.row(2), &[3.0, 3.0]);
         assert_eq!(out2.row(3), &[5.0, 5.0]);
-        let m = cache.metrics();
+        let m = cache.results.metrics();
         assert_eq!((m.hits, m.misses), (4, 4));
         assert_eq!(m.hit_ratio.count, 2, "one ratio observation per request");
     }
@@ -447,7 +463,7 @@ mod tests {
         let mut out = Dense::zeros(n, 2);
         let (misses, _) = cache.split(&all, 1, &mut out);
         assert_eq!(misses, vec![3, 4], "only vertex 4 and its in-neighbor 3 were retired");
-        assert_eq!(cache.metrics().invalidated_rows, 2);
+        assert_eq!(cache.results.metrics().invalidated_rows, 2);
     }
 
     #[test]
@@ -458,28 +474,26 @@ mod tests {
         let mut out = Dense::zeros(4, 2);
         let (misses, _) = cache.split(&[0, 1, 2, 3], 1, &mut out);
         assert_eq!(misses, vec![0, 1, 2, 3]);
-        assert_eq!(cache.metrics().flushes, 1);
+        assert_eq!(cache.results.metrics().flushes, 1);
     }
 
     #[test]
     fn dropped_fillset_aborts_its_registrations() {
         let cache = Arc::new(transposed(&ring(4)));
-        let MissRoute::Owner(owner) = cache.route_miss(2, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = cache.route_miss(2, 0) else { panic!("waiter") };
+        let (owner, rx) = owner_and_waiter(&cache, 2);
         drop(FillSet::new(Arc::clone(&cache), vec![owner], None));
-        assert!(w.poll().expect("resolved").is_err(), "waiter observes the abort, not a hang");
-        assert_eq!(cache.metrics().inflight_rows, 0);
+        assert!(matches!(rx.try_recv(), SlotPoll::Closed), "the waiter's slot closes, no hang");
+        assert_eq!(cache.results.metrics().inflight_rows, 0);
     }
 
     #[test]
     fn completed_fillset_backfills_waiters_and_cache() {
         let cache = Arc::new(transposed(&ring(4)));
-        let MissRoute::Owner(o1) = cache.route_miss(1, 0) else { panic!("owner") };
-        let MissRoute::Owner(o2) = cache.route_miss(3, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = cache.route_miss(3, 0) else { panic!("waiter") };
+        let MissRoute::Owner(o1) = cache.results.route_miss(1, 0, no_waiter) else { panic!() };
+        let (o2, rx) = owner_and_waiter(&cache, 3);
         let rows = Dense::from_rows(2, 2, &[1.0, 1.5, 3.0, 3.5]).unwrap();
         FillSet::new(Arc::clone(&cache), vec![o1, o2], None).complete(&rows);
-        assert_eq!(w.poll().expect("filled").unwrap().as_ref(), &[3.0, 3.5]);
+        assert_eq!(filled(&rx), [3.0, 3.5]);
         let mut out = Dense::zeros(2, 2);
         let (misses, _) = cache.split(&[1, 3], 0, &mut out);
         assert!(misses.is_empty(), "both rows resident after the fill");
@@ -490,21 +504,20 @@ mod tests {
     #[test]
     fn poisoned_segment_aborts_only_its_fills() {
         let cache = Arc::new(transposed(&ring(4)));
-        let poisoned = cache.segment_of(2);
-        let healthy =
-            (0..4).find(|&u| cache.segment_of(u) != poisoned).expect("more than one stripe");
+        let poisoned = cache.results.segment_of(2);
+        let healthy = (0..4)
+            .find(|&u| cache.results.segment_of(u) != poisoned)
+            .expect("more than one stripe");
         let plan = Arc::new(FaultPlan::parse(&format!("poison_segment={poisoned}")).unwrap());
-        let MissRoute::Owner(o1) = cache.route_miss(2, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w_poisoned) = cache.route_miss(2, 0) else { panic!("waiter") };
-        let MissRoute::Owner(o2) = cache.route_miss(healthy, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w_healthy) = cache.route_miss(healthy, 0) else { panic!("waiter") };
+        let (o1, rx_poisoned) = owner_and_waiter(&cache, 2);
+        let (o2, rx_healthy) = owner_and_waiter(&cache, healthy);
         let rows = Dense::from_rows(2, 2, &[2.0, 2.5, 7.0, 7.5]).unwrap();
         FillSet::new(Arc::clone(&cache), vec![o1, o2], Some(plan)).complete(&rows);
         assert!(
-            w_poisoned.poll().expect("resolved").is_err(),
-            "poisoned fill aborted, waiter fails cleanly"
+            matches!(rx_poisoned.try_recv(), SlotPoll::Closed),
+            "poisoned fill aborted, the waiter's slot closes"
         );
-        assert_eq!(w_healthy.poll().expect("filled").unwrap().as_ref(), &[7.0, 7.5]);
+        assert_eq!(filled(&rx_healthy), [7.0, 7.5]);
         let mut out = Dense::zeros(1, 2);
         let (misses, _) = cache.split(&[2], 0, &mut out);
         assert_eq!(misses, vec![2], "the poisoned row was never cached");

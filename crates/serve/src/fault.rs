@@ -13,7 +13,8 @@
 //!   race;
 //! * **poisoned cache segment** — fills landing in one lock stripe are
 //!   aborted instead of completed, so coalesced waiters on that stripe
-//!   observe `FillAborted` and owners' rows never become resident.
+//!   find their slots closed (their tickets fail `PartFailed`) and
+//!   owners' rows never become resident.
 //!
 //! Plans come from the `FUSEDMM_FAULT_PLAN` environment variable (the
 //! chaos CI job sets it) or are built in tests via [`FaultPlan::parse`].

@@ -55,7 +55,7 @@ use crate::observe::{apply_labels, push_cache_samples, push_outcome_samples};
 use crate::store::{FeatureEpoch, FeatureStore};
 use crate::ticket::{
     Completion, EmbedAssembly, EmbedOptions, EmbedResponse, Part, Quality, Redispatch,
-    RequestStats, Ticket, TraceHandle, WaiterSlot,
+    RequestStats, Ticket, TraceHandle,
 };
 use crate::transport::{LocalBands, PartSlot, PartSpan, ShardTransport};
 use crate::wait::{slot, Claim};
@@ -302,7 +302,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 let route_start = self.route_start(root);
                 let (_, misses) = cache.split(nodes, epoch.epoch(), &mut out);
                 marks = vec![false; n];
-                for i in misses {
+                for (i, _) in misses {
                     marks[i] = true;
                 }
                 self.close_route_span(root, route_start, n);
@@ -311,41 +311,56 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         }
         // The rows still to compute (sorted, distinct), the response
         // under assembly with the output positions it is still owed,
-        // coalesced waiters, and the cache registrations this request
+        // the coalesced rows, and the cache registrations this request
         // owns (one per row to compute). `TopKNeighbors` bypasses the
         // cache: truncated rows are never cached or mixed with exact
         // ones. An uncached request for sorted, distinct ids owes
         // nothing but its one part's rows — when one shard serves them
         // all, that part's rows are the response.
-        let (to_compute, out, positions, waiters, mut owners) = match &self.cache {
+        let (to_compute, out, positions, mut parts, mut owners) = match &self.cache {
             Some(cache) if quality == Quality::Exact => {
                 let route_start = self.route_start(root);
                 let mut out = Dense::zeros(n, self.dimension());
-                let (misses, positions) = cache.split(nodes, epoch.epoch(), &mut out);
-                let (mut owned, mut owners, mut waiters) = (Vec::new(), Vec::new(), Vec::new());
+                let (misses, mut positions) = cache.split(nodes, epoch.epoch(), &mut out);
+                let (mut owned, mut owners, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+                let mut resident = Vec::new();
                 for &u in &misses {
-                    match cache.route_miss(u, epoch.epoch()) {
+                    // A coalesced miss waits on a slot the owning part's
+                    // fill resolves. The owning part runs on `u`'s band:
+                    // in process, waiting on the row drives that band.
+                    let coalesce = || {
+                        let (tx, rx) = slot();
+                        if let Some(band) = self.bands.get(self.owner(u)) {
+                            tx.attach(band);
+                        }
+                        rows.push(Part::coalesced(u, rx));
+                        tx
+                    };
+                    match cache.results.route_miss(u, epoch.epoch(), coalesce) {
                         MissRoute::Owner(owner) => {
                             owned.push(u);
                             owners.push(owner);
                         }
-                        MissRoute::Waiter(waiter) => {
-                            // The owning part runs on `u`'s band: waiting
-                            // on the row drives that band.
-                            let band = self.bands.get(self.owner(u));
-                            waiters.push(WaiterSlot::new(u, waiter, band));
-                        }
+                        MissRoute::Coalesced => {}
                         // A fill landed between the lookup miss and the
                         // routing call: the row is already in hand.
-                        MissRoute::Resident(row) => waiters.push(WaiterSlot::resolved(u, row)),
+                        MissRoute::Resident(row) => resident.push((u, row)),
                     }
                 }
+                if !resident.is_empty() {
+                    positions.retain(|&(i, u)| match resident.binary_search_by_key(&u, |r| r.0) {
+                        Ok(r) => {
+                            out.row_mut(i).copy_from_slice(&resident[r].1);
+                            false
+                        }
+                        Err(_) => true,
+                    });
+                }
                 self.close_route_span(root, route_start, n);
-                if misses.is_empty() {
+                if positions.is_empty() {
                     return Ok(self.answer_now(out, vec![false; n], quality, t0, root));
                 }
-                let positions = positions.into_iter().map(|i| (i, nodes[i])).collect();
-                (Cow::Owned(owned), Some(out), positions, waiters, owners)
+                (Cow::Owned(owned), Some(out), positions, rows, owners)
             }
             _ if nodes.windows(2).all(|w| w[0] < w[1])
                 && self.owner(nodes[0]) == self.owner(nodes[n - 1]) =>
@@ -361,8 +376,9 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             }
         };
         // Bands are contiguous and ordered, so shard `s`'s rows are one
-        // run of the sorted list, and its owners the matching run.
-        let mut parts = Vec::new();
+        // run of the sorted list, and its owners the matching run. The
+        // parts join the coalesced rows already in `parts`.
+        let coalesced = parts.len();
         let mut owners = owners.drain(..);
         let mut rest: &[usize] = &to_compute;
         while let Some(&first) = rest.first() {
@@ -390,6 +406,10 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             self.transport.embed_part(s, &shard_nodes, &epoch, quality, opts.deadline, part_slot);
             parts.push(Part::new(shard_nodes, s, shard, rx));
         }
+        // The assembly waits on its own parts before the coalesced rows:
+        // a blocking caller runs its claimed parts before it waits on a
+        // row another caller's claimed part computes.
+        parts.rotate_left(coalesced);
         self.stats.begin();
         let completion = Completion {
             latency: Arc::clone(&self.embed_latency),
@@ -413,7 +433,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         let assembly = EmbedAssembly::assemble(
             out,
             parts,
-            waiters,
+            coalesced,
             positions,
             marks,
             quality,
@@ -599,7 +619,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             out.push(l(Sample::gauge("fusedmm_feature_epoch", store.current_epoch() as f64)));
             out.push(l(Sample::counter("fusedmm_epoch_swaps_total", store.swap_count())));
             if let Some(cache) = &cache {
-                push_cache_samples(out, &cache.metrics(), labels);
+                push_cache_samples(out, &cache.results.metrics(), labels);
             }
         });
         for band in &self.bands {

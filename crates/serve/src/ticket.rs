@@ -18,9 +18,9 @@
 //! resolves, then park, and `poll` runs at most one batch per band its
 //! outstanding sources wait on.
 //!
-//! The blocking `embed` call is implemented as
-//! `embed_begin(..)?.wait()`, so ticketed and blocking serving are the
-//! same code path — bit-identical by construction.
+//! The blocking `embed` is `embed_begin(..)?.wait()` with its parts
+//! claimed, so the calling thread runs them itself — otherwise the same
+//! code path as a ticket, bit-identical by construction.
 //!
 //! Failure is part of the state machine, not an afterthought: a part
 //! whose computation failed retries **once** on a healthy path (same
@@ -31,10 +31,9 @@
 //! outcome buckets — no ticket ever hangs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
-use fusedmm_cache::{FillAborted, RowWaiter};
 use fusedmm_perf::gauge::GaugeGuard;
 use fusedmm_perf::hist::{HistogramVec, LatencyHistogram};
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
@@ -44,7 +43,7 @@ use crate::band::Band;
 use crate::engine::ServeError;
 use crate::store::FeatureEpoch;
 use crate::transport::{PartSlot, ShardTransport};
-use crate::wait::{drive_until, slot, Claim, PartError, SlotPoll, SlotRx, WakeQueue, Watcher};
+use crate::wait::{slot, Claim, PartError, SlotPoll, SlotRx, Watcher};
 
 /// The answer tier a request asks for (or is downgraded to by the
 /// admission ladder). Degraded tiers trade accuracy for latency and
@@ -389,11 +388,13 @@ impl Redispatch {
     }
 }
 
-/// One dispatched sub-request: the transport will reply one row per
-/// entry of `union`, in that order — or a typed [`PartError`].
+/// One source of a response's rows: a dispatched sub-request, whose
+/// transport will reply one row per entry of `union`, in that order —
+/// or a typed [`PartError`] — or a coalesced miss, whose slot another
+/// request's fill resolves with the row of its one node.
 pub(crate) struct Part {
     /// Sorted, deduplicated nodes this part computes, shared with the
-    /// queued part.
+    /// queued part; a coalesced miss's one node.
     union: Arc<[usize]>,
     /// The transport's shard index: where a retry goes, and the member
     /// index in the fan-out histogram.
@@ -412,55 +413,21 @@ impl Part {
     pub(crate) fn new(union: Arc<[usize]>, tag: usize, shard: Option<usize>, rx: SlotRx) -> Part {
         Part { union, tag, shard, rx, rows: None, retry: true }
     }
-}
 
-/// One miss served without a dispatch from this request: either a
-/// coalesced miss (another request's computation will back-fill the
-/// row for `node`) or a row that was already resolved at begin time (a
-/// concurrent fill landed between lookup and routing).
-pub(crate) struct WaiterSlot {
-    node: usize,
-    /// `None` when the slot was resolved at construction.
-    waiter: Option<RowWaiter>,
-    row: Option<Box<[f32]>>,
-    /// The in-process band owning `node`, whose queue holds (or will
-    /// hold) the owning part: waiting on the row drives it, so the row
-    /// lands even when nobody waits on the owner's ticket.
-    band: Option<Weak<Band>>,
-}
-
-impl WaiterSlot {
-    pub(crate) fn new(node: usize, waiter: RowWaiter, band: Option<&Arc<Band>>) -> WaiterSlot {
-        WaiterSlot { node, waiter: Some(waiter), row: None, band: band.map(Arc::downgrade) }
+    /// A miss coalesced onto another request's computation of `node`.
+    /// It has no retry of its own: the computation is not this
+    /// request's to repeat.
+    pub(crate) fn coalesced(node: usize, rx: SlotRx) -> Part {
+        Part { union: Arc::new([node]), tag: 0, shard: None, rx, rows: None, retry: false }
     }
 
-    /// A slot whose row is already known (a `MissRoute::Resident`).
-    pub(crate) fn resolved(node: usize, row: Box<[f32]>) -> WaiterSlot {
-        WaiterSlot { node, waiter: None, row: Some(row), band: None }
-    }
-
-    fn band(&self) -> Option<Arc<Band>> {
-        self.band.as_ref().and_then(Weak::upgrade)
-    }
-
-    fn pending(&self) -> Option<&RowWaiter> {
-        match &self.row {
-            Some(_) => None,
-            None => Some(self.waiter.as_ref().expect("unresolved slot has a waiter")),
-        }
-    }
-
-    /// Block until the row lands or `deadline` passes (`None`), running
-    /// the owning band's batches on this thread meanwhile — so the row
-    /// lands even when nobody waits on the owner's ticket.
-    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<(), FillAborted>> {
-        let Some(waiter) = self.pending() else { return Some(Ok(())) };
-        let wake = WakeQueue::new();
-        let kick = Watcher::Kick(Arc::downgrade(&wake));
-        waiter.subscribe(kick.clone().into_callback());
-        let band = self.band();
-        let row = drive_until(band.as_slice(), &*wake, &kick, deadline, || waiter.poll())?;
-        Some(row.map(|row| self.row = Some(row)))
+    /// The row `node` takes from `run`, resolved sources whose unions
+    /// are disjoint and sorted: `None` when no source of it owes `node`.
+    fn owed_in(run: &[Part], node: usize) -> Option<&[f32]> {
+        let p = run.partition_point(|p| p.union.last().is_some_and(|&last| last < node));
+        let part = run.get(p)?;
+        let j = part.union.binary_search(&node).ok()?;
+        Some(part.rows.as_ref().expect("source resolved").row(j))
     }
 }
 
@@ -474,20 +441,24 @@ enum PartStep {
 }
 
 /// The embed-request harvest of the one front end: hit rows are
-/// pre-filled into `out`, dispatched parts and coalesced waiters
-/// stream in, and the first call that finds everything present
-/// assembles the response in request order — or, when the request's
-/// one part computes exactly its ids in order, answers with that part's
-/// rows as they are. A typed part failure (failure past its retry,
+/// pre-filled into `out`, dispatched parts and coalesced rows stream
+/// in, and the first call that finds everything present assembles
+/// the response in request order — or, when the request's one part
+/// computes exactly its ids in order, answers with that part's rows as
+/// they are. A typed part failure (failure past its retry,
 /// expired deadline, shutdown) resolves the ticket with the
 /// corresponding error instead.
 pub(crate) struct EmbedAssembly {
     /// The response under assembly, hit rows pre-filled; `None` when
     /// the request adopts its one part's rows.
     out: Option<Dense>,
+    /// The sources: `parts[..dispatched]` are this request's own parts,
+    /// disjoint sorted unions in shard order; the rest are coalesced
+    /// rows, sorted by node. Blocking waits take them in that order, so
+    /// a caller runs its own parts before it waits on another's.
     parts: Vec<Part>,
-    waiters: Vec<WaiterSlot>,
-    /// `(output row, node)` pairs to fill from parts/waiters.
+    dispatched: usize,
+    /// `(output row, node)` pairs to fill from the sources.
     positions: Vec<(usize, usize)>,
     /// Per-row degradation marks, fixed at begin time by the serving
     /// tier (`Exact` → all false, `TopKNeighbors` → all true).
@@ -519,13 +490,14 @@ pub(crate) struct EmbedAssembly {
 
 impl EmbedAssembly {
     /// `out` holds the hit rows and `positions` name the `(output row,
-    /// node)` pairs parts and waiters still owe; with `out` `None`, the
-    /// one part in `parts` owes every row, in order.
+    /// node)` pairs the sources still owe: the request's dispatched
+    /// parts, then its `coalesced` rows, at the end of `parts`. With
+    /// `out` `None`, the one part in `parts` owes every row, in order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         out: Option<Dense>,
         parts: Vec<Part>,
-        waiters: Vec<WaiterSlot>,
+        coalesced: usize,
         positions: Vec<(usize, usize)>,
         degraded: Vec<bool>,
         quality: Quality,
@@ -533,11 +505,11 @@ impl EmbedAssembly {
         completion: Completion,
         guard: GaugeGuard,
     ) -> Self {
-        debug_assert!(out.is_some() || (parts.len() == 1 && waiters.is_empty()));
+        debug_assert!(out.is_some() || (parts.len() == 1 && coalesced == 0));
         EmbedAssembly {
             out,
+            dispatched: parts.len() - coalesced,
             parts,
-            waiters,
             positions,
             degraded,
             quality,
@@ -558,7 +530,7 @@ impl EmbedAssembly {
     /// harvest, and the part would expire queued.
     pub(crate) fn run_ahead(&self, deadline: Instant) {
         let claim = Claim::mine();
-        for part in &self.parts {
+        for part in &self.parts[..self.dispatched] {
             let Some(band) = part.rx.band().filter(|_| Instant::now() < deadline) else { continue };
             band.combine(claim, &mut || part.rx.is_resolved() || Instant::now() >= deadline);
         }
@@ -573,8 +545,22 @@ impl EmbedAssembly {
     }
 
     fn store_part(&mut self, i: usize, rows: Dense) {
-        self.completion.fanout.record(self.parts[i].tag, self.completion.begun.elapsed());
+        if i < self.dispatched {
+            self.completion.fanout.record(self.parts[i].tag, self.completion.begun.elapsed());
+        }
         self.parts[i].rows = Some(rows);
+    }
+
+    /// What a closed slot means: a part's transport shut down; a
+    /// coalesced row's owning computation was abandoned (fault-injected
+    /// poison, failure or shutdown), and no retry handle exists for
+    /// another request's computation.
+    fn closed(&self, i: usize) -> ServeError {
+        if i < self.dispatched {
+            ServeError::EngineShutdown
+        } else {
+            ServeError::PartFailed { shard: None }
+        }
     }
 
     /// React to a typed part failure: spend the retry (healthy-path
@@ -617,7 +603,7 @@ impl EmbedAssembly {
             SlotPoll::Reply(Err(e)) => self.part_failed(i, e),
             SlotPoll::Pending => PartStep::Pending,
             SlotPoll::Closed => {
-                self.error = Some(ServeError::EngineShutdown);
+                self.error = Some(self.closed(i));
                 PartStep::Terminal
             }
         }
@@ -638,21 +624,6 @@ impl EmbedAssembly {
                 PartStep::Terminal => return true,
             }
         }
-        for w in &mut self.waiters {
-            let Some(waiter) = w.pending() else { continue };
-            match waiter.poll() {
-                Some(Ok(row)) => w.row = Some(row),
-                Some(Err(_)) => {
-                    // A coalesced fill was aborted under this request:
-                    // the owning computation died (fault-injected
-                    // poison, or shutdown). No retry handle exists for
-                    // foreign computations — fail the ticket.
-                    self.error = Some(ServeError::PartFailed { shard: None });
-                    return true;
-                }
-                None => pending = true,
-            }
-        }
         !pending
     }
 
@@ -671,15 +642,17 @@ impl EmbedAssembly {
     }
 
     /// Let go of the claimed parts still owed and wake whoever parked on
-    /// their bands. Called once the ticket can no longer use them —
-    /// resolved with an error, or dropped unresolved: a claimed part
-    /// still queued is then anyone's to run, and a request coalesced
-    /// onto its rows may wait on them.
+    /// their bands (the coalesced rows' slots go too, unkicked). Called
+    /// once the ticket can no longer use them — resolved with an error,
+    /// or dropped unresolved: a claimed part still queued is then
+    /// anyone's to run, and a request coalesced onto its rows may wait
+    /// on them.
     fn release_claimed_parts(&mut self) {
         if self.retry.as_ref().is_none_or(|r| r.claim.is_none()) {
             return;
         }
-        let owed = std::mem::take(&mut self.parts).into_iter().filter(|p| p.rows.is_none());
+        let parts = std::mem::take(&mut self.parts).into_iter().take(self.dispatched);
+        let owed = parts.filter(|p| p.rows.is_none());
         let bands: Vec<Arc<Band>> = owed.filter_map(|p| p.rx.band()).collect();
         bands.iter().for_each(|band| band.kick());
     }
@@ -693,25 +666,18 @@ impl EmbedAssembly {
         Err(e)
     }
 
-    /// The row owed for `node` by a part or a waiter. Parts hold
-    /// disjoint sorted unions in shard order and waiters are sorted by
-    /// node, so both are binary searches.
+    /// The row owed for `node` by a part or a coalesced row. Each run
+    /// of sources holds disjoint sorted unions, so both are binary
+    /// searches.
     fn owed(&self, node: usize) -> &[f32] {
-        let p = self.parts.partition_point(|p| p.union.last().is_some_and(|&last| last < node));
-        if let Some(part) = self.parts.get(p) {
-            if let Ok(j) = part.union.binary_search(&node) {
-                return part.rows.as_ref().expect("part resolved").row(j);
-            }
-        }
-        let w = self
-            .waiters
-            .binary_search_by_key(&node, |w| w.node)
-            .expect("every miss position is owed by a part or a waiter");
-        self.waiters[w].row.as_ref().expect("waiter resolved")
+        let (parts, coalesced) = self.parts.split_at(self.dispatched);
+        Part::owed_in(parts, node)
+            .or_else(|| Part::owed_in(coalesced, node))
+            .expect("every miss position is owed by a source")
     }
 
-    /// Place every outstanding row and finish. Only called once all
-    /// parts and waiters have resolved.
+    /// Place every outstanding row and finish. Only called once every
+    /// source has resolved.
     fn complete(&mut self) -> Result<EmbedResponse, ServeError> {
         let rows = match self.out.take() {
             // The one part computed exactly the requested ids, in order.
@@ -784,17 +750,7 @@ impl EmbedAssembly {
                     let _ = self.part_failed(i, e);
                 }
                 SlotPoll::Pending => return None,
-                SlotPoll::Closed => self.error = Some(ServeError::EngineShutdown),
-            }
-        }
-        if self.error.is_none() {
-            for w in &mut self.waiters {
-                if w.wait(deadline)?.is_err() {
-                    // The owning computation died (fault-injected
-                    // poison, or shutdown): fail the ticket.
-                    self.error = Some(ServeError::PartFailed { shard: None });
-                    break;
-                }
+                SlotPoll::Closed => self.error = Some(self.closed(i)),
             }
         }
         Some(self.resolve())
@@ -805,17 +761,9 @@ impl EmbedAssembly {
     fn subscribe(&mut self, watcher: Watcher) {
         self.watcher = Some(watcher.clone());
         let mut any_pending = false;
-        for p in &self.parts {
-            if p.rows.is_none() {
-                any_pending = true;
-                p.rx.subscribe(watcher.clone());
-            }
-        }
-        for w in &self.waiters {
-            if let Some(waiter) = w.pending() {
-                any_pending = true;
-                waiter.subscribe(watcher.clone().into_callback());
-            }
+        for p in self.parts.iter().filter(|p| p.rows.is_none()) {
+            any_pending = true;
+            p.rx.subscribe(watcher.clone());
         }
         if !any_pending {
             watcher.fire();
@@ -824,9 +772,8 @@ impl EmbedAssembly {
 
     /// Add the in-process bands the still-pending sources wait on.
     fn bands(&self, out: &mut Vec<Arc<Band>>) {
-        let parts = self.parts.iter().filter(|p| p.rows.is_none()).filter_map(|p| p.rx.band());
-        let waiters = self.waiters.iter().filter(|w| w.pending().is_some());
-        for band in parts.chain(waiters.filter_map(WaiterSlot::band)) {
+        let pending = self.parts.iter().filter(|p| p.rows.is_none());
+        for band in pending.filter_map(|p| p.rx.band()) {
             if !out.iter().any(|b| Arc::ptr_eq(b, &band)) {
                 out.push(band);
             }
@@ -853,7 +800,7 @@ impl Drop for EmbedAssembly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wait::slot;
+    use crate::wait::{slot, WakeQueue};
     use fusedmm_perf::gauge::Gauge;
 
     fn guard() -> (Arc<Gauge>, GaugeGuard) {
@@ -876,10 +823,8 @@ mod tests {
         g: GaugeGuard,
     ) -> EmbedAssembly {
         let marks = vec![matches!(quality, Quality::TopKNeighbors(_)); part.union.len()];
-        let (parts, waiters, positions) = (vec![part], Vec::new(), Vec::new());
-        EmbedAssembly::assemble(
-            None, parts, waiters, positions, marks, quality, retry, completion, g,
-        )
+        let (parts, positions) = (vec![part], Vec::new());
+        EmbedAssembly::assemble(None, parts, 0, positions, marks, quality, retry, completion, g)
     }
 
     fn part(nodes: &[usize], shard: Option<usize>, rx: SlotRx) -> Part {
@@ -1100,20 +1045,17 @@ mod tests {
     }
 
     #[test]
-    fn assembly_scatters_parts_and_waiters_in_request_order() {
-        use fusedmm_cache::{CacheConfig, MissRoute, ResultCache};
+    fn assembly_scatters_parts_and_coalesced_rows_in_request_order() {
         let (_gauge, g) = guard();
-        // Request order: [8 (waiter), 2 (part), 8 (dup), 5 (hit)].
+        // Request order: [8 (coalesced), 2 (part), 8 (dup), 5 (hit)].
         let mut out = Dense::zeros(4, 1);
         out.row_mut(3).copy_from_slice(&[55.0]);
-        let cache = ResultCache::new(16, 1, CacheConfig::default());
-        let MissRoute::Owner(owner) = cache.route_miss(8, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = cache.route_miss(8, 0) else { panic!("waiter") };
         let (tx, rx) = slot();
+        let (row_tx, row_rx) = slot();
         let mut t = Ticket::pending(EmbedAssembly::assemble(
             Some(out),
-            vec![part(&[2], None, rx)],
-            vec![WaiterSlot::new(8, w, None)],
+            vec![part(&[2], None, rx), Part::coalesced(8, row_rx)],
+            1,
             vec![(0, 8), (1, 2), (2, 8)],
             exact(4),
             Quality::Exact,
@@ -1123,8 +1065,8 @@ mod tests {
         ));
         assert_eq!(t.poll(), None);
         tx.send(Ok(Dense::from_rows(1, 1, &[22.0]).unwrap()));
-        assert_eq!(t.poll(), None, "waiter still outstanding; part progress kept");
-        cache.fill(owner, &[88.0]);
+        assert_eq!(t.poll(), None, "coalesced row still outstanding; part progress kept");
+        row_tx.send(Ok(Dense::from_rows(1, 1, &[88.0]).unwrap()));
         let z = t.poll().expect("complete").expect("ok");
         assert_eq!(z.rows.as_slice(), &[88.0, 22.0, 88.0, 55.0]);
     }
@@ -1134,12 +1076,15 @@ mod tests {
         use fusedmm_cache::{CacheConfig, MissRoute, ResultCache};
         let (_gauge, g) = guard();
         let cache = ResultCache::new(16, 1, CacheConfig::default());
-        let MissRoute::Owner(owner) = cache.route_miss(3, 0) else { panic!("owner") };
-        let MissRoute::Waiter(w) = cache.route_miss(3, 0) else { panic!("waiter") };
+        let MissRoute::Owner(owner) = cache.route_miss(3, 0, || unreachable!()) else {
+            panic!("owner")
+        };
+        let (tx, rx) = slot();
+        let MissRoute::Coalesced = cache.route_miss(3, 0, || tx) else { panic!("waiter") };
         let t = Ticket::pending(EmbedAssembly::assemble(
             Some(Dense::zeros(1, 1)),
-            Vec::new(),
-            vec![WaiterSlot::new(3, w, None)],
+            vec![Part::coalesced(3, rx)],
+            1,
             vec![(0, 3)],
             exact(1),
             Quality::Exact,
@@ -1147,7 +1092,7 @@ mod tests {
             Completion::default(),
             g,
         ));
-        cache.abort(owner);
+        drop(cache.abort(owner));
         assert_eq!(t.wait().unwrap_err(), ServeError::PartFailed { shard: None });
     }
 
@@ -1215,7 +1160,7 @@ mod tests {
         let (tx, rx) = slot();
         let mut t = Ticket::pending(direct(&[0], rx, Completion::default(), g));
         let wake = WakeQueue::new();
-        t.subscribe(Watcher::Ready(Arc::clone(&wake), 4));
+        t.subscribe(Watcher::Ready(Arc::downgrade(&wake), 4));
         assert_eq!(wake.try_pop(), None);
         assert!(!t.ready_now());
         tx.send(Ok(Dense::from_rows(1, 1, &[3.0]).unwrap()));

@@ -1,10 +1,11 @@
 //! One-shot completion slots, and the one drive-then-park loop every
 //! blocking wait runs.
 //!
-//! A band answers each enqueued part through a `Slot`: a single-value
-//! cell on a mutex that — unlike `mpsc` — supports **wakeup
-//! subscription**: each source fires its watchers exactly once, when
-//! it resolves. Slots also carry typed failure (`PartError`): a caught
+//! A band answers each enqueued part through a `Slot`, and an owning
+//! request's cache fill answers each miss coalesced onto it through one
+//! too: a single-value cell on a mutex that — unlike `mpsc` — supports
+//! **wakeup subscription**: each source fires its watchers exactly
+//! once, when it resolves. Slots also carry typed failure (`PartError`): a caught
 //! kernel panic or a dropped-past-deadline part is reported instead of
 //! silently disconnecting, so tickets can retry or surface a precise
 //! error.
@@ -14,8 +15,8 @@
 //! (see [`batcher`](crate::batcher)). So a waiter *drives* before it
 //! parks. `drive_until` is that loop, behind `SlotRx::recv` and
 //! `recv_deadline` (which serve [`Ticket::wait`](crate::Ticket::wait)
-//! and [`Ticket::wait_deadline`](crate::Ticket::wait_deadline)), a
-//! coalesced row's wait, and [`wait_any`]: run the queued batches of
+//! and [`Ticket::wait_deadline`](crate::Ticket::wait_deadline)), and
+//! [`wait_any`]: run the queued batches of
 //! every band the wait depends on until something the wait watches
 //! resolves or its deadline passes, and park only when no such band
 //! holds work this thread should run — registered with each, so new
@@ -80,8 +81,10 @@ pub(crate) enum Watcher {
     /// Prompt the receiver parked in this slot to drive again (weak, as
     /// above).
     Slot(Weak<SlotShared>),
-    /// Report ticket `index` ready on a window's wake queue.
-    Ready(Arc<WakeQueue>, usize),
+    /// Report ticket `index` ready on a window's wake queue. Weak: the
+    /// window's wait holds the queue only while it waits, and a slot
+    /// prunes what it left behind.
+    Ready(Weak<WakeQueue>, usize),
 }
 
 impl Watcher {
@@ -97,7 +100,11 @@ impl Watcher {
                     s.kick();
                 }
             }
-            Watcher::Ready(q, index) => q.push(*index),
+            Watcher::Ready(q, index) => {
+                if let Some(q) = q.upgrade() {
+                    q.push(*index);
+                }
+            }
         }
     }
 
@@ -106,7 +113,7 @@ impl Watcher {
         match self {
             Watcher::Kick(q) => q.strong_count() > 0,
             Watcher::Slot(s) => s.strong_count() > 0,
-            Watcher::Ready(..) => true,
+            Watcher::Ready(q, _) => q.strong_count() > 0,
         }
     }
 
@@ -115,14 +122,9 @@ impl Watcher {
         match (self, other) {
             (Watcher::Kick(a), Watcher::Kick(b)) => a.ptr_eq(b),
             (Watcher::Slot(a), Watcher::Slot(b)) => a.ptr_eq(b),
-            (Watcher::Ready(a, i), Watcher::Ready(b, j)) => Arc::ptr_eq(a, b) && i == j,
+            (Watcher::Ready(a, i), Watcher::Ready(b, j)) => a.ptr_eq(b) && i == j,
             _ => false,
         }
-    }
-
-    /// This watcher as a callback, for the result cache's row waiters.
-    pub fn into_callback(self) -> Arc<dyn Fn() + Send + Sync> {
-        Arc::new(move || self.fire())
     }
 }
 
@@ -355,13 +357,16 @@ impl SlotRx {
     }
 
     /// Register a watcher: fired once when the slot resolves (reply or
-    /// close) — immediately, if it already has.
+    /// close) — immediately, if it already has. Watchers whose waiter
+    /// has gone are dropped first, so a slot that stays pending across
+    /// many waits holds only the live ones.
     pub fn subscribe(&self, watcher: Watcher) {
         let mut st = self.shared.lock();
         if st.resolved() {
             drop(st);
             watcher.fire();
         } else {
+            st.watchers.retain(Watcher::is_live);
             st.watchers.push(watcher);
         }
     }
@@ -373,9 +378,9 @@ struct WakeState {
     kicked: bool,
 }
 
-/// The wake channel of a wait over several sources ([`wait_any`], a
-/// coalesced row): completing sources push their ticket's index, bands
-/// kick, and the waiter parks on the condvar until either arrives.
+/// The wake channel of a wait over several tickets ([`wait_any`]):
+/// completing sources push their ticket's index, bands kick, and the
+/// waiter parks on the condvar until either arrives.
 pub(crate) struct WakeQueue {
     state: Mutex<WakeState>,
     cv: Condvar,
@@ -490,7 +495,7 @@ pub fn wait_any<T>(tickets: &mut [Ticket<T>]) -> Option<usize> {
     let mut bands = Vec::new();
     for (i, t) in tickets.iter_mut().enumerate() {
         if t.is_live() {
-            t.subscribe(Watcher::Ready(Arc::clone(&wake), i));
+            t.subscribe(Watcher::Ready(Arc::downgrade(&wake), i));
             t.bands(&mut bands);
         }
     }
@@ -574,7 +579,7 @@ mod tests {
     /// A window's wake queue and the index a watcher reports on it.
     fn ready_watcher(index: usize) -> (Arc<WakeQueue>, Watcher) {
         let q = WakeQueue::new();
-        let w = Watcher::Ready(Arc::clone(&q), index);
+        let w = Watcher::Ready(Arc::downgrade(&q), index);
         (q, w)
     }
 
@@ -590,6 +595,24 @@ mod tests {
         let (late, w) = ready_watcher(5);
         rx.subscribe(w);
         assert_eq!(late.try_pop(), Some(5));
+    }
+
+    /// Each `wait_any` over a pending ticket subscribes afresh; the
+    /// watchers of waits that returned must not pile up on the slot.
+    #[test]
+    fn watchers_of_finished_waits_do_not_pile_up() {
+        let (tx, rx) = slot();
+        for i in 0..100 {
+            let (q, w) = ready_watcher(i);
+            rx.subscribe(w);
+            drop(q);
+        }
+        assert!(rx.shared.lock().watchers.len() <= 1, "dead watchers are pruned");
+        let (q, w) = ready_watcher(100);
+        rx.subscribe(w);
+        tx.send(Ok(rows(1.0)));
+        assert_eq!(q.try_pop(), Some(100), "the live watcher still fires");
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]

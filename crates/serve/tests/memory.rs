@@ -154,7 +154,7 @@ fn a_cached_replica_indexes_only_its_band() {
         held
     };
     let before = memtrack::live_bytes() as i64;
-    let cache = ResultCache::new(N, 4, CacheConfig::with_mb(1));
+    let cache: ResultCache<()> = ResultCache::new(N, 4, CacheConfig::with_mb(1));
     let cache_bytes = memtrack::live_bytes() as i64 - before;
     drop(cache);
     let index = retained(Some(CacheConfig::with_mb(1))) - retained(None) - cache_bytes;

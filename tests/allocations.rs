@@ -1,5 +1,6 @@
-//! Allocation budgets of the uncached request path and of a row launch,
-//! counted per thread by this binary's global allocator.
+//! Allocation budgets of the uncached request path, of a miss coalesced
+//! onto another request's row and of a row launch, counted per thread
+//! by this binary's global allocator.
 //!
 //! Each budget is measured on a warm path: the same call runs a few
 //! times first, so one-time growth (a queue's buffers, the kernel
@@ -183,6 +184,48 @@ fn two_callers<R: Send>(f: impl Fn(usize) -> R + Sync) -> Vec<R> {
             .collect();
         callers.into_iter().map(|h| h.join().expect("caller panicked")).collect()
     })
+}
+
+/// Allocations `f` makes on this thread, with its result.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A miss coalesced onto another request's in-flight row, on a cached
+/// single-band engine. Begin: the response, the miss list, the output
+/// positions, the row's reply slot, the in-flight entry's list of
+/// slots, the row's one-node list, the assembly's source list, the
+/// degradation marks and the ticket's box. Harvest, once the owner's
+/// fill has landed: nothing — the row waits on its slot as a part
+/// does, and the one-row reply the fill sent was made on the owner's
+/// thread.
+#[test]
+fn a_coalesced_miss_allocates_nine_times_to_begin_and_nothing_to_harvest() {
+    let _serial = serial();
+    let (a, x, y) = inputs();
+    let config = EngineConfig { cache: Some(CacheConfig::default()), ..config() };
+    let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), config);
+    let coalesced_total = || engine.metrics().counter("fusedmm_cache_coalesced_misses_total", &[]);
+    // Distinct rows (37 is prime to N), each cold when its round begins.
+    let counts: Vec<(u64, u64)> = (0..48)
+        .map(|round| {
+            let id = round * 37 % N;
+            let owner = engine.embed_begin(&[id]).expect("the owner begins");
+            let (coalesced, begin) = counted(|| engine.embed_begin(&[id]).expect("a waiter"));
+            let want = owner.wait().expect("the owner's rows");
+            let (got, harvest) = counted(|| coalesced.wait().expect("the coalesced row"));
+            assert_eq!(got.as_slice(), want.as_slice(), "a coalesced row is the owner's row");
+            (begin, harvest)
+        })
+        .collect();
+    assert_eq!(coalesced_total(), Some(48), "every second request coalesced");
+    // The first rounds grow the queue's and the cache's buffers.
+    for (round, &(begin, harvest)) in counts.iter().enumerate().skip(16) {
+        assert_eq!(begin, 9, "round {round}: a coalesced embed_begin");
+        assert_eq!(harvest, 0, "round {round}: harvesting a filled coalesced row");
+    }
 }
 
 /// Two callers at once, each making warm 64-row embeds over two

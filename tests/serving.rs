@@ -591,11 +591,121 @@ fn tickets_are_bit_identical_to_blocking_embed_across_topologies() {
     }));
 }
 
+/// How a test harvests its tickets: every entry point a caller has.
+#[derive(Debug, Clone, Copy)]
+enum Harvest {
+    Wait,
+    /// `poll` until it answers.
+    Poll,
+    /// `wait_any` over a window of exactly these tickets.
+    WaitAny,
+    /// `wait_deadline` at a deadline already passed, which must leave
+    /// the ticket live, then `wait`.
+    PastDeadline,
+}
+
+fn harvest(tickets: Vec<Ticket<Dense>>, how: Harvest) -> Vec<Dense> {
+    let answer = |r: Result<Dense, ServeError>| r.expect("the ticket answers");
+    match how {
+        Harvest::Wait => tickets.into_iter().map(|t| answer(t.wait())).collect(),
+        Harvest::Poll => tickets
+            .into_iter()
+            .map(|mut t| loop {
+                match t.poll() {
+                    Some(r) => break answer(r),
+                    None => std::thread::yield_now(),
+                }
+            })
+            .collect(),
+        Harvest::WaitAny => {
+            let mut window = tickets;
+            let mut rows: Vec<Option<Dense>> = vec![None; window.len()];
+            while let Some(i) = wait_any(&mut window) {
+                rows[i] = Some(answer(window[i].poll().expect("wait_any found it ready")));
+            }
+            rows.into_iter().map(|r| r.expect("every ticket harvested")).collect()
+        }
+        Harvest::PastDeadline => {
+            let mut tickets = tickets;
+            let passed = std::time::Instant::now();
+            for t in &mut tickets {
+                assert!(t.wait_deadline(passed).is_none(), "nothing waits past its deadline");
+                assert!(t.is_live(), "a timed-out ticket keeps its progress");
+            }
+            tickets.into_iter().map(|t| answer(t.wait())).collect()
+        }
+    }
+}
+
+/// A front end whose misses coalesce: in process, or remote, where the
+/// cache lives on each replica (`RemoteShardedEngine` refuses one of
+/// its own).
+enum Coalescing {
+    Local(AnyEngine),
+    Remote(Box<RemoteShardedEngine>, Vec<Arc<WorkerEngine>>),
+}
+
+impl Coalescing {
+    /// A remote front end over two in-process replicas of `a`, each
+    /// cached, with every fill held back `hold_us` so that parts sent
+    /// together for one row all reach its replica while the first is
+    /// in flight.
+    fn remote(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet, hold_us: u64) -> Coalescing {
+        let (n, d) = (a.nrows(), x.ncols());
+        let part = Partition::part1d(a, 2, PartitionStrategy::NnzBalanced);
+        let held = FaultPlan::parse(&format!("delay_fill_us={hold_us}")).expect("a fault plan");
+        let config = EngineConfig {
+            cache: Some(CacheConfig::default()),
+            fault: Some(Arc::new(held)),
+            ..matrix::config(false, None)
+        };
+        let workers: Vec<Arc<WorkerEngine>> = (0..part.len())
+            .map(|s| {
+                let (x0, y0, ops) = (Dense::zeros(n, d), Dense::zeros(n, d), ops.clone());
+                Arc::new(WorkerEngine::new(a, part.rows(s), s, x0, y0, ops, config.clone()))
+            })
+            .collect();
+        let boundaries = part.boundaries().to_vec();
+        let transport = matrix::InProcess { workers: workers.clone(), boundaries, latch: None };
+        let config = matrix::config(false, None);
+        let engine = RemoteShardedEngine::new(x.clone(), y.clone(), Arc::new(transport), config);
+        Coalescing::Remote(Box::new(engine), workers)
+    }
+
+    fn embed_begin(&self, nodes: &[usize]) -> Ticket<Dense> {
+        match self {
+            Coalescing::Local(engine) => engine.embed_begin(nodes),
+            Coalescing::Remote(engine, _) => engine.embed_begin(nodes),
+        }
+        .expect("the request begins")
+    }
+
+    /// One scrape of each front end whose bands compute and whose cache
+    /// routes.
+    fn scrapes(&self) -> Vec<MetricsSnapshot> {
+        match self {
+            Coalescing::Local(engine) => vec![engine.metrics()],
+            Coalescing::Remote(_, workers) => workers
+                .iter()
+                .map(|w| {
+                    let registry = MetricsRegistry::new();
+                    w.register_metrics(&registry);
+                    registry.snapshot()
+                })
+                .collect(),
+        }
+    }
+}
+
 /// The acceptance-criteria coalescing test: ≥2 concurrent misses on
 /// the same vertex register against one in-flight entry — exactly one
-/// row computation serves all three requests, bit-identically.
+/// row computation serves all three requests, bit-identically, whichever
+/// way the coalesced tickets are harvested. They are harvested before
+/// the owner's ticket, so waiting on a coalesced row must itself run
+/// the band the owning part sits on.
 #[test]
 fn coalesced_waiters_trigger_exactly_one_row_computation() {
+    let _watchdog = Watchdog::start("the coalescing test");
     let n = 30;
     let d = 8;
     let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(17));
@@ -603,45 +713,52 @@ fn coalesced_waiters_trigger_exactly_one_row_computation() {
     let y = random_features(n, d, 0.5, 42);
     let ops = OpSet::sigmoid_embedding(None);
     let reference = fusedmm_reference(&a, &x, &y, &ops);
-    for shards in [1usize, 3] {
-        // `embed_begin` only enqueues: nothing computes node 7 before
-        // the first wait, so the second and third tickets are
-        // guaranteed to find it still in flight (routing happens at
-        // begin time, before any fill can land).
-        let eng = build_with(
-            a.clone(),
-            x.clone(),
-            y.clone(),
-            shards,
-            Some(CacheConfig::default()),
-            ops.clone(),
-        );
-        let t1 = eng.embed_begin(&[7]).unwrap();
-        let t2 = eng.embed_begin(&[7]).unwrap();
-        let t3 = eng.embed_begin(&[7]).unwrap();
-        let (z1, z2, z3) = (t1.wait().unwrap(), t2.wait().unwrap(), t3.wait().unwrap());
-        assert_eq!(z1, z2, "coalesced fill must be bit-identical (shards={shards})");
-        assert_eq!(z1, z3);
-        for k in 0..d {
-            assert!(
-                (z1.get(0, k) - reference.get(7, k)).abs() < 1e-5,
-                "lane {k} diverges from the reference (shards={shards})"
-            );
+    let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let harvests = [Harvest::Wait, Harvest::Poll, Harvest::WaitAny, Harvest::PastDeadline];
+    for front in ["1 shard", "3 shards", "remote"] {
+        for how in harvests {
+            let label = format!("{front}, {how:?}");
+            let cache = Some(CacheConfig::default());
+            let local =
+                |shards| build_with(a.clone(), x.clone(), y.clone(), shards, cache, ops.clone());
+            let eng = match front {
+                "1 shard" => Coalescing::Local(local(1)),
+                "3 shards" => Coalescing::Local(local(3)),
+                _ => Coalescing::remote(&a, &x, &y, &ops, 200_000),
+            };
+            // In process, `embed_begin` only enqueues: nothing computes
+            // node 7 before the first harvest, so the second and third
+            // tickets are guaranteed to find it still in flight (routing
+            // happens at begin time, before any fill can land).
+            let owner = eng.embed_begin(&[7]);
+            let coalesced = vec![eng.embed_begin(&[7]), eng.embed_begin(&[7])];
+            let rows = harvest(coalesced, how);
+            let z1 = owner.wait().unwrap();
+            for z in &rows {
+                assert_eq!(bits(z), bits(&z1), "coalesced fill must be bit-identical ({label})");
+            }
+            for k in 0..d {
+                assert!(
+                    (z1.get(0, k) - reference.get(7, k)).abs() < 1e-5,
+                    "lane {k} diverges from the reference ({label})"
+                );
+            }
+            let scrapes = eng.scrapes();
+            let count = |name| scrapes.iter().map(|m| m.sum(name)).sum::<u64>();
+            let computed = count("fusedmm_rows_computed_total");
+            assert_eq!(computed, 1, "exactly one enqueue computed the row ({label})");
+            let misses = count("fusedmm_cache_misses_total");
+            assert_eq!(misses, 3, "all three requests missed ({label})");
+            let coalesced = count("fusedmm_cache_coalesced_misses_total");
+            assert_eq!(coalesced, 2, "two waiters coalesced ({label})");
+            let inserts = count("fusedmm_cache_inserts_total");
+            assert_eq!(inserts, 1, "the single fill was admitted once ({label})");
+            let inflight = scrapes
+                .iter()
+                .map(|m| m.gauge_value("fusedmm_cache_inflight_rows", &[]).expect("a cache"));
+            let inflight: f64 = inflight.sum();
+            assert_eq!(inflight, 0.0, "registration resolved ({label})");
         }
-        assert_eq!(
-            rows_computed(&eng),
-            1,
-            "exactly one enqueue computed the row (shards={shards})"
-        );
-        let m = eng.metrics();
-        let misses = m.counter("fusedmm_cache_misses_total", &[]);
-        assert_eq!(misses, Some(3), "all three requests missed (shards={shards})");
-        let coalesced = m.counter("fusedmm_cache_coalesced_misses_total", &[]);
-        assert_eq!(coalesced, Some(2), "two waiters coalesced (shards={shards})");
-        let inserts = m.counter("fusedmm_cache_inserts_total", &[]);
-        assert_eq!(inserts, Some(1), "the single fill was admitted once (shards={shards})");
-        let inflight = m.gauge_value("fusedmm_cache_inflight_rows", &[]);
-        assert_eq!(inflight, Some(0.0), "registration resolved (shards={shards})");
     }
 }
 
