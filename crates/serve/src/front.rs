@@ -322,7 +322,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 let route_start = self.route_start(root);
                 let mut out = Dense::zeros(n, self.dimension());
                 let (misses, mut positions) = cache.split(nodes, epoch.epoch(), &mut out);
-                let (mut owned, mut owners, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut owned, mut owners, mut waiting) = (Vec::new(), Vec::new(), Vec::new());
                 let mut resident = Vec::new();
                 for &u in &misses {
                     // A coalesced miss waits on a slot the owning part's
@@ -333,7 +333,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                         if let Some(band) = self.bands.get(self.owner(u)) {
                             tx.attach(band);
                         }
-                        rows.push(Part::coalesced(u, rx));
+                        waiting.push(Part::coalesced(u, rx));
                         tx
                     };
                     match cache.results.route_miss(u, epoch.epoch(), coalesce) {
@@ -360,7 +360,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 if positions.is_empty() {
                     return Ok(self.answer_now(out, vec![false; n], quality, t0, root));
                 }
-                (Cow::Owned(owned), Some(out), positions, rows, owners)
+                (Cow::Owned(owned), Some(out), positions, waiting, owners)
             }
             _ if nodes.windows(2).all(|w| w[0] < w[1])
                 && self.owner(nodes[0]) == self.owner(nodes[n - 1]) =>

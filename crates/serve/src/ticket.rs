@@ -415,8 +415,9 @@ impl Part {
     }
 
     /// A miss coalesced onto another request's computation of `node`.
-    /// It has no retry of its own: the computation is not this
-    /// request's to repeat.
+    /// It has no retry of its own — the computation is not this
+    /// request's to repeat — and no fan-out member, so its `tag` is
+    /// never read.
     pub(crate) fn coalesced(node: usize, rx: SlotRx) -> Part {
         Part { union: Arc::new([node]), tag: 0, shard: None, rx, rows: None, retry: false }
     }
