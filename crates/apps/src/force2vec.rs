@@ -19,20 +19,34 @@
 //! with `a_uv = 1` on true neighbours and `0` on sampled negatives the
 //! scale is `σ(x_u·x_v) − a_uv` on every edge
 //! ([`OpSet::nce_gradient`]), a recognized sigmoid-embedding kernel.
-//! The fused backend therefore rebuilds one `batch × n` matrix per step
-//! and launches once — and the launch hands back the dot products it
-//! made, so the monitoring loss is a softplus over stored scalars, not
-//! a second pass over the neighbour rows:
+//! The fused backend therefore builds one labelled `batch × n` matrix
+//! per step and launches once over it — and the launch hands back the
+//! dot products it made, so the monitoring loss is a softplus over
+//! stored scalars, not a second pass over the neighbour rows.
+//!
+//! A step big enough to repay a fork-join ([`SPLIT_STEP_WORK`]) is cut
+//! into one contiguous row part per pool thread, as Algorithm 1 cuts a
+//! kernel's rows into `t` parts, and each part does the whole step for
+//! its rows — gather, step matrix, scored launch — while the caller
+//! draws the negatives before and folds the loss and applies SGD after:
 //!
 //! ```text
-//!   adj.row(u) ─┐ label 1                                  ┌─► ∂L/∂x_b ─► SGD in place
-//!               ├─► step (batch × n CSR) ─► scored launch ─┤
-//!   sampler    ─┘ label 0        x_b ─────┘   Y = emb      └─► scores ─► Σ softplus(−s)
-//!                                                              (label-1 prefix of each row)
+//!   caller: sampler ─► negatives of the whole batch, in batch order
+//!     ┌─ part 0 (caller) ───────────────────┐ ┌─ part 1.. (pool) ─┐
+//!     │ x_p = emb[rows of p]                │ │  the same, over   │
+//!     │ adj.row(u) label 1 ┐                │ │  its own rows     │
+//!     │ its draws  label 0 ┴─► step_p (CSR) │ │                   │
+//!     │ scored launch(step_p, x_p, Y = emb) │ │                   │
+//!     │   ─► ∂L/∂x band p, scores_p         │ │                   │
+//!     └─────────────────────────────────────┘ └───────────────────┘
+//!   caller: Σ softplus(−s) over the label-1 prefix of every row,
+//!           parts in row order ─► loss;  emb[u] −= lr · ∂L/∂x_u
 //! ```
 //!
-//! Step matrix, `x_b`, gradient and scores all live in the trainer and
-//! are overwritten every step.
+//! Every gradient row and score comes from its own row's edges, and the
+//! loss is one fold in row order, so no bit depends on the part count.
+//! Draws, step matrices, `x_p`, gradient and scores all live in the
+//! trainer and are overwritten every step.
 //!
 //! The unfused backend keeps the two terms apart — the positive one as
 //! a custom SOP `s ↦ σ(s) − 1` ("FusedMM can directly take a scaling
@@ -125,11 +139,38 @@ pub struct Force2Vec {
     /// steps and epochs: each step takes it, overwrites it, applies it
     /// and lets it park again.
     grad_home: BufferHome,
-    /// The gathered batch rows `x_b`, recycled the same way.
+    /// The baselines' gathered batch rows `x_b`, recycled the same way.
     xb_home: BufferHome,
-    /// The fused step's labelled matrix and the scores its launch hands
-    /// back, both overwritten every step.
-    step: Mutex<(StepMatrix, Vec<f32>)>,
+    /// The fused step's draws and row parts, overwritten every step.
+    step: Mutex<FusedStep>,
+}
+
+/// A fused step splits into row parts only when its estimated work —
+/// `batch × (nnz/n + negatives) × d` multiply-adds, from the trainer's
+/// own numbers — reaches this; below it the step runs as one part on
+/// the caller. Derived from an inline-against-parts sweep on the 2-vCPU
+/// reference box (docs/ARCHITECTURE.md, "The Force2Vec training step").
+/// This is separate from the kernels' own
+/// [`INLINE_LAUNCH_WORK`]: each part's launch still runs inline.
+pub const SPLIT_STEP_WORK: usize = 1 << 18;
+
+/// What the fused step keeps between steps, so that a warm step
+/// allocates nothing of its own: the batch's negative draws and one
+/// [`StepPart`] per row part (grown to the widest step seen, never
+/// shrunk).
+#[derive(Debug, Default)]
+struct FusedStep {
+    negatives: Vec<usize>,
+    parts: Vec<StepPart>,
+}
+
+/// One contiguous row part of a fused step: its labelled matrix, the
+/// scores its launch hands back and its gathered `x_b` rows.
+#[derive(Debug, Default)]
+struct StepPart {
+    step: StepMatrix,
+    scores: Vec<f32>,
+    xb_home: BufferHome,
 }
 
 impl Force2Vec {
@@ -145,6 +186,67 @@ impl Force2Vec {
             xb_home: BufferHome::new(),
             step: Mutex::default(),
         }
+    }
+
+    /// How many row parts a fused step over `rows` batch vertices is
+    /// cut into: one per thread of the current pool once the step's
+    /// estimated work reaches [`SPLIT_STEP_WORK`], otherwise one.
+    fn part_count(&self, rows: usize) -> usize {
+        let per_row = self.adj.nnz() / self.adj.nrows().max(1) + self.cfg.negatives;
+        let work = rows.saturating_mul(per_row).saturating_mul(self.cfg.dim);
+        if work < SPLIT_STEP_WORK {
+            1
+        } else {
+            rayon::current_num_threads().min(rows)
+        }
+    }
+
+    /// The fused gradient of `batch` into `grad` (`batch × d`), cut into
+    /// `parts.len()` contiguous row parts. Each part gathers its `x_b`
+    /// rows, builds its labelled step matrix from its rows' slice of
+    /// `negatives` (laid out as
+    /// [`NegativeSampler::draw_batch_into`] leaves them) and makes its
+    /// own scored launch into its band of `grad`. Parts 1.. are spawned
+    /// on the pool first, so a worker can take one at once, and part 0
+    /// runs on the caller, which then runs any part no worker has
+    /// started. Every row's gradient and scores come from that row's
+    /// edges alone, so no bit depends on the part count.
+    fn fused_step(
+        &self,
+        emb: &Dense,
+        batch: &[usize],
+        negatives: &[usize],
+        parts: &mut [StepPart],
+        grad: &mut [f32],
+    ) {
+        let (d, count) = (emb.ncols(), parts.len());
+        let k = negatives.len().checked_div(batch.len()).unwrap_or(0);
+        let rows = |p: usize| p * batch.len() / count..(p + 1) * batch.len() / count;
+        let run = |part: &mut StepPart, rows: std::ops::Range<usize>, grad: &mut [f32]| {
+            let vertices = &batch[rows.clone()];
+            let mut xb = Dense::recycled(&part.xb_home, vertices.len(), d);
+            gather_rows_into(emb, vertices, &mut xb);
+            part.step.build(&self.adj, vertices, &negatives[rows.start * k..rows.end * k]);
+            part.scores.resize(part.step.adj().nnz(), 0.0);
+            let (ops, scored) =
+                (OpSet::nce_gradient(None), Launch::All { scores: Some(&mut part.scores) });
+            self.plan.launch(part.step.adj(), &xb, emb, &ops, scored, grad);
+        };
+        let (first, rest) = parts.split_first_mut().expect("a step has at least one part");
+        let (first_grad, mut rest_grad) = grad.split_at_mut(rows(0).len() * d);
+        if rest.is_empty() {
+            run(first, rows(0), first_grad);
+            return;
+        }
+        rayon::scope(|s| {
+            for (p, part) in (1..).zip(rest) {
+                let (band, tail) = std::mem::take(&mut rest_grad).split_at_mut(rows(p).len() * d);
+                rest_grad = tail;
+                let run = &run;
+                s.spawn(move |_| run(part, rows(p), band));
+            }
+            run(first, rows(0), first_grad);
+        });
     }
 
     /// The positive-term operator set: `(MUL, RSUM, σ(s)−1, MUL, ASUM)`.
@@ -192,9 +294,6 @@ impl Force2Vec {
         let mut loss_sum = 0.0f64;
         let mut loss_terms = 0usize;
         for batch in batch_list {
-            let mut xb = Dense::recycled(&self.xb_home, batch.len(), emb.ncols());
-            gather_rows_into(emb, batch, &mut xb);
-
             // The gradient (in one piece or two) and the monitoring
             // loss on the positive edges, both from pre-update rows.
             let (grad, grad_neg, (l, t)) = match cfg.backend {
@@ -202,16 +301,23 @@ impl Force2Vec {
                     // A panic mid-step leaves buffers the next step
                     // overwrites anyway.
                     let mut kept = self.step.lock().unwrap_or_else(|e| e.into_inner());
-                    let (step, scores) = &mut *kept;
-                    sampler.labelled_batch_into(&self.adj, batch, step);
-                    scores.resize(step.adj().nnz(), 0.0);
+                    let FusedStep { negatives, parts } = &mut *kept;
+                    // The stream is consumed here, in batch order,
+                    // whatever the part count.
+                    sampler.draw_batch_into(batch, negatives);
+                    let count = self.part_count(batch.len());
+                    if parts.len() < count {
+                        parts.resize_with(count, StepPart::default);
+                    }
+                    let parts = &mut parts[..count];
                     let mut grad = Dense::recycled(&self.grad_home, batch.len(), emb.ncols());
-                    let (ops, scored) =
-                        (OpSet::nce_gradient(None), Launch::All { scores: Some(scores) });
-                    self.plan.launch(step.adj(), &xb, emb, &ops, scored, grad.as_mut_slice());
-                    (grad, None, scored_loss(step, scores))
+                    self.fused_step(emb, batch, negatives, parts, grad.as_mut_slice());
+                    let loss = scored_loss(parts.iter().map(|p| (&p.step, &p.scores[..])));
+                    (grad, None, loss)
                 }
                 Backend::Unfused | Backend::DenseTensor => {
+                    let mut xb = Dense::recycled(&self.xb_home, batch.len(), emb.ncols());
+                    gather_rows_into(emb, batch, &mut xb);
                     let mb = slice_rows(&self.adj, batch);
                     let neg = sampler.sample_batch(batch);
                     let (grad_pos, grad_neg) = if cfg.backend == Backend::Unfused {
@@ -269,14 +375,16 @@ fn init_embedding(n: usize, d: usize, seed: u64) -> Dense {
 }
 
 /// `Σ −ln σ(x_u·x_v)` and the term count over the positive edges of a
-/// fused step, from the scores its launch stored: the label-1 prefix of
-/// every row, folded once in row order — so the value does not depend
-/// on the thread count.
-fn scored_loss(step: &StepMatrix, scores: &[f32]) -> (f64, usize) {
+/// fused step, from the scores its launches stored: the label-1 prefix
+/// of every row of every part, parts in row order, folded once — so the
+/// value depends on neither the part count nor the thread count.
+fn scored_loss<'a>(parts: impl IntoIterator<Item = (&'a StepMatrix, &'a [f32])>) -> (f64, usize) {
     let (mut sum, mut terms) = (SoftplusSum::default(), 0usize);
-    for (&lo, &positives) in step.adj().rowptr().iter().zip(step.positives()) {
-        scores[lo..lo + positives].iter().for_each(|&s| sum.add(-s));
-        terms += positives;
+    for (step, scores) in parts {
+        for (&lo, &positives) in step.adj().rowptr().iter().zip(step.positives()) {
+            scores[lo..lo + positives].iter().for_each(|&s| sum.add(-s));
+            terms += positives;
+        }
     }
     (sum.total(), terms)
 }
@@ -500,7 +608,7 @@ mod tests {
         let mut scores = vec![f32::NAN; step.adj().nnz()];
         let (ops, scored) = (OpSet::nce_gradient(None), Launch::All { scores: Some(&mut scores) });
         Plan::prepare(&ops, 16).launch(step.adj(), &xb, &emb, &ops, scored, grad.as_mut_slice());
-        let (loss, terms) = scored_loss(&step, &scores);
+        let (loss, terms) = scored_loss([(&step, &scores[..])]);
         let positives = |i: usize| step.positives()[i];
         let (one_band, one_terms) = at_width(1, || positive_loss(step.adj(), positives, &xb, &emb));
         assert_eq!(terms, one_terms);
@@ -510,18 +618,73 @@ mod tests {
         assert!((loss - two_bands).abs() <= 1e-12 * two_bands.abs(), "{loss} vs {two_bands}");
     }
 
-    /// Neither the embedding nor — now that the loss is one fold in row
-    /// order — the loss trace depends on the thread count.
+    /// A graph and configuration whose fused steps reach
+    /// [`SPLIT_STEP_WORK`], so a pool wider than one thread cuts them.
+    fn split_graph_and_cfg() -> (Csr, Force2VecConfig) {
+        let adj = planted_partition(600, 3, 12.0, 2.0, 13).adj;
+        let cfg = Force2VecConfig { dim: 128, batch_size: 150, ..tiny_cfg(Backend::Fused) };
+        let work = cfg.batch_size * (adj.nnz() / adj.nrows() + cfg.negatives) * cfg.dim;
+        assert!(work >= SPLIT_STEP_WORK, "fixture under the split rule: {work}");
+        (adj, cfg)
+    }
+
+    /// Neither the embedding nor — the loss being one fold in row order
+    /// over the parts — the loss trace depends on the pool width, which
+    /// is also the number of parts a step is cut into.
     #[test]
     fn fused_training_is_bit_identical_across_thread_counts() {
+        let (adj, cfg) = split_graph_and_cfg();
+        // Every batch has the same size, so every step is cut alike, and
+        // the kept part list is as long as the widest step.
+        assert_eq!(adj.nrows() % cfg.batch_size, 0);
         let run = |width| {
-            at_width(width, || Force2Vec::new(tiny_graph(), tiny_cfg(Backend::Fused)).train())
+            let trainer = Force2Vec::new(adj.clone(), cfg.clone());
+            let r = at_width(width, || trainer.train());
+            let parts = trainer.step.lock().unwrap().parts.len();
+            (r, parts)
         };
-        let (one, two) = (run(1), run(2));
+        let (one, parts) = run(1);
+        assert_eq!(parts, 1, "a one-thread pool split a step");
         let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.losses), bits(&two.losses));
-        let bits = |m: &Dense| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.embedding), bits(&two.embedding));
+        let dense_bits = |m: &Dense| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for width in 2..=4 {
+            let (r, parts) = run(width);
+            assert_eq!(parts, width, "width {width}: the steps must run as {width} parts");
+            assert_eq!(bits(&r.losses), bits(&one.losses), "width {width}");
+            assert_eq!(dense_bits(&r.embedding), dense_bits(&one.embedding), "width {width}");
+        }
+    }
+
+    /// One step cut into P parts gives the one-part step's gradient,
+    /// scores and loss bit for bit, for part counts that do and do not
+    /// divide the batch.
+    #[test]
+    fn a_step_in_parts_equals_the_one_part_step_bit_for_bit() {
+        let (adj, cfg) = split_graph_and_cfg();
+        let n = adj.nrows();
+        let trainer = Force2Vec::new(adj, cfg);
+        let mut emb = init_embedding(n, 128, 5);
+        emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
+        let batch: Vec<usize> = (0..n).rev().step_by(5).collect();
+        let mut negatives = Vec::new();
+        NegativeSampler::new(n, 5, 77).draw_batch_into(&batch, &mut negatives);
+        let step = |count: usize| {
+            let mut parts: Vec<StepPart> = (0..count).map(|_| StepPart::default()).collect();
+            let mut grad = vec![f32::NAN; batch.len() * 128];
+            trainer.fused_step(&emb, &batch, &negatives, &mut parts, &mut grad);
+            let (loss, terms) = scored_loss(parts.iter().map(|p| (&p.step, &p.scores[..])));
+            let scores: Vec<u32> =
+                parts.iter().flat_map(|p| p.scores.iter().map(|s| s.to_bits())).collect();
+            let grad: Vec<u32> = grad.iter().map(|g| g.to_bits()).collect();
+            (grad, scores, loss.to_bits(), terms)
+        };
+        let one = step(1);
+        for count in [2, 3, 4, 7] {
+            let parts = step(count);
+            assert!(parts.0 == one.0, "{count} parts: gradient bits moved");
+            assert!(parts.1 == one.1, "{count} parts: score bits moved");
+            assert_eq!((parts.2, parts.3), (one.2, one.3), "{count} parts: loss");
+        }
     }
 
     #[test]

@@ -11,23 +11,26 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fusedmm_core::simd::{active_backend, prefetch_lines};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 
-/// One training step's labelled `batch × n` matrix, kept by the trainer
-/// and rebuilt in place every step
-/// ([`NegativeSampler::labelled_batch_into`]): the three CSR arrays are
-/// reused, and the length of every row's label-1 prefix is recorded
-/// while the row is written.
+/// One training step's labelled `batch × n` matrix (or one row part of
+/// it), kept by the trainer and rebuilt in place every step
+/// ([`StepMatrix::build`]): the three CSR arrays are reused, and the
+/// length of every row's label-1 prefix is recorded while the row is
+/// written.
 #[derive(Debug)]
 pub struct StepMatrix {
-    adj: Csr,
+    /// `None` only while [`build`](Self::build) holds the arrays, so
+    /// that taking them leaves no placeholder matrix to allocate.
+    adj: Option<Csr>,
     positives: Vec<usize>,
 }
 
 impl Default for StepMatrix {
     fn default() -> Self {
-        StepMatrix { adj: Csr::empty(0, 0), positives: Vec::new() }
+        StepMatrix { adj: Some(Csr::empty(0, 0)), positives: Vec::new() }
     }
 }
 
@@ -35,7 +38,7 @@ impl StepMatrix {
     /// The labelled matrix: row `i` holds the true neighbours of batch
     /// vertex `i` (value 1) followed by its sampled negatives (value 0).
     pub fn adj(&self) -> &Csr {
-        &self.adj
+        self.adj.as_ref().expect("only a build that panicked leaves no matrix")
     }
 
     /// Per row, how many leading entries carry label 1.
@@ -99,41 +102,94 @@ impl NegativeSampler {
     pub fn labelled_batch(&mut self, adj: &Csr, batch: &[usize]) -> Csr {
         let mut step = StepMatrix::default();
         self.labelled_batch_into(adj, batch, &mut step);
-        step.adj
+        step.adj.expect("a finished build leaves its matrix")
     }
 
     /// [`labelled_batch`](Self::labelled_batch) into a matrix the caller
-    /// keeps across steps: `step`'s arrays are cleared and refilled at
-    /// the capacity they have grown to, each batch vertex's adjacency
-    /// row is visited once, and
-    /// [`StepMatrix::positives`] records where each row's label-1
-    /// prefix ends. Same stream, same stored edges.
+    /// keeps across steps: the negatives of the whole batch are drawn
+    /// ([`draw_batch_into`](Self::draw_batch_into)), then `step` is
+    /// rebuilt from them ([`StepMatrix::build`]). Same stream, same
+    /// stored edges.
     pub fn labelled_batch_into(&mut self, adj: &Csr, batch: &[usize], step: &mut StepMatrix) {
         assert_eq!(adj.ncols(), self.nvertices, "adjacency and sampler disagree on the vertex set");
-        let StepMatrix { adj: previous, mut positives } = std::mem::take(step);
-        let (mut rowptr, mut colidx, mut values) = previous.into_parts();
+        let mut negatives = Vec::with_capacity(batch.len() * self.per_vertex);
+        self.draw_batch_into(batch, &mut negatives);
+        step.build(adj, batch, &negatives);
+    }
+
+    /// Draw every batch vertex's `per_vertex` negatives, in batch order,
+    /// into `negatives` (cleared first): row `i`'s draws are
+    /// `negatives[i * per_vertex..(i + 1) * per_vertex]`, duplicates
+    /// included. The stream is consumed exactly as by
+    /// [`sample_batch`](Self::sample_batch).
+    pub fn draw_batch_into(&mut self, batch: &[usize], negatives: &mut Vec<usize>) {
+        negatives.clear();
+        for &u in batch {
+            self.draw(u, |v| negatives.push(v));
+        }
+    }
+}
+
+/// How many rows ahead of the row it copies [`StepMatrix::build`] asks
+/// for a batch vertex's `rowptr` entries, and how many rows ahead for
+/// the head of its column ids. The `rowptr` request goes further out so
+/// that reading a row's bounds to ask for its column ids finds them in
+/// cache.
+const ROWPTR_AHEAD: usize = 16;
+const COLIDX_AHEAD: usize = 8;
+/// Column ids asked for per row: one cache line of `usize`s.
+const COLIDX_HEAD: usize = 8;
+
+impl StepMatrix {
+    /// Rebuild this matrix for `batch` from `negatives`, the batch's
+    /// draws as [`NegativeSampler::draw_batch_into`] lays them out: row
+    /// `i` holds the columns of `adj`'s row `batch[i]` with value 1
+    /// followed by row `i`'s draws with value 0, a draw repeated within
+    /// the row stored once. The three CSR arrays are cleared and
+    /// refilled at the capacity they have grown to, and
+    /// [`positives`](Self::positives) records where each row's label-1
+    /// prefix ends.
+    ///
+    /// The batch vertices' adjacency rows are scattered over the graph,
+    /// so each row's bounds and first column ids are asked for a few
+    /// rows before they are copied (a hint that changes no value).
+    pub fn build(&mut self, adj: &Csr, batch: &[usize], negatives: &[usize]) {
+        let per_row = negatives.len().checked_div(batch.len()).unwrap_or(0);
+        assert_eq!(negatives.len(), batch.len() * per_row, "every row needs the same draw count");
+        let (mut rowptr, mut colidx, mut values) =
+            self.adj.take().map(Csr::into_parts).unwrap_or_default();
+        let positives = &mut self.positives;
         rowptr.clear();
         colidx.clear();
         values.clear();
         positives.clear();
         rowptr.push(0usize);
-        for &u in batch {
+        let (b, adj_rowptr, adj_colidx) = (active_backend(), adj.rowptr(), adj.colidx());
+        for (i, &u) in batch.iter().enumerate() {
+            if let Some(&w) = batch.get(i + ROWPTR_AHEAD) {
+                prefetch_lines(b, &adj_rowptr[w..w + 2]);
+            }
+            if let Some(&w) = batch.get(i + COLIDX_AHEAD) {
+                let lo = adj_rowptr[w];
+                prefetch_lines(b, &adj_colidx[lo..adj_rowptr[w + 1].min(lo + COLIDX_HEAD)]);
+            }
             let neighbours = adj.row(u).0;
             colidx.extend_from_slice(neighbours);
             values.resize(colidx.len(), 1.0);
             positives.push(neighbours.len());
-            let negatives = colidx.len();
-            self.draw(u, |v| {
-                if !colidx[negatives..].contains(&v) {
+            let first = colidx.len();
+            for &v in &negatives[i * per_row..(i + 1) * per_row] {
+                if !colidx[first..].contains(&v) {
                     colidx.push(v);
                 }
-            });
+            }
             values.resize(colidx.len(), 0.0);
             rowptr.push(colidx.len());
         }
-        step.adj = Csr::from_parts(batch.len(), self.nvertices, rowptr, colidx, values)
-            .expect("rows of a valid CSR plus in-range samples form a valid CSR");
-        step.positives = positives;
+        self.adj = Some(
+            Csr::from_parts(batch.len(), adj.ncols(), rowptr, colidx, values)
+                .expect("rows of a valid CSR plus in-range samples form a valid CSR"),
+        );
     }
 }
 

@@ -31,11 +31,19 @@ use crate::part::{Cuts, PartitionStrategy};
 /// does not make, and which of the two a process gets changes from one
 /// minute to the next. With kernels at 25–45 ns per edge at d = 128,
 /// 2²⁰ is 8192 such edges, a 200–400 µs kernel: below it the second
-/// thread's best case saves about what the worst-case hand-off costs,
-/// and a Force2Vec minibatch step (≈ 6 k edges, two launches) measured
-/// 435–712 µs from run to run pooled (8 runs) against 584–662 µs inline
-/// (10 runs). Only *where* bands execute depends on this constant; the
-/// partition, and with it every output bit, does not.
+/// thread's best case saves about what the worst-case hand-off costs.
+/// Only *where* bands execute depends on this constant; the partition,
+/// and with it every output bit, does not.
+///
+/// A Force2Vec training step is not split here: its one launch
+/// (≈ 5.4 k edges at batch 256, d = 128, 0.69 M work) stays under this
+/// constant, and the trainer cuts the whole step — gather, step-matrix
+/// build and launch — into row parts by its own rule,
+/// `force2vec::SPLIT_STEP_WORK` (2¹⁸) in `fusedmm-apps`. Its sweep of
+/// batch 32–512 at d = 32 and 128, one part against two, found parts
+/// slower up to 0.17 M work (1.04–1.37× the inline step), even near
+/// 0.34 M (0.91–0.98×) and faster at 0.69 M (0.78×); each part's launch
+/// still runs inline under this threshold, which did not change.
 pub const INLINE_LAUNCH_WORK: usize = 1 << 20;
 
 /// Execute `body(rows, z_band, edge_band)` for every part of a 1D

@@ -283,12 +283,14 @@ pub fn sqdist(x: &[f32], y: &[f32]) -> f32 {
 }
 
 /// Ask for every cache line of `s` ahead of its use, through backend
-/// `b`'s [`SimdIsa::prefetch`] — a hint that reads nothing and changes
-/// no value. The row schedule issues it for rows a launch has not
-/// reached yet; the portable scalar backend issues nothing, as its
-/// kernels do.
+/// `b`'s prefetch instruction (`prefetcht0` on x86, `prfm pldl1keep` on
+/// AArch64) — a hint that reads nothing and changes no value. A
+/// launch's row schedule issues it for rows it has not reached yet,
+/// with the plan's backend; code outside the kernels passes
+/// [`active_backend`]. The portable scalar backend issues nothing, as
+/// its kernels do.
 #[inline(always)]
-pub(crate) fn prefetch_lines<T>(b: Backend, s: &[T]) {
+pub fn prefetch_lines<T>(b: Backend, s: &[T]) {
     #[inline(always)]
     fn each_line<T>(s: &[T], prefetch: impl Fn(*const f32)) {
         let p = s.as_ptr().cast::<u8>();
@@ -299,9 +301,9 @@ pub(crate) fn prefetch_lines<T>(b: Backend, s: &[T]) {
     match b {
         // SAFETY: `prefetch` accepts any address and never dereferences
         // it; the pointers are formed with wrapping arithmetic inside
-        // `s`. ISA — `b` is the backend a plan's launch runs, which
-        // `active_backend` only hands out when `is_available()`, and
-        // both x86 backends' prefetch is baseline SSE.
+        // `s`. ISA — both x86 backends' prefetch is baseline SSE, which
+        // every x86_64 CPU executes, so this holds whichever `b` the
+        // caller names.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2Fma | Backend::Avx512 => each_line(s, |p| unsafe { Avx2Isa::prefetch(p) }),
         // SAFETY: as above; NEON is baseline on AArch64.

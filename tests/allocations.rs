@@ -1,14 +1,17 @@
 //! Allocation budgets of the uncached request path, of a miss coalesced
-//! onto another request's row and of a row launch, counted per thread
-//! by this binary's global allocator.
+//! onto another request's row, of a row launch and of a Force2Vec
+//! training step, counted by this binary's global allocator per thread
+//! and over all threads.
 //!
 //! Each budget is measured on a warm path: the same call runs a few
 //! times first, so one-time growth (a queue's buffers, the kernel
 //! profile row, lazily built globals) is paid before the count starts.
 //! A waiting caller runs its band's batches itself, so every allocation
 //! of a request — begin, launch, reply and harvest — lands on the
-//! calling thread. The budgets are exact: a count that moves, either
-//! way, is a change to the request path that should be looked at.
+//! calling thread. A training step is the exception: it runs one of
+//! its row parts on a pool worker, so its budget is counted over every
+//! thread. The budgets are exact: a count that moves, either way, is a
+//! change to the request path or the step that should be looked at.
 //!
 //! The same holds with two callers at once: each blocking caller runs
 //! its own parts, so each thread's per-call count is the lone caller's,
@@ -24,8 +27,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use fusedmm::apps::sampler::NegativeSampler;
+use fusedmm::apps::{Backend, Force2Vec, Force2VecConfig};
 use fusedmm::perf::trace::Tracer;
 use fusedmm::prelude::*;
 use fusedmm::serve::{AdmissionPolicy, FaultPlan};
@@ -35,19 +41,25 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// [`System`] plus a per-thread count of the blocks it hands out.
+/// Allocations made by every thread of the process.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// [`System`] plus a count of the blocks it hands out, per thread and
+/// over all threads.
 struct PerThreadCount;
 
 fn count() {
     // `try_with`: a thread being torn down has no slot left to count in.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    ALL_THREADS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments, so each upholds exactly the contract `System` relies on;
 // the only addition is a bump of a `const`-initialised thread-local
-// `Cell`, which itself never allocates (no lazy initialisation and no
-// destructor to register) and so cannot re-enter the allocator.
+// `Cell` and of a static atomic, neither of which ever allocates (no
+// lazy initialisation and no destructor to register), so neither can
+// re-enter the allocator.
 unsafe impl GlobalAlloc for PerThreadCount {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -167,6 +179,48 @@ fn an_inline_row_launch_allocates_nothing() {
     assert_eq!(n, 0, "an inline Launch::Rows");
     let want = plan.execute_rows(&a, &ids, &x, &y, &ops);
     assert_eq!(z, want.as_slice());
+}
+
+/// A warm one-batch fused training step at the benchmark's step shape
+/// (d = 128, batch 256, 5 negatives) on a two-thread pool, counted over
+/// every thread: the caller and the pool worker that runs the second
+/// row part. The trainer keeps its draws, step matrices, scores,
+/// gathered rows and gradient between steps, so what is left is the
+/// fork-join: the scope's shared state and the spawned part's task box.
+/// The least of 16 steps is taken, so that a test-harness thread
+/// allocating beside a step cannot add to the count.
+#[test]
+fn a_warm_training_step_allocates_twice_over_all_threads() {
+    let _serial = serial();
+    let n = 1 << 12;
+    let adj = rmat(&RmatConfig::new(n, 8 * n).with_seed(3));
+    let cfg = Force2VecConfig {
+        dim: 128,
+        batch_size: 256,
+        epochs: 1,
+        lr: 0.1,
+        negatives: 5,
+        seed: 7,
+        backend: Backend::Fused,
+    };
+    let batches: Vec<Vec<usize>> =
+        (0..n).map(|i| i * 1237 % n).collect::<Vec<_>>().chunks(256).map(<[_]>::to_vec).collect();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+    let counts: Vec<u64> = pool.install(|| {
+        let trainer = Force2Vec::new(adj, cfg);
+        let mut emb = random_features(n, 128, 0.05, 2);
+        let mut sampler = NegativeSampler::new(n, 5, 4);
+        let mut step = |i: usize| {
+            let before = ALL_THREADS.load(Ordering::SeqCst);
+            trainer.train_epoch(&mut emb, &mut sampler, &batches[i % 16..=i % 16]);
+            ALL_THREADS.load(Ordering::SeqCst) - before
+        };
+        for i in 0..16 {
+            step(i);
+        }
+        (16..32).map(step).collect()
+    });
+    assert_eq!(counts.iter().min(), Some(&2), "a warm fused step: {counts:?}");
 }
 
 /// `f(caller)` on two threads released together, one result each.

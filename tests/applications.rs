@@ -3,7 +3,7 @@
 //! embeddings classify, GCN aggregates, layout separates.
 
 use fusedmm::apps::classify::{ClassifierConfig, SoftmaxRegression};
-use fusedmm::apps::force2vec::{Backend, Force2Vec, Force2VecConfig};
+use fusedmm::apps::force2vec::{Backend, Force2Vec, Force2VecConfig, SPLIT_STEP_WORK};
 use fusedmm::apps::frlayout::{FrLayout, FrLayoutConfig};
 use fusedmm::apps::gcn::{normalize_adjacency, Gcn2};
 use fusedmm::apps::gnn_mlp::GnnMlpLayer;
@@ -110,4 +110,61 @@ fn training_loss_monotone_tendency() {
     let head: f64 = r.losses[..3].iter().sum::<f64>() / 3.0;
     let tail: f64 = r.losses[r.losses.len() - 3..].iter().sum::<f64>() / 3.0;
     assert!(tail < head, "loss head {head} -> tail {tail}");
+}
+
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 32 fused steps at the repo benchmark's step shape scaled down to
+/// 2¹² vertices (RMAT × 8, d = 128, batch 256, 5 negatives, batches
+/// over a scattered vertex order, one step per `train_epoch` call as
+/// the benchmark drives it): the hashes of the embedding and of the
+/// per-step loss trace. The pinned values are those the trainer gave
+/// when every step was one launch on the caller; every pool width must
+/// reproduce them. They hold on the two x86 SIMD backends, which agree
+/// bit for bit; elsewhere only the widths' agreement is checked.
+#[test]
+fn fused_training_bits_are_pinned_at_every_pool_width() {
+    use fusedmm::apps::sampler::NegativeSampler;
+    use fusedmm::kernel::Backend as Isa;
+    const EMBEDDING: u64 = 0x7f38_7b0c_856f_b80b;
+    const LOSSES: u64 = 0x3138_b542_bfc8_6418;
+    let n = 1 << 12;
+    let adj = rmat(&RmatConfig::new(n, 8 * n).with_seed(3));
+    let order: Vec<usize> = (0..n).map(|i| i * 1237 % n).collect();
+    let batches: Vec<Vec<usize>> = order.chunks(256).map(<[usize]>::to_vec).collect();
+    // Past the split rule, so widths 2–4 cut every step into parts.
+    assert!(256 * (adj.nnz() / n + 5) * 128 >= SPLIT_STEP_WORK);
+    let cfg = Force2VecConfig {
+        dim: 128,
+        batch_size: 256,
+        epochs: 1,
+        lr: 0.1,
+        negatives: 5,
+        seed: 7,
+        backend: Backend::Fused,
+    };
+    let run = |width: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+        pool.install(|| {
+            let trainer = Force2Vec::new(adj.clone(), cfg.clone());
+            let mut emb = random_features(n, 128, 0.5 / (128f32).sqrt(), 2);
+            let mut sampler = NegativeSampler::new(n, 5, 4);
+            let losses: Vec<f64> = (0..32)
+                .map(|i| trainer.train_epoch(&mut emb, &mut sampler, &batches[i % 16..=i % 16]))
+                .collect();
+            let embedding = fnv(emb.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            (embedding, fnv(losses.iter().flat_map(|l| l.to_bits().to_le_bytes())))
+        })
+    };
+    let one = run(1);
+    for width in 2..=4 {
+        assert_eq!(run(width), one, "pool width {width} moved a bit");
+    }
+    if matches!(fusedmm::kernel::active_backend(), Isa::Avx2Fma | Isa::Avx512) {
+        assert_eq!(one, (EMBEDDING, LOSSES), "the trainer's bits moved");
+    }
 }
