@@ -44,15 +44,15 @@ struct Entry {
     data: Box<[f32]>,
 }
 
-/// Deferred stat deltas from a lock-held insert.
+/// Deferred stat deltas from lock-held inserts.
 #[derive(Default)]
 struct InsertStats {
-    /// The row was admitted (fresh or refresh); stale rows are refused.
-    inserted: bool,
-    /// A new entry was created (refreshes keep the footprint).
-    grew: bool,
+    /// Rows admitted (fresh or refresh); stale rows are refused.
+    inserted: u64,
+    /// New entries created (refreshes keep the footprint).
+    grew: usize,
     /// Entries retired by CLOCK eviction to make room.
-    evicted: u64,
+    evicted: usize,
 }
 
 /// One in-flight row computation another request may coalesce onto.
@@ -62,7 +62,8 @@ struct Inflight<W> {
     /// Unique registration id, so an owner's completion can never
     /// resolve a different registration for the same node.
     token: u64,
-    /// The coalesced waiters' handles, returned by the fill or abort.
+    /// The coalesced waiters' handles, handed back when the owner
+    /// resolves the registration.
     waiters: Vec<W>,
 }
 
@@ -126,35 +127,22 @@ impl<W> Segment<W> {
     }
 }
 
-/// How a cache miss should be computed, decided by
-/// [`ResultCache::route_miss`]: either the caller owns the computation,
-/// or it coalesces onto an in-flight one.
-#[must_use = "an Owner registration must be resolved with fill/abort or waiters hang"]
-pub enum MissRoute {
-    /// First miss in this validity window: the caller computes the row
-    /// and must resolve the registration with [`ResultCache::fill`]
-    /// (or [`ResultCache::abort`] on failure).
-    Owner(InflightOwner),
-    /// An equivalent computation is already in flight — the fill the
-    /// owner produces is bit-identical to what this caller would
-    /// compute at its own pinned epoch. The caller's handle is
-    /// registered with it; wait on the handle's other end instead of
-    /// computing.
-    Coalesced,
-    /// A concurrent fill landed between the caller's lookup miss and
-    /// this routing call: the row is already resident and valid at the
-    /// caller's pinned epoch — here it is, nothing to compute or wait
-    /// for.
-    Resident(Box<[f32]>),
-}
+/// Requests of up to this many ids sort their segment order on the
+/// stack; a longer one allocates it.
+const STACK_IDS: usize = 64;
 
-/// Owner-side handle of one in-flight row computation, returned by
-/// [`ResultCache::route_miss`]. Must be resolved with
-/// [`ResultCache::fill`] or [`ResultCache::abort`]; an unresolved
-/// registration leaves its waiters blocked until their deadline.
+/// The segment an item decided by [`ResultCache::by_segment`] names.
+const DONE: usize = usize::MAX;
+
+/// Owner-side handle of one in-flight row computation, registered by
+/// [`ResultCache::route`]. Must be resolved with
+/// [`ResultCache::resolve`]; an unresolved registration leaves its
+/// waiters blocked until their deadline.
 #[derive(Debug)]
+#[must_use = "an owned registration must be resolved or its waiters hang"]
 pub struct InflightOwner {
     node: usize,
+    segment: usize,
     epoch: u64,
     token: u64,
 }
@@ -165,10 +153,24 @@ impl InflightOwner {
         self.node
     }
 
-    /// The pinned epoch the fill will be stamped with.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// The lock stripe the registration lives in.
+    pub fn segment(&self) -> usize {
+        self.segment
     }
+}
+
+/// What one request's pass over the cache ([`ResultCache::route`])
+/// left it to do.
+#[derive(Debug, Default)]
+#[must_use = "owned registrations must be resolved or their waiters hang"]
+pub struct Route {
+    /// `(position, node)` of every requested row the pass did not
+    /// serve, grouped by segment.
+    pub misses: Vec<(usize, usize)>,
+    /// The computations this request was registered as the owner of,
+    /// one per distinct node, sorted by node (none when the pass did
+    /// not register).
+    pub owners: Vec<InflightOwner>,
 }
 
 /// A sharded, lock-striped, epoch-aware cache of computed embedding
@@ -176,9 +178,9 @@ impl InflightOwner {
 /// [`CacheConfig`] for sizing.
 ///
 /// `W` is the handle a coalesced miss registers with an in-flight
-/// computation ([`ResultCache::route_miss`]); the owner's
-/// [`fill`](ResultCache::fill) or [`abort`](ResultCache::abort) hands
-/// the handles back, so what a waiter waits on is the caller's choice.
+/// computation ([`ResultCache::route`]); the owner's
+/// [`resolve`](ResultCache::resolve) hands the handles back, so what a
+/// waiter waits on is the caller's choice.
 pub struct ResultCache<W> {
     segments: Vec<Mutex<Segment<W>>>,
     /// Per-segment resident-entry cap derived from the byte budget.
@@ -195,6 +197,9 @@ pub struct ResultCache<W> {
     /// Monotonic id minting [`InflightOwner`] tokens.
     next_token: AtomicU64,
     stats: CacheStats,
+    /// Segment lock acquisitions, for the tests that count them.
+    #[cfg(test)]
+    locks: AtomicU64,
 }
 
 impl<W> std::fmt::Debug for ResultCache<W> {
@@ -230,27 +235,9 @@ impl<W> ResultCache<W> {
             last_touch: (0..nvertices).map(|_| AtomicU64::new(0)).collect(),
             next_token: AtomicU64::new(0),
             stats: CacheStats::default(),
+            #[cfg(test)]
+            locks: AtomicU64::new(0),
         }
-    }
-
-    /// The embedding dimension of cached rows.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// The vertex-id space this cache covers.
-    pub fn nvertices(&self) -> usize {
-        self.nvertices
-    }
-
-    /// Resident-row capacity (entries, not bytes) across all segments.
-    pub fn capacity_rows(&self) -> usize {
-        self.seg_cap * self.segments.len()
-    }
-
-    /// Number of lock stripes (fault injection targets one by index).
-    pub fn segments(&self) -> usize {
-        self.segments.len()
     }
 
     /// The lock stripe `node`'s entry lives in.
@@ -258,108 +245,216 @@ impl<W> ResultCache<W> {
         node % self.segments.len()
     }
 
-    fn segment(&self, node: usize) -> &Mutex<Segment<W>> {
-        &self.segments[self.segment_of(node)]
+    /// Hand each run of `items` that names one segment (`segment` reads
+    /// the name) to `decide`, under that segment's lock, one lock at a
+    /// time: first every run whose segment no other thread holds, then
+    /// the rest, waiting for each, so a thread rarely sleeps on a stripe
+    /// while another is free. A decided run's items are renamed
+    /// [`DONE`].
+    fn by_segment<T>(
+        &self,
+        items: &mut [T],
+        segment: impl Fn(&mut T) -> &mut usize,
+        mut decide: impl FnMut(&mut Segment<W>, &mut [T]),
+    ) {
+        for wait in [false, true] {
+            let mut rest = &mut items[..];
+            while let Some(first) = rest.first_mut() {
+                let name = *segment(first);
+                let len = rest.iter_mut().position(|t| *segment(t) != name).unwrap_or(rest.len());
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                if name == DONE {
+                    continue;
+                }
+                let mutex = &self.segments[name];
+                let Some(mut seg) = (if wait { Some(mutex.lock()) } else { mutex.try_lock() })
+                else {
+                    continue;
+                };
+                #[cfg(test)]
+                self.locks.fetch_add(1, Ordering::Relaxed);
+                decide(&mut seg, run);
+                drop(seg);
+                run.iter_mut().for_each(|t| *segment(t) = DONE);
+            }
+        }
+    }
+
+    /// A row stamped `stamp` is stale for every reader: a publish or a
+    /// delta touch of `node` landed after it was computed.
+    fn stale(&self, node: usize, stamp: u64) -> bool {
+        stamp < self.flush_epoch.load(Ordering::Acquire)
+            || stamp < self.last_touch[node].load(Ordering::Acquire)
     }
 
     fn valid(&self, node: usize, stamp: u64, pinned: u64) -> bool {
-        stamp <= pinned
-            && stamp >= self.flush_epoch.load(Ordering::Acquire)
-            && stamp >= self.last_touch[node].load(Ordering::Acquire)
+        stamp <= pinned && !self.stale(node, stamp)
     }
 
-    /// Copy the cached row for `node`, valid at pinned epoch `pinned`,
-    /// into `out`. Returns false (and drops a stale entry, if any) on a
-    /// miss. Counts one hit or miss.
+    /// One request's pass over the cache at pinned epoch `pinned` (see
+    /// the crate docs): every id of `nodes` (any order, repeats allowed)
+    /// is decided under its segment's lock, taken once per touched
+    /// segment. A hit is copied into every row of `out` (`nodes.len()`
+    /// rows of `d`, in request order) whose id is that node. With a
+    /// `waiter`, a miss coalesces onto an equivalent computation in
+    /// flight — `waiter(node)` runs under the lock, so it must not call
+    /// back into the cache — or registers this request as the owner;
+    /// without one (a cache-only read) misses are only reported. Counts
+    /// one hit or miss per requested row and records the request's hit
+    /// ratio.
     ///
     /// # Panics
-    /// Panics when `node >= nvertices` or `out.len() != d`.
-    pub fn lookup(&self, node: usize, pinned: u64, out: &mut [f32]) -> bool {
-        assert!(node < self.nvertices, "node {node} outside cache range {}", self.nvertices);
-        assert_eq!(out.len(), self.d, "output slice must hold one row");
-        #[derive(PartialEq)]
-        enum Verdict {
-            Hit,
-            /// Absent, or newer than this reader's pin (an old snapshot
-            /// racing a fresher insert) — the entry, if any, is kept.
-            Miss,
-            /// Provably stale for every future reader: reclaim now.
-            StaleDrop,
-        }
-        let mut seg = self.segment(node).lock();
-        let verdict = match seg.map.get_mut(&node) {
-            Some(e) if self.valid(node, e.epoch, pinned) => {
-                e.referenced = true;
-                out.copy_from_slice(&e.data);
-                Verdict::Hit
-            }
-            Some(e)
-                if e.epoch < self.flush_epoch.load(Ordering::Acquire)
-                    || e.epoch < self.last_touch[node].load(Ordering::Acquire) =>
-            {
-                Verdict::StaleDrop
-            }
-            _ => Verdict::Miss,
+    /// Panics when an id is `>= nvertices` or `out.len() != nodes.len() * d`.
+    pub fn route(
+        &self,
+        nodes: &[usize],
+        pinned: u64,
+        out: &mut [f32],
+        mut waiter: Option<&mut dyn FnMut(usize) -> W>,
+    ) -> Route {
+        assert_eq!(out.len(), nodes.len() * self.d, "one output row per requested node");
+        // Each position tagged with its node's segment, once, then
+        // sorted so that a segment's ids, and a node's repeats, are
+        // adjacent.
+        let mut stack = [(0, 0); STACK_IDS];
+        let mut heap = Vec::new();
+        let order = if nodes.len() <= STACK_IDS {
+            &mut stack[..nodes.len()]
+        } else {
+            heap.resize(nodes.len(), (0, 0));
+            &mut heap[..]
         };
-        if verdict == Verdict::StaleDrop {
-            seg.map.remove(&node);
+        for (slot, (pos, &node)) in order.iter_mut().zip(nodes.iter().enumerate()) {
+            assert!(node < self.nvertices, "node {node} outside cache range {}", self.nvertices);
+            *slot = (self.segment_of(node), pos);
         }
-        drop(seg);
-        match verdict {
-            Verdict::Hit => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Verdict::Miss => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Verdict::StaleDrop => {
-                self.stats.entries.fetch_sub(1, Ordering::Relaxed);
-                self.stats.bytes.fetch_sub(self.row_bytes, Ordering::Relaxed);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+        order.sort_unstable_by_key(|&(segment, pos)| (segment, nodes[pos]));
+        let mut route = Route::default();
+        let (mut hits, mut stale, mut coalesced) = (0, 0, 0);
+        self.by_segment(
+            order,
+            |slot| &mut slot.0,
+            |seg, run| {
+                let segment = run[0].0;
+                for ids in run.chunk_by(|a, b| nodes[a.1] == nodes[b.1]) {
+                    let node = nodes[ids[0].1];
+                    if let Some(e) = seg.map.get_mut(&node) {
+                        if self.valid(node, e.epoch, pinned) {
+                            e.referenced = true;
+                            for &(_, pos) in ids {
+                                out[pos * self.d..][..self.d].copy_from_slice(&e.data);
+                            }
+                            hits += ids.len();
+                            continue;
+                        }
+                        // Stale for every reader: reclaim it now. An entry
+                        // newer than this reader's pin stays.
+                        if self.stale(node, e.epoch) {
+                            seg.map.remove(&node);
+                            stale += 1;
+                        }
+                    }
+                    if route.misses.is_empty() {
+                        route.misses.reserve_exact(nodes.len() - hits);
+                    }
+                    route.misses.extend(ids.iter().map(|&(_, pos)| (pos, node)));
+                    let Some(waiter) = waiter.as_mut() else { continue };
+                    let inflight = seg.inflight.entry(node).or_default();
+                    if let Some(e) = inflight.iter_mut().find(|e| self.valid(node, e.epoch, pinned))
+                    {
+                        e.waiters.push(waiter(node));
+                        coalesced += 1;
+                        continue;
+                    }
+                    let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                    inflight.push(Inflight { epoch: pinned, token, waiters: Vec::new() });
+                    if route.owners.is_empty() {
+                        route.owners.reserve_exact(nodes.len() - hits);
+                    }
+                    route.owners.push(InflightOwner { node, segment, epoch: pinned, token });
+                }
+            },
+        );
+        self.stats.hits.fetch_add(hits as u64, Ordering::Relaxed);
+        self.stats.misses.fetch_add(route.misses.len() as u64, Ordering::Relaxed);
+        self.stats.coalesced_misses.fetch_add(coalesced, Ordering::Relaxed);
+        for _ in &route.owners {
+            self.stats.inflight.inc();
         }
+        self.dropped(stale);
+        self.stats.hit_ratio.record_fraction(hits as u64, nodes.len() as u64);
+        route.owners.sort_unstable_by_key(|o| o.node);
+        route
     }
 
-    /// Insert (or refresh) the row for `node` computed at `epoch`,
-    /// evicting CLOCK-style under budget pressure. Rows already known
-    /// stale (an invalidation for a newer epoch landed first) are not
-    /// admitted — that is what makes a concurrent
-    /// compute-from-old-epoch / delta-update race safe.
+    /// Resolve owned registrations: an owner `row` gives a row for
+    /// fills (inserted unless an invalidation for a newer epoch landed
+    /// first), one it gives none for aborts. Each run of `owners` in one
+    /// segment takes one lock, so owners grouped by
+    /// [`InflightOwner::segment`] take one per segment; the removal and
+    /// the insert share it, so a concurrent [`ResultCache::route`] finds
+    /// the row in flight or resident, never in between.
+    ///
+    /// Returns each coalesced waiter's handle with its owner's row
+    /// (`None`: aborted), after the last lock drops, so whatever
+    /// releasing one does runs outside it. A fill raced by an
+    /// invalidation still serves its waiters, whose pins pre-date it; a
+    /// registration already resolved has no handles left.
     ///
     /// # Panics
-    /// Panics when `node >= nvertices` or `row.len() != d`.
-    pub fn insert(&self, node: usize, epoch: u64, row: &[f32]) {
-        assert!(node < self.nvertices, "node {node} outside cache range {}", self.nvertices);
-        assert_eq!(row.len(), self.d, "row slice must hold one row");
-        let mut seg = self.segment(node).lock();
-        let outcome = self.insert_locked(&mut seg, node, epoch, row);
-        drop(seg);
-        self.apply_insert_stats(outcome);
+    /// Panics when a row's length is not `d`.
+    pub fn resolve<'r>(
+        &self,
+        mut owners: Vec<InflightOwner>,
+        row: impl Fn(&InflightOwner) -> Option<&'r [f32]>,
+    ) -> Vec<(W, Option<&'r [f32]>)> {
+        let (mut handed, mut resolved, mut tally) = (Vec::new(), 0, InsertStats::default());
+        self.by_segment(
+            &mut owners,
+            |owner| &mut owner.segment,
+            |seg, run| {
+                for owner in run {
+                    let row = row(owner);
+                    if let Some(row) = row {
+                        assert_eq!(row.len(), self.d, "row slice must hold one row");
+                        self.insert_locked(seg, owner.node, owner.epoch, row, &mut tally);
+                    }
+                    if let Some(waiters) = Self::take_inflight_locked(seg, owner) {
+                        resolved += 1;
+                        handed.extend(waiters.into_iter().map(|w| (w, row)));
+                    }
+                }
+            },
+        );
+        self.apply_insert_stats(tally);
+        for _ in 0..resolved {
+            self.stats.inflight.dec();
+        }
+        handed
     }
 
     /// The insert body, run under the caller-held segment lock, with
-    /// stat deltas deferred (atomics are not touched while locked).
+    /// stat deltas deferred to `tally` (atomics are not touched while
+    /// locked). Rows already known stale (an invalidation for a newer
+    /// epoch landed first) are not admitted — that is what makes a
+    /// concurrent compute-from-old-epoch / delta-update race safe.
     fn insert_locked(
         &self,
         seg: &mut Segment<W>,
         node: usize,
         epoch: u64,
         row: &[f32],
-    ) -> InsertStats {
-        let mut outcome = InsertStats::default();
-        if epoch < self.flush_epoch.load(Ordering::Acquire)
-            || epoch < self.last_touch[node].load(Ordering::Acquire)
-        {
-            return outcome;
+        tally: &mut InsertStats,
+    ) {
+        if self.stale(node, epoch) {
+            return;
         }
         if let Some(e) = seg.map.get_mut(&node) {
             // A straggler's older row never downgrades a newer entry —
             // and a refused refresh is not an insert.
             if epoch < e.epoch {
-                return outcome;
+                return;
             }
             e.epoch = epoch;
             e.referenced = true;
@@ -369,128 +464,27 @@ impl<W> ResultCache<W> {
                 if !seg.evict_one() {
                     break;
                 }
-                outcome.evicted += 1;
+                tally.evicted += 1;
             }
             seg.map.insert(node, Entry { epoch, referenced: false, data: row.into() });
             seg.ring.push(node);
-            outcome.grew = true;
+            tally.grew += 1;
         }
-        outcome.inserted = true;
-        outcome
+        tally.inserted += 1;
     }
 
-    fn apply_insert_stats(&self, outcome: InsertStats) {
-        if outcome.grew {
-            self.stats.entries.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes.fetch_add(self.row_bytes, Ordering::Relaxed);
-        }
-        if outcome.evicted > 0 {
-            self.stats.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
-            self.stats.entries.fetch_sub(outcome.evicted as usize, Ordering::Relaxed);
-            self.stats
-                .bytes
-                .fetch_sub(outcome.evicted as usize * self.row_bytes, Ordering::Relaxed);
-        }
-        if outcome.inserted {
-            self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        }
+    fn apply_insert_stats(&self, tally: InsertStats) {
+        self.stats.entries.fetch_add(tally.grew, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(tally.grew * self.row_bytes, Ordering::Relaxed);
+        self.stats.evictions.fetch_add(tally.evicted as u64, Ordering::Relaxed);
+        self.dropped(tally.evicted);
+        self.stats.inserts.fetch_add(tally.inserted, Ordering::Relaxed);
     }
 
-    /// Route a cache miss: either the caller becomes the **owner** of
-    /// the row computation (first miss in this validity window — it
-    /// must resolve the registration with [`ResultCache::fill`] or
-    /// [`ResultCache::abort`]), or it **coalesces** onto an in-flight
-    /// computation whose fill is provably bit-identical to what the
-    /// caller would compute at `pinned` (the handle `waiter()` makes is
-    /// registered with it), or — when a concurrent fill landed between
-    /// the caller's lookup miss and this call — the row is already
-    /// **resident** and returned directly. `waiter` runs only when the
-    /// miss coalesces, under the segment lock: it must not call back
-    /// into the cache. The resident/in-flight/owner decision is atomic
-    /// under the segment lock ([`ResultCache::fill`] resolves under the
-    /// same lock), so a row is never computed twice within one validity
-    /// window.
-    ///
-    /// Coalescing applies the same validity predicate as a lookup: a
-    /// waiter pinned to `pinned` attaches to an in-flight registration
-    /// stamped `e` only when `e <= pinned` and no publish or
-    /// delta-touch of `node` landed after `e` — under exactly those
-    /// conditions the row at epoch `e` equals the row at `pinned`
-    /// bit-for-bit. An epoch bump that invalidates `node` mid-flight
-    /// therefore makes later requests *re-compute* (they register a
-    /// fresh owner) instead of consuming the stale fill.
-    ///
-    /// # Panics
-    /// Panics when `node >= nvertices`.
-    pub fn route_miss(&self, node: usize, pinned: u64, waiter: impl FnOnce() -> W) -> MissRoute {
-        assert!(node < self.nvertices, "node {node} outside cache range {}", self.nvertices);
-        let mut seg = self.segment(node).lock();
-        // A fill may have landed since the caller's lookup missed:
-        // serve it rather than re-registering an owner (counted as a
-        // late hit — the preceding lookup already counted the miss).
-        if let Some(e) = seg.map.get_mut(&node) {
-            if self.valid(node, e.epoch, pinned) {
-                e.referenced = true;
-                let row = e.data.clone();
-                drop(seg);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.late_hits.fetch_add(1, Ordering::Relaxed);
-                return MissRoute::Resident(row);
-            }
-        }
-        if let Some(entries) = seg.inflight.get_mut(&node) {
-            if let Some(e) = entries.iter_mut().find(|e| self.valid(node, e.epoch, pinned)) {
-                e.waiters.push(waiter());
-                drop(seg);
-                self.stats.coalesced_misses.fetch_add(1, Ordering::Relaxed);
-                return MissRoute::Coalesced;
-            }
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        seg.inflight.entry(node).or_default().push(Inflight {
-            epoch: pinned,
-            token,
-            waiters: Vec::new(),
-        });
-        drop(seg);
-        self.stats.inflight.inc();
-        MissRoute::Owner(InflightOwner { node, epoch: pinned, token })
-    }
-
-    /// Complete an in-flight registration: insert `row` into the cache
-    /// and hand back the coalesced waiters' handles, for the caller to
-    /// back-fill with `row` (a fill raced by an invalidation still
-    /// serves its registered waiters, whose pinned epochs pre-date the
-    /// invalidation, but is not admitted as a cache entry). The
-    /// registration removal and the insert happen under one segment
-    /// lock acquisition, so a concurrent [`ResultCache::route_miss`]
-    /// observes either "in flight" or "resident" — never the gap in
-    /// between (which would make it recompute the row). The handles
-    /// come back after the lock drops, so whatever releasing one does
-    /// (a wakeup, another lock) runs outside it. A registration already
-    /// resolved has no handles left.
-    ///
-    /// # Panics
-    /// Panics when `row.len() != d`.
-    pub fn fill(&self, owner: InflightOwner, row: &[f32]) -> Vec<W> {
-        assert_eq!(row.len(), self.d, "row slice must hold one row");
-        let mut seg = self.segment(owner.node).lock();
-        let waiters = Self::take_inflight_locked(&mut seg, &owner);
-        let outcome = self.insert_locked(&mut seg, owner.node, owner.epoch, row);
-        drop(seg);
-        self.apply_insert_stats(outcome);
-        self.resolved(waiters)
-    }
-
-    /// Abandon an in-flight registration (the owning request failed,
-    /// e.g. on engine shutdown): nothing is inserted, and the coalesced
-    /// waiters' handles come back, after the lock drops, for the caller
-    /// to fail.
-    pub fn abort(&self, owner: InflightOwner) -> Vec<W> {
-        let mut seg = self.segment(owner.node).lock();
-        let waiters = Self::take_inflight_locked(&mut seg, &owner);
-        drop(seg);
-        self.resolved(waiters)
+    /// Count `rows` resident entries out of the footprint.
+    fn dropped(&self, rows: usize) {
+        self.stats.entries.fetch_sub(rows, Ordering::Relaxed);
+        self.stats.bytes.fetch_sub(rows * self.row_bytes, Ordering::Relaxed);
     }
 
     /// Remove `owner`'s registration under the caller-held lock,
@@ -505,17 +499,8 @@ impl<W> ResultCache<W> {
         Some(entry.waiters)
     }
 
-    /// The gauge side of a resolution: a registration resolved twice
-    /// (double fill or abort) is a no-op and leaves the gauge alone.
-    fn resolved(&self, waiters: Option<Vec<W>>) -> Vec<W> {
-        if waiters.is_some() {
-            self.stats.inflight.dec();
-        }
-        waiters.unwrap_or_default()
-    }
-
     /// A publish minted `epoch`: lazily invalidate every entry stamped
-    /// earlier (O(1) — the stamp comparison at lookup does the work).
+    /// earlier (O(1) — the stamp comparison of a route does the work).
     /// Must be called before any reader can pin `epoch`.
     pub fn invalidate_all(&self, epoch: u64) {
         self.flush_epoch.fetch_max(epoch, Ordering::AcqRel);
@@ -524,34 +509,32 @@ impl<W> ResultCache<W> {
 
     /// A delta update minted `epoch` with dependency touch set `rows`
     /// (the patched vertices and their in-neighbors): precisely retire
-    /// exactly those rows — resident entries are dropped eagerly, and
-    /// the per-vertex floor blocks stale re-inserts racing this call.
-    /// Ids outside the cache's vertex range are ignored (a rectangular
-    /// graph may patch Y rows beyond the output row space). Must be
-    /// called before any reader can pin `epoch`.
+    /// exactly those rows — resident entries are dropped eagerly, one
+    /// lock per touched segment, and the per-vertex floor, raised
+    /// before any lock is taken, blocks stale re-inserts racing this
+    /// call. Ids outside the cache's vertex range are ignored (a
+    /// rectangular graph may patch Y rows beyond the output row space).
+    /// Must be called before any reader can pin `epoch`.
     pub fn invalidate_rows(&self, epoch: u64, rows: &[usize]) {
-        let mut dropped = 0usize;
-        for &node in rows {
-            if node >= self.nvertices {
-                continue;
-            }
+        let mut order: Vec<(usize, usize)> = rows
+            .iter()
+            .filter(|&&node| node < self.nvertices)
+            .map(|&node| (self.segment_of(node), node))
+            .collect();
+        order.sort_unstable();
+        for &(_, node) in &order {
             self.last_touch[node].fetch_max(epoch, Ordering::AcqRel);
-            let mut seg = self.segment(node).lock();
-            if seg.map.remove(&node).is_some() {
-                dropped += 1;
-            }
         }
-        if dropped > 0 {
-            self.stats.invalidated_rows.fetch_add(dropped as u64, Ordering::Relaxed);
-            self.stats.entries.fetch_sub(dropped, Ordering::Relaxed);
-            self.stats.bytes.fetch_sub(dropped * self.row_bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one request-level observation for the hit-ratio
-    /// histogram: `hits` of `rows` requested rows came from the cache.
-    pub fn record_request(&self, hits: u64, rows: u64) {
-        self.stats.hit_ratio.record_fraction(hits, rows);
+        let mut dropped = 0;
+        self.by_segment(
+            &mut order,
+            |slot| &mut slot.0,
+            |seg, run| {
+                dropped += run.iter().filter(|&&(_, node)| seg.map.remove(&node).is_some()).count();
+            },
+        );
+        self.stats.invalidated_rows.fetch_add(dropped as u64, Ordering::Relaxed);
+        self.dropped(dropped);
     }
 
     /// Point-in-time statistics.
@@ -563,6 +546,7 @@ impl<W> ResultCache<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn row(d: usize, v: f32) -> Vec<f32> {
         vec![v; d]
@@ -573,47 +557,74 @@ mod tests {
         ResultCache::new(nvertices, d, CacheConfig::default())
     }
 
-    /// A route that must not coalesce: making a waiter is a failure.
-    fn no_waiter() -> u32 {
+    /// A waiter for a route that must not coalesce.
+    fn no_waiter(_: usize) -> u32 {
         panic!("this miss must not coalesce")
     }
 
-    fn tiny(nvertices: usize, d: usize, rows_budget: usize) -> ResultCache<u32> {
-        // One segment so capacity is exact and eviction deterministic.
-        let row_bytes = 4 * d + ENTRY_OVERHEAD;
-        ResultCache::new(
-            nvertices,
-            d,
-            CacheConfig { byte_budget: rows_budget * row_bytes, segments: 1 },
-        )
+    /// One segment of `rows` rows, so eviction is deterministic.
+    fn tiny(nvertices: usize, d: usize, rows: usize) -> ResultCache<u32> {
+        let config = CacheConfig { byte_budget: rows * (4 * d + ENTRY_OVERHEAD), segments: 1 };
+        ResultCache::new(nvertices, d, config)
+    }
+
+    /// `node`'s row valid at `pinned`, read without registering.
+    fn get(c: &ResultCache<u32>, node: usize, pinned: u64) -> Option<Vec<f32>> {
+        let mut out = row(c.d, f32::NAN);
+        let route = c.route(&[node], pinned, &mut out, None);
+        route.misses.is_empty().then_some(out)
+    }
+
+    /// Route a miss on `node` that must own its computation.
+    fn own(c: &ResultCache<u32>, node: usize, pinned: u64) -> InflightOwner {
+        let mut out = row(c.d, 0.0);
+        let mut route = c.route(&[node], pinned, &mut out, Some(&mut no_waiter));
+        assert_eq!(route.misses, [(0, node)], "an owned row is a miss");
+        route.owners.pop().expect("the miss owns its computation")
+    }
+
+    /// Route a miss on `node` that must coalesce, registering `tag`.
+    fn wait(c: &ResultCache<u32>, node: usize, pinned: u64, tag: u32) {
+        let mut out = row(c.d, 0.0);
+        let route = c.route(&[node], pinned, &mut out, Some(&mut |_| tag));
+        assert!(route.owners.is_empty(), "the miss must coalesce");
+        assert_eq!(route.misses, [(0, node)]);
+    }
+
+    /// Resolve `owner` with a row of `v`s: the waiters' tags.
+    fn fill(c: &ResultCache<u32>, owner: InflightOwner, v: f32) -> Vec<u32> {
+        let r = row(c.d, v);
+        c.resolve(vec![owner], |_| Some(&r)).into_iter().map(|(w, _)| w).collect()
+    }
+
+    /// Own `node`'s row at `epoch` and fill it with `v`s.
+    fn put(c: &ResultCache<u32>, node: usize, epoch: u64, v: f32) {
+        assert!(fill(c, own(c, node, epoch), v).is_empty());
     }
 
     #[test]
     fn roundtrip_hit_and_absent_miss() {
         let c = cache(10, 4);
-        let mut out = row(4, 0.0);
-        assert!(!c.lookup(3, 0, &mut out));
-        c.insert(3, 0, &row(4, 1.5));
-        assert!(c.lookup(3, 0, &mut out));
-        assert_eq!(out, row(4, 1.5));
+        assert_eq!(get(&c, 3, 0), None);
+        put(&c, 3, 0, 1.5);
+        assert_eq!(get(&c, 3, 0), Some(row(4, 1.5)));
         let m = c.metrics();
-        assert_eq!((m.hits, m.misses, m.inserts, m.entries), (1, 1, 1, 1));
+        assert_eq!((m.hits, m.misses, m.inserts, m.entries), (1, 2, 1, 1));
         assert!(m.bytes > 0);
+        assert_eq!(m.hit_ratio.count, 3, "one ratio observation per request");
     }
 
     #[test]
     fn publish_invalidates_everything_lazily() {
         let c = cache(4, 2);
-        c.insert(0, 0, &row(2, 1.0));
-        c.insert(1, 0, &row(2, 2.0));
+        put(&c, 0, 0, 1.0);
+        put(&c, 1, 0, 2.0);
         c.invalidate_all(1);
-        let mut out = row(2, 0.0);
-        assert!(!c.lookup(0, 1, &mut out), "pre-publish entry is stale");
-        assert!(!c.lookup(1, 1, &mut out));
+        assert_eq!(get(&c, 0, 1), None, "pre-publish entry is stale");
+        assert_eq!(get(&c, 1, 1), None);
         // Fresh rows at the new epoch hit again.
-        c.insert(0, 1, &row(2, 3.0));
-        assert!(c.lookup(0, 1, &mut out));
-        assert_eq!(out, row(2, 3.0));
+        put(&c, 0, 1, 3.0);
+        assert_eq!(get(&c, 0, 1), Some(row(2, 3.0)));
         assert_eq!(c.metrics().flushes, 1);
     }
 
@@ -621,94 +632,84 @@ mod tests {
     fn delta_invalidation_is_precise() {
         let c = cache(6, 2);
         for u in 0..6 {
-            c.insert(u, 0, &row(2, u as f32));
+            put(&c, u, 0, u as f32);
         }
         // Delta at epoch 1 touches {1, 4}: only those rows retire.
         c.invalidate_rows(1, &[1, 4]);
-        let mut out = row(2, 0.0);
         for u in [0usize, 2, 3, 5] {
-            assert!(c.lookup(u, 1, &mut out), "untouched row {u} survives the delta");
-            assert_eq!(out, row(2, u as f32));
+            assert_eq!(get(&c, u, 1), Some(row(2, u as f32)), "untouched row {u} survives");
         }
-        assert!(!c.lookup(1, 1, &mut out));
-        assert!(!c.lookup(4, 1, &mut out));
+        assert_eq!((get(&c, 1, 1), get(&c, 4, 1)), (None, None));
         let m = c.metrics();
-        assert_eq!(m.invalidated_rows, 2);
-        assert_eq!(m.entries, 4);
+        assert_eq!((m.invalidated_rows, m.entries), (2, 4));
     }
 
     #[test]
-    fn stale_reinsert_after_delta_is_rejected() {
+    fn stale_fill_after_delta_is_rejected() {
         let c = cache(4, 2);
-        // Reader computed node 2's row at epoch 0; before it could
-        // insert, a delta touching node 2 minted epoch 1.
+        // A request owns node 2's row at epoch 0; before its fill lands,
+        // a delta touching node 2 mints epoch 1.
+        let owner = own(&c, 2, 0);
         c.invalidate_rows(1, &[2]);
-        c.insert(2, 0, &row(2, 9.0));
-        let mut out = row(2, 0.0);
-        assert!(!c.lookup(2, 1, &mut out), "stale row from before the delta must not serve");
+        assert!(fill(&c, owner, 9.0).is_empty());
+        assert_eq!(get(&c, 2, 1), None, "stale row from before the delta must not serve");
         // The epoch-1 recompute is admitted.
-        c.insert(2, 1, &row(2, 10.0));
-        assert!(c.lookup(2, 1, &mut out));
-        assert_eq!(out, row(2, 10.0));
+        put(&c, 2, 1, 10.0);
+        assert_eq!(get(&c, 2, 1), Some(row(2, 10.0)));
     }
 
     #[test]
     fn old_reader_never_sees_a_newer_row() {
         let c = cache(4, 2);
-        c.insert(1, 5, &row(2, 5.0));
-        let mut out = row(2, 0.0);
-        // A reader still pinned to epoch 3 must recompute, not read
-        // the epoch-5 row — and the newer entry must survive.
-        assert!(!c.lookup(1, 3, &mut out));
-        assert!(c.lookup(1, 5, &mut out));
-        assert_eq!(out, row(2, 5.0));
+        put(&c, 1, 5, 5.0);
+        // A reader still pinned to epoch 3 must recompute, not read the
+        // epoch-5 row — and the newer entry must survive.
+        assert_eq!(get(&c, 1, 3), None);
+        assert_eq!(get(&c, 1, 5), Some(row(2, 5.0)));
     }
 
     #[test]
     fn clock_eviction_respects_budget_and_second_chance() {
         let c = tiny(100, 4, 3);
-        assert_eq!(c.capacity_rows(), 3);
-        c.insert(0, 0, &row(4, 0.0));
-        c.insert(1, 0, &row(4, 1.0));
-        c.insert(2, 0, &row(4, 2.0));
+        put(&c, 0, 0, 0.0);
+        put(&c, 1, 0, 1.0);
+        put(&c, 2, 0, 2.0);
         // Touch node 0 so its second-chance bit protects it.
-        let mut out = row(4, 0.0);
-        assert!(c.lookup(0, 0, &mut out));
+        assert!(get(&c, 0, 0).is_some());
         // Inserting a fourth row must evict an *unreferenced* one.
-        c.insert(3, 0, &row(4, 3.0));
+        put(&c, 3, 0, 3.0);
         let m = c.metrics();
-        assert_eq!(m.entries, 3);
-        assert_eq!(m.evictions, 1);
-        assert!(c.lookup(0, 0, &mut out), "recently-hit row survives the clock");
-        assert!(c.lookup(3, 0, &mut out), "new row is resident");
+        assert_eq!((m.entries, m.evictions), (3, 1));
+        assert!(get(&c, 0, 0).is_some(), "recently-hit row survives the clock");
+        assert!(get(&c, 3, 0).is_some(), "new row is resident");
     }
 
     #[test]
     fn eviction_reclaims_orphaned_ring_slots() {
         let c = tiny(100, 4, 2);
-        c.insert(0, 0, &row(4, 0.0));
-        c.insert(1, 0, &row(4, 1.0));
+        put(&c, 0, 0, 0.0);
+        put(&c, 1, 0, 1.0);
         // Invalidate both (orphaning their ring slots), then fill the
         // cache again — the clock must reclaim orphans, not spin.
         c.invalidate_rows(1, &[0, 1]);
-        c.insert(2, 1, &row(4, 2.0));
-        c.insert(3, 1, &row(4, 3.0));
-        c.insert(4, 1, &row(4, 4.0));
-        let mut out = row(4, 0.0);
-        assert!(c.lookup(4, 1, &mut out));
+        put(&c, 2, 1, 2.0);
+        put(&c, 3, 1, 3.0);
+        put(&c, 4, 1, 4.0);
+        assert!(get(&c, 4, 1).is_some());
         assert_eq!(c.metrics().entries, 2);
     }
 
     #[test]
     fn refresh_overwrites_in_place_without_growth() {
         let c = tiny(10, 2, 4);
-        c.insert(7, 0, &row(2, 1.0));
-        c.insert(7, 2, &row(2, 2.0));
+        // Readers pinned to epochs 2, 1 and 0 each own node 7's row: a
+        // computation stamped newer than a reader's pin is not its row.
+        let (at2, at1, at0) = (own(&c, 7, 2), own(&c, 7, 1), own(&c, 7, 0));
+        fill(&c, at0, 0.0);
+        fill(&c, at2, 2.0);
         // An older stamp never downgrades a newer entry.
-        c.insert(7, 1, &row(2, 9.0));
-        let mut out = row(2, 0.0);
-        assert!(c.lookup(7, 2, &mut out));
-        assert_eq!(out, row(2, 2.0));
+        fill(&c, at1, 1.0);
+        assert_eq!(get(&c, 7, 2), Some(row(2, 2.0)));
         let m = c.metrics();
         assert_eq!(m.entries, 1);
         assert_eq!(m.inserts, 2, "the refused stale refresh is not counted as an insert");
@@ -717,20 +718,12 @@ mod tests {
     #[test]
     fn second_miss_coalesces_and_is_backfilled() {
         let c = cache(8, 2);
-        let MissRoute::Owner(owner) = c.route_miss(3, 0, no_waiter) else {
-            panic!("first miss must own the computation");
-        };
-        let MissRoute::Coalesced = c.route_miss(3, 0, || 1) else {
-            panic!("second miss must coalesce");
-        };
-        let MissRoute::Coalesced = c.route_miss(3, 0, || 2) else {
-            panic!("third miss must coalesce too");
-        };
-        assert_eq!(c.fill(owner, &row(2, 7.0)), vec![1, 2], "the fill hands back both waiters");
+        let owner = own(&c, 3, 0);
+        wait(&c, 3, 0, 1);
+        wait(&c, 3, 0, 2);
+        assert_eq!(fill(&c, owner, 7.0), vec![1, 2], "the fill hands back both waiters");
         // The fill also landed as a cache entry.
-        let mut out = row(2, 0.0);
-        assert!(c.lookup(3, 0, &mut out));
-        assert_eq!(out, row(2, 7.0));
+        assert_eq!(get(&c, 3, 0), Some(row(2, 7.0)));
         let m = c.metrics();
         assert_eq!(m.coalesced_misses, 2);
         assert_eq!(m.inflight_rows, 0, "registration resolved");
@@ -740,99 +733,184 @@ mod tests {
     #[test]
     fn coalescing_spans_epochs_only_while_valid() {
         let c = cache(8, 2);
-        let MissRoute::Owner(owner) = c.route_miss(5, 0, no_waiter) else { panic!("owner") };
+        let owner = own(&c, 5, 0);
         // A reader pinned to a *newer* epoch with no invalidating write
         // in between coalesces: the epoch-0 row equals the epoch-2 row.
-        let MissRoute::Coalesced = c.route_miss(5, 2, || 1) else {
-            panic!("valid newer pin must coalesce")
-        };
+        wait(&c, 5, 2, 1);
         // A delta touching node 5 mints epoch 3: readers at the new
         // epoch must re-compute, not consume the stale fill.
         c.invalidate_rows(3, &[5]);
-        let MissRoute::Owner(owner2) = c.route_miss(5, 3, no_waiter) else {
-            panic!("post-invalidation miss must re-compute")
-        };
-        assert_eq!(c.fill(owner, &row(2, 1.0)), vec![1], "pre-bump waiter still served");
+        let owner2 = own(&c, 5, 3);
+        assert_eq!(fill(&c, owner, 1.0), vec![1], "pre-bump waiter still served");
         // The stale fill was refused as a cache entry...
-        let mut out = row(2, 0.0);
-        assert!(!c.lookup(5, 3, &mut out));
+        assert_eq!(get(&c, 5, 3), None);
         // ...while the re-computed one is admitted.
-        assert!(c.fill(owner2, &row(2, 2.0)).is_empty());
-        assert!(c.lookup(5, 3, &mut out));
-        assert_eq!(out, row(2, 2.0));
+        assert!(fill(&c, owner2, 2.0).is_empty());
+        assert_eq!(get(&c, 5, 3), Some(row(2, 2.0)));
         assert_eq!(c.metrics().inflight_rows, 0);
     }
 
     #[test]
-    fn route_after_fill_is_resident_not_a_second_owner() {
-        // The exactly-once race: a lookup misses, the in-flight fill
-        // lands, then the routing call runs. It must return the
-        // now-resident row, never register a second owner.
+    fn a_route_after_a_fill_hits_and_never_registers_a_second_owner() {
         let c = cache(8, 2);
-        let MissRoute::Owner(owner) = c.route_miss(6, 0, no_waiter) else { panic!("owner") };
-        assert!(c.fill(owner, &row(2, 9.0)).is_empty());
-        match c.route_miss(6, 0, no_waiter) {
-            MissRoute::Resident(r) => assert_eq!(r.as_ref(), &[9.0, 9.0]),
-            _ => panic!("post-fill route must find the resident row"),
-        }
+        let owner = own(&c, 6, 0);
+        assert!(fill(&c, owner, 9.0).is_empty());
+        // Registration on, the node twice: both rows hit, nothing is
+        // registered.
+        let mut out = row(4, 0.0);
+        let route = c.route(&[6, 6], 0, &mut out, Some(&mut no_waiter));
+        assert!(route.misses.is_empty() && route.owners.is_empty());
+        assert_eq!(out, row(4, 9.0));
         let m = c.metrics();
-        assert_eq!(m.hits, 1, "the resident route counts as a late hit");
+        assert_eq!((m.hits, m.misses), (2, 1), "one hit per requested row");
         assert_eq!(m.inflight_rows, 0);
         // A stale resident row (invalidated since) is not served.
         c.invalidate_rows(1, &[6]);
-        match c.route_miss(6, 1, no_waiter) {
-            MissRoute::Owner(o) => assert!(c.abort(o).is_empty()),
-            _ => panic!("invalidated resident row must not be served"),
-        }
+        assert!(c.resolve(vec![own(&c, 6, 1)], |_| None).is_empty());
+    }
+
+    #[test]
+    fn a_route_without_a_waiter_reports_misses_and_registers_nothing() {
+        let c = cache(8, 2);
+        let owner = own(&c, 2, 0);
+        let mut out = row(6, f32::NAN);
+        let route = c.route(&[2, 5, 2], 0, &mut out, None);
+        let mut misses = route.misses.clone();
+        misses.sort_unstable();
+        assert_eq!(misses, [(0, 2), (1, 5), (2, 2)], "in flight and absent rows both miss");
+        assert!(route.owners.is_empty());
+        let m = c.metrics();
+        assert_eq!((m.coalesced_misses, m.inflight_rows), (0, 1), "only the owner registered");
+        assert!(fill(&c, owner, 1.0).is_empty(), "no waiter rode the read");
     }
 
     #[test]
     fn abort_hands_back_its_waiters_and_inserts_nothing() {
         let c = cache(4, 2);
-        let MissRoute::Owner(owner) = c.route_miss(1, 0, no_waiter) else { panic!("owner") };
-        let MissRoute::Coalesced = c.route_miss(1, 0, || 4) else { panic!("waiter") };
+        let owner = own(&c, 1, 0);
+        wait(&c, 1, 0, 4);
         let again = InflightOwner { ..owner };
-        assert_eq!(c.abort(owner), vec![4]);
-        let mut out = row(2, 0.0);
-        assert!(!c.lookup(1, 0, &mut out), "aborted computation inserted nothing");
+        assert_eq!(c.resolve(vec![owner], |_| None), vec![(4, None)]);
+        assert_eq!(get(&c, 1, 0), None, "aborted computation inserted nothing");
         assert_eq!(c.metrics().inflight_rows, 0);
         // Resolving the same registration again is a no-op: no waiter
         // comes back twice and the gauge does not go below zero.
-        assert!(c.abort(again).is_empty());
+        assert!(c.resolve(vec![again], |_| None).is_empty());
         assert_eq!(c.metrics().inflight_rows, 0);
     }
 
     #[test]
+    fn a_request_locks_each_segment_it_touches_once_to_route_and_once_to_fill() {
+        let c = cache(256, 2);
+        let locks = || c.locks.load(Ordering::Relaxed);
+        // Resident: the even nodes below 32. In flight for another
+        // request: 32, 34, 36 and 38.
+        for u in (0..32).step_by(2) {
+            put(&c, u, 0, u as f32);
+        }
+        let mut out = row(8, 0.0);
+        let elsewhere = c.route(&[32, 34, 36, 38], 0, &mut out, Some(&mut no_waiter)).owners;
+        // 64 ids over the 8 even segments, interleaved: 24 hits (8
+        // repeats), 16 coalesced misses (4 nodes, 4 times each) and 24
+        // owned misses (16 nodes in segments 0, 4, 8 and 12; 8 repeats).
+        let hits = (0..32).step_by(2).chain((0..16).step_by(2));
+        let owned = (48..112).step_by(4).chain((48..80).step_by(4));
+        let grouped: Vec<usize> = hits.chain([32, 34, 36, 38].repeat(4)).chain(owned).collect();
+        let ids: Vec<usize> = (0..64).map(|k| grouped[k * 37 % 64]).collect();
+        let touched: BTreeSet<usize> = ids.iter().map(|&u| c.segment_of(u)).collect();
+        assert_eq!(touched.len(), 8);
+
+        let (mut out, mut tags) = (row(64 * 2, f32::NAN), 0);
+        let before = locks();
+        let mut waiter = |_| {
+            tags += 1;
+            tags
+        };
+        let route = c.route(&ids, 0, &mut out, Some(&mut waiter));
+        let route_locks = locks() - before;
+        assert_eq!(route_locks, 8, "one lock per segment the ids touch");
+        assert_eq!((route.misses.len(), route.owners.len(), tags), (40, 16, 4));
+        assert_eq!((c.metrics().hits, c.metrics().coalesced_misses), (24, 4));
+        for (pos, &u) in ids.iter().enumerate().filter(|&(_, &u)| u < 32) {
+            assert_eq!(out[2 * pos..2 * pos + 2], [u as f32; 2], "the hit at {pos}");
+        }
+        assert!(route.owners.windows(2).all(|w| w[0].node() < w[1].node()), "sorted by node");
+
+        let mut owners = route.owners;
+        owners.sort_by_key(InflightOwner::segment);
+        let (r, before) = (row(2, 1.0), locks());
+        assert!(c.resolve(owners, |_| Some(&r)).is_empty());
+        let fill_locks = locks() - before;
+        assert_eq!(fill_locks, 4, "one lock per segment the owners touch");
+        assert!(route_locks + fill_locks <= 2 * touched.len() as u64);
+
+        let mut rows = ids.clone();
+        rows.sort_unstable();
+        rows.dedup();
+        let before = locks();
+        c.invalidate_rows(1, &rows);
+        assert_eq!(locks() - before, 8, "one lock per touched segment");
+        assert_eq!(c.resolve(elsewhere, |_| None).len(), 4, "every waiter comes back");
+    }
+
+    #[test]
     fn concurrent_mixed_traffic_stays_consistent() {
-        let c = std::sync::Arc::new(ResultCache::<u32>::new(
-            64,
-            8,
-            CacheConfig { byte_budget: 40 * (4 * 8 + ENTRY_OVERHEAD), segments: 4 },
-        ));
+        const THREADS: u64 = 4;
+        const REQUESTS: u64 = 300;
+        const IDS: usize = 16;
+        let config = CacheConfig { byte_budget: 40 * (4 * 8 + ENTRY_OVERHEAD), segments: 4 };
+        let c = ResultCache::<u64>::new(64, 8, config);
+        // The waiter handles minted, and the ones resolutions handed back.
+        let (minted, registered, returned) =
+            (AtomicU64::new(0), Mutex::new(vec![]), Mutex::new(vec![]));
+        // Every owner fills its node's row but those of every fifth
+        // node, which abort.
+        let rows: Vec<Vec<f32>> = (0..64).map(|u| vec![u as f32; 8]).collect();
+        let resolve = |owners: Vec<InflightOwner>| {
+            let row =
+                |o: &InflightOwner| (!o.node().is_multiple_of(5)).then_some(&rows[o.node()][..]);
+            returned.lock().extend(c.resolve(owners, row).into_iter().map(|(w, _)| w));
+        };
         std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let c = std::sync::Arc::clone(&c);
+            for t in 0..THREADS {
+                let (c, minted, registered, resolve) = (&c, &minted, &registered, &resolve);
                 s.spawn(move || {
-                    let mut out = vec![0f32; 8];
-                    for i in 0..500u64 {
-                        let node = ((t * 17 + i * 7) % 64) as usize;
+                    let (mut out, mut pending) = (vec![f32::NAN; IDS * 8], Vec::new());
+                    for i in 0..REQUESTS {
                         let epoch = i / 100;
-                        if i % 50 == 0 {
-                            c.invalidate_rows(epoch, &[node]);
+                        if i % 50 == 25 {
+                            c.invalidate_rows(epoch, &[(t * 17 + i) as usize % 64]);
                         }
-                        if c.lookup(node, epoch, &mut out) {
-                            // A hit must carry a full row (value is
-                            // whatever epoch wrote it; shape must hold).
-                            assert_eq!(out.len(), 8);
-                        } else {
-                            c.insert(node, epoch, &[epoch as f32; 8]);
+                        // Each id twice; 7 of a request's 8 nodes are the
+                        // last request's, still in flight.
+                        let base = t * 17 + i * 5;
+                        let ids: Vec<usize> =
+                            (0..IDS as u64).map(|k| ((base + k / 2 * 5) % 64) as usize).collect();
+                        let mut waiter = |_| {
+                            let h = minted.fetch_add(1, Ordering::Relaxed);
+                            registered.lock().push(h);
+                            h
+                        };
+                        let route = c.route(&ids, epoch, &mut out, Some(&mut waiter));
+                        for (pos, &u) in ids.iter().enumerate() {
+                            if route.misses.iter().all(|&(p, _)| p != pos) {
+                                assert_eq!(out[8 * pos..8 * pos + 8], [u as f32; 8], "a hit's row");
+                            }
                         }
+                        resolve(std::mem::replace(&mut pending, route.owners));
                     }
+                    resolve(pending);
                 });
             }
         });
         let m = c.metrics();
-        assert_eq!(m.hits + m.misses, 2000);
+        assert_eq!(m.hits + m.misses, THREADS * REQUESTS * IDS as u64, "one count per id");
+        assert_eq!(m.inflight_rows, 0, "every registration resolved");
         assert!(m.entries <= 40);
+        let (mut registered, mut returned) = (registered.into_inner(), returned.into_inner());
+        registered.sort_unstable();
+        returned.sort_unstable();
+        assert!(!registered.is_empty(), "requests coalesced onto in-flight rows");
+        assert_eq!(registered, returned, "every waiter handle comes back exactly once");
     }
 }

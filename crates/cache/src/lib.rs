@@ -9,8 +9,8 @@
 //!
 //! * **Publish** (whole-matrix swap) invalidates *everything*, lazily:
 //!   the cache records the new epoch as its flush floor and every older
-//!   entry fails its stamp comparison at lookup time. No O(entries)
-//!   sweep on the write path.
+//!   entry fails its stamp comparison when a request probes it. No
+//!   O(entries) sweep on the write path.
 //! * **Delta update** (a row patch) invalidates *precisely*: only the
 //!   patched vertices and the rows whose aggregation reads a patched
 //!   `Y` row (their in-neighbors) are retired, so a training-style row
@@ -22,7 +22,7 @@
 //! # Validity contract
 //!
 //! Every cached row carries the feature epoch it was computed at. A
-//! lookup pinned to epoch `E` is a hit only when the entry's stamp `e`
+//! request pinned to epoch `E` hits it only when the entry's stamp `e`
 //! satisfies all of:
 //!
 //! 1. `e <= E` — never serve a row newer than the reader's pinned
@@ -40,26 +40,34 @@
 //! listeners **before** any reader can pin it, so there is no window in
 //! which a reader at the new epoch can hit a not-yet-retired entry.
 //!
-//! # Miss coalescing
+//! # One decision per id, under its segment lock
 //!
-//! Concurrent requests that miss on the *same* vertex used to each
-//! compute the row. [`ResultCache::route_miss`] closes that gap with
-//! in-flight entry states: the first miss in a validity window becomes
-//! the **owner** (it computes the row and resolves the registration
-//! with [`ResultCache::fill`]), later misses become **waiters**: each
-//! registers a handle of the caller's choosing (the `W` of
-//! [`ResultCache<W>`]), which the owner's fill or
-//! [`abort`](ResultCache::abort) hands back for the caller to resolve.
-//! Coalescing applies the exact lookup validity predicate to the
-//! in-flight registration's epoch stamp, so a waiter only ever receives
-//! a row bit-identical to what it would have computed itself — and an
+//! A request probes the cache once: [`ResultCache::route`] groups its
+//! ids by segment, takes each touched segment's lock once (never two at
+//! a time), and under it decides every id of the segment for good:
+//!
+//! * **hit** — a valid resident row is copied into every position of
+//!   the response that asks for it;
+//! * **coalesced miss** — an equivalent computation is in flight: a
+//!   handle of the caller's choosing (the `W` of [`ResultCache<W>`]) is
+//!   registered with it, and the owner's resolution hands it back;
+//! * **owned miss** — the first miss in its validity window: the
+//!   request computes the row and resolves its registration with
+//!   [`ResultCache::resolve`], one lock per segment.
+//!
+//! Decision and resolution each happen under the segment lock, so a row
+//! is never computed twice within one validity window, and no fill can
+//! land unseen between a miss and its routing. Coalescing applies the
+//! hit's validity predicate to the registration's epoch stamp, so a
+//! waiter only ever receives the row it would have computed itself; an
 //! epoch bump that invalidates the vertex mid-flight makes later
-//! requests re-compute instead of consuming the stale fill.
+//! requests re-compute. A cache-only read runs the same pass without
+//! registering.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod stats;
 
-pub use cache::{CacheConfig, InflightOwner, MissRoute, ResultCache};
+pub use cache::{CacheConfig, InflightOwner, ResultCache, Route};
 pub use stats::{CacheMetrics, CacheStats};

@@ -10,16 +10,12 @@ use fusedmm_perf::hist::{RatioHistogram, RatioSnapshot};
 /// hot paths (all relaxed atomics — recording never contends).
 #[derive(Debug, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Requested rows served from the cache, repeats included.
     pub hits: AtomicU64,
-    /// Lookups that missed (absent or stale entry).
+    /// Requested rows the cache did not serve (absent, stale or in
+    /// flight), repeats included: `hits + misses` equals the rows
+    /// requested.
     pub misses: AtomicU64,
-    /// The subset of `hits` served by the route-miss re-probe: a fill
-    /// landed between a lookup's miss and its routing call, so the row
-    /// was both a miss (at lookup) and a hit (at routing). Reconciles
-    /// the counters exactly: `hits - late_hits + misses` equals the
-    /// rows looked up.
-    pub late_hits: AtomicU64,
     /// Rows written into the cache.
     pub inserts: AtomicU64,
     /// Rows retired by CLOCK eviction under budget pressure.
@@ -54,7 +50,6 @@ impl CacheStats {
         CacheMetrics {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            late_hits: self.late_hits.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidated_rows: self.invalidated_rows.load(Ordering::Relaxed),
@@ -73,14 +68,11 @@ impl CacheStats {
 /// exports as `fusedmm_cache_*` samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheMetrics {
-    /// Row lookups served from the cache.
+    /// Requested rows served from the cache.
     pub hits: u64,
-    /// Row lookups that had to be computed.
+    /// Requested rows not served from the cache: `hits + misses`
+    /// equals the rows requested.
     pub misses: u64,
-    /// Hits served by the route-miss re-probe (the row's miss was
-    /// already counted at lookup): `hits - late_hits + misses` equals
-    /// rows looked up.
-    pub late_hits: u64,
     /// Rows written into the cache.
     pub inserts: u64,
     /// Rows retired by CLOCK eviction.

@@ -60,7 +60,7 @@ pub(crate) struct Pending {
     /// is computed from this snapshot, never torn across a publish.
     pub epoch: Arc<FeatureEpoch>,
     /// Where the rows go: the ticket's reply slot plus the in-flight
-    /// cache registrations this part owns (`fills[i]` ↔ `nodes[i]`),
+    /// cache registrations this part owns (one per node),
     /// completed before the reply. Dropping it unresolved reads as
     /// engine shutdown on the caller side and aborts the registrations.
     pub slot: PartSlot,

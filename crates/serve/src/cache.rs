@@ -1,15 +1,13 @@
-//! The serving stack's result-cache layer: a
-//! [`ResultCache`] bound to one graph's
-//! in-neighbour index and subscribed to the engine's
+//! The serving stack's result-cache layer: a [`ResultCache`] bound to
+//! one graph's in-neighbour index and subscribed to the engine's
 //! [`FeatureStore`](crate::FeatureStore).
 //!
-//! [`EmbedCache`] is the piece the engines talk to: it splits a request
-//! into cache hits and misses (hits filled directly into the response),
-//! routes each miss through the cache's in-flight states — the first
-//! miss in a validity window **owns** the row computation, concurrent
-//! misses on the same vertex **coalesce** onto it and are back-filled
-//! when the owner's batch completes — and, as an
-//! [`EpochListener`], translates epoch
+//! The front end probes the cache once per request
+//! ([`ResultCache::route`]), each touched lock stripe locked once: a hit
+//! is copied into the response, the first miss in a validity window
+//! **owns** the row computation, and a concurrent miss on the same
+//! vertex **coalesces** onto it and is back-filled when the owner's
+//! batch completes. [`EmbedCache`], an [`EpochListener`], turns epoch
 //! transitions into invalidations. A publish invalidates everything
 //! (lazily, by epoch stamp); a delta update invalidates only the
 //! patched rows *and their in-neighbours*, the exact dependency set of
@@ -30,12 +28,12 @@
 //! registration it rides, and its ticket holds the receiving half, as
 //! it does for a part. Owned rows travel with their part as a `FillSet`
 //! inside its [`PartSlot`](crate::PartSlot): whoever resolves the slot
-//! with rows resolves every registration (cache insert, then one row
-//! sent to each coalesced waiter) before completing the caller — so
-//! coalesced waiters resolve as soon as the computation does,
-//! independent of when (or whether) the owning ticket is harvested. A
-//! registration aborted instead drops its waiters' senders, which closes
-//! their slots.
+//! with rows resolves every registration, one lock per stripe (cache
+//! insert, then one row sent to each coalesced waiter), before
+//! completing the caller — so coalesced waiters resolve as soon as the
+//! computation does, independent of when (or whether) the owning ticket
+//! is harvested. A registration aborted instead drops its waiters'
+//! senders, which closes their slots.
 
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -146,32 +144,6 @@ impl EmbedCache {
         touched.dedup();
         touched
     }
-
-    /// Probe every requested node at the pinned epoch. Hit rows are
-    /// copied straight into the matching rows of `out` (one row per
-    /// entry of `nodes`, caller-allocated); returns the sorted,
-    /// deduplicated missing nodes plus the `(position in nodes, node)`
-    /// pairs still to be filled. Records the per-request hit ratio.
-    pub(crate) fn split(
-        &self,
-        nodes: &[usize],
-        epoch: u64,
-        out: &mut Dense,
-    ) -> (Vec<usize>, Vec<(usize, usize)>) {
-        let mut misses = Vec::new();
-        let mut positions = Vec::new();
-        for (i, &u) in nodes.iter().enumerate() {
-            if self.results.lookup(u, epoch, out.row_mut(i)) {
-                continue;
-            }
-            misses.push(u);
-            positions.push((i, u));
-        }
-        self.results.record_request((nodes.len() - positions.len()) as u64, nodes.len() as u64);
-        misses.sort_unstable();
-        misses.dedup();
-        (misses, positions)
-    }
 }
 
 impl EpochListener for EmbedCache {
@@ -187,15 +159,19 @@ impl EpochListener for EmbedCache {
     }
 }
 
-/// The in-flight registrations one enqueued request owns, riding the
-/// band queue with it: `owners[i]` is the registration for the
-/// request's `i`-th node. The band's launch resolves the set with
-/// [`FillSet::complete`] when the rows are computed; a set dropped
-/// unresolved (the request never dispatched, e.g. enqueue raced a
-/// shutdown) aborts every registration: its waiters' slots close, so
-/// they observe the failure instead of hanging.
+/// The in-flight registrations one enqueued part owns, riding the
+/// band queue with it: one per node of the part. The band's launch
+/// resolves the set with [`FillSet::complete`] when the rows are
+/// computed; a set dropped unresolved (the part never dispatched, e.g.
+/// enqueue raced a shutdown) aborts every registration: its waiters'
+/// slots close, so they observe the failure instead of hanging. Either
+/// way each cache stripe the registrations live in is locked once.
 pub(crate) struct FillSet {
     cache: Arc<EmbedCache>,
+    /// The part's nodes, sorted: its launch computes row `i` for
+    /// `nodes[i]`.
+    nodes: Arc<[usize]>,
+    /// One registration per node, grouped by cache segment.
     owners: Vec<InflightOwner>,
     /// When a fault plan poisons a cache segment, fills landing in it
     /// are aborted instead of inserted — the owning request still gets
@@ -205,38 +181,39 @@ pub(crate) struct FillSet {
 }
 
 impl FillSet {
-    /// `owners[i]` must correspond to the `i`-th node of the request
-    /// this set rides with.
+    /// `owners` holds one registration per entry of `nodes`, the part's
+    /// sorted nodes, in any order.
     pub(crate) fn new(
         cache: Arc<EmbedCache>,
-        owners: Vec<InflightOwner>,
+        nodes: Arc<[usize]>,
+        mut owners: Vec<InflightOwner>,
         fault: Option<Arc<FaultPlan>>,
     ) -> FillSet {
-        FillSet { cache, owners, fault }
+        debug_assert_eq!(owners.len(), nodes.len(), "one registration per node");
+        owners.sort_unstable_by_key(InflightOwner::segment);
+        FillSet { cache, nodes, owners, fault }
     }
 
     /// Resolve every registration: `rows.row(i)` is the computed row
-    /// for `owners[i]` — inserted into the cache and sent, as a one-row
+    /// for `nodes[i]` — inserted into the cache and sent, as a one-row
     /// matrix, to every coalesced waiter (or aborted, when the fault
-    /// plan poisoned the owner's segment, which closes the waiters'
-    /// slots). A fault plan's fill delay stalls here first, widening the
-    /// window in which coalesced waiters are outstanding.
+    /// plan poisoned its segment, which closes the waiters' slots). A
+    /// fault plan's fill delay stalls here first, widening the window in
+    /// which coalesced waiters are outstanding.
     pub(crate) fn complete(mut self, rows: &Dense) {
-        assert_eq!(rows.nrows(), self.owners.len(), "one computed row per owned registration");
+        assert_eq!(rows.nrows(), self.nodes.len(), "one computed row per node");
         if let Some(delay) = self.fault.as_ref().and_then(|f| f.fill_delay()) {
             std::thread::sleep(delay);
         }
         let poisoned = self.fault.as_ref().and_then(|f| f.poisoned_segment());
-        let results = &self.cache.results;
-        for (i, owner) in self.owners.drain(..).enumerate() {
-            if poisoned == Some(results.segment_of(owner.node())) {
-                drop(results.abort(owner));
-                continue;
-            }
-            let row = rows.row(i);
-            for waiter in results.fill(owner, row) {
-                let one = Dense::from_rows(1, row.len(), row).expect("one row");
-                waiter.send(Ok(one));
+        let row = |owner: &InflightOwner| {
+            let i = self.nodes.binary_search(&owner.node()).expect("a registration per node");
+            (poisoned != Some(owner.segment())).then(|| rows.row(i))
+        };
+        // An aborted registration's waiters drop here: their slots close.
+        for (waiter, row) in self.cache.results.resolve(std::mem::take(&mut self.owners), row) {
+            if let Some(row) = row {
+                waiter.send(Ok(Dense::from_rows(1, row.len(), row).expect("one row")));
             }
         }
     }
@@ -244,9 +221,7 @@ impl FillSet {
 
 impl Drop for FillSet {
     fn drop(&mut self) {
-        for owner in self.owners.drain(..) {
-            drop(self.cache.results.abort(owner));
-        }
+        drop(self.cache.results.resolve(std::mem::take(&mut self.owners), |_| None));
     }
 }
 
@@ -256,7 +231,6 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::front::Resolved;
     use crate::wait::{slot, SlotPoll, SlotRx};
-    use fusedmm_cache::MissRoute;
     use fusedmm_core::{Partition, PartitionStrategy};
     use fusedmm_graph::rmat::{rmat, RmatConfig};
     use fusedmm_ops::OpSet;
@@ -387,34 +361,40 @@ mod tests {
         assert_eq!(cache.touch_set(&[v]), vec![v]);
     }
 
-    /// A route that must not coalesce.
-    fn no_waiter() -> SlotTx {
+    /// A waiter for a route that must not coalesce.
+    fn no_waiter(_: usize) -> SlotTx {
         panic!("an uncontended cold route must own")
     }
 
-    /// Route-and-fill every node as an owner — the shape the
-    /// launch's [`FillSet`] path takes with no contention.
-    fn fill_all(cache: &EmbedCache, epoch: u64, nodes: &[usize], rows: &Dense) {
-        for (i, &u) in nodes.iter().enumerate() {
-            match cache.results.route_miss(u, epoch, no_waiter) {
-                MissRoute::Owner(owner) => {
-                    assert!(cache.results.fill(owner, rows.row(i)).is_empty())
-                }
-                _ => panic!("uncontended cold route must own"),
-            }
-        }
+    /// Route and fill every node (sorted, distinct) as its owner — the
+    /// shape the launch's [`FillSet`] path takes with no contention.
+    fn fill_all(cache: &Arc<EmbedCache>, epoch: u64, nodes: &[usize], rows: &Dense) {
+        let mut out = Dense::zeros(nodes.len(), 2);
+        let route = cache.results.route(nodes, epoch, out.as_mut_slice(), Some(&mut no_waiter));
+        FillSet::new(Arc::clone(cache), Arc::from(nodes), route.owners, None).complete(rows);
+    }
+
+    /// The distinct nodes of `nodes` the cache does not serve at
+    /// `epoch`, sorted, read without registering.
+    fn misses(cache: &EmbedCache, nodes: &[usize], epoch: u64) -> Vec<usize> {
+        let mut out = Dense::zeros(nodes.len(), 2);
+        let route = cache.results.route(nodes, epoch, out.as_mut_slice(), None);
+        let mut missed: Vec<usize> = route.misses.iter().map(|&(_, u)| u).collect();
+        missed.sort_unstable();
+        missed.dedup();
+        missed
     }
 
     /// Own `node`'s row, then coalesce a second miss onto it: the
     /// registration and the waiter's receiving half.
     fn owner_and_waiter(cache: &EmbedCache, node: usize) -> (InflightOwner, SlotRx) {
-        let MissRoute::Owner(owner) = cache.results.route_miss(node, 0, no_waiter) else {
-            panic!("owner")
-        };
+        let mut out = Dense::zeros(1, 2);
+        let mut route = cache.results.route(&[node], 0, out.as_mut_slice(), Some(&mut no_waiter));
+        let owner = route.owners.pop().expect("owner");
         let (tx, rx) = slot();
-        let MissRoute::Coalesced = cache.results.route_miss(node, 0, || tx) else {
-            panic!("waiter")
-        };
+        let (mut tx, out) = (Some(tx), out.as_mut_slice());
+        let route = cache.results.route(&[node], 0, out, Some(&mut |_| tx.take().expect("one")));
+        assert!(route.owners.is_empty(), "waiter");
         (owner, rx)
     }
 
@@ -427,53 +407,25 @@ mod tests {
     }
 
     #[test]
-    fn split_fills_hits_and_returns_miss_positions() {
-        let a = ring(6);
-        let cache = transposed(&a);
-        let mut out = Dense::zeros(4, 2);
-        // Nothing cached yet: everything misses, duplicates dedup.
-        let (misses, positions) = cache.split(&[3, 1, 3, 5], 0, &mut out);
-        assert_eq!(misses, vec![1, 3, 5]);
-        assert_eq!(positions, vec![(0, 3), (1, 1), (2, 3), (3, 5)]);
-        // Fill and re-probe: all hits, rows land in place.
-        let rows = Dense::from_rows(3, 2, &[1.0, 1.0, 3.0, 3.0, 5.0, 5.0]).unwrap();
-        fill_all(&cache, 0, &misses, &rows);
-        let mut out2 = Dense::zeros(4, 2);
-        let (misses2, positions2) = cache.split(&[3, 1, 3, 5], 0, &mut out2);
-        assert!(misses2.is_empty() && positions2.is_empty());
-        assert_eq!(out2.row(0), &[3.0, 3.0]);
-        assert_eq!(out2.row(1), &[1.0, 1.0]);
-        assert_eq!(out2.row(2), &[3.0, 3.0]);
-        assert_eq!(out2.row(3), &[5.0, 5.0]);
-        let m = cache.results.metrics();
-        assert_eq!((m.hits, m.misses), (4, 4));
-        assert_eq!(m.hit_ratio.count, 2, "one ratio observation per request");
-    }
-
-    #[test]
     fn delta_listener_invalidates_patched_rows_and_in_neighbors_only() {
         // Ring u→u+1: patching v invalidates v (its X row) and v-1
         // (aggregates y_v). Everything else survives.
         let n = 8;
-        let cache = transposed(&ring(n));
+        let cache = Arc::new(transposed(&ring(n)));
         let all: Vec<usize> = (0..n).collect();
         let rows = Dense::from_fn(n, 2, |r, _| r as f32);
         fill_all(&cache, 0, &all, &rows);
         cache.on_delta(1, &[4]);
-        let mut out = Dense::zeros(n, 2);
-        let (misses, _) = cache.split(&all, 1, &mut out);
-        assert_eq!(misses, vec![3, 4], "only vertex 4 and its in-neighbor 3 were retired");
+        assert_eq!(misses(&cache, &all, 1), [3, 4], "only vertex 4 and its in-neighbor 3 retired");
         assert_eq!(cache.results.metrics().invalidated_rows, 2);
     }
 
     #[test]
     fn publish_listener_flushes_lazily() {
-        let cache = transposed(&ring(4));
+        let cache = Arc::new(transposed(&ring(4)));
         fill_all(&cache, 0, &[0, 1, 2, 3], &Dense::zeros(4, 2));
         cache.on_publish(1);
-        let mut out = Dense::zeros(4, 2);
-        let (misses, _) = cache.split(&[0, 1, 2, 3], 1, &mut out);
-        assert_eq!(misses, vec![0, 1, 2, 3]);
+        assert_eq!(misses(&cache, &[0, 1, 2, 3], 1), [0, 1, 2, 3]);
         assert_eq!(cache.results.metrics().flushes, 1);
     }
 
@@ -481,7 +433,7 @@ mod tests {
     fn dropped_fillset_aborts_its_registrations() {
         let cache = Arc::new(transposed(&ring(4)));
         let (owner, rx) = owner_and_waiter(&cache, 2);
-        drop(FillSet::new(Arc::clone(&cache), vec![owner], None));
+        drop(FillSet::new(Arc::clone(&cache), Arc::new([2]), vec![owner], None));
         assert!(matches!(rx.try_recv(), SlotPoll::Closed), "the waiter's slot closes, no hang");
         assert_eq!(cache.results.metrics().inflight_rows, 0);
     }
@@ -489,37 +441,39 @@ mod tests {
     #[test]
     fn completed_fillset_backfills_waiters_and_cache() {
         let cache = Arc::new(transposed(&ring(4)));
-        let MissRoute::Owner(o1) = cache.results.route_miss(1, 0, no_waiter) else { panic!() };
-        let (o2, rx) = owner_and_waiter(&cache, 3);
+        let (o1, _) = owner_and_waiter(&cache, 1);
+        let (o3, rx) = owner_and_waiter(&cache, 3);
         let rows = Dense::from_rows(2, 2, &[1.0, 1.5, 3.0, 3.5]).unwrap();
-        FillSet::new(Arc::clone(&cache), vec![o1, o2], None).complete(&rows);
+        FillSet::new(Arc::clone(&cache), Arc::new([1, 3]), vec![o3, o1], None).complete(&rows);
         assert_eq!(filled(&rx), [3.0, 3.5]);
         let mut out = Dense::zeros(2, 2);
-        let (misses, _) = cache.split(&[1, 3], 0, &mut out);
-        assert!(misses.is_empty(), "both rows resident after the fill");
+        let route = cache.results.route(&[1, 3], 0, out.as_mut_slice(), None);
+        assert!(route.misses.is_empty(), "both rows resident after the fill");
         assert_eq!(out.row(0), &[1.0, 1.5]);
         assert_eq!(out.row(1), &[3.0, 3.5]);
     }
 
     #[test]
-    fn poisoned_segment_aborts_only_its_fills() {
-        let cache = Arc::new(transposed(&ring(4)));
+    fn poisoned_segment_aborts_its_whole_group_only() {
+        let n = 40;
+        let cache = Arc::new(transposed(&ring(n)));
+        let stripes = CacheConfig::default().segments;
         let poisoned = cache.results.segment_of(2);
-        let healthy = (0..4)
-            .find(|&u| cache.results.segment_of(u) != poisoned)
-            .expect("more than one stripe");
         let plan = Arc::new(FaultPlan::parse(&format!("poison_segment={poisoned}")).unwrap());
-        let (o1, rx_poisoned) = owner_and_waiter(&cache, 2);
-        let (o2, rx_healthy) = owner_and_waiter(&cache, healthy);
-        let rows = Dense::from_rows(2, 2, &[2.0, 2.5, 7.0, 7.5]).unwrap();
-        FillSet::new(Arc::clone(&cache), vec![o1, o2], Some(plan)).complete(&rows);
-        assert!(
-            matches!(rx_poisoned.try_recv(), SlotPoll::Closed),
-            "poisoned fill aborted, the waiter's slot closes"
-        );
-        assert_eq!(filled(&rx_healthy), [7.0, 7.5]);
-        let mut out = Dense::zeros(1, 2);
-        let (misses, _) = cache.split(&[2], 0, &mut out);
-        assert_eq!(misses, vec![2], "the poisoned row was never cached");
+        // Two rows in the poisoned stripe, one in a healthy one.
+        let nodes = [2, 3, 2 + stripes];
+        let (owners, rxs): (Vec<_>, Vec<_>) =
+            nodes.iter().map(|&u| owner_and_waiter(&cache, u)).unzip();
+        let rows = Dense::from_fn(3, 2, |r, c| (10 * nodes[r] + c) as f32);
+        FillSet::new(Arc::clone(&cache), Arc::new(nodes), owners, Some(plan)).complete(&rows);
+        for (&u, rx) in nodes.iter().zip(&rxs) {
+            if cache.results.segment_of(u) == poisoned {
+                assert!(matches!(rx.try_recv(), SlotPoll::Closed), "{u}: aborted, the slot closes");
+            } else {
+                assert_eq!(filled(rx), [(10 * u) as f32, (10 * u + 1) as f32]);
+            }
+        }
+        assert_eq!(misses(&cache, &nodes, 0), [2, 2 + stripes], "poisoned rows are not cached");
+        assert_eq!(cache.results.metrics().inflight_rows, 0);
     }
 }

@@ -16,8 +16,8 @@
 //! 3. pin one feature epoch — the store's current snapshot, or the
 //!    epoch a worker's coordinator pinned;
 //! 4. `CachedOnly` answers from the result cache and returns; `Exact`
-//!    splits hits from misses and routes each miss (own it, or wait on
-//!    the request already computing it);
+//!    probes it once, each id decided under its segment lock: hit, own
+//!    the miss, or wait on the request already computing it;
 //! 5. scatter the rows still to compute to their owning shards — one
 //!    part per shard through the transport, each with a one-shot retry
 //!    that is the same `embed_part` call — and return a
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fusedmm_cache::{InflightOwner, MissRoute};
+use fusedmm_cache::InflightOwner;
 use fusedmm_ops::OpSet;
 use fusedmm_perf::gauge::Gauge;
 use fusedmm_perf::hist::{HistogramVec, LatencyHistogram};
@@ -293,21 +293,9 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         let epoch = pinned.unwrap_or_else(|| self.store.snapshot());
         let guard = self.inflight.acquire();
         let n = nodes.len();
-        if quality == Quality::CachedOnly {
-            // Whatever the cache holds at the pinned epoch; misses are
-            // zero rows marked degraded. No part, no kernel time.
-            let mut out = Dense::zeros(n, self.dimension());
-            let mut marks = vec![true; n];
-            if let Some(cache) = &self.cache {
-                let route_start = self.route_start(root);
-                let (_, misses) = cache.split(nodes, epoch.epoch(), &mut out);
-                marks = vec![false; n];
-                for (i, _) in misses {
-                    marks[i] = true;
-                }
-                self.close_route_span(root, route_start, n);
-            }
-            return Ok(self.answer_now(out, marks, quality, t0, root));
+        if quality == Quality::CachedOnly && self.cache.is_none() {
+            let out = Dense::zeros(n, self.dimension());
+            return Ok(self.answer_now(out, vec![true; n], quality, t0, root));
         }
         // The rows still to compute (sorted, distinct), the response
         // under assembly with the output positions it is still owed,
@@ -318,49 +306,37 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         // nothing but its one part's rows — when one shard serves them
         // all, that part's rows are the response.
         let (to_compute, out, positions, mut parts, mut owners) = match &self.cache {
-            Some(cache) if quality == Quality::Exact => {
-                let route_start = self.route_start(root);
+            Some(cache) if !matches!(quality, Quality::TopKNeighbors(_)) => {
+                let route_start = root.map(|(r, _)| (r, self.tracer.now()));
                 let mut out = Dense::zeros(n, self.dimension());
-                let (misses, mut positions) = cache.split(nodes, epoch.epoch(), &mut out);
-                let (mut owned, mut owners, mut waiting) = (Vec::new(), Vec::new(), Vec::new());
-                let mut resident = Vec::new();
-                for &u in &misses {
-                    // A coalesced miss waits on a slot the owning part's
-                    // fill resolves. The owning part runs on `u`'s band:
-                    // in process, waiting on the row drives that band.
-                    let coalesce = || {
-                        let (tx, rx) = slot();
-                        if let Some(band) = self.bands.get(self.owner(u)) {
-                            tx.attach(band);
-                        }
-                        waiting.push(Part::coalesced(u, rx));
-                        tx
-                    };
-                    match cache.results.route_miss(u, epoch.epoch(), coalesce) {
-                        MissRoute::Owner(owner) => {
-                            owned.push(u);
-                            owners.push(owner);
-                        }
-                        MissRoute::Coalesced => {}
-                        // A fill landed between the lookup miss and the
-                        // routing call: the row is already in hand.
-                        MissRoute::Resident(row) => resident.push((u, row)),
+                let mut waiting = Vec::new();
+                // A coalesced miss waits on a slot the owning part's
+                // fill resolves. The owning part runs on `u`'s band: in
+                // process, waiting on the row drives that band.
+                let mut coalesce = |u: usize| {
+                    let (tx, rx) = slot();
+                    if let Some(band) = self.bands.get(self.owner(u)) {
+                        tx.attach(band);
                     }
+                    waiting.push(Part::coalesced(u, rx));
+                    tx
+                };
+                // `CachedOnly` registers nothing: it answers with what
+                // the cache holds, its misses zero rows marked degraded.
+                let register = quality == Quality::Exact;
+                let waiter = register.then_some(&mut coalesce as &mut dyn FnMut(usize) -> _);
+                let route = cache.results.route(nodes, epoch.epoch(), out.as_mut_slice(), waiter);
+                if let Some((r, start)) = route_start {
+                    let (span, now) = (self.tracer.child(r), self.tracer.now());
+                    self.tracer.record(span, SpanKind::CacheRoute, start, now, None, n as u64);
                 }
-                if !resident.is_empty() {
-                    positions.retain(|&(i, u)| match resident.binary_search_by_key(&u, |r| r.0) {
-                        Ok(r) => {
-                            out.row_mut(i).copy_from_slice(&resident[r].1);
-                            false
-                        }
-                        Err(_) => true,
-                    });
+                if !register || route.misses.is_empty() {
+                    let mut marks = vec![false; n];
+                    route.misses.iter().for_each(|&(i, _)| marks[i] = true);
+                    return Ok(self.answer_now(out, marks, quality, t0, root));
                 }
-                self.close_route_span(root, route_start, n);
-                if positions.is_empty() {
-                    return Ok(self.answer_now(out, vec![false; n], quality, t0, root));
-                }
-                (Cow::Owned(owned), Some(out), positions, waiting, owners)
+                let owned = route.owners.iter().map(InflightOwner::node).collect();
+                (Cow::Owned(owned), Some(out), route.misses, waiting, route.owners)
             }
             _ if nodes.windows(2).all(|w| w[0] < w[1])
                 && self.owner(nodes[0]) == self.owner(nodes[n - 1]) =>
@@ -386,11 +362,12 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             let end = self.boundaries[s + 1];
             let (shard_nodes, tail) = rest.split_at(rest.partition_point(|&u| u < end));
             rest = tail;
+            let shard_nodes: Arc<[usize]> = Arc::from(shard_nodes);
             let shard_owners: Vec<InflightOwner> =
                 owners.by_ref().take(shard_nodes.len()).collect();
             let fills = (!shard_owners.is_empty()).then(|| {
                 let cache = Arc::clone(self.cache.as_ref().expect("owners come from the cache"));
-                FillSet::new(cache, shard_owners, self.fault.clone())
+                FillSet::new(cache, Arc::clone(&shard_nodes), shard_owners, self.fault.clone())
             });
             let shard = self.shard_label(s);
             let span = root.map(|(r, _)| PartSpan {
@@ -400,7 +377,6 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 shard,
                 rows: shard_nodes.len() as u64,
             });
-            let shard_nodes: Arc<[usize]> = Arc::from(shard_nodes);
             let (tx, rx) = slot();
             let part_slot = PartSlot::new(tx, fills, span, claim);
             self.transport.embed_part(s, &shard_nodes, &epoch, quality, opts.deadline, part_slot);
@@ -470,22 +446,6 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         self.embed_latency.record(elapsed);
         self.door_latency.record(elapsed);
         Ticket::ready(Ok(EmbedResponse { rows, served_degraded, quality }))
-    }
-
-    fn route_start(&self, root: Option<(SpanCtx, u64)>) -> u64 {
-        if root.is_some() {
-            self.tracer.now()
-        } else {
-            0
-        }
-    }
-
-    fn close_route_span(&self, root: Option<(SpanCtx, u64)>, start_ns: u64, rows: usize) {
-        if let Some((r, _)) = root {
-            let route = self.tracer.child(r);
-            let now = self.tracer.now();
-            self.tracer.record(route, SpanKind::CacheRoute, start_ns, now, None, rows as u64);
-        }
     }
 
     /// Score candidate `(u, v)` edges under one pinned epoch: sources

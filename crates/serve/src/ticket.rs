@@ -492,12 +492,13 @@ pub(crate) struct EmbedAssembly {
 impl EmbedAssembly {
     /// `out` holds the hit rows and `positions` name the `(output row,
     /// node)` pairs the sources still owe: the request's dispatched
-    /// parts, then its `coalesced` rows, at the end of `parts`. With
-    /// `out` `None`, the one part in `parts` owes every row, in order.
+    /// parts, then its `coalesced` rows, in any order, at the end of
+    /// `parts`. With `out` `None`, the one part in `parts` owes every
+    /// row, in order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         out: Option<Dense>,
-        parts: Vec<Part>,
+        mut parts: Vec<Part>,
         coalesced: usize,
         positions: Vec<(usize, usize)>,
         degraded: Vec<bool>,
@@ -507,9 +508,11 @@ impl EmbedAssembly {
         guard: GaugeGuard,
     ) -> Self {
         debug_assert!(out.is_some() || (parts.len() == 1 && coalesced == 0));
+        let dispatched = parts.len() - coalesced;
+        parts[dispatched..].sort_unstable_by_key(|p| p.union[0]);
         EmbedAssembly {
             out,
-            dispatched: parts.len() - coalesced,
+            dispatched,
             parts,
             positions,
             degraded,
@@ -1074,14 +1077,15 @@ mod tests {
 
     #[test]
     fn aborted_coalesced_fill_fails_the_ticket() {
-        use fusedmm_cache::{CacheConfig, MissRoute, ResultCache};
+        use fusedmm_cache::{CacheConfig, ResultCache};
         let (_gauge, g) = guard();
         let cache = ResultCache::new(16, 1, CacheConfig::default());
-        let MissRoute::Owner(owner) = cache.route_miss(3, 0, || unreachable!()) else {
-            panic!("owner")
-        };
+        let mut out = [0.0];
+        let owners = cache.route(&[3], 0, &mut out, Some(&mut |_| unreachable!())).owners;
         let (tx, rx) = slot();
-        let MissRoute::Coalesced = cache.route_miss(3, 0, || tx) else { panic!("waiter") };
+        let mut tx = Some(tx);
+        let waiter = cache.route(&[3], 0, &mut out, Some(&mut |_| tx.take().expect("one waiter")));
+        assert!(waiter.owners.is_empty(), "waiter");
         let t = Ticket::pending(EmbedAssembly::assemble(
             Some(Dense::zeros(1, 1)),
             vec![Part::coalesced(3, rx)],
@@ -1093,7 +1097,7 @@ mod tests {
             Completion::default(),
             g,
         ));
-        drop(cache.abort(owner));
+        drop(cache.resolve(owners, |_| None));
         assert_eq!(t.wait().unwrap_err(), ServeError::PartFailed { shard: None });
     }
 

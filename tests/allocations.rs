@@ -1,7 +1,7 @@
-//! Allocation budgets of the uncached request path, of a miss coalesced
-//! onto another request's row, of a row launch and of a Force2Vec
-//! training step, counted by this binary's global allocator per thread
-//! and over all threads.
+//! Allocation budgets of the uncached and cached request paths, of a
+//! miss coalesced onto another request's row, of a row launch and of a
+//! Force2Vec training step, counted by this binary's global allocator
+//! per thread and over all threads.
 //!
 //! Each budget is measured on a warm path: the same call runs a few
 //! times first, so one-time growth (a queue's buffers, the kernel
@@ -248,15 +248,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// A miss coalesced onto another request's in-flight row, on a cached
-/// single-band engine. Begin: the response, the miss list, the output
-/// positions, the row's reply slot, the in-flight entry's list of
-/// slots, the row's one-node list, the assembly's source list, the
-/// degradation marks and the ticket's box. Harvest, once the owner's
-/// fill has landed: nothing — the row waits on its slot as a part
-/// does, and the one-row reply the fill sent was made on the owner's
-/// thread.
+/// single-band engine. Begin: the response, the output positions, the
+/// row's reply slot, the in-flight entry's list of slots, the row's
+/// one-node list, the assembly's source list, the degradation marks
+/// and the ticket's box (the cache probe orders the ids on the stack).
+/// Harvest, once the owner's fill has landed: nothing — the row waits
+/// on its slot as a part does, and the one-row reply the fill sent was
+/// made on the owner's thread.
 #[test]
-fn a_coalesced_miss_allocates_nine_times_to_begin_and_nothing_to_harvest() {
+fn a_coalesced_miss_allocates_eight_times_to_begin_and_nothing_to_harvest() {
     let _serial = serial();
     let (a, x, y) = inputs();
     let config = EngineConfig { cache: Some(CacheConfig::default()), ..config() };
@@ -277,9 +277,50 @@ fn a_coalesced_miss_allocates_nine_times_to_begin_and_nothing_to_harvest() {
     assert_eq!(coalesced_total(), Some(48), "every second request coalesced");
     // The first rounds grow the queue's and the cache's buffers.
     for (round, &(begin, harvest)) in counts.iter().enumerate().skip(16) {
-        assert_eq!(begin, 9, "round {round}: a coalesced embed_begin");
+        assert_eq!(begin, 8, "round {round}: a coalesced embed_begin");
         assert_eq!(harvest, 0, "round {round}: harvesting a filled coalesced row");
     }
+}
+
+/// A cached two-shard engine over the test graph, with its features.
+fn cached_two_shards() -> (ShardedEngine, Dense, Dense) {
+    let (a, x, y) = inputs();
+    let config = EngineConfig { cache: Some(CacheConfig::default()), ..config() };
+    let ops = OpSet::sigmoid_embedding(None);
+    (ShardedEngine::new(a, x.clone(), y.clone(), ops, 2, config), x, y)
+}
+
+/// A warm 64-row embed over two cached shards whose every row is
+/// resident: the response and the degradation marks. The probe orders
+/// the ids on the stack, and nothing is left to compute.
+#[test]
+fn a_cached_64_row_embed_allocates_twice_when_every_row_hits() {
+    let _serial = serial();
+    let (engine, _, _) = cached_two_shards();
+    let ids: Vec<usize> = (0..64).map(|i| (i * 997 + 5) % N).collect();
+    let n = allocations(16, || engine.embed(&ids).expect("embed"));
+    assert_eq!(n, 2, "a warm all-hit cached embed");
+}
+
+/// The same embed right after a publish, which stales every cached
+/// row, so that every row misses. Per row: the cache entry and the
+/// in-flight registration's list. Per part: the reply, its slot, its
+/// node list and its registrations. Per request: the response, the
+/// output positions, the registrations, the owned ids, the parts list,
+/// the degradation marks and the ticket's box. A stale row's CLOCK
+/// slot stays until an eviction passes it, so now and then a call
+/// grows a segment's ring: the least of 16 calls is taken.
+#[test]
+fn a_cached_64_row_embed_allocates_143_times_when_every_row_misses() {
+    let _serial = serial();
+    let (engine, x, y) = cached_two_shards();
+    let ids: Vec<usize> = (0..64).map(|i| (i * 997 + 5) % N).collect();
+    let cold_call = || {
+        engine.store().publish(x.clone(), y.clone());
+        counted(|| engine.embed(&ids).expect("embed")).1
+    };
+    let counts: Vec<u64> = (0..32).map(|_| cold_call()).skip(16).collect();
+    assert_eq!(counts.iter().min(), Some(&143), "a warm all-miss cached embed: {counts:?}");
 }
 
 /// Two callers at once, each making warm 64-row embeds over two
@@ -321,25 +362,16 @@ fn voluntary_switches() -> u64 {
     line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("a count")
 }
 
-/// Two callers at once on an uncached two-shard engine, reading
-/// overlapping Zipf-skewed ids, so their parts meet in the same bands
-/// on almost every call: a caller runs its own launches and almost
-/// never sleeps. With one combiner per band, the caller whose part sat
-/// in the other's batch slept on it: about every call (0.7–1.2
-/// switches per call in a debug build). The engine is uncached so the
-/// count sees the bands alone: two cached callers also meet on the
-/// cache's segment locks, a hand-off of its own (0.1–0.25 switches per
-/// call at the default striping in a debug build).
-#[test]
-fn two_callers_almost_never_sleep_on_each_other() {
-    let _serial = serial();
-    let (a, x, y) = inputs();
-    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+/// Each of two callers' voluntary switches per call, over 2000 warm
+/// 64-row embeds of Zipf(1.1)-skewed ids on `engine` (`n` vertices),
+/// so the two callers' parts meet in the same bands, and their ids in
+/// the same cache stripes, on almost every call.
+fn switches_per_call(engine: &ShardedEngine, n: usize) -> Vec<f64> {
     const CALLS: usize = 2000;
-    let per_call = two_callers(|caller| {
+    two_callers(|caller| {
         // Zipf(1.1) over ranks by inverse CDF; ranks are scattered over
-        // the ids (7919 is prime to N), so hot rows are not RMAT's hubs.
-        let mut cdf: Vec<f64> = (1..=N).map(|r| (r as f64).powf(-1.1)).collect();
+        // the ids (7919 is prime to n), so hot rows are not RMAT's hubs.
+        let mut cdf: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-1.1)).collect();
         let total: f64 = cdf.iter().sum();
         let mut acc = 0.0;
         for c in &mut cdf {
@@ -350,8 +382,8 @@ fn two_callers_almost_never_sleep_on_each_other() {
         let mut id = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-            let rank = cdf.partition_point(|&c| c <= u).min(N - 1);
-            (rank * 7919 + 12345) % N
+            let rank = cdf.partition_point(|&c| c <= u).min(n - 1);
+            (rank * 7919 + 12345) % n
         };
         let requests: Vec<Vec<usize>> =
             (0..CALLS + 100).map(|_| (0..64).map(|_| id()).collect()).collect();
@@ -363,8 +395,40 @@ fn two_callers_almost_never_sleep_on_each_other() {
             engine.embed(ids).expect("embed");
         }
         (voluntary_switches() - before) as f64 / CALLS as f64
-    });
-    for (caller, per_call) in per_call.iter().enumerate() {
+    })
+}
+
+/// Two callers at once on an uncached two-shard engine: a caller runs
+/// its own launches and almost never sleeps. With one combiner per
+/// band, the caller whose part sat in the other's batch slept on it:
+/// about every call (0.7–1.2 switches per call in a debug build).
+#[test]
+fn two_callers_almost_never_sleep_on_each_other() {
+    let _serial = serial();
+    let (a, x, y) = inputs();
+    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    for (caller, per_call) in switches_per_call(&engine, N).iter().enumerate() {
+        assert!(*per_call <= 0.05, "caller {caller}: {per_call:.3} voluntary switches per call");
+    }
+}
+
+/// The same two callers on a cached engine over a 32 k-row graph,
+/// with a quarter-size cache at the default 16 stripes, so that their
+/// ids meet in the same stripes: a request locks each stripe it touches
+/// once to probe and once to fill, and takes a stripe the other caller
+/// holds after the free ones. A lock per id, per miss and per owned
+/// row puts the callers to sleep 0.07–0.22 times per call in a debug
+/// build.
+#[test]
+fn two_cached_callers_almost_never_sleep_on_each_other() {
+    let _serial = serial();
+    const ROWS: usize = 1 << 15;
+    let a = rmat(&RmatConfig::new(ROWS, 8 * ROWS).with_seed(11));
+    let (x, y) = (random_features(ROWS, D, 0.5, 1), random_features(ROWS, D, 0.5, 2));
+    // A quarter of the 8 MiB of output rows.
+    let config = EngineConfig { cache: Some(CacheConfig::with_mb(2)), ..config() };
+    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config);
+    for (caller, per_call) in switches_per_call(&engine, ROWS).iter().enumerate() {
         assert!(*per_call <= 0.05, "caller {caller}: {per_call:.3} voluntary switches per call");
     }
 }
