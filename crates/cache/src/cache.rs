@@ -41,6 +41,8 @@ struct Entry {
     epoch: u64,
     /// CLOCK second-chance bit, set on every hit.
     referenced: bool,
+    /// Where the entry's id sits in its segment's CLOCK ring.
+    slot: usize,
     data: Box<[f32]>,
 }
 
@@ -69,8 +71,9 @@ struct Inflight<W> {
 
 struct Segment<W> {
     map: HashMap<usize, Entry>,
-    /// CLOCK ring of node ids. Invalidation removes from `map` only;
-    /// orphaned ring slots are reclaimed lazily when the hand passes.
+    /// CLOCK ring of node ids, one slot per entry of `map`: an entry
+    /// leaving — evicted, stale at a route or invalidated — takes its
+    /// slot with it.
     ring: Vec<usize>,
     hand: usize,
     /// In-flight computations keyed by node. Usually zero or one entry
@@ -86,42 +89,41 @@ impl<W> Default for Segment<W> {
 }
 
 impl<W> Segment<W> {
+    /// Admit a new entry for `node`, at the end of the ring.
+    fn admit(&mut self, node: usize, epoch: u64, row: &[f32]) {
+        let entry = Entry { epoch, referenced: false, slot: self.ring.len(), data: row.into() };
+        self.map.insert(node, entry);
+        self.ring.push(node);
+    }
+
+    /// Drop `node`'s entry and its ring slot, into which the ring's
+    /// last id moves. False when `node` has no entry.
+    fn remove(&mut self, node: usize) -> bool {
+        let Some(entry) = self.map.remove(&node) else { return false };
+        self.ring.swap_remove(entry.slot);
+        if let Some(&moved) = self.ring.get(entry.slot) {
+            self.map.get_mut(&moved).expect("every ring slot names an entry").slot = entry.slot;
+        }
+        true
+    }
+
     /// Retire one resident entry CLOCK-style: referenced entries get a
     /// second chance (bit cleared, hand advances), unreferenced ones
-    /// are evicted. Returns false only when the segment is empty.
+    /// are evicted — within one sweep, which clears every bit it
+    /// passes. Returns false only when the segment is empty.
     fn evict_one(&mut self) -> bool {
-        // Two full sweeps clear every second-chance bit; the bound
-        // guards against a ring of orphaned slots shrinking under us.
-        let mut steps = 2 * self.ring.len() + 2;
-        while !self.ring.is_empty() && steps > 0 {
-            steps -= 1;
+        while !self.ring.is_empty() {
             if self.hand >= self.ring.len() {
                 self.hand = 0;
             }
             let node = self.ring[self.hand];
-            match self.map.get_mut(&node) {
-                // Orphan (already invalidated): reclaim the slot; the
-                // swapped-in id is inspected next, so don't advance.
-                None => {
-                    self.ring.swap_remove(self.hand);
-                }
-                Some(e) if e.referenced => {
-                    e.referenced = false;
-                    self.hand += 1;
-                }
-                Some(_) => {
-                    self.map.remove(&node);
-                    self.ring.swap_remove(self.hand);
-                    return true;
-                }
+            let entry = self.map.get_mut(&node).expect("every ring slot names an entry");
+            if !entry.referenced {
+                // The id swapped into the hand's slot is inspected next.
+                return self.remove(node);
             }
-        }
-        // Degenerate fallback (can only trigger if the sweep bound was
-        // consumed by orphans): evict whatever the hand rests on.
-        if let Some(&node) = self.ring.first() {
-            self.map.remove(&node);
-            self.ring.swap_remove(0);
-            return true;
+            entry.referenced = false;
+            self.hand += 1;
         }
         false
     }
@@ -351,7 +353,7 @@ impl<W> ResultCache<W> {
                         // Stale for every reader: reclaim it now. An entry
                         // newer than this reader's pin stays.
                         if self.stale(node, e.epoch) {
-                            seg.map.remove(&node);
+                            seg.remove(node);
                             stale += 1;
                         }
                     }
@@ -466,8 +468,7 @@ impl<W> ResultCache<W> {
                 }
                 tally.evicted += 1;
             }
-            seg.map.insert(node, Entry { epoch, referenced: false, data: row.into() });
-            seg.ring.push(node);
+            seg.admit(node, epoch, row);
             tally.grew += 1;
         }
         tally.inserted += 1;
@@ -530,7 +531,7 @@ impl<W> ResultCache<W> {
             &mut order,
             |slot| &mut slot.0,
             |seg, run| {
-                dropped += run.iter().filter(|&&(_, node)| seg.map.remove(&node).is_some()).count();
+                dropped += run.iter().filter(|&&(_, node)| seg.remove(node)).count();
             },
         );
         self.stats.invalidated_rows.fetch_add(dropped as u64, Ordering::Relaxed);
@@ -684,19 +685,58 @@ mod tests {
         assert!(get(&c, 3, 0).is_some(), "new row is resident");
     }
 
+    /// Every segment's ring holds exactly its resident entries, each id
+    /// at the slot its entry records.
+    fn assert_rings_match(c: &ResultCache<u32>) {
+        for seg in &c.segments {
+            let seg = seg.lock();
+            assert_eq!(seg.ring.len(), seg.map.len(), "one ring slot per entry");
+            for (slot, node) in seg.ring.iter().enumerate() {
+                assert_eq!(seg.map[node].slot, slot, "node {node}'s entry names its slot");
+            }
+        }
+    }
+
     #[test]
-    fn eviction_reclaims_orphaned_ring_slots() {
+    fn an_under_budget_cache_refilled_after_every_invalidation_keeps_one_slot_per_entry() {
+        let c = cache(64, 2);
+        let refill = |epoch: u64| {
+            for node in 0..64 {
+                if get(&c, node, epoch).is_none() {
+                    put(&c, node, epoch, epoch as f32);
+                }
+            }
+            assert_rings_match(&c);
+        };
+        let evens: Vec<usize> = (0..64).step_by(2).collect();
+        for cycle in 1..=64u64 {
+            // A publish: the stale rows leave at the refill's routes.
+            c.invalidate_all(2 * cycle);
+            refill(2 * cycle);
+            // A delta: its rows leave at once.
+            c.invalidate_rows(2 * cycle + 1, &evens);
+            refill(2 * cycle + 1);
+        }
+        assert_eq!(c.metrics().evictions, 0, "the cache never filled");
+        let resident: usize = c.segments.iter().map(|s| s.lock().map.len()).sum();
+        assert_eq!(resident, 64);
+    }
+
+    #[test]
+    fn eviction_after_invalidation_finds_no_orphaned_slot() {
         let c = tiny(100, 4, 2);
         put(&c, 0, 0, 0.0);
         put(&c, 1, 0, 1.0);
-        // Invalidate both (orphaning their ring slots), then fill the
-        // cache again — the clock must reclaim orphans, not spin.
+        // Invalidate both (their slots leave with them), then fill the
+        // cache again — the clock evicts among resident rows only.
         c.invalidate_rows(1, &[0, 1]);
+        assert_rings_match(&c);
         put(&c, 2, 1, 2.0);
         put(&c, 3, 1, 3.0);
         put(&c, 4, 1, 4.0);
         assert!(get(&c, 4, 1).is_some());
         assert_eq!(c.metrics().entries, 2);
+        assert_rings_match(&c);
     }
 
     #[test]

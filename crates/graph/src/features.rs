@@ -37,6 +37,19 @@ mod tests {
         assert_ne!(random_features(5, 4, 1.0, 2), random_features(5, 4, 1.0, 3));
     }
 
+    /// The matrices' bits, pinned (FNV-1a of the values' `to_bits`).
+    #[test]
+    fn features_keep_their_pinned_bits() {
+        let pinned = [
+            (random_features(257, 33, 0.5, 7), 0xacd8_69d5_ffa7_d023),
+            (random_features(64, 128, 0.044, 2), 0xfb86_80f7_85f1_1288),
+        ];
+        for (m, hash) in pinned {
+            let got = crate::fnv(m.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            assert_eq!(got, hash, "{} x {}", m.nrows(), m.ncols());
+        }
+    }
+
     #[test]
     fn values_are_not_all_equal() {
         let m = random_features(4, 4, 1.0, 4);

@@ -37,3 +37,12 @@ pub use planted::{planted_partition, PlantedGraph};
 pub use reordering::{Permutation, Reordering};
 pub use rmat::{rmat, RmatConfig};
 pub use stats::GraphStats;
+
+/// FNV-1a over little-endian bytes: the tests' fingerprint of a
+/// generator's output.
+#[cfg(test)]
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

@@ -7,13 +7,9 @@
 //! the default `(0.45, 0.22, 0.22, 0.11)` skew yields the heavy-tailed
 //! degree distributions of real social networks.
 
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 
 /// Configuration for the RMAT generator.
@@ -92,61 +88,137 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
     // Number of recursion levels: cover nvertices with the next power of two.
     let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
     let side = 1usize << levels;
-    let cap = if cfg.undirected { 2 * cfg.nedges } else { cfg.nedges };
-    let mut coo = Coo::with_capacity(cfg.nvertices, cfg.nvertices, cap);
-    // Membership only — nothing iterates the set, so neither its hasher
-    // nor its size can change which samples are accepted, or the CSR.
-    let mut seen: HashSet<u64, BuildHasherDefault<EdgeKeyHasher>> =
-        HashSet::with_capacity_and_hasher(cfg.nedges, BuildHasherDefault::default());
-    let mut emitted = 0usize;
+    // The accepted edges in acceptance order, as packed `(u, v)` keys.
+    let mut edges: Vec<u64> = Vec::with_capacity(cfg.nedges);
+    let mut seen = EdgeSet::with_capacity(cfg.nedges);
     let mut attempts = 0usize;
     let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
-    while emitted < cfg.nedges && attempts < max_attempts {
-        attempts += 1;
-        let (u, v) = sample_edge(&mut rng, levels, side, cfg);
-        if u >= cfg.nvertices || v >= cfg.nvertices {
-            continue;
+    // Samples are drawn a chunk at a time and their set slots read
+    // before any is inserted, so the chunk's cache misses overlap
+    // instead of queueing one behind the other. The stream does not
+    // depend on what is accepted, so a chunk drawn past the last
+    // accepted edge changes nothing: its tail is never inserted.
+    let mut chunk = [(0u64, 0u64); DEDUP_CHUNK];
+    while edges.len() < cfg.nedges && attempts < max_attempts {
+        let mut len = 0;
+        while len < DEDUP_CHUNK && attempts < max_attempts {
+            attempts += 1;
+            let (u, v) = sample_edge(&mut rng, levels, side, cfg);
+            if u >= cfg.nvertices || v >= cfg.nvertices {
+                continue;
+            }
+            if cfg.no_self_loops && u == v {
+                continue;
+            }
+            let (lo, hi) = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
+            chunk[len] = ((lo as u64) << 32 | hi as u64, (u as u64) << 32 | v as u64);
+            len += 1;
         }
-        if cfg.no_self_loops && u == v {
-            continue;
+        seen.touch(chunk[..len].iter().map(|&(key, _)| key));
+        for &(key, edge) in &chunk[..len] {
+            if edges.len() == cfg.nedges {
+                break;
+            }
+            if seen.insert(key) {
+                edges.push(edge);
+            }
         }
-        let (lo, hi) = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
-        if !seen.insert((lo as u64) << 32 | hi as u64) {
-            continue;
-        }
-        if cfg.undirected {
-            coo.push_symmetric(u, v, 1.0);
-        } else {
-            coo.push(u, v, 1.0);
-        }
-        emitted += 1;
     }
-    coo.to_csr(Dedup::Last)
+    drop(seen);
+    assemble(cfg.nvertices, &edges, cfg.undirected)
 }
 
-/// Hasher for the dedup set's packed `(u, v)` keys: one multiply and a
-/// fold. The keys come from this module's own generator, so SipHash's
-/// defence against chosen keys buys nothing here and costs most of the
-/// dedup time.
-#[derive(Default)]
-struct EdgeKeyHasher(u64);
+/// Samples drawn, and set slots read, ahead of their inserts.
+const DEDUP_CHUNK: usize = 32;
 
-impl Hasher for EdgeKeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("edge keys hash through write_u64");
+/// The dedup set of packed `(lo, hi)` edge keys: open addressing with
+/// linear probing over a power-of-two table at most half full,
+/// Fibonacci-hashed. Membership only — nothing iterates it, so neither
+/// its hash nor its size can change which samples are accepted. Zero
+/// marks an empty slot; the key 0 (the self loop at vertex 0) is kept
+/// in a flag instead.
+struct EdgeSet {
+    slots: Vec<u64>,
+    shift: u32,
+    has_zero: bool,
+}
+
+impl EdgeSet {
+    fn with_capacity(keys: usize) -> Self {
+        let len = (2 * keys).next_power_of_two().max(2);
+        // Zeroed memory comes from the allocator untouched: a page is
+        // faulted in when a key first lands on it, never by a fill.
+        EdgeSet { slots: vec![0; len], shift: 64 - len.trailing_zeros(), has_zero: false }
     }
 
-    fn write_u64(&mut self, key: u64) {
-        // The table indexes with the low bits and tags with the top
-        // seven; a product's low bits see only the key's low bits, so
-        // fold the high half down.
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// Read each key's home slot, so the inserts that follow find it
+    /// cached; the loads are independent of each other and overlap.
+    fn touch(&self, keys: impl Iterator<Item = u64>) {
+        let folded = keys.fold(0u64, |acc, key| acc ^ self.slots[self.home(key)]);
+        std::hint::black_box(folded);
     }
+
+    /// Insert `key`; false when it was already present.
+    fn insert(&mut self, key: u64) -> bool {
+        if key == 0 {
+            return !std::mem::replace(&mut self.has_zero, true);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = key;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// The CSR of the accepted edges, and of their mirrors when
+/// `undirected`: count each row's entries, scatter them in acceptance
+/// order, sort each row. The edges are distinct (the dedup set saw to
+/// that, mirrors included), so there is nothing to merge and every
+/// value is 1 — the matrix `Coo::to_csr(Dedup::Last)` builds from the
+/// same pushes, without the triples.
+fn assemble(n: usize, edges: &[u64], undirected: bool) -> Csr {
+    let unpack = |key: u64| ((key >> 32) as usize, key as u32 as usize);
+    let mut rowptr = vec![0usize; n + 1];
+    for &key in edges {
+        let (u, v) = unpack(key);
+        rowptr[u + 1] += 1;
+        if undirected && u != v {
+            rowptr[v + 1] += 1;
+        }
+    }
+    for r in 0..n {
+        rowptr[r + 1] += rowptr[r];
+    }
+    let mut next = rowptr[..n].to_vec();
+    let mut colidx = vec![0usize; rowptr[n]];
+    let mut put = |row: usize, col: usize| {
+        colidx[next[row]] = col;
+        next[row] += 1;
+    };
+    for &key in edges {
+        let (u, v) = unpack(key);
+        put(u, v);
+        if undirected && u != v {
+            put(v, u);
+        }
+    }
+    for r in 0..n {
+        colidx[rowptr[r]..rowptr[r + 1]].sort_unstable();
+    }
+    let values = vec![1.0; colidx.len()];
+    Csr::from_parts(n, n, rowptr, colidx, values).expect("an RMAT CSR is well formed")
 }
 
 fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> (usize, usize) {
@@ -163,16 +235,11 @@ fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> 
         let abc = ab + cfg.c;
         let norm = abc + cfg.d;
         let r = r * norm;
-        if r < a {
-            // top-left: nothing to add
-        } else if r < ab {
-            col += half;
-        } else if r < abc {
-            row += half;
-        } else {
-            row += half;
-            col += half;
-        }
+        // Quadrants a | b over c | d, chosen from the same comparisons
+        // as an if-chain would make but without its unpredictable
+        // branches: the lower half when r ≥ ab, the right half in b or d.
+        row += half * usize::from(r >= ab);
+        col += half * usize::from((r >= a) & (r < ab) | (r >= abc));
         half >>= 1;
     }
     (row, col)
@@ -181,6 +248,8 @@ fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedmm_sparse::coo::{Coo, Dedup};
+    use std::collections::HashSet;
 
     /// Reference generator: the same sampling loop over std's SipHash
     /// set of `(usize, usize)` pairs, sized `2 × nedges`.
@@ -221,14 +290,51 @@ mod tests {
     fn packed_dedup_set_generates_the_same_graph() {
         let configs = [
             RmatConfig::new(1 << 10, 1 << 13).with_seed(3),
-            // Not a power of two (re-draws), dense enough that most
-            // samples are duplicates and the attempt cap ends the loop.
+            // Not a power of two (re-draws), dense enough that many
+            // samples are duplicates.
             RmatConfig::new(1000, 60_000).with_seed(7),
             RmatConfig::new(1 << 12, 1 << 15).with_seed(11).directed(),
         ];
         for cfg in &configs {
             assert_eq!(rmat(cfg), rmat_reference(cfg), "{cfg:?}");
         }
+    }
+
+    /// The generator's output, pinned: the FNV-1a hashes of `rowptr`,
+    /// `colidx` and the values' bits. Unlike the reference above, these
+    /// see a change to `sample_edge` itself.
+    #[test]
+    fn generated_graphs_keep_their_pinned_bits() {
+        let pinned = [
+            (
+                RmatConfig::new(1 << 10, 1 << 13).with_seed(3),
+                [0xac16_5480_21c1_a166, 0xb9bc_d516_f84b_170e, 0x6f62_1e94_856c_2325],
+            ),
+            (
+                RmatConfig::new(1000, 60_000).with_seed(7),
+                [0xd2a9_a1c5_3065_5cce, 0x8bda_37ba_3355_cda5, 0x9d1f_6688_b747_2125],
+            ),
+            (
+                RmatConfig::new(1 << 12, 1 << 15).with_seed(11).directed(),
+                [0xfc4a_fee6_db04_2a40, 0xa7d6_fb5b_ea80_5e23, 0xb05f_cf6c_86b6_2325],
+            ),
+            (
+                RmatConfig::new(100, 4950).with_seed(5),
+                [0xc72f_7e5c_e379_4af1, 0xd333_6b67_e9b8_ae79, 0xe4fd_edf4_d8db_57f5],
+            ),
+        ];
+        for (cfg, hashes) in &pinned {
+            let g = rmat(cfg);
+            let got = [
+                crate::fnv(g.rowptr().iter().flat_map(|p| (*p as u64).to_le_bytes())),
+                crate::fnv(g.colidx().iter().flat_map(|c| (*c as u64).to_le_bytes())),
+                crate::fnv(g.values().iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            ];
+            assert_eq!(&got, hashes, "{cfg:?}");
+        }
+        // Every edge of K₁₀₀ requested: the attempt cap ends the loop.
+        let (capped, _) = &pinned[3];
+        assert!(rmat(capped).nnz() < 2 * capped.nedges);
     }
 
     #[test]

@@ -35,9 +35,12 @@
 //! time) and parts nobody can receive any more, and the queue tracks
 //! its total queued rows so the admission policy can bound the backlog.
 //! The drain, the per-epoch grouping and the union work in buffers the
-//! queue keeps, one set per combiner that ran at once, and lends to
-//! each combiner: a warm queue allocates nothing per drain.
+//! combining thread keeps, one set per thread, lent to each combiner it
+//! runs: a thread that has combined once allocates nothing per drain,
+//! whichever band it combines and however many threads combine that
+//! band beside it.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -94,7 +97,7 @@ impl Pending {
 /// trace context — and no longer its pinned epoch.
 pub(crate) type Reply = (Arc<[usize]>, PartSlot, Option<SpanCtx>);
 
-/// The buffers a queue lends its combiner. After a drain, `batch` holds
+/// The buffers a thread lends its combiner. After a drain, `batch` holds
 /// the launchable parts, `expired` the parts whose deadline passed
 /// while queued (to be failed without kernel time) and `abandoned` the
 /// parts whose ticket was dropped and whose rows nobody else waits on
@@ -133,9 +136,16 @@ struct QueueState {
     /// run and no combiner. A waiter that moved on leaves a dead entry,
     /// pruned at the next registration.
     parked: Vec<Watcher>,
-    /// The combiners' buffers, home while not lent: one set per
-    /// combiner that ran at once.
-    buffers: Vec<Buffers>,
+}
+
+thread_local! {
+    /// This thread's combiner buffers, home while no combiner of the
+    /// thread holds them. A thread combines one queue at a time, so its
+    /// one set is warm after its first combine. Sets kept per queue, one
+    /// per combiner running at once, would not be: the first time two
+    /// threads combined a queue together, the second set would grow on
+    /// that request, however late it came.
+    static BUFFERS: Cell<Buffers> = Cell::default();
 }
 
 impl QueueState {
@@ -168,12 +178,10 @@ impl QueueState {
         }
     }
 
-    /// A combiner leaves: its buffers come home, emptied, and work it
-    /// left that anyone may run wakes the parked waiters.
-    fn release(&mut self, mut buffers: Buffers) {
-        buffers.clear();
+    /// A combiner leaves: work it left that anyone may run wakes the
+    /// parked waiters.
+    fn release(&mut self) {
         self.combiners -= 1;
-        self.buffers.push(buffers);
         self.wake_if_idle();
     }
 }
@@ -196,7 +204,6 @@ impl BatchQueue {
             shutdown: false,
             combiners: 0,
             parked: vec![],
-            buffers: vec![],
         };
         BatchQueue { state: Mutex::new(state), rows: AtomicUsize::new(0) }
     }
@@ -258,7 +265,8 @@ impl BatchQueue {
             return None;
         }
         state.combiners += 1;
-        let buffers = state.buffers.pop().unwrap_or_default();
+        drop(state);
+        let buffers = BUFFERS.try_with(Cell::take).unwrap_or_default();
         Some(Combiner { queue: self, claim, held: true, buffers })
     }
 
@@ -287,11 +295,11 @@ impl BatchQueue {
 }
 
 /// One combiner's seat on a [`BatchQueue`], held by the thread running
-/// its batches, with a set of the queue's buffers on loan. Released by
-/// [`next_batch`](Combiner::next_batch) when it finds nothing left it
+/// its batches, with the thread's buffers on loan. The seat is released
+/// by [`next_batch`](Combiner::next_batch) when it finds nothing left it
 /// may run, or on drop — also when a panic unwinds through the combiner
 /// — and the last combiner leaving work anyone may run behind wakes the
-/// parked waiters.
+/// parked waiters. The buffers go home on drop.
 pub(crate) struct Combiner<'a> {
     queue: &'a BatchQueue,
     /// The caller this combiner runs for.
@@ -308,8 +316,7 @@ impl Combiner<'_> {
     /// `buffers.expired` and parts nobody can receive any more to
     /// `buffers.abandoned`, neither counting toward the cap. The caller
     /// empties all three before the next drain. Returns `false`,
-    /// releasing the seat and returning the buffers under the same
-    /// lock, once nothing it may run is queued.
+    /// releasing the seat, once nothing it may run is queued.
     pub fn next_batch(&mut self, max_batch_rows: usize) -> bool {
         let mut state = self.queue.lock();
         let mut clock = None;
@@ -344,7 +351,7 @@ impl Combiner<'_> {
         }
         if b.batch.is_empty() && b.expired.is_empty() && b.abandoned.is_empty() {
             self.held = false;
-            state.release(std::mem::take(&mut self.buffers));
+            state.release();
             return false;
         }
         self.queue.rows.fetch_sub(drained_rows, Ordering::Relaxed);
@@ -354,14 +361,15 @@ impl Combiner<'_> {
 
 impl Drop for Combiner<'_> {
     fn drop(&mut self) {
-        if !self.held {
-            return;
-        }
         // Whatever a panic left in the buffers resolves (closed) here,
         // outside the queue lock.
         self.buffers.clear();
         let buffers = std::mem::take(&mut self.buffers);
-        self.queue.lock().release(buffers);
+        // A thread being torn down has no home left: the set is dropped.
+        let _ = BUFFERS.try_with(|home| home.set(buffers));
+        if self.held {
+            self.queue.lock().release();
+        }
     }
 }
 
@@ -533,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn the_buffers_come_home_with_their_capacity() {
+    fn the_buffers_stay_with_the_thread_and_keep_their_capacity() {
         let (q, mut held) = (BatchQueue::new(), Vec::new());
         let ep = epoch();
         for n in 0..5usize {
@@ -545,9 +553,21 @@ mod tests {
         combiner.buffers.batch.clear();
         assert!(!combiner.next_batch(1024));
         drop(combiner);
-        push(&q, &mut held, part(vec![9], ep));
-        let combiner = q.combine(me()).unwrap();
-        assert_eq!(combiner.buffers.batch.capacity(), cap, "the next combiner reuses the batch");
+        // Another queue, the same thread: the same set.
+        let other = BatchQueue::new();
+        push(&other, &mut held, part(vec![9], Arc::clone(&ep)));
+        let combiner = other.combine(me()).unwrap();
+        assert_eq!(
+            combiner.buffers.batch.capacity(),
+            cap,
+            "the thread's next combiner reuses the batch"
+        );
+        drop(combiner);
+        // A new thread starts with an empty set.
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| other.combine(me()).map(|c| c.buffers.batch.capacity())).join().unwrap()
+        });
+        assert_eq!(fresh, Some(0));
     }
 
     #[test]
@@ -614,11 +634,9 @@ mod tests {
         second.buffers.batch.clear();
         assert!(!first.next_batch(1024) && !second.next_batch(1024));
         drop((first, second));
-        assert_eq!(q.lock().buffers.len(), 2, "each combiner had its own buffers");
         push(&q, &mut held, part(vec![3], ep));
         let c = q.combine(a).expect("unclaimed work, nobody combining");
         assert!(q.combine(b).is_none(), "unclaimed work keeps one combiner");
-        assert_eq!(q.lock().buffers.len(), 1, "a lone combiner borrows one set");
         drop(c);
     }
 
