@@ -33,9 +33,9 @@
 //! # Alignment contract
 //!
 //! [`F32x8`] the *value type* is 32-byte aligned (one AVX ymm image),
-//! but every load/store in this module — [`F32x8::load`],
-//! [`F32x8::store`], and all ISA-backend memory ops — accepts data with
-//! only the natural 4-byte `f32` alignment, because kernels index
+//! but every load/store in this module — each backend's `loadu` and
+//! `storeu`, the portable one's included — accepts data with only the
+//! natural 4-byte `f32` alignment, because kernels index
 //! arbitrary row offsets (`&row[k..]`) of packed dense matrices. The
 //! AVX2 backend therefore always uses the unaligned intrinsics
 //! (`_mm256_loadu_ps`/`_mm256_storeu_ps`; full speed on aligned
@@ -99,28 +99,6 @@ impl F32x8 {
         F32x8([v; VLEN])
     }
 
-    /// Load 8 lanes from the first 8 elements of `src` (`VLOAD`).
-    /// `src` needs only `f32` alignment — see the module header's
-    /// alignment contract.
-    ///
-    /// # Panics
-    /// Panics in debug builds when `src` is shorter than 8.
-    #[inline(always)]
-    pub fn load(src: &[f32]) -> Self {
-        debug_assert!(src.len() >= VLEN);
-        let mut out = [0.0; VLEN];
-        out.copy_from_slice(&src[..VLEN]);
-        F32x8(out)
-    }
-
-    /// Store all lanes into the first 8 elements of `dst` (`VSTORE`).
-    /// `dst` needs only `f32` alignment.
-    #[inline(always)]
-    pub fn store(self, dst: &mut [f32]) {
-        debug_assert!(dst.len() >= VLEN);
-        dst[..VLEN].copy_from_slice(&self.0);
-    }
-
     /// Lanewise addition (`VADD`).
     #[inline(always)]
     pub fn add(self, rhs: Self) -> Self {
@@ -141,16 +119,6 @@ impl F32x8 {
         F32x8(out)
     }
 
-    /// Lanewise multiplication (`VMUL`).
-    #[inline(always)]
-    pub fn mul(self, rhs: Self) -> Self {
-        let mut out = [0.0; VLEN];
-        for i in 0..VLEN {
-            out[i] = self.0[i] * rhs.0[i];
-        }
-        F32x8(out)
-    }
-
     /// Multiply-accumulate: `self + a·b` (`VMAC` — the FMAC of the
     /// paper's Fig. 5 combining MOP and AOP). Written as separate
     /// multiply and add rather than `f32::mul_add`: on targets whose
@@ -167,26 +135,6 @@ impl F32x8 {
         F32x8(out)
     }
 
-    /// Lanewise maximum (`VMAX` — AMAX aggregation).
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        let mut out = [0.0; VLEN];
-        for i in 0..VLEN {
-            out[i] = self.0[i].max(rhs.0[i]);
-        }
-        F32x8(out)
-    }
-
-    /// Lanewise minimum.
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        let mut out = [0.0; VLEN];
-        for i in 0..VLEN {
-            out[i] = self.0[i].min(rhs.0[i]);
-        }
-        F32x8(out)
-    }
-
     /// Horizontal sum of all lanes (`VHADD`/reduce — completes ROP).
     /// Pairwise tree order matches how hardware horizontal adds
     /// associate, and is deterministic.
@@ -198,13 +146,6 @@ impl F32x8 {
         let s45 = a[4] + a[5];
         let s67 = a[6] + a[7];
         (s01 + s23) + (s45 + s67)
-    }
-
-    /// Horizontal maximum of all lanes.
-    #[inline(always)]
-    pub fn hmax(self) -> f32 {
-        let a = self.0;
-        a[0].max(a[1]).max(a[2].max(a[3])).max(a[4].max(a[5]).max(a[6].max(a[7])))
     }
 }
 
@@ -352,39 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn load_store_round_trip() {
-        let src: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let v = F32x8::load(&src);
-        let mut dst = [0.0; 9];
-        v.store(&mut dst);
-        assert_eq!(&dst[..8], &src[..8]);
-        assert_eq!(dst[8], 0.0);
-    }
-
-    #[test]
-    fn load_store_tolerate_unaligned_offsets() {
-        // Slices at odd offsets are only 4-byte aligned — the contract
-        // the ISA backends' unaligned intrinsics exist for.
-        let src: Vec<f32> = (0..17).map(|i| i as f32).collect();
-        for off in 0..8 {
-            let v = F32x8::load(&src[off..]);
-            assert_eq!(v.0[0], off as f32);
-            let mut dst = [0.0; 17];
-            v.store(&mut dst[off..]);
-            assert_eq!(dst[off], off as f32);
-            assert_eq!(dst[off + 7], (off + 7) as f32);
-        }
-    }
-
-    #[test]
     fn arithmetic_lanes() {
         let a = F32x8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let b = F32x8::splat(2.0);
         assert_eq!(a.add(b).0[0], 3.0);
         assert_eq!(a.sub(b).0[7], 6.0);
-        assert_eq!(a.mul(b).0[3], 8.0);
-        assert_eq!(a.max(F32x8::splat(4.5)).0, [4.5, 4.5, 4.5, 4.5, 5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(a.min(F32x8::splat(4.5)).0[7], 4.5);
     }
 
     #[test]
@@ -399,7 +312,6 @@ mod tests {
     fn horizontal_reductions() {
         let a = F32x8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(a.hsum(), 36.0);
-        assert_eq!(a.hmax(), 8.0);
     }
 
     #[test]

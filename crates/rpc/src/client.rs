@@ -8,9 +8,10 @@
 //! * the **session** — a mutex over the open connection's buffered
 //!   writer and the worker's band of `X` (`None` while the worker is
 //!   down). A sender writes its own frame under it: `embed_part` and
-//!   `score_part` insert their pending entry, then encode and write
-//!   their request; `ship` writes its epoch record, narrowed to the
-//!   worker's band, straight from the record's shared matrices. `ship`
+//!   `score_part` insert their pending entry — the part's slot — then
+//!   encode and write their request, and return without waiting;
+//!   `ship` writes its epoch record, narrowed to the worker's band,
+//!   straight from the record's shared matrices. `ship`
 //!   returns only once its record is written to every open session,
 //!   which *is* the ordering guarantee: a request sent after a `ship`
 //!   follows its record on the stream.
@@ -18,8 +19,9 @@
 //!   the worker's `Hello`, writes the epoch-log catch-up slice for the
 //!   worker's reported epoch (snapshot + tail for a fresh or
 //!   far-lagging replica, tail only otherwise), opens the session, and
-//!   then reads the session's replies: it resolves them against the
-//!   pending map by request id (replies complete out of order), records
+//!   then reads the session's replies: it resolves each part's slot
+//!   from the pending map by request id (replies complete out of
+//!   order; an embed reply carries rows, a score reply scores), records
 //!   round-trip latencies, and tracks the worker's epoch
 //!   acknowledgements for the lag gauge.
 //!
@@ -32,6 +34,12 @@
 //! fails typed (the front end's retry machinery takes over); and the
 //! manager reconnects with backoff. Locks nest session → pending, and
 //! nothing takes them the other way.
+//!
+//! A pending entry leaves the map only when its reply arrives or its
+//! session ends. The front end waits on a score part's slot for at most
+//! [`RpcConfig::connect_timeout`] and then fails the call; the part
+//! keeps its entry until the late reply, which resolves a slot nobody
+//! reads, or until the session ends.
 //!
 //! Exactly-once log delivery across reconnects: a transport-wide
 //! `ship_order` mutex makes `ship` (append to the log + write to every
@@ -57,7 +65,8 @@ use fusedmm_core::active_backend;
 use fusedmm_perf::hist::LatencyHistogram;
 use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
-use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality, ServeError};
+use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality};
+use fusedmm_sparse::Dense;
 
 use crate::frame::{fits_frame, read_msg, write_msg_for, Received};
 use crate::log::EpochLog;
@@ -71,7 +80,9 @@ pub struct RpcConfig {
     /// The bound on any wait for a worker: [`RpcTransport::connect`]'s
     /// wait for every first session, one `Hello` read, a frame write
     /// that makes no progress (the session ends, as if the worker had
-    /// hung up), and a `score_part` reply.
+    /// hung up), and the front end's wait for a score reply
+    /// ([`ShardTransport::score_timeout`]; the call fails
+    /// `PartFailed`).
     pub connect_timeout: Duration,
     /// Backoff between reconnect attempts.
     pub reconnect_backoff: Duration,
@@ -148,23 +159,13 @@ impl Session {
     }
 }
 
-/// A request awaiting its reply frame.
-enum Pending {
-    Embed { slot: PartSlot, sent: Instant, rows: usize },
-    Score { cell: Arc<ScoreCell>, sent: Instant },
-}
-
-/// One-shot synchronous reply cell for a score request.
-struct ScoreCell {
-    slot: Mutex<Option<Result<Vec<f32>, ServeError>>>,
-    cv: Condvar,
-}
-
-impl ScoreCell {
-    fn resolve(&self, result: Result<Vec<f32>, ServeError>) {
-        *self.slot.lock().expect("score cell") = Some(result);
-        self.cv.notify_all();
-    }
+/// A part awaiting its reply frame.
+struct Pending {
+    slot: PartSlot,
+    sent: Instant,
+    /// Rows of embed work the part adds to the backlog (0 for a score
+    /// part, which no embed part ever is).
+    rows: usize,
 }
 
 #[derive(Default)]
@@ -205,22 +206,16 @@ impl WorkerState {
             pending.drain().map(|(_, p)| p).collect()
         };
         for p in drained {
-            self.fail(p);
+            self.resolve(p, PartOutcome::Failed);
         }
     }
 
-    /// Fail one request typed. The front-end retry/`PartFailed`
-    /// machinery handles the rest.
-    fn fail(&self, p: Pending) {
-        match p {
-            Pending::Embed { slot, rows, .. } => {
-                self.queued_rows.fetch_sub(rows, Ordering::Relaxed);
-                slot.resolve(PartOutcome::Failed);
-            }
-            Pending::Score { cell, .. } => {
-                cell.resolve(Err(ServeError::PartFailed { shard: Some(self.shard) }));
-            }
-        }
+    /// Resolve one part, taking it off the backlog. A failure is
+    /// typed: the front end's retry/`PartFailed` machinery handles the
+    /// rest.
+    fn resolve(&self, p: Pending, outcome: PartOutcome) {
+        self.queued_rows.fetch_sub(p.rows, Ordering::Relaxed);
+        p.slot.resolve(outcome);
     }
 }
 
@@ -386,19 +381,19 @@ impl RpcTransport {
     }
 
     /// Send one request frame on `shard`'s open session, registering
-    /// `pending` for its reply first (both under the session lock, so
-    /// the session's end fails whatever it owes). Returns the request
-    /// id, or fails `pending` when the worker has no session.
-    fn request(&self, shard: usize, msg: &Msg, pending: Pending) -> Option<u64> {
+    /// the part's `slot` for its reply first (both under the session
+    /// lock, so the session's end fails whatever it owes), or fail the
+    /// part when the worker has no session. `rows` is the part's
+    /// backlog.
+    fn request(&self, shard: usize, msg: &Msg, slot: PartSlot, rows: usize) {
         let state = &self.workers[shard];
-        if let Pending::Embed { rows, .. } = &pending {
-            state.queued_rows.fetch_add(*rows, Ordering::Relaxed);
-        }
+        let pending = Pending { slot, sent: Instant::now(), rows };
+        state.queued_rows.fetch_add(rows, Ordering::Relaxed);
         let mut guard = state.session.lock().expect("session");
         let Some(session) = guard.as_mut() else {
             drop(guard);
-            state.fail(pending);
-            return None;
+            state.resolve(pending, PartOutcome::Failed);
+            return;
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         state.pending.lock().expect("pending map").insert(id, pending);
@@ -407,11 +402,10 @@ impl RpcTransport {
                 // Scheduled chaos: sever instead of sending. The request
                 // fails with the rest of the session's pending set.
                 session.sever();
-                return Some(id);
+                return;
             }
         }
         session.write(&state.telemetry, id, msg);
-        Some(id)
     }
 }
 
@@ -440,7 +434,7 @@ impl ShardTransport for RpcTransport {
                 .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64),
             nodes: nodes.iter().map(|&n| n as u64).collect(),
         };
-        self.request(shard, &msg, Pending::Embed { slot, sent: Instant::now(), rows: nodes.len() });
+        self.request(shard, &msg, slot, nodes.len());
     }
 
     fn score_part(
@@ -448,27 +442,14 @@ impl ShardTransport for RpcTransport {
         shard: usize,
         pairs: &[(usize, usize)],
         epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError> {
+        slot: PartSlot,
+    ) {
         let pairs = pairs.iter().map(|&(u, v)| (u as u64, v as u64)).collect();
-        let msg = Msg::Score { epoch: epoch.epoch(), pairs };
-        let cell = Arc::new(ScoreCell { slot: Mutex::new(None), cv: Condvar::new() });
-        let pending = Pending::Score { cell: Arc::clone(&cell), sent: Instant::now() };
-        let id = self.request(shard, &msg, pending);
-        let deadline = Instant::now() + self.timeout;
-        let mut slot = cell.slot.lock().expect("score cell");
-        while slot.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                // Give up typed; a late reply finds no pending entry.
-                if let Some(id) = id {
-                    take(&self.workers[shard], id);
-                }
-                return Err(ServeError::PartFailed { shard: Some(shard) });
-            }
-            let (s, _) = cell.cv.wait_timeout(slot, left).expect("score wait");
-            slot = s;
-        }
-        slot.take().expect("resolved")
+        self.request(shard, &Msg::Score { epoch: epoch.epoch(), pairs }, slot, 0);
+    }
+
+    fn score_timeout(&self) -> Option<Duration> {
+        Some(self.timeout)
     }
 
     fn ship(&self, record: &EpochRecord) {
@@ -637,43 +618,38 @@ fn read_replies(state: &WorkerState, stream: &UnixStream) {
             Msg::EpochAck { epoch } => {
                 state.acked.fetch_max(epoch, Ordering::Relaxed);
             }
-            Msg::EmbedOk { rows } => {
-                if let Some(Pending::Embed { slot, sent, rows: expect }) = take(state, request_id) {
-                    state.telemetry.rtt.record(sent.elapsed());
-                    state.queued_rows.fetch_sub(expect, Ordering::Relaxed);
-                    if rows.nrows() == expect {
-                        slot.resolve(PartOutcome::Rows(rows));
-                    } else {
-                        slot.resolve(PartOutcome::Failed);
-                    }
+            // An embed part is owed one row per node; a score part (no
+            // backlog rows) one score per pair, which the front end
+            // checks. A reply of the other kind fails the part.
+            Msg::EmbedOk { rows } => resolve(state, request_id, |p| {
+                if rows.nrows() == p.rows {
+                    PartOutcome::Rows(rows)
+                } else {
+                    PartOutcome::Failed
                 }
-            }
-            Msg::ScoreOk { scores } => {
-                if let Some(Pending::Score { cell, sent }) = take(state, request_id) {
-                    state.telemetry.rtt.record(sent.elapsed());
-                    cell.resolve(Ok(scores));
+            }),
+            Msg::ScoreOk { scores } => resolve(state, request_id, |p| {
+                if p.rows == 0 {
+                    PartOutcome::Rows(Dense::from_rows(scores.len(), 1, &scores).expect("n x 1"))
+                } else {
+                    PartOutcome::Failed
                 }
-            }
-            Msg::PartErr { err } => match take(state, request_id) {
-                Some(Pending::Embed { slot, sent, rows }) => {
-                    state.telemetry.rtt.record(sent.elapsed());
-                    state.queued_rows.fetch_sub(rows, Ordering::Relaxed);
-                    slot.resolve(match err {
-                        WireError::Expired => PartOutcome::Expired,
-                        _ => PartOutcome::Failed,
-                    });
-                }
-                Some(Pending::Score { cell, .. }) => {
-                    cell.resolve(Err(ServeError::PartFailed { shard: Some(state.shard) }));
-                }
-                None => {}
-            },
+            }),
+            Msg::PartErr { err } => resolve(state, request_id, |_| match err {
+                WireError::Expired => PartOutcome::Expired,
+                _ => PartOutcome::Failed,
+            }),
             // Workers never originate other kinds mid-session.
             _ => {}
         }
     }
 }
 
-fn take(state: &WorkerState, id: u64) -> Option<Pending> {
-    state.pending.lock().expect("pending map").remove(&id)
+/// Resolve part `id` with `outcome(part)`, recording its round trip. A
+/// reply whose part is gone (its session ended first) is dropped.
+fn resolve(state: &WorkerState, id: u64, outcome: impl FnOnce(&Pending) -> PartOutcome) {
+    let Some(p) = state.pending.lock().expect("pending map").remove(&id) else { return };
+    state.telemetry.rtt.record(p.sent.elapsed());
+    let outcome = outcome(&p);
+    state.resolve(p, outcome);
 }

@@ -150,7 +150,7 @@ pub fn write_msg(w: &mut impl Write, request_id: u64, msg: &Msg) -> io::Result<u
 }
 
 /// [`write_msg`] to the worker holding global rows `x_rows` of `X`: a
-/// `Publish` / `Snapshot` record goes out with `x_start = x_rows.start`
+/// `Snapshot` record goes out with `x_start = x_rows.start`
 /// and only those rows of its `X`, streamed from the record's shared
 /// matrix (nothing is copied). Every other message is written as by
 /// [`write_msg`].

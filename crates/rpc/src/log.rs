@@ -5,34 +5,37 @@
 //! The coordinator [`ship`](EpochLog::ship)s each
 //! [`EpochRecord`] here before any worker sees it; the per-worker
 //! connection managers read [`catch_up`](EpochLog::catch_up) slices
-//! when a worker (re)connects. The log folds records into a rolling
-//! base snapshot once the tail grows past the compaction cap, so its
-//! memory footprint is bounded by `2 × state + cap × record` no matter
-//! how many epochs have ever been minted.
+//! when a worker (re)connects. The log is one base snapshot plus the
+//! deltas minted after it. A shipped snapshot — the coordinator's seed
+//! or a publish — *is* a base: it replaces the old one and clears the
+//! tail, so the log never holds a superseded generation. Deltas fold
+//! into the base once the tail grows past the compaction cap, so the
+//! log's footprint is bounded by `state + cap × record` no matter how
+//! many epochs have ever been minted.
 //!
 //! Whole generations are shared with whoever shipped them: the base is
-//! the allocation the coordinator's store holds (a snapshot or publish
-//! record is an `Arc` pair), and the log copies it only when a fold has
-//! to patch delta rows into a base somebody else still holds. The log
-//! keeps whole records — all of `X` — and each record is narrowed to a
+//! the allocation the coordinator's store holds (a snapshot record is an
+//! `Arc` pair), and the log copies it only when a fold has to patch
+//! delta rows into a base somebody else still holds. The log keeps
+//! whole records — all of `X` — and each record is narrowed to a
 //! worker's band as it is written to that worker's socket.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fusedmm_serve::remote::EpochRecord;
-use fusedmm_sparse::Dense;
 use parking_lot::Mutex;
 
-/// Records kept in the tail before folding into the base snapshot.
+/// Deltas kept in the tail before folding into the base snapshot.
 /// Catch-up for a worker lagging within the tail replays deltas
 /// (cheap); one lagging past it gets the snapshot (complete).
 const COMPACT_AFTER: usize = 64;
 
 struct Inner {
-    /// Full state at `base_epoch` — what a fresh joiner receives.
-    base: Option<(u64, Arc<Dense>, Arc<Dense>)>,
-    /// Records minted after `base_epoch`, epoch-ordered.
+    /// The latest snapshot, as it was shipped (or folded) — what a
+    /// fresh joiner receives first.
+    base: Option<EpochRecord>,
+    /// Deltas minted after the base, epoch-ordered.
     tail: VecDeque<EpochRecord>,
 }
 
@@ -51,26 +54,22 @@ impl EpochLog {
         EpochLog { inner: Mutex::new(Inner { base: None, tail: VecDeque::new() }) }
     }
 
-    /// Append one record, folding the tail into the base snapshot when
-    /// it grows past the compaction cap.
+    /// Append one record: a snapshot becomes the base and clears the
+    /// tail, a delta joins the tail, which folds into the base when it
+    /// grows past the compaction cap.
     ///
     /// # Panics
-    /// Panics on a whole-generation record that holds only some rows of
-    /// `X` (`x_start != 0`): the log keeps whole generations.
+    /// Panics on a snapshot that holds only some rows of `X`
+    /// (`x_start != 0`): the log keeps whole generations.
     pub fn ship(&self, record: &EpochRecord) {
-        if let EpochRecord::Publish { x_start, .. } | EpochRecord::Snapshot { x_start, .. } = record
-        {
-            assert_eq!(*x_start, 0, "the epoch log keeps whole generations");
-        }
         let mut inner = self.inner.lock();
         match record {
-            EpochRecord::Snapshot { epoch, x, y, .. } => {
-                // A snapshot *is* a base: everything before it is
-                // subsumed.
-                inner.base = Some((*epoch, Arc::clone(x), Arc::clone(y)));
+            EpochRecord::Snapshot { x_start, .. } => {
+                assert_eq!(*x_start, 0, "the epoch log keeps whole generations");
+                inner.base = Some(record.clone());
                 inner.tail.clear();
             }
-            other => inner.tail.push_back(other.clone()),
+            EpochRecord::Delta { .. } => inner.tail.push_back(record.clone()),
         }
         if inner.tail.len() > COMPACT_AFTER {
             inner.compact();
@@ -80,7 +79,7 @@ impl EpochLog {
     /// The latest epoch in the log, or `None` before the first ship.
     pub fn latest(&self) -> Option<u64> {
         let inner = self.inner.lock();
-        inner.tail.back().map(EpochRecord::epoch).or(inner.base.as_ref().map(|b| b.0))
+        inner.tail.back().or(inner.base.as_ref()).map(EpochRecord::epoch)
     }
 
     /// The record slice that brings a worker to the head of the log:
@@ -91,24 +90,12 @@ impl EpochLog {
     /// log is).
     pub fn catch_up(&self, from: Option<u64>) -> Vec<EpochRecord> {
         let inner = self.inner.lock();
-        let base_epoch = inner.base.as_ref().map(|b| b.0);
-        match (from, base_epoch) {
-            (Some(e), Some(b)) if e >= b => {
+        let base_epoch = inner.base.as_ref().map(EpochRecord::epoch);
+        match from {
+            Some(e) if base_epoch.is_none_or(|b| e >= b) => {
                 inner.tail.iter().filter(|r| r.epoch() > e).cloned().collect()
             }
-            (Some(e), None) => inner.tail.iter().filter(|r| r.epoch() > e).cloned().collect(),
-            (_, Some(_)) => {
-                let (epoch, x, y) = inner.base.as_ref().expect("checked");
-                let mut out = vec![EpochRecord::Snapshot {
-                    epoch: *epoch,
-                    x_start: 0,
-                    x: Arc::clone(x),
-                    y: Arc::clone(y),
-                }];
-                out.extend(inner.tail.iter().cloned());
-                out
-            }
-            (None, None) => inner.tail.iter().cloned().collect(),
+            _ => inner.base.iter().chain(&inner.tail).cloned().collect(),
         }
     }
 }
@@ -120,41 +107,36 @@ impl Default for EpochLog {
 }
 
 impl Inner {
-    /// Fold the whole tail into the base snapshot. Requires a base (a
-    /// delta tail without a base can't be folded — keep it).
+    /// Fold the whole tail of deltas into the base snapshot. Requires a
+    /// base (a delta tail without a base can't be folded — keep it).
     fn compact(&mut self) {
-        let Some((mut epoch, mut x, mut y)) = self.base.take() else {
+        let Some(EpochRecord::Snapshot { mut epoch, x_start, mut x, mut y }) = self.base.take()
+        else {
             return;
         };
         for record in self.tail.drain(..) {
-            match record {
-                EpochRecord::Publish { epoch: e, x: nx, y: ny, .. }
-                | EpochRecord::Snapshot { epoch: e, x: nx, y: ny, .. } => {
-                    epoch = e;
-                    x = nx;
-                    y = ny;
-                }
-                EpochRecord::Delta { epoch: e, rows, x_rows, y_rows } => {
-                    epoch = e;
-                    // The one place the log copies a generation: the
-                    // first delta folded into a base the store (or a
-                    // queued record) still holds. Later deltas of the
-                    // same fold find it unshared.
-                    let (x, y) = (Arc::make_mut(&mut x), Arc::make_mut(&mut y));
-                    for (i, &r) in rows.iter().enumerate() {
-                        x.row_mut(r).copy_from_slice(x_rows.row(i));
-                        y.row_mut(r).copy_from_slice(y_rows.row(i));
-                    }
-                }
+            let EpochRecord::Delta { epoch: e, rows, x_rows, y_rows } = record else {
+                unreachable!("a snapshot clears the tail");
+            };
+            epoch = e;
+            // The one place the log copies a generation: the first
+            // delta folded into a base the store (or a queued record)
+            // still holds. Later deltas of the same fold find it
+            // unshared.
+            let (x, y) = (Arc::make_mut(&mut x), Arc::make_mut(&mut y));
+            for (i, &r) in rows.iter().enumerate() {
+                x.row_mut(r).copy_from_slice(x_rows.row(i));
+                y.row_mut(r).copy_from_slice(y_rows.row(i));
             }
         }
-        self.base = Some((epoch, x, y));
+        self.base = Some(EpochRecord::Snapshot { epoch, x_start, x, y });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedmm_sparse::Dense;
 
     fn snap(epoch: u64, fill: f32) -> EpochRecord {
         EpochRecord::Snapshot {

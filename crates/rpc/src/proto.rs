@@ -14,8 +14,8 @@
 //! convert element by element). [`Msg::encode`] and [`decode`] are the
 //! same two bodies over a `Vec` and a slice.
 //!
-//! A whole-generation epoch record carries `x_start` and then only the
-//! `X` rows its receiver holds: the coordinator's record holds all of
+//! A snapshot epoch record — the one whole-generation record — carries
+//! `x_start` and then only the `X` rows its receiver holds: the coordinator's record holds all of
 //! `X`, and the encoder, told the receiving worker's band
 //! ([`write_msg_for`](crate::frame::write_msg_for)), writes that band's
 //! rows as one sub-slice of the shared matrix.
@@ -36,9 +36,10 @@ use fusedmm_sparse::dense::{f32_bytes, f32_bytes_mut};
 use fusedmm_sparse::Dense;
 
 /// Protocol revision, checked at handshake. Bump on any wire change.
-/// Revision 2: `Publish`/`Snapshot` records carry `x_start` and only the
-/// receiver's rows of `X`.
-pub const PROTO_VERSION: u32 = 2;
+/// Revision 2: whole-generation records carry `x_start` and only the
+/// receiver's rows of `X`. Revision 3: a publish ships as a snapshot
+/// (record tag 2); tag 0, the separate publish record, is gone.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Handshake: worker → coordinator, first frame on every connection.
 pub const KIND_HELLO: u8 = 1;
@@ -224,7 +225,7 @@ impl Msg {
         count.0
     }
 
-    /// The encoder. With `x_rows`, a whole-generation epoch record goes
+    /// The encoder. With `x_rows`, a snapshot epoch record goes
     /// out as the worker holding those global rows of `X` receives it:
     /// `x_start = x_rows.start` and only those rows, read in place from
     /// the record's shared matrix. Every other message ignores it.
@@ -288,12 +289,6 @@ impl Msg {
                 put_f32s(w, scores)
             }
             Msg::Epoch(record) => match record {
-                EpochRecord::Publish { epoch, x_start, x, y } => {
-                    w.write_all(&[0])?;
-                    put_u64(w, *epoch)?;
-                    put_x_rows(w, *x_start, x, x_rows)?;
-                    put_dense(w, y)
-                }
                 EpochRecord::Delta { epoch, rows, x_rows, y_rows } => {
                     w.write_all(&[1])?;
                     put_u64(w, *epoch)?;
@@ -405,12 +400,6 @@ fn decode_body(kind: u8, rd: &mut Rd<'_, impl Read>) -> Result<Msg, Fail> {
             Msg::ScoreOk { scores }
         }
         KIND_EPOCH => Msg::Epoch(match rd.u8()? {
-            0 => EpochRecord::Publish {
-                epoch: rd.u64()?,
-                x_start: rd.u64()? as usize,
-                x: Arc::new(rd.dense()?),
-                y: Arc::new(rd.dense()?),
-            },
             1 => {
                 let epoch = rd.u64()?;
                 let rows = rd.u64_vec("delta rows")?.into_iter().map(|r| r as usize).collect();
@@ -630,8 +619,8 @@ impl<R: Read> Rd<'_, R> {
 mod tests {
     use super::*;
 
-    /// The wire format, spelled out: one message of every kind (every
-    /// epoch-record variant, every tag arm) against literal bytes. A
+    /// The wire format, spelled out: one message of every kind (both
+    /// epoch-record variants, every tag arm) against literal bytes. A
     /// layout change fails here whatever the round-trip tests say.
     #[test]
     fn golden_bytes_for_every_kind() {
@@ -639,7 +628,7 @@ mod tests {
         let cases: Vec<(Msg, u8, Vec<u8>)> = vec![
             (
                 Msg::Hello {
-                    proto_version: 2,
+                    proto_version: 3,
                     shard: 2,
                     band_start: 3,
                     band_len: 4,
@@ -651,7 +640,7 @@ mod tests {
                 },
                 1,
                 [
-                    &[2, 0, 0, 0][..],         // proto_version: u32
+                    &[3, 0, 0, 0][..],         // proto_version: u32
                     &[2, 0, 0, 0],             // shard: u32
                     &[3, 0, 0, 0, 0, 0, 0, 0], // band_start: u64
                     &[4, 0, 0, 0, 0, 0, 0, 0], // band_len: u64
@@ -719,25 +708,6 @@ mod tests {
             ),
             (Msg::ScoreOk { scores: vec![0.5] }, 6, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F]),
             (
-                Msg::Epoch(EpochRecord::Publish {
-                    epoch: 4,
-                    x_start: 3,
-                    x: Arc::new(dense(1, 1, &[1.0])),
-                    y: Arc::new(dense(2, 1, &[2.0, 3.0])),
-                }),
-                7,
-                [
-                    &[0][..], // record tag: publish
-                    &[4, 0, 0, 0, 0, 0, 0, 0],
-                    &[3, 0, 0, 0, 0, 0, 0, 0], // x_start: u64
-                    &[1, 0, 0, 0, 1, 0, 0, 0], // x: 1 x 1
-                    &[0, 0, 0x80, 0x3F],
-                    &[2, 0, 0, 0, 1, 0, 0, 0], // y: 2 x 1
-                    &[0, 0, 0, 0x40, 0, 0, 0x40, 0x40],
-                ]
-                .concat(),
-            ),
-            (
                 Msg::Epoch(EpochRecord::Delta {
                     epoch: 5,
                     rows: vec![7],
@@ -780,36 +750,33 @@ mod tests {
             assert_eq!(msg.encoded_len(), bytes.len(), "{msg:?}");
             assert_eq!(decode(kind, &bytes), Ok(msg));
         }
-        assert_eq!(PROTO_VERSION, 2, "these bytes are revision 2");
+        // Revision 2's publish record (tag 0) no longer decodes.
+        let publish = [&[0][..], &[4, 0, 0, 0, 0, 0, 0, 0]].concat();
+        assert_eq!(decode(KIND_EPOCH, &publish), Err(DecodeError::BadTag("epoch record", 0)));
+        assert_eq!(PROTO_VERSION, 3, "these bytes are revision 3");
     }
 
-    /// A whole-generation record encoded for a receiver's rows is, byte
-    /// for byte, the record holding exactly those rows — and decodes to
-    /// it.
+    /// A snapshot encoded for a receiver's rows is, byte for byte, the
+    /// snapshot holding exactly those rows — and decodes to it.
     #[test]
     fn a_record_ships_the_receivers_rows_of_x_only() {
         let x = Arc::new(Dense::from_fn(5, 2, |r, c| (r * 2 + c) as f32));
         let y = Arc::new(Dense::from_fn(5, 2, |r, c| -((r * 2 + c) as f32)));
         let band = 1..3;
         let exact = Arc::new(Dense::from_fn(2, 2, |r, c| ((r + 1) * 2 + c) as f32));
-        let records = |x_start, x: &Arc<Dense>| {
+        let snapshot = |x_start, x: &Arc<Dense>| {
             let (x, y) = (Arc::clone(x), Arc::clone(&y));
-            [
-                EpochRecord::Publish { epoch: 9, x_start, x: Arc::clone(&x), y: Arc::clone(&y) },
-                EpochRecord::Snapshot { epoch: 9, x_start, x, y },
-            ]
+            Msg::Epoch(EpochRecord::Snapshot { epoch: 9, x_start, x, y })
         };
-        for (whole, narrow) in records(0, &x).into_iter().zip(records(band.start, &exact)) {
-            let (whole, narrow) = (Msg::Epoch(whole), Msg::Epoch(narrow));
-            let mut shipped = Vec::new();
-            whole.encode_for(&mut shipped, Some(&band)).unwrap();
-            assert_eq!(shipped, narrow.encode());
-            assert_eq!(whole.encoded_len_for(Some(&band)), shipped.len());
-            assert_eq!(decode(KIND_EPOCH, &shipped), Ok(narrow));
-            // Everything after the header is the two matrices: the
-            // band's X and all of Y.
-            assert_eq!(shipped.len(), 1 + 8 + 8 + (8 + 2 * 2 * 4) + (8 + 5 * 2 * 4));
-        }
+        let (whole, narrow) = (snapshot(0, &x), snapshot(band.start, &exact));
+        let mut shipped = Vec::new();
+        whole.encode_for(&mut shipped, Some(&band)).unwrap();
+        assert_eq!(shipped, narrow.encode());
+        assert_eq!(whole.encoded_len_for(Some(&band)), shipped.len());
+        assert_eq!(decode(KIND_EPOCH, &shipped), Ok(narrow));
+        // Everything after the header is the two matrices: the band's X
+        // and all of Y.
+        assert_eq!(shipped.len(), 1 + 8 + 8 + (8 + 2 * 2 * 4) + (8 + 5 * 2 * 4));
         // Deltas and every other kind go out as they are.
         let delta = Msg::Epoch(EpochRecord::Delta {
             epoch: 3,

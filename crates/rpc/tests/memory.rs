@@ -262,6 +262,39 @@ fn a_coordinator_delta_copies_the_generation_its_log_base_holds() {
     drop(servers);
 }
 
+/// A publish ships as a snapshot, and a snapshot is the log's base: the
+/// superseded generation is freed once the store lets go of it, and a
+/// fresh replica catches up from the published generation alone.
+#[test]
+fn a_publish_frees_the_generation_it_supersedes() {
+    let _serial = serial();
+    let (n, d) = (256usize, 8usize);
+    let (servers, transport) = loopback(&graph(n), d, 2, "publish");
+    let log = Arc::clone(transport.log());
+    let x = Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin());
+    let y = Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos());
+    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    let (x0, y0) = remote.store().snapshot().shared();
+    let seeded = (Arc::downgrade(&x0), Arc::downgrade(&y0));
+    drop((x0, y0));
+
+    let (x1, y1) = (Dense::filled(n, d, 0.25), Dense::filled(n, d, -0.5));
+    let published = (storage(&x1), storage(&y1));
+    assert_eq!(remote.publish(x1, y1), 1);
+    assert!(
+        seeded.0.upgrade().is_none() && seeded.1.upgrade().is_none(),
+        "the superseded generation is still held"
+    );
+    match log.catch_up(None).as_slice() {
+        [EpochRecord::Snapshot { epoch: 1, x, y, .. }] => {
+            assert_eq!((storage(x), storage(y)), published, "the base is the published pair");
+        }
+        other => panic!("a fresh replica's catch-up is the publish alone, got {other:?}"),
+    }
+    drop(remote);
+    drop(servers);
+}
+
 #[test]
 fn a_replica_delta_copies_the_generation_its_history_pins() {
     let _serial = serial();

@@ -37,7 +37,7 @@ use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
 use crate::front::Resolved;
 use crate::observe::apply_labels;
-use crate::score::score_edges_banded;
+use crate::score::score_banded_into;
 use crate::store::{copy_rows, FeatureEpoch};
 use crate::ticket::Quality;
 use crate::transport::{PartOutcome, PartSlot};
@@ -176,10 +176,14 @@ impl Band {
         self.queue.kick();
     }
 
-    pub fn score(&self, pairs: &[(usize, usize)], epoch: &FeatureEpoch) -> Vec<f32> {
+    /// One score per pair under the pinned epoch, as a
+    /// `pairs.len() × 1` matrix.
+    pub fn score(&self, pairs: &[(usize, usize)], epoch: &FeatureEpoch) -> Dense {
         let t0 = Instant::now();
         let (x, x_start, y) = (epoch.x(), epoch.x_start(), epoch.y());
-        let scores = score_edges_banded(&self.a, self.start, pairs, x, x_start, y, &self.ops);
+        let mut scores = Dense::zeros(pairs.len(), 1);
+        let out = scores.as_mut_slice();
+        score_banded_into(&self.a, self.start, pairs, x, x_start, y, &self.ops, out);
         self.score_latency.record(t0.elapsed());
         scores
     }

@@ -58,7 +58,7 @@ use crate::ticket::{
     RequestStats, Ticket, TraceHandle,
 };
 use crate::transport::{LocalBands, PartSlot, PartSpan, ShardTransport};
-use crate::wait::{slot, Claim};
+use crate::wait::{slot, Claim, SlotPoll, SlotRx};
 
 /// The request path over one transport. Reached through
 /// [`Deref`](std::ops::Deref) from every public engine type: the
@@ -493,32 +493,29 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             idx.push(i);
             sub.push(pair);
         }
-        let involved: Vec<usize> =
-            (0..self.nshards()).filter(|&s| !per_shard[s].0.is_empty()).collect();
-        // The first involved shard answers on this thread, the others
-        // on their own, so one slow shard overlaps the rest. All are
-        // joined before the error scan, which walks in shard order: the
-        // reported failure is the lowest failing shard, whatever
-        // finished first.
-        let results: Vec<Result<Vec<f32>, ServeError>> = std::thread::scope(|scope| {
-            let (transport, epoch, per_shard) = (&self.transport, &epoch, &per_shard);
-            let Some((&first, rest)) = involved.split_first() else { return Vec::new() };
-            let others: Vec<_> = rest
-                .iter()
-                .map(|&s| scope.spawn(move || transport.score_part(s, &per_shard[s].1, epoch)))
-                .collect();
-            let mut results = vec![transport.score_part(first, &per_shard[first].1, epoch)];
-            results.extend(others.into_iter().map(|h| h.join().expect("score fan-out panicked")));
-            results
-        });
+        // Every involved shard's part is sent before any is awaited, so
+        // a slow shard overlaps the rest. The slots are then read in
+        // shard order: the reported failure is the lowest failing
+        // shard, whatever finished first.
+        let parts: Vec<(usize, SlotRx)> = (0..self.nshards())
+            .filter(|&s| !per_shard[s].0.is_empty())
+            .map(|s| {
+                let (tx, rx) = slot();
+                let part = PartSlot::new(tx, None, None, None);
+                self.transport.score_part(s, &per_shard[s].1, &epoch, part);
+                (s, rx)
+            })
+            .collect();
+        let deadline = self.transport.score_timeout().map(|bound| Instant::now() + bound);
         let mut out = vec![0f32; pairs.len()];
-        for (&s, scores) in involved.iter().zip(results) {
-            let scores = scores?;
+        for (s, rx) in parts {
             let (idx, sub) = &per_shard[s];
-            if scores.len() != sub.len() {
-                return Err(ServeError::PartFailed { shard: self.shard_label(s) });
-            }
-            for (&i, score) in idx.iter().zip(scores) {
+            let scores = match rx.recv_until(deadline) {
+                SlotPoll::Reply(Ok(m)) if (m.nrows(), m.ncols()) == (sub.len(), 1) => m,
+                SlotPoll::Closed => return Err(ServeError::EngineShutdown),
+                _ => return Err(ServeError::PartFailed { shard: self.shard_label(s) }),
+            };
+            for (&i, &score) in idx.iter().zip(scores.as_slice()) {
                 out[i] = score;
             }
         }

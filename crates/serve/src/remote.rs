@@ -66,24 +66,30 @@ const EPOCH_RETAIN: usize = 64;
 /// Whole generations are *shared*, not owned: a record holds the
 /// allocations of the store epoch it describes, so cloning a record —
 /// into the log, into the message a transport writes — never copies a
-/// matrix, and
-/// a replica that applies a decoded record moves those allocations
-/// into its own store. Deltas are a few rows and stay owned.
+/// matrix, and a replica that applies a decoded record moves those
+/// allocations into its own store. Deltas are a few rows and stay
+/// owned.
 ///
-/// A whole-generation record's `x` holds `x.nrows()` global rows of `X`
-/// from row `x_start` on: all of them (`x_start = 0`) as the coordinator
-/// mints it, one worker's band as that worker decodes it.
+/// A snapshot's `x` holds `x.nrows()` global rows of `X` from row
+/// `x_start` on: all of them (`x_start = 0`) as the coordinator mints
+/// it, one worker's band as that worker decodes it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochRecord {
-    /// A whole-matrix [`FeatureStore::publish`] minting `epoch`.
-    Publish {
-        /// The epoch this record mints.
+    /// A whole generation: the full state *at* `epoch`. The
+    /// coordinator's seed and every [`RemoteShardedEngine::publish`]
+    /// ship one, and the log's compaction folds deltas into one.
+    /// Applying it jumps a replica directly there, whatever it held
+    /// before, so a fresh or lagging worker catches up from the latest
+    /// snapshot plus the deltas after it instead of replaying history
+    /// from zero.
+    Snapshot {
+        /// The epoch this snapshot mints.
         epoch: u64,
         /// Global id of `x`'s row 0.
         x_start: usize,
-        /// The replacement X's rows `x_start..`.
+        /// X's rows `x_start..` at `epoch`.
         x: Arc<Dense>,
-        /// The full replacement Y.
+        /// The full Y at `epoch`.
         y: Arc<Dense>,
     },
     /// A [`FeatureStore::delta_update`] minting `epoch` by patching
@@ -98,29 +104,13 @@ pub enum EpochRecord {
         /// One replacement Y row per entry of `rows`.
         y_rows: Dense,
     },
-    /// A log-compaction artifact: the full state *at* `epoch`. Applying
-    /// it jumps a replica directly there (fresh or lagging workers
-    /// catch up from the latest snapshot plus the record tail instead
-    /// of replaying history from zero).
-    Snapshot {
-        /// The epoch this snapshot captures.
-        epoch: u64,
-        /// Global id of `x`'s row 0.
-        x_start: usize,
-        /// X's rows `x_start..` at `epoch`.
-        x: Arc<Dense>,
-        /// The full Y at `epoch`.
-        y: Arc<Dense>,
-    },
 }
 
 impl EpochRecord {
-    /// The epoch this record mints (or, for a snapshot, captures).
+    /// The epoch this record mints.
     pub fn epoch(&self) -> u64 {
         match self {
-            EpochRecord::Publish { epoch, .. }
-            | EpochRecord::Delta { epoch, .. }
-            | EpochRecord::Snapshot { epoch, .. } => *epoch,
+            EpochRecord::Snapshot { epoch, .. } | EpochRecord::Delta { epoch, .. } => *epoch,
         }
     }
 }
@@ -187,8 +177,8 @@ impl RemoteShardedEngine {
     }
 
     /// Publish whole replacement matrices as the next epoch,
-    /// replicating the record to every worker **before** the local
-    /// mint — by the time any request can pin the new epoch, its
+    /// replicating them as a snapshot record to every worker **before**
+    /// the local mint — by the time any request can pin the new epoch, its
     /// record is ordered ahead of that request on every connection.
     /// The generation is built once: the record that ships and the
     /// epoch the store installs are the same two allocations. Returns
@@ -205,7 +195,7 @@ impl RemoteShardedEngine {
         let _w = self.write_order.lock();
         let epoch = self.store().current_epoch() + 1;
         let record =
-            EpochRecord::Publish { epoch, x_start: 0, x: Arc::clone(&x), y: Arc::clone(&y) };
+            EpochRecord::Snapshot { epoch, x_start: 0, x: Arc::clone(&x), y: Arc::clone(&y) };
         self.transport.ship(&record);
         let minted = self.store().publish_shared(x, y);
         debug_assert_eq!(minted, epoch, "write_order serializes coordinator writes");
@@ -398,8 +388,7 @@ impl WorkerEngine {
         let store = self.front.store();
         let epoch = record.epoch();
         match record {
-            EpochRecord::Publish { x_start, x, y, .. }
-            | EpochRecord::Snapshot { x_start, x, y, .. } => {
+            EpochRecord::Snapshot { x_start, x, y, .. } => {
                 store.publish_at(epoch, self.band_of(x_start, x), y);
             }
             EpochRecord::Delta { rows, x_rows, y_rows, .. } => {

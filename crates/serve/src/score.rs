@@ -50,13 +50,30 @@ pub fn score_edges_banded(
     y: &Dense,
     ops: &OpSet,
 ) -> Vec<f32> {
+    let mut out = vec![0f32; pairs.len()];
+    score_banded_into(a_band, band_start, pairs, x, x_start, y, ops, &mut out);
+    out
+}
+
+/// [`score_edges_banded`] into `out`, one score per pair.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_banded_into(
+    a_band: &Csr,
+    band_start: usize,
+    pairs: &[(usize, usize)],
+    x: &Dense,
+    x_start: usize,
+    y: &Dense,
+    ops: &OpSet,
+    out: &mut [f32],
+) {
     assert_eq!(x.ncols(), y.ncols(), "X and Y must share the embedding dimension");
+    assert_eq!(out.len(), pairs.len(), "one score per pair");
     let d = x.ncols();
     let band_end = band_start + a_band.nrows();
     let x_rows = x_start..x_start + x.nrows();
     let mut scratch = vec![0f32; d];
-    let mut out = Vec::with_capacity(pairs.len());
-    for &(u, v) in pairs {
+    for (&(u, v), score) in pairs.iter().zip(out) {
         assert!(x_rows.contains(&u), "source vertex {u} out of range for X rows {x_rows:?}");
         assert!(v < y.nrows(), "target vertex {v} out of range for {} rows", y.nrows());
         let auv = if (band_start..band_end).contains(&u) {
@@ -65,16 +82,14 @@ pub fn score_edges_banded(
             1.0
         };
         ops.vop.apply(x.row(u - x_start), y.row(v), auv, &mut scratch);
-        let score = match ops.rop.apply(&scratch) {
+        *score = match ops.rop.apply(&scratch) {
             Some(s) => ops.sop.apply_scalar(s, auv),
             None => {
                 ops.sop.apply_vec(&mut scratch, auv);
                 scratch.iter().sum()
             }
         };
-        out.push(score);
     }
-    out
 }
 
 #[cfg(test)]

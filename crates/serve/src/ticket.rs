@@ -872,7 +872,8 @@ mod tests {
             _shard: usize,
             _pairs: &[(usize, usize)],
             _epoch: &Arc<FeatureEpoch>,
-        ) -> Result<Vec<f32>, ServeError> {
+            _slot: PartSlot,
+        ) {
             unreachable!("no scoring here")
         }
 

@@ -10,12 +10,13 @@
 //! `RpcTransport` in `fusedmm-rpc` frames the same parts onto sockets to
 //! worker processes, behind a
 //! [`RemoteShardedEngine`](crate::RemoteShardedEngine). The front end
-//! above either is the same code: a part is a slot somebody else
-//! resolves, and its one-shot retry is the same `embed_part` call again.
+//! above either is the same code: a part — an embed part or a score
+//! part — is a slot somebody else resolves, and an embed part's
+//! one-shot retry is the same `embed_part` call again.
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fusedmm_ops::OpSet;
 use fusedmm_perf::trace::{SpanCtx, SpanKind, Tracer};
@@ -25,17 +26,18 @@ use fusedmm_sparse::BufferHome;
 
 use crate::band::Band;
 use crate::cache::FillSet;
-use crate::engine::{EngineConfig, ServeError};
+use crate::engine::EngineConfig;
 use crate::front::Resolved;
 use crate::remote::EpochRecord;
 use crate::store::FeatureEpoch;
 use crate::ticket::Quality;
 use crate::wait::{Claim, PartError, SlotTx};
 
-/// How a transport resolves one embed part.
+/// How a transport resolves one part.
 #[derive(Debug)]
 pub enum PartOutcome {
-    /// One row per requested node, in request order, bit-identical to
+    /// One row per requested node (an embed part) or one one-column
+    /// row per pair (a score part), in request order, bit-identical to
     /// an in-process band computation.
     Rows(Dense),
     /// The piece expired past its deadline before its kernel launch.
@@ -47,8 +49,8 @@ pub enum PartOutcome {
     Failed,
 }
 
-/// The completion slot a [`ShardTransport`] resolves for each embed
-/// part: the ticket's one-shot reply slot, the part's cache
+/// The completion slot a [`ShardTransport`] resolves for each part: the
+/// request's one-shot reply slot, the part's cache
 /// registrations (completed with the rows before the reply, so
 /// coalesced waiters resolve with the computation, not with the
 /// harvest), the part's span when the request is traced, and the
@@ -56,10 +58,10 @@ pub enum PartOutcome {
 /// thread runs it in process (a socket transport ignores it).
 ///
 /// Dropping a slot unresolved closes it, which surfaces as
-/// [`ServeError::EngineShutdown`] on the ticket and aborts its cache
-/// registrations — transports should resolve explicitly
-/// ([`PartOutcome::Failed`] on connection loss) so failures stay typed
-/// and retryable.
+/// [`ServeError::EngineShutdown`](crate::ServeError::EngineShutdown) on
+/// the request and aborts its cache registrations — transports should
+/// resolve explicitly ([`PartOutcome::Failed`] on connection loss) so
+/// failures stay typed and retryable.
 pub struct PartSlot {
     tx: SlotTx,
     pub(crate) fills: Option<FillSet>,
@@ -123,7 +125,8 @@ impl PartSlot {
 }
 
 /// What the front end needs from a transport: the shard layout, per-part
-/// dispatch, blocking edge scoring, and the epoch-log shipping hook.
+/// dispatch of embed and score parts (neither blocks on the
+/// computation), and the epoch-log shipping hook.
 /// Implemented in process by [`LocalBands`] and over framed sockets by
 /// `fusedmm-rpc`; tests implement it in process.
 ///
@@ -158,14 +161,26 @@ pub trait ShardTransport: Send + Sync {
         slot: PartSlot,
     );
 
-    /// Score one shard's pairs at the pinned epoch, blocking until the
-    /// reply (edge scoring is a synchronous API).
+    /// Dispatch one score part — shard `shard`'s pairs, scored at the
+    /// pinned `epoch` — and resolve `slot` with a `pairs.len() × 1`
+    /// matrix of scores in pair order, or [`PartOutcome::Failed`]. Like
+    /// [`embed_part`](ShardTransport::embed_part) it need not block on
+    /// the computation: the front end sends every shard's part before
+    /// it waits on any.
     fn score_part(
         &self,
         shard: usize,
         pairs: &[(usize, usize)],
         epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError>;
+        slot: PartSlot,
+    );
+
+    /// How long the front end waits for a score part's slot before it
+    /// fails the call `PartFailed`. Default: unbounded (`None`), for a
+    /// transport that resolves every slot it is handed.
+    fn score_timeout(&self) -> Option<Duration> {
+        None
+    }
 
     /// Append `record` to the replicated epoch log and ship it to
     /// every worker (see the trait-level ordering contract). A
@@ -251,13 +266,15 @@ impl ShardTransport for LocalBands {
         band.enqueue(nodes, epoch, quality, deadline, slot);
     }
 
+    /// Scores on the calling thread and resolves before it returns.
     fn score_part(
         &self,
         shard: usize,
         pairs: &[(usize, usize)],
         epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError> {
-        Ok(self.bands[shard].score(pairs, epoch))
+        slot: PartSlot,
+    ) {
+        slot.resolve(PartOutcome::Rows(self.bands[shard].score(pairs, epoch)));
     }
 
     fn ship(&self, _record: &EpochRecord) {}

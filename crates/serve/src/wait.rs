@@ -342,8 +342,10 @@ impl SlotRx {
         self.recv_until(Some(deadline))
     }
 
-    /// The wait parks on the slot itself: nothing to allocate.
-    fn recv_until(&self, deadline: Option<Instant>) -> SlotPoll {
+    /// [`recv`](Self::recv) without a deadline, else
+    /// [`recv_deadline`](Self::recv_deadline). The wait parks on the
+    /// slot itself: nothing to allocate.
+    pub fn recv_until(&self, deadline: Option<Instant>) -> SlotPoll {
         let band = self.band();
         let kick = Watcher::Slot(Arc::downgrade(&self.shared));
         let ready = || Some(self.try_recv()).filter(|r| !matches!(r, SlotPoll::Pending));

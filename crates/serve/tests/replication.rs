@@ -99,11 +99,12 @@ impl ShardTransport for Recording {
 
     fn score_part(
         &self,
-        shard: usize,
+        _shard: usize,
         _pairs: &[(usize, usize)],
         _epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError> {
-        Err(ServeError::PartFailed { shard: Some(shard) })
+        slot: PartSlot,
+    ) {
+        slot.resolve(PartOutcome::Failed);
     }
 
     fn ship(&self, record: &EpochRecord) {
@@ -117,9 +118,7 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
     assert!(memtrack::is_active());
     let transport = Arc::new(Recording::default());
     let shipped_storage = |i: usize| match &transport.shipped.lock().expect("shipped")[i] {
-        EpochRecord::Publish { x, y, .. } | EpochRecord::Snapshot { x, y, .. } => {
-            (storage(x), storage(y))
-        }
+        EpochRecord::Snapshot { x, y, .. } => (storage(x), storage(y)),
         EpochRecord::Delta { .. } => panic!("record {i} is a delta"),
     };
 

@@ -7,7 +7,6 @@
 //! the equivalence tests rely on).
 
 use crate::coo::{Coo, Dedup};
-use crate::csc::Csc;
 use crate::error::SparseError;
 
 /// An `m × n` sparse matrix in CSR form with `f32` values.
@@ -290,50 +289,36 @@ impl Csr {
         coo
     }
 
-    /// Column-compress (transpose the storage layout without transposing
-    /// the matrix).
-    pub fn to_csc(&self) -> Csc {
-        Csc::from_csr(self)
-    }
-
-    /// The transposed matrix, in CSR form: the counting pass
-    /// [`Csc::from_csr`] runs, so the only storage besides the result
-    /// is one `ncols + 1` cursor. Each row's columns come out
-    /// ascending; duplicate entries — which only a matrix with unsorted
-    /// rows can hold — are summed in storage order, exactly as
-    /// [`Csr::from_coo`] with [`Dedup::Sum`] would.
+    /// The transposed matrix, in CSR form: a stable counting sort over
+    /// columns (count each column, prefix-sum, then scatter row by row),
+    /// so the only storage besides the result is one `ncols + 1`
+    /// cursor. Each row's columns come out ascending; duplicate entries
+    /// — which only a matrix with unsorted rows can hold — are summed in
+    /// storage order, exactly as [`Csr::from_coo`] with [`Dedup::Sum`]
+    /// would.
     pub fn transpose(&self) -> Csr {
-        let (mut rowptr, mut colidx, mut values) = self.transpose_parts();
+        let mut rowptr = vec![0usize; self.ncols + 1];
+        for &c in &self.colidx {
+            rowptr[c + 1] += 1;
+        }
+        for i in 0..self.ncols {
+            rowptr[i + 1] += rowptr[i];
+        }
+        let mut cursor = rowptr.clone();
+        let mut colidx = vec![0usize; self.nnz()];
+        let mut values = vec![0f32; self.nnz()];
+        for (r, c, v) in self.iter() {
+            let slot = cursor[c];
+            colidx[slot] = r;
+            values[slot] = v;
+            cursor[c] += 1;
+        }
+        // Within a column the source rows come out ascending, repeats of
+        // one row adjacent and in storage order.
         if !self.sorted_cols {
             sum_adjacent_duplicates(&mut rowptr, &mut colidx, &mut values);
         }
         Csr { nrows: self.ncols, ncols: self.nrows, rowptr, colidx, values, sorted_cols: true }
-    }
-
-    /// The counting pass behind [`Csr::transpose`] and
-    /// [`Csc::from_csr`]: count each column, prefix-sum, then scatter
-    /// row by row. Returns the transpose's `(rowptr, colidx, values)`
-    /// with every stored entry kept — within a column the source rows
-    /// come out ascending, repeats of one row adjacent and in storage
-    /// order.
-    pub(crate) fn transpose_parts(&self) -> (Vec<usize>, Vec<usize>, Vec<f32>) {
-        let mut ptr = vec![0usize; self.ncols + 1];
-        for &c in &self.colidx {
-            ptr[c + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            ptr[i + 1] += ptr[i];
-        }
-        let mut cursor = ptr.clone();
-        let mut idx = vec![0usize; self.nnz()];
-        let mut vals = vec![0f32; self.nnz()];
-        for (r, c, v) in self.iter() {
-            let slot = cursor[c];
-            idx[slot] = r;
-            vals[slot] = v;
-            cursor[c] += 1;
-        }
-        (ptr, idx, vals)
     }
 
     /// Bytes of storage per the paper's model: 12 bytes per nonzero plus
@@ -796,8 +781,6 @@ mod tests {
         assert_eq!(t.colidx(), &[0, 0, 1]);
         assert_eq!(t.values(), &[2.0, 1.5, 3.0]);
         assert!(t.sorted_cols);
-        // The column-compressed form keeps every stored entry.
-        assert_eq!(m.to_csc().nnz(), 4);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * [`Coo`] — coordinate-format triples, the natural output of graph
 //!   generators and file readers;
 //! * [`Csr`] — the kernel input format, with O(1) row access;
-//! * [`Csc`] — column-compressed form, used for transpose-side access;
 //! * [`Dense`] — row-major dense matrices over 64-byte-aligned storage;
 //! * [`Permutation`] — vertex renumbering with O(1) forward and inverse
 //!   maps, applied symmetrically to [`Csr`] by graph-reordering passes;
@@ -27,7 +26,6 @@
 
 pub mod aligned;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -37,7 +35,6 @@ pub mod slice;
 
 pub use aligned::{AlignedVec, BufferHome};
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use error::SparseError;

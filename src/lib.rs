@@ -71,7 +71,7 @@ pub mod prelude {
         Tracer,
     };
     pub use fusedmm_sparse::coo::Dedup;
-    pub use fusedmm_sparse::{Coo, Csc, Csr, Dense, Permutation};
+    pub use fusedmm_sparse::{Coo, Csr, Dense, Permutation};
 }
 
 #[cfg(test)]

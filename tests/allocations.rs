@@ -223,6 +223,28 @@ fn a_warm_training_step_allocates_twice_over_all_threads() {
     assert_eq!(counts.iter().min(), Some(&2), "a warm fused step: {counts:?}");
 }
 
+/// A warm 64-pair score over two uncached in-process shards, counted
+/// over every thread: each shard scores on the calling thread, so no
+/// thread is spawned. What is left: the per-shard pair lists as they
+/// grow, each shard's reply slot, score column and scratch row, the
+/// parts list and the scores returned. The least of 16 calls is taken,
+/// as for the training step.
+#[test]
+fn a_64_pair_two_shard_score_allocates_21_times_over_all_threads() {
+    let _serial = serial();
+    let (a, x, y) = inputs();
+    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    // Sources spread over both shards.
+    let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i * 997 % N, (i * 31 + 7) % N)).collect();
+    let call = || {
+        let before = ALL_THREADS.load(Ordering::SeqCst);
+        engine.score_edges(&pairs).expect("scores");
+        ALL_THREADS.load(Ordering::SeqCst) - before
+    };
+    let counts: Vec<u64> = (0..32).map(|_| call()).skip(16).collect();
+    assert_eq!(counts.iter().min(), Some(&21), "a warm two-shard score: {counts:?}");
+}
+
 /// `f(caller)` on two threads released together, one result each.
 fn two_callers<R: Send>(f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let barrier = Barrier::new(2);

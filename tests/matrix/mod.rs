@@ -242,9 +242,6 @@ fn narrowed(record: &EpochRecord, band: Range<usize>) -> EpochRecord {
         Arc::new(Dense::from_rows(band.len(), x.ncols(), rows).expect("band rows"))
     };
     match record.clone() {
-        EpochRecord::Publish { epoch, x, y, .. } => {
-            EpochRecord::Publish { epoch, x_start: band.start, x: cut(&x), y }
-        }
         EpochRecord::Snapshot { epoch, x, y, .. } => {
             EpochRecord::Snapshot { epoch, x_start: band.start, x: cut(&x), y }
         }
@@ -252,8 +249,8 @@ fn narrowed(record: &EpochRecord, band: Range<usize>) -> EpochRecord {
     }
 }
 
-/// Holds every `score_part` until `expected` of them are in flight at
-/// once; after 10 s the call fails typed instead of hanging.
+/// Holds every score part until `expected` of them are in flight at
+/// once; after 10 s the part fails typed instead of hanging.
 pub struct Latch {
     entered: Mutex<usize>,
     all_in: Condvar,
@@ -261,8 +258,8 @@ pub struct Latch {
 }
 
 impl Latch {
-    pub fn new(expected: usize) -> Latch {
-        Latch { entered: Mutex::new(0), all_in: Condvar::new(), expected }
+    pub fn new(expected: usize) -> Arc<Latch> {
+        Arc::new(Latch { entered: Mutex::new(0), all_in: Condvar::new(), expected })
     }
 }
 
@@ -272,7 +269,7 @@ impl Latch {
 pub struct InProcess {
     pub workers: Vec<Arc<WorkerEngine>>,
     pub boundaries: Vec<usize>,
-    pub latch: Option<Latch>,
+    pub latch: Option<Arc<Latch>>,
 }
 
 impl ShardTransport for InProcess {
@@ -309,20 +306,30 @@ impl ShardTransport for InProcess {
         shard: usize,
         pairs: &[(usize, usize)],
         epoch: &Arc<FeatureEpoch>,
-    ) -> Result<Vec<f32>, ServeError> {
-        let failed = ServeError::PartFailed { shard: Some(shard) };
-        if let Some(latch) = &self.latch {
-            let mut n = latch.entered.lock().unwrap();
-            *n += 1;
-            latch.all_in.notify_all();
-            let ten_s = Duration::from_secs(10);
-            let (n, _) =
-                latch.all_in.wait_timeout_while(n, ten_s, |n| *n < latch.expected).unwrap();
-            if *n < latch.expected {
-                return Err(failed);
+        slot: PartSlot,
+    ) {
+        let (worker, pairs, epoch) =
+            (Arc::clone(&self.workers[shard]), pairs.to_vec(), epoch.epoch());
+        let latch = self.latch.clone();
+        std::thread::spawn(move || {
+            if let Some(latch) = latch {
+                let mut n = latch.entered.lock().unwrap();
+                *n += 1;
+                latch.all_in.notify_all();
+                let ten_s = Duration::from_secs(10);
+                let (n, _) =
+                    latch.all_in.wait_timeout_while(n, ten_s, |n| *n < latch.expected).unwrap();
+                if *n < latch.expected {
+                    return slot.resolve(PartOutcome::Failed);
+                }
             }
-        }
-        self.workers[shard].score_part(pairs, epoch.epoch()).map_err(|_| failed)
+            slot.resolve(match worker.score_part(&pairs, epoch) {
+                Ok(scores) => {
+                    PartOutcome::Rows(Dense::from_rows(pairs.len(), 1, &scores).expect("n x 1"))
+                }
+                Err(_) => PartOutcome::Failed,
+            });
+        });
     }
 
     fn ship(&self, record: &EpochRecord) {

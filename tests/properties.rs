@@ -74,12 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn csc_round_trip(coo in arb_coo()) {
-        let csr = coo.to_csr(Dedup::Sum);
-        prop_assert_eq!(&csr.to_csc().to_csr(), &csr);
-    }
-
-    #[test]
     fn transpose_involutive(coo in arb_coo()) {
         let csr = coo.to_csr(Dedup::Sum);
         prop_assert_eq!(&csr.transpose().transpose(), &csr);

@@ -87,14 +87,8 @@ fn build_msg(variant: usize, nums: &[u64], vals: &[f32], dims: (usize, usize), t
             pairs: nums.iter().map(|&u| (u, u.wrapping_mul(3))).collect(),
         },
         5 => Msg::ScoreOk { scores: vals.to_vec() },
-        6 => Msg::Epoch(match tag % 3 {
-            0 => EpochRecord::Publish {
-                epoch: num(0),
-                x_start: num(1) as usize,
-                x: dense(r, c).into(),
-                y: dense(c, r).into(),
-            },
-            1 => EpochRecord::Delta {
+        6 => Msg::Epoch(match tag % 2 {
+            0 => EpochRecord::Delta {
                 epoch: num(0),
                 rows: nums.iter().map(|&u| u as usize).collect(),
                 x_rows: dense(nums.len(), c),
@@ -387,7 +381,7 @@ fn hello(version: u32, n: usize, y_rows: usize, d: usize) -> Msg {
 /// handshake: `connect` never opens a session with it.
 #[test]
 fn a_revision_1_worker_is_refused_at_the_handshake() {
-    assert_eq!(PROTO_VERSION, 2);
+    assert_eq!(PROTO_VERSION, 3);
     let mut stale = FakeWorker::start("rev1", |_| hello(1, 8, 8, 4), false);
     let mut config = RpcConfig::new(vec![stale.path.clone()]);
     config.fault = Some(Arc::new(FaultPlan::disabled()));
@@ -456,6 +450,33 @@ fn a_worker_that_stops_reading_cannot_hang_the_coordinator() {
         Some(Ok(_)) => panic!("a deaf worker answered"),
         None => panic!("a part on a deaf worker was still pending after 5 s"),
     }
+    drop(remote);
+    fake.stop();
+}
+
+/// A worker that takes a score part and never answers cannot hold the
+/// caller: the reply is awaited for `connect_timeout`, then the call
+/// fails `PartFailed` for that worker's shard.
+#[test]
+fn a_score_a_worker_never_answers_fails_after_the_connect_timeout() {
+    // Small enough that every frame fits the socket's buffers: no write
+    // stalls, the session stays open, and only the reply is missing.
+    let (n, d) = (8, 4);
+    let mut fake = FakeWorker::start("mute", move |_| hello(PROTO_VERSION, n, n, d), true);
+    let mut config = RpcConfig::new(vec![fake.path.clone()]);
+    config.fault = Some(Arc::new(FaultPlan::disabled()));
+    config.connect_timeout = Duration::from_millis(300);
+    let transport = RpcTransport::connect(config).expect("the handshake completes");
+    let (x, y) = (Dense::zeros(n, d), Dense::zeros(n, d));
+    let remote = RemoteShardedEngine::new(x, y, transport, engine_config());
+    let t0 = Instant::now();
+    match remote.score_edges(&[(0, 1), (n - 1, 2)]) {
+        Err(ServeError::PartFailed { shard: Some(0) }) => {}
+        other => panic!("a score nobody answers returned {other:?}, not PartFailed on shard 0"),
+    }
+    let waited = t0.elapsed();
+    assert!(waited >= Duration::from_millis(300), "failed after {waited:?}, before the bound");
+    assert!(waited < Duration::from_secs(5), "a score nobody answers took {waited:?}");
     drop(remote);
     fake.stop();
 }
