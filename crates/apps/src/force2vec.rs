@@ -57,13 +57,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use fusedmm_baseline::tensor::{dense_mask, OpTally, Tensor};
 use fusedmm_baseline::unfused::unfused_pipeline;
 use fusedmm_core::driver::INLINE_LAUNCH_WORK;
 use fusedmm_core::{Launch, Partition, PartitionStrategy, Plan};
+use fusedmm_graph::random_features;
 use fusedmm_ops::{sigmoid, AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -269,7 +267,8 @@ impl Force2Vec {
     pub fn train(&self) -> TrainResult {
         let n = self.adj.nrows();
         let cfg = &self.cfg;
-        let mut emb = init_embedding(n, cfg.dim, cfg.seed);
+        // Uniform in `±0.5/√d`, the Force2Vec reference initialization.
+        let mut emb = random_features(n, cfg.dim, 0.5 / (cfg.dim as f32).sqrt(), cfg.seed);
         let mut sampler = NegativeSampler::new(n, cfg.negatives, cfg.seed ^ 0x5EED);
         let batch_list = batches(n, cfg.batch_size);
         let mut epoch_seconds = Vec::with_capacity(cfg.epochs);
@@ -361,17 +360,6 @@ impl Force2Vec {
             loss_sum / loss_terms as f64
         }
     }
-}
-
-/// Uniform init in `±0.5/√d`, the Force2Vec reference initialization.
-fn init_embedding(n: usize, d: usize, seed: u64) -> Dense {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scale = 0.5 / (d as f32).sqrt();
-    let mut m = Dense::zeros(n, d);
-    for v in m.as_mut_slice() {
-        *v = rng.gen_range(-scale..scale);
-    }
-    m
 }
 
 /// `Σ −ln σ(x_u·x_v)` and the term count over the positive edges of a
@@ -570,7 +558,7 @@ mod tests {
         let adj = tiny_graph();
         let n = adj.nrows();
         // Spread the rows so dot products leave the σ ≈ ½ plateau.
-        let mut emb = init_embedding(n, 16, 5);
+        let mut emb = random_features(n, 16, 0.125, 5);
         emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
         let batch: Vec<usize> = (0..n).rev().step_by(2).collect();
         let (want_grad, want_loss) = two_term_step(&adj, &batch, &emb, 77);
@@ -598,7 +586,7 @@ mod tests {
     fn scored_loss_is_the_one_band_positive_loss_bit_for_bit() {
         let adj = tiny_graph();
         let n = adj.nrows();
-        let mut emb = init_embedding(n, 16, 5);
+        let mut emb = random_features(n, 16, 0.125, 5);
         emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
         let batch: Vec<usize> = (0..n).rev().step_by(2).collect();
         let mut step = StepMatrix::default();
@@ -663,7 +651,7 @@ mod tests {
         let (adj, cfg) = split_graph_and_cfg();
         let n = adj.nrows();
         let trainer = Force2Vec::new(adj, cfg);
-        let mut emb = init_embedding(n, 128, 5);
+        let mut emb = random_features(n, 128, 0.5 / 128f32.sqrt(), 5);
         emb.as_mut_slice().iter_mut().for_each(|v| *v *= 12.0);
         let batch: Vec<usize> = (0..n).rev().step_by(5).collect();
         let mut negatives = Vec::new();

@@ -1,6 +1,7 @@
 //! The sharded, epoch-aware result cache (see the crate docs for the
 //! validity contract).
 
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,6 +70,21 @@ struct Inflight<W> {
     waiters: Vec<W>,
 }
 
+/// A node's in-flight registrations: the first held inline, so a node
+/// with one (almost every node) allocates nothing for it; a second
+/// appears only when an epoch bump invalidated the first mid-flight
+/// (the stale one then completes waiter-less).
+struct Registrations<W> {
+    first: Inflight<W>,
+    more: Vec<Inflight<W>>,
+}
+
+impl<W> Registrations<W> {
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Inflight<W>> {
+        std::iter::once(&mut self.first).chain(&mut self.more)
+    }
+}
+
 struct Segment<W> {
     map: HashMap<usize, Entry>,
     /// CLOCK ring of node ids, one slot per entry of `map`: an entry
@@ -76,10 +92,8 @@ struct Segment<W> {
     /// slot with it.
     ring: Vec<usize>,
     hand: usize,
-    /// In-flight computations keyed by node. Usually zero or one entry
-    /// per node; a second appears only when an epoch bump invalidated
-    /// the first mid-flight (the stale one then completes waiter-less).
-    inflight: HashMap<usize, Vec<Inflight<W>>>,
+    /// In-flight computations keyed by node.
+    inflight: HashMap<usize, Registrations<W>>,
 }
 
 impl<W> Default for Segment<W> {
@@ -362,15 +376,26 @@ impl<W> ResultCache<W> {
                     }
                     route.misses.extend(ids.iter().map(|&(_, pos)| (pos, node)));
                     let Some(waiter) = waiter.as_mut() else { continue };
-                    let inflight = seg.inflight.entry(node).or_default();
-                    if let Some(e) = inflight.iter_mut().find(|e| self.valid(node, e.epoch, pinned))
-                    {
-                        e.waiters.push(waiter(node));
-                        coalesced += 1;
-                        continue;
-                    }
-                    let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                    inflight.push(Inflight { epoch: pinned, token, waiters: Vec::new() });
+                    let token = match seg.inflight.entry(node) {
+                        MapEntry::Occupied(r) => {
+                            let r = r.into_mut();
+                            if let Some(e) =
+                                r.iter_mut().find(|e| self.valid(node, e.epoch, pinned))
+                            {
+                                e.waiters.push(waiter(node));
+                                coalesced += 1;
+                                continue;
+                            }
+                            let owned = self.registration(pinned);
+                            let token = owned.token;
+                            r.more.push(owned);
+                            token
+                        }
+                        MapEntry::Vacant(slot) => {
+                            let first = self.registration(pinned);
+                            slot.insert(Registrations { first, more: Vec::new() }).first.token
+                        }
+                    };
                     if route.owners.is_empty() {
                         route.owners.reserve_exact(nodes.len() - hits);
                     }
@@ -488,15 +513,26 @@ impl<W> ResultCache<W> {
         self.stats.bytes.fetch_sub(rows * self.row_bytes, Ordering::Relaxed);
     }
 
+    /// A new registration for an owner pinned at `epoch`, with a token
+    /// of its own.
+    fn registration(&self, epoch: u64) -> Inflight<W> {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        Inflight { epoch, token, waiters: Vec::new() }
+    }
+
     /// Remove `owner`'s registration under the caller-held lock,
     /// returning its waiters — `None` when it was already resolved.
     fn take_inflight_locked(seg: &mut Segment<W>, owner: &InflightOwner) -> Option<Vec<W>> {
-        let entries = seg.inflight.get_mut(&owner.node)?;
-        let pos = entries.iter().position(|e| e.token == owner.token)?;
-        let entry = entries.swap_remove(pos);
-        if entries.is_empty() {
-            seg.inflight.remove(&owner.node);
-        }
+        let registrations = seg.inflight.get_mut(&owner.node)?;
+        let entry = if registrations.first.token == owner.token {
+            match registrations.more.pop() {
+                Some(last) => std::mem::replace(&mut registrations.first, last),
+                None => seg.inflight.remove(&owner.node)?.first,
+            }
+        } else {
+            let more = &mut registrations.more;
+            more.swap_remove(more.iter().position(|e| e.token == owner.token)?)
+        };
         Some(entry.waiters)
     }
 
@@ -788,6 +824,28 @@ mod tests {
         assert!(fill(&c, owner2, 2.0).is_empty());
         assert_eq!(get(&c, 5, 3), Some(row(2, 2.0)));
         assert_eq!(c.metrics().inflight_rows, 0);
+    }
+
+    /// Three registrations of one node, each invalidated by the next
+    /// epoch: the inline first and the spilled ones resolve in any
+    /// order, each handing back only its own waiters.
+    #[test]
+    fn a_node_s_registrations_resolve_in_any_order() {
+        let c = cache(8, 2);
+        let first = own(&c, 5, 0);
+        wait(&c, 5, 0, 10);
+        c.invalidate_rows(1, &[5]);
+        let second = own(&c, 5, 1);
+        wait(&c, 5, 1, 11);
+        c.invalidate_rows(2, &[5]);
+        let third = own(&c, 5, 2);
+        wait(&c, 5, 2, 12);
+        assert_eq!(c.metrics().inflight_rows, 3);
+        assert_eq!(fill(&c, second, 1.0), vec![11], "a spilled one");
+        assert_eq!(fill(&c, first, 1.0), vec![10], "the inline one, with one spilled left");
+        assert_eq!(fill(&c, third, 3.0), vec![12], "the last");
+        assert_eq!(c.metrics().inflight_rows, 0);
+        assert_eq!(get(&c, 5, 2), Some(row(2, 3.0)));
     }
 
     #[test]

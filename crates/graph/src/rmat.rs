@@ -8,7 +8,7 @@
 //! degree distributions of real social networks.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{LaneTask, LaneWidth, Lanes, SeedableRng};
 
 use fusedmm_sparse::csr::Csr;
 
@@ -73,6 +73,10 @@ impl RmatConfig {
 /// duplicate-removal mode), bounded by an attempt cap so adversarial
 /// parameters (requested edges near the skewed region's capacity)
 /// terminate with slightly fewer edges instead of looping forever.
+///
+/// The attempts are drawn in [`Lanes`] of the seed's one stream, in
+/// blocks of 1 024 attempts per lane; a graph that cannot fill one
+/// block per lane runs one lane. Every width accepts the same edges.
 pub fn rmat(cfg: &RmatConfig) -> Csr {
     let total = cfg.a + cfg.b + cfg.c + cfg.d;
     assert!(
@@ -84,48 +88,162 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
         cfg.nvertices as u64 <= 1 << 32,
         "RMAT vertex ids must fit 32 bits (edge keys pack two)"
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Number of recursion levels: cover nvertices with the next power of two.
-    let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
-    let side = 1usize << levels;
-    // The accepted edges in acceptance order, as packed `(u, v)` keys.
-    let mut edges: Vec<u64> = Vec::with_capacity(cfg.nedges);
-    let mut seen = EdgeSet::with_capacity(cfg.nedges);
-    let mut attempts = 0usize;
-    let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
-    // Samples are drawn a chunk at a time and their set slots read
-    // before any is inserted, so the chunk's cache misses overlap
-    // instead of queueing one behind the other. The stream does not
-    // depend on what is accepted, so a chunk drawn past the last
-    // accepted edge changes nothing: its tail is never inserted.
-    let mut chunk = [(0u64, 0u64); DEDUP_CHUNK];
-    while edges.len() < cfg.nedges && attempts < max_attempts {
-        let mut len = 0;
-        while len < DEDUP_CHUNK && attempts < max_attempts {
-            attempts += 1;
-            let (u, v) = sample_edge(&mut rng, levels, side, cfg);
-            if u >= cfg.nvertices || v >= cfg.nvertices {
-                continue;
+    let edges = LaneWidth::detected_for(cfg.nedges, BLOCK).run(Sample(cfg));
+    assemble(cfg.nvertices, &edges, cfg.undirected)
+}
+
+/// Attempts one lane samples per block. Block `b` gives lane `j` the
+/// attempts `[(bL + j)·BLOCK, (bL + j + 1)·BLOCK)`; attempt `i` starts
+/// at draw `2·levels·i`, so lane `j + 1` runs one fixed jump of
+/// `2·levels·BLOCK` draws ahead of lane `j`.
+const BLOCK: usize = 1024;
+
+/// The accepted edges of `rmat` in acceptance order, as packed `(u, v)`
+/// keys, at any lane width: the attempts in attempt order — a block's
+/// lane 0, then its lane 1, and so on — through the dedup set, up to
+/// `nedges` or the attempt cap, wherever in a block that falls.
+struct Sample<'a>(&'a RmatConfig);
+
+impl LaneTask for Sample<'_> {
+    type Output = Vec<u64>;
+
+    #[inline(always)]
+    fn run<const L: usize>(self) -> Vec<u64> {
+        let cfg = self.0;
+        // Recursion levels: cover nvertices with the next power of two.
+        let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
+        let lane_draws = 2 * u64::from(levels) * BLOCK as u64;
+        let quadrants = Quadrants { a: cfg.a, b: cfg.b, c: cfg.c, d: cfg.d };
+        let mut lanes = Lanes::<L>::new(&StdRng::seed_from_u64(cfg.seed), lane_draws);
+        // Lane `j`'s attempts fill `block[j·BLOCK..]`: the block is in
+        // attempt order.
+        let mut block = vec![0u64; L * BLOCK];
+        let mut words = vec![[0u64; L]; 2 * levels as usize * STEPS];
+        let mut edges: Vec<u64> = Vec::with_capacity(cfg.nedges);
+        let mut seen = EdgeSet::with_capacity(cfg.nedges);
+        let mut attempts = 0usize;
+        let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
+        while edges.len() < cfg.nedges && attempts < max_attempts {
+            if attempts > 0 {
+                // Lane `L − 1` ended the block where the next one starts.
+                lanes = Lanes::new(&lanes.lane(L - 1), lane_draws);
             }
-            if cfg.no_self_loops && u == v {
+            sample_block(&mut lanes, &mut words, &mut block, levels, quadrants);
+            let take = (max_attempts - attempts).min(L * BLOCK);
+            attempts += take;
+            accept(cfg, &mut seen, &mut edges, &block[..take]);
+        }
+        edges
+    }
+}
+
+/// Lockstep steps drawn ahead of the quadrant arithmetic, `2·levels`
+/// words per lane each: 34 KiB at 2¹⁷ vertices and eight lanes. A block
+/// is a whole number of them.
+const STEPS: usize = 16;
+const _: () = assert!(BLOCK.is_multiple_of(STEPS));
+
+/// One lockstep step per attempt: `levels` pairs of draws from every
+/// lane, each pair choosing a quadrant, then lane `j`'s packed
+/// `(row, col)` of its attempt `t` into `block[j·BLOCK + t]`. The words
+/// of `STEPS` steps are drawn first, by [`Lanes::fill`], into `words`.
+#[inline(always)]
+fn sample_block<const L: usize>(
+    lanes: &mut Lanes<L>,
+    words: &mut [[u64; L]],
+    block: &mut [u64],
+    levels: u32,
+    q: Quadrants,
+) {
+    let draws = 2 * levels as usize;
+    for first in (0..BLOCK).step_by(STEPS) {
+        lanes.fill(words);
+        for (t, pairs) in (first..).zip(words.chunks_exact(draws)) {
+            let (mut row, mut col) = ([0u64; L], [0u64; L]);
+            let mut half = 1u64 << levels >> 1;
+            for pair in pairs.chunks_exact(2) {
+                for j in 0..L {
+                    let (down, right) = q.choose(pair[0][j], pair[1][j]);
+                    row[j] += half * u64::from(down);
+                    col[j] += half * u64::from(right);
+                }
+                half >>= 1;
+            }
+            for j in 0..L {
+                block[j * BLOCK + t] = row[j] << 32 | col[j];
+            }
+        }
+    }
+}
+
+/// Accept the valid `samples`, in order, until `edges` holds `nedges`.
+/// They are taken a chunk at a time and their set slots read before
+/// any is inserted, so the chunk's cache misses overlap instead of
+/// queueing one behind the other. The stream does not depend on what
+/// is accepted, so samples drawn past the last accepted edge change
+/// nothing: they are never inserted.
+#[inline(always)]
+fn accept(cfg: &RmatConfig, seen: &mut EdgeSet, edges: &mut Vec<u64>, samples: &[u64]) {
+    let mut samples = samples.iter();
+    let mut chunk = [(0u64, 0u64); DEDUP_CHUNK];
+    loop {
+        let mut len = 0;
+        for &edge in samples.by_ref() {
+            let (u, v) = ((edge >> 32) as usize, edge as u32 as usize);
+            if u >= cfg.nvertices || v >= cfg.nvertices || cfg.no_self_loops && u == v {
                 continue;
             }
             let (lo, hi) = if cfg.undirected { (u.min(v), u.max(v)) } else { (u, v) };
-            chunk[len] = ((lo as u64) << 32 | hi as u64, (u as u64) << 32 | v as u64);
+            chunk[len] = ((lo as u64) << 32 | hi as u64, edge);
             len += 1;
+            if len == DEDUP_CHUNK {
+                break;
+            }
+        }
+        if len == 0 {
+            return;
         }
         seen.touch(chunk[..len].iter().map(|&(key, _)| key));
         for &(key, edge) in &chunk[..len] {
             if edges.len() == cfg.nedges {
-                break;
+                return;
             }
             if seen.insert(key) {
                 edges.push(edge);
             }
         }
     }
-    drop(seen);
-    assemble(cfg.nvertices, &edges, cfg.undirected)
+}
+
+/// The quadrant probabilities, copied out of the config so the lockstep
+/// loop holds them in registers.
+#[derive(Clone, Copy)]
+struct Quadrants {
+    a: f64,
+    b: f64,
+    c: f64,
+    d: f64,
+}
+
+impl Quadrants {
+    /// One level of the recursion from its two draws: whether the edge
+    /// falls in the lower half, and whether in the right half.
+    #[inline(always)]
+    fn choose(self, r: u64, noise: u64) -> (bool, bool) {
+        let r = rand::unit_f64(r);
+        // Per-level probability noise (±10%) keeps degree sequences from
+        // being too regular, as PaRMAT does.
+        let noise = 0.9 + 0.2 * rand::unit_f64(noise);
+        let a = self.a * noise;
+        let ab = a + self.b;
+        let abc = ab + self.c;
+        let norm = abc + self.d;
+        let r = r * norm;
+        // Quadrants a | b over c | d, chosen from the same comparisons
+        // as an if-chain would make but without its unpredictable
+        // branches: the lower half when r ≥ ab, the right half in b or d.
+        (r >= ab, (r >= a) & (r < ab) | (r >= abc))
+    }
 }
 
 /// Samples drawn, and set slots read, ahead of their inserts.
@@ -221,42 +339,37 @@ fn assemble(n: usize, edges: &[u64], undirected: bool) -> Csr {
     Csr::from_parts(n, n, rowptr, colidx, values).expect("an RMAT CSR is well formed")
 }
 
-fn sample_edge(rng: &mut StdRng, levels: u32, side: usize, cfg: &RmatConfig) -> (usize, usize) {
-    let mut row = 0usize;
-    let mut col = 0usize;
-    let mut half = side >> 1;
-    for _ in 0..levels {
-        let r: f64 = rng.gen();
-        // Per-level probability noise (±10%) keeps degree sequences from
-        // being too regular, as PaRMAT does.
-        let noise = 0.9 + 0.2 * rng.gen::<f64>();
-        let a = cfg.a * noise;
-        let ab = a + cfg.b;
-        let abc = ab + cfg.c;
-        let norm = abc + cfg.d;
-        let r = r * norm;
-        // Quadrants a | b over c | d, chosen from the same comparisons
-        // as an if-chain would make but without its unpredictable
-        // branches: the lower half when r ≥ ab, the right half in b or d.
-        row += half * usize::from(r >= ab);
-        col += half * usize::from((r >= a) & (r < ab) | (r >= abc));
-        half >>= 1;
-    }
-    (row, col)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fusedmm_sparse::coo::{Coo, Dedup};
+    use rand::RngCore;
     use std::collections::HashSet;
 
-    /// Reference generator: the same sampling loop over std's SipHash
-    /// set of `(usize, usize)` pairs, sized `2 × nedges`.
+    /// One attempt, drawn a word at a time from `rng`: the sequential
+    /// sampler the lanes reproduce. It shares `Quadrants::choose` with
+    /// them, so a change there moves the reference too and only the
+    /// pinned hashes below see it.
+    fn sample_edge(rng: &mut StdRng, levels: u32, cfg: &RmatConfig) -> (usize, usize) {
+        let q = Quadrants { a: cfg.a, b: cfg.b, c: cfg.c, d: cfg.d };
+        let (mut row, mut col) = (0, 0);
+        let mut half = 1usize << levels >> 1;
+        for _ in 0..levels {
+            let r = rng.next_u64();
+            let (down, right) = q.choose(r, rng.next_u64());
+            row += half * usize::from(down);
+            col += half * usize::from(right);
+            half >>= 1;
+        }
+        (row, col)
+    }
+
+    /// Reference generator: one stream drawn one attempt at a time,
+    /// deduplicated through std's SipHash set of `(usize, usize)` pairs,
+    /// sized `2 × nedges`.
     fn rmat_reference(cfg: &RmatConfig) -> Csr {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let levels = usize::BITS - (cfg.nvertices - 1).max(1).leading_zeros();
-        let side = 1usize << levels;
         let cap = if cfg.undirected { 2 * cfg.nedges } else { cfg.nedges };
         let mut coo = Coo::with_capacity(cfg.nvertices, cfg.nvertices, cap);
         let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(cfg.nedges * 2);
@@ -265,7 +378,7 @@ mod tests {
         let max_attempts = cfg.nedges.saturating_mul(40).max(1024);
         while emitted < cfg.nedges && attempts < max_attempts {
             attempts += 1;
-            let (u, v) = sample_edge(&mut rng, levels, side, cfg);
+            let (u, v) = sample_edge(&mut rng, levels, cfg);
             if u >= cfg.nvertices || v >= cfg.nvertices {
                 continue;
             }
@@ -335,6 +448,28 @@ mod tests {
         // Every edge of K₁₀₀ requested: the attempt cap ends the loop.
         let (capped, _) = &pinned[3];
         assert!(rmat(capped).nnz() < 2 * capped.nedges);
+    }
+
+    /// Every lane width accepts the edges one lane accepts, in the same
+    /// order: each wider width the CPU runs, and the generic body at 3
+    /// lanes compiled without any CPU feature. The configs are the
+    /// pinned ones: a power of two, re-draws, a directed graph, and an
+    /// attempt cap landing mid-block.
+    #[test]
+    fn every_lane_width_accepts_the_one_lane_edges() {
+        let configs = [
+            RmatConfig::new(1 << 10, 1 << 13).with_seed(3),
+            RmatConfig::new(1000, 60_000).with_seed(7),
+            RmatConfig::new(1 << 12, 1 << 15).with_seed(11).directed(),
+            RmatConfig::new(100, 4950).with_seed(5),
+        ];
+        for cfg in &configs {
+            let one = Sample(cfg).run::<1>();
+            assert_eq!(Sample(cfg).run::<3>(), one, "{cfg:?}: 3 portable lanes");
+            for width in LaneWidth::supported().skip(1) {
+                assert_eq!(width.run(Sample(cfg)), one, "{cfg:?}: {width:?}");
+            }
+        }
     }
 
     #[test]
