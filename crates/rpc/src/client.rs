@@ -66,7 +66,6 @@ use fusedmm_perf::hist::LatencyHistogram;
 use fusedmm_perf::registry::{MetricsRegistry, Sample};
 use fusedmm_serve::remote::{EpochRecord, PartOutcome, PartSlot, ShardTransport};
 use fusedmm_serve::{FaultPlan, FeatureEpoch, Quality};
-use fusedmm_sparse::Dense;
 
 use crate::frame::{fits_frame, read_msg, write_msg_for, Received};
 use crate::log::EpochLog;
@@ -630,7 +629,7 @@ fn read_replies(state: &WorkerState, stream: &UnixStream) {
             }),
             Msg::ScoreOk { scores } => resolve(state, request_id, |p| {
                 if p.rows == 0 {
-                    PartOutcome::Rows(Dense::from_rows(scores.len(), 1, &scores).expect("n x 1"))
+                    PartOutcome::Rows(scores)
                 } else {
                     PartOutcome::Failed
                 }

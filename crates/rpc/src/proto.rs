@@ -166,8 +166,9 @@ pub enum Msg {
     },
     /// Score reply, request order.
     ScoreOk {
-        /// One score per pair.
-        scores: Vec<f32>,
+        /// One score per pair, as a `pairs × 1` matrix: the part's
+        /// reply as the front end consumes it.
+        scores: Dense,
     },
     /// One replicated epoch-log record.
     Epoch(EpochRecord),
@@ -285,8 +286,8 @@ impl Msg {
                 })
             }
             Msg::ScoreOk { scores } => {
-                put_u64(w, scores.len() as u64)?;
-                put_f32s(w, scores)
+                put_u64(w, scores.as_slice().len() as u64)?;
+                put_f32s(w, scores.as_slice())
             }
             Msg::Epoch(record) => match record {
                 EpochRecord::Delta { epoch, rows, x_rows, y_rows } => {
@@ -394,9 +395,8 @@ fn decode_body(kind: u8, rd: &mut Rd<'_, impl Read>) -> Result<Msg, Fail> {
             Msg::Score { epoch, pairs }
         }
         KIND_SCORE_OK => {
-            let n = rd.count("scores", 4)?;
-            let mut scores = vec![0f32; n];
-            rd.f32s(&mut scores)?;
+            let mut scores = Dense::zeros(rd.count("scores", 4)?, 1);
+            rd.f32s(scores.as_mut_slice())?;
             Msg::ScoreOk { scores }
         }
         KIND_EPOCH => Msg::Epoch(match rd.u8()? {
@@ -607,8 +607,9 @@ impl<R: Read> Rd<'_, R> {
         if fits.is_none_or(|bytes| bytes > self.left) {
             return Err(DecodeError::BadCount("dense").into());
         }
-        // `zeros` is an untouched `calloc`: the read below is the first
-        // and only write to these pages.
+        // `zeros` is `posix_memalign` + `memset` (a 2 MiB matrix or more
+        // is advised onto huge pages first); the read below overwrites
+        // it once more.
         let mut m = Dense::zeros(nrows, ncols);
         self.f32s(m.as_mut_slice())?;
         Ok(m)
@@ -706,7 +707,11 @@ mod tests {
                 ]
                 .concat(),
             ),
-            (Msg::ScoreOk { scores: vec![0.5] }, 6, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F]),
+            (
+                Msg::ScoreOk { scores: dense(1, 1, &[0.5]) },
+                6,
+                vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F],
+            ),
             (
                 Msg::Epoch(EpochRecord::Delta {
                     epoch: 5,

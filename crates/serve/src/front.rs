@@ -454,14 +454,20 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
     /// involved shard is asked before any answer is awaited, and scores
     /// come back in request order.
     pub fn score_edges(&self, pairs: &[(usize, usize)]) -> Result<Vec<f32>, ServeError> {
-        self.score_at(pairs, None)
+        let mut out = vec![0f32; pairs.len()];
+        self.score_into(pairs, None, &mut out)?;
+        Ok(out)
     }
 
-    pub(crate) fn score_at(
+    /// [`score_edges`](Self::score_edges) at `pinned` (the current
+    /// epoch when `None`), into `out`: one slot per pair, each
+    /// overwritten.
+    pub(crate) fn score_into(
         &self,
         pairs: &[(usize, usize)],
         pinned: Option<Arc<FeatureEpoch>>,
-    ) -> Result<Vec<f32>, ServeError> {
+        out: &mut [f32],
+    ) -> Result<(), ServeError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServeError::EngineShutdown);
         }
@@ -507,7 +513,6 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             })
             .collect();
         let deadline = self.transport.score_timeout().map(|bound| Instant::now() + bound);
-        let mut out = vec![0f32; pairs.len()];
         for (s, rx) in parts {
             let (idx, sub) = &per_shard[s];
             let scores = match rx.recv_until(deadline) {
@@ -519,7 +524,7 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
                 out[i] = score;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn queued_rows(&self) -> usize {

@@ -29,9 +29,6 @@ pub(crate) fn push_cache_samples(
     let l = |s: Sample| apply_labels(s, labels);
     out.push(l(Sample::counter("fusedmm_cache_hits_total", m.hits)));
     out.push(l(Sample::counter("fusedmm_cache_misses_total", m.misses)));
-    // A row is decided once, under its segment lock, so no hit is also
-    // a miss; the sample stays, at 0, for scrapes that match it by name.
-    out.push(l(Sample::counter("fusedmm_cache_late_hits_total", 0)));
     out.push(l(Sample::counter("fusedmm_cache_inserts_total", m.inserts)));
     out.push(l(Sample::counter("fusedmm_cache_evictions_total", m.evictions)));
     out.push(l(Sample::counter("fusedmm_cache_invalidated_rows_total", m.invalidated_rows)));

@@ -456,14 +456,14 @@ impl WorkerEngine {
     }
 
     /// Score one part's pairs at the pinned epoch (sources within this
-    /// band, targets global).
-    pub fn score_part(
-        &self,
-        pairs: &[(usize, usize)],
-        epoch: u64,
-    ) -> Result<Vec<f32>, WorkerError> {
+    /// band, targets global), as a `pairs.len() × 1` matrix.
+    pub fn score_part(&self, pairs: &[(usize, usize)], epoch: u64) -> Result<Dense, WorkerError> {
         let pinned = self.pinned(epoch)?;
-        self.front.score_at(pairs, Some(pinned)).map_err(WorkerError::Serve)
+        let mut scores = Dense::zeros(pairs.len(), 1);
+        self.front
+            .score_into(pairs, Some(pinned), scores.as_mut_slice())
+            .map_err(WorkerError::Serve)?;
+        Ok(scores)
     }
 
     /// Register this replica's front end and band with `registry`

@@ -17,8 +17,23 @@
 //! returns that allocation, pages already mapped. The holder of a
 //! recycled buffer must treat its contents as arbitrary initialised
 //! `f32`s — the overwrite contract of the `_into` kernels.
+//!
+//! # Huge pages for large buffers
+//!
+//! A buffer of 2 MiB or more is aligned to 2 MiB and advised onto
+//! transparent huge pages (`madvise(MADV_HUGEPAGE)`) before its first
+//! touch. The kernels gather neighbour rows of `Y` at random; on 4 KiB
+//! pages almost every such row costs a TLB miss and a page walk, and a
+//! 2 MiB page covers 4096 rows of 128 `f32`s. The rule applies where
+//! every long-lived operand is born — generated features, a store
+//! epoch and its delta clones, a decoded snapshot, a trainer's
+//! embedding, a recycled output — so none of them needs a copy. The
+//! advice is a hint: a kernel with huge pages off (or a platform
+//! without `madvise`) gives ordinary pages and the same values. The
+//! layout's size is unchanged, so the counting allocator sees the same
+//! bytes. Buffers under 2 MiB keep 64-byte alignment and ordinary pages.
 
-use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -26,6 +41,10 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 /// Alignment in bytes for all kernel-facing buffers (one x86 cache line;
 /// also the AVX-512 vector width).
 pub const CACHE_LINE: usize = 64;
+
+/// One transparent huge page: buffers of at least this many bytes are
+/// aligned to it and advised onto huge pages.
+const HUGE_PAGE: usize = 2 << 20;
 
 /// A fixed-capacity, 64-byte-aligned, initialised `f32` buffer.
 ///
@@ -56,20 +75,20 @@ unsafe impl Send for AlignedVec {}
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
-    /// Allocate `len` zeroed f32 values aligned to [`CACHE_LINE`] bytes.
+    /// Allocate `len` zeroed f32 values aligned to [`CACHE_LINE`] bytes
+    /// (2 MiB, on huge pages, from 2 MiB up; see the module docs).
     ///
     /// A zero-length buffer performs no allocation.
     pub fn zeroed(len: usize) -> Self {
         if len == 0 {
             return AlignedVec { ptr: NonNull::dangling(), len: 0, home: None };
         }
-        let layout = Self::layout(len);
-        // SAFETY: layout has nonzero size because len > 0.
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
-            handle_alloc_error(layout);
-        };
-        // All-zero bytes are `len` initialised `+0.0f32`s.
+        let ptr = Self::allocate(len);
+        // SAFETY: `allocate` returns a fresh allocation of `len * 4`
+        // bytes aligned for `f32`, so `ptr` is valid for `len` f32
+        // writes. All-zero bytes are `len` initialised `+0.0f32`s, which
+        // establishes the type invariant before the value exists.
+        unsafe { ptr.as_ptr().write_bytes(0, len) };
         AlignedVec { ptr, len, home: None }
     }
 
@@ -80,25 +99,38 @@ impl AlignedVec {
         if len == 0 {
             return Self::zeroed(0);
         }
+        let ptr = Self::allocate(len);
+        // SAFETY: `ptr` is valid for `len` f32 writes (a fresh
+        // allocation of `len * 4` bytes, aligned ≥ f32's alignment) and
+        // `data` for `len` reads; a fresh allocation cannot overlap
+        // `data`. The uninitialised window is never read: it lives only
+        // between `allocate` and this copy, which initialises all `len`
+        // elements before the buffer becomes an `AlignedVec`.
+        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr.as_ptr(), len) };
+        AlignedVec { ptr, len, home: None }
+    }
+
+    /// A fresh, uninitialised allocation of `Self::layout(len)`
+    /// (`len > 0`), advised onto huge pages when it is 2 MiB-aligned.
+    /// The advice comes before any byte is touched, so the first write
+    /// to each whole 2 MiB page can fault in a huge page.
+    fn allocate(len: usize) -> NonNull<f32> {
         let layout = Self::layout(len);
         // SAFETY: layout has nonzero size because len > 0.
         let raw = unsafe { alloc(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
             handle_alloc_error(layout);
         };
-        // SAFETY: `ptr` is valid for `len` f32 writes (the layout is
-        // `len * 4` bytes, 64-aligned ≥ f32's alignment) and `data` for
-        // `len` reads; a fresh allocation cannot overlap `data`. The
-        // uninitialised window is never read: it lives only between
-        // `alloc` and this copy, which initialises all `len` elements
-        // before the buffer becomes an `AlignedVec`.
-        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr.as_ptr(), len) };
-        AlignedVec { ptr, len, home: None }
+        if layout.align() == HUGE_PAGE {
+            advise_huge_pages(raw, layout.size());
+        }
+        ptr
     }
 
     fn layout(len: usize) -> Layout {
         let bytes = len.checked_mul(std::mem::size_of::<f32>()).expect("aligned layout overflow");
-        Layout::from_size_align(bytes, CACHE_LINE).expect("aligned layout overflow")
+        let align = if bytes >= HUGE_PAGE { HUGE_PAGE } else { CACHE_LINE };
+        Layout::from_size_align(bytes, align).expect("aligned layout overflow")
     }
 
     /// Number of f32 elements.
@@ -148,9 +180,9 @@ impl Drop for AlignedVec {
                 return;
             }
         }
-        // SAFETY: by the type invariant `ptr` came from `alloc` /
-        // `alloc_zeroed` with exactly `Self::layout(self.len)`, and
-        // this value is its only owner (not parked above).
+        // SAFETY: by the type invariant `ptr` came from `alloc` with
+        // exactly `Self::layout(self.len)`, and this value is its only
+        // owner (not parked above).
         unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
     }
 }
@@ -161,6 +193,39 @@ impl Clone for AlignedVec {
     fn clone(&self) -> Self {
         Self::from_slice(self.as_slice())
     }
+}
+
+/// Ask the kernel to back the whole 2 MiB pages of `[start, start +
+/// bytes)` with transparent huge pages. `start` must be 2 MiB-aligned.
+/// The advice is only a hint, so its result is ignored: with huge pages
+/// off, or off Linux, the memory is ordinary pages and nothing else
+/// changes.
+fn advise_huge_pages(start: *mut u8, bytes: usize) {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: `madvise` is the libc function of this signature,
+        // which std already links against on Linux.
+        unsafe extern "C" {
+            fn madvise(
+                addr: *mut std::ffi::c_void,
+                len: usize,
+                advice: std::ffi::c_int,
+            ) -> std::ffi::c_int;
+        }
+        const MADV_HUGEPAGE: std::ffi::c_int = 14;
+        let whole = bytes & !(HUGE_PAGE - 1);
+        if whole > 0 {
+            // SAFETY: `[start, start + whole)` lies inside one live
+            // allocation that the caller owns (`whole <= bytes`) and
+            // starts on a 2 MiB, hence page, boundary, as `madvise`
+            // requires. `MADV_HUGEPAGE` only sets a flag on the mapping:
+            // it never changes the contents, validity or protection of
+            // any byte, so no other value's memory is affected.
+            unsafe { madvise(start.cast(), whole, MADV_HUGEPAGE) };
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (start, bytes);
 }
 
 /// The one slot of a [`BufferHome`]. A parked buffer carries
@@ -265,6 +330,44 @@ mod tests {
             assert_eq!(v.as_slice().as_ptr() as usize % CACHE_LINE, 0, "len={len}");
             assert_eq!(v.len(), len);
         }
+    }
+
+    #[test]
+    fn buffers_of_2_mib_or_more_are_2_mib_aligned() {
+        let words = HUGE_PAGE / 4;
+        for len in [words, words + 1, 3 * words + 5] {
+            let z = AlignedVec::zeroed(len);
+            assert_eq!(z.as_ptr() as usize % HUGE_PAGE, 0, "zeroed len={len}");
+            assert!(z.iter().all(|&v| v == 0.0), "zeroed len={len}");
+            let data: Vec<f32> = (0..len).map(|i| i as f32).collect();
+            let c = AlignedVec::from_slice(&data);
+            assert_eq!(c.as_ptr() as usize % HUGE_PAGE, 0, "from_slice len={len}");
+            assert_eq!(c.as_slice(), data.as_slice());
+        }
+    }
+
+    #[test]
+    fn buffers_under_2_mib_keep_the_cache_line_layout() {
+        for len in [1usize, HUGE_PAGE / 4 - 1] {
+            assert_eq!(AlignedVec::layout(len).align(), CACHE_LINE, "len={len}");
+            let v = AlignedVec::zeroed(len);
+            assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0, "len={len}");
+        }
+        assert_eq!(AlignedVec::layout(HUGE_PAGE / 4).align(), HUGE_PAGE);
+        assert_eq!(AlignedVec::layout(HUGE_PAGE / 4).size(), HUGE_PAGE, "the size is not padded");
+    }
+
+    #[test]
+    fn a_recycled_buffer_keeps_its_alignment() {
+        let home = BufferHome::new();
+        let len = HUGE_PAGE / 4 * 2;
+        let a = home.take(len);
+        let addr = a.as_ptr();
+        assert_eq!(addr as usize % HUGE_PAGE, 0);
+        drop(a);
+        let b = home.take(len);
+        assert_eq!(b.as_ptr(), addr, "the parked allocation is handed back");
+        assert_eq!(b.as_ptr() as usize % HUGE_PAGE, 0);
     }
 
     #[test]

@@ -324,9 +324,7 @@ impl ShardTransport for InProcess {
                 }
             }
             slot.resolve(match worker.score_part(&pairs, epoch) {
-                Ok(scores) => {
-                    PartOutcome::Rows(Dense::from_rows(pairs.len(), 1, &scores).expect("n x 1"))
-                }
+                Ok(scores) => PartOutcome::Rows(scores),
                 Err(_) => PartOutcome::Failed,
             });
         });

@@ -86,7 +86,7 @@ fn build_msg(variant: usize, nums: &[u64], vals: &[f32], dims: (usize, usize), t
             epoch: num(0),
             pairs: nums.iter().map(|&u| (u, u.wrapping_mul(3))).collect(),
         },
-        5 => Msg::ScoreOk { scores: vals.to_vec() },
+        5 => Msg::ScoreOk { scores: Dense::from_rows(vals.len(), 1, vals).expect("n x 1") },
         6 => Msg::Epoch(match tag % 2 {
             0 => EpochRecord::Delta {
                 epoch: num(0),

@@ -126,7 +126,6 @@ fn registry_counters_reconcile_exactly_across_shards_and_cache() {
                 // Every requested row is decided once, under its
                 // segment lock: exactly one hit or one miss.
                 assert_eq!(hits + misses, rows, "{label}: hits + misses == rows requested");
-                assert_eq!(cache("fusedmm_cache_late_hits_total"), 0, "{label}: no late hits");
                 assert!(cache("fusedmm_cache_coalesced_misses_total") <= misses, "{label}");
             } else {
                 assert!(count("fusedmm_cache_hits_total").is_none(), "{label}");
