@@ -635,13 +635,15 @@ fn quartiles(values: &[f64]) -> [f64; 3] {
     [at(0.25), at(0.5), at(0.75)]
 }
 
+/// The runs of `workload` in a ledger file.
+fn runs_of<'a>(ledger: &'a Json, workload: &'a str) -> impl Iterator<Item = &'a Json> {
+    let runs = ledger.get("runs").map_or(&[][..], Json::arr);
+    runs.iter().filter(move |r| r.get("workload").and_then(Json::str) == Some(workload))
+}
+
 /// The values of `metric` for `workload`, keyed by pair index.
 fn values(ledger: &Json, workload: &str, metric: &str) -> BTreeMap<u64, f64> {
-    ledger
-        .get("runs")
-        .map_or(&[][..], Json::arr)
-        .iter()
-        .filter(|r| r.get("workload").and_then(Json::str) == Some(workload))
+    runs_of(ledger, workload)
         .filter_map(|r| {
             let pair = r.get("pair")?.num()? as u64;
             Some((pair, r.get("metrics")?.get(metric)?.num()?))
@@ -679,7 +681,11 @@ fn verdict(
         "WORSE"
     } else if wide && !all_better {
         "unresolved"
-    } else if better(bm, am) && (bm - am).abs() > a3 - a1 && 10 * won >= 9 * shared.len() {
+    } else if better(bm, am)
+        && (bm - am).abs() > a3 - a1
+        && !shared.is_empty()
+        && 10 * won >= 9 * shared.len()
+    {
         "gain"
     } else {
         "flat"
@@ -709,12 +715,7 @@ fn fmt_value(v: f64) -> String {
 /// Runs that did not complete correctly, and the share of calls that
 /// failed, for `workload`.
 fn failures(ledger: &Json, workload: &str) -> (usize, usize, f64) {
-    let runs: Vec<&Json> = ledger
-        .get("runs")
-        .map_or(&[][..], Json::arr)
-        .iter()
-        .filter(|r| r.get("workload").and_then(Json::str) == Some(workload))
-        .collect();
+    let runs: Vec<&Json> = runs_of(ledger, workload).collect();
     let bad = runs.iter().filter(|r| r.get("correct") != Some(&Json::Bool(true))).count();
     let sum = |key: &str| runs.iter().filter_map(|r| r.get(key)?.num()).sum::<f64>();
     let attempted = sum("attempted");
