@@ -5,42 +5,55 @@
 //!
 //! ```text
 //! bench-ledger run <parent-bin> <change-bin> --pairs N --seed S
-//!                  [--seconds T] [--workloads a,b] [--out DIR] [--spec BENCHMARK.json]
-//! bench-ledger compare <a.json> <b.json> [--spec BENCHMARK.json]
+//! bench-ledger compare <a.json> <b.json>
 //! ```
+//!
+//! Both commands start in the repo root: they read `./BENCHMARK.json`
+//! for the workloads, the run length and the bounds, and `run` writes
+//! its files there.
 //!
 //! `run` takes two benchmark binaries, each built in its own checkout
 //! (`cargo build --release --manifest-path benchmark/Cargo.toml` leaves
 //! it at `benchmark/target/release/fusedmm-benchmark`). Each run starts
 //! in the root of the checkout its binary was built in, and is named by
 //! that checkout's short commit hash. Pair `i` runs every workload once
-//! on each side, the parent first when `i` is even and the change first
-//! when it is odd, so slow drift of the machine falls on both sides.
-//! Both files are rewritten after every pair: a run that is cut short
-//! keeps the pairs it finished. `meta` records `nproc`, the share of
-//! CPU time stolen by the host over the run (`/proc/stat`) and the
-//! transparent-huge-page mode.
+//! on each side for `run_seconds`, the parent first when `i` is even and
+//! the change first when it is odd, so slow drift of the machine falls
+//! on both sides. Both files are rewritten after every pair: a run that
+//! is cut short keeps the pairs it finished. `meta` records the binary
+//! (relative to its checkout) and the arguments each run was given,
+//! `nproc`, the share of CPU time stolen by the host over the run
+//! (`/proc/stat`) and the transparent-huge-page mode.
 //!
-//! `compare` prints, per workload and end-to-end metric, each side's
-//! median and quartiles, the pairs the second file won (ties count for
-//! neither), and a verdict:
+//! `compare` refuses two files run at different seeds or lengths. It
+//! prints, per workload and end-to-end metric, each side's median and
+//! quartiles over its correct runs, the pairs the second file won out
+//! of all pairs run, and a verdict:
 //! - `WORSE`: the median is worse than the first file's by more than
-//!   the metric's bound;
+//!   the metric's bound, or the second file has no correct run;
 //! - `unresolved`: a side's quartile spread is wider than the bound,
 //!   unless every run of the second file beats every run of the first;
-//! - `gain`: the second file won at least nine pairs in ten, and its
-//!   median is better by more than the first file's quartile spread;
+//! - `gain`: the second file won at least nine pairs in ten, its median
+//!   is better by more than the first file's quartile spread, and its
+//!   runs fail no more often than the first file's;
 //! - `flat`: none of these.
+//!
+//! A pair where either side erred or was not correct is a pair the
+//! second file did not win (ties count for neither). Per workload a last
+//! line gives each side's incorrect runs and failed-call share, `WORSE`
+//! when the second file's are higher.
 //!
 //! Every verdict is "layout unchecked": each side is one build, so a
 //! change in code placement alone cannot be told from a change in code.
 //! Layer metrics (`--trace 1`) are not recorded.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+use fusedmm_bench::report::json_escape;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,9 +71,13 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:\n  bench-ledger run <parent-bin> <change-bin> --pairs N --seed S \
-     [--seconds T] [--workloads a,b] [--out DIR] [--spec BENCHMARK.json]\n  \
-     bench-ledger compare <a.json> <b.json> [--spec BENCHMARK.json]";
+const USAGE: &str = "usage (from the repo root):\n  \
+     bench-ledger run <parent-bin> <change-bin> --pairs N --seed S\n  \
+     bench-ledger compare <a.json> <b.json>";
+
+/// The benchmark's declaration, read from the directory the ledger
+/// starts in.
+const SPEC: &str = "BENCHMARK.json";
 
 // ---------------------------------------------------------------- JSON
 
@@ -120,17 +137,7 @@ impl Json {
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => {
-                            write!(out, "\\u{:04x}", c as u32).expect("write to a String")
-                        }
-                        c => out.push(c),
-                    }
-                }
+                out.push_str(&json_escape(s));
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -323,7 +330,6 @@ fn read_json(path: &Path) -> Result<Json, String> {
 
 /// What the ledger reads from `BENCHMARK.json`.
 struct Spec {
-    command: Vec<String>,
     seconds: f64,
     workloads: Vec<String>,
     metrics: Vec<Metric>,
@@ -340,15 +346,6 @@ struct Metric {
 fn read_spec(path: &Path) -> Result<Spec, String> {
     let spec = read_json(path)?;
     let bad = |what: &str| format!("{}: {what}", path.display());
-    let strings = |key: &str| -> Vec<String> {
-        spec.get(key)
-            .map_or(&[][..], Json::arr)
-            .iter()
-            .filter_map(Json::str)
-            .map(str::to_owned)
-            .collect()
-    };
-    let command = strings("command");
     let seconds =
         spec.get("run_seconds").and_then(Json::num).ok_or_else(|| bad("no run_seconds"))?;
     let workloads: Vec<String> = spec
@@ -367,10 +364,10 @@ fn read_spec(path: &Path) -> Result<Spec, String> {
             bound: field("bound")?.num().ok_or_else(|| bad("metric bound"))?,
         });
     }
-    if command.is_empty() || workloads.is_empty() || metrics.is_empty() {
-        return Err(bad("needs a command, workloads and end_to_end metrics"));
+    if workloads.is_empty() || metrics.is_empty() {
+        return Err(bad("needs workloads and end_to_end metrics"));
     }
-    Ok(Spec { command, seconds, workloads, metrics })
+    Ok(Spec { seconds, workloads, metrics })
 }
 
 // ----------------------------------------------------------------- run
@@ -391,11 +388,9 @@ fn options(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>
     Ok(out)
 }
 
-fn parsed<T: std::str::FromStr>(
-    opts: &BTreeMap<String, String>,
-    key: &str,
-) -> Result<Option<T>, String> {
-    opts.get(key).map(|v| v.parse().map_err(|_| format!("--{key}: cannot parse {v:?}"))).transpose()
+fn required<T: std::str::FromStr>(opts: &BTreeMap<String, String>, key: &str) -> Result<T, String> {
+    let v = opts.get(key).ok_or_else(|| format!("--{key} is required\n{USAGE}"))?;
+    v.parse().map_err(|_| format!("--{key}: cannot parse {v:?}"))
 }
 
 /// One side of a run: a benchmark binary and the checkout it was built in.
@@ -459,13 +454,20 @@ struct RunPlan {
     nproc: usize,
 }
 
+/// The arguments the benchmark binary gets for one run of `workload`.
+fn bench_args(workload: &str, plan: &RunPlan) -> Vec<String> {
+    let (seed, seconds) = (plan.seed.to_string(), plan.seconds.to_string());
+    ["--workload", workload, "--seed", &seed, "--seconds", &seconds, "--trace", "0"]
+        .map(str::to_owned)
+        .to_vec()
+}
+
 /// One benchmark run of `workload` on `side`, as the ledger stores it.
 fn run_once(side: &Side, workload: &str, plan: &RunPlan, pair: usize, first: bool) -> Json {
-    let (seed, seconds) = (plan.seed.to_string(), plan.seconds.to_string());
     let steal0 = steal_jiffies();
     let t0 = Instant::now();
     let out = Command::new(&side.bin)
-        .args(["--workload", workload, "--seed", &seed, "--seconds", &seconds, "--trace", "0"])
+        .args(bench_args(workload, plan))
         .current_dir(&side.root)
         .stdin(Stdio::null())
         .stderr(Stdio::piped())
@@ -510,18 +512,18 @@ fn run_once(side: &Side, workload: &str, plan: &RunPlan, pair: usize, first: boo
     obj(fields)
 }
 
-/// Rewrite `BENCH_<sha>.json` for `side`: `meta`, then one run per line.
-fn write_ledger(
-    side: &Side,
-    other: &Side,
-    meta: &[(&str, Json)],
-    out_dir: &Path,
-) -> Result<PathBuf, String> {
+/// Rewrite `BENCH_<sha>.json` for `side` in the current directory:
+/// `meta`, then one run per line.
+fn write_ledger(side: &Side, other: &Side, meta: &[(&str, Json)]) -> Result<PathBuf, String> {
+    // The binary as its checkout names it; `args` holds `<workload>`
+    // where each run names its own.
+    let bin = side.bin.strip_prefix(&side.root).unwrap_or(&side.bin);
     let mut fields = vec![
         ("sha", Json::Str(side.sha.clone())),
         ("side", Json::Str(side.label.to_owned())),
         ("other_sha", Json::Str(other.sha.clone())),
         ("dirty", Json::Bool(side.dirty)),
+        ("bin", Json::Str(bin.display().to_string())),
     ];
     fields.extend(meta.iter().cloned());
     let mut text = String::from("{\"meta\": ");
@@ -539,33 +541,24 @@ fn write_ledger(
     } else {
         format!("BENCH_{}.json", side.sha)
     };
-    let path = out_dir.join(name);
+    let path = PathBuf::from(name);
     std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let [parent, change, rest @ ..] = args else { return Err(USAGE.into()) };
-    let opts = options(rest, &["pairs", "seed", "seconds", "workloads", "out", "spec"])?;
-    let spec = read_spec(Path::new(opts.get("spec").map_or("BENCHMARK.json", String::as_str)))?;
-    let pairs: usize = parsed(&opts, "pairs")?.ok_or("--pairs is required")?;
-    let seed: u64 = parsed(&opts, "seed")?.ok_or("--seed is required")?;
-    let seconds = parsed(&opts, "seconds")?.unwrap_or(spec.seconds);
-    let workloads: Vec<String> = match opts.get("workloads") {
-        Some(list) => list.split(',').map(str::to_owned).collect(),
-        None => spec.workloads.clone(),
-    };
-    if let Some(w) = workloads.iter().find(|w| !spec.workloads.contains(w)) {
-        return Err(format!("unknown workload {w}; one of {:?}", spec.workloads));
-    }
-    let out_dir = PathBuf::from(opts.get("out").map_or(".", String::as_str));
+    let opts = options(rest, &["pairs", "seed"])?;
+    let spec = read_spec(Path::new(SPEC))?;
+    let pairs: usize = required(&opts, "pairs")?;
+    let seed: u64 = required(&opts, "seed")?;
     let mut sides = [side("parent", parent)?, side("change", change)?];
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let plan = RunPlan { seed, seconds, nproc };
+    let plan = RunPlan { seed, seconds: spec.seconds, nproc };
     let started = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     let (steal0, t0) = (steal_jiffies(), Instant::now());
     for pair in 0..pairs {
-        for workload in &workloads {
+        for workload in &spec.workloads {
             let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
             for (k, &s) in order.iter().enumerate() {
                 let run = run_once(&sides[s], workload, &plan, pair, k == 0);
@@ -582,12 +575,14 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         let wall_s = t0.elapsed().as_secs_f64();
         let meta = [
-            ("command", Json::Arr(spec.command.iter().cloned().map(Json::Str).collect())),
+            (
+                "args",
+                Json::Arr(bench_args("<workload>", &plan).into_iter().map(Json::Str).collect()),
+            ),
             ("seed", Json::Num(seed as f64)),
-            ("seconds", Json::Num(seconds)),
-            ("trace", Json::Num(0.0)),
+            ("seconds", Json::Num(plan.seconds)),
             ("pairs", Json::Num((pair + 1) as f64)),
-            ("workloads", Json::Arr(workloads.iter().cloned().map(Json::Str).collect())),
+            ("workloads", Json::Arr(spec.workloads.iter().cloned().map(Json::Str).collect())),
             ("layouts", Json::Num(1.0)),
             ("nproc", Json::Num(nproc as f64)),
             ("thp", thp_mode()),
@@ -596,7 +591,7 @@ fn run(args: &[String]) -> Result<(), String> {
             ("wall_s", Json::Num(wall_s)),
         ];
         let [a, b] = &sides;
-        let (pa, pb) = (write_ledger(a, b, &meta, &out_dir)?, write_ledger(b, a, &meta, &out_dir)?);
+        let (pa, pb) = (write_ledger(a, b, &meta)?, write_ledger(b, a, &meta)?);
         if pair + 1 == pairs {
             println!("wrote {} and {}", pa.display(), pb.display());
         }
@@ -641,18 +636,29 @@ fn runs_of<'a>(ledger: &'a Json, workload: &'a str) -> impl Iterator<Item = &'a 
     runs.iter().filter(move |r| r.get("workload").and_then(Json::str) == Some(workload))
 }
 
-/// The values of `metric` for `workload`, keyed by pair index.
-fn values(ledger: &Json, workload: &str, metric: &str) -> BTreeMap<u64, f64> {
+/// One side's values of a metric on one workload, keyed by pair index:
+/// `None` for a run that erred, was not correct or lacks the metric.
+type Series = BTreeMap<u64, Option<f64>>;
+
+/// The values of `metric` for `workload` in a ledger file.
+fn series(ledger: &Json, workload: &str, metric: &str) -> Series {
     runs_of(ledger, workload)
         .filter_map(|r| {
             let pair = r.get("pair")?.num()? as u64;
-            Some((pair, r.get("metrics")?.get(metric)?.num()?))
+            let correct = r.get("correct") == Some(&Json::Bool(true));
+            let value = r.get("metrics").and_then(|m| m.get(metric)?.num()).filter(|_| correct);
+            Some((pair, value))
         })
         .collect()
 }
 
-/// How `b` reads against `a` on one metric: the pairs it won (ties
-/// count for neither) and the verdict.
+/// The values a series holds, without its failed runs.
+fn measured(s: &Series) -> Vec<f64> {
+    s.values().flatten().copied().collect()
+}
+
+/// How `b` reads against `a` on one metric: the pairs it won out of
+/// all pairs either side ran, and the verdict.
 #[derive(Debug, PartialEq)]
 struct Verdict {
     won: usize,
@@ -660,17 +666,29 @@ struct Verdict {
     word: &'static str,
 }
 
+/// The verdict on one metric. `b_fails_more` says that `b`'s runs on
+/// this workload fail more often than `a`'s, which rules out a gain.
 fn verdict(
-    a: &BTreeMap<u64, f64>,
-    b: &BTreeMap<u64, f64>,
+    a: &Series,
+    b: &Series,
     higher_is_better: bool,
     bound: f64,
+    b_fails_more: bool,
 ) -> Verdict {
     let better = |x: f64, y: f64| if higher_is_better { x > y } else { x < y };
-    let shared: Vec<(f64, f64)> = a.iter().filter_map(|(p, &va)| Some((va, *b.get(p)?))).collect();
-    let won = shared.iter().filter(|&&(va, vb)| better(vb, va)).count();
-    let (av, bv): (Vec<f64>, Vec<f64>) =
-        (a.values().copied().collect(), b.values().copied().collect());
+    let pairs = a.keys().chain(b.keys()).collect::<BTreeSet<_>>().len();
+    let won = a
+        .iter()
+        .filter(|&(p, va)| match (va, b.get(p)) {
+            (Some(va), Some(Some(vb))) => better(*vb, *va),
+            _ => false,
+        })
+        .count();
+    let (av, bv) = (measured(a), measured(b));
+    if bv.is_empty() || av.is_empty() {
+        let word = if bv.is_empty() && !av.is_empty() { "WORSE" } else { "unresolved" };
+        return Verdict { won, pairs, word };
+    }
     let [a1, am, a3] = quartiles(&av);
     let [b1, bm, b3] = quartiles(&bv);
     // How far `b`'s median is worse than `a`'s, as a share of `a`'s.
@@ -681,16 +699,13 @@ fn verdict(
         "WORSE"
     } else if wide && !all_better {
         "unresolved"
-    } else if better(bm, am)
-        && (bm - am).abs() > a3 - a1
-        && !shared.is_empty()
-        && 10 * won >= 9 * shared.len()
+    } else if better(bm, am) && (bm - am).abs() > a3 - a1 && 10 * won >= 9 * pairs && !b_fails_more
     {
         "gain"
     } else {
         "flat"
     };
-    Verdict { won, pairs: shared.len(), word }
+    Verdict { won, pairs, word }
 }
 
 /// Four significant digits, with k / M for large values; small whole
@@ -712,21 +727,50 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Runs that did not complete correctly, and the share of calls that
-/// failed, for `workload`.
-fn failures(ledger: &Json, workload: &str) -> (usize, usize, f64) {
-    let runs: Vec<&Json> = runs_of(ledger, workload).collect();
-    let bad = runs.iter().filter(|r| r.get("correct") != Some(&Json::Bool(true))).count();
-    let sum = |key: &str| runs.iter().filter_map(|r| r.get(key)?.num()).sum::<f64>();
-    let attempted = sum("attempted");
-    (bad, runs.len(), if attempted > 0.0 { sum("failed") / attempted } else { 0.0 })
+/// How often one side's runs of a workload failed.
+struct Failures {
+    /// Runs that erred or were not correct.
+    bad: usize,
+    runs: usize,
+    /// Failed calls over attempted calls, summed over the runs.
+    failed_share: f64,
+}
+
+impl Failures {
+    fn of(ledger: &Json, workload: &str) -> Failures {
+        let runs: Vec<&Json> = runs_of(ledger, workload).collect();
+        let bad = runs.iter().filter(|r| r.get("correct") != Some(&Json::Bool(true))).count();
+        let sum = |key: &str| runs.iter().filter_map(|r| r.get(key)?.num()).sum::<f64>();
+        let attempted = sum("attempted");
+        let failed_share = if attempted > 0.0 { sum("failed") / attempted } else { 0.0 };
+        Failures { bad, runs: runs.len(), failed_share }
+    }
+
+    /// Whether `self` fails more often than `other`, by share of
+    /// incorrect runs or by share of failed calls.
+    fn more_than(&self, other: &Failures) -> bool {
+        self.bad * other.runs > other.bad * self.runs || self.failed_share > other.failed_share
+    }
+}
+
+/// Refuse two files whose runs differ in what was asked of them.
+fn check_same_runs(a: &Json, b: &Json) -> Result<(), String> {
+    for key in ["seed", "seconds"] {
+        let field = |l: &Json| l.get("meta").and_then(|m| m.get(key)).cloned();
+        let (va, vb) = (field(a), field(b));
+        if va.is_none() || va != vb {
+            return Err(format!("the two files differ in meta.{key}: {va:?} vs {vb:?}"));
+        }
+    }
+    Ok(())
 }
 
 fn compare(args: &[String]) -> Result<(), String> {
     let [a_path, b_path, rest @ ..] = args else { return Err(USAGE.into()) };
-    let opts = options(rest, &["spec"])?;
-    let spec = read_spec(Path::new(opts.get("spec").map_or("BENCHMARK.json", String::as_str)))?;
+    options(rest, &[])?;
+    let spec = read_spec(Path::new(SPEC))?;
     let (a, b) = (read_json(Path::new(a_path))?, read_json(Path::new(b_path))?);
+    check_same_runs(&a, &b)?;
     let label = |l: &Json| {
         let mut s = String::new();
         for (k, v) in l.get("meta").map_or(&[][..], Json::fields) {
@@ -750,37 +794,52 @@ fn compare(args: &[String]) -> Result<(), String> {
     );
     let mut compared = 0;
     for workload in &spec.workloads {
+        let (fa, fb) = (Failures::of(&a, workload), Failures::of(&b, workload));
+        let b_fails_more = fb.more_than(&fa);
         for m in &spec.metrics {
-            let (va, vb) = (values(&a, workload, &m.name), values(&b, workload, &m.name));
-            if va.is_empty() || vb.is_empty() {
+            let (sa, sb) = (series(&a, workload, &m.name), series(&b, workload, &m.name));
+            if sa.is_empty() || sb.is_empty() {
                 continue;
             }
             compared += 1;
-            let v = verdict(&va, &vb, m.higher_is_better, m.bound);
-            let qa = quartiles(&va.values().copied().collect::<Vec<_>>());
-            let qb = quartiles(&vb.values().copied().collect::<Vec<_>>());
-            let range = |q: [f64; 3]| format!("[{}, {}]", fmt_value(q[0]), fmt_value(q[2]));
+            let v = verdict(&sa, &sb, m.higher_is_better, m.bound, b_fails_more);
+            let (va, vb) = (measured(&sa), measured(&sb));
+            let (qa, qb) = (
+                (!va.is_empty()).then(|| quartiles(&va)),
+                (!vb.is_empty()).then(|| quartiles(&vb)),
+            );
+            let median = |q: Option<[f64; 3]>| q.map_or("-".into(), |q| fmt_value(q[1]));
+            let range = |q: Option<[f64; 3]>| {
+                q.map_or("-".into(), |q| format!("[{}, {}]", fmt_value(q[0]), fmt_value(q[2])))
+            };
+            let ratio = match (qa, qb) {
+                (Some(qa), Some(qb)) => format!("{:.3}", qb[1] / qa[1]),
+                _ => "-".into(),
+            };
             println!(
-                "{:<17} {:<12} {:>10} {:>21} {:>10} {:>21} {:>7.3} {:>6}  {} (bound {}%)",
+                "{:<17} {:<12} {:>10} {:>21} {:>10} {:>21} {:>7} {:>6}  {} (bound {}%)",
                 workload,
                 m.name,
-                fmt_value(qa[1]),
+                median(qa),
                 range(qa),
-                fmt_value(qb[1]),
+                median(qb),
                 range(qb),
-                qb[1] / qa[1],
+                ratio,
                 format!("{}/{}", v.won, v.pairs),
                 v.word,
                 m.bound * 100.0
             );
         }
-        let ((bad_a, n_a, fail_a), (bad_b, n_b, fail_b)) =
-            (failures(&a, workload), failures(&b, workload));
-        if n_a + n_b > 0 {
+        if fa.runs + fb.runs > 0 {
             println!(
-                "{workload:<17} runs not correct: a {bad_a}/{n_a}, b {bad_b}/{n_b}; failed calls: a {:.4}%, b {:.4}%",
-                fail_a * 100.0,
-                fail_b * 100.0
+                "{workload:<17} runs not correct: a {}/{}, b {}/{}; failed calls: a {:.4}%, b {:.4}%  {}",
+                fa.bad,
+                fa.runs,
+                fb.bad,
+                fb.runs,
+                fa.failed_share * 100.0,
+                fb.failed_share * 100.0,
+                if b_fails_more { "WORSE" } else { "ok" }
             );
         }
     }
@@ -820,7 +879,7 @@ mod tests {
         assert!(spec.workloads.iter().any(|w| w == "infer_full"));
         let rows = spec.metrics.iter().find(|m| m.name == "rows_per_s").expect("rows_per_s");
         assert!(rows.higher_is_better && rows.bound > 0.0);
-        assert!(spec.command.iter().any(|a| a == "--"));
+        assert!(spec.seconds > 0.0);
     }
 
     #[test]
@@ -830,27 +889,93 @@ mod tests {
         assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
     }
 
-    fn series(v: &[f64]) -> BTreeMap<u64, f64> {
-        v.iter().enumerate().map(|(i, &x)| (i as u64, x)).collect()
+    fn numbered(v: &[f64]) -> Series {
+        v.iter().enumerate().map(|(i, &x)| (i as u64, Some(x))).collect()
     }
 
     #[test]
     fn verdicts_follow_the_rules() {
-        let a = series(&[100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]);
+        let a = numbered(&[100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]);
         // 20 % faster in every pair: a gain for a higher-is-better metric.
-        let up = series(&a.values().map(|x| x * 1.2).collect::<Vec<_>>());
-        assert_eq!(verdict(&a, &up, true, 0.25), Verdict { won: 10, pairs: 10, word: "gain" });
+        let up = numbered(&measured(&a).iter().map(|x| x * 1.2).collect::<Vec<_>>());
+        assert_eq!(
+            verdict(&a, &up, true, 0.25, false),
+            Verdict { won: 10, pairs: 10, word: "gain" }
+        );
         // The same numbers for a lower-is-better metric are 20 % worse:
         // inside a 25 % bound, outside a 10 % one.
-        assert_eq!(verdict(&a, &up, false, 0.25).word, "flat");
-        assert_eq!(verdict(&a, &up, false, 0.10).word, "WORSE");
+        assert_eq!(verdict(&a, &up, false, 0.25, false).word, "flat");
+        assert_eq!(verdict(&a, &up, false, 0.10, false).word, "WORSE");
         // Better in 8 of 10 pairs is no gain.
         let mut mixed = up.clone();
-        mixed.insert(0, 90.0);
-        mixed.insert(1, 95.0);
-        assert_eq!(verdict(&a, &mixed, true, 0.25), Verdict { won: 8, pairs: 10, word: "flat" });
+        mixed.insert(0, Some(90.0));
+        mixed.insert(1, Some(95.0));
+        assert_eq!(
+            verdict(&a, &mixed, true, 0.25, false),
+            Verdict { won: 8, pairs: 10, word: "flat" }
+        );
         // A spread wider than the bound cannot be told from flat.
-        let wide = series(&[50.0, 150.0, 60.0, 140.0, 100.0, 100.0, 70.0, 130.0, 100.0, 100.0]);
-        assert_eq!(verdict(&a, &wide, true, 0.25).word, "unresolved");
+        let wide = numbered(&[50.0, 150.0, 60.0, 140.0, 100.0, 100.0, 70.0, 130.0, 100.0, 100.0]);
+        assert_eq!(verdict(&a, &wide, true, 0.25, false).word, "unresolved");
+        // No gain while the change fails more often than the parent.
+        assert_eq!(
+            verdict(&a, &up, true, 0.25, true),
+            Verdict { won: 10, pairs: 10, word: "flat" }
+        );
+    }
+
+    #[test]
+    fn failed_runs_are_pairs_not_won() {
+        let a = numbered(&[100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]);
+        let up = numbered(&measured(&a).iter().map(|x| x * 1.2).collect::<Vec<_>>());
+        // The change crashes in 2 of 10 pairs and wins the other 8:
+        // 8 of the 10 pairs run, no gain.
+        let mut crashed = up.clone();
+        crashed.insert(3, None);
+        crashed.insert(7, None);
+        assert_eq!(
+            verdict(&a, &crashed, true, 0.25, false),
+            Verdict { won: 8, pairs: 10, word: "flat" }
+        );
+        // A pair the change never ran counts too.
+        let mut cut = up.clone();
+        cut.remove(&9);
+        assert_eq!(verdict(&a, &cut, true, 0.25, false).pairs, 10);
+        // A pair the parent failed is not won either.
+        let mut parent_crashed = a.clone();
+        parent_crashed.insert(0, None);
+        assert_eq!(verdict(&parent_crashed, &up, true, 0.25, false).won, 9);
+        // A change with no correct run is worse; with neither side
+        // measured there is nothing to tell.
+        let none: Series = (0..10).map(|p| (p, None)).collect();
+        assert_eq!(verdict(&a, &none, true, 0.25, false).word, "WORSE");
+        assert_eq!(verdict(&none, &none, true, 0.25, false).word, "unresolved");
+    }
+
+    #[test]
+    fn incorrect_runs_leave_the_values_and_count_as_failures() {
+        let ledger = parse_json(
+            r#"{"runs": [
+                {"workload": "w", "pair": 0, "correct": true, "attempted": 100, "failed": 0, "metrics": {"m": 5}},
+                {"workload": "w", "pair": 1, "correct": false, "attempted": 100, "failed": 2, "metrics": {"m": 9}},
+                {"workload": "w", "pair": 2, "correct": false, "error": "exit status: 101"}
+            ]}"#,
+        )
+        .expect("valid JSON");
+        let s = series(&ledger, "w", "m");
+        assert_eq!(s, BTreeMap::from([(0, Some(5.0)), (1, None), (2, None)]));
+        let f = Failures::of(&ledger, "w");
+        assert_eq!((f.bad, f.runs, f.failed_share), (2, 3, 0.01));
+        let clean = Failures { bad: 0, runs: 3, failed_share: 0.0 };
+        assert!(f.more_than(&clean) && !clean.more_than(&f));
+    }
+
+    #[test]
+    fn files_run_differently_are_not_compared() {
+        let meta =
+            |seed: u64| parse_json(&format!(r#"{{"meta": {{"seed": {seed}, "seconds": 9}}}}"#));
+        let (a, b) = (meta(7).expect("JSON"), meta(8).expect("JSON"));
+        assert!(check_same_runs(&a, &a).is_ok());
+        assert!(check_same_runs(&a, &b).is_err());
     }
 }

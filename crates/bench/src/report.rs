@@ -135,7 +135,9 @@ impl Table {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` with the characters JSON does not allow in a string escaped:
+/// the text between the quotes of a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

@@ -14,6 +14,13 @@
 //! the AddressSanitizer job, whose allocator maps memory its own way.
 //! When huge pages are off (`[never]`), or the platform has no
 //! `/proc/self/smaps`, the test says why and passes without checking.
+//!
+//! The `hg` flags are the code's doing and always checked. How much of
+//! `Y` the kernel then backs with huge pages also depends on the host:
+//! when its `defrag` setting does not compact memory on a fault in an
+//! advised range (`[never]`, `[defer]`), or it has too few free 2 MiB
+//! blocks, a fault falls back to 4 KiB pages. There the test prints
+//! `Y`'s share and why it is not held to 90 %.
 
 use fusedmm::prelude::*;
 use fusedmm::sparse::AlignedVec;
@@ -73,6 +80,37 @@ fn unavailable() -> Option<String> {
     }
 }
 
+/// Free blocks of 2 MiB or more in `/proc/buddyinfo`, counted in 2 MiB
+/// pages (a block of order 9 + k holds 2^k of them).
+fn free_huge_pages() -> Option<usize> {
+    let info = std::fs::read_to_string("/proc/buddyinfo").ok()?;
+    let mut pages = 0;
+    for line in info.lines() {
+        // "Node 0, zone   Normal  <free blocks of order 0> ... <order 10>"
+        let counts = line.split_whitespace().skip(4);
+        for (order, count) in counts.enumerate().skip(9) {
+            pages += count.parse::<usize>().ok()? << (order - 9);
+        }
+    }
+    Some(pages)
+}
+
+/// Why a fault in an advised range may get 4 KiB pages on this host
+/// although the code is right, if it may: `defrag` does not compact on
+/// such a fault, or fewer than `pages` 2 MiB blocks are free.
+fn may_fall_back(pages: usize) -> Option<String> {
+    let path = "/sys/kernel/mm/transparent_hugepage/defrag";
+    let defrag = std::fs::read_to_string(path).unwrap_or_default();
+    if defrag.contains("[never]") || defrag.contains("[defer]") {
+        return Some(format!("{path} reads {}", defrag.trim()));
+    }
+    match free_huge_pages() {
+        Some(free) if free >= pages => None,
+        Some(free) => Some(format!("{free} free 2 MiB blocks, fewer than {pages}")),
+        None => Some("no readable /proc/buddyinfo".into()),
+    }
+}
+
 #[test]
 fn large_operands_are_backed_by_huge_pages() {
     if let Some(why) = unavailable() {
@@ -91,8 +129,11 @@ fn large_operands_are_backed_by_huge_pages() {
     assert!(vma.flags.iter().any(|f| f == "hg"), "64 MiB buffer's VmFlags: {:?}", vma.flags);
     drop((small, large));
 
-    // The store's `Y` after `Engine::new` at the 2^15 x 128 shape.
+    // The store's `Y` after `Engine::new` at the 2^15 x 128 shape. `X`
+    // and `Y` take 8 huge pages each; ask for twice that free, read
+    // before either is allocated.
     let (n, d) = (1usize << 15, 128);
+    let fall_back = may_fall_back(4 * (n * d * 4 / HUGE_PAGE));
     let a = rmat(&RmatConfig::new(n, 8 * n).with_seed(3));
     let x = random_features(n, d, 0.5, 1);
     let y = random_features(n, d, 0.5, 2);
@@ -104,10 +145,12 @@ fn large_operands_are_backed_by_huge_pages() {
     assert!(vma.flags.iter().any(|f| f == "hg"), "Y's VmFlags: {:?}", vma.flags);
     let covered = vma.end.min(y.as_ptr() as usize + whole) - vma.start.max(y.as_ptr() as usize);
     assert_eq!(covered, whole, "Y's whole 2 MiB pages lie in one mapping");
-    assert!(
-        vma.anon_huge_bytes * 10 >= whole * 9,
-        "{} of Y's {} bytes in whole 2 MiB pages are AnonHugePages (need >= 90 %)",
-        vma.anon_huge_bytes,
-        whole
+    let share = format!(
+        "{} of Y's {} bytes in whole 2 MiB pages are AnonHugePages",
+        vma.anon_huge_bytes, whole
     );
+    match fall_back {
+        Some(why) => println!("{share}; not held to 90 %: {why}"),
+        None => assert!(vma.anon_huge_bytes * 10 >= whole * 9, "{share} (need >= 90 %)"),
+    }
 }
