@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use fusedmm_bench::report::json_escape;
+use fusedmm_perf::registry::json_escape;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

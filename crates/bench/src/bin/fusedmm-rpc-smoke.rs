@@ -15,7 +15,6 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fusedmm_bench::workloads::rpc_demo_workload;
@@ -23,18 +22,10 @@ use fusedmm_ops::OpSet;
 use fusedmm_perf::registry::MetricsRegistry;
 use fusedmm_rpc::{RpcConfig, RpcTransport};
 use fusedmm_serve::remote::RemoteShardedEngine;
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, ShardedEngine};
+use fusedmm_serve::{EngineConfig, ShardedEngine};
 use fusedmm_sparse::Dense;
 
 const NSHARDS: usize = 2;
-
-fn config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
 
 fn spawn_worker(bin: &PathBuf, path: &PathBuf, shard: usize) -> Child {
     Command::new(bin)
@@ -80,8 +71,9 @@ fn main() {
         (0..NSHARDS).map(|s| spawn_worker(&worker_bin, &paths[s], s)).collect();
 
     let transport = RpcTransport::connect(RpcConfig::new(paths.clone())).expect("connect workers");
-    let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), config());
-    let local = ShardedEngine::new(a.clone(), x, y, ops, NSHARDS, config());
+    let remote =
+        RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), EngineConfig::default());
+    let local = ShardedEngine::new(a.clone(), x, y, ops, NSHARDS, EngineConfig::default());
     assert_eq!(remote.boundaries(), local.boundaries(), "same PART1D cut on both sides");
 
     let registry = MetricsRegistry::new();

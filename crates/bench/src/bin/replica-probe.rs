@@ -28,21 +28,13 @@ use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
 use fusedmm_rpc::{RpcConfig, RpcTransport, WorkerServer};
 use fusedmm_serve::remote::{RemoteShardedEngine, WorkerEngine};
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan};
+use fusedmm_serve::EngineConfig;
 use fusedmm_sparse::Dense;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 const NSHARDS: usize = 2;
-
-fn config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
 
 /// Print one row: heap now, peak since the last row, seconds since it.
 fn phase(name: &str, since: &mut Instant) {
@@ -75,16 +67,16 @@ fn main() {
         .map(|s| {
             let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
             let ops = OpSet::sigmoid_embedding(None);
-            let worker = WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, config());
+            let worker =
+                WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, EngineConfig::default());
             WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
         })
         .collect();
-    let mut rpc = RpcConfig::new(paths);
-    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
-    let transport = RpcTransport::connect(rpc).expect("connect to the in-process workers");
+    let transport =
+        RpcTransport::connect(RpcConfig::new(paths)).expect("connect to the in-process workers");
     phase("workers up", &mut since);
 
-    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    let remote = RemoteShardedEngine::new(x, y, transport, EngineConfig::default());
     phase("engine new", &mut since);
 
     // One row per band: answered once both replicas hold the snapshot.

@@ -1,5 +1,7 @@
 //! Paper-style table printing for the repro binaries.
 
+use fusedmm_perf::registry::json_escape;
+
 use crate::methods::CellResult;
 
 /// One-row table identifying a benchmark run: git commit, CPU
@@ -133,24 +135,6 @@ impl Table {
         out.push(']');
         out
     }
-}
-
-/// `s` with the characters JSON does not allow in a string escaped:
-/// the text between the quotes of a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A machine-readable benchmark report: named sections, each one

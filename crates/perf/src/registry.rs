@@ -346,7 +346,9 @@ fn fmt_secs(d: Duration) -> String {
     fmt_f64(d.as_secs_f64())
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` with the characters JSON does not allow in a string escaped:
+/// the text between the quotes of a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

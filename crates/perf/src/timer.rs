@@ -48,9 +48,6 @@ pub fn time_iterations(reps: usize, mut f: impl FnMut()) -> TimingStats {
     TimingStats { avg: total / reps as f64, min, max, reps }
 }
 
-/// The paper's default repetition count.
-pub const PAPER_REPS: usize = 10;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,14 +31,14 @@
 //! its batch/kernel spans once per *sampled* request in the group, so
 //! every sampled request owns a complete tree.
 //!
-//! [`Tracer::global`] reads the `FUSEDMM_TRACE` environment variable
-//! (a sample rate in `(0, 1]`; unset or `0` disables tracing) once per
-//! process; [`Tracer::chrome_json`] dumps everything recorded as a
+//! A tracer records only what its owner configured: an engine traces
+//! through the [`Tracer`] its config names and through none when it
+//! names none. [`Tracer::chrome_json`] dumps everything recorded as a
 //! chrome://tracing / Perfetto "complete event" array.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Where in the request lifecycle a span was emitted. A closed set
@@ -212,9 +212,8 @@ impl SpanRing {
     }
 }
 
-/// A sampling span recorder. Construct one per test with
-/// [`Tracer::new`] (no environment coupling), or share the
-/// process-wide [`Tracer::global`] configured by `FUSEDMM_TRACE`.
+/// A sampling span recorder: [`Tracer::new`] at a sample rate, or
+/// [`Tracer::disabled`].
 pub struct Tracer {
     /// Admit 1 root in `every`; 0 = tracing disabled.
     every: u64,
@@ -265,21 +264,6 @@ impl Tracer {
     /// A tracer that samples nothing (every span site short-circuits).
     pub fn disabled() -> Arc<Tracer> {
         Tracer::new(0.0, 8)
-    }
-
-    /// The process-wide tracer, configured once from `FUSEDMM_TRACE`
-    /// (a sample rate in `(0, 1]`, e.g. `0.01`; unset, empty, `0`, or
-    /// unparsable disables tracing). Ring capacity is 4096 spans per
-    /// recording thread.
-    pub fn global() -> &'static Arc<Tracer> {
-        static GLOBAL: OnceLock<Arc<Tracer>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let rate = std::env::var("FUSEDMM_TRACE")
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .unwrap_or(0.0);
-            Tracer::new(rate, 4096)
-        })
     }
 
     /// Whether any root can ever be sampled. Span sites may use this

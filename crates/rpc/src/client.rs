@@ -87,8 +87,7 @@ pub struct RpcConfig {
     pub reconnect_backoff: Duration,
     /// Transport fault injection (`drop_conn_every` severs the
     /// connection on every n-th request frame, `delay_frame_us` stalls
-    /// the thread writing each frame); `None` falls back to
-    /// `FUSEDMM_FAULT_PLAN`.
+    /// the thread writing each frame); `None` injects no fault.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -246,7 +245,6 @@ impl RpcTransport {
     /// contiguous row space.
     pub fn connect(config: RpcConfig) -> io::Result<Arc<RpcTransport>> {
         assert!(!config.paths.is_empty(), "at least one worker");
-        let fault = config.fault.or_else(FaultPlan::from_env);
         let workers: Vec<Arc<WorkerState>> = config
             .paths
             .iter()
@@ -272,7 +270,7 @@ impl RpcTransport {
             ship_order: Arc::new(Mutex::new(())),
             next_id: AtomicU64::new(1),
             request_seq: AtomicU64::new(0),
-            drop_conn_every: fault.as_deref().and_then(FaultPlan::conn_drop_every),
+            drop_conn_every: config.fault.as_deref().and_then(FaultPlan::conn_drop_every),
             timeout: config.connect_timeout,
             stop: Arc::new(AtomicBool::new(false)),
             boundaries: OnceLock::new(),
@@ -283,7 +281,7 @@ impl RpcTransport {
                 log: Arc::clone(&transport.log),
                 ship_order: Arc::clone(&transport.ship_order),
                 stop: Arc::clone(&transport.stop),
-                frame_delay: fault.as_deref().and_then(FaultPlan::frame_delay),
+                frame_delay: config.fault.as_deref().and_then(FaultPlan::frame_delay),
                 backoff: config.reconnect_backoff,
                 timeout: config.connect_timeout,
             };

@@ -20,7 +20,7 @@ use fusedmm_rpc::{
     WorkerServer,
 };
 use fusedmm_serve::remote::{EpochRecord, RemoteShardedEngine, ShardTransport, WorkerEngine};
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, Quality};
+use fusedmm_serve::{EngineConfig, Quality};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::Dense;
@@ -123,14 +123,6 @@ fn graph(n: usize) -> Csr {
     coo.to_csr(Dedup::Sum)
 }
 
-fn config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
-
 /// `nshards` band workers of `a` serving over unix sockets (holding no
 /// features until the coordinator seeds them), and a transport
 /// connected to all of them.
@@ -150,13 +142,12 @@ fn loopback(
         .map(|s| {
             let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
             let ops = OpSet::sigmoid_embedding(None);
-            let worker = WorkerEngine::new(a, partition.rows(s), s, x0, y0, ops, config());
+            let worker =
+                WorkerEngine::new(a, partition.rows(s), s, x0, y0, ops, EngineConfig::default());
             WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
         })
         .collect();
-    let mut rpc = RpcConfig::new(paths);
-    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
-    (servers, RpcTransport::connect(rpc).expect("connect loopback workers"))
+    (servers, RpcTransport::connect(RpcConfig::new(paths)).expect("connect loopback workers"))
 }
 
 fn bits(m: &Dense) -> Vec<u32> {
@@ -188,7 +179,7 @@ fn two_replicas_over_sockets_cost_their_band_of_x_and_one_y_each() {
     transport.register_metrics(&registry);
     let unseeded = memtrack::live_bytes();
     memtrack::reset_peak();
-    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    let remote = RemoteShardedEngine::new(x, y, transport, EngineConfig::default());
     // Requests queue behind the snapshot on each connection, and each
     // worker acknowledges the record before it answers: once a row of
     // each band is back, both `EpochAck`s have been read.
@@ -233,7 +224,7 @@ fn a_coordinator_delta_copies_the_generation_its_log_base_holds() {
     let x = Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos());
     let original = (bits(&x), bits(&y));
-    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    let remote = RemoteShardedEngine::new(x, y, transport, EngineConfig::default());
     remote.embed(&[0, n - 1]).expect("first embed, one row per band");
 
     let rows = [1, 2000, n - 1];
@@ -273,7 +264,7 @@ fn a_publish_frees_the_generation_it_supersedes() {
     let log = Arc::clone(transport.log());
     let x = Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos());
-    let remote = RemoteShardedEngine::new(x, y, transport, config());
+    let remote = RemoteShardedEngine::new(x, y, transport, EngineConfig::default());
     let (x0, y0) = remote.store().snapshot().shared();
     let seeded = (Arc::downgrade(&x0), Arc::downgrade(&y0));
     drop((x0, y0));
@@ -305,7 +296,7 @@ fn a_replica_delta_copies_the_generation_its_history_pins() {
     let a = graph(n);
     let ops = OpSet::sigmoid_embedding(None);
     let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
-    let worker = WorkerEngine::new(&a, 0..band, 0, x0, y0, ops, config());
+    let worker = WorkerEngine::new(&a, 0..band, 0, x0, y0, ops, EngineConfig::default());
     let x = Arc::new(Dense::from_fn(n, d, |r, k| ((r * 5 + k) as f32 * 0.01).sin()));
     let y = Arc::new(Dense::from_fn(n, d, |r, k| ((r + k * 3) as f32 * 0.02).cos()));
     worker.apply(EpochRecord::Snapshot { epoch: 0, x_start: 0, x, y });

@@ -13,7 +13,7 @@ use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_rpc::{RpcConfig, RpcTransport, WorkerServer};
 use fusedmm_serve::remote::{RemoteShardedEngine, WorkerEngine};
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan};
+use fusedmm_serve::EngineConfig;
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::Dense;
 
@@ -24,14 +24,6 @@ fn rpc_threads() -> usize {
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .filter(|name| name.starts_with("fusedmm-rpc-"))
         .count()
-}
-
-fn config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
 }
 
 #[test]
@@ -52,19 +44,20 @@ fn each_worker_costs_the_coordinator_one_thread() {
         .map(|s| {
             let (x0, y0) = (Dense::zeros(n, d), Dense::zeros(n, d));
             let ops = OpSet::sigmoid_embedding(None);
-            let worker = WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, config());
+            let worker =
+                WorkerEngine::new(&a, partition.rows(s), s, x0, y0, ops, EngineConfig::default());
             WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
         })
         .collect();
     let mut rpc = RpcConfig::new(paths.clone());
-    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
     rpc.reconnect_backoff = Duration::from_millis(5);
     let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
     assert_eq!(rpc_threads(), nshards, "after connect");
 
     let x = Dense::from_fn(n, d, |r, k| ((r * 3 + k) as f32 * 0.01).sin());
     let y = Dense::from_fn(n, d, |r, k| ((r + k * 5) as f32 * 0.02).cos());
-    let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), config());
+    let remote =
+        RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), EngineConfig::default());
     for i in 0..200 {
         remote.embed(&[i % n, (i * 7 + 3) % n]).expect("embed");
     }

@@ -21,6 +21,9 @@
 //!
 //! Requests that already ask for a degraded tier pass through the
 //! degrade rung unchanged — the ladder only ever lowers quality.
+//!
+//! An engine admits by the policy its config names, and admits every
+//! request when it names none.
 
 use crate::ticket::Quality;
 
@@ -57,10 +60,9 @@ pub struct AdmissionPolicy {
 }
 
 impl Default for AdmissionPolicy {
-    /// The environment-driven policy: unlimited unless
-    /// `FUSEDMM_ADMIT_*` say otherwise.
+    /// [`AdmissionPolicy::unlimited`].
     fn default() -> Self {
-        AdmissionPolicy::from_env()
+        AdmissionPolicy::unlimited()
     }
 }
 
@@ -68,31 +70,6 @@ impl AdmissionPolicy {
     /// No limits: every request is admitted at its requested quality.
     pub fn unlimited() -> AdmissionPolicy {
         AdmissionPolicy { max_inflight: 0, max_queued_rows: 0, degrade_fraction: 1.0 }
-    }
-
-    /// Read limits from the environment:
-    /// `FUSEDMM_ADMIT_INFLIGHT` (hard in-flight cap),
-    /// `FUSEDMM_ADMIT_ROWS` (hard queued-row cap), and
-    /// `FUSEDMM_ADMIT_DEGRADE_PCT` (degrade rung as a percentage of
-    /// the caps, default 75). Unset caps mean unlimited.
-    pub fn from_env() -> AdmissionPolicy {
-        fn env_usize(key: &str) -> usize {
-            std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-        }
-        let pct = std::env::var("FUSEDMM_ADMIT_DEGRADE_PCT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(75.0);
-        AdmissionPolicy {
-            max_inflight: env_usize("FUSEDMM_ADMIT_INFLIGHT"),
-            max_queued_rows: env_usize("FUSEDMM_ADMIT_ROWS"),
-            degrade_fraction: pct / 100.0,
-        }
-    }
-
-    /// True when at least one signal has a cap.
-    pub fn is_limited(&self) -> bool {
-        self.max_inflight > 0 || self.max_queued_rows > 0
     }
 
     fn over(&self, value: u64, cap: usize, fraction: f64) -> bool {
@@ -136,7 +113,6 @@ mod tests {
     fn unlimited_admits_everything() {
         let p = AdmissionPolicy::unlimited();
         assert_eq!(p.decide(1 << 40, usize::MAX), Admission::Admit);
-        assert!(!p.is_limited());
     }
 
     #[test]

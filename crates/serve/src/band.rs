@@ -35,7 +35,6 @@ use fusedmm_sparse::dense::Dense;
 use crate::batcher::{dedup_union, next_group, scatter_rows, BatchQueue, Buffers, Pending, Reply};
 use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
-use crate::front::Resolved;
 use crate::observe::apply_labels;
 use crate::score::score_banded_into;
 use crate::store::{copy_rows, FeatureEpoch};
@@ -88,7 +87,6 @@ impl Band {
         ops: OpSet,
         d: usize,
         config: &EngineConfig,
-        resolved: &Resolved,
     ) -> Band {
         let plan = Plan::prepare(&ops, d);
         let max_row_degree = (0..a.nrows()).map(|r| a.row_nnz(r)).max().unwrap_or(0);
@@ -100,8 +98,8 @@ impl Band {
             plan,
             queue: BatchQueue::new(),
             max_batch_rows: config.max_batch_rows,
-            tracer: Arc::clone(&resolved.tracer),
-            fault: resolved.fault.clone(),
+            tracer: config.tracer.clone().unwrap_or_else(Tracer::disabled),
+            fault: config.fault.clone().filter(|f| f.is_active()),
             max_row_degree,
             launches: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),

@@ -229,7 +229,6 @@ impl Drop for FillSet {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::front::Resolved;
     use crate::wait::{slot, SlotPoll, SlotRx};
     use fusedmm_core::{Partition, PartitionStrategy};
     use fusedmm_graph::rmat::{rmat, RmatConfig};
@@ -253,14 +252,12 @@ mod tests {
     /// A band-indexed cache over `a`, cut into `ranges`, and the bands
     /// it reads (the caller keeps them alive).
     fn over_bands(a: &Csr, ranges: &[Range<usize>]) -> (EmbedCache, Vec<Arc<Band>>) {
-        let config =
-            EngineConfig { fault: Some(Arc::new(FaultPlan::disabled())), ..Default::default() };
-        let resolved = Resolved::from(&config);
+        let config = EngineConfig::default();
         let bands: Vec<Arc<Band>> = ranges
             .iter()
             .map(|rows| {
                 let band = a.row_band(rows.clone());
-                Arc::new(Band::new(band, rows.start, None, OpSet::gcn(), 2, &config, &resolved))
+                Arc::new(Band::new(band, rows.start, None, OpSet::gcn(), 2, &config))
             })
             .collect();
         let cache = EmbedCache::over_bands(a.nrows(), 2, CacheConfig::default());

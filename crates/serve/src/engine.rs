@@ -39,21 +39,13 @@ pub struct EngineConfig {
     /// only their dependency touch set. See the README's "Result
     /// caching" section for the semantics.
     pub cache: Option<CacheConfig>,
-    /// Request-lifecycle tracer. `None` (the default) uses the
-    /// process-wide [`Tracer::global`], whose sample rate comes from
-    /// the `FUSEDMM_TRACE` environment variable (unset = tracing off).
-    /// Tests inject an explicit tracer here to avoid environment
-    /// coupling.
+    /// Request-lifecycle tracer. `None` (the default) traces nothing.
     pub tracer: Option<Arc<Tracer>>,
     /// Admission policy capping in-flight requests and queued rows.
-    /// `None` (the default) reads `FUSEDMM_ADMIT_*` from the
-    /// environment (unset = unlimited); tests and examples inject an
-    /// explicit policy to avoid environment coupling.
+    /// `None` (the default) admits every request.
     pub admission: Option<AdmissionPolicy>,
     /// Fault-injection plan for chaos testing. `None` (the default)
-    /// reads `FUSEDMM_FAULT_PLAN` from the environment (unset =
-    /// disabled); pass `Some(Arc::new(FaultPlan::disabled()))` to make
-    /// an engine immune regardless of the environment.
+    /// injects no fault.
     pub fault: Option<Arc<FaultPlan>>,
     /// Reorder the graph at load time (degree sort / RCM BFS — see
     /// [`Reordering`]) to improve locality and band balance on skewed

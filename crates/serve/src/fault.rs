@@ -16,13 +16,14 @@
 //!   find their slots closed (their tickets fail `PartFailed`) and
 //!   owners' rows never become resident.
 //!
-//! Plans come from the `FUSEDMM_FAULT_PLAN` environment variable (the
-//! chaos CI job sets it) or are built in tests via [`FaultPlan::parse`].
+//! An engine injects the plan its config names, and none when it names
+//! none; plans are built with [`FaultPlan::parse`] (the serving
+//! example parses the chaos CI job's `FUSEDMM_FAULT_PLAN` this way).
 //! A fault plan never changes *what* a healthy request computes — only
 //! whether a given launch or fill survives — so Exact-tier responses
 //! that do survive stay bit-identical to a fault-free run.
 
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::Duration;
 
 /// Panic payload used by injected launch faults, so the panic hook
@@ -53,9 +54,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The explicit no-faults plan. Engines configured with this never
-    /// consult `FUSEDMM_FAULT_PLAN` — the example's correctness
-    /// sections use it so chaos CI env doesn't perturb them.
+    /// The no-faults plan: what an engine configured with no plan runs.
     pub fn disabled() -> FaultPlan {
         FaultPlan::default()
     }
@@ -94,21 +93,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// The process-wide plan from `FUSEDMM_FAULT_PLAN`, if set.
-    ///
-    /// # Panics
-    /// On an unparsable spec — a chaos run with a typo'd plan should
-    /// fail loudly, not silently run fault-free.
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let spec = std::env::var("FUSEDMM_FAULT_PLAN").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let plan = FaultPlan::parse(&spec)
-            .unwrap_or_else(|e| panic!("invalid FUSEDMM_FAULT_PLAN `{spec}`: {e}"));
-        plan.is_active().then(|| Arc::new(plan))
     }
 
     /// True when any fault is scheduled.

@@ -106,33 +106,18 @@ pub struct FrontEnd<T: ShardTransport + ?Sized + 'static> {
     stopped: AtomicBool,
 }
 
-/// Tracer, admission policy and fault plan, resolved from a config (or
-/// the environment) once per deployment.
-pub(crate) struct Resolved {
-    pub tracer: Arc<Tracer>,
-    pub admission: AdmissionPolicy,
-    pub fault: Option<Arc<FaultPlan>>,
-}
-
-impl Resolved {
-    pub fn from(config: &EngineConfig) -> Resolved {
-        Resolved {
-            tracer: config.tracer.clone().unwrap_or_else(|| Arc::clone(Tracer::global())),
-            admission: config.admission.unwrap_or_else(AdmissionPolicy::from_env),
-            fault: config.fault.clone().or_else(FaultPlan::from_env).filter(|f| f.is_active()),
-        }
-    }
-}
-
 impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
-    /// A front end over `transport`'s cut, shards labeled from 0.
+    /// A front end over `transport`'s cut, shards labeled from 0,
+    /// tracing, admitting and injecting faults as `config` says: no
+    /// tracer, no admission limit and no fault plan when it says
+    /// nothing.
     pub(crate) fn new(
         transport: Arc<T>,
         redispatch: Arc<dyn ShardTransport>,
         store: Arc<FeatureStore>,
         cache: Option<Arc<EmbedCache>>,
         perm: Option<Arc<Permutation>>,
-        resolved: Resolved,
+        config: &EngineConfig,
     ) -> FrontEnd<T> {
         let boundaries = transport.boundaries();
         assert_eq!(boundaries.len(), transport.nshards() + 1, "one band per shard");
@@ -146,9 +131,9 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             first_shard: Some(0),
             perm,
             cache,
-            tracer: resolved.tracer,
-            admission: resolved.admission,
-            fault: resolved.fault,
+            tracer: config.tracer.clone().unwrap_or_else(Tracer::disabled),
+            admission: config.admission.unwrap_or_default(),
+            fault: config.fault.clone().filter(|f| f.is_active()),
             bands: Vec::new(),
             degree_hist: Vec::new(),
             embed_latency: Arc::new(LatencyHistogram::new()),
@@ -491,6 +476,18 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
             None => pairs,
         };
         let epoch = pinned.unwrap_or_else(|| self.store.snapshot());
+        let Some(&(first, _)) = pairs.first() else { return Ok(()) };
+        let owner = self.owner(first);
+        if pairs.iter().all(|&(u, _)| self.owner(u) == owner) {
+            // One shard owns every pair (always, for one band): it
+            // scores `pairs` as they are, and its reply is `out` in
+            // request order.
+            let rx = self.send_score(owner, pairs, &epoch);
+            let deadline = self.transport.score_timeout().map(|bound| Instant::now() + bound);
+            let scores = self.score_reply(owner, rx, pairs.len(), deadline)?;
+            out.copy_from_slice(scores.as_slice());
+            return Ok(());
+        }
         // Per shard: the original pair indices and the pairs themselves.
         type ShardPairs = (Vec<usize>, Vec<(usize, usize)>);
         let mut per_shard: Vec<ShardPairs> = vec![(Vec::new(), Vec::new()); self.nshards()];
@@ -505,26 +502,41 @@ impl<T: ShardTransport + ?Sized + 'static> FrontEnd<T> {
         // shard, whatever finished first.
         let parts: Vec<(usize, SlotRx)> = (0..self.nshards())
             .filter(|&s| !per_shard[s].0.is_empty())
-            .map(|s| {
-                let (tx, rx) = slot();
-                let part = PartSlot::new(tx, None, None, None);
-                self.transport.score_part(s, &per_shard[s].1, &epoch, part);
-                (s, rx)
-            })
+            .map(|s| (s, self.send_score(s, &per_shard[s].1, &epoch)))
             .collect();
         let deadline = self.transport.score_timeout().map(|bound| Instant::now() + bound);
         for (s, rx) in parts {
             let (idx, sub) = &per_shard[s];
-            let scores = match rx.recv_until(deadline) {
-                SlotPoll::Reply(Ok(m)) if (m.nrows(), m.ncols()) == (sub.len(), 1) => m,
-                SlotPoll::Closed => return Err(ServeError::EngineShutdown),
-                _ => return Err(ServeError::PartFailed { shard: self.shard_label(s) }),
-            };
+            let scores = self.score_reply(s, rx, sub.len(), deadline)?;
             for (&i, &score) in idx.iter().zip(scores.as_slice()) {
                 out[i] = score;
             }
         }
         Ok(())
+    }
+
+    /// Send shard `s` a score part for `pairs`; its reply lands on the
+    /// returned slot.
+    fn send_score(&self, s: usize, pairs: &[(usize, usize)], epoch: &Arc<FeatureEpoch>) -> SlotRx {
+        let (tx, rx) = slot();
+        self.transport.score_part(s, pairs, epoch, PartSlot::new(tx, None, None, None));
+        rx
+    }
+
+    /// Shard `s`'s reply to a score part of `len` pairs: one score per
+    /// pair, awaited until `deadline`.
+    fn score_reply(
+        &self,
+        s: usize,
+        rx: SlotRx,
+        len: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Dense, ServeError> {
+        match rx.recv_until(deadline) {
+            SlotPoll::Reply(Ok(m)) if (m.nrows(), m.ncols()) == (len, 1) => Ok(m),
+            SlotPoll::Closed => Err(ServeError::EngineShutdown),
+            _ => Err(ServeError::PartFailed { shard: self.shard_label(s) }),
+        }
     }
 
     fn queued_rows(&self) -> usize {
@@ -620,14 +632,13 @@ impl FrontEnd<LocalBands> {
         ops: OpSet,
         config: &EngineConfig,
     ) -> FrontEnd<LocalBands> {
-        let resolved = Resolved::from(config);
         let mut degree_hist: Vec<usize> = Vec::new();
         for (_, a) in &bands {
             let hist = a.degree_histogram_log2();
             degree_hist.resize(degree_hist.len().max(hist.len()), 0);
             degree_hist.iter_mut().zip(hist).for_each(|(total, rows)| *total += rows);
         }
-        let transport = LocalBands::new(bands, first_shard, &ops, store.d(), config, &resolved);
+        let transport = LocalBands::new(bands, first_shard, &ops, store.d(), config);
         let cores = transport.bands.clone();
         if let Some(cache) = &cache {
             // Its index is complete before any delta can reach it.
@@ -636,7 +647,7 @@ impl FrontEnd<LocalBands> {
         }
         let transport = Arc::new(transport);
         let redispatch = Arc::clone(&transport) as Arc<dyn ShardTransport>;
-        let mut front = FrontEnd::new(transport, redispatch, store, cache, perm, resolved);
+        let mut front = FrontEnd::new(transport, redispatch, store, cache, perm, config);
         front.first_shard = first_shard;
         front.bands = cores;
         front.degree_hist = degree_hist;

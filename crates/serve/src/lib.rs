@@ -78,12 +78,12 @@
 //!   of every launch, serving ones included), exported as Prometheus
 //!   text or JSON; sampled requests additionally record a full
 //!   lifecycle span tree (enqueue
-//!   → batch → kernel → cache fill → harvest) into a lock-free
-//!   [`Tracer`] (`FUSEDMM_TRACE=<rate>`),
+//!   → batch → kernel → cache fill → harvest) into the lock-free
+//!   [`Tracer`] named by `EngineConfig::tracer` (none by default),
 //!   dumpable as chrome://tracing JSON;
-//! * admission control ([`admit`]) — an [`AdmissionPolicy`] caps
-//!   in-flight requests and queued rows (`FUSEDMM_ADMIT_INFLIGHT` /
-//!   `FUSEDMM_ADMIT_ROWS`): a load-shedding ladder first downgrades
+//! * admission control ([`admit`]) — an [`AdmissionPolicy`]
+//!   (`EngineConfig::admission`, unlimited by default) caps in-flight
+//!   requests and queued rows: a load-shedding ladder first downgrades
 //!   `Exact` requests to `CachedOnly` near the cap, then rejects with a
 //!   typed [`ServeError::Shed`] at the cap — the queue never grows
 //!   unboundedly;
@@ -99,8 +99,9 @@
 //!   the dispatch boundary and surfaces as a typed per-part error: the
 //!   failed part retries **once** on a healthy path (same pinned epoch,
 //!   so an Exact retry stays bit-identical) before the ticket resolves
-//!   [`ServeError::PartFailed`]; a [`FaultPlan`]
-//!   (`FUSEDMM_FAULT_PLAN=panic_every=N,delay_fill_us=U,poison_segment=S`)
+//!   [`ServeError::PartFailed`]; a [`FaultPlan`] (`EngineConfig::fault`,
+//!   none by default; [`FaultPlan::parse`] reads
+//!   `panic_every=N,delay_fill_us=U,poison_segment=S`)
 //!   injects panics, fill delays, and poisoned cache segments for chaos
 //!   testing — every request provably ends harvested, degraded, shed,
 //!   failed, or abandoned, and the request counters reconcile exactly;

@@ -45,7 +45,7 @@ use fusedmm_sparse::dense::Dense;
 use crate::admit::AdmissionPolicy;
 use crate::cache::EmbedCache;
 use crate::engine::{EngineConfig, ServeError};
-use crate::front::{FrontEnd, Resolved};
+use crate::front::FrontEnd;
 use crate::store::{copy_rows, FeatureEpoch, FeatureStore};
 use crate::ticket::{EmbedOptions, EmbedResponse, Quality, Ticket};
 use crate::transport::LocalBands;
@@ -165,14 +165,7 @@ impl RemoteShardedEngine {
         let base = store.snapshot();
         let (x, y) = base.shared();
         transport.ship(&EpochRecord::Snapshot { epoch: base.epoch(), x_start: 0, x, y });
-        let front = FrontEnd::new(
-            Arc::clone(&transport),
-            transport,
-            store,
-            None,
-            None,
-            Resolved::from(&config),
-        );
+        let front = FrontEnd::new(Arc::clone(&transport), transport, store, None, None, &config);
         RemoteShardedEngine { front, write_order: Mutex::new(()) }
     }
 
@@ -297,8 +290,8 @@ impl WorkerEngine {
     /// request before then is [`WorkerError::EpochUnavailable`]), and
     /// from then on it holds `band`'s rows of `X` and all of `Y`.
     /// `config.cache` enables the per-replica result cache;
-    /// `config.fault` / `FUSEDMM_FAULT_PLAN` inject
-    /// worker-side kernel chaos exactly as in-process;
+    /// `config.fault` injects worker-side kernel chaos exactly as
+    /// in-process (none when `None`);
     /// `config.admission` is ignored — a worker never sheds (its
     /// coordinator admitted the work). Each connection's serve loop
     /// computes the parts it receives on its own thread.

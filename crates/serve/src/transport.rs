@@ -27,7 +27,6 @@ use fusedmm_sparse::BufferHome;
 use crate::band::Band;
 use crate::cache::FillSet;
 use crate::engine::EngineConfig;
-use crate::front::Resolved;
 use crate::remote::EpochRecord;
 use crate::store::FeatureEpoch;
 use crate::ticket::Quality;
@@ -226,7 +225,6 @@ impl LocalBands {
         ops: &OpSet,
         d: usize,
         config: &EngineConfig,
-        resolved: &Resolved,
     ) -> LocalBands {
         let mut boundaries = vec![bands.first().map_or(0, |(rows, _)| rows.start)];
         let bands = bands
@@ -236,7 +234,7 @@ impl LocalBands {
                 assert_eq!(rows.start, *boundaries.last().expect("nonempty"), "bands tile");
                 boundaries.push(rows.end);
                 let shard = first_shard.map(|b| b + s);
-                Arc::new(Band::new(a, rows.start, shard, ops.clone(), d, config, resolved))
+                Arc::new(Band::new(a, rows.start, shard, ops.clone(), d, config))
             })
             .collect();
         LocalBands { bands, boundaries, out_home: BufferHome::new() }

@@ -7,14 +7,14 @@
 //! one copies and leaves the pin alone. The tests run one at a time
 //! (the counters are process-wide).
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use fusedmm_cache::ResultCache;
 use fusedmm_core::{Partition, PartitionStrategy};
 use fusedmm_ops::OpSet;
 use fusedmm_perf::memtrack::{self, CountingAllocator};
 use fusedmm_serve::remote::WorkerEngine;
-use fusedmm_serve::{AdmissionPolicy, CacheConfig, EngineConfig, FaultPlan, ShardedEngine};
+use fusedmm_serve::{CacheConfig, EngineConfig, ShardedEngine};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
@@ -70,12 +70,8 @@ fn feats(seed: f32) -> Dense {
 }
 
 fn engine(cached: bool) -> ShardedEngine {
-    let config = EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        cache: cached.then(|| CacheConfig::with_mb(1)),
-        ..EngineConfig::default()
-    };
+    let config =
+        EngineConfig { cache: cached.then(|| CacheConfig::with_mb(1)), ..EngineConfig::default() };
     ShardedEngine::new(graph(), feats(0.1), feats(0.7), OpSet::sigmoid_embedding(None), 2, config)
 }
 

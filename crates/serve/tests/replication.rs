@@ -19,7 +19,7 @@ use fusedmm_serve::remote::{
     EpochRecord, PartOutcome, PartSlot, RemoteShardedEngine, ShardTransport, WorkerEngine,
     WorkerError,
 };
-use fusedmm_serve::{AdmissionPolicy, EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError};
+use fusedmm_serve::{EngineConfig, FaultPlan, FeatureEpoch, Quality, ServeError};
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -50,14 +50,6 @@ fn graph() -> Csr {
 
 fn feats(seed: f32) -> Dense {
     Dense::from_fn(N, D, |r, k| ((r * 13 + k * 7) as f32 * 0.017 + seed).sin() * 0.6)
-}
-
-fn config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
 }
 
 fn worker(a: &Csr, config: EngineConfig) -> WorkerEngine {
@@ -124,7 +116,7 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
 
     let (x, y) = (feats(0.1), feats(0.9));
     let (remote, seeded) = memtrack::measure_peak(|| {
-        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, config())
+        RemoteShardedEngine::new(x, y, Arc::clone(&transport) as _, EngineConfig::default())
     });
     assert!(seeded < MATRIX / 20, "seeding the log allocated {seeded} bytes");
     let epoch = remote.store().snapshot();
@@ -144,7 +136,7 @@ fn seeding_and_publishing_share_the_stores_allocation_with_the_record() {
 fn an_unseeded_replica_holds_and_serves_nothing() {
     let _serial = serial();
     let a = graph();
-    let worker = worker(&a, config());
+    let worker = worker(&a, EngineConfig::default());
     assert!(worker.is_fresh());
     let unseeded = [
         worker.embed_part(&[1], 0, Quality::Exact, None).map(drop),
@@ -177,7 +169,7 @@ fn an_unseeded_replica_holds_and_serves_nothing() {
 fn a_delta_before_any_snapshot_is_a_log_gap() {
     let _serial = serial();
     let a = graph();
-    let worker = worker(&a, config());
+    let worker = worker(&a, EngineConfig::default());
     worker.apply(EpochRecord::Delta {
         epoch: 1,
         rows: vec![0],
@@ -193,7 +185,7 @@ fn a_worker_computes_its_part_on_the_serving_thread() {
     // Every launch panics, so the panic hook names the thread that ran
     // each one: the part's launch and its retry.
     let panic_every_launch = Some(Arc::new(FaultPlan::parse("panic_every=1").expect("plan")));
-    let worker = worker(&a, EngineConfig { fault: panic_every_launch, ..config() });
+    let worker = worker(&a, EngineConfig { fault: panic_every_launch, ..EngineConfig::default() });
     worker.apply(EpochRecord::Snapshot {
         epoch: 0,
         x_start: 0,
@@ -226,8 +218,12 @@ fn a_worker_computes_its_part_on_the_serving_thread() {
 fn a_delta_the_store_would_refuse_panics_before_anything_ships() {
     let _serial = serial();
     let transport = Arc::new(Recording::default());
-    let remote =
-        RemoteShardedEngine::new(feats(0.1), feats(0.9), Arc::clone(&transport) as _, config());
+    let remote = RemoteShardedEngine::new(
+        feats(0.1),
+        feats(0.9),
+        Arc::clone(&transport) as _,
+        EngineConfig::default(),
+    );
     let shipped = || transport.shipped.lock().expect("shipped").len();
     let one_row = Dense::zeros(1, D);
     // Row `N` is past the last row; two ids with one patch row is short.
@@ -249,7 +245,7 @@ fn a_snapshot_whose_x_misses_the_band_panics_before_the_store_changes() {
     let half = N / 2;
     let (x0, y0) = (Dense::zeros(N, D), Dense::zeros(N, D));
     let ops = OpSet::sigmoid_embedding(None);
-    let worker = WorkerEngine::new(&a, 0..half, 0, x0, y0, ops, config());
+    let worker = WorkerEngine::new(&a, 0..half, 0, x0, y0, ops, EngineConfig::default());
     worker.apply(EpochRecord::Snapshot {
         epoch: 0,
         x_start: 0,

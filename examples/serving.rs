@@ -17,10 +17,12 @@
 //!
 //! Then drives a 4× overload of mixed-tier requests (Exact /
 //! TopKNeighbors / CachedOnly, some with deadlines) against an engine
-//! whose admission policy and fault plan resolve from the environment
-//! (`FUSEDMM_ADMIT_INFLIGHT`, `FUSEDMM_FAULT_PLAN`) and proves every
-//! ticket resolves with exactly reconciling counters — the chaos-smoke
-//! CI entry point.
+//! whose admission cap and fault plan this example reads from the
+//! environment (`FUSEDMM_ADMIT_INFLIGHT`, `FUSEDMM_FAULT_PLAN`) and
+//! proves every ticket resolves with exactly reconciling counters — the
+//! chaos-smoke CI entry point. Every other engine here is configured
+//! with neither, so the bit-identity checks above it hold under any
+//! environment.
 //!
 //! Closes with the telemetry layer: one [`MetricsRegistry`] snapshot
 //! enumerating every engine/shard/cache/kernel metric in the process
@@ -39,18 +41,6 @@ use fusedmm::prelude::*;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Explicitly unlimited admission and disabled fault injection, so the
-/// chaos environment (`FUSEDMM_FAULT_PLAN` / `FUSEDMM_ADMIT_*`) only
-/// drives the dedicated overload section at the end — the
-/// bit-identity assertions above it stay deterministic.
-fn steady_config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
 }
 
 fn main() {
@@ -79,7 +69,7 @@ fn main() {
         feats.clone(),
         feats.clone(),
         OpSet::sigmoid_embedding(None),
-        steady_config(),
+        EngineConfig::default(),
     );
     println!("engine ready: plan = {:?}, backend = {}\n", engine.plan(), engine.plan().backend());
 
@@ -150,20 +140,23 @@ fn main() {
     // bit-identical to the single engine on the same epoch.
     let shards = env_usize("FUSEDMM_SERVE_SHARDS", 4);
     println!("\nsharding the graph into {shards} nnz-balanced bands...");
-    let cfg = steady_config();
     let sharded = ShardedEngine::new(
         a.clone(),
         feats.clone(),
         feats,
         OpSet::sigmoid_embedding(None),
         shards,
-        cfg.clone(),
+        EngineConfig::default(),
     );
     println!("band boundaries: {:?}", sharded.boundaries());
     // A baseline single engine borrowing the *same* store, so both
     // read the same feature epoch — their results must be bit-identical.
-    let baseline =
-        Engine::with_store(a.clone(), sharded.store().clone(), OpSet::sigmoid_embedding(None), cfg);
+    let baseline = Engine::with_store(
+        a.clone(),
+        sharded.store().clone(),
+        OpSet::sigmoid_embedding(None),
+        EngineConfig::default(),
+    );
     let nodes: Vec<usize> = (0..256).map(|i| (i * 131) % n).collect();
     let pairs: Vec<(usize, usize)> = nodes.iter().map(|&u| (u, (u * 7 + 3) % n)).collect();
     let z = sharded.embed(&nodes).expect("sharded embed");
@@ -200,7 +193,7 @@ fn main() {
         epoch0.x().clone(),
         epoch0.y().clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..steady_config() },
+        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..EngineConfig::default() },
     );
     // A skewed hot set: 90% of requests revisit the same 256 nodes.
     let hot: Vec<usize> = (0..256).map(|i| (i * 977) % n).collect();
@@ -237,7 +230,7 @@ fn main() {
         a.clone(),
         cached.store().clone(),
         OpSet::sigmoid_embedding(None),
-        steady_config(),
+        EngineConfig::default(),
     );
     assert_eq!(
         after_delta,
@@ -277,7 +270,7 @@ fn main() {
         epoch0.x().clone(),
         epoch0.y().clone(),
         OpSet::sigmoid_embedding(None),
-        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..steady_config() },
+        EngineConfig { cache: Some(CacheConfig::with_mb(cache_mb)), ..EngineConfig::default() },
     );
     let requests: Vec<Vec<usize>> =
         (0..depth).map(|r| (0..16).map(|i| hot[(r * 3 + i) % hot.len()]).collect()).collect();
@@ -336,7 +329,7 @@ fn main() {
         EngineConfig {
             cache: Some(CacheConfig::with_mb(cache_mb)),
             tracer: Some(tracer.clone()),
-            ..steady_config()
+            ..EngineConfig::default()
         },
     );
     // Cold nodes spanning every band: the request misses the cache,
@@ -357,20 +350,29 @@ fn main() {
         assert!(kinds.contains(stage), "lifecycle stage {stage} missing from the trace");
     }
 
-    // Overload & degradation: a fresh sharded engine whose admission
-    // policy and fault plan resolve from the environment
-    // (`FUSEDMM_ADMIT_INFLIGHT` / `FUSEDMM_ADMIT_ROWS` /
-    // `FUSEDMM_FAULT_PLAN`), driven 4× past its in-flight cap with
-    // mixed-tier traffic. Every ticket must resolve — harvested,
-    // degraded, shed, or failed — and the counters must reconcile
-    // exactly, panics and poisoned fills included.
+    // Overload & degradation: a fresh sharded engine capped at
+    // `FUSEDMM_ADMIT_INFLIGHT` open requests (degrading past 75 % of
+    // the cap) and injecting `FUSEDMM_FAULT_PLAN`, driven 4× past its
+    // cap with mixed-tier traffic. Every ticket must resolve —
+    // harvested, degraded, shed, or failed — and the counters must
+    // reconcile exactly, panics and poisoned fills included.
     quiet_injected_panics();
-    let policy = AdmissionPolicy::from_env();
+    let policy = AdmissionPolicy {
+        max_inflight: env_usize("FUSEDMM_ADMIT_INFLIGHT", 0),
+        max_queued_rows: 0,
+        degrade_fraction: 0.75,
+    };
+    // A typo'd plan fails the run loudly instead of running fault-free.
+    let fault = std::env::var("FUSEDMM_FAULT_PLAN").ok().map(|spec| {
+        let plan = FaultPlan::parse(&spec)
+            .unwrap_or_else(|e| panic!("invalid FUSEDMM_FAULT_PLAN `{spec}`: {e}"));
+        Arc::new(plan)
+    });
     let chaos_depth = if policy.max_inflight > 0 { 4 * policy.max_inflight } else { 128 };
     println!(
         "\noverload & degradation: {chaos_depth} mixed-tier requests against \
          admission {policy:?}, fault plan {}...",
-        if FaultPlan::from_env().is_some_and(|p| p.is_active()) { "ACTIVE" } else { "inactive" }
+        if fault.as_ref().is_some_and(|p| p.is_active()) { "ACTIVE" } else { "inactive" }
     );
     let chaos = ShardedEngine::new(
         a,
@@ -380,7 +382,8 @@ fn main() {
         shards,
         EngineConfig {
             cache: Some(CacheConfig::with_mb(cache_mb)),
-            // admission: None / fault: None -> resolve from the env.
+            admission: Some(policy),
+            fault,
             ..EngineConfig::default()
         },
     );
@@ -431,7 +434,7 @@ fn main() {
         outcomes.iter().map(|o| outcome(o)).sum::<u64>(),
         "request reconciliation must be exact under chaos"
     );
-    if policy.is_limited() {
+    if policy.max_inflight > 0 {
         assert!(
             outcome("shed") + outcome("degraded") > 0,
             "a 4x overload past the admission cap must shed or degrade"

@@ -28,13 +28,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 use fusedmm::apps::sampler::NegativeSampler;
 use fusedmm::apps::{Backend, Force2Vec, Force2VecConfig};
-use fusedmm::perf::trace::Tracer;
 use fusedmm::prelude::*;
-use fusedmm::serve::{AdmissionPolicy, FaultPlan};
 
 thread_local! {
     /// Allocations (including reallocations) made by this thread.
@@ -117,18 +115,6 @@ fn inputs() -> (Csr, Dense, Dense) {
     (a, random_features(N, D, 0.5, 1), random_features(N, D, 0.5, 2))
 }
 
-/// Uncached, untraced, unlimited and fault-free whatever the
-/// environment says.
-fn config() -> EngineConfig {
-    EngineConfig {
-        cache: None,
-        tracer: Some(Tracer::disabled()),
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
-
 /// The response, the reply slot, the ticket's box, the shared node
 /// list, the parts list and the degradation marks: the kernel writes
 /// the one row into the buffer the caller receives.
@@ -136,7 +122,7 @@ fn config() -> EngineConfig {
 fn a_single_row_embed_allocates_six_times() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), config());
+    let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), EngineConfig::default());
     let mut id = 0;
     let n = allocations(16, || {
         id = (id + 37) % N;
@@ -153,7 +139,8 @@ fn a_single_row_embed_allocates_six_times() {
 fn a_64_row_two_shard_embed_allocates_twelve_times() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    let engine =
+        ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, EngineConfig::default());
     // Unsorted, spread over both shards, no repeats.
     let requests: Vec<Vec<usize>> =
         (0..17).map(|r| (0..64).map(|i| (i * 997 + r * 31) % N).collect()).collect();
@@ -233,7 +220,8 @@ fn a_warm_training_step_allocates_twice_over_all_threads() {
 fn a_64_pair_two_shard_score_allocates_21_times_over_all_threads() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    let engine =
+        ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, EngineConfig::default());
     // Sources spread over both shards.
     let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i * 997 % N, (i * 31 + 7) % N)).collect();
     let call = || {
@@ -243,6 +231,25 @@ fn a_64_pair_two_shard_score_allocates_21_times_over_all_threads() {
     };
     let counts: Vec<u64> = (0..32).map(|_| call()).skip(16).collect();
     assert_eq!(counts.iter().min(), Some(&21), "a warm two-shard score: {counts:?}");
+}
+
+/// The same warm 64-pair score on a one-band `Engine`: its one shard
+/// owns every pair, so the pairs go to it as they are and its score
+/// column is copied into the scores returned. What is left: the reply
+/// slot, the score column, the scratch row and the scores returned.
+#[test]
+fn a_64_pair_one_band_score_allocates_4_times_over_all_threads() {
+    let _serial = serial();
+    let (a, x, y) = inputs();
+    let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), EngineConfig::default());
+    let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i * 997 % N, (i * 31 + 7) % N)).collect();
+    let call = || {
+        let before = ALL_THREADS.load(Ordering::SeqCst);
+        engine.score_edges(&pairs).expect("scores");
+        ALL_THREADS.load(Ordering::SeqCst) - before
+    };
+    let counts: Vec<u64> = (0..32).map(|_| call()).skip(16).collect();
+    assert_eq!(counts.iter().min(), Some(&4), "a warm one-band score: {counts:?}");
 }
 
 /// `f(caller)` on two threads released together, one result each.
@@ -281,7 +288,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 fn a_coalesced_miss_allocates_eight_times_to_begin_and_nothing_to_harvest() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let config = EngineConfig { cache: Some(CacheConfig::default()), ..config() };
+    let config = EngineConfig { cache: Some(CacheConfig::default()), ..EngineConfig::default() };
     let engine = Engine::new(a, x, y, OpSet::sigmoid_embedding(None), config);
     let coalesced_total = || engine.metrics().counter("fusedmm_cache_coalesced_misses_total", &[]);
     // Distinct rows (37 is prime to N), each cold when its round begins.
@@ -307,7 +314,7 @@ fn a_coalesced_miss_allocates_eight_times_to_begin_and_nothing_to_harvest() {
 /// A cached two-shard engine over the test graph, with its features.
 fn cached_two_shards() -> (ShardedEngine, Dense, Dense) {
     let (a, x, y) = inputs();
-    let config = EngineConfig { cache: Some(CacheConfig::default()), ..config() };
+    let config = EngineConfig { cache: Some(CacheConfig::default()), ..EngineConfig::default() };
     let ops = OpSet::sigmoid_embedding(None);
     (ShardedEngine::new(a, x.clone(), y.clone(), ops, 2, config), x, y)
 }
@@ -355,7 +362,8 @@ fn a_cached_64_row_embed_allocates_79_times_when_every_row_misses() {
 fn two_callers_each_allocate_the_single_caller_budget() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    let engine =
+        ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, EngineConfig::default());
     let cut = engine.boundaries()[1];
     let counts = two_callers(|caller| {
         // Unsorted, 32 rows in each shard, no repeats.
@@ -430,7 +438,8 @@ fn switches_per_call(engine: &ShardedEngine, n: usize) -> Vec<f64> {
 fn two_callers_almost_never_sleep_on_each_other() {
     let _serial = serial();
     let (a, x, y) = inputs();
-    let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config());
+    let engine =
+        ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, EngineConfig::default());
     for (caller, per_call) in switches_per_call(&engine, N).iter().enumerate() {
         assert!(*per_call <= 0.05, "caller {caller}: {per_call:.3} voluntary switches per call");
     }
@@ -450,7 +459,7 @@ fn two_cached_callers_almost_never_sleep_on_each_other() {
     let a = rmat(&RmatConfig::new(ROWS, 8 * ROWS).with_seed(11));
     let (x, y) = (random_features(ROWS, D, 0.5, 1), random_features(ROWS, D, 0.5, 2));
     // A quarter of the 8 MiB of output rows.
-    let config = EngineConfig { cache: Some(CacheConfig::with_mb(2)), ..config() };
+    let config = EngineConfig { cache: Some(CacheConfig::with_mb(2)), ..EngineConfig::default() };
     let engine = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config);
     for (caller, per_call) in switches_per_call(&engine, ROWS).iter().enumerate() {
         assert!(*per_call <= 0.05, "caller {caller}: {per_call:.3} voluntary switches per call");

@@ -207,13 +207,7 @@ pub fn features(n: usize, d: usize, seed: u64, hostile: bool) -> Dense {
 }
 
 pub fn config(cache: bool, reordering: Option<Reordering>) -> EngineConfig {
-    EngineConfig {
-        cache: cache.then(CacheConfig::default),
-        reordering,
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
+    EngineConfig { cache: cache.then(CacheConfig::default), reordering, ..EngineConfig::default() }
 }
 
 /// Fresh replicas of `a` cut into at most `nshards` bands, and the cut.
@@ -382,9 +376,8 @@ fn deploy(front: Front, cache: bool, reordering: Option<Reordering>, inp: &Input
             (0..workers.len()).map(|s| std::env::temp_dir().join(name(s))).collect();
         let servers = workers.into_iter().zip(&paths);
         let servers = servers.map(|(w, p)| WorkerServer::serve_unix(w, p).expect("bind")).collect();
-        let mut rpc = RpcConfig::new(paths.clone());
-        rpc.fault = Some(Arc::new(FaultPlan::disabled()));
-        let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
+        let transport =
+            RpcTransport::connect(RpcConfig::new(paths.clone())).expect("connect loopback workers");
         (transport, Some(Sockets { servers, paths }))
     } else {
         (Arc::new(InProcess { workers, boundaries, latch: None }), None)

@@ -22,16 +22,6 @@ fn ledger(m: &MetricsSnapshot) -> (u64, u64) {
     (m.sum("fusedmm_requests_begun_total"), resolved.sum())
 }
 
-/// A config immune to the chaos environment: unlimited admission, no
-/// injection — the bit-identity baseline.
-fn fault_free_config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
-
 #[test]
 fn every_launch_panicking_resolves_typed_not_hung() {
     quiet_injected_panics();
@@ -46,7 +36,7 @@ fn every_launch_panicking_resolves_typed_not_hung() {
         OpSet::sigmoid_embedding(None),
         EngineConfig {
             fault: Some(Arc::new(FaultPlan::parse("panic_every=1").unwrap())),
-            ..fault_free_config()
+            ..EngineConfig::default()
         },
     );
     // Every launch panics, including the one-shot healthy-path retry:
@@ -72,7 +62,7 @@ fn concurrent_claimants_panic_exactly_every_second_launch() {
     let a = rmat(&RmatConfig::new(n, 6 * n).with_seed(5));
     let (x, y) = (random_features(n, 16, 0.5, 1), random_features(n, 16, 0.5, 2));
     let fault = Some(Arc::new(FaultPlan::parse("panic_every=2").unwrap()));
-    let config = EngineConfig { fault, ..fault_free_config() };
+    let config = EngineConfig { fault, ..EngineConfig::default() };
     let eng = ShardedEngine::new(a, x, y, OpSet::sigmoid_embedding(None), 2, config);
     let calls = 400;
     let barrier = std::sync::Barrier::new(2);
@@ -123,7 +113,7 @@ fn a_failed_claimant_leaves_its_queued_parts_to_coalesced_waiters() {
     let config = EngineConfig {
         cache: Some(CacheConfig::default()),
         fault: Some(Arc::new(FaultPlan::parse("panic_every=1").unwrap())),
-        ..fault_free_config()
+        ..EngineConfig::default()
     };
     let eng = Arc::new(ShardedEngine::new(a, feats.clone(), feats, OpSet::gcn(), 2, config));
     let rounds = 300;
@@ -173,8 +163,8 @@ fn wait_any_drains_an_overloaded_window_across_shards() {
     let x = random_features(n, d, 0.5, 3);
     let y = random_features(n, d, 0.5, 4);
     let ops = OpSet::sigmoid_embedding(None);
-    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), fault_free_config());
-    let eng = ShardedEngine::new(a, x, y, ops, 3, fault_free_config());
+    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), EngineConfig::default());
+    let eng = ShardedEngine::new(a, x, y, ops, 3, EngineConfig::default());
     let windows: Vec<Vec<usize>> =
         (0..12).map(|i| vec![(i * 17) % n, (i * 5 + 3) % n, (i * 29 + 7) % n]).collect();
     let mut tix: Vec<Ticket<Dense>> = windows.iter().map(|w| eng.embed_begin(w).unwrap()).collect();
@@ -195,7 +185,7 @@ fn sharded_deadline_expiry_is_typed_and_counted() {
     let config = EngineConfig {
         cache: Some(CacheConfig::default()),
         fault: Some(Arc::new(FaultPlan::parse("delay_fill_us=100000").unwrap())),
-        ..fault_free_config()
+        ..EngineConfig::default()
     };
     let eng = ShardedEngine::new(a, feats.clone(), feats, OpSet::gcn(), 2, config);
     // Each piece queues behind an Exact launch whose cache fill the
@@ -224,11 +214,12 @@ fn deadline_tickets_harvested_late_are_served() {
     let x = random_features(n, d, 0.5, 7);
     let y = random_features(n, d, 0.5, 8);
     let ops = OpSet::sigmoid_embedding(None);
-    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), fault_free_config());
+    let single = Engine::new(a.clone(), x.clone(), y.clone(), ops.clone(), EngineConfig::default());
     let windows: Vec<Vec<usize>> =
         (0..16).map(|i| vec![(i * 7) % n, (i * 13 + 5) % n, (i * 31 + 2) % n]).collect();
     for nshards in [1, 2] {
-        let config = EngineConfig { cache: Some(CacheConfig::default()), ..fault_free_config() };
+        let config =
+            EngineConfig { cache: Some(CacheConfig::default()), ..EngineConfig::default() };
         let eng = ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), nshards, config);
         let deadline = Instant::now() + Duration::from_millis(300);
         let opts = EmbedOptions::with_deadline(deadline);
@@ -281,7 +272,7 @@ fn transport_disconnect_chaos_resolves_every_request_and_reconciles() {
                 Dense::zeros(n, d),
                 Dense::zeros(n, d),
                 ops.clone(),
-                EngineConfig { cache: Some(CacheConfig::default()), ..fault_free_config() },
+                EngineConfig { cache: Some(CacheConfig::default()), ..EngineConfig::default() },
             );
             WorkerServer::serve_unix(Arc::new(engine), &paths[s]).expect("bind chaos worker")
         })
@@ -292,8 +283,8 @@ fn transport_disconnect_chaos_resolves_every_request_and_reconciles() {
         Some(Arc::new(FaultPlan::parse("drop_conn_every=5,delay_frame_us=200").unwrap()));
     let transport = RpcTransport::connect(rpc_config).expect("connect chaos workers");
     let remote =
-        RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), fault_free_config());
-    let fault_free = ShardedEngine::new(a, x, y, ops, nshards, fault_free_config());
+        RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), EngineConfig::default());
+    let fault_free = ShardedEngine::new(a, x, y, ops, nshards, EngineConfig::default());
 
     let total_reconnects = || (0..nshards).map(|s| transport.reconnects(s)).sum::<u64>();
     let mut reconnects_seen = 0u64;
@@ -374,7 +365,7 @@ proptest! {
         let y = random_features(n, d, 0.5, seed ^ 2);
         let ops = OpSet::sigmoid_embedding(None);
         let fault_free =
-            ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), 3, fault_free_config());
+            ShardedEngine::new(a.clone(), x.clone(), y.clone(), ops.clone(), 3, EngineConfig::default());
         let cap = 8u64;
         let eng = ShardedEngine::new(
             a,

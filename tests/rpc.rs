@@ -230,14 +230,6 @@ proptest! {
 // versus the in-process ShardedEngine.
 // ---------------------------------------------------------------------
 
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    }
-}
-
 /// Host one shard's band behind a fresh replica (boot features are
 /// zeros — the coordinator must seed it from a log snapshot) on a unix
 /// socket.
@@ -256,7 +248,7 @@ fn boot_worker(
         Dense::zeros(a.nrows(), d),
         Dense::zeros(a.ncols(), d),
         OpSet::sigmoid_embedding(None),
-        engine_config(),
+        EngineConfig::default(),
     );
     fusedmm::rpc::WorkerServer::serve_unix(Arc::new(engine), path).expect("bind worker socket")
 }
@@ -296,10 +288,10 @@ fn first_embed_after_connect_never_races_the_session() {
     // connection to a replica that already holds epoch 0.
     let servers: Vec<_> = (0..nshards).map(|s| boot_worker(&a, s, nshards, d, &paths[s])).collect();
     for round in 0..200 {
-        let mut rpc_config = RpcConfig::new(paths.clone());
-        rpc_config.fault = Some(Arc::new(FaultPlan::disabled()));
-        let transport = RpcTransport::connect(rpc_config).expect("connect loopback workers");
-        let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport, engine_config());
+        let transport =
+            RpcTransport::connect(RpcConfig::new(paths.clone())).expect("connect loopback workers");
+        let remote =
+            RemoteShardedEngine::new(x.clone(), y.clone(), transport, EngineConfig::default());
         // One node per band, no retry.
         if let Err(e) = remote.embed(&[0, n - 1]) {
             panic!("round {round}: first embed after connect failed: {e}");
@@ -384,7 +376,6 @@ fn a_revision_1_worker_is_refused_at_the_handshake() {
     assert_eq!(PROTO_VERSION, 3);
     let mut stale = FakeWorker::start("rev1", |_| hello(1, 8, 8, 4), false);
     let mut config = RpcConfig::new(vec![stale.path.clone()]);
-    config.fault = Some(Arc::new(FaultPlan::disabled()));
     config.connect_timeout = Duration::from_millis(300);
     match RpcTransport::connect(config) {
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "{e}"),
@@ -406,7 +397,6 @@ fn a_worker_back_with_another_y_height_is_refused_at_the_handshake() {
         false,
     );
     let mut config = RpcConfig::new(vec![fake.path.clone()]);
-    config.fault = Some(Arc::new(FaultPlan::disabled()));
     config.reconnect_backoff = Duration::from_millis(5);
     let transport = RpcTransport::connect(config).expect("the first contact opens a session");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -431,7 +421,6 @@ fn a_worker_that_stops_reading_cannot_hang_the_coordinator() {
     let (n, d) = (4096, 128);
     let mut fake = FakeWorker::start("deaf", move |_| hello(PROTO_VERSION, n, n, d), true);
     let mut config = RpcConfig::new(vec![fake.path.clone()]);
-    config.fault = Some(Arc::new(FaultPlan::disabled()));
     config.connect_timeout = Duration::from_millis(500);
     let transport = RpcTransport::connect(config).expect("the handshake completes");
     let t0 = Instant::now();
@@ -439,7 +428,7 @@ fn a_worker_that_stops_reading_cannot_hang_the_coordinator() {
         Dense::zeros(n, d),
         Dense::zeros(n, d),
         transport,
-        engine_config(),
+        EngineConfig::default(),
     );
     let built = t0.elapsed();
     assert!(built < Duration::from_secs(5), "seeding a deaf worker took {built:?}");
@@ -464,11 +453,10 @@ fn a_score_a_worker_never_answers_fails_after_the_connect_timeout() {
     let (n, d) = (8, 4);
     let mut fake = FakeWorker::start("mute", move |_| hello(PROTO_VERSION, n, n, d), true);
     let mut config = RpcConfig::new(vec![fake.path.clone()]);
-    config.fault = Some(Arc::new(FaultPlan::disabled()));
     config.connect_timeout = Duration::from_millis(300);
     let transport = RpcTransport::connect(config).expect("the handshake completes");
     let (x, y) = (Dense::zeros(n, d), Dense::zeros(n, d));
-    let remote = RemoteShardedEngine::new(x, y, transport, engine_config());
+    let remote = RemoteShardedEngine::new(x, y, transport, EngineConfig::default());
     let t0 = Instant::now();
     match remote.score_edges(&[(0, 1), (n - 1, 2)]) {
         Err(ServeError::PartFailed { shard: Some(0) }) => {}
@@ -496,11 +484,11 @@ fn remote_engine_is_bit_identical_over_sockets_and_survives_worker_restart() {
     let mut servers: Vec<_> =
         (0..nshards).map(|s| boot_worker(&a, s, nshards, d, &paths[s])).collect();
 
-    let mut rpc_config = RpcConfig::new(paths.clone());
-    rpc_config.fault = Some(Arc::new(FaultPlan::disabled()));
-    let transport = RpcTransport::connect(rpc_config).expect("connect loopback workers");
-    let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), engine_config());
-    let local = ShardedEngine::new(a.clone(), x, y, ops, nshards, engine_config());
+    let transport =
+        RpcTransport::connect(RpcConfig::new(paths.clone())).expect("connect loopback workers");
+    let remote =
+        RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), EngineConfig::default());
+    let local = ShardedEngine::new(a.clone(), x, y, ops, nshards, EngineConfig::default());
     assert_eq!(remote.boundaries(), local.boundaries());
 
     let windows: Vec<Vec<usize>> =

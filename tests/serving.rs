@@ -1112,12 +1112,7 @@ fn remote_callers_never_hang_and_stay_bit_identical_while_deltas_ship() {
     let y = random_features(n, d, 0.5, 73);
     let ops = OpSet::sigmoid_embedding(None);
     let reference = fusedmm(&a, &x, &y, &ops);
-    let config = |cache| EngineConfig {
-        cache,
-        admission: Some(AdmissionPolicy::unlimited()),
-        fault: Some(Arc::new(FaultPlan::disabled())),
-        ..EngineConfig::default()
-    };
+    let config = |cache| EngineConfig { cache, ..EngineConfig::default() };
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let paths: Vec<std::path::PathBuf> =
@@ -1132,9 +1127,8 @@ fn remote_callers_never_hang_and_stay_bit_identical_while_deltas_ship() {
             WorkerServer::serve_unix(Arc::new(worker), &paths[s]).expect("bind worker socket")
         })
         .collect();
-    let mut rpc = RpcConfig::new(paths.clone());
-    rpc.fault = Some(Arc::new(FaultPlan::disabled()));
-    let transport = RpcTransport::connect(rpc).expect("connect loopback workers");
+    let transport =
+        RpcTransport::connect(RpcConfig::new(paths.clone())).expect("connect loopback workers");
     let remote = RemoteShardedEngine::new(x.clone(), y.clone(), transport, config(None));
     let _watchdog = Watchdog::start("remote serving stress test");
     let stop = AtomicBool::new(false);
